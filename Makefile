@@ -31,7 +31,10 @@
 # concurrent-handler and concurrent-session tests
 # (./internal/server/..., plus the session hammer under
 # ./internal/runtime/...).
-.PHONY: check build vet lint test race bench metrics-smoke churn-smoke serve-smoke
+# `make test-cpu1` is the whole suite at one core — the configuration
+# that is fully green while ROADMAP item 1's multi-core failures are
+# open; CI runs it as its own required step ahead of `make check`.
+.PHONY: check build vet lint test test-cpu1 race bench metrics-smoke churn-smoke serve-smoke
 
 check: vet lint build test race metrics-smoke churn-smoke serve-smoke
 
@@ -46,6 +49,9 @@ lint:
 
 test:
 	go test ./...
+
+test-cpu1:
+	go test -cpu 1 ./...
 
 race:
 	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/...

@@ -218,10 +218,11 @@ func BenchmarkPropagate(b *testing.B) {
 		b.Fatal(err)
 	}
 	sink := 0.0
+	scratch := wl.Plan.NewScratch()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wl.Plan.Propagate(int64(i%wl.Plan.N), 1.0, func(dst int64, v float64) {
+		wl.Plan.PropagateInto(scratch, int64(i%wl.Plan.N), 1.0, func(dst int64, v float64) {
 			sink += v
 		})
 	}

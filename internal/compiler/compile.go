@@ -342,7 +342,7 @@ func buildPropagator(f func([]float64) float64, g *graph.Graph, lay propLayout, 
 	}
 }
 
-// compilePropagation builds the Propagate and PropagateFull closures.
+// compilePropagation builds the PropagateInto and PropagateFullInto closures.
 func compilePropagation(p *Plan, shape *bodyShape) error {
 	rec := p.Info.Rec
 	lay := layoutSlots(rec, shape)
@@ -367,14 +367,6 @@ func compilePropagation(p *Plan, shape *bodyShape) error {
 	p.NewScratch = func() []float64 { return make([]float64, nslots) }
 	p.PropagateInto = buildPropagator(fDelta, p.Graph, lay, p.PairKeys)
 	p.PropagateFullInto = buildPropagator(fFull, p.Graph, lay, p.PairKeys)
-	// The convenience forms allocate scratch per call; the engine's scan
-	// passes hold per-goroutine scratch and use the Into forms.
-	p.Propagate = func(key int64, delta float64, emit func(int64, float64)) {
-		p.PropagateInto(make([]float64, nslots), key, delta, emit)
-	}
-	p.PropagateFull = func(key int64, value float64, emit func(int64, float64)) {
-		p.PropagateFullInto(make([]float64, nslots), key, value, emit)
-	}
 	return nil
 }
 

@@ -44,11 +44,11 @@ func compile(t *testing.T, src string, db *edb.DB) *Plan {
 
 func collect(p *Plan, key int64, delta float64, full bool) map[int64]float64 {
 	out := map[int64]float64{}
-	f := p.Propagate
+	f := p.PropagateInto
 	if full {
-		f = p.PropagateFull
+		f = p.PropagateFullInto
 	}
-	f(key, delta, func(dst int64, v float64) {
+	f(p.NewScratch(), key, delta, func(dst int64, v float64) {
 		if cur, ok := out[dst]; ok {
 			out[dst] = p.Op.Fold(cur, v)
 		} else {

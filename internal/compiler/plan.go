@@ -47,19 +47,13 @@ type Plan struct {
 	// Graph is the propagation structure joined in the recursive body.
 	Graph *graph.Graph
 
-	// Propagate applies the incremental F' to a drained delta and emits
-	// each dependent contribution. Safe for concurrent use, but
-	// allocates its evaluation scratch per call — hot loops should hold
-	// a NewScratch buffer and call PropagateInto instead.
-	Propagate func(key int64, delta float64, emit func(dst int64, v float64))
-	// PropagateFull applies the original, un-split F to a full value —
-	// the naive-evaluation path.
-	PropagateFull func(key int64, value float64, emit func(dst int64, v float64))
-
-	// PropagateInto / PropagateFullInto are the reentrant forms: the
-	// caller supplies the expression-evaluation scratch (one NewScratch
-	// slice per goroutine), so a steady-state scan pass allocates
-	// nothing. Scratch must not be shared between concurrent callers.
+	// PropagateInto applies the incremental F' to a drained delta and
+	// emits each dependent contribution; PropagateFullInto applies the
+	// original, un-split F to a full value — the naive-evaluation path.
+	// Both are reentrant: the caller supplies the expression-evaluation
+	// scratch (one NewScratch slice per goroutine), so a steady-state
+	// scan pass allocates nothing. Scratch must not be shared between
+	// concurrent callers.
 	PropagateInto     func(scratch []float64, key int64, delta float64, emit func(dst int64, v float64))
 	PropagateFullInto func(scratch []float64, key int64, value float64, emit func(dst int64, v float64))
 	// NewScratch sizes a scratch buffer for PropagateInto /

@@ -47,8 +47,8 @@ func (c *faultConn) Inbox() <-chan transport.Message { return c.inner.Inbox() }
 func (c *faultConn) Close() error                    { return c.inner.Close() }
 
 // faultable limits injection to worker↔worker Data and EndPhase
-// traffic. Snapshot-episode marks are spared: they belong to the
-// recovery machinery itself, which models coordinator-adjacent loss via
+// traffic. Fence marks are spared: they belong to the recovery
+// machinery itself, which models coordinator-adjacent loss via
 // CrashRound instead.
 func (c *faultConn) faultable(to int, kind transport.Kind) bool {
 	return to >= 0 && to < c.inner.Workers() &&

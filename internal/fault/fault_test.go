@@ -200,7 +200,7 @@ func TestWrapSparesControlPlane(t *testing.T) {
 	if err := conn.Send(master, transport.Message{Kind: transport.StatsReply}); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(1, transport.Message{Kind: transport.SnapMark}); err != nil {
+	if err := conn.Send(1, transport.Message{Kind: transport.FenceMark}); err != nil {
 		t.Fatal(err)
 	}
 	if len(inner.sent) != 2 {

@@ -10,10 +10,9 @@ import (
 
 // kindswitchAnalyzer enforces exhaustiveness for switches over
 // enum-like constant families: transport.Kind, runtime.Mode, and every
-// other module type that follows the same shape. PR 7 grew
-// transport.Kind by four message kinds (Park/ParkMark/ParkDone/
-// EpochStart); the only thing that caught a switch arm missing for one
-// of them was runtime behavior — the exact silent-protocol-drift
+// other module type that follows the same shape. When PR 7 grew
+// transport.Kind by four message kinds, the only thing that caught a
+// switch arm missing for one of them was runtime behavior — the exact silent-protocol-drift
 // failure mode the paper's asynchronous modes cannot afford (a dropped
 // marker kind corrupts convergence rather than crashing).
 //

@@ -90,28 +90,26 @@ func nonConstantCase(p, q phase) bool {
 	return false
 }
 
-// kindDropsPark mirrors the real worker.handle() bug class: the switch
-// misses the park-era kinds PR 7 added and the membership kinds after
-// them.
-func kindDropsPark(k transport.Kind) string {
-	switch k { // want "switch over transport.Kind is not exhaustive: missing Park, ParkMark, ParkDone, EpochStart, Join, Orphan, Handoff, Release"
+// kindDropsFence mirrors the real worker.handle() bug class: the switch
+// covers the data and termination kinds but misses the fence protocol
+// and the membership kinds after it.
+func kindDropsFence(k transport.Kind) string {
+	switch k { // want "switch over transport.Kind is not exhaustive: missing FenceRequest, FenceMark, FenceAck, FenceRelease, Orphan, Handoff"
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
-		transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.SnapRequest, transport.SnapMark, transport.SnapDone, transport.Resume:
-		return "session-era"
+		transport.StatsRequest, transport.StatsReply, transport.Stop:
+		return "termination-era"
 	}
 	return ""
 }
 
-// kindDropsMembership covers everything up to the park era but misses
-// the membership fence kinds (elastic re-join / scale, DESIGN.md §11).
+// kindDropsMembership covers everything up to the fence protocol but
+// misses the membership kinds (elastic re-join / scale, DESIGN.md §11).
 func kindDropsMembership(k transport.Kind) string {
-	switch k { // want "switch over transport.Kind is not exhaustive: missing Join, Orphan, Handoff, Release"
+	switch k { // want "switch over transport.Kind is not exhaustive: missing Orphan, Handoff"
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.SnapRequest, transport.SnapMark, transport.SnapDone, transport.Resume,
-		transport.Park, transport.ParkMark, transport.ParkDone, transport.EpochStart:
-		return "park-era"
+		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease:
+		return "fence-era"
 	}
 	return ""
 }
@@ -121,9 +119,8 @@ func kindExhaustiveAll(k transport.Kind) bool {
 	switch k {
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.SnapRequest, transport.SnapMark, transport.SnapDone, transport.Resume,
-		transport.Park, transport.ParkMark, transport.ParkDone, transport.EpochStart,
-		transport.Join, transport.Orphan, transport.Handoff, transport.Release:
+		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease,
+		transport.Orphan, transport.Handoff:
 		return true
 	}
 	return false
@@ -151,14 +148,13 @@ func (dispatcher) route(p phase) int {
 	return 0
 }
 
-// kindDropsOne misses exactly the newest protocol kind.
+// kindDropsOne misses exactly the last protocol kind.
 func kindDropsOne(k transport.Kind) bool {
-	switch k { // want "missing Release"
+	switch k { // want "missing Handoff"
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.SnapRequest, transport.SnapMark, transport.SnapDone, transport.Resume,
-		transport.Park, transport.ParkMark, transport.ParkDone, transport.EpochStart,
-		transport.Join, transport.Orphan, transport.Handoff:
+		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease,
+		transport.Orphan:
 		return true
 	}
 	return false

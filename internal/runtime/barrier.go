@@ -81,12 +81,11 @@ func (freeRun) setup(*worker) {}
 func (freeRun) beginPass(w *worker) bool { return w.drainInbox() }
 
 func (freeRun) endPass(w *worker, progressed bool) bool {
-	// A pass boundary is the async family's snapshot safe point: join a
-	// pending marker episode (combining aggregates) or write a local
-	// stale snapshot (selective aggregates, Theorem 3) — and the
-	// membership safe point: join a pending fence (membership.go).
-	w.maybeSnapshot()
-	w.maybeJoinFence()
+	// A pass boundary is the async family's safe point for fences: join
+	// a pending snapshot episode (combining aggregates) or membership
+	// fence — or, further down, write a local stale snapshot (selective
+	// aggregates, Theorem 3).
+	w.joinFences()
 	if progressed {
 		// Only productive passes count as effective iterations (the
 		// ε gating and the system-level cap both key off them).
@@ -132,19 +131,10 @@ func (w *worker) broadcastEndPhase(round int) {
 // lost — the worker retransmits its own marker so a peer blocked on THIS
 // worker's lost marker unblocks, announces its round, and unblocks us.
 func (w *worker) awaitPeerRounds(round int) {
-	for w.minPeerSteps() < round && !w.stopped && !w.sendDead.Load() {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-			w.met.markerResends.Inc()
-			w.broadcastEndPhase(round)
-		}
-	}
+	w.foldUntil(func() bool { return w.peerSteps.min(nil, w.peerSkip) >= round }, func() {
+		w.met.markerResends.Inc()
+		w.broadcastEndPhase(round)
+	})
 }
 
 // awaitVerdict blocks for the master's Continue/Stop and reports whether
@@ -153,24 +143,12 @@ func (w *worker) awaitPeerRounds(round int) {
 // awaitPeerRounds and cannot reach the master, so the already-idle
 // workers are the ones that must heal the barrier.
 func (w *worker) awaitVerdict() bool {
-	for !w.verdictSet {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return false
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-			if w.sendDead.Load() {
-				return false
-			}
-			if w.rounds > 0 {
-				w.met.markerResends.Inc()
-				w.broadcastEndPhase(w.rounds)
-			}
+	ok := w.foldUntil(func() bool { return w.verdictSet }, func() {
+		if w.rounds > 0 {
+			w.met.markerResends.Inc()
+			w.broadcastEndPhase(w.rounds)
 		}
-	}
+	})
 	w.verdictSet = false
-	return w.verdict == transport.Continue && !w.stopped
+	return ok && w.verdict == transport.Continue
 }

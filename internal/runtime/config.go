@@ -66,10 +66,6 @@ type Config struct {
 	BetaInit int
 	// Tau is the message-passing interval τ (default 2ms).
 	Tau time.Duration
-	// Alpha is the damping factor of the β update (paper fixes 0.8).
-	Alpha float64
-	// R is the adaptation trigger ratio (paper sets 2).
-	R float64
 
 	// Staleness bounds how many supersteps ahead of the slowest peer an
 	// MRASSP worker may run before blocking on stragglers (default 2).
@@ -281,12 +277,6 @@ func (c Config) withDefaults() Config {
 	if c.Tau <= 0 {
 		c.Tau = 2 * time.Millisecond
 	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.8
-	}
-	if c.R <= 0 {
-		c.R = 2
-	}
 	if c.Staleness <= 0 {
 		c.Staleness = 2
 	}
@@ -325,11 +315,38 @@ type Result struct {
 	// Converged is false when the run stopped on the iteration cap or
 	// wall-clock limit instead of its termination condition.
 	Converged bool
+	// StopCause says why the fixpoint ended — in particular why a run
+	// with Converged == false and a nil error did.
+	StopCause StopCause
 	// Workers holds per-worker observability, indexed by worker id.
 	Workers []WorkerStats
 	// Master snapshots the termination controller's metrics (protocol
 	// rounds, collect-wait histogram, liveness timeouts).
 	Master metrics.Snapshot
+}
+
+// StopCause is the reason the master ended a fixpoint.
+type StopCause uint8
+
+const (
+	StopNone            StopCause = iota // the fixpoint has not ended
+	StopConverged                        // the program's termination condition held (ε or distributed quiescence)
+	StopIterationCap                     // the program's iteration cap was reached first
+	StopWall                             // Config.MaxWall expired
+	StopWorkerLost                       // a worker stayed silent past the collect deadline and could not be re-joined
+	StopFenceAborted                     // a membership or park fence did not complete within its deadline
+	StopInjected                         // the fault injector's crash round
+	StopTransportClosed                  // the master's inbox closed underneath it
+)
+
+var stopCauseNames = [...]string{"none", "converged", "iteration cap", "wall clock", "worker lost",
+	"fence aborted", "stopped by injector", "transport closed"}
+
+func (c StopCause) String() string {
+	if int(c) < len(stopCauseNames) {
+		return stopCauseNames[c]
+	}
+	return fmt.Sprintf("StopCause(%d)", uint8(c))
 }
 
 // WorkerStats is one worker's per-run observability: how the mode's

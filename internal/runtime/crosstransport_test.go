@@ -52,13 +52,16 @@ func runOverTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers
 			results[i] = local
 		}(i)
 	}
-	rounds, converged, err := RunMaster(newPlan(), cfg, eps[workers])
+	m, err := runMaster(newPlan(), cfg, eps[workers])
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
 	wg.Wait()
-	if !converged || rounds == 0 {
-		t.Fatalf("TCP run: converged=%v rounds=%d", converged, rounds)
+	if !m.converged || m.rounds == 0 {
+		t.Fatalf("TCP run: converged=%v rounds=%d (stop cause: %v)", m.converged, m.rounds, m.cause)
 	}
 	merged := map[int64]float64{}
 	for _, local := range results {
@@ -97,7 +100,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !chanRes.Converged {
-			t.Fatal("channel run did not converge")
+			t.Fatalf("channel run did not converge (stop cause: %v)", chanRes.StopCause)
 		}
 		tcpRes := runOverTCP(t, newPlan, cfg, 3)
 		compareResults(t, chanRes.Values, tcpRes, 1e-9)
@@ -117,7 +120,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !chanRes.Converged {
-			t.Fatal("channel run did not converge")
+			t.Fatalf("channel run did not converge (stop cause: %v)", chanRes.StopCause)
 		}
 		tcpRes := runOverTCP(t, newPlan, cfg, 3)
 		// Both runs chase the same limit under the program's ε; they stop

@@ -113,8 +113,9 @@ func TestNaiveJoinMatchesClosure(t *testing.T) {
 		t.Fatal(err)
 	}
 	closureOut := map[int64]float64{}
+	scratch := plan.NewScratch()
 	for v := 0; v < plan.N; v++ {
-		plan.PropagateFull(int64(v), 1, func(k int64, val float64) { closureOut[k] += val })
+		plan.PropagateFullInto(scratch, int64(v), 1, func(k int64, val float64) { closureOut[k] += val })
 	}
 	if len(joinOut) != len(closureOut) {
 		t.Fatalf("key sets differ: %d vs %d", len(joinOut), len(closureOut))

@@ -1,0 +1,288 @@
+package runtime
+
+import (
+	"os"
+	"sync"
+	"testing"
+	"time"
+
+	"powerlog/internal/ckpt"
+	"powerlog/internal/edb"
+	"powerlog/internal/gen"
+	"powerlog/internal/progs"
+	"powerlog/internal/transport"
+)
+
+// These tests drive the fence primitive (fence.go) on its own: workers
+// with no compute loop join one fence over a channel network while the
+// test plays the master through a real master's collectAcks. Faults are
+// injected per link by a filtering conn.
+
+// markFilter decides what happens to a FenceMark sent to slot `to`.
+type markFilter func(to int, m transport.Message) (drop, dup bool)
+
+type filterConn struct {
+	transport.Conn
+	filter markFilter
+}
+
+func (c *filterConn) Send(to int, m transport.Message) error {
+	if m.Kind == transport.FenceMark {
+		drop, dup := c.filter(to, m)
+		if drop {
+			return nil
+		}
+		if dup {
+			if err := c.Conn.Send(to, m); err != nil {
+				return err
+			}
+		}
+	}
+	return c.Conn.Send(to, m)
+}
+
+type fenceRig struct {
+	t    *testing.T
+	m    *master
+	ws   []*worker
+	done chan int // worker ids, as each leaves its fence
+	wg   sync.WaitGroup
+}
+
+// newFenceRig stands up n workers and a master; the workers in `absent`
+// get no goroutine (they model a crashed or wedged peer). filter, when
+// non-nil, sees worker `from`'s outgoing FenceMarks.
+func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]bool,
+	filter func(from int) markFilter) *fenceRig {
+	t.Helper()
+	db := edb.NewDB()
+	db.SetGraph("edge", gen.Uniform(40, 120, 10, 5))
+	plan := compilePlan(t, progs.SSSP, db)
+	cfg := Config{Workers: n, CoresPerWorker: 1, SnapshotDir: t.TempDir()}.withDefaults()
+	net := transport.NewChannelNetwork(n, 256)
+	r := &fenceRig{t: t, done: make(chan int, n)}
+	r.m = newMaster(cfg, plan, net.Conn(transport.MasterID(n)))
+	for i := 0; i < n; i++ {
+		var conn transport.Conn = net.Conn(i)
+		if filter != nil {
+			conn = &filterConn{Conn: conn, filter: filter(i)}
+		}
+		w := newWorker(i, cfg, plan, conn)
+		r.ws = append(r.ws, w)
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			defer func() {
+				close(w.out)
+				close(w.outCtrl)
+				<-w.commDone
+			}()
+			if absent[w.id] {
+				return
+			}
+			if w.foldUntil(func() bool { return w.fencePending(c) }, func() {}) {
+				w.fence(c)
+			}
+			r.done <- w.id
+		}()
+	}
+	t.Cleanup(func() {
+		r.m.bcast(transport.Message{Kind: transport.Stop})
+		r.wg.Wait()
+		net.Close()
+	})
+	return r
+}
+
+func (r *fenceRig) request(c transport.FenceClass, e int) {
+	r.m.bcast(transport.Message{Kind: transport.FenceRequest, Fence: c, Round: e, Admit: -1})
+}
+
+func (r *fenceRig) release(c transport.FenceClass, e int) {
+	r.m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: c, Round: e})
+}
+
+// run drives fence (c, e) to completion and fails the test unless
+// exactly `need` acks arrive and as many workers leave the fence.
+func (r *fenceRig) run(c transport.FenceClass, e, need int) {
+	r.t.Helper()
+	r.request(c, e)
+	got, open := r.m.collectAcks(c, e, need, time.Now().Add(10*time.Second))
+	if !open || got != need {
+		r.t.Fatalf("fence %d: %d/%d acks (network open: %v)", e, got, need, open)
+	}
+	// Every ack is in; one more would be a duplicate.
+	if extra, _ := r.m.collectAcks(c, e, 1, time.Now().Add(20*time.Millisecond)); extra != 0 {
+		r.t.Fatalf("fence %d: a worker acked twice", e)
+	}
+	r.release(c, e)
+	for i := 0; i < need; i++ {
+		select {
+		case <-r.done:
+		case <-time.After(10 * time.Second):
+			r.t.Fatalf("fence %d: only %d/%d workers left the fence after its release", e, i, need)
+		}
+	}
+}
+
+func TestMarkClock(t *testing.T) {
+	c := make(markClock, 4)
+	c.observe(1, 5)
+	c.observe(1, 3) // stale duplicate: max-merge keeps 5
+	c.observe(1, 5) // exact duplicate
+	c.observe(9, 7) // outside the clock
+	c.observe(-1, 7)
+	if c[1] != 5 {
+		t.Fatalf("max-merge lost a stamp: %v", c)
+	}
+	c.observe(2, 4)
+	self := func(j int) bool { return j == 0 }
+	if got := c.min(nil, self); got != 0 {
+		t.Errorf("slot 3 never marked: min = %d, want 0", got)
+	}
+	if got := c.min([]bool{false, true, true, false}, nil); got != 4 {
+		t.Errorf("cohort {1,2}: min = %d, want 4", got)
+	}
+	if got := c.min([]bool{false, true, true, true}, func(j int) bool { return j == 3 }); got != 4 {
+		t.Errorf("cohort {1,2,3} skipping 3: min = %d, want 4", got)
+	}
+	if got := c.min(nil, func(int) bool { return true }); got != maxSteps {
+		t.Errorf("nobody left to wait for: min = %d, want maxSteps", got)
+	}
+	c.resetUpTo(1, 4) // 5 is above the bound: a newer incarnation's stamp
+	c.resetUpTo(2, 4)
+	if c[1] != 5 || c[2] != 0 {
+		t.Errorf("resetUpTo(·, 4) left %v, want slot 1 kept and slot 2 cleared", c)
+	}
+	if !(markStamp(3, 1) < markStamp(3, 2) && markStamp(3, 2) < markStamp(4, 1)) {
+		t.Error("marker rounds are not ordered within and across fences")
+	}
+}
+
+// Duplicated markers are idempotent: the fence completes once, every
+// worker acks once.
+func TestFenceDuplicateMarks(t *testing.T) {
+	dupAll := func(int) markFilter {
+		return func(int, transport.Message) (bool, bool) { return false, true }
+	}
+	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember} {
+		r := newFenceRig(t, 3, c, nil, dupAll)
+		r.run(c, 1, 3)
+	}
+}
+
+// A dropped first marker is healed by the re-send — for every class,
+// including the snapshot fence, whose hand-rolled predecessor never
+// re-sent a mark (and ignored the master's release while waiting for
+// one).
+func TestFenceDroppedMarkHealsByResend(t *testing.T) {
+	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember} {
+		var mu sync.Mutex
+		dropped := 0
+		dropFirst := func(from int) markFilter {
+			return func(to int, _ transport.Message) (bool, bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				if from == 0 && to == 1 && dropped == 0 {
+					dropped++
+					return true, false
+				}
+				return false, false
+			}
+		}
+		r := newFenceRig(t, 2, c, nil, dropFirst)
+		r.run(c, 1, 2)
+		if dropped != 1 {
+			t.Fatalf("class %d: the filter never dropped a mark", c)
+		}
+		if c == transport.FenceSnapshot {
+			for _, w := range r.ws {
+				if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 1, w.id)); err != nil {
+					t.Errorf("snapshot fence healed but worker %d wrote no shard: %v", w.id, err)
+				}
+			}
+		}
+	}
+}
+
+// Every first-round marker on one link is lost; the sender's
+// second-round marker stamps above it on the same clock and heals the
+// first-round wait.
+func TestFenceDroppedMarkHealsByLaterPhase(t *testing.T) {
+	dropPhase1 := func(from int) markFilter {
+		return func(to int, m transport.Message) (bool, bool) {
+			return from == 0 && to == 1 && m.Phase == 1, false
+		}
+	}
+	r := newFenceRig(t, 2, transport.FenceMember, nil, dropPhase1)
+	r.run(transport.FenceMember, 1, 2)
+}
+
+// A peer orphaned mid-wait drops out of a live cohort's minimum: the
+// survivors complete the cut without the dead worker's mark.
+func TestFenceOrphanLeavesCohort(t *testing.T) {
+	c := transport.FenceSnapshot
+	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
+	r.request(c, 1)
+	if got, _ := r.m.collectAcks(c, 1, 1, time.Now().Add(50*time.Millisecond)); got != 0 {
+		t.Fatal("a survivor acked while worker 2's mark was still owed")
+	}
+	r.m.bcast(transport.Message{Kind: transport.Orphan, Round: 2})
+	if got, _ := r.m.collectAcks(c, 1, 2, time.Now().Add(10*time.Second)); got != 2 {
+		t.Fatalf("%d/2 survivors reached the cut after the orphan verdict", got)
+	}
+	r.release(c, 1)
+	<-r.done
+	<-r.done
+}
+
+// A release that overtakes the cut (the master's episode timeout) ends
+// the fence: no action, no ack, the worker resumes.
+func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
+	c := transport.FenceSnapshot
+	r := newFenceRig(t, 2, c, map[int]bool{1: true}, nil)
+	r.request(c, 1)
+	r.release(c, 1)
+	select {
+	case <-r.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker 0 still waits for worker 1's mark after the release")
+	}
+	w := r.ws[0]
+	if w.fencePending(c) {
+		t.Error("abandoned fence is still pending")
+	}
+	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 1, 0)); err == nil {
+		t.Error("abandoned fence still ran its action at a cut that never completed")
+	}
+	if got, _ := r.m.collectAcks(c, 1, 1, time.Now().Add(20*time.Millisecond)); got != 0 {
+		t.Error("abandoned fence was acked")
+	}
+}
+
+// The PR 10 regression as one test: the master moves on to fence e+1 the
+// moment it releases fence e, so the e+1 newcomer's first marker can
+// reach a survivor before that survivor commits e. The commit's link
+// reset must clear what the slot's previous incarnation announced (up to
+// e) and keep the successor's marker.
+func TestFenceSuccessorMarkSurvivesReset(t *testing.T) {
+	r := newFenceRig(t, 3, transport.FenceMember, map[int]bool{0: true, 1: true, 2: true}, nil)
+	w := r.ws[0]
+	f := &w.fences[transport.FenceMember]
+	const e = 4
+	f.done = e
+	f.marks.observe(1, markStamp(e, 2))   // slot 1's old incarnation, this fence
+	f.marks.observe(2, markStamp(e+1, 1)) // slot 2's new incarnation, next fence
+	w.peerSteps.observe(2, 17)
+	w.down[1], w.down[2] = true, true
+	w.finishFence(-1)
+	if f.marks[1] != 0 {
+		t.Errorf("replaced slot 1 keeps its old incarnation's stamp %d", f.marks[1])
+	}
+	if f.marks[2] != markStamp(e+1, 1) {
+		t.Errorf("the successor fence's first marker was wiped: stamp %d", f.marks[2])
+	}
+	if w.peerSteps[2] != 0 {
+		t.Errorf("replaced slot 2 keeps superstep clock %d; its new incarnation counts from zero", w.peerSteps[2])
+	}
+}

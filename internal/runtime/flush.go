@@ -19,6 +19,13 @@ func urgentDelta(threshold, v float64) bool {
 	return threshold > 0 && agg.Abs(v) >= 8*threshold
 }
 
+// The paper fixes the two constants of the β update rule (§5.3): the
+// damping factor α and the adaptation trigger ratio r.
+const (
+	betaAlpha = 0.8
+	betaR     = 2.0
+)
+
 // asyncEagerBatch is the small fixed batch of the pure-async mode.
 const asyncEagerBatch = 64
 
@@ -79,8 +86,6 @@ type adaptiveBetaFlush struct {
 	self   int
 	urgent float64
 	tau    time.Duration
-	alpha  float64
-	r      float64
 	// Clamp: the floor keeps slow-pace phases from degenerating to
 	// per-update messages (the folding window would vanish); the
 	// ceiling bounds staleness and keeps any single message from
@@ -107,8 +112,6 @@ func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptive
 		self:       self,
 		urgent:     cfg.PriorityThreshold,
 		tau:        cfg.Tau,
-		alpha:      cfg.Alpha,
-		r:          cfg.R,
 		betaFloor:  float64(cfg.BetaInit) / 4,
 		betaCeil:   float64(2 * cfg.BetaInit),
 		beta:       make([]float64, cfg.Workers),
@@ -153,11 +156,11 @@ func (p *adaptiveBetaFlush) adapt(now time.Time, win *window) {
 			continue
 		}
 		rate := float64(win.counts[j]) / dts
-		hi := p.r * p.beta[j] / tau
-		lo := p.beta[j] / (p.r * tau)
+		hi := betaR * p.beta[j] / tau
+		lo := p.beta[j] / (betaR * tau)
 		if rate > hi || rate < lo {
 			p.bandExit.Inc()
-			b := p.alpha * tau * rate
+			b := betaAlpha * tau * rate
 			if b < p.betaFloor {
 				b = p.betaFloor
 				p.clampFloor.Inc()

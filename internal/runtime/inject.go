@@ -27,7 +27,6 @@ func (s *stallBarrier) beginPass(w *worker) bool {
 		// buffered updates and the unflushed shard die with the goroutine,
 		// which is exactly what the membership layer's live re-join
 		// (membership.go) must recover from.
-		w.crashed = true
 		w.stopped = true
 		return false
 	}

@@ -34,10 +34,11 @@ type master struct {
 
 	rounds    int
 	converged bool
-	err       error // first liveness failure (wraps ErrWorkerLost)
+	cause     StopCause // why the last run() ended
+	err       error     // first liveness failure (wraps ErrWorkerLost)
 
 	// Session state (session.go). park makes a converged fixpoint park
-	// the fleet (Park + ParkDone collect) instead of stopping it; epoch
+	// the fleet (a FencePark the session holds) instead of stopping it; epoch
 	// is the session epoch being computed (1 = initial fixpoint); parked
 	// reports whether the last run() ended in a successful park. gRound
 	// counts master rounds cumulatively across epochs, so injected
@@ -146,12 +147,16 @@ func (m *master) sendTo(j int, msg transport.Message) {
 // report — a collect stalls only when some worker has gone silent for
 // the whole timeout, not merely when the fleet reports slowly.
 func (m *master) recv() (msg transport.Message, ok, timedOut bool) {
+	return m.recvWithin(m.collectTimeout())
+}
+
+// recvWithin is recv with an explicit deadline d from now.
+func (m *master) recvWithin(d time.Duration) (msg transport.Message, ok, timedOut bool) {
 	if len(m.pending) > 0 {
 		msg = m.pending[0]
 		m.pending = m.pending[1:]
 		return msg, true, false
 	}
-	d := m.collectTimeout()
 	if m.timer == nil {
 		m.timer = time.NewTimer(d)
 	} else {
@@ -164,20 +169,40 @@ func (m *master) recv() (msg transport.Message, ok, timedOut bool) {
 		if !m.timer.Stop() {
 			<-m.timer.C
 		}
+		if !ok && m.cause == StopNone {
+			m.cause = StopTransportClosed // every caller ends the run on !ok
+		}
 		return msg, ok, false
 	case <-m.timer.C:
 		return transport.Message{}, true, true
 	}
 }
 
-// lost records a liveness failure — got of nw reports arrived before the
-// deadline — and broadcasts a best-effort Stop so surviving workers
-// (including BSP peers stuck in awaitPeerRounds on the dead worker's
-// marker) unwind instead of hanging.
-func (m *master) lost(round, got int) {
+// expired ends the run at a collect deadline by which only got of the
+// expected reports had arrived. Past the wall budget that is an honest
+// not-converged abort (the MaxWall fallback deadline always lands
+// here); within it a worker is lost — typed ErrWorkerLost. Either way
+// the best-effort Stop lets surviving workers (including BSP peers
+// stuck in awaitPeerRounds on the dead worker's marker) unwind instead
+// of hanging.
+func (m *master) expired(round, got int, wall time.Time) {
+	if time.Now().After(wall) {
+		m.halt(StopWall)
+		return
+	}
 	m.met.collectTimeouts.Inc()
 	m.err = fmt.Errorf("runtime: collect round %d got %d/%d reports within %v: %w",
 		round, got, m.activeCount(), m.collectTimeout(), ErrWorkerLost)
+	m.halt(StopWorkerLost)
+}
+
+// halt stops the fleet and records why. The first cause of a run wins: a
+// fence that aborted is not re-labelled by the collect that gives up
+// after it.
+func (m *master) halt(cause StopCause) {
+	if m.cause == StopNone {
+		m.cause = cause
+	}
 	m.bcast(transport.Message{Kind: transport.Stop})
 }
 
@@ -185,11 +210,12 @@ func (m *master) run() {
 	// The mode registry (policy.go) records which modes run the BSP
 	// verdict protocol; everything else — the async family and SSP —
 	// terminates via polling.
-	defer m.drainMemberCmds()
+	defer m.rejectMemberCmds(errors.New("runtime: fixpoint ended before the membership change could run"))
 	m.parked = false
 	// Per-epoch verdict: a later epoch that stops at the iteration cap or
 	// wall clock must not inherit an earlier epoch's converged flag.
 	m.converged = false
+	m.cause = StopNone
 	if modeBarriered[m.cfg.Mode] {
 		m.runBSP()
 	} else {
@@ -197,34 +223,43 @@ func (m *master) run() {
 	}
 }
 
-// parkFleet replaces the Stop broadcast at a converged fixpoint when the
-// run is a session epoch: it issues Park and collects one ParkDone per
-// worker, after which every worker has fenced and drained its data lanes
-// and sits blocked on its inbox. The collect's happens-before edges make
-// the fleet's tables safe for the session goroutine to read and mutate
-// until it broadcasts EpochStart. A liveness failure here is the same
-// ErrWorkerLost as any other collect.
-func (m *master) parkFleet(deadline time.Time) {
-	m.bcast(transport.Message{Kind: transport.Park, Round: m.epoch})
-	for got := 0; got < m.activeCount(); {
-		msg, ok, timedOut := m.recv()
-		if !ok {
-			return
-		}
-		if timedOut {
-			if time.Now().After(deadline) {
-				m.bcast(transport.Message{Kind: transport.Stop})
-				return
-			}
-			m.lost(m.gRound, got)
-			return
-		}
-		if msg.Kind == transport.ParkDone && msg.Round == m.epoch {
-			got++
-		}
+// finish ends a fixpoint whose stop decision has been taken. Converged
+// session epochs park: the master opens a FencePark and collects one ack
+// per worker, after which every worker has fenced and drained its data
+// lanes and sits blocked on its inbox. The collect's happens-before
+// edges make the fleet's tables safe for the session goroutine to read
+// and mutate until it releases the fence at the next Apply. Everything
+// else stops the fleet. wall is the run's wall-clock deadline.
+func (m *master) finish(cause StopCause, wall time.Time) {
+	if !m.park || !m.converged {
+		m.halt(cause)
+		return
 	}
-	m.parked = true
-	m.met.epochs.Inc()
+	need := m.activeCount()
+	m.bcast(transport.Message{Kind: transport.FenceRequest, Fence: transport.FencePark, Round: m.epoch})
+	got, open := m.collectAcks(transport.FencePark, m.epoch, need, time.Now().Add(m.collectTimeout()))
+	switch {
+	case !open: // recvWithin recorded StopTransportClosed
+	case got == need:
+		m.cause = cause
+		m.parked = true
+		m.met.epochs.Inc()
+	default:
+		m.expired(m.gRound, got, wall)
+	}
+}
+
+// stopCause names a stop decision just taken: the termination condition
+// wins over the iteration cap, the cap over the wall clock.
+func (m *master) stopCause(capped bool) StopCause {
+	switch {
+	case m.converged:
+		return StopConverged
+	case capped:
+		return StopIterationCap
+	default:
+		return StopWall
+	}
 }
 
 // crashAt implements the injector's run-level faults at the top of a
@@ -238,7 +273,7 @@ func (m *master) crashAt(round int) (crash, restart bool) {
 		return false, false
 	}
 	if inj.CrashRound() == round {
-		m.bcast(transport.Message{Kind: transport.Stop})
+		m.halt(StopInjected)
 		return true, false
 	}
 	return false, inj.MasterRestartRound() == round
@@ -269,14 +304,7 @@ func (m *master) runBSP() {
 				return
 			}
 			if timedOut {
-				if time.Now().After(deadline) {
-					// The wall budget expired mid-collect: an honest
-					// not-converged abort (the MaxWall fallback deadline
-					// always lands here), not a lost worker.
-					m.bcast(transport.Message{Kind: transport.Stop})
-					return
-				}
-				m.lost(round, got)
+				m.expired(round, got, deadline)
 				return
 			}
 			if msg.Kind != transport.PhaseDone {
@@ -304,15 +332,9 @@ func (m *master) runBSP() {
 				stop, m.converged = true, true
 			}
 		}
-		if round >= m.plan.Termination.MaxIters || time.Now().After(deadline) {
-			stop = true
-		}
-		if stop {
-			if m.park && m.converged {
-				m.parkFleet(deadline)
-			} else {
-				m.bcast(transport.Message{Kind: transport.Stop})
-			}
+		capped := round >= m.plan.Termination.MaxIters
+		if stop || capped || time.Now().After(deadline) {
+			m.finish(m.stopCause(capped), deadline)
 			return
 		}
 		m.bcast(transport.Message{Kind: transport.Continue})
@@ -371,14 +393,8 @@ func (m *master) runAsync() {
 		} else if changed {
 			resetDetectors()
 		}
-		if m.snapshotsDue(round) {
-			// Episodes are numbered by a cumulative counter so epochs stay
-			// monotonic across session fixpoints (round restarts at 0 each
-			// epoch; reusing its quotient would overwrite newer cuts).
-			m.episodes++
-			if !m.runEpisode(m.episodes) {
-				return
-			}
+		if m.snapshotsDue(round) && !m.snapshotFence() {
+			return
 		}
 		time.Sleep(m.cfg.CheckInterval)
 		m.met.rounds.Inc()
@@ -397,12 +413,8 @@ func (m *master) runAsync() {
 				return
 			}
 			if timedOut {
-				if time.Now().After(deadline) {
-					// Wall abort, not a lost worker (see runBSP).
-					m.bcast(transport.Message{Kind: transport.Stop})
-					return
-				}
-				if !probed {
+				inBudget := !time.Now().After(deadline)
+				if inBudget && !probed {
 					// Second chance: a worker deep in a long compute pass
 					// only pumps its inbox at blocking points, so one
 					// missed deadline distinguishes nothing. Re-solicit
@@ -417,14 +429,14 @@ func (m *master) runAsync() {
 					}
 					continue
 				}
-				if m.recoverLost(seen) {
+				if inBudget && m.recoverLost(seen) {
 					// The fleet was repaired by a membership fence; this
 					// round's partial sums describe a world that no longer
 					// exists, so abandon them and poll afresh.
 					recovered = true
 					break
 				}
-				m.lost(round, got)
+				m.expired(round, got, deadline)
 				return
 			}
 			if msg.Kind != transport.StatsReply || msg.Round != round {
@@ -481,16 +493,10 @@ func (m *master) runAsync() {
 		// so the cap has the same meaning as a superstep limit. passBase
 		// rebases the watermark at each session park so every epoch gets
 		// the full budget (workers' pass counters run on across epochs).
-		if (passes-m.passBase)/int64(m.activeCount()) >= int64(m.plan.Termination.MaxIters) || time.Now().After(deadline) {
-			stop = true
-		}
-		if stop {
-			if m.park && m.converged {
-				m.passBase = passes
-				m.parkFleet(deadline)
-			} else {
-				m.bcast(transport.Message{Kind: transport.Stop})
-			}
+		capped := (passes-m.passBase)/int64(m.activeCount()) >= int64(m.plan.Termination.MaxIters)
+		if stop || capped || time.Now().After(deadline) {
+			m.passBase = passes
+			m.finish(m.stopCause(capped), deadline)
 			return
 		}
 	}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"powerlog/internal/ckpt"
@@ -12,11 +13,12 @@ import (
 // Elastic cluster membership (DESIGN.md §11): live worker re-join and
 // shard rebalancing without restarting the fixpoint.
 //
-// The protocol has one primitive, the membership fence — a bounded
-// Chandy–Lamport episode on the data lanes that establishes a globally
-// quiescent cut, applies a membership or state change inside it, and
-// resets the termination-protocol counters so the master's counting
-// quiescence restarts from an exact zero. Three events drive a fence:
+// Every change happens inside a membership fence — the FenceMember spec
+// of the fence primitive (fence.go): a two-round cut over a frozen
+// cohort that establishes a globally quiescent point, applies a
+// membership or state change inside it, and resets the
+// termination-protocol counters so the master's counting quiescence
+// restarts from an exact zero. Three events drive one:
 //
 //   - crash re-join: the master's liveness probe declares a worker lost
 //     (Orphan), the session respawns its slot on a fresh transport
@@ -26,24 +28,17 @@ import (
 //     back to the newest consistent-cut checkpoint (combining
 //     aggregates, which tolerate neither loss nor replay);
 //   - scale-out (Session.AddWorker): a new worker is admitted, every
-//     worker adds it to the consistent-hash ring at its fence point, and
-//     rows that re-hash to the newcomer migrate as keyed Handoff
-//     streams;
-//   - scale-in (Session.RemoveWorker): a graceful Orphan marks the slot
-//     leaving; at the fence it migrates its whole shard out, acks, and
-//     retires after Release.
+//     worker adds it to the consistent-hash ring at the cut, and rows
+//     that re-hash to the newcomer migrate as keyed Handoff streams;
+//   - scale-in (Session.RemoveWorker): an Orphan with Retire marks the
+//     slot leaving; at the cut it migrates its whole shard out, acks,
+//     and retires after the release.
 //
-// Fence messages overload the Join kind by direction: master → worker
-// it is the fence request (Round = fence epoch, Stats.Sent = rollback
-// epoch or -1 for a seed reset, Stats.Recv = admitted id + 1), worker →
-// worker it is the cut marker on the data lane, worker → master the
-// ack. Every fence participant — survivors, the replacement, the
-// newcomer, the leaver — sends markers to and requires markers from all
-// other participants, so the cut needs no knowledge of who is a
-// replacement; per-pair FIFO guarantees all pre-fence data is folded
-// before the cut completes, and the transport fences a reset endpoint's
-// stale connection off the network, so no pre-fence straggler can leak
-// past the cut.
+// Every fence participant — survivors, the replacement, the newcomer,
+// the leaver — sends markers to and requires markers from all other
+// participants, so the cut needs no knowledge of who is a replacement;
+// the transport fences a reset endpoint's stale connection off the
+// network, so no pre-fence straggler can leak past the cut.
 
 // vnodesPerMember is how many ring points each member contributes.
 // 64 keeps the expected load imbalance under a few percent for the
@@ -172,14 +167,10 @@ func (r *shardRoute) remove(id int) {
 }
 
 // ---------------------------------------------------------------------
-// Worker side: the fence state machine.
+// Worker side: cohorts and the actions inside the membership fence.
 // ---------------------------------------------------------------------
 
-// maxSteps is the "nothing to wait for" sentinel the peer-minimum scans
-// return when membership skips every peer.
-const maxSteps = int(^uint(0) >> 1)
-
-// peerSkip reports whether slot j is excluded from peer-minimum scans:
+// peerSkip reports whether slot j is excluded from live-cohort minima:
 // self, crash-orphaned peers (their replacement restarts every clock at
 // the fence), and — on elastic fleets — slots outside the membership.
 func (w *worker) peerSkip(j int) bool {
@@ -197,171 +188,22 @@ func (w *worker) peerSkip(j int) bool {
 // lost slot reach its replacement, or die harmlessly with the reset
 // inbox.
 func (w *worker) eachPeer(f func(j int)) {
-	if w.route.members == nil {
-		for j := 0; j < w.nw; j++ {
-			if j != w.id {
-				f(j)
-			}
-		}
-		return
-	}
-	for j, in := range w.route.members {
-		if in && j != w.id {
+	for j := range w.down {
+		if j != w.id && w.route.participant(j) {
 			f(j)
 		}
 	}
 }
 
-// eachFenceParticipant iterates the fence's marker set: every member
-// plus the admitted newcomer (if any), minus self. Crash-orphaned slots
-// stay in the set — their freshly spawned replacement sends and expects
-// markers like any survivor.
-func (w *worker) eachFenceParticipant(admit int, f func(j int)) {
-	for j := range w.joinMarks {
-		if j == w.id {
-			continue
-		}
-		if j == admit || w.route.participant(j) {
-			f(j)
-		}
-	}
-}
-
-// fenceCohort freezes the fence's marker set at entry: the pre-change
-// membership plus the admitted newcomer. Both marker rounds use this
-// frozen set — applyMembership changes the route between them, and a
-// leaver dropped from the live membership still has Handoffs in flight
-// that its phase-2 marker must fence.
+// fenceCohort freezes a membership fence's marker set at entry: the
+// pre-change membership plus the admitted newcomer, minus self.
 func (w *worker) fenceCohort(admit int) []bool {
-	set := make([]bool, len(w.joinMarks))
-	w.eachFenceParticipant(admit, func(j int) { set[j] = true })
+	set := make([]bool, len(w.down))
+	w.eachPeer(func(j int) { set[j] = true })
+	if admit >= 0 && admit != w.id {
+		set[admit] = true
+	}
 	return set
-}
-
-// broadcastJoinMark sends one fence cut marker to every cohort member.
-// phase 1 fences pre-fence data, phase 2 (Stats.Sent = 1) fences the
-// migration Handoffs sent between the two rounds.
-func (w *worker) broadcastJoinMark(epoch, phase int, cohort []bool) {
-	var stats transport.Stats
-	if phase == 2 {
-		stats.Sent = 1
-	}
-	for j, in := range cohort {
-		if in {
-			w.enqueue(j, transport.Message{Kind: transport.Join, Round: epoch, Stats: stats})
-		}
-	}
-}
-
-func (w *worker) minJoinMarks(cohort []bool, marks []int) int {
-	least := maxSteps
-	for j, in := range cohort {
-		if in && marks[j] < least {
-			least = marks[j]
-		}
-	}
-	return least
-}
-
-// maybeJoinFence joins a pending membership fence. Called only at pass
-// boundaries and gate waits — the safe points where buffers are
-// flushable and no pass is half-scanned (the same safe points snapshot
-// episodes use).
-func (w *worker) maybeJoinFence() {
-	e := w.joinReqEpoch
-	if e <= w.joinDone || w.stopped {
-		return
-	}
-	w.runJoinFence(e)
-}
-
-// runJoinFence executes one fence as a participant:
-//
-//  1. flush all buffers (suppressed toward crash-orphaned slots) and
-//     fence every link with first-round Join markers;
-//  2. fold incoming data until every participant's first marker arrives
-//     — per-pair FIFO makes the resulting cut consistent;
-//  3. inside the cut: apply the membership change, migrate re-hashed
-//     rows (Handoff), and repair state per the master's rollback
-//     directive;
-//  4. fence every link again with second-round markers and fold until
-//     every participant's second marker arrives — each sender's marker
-//     follows its Handoffs on the same FIFO link, so when the round
-//     completes every migrated row destined here has been folded;
-//  5. zero the termination counters and ack the master. Because every
-//     participant acks only after step 4, the master's Release
-//     certifies global migration quiescence: a parked session may read
-//     and mutate tables the moment its fence call returns;
-//  6. fold until Release, then clear orphan flags, reset per-link
-//     protocol state for replaced/joined/left slots, and resume (or
-//     retire).
-func (w *worker) runJoinFence(e int) {
-	admit := w.joinAdmit
-	rollback := w.joinRollback
-	cohort := w.fenceCohort(admit)
-	w.flushAll()
-	w.broadcastJoinMark(e, 1, cohort)
-	for !w.stopped && !w.sendDead.Load() && w.minJoinMarks(cohort, w.joinMarks) < e {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-			w.met.markerResends.Inc()
-			w.broadcastJoinMark(e, 1, cohort)
-		}
-	}
-	if w.stopped || w.sendDead.Load() {
-		return
-	}
-	w.applyMembership(admit)
-	w.repairState(rollback)
-	w.broadcastJoinMark(e, 2, cohort)
-	for !w.stopped && !w.sendDead.Load() && w.minJoinMarks(cohort, w.joinMarks2) < e {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-			w.met.markerResends.Inc()
-			w.broadcastJoinMark(e, 2, cohort)
-		}
-	}
-	if w.stopped || w.sendDead.Load() {
-		return
-	}
-	// The cut is doubly quiescent: every pre-fence delta and every
-	// migrated row on a live link has been folded, nothing is in flight,
-	// and the transport has fenced off any dead sender's stale
-	// connection. Zeroing here on every participant gives the master's
-	// Σsent == Σrecv test an exact fresh baseline.
-	w.sent, w.recv, w.flushes = 0, 0, 0
-	w.enqueue(w.master, transport.Message{Kind: transport.Join, Round: e})
-	for !w.stopped && !w.sendDead.Load() && w.releaseEpoch < e {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-			// A peer still quiescing may be waiting on a marker the
-			// injector dropped; re-fencing is idempotent (receivers keep
-			// the max).
-			w.broadcastJoinMark(e, 2, cohort)
-		}
-	}
-	if w.stopped || w.sendDead.Load() {
-		return
-	}
-	w.finishFence(e, admit)
 }
 
 // applyMembership commits a scale event to the local route and migrates
@@ -472,38 +314,26 @@ func (w *worker) acceptHandoff(m transport.Message) {
 //	rollback = 0: keep state; survivors of a crash replay their
 //	              accumulations toward the lost shard's keys (selective
 //	              aggregates — Theorem 3 makes the replay idempotent).
-func (w *worker) repairState(rollback int64) {
+func (w *worker) repairState(rollback int) {
 	switch {
 	case rollback > 0:
-		w.reloadCut(int(rollback))
+		w.reloadCut(rollback)
 	case rollback < 0:
 		w.resetToSeed()
 	default:
-		if w.plan.Op.Selective() && w.anyDown() {
+		if w.plan.Op.Selective() && slices.Contains(w.down, true) {
 			w.replayForDown()
 		}
 	}
 }
 
-func (w *worker) anyDown() bool {
-	for _, d := range w.down {
-		if d {
-			return true
-		}
-	}
-	return false
-}
-
-// dropBuffers discards every buffered outbound update (rollback paths:
-// the reloaded or reseeded state re-derives them).
-func (w *worker) dropBuffers() {
+// resetTable empties the shard and discards every buffered outbound
+// update (rollback paths: the reloaded or reseeded state re-derives
+// them).
+func (w *worker) resetTable() {
 	for _, b := range w.bufs {
 		b.drainInto(func(int64, float64) {})
 	}
-}
-
-func (w *worker) resetTable() {
-	w.dropBuffers()
 	w.table = w.newTable()
 	w.apply = w.table
 	w.accSum, w.accDelta, w.accFolds = 0, 0, 0
@@ -549,16 +379,16 @@ func (w *worker) replayForDown() {
 	})
 }
 
-// finishFence commits the fence at Release: orphan flags clear, per-link
-// protocol state (Data sequencing, dedup windows, marker clocks) resets
-// for every replaced, admitted, or departed slot — both ends of such a
-// link reset symmetrically, while survivor↔survivor links keep their
-// continuity — and a leaving worker retires.
-func (w *worker) finishFence(e, admit int) {
+// finishFence commits a membership fence at its release: orphan flags
+// clear, per-link protocol state (Data sequencing, dedup windows, marker
+// clocks) resets for every replaced, admitted, or departed slot — both
+// ends of such a link reset symmetrically, while survivor↔survivor links
+// keep their continuity — and a leaving worker retires.
+func (w *worker) finishFence(admit int) {
 	for j := range w.down {
 		if w.down[j] {
 			w.down[j] = false
-			w.resetLink(j, e)
+			w.resetLink(j)
 		}
 	}
 	for j, leaving := range w.leaving {
@@ -566,16 +396,15 @@ func (w *worker) finishFence(e, admit int) {
 			continue
 		}
 		w.leaving[j] = false
-		w.resetLink(j, e)
+		w.resetLink(j)
 		if j == w.id {
 			w.retired = true
 			w.stopped = true
 		}
 	}
 	if admit >= 0 && admit != w.id {
-		w.resetLink(admit, e)
+		w.resetLink(admit)
 	}
-	w.joinDone = e
 	w.joinGate = false
 	if w.scan != nil {
 		// Migration / rollback / replay changed the dirty set out from
@@ -584,52 +413,31 @@ func (w *worker) finishFence(e, admit int) {
 	}
 }
 
-// resetLink clears link j's protocol state after fence e replaced,
-// admitted, or retired that slot. The marker clocks are epoch-stamped
-// and must only be cleared UP TO the fence being committed: the master
-// moves on to its next queued fence the moment it sends this one's
-// Release, so the next fence's newcomer — possibly spawned into this
-// same slot — can broadcast its first-round markers before our Release
-// arrives. Unconditionally zeroing the clocks here would erase such a
-// marker, and the newcomer never re-sends round-1 markers once it
-// advances to round 2: every other participant would fence while this
-// worker resends round-1 markers forever, wedging the fence (and the
-// Apply driving it, and any Close waiting behind that).
-func (w *worker) resetLink(j, e int) {
+// resetLink clears link j's protocol state after a membership fence
+// replaced, admitted, or retired that slot. The superstep clock restarts
+// outright (a new incarnation counts from zero); each fence clock is
+// cleared only up to the last fence of its class this worker finished
+// (markClock.resetUpTo says why).
+func (w *worker) resetLink(j int) {
 	w.dataSeq[j] = 0
 	w.dataSeen[j] = dedupWindow{}
-	w.peerSteps[j] = 0
-	w.snapMarks[j] = 0
-	w.parkMarks[j] = 0
-	if w.joinMarks[j] <= e {
-		w.joinMarks[j] = 0
-	}
-	if w.joinMarks2[j] <= e {
-		w.joinMarks2[j] = 0
+	w.peerSteps.resetUpTo(j, maxSteps)
+	for c := range w.fences {
+		f := &w.fences[c]
+		f.marks.resetUpTo(j, markStamp(f.done, 2))
 	}
 }
 
 // awaitAdmission is the gated prologue of a worker spawned into a
 // running fixpoint (crash replacement or scale-out newcomer): it sits on
 // its inbox until the master's fence request arrives, participates in
-// that fence like any survivor, and returns once Released — at which
+// that fence like any survivor, and returns once released — at which
 // point its table, route, and link state are consistent with the fleet
 // and the normal compute loop may start.
 func (w *worker) awaitAdmission() {
-	for !w.stopped && !w.sendDead.Load() && w.joinDone == 0 {
-		if w.joinReqEpoch > w.joinDone {
-			w.runJoinFence(w.joinReqEpoch)
-			continue
-		}
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-		}
+	requested := func() bool { return w.fencePending(transport.FenceMember) }
+	for w.joinGate && w.foldUntil(requested, func() {}) {
+		w.fence(transport.FenceMember)
 	}
 }
 
@@ -648,7 +456,7 @@ type memberCoordinator struct {
 	// means the loss is unrecoverable (e.g. a combining aggregate with
 	// no cut covering the applied mutations) and the master falls back
 	// to the abort path.
-	spawn func(id int) (rollback int64, ok bool)
+	spawn func(id int) (rollback int, ok bool)
 	// admit stands up a brand-new worker in slot id for scale-out.
 	admit func(id int) bool
 	// retire drops a slot after scale-in completes.
@@ -696,46 +504,24 @@ func (m *master) fenceTimeout() time.Duration {
 	return d
 }
 
-// runFence drives one membership fence: broadcast the request, collect
-// one ack per participant, broadcast Release. admit >= 0 additionally
-// includes (and afterwards activates) a not-yet-live slot. Returns
-// false on an unrecoverable failure (m.err set, fleet stopped).
-func (m *master) runFence(rollback int64, admit int) bool {
+// memberFence drives one membership fence: broadcast the request,
+// collect one ack per participant, broadcast the release. admit >= 0
+// additionally includes (and afterwards activates) a not-yet-live slot.
+// Returns false on an unrecoverable failure (m.err set, fleet stopped).
+func (m *master) memberFence(rollback, admit int) bool {
 	m.fence++
-	e := m.fence
-	req := transport.Message{Kind: transport.Join, Round: e,
-		Stats: transport.Stats{Sent: rollback, Recv: int64(admit) + 1}}
-	m.bcast(req)
-	if admit >= 0 {
-		m.sendTo(admit, req)
-	}
+	msg := transport.Message{Kind: transport.FenceRequest, Fence: transport.FenceMember,
+		Round: m.fence, Rollback: rollback, Admit: int32(admit)}
 	need := m.activeCount()
+	m.bcast(msg)
 	if admit >= 0 {
+		m.sendTo(admit, msg)
 		need++
 	}
-	deadline := time.Now().Add(m.fenceTimeout())
-	for got := 0; got < need; {
-		msg, ok, timedOut := m.recv()
-		if !ok {
-			return false
-		}
-		if timedOut {
-			if time.Now().After(deadline) {
-				m.met.collectTimeouts.Inc()
-				m.err = fmt.Errorf("runtime: membership fence %d got %d/%d acks within %v: %w",
-					e, got, need, m.fenceTimeout(), ErrWorkerLost)
-				m.bcast(transport.Message{Kind: transport.Stop})
-				return false
-			}
-			continue
-		}
-		if msg.Kind == transport.Join && msg.Round == e {
-			got++
-		}
-		// Anything else (late stats replies, duplicate acks) is
-		// irrelevant mid-fence; the poll loop restarts after Release.
+	if !m.awaitAcks(transport.FenceMember, m.fence, need, fmt.Sprintf("membership fence %d", m.fence)) {
+		return false
 	}
-	rel := transport.Message{Kind: transport.Release, Round: e}
+	rel := transport.Message{Kind: transport.FenceRelease, Fence: transport.FenceMember, Round: m.fence}
 	m.bcast(rel)
 	if admit >= 0 {
 		m.sendTo(admit, rel)
@@ -747,35 +533,35 @@ func (m *master) runFence(rollback int64, admit int) bool {
 	return true
 }
 
-// awaitParkDone collects the park handshake of a worker admitted into an
-// already-parked fleet. After the fence's Release the newcomer parks like
-// any worker at an epoch boundary: it fences the data lanes with
-// ParkMarks (the parked survivors' resend loops answer in kind, their
-// routes including it after the fence) and reports ParkDone. Only then is
-// the fleet quiescent again, so a parked-fleet AddWorker must not return
-// — and the session's next Apply must not read or mutate tables — before
-// that ParkDone arrives.
-func (m *master) awaitParkDone(id int) bool {
-	deadline := time.Now().Add(m.fenceTimeout())
-	for {
-		msg, ok, timedOut := m.recv()
-		if !ok {
-			return false
-		}
-		if timedOut {
-			if time.Now().After(deadline) {
-				m.met.collectTimeouts.Inc()
-				m.err = fmt.Errorf("runtime: admitted worker %d did not park within %v: %w",
-					id, m.fenceTimeout(), ErrWorkerLost)
-				m.bcast(transport.Message{Kind: transport.Stop})
-				return false
-			}
-			continue
-		}
-		if msg.Kind == transport.ParkDone && msg.From == id && msg.Round == m.epoch {
-			return true
-		}
+// awaitNewcomerPark collects the park ack of worker id, admitted into an
+// already-parked fleet. After the membership fence's release the
+// newcomer parks like any worker at an epoch boundary: it marks the data
+// lanes (the parked survivors' re-marking answers in kind, their routes
+// including it after the fence) and acks. Only then is the fleet
+// quiescent again, so a parked-fleet AddWorker must not return — and the
+// session's next Apply must not read or mutate tables — before that ack
+// arrives. The survivors acked this park fence long ago, so the one ack
+// still outstanding is the newcomer's.
+func (m *master) awaitNewcomerPark(id int) bool {
+	return m.awaitAcks(transport.FencePark, m.epoch, 1, fmt.Sprintf("park of admitted worker %d", id))
+}
+
+// awaitAcks is collectAcks for a fence the run cannot outlive: unless
+// all need acks arrive within fenceTimeout the fleet is stopped, with
+// m.err saying what fell short.
+func (m *master) awaitAcks(c transport.FenceClass, epoch, need int, what string) bool {
+	got, open := m.collectAcks(c, epoch, need, time.Now().Add(m.fenceTimeout()))
+	if !open {
+		return false
 	}
+	if got < need {
+		m.met.collectTimeouts.Inc()
+		m.err = fmt.Errorf("runtime: %s got %d/%d acks within %v: %w",
+			what, got, need, m.fenceTimeout(), ErrWorkerLost)
+		m.halt(StopFenceAborted)
+		return false
+	}
+	return true
 }
 
 // recoverLost attempts live re-join for the workers that stayed silent
@@ -807,7 +593,7 @@ func (m *master) recoverLost(seen []bool) bool {
 		m.bcast(transport.Message{Kind: transport.Orphan, Round: id})
 		m.met.memberOrphans.Inc()
 	}
-	rollback := int64(0)
+	rollback := 0
 	for _, id := range lost {
 		rb, ok := m.member.spawn(id)
 		if !ok {
@@ -817,7 +603,7 @@ func (m *master) recoverLost(seen []bool) bool {
 			rollback = rb
 		}
 	}
-	if !m.runFence(rollback, -1) {
+	if !m.memberFence(rollback, -1) {
 		return false
 	}
 	m.met.memberJoins.Add(uint64(len(lost)))
@@ -829,9 +615,6 @@ func (m *master) recoverLost(seen []bool) bool {
 // returns true when a fence ran (the caller resets its termination
 // detector) and sets aborted when a fence failed unrecoverably.
 func (m *master) pollMemberCmds() (changed, aborted bool) {
-	if m.cmds == nil {
-		return false, false
-	}
 	for {
 		select {
 		case cmd := <-m.cmds:
@@ -865,7 +648,7 @@ func (m *master) applyMemberCmd(cmd memberCmd) bool {
 			return true
 		}
 		start := time.Now()
-		if !m.runFence(0, id) {
+		if !m.memberFence(0, id) {
 			cmd.reply <- memberCmdResult{id: -1, err: m.err}
 			return false
 		}
@@ -884,11 +667,11 @@ func (m *master) applyMemberCmd(cmd memberCmd) bool {
 		return true
 	}
 	start := time.Now()
-	// A graceful Orphan (Stats.Sent = 1): the slot participates in the
-	// fence, migrates its whole shard out, and retires after Release.
-	m.bcast(transport.Message{Kind: transport.Orphan, Round: id, Stats: transport.Stats{Sent: 1}})
+	// A graceful Orphan: the slot participates in the fence, migrates its
+	// whole shard out, and retires after the release.
+	m.bcast(transport.Message{Kind: transport.Orphan, Round: id, Retire: true})
 	m.met.memberOrphans.Inc()
-	if !m.runFence(0, -1) {
+	if !m.memberFence(0, -1) {
 		cmd.reply <- memberCmdResult{id: id, err: m.err}
 		return false
 	}
@@ -899,18 +682,14 @@ func (m *master) applyMemberCmd(cmd memberCmd) bool {
 	return true
 }
 
-// drainMemberCmds rejects whatever is still queued when the fixpoint
-// ends, so an AddWorker caller racing the master's exit gets an error
-// instead of a hang.
-func (m *master) drainMemberCmds() {
-	if m.cmds == nil {
-		return
-	}
+// rejectMemberCmds answers whatever is still queued with err, so an
+// AddWorker caller racing the master's exit (or the session's release of
+// its claim) gets an error instead of a hang. A nil queue never yields.
+func (m *master) rejectMemberCmds(err error) {
 	for {
 		select {
 		case cmd := <-m.cmds:
-			cmd.reply <- memberCmdResult{id: -1,
-				err: fmt.Errorf("runtime: fixpoint ended before the membership change could run")}
+			cmd.reply <- memberCmdResult{id: -1, err: err}
 		default:
 			return
 		}

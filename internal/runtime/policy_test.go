@@ -93,10 +93,10 @@ func (r *oldFlushRef) adaptBuffers(now time.Time) {
 			continue
 		}
 		rate := float64(r.winCount[j]) / dts
-		hi := r.cfg.R * r.beta[j] / tau
-		lo := r.beta[j] / (r.cfg.R * tau)
+		hi := betaR * r.beta[j] / tau
+		lo := r.beta[j] / (betaR * tau)
 		if rate > hi || rate < lo {
-			b := r.cfg.Alpha * tau * rate
+			b := betaAlpha * tau * rate
 			if lowest := float64(r.cfg.BetaInit) / 4; b < lowest {
 				b = lowest
 			}
@@ -320,7 +320,7 @@ func TestAdaptiveBetaZeroDeltaT(t *testing.T) {
 			// Construct directly (bypassing withDefaults) — the τ=0 path is
 			// unreachable through Run, but tests and future callers can
 			// build the policy with arbitrary configs.
-			cfg := Config{Workers: 2, BetaInit: 256, Alpha: 0.8, R: 2, Tau: tc.tau}
+			cfg := Config{Workers: 2, BetaInit: 256, Tau: tc.tau}
 			p := newAdaptiveBetaFlush(cfg, 0, metrics.NewRegistry())
 			start := time.Unix(2000, 0)
 			win := window{start: start, counts: make([]int64, cfg.Workers)}

@@ -72,7 +72,7 @@ func TestRejoinMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !res.Converged {
-					t.Fatalf("did not converge after crash re-join (rounds=%d)", res.Rounds)
+					t.Fatalf("did not converge after crash re-join (rounds=%d, stop cause: %v)", res.Rounds, res.StopCause)
 				}
 				if res.Master.Counters["master.member.join"] == 0 {
 					// The fixture beat pass 3 — the crash never fired. The
@@ -105,7 +105,7 @@ func TestRejoinRecoveryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Fatal("did not converge after crash re-join")
+		t.Fatalf("did not converge after crash re-join (stop cause: %v)", res.StopCause)
 	}
 	c := res.Master.Counters
 	if c["master.member.orphan"] < 1 {
@@ -141,8 +141,8 @@ func TestRejoinSessionCombining(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Result().Converged {
-		t.Fatal("initial fixpoint did not converge")
+	if res := s.Result(); !res.Converged {
+		t.Fatalf("initial fixpoint did not converge (stop cause: %v)", res.StopCause)
 	}
 	oracleCfg := rejoinCfg(MRASyncAsync)
 	r := rand.New(rand.NewSource(331))
@@ -154,7 +154,7 @@ func TestRejoinSessionCombining(t *testing.T) {
 			t.Fatalf("Apply %d: %v", i, err)
 		}
 		if !res.Converged {
-			t.Fatalf("Apply %d did not converge", i)
+			t.Fatalf("Apply %d did not converge (stop cause: %v)", i, res.StopCause)
 		}
 		want := scratchFixpoint(t, p, n, edges, g.Weighted(), oracleCfg)
 		expectSameFixpoint(t, fmt.Sprintf("apply-%d", i), res.Values, want, p.ident, p.tol)
@@ -232,8 +232,8 @@ func TestElasticScaleParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Result().Converged {
-		t.Fatal("initial fixpoint did not converge")
+	if res := s.Result(); !res.Converged {
+		t.Fatalf("initial fixpoint did not converge (stop cause: %v)", res.StopCause)
 	}
 	oracleCfg := rejoinCfg(MRASyncAsync)
 	r := rand.New(rand.NewSource(443))

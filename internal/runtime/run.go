@@ -54,6 +54,41 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 	return cfg
 }
 
+// loadRestore reads the checkpoint an MRA run is to resume from. ok is
+// false when cfg names none. A stale (uncoordinated) snapshot is refused
+// for a combining program.
+func loadRestore(plan *compiler.Plan, cfg Config) (rows []ckpt.Row, meta ckpt.Meta, ok bool, err error) {
+	if !cfg.Mode.MRA() || cfg.RestoreDir == "" {
+		return nil, meta, false, nil
+	}
+	if rows, meta, err = ckpt.LoadAll(cfg.RestoreDir); err != nil {
+		return nil, meta, false, err
+	}
+	if !meta.Cut && !plan.Op.Selective() {
+		return nil, meta, false, fmt.Errorf("runtime: %s has only stale snapshots, which are safe to restore "+
+			"only for selective aggregates (Theorem 3); combining aggregates need a consistent cut", cfg.RestoreDir)
+	}
+	return rows, meta, true, nil
+}
+
+// seedShard prepares this worker's shard for its first fixpoint: its
+// share of ΔX¹, or of the checkpoint loadRestore returned — a consistent
+// cut restores exactly, a stale snapshot warm-starts over the seed.
+func (w *worker) seedShard(rows []ckpt.Row, meta ckpt.Meta, restoring bool) {
+	switch {
+	case !restoring:
+		w.seed(w.plan.InitMRA)
+	case meta.Cut:
+		w.restore(rows)
+	default:
+		w.seed(w.plan.InitMRA)
+		w.restoreStale(rows)
+	}
+	if restoring {
+		w.mutEpoch = meta.MutEpoch
+	}
+}
+
 // RunWorker participates as one worker in an externally provided network
 // (e.g. a transport.TCPConn spanning several processes). Every process
 // must compile the same plan against the same deterministic data; the
@@ -66,29 +101,16 @@ func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]
 	cfg = cfg.withDefaults()
 	cfg = applyPriorityDefault(cfg, plan)
 	cfg.Workers = conn.Workers()
-	if plan.Propagate == nil || plan.Op == nil {
+	if plan.PropagateInto == nil || plan.Op == nil {
 		return nil, fmt.Errorf("runtime: plan is not compiled")
+	}
+	rows, meta, restoring, err := loadRestore(plan, cfg)
+	if err != nil {
+		return nil, err
 	}
 	w := newWorker(conn.ID(), cfg, plan, cfg.Fault.Wrap(conn))
 	if cfg.Mode.MRA() {
-		if cfg.RestoreDir != "" {
-			rows, meta, err := ckpt.LoadAll(cfg.RestoreDir)
-			if err != nil {
-				return nil, err
-			}
-			if meta.Cut {
-				w.restore(rows)
-			} else {
-				if !plan.Op.Selective() {
-					return nil, fmt.Errorf("runtime: %s has only stale snapshots, which are safe to restore "+
-						"only for selective aggregates (Theorem 3); combining aggregates need a consistent cut", cfg.RestoreDir)
-				}
-				w.seed(plan.InitMRA)
-				w.restoreStale(rows)
-			}
-		} else {
-			w.seed(plan.InitMRA)
-		}
+		w.seedShard(rows, meta, restoring)
 	} else {
 		for _, kv := range plan.BaseNaive {
 			if graph.Partition(kv.K, cfg.Workers) == w.id {
@@ -112,12 +134,22 @@ func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]
 // reports the rounds executed and whether the run converged (as opposed
 // to hitting the iteration or wall-clock cap).
 func RunMaster(plan *compiler.Plan, cfg Config, conn transport.Conn) (rounds int, converged bool, err error) {
-	if err := cfg.Validate(); err != nil {
+	m, err := runMaster(plan, cfg, conn)
+	if err != nil {
 		return 0, false, err
+	}
+	return m.rounds, m.converged, m.err
+}
+
+// runMaster is RunMaster returning the finished master, whose stop cause
+// in-package tests print.
+func runMaster(plan *compiler.Plan, cfg Config, conn transport.Conn) (*master, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	cfg.Workers = conn.Workers()
 	m := newMaster(cfg, plan, conn)
 	m.run()
-	return m.rounds, m.converged, m.err
+	return m, nil
 }

@@ -158,21 +158,7 @@ func (s *Session) end() {
 	s.busy = false
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	s.rejectQueuedCmds()
-}
-
-func (s *Session) rejectQueuedCmds() {
-	if s.m == nil || s.m.cmds == nil {
-		return
-	}
-	for {
-		select {
-		case cmd := <-s.m.cmds:
-			cmd.reply <- memberCmdResult{id: -1, err: ErrSessionBusy}
-		default:
-			return
-		}
-	}
+	s.m.rejectMemberCmds(ErrSessionBusy)
 }
 
 // setResult publishes an epoch's Result for the wait-free accessors.
@@ -221,7 +207,7 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if plan.Propagate == nil || plan.Op == nil {
+	if plan.PropagateInto == nil || plan.Op == nil {
 		return nil, fmt.Errorf("runtime: plan is not compiled")
 	}
 	if !modeRegistered(cfg.Mode) {
@@ -238,19 +224,9 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 
 	// Load any restore state before standing up goroutines, so a
 	// corrupt checkpoint fails cleanly.
-	var restoreRows []ckpt.Row
-	var restoreMeta ckpt.Meta
-	restoring := false
-	if cfg.Mode.MRA() && cfg.RestoreDir != "" {
-		rows, meta, err := ckpt.LoadAll(cfg.RestoreDir)
-		if err != nil {
-			return nil, err
-		}
-		if !meta.Cut && !plan.Op.Selective() {
-			return nil, fmt.Errorf("runtime: %s has only stale snapshots, which are safe to restore "+
-				"only for selective aggregates (Theorem 3); combining aggregates need a consistent cut", cfg.RestoreDir)
-		}
-		restoreRows, restoreMeta, restoring = rows, meta, true
+	restoreRows, restoreMeta, restoring, err := loadRestore(plan, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	// The network (and the workers slice) is provisioned to the fleet's
@@ -265,11 +241,11 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	}
 
 	s := &Session{
-		cfg:     cfg,
-		plan:    plan,
-		net:     net,
-		workers: workers,
-		log:     &edb.MutationLog{},
+		cfg:      cfg,
+		plan:     plan,
+		net:      net,
+		workers:  workers,
+		log:      &edb.MutationLog{},
 		engEpoch: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -278,28 +254,13 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	// checkpoint); naive re-derives base tuples every round from each
 	// worker's owned slice.
 	if cfg.Mode.MRA() {
-		switch {
-		case restoring && restoreMeta.Cut:
-			for _, w := range workers[:cfg.Workers] {
-				w.restore(restoreRows)
-			}
-		case restoring:
-			for _, w := range workers[:cfg.Workers] {
-				w.seed(plan.InitMRA)
-				w.restoreStale(restoreRows)
-			}
-		default:
-			for _, w := range workers[:cfg.Workers] {
-				w.seed(plan.InitMRA)
-			}
+		for _, w := range workers[:cfg.Workers] {
+			w.seedShard(restoreRows, restoreMeta, restoring)
 		}
 		if restoring {
 			// Resume the mutation-log position the snapshot incorporates:
 			// the caller replays its trailing log entries through Apply.
 			s.mutEpoch = restoreMeta.MutEpoch
-			for _, w := range workers[:cfg.Workers] {
-				w.mutEpoch = restoreMeta.MutEpoch
-			}
 		}
 	} else {
 		for _, kv := range plan.BaseNaive {
@@ -451,10 +412,11 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		s.writeParkCheckpoint()
 	}
 
-	// One more epoch: wake the fleet and run the termination protocol.
+	// One more epoch: release the park fence the session has held since
+	// the last fixpoint and run the termination protocol.
+	s.m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: transport.FencePark, Round: s.engEpoch})
 	s.bumpEngEpoch()
 	s.m.epoch = s.engEpoch
-	s.m.bcast(transport.Message{Kind: transport.EpochStart, Round: s.engEpoch})
 	s.m.run()
 	res, err := s.finishEpoch(start)
 	if err != nil {
@@ -526,14 +488,16 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 }
 
 // collect snapshots the fleet's state into a Result. Safe either after
-// the workers exited (fleetDown) or while they are parked (the ParkDone
-// collect's happens-before edges cover every counter and table write).
+// the workers exited (fleetDown) or while they are parked (the park
+// fence's ack collect gives happens-before edges covering every counter
+// and table write).
 func (s *Session) collect(elapsed time.Duration) *Result {
 	res := &Result{
 		Values:    map[int64]float64{},
 		Rounds:    s.m.rounds,
 		Elapsed:   elapsed,
 		Converged: s.m.converged,
+		StopCause: s.m.cause,
 		Master:    s.m.met.reg.Snapshot(),
 	}
 	var sent, recv, flushes int64
@@ -613,6 +577,14 @@ func (s *Session) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
+	s.mu.Unlock()
+	s.stopFleet()
+}
+
+// stopFleet stops the worker goroutines if they are still up and waits
+// for them. Called only by the session's exclusive holder.
+func (s *Session) stopFleet() {
+	s.mu.Lock()
 	down := s.fleetDown
 	s.mu.Unlock()
 	if !down {
@@ -638,13 +610,15 @@ func (s *Session) spawnInto(id int) *worker {
 	w.joinGate = true
 	w.reborn = true // a crashw= injection must not kill the replacement too
 	w.mutEpoch = s.mutEpoch
-	w.curEpoch = s.engEpoch
-	w.epochGo = s.engEpoch
 	w.staleEpoch = s.ckptEpoch
+	// The fleet is computing (or parked at the end of) epoch engEpoch:
+	// every earlier park fence is over for the newcomer too.
+	park := &w.fences[transport.FencePark]
+	park.done, park.released = s.engEpoch-1, s.engEpoch-1
 	if s.m.parked {
 		// Spawned between fixpoints: park right after admission instead
 		// of computing into a parked fleet.
-		w.parkEpoch = s.engEpoch
+		park.req.epoch = s.engEpoch
 	}
 	if s.cfg.Elastic {
 		// Adopt the current membership (a scale-out newcomer is absent
@@ -673,8 +647,8 @@ func (s *Session) startSpawned(w *worker) {
 // after mutations (the seed is no longer the true initial state), or any
 // combining loss after a scale event (checkpoint shards are only
 // restorable under the ownership ring they were written with).
-func (s *Session) respawnWorker(id int) (int64, bool) {
-	rollback := int64(0)
+func (s *Session) respawnWorker(id int) (int, bool) {
+	rollback := 0
 	var warm []ckpt.Row
 	if !s.plan.Op.Selective() {
 		if s.scaled {
@@ -698,7 +672,7 @@ func (s *Session) respawnWorker(id int) (int64, bool) {
 			_, meta, err := ckpt.LoadAll(s.cfg.SnapshotDir)
 			switch {
 			case err == nil && meta.Cut && meta.MutEpoch == s.mutEpoch:
-				rollback = int64(meta.Epoch)
+				rollback = meta.Epoch
 			case s.mutEpoch == 0:
 				rollback = -1
 			default:
@@ -823,10 +797,10 @@ func (s *Session) memberChange(cmd memberCmd) (int, error) {
 	}
 	r := <-cmd.reply
 	if cmd.add && r.err == nil && !s.fleetDown {
-		// The newcomer still has to complete its park handshake against
-		// the parked survivors; only after its ParkDone is the fleet
-		// quiescent for the next Apply's table reads and writes.
-		if !s.m.awaitParkDone(r.id) {
+		// The newcomer still has to park against the parked survivors;
+		// only after its ack is the fleet quiescent for the next Apply's
+		// table reads and writes.
+		if !s.m.awaitNewcomerPark(r.id) {
 			s.fail(s.m.err)
 			return r.id, s.Err()
 		}
@@ -842,14 +816,7 @@ func (s *Session) teardown() {
 		s.fenceRelease()
 		s.fenceRelease = nil
 	}
-	s.mu.Lock()
-	down := s.fleetDown
-	s.mu.Unlock()
-	if !down {
-		s.m.bcast(transport.Message{Kind: transport.Stop})
-		s.wg.Wait()
-		s.setFleetDown()
-	}
+	s.stopFleet()
 	s.dump.close()
 	s.net.Close()
 	s.mu.Lock()

@@ -5,6 +5,7 @@ import (
 
 	"powerlog/internal/compiler"
 	"powerlog/internal/metrics"
+	"powerlog/internal/transport"
 )
 
 // MRASSP — stale synchronous parallel evaluation — is the point between
@@ -42,8 +43,8 @@ func newSSPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 
 // sspBarrier implements the staleness gate. steps counts the supersteps
 // this worker has completed; each completion broadcasts an EndPhase
-// marker, and handle() counts markers per sender in w.peerSteps — the
-// vector clock the gate reads.
+// marker, and handle() merges markers per sender into w.peerSteps — the
+// marker clock the gate reads.
 type sspBarrier struct {
 	staleness int
 	steps     int
@@ -54,12 +55,11 @@ func (b *sspBarrier) setup(*worker) {}
 func (b *sspBarrier) beginPass(w *worker) bool { return w.drainInbox() }
 
 func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
-	// A superstep boundary is SSP's snapshot safe point: join a pending
-	// marker episode (combining aggregates) or write a local stale
-	// snapshot (selective aggregates, Theorem 3) — and the membership
-	// safe point: join a pending fence (membership.go).
-	w.maybeSnapshot()
-	w.maybeJoinFence()
+	// A superstep boundary is SSP's safe point for fences: join a pending
+	// snapshot episode (combining aggregates) or membership fence;
+	// selective aggregates write their local stale snapshot (Theorem 3)
+	// in advance().
+	w.joinFences()
 	if !progressed {
 		if w.pol.sched.release() {
 			// §5.4: held low-priority deltas are used when the worker
@@ -100,34 +100,10 @@ func (b *sspBarrier) advance(w *worker) {
 	w.maybeStaleSnapshot(b.steps)
 }
 
-// minPeerSteps / maxPeerSteps scan the EndPhase vector clock, skipping
-// crash-orphaned and non-member slots — the skip is what unwedges a
-// gated worker blocked on a dead peer's frozen clock once the Orphan
-// verdict lands.
-func (w *worker) minPeerSteps() int {
-	first := true
-	least := 0
-	skipped := false
-	for j, s := range w.peerSteps {
-		if j == w.id {
-			continue
-		}
-		if w.peerSkip(j) {
-			skipped = true
-			continue
-		}
-		if first || s < least {
-			least, first = s, false
-		}
-	}
-	if first && skipped {
-		// Peers exist but every one is down or outside the membership:
-		// nothing to gate on (the fence, not the gate, synchronises next).
-		return maxSteps
-	}
-	return least
-}
-
+// maxPeerSteps is the frontier of the EndPhase marker clock, skipping
+// crash-orphaned and non-member slots like the gate's minimum does — the
+// skip is what unwedges a gated worker blocked on a dead peer's frozen
+// clock once the Orphan verdict lands.
 func (w *worker) maxPeerSteps() int {
 	most := 0
 	for j, s := range w.peerSteps {
@@ -143,42 +119,26 @@ func (w *worker) maxPeerSteps() int {
 // blocked. The blocked time is accounted as straggler wait — the SSP
 // cost surfaced through Result.Workers. A stalled wait retransmits this
 // worker's own marker (a lost one may be what blocks a peer), and a
-// snapshot episode requested while blocked is joined inline — a gated
-// worker that ignored SnapRequest would deadlock the episode against
-// peers already waiting for its mark.
+// fence requested while blocked is joined inline — a gated worker that
+// ignored the request would deadlock the fence against peers already
+// waiting for its mark.
 func (b *sspBarrier) awaitPeerSteps(w *worker, need int) {
-	if w.nw == 1 || need <= 0 {
+	// A parked peer stops advancing its superstep clock, so the gate must
+	// also yield to a pending park — the park fence (not the gate) is the
+	// epoch's final synchronisation point.
+	open := func() bool {
+		w.joinFences()
+		return w.fencePending(transport.FencePark) || w.peerSteps.min(nil, w.peerSkip) >= need
+	}
+	if need <= 0 || open() {
 		return
 	}
-	var start time.Time
-	// A parked peer stops advancing its superstep clock, so the gate must
-	// also yield to a pending Park — the park handshake (not the gate) is
-	// the epoch's final synchronisation point.
-	for !w.stopped && !w.sendDead.Load() && !w.parkPending() && w.minPeerSteps() < need {
-		if start.IsZero() {
-			start = time.Now()
-		}
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				goto done
-			}
-			w.handle(m)
-			w.maybeSnapshot()
-			// A membership fence requested while gated is joined inline
-			// for the same reason as an episode: peers mid-fence wait for
-			// this worker's cut marker.
-			w.maybeJoinFence()
-		case <-time.After(markerResend):
-			w.met.markerResends.Inc()
-			w.broadcastEndPhase(b.steps)
-		}
-	}
-done:
-	if !start.IsZero() {
-		blocked := time.Since(start)
-		w.stragglerWait += blocked
-		w.met.stragglerUS.Observe(uint64(blocked.Microseconds()))
-	}
+	start := time.Now()
+	w.foldUntil(open, func() {
+		w.met.markerResends.Inc()
+		w.broadcastEndPhase(b.steps)
+	})
+	blocked := time.Since(start)
+	w.stragglerWait += blocked
+	w.met.stragglerUS.Observe(uint64(blocked.Microseconds()))
 }

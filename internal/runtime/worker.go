@@ -81,38 +81,24 @@ type worker struct {
 	// (plan.PropagateInto); scan cores hold their own (coreState).
 	scratch []float64
 
-	// control-state set by handle(). peerSteps is the EndPhase vector
-	// clock: peerSteps[j] is the highest completed-superstep count worker
-	// j has announced. Markers carry their sender's count and the
-	// receiver keeps the max, so a duplicated or retransmitted marker is
-	// idempotent and a dropped one is healed by any later (or resent)
-	// marker from the same peer.
+	// control-state set by handle(). peerSteps is the EndPhase marker
+	// clock (fence.go): peerSteps[j] is the highest completed-superstep
+	// count worker j has announced.
 	stopped    bool
-	peerSteps  []int
-	verdict    transport.Kind // Continue or Stop, valid when verdictSet
+	peerSteps  markClock
+	verdict    transport.Kind // Continue, Stop, or FenceRequest (park), valid when verdictSet
 	verdictSet bool
 
-	// Snapshot-episode state (episode.go): the latest SnapRequest epoch,
-	// the latest episode this worker completed, per-peer SnapMark epochs,
-	// and the latest Resume epoch.
-	snapReqEpoch  int
-	snapDoneEpoch int
-	snapMarks     []int
-	resumeEpoch   int
-	staleEpoch    int // last local stale-snapshot epoch (episode.go)
-
-	// Session-epoch state (session.go). curEpoch is the fixpoint this
-	// worker is computing (1 = the initial fixpoint); parkEpoch is the
-	// highest Park the master has issued; parkMarks is the per-peer
-	// ParkMark vector (the data-lane fence mirroring snapMarks); epochGo
-	// is the highest EpochStart seen; mutEpoch stamps snapshots with the
-	// mutation-log position they incorporate (the session advances it
-	// while the worker is parked).
-	curEpoch  int
-	parkEpoch int
-	parkMarks []int
-	epochGo   int
-	mutEpoch  int
+	// fences is this worker's view of each fence class (fence.go): what
+	// the master has requested and released, what this worker finished,
+	// and the per-peer marker clock. The park fence doubles as the
+	// session-epoch counter: the fixpoint being computed is
+	// fences[FencePark].done + 1.
+	fences     [transport.NumFenceClasses]fenceState
+	staleEpoch int // last local stale-snapshot epoch (episode.go)
+	// mutEpoch stamps snapshots with the mutation-log position they
+	// incorporate (the session advances it while the worker is parked).
+	mutEpoch int
 
 	// sendErr records the first unrecoverable transport failure seen by
 	// the comm goroutine; sendDead flags it for the compute loop, which
@@ -128,29 +114,16 @@ type worker struct {
 	// fleet's master endpoint (the capacity network's last slot — NOT
 	// w.nw on elastic fleets). route maps keys to owners: static modulo
 	// for fixed fleets, a consistent-hash ring under Config.Elastic.
-	// down marks crash-orphaned slots (flushes suppressed, peer-minimum
-	// scans skip them) and leaving marks slots retiring at the next
-	// fence. The join* fields mirror the snapshot-episode state for
-	// membership fences: the latest requested fence epoch with its
-	// rollback directive and admitted slot, the per-peer cut-marker
-	// vectors (joinMarks fences pre-fence data, joinMarks2 fences the
-	// migration Handoffs — see runJoinFence), the last completed fence,
-	// and the latest Release.
-	master       int
-	route        *shardRoute
-	down         []bool
-	leaving      []bool
-	joinReqEpoch int
-	joinRollback int64
-	joinAdmit    int
-	joinDone     int
-	joinMarks    []int
-	joinMarks2   []int
-	releaseEpoch int
-	joinGate     bool // spawned mid-run: gate the compute loop on admission
-	crashed      bool // fault injection: this worker died silently
-	reborn       bool // replacement spawned by the session (immune to crashw=)
-	retired      bool // scale-in: this worker left at a fence
+	// down marks crash-orphaned slots (flushes suppressed, live-cohort
+	// minima skip them) and leaving marks slots retiring at the next
+	// membership fence.
+	master   int
+	route    *shardRoute
+	down     []bool
+	leaving  []bool
+	joinGate bool // spawned mid-run: gate the compute loop on admission
+	reborn   bool // replacement spawned by the session (immune to crashw=)
+	retired  bool // scale-in: this worker left at a fence
 }
 
 type outMsg struct {
@@ -201,10 +174,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 
 		bufs:      make([]*outBuf, fleet),
 		lastFlush: make([]time.Time, fleet),
-		peerSteps: make([]int, fleet),
-		snapMarks: make([]int, fleet),
-		parkMarks: make([]int, fleet),
-		curEpoch:  1,
+		peerSteps: make(markClock, fleet),
 		dataSeq:   make([]int64, fleet),
 		dataSeen:  make([]dedupWindow, fleet),
 		win: window{
@@ -212,13 +182,13 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 			counts: make([]int64, fleet),
 		},
 
-		master:    transport.MasterID(fleet),
-		route:     newShardRoute(cfg),
-		down:      make([]bool, fleet),
-		leaving:   make([]bool, fleet),
-		joinMarks:  make([]int, fleet),
-		joinMarks2: make([]int, fleet),
-		joinAdmit: -1,
+		master:  transport.MasterID(fleet),
+		route:   newShardRoute(cfg),
+		down:    make([]bool, fleet),
+		leaving: make([]bool, fleet),
+	}
+	for c := range w.fences {
+		w.fences[c].marks = make(markClock, fleet)
 	}
 	w.met = newWorkerMetrics(fleet)
 	w.pol = policiesFor(cfg, plan, id, w.met.reg)
@@ -399,7 +369,7 @@ func (w *worker) commLoop() {
 // preserve per-destination ordering.
 func (w *worker) enqueue(to int, m transport.Message) {
 	lane := w.out
-	if m.Kind == transport.StatsReply || m.Kind == transport.PhaseDone || m.Kind == transport.ParkDone {
+	if m.Kind == transport.StatsReply || m.Kind == transport.PhaseDone || m.Kind == transport.FenceAck {
 		lane = w.outCtrl
 	}
 	for {
@@ -486,12 +456,8 @@ func (w *worker) handle(m transport.Message) {
 		// The batch is spent; recycle it (see the contract in transport).
 		transport.PutBatch(m.KVs)
 	case transport.EndPhase:
-		// Round is the sender's completed-superstep count; keeping the
-		// max makes markers idempotent (duplicates are no-ops) and
-		// self-healing (any later marker covers a dropped one).
-		if m.From >= 0 && m.From < len(w.peerSteps) && m.Round > w.peerSteps[m.From] {
-			w.peerSteps[m.From] = m.Round
-		}
+		// Round is the sender's completed-superstep count.
+		w.peerSteps.observe(m.From, m.Round)
 	case transport.Continue:
 		w.verdict, w.verdictSet = transport.Continue, true
 	case transport.Stop:
@@ -499,76 +465,32 @@ func (w *worker) handle(m transport.Message) {
 		w.verdict, w.verdictSet = transport.Stop, true
 	case transport.StatsRequest:
 		w.replyStats(m.Round)
-	case transport.SnapRequest:
-		if m.Round > w.snapReqEpoch {
-			w.snapReqEpoch = m.Round
+	case transport.FenceRequest:
+		if f := &w.fences[m.Fence]; m.Round > f.req.epoch {
+			f.req = fenceReq{epoch: m.Round, rollback: m.Rollback, admit: int(m.Admit)}
 		}
-	case transport.SnapMark:
-		if m.From >= 0 && m.From < len(w.snapMarks) && m.Round > w.snapMarks[m.From] {
-			w.snapMarks[m.From] = m.Round
+		if m.Fence == transport.FencePark {
+			// For barriered modes a park request doubles as the superstep
+			// verdict: the worker sitting in awaitVerdict must unwind
+			// without setting stopped, so the run loop reaches the fence.
+			w.verdict, w.verdictSet = transport.FenceRequest, true
 		}
-	case transport.Resume:
-		if m.Round > w.resumeEpoch {
-			w.resumeEpoch = m.Round
-		}
-	case transport.Park:
-		if m.Round > w.parkEpoch {
-			w.parkEpoch = m.Round
-		}
-		// For barriered modes Park doubles as the superstep verdict: the
-		// worker sitting in awaitVerdict must unwind without setting
-		// stopped, so the run loop reaches the park handshake.
-		w.verdict, w.verdictSet = transport.Park, true
-	case transport.ParkMark:
-		if m.From >= 0 && m.From < len(w.parkMarks) && m.Round > w.parkMarks[m.From] {
-			w.parkMarks[m.From] = m.Round
-		}
-	case transport.EpochStart:
-		if m.Round > w.epochGo {
-			w.epochGo = m.Round
-		}
-	case transport.Join:
-		// Overloaded by direction (membership.go): from the master it is
-		// the fence request — Round the fence epoch, Stats.Sent the
-		// rollback directive, Stats.Recv the admitted slot + 1; from a
-		// peer it is the cut marker on the data lane. Receivers keep the
-		// max, so retransmissions are idempotent.
-		if m.From == w.master {
-			if m.Round > w.joinReqEpoch {
-				w.joinReqEpoch = m.Round
-				w.joinRollback = m.Stats.Sent
-				w.joinAdmit = int(m.Stats.Recv) - 1
-			}
-		} else if m.From >= 0 && m.From < len(w.joinMarks) {
-			// Stats.Sent distinguishes the fence's two marker rounds: 0 is
-			// the pre-fence cut, 1 the post-migration cut (runJoinFence).
-			if m.Stats.Sent != 0 {
-				if m.Round > w.joinMarks2[m.From] {
-					w.joinMarks2[m.From] = m.Round
-				}
-				// A second-round marker proves the sender finished the
-				// first round, and per-pair FIFO means every pre-fence
-				// datum it sent has already been folded here — so it
-				// satisfies the first-round wait too. This heals a
-				// first-round marker lost to a slot reset racing the
-				// previous fence's Release (see resetLink).
-				if m.Round > w.joinMarks[m.From] {
-					w.joinMarks[m.From] = m.Round
-				}
-			} else if m.Round > w.joinMarks[m.From] {
-				w.joinMarks[m.From] = m.Round
-			}
+	case transport.FenceMark:
+		w.fences[m.Fence].marks.observe(m.From, markStamp(m.Round, m.Phase))
+	case transport.FenceRelease:
+		if f := &w.fences[m.Fence]; m.Round > f.released {
+			f.released = m.Round
 		}
 	case transport.Orphan:
-		// Round names the slot. Stats.Sent != 0 is a graceful retirement
-		// (scale-in: the slot keeps running until the fence migrates its
-		// shard out); 0 is a crash verdict — suppress flushes toward the
-		// slot and skip it in every peer-minimum scan, which unwedges any
-		// gate or episode blocked on the dead worker. A worker never
+		// Round names the slot. Retire is a graceful retirement (scale-in:
+		// the slot keeps running until the fence migrates its shard out);
+		// otherwise it is a crash verdict — suppress flushes toward the
+		// slot and skip it in every live-cohort minimum, which unwedges
+		// any gate or fence blocked on the dead worker. A worker never
 		// marks itself down: if the master misjudged a slow worker, the
 		// transport's generation fence kills it at its next send instead.
 		if id := m.Round; id >= 0 && id < len(w.down) {
-			if m.Stats.Sent != 0 {
+			if m.Retire {
 				w.leaving[id] = true
 			} else if id != w.id {
 				w.down[id] = true
@@ -576,11 +498,7 @@ func (w *worker) handle(m transport.Message) {
 		}
 	case transport.Handoff:
 		w.acceptHandoff(m)
-	case transport.Release:
-		if m.Round > w.releaseEpoch {
-			w.releaseEpoch = m.Round
-		}
-	case transport.PhaseDone, transport.StatsReply, transport.SnapDone, transport.ParkDone:
+	case transport.PhaseDone, transport.StatsReply, transport.FenceAck:
 		// Worker→master kinds; a worker receiving one (misrouted frame,
 		// chaos injection) ignores it rather than corrupting local state.
 	}
@@ -765,9 +683,10 @@ func (w *worker) drainInbox() bool {
 // naive/MRA BSP, the async family, SSP — is this loop with different
 // policies plugged in. In a session (session.go) the loop is wrapped in
 // an epoch loop: when the master parks the fleet at a fixpoint instead
-// of stopping it, the worker quiesces its data lanes, blocks until the
-// session has applied a base-fact mutation, and re-enters the compute
-// loop on the reseeded shard.
+// of stopping it, the worker takes the park fence (fence.go) — it
+// quiesces its data lanes, blocks until the session has applied a
+// base-fact mutation, and re-enters the compute loop on the reseeded
+// shard.
 func (w *worker) run() {
 	defer func() {
 		w.scan.close() // nil-safe: park-for-good the subshard cores
@@ -786,17 +705,14 @@ func (w *worker) run() {
 		// Releases — at which point table, route, and link state are
 		// consistent with the fleet.
 		w.awaitAdmission()
-		if w.stopped || w.sendDead.Load() {
+		if w.halted() {
 			return
 		}
 	}
 	w.pol.barrier.setup(w)
 	for {
 		w.runFixpoint()
-		if w.stopped || w.sendDead.Load() || !w.parkPending() {
-			return
-		}
-		if !w.parkAndAwait() {
+		if w.halted() || !w.fencePending(transport.FencePark) || !w.fence(transport.FencePark) {
 			return
 		}
 	}
@@ -806,7 +722,7 @@ func (w *worker) run() {
 // returns when the worker is stopped, its send path died, or the master
 // parked the fleet (session epoch boundary).
 func (w *worker) runFixpoint() {
-	for !w.stopped && !w.sendDead.Load() && !w.parkPending() {
+	for !w.halted() && !w.fencePending(transport.FencePark) {
 		progressed := w.pol.barrier.beginPass(w)
 		if w.stopped {
 			return
@@ -818,99 +734,6 @@ func (w *worker) runFixpoint() {
 			return
 		}
 	}
-}
-
-// parkPending reports whether the master has parked the current epoch.
-func (w *worker) parkPending() bool { return w.parkEpoch >= w.curEpoch }
-
-// broadcastParkMark fences this epoch's data on every peer link (data
-// lane: per-pair ordering guarantees all data sent this epoch lands
-// before the mark). Marks carry the epoch and receivers keep the max, so
-// retransmissions are idempotent.
-func (w *worker) broadcastParkMark(epoch int) {
-	w.eachPeer(func(j int) {
-		w.enqueue(j, transport.Message{Kind: transport.ParkMark, Round: epoch})
-	})
-}
-
-func (w *worker) minParkMarks() int {
-	least := maxSteps // no waitable peer: nothing to wait for
-	for j, s := range w.parkMarks {
-		if w.peerSkip(j) {
-			continue
-		}
-		if s < least {
-			least = s
-		}
-	}
-	return least
-}
-
-// parkAndAwait runs the epoch-boundary handshake: flush every buffer,
-// fence the data lanes with ParkMarks, fold incoming data until every
-// peer's mark for this epoch arrives (per-pair FIFO means everything
-// folded was sent before the peer's fence — the in-flight deltas an
-// ε-termination may leave behind), report ParkDone, and block until the
-// session starts the next epoch or stops the fleet. Once ParkDone is
-// sent no peer sends Data again this epoch (their own fences are
-// already up), so the session goroutine — which observes the ParkDone
-// through the master's inbox, a happens-before edge — may read and
-// mutate this worker's table until it broadcasts EpochStart.
-func (w *worker) parkAndAwait() bool {
-	e := w.curEpoch
-	w.flushAll()
-	w.broadcastParkMark(e)
-	for !w.stopped && !w.sendDead.Load() && w.minParkMarks() < e {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return false
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
-			// A lost mark would wedge a peer's handshake; re-fencing is
-			// free (receivers keep the max).
-			w.met.markerResends.Inc()
-			w.broadcastParkMark(e)
-		}
-	}
-	if w.stopped || w.sendDead.Load() {
-		return false
-	}
-	w.enqueue(w.master, transport.Message{Kind: transport.ParkDone, Round: e})
-	for !w.stopped && !w.sendDead.Load() && w.epochGo <= e {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return false
-			}
-			w.handle(m)
-			// The parked inbox wait is also a membership safe point: a
-			// scale fence driven between fixpoints (Session.AddWorker /
-			// RemoveWorker on a parked fleet) is joined right here.
-			w.maybeJoinFence()
-			if w.stopped {
-				return false // retired at the fence (scale-in)
-			}
-		case <-time.After(markerResend):
-			// Keep healing peer handshakes while parked: a peer whose view
-			// of our mark was lost is still blocked pre-ParkDone.
-			w.broadcastParkMark(e)
-		}
-	}
-	if w.stopped || w.sendDead.Load() {
-		return false
-	}
-	w.curEpoch = e + 1
-	w.verdictSet = false
-	if w.scan != nil {
-		// The session reseeded the shard; the new dirty count stands in
-		// for "last pass's drain" exactly like the initial seed.
-		w.scan.lastDrained = w.table.DirtyApprox()
-	}
-	return true
 }
 
 // scanPass is the shared MRA compute body (paper Figure 7): drain a

@@ -27,6 +27,11 @@ import (
 //	    accDelta, accSum  8-byte little-endian float64 bits
 //	    passes         uvarint
 //	    flags          1 byte (bit0 idle, bit1 dirty)
+//	Fence payload (FenceRequest, FenceMark, FenceAck, FenceRelease):
+//	    class, phase   1 byte each
+//	    rollback, admit  zigzag varint (both may be -1)
+//	Orphan payload:
+//	    retire         1 byte
 //
 // Other kinds carry no payload beyond the header. The frame prefix is a
 // uvarint payload length, so the reader can slice one whole message off
@@ -99,16 +104,19 @@ func appendPayload(buf []byte, m *Message) []byte {
 			flags |= 2
 		}
 		buf = append(buf, flags)
-	case Join:
-		// The master-side fence request rides Stats.Sent (rollback
-		// epoch, may be -1) and Stats.Recv (admitted id + 1), both
-		// signed — zigzag varints, unlike the counter stats above.
-		buf = binary.AppendVarint(buf, m.Stats.Sent)
-		buf = binary.AppendVarint(buf, m.Stats.Recv)
+	case FenceRequest, FenceMark, FenceAck, FenceRelease:
+		buf = append(buf, byte(m.Fence), m.Phase)
+		buf = binary.AppendVarint(buf, int64(m.Rollback))
+		buf = binary.AppendVarint(buf, int64(m.Admit))
+	case Orphan:
+		var retire byte
+		if m.Retire {
+			retire = 1
+		}
+		buf = append(buf, retire)
 	default:
-		// Control kinds (EndPhase, Continue, Stop, the snapshot and park
-		// handshakes, ...) carry nothing beyond the kind/from/round
-		// header.
+		// EndPhase, Continue, StatsRequest and Stop carry nothing beyond
+		// the kind/from/round header.
 	}
 	return buf
 }
@@ -153,9 +161,19 @@ func decodePayload(data []byte) (Message, error) {
 		flags := d.byte()
 		m.Stats.Idle = flags&1 != 0
 		m.Stats.Dirty = flags&2 != 0
-	case Join:
-		m.Stats.Sent = d.varint()
-		m.Stats.Recv = d.varint()
+	case FenceRequest, FenceMark, FenceAck, FenceRelease:
+		m.Fence = FenceClass(d.byte())
+		m.Phase = d.byte()
+		m.Rollback = int(d.varint())
+		m.Admit = int32(d.varint())
+		// Receivers index per-class state by Fence and stamp marker
+		// clocks from Phase, so a value outside the protocol is a
+		// corrupt frame.
+		if int(m.Fence) >= NumFenceClasses || m.Phase > 2 {
+			d.bad = true
+		}
+	case Orphan:
+		m.Retire = d.byte() != 0
 	default:
 		// Control kinds have an empty payload; the header already
 		// decoded is the whole message.

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -134,6 +135,54 @@ func TestCodecEdgeMessages(t *testing.T) {
 	}
 }
 
+// TestCodecEveryKind round-trips, for every Kind, a message with every
+// field that kind is documented to carry set to a non-zero value. The
+// table is indexed by Kind and sized by the numKinds sentinel, so a kind
+// added to the const block without a row here — or without a name in
+// kindNames — fails this test instead of silently shipping zero fields
+// over TCP (as Orphan's retire bit once did).
+func TestCodecEveryKind(t *testing.T) {
+	stats := Stats{Sent: 9, Recv: 8, AccDelta: 0.25, AccSum: -3.5, Passes: 7, Idle: true, Dirty: true}
+	table := [numKinds]Message{
+		Data:         {From: 1, Round: 12, KVs: []KV{{K: -4, V: 1.5}, {K: 9, V: -2}}},
+		EndPhase:     {From: 2, Round: 5},
+		PhaseDone:    {From: 3, Stats: stats},
+		Continue:     {From: 4},
+		StatsRequest: {From: 4, Round: 77},
+		StatsReply:   {From: 1, Round: 77, Stats: stats},
+		Stop:         {From: 4},
+		FenceRequest: {From: 4, Round: 6, Fence: FenceMember, Rollback: -1, Admit: 3},
+		FenceMark:    {From: 2, Round: 6, Fence: FenceMember, Phase: 2},
+		FenceAck:     {From: 2, Round: 6, Fence: FencePark},
+		FenceRelease: {From: 4, Round: 6, Fence: FencePark},
+		Orphan:       {From: 4, Round: 2, Retire: true},
+		Handoff:      {From: 1, Round: 1, KVs: []KV{{K: 3, V: 0.5}, {K: 8, V: 4}}},
+	}
+	names := map[string]bool{}
+	for k := Kind(0); int(k) < numKinds; k++ {
+		name := k.String()
+		if name == "" || names[name] {
+			t.Errorf("Kind(%d) has no name of its own: %q", k, name)
+		}
+		names[name] = true
+		want := table[k]
+		want.Kind = k
+		got := roundTrip(t, want)
+		if len(want.KVs) > 0 {
+			if !kvsEqual(got.KVs, want.KVs) {
+				t.Errorf("%v: KVs %v, want %v", k, got.KVs, want.KVs)
+			}
+			got.KVs, want.KVs = nil, nil
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: sent %+v, got %+v", k, want, got)
+		}
+	}
+	if got := Kind(numKinds).String(); got != fmt.Sprintf("Kind(%d)", numKinds) {
+		t.Errorf("first value past the const block renders %q", got)
+	}
+}
+
 // TestCodec64KMessage round-trips a BatchMax-scale (64k-KV) message.
 func TestCodec64KMessage(t *testing.T) {
 	const n = 64 << 10
@@ -172,6 +221,18 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 	// Truncated stats frame must error.
 	if _, err := decodePayload([]byte{byte(StatsReply), 0, 0, 7}); err == nil {
 		t.Fatal("truncated stats frame accepted")
+	}
+	// Receivers index per-class state by the fence class and stamp marker
+	// clocks from the phase: values outside the protocol must not decode.
+	for _, fm := range []Message{
+		{Kind: FenceMark, Fence: FenceClass(NumFenceClasses), Phase: 1},
+		{Kind: FenceMark, Fence: FenceMember, Phase: 3},
+	} {
+		buf, start := appendFrame(nil, &fm)
+		_, n := decodeUvarintPrefix(buf[start:])
+		if _, err := decodePayload(buf[start+n:]); err == nil {
+			t.Fatalf("fence frame outside the protocol accepted: %+v", fm)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@
 // network (used by tests and benches) and a TCP network on net plus a
 // hand-rolled length-prefixed binary codec (used by the multi-process
 // cluster example). The engine is written against the Conn interface
-// only. Data messages carry pooled KV batches under the recycle contract
+// only: thirteen message kinds — data, the barrier/termination
+// protocols, and one four-kind fence protocol. Data messages carry pooled KV batches under the recycle contract
 // documented in batch.go, so the steady-state update path allocates
 // nothing.
 package transport
@@ -21,47 +22,53 @@ type KV struct {
 // Kind discriminates messages.
 type Kind uint8
 
-// Message kinds. Data carries folded deltas; the rest implement barrier
-// and termination-control protocols (paper §5.3–5.4).
+// Message kinds. Data carries folded deltas; EndPhase through Stop are
+// the barrier and termination-control protocols (paper §5.3–5.4); the
+// four Fence kinds are the one consistent-cut protocol (DESIGN.md "The
+// fence") that snapshot episodes, session parking and membership changes
+// all instantiate, told apart by Message.Fence. A kind means the same
+// thing whoever sends it.
 const (
-	Data         Kind = iota // KV batch from a peer worker
-	EndPhase                 // BSP: sender finished its send phase
-	PhaseDone                // BSP: worker → master, phase complete + stats
+	Data         Kind = iota // worker → worker: KV batch (Round = per-link sequence number)
+	EndPhase                 // worker → worker, data lane: sender finished superstep Round
+	PhaseDone                // BSP: worker → master, phase complete + Stats
 	Continue                 // master → workers: run another superstep
-	StatsRequest             // master → workers: report stats for round N
-	StatsReply               // workers → master
+	StatsRequest             // master → workers: report stats for round Round
+	StatsReply               // worker → master: Stats for round Round
 	Stop                     // master → workers: terminate
-	SnapRequest              // master → workers: open snapshot episode (Round = epoch)
-	SnapMark                 // worker → worker, data lane: Chandy–Lamport cut marker
-	SnapDone                 // worker → master: shard for the episode is durable
-	Resume                   // master → workers: episode complete, resume computing
-	Park                     // master → workers: fixpoint reached, park for the next session epoch (Round = epoch)
-	ParkMark                 // worker → worker, data lane: no more data from sender this epoch
-	ParkDone                 // worker → master: drained all peers' ParkMarks, parked
-	EpochStart               // master → workers: mutations applied, run another fixpoint (Round = epoch)
+	FenceRequest             // master → workers: open fence Round of class Fence (Rollback, Admit: membership directive)
+	FenceMark                // worker → worker, data lane: cut marker of fence Round, marker round Phase
+	FenceAck                 // worker → master: reached the cut of fence Round and ran its action
+	FenceRelease             // master → workers: fence Round is over, resume
+	Orphan                   // master → workers: slot Round is lost (crash) or, with Retire, leaving at the next membership fence
+	Handoff                  // worker → worker: keyed row migration batch (Round 0 = Accumulation rows, 1 = Intermediate deltas)
 
-	// Membership protocol (elastic re-join / scale, DESIGN.md §11). Join
-	// is overloaded by sender: master → worker it is the fence request
-	// (Round = fence epoch, Stats.Sent = rollback cut epoch or -1 for
-	// seed reset, Stats.Recv = admitted worker id + 1 or 0), worker →
-	// worker on the data lane it is the fence cut marker, and worker →
-	// master it is the fence ack.
-	Join    // membership fence request / cut marker / ack (see above)
-	Orphan  // master → workers: Round names a lost (Stats.Sent=0) or retiring (Stats.Sent=1) worker
-	Handoff // worker → worker: keyed row migration batch (Round 0 = Accumulation rows, 1 = Intermediate deltas)
-	Release // master → workers: fence complete, membership change committed, resume
+	numKinds = int(iota) // sentinel: sizes kindNames, so a new kind without a name fails the codec table test
 )
+
+var kindNames = [numKinds]string{"Data", "EndPhase", "PhaseDone", "Continue", "StatsRequest", "StatsReply", "Stop",
+	"FenceRequest", "FenceMark", "FenceAck", "FenceRelease", "Orphan", "Handoff"}
 
 // String names the message kind.
 func (k Kind) String() string {
-	names := [...]string{"Data", "EndPhase", "PhaseDone", "Continue", "StatsRequest", "StatsReply", "Stop",
-		"SnapRequest", "SnapMark", "SnapDone", "Resume", "Park", "ParkMark", "ParkDone", "EpochStart",
-		"Join", "Orphan", "Handoff", "Release"}
-	if int(k) < len(names) {
-		return names[k]
+	if int(k) < numKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
+
+// FenceClass says which protocol a fence message belongs to. The three
+// classes share the wire protocol and the worker-side loop; they differ
+// in cohort, in what runs at the cut, and in when the master releases.
+type FenceClass uint8
+
+const (
+	FenceSnapshot FenceClass = iota // consistent-cut checkpoint of a combining program (Round = checkpoint epoch)
+	FencePark                       // session epoch boundary (Round = session epoch); held until the next Apply
+	FenceMember                     // membership change or crash repair (Round = fence number)
+
+	NumFenceClasses = int(iota)
+)
 
 // Stats is a worker's progress report.
 type Stats struct {
@@ -74,13 +81,23 @@ type Stats struct {
 	Dirty    bool    // table has dirty rows or unflushed buffers
 }
 
-// Message is the single wire format for data and control traffic.
+// Message is the single wire format for data and control traffic. It
+// travels by value through every channel send, so the small fence fields
+// share Kind's word and only Rollback adds one (13 words in all).
 type Message struct {
-	Kind  Kind
-	From  int
-	Round int
-	KVs   []KV
-	Stats Stats
+	Kind   Kind
+	Fence  FenceClass // Fence* kinds: the fence's class
+	Phase  uint8      // FenceMark: marker round, 1 (the cut) or 2 (after the cut's action)
+	Retire bool       // Orphan: the slot leaves gracefully at the next membership fence
+	Admit  int32      // FenceRequest of class FenceMember: slot admitted by the fence, -1 for none
+	From   int
+	Round  int
+	// Rollback is a FenceMember request's repair directive: > 0 reloads
+	// that consistent-cut checkpoint epoch, < 0 resets to the ΔX¹ seed,
+	// 0 keeps state.
+	Rollback int
+	KVs      []KV
+	Stats    Stats // PhaseDone, StatsReply only
 }
 
 // Conn is one endpoint's connection to the network. Inbox returns a

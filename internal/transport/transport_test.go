@@ -68,15 +68,6 @@ func TestChannelNetworkCloseIdempotent(t *testing.T) {
 	_ = net.Conn(0).Send(1, Message{})
 }
 
-func TestKindString(t *testing.T) {
-	if Data.String() != "Data" || Stop.String() != "Stop" {
-		t.Error("kind names wrong")
-	}
-	if Kind(99).String() == "" {
-		t.Error("unknown kind should render")
-	}
-}
-
 func tcpTrio(t *testing.T) (*TCPConn, *TCPConn, *TCPConn) {
 	t.Helper()
 	// Start on ephemeral ports, then rewire the address books.
