@@ -34,9 +34,16 @@
 # `make test-cpu1` is the whole suite at one core — the configuration
 # that is fully green while ROADMAP item 1's multi-core failures are
 # open; CI runs it as its own required step ahead of `make check`.
-.PHONY: check build vet lint test test-cpu1 race bench metrics-smoke churn-smoke serve-smoke
+# `make test-scan` runs the compute-pass tests (DESIGN.md §9: fan-out
+# oracle runs, bit-identity below the gate, gating, the stealing deque)
+# at 1, 2 and 4 procs; unlike the full multi-core suite it is green at
+# every count, so it is a real gate. `make loc` prints non-test,
+# non-comment, non-blank Go lines per package directory (*_test.go and
+# testdata excluded) — run it on two commits to report "lines removed":
+# `make -f $PWD/Makefile -C <other checkout> loc`.
+.PHONY: check build vet lint test test-cpu1 test-scan race bench loc metrics-smoke churn-smoke serve-smoke
 
-check: vet lint build test race metrics-smoke churn-smoke serve-smoke
+check: vet lint build test test-scan race metrics-smoke churn-smoke serve-smoke
 
 build:
 	go build ./...
@@ -52,6 +59,19 @@ test:
 
 test-cpu1:
 	go test -cpu 1 ./...
+
+test-scan:
+	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque' ./internal/runtime
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | sort | xargs awk ' \
+		FNR == 1 { incomment = 0; dir = FILENAME; sub(/\/[^\/]*$$/, "", dir) } \
+		{ line = $$0; sub(/^[ \t]+/, "", line) } \
+		incomment { if (line ~ /\*\//) incomment = 0; next } \
+		line == "" || line ~ /^\/\// { next } \
+		line ~ /^\/\*/ { if (line !~ /\*\//) incomment = 1; next } \
+		{ n[dir]++; total++ } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
 
 race:
 	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/...

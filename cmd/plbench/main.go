@@ -21,7 +21,7 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id: table1, table2, fig1, fig9, fig10, fig11, ablation, ssp, recovery, rejoin, policymetrics, cores, churn, serve, or all")
 	workers := flag.Int("workers", 4, "worker shards per engine run")
-	cores := flag.Int("cores", 0, "per-worker scan parallelism (0 = min(GOMAXPROCS, 8); 1 = serial pass)")
+	cores := flag.Int("cores", 0, "cores a worker may fan a scan pass out to (0 = min(GOMAXPROCS, 8); 1 = never fan out)")
 	maxWall := flag.Duration("maxwall", 5*time.Minute, "per-run wall-clock cap")
 	staleness := flag.Int("staleness", 0, "MRA+SSP superstep bound (0 = runtime default)")
 	faults := flag.String("faults", "", `fault-injection spec applied to every run, e.g. "seed=42,sendfail=0.1,stall=5:300us"`)

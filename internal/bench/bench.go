@@ -172,7 +172,7 @@ type RunConfig struct {
 
 	// Cores is the per-worker scan parallelism (runtime
 	// Config.CoresPerWorker): 0 = runtime default (min(GOMAXPROCS, 8)),
-	// 1 = the exact serial pass. The cores experiment sweeps it.
+	// 1 = never fan a pass out. The cores experiment sweeps it.
 	Cores int
 
 	// Faults is a fault-injection spec (fault.ParseSpec syntax, e.g.

@@ -57,10 +57,7 @@ type Meta struct {
 	MutEpoch int
 }
 
-const (
-	magic   = "PLCK\x03"
-	magicV2 = "PLCK\x02" // pre-session format: no MutEpoch word (read as 0)
-)
+const magic = "PLCK\x03"
 
 // Write serialises rows with their Meta header to w.
 func Write(w io.Writer, meta Meta, rows []Row) error {
@@ -112,7 +109,7 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 	if _, err := io.ReadFull(tr, head); err != nil {
 		return nil, meta, fmt.Errorf("ckpt: short header: %w", err)
 	}
-	if string(head) != magic && string(head) != magicV2 {
+	if string(head) != magic {
 		return nil, meta, fmt.Errorf("ckpt: bad magic %q", head)
 	}
 	var buf [8]byte
@@ -122,11 +119,7 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	metaWords := 5
-	if string(head) == magicV2 {
-		metaWords = 4 // v2 predates sessions: no MutEpoch word
-	}
-	hdr := make([]uint64, metaWords)
+	var hdr [5]uint64
 	for i := range hdr {
 		v, err := get()
 		if err != nil {
@@ -134,10 +127,7 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		hdr[i] = v
 	}
-	meta = Meta{Epoch: int(hdr[0]), Worker: int(int64(hdr[1])), Workers: int(hdr[2]), Cut: hdr[3]&1 != 0}
-	if metaWords > 4 {
-		meta.MutEpoch = int(hdr[4])
-	}
+	meta = Meta{Epoch: int(hdr[0]), Worker: int(int64(hdr[1])), Workers: int(hdr[2]), Cut: hdr[3]&1 != 0, MutEpoch: int(hdr[4])}
 	n, err := get()
 	if err != nil {
 		return nil, meta, fmt.Errorf("ckpt: bad count: %w", err)

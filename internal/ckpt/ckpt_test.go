@@ -76,9 +76,10 @@ func TestReadDetectsCorruption(t *testing.T) {
 		t.Error("truncated snapshot should fail")
 	}
 
-	// Bad magic (includes any v1-format file: the version byte differs).
+	// Bad magic: an older format differs in the version byte alone (v2
+	// has no MutEpoch word and no reader any more).
 	bad = append([]byte(nil), data...)
-	bad[0] = 'X'
+	bad[len(magic)-1] = 2
 	if _, _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic should fail")
 	}

@@ -2,9 +2,6 @@ package ckpt
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
-	"math"
 	"testing"
 )
 
@@ -21,57 +18,6 @@ func TestMutEpochRoundTrip(t *testing.T) {
 	}
 	if got != meta {
 		t.Fatalf("meta = %+v, want %+v", got, meta)
-	}
-}
-
-// writeV2 serialises the pre-session "PLCK\x02" format: the same layout
-// without the MutEpoch meta word.
-func writeV2(t *testing.T, meta Meta, rows []Row) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	crc := crc32.NewIEEE()
-	put := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf.Write(b[:])
-		crc.Write(b[:])
-	}
-	buf.WriteString(magicV2)
-	crc.Write([]byte(magicV2))
-	var flags uint64
-	if meta.Cut {
-		flags |= 1
-	}
-	for _, v := range []uint64{uint64(meta.Epoch), uint64(meta.Worker), uint64(meta.Workers), flags} {
-		put(v)
-	}
-	put(uint64(len(rows)))
-	for _, r := range rows {
-		put(uint64(r.Key))
-		put(math.Float64bits(r.Acc))
-		put(math.Float64bits(r.Inter))
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	buf.Write(tail[:])
-	return buf.Bytes()
-}
-
-func TestReadV2Compat(t *testing.T) {
-	meta := Meta{Epoch: 5, Worker: 0, Workers: 3, Cut: true}
-	rows := []Row{{Key: 7, Acc: 2.5, Inter: 0}, {Key: 11, Acc: -1, Inter: 4}}
-	got, gotMeta, err := Read(bytes.NewReader(writeV2(t, meta, rows)))
-	if err != nil {
-		t.Fatalf("v2 snapshot refused: %v", err)
-	}
-	if gotMeta.MutEpoch != 0 {
-		t.Fatalf("v2 MutEpoch = %d, want 0", gotMeta.MutEpoch)
-	}
-	if gotMeta.Epoch != meta.Epoch || gotMeta.Cut != meta.Cut || gotMeta.Workers != meta.Workers {
-		t.Fatalf("v2 meta = %+v, want %+v", gotMeta, meta)
-	}
-	if len(got) != len(rows) || got[0] != rows[0] || got[1] != rows[1] {
-		t.Fatalf("v2 rows = %+v, want %+v", got, rows)
 	}
 }
 

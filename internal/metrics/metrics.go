@@ -23,10 +23,8 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -295,35 +293,4 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 		out.Histograms[k] = out.Histograms[k].Merge(v)
 	}
 	return out
-}
-
-// WriteText renders a snapshot as one prefixed line per metric, sorted
-// by name — the opt-in periodic dump format for long runs.
-func WriteText(w io.Writer, prefix string, s Snapshot) {
-	names := make([]string, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if h, ok := s.Histograms[name]; ok {
-			if h.Count > 0 {
-				fmt.Fprintf(w, "%s %s [%s]\n", prefix, name, h)
-			}
-			continue
-		}
-		if g, ok := s.Gauges[name]; ok {
-			fmt.Fprintf(w, "%s %s %g\n", prefix, name, g)
-			continue
-		}
-		if c := s.Counters[name]; c > 0 {
-			fmt.Fprintf(w, "%s %s %d\n", prefix, name, c)
-		}
-	}
 }

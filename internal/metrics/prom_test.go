@@ -176,7 +176,7 @@ func TestCheckExpositionViolations(t *testing.T) {
 	}
 }
 
-// TestCheckExpositionAcceptsWriteText ensures the validator and the
+// TestCheckExpositionRoundTrip ensures the validator and the
 // exporter agree on a mixed snapshot with all three instrument kinds.
 func TestCheckExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()

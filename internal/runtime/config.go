@@ -13,7 +13,6 @@ package runtime
 
 import (
 	"fmt"
-	"io"
 	stdruntime "runtime"
 	"time"
 
@@ -60,10 +59,6 @@ type Config struct {
 	// Mode is the evaluation strategy (default MRASyncAsync).
 	Mode Mode
 
-	// BatchMax caps KVs per message (default 4096).
-	BatchMax int
-	// BetaInit is the initial adaptive buffer size β(i,j) (default 256).
-	BetaInit int
 	// Tau is the message-passing interval τ (default 2ms).
 	Tau time.Duration
 
@@ -74,20 +69,14 @@ type Config struct {
 
 	// CoresPerWorker is the number of goroutines each MRA worker may use
 	// for its scan/fold/emit pass (intra-worker parallelism, DESIGN.md
-	// §9): the shard is split into per-core subshards and a pass runs
-	// them on a work-stealing pool. Sound for MRA programs by the P1
-	// property — range folds commute, so any interleaving reaches the
-	// same fixpoint. 1 runs the exact single-threaded pass (bit-identical
-	// to the pre-subshard engine); <= 0 selects min(GOMAXPROCS, 8).
-	// Naive mode ignores it.
+	// §9). A pass whose predecessor drained at least 1024 keys splits the
+	// shard into subshards and runs them on a work-stealing pool of this
+	// many cores; a smaller frontier is scanned by the worker's own
+	// goroutine alone, through the same body. Sound for MRA programs by
+	// the P1 property — range folds commute, so any interleaving reaches
+	// the same fixpoint. 1 never fans out; <= 0 selects
+	// min(GOMAXPROCS, 8). Naive mode ignores it.
 	CoresPerWorker int
-
-	// CoresMinKeys gates the parallel pass by drain size: a pass only
-	// fans out when the previous pass drained at least this many keys
-	// (first pass: the seeded dirty count), so small frontiers keep the
-	// cheaper serial path. <= 0 selects the default 1024; tests that must
-	// force the parallel path set 1.
-	CoresMinKeys int
 
 	// CheckInterval is the master's termination-check period (default 1ms).
 	CheckInterval time.Duration
@@ -143,16 +132,6 @@ type Config struct {
 	// master's crash/restart hooks. nil (the default) injects nothing
 	// and adds nothing to the hot path.
 	Fault *fault.Injector
-
-	// MetricsEvery enables the opt-in periodic metrics dump for long
-	// in-process runs: every interval, each worker's and the master's
-	// registry snapshot is rendered as text to MetricsLog (default
-	// os.Stderr). 0 disables the dump; the metrics themselves are always
-	// collected (the hot path is a handful of atomic adds) and surfaced
-	// through Result.Workers[*].Metrics and Result.Master.
-	MetricsEvery time.Duration
-	// MetricsLog is the periodic dump's destination (nil = os.Stderr).
-	MetricsLog io.Writer
 
 	// Network emulates the paper's cluster fabric on the in-process
 	// transport (17 Aliyun nodes, 1.5 Gbps): each outgoing message costs
@@ -241,10 +220,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "CoresPerWorker",
 			Reason: fmt.Sprintf("negative core count %d; use 0 for the GOMAXPROCS default or a positive count", c.CoresPerWorker)}
 	}
-	if c.MetricsEvery < 0 {
-		return &ConfigError{Field: "MetricsEvery",
-			Reason: fmt.Sprintf("negative dump interval %v; use 0 to disable the periodic dump", c.MetricsEvery)}
-	}
 	if c.CollectTimeout < 0 {
 		return &ConfigError{Field: "CollectTimeout",
 			Reason: fmt.Sprintf("negative collect timeout %v; use 0 for the MaxWall fallback", c.CollectTimeout)}
@@ -268,12 +243,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 4096
-	}
-	if c.BetaInit <= 0 {
-		c.BetaInit = 256
-	}
 	if c.Tau <= 0 {
 		c.Tau = 2 * time.Millisecond
 	}
@@ -285,9 +254,6 @@ func (c Config) withDefaults() Config {
 		if c.CoresPerWorker > 8 {
 			c.CoresPerWorker = 8
 		}
-	}
-	if c.CoresMinKeys <= 0 {
-		c.CoresMinKeys = 1024
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = time.Millisecond

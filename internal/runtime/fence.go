@@ -140,11 +140,7 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		nested: true,
 		commit: func(w *worker, _ fenceReq) {
 			w.verdictSet = false
-			if w.scan != nil {
-				// The session reseeded the shard; the new dirty count stands
-				// in for "last pass's drain" exactly like the initial seed.
-				w.scan.lastDrained = w.table.DirtyApprox()
-			}
+			w.resetFrontier() // the session reseeded the shard
 		},
 	},
 	// A membership change or crash repair (membership.go). Because every

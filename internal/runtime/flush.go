@@ -29,9 +29,13 @@ const (
 // asyncEagerBatch is the small fixed batch of the pure-async mode.
 const asyncEagerBatch = 64
 
+// betaInit is the initial buffer size β(i,j) of the adaptive rule and
+// AAP's fixed β.
+const betaInit = 256
+
 // barrierFlush is the synchronous extreme of the dial: buffers flush
 // only at a barrier (superstep end), never on emit or on the τ timer.
-// The worker's BatchMax cap still bounds any single message.
+// The worker's batchMax cap still bounds any single message.
 type barrierFlush struct{}
 
 func (barrierFlush) onEmit(int, int, float64) bool { return false }
@@ -80,7 +84,7 @@ func (p *fixedBetaFlush) onTick(now time.Time, win *window) {
 
 // adaptiveBetaFlush is the paper's adaptive buffer rule (§5.3), the
 // heart of the unified engine: per-destination buffer sizes β(i,j)
-// start at BetaInit and, whenever the update accumulation rate
+// start at betaInit and, whenever the update accumulation rate
 // |B(i,j)|/ΔT leaves the band [β/(r·τ), r·β/τ], reset to α·τ·|B(i,j)|/ΔT.
 type adaptiveBetaFlush struct {
 	self   int
@@ -112,8 +116,8 @@ func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptive
 		self:       self,
 		urgent:     cfg.PriorityThreshold,
 		tau:        cfg.Tau,
-		betaFloor:  float64(cfg.BetaInit) / 4,
-		betaCeil:   float64(2 * cfg.BetaInit),
+		betaFloor:  betaInit / 4,
+		betaCeil:   2 * betaInit,
 		beta:       make([]float64, cfg.Workers),
 		bandIn:     reg.Counter("flush.beta.band.in"),
 		bandExit:   reg.Counter("flush.beta.band.exit"),
@@ -121,7 +125,7 @@ func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptive
 		clampCeil:  reg.Counter("flush.beta.clamp.ceil"),
 	}
 	for j := range p.beta {
-		p.beta[j] = float64(cfg.BetaInit)
+		p.beta[j] = betaInit
 	}
 	return p
 }

@@ -42,15 +42,12 @@ type master struct {
 	// is the session epoch being computed (1 = initial fixpoint); parked
 	// reports whether the last run() ended in a successful park. gRound
 	// counts master rounds cumulatively across epochs, so injected
-	// CrashRound faults keep one global timeline; passBase is the global
-	// pass watermark at the last park, the per-epoch baseline for the
-	// async iteration cap; episodes numbers snapshot episodes
-	// monotonically across epochs.
+	// CrashRound faults keep one global timeline; episodes numbers
+	// snapshot episodes monotonically across epochs.
 	park     bool
 	epoch    int
 	parked   bool
 	gRound   int
-	passBase int64
 	episodes int
 
 	// Membership state (membership.go, DESIGN.md §11). live marks the
@@ -347,14 +344,14 @@ func (m *master) runBSP() {
 // drops below ε (§5.4's termination check; consecutive checks only count
 // when the workers made progress in between, so a scheduler stall cannot
 // masquerade as convergence); (b) fixpoint — two consecutive stable
-// snapshots (all idle, Σsent == Σrecv, no dirty rows); (c) the
+// snapshots (Σsent == Σrecv, no worker with pending work); (c) the
 // system-level round cap or wall-clock limit.
 func (m *master) runAsync() {
 	eps := m.plan.Termination.Epsilon
 	deadline := time.Now().Add(m.cfg.MaxWall)
 	prevStable := false
-	prevSum := math.NaN()
-	prevPasses := int64(-1)
+	var prevSum float64
+	prevPasses := int64(-1) // -1: no baseline poll yet
 	// ε-candidate state: when the ε test first fires, the stop is armed,
 	// not taken — candSent remembers the global send watermark at that
 	// instant, and the stop is confirmed only once Σrecv has passed it
@@ -365,18 +362,28 @@ func (m *master) runAsync() {
 	candArmed := false
 	var candSum float64
 	var candSent int64
+	// iters counts effective iterations for the system-level cap: check
+	// rounds in which the fleet completed at least one productive pass per
+	// worker. Under a barrier an iteration is a superstep; without one, a
+	// check round is the only global step there is. The raw pass count is
+	// not an iteration count: while the network decides how soon ε is
+	// reached, a worker re-folds its own echoes in microsecond passes, as
+	// many as the core is fast. iters never exceeds passes per worker, so
+	// no run is capped earlier than that count would have capped it.
+	iters := 0
 	// resetDetectors forgets all termination-detector state. Every
 	// membership fence zeroes the fleet's send/recv counters and may
 	// rewind or migrate state, so anything remembered from before the
-	// fence would compare a pre-fence world against a post-fence one.
-	// Both criteria are self-stabilising — stability must be observed
-	// twice and ε needs a fresh pair of aggregates — so a reset can only
-	// delay the stop decision, never corrupt it.
+	// fence would compare a pre-fence world against a post-fence one —
+	// and a rollback restarts the computation, so it gets the iteration
+	// budget afresh. Both criteria are self-stabilising — stability must
+	// be observed twice and ε needs a fresh pair of aggregates — so a
+	// reset can only delay the stop decision, never corrupt it.
 	resetDetectors := func() {
 		prevStable = false
-		prevSum = math.NaN()
 		prevPasses = -1
 		candArmed = false
+		iters = 0
 	}
 	seen := make([]bool, len(m.live))
 	for round := 0; ; round++ {
@@ -402,7 +409,7 @@ func (m *master) runAsync() {
 		collectStart := time.Now()
 		var sent, recv, passes int64
 		var accSum float64
-		allIdle, anyDirty := true, false
+		anyDirty := false
 		for j := range seen {
 			seen[j] = false
 		}
@@ -455,7 +462,6 @@ func (m *master) runAsync() {
 			recv += msg.Stats.Recv
 			passes += msg.Stats.Passes
 			accSum += msg.Stats.AccSum
-			allIdle = allIdle && msg.Stats.Idle
 			anyDirty = anyDirty || msg.Stats.Dirty
 		}
 		if recovered {
@@ -463,21 +469,21 @@ func (m *master) runAsync() {
 			continue
 		}
 		m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
-		stable := allIdle && sent == recv && !anyDirty
+		stable := sent == recv && !anyDirty
 		stop := false
 		if stable && prevStable {
 			stop, m.converged = true, true
 		}
 		prevStable = stable
-		if eps > 0 && passes-prevPasses >= int64(m.activeCount()) {
-			if prevPasses >= 0 && !math.IsNaN(prevSum) && accSum != 0 &&
-				!candArmed && math.Abs(accSum-prevSum) < eps {
+		if prevPasses < 0 {
+			// First poll of the run, or after a reset: the baseline.
+			prevSum, prevPasses = accSum, passes
+		} else if passes-prevPasses >= int64(m.activeCount()) {
+			iters++
+			if eps > 0 && accSum != 0 && !candArmed && math.Abs(accSum-prevSum) < eps {
 				candArmed, candSum, candSent = true, accSum, sent
 			}
 			prevSum, prevPasses = accSum, passes
-		} else if prevPasses < 0 {
-			prevPasses = passes
-			prevSum = accSum
 		}
 		if candArmed && recv >= candSent {
 			if math.Abs(accSum-candSum) < eps {
@@ -488,14 +494,8 @@ func (m *master) runAsync() {
 				candArmed = false
 			}
 		}
-		// The system-level iteration cap counts effective iterations
-		// (average compute passes per worker), not master check rounds,
-		// so the cap has the same meaning as a superstep limit. passBase
-		// rebases the watermark at each session park so every epoch gets
-		// the full budget (workers' pass counters run on across epochs).
-		capped := (passes-m.passBase)/int64(m.activeCount()) >= int64(m.plan.Termination.MaxIters)
+		capped := iters >= m.plan.Termination.MaxIters
 		if stop || capped || time.Now().After(deadline) {
-			m.passBase = passes
 			m.finish(m.stopCause(capped), deadline)
 			return
 		}

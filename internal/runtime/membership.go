@@ -278,8 +278,8 @@ func (w *worker) migrateRows() {
 func (w *worker) sendHandoff(dst, round int, kvs []transport.KV) {
 	for len(kvs) > 0 {
 		n := len(kvs)
-		if n > w.cfg.BatchMax {
-			n = w.cfg.BatchMax
+		if n > batchMax {
+			n = batchMax
 		}
 		batch := append(transport.GetBatch(n), kvs[:n]...)
 		w.enqueue(dst, transport.Message{Kind: transport.Handoff, Round: round, KVs: batch})
@@ -332,7 +332,7 @@ func (w *worker) repairState(rollback int) {
 // them).
 func (w *worker) resetTable() {
 	for _, b := range w.bufs {
-		b.drainInto(func(int64, float64) {})
+		b.reset()
 	}
 	w.table = w.newTable()
 	w.apply = w.table
@@ -370,7 +370,7 @@ func (w *worker) resetToSeed() {
 // (Theorem 3), so values the replacement already has simply re-fold.
 func (w *worker) replayForDown() {
 	w.table.Range(func(k int64, acc float64) bool {
-		w.plan.PropagateInto(w.scratch, k, acc, func(dst int64, v float64) {
+		w.plan.PropagateInto(w.scratch(), k, acc, func(dst int64, v float64) {
 			if o := w.owner(dst); o != w.id && w.down[o] {
 				w.bufs[o].add(dst, v)
 			}
@@ -406,11 +406,7 @@ func (w *worker) finishFence(admit int) {
 		w.resetLink(admit)
 	}
 	w.joinGate = false
-	if w.scan != nil {
-		// Migration / rollback / replay changed the dirty set out from
-		// under the subshard pool's pacing estimate.
-		w.scan.lastDrained = w.table.DirtyApprox()
-	}
+	w.resetFrontier() // migration / rollback / replay rewrote the dirty set
 }
 
 // resetLink clears link j's protocol state after a membership fence

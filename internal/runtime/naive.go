@@ -39,7 +39,7 @@ func (w *worker) naivePass() int {
 		}
 	}
 	w.table.Range(func(k int64, acc float64) bool {
-		w.plan.PropagateFullInto(w.scratch, k, acc, w.emit)
+		w.plan.PropagateFullInto(w.scratch(), k, acc, w.emit)
 		return true
 	})
 	return 0

@@ -2,19 +2,15 @@ package runtime
 
 import (
 	"fmt"
-	"os"
-	"sync"
-	"time"
 
 	"powerlog/internal/metrics"
 )
 
 // This file holds the runtime's observability plumbing (DESIGN.md §8):
 // the per-worker and master metric sets registered into
-// internal/metrics registries, and the opt-in periodic text dump. The
-// policies register their own counters through the registry handed to
-// the policy factory (policy.go); everything here is the worker- and
-// master-owned remainder.
+// internal/metrics registries. The policies register their own counters
+// through the registry handed to the policy factory (policy.go);
+// everything here is the worker- and master-owned remainder.
 
 // workerMetrics is one worker's pre-resolved metric handles. They are
 // resolved once in newWorker so the hot paths (flush, handle, refresh)
@@ -44,12 +40,12 @@ type workerMetrics struct {
 	// rebalanced a skewed pass (DESIGN.md §9).
 	steals *metrics.Counter
 	// parallelPasses counts scan passes that fanned out over the core
-	// pool ("scan.parallel.pass"); passes below CoresMinKeys stay serial
-	// and are not counted.
+	// pool ("scan.parallel.pass"); passes below the scanMinKeys gate run
+	// on core 0 alone and are not counted.
 	parallelPasses *metrics.Counter
 	// subPassUS is the per-subshard scan duration histogram in
 	// microseconds ("scan.subshard.pass_us") — the skew the stealing
-	// deque exists to absorb.
+	// deque exists to absorb. A pass that does not fan out is not in it.
 	subPassUS *metrics.Histogram
 	// stragglerUS is the per-block straggler-wait histogram in
 	// microseconds ("barrier.straggler.wait_us"), one observation per
@@ -134,56 +130,4 @@ func newMasterMetrics() masterMetrics {
 		reseedKeys:      reg.Counter("delta.reseed.keys"),
 		invalidateKeys:  reg.Counter("delete.invalidate.keys"),
 	}
-}
-
-// metricsDumper is the opt-in periodic text dump for long runs
-// (Config.MetricsEvery): a ticker goroutine snapshots every registry —
-// safe while writers run — and renders them through metrics.WriteText.
-type metricsDumper struct {
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
-// startMetricsDump launches the dump goroutine, or returns nil when the
-// feature is off.
-func startMetricsDump(cfg Config, workers []*worker, m *master) *metricsDumper {
-	if cfg.MetricsEvery <= 0 {
-		return nil
-	}
-	sink := cfg.MetricsLog
-	if sink == nil {
-		sink = os.Stderr
-	}
-	d := &metricsDumper{stop: make(chan struct{})}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		t := time.NewTicker(cfg.MetricsEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-d.stop:
-				return
-			case now := <-t.C:
-				fmt.Fprintf(sink, "-- metrics @ %s --\n", now.Format("15:04:05.000"))
-				for _, w := range workers {
-					if w == nil { // unpopulated elastic capacity slot
-						continue
-					}
-					metrics.WriteText(sink, fmt.Sprintf("w%d", w.id), w.met.reg.Snapshot())
-				}
-				metrics.WriteText(sink, "master", m.met.reg.Snapshot())
-			}
-		}
-	}()
-	return d
-}
-
-// close stops the dump goroutine and waits for it (nil-safe).
-func (d *metricsDumper) close() {
-	if d == nil {
-		return
-	}
-	close(d.stop)
-	d.wg.Wait()
 }

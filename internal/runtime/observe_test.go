@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,42 +83,5 @@ func TestPriorityHoldMetricsSurface(t *testing.T) {
 	}
 	if bandEvents == 0 {
 		t.Error("adaptive β ran but counted no band decisions")
-	}
-}
-
-// TestPeriodicMetricsDump: the opt-in dump writes rendered snapshots to
-// the configured sink while the run executes.
-func TestPeriodicMetricsDump(t *testing.T) {
-	g := gen.RMAT(7, 600, 0, 17)
-	db := edb.NewDB()
-	db.SetGraph("edge", g)
-	plan := compilePlan(t, progs.PageRank, db)
-	var buf bytes.Buffer
-	res, err := Run(plan, Config{
-		Workers:       4,
-		Tau:           200 * time.Microsecond,
-		CheckInterval: 300 * time.Microsecond,
-		MaxWall:       30 * time.Second,
-		// 1ms still yields hundreds of snapshots per run; much tighter and
-		// the race-instrumented render loop starves a 1-CPU box's engine
-		// (text rendering per tick grows with every registered metric).
-		MetricsEvery: time.Millisecond,
-		MetricsLog:   &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("did not converge")
-	}
-	out := buf.String()
-	if !strings.Contains(out, "-- metrics @") {
-		t.Fatalf("dump produced no snapshot headers:\n%.500s", out)
-	}
-	if !strings.Contains(out, "master.round") {
-		t.Error("dump missing the master registry")
-	}
-	if !strings.Contains(out, "w0 ") {
-		t.Error("dump missing worker registries")
 	}
 }

@@ -47,7 +47,7 @@ type window struct {
 type FlushPolicy interface {
 	// onEmit reports whether destination dst's buffer — bufLen entries
 	// after folding in a delta of value v — should flush now. The
-	// BatchMax hard cap is enforced by the worker, not the policy.
+	// batchMax hard cap is enforced by the worker, not the policy.
 	onEmit(dst, bufLen int, v float64) bool
 	// onTick runs the policy's timer work on the τ interval: window
 	// adaptation (the β(i,j) update rule, the AAP delay switch). The
@@ -197,7 +197,7 @@ func newUnifiedPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 // fixed β with a per-worker delay switch driven by in-message volume.
 func newAAPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
-		flush:   &fixedBetaFlush{beta: cfg.BetaInit, tau: cfg.Tau, urgent: cfg.PriorityThreshold},
+		flush:   &fixedBetaFlush{beta: betaInit, tau: cfg.Tau, urgent: cfg.PriorityThreshold},
 		sched:   withPriorityHold(baseScheduler(cfg, plan), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,

@@ -43,7 +43,7 @@ func newOldFlushRef(mode Mode, selective bool, cfg Config, start time.Time) *old
 		winStart: start,
 	}
 	for j := range r.beta {
-		r.beta[j] = float64(cfg.BetaInit)
+		r.beta[j] = float64(betaInit)
 	}
 	return r
 }
@@ -63,7 +63,7 @@ func (r *oldFlushRef) emit(dst, bufLen int, v float64) bool {
 	case r.mode == MRAAsync:
 		return bufLen >= asyncEagerBatch
 	case r.mode == MRAAAP:
-		return !r.aapDelayed && bufLen >= r.cfg.BetaInit
+		return !r.aapDelayed && bufLen >= betaInit
 	case r.selective:
 		return bufLen >= asyncEagerBatch
 	default:
@@ -97,10 +97,10 @@ func (r *oldFlushRef) adaptBuffers(now time.Time) {
 		lo := r.beta[j] / (betaR * tau)
 		if rate > hi || rate < lo {
 			b := betaAlpha * tau * rate
-			if lowest := float64(r.cfg.BetaInit) / 4; b < lowest {
+			if lowest := float64(betaInit) / 4; b < lowest {
 				b = lowest
 			}
-			if highest := float64(2 * r.cfg.BetaInit); b > highest {
+			if highest := float64(2 * betaInit); b > highest {
 				b = highest
 			}
 			r.beta[j] = b
@@ -243,8 +243,8 @@ func TestAdaptiveBetaInBandNoChange(t *testing.T) {
 	p, cfg := adaptiveForTest()
 	// rate = β/τ sits in the middle of [β/(rτ), rβ/τ]: no adaptation.
 	dts := (4 * cfg.Tau).Seconds()
-	count := int64(float64(cfg.BetaInit) / cfg.Tau.Seconds() * dts)
-	if got := feedWindow(p, cfg, count); got != float64(cfg.BetaInit) {
+	count := int64(float64(betaInit) / cfg.Tau.Seconds() * dts)
+	if got := feedWindow(p, cfg, count); got != float64(betaInit) {
 		t.Errorf("in-band rate moved β to %v", got)
 	}
 }
@@ -252,10 +252,10 @@ func TestAdaptiveBetaInBandNoChange(t *testing.T) {
 func TestAdaptiveBetaAboveBandResets(t *testing.T) {
 	p, cfg := adaptiveForTest()
 	// rate = 3β/τ > rβ/τ (r = 2): β resets to α·τ·rate = 3αβ, clamped to
-	// the 2·BetaInit ceiling — 3·0.8 = 2.4 > 2.
+	// the 2·betaInit ceiling — 3·0.8 = 2.4 > 2.
 	dts := (4 * cfg.Tau).Seconds()
-	count := int64(3 * float64(cfg.BetaInit) / cfg.Tau.Seconds() * dts)
-	want := float64(2 * cfg.BetaInit)
+	count := int64(3 * float64(betaInit) / cfg.Tau.Seconds() * dts)
+	want := float64(2 * betaInit)
 	if got := feedWindow(p, cfg, count); got != want {
 		t.Errorf("above-band β = %v, want ceiling %v", got, want)
 	}
@@ -264,9 +264,9 @@ func TestAdaptiveBetaAboveBandResets(t *testing.T) {
 func TestAdaptiveBetaBelowBandResets(t *testing.T) {
 	p, cfg := adaptiveForTest()
 	// A trickle well below β/(rτ): α·τ·rate lands under the floor and is
-	// clamped to BetaInit/4.
-	if got := feedWindow(p, cfg, 1); got != float64(cfg.BetaInit)/4 {
-		t.Errorf("below-band β = %v, want floor %v", got, float64(cfg.BetaInit)/4)
+	// clamped to betaInit/4.
+	if got := feedWindow(p, cfg, 1); got != float64(betaInit)/4 {
+		t.Errorf("below-band β = %v, want floor %v", got, float64(betaInit)/4)
 	}
 }
 
@@ -277,10 +277,10 @@ func TestAdaptiveBetaMidReset(t *testing.T) {
 	// α·τ·(2.5β/τ) = 2.5αβ = 2.5·0.8·256 = 512 — exactly the ceiling.
 	// Use 2.2β/τ instead: 2.2·0.8·256 = 450.56, strictly inside.
 	dts := (4 * cfg.Tau).Seconds()
-	count := int64(2.2 * float64(cfg.BetaInit) / cfg.Tau.Seconds() * dts)
+	count := int64(2.2 * float64(betaInit) / cfg.Tau.Seconds() * dts)
 	got := feedWindow(p, cfg, count)
-	if got <= float64(cfg.BetaInit) || got >= float64(2*cfg.BetaInit) {
-		t.Errorf("mid-band reset β = %v, want inside (%v, %v)", got, cfg.BetaInit, 2*cfg.BetaInit)
+	if got <= float64(betaInit) || got >= float64(2*betaInit) {
+		t.Errorf("mid-band reset β = %v, want inside (%v, %v)", got, betaInit, 2*betaInit)
 	}
 }
 
@@ -290,7 +290,7 @@ func TestAdaptiveBetaShortWindowSkipped(t *testing.T) {
 	win := window{start: start, counts: make([]int64, cfg.Workers)}
 	win.counts[1] = 1 << 20
 	p.adapt(start.Add(4*cfg.Tau-time.Nanosecond), &win)
-	if p.beta[1] != float64(cfg.BetaInit) {
+	if p.beta[1] != float64(betaInit) {
 		t.Errorf("β adapted before the 4τ window elapsed")
 	}
 	if win.counts[1] == 0 {
@@ -320,7 +320,7 @@ func TestAdaptiveBetaZeroDeltaT(t *testing.T) {
 			// Construct directly (bypassing withDefaults) — the τ=0 path is
 			// unreachable through Run, but tests and future callers can
 			// build the policy with arbitrary configs.
-			cfg := Config{Workers: 2, BetaInit: 256, Tau: tc.tau}
+			cfg := Config{Workers: 2, Tau: tc.tau}
 			p := newAdaptiveBetaFlush(cfg, 0, metrics.NewRegistry())
 			start := time.Unix(2000, 0)
 			win := window{start: start, counts: make([]int64, cfg.Workers)}
@@ -330,7 +330,7 @@ func TestAdaptiveBetaZeroDeltaT(t *testing.T) {
 			if b := p.beta[1]; math.IsInf(b, 0) || math.IsNaN(b) {
 				t.Fatalf("β escaped the clamp: %v", b)
 			}
-			if p.beta[1] != float64(cfg.BetaInit) {
+			if p.beta[1] != float64(betaInit) {
 				t.Errorf("zero-ΔT window moved β to %v", p.beta[1])
 			}
 			if win.counts[1] != tc.count {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -75,7 +74,6 @@ type Session struct {
 	workers []*worker
 	m       *master
 	wg      sync.WaitGroup
-	dump    *metricsDumper
 
 	// log records every applied mutation with its epoch; mutEpoch is the
 	// log position the current table state incorporates (restored from
@@ -289,11 +287,6 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	if cfg.Elastic {
 		s.m.cmds = make(chan memberCmd, 8)
 	}
-	// The dump goroutine gets its own copy: membership changes swap
-	// entries of s.workers while it reads (it keeps reporting the fleet
-	// it was started with; replacements surface in the final Result).
-	s.dump = startMetricsDump(cfg, slices.Clone(workers), s.m)
-
 	start := time.Now()
 	for _, w := range workers[:cfg.Workers] {
 		s.wg.Add(1)
@@ -817,7 +810,6 @@ func (s *Session) teardown() {
 		s.fenceRelease = nil
 	}
 	s.stopFleet()
-	s.dump.close()
 	s.net.Close()
 	s.mu.Lock()
 	s.closed = true

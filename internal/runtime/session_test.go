@@ -370,7 +370,7 @@ func TestSessionWorkerCounts(t *testing.T) {
 }
 
 // TestSessionCoresPerWorker re-fixpoints with the intra-worker parallel
-// scan forced on (CoresMinKeys=1 fans out even tiny frontiers).
+// scan forced on (forceFanOut: even tiny frontiers fan out).
 func TestSessionCoresPerWorker(t *testing.T) {
 	p := sessionProgs[0] // SSSP
 	g := p.g()
@@ -378,7 +378,7 @@ func TestSessionCoresPerWorker(t *testing.T) {
 	edges := append([]graph.Edge(nil), g.Edges()...)
 	cfg := sessCfg(MRASyncAsync)
 	cfg.CoresPerWorker = 4
-	cfg.CoresMinKeys = 1
+	forceFanOut(t)
 	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +544,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{Config{Staleness: -1}, "Staleness"},
 		{Config{CoresPerWorker: -2}, "CoresPerWorker"},
-		{Config{MetricsEvery: -time.Second}, "MetricsEvery"},
 		{Config{CollectTimeout: -time.Millisecond}, "CollectTimeout"},
 		{Config{MaxWall: -time.Minute}, "MaxWall"},
 		{Config{Elastic: true, Workers: 4, MaxWorkers: 2}, "MaxWorkers"},

@@ -5,27 +5,36 @@ import (
 	"time"
 )
 
-// Intra-worker parallelism (DESIGN.md §9): the scan/fold/emit pass of
-// scanPass, fanned out over P = Config.CoresPerWorker goroutines. The
-// worker's table is split into subshards — contiguous slot ranges for
-// Dense, stripe blocks for Sparse (monotable.ScanDirtyRange) — and each
-// pass deals every core a contiguous block of subshards; a core that
-// finishes its block steals from a sibling's, so one skewed range does
-// not serialise the pass.
+// The MRA compute pass (paper Figure 7, DESIGN.md §9): drain the dirty
+// keys in the Scheduler's order, fold each delta into its accumulation,
+// propagate improvements through F'. There is one body, coreState.scanSub,
+// and every worker owns a core 0 that runs it. A pass over a small
+// frontier is core 0 scanning the whole shard as one subshard with its
+// sink bound to worker.emit. A pass over a large one splits the table
+// into subshards — contiguous slot ranges for Dense, stripe blocks for
+// Sparse (monotable.ScanDirtyRange) — and deals every one of the
+// P = Config.CoresPerWorker cores a contiguous block of them; a core
+// that finishes its block steals from a sibling's, so one skewed range
+// does not serialise the pass.
 //
-// Soundness is the paper's P1 property plus Theorem 3: MRA folds are
-// commutative and associative, so draining and folding disjoint key
-// ranges in any interleaving — including racing local re-emits into
-// ranges another core has yet to scan — reaches the same fixpoint the
-// serial pass does. At P=1 the pool is never built and scanPass runs
-// the exact pre-subshard serial body.
+// Soundness of the fan-out is the paper's P1 property plus Theorem 3:
+// MRA folds are commutative and associative, so draining and folding
+// disjoint key ranges in any interleaving — including racing local
+// re-emits into ranges another core has yet to scan — reaches the same
+// fixpoint the one-core pass does.
 //
 // The hot path stays allocation-free: each core owns reused scan/drain
-// slices, its own outBuf per destination, and pre-bound closures; the
-// owner merges per-core buffers and counters serially after the join,
-// re-emitting through the worker-level flush policy so batching, τ, and
-// urgent-delta semantics are unchanged. Per-core Σacc/stat deltas fold
-// into the worker totals only at that merge — no shared hot counters.
+// slices, its own outBuf per destination, and pre-bound closures. In a
+// fanned-out pass the cores buffer remote updates privately and the
+// owner merges them serially after the join through worker.buffer, so
+// batching, τ, and urgent-delta semantics are those of the direct sink.
+// Per-core Σacc/stat deltas fold into the worker totals on the owner
+// (worker.settle) — no shared hot counters.
+
+// scanMinKeys gates fan-out by frontier size: waking P cores for fewer
+// dirty keys than this costs more than it saves. A var only so that
+// in-package tests can lower it to fan out small fixtures.
+var scanMinKeys = 1024
 
 // subshardFactor oversplits the table relative to the core count so the
 // stealing deque has granularity: with 4 subshards per core a thief
@@ -84,16 +93,15 @@ type coreState struct {
 	pool *scanPool
 	idx  int
 
-	// Reused pass storage (the per-core twins of worker.drainKeys /
-	// drainBuf): a steady-state subshard scan allocates nothing.
-	keys     []int64
+	// Reused pass storage: a steady-state subshard scan allocates nothing.
 	drainBuf []drained
 
-	// Per-destination combiners, merged by the owner after the join.
+	// Per-destination combiners of the buffered sink, merged by the owner
+	// after the join.
 	bufs      []*outBuf
 	winCounts []int64 // per-destination emit counts for the β window
 
-	// Pass results, folded into the worker totals at the merge.
+	// Pass results, folded into the worker totals by scanPass and settle.
 	n        int     // rows that propagated
 	drained  int     // rows drained (feeds scanPool.lastDrained)
 	folds    int64   // FoldAcc count (feeds worker.accFolds)
@@ -106,14 +114,13 @@ type coreState struct {
 
 	// Pre-bound closures so the scan and propagate loops pass existing
 	// func values instead of allocating new ones per subshard.
-	scanFn func(int64)
-	emitFn func(int64, float64)
+	drainFn  func(int64)          // drains one scanned key into drainBuf
+	buffered func(int64, float64) // c.emit
 }
 
-// emit is the per-core twin of worker.emit: local keys fold straight
-// into the shared table (atomic, so cores race safely); remote keys go
-// to this core's private combiner and are re-emitted through the
-// worker's flush policy at the merge.
+// emit is the buffered sink: local keys fold straight into the shared
+// table (atomic, so cores race safely); remote keys go to this core's
+// private combiner and reach the worker's buffers at the merge.
 func (c *coreState) emit(dst int64, v float64) {
 	w := c.w
 	o := w.owner(dst)
@@ -125,19 +132,13 @@ func (c *coreState) emit(dst int64, v float64) {
 	c.winCounts[o]++
 }
 
-// scanSub runs the full scan/drain/fold/emit body over one subshard.
-func (c *coreState) scanSub(sub int) {
+// scanSub is the compute body, run over one subshard: drain its dirty
+// keys into a snapshot, then fold each and propagate it into sink.
+func (c *coreState) scanSub(sub int, sink func(int64, float64)) {
 	w := c.w
-	start := time.Now()
-	c.keys = c.keys[:0]
-	w.table.ScanDirtyRange(sub, c.pool.nsub, c.scanFn)
-	out := c.drainBuf[:0]
-	for _, k := range c.keys {
-		if v, ok := w.table.Drain(k); ok {
-			out = append(out, drained{k, v})
-		}
-	}
-	c.drainBuf = out
+	c.drainBuf = c.drainBuf[:0]
+	w.table.ScanDirtyRange(sub, c.pool.nsub, c.drainFn)
+	out := c.drainBuf
 	// The Scheduler's order applies within the subshard (a per-core sort
 	// for the ordered scan); cross-subshard order is whatever the deal
 	// and the steals produce, which P1 licenses.
@@ -147,6 +148,9 @@ func (c *coreState) scanSub(sub int) {
 		if refresh {
 			w.refresh(&d)
 		}
+		// §5.4 priority: small combining-aggregate deltas wait locally.
+		// Refolding marks the row dirty again; the scheduler tracks the
+		// held state so the idle detector stays honest.
 		if w.pol.sched.hold(d.val) {
 			w.table.FoldDelta(d.key, d.val)
 			continue
@@ -159,13 +163,14 @@ func (c *coreState) scanSub(sub int) {
 			continue
 		}
 		c.n++
-		w.plan.PropagateInto(c.scratch, d.key, d.val, c.emitFn)
+		w.plan.PropagateInto(c.scratch, d.key, d.val, sink)
 	}
 	c.drained += len(out)
-	w.met.subPassUS.Observe(uint64(time.Since(start).Microseconds()))
 }
 
 // runCore drains this core's deque, then steals until the pass is dry.
+// It times each subshard: the histogram is the skew the stealing absorbs,
+// so the one-subshard direct pass stays out of it.
 func (c *coreState) runCore() {
 	p := c.pool
 	d := &p.deques[c.idx]
@@ -177,7 +182,9 @@ func (c *coreState) runCore() {
 				return
 			}
 		}
-		c.scanSub(sub)
+		start := time.Now()
+		c.scanSub(sub, c.buffered)
+		c.w.met.subPassUS.Observe(uint64(time.Since(start).Microseconds()))
 	}
 }
 
@@ -187,12 +194,12 @@ func (c *coreState) runCore() {
 // core costs nothing until the next broadcast, instead of spinning on
 // an idle-poll loop the way worker.idleWait-style backoff would.
 type scanPool struct {
-	w       *worker
-	p       int
-	minKeys int
+	w *worker
+	p int
 
-	// lastDrained is the previous pass's drain size (seeded from
-	// DirtyApprox before the first pass) — the worthParallel signal.
+	// lastDrained is the previous pass's drain size (the dirty count
+	// after a seed, reseed or fence: worker.resetFrontier) — the observed
+	// frontier that decides whether the next pass fans out.
 	lastDrained int
 	// nsub is the current pass's subshard count, written by the owner
 	// before the wake broadcast (the cond's mutex orders it).
@@ -200,6 +207,7 @@ type scanPool struct {
 
 	cores  []*coreState
 	deques []subDeque
+	direct func(int64, float64) // worker.emit, pre-bound
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -209,33 +217,40 @@ type scanPool struct {
 	wg      sync.WaitGroup
 }
 
-func newScanPool(w *worker, p, minKeys int) *scanPool {
-	sp := &scanPool{w: w, p: p, minKeys: minKeys}
+func newScanPool(w *worker, p int) *scanPool {
+	sp := &scanPool{w: w, p: p, direct: w.emit}
 	sp.cond = sync.NewCond(&sp.mu)
 	sp.cores = make([]*coreState, p)
 	sp.deques = make([]subDeque, p)
 	for i := range sp.cores {
-		c := &coreState{
-			w:         w,
-			pool:      sp,
-			idx:       i,
-			bufs:      make([]*outBuf, w.nw),
-			winCounts: make([]int64, w.nw),
-			scratch:   w.plan.NewScratch(),
+		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch()}
+		if p > 1 { // only a fanned-out pass uses the buffered sink
+			c.bufs = make([]*outBuf, len(w.bufs))
+			c.winCounts = make([]int64, len(w.bufs))
+			for j := range c.bufs {
+				c.bufs[j] = newOutBuf(w.plan.Op)
+			}
 		}
-		for j := range c.bufs {
-			c.bufs[j] = newOutBuf(w.plan.Op)
+		c.drainFn = func(k int64) {
+			if v, ok := w.table.Drain(k); ok {
+				c.drainBuf = append(c.drainBuf, drained{k, v})
+			}
 		}
-		c.scanFn = func(k int64) { c.keys = append(c.keys, k) }
-		c.emitFn = c.emit
+		c.buffered = c.emit
 		sp.cores[i] = c
 	}
 	return sp
 }
 
-// worthParallel gates fan-out by frontier size: waking P cores for a
-// handful of dirty keys costs more than it saves.
-func (p *scanPool) worthParallel() bool { return p.lastDrained >= p.minKeys }
+// scratch is the compute goroutine's propagation-expression buffer
+// (plan.PropagateInto): core 0's.
+func (w *worker) scratch() []float64 { return w.scan.cores[0].scratch }
+
+// resetFrontier re-bases the fan-out gate on the table's dirty count,
+// which stands in for "last pass's drain" whenever something other than
+// a pass (seeding, a session's reseed, a membership fence) rewrote the
+// dirty set.
+func (w *worker) resetFrontier() { w.scan.lastDrained = w.table.DirtyApprox() }
 
 // steal takes a subshard from the back of another core's deque,
 // scanning siblings in ring order from the thief.
@@ -288,81 +303,89 @@ func (p *scanPool) serve(c *coreState) {
 	}
 }
 
-// close parks the cores for good. Nil-safe; called from run()'s defer,
-// after the last pass has joined, so no core is mid-pass.
+// close parks the cores for good. Called from run()'s defer, after the
+// last pass has joined, so no core is mid-pass.
 func (p *scanPool) close() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.stop = true
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
 
-// scanPassParallel is scanPass fanned out over the pool: deal subshard
-// blocks, run core 0 inline while cores 1..P-1 work their deals, join,
-// then merge per-core results on the owner. Returns the propagated-row
-// count, same as the serial pass.
-func (w *worker) scanPassParallel() int {
+// scanPass is the MRA modes' compute pass (policySet.pass). The gate is
+// the observed frontier: with more than one core and at least scanMinKeys
+// keys drained last pass, the pass deals subshard blocks, runs core 0
+// inline while cores 1..P-1 work their deals, joins, and merges the
+// per-core buffers on the owner; otherwise core 0 alone scans the shard
+// as a single subshard (ScanDirtyRange(0, 1) visits keys in ScanDirty's
+// order) and emits directly. It returns how many rows propagated.
+func (w *worker) scanPass() int {
 	p := w.scan
-	nsub := w.table.Subshards(p.p * subshardFactor)
-	if nsub < 2 {
-		// Too small to split (a tiny Dense shard has one bitmap line);
-		// the serial body also refreshes lastDrained for the next gate.
-		return w.scanPassSerial()
+	c0 := p.cores[0]
+	p.nsub = 1
+	if p.p > 1 && p.lastDrained >= scanMinKeys {
+		// A tiny Dense shard has one bitmap line and cannot split.
+		p.nsub = w.table.Subshards(p.p * subshardFactor)
 	}
-	p.nsub = nsub
-	for i := 0; i < p.p; i++ {
-		p.deques[i].reset(i*nsub/p.p, (i+1)*nsub/p.p)
+	if p.nsub == 1 {
+		c0.scanSub(0, p.direct)
+	} else {
+		for i := 0; i < p.p; i++ {
+			p.deques[i].reset(i*p.nsub/p.p, (i+1)*p.nsub/p.p)
+		}
+		p.begin()
+		c0.runCore()
+		p.wg.Wait()
+		w.mergeBuffered()
+		w.met.parallelPasses.Inc()
 	}
-	p.begin()
-	p.cores[0].runCore()
-	p.wg.Wait()
-
-	// Serial merge on the owner: fold per-core counters into the worker
-	// totals and re-emit each core's buffered remote updates through the
-	// worker-level combiner + flush policy. Merging destination-major
-	// keeps same-destination updates from different cores folding into
-	// one batch.
+	w.settle()
 	n, total := 0, 0
 	for _, c := range p.cores {
 		n += c.n
 		total += c.drained
-		w.accDelta += c.accDelta
-		w.accSum += c.accSum
-		w.accFolds += c.folds
-		c.n, c.drained, c.accDelta, c.accSum, c.folds = 0, 0, 0, 0, 0
-	}
-	for o := 0; o < w.nw; o++ {
-		if o == w.id {
-			continue
-		}
-		for _, c := range p.cores {
-			if c.bufs[o].len() > 0 {
-				c.bufs[o].drainInto(w.emitMerged)
-			}
-			w.win.counts[o] += c.winCounts[o]
-			c.winCounts[o] = 0
-		}
+		c.n, c.drained = 0, 0
 	}
 	p.lastDrained = total
-	w.met.parallelPasses.Inc()
 	return n
 }
 
-// emitMerged re-emits one core-buffered update at the merge. It is
-// worker.emit minus the window count (each original emit was already
-// counted per-core, and the merged fold would undercount the β signal)
-// and minus the local-key branch (core emits fold local keys directly).
-func (w *worker) emitMerged(dst int64, v float64) {
-	o := w.owner(dst)
-	w.bufs[o].add(dst, v)
-	if w.pol.flush.onEmit(o, w.bufs[o].len(), v) {
-		w.flush(o)
-		return
+// settle folds the cores' Σacc deltas into the worker totals: after
+// every pass, and before a stats poll is answered — a flush inside a
+// direct pass or the merge pumps the inbox, and the master's ε test must
+// not read an aggregate that lags the folds already made. Only the
+// owner goroutine calls it, and it pumps its inbox only while no other
+// core is running.
+func (w *worker) settle() {
+	for _, c := range w.scan.cores {
+		w.accDelta += c.accDelta
+		w.accSum += c.accSum
+		w.accFolds += c.folds
+		c.accDelta, c.accSum, c.folds = 0, 0, 0
 	}
-	if w.bufs[o].len() >= w.cfg.BatchMax {
-		w.flush(o)
+}
+
+// mergeBuffered moves what the cores buffered during a fanned-out pass
+// into the worker's buffers, under the flush policy. Destination-major
+// order keeps same-destination updates from different cores folding
+// into one batch. The β window takes the per-core emit counts, not the
+// merged ones: folding at the merge would undercount the signal.
+func (w *worker) mergeBuffered() {
+	for o := range w.bufs {
+		if o == w.id {
+			continue
+		}
+		for _, c := range w.scan.cores {
+			b := c.bufs[o]
+			if b.len() == 0 {
+				continue // nothing emitted, nothing counted
+			}
+			for i, k := range b.keys {
+				w.buffer(o, k, b.vals[i])
+			}
+			b.reset()
+			w.win.counts[o] += c.winCounts[o]
+			c.winCounts[o] = 0
+		}
 	}
 }

@@ -12,23 +12,39 @@ import (
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
+	"powerlog/internal/graph"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
 	"powerlog/internal/transport"
 )
 
-// Tests for the intra-worker subshard scan pool (subshard.go,
-// DESIGN.md §9): parallel passes must reach the serial fixpoint on the
-// oracle suite, the work-stealing deque must hand out each subshard
-// exactly once, the per-core hot path must stay allocation-free, and
-// the accSum resync must erase float drift at epoch boundaries.
+// Tests for the scan pass (subshard.go, DESIGN.md §9): fanned-out
+// passes must reach the oracle's fixpoint, a pass below the gate must be
+// bit-identical whatever the core count, the work-stealing deque must
+// hand out each subshard exactly once, the hot path must stay
+// allocation-free on both sinks, and the accSum resync must erase float
+// drift at epoch boundaries.
 
-// runModeCores is runMode with the subshard pool forced on:
-// CoresPerWorker=cores and CoresMinKeys=1 so even modest frontiers fan
-// out (the production default of 1024 would keep small test fixtures
-// serial and the pool untested).
+// setScanMinKeys moves the fan-out gate for the rest of the test. It is
+// the one handle tests have on the gate, and it is package state: set it
+// before the workers start, and not from a parallel test.
+func setScanMinKeys(t *testing.T, n int) {
+	t.Helper()
+	old := scanMinKeys
+	scanMinKeys = n
+	t.Cleanup(func() { scanMinKeys = old })
+}
+
+// forceFanOut lowers the gate to one key, so even modest frontiers fan
+// out (the production gate of 1024 would keep small fixtures on core 0
+// and the pool untested).
+func forceFanOut(t *testing.T) { setScanMinKeys(t, 1) }
+
+// runModeCores is runMode with CoresPerWorker=cores and the fan-out
+// forced on.
 func runModeCores(t *testing.T, plan *compiler.Plan, mode Mode, workers, cores int) *Result {
 	t.Helper()
+	forceFanOut(t)
 	res, err := Run(plan, Config{
 		Workers:        workers,
 		Mode:           mode,
@@ -36,7 +52,6 @@ func runModeCores(t *testing.T, plan *compiler.Plan, mode Mode, workers, cores i
 		CheckInterval:  300 * time.Microsecond,
 		MaxWall:        30 * time.Second,
 		CoresPerWorker: cores,
-		CoresMinKeys:   1,
 	})
 	if err != nil {
 		t.Fatalf("%v cores=%d: %v", mode, cores, err)
@@ -60,7 +75,7 @@ func parallelPasses(res *Result) uint64 {
 // TestParallelSSSPAllMRAModes: the P=4 subshard scan must reach
 // Dijkstra's fixpoint under every MRA mode. The graph is sized so each
 // worker's Dense shard spans several dirty-bitmap lines (>512 slots),
-// otherwise Subshards returns 1 and the pass falls back to serial.
+// otherwise Subshards returns 1 and no pass fans out.
 func TestParallelSSSPAllMRAModes(t *testing.T) {
 	g := gen.Uniform(8000, 40000, 50, 11)
 	want := ref.Dijkstra(g, 0)
@@ -126,73 +141,89 @@ func TestParallelAPSPSparse(t *testing.T) {
 	}
 }
 
-// TestCoresGating: cores=1 (or a non-MRA mode) must not build the pool
-// at all — scanPass is then byte-for-byte the pre-subshard serial body,
-// which is what makes P=1 bit-identical by construction.
+// TestCoresGating: a worker at cores=1, or in naive mode, has core 0
+// only and never starts a pool goroutine, however large the frontier; at
+// cores=4 in an MRA mode the same frontier fans out.
 func TestCoresGating(t *testing.T) {
 	db := edb.NewDB()
-	db.SetGraph("edge", gen.RMAT(8, 1200, 0, 17))
+	db.SetGraph("edge", gen.RMAT(12, 30000, 0, 17)) // 4096 vertices: the Dense shard splits
 	plan := compilePlan(t, progs.PageRank, db)
-	mk := func(cfg Config) *worker {
-		net := transport.NewChannelNetwork(cfg.Workers, 64)
-		w := newWorker(0, cfg.withDefaults(), plan, net.Conn(0))
-		t.Cleanup(func() {
-			w.scan.close()
-			close(w.out)
-			close(w.outCtrl)
-			<-w.commDone
-		})
+	forceFanOut(t)
+	pass := func(cfg Config) *worker {
+		cfg.Tau, cfg.CheckInterval, cfg.MaxWall = time.Hour, time.Hour, time.Hour
+		w := standaloneWorker(t, plan, cfg)
+		w.seed(plan.InitMRA)
+		w.resetFrontier()
+		w.pol.pass(w)
 		return w
 	}
-	if w := mk(Config{Workers: 1, Mode: MRAAsync, CoresPerWorker: 1}); w.scan != nil {
-		t.Fatal("cores=1 built a scan pool")
+	for _, cfg := range []Config{
+		{Mode: MRAAsync, CoresPerWorker: 1},
+		{Mode: NaiveSync, CoresPerWorker: 4},
+	} {
+		w := pass(cfg)
+		if len(w.scan.cores) != 1 || w.scan.started || w.met.parallelPasses.Load() != 0 {
+			t.Fatalf("%v cores=%d: %d cores, pool started=%v, %d fanned-out passes; want core 0 alone",
+				cfg.Mode, cfg.CoresPerWorker, len(w.scan.cores), w.scan.started, w.met.parallelPasses.Load())
+		}
 	}
-	if w := mk(Config{Workers: 1, Mode: NaiveSync, CoresPerWorker: 4}); w.scan != nil {
-		t.Fatal("naive mode built a scan pool")
-	}
-	if w := mk(Config{Workers: 1, Mode: MRAAsync, CoresPerWorker: 4}); w.scan == nil {
-		t.Fatal("cores=4 MRA mode did not build a scan pool")
+	if w := pass(Config{Mode: MRAAsync, CoresPerWorker: 4}); !w.scan.started || w.met.parallelPasses.Load() != 1 {
+		t.Fatalf("cores=4 MRA pass did not fan out (started=%v, parallel passes=%d)",
+			w.scan.started, w.met.parallelPasses.Load())
 	}
 }
 
-// TestSerialPassBitIdentical: scan passes on a worker that carries a
-// scan pool but stays below the fan-out gate must be bitwise identical
-// to a pool-less (cores=1) worker — the gate takes the exact serial
-// body, not a degenerate one-core parallel pass. (At P>1 sum results
-// are equal only to tolerance: atomic fold order across cores commutes
-// but rounds differently.)
+// TestSerialPassBitIdentical: passes below the fan-out gate on a P=4
+// worker must leave bitwise the rows a P=1 worker's passes leave — both
+// are core 0 scanning the shard as one subshard through the direct sink,
+// and ScanDirtyRange(0, 1) must visit keys in ScanDirty's order for a
+// sum's rounding to agree. (A fanned-out sum agrees only to tolerance:
+// atomic fold order across cores commutes but rounds differently.) The
+// Sparse case is pair-keyed APSP: a stripe hands out its dirty keys in
+// map order under either call, so there the test pins that the single
+// subshard covers every stripe — a min's rows do not depend on order.
 func TestSerialPassBitIdentical(t *testing.T) {
-	g := gen.RMAT(10, 6000, 0, 31)
-	run := func(cfg Config) map[int64][2]float64 {
-		db := edb.NewDB()
-		db.SetGraph("edge", g)
-		plan := compilePlan(t, progs.PageRank, db)
-		cfg.Tau = time.Hour
-		cfg.CheckInterval = time.Hour
-		cfg.MaxWall = time.Hour
-		w := standaloneWorker(t, plan, cfg)
-		w.seed(plan.InitMRA)
-		for i := 0; i < 8; i++ {
-			w.scanPass()
-		}
-		out := make(map[int64][2]float64)
-		w.table.RangeRows(func(k int64, acc, inter float64) bool {
-			out[k] = [2]float64{acc, inter}
-			return true
+	for _, tc := range []struct {
+		name, src string
+		g         *graph.Graph
+	}{
+		{"Dense/PageRank", progs.PageRank, gen.RMAT(10, 6000, 0, 31)},
+		{"Sparse/APSP", progs.APSP, gen.Uniform(60, 400, 20, 53)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := edb.NewDB()
+			db.SetGraph("edge", tc.g)
+			plan := compilePlan(t, tc.src, db)
+			setScanMinKeys(t, 1<<30) // gate never satisfied
+			run := func(cores int) map[int64][2]float64 {
+				w := standaloneWorker(t, plan, Config{
+					Mode: MRAAsync, CoresPerWorker: cores,
+					Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+				})
+				w.seed(plan.InitMRA)
+				for i := 0; i < 8; i++ {
+					w.scanPass()
+				}
+				if got := w.met.parallelPasses.Load(); got != 0 {
+					t.Fatalf("cores=%d: %d passes fanned out past the gate", cores, got)
+				}
+				out := make(map[int64][2]float64)
+				w.table.RangeRows(func(k int64, acc, inter float64) bool {
+					out[k] = [2]float64{acc, inter}
+					return true
+				})
+				return out
+			}
+			a, b := run(1), run(4)
+			if len(a) == 0 || len(a) != len(b) {
+				t.Fatalf("runs produced %d vs %d rows", len(a), len(b))
+			}
+			for k, va := range a {
+				if vb, ok := b[k]; !ok || vb != va {
+					t.Fatalf("key %d: %v vs %v — gated pass is not bit-identical to P=1", k, va, vb)
+				}
+			}
 		})
-		return out
-	}
-	a := run(Config{Mode: MRAAsync, CoresPerWorker: 1})
-	// Pool present, gate never satisfied: every pass must fall back to
-	// the serial body.
-	b := run(Config{Mode: MRAAsync, CoresPerWorker: 4, CoresMinKeys: 1 << 30})
-	if len(a) != len(b) {
-		t.Fatalf("runs produced %d vs %d rows", len(a), len(b))
-	}
-	for k, va := range a {
-		if vb, ok := b[k]; !ok || vb != va {
-			t.Fatalf("key %d: %v vs %v — gated pass is not bit-identical to serial", k, va, vb)
-		}
 	}
 }
 
@@ -255,52 +286,58 @@ func standaloneWorker(t *testing.T, plan *compiler.Plan, cfg Config) *worker {
 	return w
 }
 
-// TestParallelScanAllocFree pins the per-core hot path: a steady-state
-// parallel pass — dirty the whole shard, fan out over 4 cores, drain,
-// fold, propagate, merge — must not allocate. Per-core key/drain
-// slices, outBufs, and the pre-bound closures are all reused; the two
-// warm-up calls spawn the pool goroutines, and the buffers of every
-// core are then grown to full-shard capacity by hand: AllocsPerRun
-// pins GOMAXPROCS to 1 while it measures, and at one proc the owner
-// core usually steals the whole deal before the parked cores wake, so
-// warm-up alone leaves cores 1..P-1 cold — a measured run where one of
-// them does win a steal would then charge its one-time slice growth to
-// the steady state.
+// TestParallelScanAllocFree pins the hot path on both sinks: a
+// steady-state pass — dirty the whole shard, drain, fold, propagate,
+// and for the fanned-out one deal to 4 cores and merge — must not
+// allocate. Per-core drain slices, outBufs, and the pre-bound
+// closures are all reused; the two warm-up calls spawn the pool
+// goroutines, and the buffers of every core are then grown to
+// full-shard capacity by hand: AllocsPerRun pins GOMAXPROCS to 1 while
+// it measures, and at one proc the owner core usually steals the whole
+// deal before the parked cores wake, so warm-up alone leaves cores
+// 1..P-1 cold — a measured run where one of them does win a steal would
+// then charge its one-time slice growth to the steady state.
 func TestParallelScanAllocFree(t *testing.T) {
 	db := edb.NewDB()
 	g := gen.RMAT(12, 30000, 0, 7) // 4096 vertices -> 8 Dense subshard lines
 	db.SetGraph("edge", g)
 	plan := compilePlan(t, progs.PageRank, db)
-	w := standaloneWorker(t, plan, Config{
-		Mode: MRAAsync, CoresPerWorker: 4, CoresMinKeys: 1,
-		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
-	})
-	if w.scan == nil {
-		t.Fatal("no scan pool")
-	}
-	n := int64(plan.N)
-	body := func() {
-		for k := int64(0); k < n; k++ {
-			w.table.FoldDelta(k, 0.125)
-		}
-		w.scanPass()
-	}
-	w.scan.lastDrained = int(n) // make the very first pass fan out
-	body()
-	body()
-	if got := w.met.parallelPasses.Load(); got == 0 {
-		t.Fatal("warm-up passes did not take the parallel path")
-	}
-	for _, c := range w.scan.cores {
-		if cap(c.keys) < int(n) {
-			c.keys = make([]int64, 0, n)
-		}
-		if cap(c.drainBuf) < int(n) {
-			c.drainBuf = make([]drained, 0, n)
-		}
-	}
-	if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
-		t.Fatalf("parallel scan pass allocates %v/run, want 0", allocs)
+	for _, tc := range []struct {
+		sink     string
+		minKeys  int
+		parallel bool
+	}{
+		{"buffered", 1, true},
+		{"direct", 1 << 30, false},
+	} {
+		t.Run(tc.sink, func(t *testing.T) {
+			w := standaloneWorker(t, plan, Config{
+				Mode: MRAAsync, CoresPerWorker: 4,
+				Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+			})
+			setScanMinKeys(t, tc.minKeys)
+			n := int64(plan.N)
+			body := func() {
+				for k := int64(0); k < n; k++ {
+					w.table.FoldDelta(k, 0.125)
+				}
+				w.scanPass()
+			}
+			w.scan.lastDrained = int(n) // make the very first pass fan out
+			body()
+			body()
+			if got := w.met.parallelPasses.Load(); (got > 0) != tc.parallel {
+				t.Fatalf("warm-up: %d fanned-out passes, want fan-out=%v", got, tc.parallel)
+			}
+			for _, c := range w.scan.cores {
+				if cap(c.drainBuf) < int(n) {
+					c.drainBuf = make([]drained, 0, n)
+				}
+			}
+			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+				t.Fatalf("scan pass through the %s sink allocates %v/run, want 0", tc.sink, allocs)
+			}
+		})
 	}
 }
 
@@ -346,10 +383,11 @@ func TestAccSumResyncExact(t *testing.T) {
 
 // TestChaosParallelScan replays representative chaos classes with the
 // subshard pool forced on: injected stalls, drops, duplicates, and
-// partitions must not break the parallel pass's fixpoint. Fixtures are
+// partitions must not break the fanned-out pass's fixpoint. Fixtures are
 // sized up from the chaos suite's so Dense shards actually split.
 func TestChaosParallelScan(t *testing.T) {
-	tweak := func(c *Config) { c.CoresPerWorker = 4; c.CoresMinKeys = 1 }
+	forceFanOut(t)
+	tweak := func(c *Config) { c.CoresPerWorker = 4 }
 	type fixture struct {
 		name      string
 		selective bool

@@ -69,17 +69,11 @@ type worker struct {
 	passes     int64   // async compute-loop iterations
 	rounds     int
 
-	// scan is the per-core subshard pool for intra-worker parallel
-	// passes (subshard.go); nil when CoresPerWorker is 1 or the mode is
-	// naive, in which case every pass takes the serial path.
+	// scan is the worker's scan cores (subshard.go). Core 0 is this
+	// compute goroutine and runs every pass; cores 1..P-1 exist only when
+	// CoresPerWorker > 1 in an MRA mode and join passes over a large
+	// frontier.
 	scan *scanPool
-
-	// Reused drain-pass storage: a steady-state pass allocates nothing.
-	drainKeys []int64
-	drainBuf  []drained
-	// scratch is this goroutine's propagation-expression buffer
-	// (plan.PropagateInto); scan cores hold their own (coreState).
-	scratch []float64
 
 	// control-state set by handle(). peerSteps is the EndPhase marker
 	// clock (fence.go): peerSteps[j] is the highest completed-superstep
@@ -200,15 +194,16 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	}
 	w.table = w.newTable()
 	w.apply = w.table
-	w.scratch = plan.NewScratch()
 	now := time.Now()
 	for j := range w.bufs {
 		w.bufs[j] = newOutBuf(plan.Op)
 		w.lastFlush[j] = now
 	}
-	if cfg.CoresPerWorker > 1 && cfg.Mode.MRA() {
-		w.scan = newScanPool(w, cfg.CoresPerWorker, cfg.CoresMinKeys)
+	cores := cfg.CoresPerWorker
+	if !cfg.Mode.MRA() {
+		cores = 1 // naive re-derivation has no dirty-set scan to fan out
 	}
+	w.scan = newScanPool(w, cores)
 	go w.commLoop()
 	return w
 }
@@ -532,12 +527,12 @@ func (w *worker) resyncAccSum() {
 }
 
 func (w *worker) replyStats(round int) {
+	w.settle()
 	if w.accFolds >= accResyncFolds {
 		// A stats poll is the async family's epoch boundary: fold the
 		// exact Σacc back in before the master reads it.
 		w.resyncAccSum()
 	}
-	idle := !w.table.HasDirty() && !w.pol.sched.holding() && w.buffersEmpty()
 	// The paper's termination thread evaluates the aggregation of the
 	// Accumulation column; the master diffs consecutive global values.
 	// accSum is maintained incrementally from FoldAcc's signed deltas,
@@ -549,7 +544,6 @@ func (w *worker) replyStats(round int) {
 		AccDelta: w.accDelta,
 		AccSum:   w.accSum,
 		Passes:   w.passes,
-		Idle:     idle,
 		Dirty:    w.table.HasDirty() || w.pol.sched.holding() || !w.buffersEmpty(),
 	}
 	w.accDelta = 0
@@ -689,16 +683,12 @@ func (w *worker) drainInbox() bool {
 // shard.
 func (w *worker) run() {
 	defer func() {
-		w.scan.close() // nil-safe: park-for-good the subshard cores
+		w.scan.close()
 		close(w.out)
 		close(w.outCtrl)
 		<-w.commDone
 	}()
-	if w.scan != nil {
-		// The seeded dirty count stands in for "last pass's drain" on the
-		// first pass, so a big seed fans out immediately.
-		w.scan.lastDrained = w.table.DirtyApprox()
-	}
+	w.resetFrontier() // a big seed fans out on the first pass
 	if w.joinGate {
 		// Spawned into a running fixpoint (crash replacement or
 		// scale-out): hold the compute loop until the admission fence
@@ -736,73 +726,10 @@ func (w *worker) runFixpoint() {
 	}
 }
 
-// scanPass is the shared MRA compute body (paper Figure 7): drain a
-// snapshot of dirty keys in the Scheduler's order, fold each delta into
-// its accumulation, and propagate improvements. It returns how many
-// rows produced work. When the worker has a subshard pool and the
-// frontier is large enough to pay for fan-out, the pass runs on P cores
-// (subshard.go); otherwise it takes the serial body below, which is the
-// exact pre-subshard single-threaded path.
-func (w *worker) scanPass() int {
-	if w.scan != nil && w.scan.worthParallel() {
-		return w.scanPassParallel()
-	}
-	return w.scanPassSerial()
-}
-
-func (w *worker) scanPassSerial() int {
-	n := 0
-	refresh := w.pol.sched.refreshes()
-	drained := w.drainSnapshot()
-	if w.scan != nil {
-		w.scan.lastDrained = len(drained)
-	}
-	for _, d := range drained {
-		if refresh {
-			w.refresh(&d)
-		}
-		// §5.4 priority: small combining-aggregate deltas wait locally.
-		// Refolding marks the row dirty again; the scheduler tracks the
-		// held state so the idle detector stays honest.
-		if w.pol.sched.hold(d.val) {
-			w.table.FoldDelta(d.key, d.val)
-			continue
-		}
-		improved, change, signed := w.table.FoldAcc(d.key, d.val)
-		w.accFolds++
-		w.accDelta += change
-		w.accSum += signed
-		if !w.shouldPropagate(improved, d.val) {
-			continue
-		}
-		n++
-		w.plan.PropagateInto(w.scratch, d.key, d.val, w.emit)
-	}
-	return n
-}
-
 // drained is one key's delta taken from the dirty set this pass.
 type drained struct {
 	key int64
 	val float64
-}
-
-// drainSnapshot drains the current dirty set into a slice ordered by
-// the Scheduler. The backing storage is reused across passes, so a
-// steady-state pass allocates nothing.
-func (w *worker) drainSnapshot() []drained {
-	keys := w.drainKeys[:0]
-	w.table.ScanDirty(func(k int64) { keys = append(keys, k) })
-	w.drainKeys = keys
-	out := w.drainBuf[:0]
-	for _, k := range keys {
-		if v, ok := w.table.Drain(k); ok {
-			out = append(out, drained{k, v})
-		}
-	}
-	w.drainBuf = out
-	w.pol.sched.arrange(out)
-	return out
 }
 
 // refresh folds any delta that arrived since the snapshot into d — under
@@ -826,22 +753,30 @@ func (w *worker) shouldPropagate(improved bool, tmp float64) bool {
 	return tmp != 0
 }
 
-// emit routes one contribution: local keys fold directly (they join the
-// next pass via the dirty set), remote keys are buffered and flushed
-// when the mode's FlushPolicy — or the BatchMax hard cap — says so.
+// batchMax caps the KVs in one message.
+const batchMax = 4096
+
+// emit is the direct sink of a scan pass, and naive mode's: local keys
+// fold straight into the table (they join the next pass via the dirty
+// set), remote keys are counted into the β window and buffered.
 func (w *worker) emit(dst int64, v float64) {
 	o := w.owner(dst)
 	if o == w.id {
 		w.apply.FoldDelta(dst, v)
 		return
 	}
-	w.bufs[o].add(dst, v)
 	w.win.counts[o]++
-	if w.pol.flush.onEmit(o, w.bufs[o].len(), v) {
-		w.flush(o)
-		return
-	}
-	if w.bufs[o].len() >= w.cfg.BatchMax {
+	w.buffer(o, dst, v)
+}
+
+// buffer folds one update for a key owned by worker o into o's buffer
+// and flushes it when the mode's FlushPolicy — or the batchMax hard cap
+// — says so. Every remote update passes through here once: straight
+// from emit, or at the merge after a fanned-out pass (subshard.go).
+func (w *worker) buffer(o int, dst int64, v float64) {
+	b := w.bufs[o]
+	b.add(dst, v)
+	if w.pol.flush.onEmit(o, b.len(), v) || b.len() >= batchMax {
 		w.flush(o)
 	}
 }
@@ -960,20 +895,12 @@ func (b *outBuf) take() []transport.KV {
 	for i, k := range b.keys {
 		kvs = append(kvs, transport.KV{K: k, V: b.vals[i]})
 	}
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-	clear(b.slots)
+	b.reset()
 	return kvs
 }
 
-// drainInto hands every buffered (key, value) pair to f in first-touch
-// order and resets the buffer in place. Unlike take it allocates no
-// pooled batch — the per-core merge path (subshard.go) re-emits each
-// pair through the worker-level buffers instead of sending directly.
-func (b *outBuf) drainInto(f func(key int64, v float64)) {
-	for i, k := range b.keys {
-		f(k, b.vals[i])
-	}
+// reset empties the buffer in place, keeping its storage.
+func (b *outBuf) reset() {
 	b.keys = b.keys[:0]
 	b.vals = b.vals[:0]
 	clear(b.slots)

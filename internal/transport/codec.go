@@ -42,7 +42,7 @@ import (
 const frameHead = 5
 
 // maxFrame bounds a decoded payload so a corrupt length prefix cannot
-// OOM the reader. BatchMax-sized Data messages are ~64 KiB; 64 MiB
+// OOM the reader. A full Data batch (4096 KVs) is ~64 KiB; 64 MiB
 // leaves two orders of magnitude of headroom.
 const maxFrame = 64 << 20
 
@@ -96,14 +96,11 @@ func appendPayload(buf []byte, m *Message) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccDelta))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccSum))
 		buf = binary.AppendUvarint(buf, uint64(m.Stats.Passes))
-		var flags byte
-		if m.Stats.Idle {
-			flags |= 1
-		}
+		var dirty byte
 		if m.Stats.Dirty {
-			flags |= 2
+			dirty = 1
 		}
-		buf = append(buf, flags)
+		buf = append(buf, dirty)
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		buf = append(buf, byte(m.Fence), m.Phase)
 		buf = binary.AppendVarint(buf, int64(m.Rollback))
@@ -158,9 +155,7 @@ func decodePayload(data []byte) (Message, error) {
 		m.Stats.AccDelta = math.Float64frombits(d.uint64())
 		m.Stats.AccSum = math.Float64frombits(d.uint64())
 		m.Stats.Passes = int64(d.uvarint())
-		flags := d.byte()
-		m.Stats.Idle = flags&1 != 0
-		m.Stats.Dirty = flags&2 != 0
+		m.Stats.Dirty = d.byte() != 0
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		m.Fence = FenceClass(d.byte())
 		m.Phase = d.byte()

@@ -112,7 +112,7 @@ func TestCodecEdgeMessages(t *testing.T) {
 		{Kind: StatsRequest, Round: 1 << 30},
 		{Kind: Stop},
 		{Kind: StatsReply, From: 2, Round: 5, Stats: Stats{
-			Sent: 1 << 40, Recv: 3, AccDelta: -0.5, AccSum: math.Inf(1), Passes: 17, Idle: true, Dirty: true}},
+			Sent: 1 << 40, Recv: 3, AccDelta: -0.5, AccSum: math.Inf(1), Passes: 17, Dirty: true}},
 		{Kind: PhaseDone, Stats: Stats{AccDelta: math.NaN(), Dirty: true}},
 	}
 	for _, m := range cases {
@@ -142,7 +142,7 @@ func TestCodecEdgeMessages(t *testing.T) {
 // kindNames — fails this test instead of silently shipping zero fields
 // over TCP (as Orphan's retire bit once did).
 func TestCodecEveryKind(t *testing.T) {
-	stats := Stats{Sent: 9, Recv: 8, AccDelta: 0.25, AccSum: -3.5, Passes: 7, Idle: true, Dirty: true}
+	stats := Stats{Sent: 9, Recv: 8, AccDelta: 0.25, AccSum: -3.5, Passes: 7, Dirty: true}
 	table := [numKinds]Message{
 		Data:         {From: 1, Round: 12, KVs: []KV{{K: -4, V: 1.5}, {K: 9, V: -2}}},
 		EndPhase:     {From: 2, Round: 5},
@@ -183,7 +183,7 @@ func TestCodecEveryKind(t *testing.T) {
 	}
 }
 
-// TestCodec64KMessage round-trips a BatchMax-scale (64k-KV) message.
+// TestCodec64KMessage round-trips a 64k-KV message, 16 full batches in one.
 func TestCodec64KMessage(t *testing.T) {
 	const n = 64 << 10
 	kvs := make([]KV, n)

@@ -77,8 +77,7 @@ type Stats struct {
 	AccDelta float64 // Σ|accumulation change| since last report
 	AccSum   float64 // aggregate over the local Accumulation column (§5.4's termination thread)
 	Passes   int64   // compute-loop passes completed (progress gating for ε checks)
-	Idle     bool    // no local work pending
-	Dirty    bool    // table has dirty rows or unflushed buffers
+	Dirty    bool    // dirty rows, held deltas or unflushed buffers: local work is pending
 }
 
 // Message is the single wire format for data and control traffic. It

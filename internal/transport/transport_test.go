@@ -26,11 +26,11 @@ func TestChannelNetworkBasic(t *testing.T) {
 	if m.Kind != Data || m.From != 0 || len(m.KVs) != 1 || m.KVs[0].K != 7 {
 		t.Fatalf("got %+v", m)
 	}
-	if err := w1.Send(2, Message{Kind: StatsReply, Stats: Stats{Sent: 3, Idle: true}}); err != nil {
+	if err := w1.Send(2, Message{Kind: StatsReply, Stats: Stats{Sent: 3, Dirty: true}}); err != nil {
 		t.Fatal(err)
 	}
 	m = <-master.Inbox()
-	if m.Kind != StatsReply || m.Stats.Sent != 3 || !m.Stats.Idle {
+	if m.Kind != StatsReply || m.Stats.Sent != 3 || !m.Stats.Dirty {
 		t.Fatalf("got %+v", m)
 	}
 }
