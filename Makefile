@@ -36,8 +36,10 @@
 # open; CI runs it as its own required step ahead of `make check`.
 # `make test-scan` runs the compute-pass tests (DESIGN.md §9: fan-out
 # oracle runs, bit-identity below the gate, gating, the stealing deque)
-# at 1, 2 and 4 procs; unlike the full multi-core suite it is green at
-# every count, so it is a real gate. `make loc` prints non-test,
+# and the session oracle suites (DESIGN.md §10: Apply vs a cold run for
+# twelve programs, the support-closure property test) at 1, 2 and 4
+# procs; unlike the full multi-core suite it is green at every count, so
+# it is a real gate. `make loc` prints non-test,
 # non-comment, non-blank Go lines per package directory (*_test.go and
 # testdata excluded) — run it on two commits to report "lines removed":
 # `make -f $PWD/Makefile -C <other checkout> loc`.
@@ -61,7 +63,7 @@ test-cpu1:
 	go test -cpu 1 ./...
 
 test-scan:
-	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque' ./internal/runtime
+	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | sort | xargs awk ' \

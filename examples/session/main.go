@@ -5,8 +5,8 @@
 // EDB and re-converges incrementally — the warm tables absorb the
 // mutation's delta instead of recomputing from scratch. An insert is a
 // fresh delta (sound by the paper's Theorem 3 replay tolerance); a
-// delete invalidates the over-approximate cone of keys the edge might
-// have supported and re-derives it.
+// delete invalidates the keys whose value the edge supported, and the
+// keys those supported in turn, and re-derives them.
 //
 //	go run ./examples/session
 package main

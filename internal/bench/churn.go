@@ -52,7 +52,7 @@ func churnPlan(algo string, n int, edges []graph.Edge, weighted bool) (*compiler
 }
 
 // Churn measures the engine-lifecycle refactor's payoff (DESIGN.md §10):
-// for SSSP (selective min: invalidation cone + reseed on deletes) and
+// for SSSP (selective min: support closure + reseed on deletes) and
 // PageRank (combining sum: algebraic ΔX¹ correction), a long-lived
 // session absorbs a reproducible mutation stream batch by batch, and the
 // mean Session.Apply wall time is compared against a cold Run on the
@@ -61,8 +61,8 @@ func churnPlan(algo string, n int, edges []graph.Edge, weighted bool) (*compiler
 // session-capable mode. The crossover is the result: incremental
 // re-fixpoint should win clearly at low churn and surrender its lead as
 // a batch approaches a rebuild-sized fraction of the graph — deletes,
-// which over-approximate (the cone erases every key the deleted edges
-// might support), give the smallest margins.
+// which erase and re-derive every key the deleted edges supported, give
+// the smallest margins.
 func Churn(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	dsName := "LiveJ"
 	ds, err := gen.DatasetByName(dsName)

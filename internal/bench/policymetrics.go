@@ -69,7 +69,7 @@ func PolicyMetrics(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 // a single small mixed mutation batch, and the master's merged registry
 // shows how many fixpoints the session converged ("engine.epoch"), how
 // many keys the Apply reseeded ("delta.reseed.keys"), and how many the
-// deletes' invalidation cone erased ("delete.invalidate.keys").
+// deletes' support closure erased ("delete.invalidate.keys").
 func sessionCounters(w io.Writer, ds gen.Dataset, cfg RunConfig) error {
 	base := ds.Build(true)
 	fmt.Fprintf(w, "  Session (SSSP, one mixed 1%% batch):\n")

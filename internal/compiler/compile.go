@@ -80,6 +80,9 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	p.shape = shape
+	if p.Op.Selective() {
+		shape.closure = proveClosure(info)
+	}
 
 	if err := compilePropagation(p, shape); err != nil {
 		return nil, err
@@ -127,6 +130,8 @@ type bodyShape struct {
 
 	srcAttrs []attrCol // columns read at the propagation source
 	dstAttrs []attrCol // columns read at the destination
+
+	closure closureProof // selective plans: may a mutation delete? (delta.go)
 }
 
 type attrCol struct {

@@ -335,3 +335,45 @@ r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy.
 		t.Errorf("propagate = %v", got)
 	}
 }
+
+// bottleneck is min over F' = min(v,w): monotone, accepted by the MRA
+// check, but a key can hold a value derived through a worse value of
+// its own, which the support closure cannot see (DESIGN.md §10).
+const bottleneck = `
+r1. d(X,v) :- X=0, v=10.
+r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
+
+func TestProveClosure(t *testing.T) {
+	analyse := func(src string) *analyzer.Info {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := analyzer.Analyze(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	for _, c := range []struct {
+		name, src string
+		want      closureProof
+	}{
+		{"SSSP", progs.SSSP, closureStrict},
+		{"CC", progs.CC, closureStrict},
+		{"LCA", progs.LCA, closureStrict},
+		{"APSP", progs.APSP, closureStrict},
+		{"Viterbi", progs.Viterbi, closureDiscount}, // w >= 0 admits 0: not strict
+		{"bottleneck", bottleneck, closureUnproven},
+		{"max-discount-unbounded", `
+r1. p(X,v) :- X=0, v=1.
+r2. p(Y,max[v1]) :- p(X,v), edge(X,Y,w), v1 = v * w, w >= 0.`, closureUnproven},
+		{"min-discount", `
+r1. p(X,v) :- X=0, v=1.
+r2. p(Y,min[v1]) :- p(X,v), edge(X,Y,w), v1 = v * w, w >= 0, w <= 1.`, closureUnproven},
+	} {
+		if got := proveClosure(analyse(c.src)); got != c.want {
+			t.Errorf("%s: proveClosure = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

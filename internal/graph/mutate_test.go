@@ -1,6 +1,12 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"testing/quick"
+)
 
 func mutGraph(t *testing.T) *Graph {
 	t.Helper()
@@ -82,5 +88,104 @@ func TestApplyEdgeMutationsUnweighted(t *testing.T) {
 	}
 	if lo, _ := g.EdgeRange(1); g.Weight(lo) != 1 {
 		t.Fatalf("unweighted weight = %v, want 1", g.Weight(0))
+	}
+}
+
+// spliceCase is one random graph and batch for TestSpliceMatchesFromEdges.
+type spliceCase struct {
+	n        int
+	weighted bool
+	edges    []Edge
+	ins, del []Edge
+}
+
+func (spliceCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	c := spliceCase{n: 1 + r.Intn(12), weighted: r.Intn(4) > 0}
+	vertex := func() int32 {
+		switch r.Intn(4) { // lean on the first and last row
+		case 0:
+			return 0
+		case 1:
+			return int32(c.n - 1)
+		}
+		return int32(r.Intn(c.n))
+	}
+	edge := func() Edge { return Edge{Src: vertex(), Dst: vertex(), W: float64(1 + r.Intn(9))} }
+	for i := r.Intn(40); i > 0; i-- {
+		c.edges = append(c.edges, edge())
+		if r.Intn(4) == 0 { // parallel edge, other weight
+			e := c.edges[len(c.edges)-1]
+			c.edges = append(c.edges, Edge{Src: e.Src, Dst: e.Dst, W: e.W + 1})
+		}
+	}
+	if r.Intn(6) == 0 {
+		return reflect.ValueOf(c) // empty batch
+	}
+	for i := r.Intn(6); i > 0; i-- {
+		if len(c.edges) > 0 && r.Intn(3) > 0 {
+			e := c.edges[r.Intn(len(c.edges))]
+			c.del = append(c.del, Edge{Src: e.Src, Dst: e.Dst})
+		} else {
+			c.del = append(c.del, edge()) // probably absent
+		}
+	}
+	for i := r.Intn(6); i > 0; i-- {
+		if len(c.del) > 0 && r.Intn(3) == 0 { // insert after delete of the same pair
+			d := c.del[r.Intn(len(c.del))]
+			c.ins = append(c.ins, Edge{Src: d.Src, Dst: d.Dst, W: 7})
+		} else {
+			c.ins = append(c.ins, edge())
+		}
+	}
+	return reflect.ValueOf(c)
+}
+
+// TestSpliceMatchesFromEdges pins the row splice to the rebuild it
+// replaced: element for element the arrays FromEdges builds from the
+// surviving edges followed by the inserts.
+func TestSpliceMatchesFromEdges(t *testing.T) {
+	check := func(c spliceCase) bool {
+		g, err := FromEdges(c.n, c.edges, c.weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, del := slices.Clone(c.ins), slices.Clone(c.del)
+		var kept []Edge
+		for _, e := range g.Edges() {
+			if !slices.ContainsFunc(c.del, func(d Edge) bool { return d.Src == e.Src && d.Dst == e.Dst }) {
+				kept = append(kept, e)
+			}
+		}
+		want, err := FromEdges(c.n, append(kept, c.ins...), c.weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.ApplyEdgeMutations(c.ins, c.del); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(c.ins, ins) || !slices.Equal(c.del, del) {
+			t.Errorf("the batch was reordered: %v %v", c.ins, c.del)
+			return false
+		}
+		return slices.Equal(g.offsets, want.offsets) && slices.Equal(g.targets, want.targets) &&
+			slices.Equal(g.weights, want.weights) && (g.weights == nil) == (want.weights == nil)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(16))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpliceNoTouchedRowCopiesNothing: an empty batch, or deletes naming
+// absent edges only, leave the arrays themselves in place.
+func TestSpliceNoTouchedRowCopiesNothing(t *testing.T) {
+	g := mutGraph(t)
+	targets := g.targets
+	for _, del := range [][]Edge{nil, {{Src: 3, Dst: 0}, {Src: 0, Dst: 4}}} {
+		if err := g.ApplyEdgeMutations(nil, del); err != nil {
+			t.Fatal(err)
+		}
+		if &g.targets[0] != &targets[0] || g.NumEdges() != 4 {
+			t.Fatalf("deletes %v rebuilt the graph", del)
+		}
 	}
 }

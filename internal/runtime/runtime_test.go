@@ -21,7 +21,7 @@ var allModes = []Mode{NaiveSync, MRASync, MRAAsync, MRASyncAsync, MRAAAP, MRASSP
 // covered elsewhere).
 var mraModes = []Mode{MRASync, MRAAsync, MRASyncAsync, MRAAAP, MRASSP}
 
-func compilePlan(t *testing.T, src string, db *edb.DB) *compiler.Plan {
+func compilePlan(t testing.TB, src string, db *edb.DB) *compiler.Plan {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {

@@ -42,9 +42,9 @@ type Mutation = compiler.Mutation
 // scratch — and Close tears the fleet down. Between fixpoints the
 // workers stay parked on their inboxes with their MonoTable shards
 // warm; an Apply reseeds exactly the keys the mutation can affect (the
-// compiler's ΔX¹ correction for combining aggregates, an invalidation
-// cone plus boundary reseed for selective ones) and restarts the
-// termination protocol for one more epoch.
+// compiler's ΔX¹ correction for combining aggregates, the deletes'
+// support closure plus boundary reseed for selective ones) and restarts
+// the termination protocol for one more epoch.
 //
 // A Session is safe for concurrent use. The public API is serialized by
 // an internal mutex: at most one exclusive operation — an Apply epoch, a
@@ -336,10 +336,11 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 
 	// Compiler-side delta: mutate the EDB (graph, derived relations,
 	// attribute columns, ΔX¹) and compute the reseed/invalidation work.
-	// The fleet is parked, so the in-place CSR rebuild and the acc scans
-	// below are race-free. A validation error leaves the EDB untouched
+	// The fleet is parked, so the in-place CSR splice and the table reads
+	// are race-free. A validation error leaves the EDB untouched
 	// and the session usable.
-	refix, err := s.plan.ApplyMutation(mut, s.rangeAcc)
+	route := s.liveRoute()
+	refix, err := s.plan.ApplyMutation(mut, parkedTable{s.workers, route})
 	if err != nil {
 		return nil, err
 	}
@@ -350,43 +351,30 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		Deletes: mut.Deletes,
 	})
 
-	// Deletion invalidation: erase every key whose lo-component lies in
-	// the over-approximate cone R, then rebuild each worker's exact Σacc
+	// Deletion invalidation: erase the support closure at its owners,
+	// then rebuild the exact Σacc of each worker that lost a row
 	// (Invalidate bypasses the monotone fold the running sum tracks).
-	if refix.InvalidateLo != nil {
-		inR := refix.InvalidateLo
-		var doomed []int64
-		for _, w := range s.workers {
-			if w == nil {
-				continue
-			}
-			doomed = doomed[:0]
-			w.table.RangeRows(func(k int64, _, _ float64) bool {
-				lo := k
-				if s.plan.PairKeys {
-					_, lo = compiler.DecodePair(k)
-				}
-				if lo >= 0 && lo < int64(len(inR)) && inR[lo] {
-					doomed = append(doomed, k)
-				}
-				return true
-			})
-			for _, k := range doomed {
-				w.table.Invalidate(k)
-			}
-			s.m.met.invalidateKeys.Add(uint64(len(doomed)))
-			w.resyncAccSum()
+	if len(refix.Invalidate) > 0 {
+		erased := make([]bool, len(s.workers))
+		for _, k := range refix.Invalidate {
+			o := route.owner(k)
+			s.workers[o].table.Invalidate(k)
+			erased[o] = true
 		}
+		for o, hit := range erased {
+			if hit {
+				s.workers[o].resyncAccSum()
+			}
+		}
+		s.m.met.invalidateKeys.Add(uint64(len(refix.Invalidate)))
 	}
 
 	// Reseed: fold the correction ΔX¹ into the owners' shards (current
 	// membership's routing — after a scale event the owner may not be the
 	// static modulo slot). The folds mark the rows dirty, which is
 	// exactly the next epoch's frontier.
-	if route := s.liveRoute(); route != nil {
-		for _, kv := range refix.Reseed {
-			s.workers[route.owner(kv.K)].table.FoldDelta(kv.K, kv.V)
-		}
+	for _, kv := range refix.Reseed {
+		s.workers[route.owner(kv.K)].table.FoldDelta(kv.K, kv.V)
 	}
 	s.m.met.reseedKeys.Add(uint64(len(refix.Reseed)))
 
@@ -429,11 +417,20 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	return res, nil
 }
 
-// rangeAcc is the AccRanger the compiler's delta computation scans the
-// distributed table with: every non-identity accumulation across all
-// shards. Only sound while the fleet is parked.
-func (s *Session) rangeAcc(f func(key int64, acc float64)) {
-	for _, w := range s.workers {
+// parkedTable is the compiler.AccTable view of the fleet's shards: a
+// point read goes to the key's owner under the current membership, a
+// scan visits every shard. Only sound while the fleet is parked.
+type parkedTable struct {
+	workers []*worker
+	route   *shardRoute
+}
+
+func (t parkedTable) Acc(key int64) float64 {
+	return t.workers[t.route.owner(key)].table.Acc(key)
+}
+
+func (t parkedTable) Range(f func(key int64, acc float64)) {
+	for _, w := range t.workers {
 		if w == nil {
 			continue
 		}
@@ -446,7 +443,8 @@ func (s *Session) rangeAcc(f func(key int64, acc float64)) {
 
 // liveRoute returns a current member's route — every member holds an
 // identical one after a fence, so any will do for session-side routing
-// decisions (Apply reseeds). nil only if the fleet is empty.
+// decisions (Apply's point reads, erasures and reseeds). Never nil on a
+// parked fleet: the last worker cannot be removed.
 func (s *Session) liveRoute() *shardRoute {
 	for _, w := range s.workers {
 		if w != nil && !w.retired {
@@ -485,8 +483,14 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 // fence's ack collect gives happens-before edges covering every counter
 // and table write).
 func (s *Session) collect(elapsed time.Duration) *Result {
+	// An epoch rarely changes how many keys hold a value: size the map
+	// from the last published result instead of growing it from empty.
+	size := 0
+	if prev := s.Result(); prev != nil {
+		size = len(prev.Values)
+	}
 	res := &Result{
-		Values:    map[int64]float64{},
+		Values:    make(map[int64]float64, size),
 		Rounds:    s.m.rounds,
 		Elapsed:   elapsed,
 		Converged: s.m.converged,

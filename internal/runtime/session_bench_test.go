@@ -1,0 +1,64 @@
+package runtime
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"powerlog/internal/gen"
+	"powerlog/internal/graph"
+	"powerlog/internal/progs"
+)
+
+// BenchmarkSessionApply times one Session.Apply on a warm parked SSSP
+// session at the size and engine settings of plperf's
+// sssp-churn-session workload (R-MAT 2^14 vertices / 171 k edges,
+// batches of 85, 2 workers × 1 core), one sub-benchmark per batch
+// shape. Run it with -cpu 2 -benchmem and a fixed -benchtime such as
+// 300x: a delete-only run thins the graph as it goes. For a paired
+// comparison build one `go test -c` binary per commit (the go guide)
+// and alternate them; plperf, not this, is the gate.
+func BenchmarkSessionApply(b *testing.B) {
+	for _, bc := range []struct {
+		name     string
+		ins, del int
+	}{{"empty", 0, 0}, {"insert", 85, 0}, {"delete", 0, 85}, {"mixed", 85, 85}} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := gen.RMAT(14, 171000, 100, 1)
+			n := g.NumVertices()
+			edges := g.Edges()
+			s, err := Open(compilePlan(b, progs.SSSP, edgeDB("edge")(g)), Config{
+				Workers:        2,
+				CoresPerWorker: 1,
+				Mode:           MRASyncAsync,
+				Tau:            time.Millisecond,
+				CheckInterval:  2 * time.Millisecond,
+				MaxWall:        time.Minute,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			r := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var mut Mutation
+				for d := 0; d < bc.del && len(edges) > 0; d++ {
+					j := r.Intn(len(edges))
+					mut.Deletes = append(mut.Deletes, graph.Edge{Src: edges[j].Src, Dst: edges[j].Dst})
+					edges[j] = edges[len(edges)-1]
+					edges = edges[:len(edges)-1]
+				}
+				for k := 0; k < bc.ins; k++ {
+					e := graph.Edge{Src: int32(r.Intn(n)), Dst: int32(r.Intn(n)), W: 1 + 99*r.Float64()}
+					mut.Inserts = append(mut.Inserts, e)
+					edges = append(edges, e)
+				}
+				if res, err := s.Apply(mut); err != nil || !res.Converged {
+					b.Fatalf("Apply %d: %v (result %+v)", i, err, res)
+				}
+			}
+		})
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"powerlog/internal/compiler"
 	"powerlog/internal/graph"
 	"powerlog/internal/metrics"
 	"powerlog/internal/runtime"
@@ -208,11 +209,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // httpError maps an error onto a status code and records the shed /
 // error counters. Busy and saturated map to 503 with Retry-After (the
-// server's state), rate limiting to 429 (the tenant's), ConfigError to
-// 400 (the request named an invalid budget), everything else to the
+// server's state), rate limiting to 429 (the tenant's), ConfigError and
+// compiler.Error to 400 (the request named an invalid budget, or a
+// program or mutation the plan refuses), everything else to the
 // caller-provided fallback.
 func (s *Server) httpError(w http.ResponseWriter, err error, fallback int) {
 	var ce *runtime.ConfigError
+	var pe *compiler.Error
 	switch {
 	case errors.Is(err, errRateLimited):
 		s.met.shedRate.Add(1)
@@ -225,7 +228,7 @@ func (s *Server) httpError(w http.ResponseWriter, err error, fallback int) {
 		s.met.shedBusy.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errBody{Error: "server: draining or session replaced; retry"})
-	case errors.As(err, &ce):
+	case errors.As(err, &ce), errors.As(err, &pe):
 		s.met.errs.Add(1)
 		writeJSON(w, http.StatusBadRequest, errBody{Error: err.Error()})
 	default:

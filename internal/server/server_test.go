@@ -224,6 +224,49 @@ func TestMutate(t *testing.T) {
 	}
 }
 
+// TestMutateRefusesUnprovenDelete: a client-submitted selective program
+// whose F' the compiler cannot prove safe for the support closure
+// (DESIGN.md §10) is served and takes inserts, but a delete is a 400
+// that names the reason, and the parked fixpoint stays as it was.
+func TestMutateRefusesUnprovenDelete(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const src = `
+r1. d(X,v) :- X=0, v=10.
+r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
+	q := queryRequest{Tenant: "t1", Dataset: "tiny-chain", Source: src, Mode: "unified"}
+	resp := postJSON(t, ts.URL+"/v1/query", q)
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("query status %d: %s", resp.StatusCode, body)
+	}
+	_, before := readNDJSON(t, resp.Body)
+	resp.Body.Close()
+
+	m := mutateRequest{Tenant: "t1", Dataset: "tiny-chain", Source: src, Mode: "unified",
+		Deletes: []edgeJSON{{Src: 0, Dst: 1}}}
+	resp = postJSON(t, ts.URL+"/v1/mutate", m)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cannot delete") {
+		t.Fatalf("delete: status %d body %s, want 400 naming the refusal", resp.StatusCode, body)
+	}
+	m.Deletes, m.Inserts = nil, []edgeJSON{{Src: 0, Dst: 250, W: 5}}
+	resp = postJSON(t, ts.URL+"/v1/mutate", m)
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert after the refused delete: status %d: %s", resp.StatusCode, body)
+	}
+	resp = postJSON(t, ts.URL+"/v1/query", q)
+	_, after := readNDJSON(t, resp.Body)
+	resp.Body.Close()
+	for k, v := range before {
+		if a, ok := after[k]; !ok || a > v {
+			t.Fatalf("key %d went from %v to %v (held: %v): an insert only improves a min", k, v, a, ok)
+		}
+	}
+}
+
 // TestAdmissionRate checks the per-tenant token bucket: with burst 1
 // and a negligible refill rate, the second fresh query is shed with 429
 // while a different tenant still gets through.
