@@ -39,13 +39,16 @@
 # and the session oracle suites (DESIGN.md §10: Apply vs a cold run for
 # twelve programs, the support-closure property test) at 1, 2 and 4
 # procs; unlike the full multi-core suite it is green at every count, so
-# it is a real gate. `make loc` prints non-test,
+# it is a real gate. `make test-term` runs the termination detector's
+# tests — the stop machine's unit and property tests (internal/term) and
+# the runtime's TestTerm*, session-equivalence and cross-transport suites
+# — five times at 1, 2 and 4 procs. `make loc` prints non-test,
 # non-comment, non-blank Go lines per package directory (*_test.go and
 # testdata excluded) — run it on two commits to report "lines removed":
 # `make -f $PWD/Makefile -C <other checkout> loc`.
-.PHONY: check build vet lint test test-cpu1 test-scan race bench loc metrics-smoke churn-smoke serve-smoke
+.PHONY: check build vet lint test test-cpu1 test-scan test-term race bench loc metrics-smoke churn-smoke serve-smoke
 
-check: vet lint build test test-scan race metrics-smoke churn-smoke serve-smoke
+check: vet lint build test test-scan test-term race metrics-smoke churn-smoke serve-smoke
 
 build:
 	go build ./...
@@ -64,6 +67,9 @@ test-cpu1:
 
 test-scan:
 	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime
+
+test-term:
+	go test -cpu 1,2,4 -count=5 -run 'TestTerm|TestSessionEquivalence|TestCrossTransportEquivalence' ./internal/term ./internal/runtime
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | sort | xargs awk ' \

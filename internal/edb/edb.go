@@ -145,12 +145,23 @@ type LogEntry struct {
 	Mut   GraphMutation
 }
 
-// MutationLog records applied mutations in epoch order. Checkpoints
-// stamp the log position (ckpt.Meta.MutEpoch) so a restore knows which
-// trailing entries still need replaying.
+// MutationLog records applied mutations in epoch order, the newest
+// logKeep of them at least. Checkpoints stamp the log position
+// (ckpt.Meta.MutEpoch) so a restore knows which trailing entries still
+// need replaying; a session checkpoints at every park, so the tail a
+// restore replays is a batch or two, and what a long-lived session
+// applied thousands of batches ago only costs memory — 4 KB a batch at
+// the serving sizes, without bound, which a session that applies faster
+// than it used to turns into resident set. Truncated says how far back
+// the log still reaches.
 type MutationLog struct {
-	entries []LogEntry
+	entries   []LogEntry
+	truncated int // epoch of the newest entry let go (0 = none)
 }
+
+// logKeep is how many batches a MutationLog always holds (it trims from
+// twice that).
+const logKeep = 1024
 
 // Append records a mutation batch under epoch. Epochs must be
 // non-decreasing.
@@ -159,10 +170,24 @@ func (l *MutationLog) Append(epoch int, mut GraphMutation) {
 		panic(fmt.Sprintf("edb: mutation log epoch went backwards (%d after %d)", epoch, l.entries[n-1].Epoch))
 	}
 	l.entries = append(l.entries, LogEntry{Epoch: epoch, Mut: mut})
+	if len(l.entries) == 2*logKeep {
+		// Let the older half go in one move: O(1) per Append, and the
+		// batches' edge slices become collectable.
+		l.truncated = l.entries[logKeep-1].Epoch
+		n := copy(l.entries, l.entries[logKeep:])
+		clear(l.entries[n:])
+		l.entries = l.entries[:n]
+	}
 }
 
-// Since returns the entries with Epoch > epoch (the trailing mutations
-// a restore from a checkpoint stamped `epoch` must replay).
+// Truncated returns the epoch of the newest entry the log no longer
+// holds, 0 if it holds them all: Since(e) is the complete tail iff
+// e >= Truncated().
+func (l *MutationLog) Truncated() int { return l.truncated }
+
+// Since returns the held entries with Epoch > epoch (the trailing
+// mutations a restore from a checkpoint stamped `epoch` must replay; see
+// Truncated).
 func (l *MutationLog) Since(epoch int) []LogEntry {
 	i := len(l.entries)
 	for i > 0 && l.entries[i-1].Epoch > epoch {
@@ -171,7 +196,7 @@ func (l *MutationLog) Since(epoch int) []LogEntry {
 	return l.entries[i:]
 }
 
-// Len returns the number of recorded batches.
+// Len returns the number of batches the log holds.
 func (l *MutationLog) Len() int { return len(l.entries) }
 
 // LastEpoch returns the newest recorded epoch (0 when empty).

@@ -52,3 +52,33 @@ func TestMutationLog(t *testing.T) {
 		t.Fatalf("Since(0) returned %d entries, want 3", len(got))
 	}
 }
+
+// TestMutationLogIsBounded: a session that applies batches for days must
+// not keep them all. The log always holds the newest logKeep, never more
+// than twice that, says how far back it reaches, and the tail it returns
+// from there is complete and in order.
+func TestMutationLogIsBounded(t *testing.T) {
+	var log MutationLog
+	for e := 1; e <= 5*logKeep+7; e++ {
+		log.Append(e, GraphMutation{Pred: "edge", Inserts: []graph.Edge{{Src: int32(e), Dst: 1}}})
+		if log.Len() < min(e, logKeep) || log.Len() >= 2*logKeep {
+			t.Fatalf("after %d appends the log holds %d entries", e, log.Len())
+		}
+		if e < 2*logKeep && log.Truncated() != 0 {
+			t.Fatalf("after %d appends Truncated() = %d, want 0", e, log.Truncated())
+		}
+	}
+	tail := log.Since(log.Truncated())
+	if len(tail) != log.Len() || tail[0].Epoch != log.Truncated()+1 {
+		t.Fatalf("Since(Truncated()=%d) starts at epoch %d with %d of %d entries",
+			log.Truncated(), tail[0].Epoch, len(tail), log.Len())
+	}
+	for i, en := range tail {
+		if en.Epoch != tail[0].Epoch+i || en.Mut.Inserts[0].Src != int32(en.Epoch) {
+			t.Fatalf("entry %d of the tail is epoch %d carrying %v", i, en.Epoch, en.Mut.Inserts)
+		}
+	}
+	if log.LastEpoch() != 5*logKeep+7 {
+		t.Fatalf("LastEpoch = %d", log.LastEpoch())
+	}
+}

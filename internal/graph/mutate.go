@@ -10,14 +10,20 @@ import (
 // (all parallel edges with that endpoint pair, regardless of weight),
 // then the inserts are appended, each at the end of its source's row in
 // batch order — the arrays FromEdges would build from the surviving
-// edges followed by the inserts. Only the rows the batch names are
-// filtered edge by edge; every run of rows between them moves in one
-// copy, and a batch that changes no row (empty, or deletes naming absent
-// edges only) returns before anything is copied. The vertex universe
-// [0,n) is fixed at construction time — mutations referencing vertices
-// outside it are rejected before anything is modified, so a failed call
-// leaves the graph untouched. Compiled plans capture the *Graph, so
-// after a successful call every closure sees the mutated adjacency.
+// edges followed by the inserts. The splice is in place: one sweep left
+// to right closes the gaps the deletes leave, one sweep right to left
+// opens room for the inserts, and only the rows the batch names are
+// touched edge by edge — every run of rows between them moves in one
+// copy. A batch that changes no row (empty, or deletes naming absent
+// edges only) returns before anything moves, and the arrays are
+// reallocated, with room to grow, only when the inserts outgrow them: a
+// session applies batch after batch, and a fresh 12 bytes an edge for
+// each was most of an Apply's garbage. The vertex universe [0,n) is
+// fixed at construction time — mutations referencing vertices outside it
+// are rejected before anything is modified, so a failed call leaves the
+// graph untouched. Compiled plans capture the *Graph, so after a
+// successful call every closure sees the mutated adjacency; a slice
+// Neighbors returned before the call is not valid after it.
 //
 // Concurrent readers are NOT safe during the call; callers must
 // quiesce the engine first (the session layer mutates only while all
@@ -62,63 +68,108 @@ func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) error {
 	if gone == 0 && len(ins) == 0 {
 		return nil
 	}
+	if gone > 0 {
+		g.closeGaps(del)
+	}
+	if len(ins) > 0 {
+		g.openRoom(ins, inserts)
+	}
+	return nil
+}
 
-	m := len(g.targets) - gone + len(ins)
-	offsets := make([]int32, len(g.offsets))
-	targets := make([]int32, 0, m)
-	var weights []float64
-	if g.weights != nil {
-		weights = make([]float64, 0, m)
+// closeGaps removes the edges del names, sliding what survives left over
+// them. Rows before the first named row do not move.
+func (g *Graph) closeGaps(del []uint64) {
+	shift := int32(0) // edges removed so far
+	from := int32(0)  // first row whose offset is still the old one
+	slide := func(to int32, end int32) {
+		// Rows [from, to) keep their edges; they start shift earlier.
+		if lo := g.offsets[from]; shift > 0 && lo < end {
+			copy(g.targets[lo-shift:], g.targets[lo:end])
+			if g.weights != nil {
+				copy(g.weights[lo-shift:], g.weights[lo:end])
+			}
+		}
+		for u := from; u <= to; u++ {
+			g.offsets[u] -= shift
+		}
 	}
-	from := int32(0) // first old row not moved yet
-	moveRows := func(to int32) {
-		lo, hi := g.offsets[from], g.offsets[to]
-		shift := int32(len(targets)) - lo
-		targets = append(targets, g.targets[lo:hi]...)
-		if weights != nil {
-			weights = append(weights, g.weights[lo:hi]...)
-		}
-		for v := from; v < to; v++ {
-			offsets[v] = g.offsets[v] + shift
-		}
-		from = to
-	}
-	for d, i := 0, 0; d < len(del) || i < len(ins); {
-		v := g.n
-		if d < len(del) {
-			v = row(del[d])
-		}
-		if i < len(ins) && row(ins[i]) < v {
-			v = row(ins[i])
-		}
-		moveRows(v)
-		offsets[v] = int32(len(targets))
-		dEnd := d
-		if d < len(del) && row(del[d]) == v {
-			dEnd = rowEnd(del, d)
-		}
-		for e := g.offsets[v]; e < g.offsets[v+1]; e++ {
-			if names(del[d:dEnd], g.targets[e]) {
+	for lo := 0; lo < len(del); {
+		hi := rowEnd(del, lo)
+		v := row(del[lo])
+		rs, re := g.offsets[v], g.offsets[v+1]
+		slide(v, rs)
+		w := rs - shift
+		for e := rs; e < re; e++ {
+			if names(del[lo:hi], g.targets[e]) {
+				shift++
 				continue
 			}
-			targets = append(targets, g.targets[e])
-			if weights != nil {
-				weights = append(weights, g.weights[e])
+			g.targets[w] = g.targets[e]
+			if g.weights != nil {
+				g.weights[w] = g.weights[e]
 			}
+			w++
 		}
-		for ; i < len(ins) && row(ins[i]) == v; i++ {
-			e := inserts[uint32(ins[i])]
-			targets = append(targets, e.Dst)
-			if weights != nil {
-				weights = append(weights, e.W)
-			}
-		}
-		d, from = dEnd, v+1
+		from, lo = v+1, hi
 	}
-	moveRows(g.n)
-	offsets[g.n] = int32(len(targets))
-	g.offsets, g.targets, g.weights = offsets, targets, weights
-	return nil
+	m := int32(len(g.targets))
+	slide(g.n, m)
+	g.targets = g.targets[:m-shift]
+	if g.weights != nil {
+		g.weights = g.weights[:m-shift]
+	}
+}
+
+// openRoom appends each insert at the end of its source's row, sliding
+// the rows after it right. ins is the batch sorted by (row, position).
+func (g *Graph) openRoom(ins []uint64, inserts []Edge) {
+	old := int32(len(g.targets))
+	k := int32(len(ins)) // inserts not yet placed: those of rows <= the one at hand
+	g.reserve(int(old + k))
+	end, last := old, g.n // edges [end, old) and the offsets of rows (last, n] are done
+	for hi := len(ins); hi > 0; {
+		v := row(ins[hi-1])
+		lo := hi
+		for lo > 0 && row(ins[lo-1]) == v {
+			lo--
+		}
+		s := g.offsets[v+1]
+		copy(g.targets[s+k:], g.targets[s:end])
+		if g.weights != nil {
+			copy(g.weights[s+k:], g.weights[s:end])
+		}
+		at := s + k - int32(hi-lo)
+		for i := lo; i < hi; i++ {
+			e := inserts[uint32(ins[i])]
+			g.targets[at] = e.Dst
+			if g.weights != nil {
+				g.weights[at] = e.W
+			}
+			at++
+		}
+		for u := v + 1; u <= last; u++ {
+			g.offsets[u] += k
+		}
+		k -= int32(hi - lo)
+		end, last, hi = s, v, lo
+	}
+}
+
+// reserve makes the edge arrays m long, reallocating them — with an
+// eighth to spare, so a stream of small inserts does not do it again at
+// once — only if they cannot hold that many.
+func (g *Graph) reserve(m int) {
+	if cap(g.targets) < m {
+		g.targets = append(make([]int32, 0, m+m/8), g.targets...)
+	}
+	g.targets = g.targets[:m]
+	if g.weights != nil {
+		if cap(g.weights) < m {
+			g.weights = append(make([]float64, 0, m+m/8), g.weights...)
+		}
+		g.weights = g.weights[:m]
+	}
 }
 
 // row is the source row of a packed batch entry.

@@ -189,3 +189,55 @@ func TestSpliceNoTouchedRowCopiesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSpliceInPlaceBatchAfterBatch: a graph a session mutates batch after
+// batch is spliced where it lies — the arrays are reallocated only when
+// inserts outgrow them — and still matches a rebuild after every batch.
+func TestSpliceInPlaceBatchAfterBatch(t *testing.T) {
+	const n = 40
+	r := rand.New(rand.NewSource(5))
+	edge := func() Edge { return Edge{Src: int32(r.Intn(n)), Dst: int32(r.Intn(n)), W: float64(1 + r.Intn(9))} }
+	var edges []Edge
+	for i := 0; i < 200; i++ {
+		edges = append(edges, edge())
+	}
+	g, err := FromEdges(n, edges, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for batch := 0; batch < 200; batch++ {
+		cur := g.Edges()
+		ins := make([]Edge, r.Intn(5))
+		for i := range ins {
+			ins[i] = edge()
+		}
+		del := make([]Edge, r.Intn(4))
+		for i := range del {
+			del[i] = cur[r.Intn(len(cur))]
+		}
+		kept := slices.DeleteFunc(slices.Clone(cur), func(e Edge) bool {
+			return slices.ContainsFunc(del, func(d Edge) bool { return d.Src == e.Src && d.Dst == e.Dst })
+		})
+		want, err := FromEdges(n, append(kept, ins...), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, room := &g.targets[:1][0], cap(g.targets)
+		if err := g.ApplyEdgeMutations(ins, del); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(g.offsets, want.offsets) || !slices.Equal(g.targets, want.targets) || !slices.Equal(g.weights, want.weights) {
+			t.Fatalf("batch %d (+%d -%d): in-place splice differs from a rebuild", batch, len(ins), len(del))
+		}
+		if &g.targets[:1][0] != before {
+			if len(g.targets) <= room {
+				t.Fatalf("batch %d reallocated %d edges although %d fit", batch, len(g.targets), room)
+			}
+			moved++
+		}
+	}
+	if moved > 8 {
+		t.Fatalf("the arrays were reallocated %d times in 200 small batches", moved)
+	}
+}

@@ -18,6 +18,7 @@ import (
 
 	"powerlog/internal/agg"
 	"powerlog/internal/graph"
+	"powerlog/internal/term"
 )
 
 // Delta is an initial contribution to one vertex.
@@ -147,13 +148,13 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 	for _, d := range p.Init {
 		s.op.AtomicFold(&s.delta[d.V], d.Val)
 	}
-	var windowChange uint64 // accumulated |change| bits, CAS-folded
-	agg.Store(&windowChange, 0)
 	var stop int32
 	var idleCount int32
 	var resumeEpoch int64
-	var passes int64 // completed worker passes, so the ε check cannot
-	// mistake a scheduler stall for convergence
+	// What each worker tells the ε coordinator: its accumulated |change|
+	// and its completed passes (own cell each, so no CAS contention), and
+	// whether it is parked idle.
+	cells := make([]workerCell, workers)
 
 	rangeClean := func(w int) bool {
 		id := s.op.Identity()
@@ -193,20 +194,22 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 						continue
 					}
 					progressed = true
-					addFloat(&windowChange, math.Abs(d))
+					agg.Store(&cells[w].change, agg.Load(&cells[w].change)+math.Abs(d))
 					p.Scatter(g, v, d, func(dst int32, val float64) {
 						s.op.AtomicFold(&s.delta[dst], val)
 					})
 				}
-				atomic.AddInt64(&passes, 1)
+				cells[w].passes.Add(1)
 				if progressed {
 					continue
 				}
+				cells[w].idle.Store(true)
 				atomic.AddInt32(&idleCount, 1)
 				for atomic.LoadInt32(&stop) == 0 {
 					if !rangeClean(w) {
 						atomic.AddInt64(&resumeEpoch, 1)
 						atomic.AddInt32(&idleCount, -1)
+						cells[w].idle.Store(false)
 						break
 					}
 					runtime.Gosched()
@@ -232,28 +235,40 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 		}
 	}()
 	// ε coordinator: stop when the change accumulated per interval falls
-	// below ε (limit programs never strictly quiesce on their own).
+	// below ε (limit programs never strictly quiesce on their own). The
+	// decision is the runtime's stop machine (internal/term) sampled on a
+	// 500µs grid: a worker's report is its accumulated change and pass
+	// count, dirty unless it is parked idle over a clean range, so a window
+	// in which a worker with pending deltas completed no pass is not
+	// judged. Nothing is sent or received here, so sent = recv = 0.
 	if p.Epsilon > 0 {
 		go func() {
-			prev, prevPasses := -1.0, int64(0)
-			for i := 0; i < p.maxRounds(); i++ {
-				if atomic.LoadInt32(&stop) == 1 {
-					return
-				}
-				cur := agg.Load(&windowChange)
-				curPasses := atomic.LoadInt64(&passes)
-				// Require every worker to have completed at least one full
-				// pass in the window before judging the change against ε.
-				if prev >= 0 && curPasses-prevPasses >= int64(workers) && cur-prev < p.Epsilon {
-					atomic.StoreInt32(&stop, 1)
-					return
-				}
-				if curPasses-prevPasses >= int64(workers) || prev < 0 {
-					prev, prevPasses = cur, curPasses
-				}
-				time.Sleep(500 * time.Microsecond)
+			live := make([]bool, workers)
+			for w := range live {
+				live[w] = true
 			}
-			atomic.StoreInt32(&stop, 1)
+			det := term.New(term.Config{Epsilon: p.Epsilon, MaxIters: p.maxRounds(), Interval: 500 * time.Microsecond},
+				live, time.Now())
+			for wave := 1; atomic.LoadInt32(&stop) == 0; {
+				now := time.Now()
+				switch dec := det.Next(now); dec.Action {
+				case term.Stop:
+					atomic.StoreInt32(&stop, 1)
+				case term.Wait:
+					time.Sleep(dec.Until.Sub(now))
+				case term.StartWave:
+					det.Begin(wave, now)
+					for w := range cells {
+						c := &cells[w]
+						det.Report(w, wave, term.Report{
+							Passes: c.passes.Load(),
+							AccSum: agg.Load(&c.change),
+							Dirty:  !c.idle.Load() || !rangeClean(w),
+						}, now)
+					}
+					wave++
+				}
+			}
 		}()
 	}
 	wg.Wait()
@@ -262,15 +277,13 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 	return s.values()
 }
 
-// addFloat CAS-accumulates a float64 into a bits cell.
-func addFloat(cell *uint64, v float64) {
-	for {
-		old := atomic.LoadUint64(cell)
-		next := math.Float64frombits(old) + v
-		if atomic.CompareAndSwapUint64(cell, old, math.Float64bits(next)) {
-			return
-		}
-	}
+// workerCell is one async worker's report to the ε coordinator. Only
+// the worker writes it; the pad keeps neighbours off its cache line.
+type workerCell struct {
+	change uint64 // accumulated |change| bits
+	passes atomic.Int64
+	idle   atomic.Bool
+	_      [40]byte
 }
 
 // RunPrioritized executes the program with a max-|delta| priority queue —

@@ -43,6 +43,8 @@ var WellKnownNames = []string{
 	"master.collect.wait_us",
 	"master.collect.timeout",
 	"master.collect.probe",
+	"master.wave.idle",
+	"master.wave.timer",
 	"engine.epoch",
 
 	// Membership layer (§11): live re-join and shard rebalancing.

@@ -71,9 +71,10 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 
 // freeRun is the barrier-free policy shared by MRAAsync, MRASyncAsync,
 // and MRAAAP: drain the inbox before each pass, flush per the mode's
-// policy after it, and idle briefly when nothing moved. Termination
-// comes from the master's periodic check (paper §5.3: async workers
-// have no global view, so the master polls stats and decides).
+// policy after it, and idle briefly when nothing moved — telling the
+// master so (worker.reportIdle). Termination comes from the master
+// (paper §5.3: async workers have no global view, so the master gathers
+// stats and decides).
 type freeRun struct{}
 
 func (freeRun) setup(*worker) {}
@@ -105,7 +106,6 @@ func (freeRun) endPass(w *worker, progressed bool) bool {
 		// less important deltas are used when the worker would idle).
 		return true
 	}
-	w.flushAll()
 	w.idleWait()
 	return true
 }

@@ -78,13 +78,18 @@ type Config struct {
 	// min(GOMAXPROCS, 8). Naive mode ignores it.
 	CoresPerWorker int
 
-	// CheckInterval is the master's termination-check period (default 1ms).
+	// CheckInterval is the async master's fallback cadence (default 1ms),
+	// not a latency floor: the master stops on the workers' idle reports
+	// as they arrive, and polls every CheckInterval regardless — which
+	// bounds the stop at two intervals past quiescence when a report is
+	// rationed or lost or the fleet is busy. It is also the grid the ε
+	// criterion samples on: two ε samples are never closer than this.
 	CheckInterval time.Duration
 	// CollectTimeout bounds how long the master waits for any single
 	// report during a collect (PhaseDone or StatsReply). A worker dying
 	// mid-collect then surfaces as ErrWorkerLost instead of a hang. The
 	// deadline covers one message, so it effectively resets on every
-	// report. 0 (the default) falls back to MaxWall — a dead worker
+	// report a collect was waiting for. 0 (the default) falls back to MaxWall — a dead worker
 	// still cannot hang the run, and a healthy run with long compute
 	// passes cannot trip it spuriously. A timeout landing past the wall
 	// budget (always the case for the fallback) is reported as an
@@ -269,8 +274,8 @@ type Result struct {
 	// Values maps every key with a non-identity accumulation to its
 	// final value.
 	Values map[int64]float64
-	// Rounds counts BSP supersteps (sync modes) or master check rounds
-	// (async modes).
+	// Rounds counts BSP supersteps (sync modes) or the master's stats
+	// waves (async modes).
 	Rounds int
 	// MessagesSent / MessagesRecv count KV updates crossing workers.
 	MessagesSent, MessagesRecv int64

@@ -141,6 +141,7 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		commit: func(w *worker, _ fenceReq) {
 			w.verdictSet = false
 			w.resetFrontier() // the session reseeded the shard
+			w.idle = newIdleReports()
 		},
 	},
 	// A membership change or crash repair (membership.go). Because every
@@ -156,6 +157,7 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 			// its release, so zeroing here on every participant gives the
 			// master's Σsent == Σrecv test an exact fresh baseline.
 			w.sent, w.recv, w.flushes = 0, 0, 0
+			w.idle = newIdleReports()
 		},
 		commit: func(w *worker, r fenceReq) { w.finishFence(r.admit) },
 	},
@@ -164,19 +166,24 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 func (w *worker) halted() bool { return w.stopped || w.sendDead.Load() }
 
 // foldUntil folds the inbox until done reports true, calling onIdle
-// whenever nothing arrived for markerResend. It is the body of every
-// blocking wait in the worker and reports false if the worker halted.
+// every markerResend the wait lasts. It is the body of every blocking
+// wait in the worker and reports false if the worker halted. The resend
+// clock runs on the wait, not on silence: the master polls more often
+// than markerResend, and a clock that restarted on every message would
+// never let a waiter whose marker was dropped send it again.
 func (w *worker) foldUntil(done func() bool, onIdle func()) bool {
+	resend := time.Now().Add(markerResend)
 	for !w.halted() && !done() {
-		select {
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stopped = true
-				return false
-			}
-			w.handle(m)
-		case <-time.After(markerResend):
+		m, ok, timedOut := w.await(time.Until(resend))
+		switch {
+		case timedOut:
 			onIdle()
+			resend = time.Now().Add(markerResend)
+		case !ok:
+			w.stopped = true
+			return false
+		default:
+			w.handle(m)
 		}
 	}
 	return !w.halted()

@@ -3,10 +3,10 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"powerlog/internal/compiler"
+	"powerlog/internal/term"
 	"powerlog/internal/transport"
 )
 
@@ -17,10 +17,11 @@ import (
 var ErrWorkerLost = errors.New("worker lost: missing report within the collect deadline")
 
 // master coordinates termination. For BSP modes it collects PhaseDone
-// reports and issues Continue/Stop verdicts; for async modes it polls
-// stats on a timer and applies the paper's two-level criteria: the
-// user-level ε on consecutive global results, distributed quiescence for
-// fixpoint programs, and the system-level round cap.
+// reports and issues Continue/Stop verdicts; for async modes it feeds the
+// workers' stats reports to the stop machine (internal/term), which
+// applies the paper's two-level criteria: the user-level ε on consecutive
+// global results, distributed quiescence for fixpoint programs, and the
+// system-level round cap.
 type master struct {
 	cfg  Config
 	plan *compiler.Plan
@@ -206,7 +207,7 @@ func (m *master) halt(cause StopCause) {
 func (m *master) run() {
 	// The mode registry (policy.go) records which modes run the BSP
 	// verdict protocol; everything else — the async family and SSP —
-	// terminates via polling.
+	// terminates via the stop machine.
 	defer m.rejectMemberCmds(errors.New("runtime: fixpoint ended before the membership change could run"))
 	m.parked = false
 	// Per-epoch verdict: a later epoch that stops at the iteration cap or
@@ -338,166 +339,152 @@ func (m *master) runBSP() {
 	}
 }
 
-// runAsync polls worker stats every CheckInterval and stops on the first
-// satisfied criterion: (a) ε programs — the difference between two
-// consecutive global aggregation results over the Accumulation column
-// drops below ε (§5.4's termination check; consecutive checks only count
-// when the workers made progress in between, so a scheduler stall cannot
-// masquerade as convergence); (b) fixpoint — two consecutive stable
-// snapshots (Σsent == Σrecv, no worker with pending work); (c) the
-// system-level round cap or wall-clock limit.
+// report is a StatsReply's payload as the termination machine takes it.
+func report(st transport.Stats) term.Report {
+	return term.Report{Sent: st.Sent, Recv: st.Recv, Passes: st.Passes, AccSum: st.AccSum, Dirty: st.Dirty}
+}
+
+// runAsync drives the async family's and SSP's termination from the one
+// stop machine (internal/term): it feeds the machine every StatsReply —
+// the replies to its own waves and the unsolicited reports of workers
+// that fell idle — and does what the machine answers. It blocks on the
+// inbox, never on a clock: an idle report can start the confirming wave
+// at once, and CheckInterval is only the fallback cadence at which a wave
+// starts anyway (a lost or rate-limited report, a busy fleet) and the
+// grid the ε criterion samples on. A round is one wave: the injector's
+// crash and restart rounds, membership commands and snapshot episodes all
+// run at the start of one. What stays here is liveness — the collect
+// deadline, the probe, live re-join — and the wall clock.
 func (m *master) runAsync() {
-	eps := m.plan.Termination.Epsilon
 	deadline := time.Now().Add(m.cfg.MaxWall)
-	prevStable := false
-	var prevSum float64
-	prevPasses := int64(-1) // -1: no baseline poll yet
-	// ε-candidate state: when the ε test first fires, the stop is armed,
-	// not taken — candSent remembers the global send watermark at that
-	// instant, and the stop is confirmed only once Σrecv has passed it
-	// (every delta outstanding at candidate time has been folded) with the
-	// aggregate still inside ε. A slow or partitioned link freezes recv
-	// below the watermark, so a candidate hiding in-flight deltas cannot
-	// confirm; when the link heals, the moved aggregate cancels it.
-	candArmed := false
-	var candSum float64
-	var candSent int64
-	// iters counts effective iterations for the system-level cap: check
-	// rounds in which the fleet completed at least one productive pass per
-	// worker. Under a barrier an iteration is a superstep; without one, a
-	// check round is the only global step there is. The raw pass count is
-	// not an iteration count: while the network decides how soon ε is
-	// reached, a worker re-folds its own echoes in microsecond passes, as
-	// many as the core is fast. iters never exceeds passes per worker, so
-	// no run is capped earlier than that count would have capped it.
-	iters := 0
-	// resetDetectors forgets all termination-detector state. Every
-	// membership fence zeroes the fleet's send/recv counters and may
-	// rewind or migrate state, so anything remembered from before the
-	// fence would compare a pre-fence world against a post-fence one —
-	// and a rollback restarts the computation, so it gets the iteration
-	// budget afresh. Both criteria are self-stabilising — stability must
-	// be observed twice and ε needs a fresh pair of aggregates — so a
-	// reset can only delay the stop decision, never corrupt it.
-	resetDetectors := func() {
-		prevStable = false
-		prevPasses = -1
-		candArmed = false
-		iters = 0
-	}
-	seen := make([]bool, len(m.live))
-	for round := 0; ; round++ {
-		m.rounds = round + 1
-		m.gRound++
-		if crash, restart := m.crashAt(m.gRound); crash {
+	det := term.New(term.Config{
+		Epsilon:  m.plan.Termination.Epsilon,
+		MaxIters: m.plan.Termination.MaxIters,
+		Interval: m.cfg.CheckInterval,
+	}, m.live, time.Now())
+	m.rounds = 0
+	// waveStart and collectBy belong to the open wave: when it began, and
+	// the liveness deadline — one collectTimeout past its last reply, so a
+	// wave stalls only when some worker has been silent that long, not
+	// when the fleet answers slowly. Only the wave's own replies push it:
+	// an idle report from one worker says nothing about a silent one.
+	var waveStart, collectBy time.Time
+	probed := false
+	for {
+		now := time.Now()
+		dec := det.Next(now)
+		switch dec.Action {
+		case term.Stop:
+			m.converged = dec.Cause == term.Converged
+			m.finish(m.stopCause(dec.Cause == term.IterationCap), deadline)
 			return
-		} else if restart {
-			// Forget the detector state a restarted master would lose.
-			resetDetectors()
-		}
-		if changed, aborted := m.pollMemberCmds(); aborted {
-			return
-		} else if changed {
-			resetDetectors()
-		}
-		if m.snapshotsDue(round) && !m.snapshotFence() {
-			return
-		}
-		time.Sleep(m.cfg.CheckInterval)
-		m.met.rounds.Inc()
-		m.bcast(transport.Message{Kind: transport.StatsRequest, Round: round})
-		collectStart := time.Now()
-		var sent, recv, passes int64
-		var accSum float64
-		anyDirty := false
-		for j := range seen {
-			seen[j] = false
-		}
-		probed, recovered := false, false
-		for got := 0; got < m.activeCount(); {
-			msg, ok, timedOut := m.recv()
-			if !ok {
+		case term.StartWave:
+			if now.After(deadline) {
+				m.finish(StopWall, deadline)
 				return
 			}
-			if timedOut {
+			if !m.beginWave(det, now) {
+				return
+			}
+			waveStart, collectBy, probed = now, now.Add(m.collectTimeout()), false
+		case term.Wait:
+			collecting := dec.Until.IsZero()
+			if !collecting {
+				// Between waves: sleep to the grid tick, or to the end of
+				// the wall budget if that comes first.
+				if now.After(deadline) {
+					m.finish(StopWall, deadline)
+					return
+				}
+				collectBy = dec.Until
+				if deadline.Before(collectBy) {
+					collectBy = deadline
+				}
+			}
+			msg, ok, timedOut := m.recvWithin(collectBy.Sub(now))
+			switch {
+			case !ok:
+				return
+			case timedOut && !collecting:
+				// The grid tick (the machine starts a wave) or the wall.
+			case timedOut:
+				silent := m.silent(det)
 				inBudget := !time.Now().After(deadline)
 				if inBudget && !probed {
 					// Second chance: a worker deep in a long compute pass
 					// only pumps its inbox at blocking points, so one
-					// missed deadline distinguishes nothing. Re-solicit
-					// the silent workers directly; only a second silence
-					// makes them lost.
+					// missed deadline distinguishes nothing. Re-solicit the
+					// silent workers directly; only a second silence makes
+					// them lost.
 					probed = true
 					m.met.collectProbes.Inc()
-					for j, l := range m.live {
-						if l && !seen[j] {
-							m.sendTo(j, transport.Message{Kind: transport.StatsRequest, Round: round})
-						}
+					for _, j := range silent {
+						m.sendTo(j, transport.Message{Kind: transport.StatsRequest, Round: m.gRound})
 					}
-					continue
+					collectBy = time.Now().Add(m.collectTimeout())
+				} else if inBudget && m.recoverLost(silent) {
+					// The fleet was repaired by a membership fence; what
+					// was observed describes a world that no longer exists.
+					det.Reset(m.live, time.Now())
+				} else {
+					m.expired(m.rounds, m.activeCount()-len(silent), deadline)
+					return
 				}
-				if inBudget && m.recoverLost(seen) {
-					// The fleet was repaired by a membership fence; this
-					// round's partial sums describe a world that no longer
-					// exists, so abandon them and poll afresh.
-					recovered = true
-					break
+			case msg.Kind == transport.StatsReply:
+				// Round is the wave the reply answers, 0 for an idle
+				// report; the machine drops replies to any wave but the
+				// open one.
+				missing := det.Missing()
+				if det.Report(msg.From, msg.Round, report(msg.Stats), time.Now()) {
+					m.met.collectWaitUS.Observe(uint64(time.Since(waveStart).Microseconds()))
+				} else if det.Missing() < missing {
+					collectBy = time.Now().Add(m.collectTimeout())
 				}
-				m.expired(round, got, deadline)
-				return
 			}
-			if msg.Kind != transport.StatsReply || msg.Round != round {
-				continue
-			}
-			if msg.From >= 0 && msg.From < len(seen) {
-				if seen[msg.From] {
-					// The probe re-solicited a reply that was merely slow;
-					// count each worker once.
-					continue
-				}
-				seen[msg.From] = true
-			}
-			got++
-			sent += msg.Stats.Sent
-			recv += msg.Stats.Recv
-			passes += msg.Stats.Passes
-			accSum += msg.Stats.AccSum
-			anyDirty = anyDirty || msg.Stats.Dirty
-		}
-		if recovered {
-			resetDetectors()
-			continue
-		}
-		m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
-		stable := sent == recv && !anyDirty
-		stop := false
-		if stable && prevStable {
-			stop, m.converged = true, true
-		}
-		prevStable = stable
-		if prevPasses < 0 {
-			// First poll of the run, or after a reset: the baseline.
-			prevSum, prevPasses = accSum, passes
-		} else if passes-prevPasses >= int64(m.activeCount()) {
-			iters++
-			if eps > 0 && accSum != 0 && !candArmed && math.Abs(accSum-prevSum) < eps {
-				candArmed, candSum, candSent = true, accSum, sent
-			}
-			prevSum, prevPasses = accSum, passes
-		}
-		if candArmed && recv >= candSent {
-			if math.Abs(accSum-candSum) < eps {
-				stop, m.converged = true, true
-			} else {
-				// The drained in-flight deltas moved the aggregate by more
-				// than ε — the candidate was premature. Keep running.
-				candArmed = false
-			}
-		}
-		capped := iters >= m.plan.Termination.MaxIters
-		if stop || capped || time.Now().After(deadline) {
-			m.finish(m.stopCause(capped), deadline)
-			return
 		}
 	}
+}
+
+// beginWave starts one round: the per-round hooks, then a StatsRequest to
+// every live worker. It reports false if a hook ended the run. A hook
+// that invalidates what the machine has seen (an injected master restart,
+// a membership change) resets it instead, and the wave waits for the
+// reset machine's next tick.
+func (m *master) beginWave(det *term.Detector, now time.Time) bool {
+	m.gRound++
+	crash, reset := m.crashAt(m.gRound)
+	if crash {
+		return false
+	}
+	changed, aborted := m.pollMemberCmds()
+	if aborted {
+		return false
+	}
+	if reset || changed {
+		det.Reset(m.live, time.Now())
+		return true
+	}
+	if m.snapshotsDue(m.rounds) && !m.snapshotFence() {
+		return false
+	}
+	m.rounds++
+	m.met.rounds.Inc()
+	if det.Begin(m.gRound, now) {
+		m.met.wavesTimer.Inc()
+	} else {
+		m.met.wavesIdle.Inc()
+	}
+	m.bcast(transport.Message{Kind: transport.StatsRequest, Round: m.gRound})
+	return true
+}
+
+// silent lists the live workers the open wave has not heard from.
+func (m *master) silent(det *term.Detector) []int {
+	var out []int
+	for j := range m.live {
+		if det.Awaiting(j) {
+			out = append(out, j)
+		}
+	}
+	return out
 }

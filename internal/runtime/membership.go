@@ -560,20 +560,14 @@ func (m *master) awaitAcks(c transport.FenceClass, epoch, need int, what string)
 	return true
 }
 
-// recoverLost attempts live re-join for the workers that stayed silent
-// through a stats collect and its second-chance probe. It returns true
+// recoverLost attempts live re-join for lost, the workers that stayed
+// silent through a wave and its second-chance probe. It returns true
 // when the fleet has been repaired and the poll loop should continue
 // (with its detector state reset); false sends the caller to the
 // abort path.
-func (m *master) recoverLost(seen []bool) bool {
+func (m *master) recoverLost(lost []int) bool {
 	if m.member == nil {
 		return false
-	}
-	var lost []int
-	for j, l := range m.live {
-		if l && !seen[j] {
-			lost = append(lost, j)
-		}
 	}
 	if len(lost) == 0 || len(lost) >= m.activeCount() {
 		// Nothing identifiably dead, or no survivors to re-join against.

@@ -92,6 +92,12 @@ type masterMetrics struct {
 	// that is merely deep in a long compute pass is distinguished from a
 	// dead one.
 	collectProbes *metrics.Counter
+	// wavesIdle / wavesTimer split the async rounds by what started the
+	// wave ("master.wave.idle" / "master.wave.timer"): a worker's idle
+	// report completing a quiet picture, or the CheckInterval fallback
+	// tick. A fixpoint that ended with no timer wave stopped on events
+	// alone; one that needed them waited out an interval.
+	wavesIdle, wavesTimer *metrics.Counter
 
 	// Membership counters (membership.go, DESIGN.md §11). memberJoins
 	// counts workers admitted through a fence — crash replacements and
@@ -123,6 +129,8 @@ func newMasterMetrics() masterMetrics {
 		collectWaitUS:   reg.Histogram("master.collect.wait_us"),
 		collectTimeouts: reg.Counter("master.collect.timeout"),
 		collectProbes:   reg.Counter("master.collect.probe"),
+		wavesIdle:       reg.Counter("master.wave.idle"),
+		wavesTimer:      reg.Counter("master.wave.timer"),
 		memberJoins:     reg.Counter("master.member.join"),
 		memberOrphans:   reg.Counter("master.member.orphan"),
 		memberHandoffUS: reg.Histogram("master.member.handoff_us"),

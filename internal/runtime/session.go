@@ -230,8 +230,11 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	// The network (and the workers slice) is provisioned to the fleet's
 	// capacity so scale-out only has to populate a pre-existing slot; on
 	// static fleets fleetCap() == Workers and the master endpoint index
-	// is unchanged.
-	net := transport.NewChannelNetwork(cfg.fleetCap(), 4096)
+	// is unchanged. Inboxes are the transport's default depth: a Message is
+	// 104 bytes, so each thousand slots is 100 KB of resident set per
+	// endpoint for as long as the session is parked, and a sender that
+	// finds one full only backs off (commLoop).
+	net := transport.NewChannelNetwork(cfg.fleetCap(), 0)
 	workers := make([]*worker, cfg.fleetCap())
 	for i := 0; i < cfg.Workers; i++ {
 		// Fault.Wrap is a no-op passthrough when no injector is set.
@@ -891,8 +894,11 @@ func (s *Session) MutEpoch() int {
 
 // Log returns the mutation log of this session's Applys (entries are
 // stamped 1..MutEpoch; a restored session starts empty at the restored
-// position). The log itself is appended to by Apply; read it only with
-// the session quiescent (parked, poisoned, or closed).
+// position). It holds the newest batches, not all of them: a restore
+// replays the tail past a checkpoint's MutEpoch, and Log().Truncated()
+// says how far back the log reaches. The log itself is appended to by
+// Apply; read it only with the session quiescent (parked, poisoned, or
+// closed).
 func (s *Session) Log() *edb.MutationLog { return s.log }
 
 // Err returns the session's sticky error, if an epoch failed.

@@ -14,8 +14,10 @@ import (
 // session at the size and engine settings of plperf's
 // sssp-churn-session workload (R-MAT 2^14 vertices / 171 k edges,
 // batches of 85, 2 workers × 1 core), one sub-benchmark per batch
-// shape. Run it with -cpu 2 -benchmem and a fixed -benchtime such as
-// 300x: a delete-only run thins the graph as it goes. For a paired
+// shape, with the master rounds (waves) an Apply took and how many of
+// them a CheckInterval tick started. Run it with -cpu 2 -benchmem and a
+// fixed -benchtime such as 300x: a delete-only run thins the graph as it
+// goes. For a paired
 // comparison build one `go test -c` binary per commit (the go guide)
 // and alternate them; plperf, not this, is the gate.
 func BenchmarkSessionApply(b *testing.B) {
@@ -40,6 +42,8 @@ func BenchmarkSessionApply(b *testing.B) {
 			}
 			defer s.Close()
 			r := rand.New(rand.NewSource(1))
+			rounds := 0
+			timer := s.Result().Master.Counter("master.wave.timer")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -55,10 +59,17 @@ func BenchmarkSessionApply(b *testing.B) {
 					mut.Inserts = append(mut.Inserts, e)
 					edges = append(edges, e)
 				}
-				if res, err := s.Apply(mut); err != nil || !res.Converged {
+				res, err := s.Apply(mut)
+				if err != nil || !res.Converged {
 					b.Fatalf("Apply %d: %v (result %+v)", i, err, res)
 				}
+				rounds += res.Rounds
 			}
+			// How the stops were reached: waves per Apply, and how many of
+			// them the CheckInterval fallback had to start (0 = every stop
+			// was event-driven).
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+			b.ReportMetric(float64(s.Result().Master.Counter("master.wave.timer")-timer)/float64(b.N), "timer-waves/op")
 		})
 	}
 }

@@ -48,6 +48,11 @@ func newSSPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 type sspBarrier struct {
 	staleness int
 	steps     int
+	// announceBy is when an idle worker next repeats its marker. A peer
+	// blocked at the gate on a marker of ours that was lost cannot ask for
+	// it; an idle worker has no later marker coming that would cover the
+	// loss, so it says where its clock stands every markerResend.
+	announceBy time.Time
 }
 
 func (b *sspBarrier) setup(*worker) {}
@@ -74,7 +79,10 @@ func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 			b.advance(w)
 			return true
 		}
-		w.flushAll()
+		if now := time.Now(); now.After(b.announceBy) {
+			w.broadcastEndPhase(b.steps)
+			b.announceBy = now.Add(markerResend)
+		}
 		w.idleWait()
 		return true
 	}
@@ -97,6 +105,7 @@ func (b *sspBarrier) advance(w *worker) {
 	b.steps++
 	w.rounds++
 	w.broadcastEndPhase(b.steps)
+	b.announceBy = time.Now().Add(markerResend)
 	w.maybeStaleSnapshot(b.steps)
 }
 

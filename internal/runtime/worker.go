@@ -67,7 +67,10 @@ type worker struct {
 	accSum     float64 // running Σacc over the shard (identity rows count 0)
 	accFolds   int64   // FoldAcc count since the last exact Σacc resync
 	passes     int64   // async compute-loop iterations
+	inPass     bool    // the compute pass is running (it may pump the inbox)
 	rounds     int
+
+	idle idleReports // unsolicited-report state of this fixpoint (reportIdle)
 
 	// scan is the worker's scan cores (subshard.go). Core 0 is this
 	// compute goroutine and runs every pass; cores 1..P-1 exist only when
@@ -103,6 +106,7 @@ type worker struct {
 	sendDead atomic.Bool
 
 	stragglerWait time.Duration // SSP: total time blocked on stale peers
+	timer         *time.Timer   // reused by every timed inbox wait (await)
 
 	// Membership state (membership.go, DESIGN.md §11). master is this
 	// fleet's master endpoint (the capacity network's last slot — NOT
@@ -176,6 +180,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 			counts: make([]int64, fleet),
 		},
 
+		idle:    newIdleReports(),
 		master:  transport.MasterID(fleet),
 		route:   newShardRoute(cfg),
 		down:    make([]bool, fleet),
@@ -459,6 +464,7 @@ func (w *worker) handle(m transport.Message) {
 		w.stopped = true
 		w.verdict, w.verdictSet = transport.Stop, true
 	case transport.StatsRequest:
+		w.idle.polls++
 		w.replyStats(m.Round)
 	case transport.FenceRequest:
 		if f := &w.fences[m.Fence]; m.Round > f.req.epoch {
@@ -526,6 +532,61 @@ func (w *worker) resyncAccSum() {
 	w.accFolds = 0
 }
 
+// pending reports whether local work remains: a pass in progress (a poll
+// answered from inside a flush finds the dirty set drained into the
+// pass's hands and the buffer just emptied), dirty rows, held deltas or
+// an unflushed buffer. It is a report's Dirty flag.
+func (w *worker) pending() bool {
+	return w.inPass || w.table.HasDirty() || w.pol.sched.holding() || !w.buffersEmpty()
+}
+
+// idleReports is what a worker remembers, per fixpoint, about the idle
+// reports it has sent: the (sent, recv) state of the last one, valid
+// while told, and the poll counts that ration them. The zero value is
+// not the start state — newIdleReports is.
+type idleReports struct {
+	told       bool
+	sent, recv int64
+	polls      int // StatsRequests answered this fixpoint
+	at         int // polls at the last rationed report
+}
+
+// idleEvery rations idle reports once the master's grid is ticking: one
+// per this many polls, so they add at most ~3 % to the master's inbound
+// traffic however often a busy frontier runs dry.
+const idleEvery = 32
+
+// newIdleReports starts a fixpoint: nothing told, no poll seen, and one
+// rationed report already earned.
+func newIdleReports() idleReports { return idleReports{at: -idleEvery} }
+
+// reportIdle tells the master, unasked, that this worker has fallen idle
+// with nothing pending — an unsolicited StatsReply (Round 0), so the
+// master's stop decision can wake on the event instead of waiting out a
+// CheckInterval (internal/term has the soundness argument). One report
+// per distinct (sent, recv) state: an idle wake that moved no data says
+// nothing new. Until the master's first poll of the fixpoint every such
+// state is reported — a fixpoint shorter than one CheckInterval is the
+// case the reports exist for; after it they are rationed to the first
+// idle state and then one per idleEvery polls, because a fixpoint that
+// long loses at most an interval or two to the fallback wave, while a
+// frontier that runs dry on every hop must not turn each hop into a
+// master message.
+func (w *worker) reportIdle() {
+	r := &w.idle
+	if r.told && w.sent == r.sent && w.recv == r.recv || w.pending() {
+		return
+	}
+	if r.polls > 0 {
+		if r.polls-r.at < idleEvery {
+			return
+		}
+		r.at = r.polls
+	}
+	r.sent, r.recv, r.told = w.sent, w.recv, true
+	w.replyStats(0)
+}
+
 func (w *worker) replyStats(round int) {
 	w.settle()
 	if w.accFolds >= accResyncFolds {
@@ -544,7 +605,7 @@ func (w *worker) replyStats(round int) {
 		AccDelta: w.accDelta,
 		AccSum:   w.accSum,
 		Passes:   w.passes,
-		Dirty:    w.table.HasDirty() || w.pol.sched.holding() || !w.buffersEmpty(),
+		Dirty:    w.pending(),
 	}
 	w.accDelta = 0
 	w.enqueue(w.master, transport.Message{
@@ -654,7 +715,12 @@ func (w *worker) flushAll() {
 	}
 }
 
-// drainInbox applies all currently queued messages without blocking.
+// drainInbox applies all currently queued messages without blocking and
+// reports whether any of them brought rows (Data, Handoff). Control
+// traffic is not progress: a poll or a peer's marker must not make the
+// pass that follows count as productive, or an idle SSP fleet trading
+// markers would advance its pass counters forever and never look
+// passive to the master.
 func (w *worker) drainInbox() bool {
 	progressed := false
 	for {
@@ -664,8 +730,8 @@ func (w *worker) drainInbox() bool {
 				w.stopped = true
 				return progressed
 			}
+			progressed = progressed || m.Kind == transport.Data || m.Kind == transport.Handoff
 			w.handle(m)
-			progressed = true
 		default:
 			return progressed
 		}
@@ -717,7 +783,10 @@ func (w *worker) runFixpoint() {
 		if w.stopped {
 			return
 		}
-		if n := w.pol.pass(w); n > 0 {
+		w.inPass = true
+		n := w.pol.pass(w)
+		w.inPass = false
+		if n > 0 {
 			progressed = true
 		}
 		if !w.pol.barrier.endPass(w, progressed) {
@@ -797,16 +866,43 @@ func (w *worker) timedFlush() {
 	w.pol.flush.onTick(now, &w.win)
 }
 
-// idleWait blocks briefly for new input so an idle worker does not spin.
+// idleWait is where a barrier-free worker lands when a pass and its inbox
+// produced nothing: flush what is buffered, tell the master if that left
+// nothing pending, and block briefly for new input so it does not spin.
 func (w *worker) idleWait() {
-	select {
-	case m, ok := <-w.conn.Inbox():
+	w.flushAll()
+	w.reportIdle()
+	if m, ok, timedOut := w.await(200 * time.Microsecond); !timedOut {
 		if !ok {
 			w.stopped = true
 			return
 		}
 		w.handle(m)
-	case <-time.After(200 * time.Microsecond):
+	}
+}
+
+// await blocks for the next inbox message, at most d. Every timed wait
+// of the worker shares the one timer. A sub-millisecond timer on an
+// otherwise idle Go runtime fires about a millisecond late (the netpoller
+// sleeps in whole milliseconds), so these waits are fallbacks — re-send a
+// marker, re-check a flag — and nothing on a latency path may depend on
+// one expiring: progress arrives as a message.
+func (w *worker) await(d time.Duration) (m transport.Message, ok, timedOut bool) {
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	select {
+	case m, ok = <-w.conn.Inbox():
+		// Single-goroutine use: a failed Stop means the timer fired
+		// concurrently, so its channel holds exactly one value to drain.
+		if !w.timer.Stop() {
+			<-w.timer.C
+		}
+		return m, ok, false
+	case <-w.timer.C:
+		return transport.Message{}, true, true
 	}
 }
 

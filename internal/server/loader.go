@@ -56,11 +56,12 @@ func modeByName(name string) (runtime.Mode, error) {
 }
 
 // algoSource resolves a catalogue algorithm to its Datalog source and
-// whether it runs on the weighted build of the dataset. The serving
+// whether it runs on the weighted build of the dataset (unweighted
+// builds the other one, for the algorithm that has to look at it). The serving
 // catalogue is the subset of Table 1 that needs only the edge relation —
 // Adsorption and BP also need attribute columns, which a stateless
 // query request has nowhere to carry.
-func algoSource(algo string, g *graph.Graph) (src string, weighted bool, err error) {
+func algoSource(algo string, unweighted func() *graph.Graph) (src string, weighted bool, err error) {
 	switch algo {
 	case "SSSP":
 		return progs.SSSP, true, nil
@@ -72,7 +73,7 @@ func algoSource(algo string, g *graph.Graph) (src string, weighted bool, err err
 		// Scale the attenuation below the spectral bound so the metric
 		// is finite on skewed graphs, as the bench harness does.
 		alpha := 0.1
-		if lambda := gen.SpectralRadiusEstimate(g, 12); lambda > 0 && 0.9/lambda < alpha {
+		if lambda := gen.SpectralRadiusEstimate(unweighted(), 12); lambda > 0 && 0.9/lambda < alpha {
 			alpha = 0.9 / lambda
 		}
 		return progs.KatzWithAlpha(alpha), false, nil
@@ -97,10 +98,10 @@ func buildPlan(algo, source, dataset string) (*compiler.Plan, error) {
 	if source != "" {
 		src = source
 	} else {
-		// Probe with the unweighted build: algoSource only reads the
-		// spectral radius, which the weighted flag does not change
-		// structurally.
-		src, weighted, err = algoSource(algo, d.Build(false))
+		// Katz probes the unweighted build for the spectral radius (the
+		// weighted flag does not change it structurally); nothing else
+		// builds — and leaves in gen's cache — a graph it will not run on.
+		src, weighted, err = algoSource(algo, func() *graph.Graph { return d.Build(false) })
 		if err != nil {
 			return nil, err
 		}

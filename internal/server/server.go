@@ -55,7 +55,9 @@ type Config struct {
 	MaxBudget     time.Duration
 	// Tau and CheckInterval tune the engines (defaults 1ms / 2ms —
 	// the bench harness's serving-grade settings, not the runtime's
-	// batch defaults).
+	// batch defaults). CheckInterval is the termination detector's
+	// fallback cadence, not a latency floor under /v1/mutate: an Apply
+	// stops on the workers' idle reports, not on a tick.
 	Tau           time.Duration
 	CheckInterval time.Duration
 }
