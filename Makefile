@@ -35,7 +35,8 @@
 # that is fully green while ROADMAP item 1's multi-core failures are
 # open; CI runs it as its own required step ahead of `make check`.
 # `make test-scan` runs the compute-pass tests (DESIGN.md §9: fan-out
-# oracle runs, bit-identity below the gate, gating, the stealing deque)
+# oracle runs, bit-identity below the gate and across kernel classes,
+# the exclusive/atomic fold alternation, gating, the stealing deque)
 # and the session oracle suites (DESIGN.md §10: Apply vs a cold run for
 # twelve programs, the support-closure property test) at 1, 2 and 4
 # procs; unlike the full multi-core suite it is green at every count, so
@@ -46,7 +47,7 @@
 # non-comment, non-blank Go lines per package directory (*_test.go and
 # testdata excluded) — run it on two commits to report "lines removed":
 # `make -f $PWD/Makefile -C <other checkout> loc`.
-.PHONY: check build vet lint test test-cpu1 test-scan test-term race bench loc metrics-smoke churn-smoke serve-smoke
+.PHONY: check build vet lint test test-cpu1 test-scan test-term race bench bench-smoke loc metrics-smoke churn-smoke serve-smoke
 
 check: vet lint build test test-scan test-term race metrics-smoke churn-smoke serve-smoke
 
@@ -66,7 +67,7 @@ test-cpu1:
 	go test -cpu 1 ./...
 
 test-scan:
-	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime
+	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestKernelClassesBitIdentical|TestAlternatingFoldVariants|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime ./internal/compiler
 
 test-term:
 	go test -cpu 1,2,4 -count=5 -run 'TestTerm|TestSessionEquivalence|TestCrossTransportEquivalence' ./internal/term ./internal/runtime
@@ -94,8 +95,17 @@ serve-smoke:
 	go run ./cmd/plbench -exp serve -smoke -maxwall 60s
 
 # Hot-path microbenches with allocation counts (BENCH_PR1.json records
-# the tracked numbers).
+# the tracked numbers), one per layer of the compute pass: the F' row
+# kernel per class and the MonoTable folds (root package, ns/edge), the
+# whole pass on worker 0 of a static fleet (BenchmarkScanPass, ns/edge),
+# the combiner, the codec, the metrics core. BENCHTIME=1x is the
+# compile-and-run smoke CI uses (bench-smoke) so none of them can rot.
+BENCHTIME ?= 1s
 bench:
-	go test -run xxx -bench 'BenchmarkOutBuf' -benchmem ./internal/runtime/
-	go test -run xxx -bench 'BenchmarkCodec' -benchmem ./internal/transport/
-	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem ./internal/metrics/
+	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable' -benchmem -benchtime $(BENCHTIME) .
+	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
+	go test -run xxx -bench 'BenchmarkCodec' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
+	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem -benchtime $(BENCHTIME) ./internal/metrics/
+
+bench-smoke:
+	$(MAKE) bench BENCHTIME=1x

@@ -75,6 +75,13 @@ func checkOne(src string, doRewrite bool) {
 		}
 		fmt.Println("-- incremental form --")
 		fmt.Print(text)
+		// Which loop propagates F' (DESIGN.md §9): the kernel class and
+		// the residual evaluated per edge over the per-row hoists.
+		if class, residual, err := prog.Kernel(); err == nil {
+			fmt.Printf("kernel: %s, per edge: %s\n", class, residual)
+		} else {
+			fmt.Printf("kernel: none (%v)\n", err)
+		}
 	}
 }
 

@@ -57,20 +57,17 @@ func Parse(name string) (Kind, error) {
 type Op struct {
 	kind     Kind
 	identity float64
-	fold     func(a, b float64) float64
 }
 
-// ops is indexed by Kind. Count folds like Sum at runtime because the
-// engine materialises count inputs as 1-valued deltas (paper §2.3: the
-// runtime semantics of count is "return sum(r, count[d])").
+// ops is indexed by Kind. Mean has no well-defined binary fold without
+// cardinality bookkeeping; it exists so the checker can reject it (it is
+// not associative).
 var ops = [...]*Op{
-	Min:   {Min, math.Inf(1), math.Min},
-	Max:   {Max, math.Inf(-1), math.Max},
-	Sum:   {Sum, 0, func(a, b float64) float64 { return a + b }},
-	Count: {Count, 0, func(a, b float64) float64 { return a + b }},
-	// Mean has no well-defined binary fold without cardinality bookkeeping;
-	// it exists so the checker can reject it (it is not associative).
-	Mean: {Mean, math.NaN(), func(a, b float64) float64 { return (a + b) / 2 }},
+	Min:   {Min, math.Inf(1)},
+	Max:   {Max, math.Inf(-1)},
+	Sum:   {Sum, 0},
+	Count: {Count, 0},
+	Mean:  {Mean, math.NaN()},
 }
 
 // ByKind returns the operator for k.
@@ -86,14 +83,42 @@ func (o *Op) String() string { return o.kind.String() }
 // sum/count.
 func (o *Op) Identity() float64 { return o.identity }
 
-// Fold combines two values.
-func (o *Op) Fold(a, b float64) float64 { return o.fold(a, b) }
+// Fold combines two values. It switches on the kind — no call through a
+// pointer — so it inlines into the fold loops (MonoTable, the
+// combiner). The min and max builtins agree with math.Min and math.Max,
+// signed zeros included, except when an operand is NaN, where the library
+// still lets an infinity win; the extra test keeps that. Count folds like
+// Sum because the engine materialises count inputs as 1-valued deltas
+// (paper §2.3: the runtime semantics of count is "return sum(r,
+// count[d])").
+func (o *Op) Fold(a, b float64) float64 {
+	switch o.kind {
+	case Min:
+		m := min(a, b)
+		if m != m && (a == -inf || b == -inf) {
+			return -inf
+		}
+		return m
+	case Max:
+		m := max(a, b)
+		if m != m && (a == inf || b == inf) {
+			return inf
+		}
+		return m
+	case Sum, Count:
+		return a + b
+	default:
+		return (a + b) / 2
+	}
+}
+
+var inf = math.Inf(1)
 
 // FoldAll folds a slice, returning the identity for an empty slice.
 func (o *Op) FoldAll(vs []float64) float64 {
 	acc := o.identity
 	for _, v := range vs {
-		acc = o.fold(acc, v)
+		acc = o.Fold(acc, v)
 	}
 	return acc
 }
@@ -141,8 +166,8 @@ func (o *Op) AtomicFold(addr *uint64, v float64) bool {
 	for {
 		oldBits := atomic.LoadUint64(addr)
 		old := math.Float64frombits(oldBits)
-		next := o.fold(old, v)
-		if next == old || (math.IsNaN(next) && math.IsNaN(old)) {
+		next := o.Fold(old, v)
+		if next == old || next != next && old != old {
 			return false
 		}
 		if atomic.CompareAndSwapUint64(addr, oldBits, math.Float64bits(next)) {

@@ -254,3 +254,30 @@ func TestAtomicDrainConcurrent(t *testing.T) {
 		t.Errorf("consumed %v, want %v", consumed, producers*perP)
 	}
 }
+
+// TestFoldMatchesMath: Fold's kind switch uses the min/max builtins; on
+// NaN, infinities and signed zeros they must be math.Min and math.Max bit
+// for bit, and AtomicFold must store exactly that.
+func TestFoldMatchesMath(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, -1, 1e308, 5e-324}
+	for _, a := range vals {
+		for _, b := range vals {
+			for kind, want := range map[Kind]float64{Min: math.Min(a, b), Max: math.Max(a, b), Sum: a + b, Count: a + b} {
+				op := ByKind(kind)
+				got := op.Fold(a, b)
+				if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+					t.Errorf("%v.Fold(%v, %v) = %v, want %v", kind, a, b, got, want)
+				}
+				var cell uint64
+				Store(&cell, a)
+				stored := a
+				if op.AtomicFold(&cell, b) {
+					stored = got
+				}
+				if now := Load(&cell); math.Float64bits(now) != math.Float64bits(stored) {
+					t.Errorf("%v.AtomicFold(%v, %v) left %v, want %v", kind, a, b, now, stored)
+				}
+			}
+		}
+	}
+}

@@ -40,8 +40,11 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	if err := evalFacts(info, db); err != nil {
 		return nil, err
 	}
-	shape, err := resolveJoin(info, db)
+	shape, err := recShape(info)
 	if err != nil {
+		return nil, err
+	}
+	if err := shape.bindGraph(db); err != nil {
 		return nil, err
 	}
 	p.Graph = shape.g
@@ -76,7 +79,7 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	if err := evalDerivedRules(info, db); err != nil {
 		return nil, err
 	}
-	if err := resolveAttrs(info, db, shape); err != nil {
+	if err := shape.bindAttrs(db); err != nil {
 		return nil, err
 	}
 	p.shape = shape
@@ -140,9 +143,11 @@ type attrCol struct {
 	col     []float64
 }
 
-// resolveJoin identifies the join (edge) predicate of the recursive body
-// and orients the propagation graph.
-func resolveJoin(info *analyzer.Info, db *edb.DB) (*bodyShape, error) {
+// recShape resolves the propagation structure from the program text
+// alone: the join (edge) predicate of the recursive body, its
+// orientation, the weight variable, and which side each attribute
+// predicate is keyed by. Nothing is bound to a database yet.
+func recShape(info *analyzer.Info) (*bodyShape, error) {
 	rec := info.Rec
 	shape := &bodyShape{}
 
@@ -195,10 +200,6 @@ func resolveJoin(info *analyzer.Info, db *edb.DB) (*bodyShape, error) {
 		return nil, errf("no predicate joins a recursive key to head key %s", propagated)
 	}
 
-	g, ok := db.Graph(join.Name)
-	if !ok {
-		return nil, errf("join predicate %q is not registered as a graph", join.Name)
-	}
 	// Orientation: arg positions of src and dst vars.
 	srcPos, dstPos := -1, -1
 	for i, t := range join.Args {
@@ -216,13 +217,10 @@ func resolveJoin(info *analyzer.Info, db *edb.DB) (*bodyShape, error) {
 			}
 		}
 	}
-	shape.base = g
 	switch {
 	case srcPos == 0 && dstPos == 1:
-		shape.g = g
 	case srcPos == 1 && dstPos == 0:
-		shape.g = g.Reverse() // in-neighbor formulation: transpose once
-		shape.reversed = true
+		shape.reversed = true // in-neighbor formulation
 	default:
 		return nil, errf("join predicate %s must bind keys in its first two arguments", join.Name)
 	}
@@ -232,37 +230,60 @@ func resolveJoin(info *analyzer.Info, db *edb.DB) (*bodyShape, error) {
 		}
 	}
 	shape.join = join
-	return shape, nil
-}
 
-// resolveAttrs loads attribute columns for the remaining aux predicates:
-// binary-style preds keyed by the propagation source or destination.
-func resolveAttrs(info *analyzer.Info, db *edb.DB, shape *bodyShape) error {
-	n := shape.g.NumVertices()
-	for _, p := range info.Rec.Aux {
-		if p == shape.join {
+	// The remaining aux predicates are attributes: binary-style preds
+	// keyed by the propagation source or destination.
+	for _, p := range rec.Aux {
+		if p == join {
 			continue
 		}
 		if len(p.Args) < 2 {
-			return errf("attribute predicate %s needs (key, value) arguments", p.Name)
+			return nil, errf("attribute predicate %s needs (key, value) arguments", p.Name)
 		}
 		keyT, valT := p.Args[0], p.Args[1]
 		if keyT.Kind != ast.TermVar || valT.Kind != ast.TermVar {
-			return errf("attribute predicate %s must bind plain variables", p.Name)
+			return nil, errf("attribute predicate %s must bind plain variables", p.Name)
 		}
-		col, err := db.VertexColumn(p.Name, n, 0)
-		if err != nil {
-			return err
-		}
-		ac := attrCol{varName: valT.Var, pred: p.Name, col: col}
+		ac := attrCol{varName: valT.Var, pred: p.Name}
 		switch keyT.Var {
 		case shape.srcVar:
 			shape.srcAttrs = append(shape.srcAttrs, ac)
 		case shape.dstVar:
 			shape.dstAttrs = append(shape.dstAttrs, ac)
 		default:
-			return errf("attribute predicate %s keyed by %s, which is neither the propagation source %s nor destination %s",
+			return nil, errf("attribute predicate %s keyed by %s, which is neither the propagation source %s nor destination %s",
 				p.Name, keyT.Var, shape.srcVar, shape.dstVar)
+		}
+	}
+	return shape, nil
+}
+
+// bindGraph finds the join predicate's graph in the database and orients
+// it: an in-neighbor formulation propagates over a transposed copy.
+func (shape *bodyShape) bindGraph(db *edb.DB) error {
+	g, ok := db.Graph(shape.join.Name)
+	if !ok {
+		return errf("join predicate %q is not registered as a graph", shape.join.Name)
+	}
+	shape.base, shape.g = g, g
+	if shape.reversed {
+		shape.g = g.Reverse()
+	}
+	return nil
+}
+
+// bindAttrs loads the attribute columns. It runs after the supporting
+// rules have been evaluated, since a column may be one of their heads
+// (PageRank's degree).
+func (shape *bodyShape) bindAttrs(db *edb.DB) error {
+	n := shape.g.NumVertices()
+	for _, attrs := range [][]attrCol{shape.srcAttrs, shape.dstAttrs} {
+		for i := range attrs {
+			col, err := db.VertexColumn(attrs[i].pred, n, 0)
+			if err != nil {
+				return err
+			}
+			attrs[i].col = col
 		}
 	}
 	return nil
@@ -276,9 +297,13 @@ type colSlot struct {
 
 // propLayout is the scratch-slot layout of the compiled propagation
 // expressions: slot 0 is the propagated value, then the edge weight,
-// then the source- and destination-keyed attribute columns.
+// then the source- and destination-keyed attribute columns. edgeVars
+// are the variables that change from edge to edge along a row: the
+// weight and the destination attributes.
 type propLayout struct {
 	slots            map[string]int
+	edgeVars         map[string]bool
+	weightVar        string // "" if the body binds none
 	weightSlot       int
 	srcCols, dstCols []colSlot
 	nslots           int
@@ -286,14 +311,15 @@ type propLayout struct {
 
 // layoutSlots computes the slot layout for the recursive body. The
 // returned colSlots reference the live column slices in shape, so a
-// propagator built over them reads whatever the columns hold at call
-// time.
+// kernel built over them reads whatever the columns hold at call time.
 func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
-	lay := propLayout{slots: map[string]int{rec.ValueVar: 0}, weightSlot: -1}
+	lay := propLayout{slots: map[string]int{rec.ValueVar: 0}, edgeVars: map[string]bool{},
+		weightVar: shape.weightVar, weightSlot: -1}
 	next := 1
 	if shape.weightVar != "" {
 		lay.weightSlot = next
 		lay.slots[shape.weightVar] = next
+		lay.edgeVars[shape.weightVar] = true
 		next++
 	}
 	for _, a := range shape.srcAttrs {
@@ -303,6 +329,7 @@ func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
 	}
 	for _, a := range shape.dstAttrs {
 		lay.slots[a.varName] = next
+		lay.edgeVars[a.varName] = true
 		lay.dstCols = append(lay.dstCols, colSlot{next, a.col})
 		next++
 	}
@@ -310,44 +337,19 @@ func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
 	return lay
 }
 
-// buildPropagator compiles one propagation closure: apply f to a value
-// arriving at key and emit the per-edge contributions over g's
-// out-edges. The delta path (delta.go) builds extra propagators over a
-// pre-mutation graph snapshot with the same layout.
-func buildPropagator(f func([]float64) float64, g *graph.Graph, lay propLayout, pair bool) func([]float64, int64, float64, func(int64, float64)) {
-	weightSlot, srcCols, dstCols := lay.weightSlot, lay.srcCols, lay.dstCols
-	return func(vals []float64, key int64, value float64, emit func(int64, float64)) {
-		src := key
-		var hi int64
-		if pair {
-			hi, src = DecodePair(key)
-		}
-		if src < 0 || src >= int64(g.NumVertices()) {
-			return
-		}
-		vals[0] = value
-		for _, c := range srcCols {
-			vals[c.slot] = c.col[src]
-		}
-		lo, hiEdge := g.EdgeRange(int32(src))
-		for i := lo; i < hiEdge; i++ {
-			dst := int64(g.Target(i))
-			if weightSlot >= 0 {
-				vals[weightSlot] = g.Weight(i)
-			}
-			for _, c := range dstCols {
-				vals[c.slot] = c.col[dst]
-			}
-			out := dst
-			if pair {
-				out = EncodePair(hi, dst)
-			}
-			emit(out, f(vals))
-		}
+// Describe reports how the program's F' will be evaluated along a row —
+// its kernel class and hoisted residual — from the program text alone.
+func Describe(info *analyzer.Info) (KernelDesc, error) {
+	shape, err := recShape(info)
+	if err != nil {
+		return KernelDesc{}, err
 	}
+	return describe(info.Rec.FPrime, layoutSlots(info.Rec, shape)), nil
 }
 
-// compilePropagation builds the PropagateInto and PropagateFullInto closures.
+// compilePropagation builds the plan's two kernels — F' for the MRA
+// modes, the un-split F for naive evaluation — and their per-edge
+// adapters.
 func compilePropagation(p *Plan, shape *bodyShape) error {
 	rec := p.Info.Rec
 	lay := layoutSlots(rec, shape)
@@ -359,19 +361,17 @@ func compilePropagation(p *Plan, shape *bodyShape) error {
 		}
 	}
 
-	fDelta, err := rec.FPrime.Compile(lay.slots)
-	if err != nil {
+	var err error
+	if p.Kernel, err = newKernel(describe(rec.FPrime, lay), p.Graph, lay, p.PairKeys); err != nil {
 		return err
 	}
-	fFull, err := rec.F.Compile(lay.slots)
-	if err != nil {
+	if p.FullKernel, err = newKernel(describe(rec.F, lay), p.Graph, lay, p.PairKeys); err != nil {
 		return err
 	}
-
-	nslots := lay.nslots
-	p.NewScratch = func() []float64 { return make([]float64, nslots) }
-	p.PropagateInto = buildPropagator(fDelta, p.Graph, lay, p.PairKeys)
-	p.PropagateFullInto = buildPropagator(fFull, p.Graph, lay, p.PairKeys)
+	n := max(p.Kernel.scratchLen(), p.FullKernel.scratchLen())
+	p.NewScratch = func() []float64 { return make([]float64, n) }
+	p.PropagateInto = p.Kernel.Propagate
+	p.PropagateFullInto = p.FullKernel.Propagate
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"sort"
 
 	"powerlog/internal/agg"
@@ -279,56 +280,25 @@ func evalHeadRule(p *Plan, r *ast.Rule, add func(int64, float64)) error {
 	return nil
 }
 
-// addEdgeConstants folds CRec evaluated per edge into each destination.
+// addEdgeConstants folds CRec evaluated per edge into each destination:
+// a kernel over the same layout as F', with no value arriving.
 func addEdgeConstants(p *Plan, shape *bodyShape, add func(int64, float64)) error {
-	c := p.Info.Rec.CRec
-	slots := map[string]int{}
-	n := 0
-	weightSlot := -1
-	if shape.weightVar != "" {
-		weightSlot = n
-		slots[shape.weightVar] = n
-		n++
-	}
-	type colSlot struct {
-		slot int
-		col  []float64
-	}
-	var src, dst []colSlot
-	for _, a := range shape.srcAttrs {
-		slots[a.varName] = n
-		src = append(src, colSlot{n, a.col})
-		n++
-	}
-	for _, a := range shape.dstAttrs {
-		slots[a.varName] = n
-		dst = append(dst, colSlot{n, a.col})
-		n++
-	}
-	f, err := c.Compile(slots)
-	if err != nil {
-		return errf("edge constant %s references unbound variables: %v", c, err)
-	}
 	if p.PairKeys {
 		return errf("per-edge constants are not supported for pair-keyed programs")
 	}
-	g := p.Graph
-	vals := make([]float64, n)
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		for _, cs := range src {
-			vals[cs.slot] = cs.col[v]
-		}
-		lo, hi := g.EdgeRange(v)
-		for i := lo; i < hi; i++ {
-			d := g.Target(i)
-			if weightSlot >= 0 {
-				vals[weightSlot] = g.Weight(i)
-			}
-			for _, cs := range dst {
-				vals[cs.slot] = cs.col[d]
-			}
-			add(int64(d), f(vals))
-		}
+	c := p.Info.Rec.CRec
+	if slices.Contains(c.Vars(), p.Info.Rec.ValueVar) {
+		// The layout binds the value variable for F'; a constant has none.
+		return errf("edge constant %s references unbound variables: %s", c, p.Info.Rec.ValueVar)
+	}
+	lay := layoutSlots(p.Info.Rec, shape)
+	k, err := newKernel(describe(c, lay), p.Graph, lay, false)
+	if err != nil {
+		return errf("edge constant %s references unbound variables: %v", c, err)
+	}
+	scratch := make([]float64, k.scratchLen())
+	for v := 0; v < p.N; v++ {
+		k.Propagate(scratch, int64(v), 0, add)
 	}
 	return nil
 }

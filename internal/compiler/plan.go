@@ -47,18 +47,22 @@ type Plan struct {
 	// Graph is the propagation structure joined in the recursive body.
 	Graph *graph.Graph
 
-	// PropagateInto applies the incremental F' to a drained delta and
-	// emits each dependent contribution; PropagateFullInto applies the
-	// original, un-split F to a full value — the naive-evaluation path.
+	// Kernel evaluates the incremental F' row by row; FullKernel the
+	// original, un-split F (naive evaluation). See kernel.go.
+	Kernel, FullKernel *Kernel
+
+	// PropagateInto applies F' to a drained delta and emits each
+	// dependent contribution; PropagateFullInto applies F to a full
+	// value. They are the kernels' per-edge adapters (Kernel.Propagate).
 	// Both are reentrant: the caller supplies the expression-evaluation
 	// scratch (one NewScratch slice per goroutine), so a steady-state
 	// scan pass allocates nothing. Scratch must not be shared between
 	// concurrent callers.
 	PropagateInto     func(scratch []float64, key int64, delta float64, emit func(dst int64, v float64))
 	PropagateFullInto func(scratch []float64, key int64, value float64, emit func(dst int64, v float64))
-	// NewScratch sizes a scratch buffer for PropagateInto /
-	// PropagateFullInto (one slot per variable the compiled expression
-	// reads).
+	// NewScratch sizes a scratch buffer for either kernel: one slot per
+	// variable and hoisted subtree the compiled expressions read, then
+	// the chunk of row values Fill hands its consumer.
 	NewScratch func() []float64
 
 	// InitMRA is ΔX¹ of MRA evaluation (§3.3): initialisation tuples,

@@ -67,20 +67,26 @@ func Call(fn string, args ...*Expr) *Expr {
 	return &Expr{Kind: KCall, Name: fn, Args: args}
 }
 
-// Builtins maps builtin function names to their arity and implementation.
-var Builtins = map[string]struct {
+// Builtin is one builtin function: Fn1 is set for arity 1, Fn2 for
+// arity 2. Fixed-arity signatures keep a compiled call free of the
+// argument slice a variadic shape would allocate per evaluation.
+type Builtin struct {
 	Arity int
-	Fn    func(args []float64) float64
-}{
-	"relu":    {1, func(a []float64) float64 { return math.Max(a[0], 0) }},
-	"abs":     {1, func(a []float64) float64 { return math.Abs(a[0]) }},
-	"tanh":    {1, func(a []float64) float64 { return math.Tanh(a[0]) }},
-	"sigmoid": {1, func(a []float64) float64 { return 1 / (1 + math.Exp(-a[0])) }},
-	"exp":     {1, func(a []float64) float64 { return math.Exp(a[0]) }},
-	"log":     {1, func(a []float64) float64 { return math.Log(a[0]) }},
-	"sqrt":    {1, func(a []float64) float64 { return math.Sqrt(a[0]) }},
-	"min":     {2, func(a []float64) float64 { return math.Min(a[0], a[1]) }},
-	"max":     {2, func(a []float64) float64 { return math.Max(a[0], a[1]) }},
+	Fn1   func(x float64) float64
+	Fn2   func(x, y float64) float64
+}
+
+// Builtins maps builtin function names to their arity and implementation.
+var Builtins = map[string]Builtin{
+	"relu":    {Arity: 1, Fn1: func(x float64) float64 { return math.Max(x, 0) }},
+	"abs":     {Arity: 1, Fn1: math.Abs},
+	"tanh":    {Arity: 1, Fn1: math.Tanh},
+	"sigmoid": {Arity: 1, Fn1: func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+	"exp":     {Arity: 1, Fn1: math.Exp},
+	"log":     {Arity: 1, Fn1: math.Log},
+	"sqrt":    {Arity: 1, Fn1: math.Sqrt},
+	"min":     {Arity: 2, Fn2: math.Min},
+	"max":     {Arity: 2, Fn2: math.Max},
 }
 
 // Env binds variable names to values during evaluation.
@@ -109,11 +115,10 @@ func (e *Expr) Eval(env Env) float64 {
 		if !ok {
 			panic(fmt.Sprintf("expr: unknown builtin %q", e.Name))
 		}
-		args := make([]float64, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = a.Eval(env)
+		if b.Arity == 1 {
+			return b.Fn1(e.Args[0].Eval(env))
 		}
-		return b.Fn(args)
+		return b.Fn2(e.Args[0].Eval(env), e.Args[1].Eval(env))
 	default:
 		panic(fmt.Sprintf("expr: bad kind %d", e.Kind))
 	}
@@ -237,19 +242,16 @@ func (e *Expr) compile(slots map[string]int) func([]float64) float64 {
 		a := e.Args[0].compile(slots)
 		return func(v []float64) float64 { return -a(v) }
 	case KCall:
+		// Check has verified the arity, so the two fixed shapes cover
+		// every builtin.
 		b := Builtins[e.Name]
-		parts := make([]func([]float64) float64, len(e.Args))
-		for i, arg := range e.Args {
-			parts[i] = arg.compile(slots)
+		x := e.Args[0].compile(slots)
+		if b.Arity == 1 {
+			fn := b.Fn1
+			return func(v []float64) float64 { return fn(x(v)) }
 		}
-		fn := b.Fn
-		return func(v []float64) float64 {
-			args := make([]float64, len(parts))
-			for i, p := range parts {
-				args[i] = p(v)
-			}
-			return fn(args)
-		}
+		y, fn := e.Args[1].compile(slots), b.Fn2
+		return func(v []float64) float64 { return fn(x(v), y(v)) }
 	default:
 		panic("expr: bad kind")
 	}
@@ -317,4 +319,42 @@ func (e *Expr) write(b *strings.Builder, parent int) {
 	if open {
 		b.WriteByte(')')
 	}
+}
+
+// HoistVar names the i-th subtree Hoist cut out of an expression.
+func HoistVar(i int) string { return "ǂh" + strconv.Itoa(i) }
+
+// Hoist splits e for evaluation along a run of inputs on which only some
+// variables change: varies reports those. Every maximal operator subtree
+// that mentions no varying variable is cut out, appended to hoisted and
+// replaced in the residual by the variable HoistVar(i), so a caller can
+// evaluate hoisted[i] once per run and the residual once per input.
+// Leaves stay where they are (a slot read or a constant is already as
+// cheap as a hoisted variable), and no operator is moved or
+// reassociated: residual, with each HoistVar(i) bound to hoisted[i]'s
+// value, performs exactly the floating-point operations e performs.
+func (e *Expr) Hoist(varies func(name string) bool) (residual *Expr, hoisted []*Expr) {
+	var cut func(e *Expr) *Expr
+	cut = func(e *Expr) *Expr {
+		if len(e.Args) == 0 {
+			return e
+		}
+		invariant := true
+		for _, v := range e.Vars() {
+			if varies(v) {
+				invariant = false
+				break
+			}
+		}
+		if invariant {
+			hoisted = append(hoisted, e)
+			return Var(HoistVar(len(hoisted) - 1))
+		}
+		args := make([]*Expr, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = cut(a)
+		}
+		return &Expr{Kind: e.Kind, Val: e.Val, Name: e.Name, Args: args}
+	}
+	return cut(e), hoisted
 }

@@ -304,3 +304,65 @@ func TestFoldConst(t *testing.T) {
 		t.Error("variable is not constant")
 	}
 }
+
+// TestCompiledBuiltinsAllocFree: a compiled call must not allocate — a
+// client's F' may use any builtin, and it then runs once per edge on the
+// engine's zero-allocation path. Every entry of Builtins is pinned, so a
+// new builtin cannot bring the argument slice back.
+func TestCompiledBuiltinsAllocFree(t *testing.T) {
+	slots := map[string]int{"x": 0, "y": 1}
+	vals := []float64{0.25, 0.5}
+	for name, b := range Builtins {
+		args := []*Expr{Var("x"), Var("y")}[:b.Arity]
+		fn, err := Call(name, args...).Compile(slots)
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", name, err)
+		}
+		if got, want := fn(vals), Call(name, args...).Eval(Env{"x": 0.25, "y": 0.5}); got != want {
+			t.Errorf("compiled %s = %v, Eval = %v", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sinkF = fn(vals) }); allocs != 0 {
+			t.Errorf("compiled %s allocates %v/eval, want 0", name, allocs)
+		}
+	}
+}
+
+var sinkF float64
+
+// TestHoist: the residual over the hoisted values computes bitwise what
+// the expression computes, maximal invariant subtrees are cut whole, and
+// leaves stay in place.
+func TestHoist(t *testing.T) {
+	varies := func(name string) bool { return name == "w" }
+	for _, tc := range []struct {
+		e        *Expr
+		residual string
+		hoisted  []string
+	}{
+		{Div(Mul(Num(0.85), Var("x")), Var("d")), "ǂh0", []string{"0.85 * x / d"}},
+		{Add(Var("x"), Var("w")), "x + w", nil},
+		{Mul(Mul(Num(0.8), Var("x")), Var("w")), "ǂh0 * w", []string{"0.8 * x"}},
+		{Mul(Mul(Mul(Num(0.8), Var("w")), Var("x")), Var("d")), "0.8 * w * x * d", nil},
+		{Call("min", Add(Var("x"), Num(1)), Mul(Var("w"), Neg(Var("d")))), "min(ǂh0, w * ǂh1)", []string{"x + 1", "-d"}},
+		{Var("x"), "x", nil},
+	} {
+		res, hoisted := tc.e.Hoist(varies)
+		if res.String() != tc.residual {
+			t.Errorf("Hoist(%s) residual = %s, want %s", tc.e, res, tc.residual)
+		}
+		if len(hoisted) != len(tc.hoisted) {
+			t.Fatalf("Hoist(%s) cut %d subtrees, want %d", tc.e, len(hoisted), len(tc.hoisted))
+		}
+		env := Env{"x": 0.1, "d": 3, "w": 0.7}
+		want := tc.e.Eval(env)
+		for i, h := range hoisted {
+			if h.String() != tc.hoisted[i] {
+				t.Errorf("Hoist(%s) hoisted[%d] = %s, want %s", tc.e, i, h, tc.hoisted[i])
+			}
+			env[HoistVar(i)] = h.Eval(env)
+		}
+		if got := res.Eval(env); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("Hoist(%s): residual evaluates to %v, expression to %v", tc.e, got, want)
+		}
+	}
+}

@@ -149,12 +149,31 @@ func (d *Dense) globalKey(slot int) int64 { return d.offset + int64(slot)*d.stri
 func (d *Dense) Op() *agg.Op { return d.op }
 
 // FoldDelta implements Table.
-func (d *Dense) FoldDelta(key int64, v float64) bool {
-	s := d.slot(key)
+func (d *Dense) FoldDelta(key int64, v float64) bool { return d.FoldDeltaAt(d.slot(key), v) }
+
+// FoldDeltaAt is FoldDelta by local slot, for a caller that has already
+// resolved it: a key this shard owns sits at slot key / stride.
+func (d *Dense) FoldDeltaAt(s int, v float64) bool {
 	if !d.op.AtomicFold(&d.inter[s], v) {
 		return false
 	}
 	markDirty(d.dirty, s)
+	return true
+}
+
+// FoldDeltaOwned is FoldDeltaAt without the atomics: plain load, fold,
+// store, for a caller that is the shard's only accessor while it runs —
+// the worker goroutine in a pass that did not fan out. DESIGN.md §9
+// ("who may touch a shard when") is the exclusivity argument; the three
+// suppressions below are its plain accesses to atomically-used words.
+func (d *Dense) FoldDeltaOwned(s int, v float64) bool {
+	old := fromBits(d.inter[s]) //plvet:ignore atomicmix owner-exclusive pass, see DESIGN.md §9
+	next := d.op.Fold(old, v)
+	if next == old || next != next && old != old { // as AtomicFold: NaN over NaN is no change
+		return false
+	}
+	d.inter[s] = toBits(next)      //plvet:ignore atomicmix owner-exclusive pass, see DESIGN.md §9
+	d.dirty[s/32] |= 1 << (s % 32) //plvet:ignore atomicmix owner-exclusive pass, see DESIGN.md §9
 	return true
 }
 

@@ -2,6 +2,8 @@ package monotable
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -295,5 +297,50 @@ func TestMagnitudeFromIdentity(t *testing.T) {
 	// Identity-jump to 0 must still report improvement (SSSP source).
 	if imp, c, signed := tb.FoldAcc(1, 0); !imp || c != 0 || signed != 0 {
 		t.Errorf("identity-jump-to-zero = %v,%v,%v", imp, c, signed)
+	}
+}
+
+// TestFoldDeltaOwnedMatchesAtomic: the owner-exclusive fold is the atomic
+// fold minus the atomics — same stored bits, same "changed", same dirty
+// set — on any value sequence, specials included, and the two may be
+// interleaved on one table by one goroutine.
+func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for _, kind := range []agg.Kind{agg.Min, agg.Max, agg.Sum, agg.Count} {
+		const n, stride, offset = 300, 3, 1
+		atomicT := NewDense(agg.ByKind(kind), n, stride, offset)
+		ownedT := NewDense(agg.ByKind(kind), n, stride, offset)
+		rng := rand.New(rand.NewSource(int64(kind)))
+		for i := 0; i < 5000; i++ {
+			slot := rng.Intn(n / stride)
+			key := int64(offset + slot*stride)
+			v := rng.NormFloat64() * 100
+			if rng.Intn(20) == 0 {
+				v = specials[rng.Intn(len(specials))]
+			}
+			want := atomicT.FoldDelta(key, v)
+			fold := ownedT.FoldDeltaOwned
+			if i%7 == 0 {
+				fold = ownedT.FoldDeltaAt // the regimes alternate on one shard
+			}
+			if got := fold(slot, v); got != want {
+				t.Fatalf("%v: fold %d of %v into key %d: owned changed=%v, atomic changed=%v", kind, i, v, key, !want, want)
+			}
+			if i%500 == 499 {
+				var a, o []int64
+				atomicT.ScanDirty(func(k int64) { a = append(a, k) })
+				ownedT.ScanDirty(func(k int64) { o = append(o, k) })
+				if !slices.Equal(a, o) {
+					t.Fatalf("%v: dirty sets differ after %d folds: %v vs %v", kind, i+1, a, o)
+				}
+				for _, k := range a {
+					va, _ := atomicT.Drain(k)
+					vo, _ := ownedT.Drain(k)
+					if math.Float64bits(va) != math.Float64bits(vo) && !(va != va && vo != vo) {
+						t.Fatalf("%v: key %d holds %v after atomic folds, %v after owned folds", kind, k, va, vo)
+					}
+				}
+			}
+		}
 	}
 }

@@ -289,6 +289,10 @@ type Result struct {
 	// StopCause says why the fixpoint ended — in particular why a run
 	// with Converged == false and a nil error did.
 	StopCause StopCause
+	// Kernel names the loop that propagated this program: the class of
+	// the plan's F' kernel (rowconst, addw, mulw or generic; DESIGN.md
+	// §9), or "naive" when the mode re-derives instead of propagating.
+	Kernel string
 	// Workers holds per-worker observability, indexed by worker id.
 	Workers []WorkerStats
 	// Master snapshots the termination controller's metrics (protocol

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -59,12 +60,13 @@ type ringPoint struct {
 // member moves only the key ranges owned by that member's vnodes.
 type shardRoute struct {
 	mod     int    // static: modulo over the fixed fleet size
+	recip   uint64 // static: ⌊2⁶³/mod⌋+1, split's reciprocal
 	members []bool // elastic: current membership by slot (nil = static)
 	ring    []ringPoint
 }
 
 func newShardRoute(cfg Config) *shardRoute {
-	r := &shardRoute{mod: cfg.Workers}
+	r := &shardRoute{mod: cfg.Workers, recip: 1<<63/uint64(cfg.Workers) + 1}
 	if cfg.Elastic {
 		r.members = make([]bool, cfg.fleetCap())
 		for j := 0; j < cfg.Workers; j++ {
@@ -108,6 +110,18 @@ func (r *shardRoute) rebuild() {
 		}
 		points[j+1] = p
 	}
+}
+
+// split is the static route of a vertex key t without a hardware divide:
+// t / mod — the key's slot in its owner's Dense shard — and t mod mod,
+// the owner. The quotient is one multiply by a reciprocal, for every
+// fleet size: with M = ⌊2⁶³/mod⌋+1 the high word of M·2t is ⌊t/mod⌋
+// exactly for every t < 2³¹ and mod < 2³², since M·mod = 2⁶³+e with
+// 0 < e ≤ mod and the product therefore overshoots t/mod by
+// e·t/(mod·2⁶³) < 2⁻³² < 1/mod.
+func (r *shardRoute) split(t int32) (slot, owner int) {
+	hi, _ := bits.Mul64(r.recip, uint64(t)<<1)
+	return int(hi), int(t) - int(hi)*r.mod
 }
 
 // owner returns the worker that owns key under the current membership.

@@ -1,0 +1,66 @@
+package runtime
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"powerlog/internal/gen"
+	"powerlog/internal/progs"
+)
+
+// BenchmarkScanPass times the compute pass alone — drain, FoldAcc, the
+// row kernel, routing, the local fold and the remote combiner — as worker
+// 0 of a static fleet runs it over a dense frontier: every owned key is
+// dirtied (with a value that improves, for SSSP) before each pass, on
+// plperf's pagerank-rmat-bsp graph, in direct passes. ns/edge is the
+// pass time over the out-edges of the rows it propagated. workers=3 runs
+// the reciprocal route beside workers=2's shift and mask, but the two
+// are not like for like: a third worker makes 2/3 of the edges remote
+// (the combiner costs more than the local fold), and on R-MAT the even
+// vertices worker 0 of 2 owns are the high-degree ones.
+func BenchmarkScanPass(b *testing.B) {
+	for _, bc := range []struct {
+		name, src string
+		maxW      float64
+	}{{"PageRank", progs.PageRank, 0}, {"SSSP", progs.SSSP, 100}} {
+		for _, workers := range []int{2, 3} {
+			b.Run(fmt.Sprintf("%s/workers=%d", bc.name, workers), func(b *testing.B) {
+				g := gen.RMAT(13, 82000, bc.maxW, 1)
+				plan := compilePlan(b, bc.src, edgeDB("edge")(g))
+				w, peers := workerZero(b, plan, Config{
+					Workers: workers, CoresPerWorker: 1, Mode: MRASync,
+					Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+				})
+				edges := 0
+				for v := 0; v < plan.N; v += workers {
+					edges += g.OutDegree(int32(v))
+				}
+				dirty := func(pass int) {
+					v := 0.125
+					if plan.Op.Selective() {
+						v = 1e12 - float64(pass)
+					}
+					for k := 0; k < plan.N; k += workers {
+						w.table.FoldDelta(int64(k), v)
+					}
+				}
+				dirty(0)
+				w.scanPass() // warm the buffers
+				peers.drain()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 1; i <= b.N; i++ {
+					b.StopTimer()
+					dirty(i)
+					b.StartTimer()
+					w.scanPass()
+					b.StopTimer()
+					peers.drain()
+					b.StartTimer()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+			})
+		}
+	}
+}

@@ -498,7 +498,11 @@ func (s *Session) collect(elapsed time.Duration) *Result {
 		Elapsed:   elapsed,
 		Converged: s.m.converged,
 		StopCause: s.m.cause,
+		Kernel:    "naive",
 		Master:    s.m.met.reg.Snapshot(),
+	}
+	if s.cfg.Mode.MRA() {
+		res.Kernel = s.plan.Kernel.Desc().Class.String()
 	}
 	var sent, recv, flushes int64
 	for _, w := range s.workers {

@@ -3,14 +3,20 @@ package runtime
 import (
 	"sync"
 	"time"
+
+	"powerlog/internal/compiler"
+	"powerlog/internal/monotable"
 )
 
 // The MRA compute pass (paper Figure 7, DESIGN.md §9): drain the dirty
 // keys in the Scheduler's order, fold each delta into its accumulation,
 // propagate improvements through F'. There is one body, coreState.scanSub,
-// and every worker owns a core 0 that runs it. A pass over a small
-// frontier is core 0 scanning the whole shard as one subshard with its
-// sink bound to worker.emit. A pass over a large one splits the table
+// and every worker owns a core 0 that runs it. The unit of propagation is
+// a CSR row: the plan's kernel opens the drained key's row and fills in
+// what F' yields along a chunk of its edges, and coreState.sink routes
+// and folds the chunk. A pass over a small frontier is core 0 scanning
+// the whole shard as one subshard, sinking remote updates straight into
+// worker.buffer. A pass over a large one splits the table
 // into subshards — contiguous slot ranges for Dense, stripe blocks for
 // Sparse (monotable.ScanDirtyRange) — and deals every one of the
 // P = Config.CoresPerWorker cores a contiguous block of them; a core
@@ -24,10 +30,10 @@ import (
 // fixpoint the one-core pass does.
 //
 // The hot path stays allocation-free: each core owns reused scan/drain
-// slices, its own outBuf per destination, and pre-bound closures. In a
+// slices, a kernel scratch, and its own outBuf per destination. In a
 // fanned-out pass the cores buffer remote updates privately and the
 // owner merges them serially after the join through worker.buffer, so
-// batching, τ, and urgent-delta semantics are those of the direct sink.
+// batching, τ, and urgent-delta semantics are those of the direct pass.
 // Per-core Σacc/stat deltas fold into the worker totals on the owner
 // (worker.settle) — no shared hot counters.
 
@@ -96,7 +102,7 @@ type coreState struct {
 	// Reused pass storage: a steady-state subshard scan allocates nothing.
 	drainBuf []drained
 
-	// Per-destination combiners of the buffered sink, merged by the owner
+	// Per-destination combiners of a fanned-out pass, merged by the owner
 	// after the join.
 	bufs      []*outBuf
 	winCounts []int64 // per-destination emit counts for the β window
@@ -108,33 +114,18 @@ type coreState struct {
 	accDelta float64 // Σ|acc change|
 	accSum   float64 // Σ signed acc deltas
 
-	// scratch is this core's propagation-expression buffer — the
-	// reentrant PropagateInto form keeps the fan-out allocation-free.
+	// scratch is this core's kernel working memory (expression slots and
+	// the chunk of row values between Fill and sink) — the reentrant
+	// kernel keeps the fan-out allocation-free.
 	scratch []float64
+	kernel  *compiler.Kernel // the plan's F' kernel
 
-	// Pre-bound closures so the scan and propagate loops pass existing
-	// func values instead of allocating new ones per subshard.
-	drainFn  func(int64)          // drains one scanned key into drainBuf
-	buffered func(int64, float64) // c.emit
-}
-
-// emit is the buffered sink: local keys fold straight into the shared
-// table (atomic, so cores race safely); remote keys go to this core's
-// private combiner and reach the worker's buffers at the merge.
-func (c *coreState) emit(dst int64, v float64) {
-	w := c.w
-	o := w.owner(dst)
-	if o == w.id {
-		w.apply.FoldDelta(dst, v)
-		return
-	}
-	c.bufs[o].add(dst, v)
-	c.winCounts[o]++
+	drainFn func(int64) // drains one scanned key into drainBuf, pre-bound
 }
 
 // scanSub is the compute body, run over one subshard: drain its dirty
-// keys into a snapshot, then fold each and propagate it into sink.
-func (c *coreState) scanSub(sub int, sink func(int64, float64)) {
+// keys into a snapshot, then fold each and propagate its row.
+func (c *coreState) scanSub(sub int) {
 	w := c.w
 	c.drainBuf = c.drainBuf[:0]
 	w.table.ScanDirtyRange(sub, c.pool.nsub, c.drainFn)
@@ -144,6 +135,12 @@ func (c *coreState) scanSub(sub int, sink func(int64, float64)) {
 	// and the steals produce, which P1 licenses.
 	w.pol.sched.arrange(out)
 	refresh := w.pol.sched.refreshes()
+	// sink resolves a Dense shard's slots with split, which holds only for
+	// vertex keys strided by the static modulo partition (worker.newTable).
+	var dense *monotable.Dense
+	if w.route.members == nil && !w.plan.PairKeys {
+		dense, _ = w.table.(*monotable.Dense)
+	}
 	for _, d := range out {
 		if refresh {
 			w.refresh(&d)
@@ -163,9 +160,52 @@ func (c *coreState) scanSub(sub int, sink func(int64, float64)) {
 			continue
 		}
 		c.n++
-		w.plan.PropagateInto(c.scratch, d.key, d.val, sink)
+		r := c.kernel.Row(c.scratch, d.key, d.val)
+		for lo := 0; lo < len(r.Targets); lo += compiler.FillChunk {
+			c.sink(dense, r, lo, c.kernel.Fill(c.scratch, r, lo))
+		}
 	}
 	c.drained += len(out)
+}
+
+// sink routes and folds one chunk of a row: vals[i] goes to the key of
+// r's edge lo+i. A local key folds straight into the shard — into the
+// concrete Dense by slot when there is one, with plain loads and stores
+// when this pass did not fan out and the worker goroutine is therefore
+// the shard's only accessor (DESIGN.md §9), atomically when cores share
+// it. A remote key is counted into the β window and buffered: through
+// worker.buffer and its FlushPolicy in a direct pass, into this core's
+// private combiner — which reaches worker.buffer at the merge — in a
+// fanned-out one. A Dense shard's owner and slot come from
+// shardRoute.split, without a divide; a Sparse shard (pair keys, an
+// elastic fleet) asks the route, next to whose mutex and map a divide or
+// a ring search is noise.
+func (c *coreState) sink(dense *monotable.Dense, r compiler.Row, lo int, vals []float64) {
+	w := c.w
+	fanned := c.pool.nsub > 1
+	for i, t := range r.Targets[lo : lo+len(vals)] {
+		key, v := r.Hi|int64(t), vals[i]
+		var o, slot int
+		if dense != nil {
+			slot, o = w.route.split(t)
+		} else {
+			o = w.route.owner(key)
+		}
+		switch {
+		case o != w.id && fanned:
+			c.bufs[o].add(key, v)
+			c.winCounts[o]++
+		case o != w.id:
+			w.win.counts[o]++
+			w.buffer(o, key, v)
+		case dense == nil:
+			w.table.FoldDelta(key, v)
+		case fanned:
+			dense.FoldDeltaAt(slot, v)
+		default:
+			dense.FoldDeltaOwned(slot, v)
+		}
+	}
 }
 
 // runCore drains this core's deque, then steals until the pass is dry.
@@ -183,7 +223,7 @@ func (c *coreState) runCore() {
 			}
 		}
 		start := time.Now()
-		c.scanSub(sub, c.buffered)
+		c.scanSub(sub)
 		c.w.met.subPassUS.Observe(uint64(time.Since(start).Microseconds()))
 	}
 }
@@ -207,7 +247,6 @@ type scanPool struct {
 
 	cores  []*coreState
 	deques []subDeque
-	direct func(int64, float64) // worker.emit, pre-bound
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -218,13 +257,13 @@ type scanPool struct {
 }
 
 func newScanPool(w *worker, p int) *scanPool {
-	sp := &scanPool{w: w, p: p, direct: w.emit}
+	sp := &scanPool{w: w, p: p}
 	sp.cond = sync.NewCond(&sp.mu)
 	sp.cores = make([]*coreState, p)
 	sp.deques = make([]subDeque, p)
 	for i := range sp.cores {
-		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch()}
-		if p > 1 { // only a fanned-out pass uses the buffered sink
+		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch(), kernel: w.plan.Kernel}
+		if p > 1 { // only a fanned-out pass buffers per core
 			c.bufs = make([]*outBuf, len(w.bufs))
 			c.winCounts = make([]int64, len(w.bufs))
 			for j := range c.bufs {
@@ -236,7 +275,6 @@ func newScanPool(w *worker, p int) *scanPool {
 				c.drainBuf = append(c.drainBuf, drained{k, v})
 			}
 		}
-		c.buffered = c.emit
 		sp.cores[i] = c
 	}
 	return sp
@@ -318,7 +356,7 @@ func (p *scanPool) close() {
 // inline while cores 1..P-1 work their deals, joins, and merges the
 // per-core buffers on the owner; otherwise core 0 alone scans the shard
 // as a single subshard (ScanDirtyRange(0, 1) visits keys in ScanDirty's
-// order) and emits directly. It returns how many rows propagated.
+// order) and sinks directly. It returns how many rows propagated.
 func (w *worker) scanPass() int {
 	p := w.scan
 	c0 := p.cores[0]
@@ -328,7 +366,7 @@ func (w *worker) scanPass() int {
 		p.nsub = w.table.Subshards(p.p * subshardFactor)
 	}
 	if p.nsub == 1 {
-		c0.scanSub(0, p.direct)
+		c0.scanSub(0)
 	} else {
 		for i := 0; i < p.p; i++ {
 			p.deques[i].reset(i*p.nsub/p.p, (i+1)*p.nsub/p.p)

@@ -207,12 +207,7 @@ func TestSerialPassBitIdentical(t *testing.T) {
 				if got := w.met.parallelPasses.Load(); got != 0 {
 					t.Fatalf("cores=%d: %d passes fanned out past the gate", cores, got)
 				}
-				out := make(map[int64][2]float64)
-				w.table.RangeRows(func(k int64, acc, inter float64) bool {
-					out[k] = [2]float64{acc, inter}
-					return true
-				})
-				return out
+				return shardRows(w)
 			}
 			a, b := run(1), run(4)
 			if len(a) == 0 || len(a) != len(b) {
@@ -223,6 +218,70 @@ func TestSerialPassBitIdentical(t *testing.T) {
 					t.Fatalf("key %d: %v vs %v — gated pass is not bit-identical to P=1", k, va, vb)
 				}
 			}
+		})
+	}
+}
+
+// shardRows copies a worker's rows — accumulation and intermediate — for
+// a bitwise comparison.
+func shardRows(w *worker) map[int64][2]float64 {
+	out := make(map[int64][2]float64)
+	w.table.RangeRows(func(k int64, acc, inter float64) bool {
+		out[k] = [2]float64{acc, inter}
+		return true
+	})
+	return out
+}
+
+// TestAlternatingFoldVariants runs one table to its fixpoint through
+// passes that alternate between the two local folds: a direct pass, where
+// the worker goroutine is the shard's only accessor and folds with plain
+// loads and stores, and a fanned-out pass, where four cores fold
+// atomically. The gate is flipped between passes, so every handover of
+// the shard from one regime to the other — plain writes read atomically
+// by the cores after the wake, atomic writes read plainly after the join
+// — happens many times; `make race` runs this at -cpu 1,4.
+func TestAlternatingFoldVariants(t *testing.T) {
+	setScanMinKeys(t, scanMinKeys) // restore the gate afterwards
+	for _, tc := range []struct {
+		name, src string
+		g         *graph.Graph
+		ident     float64
+		tol       float64
+		want      func(g *graph.Graph) []float64
+	}{
+		{"PageRank", progs.PageRank, gen.RMAT(12, 30000, 0, 17), math.NaN(), 1e-6,
+			func(g *graph.Graph) []float64 { return ref.PageRank(g, 1000, 1e-12) }},
+		{"SSSP", progs.SSSP, gen.Uniform(4000, 20000, 50, 11), math.Inf(1), 1e-9,
+			func(g *graph.Graph) []float64 { return ref.Dijkstra(g, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := compilePlan(t, tc.src, edgeDB("edge")(tc.g))
+			w := standaloneWorker(t, plan, Config{
+				Mode: MRAAsync, CoresPerWorker: 4,
+				Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+			})
+			w.seed(plan.InitMRA)
+			passes := 0
+			for ; passes < 400 && w.table.HasDirty(); passes++ {
+				scanMinKeys = 1 << 30 // even passes: direct, owner-exclusive fold
+				if passes%2 == 1 {
+					scanMinKeys = 1 // odd passes: fanned out, atomic fold
+					w.scan.lastDrained = 1
+				}
+				w.scanPass()
+				if plan.Termination.Epsilon > 0 && w.accDelta < 1e-13 {
+					break // a sum never goes exactly quiet; far below the tolerance is done
+				}
+				w.accDelta = 0
+			}
+			fanned := int(w.met.parallelPasses.Load())
+			if fanned == 0 || fanned == passes {
+				t.Fatalf("%d of %d passes fanned out; the test must alternate", fanned, passes)
+			}
+			got := map[int64]float64{}
+			w.table.Range(func(k int64, v float64) bool { got[k] = v; return true })
+			expectClose(t, MRAAsync, got, tc.want(tc.g), tc.ident, tc.tol)
 		})
 	}
 }
@@ -272,10 +331,19 @@ func TestSubDequeExactlyOnce(t *testing.T) {
 // standaloneWorker builds a single worker with no peers and no running
 // master (nw=1: every emit is local, nothing is ever flushed), so tests
 // can drive scanPass by hand.
-func standaloneWorker(t *testing.T, plan *compiler.Plan, cfg Config) *worker {
+func standaloneWorker(t testing.TB, plan *compiler.Plan, cfg Config) *worker {
 	t.Helper()
 	cfg.Workers = 1
-	net := transport.NewChannelNetwork(1, 4096)
+	w, _ := workerZero(t, plan, cfg)
+	return w
+}
+
+// workerZero builds worker 0 of a cfg.Workers fleet whose other slots
+// are bare endpoints: what it sends its peers piles up in their inboxes
+// until the caller drains them.
+func workerZero(t testing.TB, plan *compiler.Plan, cfg Config) (*worker, *peerInboxes) {
+	t.Helper()
+	net := transport.NewChannelNetwork(cfg.Workers, 4096)
 	w := newWorker(0, cfg.withDefaults(), plan, net.Conn(0))
 	t.Cleanup(func() {
 		w.scan.close()
@@ -283,10 +351,32 @@ func standaloneWorker(t *testing.T, plan *compiler.Plan, cfg Config) *worker {
 		close(w.outCtrl)
 		<-w.commDone
 	})
-	return w
+	return w, &peerInboxes{w: w, net: net, taken: make([]int64, cfg.Workers)}
 }
 
-// TestParallelScanAllocFree pins the hot path on both sinks: a
+// peerInboxes stands in for worker 0's peers.
+type peerInboxes struct {
+	w     *worker
+	net   *transport.ChannelNetwork
+	taken []int64 // batches received so far, per link
+}
+
+// drain flushes the worker's buffers, waits for every batch it has sent
+// to arrive, recycles them and returns how many KVs they held.
+func (p *peerInboxes) drain() int {
+	p.w.flushAll()
+	kvs := 0
+	for j := 1; j < len(p.taken); j++ {
+		for ; p.taken[j] < p.w.dataSeq[j]; p.taken[j]++ {
+			m := <-p.net.Conn(j).Inbox()
+			kvs += len(m.KVs)
+			transport.PutBatch(m.KVs)
+		}
+	}
+	return kvs
+}
+
+// TestParallelScanAllocFree pins the hot path of both kinds of pass: a
 // steady-state pass — dirty the whole shard, drain, fold, propagate,
 // and for the fanned-out one deal to 4 cores and merge — must not
 // allocate. Per-core drain slices, outBufs, and the pre-bound
@@ -298,28 +388,36 @@ func standaloneWorker(t *testing.T, plan *compiler.Plan, cfg Config) *worker {
 // 1..P-1 cold — a measured run where one of them does win a steal would
 // then charge its one-time slice growth to the steady state.
 func TestParallelScanAllocFree(t *testing.T) {
-	db := edb.NewDB()
 	g := gen.RMAT(12, 30000, 0, 7) // 4096 vertices -> 8 Dense subshard lines
-	db.SetGraph("edge", g)
-	plan := compilePlan(t, progs.PageRank, db)
+	// A client's bottleneck program: its F' calls a builtin per edge, on
+	// the generic class of the same loop.
+	const bottleneck = `
+r1. d(X,v) :- X=0, v=0.
+r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 	for _, tc := range []struct {
-		sink     string
-		minKeys  int
-		parallel bool
+		name, src string
+		minKeys   int
+		parallel  bool
 	}{
-		{"buffered", 1, true},
-		{"direct", 1 << 30, false},
+		{"buffered", progs.PageRank, 1, true},
+		{"direct", progs.PageRank, 1 << 30, false},
+		{"direct/builtin", bottleneck, 1 << 30, false},
 	} {
-		t.Run(tc.sink, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := compilePlan(t, tc.src, edgeDB("edge")(g))
 			w := standaloneWorker(t, plan, Config{
 				Mode: MRAAsync, CoresPerWorker: 4,
 				Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
 			})
 			setScanMinKeys(t, tc.minKeys)
 			n := int64(plan.N)
+			pass := 0.0
 			body := func() {
+				// Falling values, so a min keeps improving and every row
+				// propagates, as a sum's always does.
+				pass++
 				for k := int64(0); k < n; k++ {
-					w.table.FoldDelta(k, 0.125)
+					w.table.FoldDelta(k, 0.125-pass)
 				}
 				w.scanPass()
 			}
@@ -335,7 +433,7 @@ func TestParallelScanAllocFree(t *testing.T) {
 				}
 			}
 			if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
-				t.Fatalf("scan pass through the %s sink allocates %v/run, want 0", tc.sink, allocs)
+				t.Fatalf("%s scan pass allocates %v/run, want 0", tc.name, allocs)
 			}
 		})
 	}

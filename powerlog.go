@@ -145,6 +145,18 @@ func (p *Program) Rewrite() (string, error) {
 	return out.String(), nil
 }
 
+// Kernel reports how the engine will evaluate the program's F' along a
+// CSR row: the kernel class (rowconst, addw, mulw or generic) and the
+// residual computed per edge, followed by the subtrees hoisted out of it
+// and computed once per drained row. It needs no database.
+func (p *Program) Kernel() (class, residual string, err error) {
+	d, err := compiler.Describe(p.info)
+	if err != nil {
+		return "", "", err
+	}
+	return d.Class.String(), d.String(), nil
+}
+
 // SMTLIB renders the program's Property-2 verification condition in the
 // paper's Figure-4 Z3 encoding (SMT-LIB 2). Feeding it to a real Z3
 // returns "unsat" exactly when Check reports the property valid, keeping
@@ -280,6 +292,6 @@ const Version = "1.0.0"
 
 // String renders a one-line summary of a result.
 func Summary(r *Result) string {
-	return fmt.Sprintf("keys=%d rounds=%d msgs=%d flushes=%d elapsed=%v converged=%v",
-		len(r.Values), r.Rounds, r.MessagesSent, r.Flushes, r.Elapsed, r.Converged)
+	return fmt.Sprintf("keys=%d rounds=%d msgs=%d flushes=%d elapsed=%v converged=%v kernel=%s",
+		len(r.Values), r.Rounds, r.MessagesSent, r.Flushes, r.Elapsed, r.Converged, r.Kernel)
 }
