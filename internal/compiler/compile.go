@@ -101,6 +101,7 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	if info.Termination != nil {
 		p.Termination.Epsilon = info.Termination.Threshold
 	}
+	p.Kernel.bindStep(p.Op, info.Rec.ValueVar, p.Termination.Fixpoint())
 	return p, nil
 }
 

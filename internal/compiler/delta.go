@@ -225,6 +225,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 			return nil, err
 		}
 	}
+	p.Kernel.noteMutation(mut.Inserts)
 
 	// 2. Re-derive the compiler-materialised supporting relations (they
 	// may aggregate over the graph, e.g. PageRank's degree view).

@@ -3,6 +3,7 @@ package compiler
 import (
 	"strings"
 
+	"powerlog/internal/agg"
 	"powerlog/internal/expr"
 	"powerlog/internal/graph"
 )
@@ -110,6 +111,10 @@ type Kernel struct {
 	// nvars is how many scratch slots the expression's variables and
 	// hoisted subtrees take; Fill's chunk of values sits behind them.
 	nvars int
+
+	// step and stepSign: see Step. Written when the plan is compiled and
+	// by a session's mutation, which runs while no pass does.
+	step, stepSign float64
 }
 
 type hoist struct {
@@ -119,6 +124,77 @@ type hoist struct {
 
 // Desc reports the kernel's class, residual and hoisted subtrees.
 func (k *Kernel) Desc() KernelDesc { return k.desc }
+
+// Step is the bucket width of the runtime's delta-stepping schedule
+// (DESIGN.md §5b) for the plan's F' kernel, or 0 when its premise fails.
+// The premise is Dijkstra's: F' is v + w with v the recursive value
+// itself, under a selective aggregate, and no edge improves on the value
+// it carries — every w ≥ 0 under min, every w ≤ 0 under max. Then a key
+// can only be beaten through a key that is already better, so the near
+// end of a frontier is nearly final and the far end a guess. With an
+// improving edge the best key is the one most likely to improve again,
+// and draining best-first re-relaxes everything behind it: longest path
+// on a 1 500-vertex DAG went from 238 supersteps to over 10 000.
+//
+// The plan must also stop at a fixpoint. An ε stop reads the change of
+// one round as a bound on what remains, which is true of a round that
+// folds the whole dirty set and false of one that folds its near end:
+// ε-SSSP under BSP stopped with reachable keys still held.
+//
+// The width is the mean |w| — how far a value moves along a typical edge
+// — summed when the plan is compiled. A session's mutations do not move
+// it while it is positive, except that an improving insert ends the
+// premise; while it is 0 each mutation reads the weights again (noteMutation).
+func (k *Kernel) Step() float64 { return k.step }
+
+// MayStep reports the half of Step's premise the program decides: whether
+// the graph's weights may ever give it a Step.
+func (k *Kernel) MayStep() bool { return k.stepSign != 0 }
+
+// bindStep decides MayStep from the program and Step from the graph as it
+// stands. stepSign is the sign no weight may contradict: +1, every w ≥ 0,
+// under min; −1 under max.
+func (k *Kernel) bindStep(op *agg.Op, valueVar string, fixpoint bool) {
+	s := k.desc.scalar
+	switch {
+	case !fixpoint || !op.Selective() || k.desc.Class != AddW || s.Kind != expr.KVar || s.Name != valueVar:
+		return // not a program for buckets: the graph is not read
+	case op.Kind() == agg.Max:
+		k.stepSign = -1
+	default:
+		k.stepSign = 1
+	}
+	k.readStep()
+}
+
+// readStep is one pass over the graph's weights.
+func (k *Kernel) readStep() {
+	k.step = 0
+	lo, hi, mean := k.g.WeightStats()
+	if k.stepSign*lo >= 0 && k.stepSign*hi >= 0 {
+		k.step = mean
+	}
+}
+
+// noteMutation keeps Step true to a graph a session has just mutated. A
+// positive Step ends with an inserted edge that improves on the value it
+// carries. A Step of 0 may begin: the graph was empty or its weights all
+// zero and it gained edges, or the improving edge is gone. That reads
+// every weight again, once per mutation for as long as the premise fails.
+func (k *Kernel) noteMutation(inserts []graph.Edge) {
+	switch {
+	case k.stepSign == 0:
+	case k.step == 0:
+		k.readStep()
+	case k.g.Weighted():
+		for _, e := range inserts {
+			if !(k.stepSign*e.W >= 0) {
+				k.step = 0
+				return
+			}
+		}
+	}
+}
 
 // newKernel compiles an expression, evaluated as d describes it, over
 // the layout; hoisted subtrees take the scratch slots from lay.nslots on.

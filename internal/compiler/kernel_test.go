@@ -283,6 +283,92 @@ r2. p(Y,sum[v1]) :- p(X,v), e(X,Y,w), sa(X,a), da(Y,b), v1 = v * w * a * b.
 	}
 }
 
+// TestKernelStep: the bucket width is the graph's mean |w| exactly when
+// the program is a selective v + w run to a fixpoint and no edge improves
+// the value it carries; a session's mutations can end that and begin it.
+func TestKernelStep(t *testing.T) {
+	const longest = `
+r1. lp(X,d) :- X=0, d=0.
+r2. lp(Y,max[d1]) :- lp(X,d), edge(X,Y,w), d1 = d + w.`
+	// F' = (d + 1) + w: an AddW kernel whose row scalar is not the value.
+	const shifted = `
+r1. s(X,d) :- X=0, d=0.
+r2. s(Y,min[d1]) :- s(X,d), edge(X,Y,w), d1 = d + 1 + w.`
+	const epsSSSP = `
+r1. sssp(X,d) :- X=0, d=0.
+r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy; {sum[Δdy] < 0.0001}.`
+	weights := func(ws ...float64) *graph.Graph {
+		edges := make([]graph.Edge, len(ws))
+		for i, w := range ws {
+			edges[i] = graph.Edge{Src: int32(i), Dst: int32(i + 1), W: w}
+		}
+		g, err := graph.FromEdges(len(ws)+1, edges, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	unweighted, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, src string
+		g         *graph.Graph
+		want      float64
+	}{
+		{"min, w >= 0", progs.SSSP, weights(2, 0, 4), 2},
+		{"min, one w < 0", progs.SSSP, weights(2, -1, 4), 0},
+		{"min, all zero", progs.SSSP, weights(0, 0), 0},
+		{"min, NaN weight", progs.SSSP, weights(1, math.NaN()), 0},
+		{"min, unweighted", progs.SSSP, unweighted, 1},
+		{"min, no edges", progs.SSSP, weights(), 0},
+		{"pair keys", progs.APSP, weights(3, 5), 4},
+		{"max, w <= 0", longest, weights(-2, 0, -4), 2},
+		{"max, one w > 0", longest, weights(-2, 1), 0},
+		{"max, unweighted", longest, unweighted, 0},
+		{"scalar is not the value", shifted, weights(2, 4), 0},
+		{"ε stop", epsSSSP, weights(2, 4), 0},
+		{"combining", progs.PageRank, unweighted, 0},
+	} {
+		db := edb.NewDB()
+		db.SetGraph("edge", tc.g)
+		if got := compile(t, tc.src, db).Kernel.Step(); got != tc.want {
+			t.Errorf("%s: Step = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// A session's mutations: an improving insert ends a positive Step, and
+	// a Step of 0 is read again from the graph as mutated.
+	g := weights(2, 0, 4)
+	db := edb.NewDB()
+	db.SetGraph("edge", g)
+	k := compile(t, progs.SSSP, db).Kernel
+	k.noteMutation([]graph.Edge{{Src: 0, Dst: 2, W: 7}, {Src: 0, Dst: 3, W: 0}})
+	if k.Step() != 2 {
+		t.Errorf("Step = %v after non-improving inserts, want 2", k.Step())
+	}
+	bad := []graph.Edge{{Src: 0, Dst: 3, W: -0.5}}
+	if err := g.ApplyEdgeMutations(bad, nil); err != nil {
+		t.Fatal(err)
+	}
+	k.noteMutation(bad)
+	if k.Step() != 0 {
+		t.Errorf("Step = %v after inserting a negative weight under min, want 0", k.Step())
+	}
+	k.noteMutation(nil)
+	if k.Step() != 0 {
+		t.Errorf("Step = %v with the negative weight still in the graph, want 0", k.Step())
+	}
+	if err := g.ApplyEdgeMutations(nil, bad); err != nil {
+		t.Fatal(err)
+	}
+	k.noteMutation(nil)
+	if k.Step() != 2 {
+		t.Errorf("Step = %v after the negative weight was deleted, want 2", k.Step())
+	}
+}
+
 // unhoisted returns a copy of p whose two kernels evaluate the whole of
 // F' and F as one closure tree per edge, nothing hoisted and no class:
 // the forced fallback, the form every class must equal bit for bit.

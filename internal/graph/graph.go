@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,6 +100,26 @@ func (g *Graph) Weight(i int32) float64 {
 		return 1
 	}
 	return g.weights[i]
+}
+
+// WeightStats returns the least and greatest edge weight and the mean
+// |w| — how far a value moves along a typical edge. An unweighted graph's
+// weights are all 1; a graph with no edges reports a mean of 0 over an
+// empty range (+Inf, −Inf).
+func (g *Graph) WeightStats() (lo, hi, meanAbs float64) {
+	if len(g.targets) == 0 {
+		return math.Inf(1), math.Inf(-1), 0
+	}
+	if g.weights == nil {
+		return 1, 1, 1
+	}
+	lo, hi = math.Inf(1), math.Inf(-1)
+	sum := 0.0
+	for _, w := range g.weights {
+		lo, hi = min(lo, w), max(hi, w)
+		sum += math.Abs(w)
+	}
+	return lo, hi, sum / float64(len(g.weights))
 }
 
 // Edges materialises the edge list (mostly for tests and export).

@@ -68,6 +68,30 @@ func TestFromEdgesValidation(t *testing.T) {
 	}
 }
 
+func TestWeightStats(t *testing.T) {
+	g, err := FromEdges(3, []Edge{{0, 1, -3}, {1, 2, 5}, {0, 2, 1}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, mean := g.WeightStats(); lo != -3 || hi != 5 || mean != 3 {
+		t.Errorf("weighted: (%v, %v, %v), want (-3, 5, 3)", lo, hi, mean)
+	}
+	u, err := FromEdges(3, []Edge{{0, 1, 9}, {1, 2, 9}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, mean := u.WeightStats(); lo != 1 || hi != 1 || mean != 1 {
+		t.Errorf("unweighted: (%v, %v, %v), want every weight 1", lo, hi, mean)
+	}
+	e, err := FromEdges(3, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, mean := e.WeightStats(); lo <= hi || mean != 0 {
+		t.Errorf("no edges: (%v, %v, %v), want an empty range and mean 0", lo, hi, mean)
+	}
+}
+
 func TestReverse(t *testing.T) {
 	g := mustGraph(t, 3, []Edge{{0, 1, 2}, {0, 2, 3}, {1, 2, 4}}, true)
 	r := g.Reverse()

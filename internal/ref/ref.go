@@ -232,6 +232,36 @@ func ViterbiDP(g *graph.Graph, src int32) []float64 {
 	return prob
 }
 
+// DAGPath computes the least — with longest, the greatest — path weight
+// from src to every vertex of a DAG whose vertex ids are a topological
+// order (edges go low→high). Weights may have either sign, which
+// Dijkstra cannot take. An unreachable vertex holds +Inf (−Inf).
+func DAGPath(g *graph.Graph, src int32, longest bool) []float64 {
+	n := g.NumVertices()
+	sign := 1.0
+	if longest {
+		sign = -1
+	}
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = sign * math.Inf(1)
+	}
+	dist[src] = 0
+	for v := int32(0); v < int32(n); v++ {
+		if math.IsInf(dist[v], 0) {
+			continue
+		}
+		lo, hi := g.EdgeRange(v)
+		for e := lo; e < hi; e++ {
+			t := g.Target(e)
+			if d := dist[v] + g.Weight(e); sign*d < sign*dist[t] {
+				dist[t] = d
+			}
+		}
+	}
+	return dist
+}
+
 // BFSDepth computes minimum hop counts from src (the LCA ancestor-depth
 // oracle when run on the parent graph).
 func BFSDepth(g *graph.Graph, src int32) []float64 {

@@ -119,6 +119,28 @@ func TestDAGPathWeightSum(t *testing.T) {
 	}
 }
 
+func TestDAGPath(t *testing.T) {
+	g := diamond(t)
+	// Least: 0-1-2-3 = 6; greatest: 0-2-3 = 0-1-3 = 7, 0-1-2-3 = 6.
+	for _, tc := range []struct {
+		longest bool
+		want    []float64
+	}{{false, []float64{0, 1, 3, 6}}, {true, []float64{0, 1, 4, 7}}} {
+		got := DAGPath(g, 0, tc.longest)
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("longest=%v: path[%d] = %v, want %v", tc.longest, i, got[i], tc.want[i])
+			}
+		}
+	}
+	if d := DAGPath(g, 1, false); !math.IsInf(d[0], 1) {
+		t.Errorf("vertex 0 is unreachable from 1, got %v", d[0])
+	}
+	if d := DAGPath(g, 1, true); !math.IsInf(d[0], -1) {
+		t.Errorf("longest: vertex 0 is unreachable from 1, got %v", d[0])
+	}
+}
+
 func TestViterbiDP(t *testing.T) {
 	g := gen.Trellis(4, 3, 5)
 	p := ViterbiDP(g, 0)

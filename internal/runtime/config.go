@@ -106,7 +106,9 @@ type Config struct {
 	// (Meyer & Sanders 2003) like the SociaLite optimisation the paper
 	// credits for its ClueWeb09 SSSP win. It reduces wasted relaxations
 	// on selective aggregates at the cost of a per-pass sort; it has no
-	// effect on combining aggregates.
+	// effect on combining aggregates. It takes the place of the bucket
+	// scheduler a selective v + w plan draws by default (DESIGN.md §5b);
+	// it remains as the ablation's comparison.
 	OrderedScan bool
 
 	// MaxWall aborts a run after this long (default 2 minutes).
@@ -293,6 +295,10 @@ type Result struct {
 	// the plan's F' kernel (rowconst, addw, mulw or generic; DESIGN.md
 	// §9), or "naive" when the mode re-derives instead of propagating.
 	Kernel string
+	// Sched names the schedule its compute passes drained under (DESIGN.md
+	// §5b): "fifo", "ordered" (Config.OrderedScan) or "bucket(Δ=…)" with
+	// the bucket width, the mean |w| of the plan's graph.
+	Sched string
 	// Workers holds per-worker observability, indexed by worker id.
 	Workers []WorkerStats
 	// Master snapshots the termination controller's metrics (protocol

@@ -20,8 +20,8 @@ import (
 //     eager small batches (Myria-style async), fixed-β with an AAP
 //     delay switch (§6.5), and the paper's adaptive-β rule.
 //   - Scheduler    (§5.4): in what order is a pass's dirty set drained,
-//     and which deltas are held back as low-priority? Implementations:
-//     FIFO, delta-stepping-style ordered scan, priority holding.
+//     and which deltas are held back for a later pass? Implementations:
+//     FIFO, delta-stepping buckets, the ordered scan, priority holding.
 //   - BarrierPolicy (§5.2): what synchronisation brackets a compute
 //     pass? Implementations: the BSP EndPhase/verdict protocol, free
 //     running (no barrier, master polls for termination), and the SSP
@@ -59,24 +59,26 @@ type FlushPolicy interface {
 // decision. It replaces the former inline ordered-scan and
 // priority-threshold branches in the compute loops.
 type Scheduler interface {
-	// arrange orders the drained batch in place (FIFO = no-op).
-	arrange(batch []drained)
+	// arrange orders the drained batch in place and returns how many of
+	// its leading entries this pass processes. The caller refolds the
+	// rest into the intermediate, where they wait, dirty, for a later
+	// pass: §5.4's unimportant deltas, or a bucket schedule's far keys.
+	// It runs once per subshard, on whichever core scans it.
+	arrange(batch []drained) int
 	// refreshes reports whether mid-pass deltas should be re-folded into
 	// a drained entry before processing (the delta-stepping saving).
 	refreshes() bool
-	// hold reports whether a delta of value v should wait locally (§5.4:
-	// unimportant deltas accumulate until the worker would idle). The
-	// caller refolds the delta into the intermediate when hold is true.
-	hold(v float64) bool
-	// release ends a holding phase because the worker has no other work;
-	// it reports whether any deltas were actually held (i.e. whether a
-	// new pass may find released work).
+	// release is asked when a pass propagated nothing and the worker
+	// would otherwise idle; it reports whether a new pass may find work
+	// the schedule held back (and, for §5.4's hold, lets it through).
 	release() bool
 	// rearm re-enables holding after the worker made progress.
 	rearm()
 	// holding reports whether held deltas are pending (keeps the idle
 	// detector honest: held work is still work).
 	holding() bool
+	// String names the schedule (Result.Sched).
+	String() string
 }
 
 // BarrierPolicy brackets the unified compute loop with the mode's
@@ -146,7 +148,7 @@ func init() {
 func newNaiveSyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
 		flush:   barrierFlush{},
-		sched:   baseScheduler(cfg, plan),
+		sched:   fifoSched{}, // naivePass re-derives: there is no dirty set to order
 		barrier: &bspBarrier{naive: true},
 		pass:    (*worker).naivePass,
 	}
@@ -157,7 +159,7 @@ func newNaiveSyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metric
 func newMRASyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
 		flush:   barrierFlush{},
-		sched:   baseScheduler(cfg, plan),
+		sched:   baseScheduler(cfg, plan, reg),
 		barrier: &bspBarrier{},
 		pass:    (*worker).scanPass,
 	}
@@ -168,7 +170,7 @@ func newMRASyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 func newMRAAsyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
 		flush:   eagerFlush{urgent: cfg.PriorityThreshold},
-		sched:   withPriorityHold(baseScheduler(cfg, plan), cfg, plan, reg),
+		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,
 	}
@@ -187,7 +189,7 @@ func newUnifiedPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 	}
 	return policySet{
 		flush:   flush,
-		sched:   withPriorityHold(baseScheduler(cfg, plan), cfg, plan, reg),
+		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,
 	}
@@ -198,17 +200,31 @@ func newUnifiedPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 func newAAPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
 		flush:   &fixedBetaFlush{beta: betaInit, tau: cfg.Tau, urgent: cfg.PriorityThreshold},
-		sched:   withPriorityHold(baseScheduler(cfg, plan), cfg, plan, reg),
+		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,
 	}
 }
 
-// baseScheduler picks the drain order: the delta-stepping-style ordered
-// scan applies only to selective aggregates with OrderedScan on.
-func baseScheduler(cfg Config, plan *compiler.Plan) Scheduler {
-	if cfg.OrderedScan && plan.Op.Selective() {
-		return orderedSched{asc: plan.Op.Kind() == agg.Min}
+// baseScheduler picks the schedule from the plan: the bucket scheduler
+// when the plan's kernel may have a Step — which states the rule — and
+// FIFO otherwise. Config.OrderedScan, the ablation's knob, puts a
+// selective aggregate on the ordered scan instead.
+func baseScheduler(cfg Config, plan *compiler.Plan, reg *metrics.Registry) Scheduler {
+	if !plan.Op.Selective() {
+		return fifoSched{}
+	}
+	asc := plan.Op.Kind() == agg.Min
+	if cfg.OrderedScan {
+		return orderedSched{asc: asc}
+	}
+	if plan.Kernel.MayStep() {
+		return &bucketSched{
+			asc:      asc,
+			kernel:   plan.Kernel,
+			passes:   reg.Counter("sched.bucket.passes"),
+			heldKeys: reg.Counter("sched.bucket.held"),
+		}
 	}
 	return fifoSched{}
 }

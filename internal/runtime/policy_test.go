@@ -6,8 +6,9 @@ import (
 	"time"
 
 	"powerlog/internal/agg"
-	"powerlog/internal/compiler"
+	"powerlog/internal/gen"
 	"powerlog/internal/metrics"
+	"powerlog/internal/progs"
 )
 
 // ---------------------------------------------------------------------------
@@ -155,7 +156,13 @@ func TestFlushDecisionEquivalence(t *testing.T) {
 				Mode:              tc.mode,
 				PriorityThreshold: tc.threshold,
 			}.withDefaults()
-			plan := &compiler.Plan{Op: agg.ByKind(tc.kind)}
+			// The policies read the plan's aggregate and, for a schedule,
+			// its kernel: a compiled plan of the case's aggregate.
+			src := progs.SSSP
+			if tc.kind == agg.Sum {
+				src = progs.PageRank
+			}
+			plan := compilePlan(t, src, edgeDB("edge")(gen.Uniform(16, 48, 10, 1)))
 			ps := policiesFor(cfg, plan, self, metrics.NewRegistry())
 
 			clock := time.Unix(1000, 0)
@@ -427,11 +434,25 @@ func TestPriorityHoldCycle(t *testing.T) {
 		inner: fifoSched{}, threshold: 1.0,
 		holds: reg.Counter("sched.hold"), releases: reg.Counter("sched.release"),
 	}
-	if s.hold(5) {
+	// held reports which of the deltas one arrange call holds back.
+	held := func(vals ...float64) int {
+		batch := make([]drained, len(vals))
+		for i, v := range vals {
+			batch[i] = drained{int64(i), v}
+		}
+		k := s.arrange(batch)
+		for _, d := range batch[:k] {
+			if agg.Abs(d.val) < s.threshold && !s.off.Load() {
+				t.Errorf("let the small delta %v through", d.val)
+			}
+		}
+		return len(batch) - k
+	}
+	if held(5) != 0 {
 		t.Error("held an important delta")
 	}
-	if !s.hold(0.1) {
-		t.Error("did not hold a small delta")
+	if held(0.1, 7, -0.2) != 2 {
+		t.Error("did not hold the small deltas")
 	}
 	if !s.holding() {
 		t.Error("holding not reported")
@@ -440,7 +461,7 @@ func TestPriorityHoldCycle(t *testing.T) {
 	if !s.release() {
 		t.Error("release with held work returned false")
 	}
-	if s.hold(0.1) {
+	if held(0.1) != 0 {
 		t.Error("held a delta after release")
 	}
 	if s.release() {
@@ -448,13 +469,13 @@ func TestPriorityHoldCycle(t *testing.T) {
 	}
 	// Progress rearms the threshold.
 	s.rearm()
-	if !s.hold(0.1) {
+	if held(0.1) != 1 {
 		t.Error("did not hold after rearm")
 	}
 	// The per-decision counters track the cycle.
 	snap := reg.Snapshot()
-	if got := snap.Counter("sched.hold"); got != 2 {
-		t.Errorf("sched.hold = %d, want 2", got)
+	if got := snap.Counter("sched.hold"); got != 3 {
+		t.Errorf("sched.hold = %d, want 3", got)
 	}
 	if got := snap.Counter("sched.release"); got != 1 {
 		t.Errorf("sched.release = %d, want 1", got)

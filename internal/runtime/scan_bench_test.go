@@ -64,3 +64,42 @@ func BenchmarkScanPass(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunChain times one cold SSSP fixpoint on the graph and engine
+// settings of plperf's sssp-chain-tcp workload (LocalChain 8000 vertices,
+// ≈ 40 k edges, 2 workers × 1 core), in process: the deep sparse frontier
+// the bucket scheduler exists for (DESIGN.md §5b). kvs/op is the updates
+// that crossed workers — the relaxations the schedule did not save — and
+// passes/op the compute passes per worker (supersteps under MRA+Sync,
+// productive passes otherwise). Under MRA+Sync both repeat exactly.
+func BenchmarkRunChain(b *testing.B) {
+	for _, mode := range []Mode{MRASync, MRASyncAsync} {
+		b.Run(mode.String(), func(b *testing.B) {
+			g := gen.LocalChain(8000, 4, 40, 100, 1)
+			plan := compilePlan(b, progs.SSSP, edgeDB("edge")(g))
+			var kvs, passes int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(plan, Config{
+					Workers: 2, CoresPerWorker: 1, Mode: mode,
+					Tau: time.Millisecond, CheckInterval: 2 * time.Millisecond, MaxWall: time.Minute,
+				})
+				if err != nil || !res.Converged {
+					b.Fatalf("run %d: %v (converged %v)", i, err, res != nil && res.Converged)
+				}
+				kvs += res.MessagesSent
+				if mode == MRASync {
+					passes += int64(res.Rounds)
+					continue
+				}
+				for _, ws := range res.Workers {
+					passes += ws.Passes / int64(len(res.Workers))
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+			b.ReportMetric(float64(kvs)/float64(b.N), "kvs/op")
+			b.ReportMetric(float64(passes)/float64(b.N), "passes/op")
+		})
+	}
+}

@@ -1,10 +1,14 @@
 package runtime
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"powerlog/internal/agg"
+	"powerlog/internal/compiler"
 	"powerlog/internal/metrics"
 )
 
@@ -13,15 +17,104 @@ import (
 // compute loops.
 
 // fifoSched processes the dirty set in drain (first-touch) order with
-// no holding — the default schedule.
+// no holding — the schedule of every plan the bucket scheduler does not
+// take.
 type fifoSched struct{}
 
-func (fifoSched) arrange([]drained) {}
-func (fifoSched) refreshes() bool   { return false }
-func (fifoSched) hold(float64) bool { return false }
-func (fifoSched) release() bool     { return false }
-func (fifoSched) rearm()            {}
-func (fifoSched) holding() bool     { return false }
+func (fifoSched) arrange(batch []drained) int { return len(batch) }
+func (fifoSched) refreshes() bool             { return false }
+func (fifoSched) release() bool               { return false }
+func (fifoSched) rearm()                      {}
+func (fifoSched) holding() bool               { return false }
+func (fifoSched) String() string              { return "fifo" }
+
+// bucketSched is delta-stepping (Meyer & Sanders 2003) for the plans
+// whose kernel has a Step (compiler.Kernel.Step states the premise: a
+// selective aggregate over v + w, run to a fixpoint, whose edges never
+// improve a value). A key's value is then only as final as it is close
+// to the frontier's best, and everything farther is a guess whose
+// relaxations will mostly be superseded. Of each drained batch it
+// processes the keys within one bucket width of the batch's best value
+// and holds the rest, which the pass re-folds — they stay dirty, so the
+// table itself tells the idle detector and BSP's Stats.Dirty that work
+// remains, and P1 with Theorem 3 licenses the order.
+//
+// arrange keeps nothing between calls but the held flag, so the cores of
+// a fanned-out pass can each gate their own subshards.
+type bucketSched struct {
+	asc bool // min aggregate: the best value is the smallest
+	// kernel.Step() is the width Δ, read per batch: a session's mutation
+	// can end the premise or begin it, and at 0 the schedule is FIFO.
+	kernel *compiler.Kernel
+	// held: a batch was split since the last productive pass, so a pass
+	// that propagated nothing still left dirty keys behind (release).
+	held atomic.Bool
+
+	// sched.bucket.passes counts the batches gated, sched.bucket.held the
+	// keys sent back to wait — once per batch each.
+	passes, heldKeys *metrics.Counter
+}
+
+func (s *bucketSched) arrange(batch []drained) int {
+	width := s.kernel.Step()
+	if width == 0 {
+		return len(batch)
+	}
+	s.passes.Inc()
+	k := partitionNear(batch, s.asc, width)
+	if k < len(batch) {
+		s.held.Store(true)
+		s.heldKeys.Add(uint64(len(batch) - k))
+	}
+	return k
+}
+
+// partitionNear moves the entries within width of the batch's best value
+// (the least when asc, else the greatest) to the front, keeping their
+// order, and returns how many there are: at least one of a non-empty
+// batch. An entry exactly at the limit is near; so is a NaN, which no
+// comparison can place.
+func partitionNear(batch []drained, asc bool, width float64) int {
+	sign := 1.0
+	if !asc {
+		sign = -1 // the greatest value is the least of the negated ones
+	}
+	best := math.Inf(1)
+	for _, d := range batch {
+		if v := sign * d.val; v < best {
+			best = v
+		}
+	}
+	limit := best + width
+	k := 0
+	for i, d := range batch {
+		if !(sign*d.val > limit) {
+			batch[i], batch[k] = batch[k], d
+			k++
+		}
+	}
+	return k
+}
+
+func (*bucketSched) refreshes() bool { return false }
+
+// release reports whether the pass that just propagated nothing held keys
+// back: they are dirty in the table, so the worker passes again at once
+// rather than wait out an idle timer on work it already has.
+func (s *bucketSched) release() bool { return s.held.Swap(false) }
+
+// rearm follows a productive pass, which is followed by another whatever
+// was held: only what a later, unproductive pass holds matters.
+func (s *bucketSched) rearm() { s.held.Store(false) }
+
+// holding is false: the held keys are dirty rows, which pending() sees.
+func (*bucketSched) holding() bool { return false }
+func (s *bucketSched) String() string {
+	if width := s.kernel.Step(); width > 0 {
+		return fmt.Sprintf("bucket(Δ=%.3g)", width)
+	}
+	return "fifo"
+}
 
 // orderedSched is the delta-stepping-style best-first schedule for
 // selective aggregates (Meyer & Sanders 2003): relaxing small tentative
@@ -33,26 +126,26 @@ type orderedSched struct {
 	asc bool // ascending for min aggregates, descending for max
 }
 
-func (s orderedSched) arrange(batch []drained) {
-	sort.Slice(batch, func(i, j int) bool {
-		if s.asc {
-			return batch[i].val < batch[j].val
-		}
-		return batch[i].val > batch[j].val
-	})
+func (s orderedSched) arrange(batch []drained) int {
+	if s.asc {
+		slices.SortFunc(batch, func(a, b drained) int { return cmp.Compare(a.val, b.val) })
+	} else {
+		slices.SortFunc(batch, func(a, b drained) int { return cmp.Compare(b.val, a.val) })
+	}
+	return len(batch)
 }
-func (orderedSched) refreshes() bool   { return true }
-func (orderedSched) hold(float64) bool { return false }
-func (orderedSched) release() bool     { return false }
-func (orderedSched) rearm()            {}
-func (orderedSched) holding() bool     { return false }
+func (orderedSched) refreshes() bool { return true }
+func (orderedSched) release() bool   { return false }
+func (orderedSched) rearm()          {}
+func (orderedSched) holding() bool   { return false }
+func (orderedSched) String() string  { return "ordered" }
 
 // priorityHold layers §5.4's importance-based holding over an inner
 // drain order: combining-aggregate deltas below the threshold wait in
 // the local intermediate, accumulating until the worker would otherwise
 // idle; release then lets one pass run unthrottled, and the next
 // productive pass rearms the hold.
-// Its hold() runs inside the scan pass, which may fan out over the
+// Its arrange runs inside the scan pass, which may fan out over the
 // per-core subshard pool (subshard.go), so the two flags are atomic:
 // several cores can park deltas concurrently while the owner reads the
 // flags at pass boundaries.
@@ -68,20 +161,31 @@ type priorityHold struct {
 	holds, releases *metrics.Counter
 }
 
-func (s *priorityHold) arrange(batch []drained) { s.inner.arrange(batch) }
-func (s *priorityHold) refreshes() bool         { return s.inner.refreshes() }
-
-func (s *priorityHold) hold(v float64) bool {
-	if s.off.Load() || agg.Abs(v) >= s.threshold {
-		return false
+// arrange holds, of what the inner schedule lets through, the deltas
+// below the threshold. The pass refolds them, which marks their rows
+// dirty again; the held flag keeps the idle detector from treating that
+// as pending work forever.
+func (s *priorityHold) arrange(batch []drained) int {
+	n := s.inner.arrange(batch)
+	if s.off.Load() {
+		return n
 	}
-	// The caller refolds the delta, which marks the row dirty again;
-	// the held flag keeps the idle detector from treating that as
-	// pending work forever.
-	s.held.Store(true)
-	s.holds.Inc()
-	return true
+	k := 0
+	for i, d := range batch[:n] {
+		if agg.Abs(d.val) >= s.threshold {
+			batch[i], batch[k] = batch[k], d
+			k++
+		}
+	}
+	if k < n {
+		s.held.Store(true)
+		s.holds.Add(uint64(n - k))
+	}
+	return k
 }
+
+func (s *priorityHold) refreshes() bool { return s.inner.refreshes() }
+func (s *priorityHold) String() string  { return s.inner.String() }
 
 func (s *priorityHold) release() bool {
 	if !s.held.Load() {

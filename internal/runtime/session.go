@@ -512,6 +512,9 @@ func (s *Session) collect(elapsed time.Duration) *Result {
 		sent += w.sent
 		recv += w.recv
 		flushes += w.flushes
+		if res.Sched == "" { // the same on every worker
+			res.Sched = w.pol.sched.String()
+		}
 		res.Workers = append(res.Workers, w.stats())
 		w.table.Range(func(k int64, v float64) bool {
 			res.Values[k] = v

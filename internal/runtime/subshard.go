@@ -132,8 +132,13 @@ func (c *coreState) scanSub(sub int) {
 	out := c.drainBuf
 	// The Scheduler's order applies within the subshard (a per-core sort
 	// for the ordered scan); cross-subshard order is whatever the deal
-	// and the steals produce, which P1 licenses.
-	w.pol.sched.arrange(out)
+	// and the steals produce, which P1 licenses. What the schedule holds
+	// back — §5.4's small combining deltas, a bucket schedule's far keys —
+	// is refolded: the rows are dirty again and wait for a later pass.
+	run := out[:w.pol.sched.arrange(out)]
+	for _, d := range out[len(run):] {
+		w.table.FoldDelta(d.key, d.val)
+	}
 	refresh := w.pol.sched.refreshes()
 	// sink resolves a Dense shard's slots with split, which holds only for
 	// vertex keys strided by the static modulo partition (worker.newTable).
@@ -141,16 +146,9 @@ func (c *coreState) scanSub(sub int) {
 	if w.route.members == nil && !w.plan.PairKeys {
 		dense, _ = w.table.(*monotable.Dense)
 	}
-	for _, d := range out {
+	for _, d := range run {
 		if refresh {
 			w.refresh(&d)
-		}
-		// §5.4 priority: small combining-aggregate deltas wait locally.
-		// Refolding marks the row dirty again; the scheduler tracks the
-		// held state so the idle detector stays honest.
-		if w.pol.sched.hold(d.val) {
-			w.table.FoldDelta(d.key, d.val)
-			continue
 		}
 		improved, change, signed := w.table.FoldAcc(d.key, d.val)
 		c.folds++

@@ -292,6 +292,6 @@ const Version = "1.0.0"
 
 // String renders a one-line summary of a result.
 func Summary(r *Result) string {
-	return fmt.Sprintf("keys=%d rounds=%d msgs=%d flushes=%d elapsed=%v converged=%v kernel=%s",
-		len(r.Values), r.Rounds, r.MessagesSent, r.Flushes, r.Elapsed, r.Converged, r.Kernel)
+	return fmt.Sprintf("keys=%d rounds=%d msgs=%d flushes=%d elapsed=%v converged=%v kernel=%s sched=%s",
+		len(r.Values), r.Rounds, r.MessagesSent, r.Flushes, r.Elapsed, r.Converged, r.Kernel, r.Sched)
 }
