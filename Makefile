@@ -36,7 +36,9 @@
 # open; CI runs it as its own required step ahead of `make check`.
 # `make test-scan` runs the compute-pass tests (DESIGN.md §9: fan-out
 # oracle runs, bit-identity below the gate and across kernel classes,
-# the exclusive/atomic fold alternation, gating, the stealing deque),
+# the exclusive/atomic fold alternation, the mirror against the hash
+# combiner and the owner-exclusive drain against the keyed one, the flush
+# limits against the old per-emit rule, gating, the stealing deque),
 # the bucket scheduler's (DESIGN.md §5b: the partition, every MRA mode
 # against the oracle with the gate on every batch and fanned out over the
 # cores, the relaxations saved, no idle wait behind held keys)
@@ -70,7 +72,7 @@ test-cpu1:
 	go test -cpu 1 ./...
 
 test-scan:
-	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestKernelClassesBitIdentical|TestAlternatingFoldVariants|TestPartitionNear|TestBucketSched|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime ./internal/compiler
+	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestKernelClassesBitIdentical|TestAlternatingFoldVariants|TestMirrorMatchesHash|TestFlushLimitMatchesOnEmit|TestFlushSplitsAtBatchMax|TestDrainOwnedMatchesScanDrain|TestFoldDeltaOwnedMatchesAtomic|TestPartitionNear|TestBucketSched|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime ./internal/compiler ./internal/monotable
 
 test-term:
 	go test -cpu 1,2,4 -count=5 -run 'TestTerm|TestSessionEquivalence|TestCrossTransportEquivalence' ./internal/term ./internal/runtime
@@ -99,15 +101,16 @@ serve-smoke:
 
 # Hot-path microbenches with allocation counts (BENCH_PR1.json records
 # the tracked numbers), one per layer of the compute pass: the F' row
-# kernel per class and the MonoTable folds (root package, ns/edge), the
-# whole pass on worker 0 of a static fleet (BenchmarkScanPass, ns/edge),
-# a cold SSSP fixpoint on plperf's chain graph under the bucket scheduler
-# (BenchmarkRunChain: ms, KVs and passes per op), the combiner, the codec,
-# the metrics core. BENCHTIME=1x is the
+# kernel per class, the MonoTable folds and the per-key drain (root
+# package, ns/edge and ns/key), the sender-side buffer in both backings
+# (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static fleet
+# (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
+# graph under the bucket scheduler (BenchmarkRunChain: ms, KVs and passes
+# per op), the codec, the metrics core. BENCHTIME=1x is the
 # compile-and-run smoke CI uses (bench-smoke) so none of them can rot.
 BENCHTIME ?= 1s
 bench:
-	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable' -benchmem -benchtime $(BENCHTIME) .
+	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass' -benchmem -benchtime $(BENCHTIME) .
 	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkRunChain|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkCodec' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
 	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem -benchtime $(BENCHTIME) ./internal/metrics/

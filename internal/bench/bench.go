@@ -163,10 +163,6 @@ type RunConfig struct {
 	// (latency pipelines on real fabrics, so only bandwidth is charged).
 	PerfectNetwork bool
 
-	// OrderedScan turns on the delta-stepping-style best-first schedule
-	// for selective aggregates (the ablation experiment sweeps it).
-	OrderedScan bool
-
 	// Staleness is the MRASSP superstep bound (0 = runtime default).
 	Staleness int
 
@@ -246,7 +242,6 @@ func (c RunConfig) engineConfig(mode runtime.Mode) (runtime.Config, error) {
 		MaxWall:           c.MaxWall,
 		CollectTimeout:    c.CollectTimeout,
 		PriorityThreshold: c.PriorityThreshold,
-		OrderedScan:       c.OrderedScan,
 		Staleness:         c.Staleness,
 		CoresPerWorker:    c.Cores,
 		SnapshotDir:       c.SnapshotDir,

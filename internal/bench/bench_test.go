@@ -333,22 +333,22 @@ func TestPolicyMetricsSmoke(t *testing.T) {
 		}
 	}
 	out := buf.String()
-	for _, want := range []string{"tiny-rmat", "SSSP:", "PageRank:", "MRA+SyncAsync", "hold/rel", "refresh"} {
+	for _, want := range []string{"tiny-rmat", "SSSP:", "PageRank:", "MRA+SyncAsync", "hold/rel", "bkt held"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	// The correlation signals the experiment exists for: the ordered scan
-	// should register refresh hits somewhere in the SSSP rows, and the
+	// The correlation signals the experiment exists for: the bucket
+	// schedule should hold keys somewhere in the SSSP rows, and the
 	// priority threshold hold/release cycles in the PageRank rows.
-	var refresh, holds uint64
+	var held, holds uint64
 	for _, m := range ms {
 		if m.Algo == "SSSP" {
-			refresh += m.Metrics.Counter("sched.refresh.hit")
+			held += m.Metrics.Counter("sched.bucket.held")
 		}
 		if m.Algo == "PageRank" {
 			holds += m.Metrics.Counter("sched.hold")
 		}
 	}
-	t.Logf("refresh hits=%d holds=%d", refresh, holds)
+	t.Logf("bucket held=%d holds=%d", held, holds)
 }

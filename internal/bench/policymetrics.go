@@ -10,14 +10,13 @@ import (
 )
 
 // PolicyMetrics runs the six-mode observability table (DESIGN.md §8): for
-// one selective workload (SSSP with the ordered scan, which exercises the
-// mid-pass refresh) and one combining workload (PageRank with the §5.4
-// priority threshold, which exercises hold/release and the adaptive β
-// dial), every mode runs once and its merged per-policy counters are
-// printed next to the wall time. The point of the table is correlation:
-// which policy activity a mode pays for, and what it buys — e.g. refresh
-// hits against SSSP wall time, or β band exits against realised flush
-// sizes.
+// one selective workload (SSSP, whose plan draws the bucket schedule) and
+// one combining workload (PageRank with the §5.4 priority threshold, which
+// exercises hold/release and the adaptive β dial), every mode runs once
+// and its merged per-policy counters are printed next to the wall time.
+// The point of the table is correlation: which policy activity a mode pays
+// for, and what it buys — e.g. keys the buckets held against SSSP wall
+// time, or β band exits against realised flush sizes.
 func PolicyMetrics(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	dsName := "LiveJ"
 	ds, err := gen.DatasetByName(dsName)
@@ -34,22 +33,19 @@ func PolicyMetrics(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 		runtime.MRAAAP, runtime.MRASyncAsync, runtime.MRASSP}
 	var out []Measurement
 	for _, spec := range []struct {
-		algo  string
-		tweak func(*RunConfig)
-	}{
-		{algo: "SSSP", tweak: func(c *RunConfig) { c.OrderedScan = true }},
-		{algo: "PageRank", tweak: func(c *RunConfig) { c.PriorityThreshold = 1e-7 }},
-	} {
+		algo      string
+		threshold float64
+	}{{"SSSP", cfg.PriorityThreshold}, {"PageRank", 1e-7}} {
 		wl, err := Prepare(spec.algo, ds)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(w, "  %s:\n", spec.algo)
 		fmt.Fprintf(w, "    %-16s %9s %7s %13s %8s %15s %11s %15s %7s %5s\n",
-			"mode", "wall", "rounds", "hold/rel", "refresh", "flush p50/p99", "β exit/clmp", "straggler(µs)", "resend", "dup")
+			"mode", "wall", "rounds", "hold/rel", "bkt held", "flush p50/p99", "β exit/clmp", "straggler(µs)", "resend", "dup")
 		for _, mode := range modes {
 			c := cfg
-			spec.tweak(&c)
+			c.PriorityThreshold = spec.threshold
 			m, err := RunMode(wl, mode, c)
 			if err != nil {
 				return nil, err
@@ -114,7 +110,7 @@ func policyRow(s metrics.Snapshot) string {
 	straggler := s.Histograms["barrier.straggler.wait_us"]
 	return fmt.Sprintf("%6d/%-6d %8d %7.0f/%-7.0f %5d/%-5d %7.0f/%-7.0f %7d %5d",
 		s.Counter("sched.hold"), s.Counter("sched.release"),
-		s.Counter("sched.refresh.hit"),
+		s.Counter("sched.bucket.held"),
 		flush.Quantile(0.5), flush.Quantile(0.99),
 		s.Counter("flush.beta.band.exit"),
 		s.Counter("flush.beta.clamp.floor")+s.Counter("flush.beta.clamp.ceil"),

@@ -13,11 +13,10 @@ package metrics
 // per destination or peer); the analyzer matches reads against them
 // structurally.
 var WellKnownNames = []string{
-	// Scheduler (§5.4 priority holding, ordered-scan refreshes, the
-	// bucket schedule's gated batches and the keys they held back).
+	// Scheduler (§5.4 priority holding, the bucket schedule's gated
+	// batches and the keys they held back).
 	"sched.hold",
 	"sched.release",
-	"sched.refresh.hit",
 	"sched.bucket.passes",
 	"sched.bucket.held",
 

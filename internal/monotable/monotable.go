@@ -108,36 +108,68 @@ type Table interface {
 // {offset + i*stride : 0 <= i < size} — PowerLog's modulo partitioning
 // of a dense vertex key space across `stride` workers.
 type Dense struct {
-	op             *agg.Op
+	Column         // the Intermediate entries and the dirty set
 	stride, offset int64
 	acc            []uint64
-	inter          []uint64
-	dirty          []uint32 // atomic bitmap over local slots
+}
+
+// Column is an Intermediate column by local slot, with a bit per slot for
+// the slots that hold an unconsumed delta: a Dense shard's own, whose bits
+// are its dirty set, or a mirror (NewMirror). Its methods use plain loads
+// and stores, for a caller that is the column's only accessor while they
+// run: always, for a mirror; for a shard, the worker goroutine outside a
+// fanned-out pass. DESIGN.md §9 ("who may touch a shard when") is the
+// exclusivity argument, and the //plvet:ignore lines below and in
+// FoldAccOwned are its plain accesses to atomically-used words.
+type Column struct {
+	op    *agg.Op
+	inter []uint64
+	dirty []uint32 // atomic bitmap over local slots
+
+	mirror bool
+	staged []int32 // a mirror's dirty slots, in first-touch order
+}
+
+// shardSize is how many of the keys [0, n) worker offset of stride owns.
+func shardSize(n int, stride, offset int64) int {
+	if stride <= 0 || offset < 0 || offset >= stride {
+		panic("monotable: bad stride/offset")
+	}
+	return max(0, int((int64(n)-offset+stride-1)/stride))
+}
+
+func newColumn(op *agg.Op, size int, mirror bool) Column {
+	c := Column{op: op, inter: make([]uint64, size), dirty: make([]uint32, (size+31)/32), mirror: mirror}
+	for i := range c.inter {
+		agg.Store(&c.inter[i], op.Identity())
+	}
+	return c
 }
 
 // NewDense creates a dense shard for worker `offset` of `stride` workers
 // over the global key space [0, n).
 func NewDense(op *agg.Op, n int, stride, offset int64) *Dense {
-	if stride <= 0 || offset < 0 || offset >= stride {
-		panic("monotable: bad stride/offset")
-	}
-	size := int((int64(n) - offset + stride - 1) / stride)
-	if size < 0 {
-		size = 0
-	}
 	d := &Dense{
-		op:     op,
+		Column: newColumn(op, shardSize(n, stride, offset), false),
 		stride: stride,
 		offset: offset,
-		acc:    make([]uint64, size),
-		inter:  make([]uint64, size),
-		dirty:  make([]uint32, (size+31)/32),
 	}
+	d.acc = make([]uint64, len(d.inter))
 	for i := range d.acc {
 		agg.Store(&d.acc[i], op.Identity())
-		agg.Store(&d.inter[i], op.Identity())
 	}
 	return d
+}
+
+// NewMirror creates a sender's mirror of the Intermediate column of the
+// shard NewDense makes from the same arguments: what the sender has folded
+// for that shard's keys and not yet sent. Unlike a shard's column it
+// stages a slot at its first fold whatever the value, and holds that
+// value as given, so a batch taken from it is the one a combiner keyed by
+// hash would have built.
+func NewMirror(op *agg.Op, n int, stride, offset int64) *Column {
+	c := newColumn(op, shardSize(n, stride, offset), true)
+	return &c
 }
 
 func (d *Dense) slot(key int64) int { return int((key - d.offset) / d.stride) }
@@ -146,7 +178,7 @@ func (d *Dense) slot(key int64) int { return int((key - d.offset) / d.stride) }
 func (d *Dense) globalKey(slot int) int64 { return d.offset + int64(slot)*d.stride }
 
 // Op implements Table.
-func (d *Dense) Op() *agg.Op { return d.op }
+func (c *Column) Op() *agg.Op { return c.op }
 
 // FoldDelta implements Table.
 func (d *Dense) FoldDelta(key int64, v float64) bool { return d.FoldDeltaAt(d.slot(key), v) }
@@ -161,20 +193,65 @@ func (d *Dense) FoldDeltaAt(s int, v float64) bool {
 	return true
 }
 
-// FoldDeltaOwned is FoldDeltaAt without the atomics: plain load, fold,
-// store, for a caller that is the shard's only accessor while it runs —
-// the worker goroutine in a pass that did not fan out. DESIGN.md §9
-// ("who may touch a shard when") is the exclusivity argument; the three
-// suppressions below are its plain accesses to atomically-used words.
-func (d *Dense) FoldDeltaOwned(s int, v float64) bool {
-	old := fromBits(d.inter[s]) //plvet:ignore atomicmix owner-exclusive pass, see DESIGN.md §9
-	next := d.op.Fold(old, v)
-	if next == old || next != next && old != old { // as AtomicFold: NaN over NaN is no change
+// FoldDeltaOwned is FoldDeltaAt for the column's only accessor. A slot
+// whose bit is set folds in place — one path for a shard and a mirror. It
+// reports whether it staged the slot: a mirror's first fold of it.
+func (c *Column) FoldDeltaOwned(s int, v float64) bool {
+	w, b := uint(s)/32, uint32(1)<<(uint(s)%32)
+	old := fromBits(c.inter[s]) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	next := c.op.Fold(old, v)
+	switch {
+	case c.dirty[w]&b != 0: //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+		c.inter[s] = toBits(next) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+		return false
+	case c.mirror:
+		next = v
+		c.staged = append(c.staged, int32(s))
+	case next == old || next != next && old != old: // as AtomicFold: NaN over NaN is no change
 		return false
 	}
-	d.inter[s] = toBits(next)      //plvet:ignore atomicmix owner-exclusive pass, see DESIGN.md §9
-	d.dirty[s/32] |= 1 << (s % 32) //plvet:ignore atomicmix owner-exclusive pass, see DESIGN.md §9
-	return true
+	c.inter[s] = toBits(next) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	c.dirty[w] |= b           //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	return c.mirror
+}
+
+// Staged is a mirror's dirty slots, in the order they were first folded.
+func (c *Column) Staged() []int32 { return c.staged }
+
+// TakeOwned empties slot s of a mirror and returns what it held; the
+// caller drops the slots it has taken, in Staged's order, with Unstage.
+func (c *Column) TakeOwned(s int) float64 {
+	v := fromBits(c.inter[s])            //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	c.inter[s] = toBits(c.op.Identity()) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	c.dirty[s/32] &^= 1 << (s % 32)      //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	return v
+}
+
+// Unstage drops the first n staged slots.
+func (c *Column) Unstage(n int) { c.staged = c.staged[:copy(c.staged, c.staged[n:])] }
+
+// DrainOwned is ScanDirty with Drain in one: it empties the dirty set in
+// slot order, exchanging each dirty row's Intermediate with the identity,
+// and hands f the rows that held something.
+func (d *Dense) DrainOwned(f func(key int64, v float64)) {
+	id := d.op.Identity()
+	for w := range d.dirty {
+		bits := d.dirty[w] //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+		if bits == 0 {
+			continue
+		}
+		d.dirty[w] = 0 //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+		for ; bits != 0; bits &= bits - 1 {
+			s := w*32 + trailingZeros32(bits)
+			if s >= len(d.inter) {
+				break
+			}
+			if v := fromBits(d.inter[s]); v != id { //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+				d.inter[s] = toBits(id) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+				f(d.globalKey(s), v)
+			}
+		}
+	}
 }
 
 // Drain implements Table.
@@ -193,6 +270,19 @@ func (d *Dense) Acc(key int64) float64 { return agg.Load(&d.acc[d.slot(key)]) }
 // FoldAcc implements Table.
 func (d *Dense) FoldAcc(key int64, v float64) (bool, float64, float64) {
 	return foldAccCell(d.op, &d.acc[d.slot(key)], v)
+}
+
+// FoldAccOwned is FoldAcc by local slot for the shard's only accessor: one
+// load, one fold, one store.
+func (d *Dense) FoldAccOwned(s int, v float64) (bool, float64, float64) {
+	old := fromBits(d.acc[s]) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	next := d.op.Fold(old, v)
+	if next == old {
+		return false, 0, 0
+	}
+	d.acc[s] = toBits(next) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	change, signed := accChange(d.op, old, next, v)
+	return true, change, signed
 }
 
 // dirtyWordsPerLine groups the dirty bitmap into 64-byte cache lines
@@ -599,28 +689,23 @@ func foldAccCell(op *agg.Op, cell *uint64, v float64) (bool, float64, float64) {
 			return false, 0, 0
 		}
 		if casU64(cell, oldBits, toBits(next)) {
-			signed := next - old
-			if old == op.Identity() {
-				signed = next
-			}
-			return true, magnitude(op, old, next, v), signed
+			change, signed := accChange(op, old, next, v)
+			return true, change, signed
 		}
 	}
 }
 
-// magnitude computes the ε-termination contribution of an accumulation
-// change: for selective aggregates the distance moved (when finite); for
-// combining aggregates the folded delta itself.
-func magnitude(op *agg.Op, old, next, v float64) float64 {
-	if op.Selective() {
-		d := old - next
-		if d < 0 {
-			d = -d
-		}
-		if d != d || d > 1e300 { // NaN or from-identity jump: count the value move
-			return agg.Abs(v)
-		}
-		return d
+// accChange is what folding v moved an accumulation by, old → next: its
+// ε-termination contribution — for selective aggregates the distance moved
+// (when finite), for combining aggregates the folded delta itself — and
+// the signed Σacc contribution.
+func accChange(op *agg.Op, old, next, v float64) (change, signed float64) {
+	signed = next - old
+	if old == op.Identity() {
+		signed = next
 	}
-	return agg.Abs(v)
+	if d := agg.Abs(old - next); op.Selective() && d == d && d <= 1e300 {
+		return d, signed // else NaN or a from-identity jump: count the value move
+	}
+	return agg.Abs(v), signed
 }

@@ -301,7 +301,7 @@ func TestMagnitudeFromIdentity(t *testing.T) {
 }
 
 // TestFoldDeltaOwnedMatchesAtomic: the owner-exclusive fold is the atomic
-// fold minus the atomics — same stored bits, same "changed", same dirty
+// fold minus the atomics — same stored bits, same dirty
 // set — on any value sequence, specials included, and the two may be
 // interleaved on one table by one goroutine.
 func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
@@ -318,13 +318,11 @@ func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
 			if rng.Intn(20) == 0 {
 				v = specials[rng.Intn(len(specials))]
 			}
-			want := atomicT.FoldDelta(key, v)
-			fold := ownedT.FoldDeltaOwned
+			atomicT.FoldDelta(key, v)
 			if i%7 == 0 {
-				fold = ownedT.FoldDeltaAt // the regimes alternate on one shard
-			}
-			if got := fold(slot, v); got != want {
-				t.Fatalf("%v: fold %d of %v into key %d: owned changed=%v, atomic changed=%v", kind, i, v, key, !want, want)
+				ownedT.FoldDeltaAt(slot, v) // the regimes alternate on one shard
+			} else {
+				ownedT.FoldDeltaOwned(slot, v)
 			}
 			if i%500 == 499 {
 				var a, o []int64
@@ -341,6 +339,52 @@ func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDrainOwnedMatchesScanDrain: the owner-exclusive drain hands over the
+// rows ScanDirtyRange(0, 1) + Drain does — same keys, same values, same
+// order — and leaves the same table behind. The shard's last dirty word
+// covers slots past its end, and a row erased while dirty is skipped.
+func TestDrainOwnedMatchesScanDrain(t *testing.T) {
+	type row struct {
+		k int64
+		v uint64
+	}
+	for _, kind := range []agg.Kind{agg.Min, agg.Sum} {
+		const n, stride, offset = 1000, 3, 2 // 333 slots: 11 dirty words, 19 bits to spare
+		byKey := NewDense(agg.ByKind(kind), n, stride, offset)
+		owned := NewDense(agg.ByKind(kind), n, stride, offset)
+		rng := rand.New(rand.NewSource(int64(kind) + 7))
+		for round := 0; round < 20; round++ {
+			for i := 0; i < 150; i++ {
+				key, v := int64(offset+rng.Intn(n/stride)*stride), rng.NormFloat64()
+				byKey.FoldDelta(key, v)
+				owned.FoldDelta(key, v)
+			}
+			erased := int64(offset + rng.Intn(n/stride)*stride)
+			for _, d := range []*Dense{byKey, owned} {
+				d.Invalidate(erased)
+				markDirty(d.dirty, len(d.dirty)*32-1) // a slot the shard does not have
+			}
+			var want, got []row
+			byKey.ScanDirtyRange(0, 1, func(k int64) {
+				if v, ok := byKey.Drain(k); ok {
+					want = append(want, row{k, math.Float64bits(v)})
+				}
+			})
+			owned.DrainOwned(func(k int64, v float64) { got = append(got, row{k, math.Float64bits(v)}) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v round %d: DrainOwned gave %d rows, ScanDirtyRange+Drain %d, or they differ", kind, round, len(got), len(want))
+			}
+			if owned.HasDirty() || byKey.HasDirty() {
+				t.Fatalf("%v round %d: a drain left dirty rows", kind, round)
+			}
+			owned.RangeRows(func(k int64, _, inter float64) bool {
+				t.Fatalf("%v round %d: key %d still holds %v", kind, round, k, inter)
+				return false
+			})
 		}
 	}
 }

@@ -101,16 +101,6 @@ type Config struct {
 	// intermediate until the worker has no other work. 0 disables.
 	PriorityThreshold float64
 
-	// OrderedScan processes each pass's drained deltas best-first (lowest
-	// value for min, highest for max) — a delta-stepping-style schedule
-	// (Meyer & Sanders 2003) like the SociaLite optimisation the paper
-	// credits for its ClueWeb09 SSSP win. It reduces wasted relaxations
-	// on selective aggregates at the cost of a per-pass sort; it has no
-	// effect on combining aggregates. It takes the place of the bucket
-	// scheduler a selective v + w plan draws by default (DESIGN.md §5b);
-	// it remains as the ablation's comparison.
-	OrderedScan bool
-
 	// MaxWall aborts a run after this long (default 2 minutes).
 	MaxWall time.Duration
 
@@ -296,8 +286,8 @@ type Result struct {
 	// §9), or "naive" when the mode re-derives instead of propagating.
 	Kernel string
 	// Sched names the schedule its compute passes drained under (DESIGN.md
-	// §5b): "fifo", "ordered" (Config.OrderedScan) or "bucket(Δ=…)" with
-	// the bucket width, the mean |w| of the plan's graph.
+	// §5b): "fifo", or "bucket(Δ=…)" with the bucket width, the mean |w|
+	// of the plan's graph.
 	Sched string
 	// Workers holds per-worker observability, indexed by worker id.
 	Workers []WorkerStats
@@ -347,8 +337,8 @@ type WorkerStats struct {
 	// the staleness gate waiting for slower peers.
 	StragglerWait time.Duration
 	// Metrics is the worker's full per-policy metric snapshot (DESIGN.md
-	// §8): hold/release cycles, ordered-scan refresh hits,
-	// per-destination flush-size histograms, β band exits and clamps,
+	// §8): hold/release cycles, bucket-schedule gates, per-destination
+	// flush-size histograms, β band exits and clamps,
 	// straggler-wait histogram, marker retransmits, duplicate batches.
 	Metrics metrics.Snapshot
 }

@@ -1,23 +1,31 @@
 package runtime
 
 import (
+	"math"
 	"time"
 
-	"powerlog/internal/agg"
 	"powerlog/internal/metrics"
 )
 
-// FlushPolicy implementations (§5.3). Each existing mode's flush
-// behaviour is transcribed bit-for-bit from the former emitAsync /
-// timedFlush mode switches; policy_test.go replays event sequences
-// against the old-style decision rules to enforce that.
+// FlushPolicy implementations (§5.3). Each mode's flush behaviour is that
+// of the former emitAsync / timedFlush mode switches; policy_test.go
+// replays event sequences against the old-style decision rules to enforce
+// that.
 
-// urgentDelta is §5.4's other half, shared by the asynchronous flush
-// policies: deltas well above the priority threshold are sent to their
-// neighbours immediately instead of waiting for the buffer to fill.
-func urgentDelta(threshold, v float64) bool {
-	return threshold > 0 && agg.Abs(v) >= 8*threshold
+// urgentAt is §5.4's other half, shared by the asynchronous flush
+// policies: a delta of magnitude 8× the priority threshold or more is sent
+// to its neighbours immediately instead of waiting for the buffer to fill.
+// Without a threshold nothing is urgent: no magnitude is >= NaN.
+func urgentAt(threshold float64) float64 {
+	if threshold > 0 {
+		return 8 * threshold
+	}
+	return math.NaN()
 }
+
+// noLimit is the limit of a buffer that only a barrier, the τ timer or an
+// urgent delta flushes.
+const noLimit = math.MaxInt
 
 // The paper fixes the two constants of the β update rule (§5.3): the
 // damping factor α and the adaptation trigger ratio r.
@@ -38,20 +46,20 @@ const betaInit = 256
 // The worker's batchMax cap still bounds any single message.
 type barrierFlush struct{}
 
-func (barrierFlush) onEmit(int, int, float64) bool { return false }
-func (barrierFlush) onTick(time.Time, *window)     {}
+func (barrierFlush) limit(int) int             { return noLimit }
+func (barrierFlush) urgent() float64           { return urgentAt(0) }
+func (barrierFlush) onTick(time.Time, *window) {}
 
 // eagerFlush is the asynchronous extreme: Myria-style eager small
 // batches for maximum freshness. The unified engine also uses it for
 // selective aggregates, where a stale bound must be corrected later and
 // freshness therefore beats batching.
 type eagerFlush struct {
-	urgent float64 // §5.4 priority threshold (0 = off)
+	threshold float64 // §5.4 priority threshold (0 = off)
 }
 
-func (p eagerFlush) onEmit(_, n int, v float64) bool {
-	return urgentDelta(p.urgent, v) || n >= asyncEagerBatch
-}
+func (eagerFlush) limit(int) int             { return asyncEagerBatch }
+func (p eagerFlush) urgent() float64         { return urgentAt(p.threshold) }
 func (eagerFlush) onTick(time.Time, *window) {}
 
 // fixedBetaFlush re-implements Grape+'s AAP mode switch (§6.5): a fixed
@@ -59,18 +67,19 @@ func (eagerFlush) onTick(time.Time, *window) {}
 // in-messages delays its own sends (SSP-leaning, bigger batches on the
 // τ timer only); a starved worker flushes eagerly (AP-leaning).
 type fixedBetaFlush struct {
-	beta    int
-	tau     time.Duration
-	urgent  float64
-	delayed bool
+	beta      int
+	tau       time.Duration
+	threshold float64
+	delayed   bool
 }
 
-func (p *fixedBetaFlush) onEmit(_, n int, v float64) bool {
-	if urgentDelta(p.urgent, v) {
-		return true
+func (p *fixedBetaFlush) limit(int) int {
+	if p.delayed {
+		return noLimit
 	}
-	return !p.delayed && n >= p.beta
+	return p.beta
 }
+func (p *fixedBetaFlush) urgent() float64 { return urgentAt(p.threshold) }
 
 func (p *fixedBetaFlush) onTick(now time.Time, win *window) {
 	dT := now.Sub(win.start)
@@ -87,9 +96,9 @@ func (p *fixedBetaFlush) onTick(now time.Time, win *window) {
 // start at betaInit and, whenever the update accumulation rate
 // |B(i,j)|/ΔT leaves the band [β/(r·τ), r·β/τ], reset to α·τ·|B(i,j)|/ΔT.
 type adaptiveBetaFlush struct {
-	self   int
-	urgent float64
-	tau    time.Duration
+	self      int
+	threshold float64
+	tau       time.Duration
 	// Clamp: the floor keeps slow-pace phases from degenerating to
 	// per-update messages (the folding window would vanish); the
 	// ceiling bounds staleness and keeps any single message from
@@ -114,7 +123,7 @@ const betaSampleCap = 512
 func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptiveBetaFlush {
 	p := &adaptiveBetaFlush{
 		self:       self,
-		urgent:     cfg.PriorityThreshold,
+		threshold:  cfg.PriorityThreshold,
 		tau:        cfg.Tau,
 		betaFloor:  betaInit / 4,
 		betaCeil:   2 * betaInit,
@@ -130,12 +139,16 @@ func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptive
 	return p
 }
 
-func (p *adaptiveBetaFlush) onEmit(dst, n int, v float64) bool {
-	if urgentDelta(p.urgent, v) {
-		return true
+// limit is ⌈β⌉: n buffered updates reach a fractional β when n >= ⌈β⌉. A
+// slot an elastic fleet admitted past its initial size has no β of its
+// own and keeps the initial one.
+func (p *adaptiveBetaFlush) limit(dst int) int {
+	if dst >= len(p.beta) {
+		return betaInit
 	}
-	return float64(n) >= p.beta[dst]
+	return int(math.Ceil(p.beta[dst]))
 }
+func (p *adaptiveBetaFlush) urgent() float64 { return urgentAt(p.threshold) }
 
 func (p *adaptiveBetaFlush) onTick(now time.Time, win *window) { p.adapt(now, win) }
 

@@ -13,7 +13,7 @@ import (
 // everything here is the worker- and master-owned remainder.
 
 // workerMetrics is one worker's pre-resolved metric handles. They are
-// resolved once in newWorker so the hot paths (flush, handle, refresh)
+// resolved once in newWorker so the hot paths (flush, handle)
 // pay a single atomic op per event — no map lookups, no allocations.
 type workerMetrics struct {
 	reg *metrics.Registry
@@ -22,10 +22,6 @@ type workerMetrics struct {
 	// ("flush.size.dst<j>", KVs per Data batch) — which destinations
 	// dominate traffic and how well the β dial is batching.
 	flushSize []*metrics.Histogram
-	// refreshHits counts ordered-scan mid-pass refreshes that actually
-	// folded a newer delta ("sched.refresh.hit") — the delta-stepping
-	// saving made visible.
-	refreshHits *metrics.Counter
 	// recvBatches / dupBatches split inbound Data batches into
 	// first deliveries and duplicates ("recv.batch" / "recv.dup.batch");
 	// duplicates fold idempotently but stay out of the termination
@@ -58,7 +54,6 @@ func newWorkerMetrics(nw int) workerMetrics {
 	m := workerMetrics{
 		reg:            reg,
 		flushSize:      make([]*metrics.Histogram, nw),
-		refreshHits:    reg.Counter("sched.refresh.hit"),
 		recvBatches:    reg.Counter("recv.batch"),
 		dupBatches:     reg.Counter("recv.dup.batch"),
 		markerResends:  reg.Counter("barrier.marker.resend"),

@@ -21,7 +21,7 @@ import (
 //     delay switch (§6.5), and the paper's adaptive-β rule.
 //   - Scheduler    (§5.4): in what order is a pass's dirty set drained,
 //     and which deltas are held back for a later pass? Implementations:
-//     FIFO, delta-stepping buckets, the ordered scan, priority holding.
+//     FIFO, delta-stepping buckets, priority holding.
 //   - BarrierPolicy (§5.2): what synchronisation brackets a compute
 //     pass? Implementations: the BSP EndPhase/verdict protocol, free
 //     running (no barrier, master polls for termination), and the SSP
@@ -43,12 +43,19 @@ type window struct {
 }
 
 // FlushPolicy decides when per-destination buffers are sent (§5.3). It
-// replaces the former mode switches in emitAsync/timedFlush.
+// replaces the former mode switches in emitAsync/timedFlush. The decision
+// on an emit is published, not asked per update: destination dst's buffer
+// flushes once it holds limit(dst) entries, or when a delta of magnitude
+// urgent() or more is folded in. Both hold between two onTick calls, so
+// the worker reads them after each (worker.readLimits).
 type FlushPolicy interface {
-	// onEmit reports whether destination dst's buffer — bufLen entries
-	// after folding in a delta of value v — should flush now. The
-	// batchMax hard cap is enforced by the worker, not the policy.
-	onEmit(dst, bufLen int, v float64) bool
+	// limit is the buffered-entry count at which destination dst's buffer
+	// flushes (noLimit: not on a count). The batchMax hard cap is the
+	// worker's, not the policy's.
+	limit(dst int) int
+	// urgent is the delta magnitude that flushes a buffer at once (NaN:
+	// none does).
+	urgent() float64
 	// onTick runs the policy's timer work on the τ interval: window
 	// adaptation (the β(i,j) update rule, the AAP delay switch). The
 	// shared "flush buffers older than τ" sweep lives in the worker.
@@ -56,8 +63,8 @@ type FlushPolicy interface {
 }
 
 // Scheduler owns a pass's drain order and the §5.4 low-priority holding
-// decision. It replaces the former inline ordered-scan and
-// priority-threshold branches in the compute loops.
+// decision. It replaces the former inline priority-threshold branches in
+// the compute loops.
 type Scheduler interface {
 	// arrange orders the drained batch in place and returns how many of
 	// its leading entries this pass processes. The caller refolds the
@@ -65,9 +72,6 @@ type Scheduler interface {
 	// pass: §5.4's unimportant deltas, or a bucket schedule's far keys.
 	// It runs once per subshard, on whichever core scans it.
 	arrange(batch []drained) int
-	// refreshes reports whether mid-pass deltas should be re-folded into
-	// a drained entry before processing (the delta-stepping saving).
-	refreshes() bool
 	// release is asked when a pass propagated nothing and the worker
 	// would otherwise idle; it reports whether a new pass may find work
 	// the schedule held back (and, for §5.4's hold, lets it through).
@@ -159,7 +163,7 @@ func newNaiveSyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metric
 func newMRASyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
 		flush:   barrierFlush{},
-		sched:   baseScheduler(cfg, plan, reg),
+		sched:   baseScheduler(plan, reg),
 		barrier: &bspBarrier{},
 		pass:    (*worker).scanPass,
 	}
@@ -169,8 +173,8 @@ func newMRASyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 // batches, no barrier.
 func newMRAAsyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
-		flush:   eagerFlush{urgent: cfg.PriorityThreshold},
-		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
+		flush:   eagerFlush{threshold: cfg.PriorityThreshold},
+		sched:   withPriorityHold(baseScheduler(plan, reg), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,
 	}
@@ -183,13 +187,13 @@ func newMRAAsyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics
 func newUnifiedPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	var flush FlushPolicy
 	if plan.Op.Selective() {
-		flush = eagerFlush{urgent: cfg.PriorityThreshold}
+		flush = eagerFlush{threshold: cfg.PriorityThreshold}
 	} else {
 		flush = newAdaptiveBetaFlush(cfg, self, reg)
 	}
 	return policySet{
 		flush:   flush,
-		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
+		sched:   withPriorityHold(baseScheduler(plan, reg), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,
 	}
@@ -199,8 +203,8 @@ func newUnifiedPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 // fixed β with a per-worker delay switch driven by in-message volume.
 func newAAPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
-		flush:   &fixedBetaFlush{beta: betaInit, tau: cfg.Tau, urgent: cfg.PriorityThreshold},
-		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
+		flush:   &fixedBetaFlush{beta: betaInit, tau: cfg.Tau, threshold: cfg.PriorityThreshold},
+		sched:   withPriorityHold(baseScheduler(plan, reg), cfg, plan, reg),
 		barrier: freeRun{},
 		pass:    (*worker).scanPass,
 	}
@@ -208,19 +212,11 @@ func newAAPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 
 // baseScheduler picks the schedule from the plan: the bucket scheduler
 // when the plan's kernel may have a Step — which states the rule — and
-// FIFO otherwise. Config.OrderedScan, the ablation's knob, puts a
-// selective aggregate on the ordered scan instead.
-func baseScheduler(cfg Config, plan *compiler.Plan, reg *metrics.Registry) Scheduler {
-	if !plan.Op.Selective() {
-		return fifoSched{}
-	}
-	asc := plan.Op.Kind() == agg.Min
-	if cfg.OrderedScan {
-		return orderedSched{asc: asc}
-	}
+// FIFO otherwise.
+func baseScheduler(plan *compiler.Plan, reg *metrics.Registry) Scheduler {
 	if plan.Kernel.MayStep() {
 		return &bucketSched{
-			asc:      asc,
+			asc:      plan.Op.Kind() == agg.Min,
 			kernel:   plan.Kernel,
 			passes:   reg.Counter("sched.bucket.passes"),
 			heldKeys: reg.Counter("sched.bucket.held"),

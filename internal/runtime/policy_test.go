@@ -9,13 +9,15 @@ import (
 	"powerlog/internal/gen"
 	"powerlog/internal/metrics"
 	"powerlog/internal/progs"
+	"powerlog/internal/transport"
 )
 
 // ---------------------------------------------------------------------------
 // Flush-decision equivalence: replay synthetic event traces against a
 // literal transcription of the pre-refactor emitAsync/timedFlush mode
-// switches and require the policy layer to make the same call at every
-// event. This is the refactor's bit-for-bit preservation contract.
+// switches and require the policy layer's published (limit, urgent) to
+// make the same call at every event, as the worker evaluates it. This is
+// the refactor's bit-for-bit preservation contract.
 // ---------------------------------------------------------------------------
 
 // oldFlushRef transcribes the former mode switches (the emitAsync switch,
@@ -130,7 +132,7 @@ func (g *lcg) next() uint64 {
 	return uint64(*g >> 16)
 }
 
-func TestFlushDecisionEquivalence(t *testing.T) {
+func TestFlushLimitMatchesOnEmit(t *testing.T) {
 	cases := []struct {
 		name      string
 		mode      Mode
@@ -170,12 +172,21 @@ func TestFlushDecisionEquivalence(t *testing.T) {
 			win := window{start: clock, counts: make([]int64, nw)}
 			simLen := make([]int, nw)
 
+			// The trace must reach what the limit form could get wrong: a
+			// β that is not a whole number, and AAP's switch both ways.
+			fractional, delays := false, 0
 			rng := lcg(42)
 			values := []float64{0.001, 0.04, 0.9, 7.5, 120}
-			for step := 0; step < 20000; step++ {
+			for step := 0; step < 60000; step++ {
 				r := rng.next()
+				// Every other 10 000 steps are a burst — a tick per ≈ 1000
+				// emits — which takes β off its floor.
+				emit, inbound := uint64(820), uint64(920)
+				if step/10000%2 == 1 {
+					emit, inbound = 990, 999
+				}
 				switch {
-				case r%100 < 82: // emit
+				case r%1000 < emit:
 					dst := 1 + int(r>>8)%(nw-1)
 					v := values[int(r>>24)%len(values)]
 					if r>>40&1 == 1 {
@@ -183,7 +194,7 @@ func TestFlushDecisionEquivalence(t *testing.T) {
 					}
 					simLen[dst]++
 					win.counts[dst]++
-					got := ps.flush.onEmit(dst, simLen[dst], v)
+					got := simLen[dst] >= ps.flush.limit(dst) || agg.Abs(v) >= ps.flush.urgent()
 					want := ref.emit(dst, simLen[dst], v)
 					if got != want {
 						t.Fatalf("step %d: emit(dst=%d, len=%d, v=%g) = %v, old rule says %v",
@@ -194,7 +205,7 @@ func TestFlushDecisionEquivalence(t *testing.T) {
 						ref.outWindow += int64(simLen[dst])
 						simLen[dst] = 0
 					}
-				case r%100 < 92: // inbound traffic (drives the AAP switch)
+				case r%1000 < inbound: // inbound traffic (drives the AAP switch)
 					n := int64(r>>8) % 400
 					win.in += n
 					ref.inWindow += n
@@ -204,9 +215,22 @@ func TestFlushDecisionEquivalence(t *testing.T) {
 						adv += 5 * cfg.Tau
 					}
 					clock = clock.Add(adv)
+					was := ref.aapDelayed
 					ps.flush.onTick(clock, &win)
 					ref.tick(clock)
+					if ref.aapDelayed != was {
+						delays++
+					}
+					for j := 1; j < nw; j++ {
+						fractional = fractional || ref.beta[j] != math.Trunc(ref.beta[j])
+					}
 				}
+			}
+			if ap, ok := ps.flush.(*adaptiveBetaFlush); ok && !fractional {
+				t.Errorf("β stayed whole throughout: %v", ap.beta)
+			}
+			if _, ok := ps.flush.(*fixedBetaFlush); ok && delays < 2 {
+				t.Errorf("the AAP switch flipped %d times, want both ways", delays)
 			}
 
 			// The adaptive policy's β state must have tracked the old rule
@@ -405,28 +429,120 @@ func TestOutBufGrowReindex(t *testing.T) {
 	}
 }
 
+// TestMirrorMatchesHash drives one seeded add / take / reset sequence
+// through both backings of outBuf and requires the same len() after every
+// step and bitwise the same batches from take(), order included: a peer
+// must not be able to tell which one its sender ran. The values cover what
+// a first-touch test by value would get wrong — ±0, ±Inf, NaN, a sum that
+// cancels back to the identity and is touched again — and one key is
+// folded more than 2¹⁶ times.
+func TestMirrorMatchesHash(t *testing.T) {
+	const n, stride, offset = 40000, 3, 1 // 13333 slots: a full buffer is four batches
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	for _, kind := range []agg.Kind{agg.Sum, agg.Min, agg.Max} {
+		op := agg.ByKind(kind)
+		hash, mirror := newOutBuf(op), newMirrorBuf(op, n, newShardRoute(Config{Workers: stride}), offset)
+		rng := lcg(uint64(kind) + 1)
+		split := false // a take left keys behind
+		add := func(key int64, v float64) {
+			hash.add(key, v)
+			mirror.add(key, v)
+			if hash.len() != mirror.len() {
+				t.Fatalf("%v: after add(%d, %v) hash holds %d keys, mirror %d", kind, key, v, hash.len(), mirror.len())
+			}
+		}
+		take := func() {
+			h, m := hash.take(), mirror.take()
+			if len(h) > batchMax || len(h) != len(m) || hash.len() != mirror.len() {
+				t.Fatalf("%v: take gave %d KVs (hash) and %d (mirror), %d and %d left", kind, len(h), len(m), hash.len(), mirror.len())
+			}
+			for i := range h {
+				if h[i].K != m[i].K || math.Float64bits(h[i].V) != math.Float64bits(m[i].V) && !(h[i].V != h[i].V && m[i].V != m[i].V) {
+					t.Fatalf("%v: take()[%d] = %v from the hash, %v from the mirror", kind, i, h[i], m[i])
+				}
+			}
+			split = split || hash.len() > 0
+			transport.PutBatch(h)
+			transport.PutBatch(m)
+		}
+		for step := 0; step < 60000; step++ {
+			r := rng.next()
+			key := int64(offset + int(r>>8)%(n/stride)*stride)
+			switch {
+			case r%20000 < 2:
+				take()
+			case r%20000 == 2:
+				hash.reset()
+				mirror.reset()
+			case r%10 == 3:
+				add(key, specials[int(r>>32)%len(specials)])
+			case r%10 == 4: // cancels to the identity of a sum, then comes back
+				add(key, 2.5)
+				add(key, -2.5)
+				add(key, specials[int(r>>32)%len(specials)])
+			default:
+				add(key, float64(int64(r>>32)%2000-1000)/8)
+			}
+		}
+		for i := 0; i < 1<<16+10; i++ {
+			add(offset, float64(i%7))
+		}
+		for hash.len() > 0 || mirror.len() > 0 {
+			take()
+		}
+		if !split {
+			t.Errorf("%v: no take met more than batchMax keys", kind)
+		}
+	}
+}
+
+// TestFlushSplitsAtBatchMax: a buffer that outgrew batchMax while its slot
+// was down — replayForDown fills it past any policy's limit — goes out at
+// the release as batches of at most batchMax KVs, each with its own
+// sequence number, so no frame can outgrow the transport's and the
+// receiver's dedup window advances one batch at a time.
+func TestFlushSplitsAtBatchMax(t *testing.T) {
+	plan := compilePlan(t, progs.SSSP, edgeDB("edge")(gen.RMAT(15, 40000, 10, 3)))
+	w, peers := workerZero(t, plan, Config{
+		Workers: 2, CoresPerWorker: 1, Mode: MRASyncAsync,
+		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+	})
+	const held = 2*batchMax + 100
+	w.down[1] = true
+	for k := int64(0); k < held; k++ {
+		w.buffer(1, 2*k+1, float64(k))
+	}
+	if w.flushes != 0 || w.bufs[1].len() != held {
+		t.Fatalf("down slot: %d flushes, %d keys held, want 0 and %d", w.flushes, w.bufs[1].len(), held)
+	}
+	w.down[1] = false // finishFence, at the release
+	w.flush(1)
+	var seen dedupWindow
+	got := 0
+	for seq := int64(1); got < held; seq++ {
+		m := <-peers.net.Conn(1).Inbox()
+		if len(m.KVs) == 0 || len(m.KVs) > batchMax {
+			t.Fatalf("batch %d carries %d KVs, cap %d", seq, len(m.KVs), batchMax)
+		}
+		if int64(m.Round) != seq || !seen.fresh(seq) || seen.next != seq+1 {
+			t.Fatalf("batch %d stamped %d, dedup window at %d", seq, m.Round, seen.next)
+		}
+		for i, kv := range m.KVs {
+			if want := int64(got + i); kv.K != 2*want+1 || kv.V != float64(want) {
+				t.Fatalf("batch %d entry %d = %v, want key %d value %d", seq, i, kv, 2*want+1, want)
+			}
+		}
+		got += len(m.KVs)
+		transport.PutBatch(m.KVs)
+	}
+	if w.flushes != 3 || w.dataSeq[1] != 3 || w.sent != held {
+		t.Fatalf("%d flushes, seq %d, %d KVs sent; want 3, 3, %d", w.flushes, w.dataSeq[1], w.sent, held)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler strategies.
 // ---------------------------------------------------------------------------
-
-func TestOrderedSchedArrange(t *testing.T) {
-	batch := []drained{{1, 5}, {2, 1}, {3, 9}, {4, 3}}
-	orderedSched{asc: true}.arrange(batch)
-	for i := 1; i < len(batch); i++ {
-		if batch[i-1].val > batch[i].val {
-			t.Fatalf("ascending arrange out of order: %v", batch)
-		}
-	}
-	orderedSched{asc: false}.arrange(batch)
-	for i := 1; i < len(batch); i++ {
-		if batch[i-1].val < batch[i].val {
-			t.Fatalf("descending arrange out of order: %v", batch)
-		}
-	}
-	if !(orderedSched{}).refreshes() || (fifoSched{}).refreshes() {
-		t.Error("refreshes predicate wrong")
-	}
-}
 
 func TestPriorityHoldCycle(t *testing.T) {
 	reg := metrics.NewRegistry()

@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"powerlog/internal/agg"
@@ -22,7 +20,6 @@ import (
 type fifoSched struct{}
 
 func (fifoSched) arrange(batch []drained) int { return len(batch) }
-func (fifoSched) refreshes() bool             { return false }
 func (fifoSched) release() bool               { return false }
 func (fifoSched) rearm()                      {}
 func (fifoSched) holding() bool               { return false }
@@ -96,8 +93,6 @@ func partitionNear(batch []drained, asc bool, width float64) int {
 	return k
 }
 
-func (*bucketSched) refreshes() bool { return false }
-
 // release reports whether the pass that just propagated nothing held keys
 // back: they are dirty in the table, so the worker passes again at once
 // rather than wait out an idle timer on work it already has.
@@ -115,30 +110,6 @@ func (s *bucketSched) String() string {
 	}
 	return "fifo"
 }
-
-// orderedSched is the delta-stepping-style best-first schedule for
-// selective aggregates (Meyer & Sanders 2003): relaxing small tentative
-// distances first avoids spreading bounds that are about to be improved
-// anyway. It also refreshes entries mid-pass — a key processed late in
-// the pass picks up the improvements its predecessors just propagated,
-// which is where the saving comes from.
-type orderedSched struct {
-	asc bool // ascending for min aggregates, descending for max
-}
-
-func (s orderedSched) arrange(batch []drained) int {
-	if s.asc {
-		slices.SortFunc(batch, func(a, b drained) int { return cmp.Compare(a.val, b.val) })
-	} else {
-		slices.SortFunc(batch, func(a, b drained) int { return cmp.Compare(b.val, a.val) })
-	}
-	return len(batch)
-}
-func (orderedSched) refreshes() bool { return true }
-func (orderedSched) release() bool   { return false }
-func (orderedSched) rearm()          {}
-func (orderedSched) holding() bool   { return false }
-func (orderedSched) String() string  { return "ordered" }
 
 // priorityHold layers §5.4's importance-based holding over an inner
 // drain order: combining-aggregate deltas below the threshold wait in
@@ -184,8 +155,7 @@ func (s *priorityHold) arrange(batch []drained) int {
 	return k
 }
 
-func (s *priorityHold) refreshes() bool { return s.inner.refreshes() }
-func (s *priorityHold) String() string  { return s.inner.String() }
+func (s *priorityHold) String() string { return s.inner.String() }
 
 func (s *priorityHold) release() bool {
 	if !s.held.Load() {

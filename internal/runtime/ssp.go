@@ -35,7 +35,7 @@ func newSSPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 		// Superstep batching: buffers flush only when the step ends
 		// (barrier semantics), never on emit or the τ timer.
 		flush:   barrierFlush{},
-		sched:   withPriorityHold(baseScheduler(cfg, plan, reg), cfg, plan, reg),
+		sched:   withPriorityHold(baseScheduler(plan, reg), cfg, plan, reg),
 		barrier: &sspBarrier{staleness: cfg.Staleness},
 		pass:    (*worker).scanPass,
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"powerlog/internal/agg"
 	"powerlog/internal/compiler"
 	"powerlog/internal/monotable"
 )
@@ -120,37 +121,55 @@ type coreState struct {
 	scratch []float64
 	kernel  *compiler.Kernel // the plan's F' kernel
 
-	drainFn func(int64) // drains one scanned key into drainBuf, pre-bound
+	// cols is where a direct pass over a Dense shard folds by slot, one
+	// column per destination: the peers' mirrors and, filled in by scanSub,
+	// the shard's own Intermediate.
+	cols []*monotable.Column
+
+	// Pre-bound: drainFn drains one scanned key into drainBuf, takeFn
+	// appends one row Dense.DrainOwned drained.
+	drainFn func(int64)
+	takeFn  func(int64, float64)
 }
 
 // scanSub is the compute body, run over one subshard: drain its dirty
-// keys into a snapshot, then fold each and propagate its row.
+// keys into a snapshot, then fold each and propagate its row. A pass that
+// did not fan out is the shard's only accessor (DESIGN.md §9), so on a
+// Dense shard — vertex keys strided by the static modulo partition
+// (worker.newTable), whose slots shardRoute.split resolves — it drains,
+// folds and sinks by slot with plain loads and stores.
 func (c *coreState) scanSub(sub int) {
 	w := c.w
+	dense, _ := w.table.(*monotable.Dense)
+	owned := dense != nil && c.pool.nsub == 1
 	c.drainBuf = c.drainBuf[:0]
-	w.table.ScanDirtyRange(sub, c.pool.nsub, c.drainFn)
+	if owned {
+		dense.DrainOwned(c.takeFn)
+	} else {
+		w.table.ScanDirtyRange(sub, c.pool.nsub, c.drainFn)
+	}
 	out := c.drainBuf
-	// The Scheduler's order applies within the subshard (a per-core sort
-	// for the ordered scan); cross-subshard order is whatever the deal
-	// and the steals produce, which P1 licenses. What the schedule holds
-	// back — §5.4's small combining deltas, a bucket schedule's far keys —
-	// is refolded: the rows are dirty again and wait for a later pass.
+	// The Scheduler's order applies within the subshard; cross-subshard
+	// order is whatever the deal and the steals produce, which P1 licenses.
+	// What the schedule holds back — §5.4's small combining deltas, a
+	// bucket schedule's far keys — is refolded: the rows are dirty again
+	// and wait for a later pass.
 	run := out[:w.pol.sched.arrange(out)]
 	for _, d := range out[len(run):] {
 		w.table.FoldDelta(d.key, d.val)
 	}
-	refresh := w.pol.sched.refreshes()
-	// sink resolves a Dense shard's slots with split, which holds only for
-	// vertex keys strided by the static modulo partition (worker.newTable).
-	var dense *monotable.Dense
-	if w.route.members == nil && !w.plan.PairKeys {
-		dense, _ = w.table.(*monotable.Dense)
+	if owned {
+		c.cols[w.id] = &dense.Column // the table is replaced on a rollback
 	}
 	for _, d := range run {
-		if refresh {
-			w.refresh(&d)
+		var improved bool
+		var change, signed float64
+		if owned {
+			slot, _ := w.route.split(int32(d.key))
+			improved, change, signed = dense.FoldAccOwned(slot, d.val)
+		} else {
+			improved, change, signed = w.table.FoldAcc(d.key, d.val)
 		}
-		improved, change, signed := w.table.FoldAcc(d.key, d.val)
 		c.folds++
 		c.accDelta += change
 		c.accSum += signed
@@ -160,29 +179,54 @@ func (c *coreState) scanSub(sub int) {
 		c.n++
 		r := c.kernel.Row(c.scratch, d.key, d.val)
 		for lo := 0; lo < len(r.Targets); lo += compiler.FillChunk {
-			c.sink(dense, r, lo, c.kernel.Fill(c.scratch, r, lo))
+			if vals := c.kernel.Fill(c.scratch, r, lo); owned {
+				c.sinkOwned(r, lo, vals)
+			} else {
+				c.sink(dense, r, lo, vals)
+			}
 		}
 	}
 	c.drained += len(out)
 }
 
-// sink routes and folds one chunk of a row: vals[i] goes to the key of
-// r's edge lo+i. A local key folds straight into the shard — into the
-// concrete Dense by slot when there is one, with plain loads and stores
-// when this pass did not fan out and the worker goroutine is therefore
-// the shard's only accessor (DESIGN.md §9), atomically when cores share
-// it. A remote key is counted into the β window and buffered: through
-// worker.buffer and its FlushPolicy in a direct pass, into this core's
-// private combiner — which reaches worker.buffer at the merge — in a
-// fanned-out one. A Dense shard's owner and slot come from
-// shardRoute.split, without a divide; a Sparse shard (pair keys, an
-// elastic fleet) asks the route, next to whose mutex and map a divide or
-// a ring search is noise.
+// sinkOwned routes and folds one chunk of a row — vals[i] goes to the key
+// of r's edge lo+i — in a pass that did not fan out over a Dense shard.
+// Local and remote take the same steps: shardRoute.split yields the key's
+// owner and its slot there, without a divide, and the value folds into the
+// owner's column at that slot — the shard's own Intermediate, or the
+// mirror that buffers for a peer (outBuf). A mirror whose newly staged
+// slot brought it to the buffer's limit, or that was handed an urgent
+// value, is flushed: the FlushPolicy's decision as worker.buffer takes it,
+// asked when the count moves (the shard's own column stages nothing, and
+// flushing buffer w.id sends nothing).
+func (c *coreState) sinkOwned(r compiler.Row, lo int, vals []float64) {
+	w := c.w
+	for i, t := range r.Targets[lo : lo+len(vals)] {
+		v := vals[i]
+		slot, o := w.route.split(t)
+		col := c.cols[o]
+		w.win.counts[o]++
+		if col.FoldDeltaOwned(slot, v) && len(col.Staged()) >= w.bufs[o].limit || agg.Abs(v) >= w.urgent {
+			w.flush(o)
+		}
+	}
+}
+
+// sink is sinkOwned for every other pass. A direct pass over a Sparse
+// shard (pair keys, an elastic fleet) is worker.emit per edge: the route's
+// owner, next to whose mutex and map a divide or a ring search is noise,
+// then the shard or worker.buffer. In a fanned-out pass a local key folds
+// into the shard atomically — into the concrete Dense by slot when there
+// is one — and a remote key is counted into the β window and buffered in
+// this core's private combiner, which reaches worker.buffer at the merge.
 func (c *coreState) sink(dense *monotable.Dense, r compiler.Row, lo int, vals []float64) {
 	w := c.w
-	fanned := c.pool.nsub > 1
 	for i, t := range r.Targets[lo : lo+len(vals)] {
 		key, v := r.Hi|int64(t), vals[i]
+		if c.pool.nsub == 1 {
+			w.emit(key, v)
+			continue
+		}
 		var o, slot int
 		if dense != nil {
 			slot, o = w.route.split(t)
@@ -190,18 +234,13 @@ func (c *coreState) sink(dense *monotable.Dense, r compiler.Row, lo int, vals []
 			o = w.route.owner(key)
 		}
 		switch {
-		case o != w.id && fanned:
+		case o != w.id:
 			c.bufs[o].add(key, v)
 			c.winCounts[o]++
-		case o != w.id:
-			w.win.counts[o]++
-			w.buffer(o, key, v)
 		case dense == nil:
 			w.table.FoldDelta(key, v)
-		case fanned:
-			dense.FoldDeltaAt(slot, v)
 		default:
-			dense.FoldDeltaOwned(slot, v)
+			dense.FoldDeltaAt(slot, v)
 		}
 	}
 }
@@ -260,7 +299,8 @@ func newScanPool(w *worker, p int) *scanPool {
 	sp.cores = make([]*coreState, p)
 	sp.deques = make([]subDeque, p)
 	for i := range sp.cores {
-		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch(), kernel: w.plan.Kernel}
+		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch(), kernel: w.plan.Kernel,
+			cols: make([]*monotable.Column, len(w.bufs))}
 		if p > 1 { // only a fanned-out pass buffers per core
 			c.bufs = make([]*outBuf, len(w.bufs))
 			c.winCounts = make([]int64, len(w.bufs))
@@ -268,9 +308,13 @@ func newScanPool(w *worker, p int) *scanPool {
 				c.bufs[j] = newOutBuf(w.plan.Op)
 			}
 		}
+		for o, b := range w.bufs {
+			c.cols[o] = b.col
+		}
+		c.takeFn = func(k int64, v float64) { c.drainBuf = append(c.drainBuf, drained{k, v}) }
 		c.drainFn = func(k int64) {
 			if v, ok := w.table.Drain(k); ok {
-				c.drainBuf = append(c.drainBuf, drained{k, v})
+				c.takeFn(k, v)
 			}
 		}
 		sp.cores[i] = c

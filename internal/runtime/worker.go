@@ -43,7 +43,9 @@ type worker struct {
 	// updates per key with the program's aggregate before sending — the
 	// sender-side combining that makes a buffered update "accumulate"
 	// rather than queue (Figure 7's Intermediate, applied pre-wire).
+	// urgent is the FlushPolicy's, read with the buffers' limits.
 	bufs      []*outBuf
+	urgent    float64
 	lastFlush []time.Time
 	win       window // traffic window ΔT driving FlushPolicy adaptation
 
@@ -201,9 +203,14 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	w.apply = w.table
 	now := time.Now()
 	for j := range w.bufs {
-		w.bufs[j] = newOutBuf(plan.Op)
+		if w.denseShards() && j != id {
+			w.bufs[j] = newMirrorBuf(plan.Op, plan.N, w.route, j)
+		} else {
+			w.bufs[j] = newOutBuf(plan.Op)
+		}
 		w.lastFlush[j] = now
 	}
+	w.readLimits()
 	cores := cfg.CoresPerWorker
 	if !cfg.Mode.MRA() {
 		cores = 1 // naive re-derivation has no dirty-set scan to fan out
@@ -213,14 +220,17 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	return w
 }
 
+// denseShards reports whether the fleet's shards are Dense tables, which
+// stride vertex keys by the static modulo partition (shardRoute.split
+// resolves their slots); an elastic fleet's consistent-hash ownership has
+// no such structure, so it always shards into Sparse tables.
+func (w *worker) denseShards() bool { return !w.plan.PairKeys && !w.cfg.Elastic }
+
 func (w *worker) newTable() monotable.Table {
-	// Dense tables stride keys by the static modulo partition; an elastic
-	// fleet's consistent-hash ownership has no such structure, so it
-	// always shards into Sparse tables.
-	if w.plan.PairKeys || w.cfg.Elastic {
-		return monotable.NewSparse(w.plan.Op)
+	if w.denseShards() {
+		return monotable.NewDense(w.plan.Op, w.plan.N, int64(w.nw), int64(w.id))
 	}
-	return monotable.NewDense(w.plan.Op, w.plan.N, int64(w.nw), int64(w.id))
+	return monotable.NewSparse(w.plan.Op)
 }
 
 func (w *worker) owner(key int64) int { return w.route.owner(key) }
@@ -440,8 +450,17 @@ func (w *worker) handle(m transport.Message) {
 			fresh = w.dataSeen[m.From].fresh(int64(m.Round))
 		}
 		n := int64(len(m.KVs))
-		for _, kv := range m.KVs {
-			w.apply.FoldDelta(kv.K, kv.V)
+		if dense, ok := w.apply.(*monotable.Dense); ok {
+			// No scan core runs while this goroutine handles a message
+			// (DESIGN.md §9), so the fold is the owner's, by slot.
+			for _, kv := range m.KVs {
+				slot, _ := w.route.split(int32(kv.K))
+				dense.FoldDeltaOwned(slot, kv.V)
+			}
+		} else {
+			for _, kv := range m.KVs {
+				w.apply.FoldDelta(kv.K, kv.V)
+			}
 		}
 		if fresh {
 			w.recv += n
@@ -684,10 +703,11 @@ func (w *worker) snapshot(epoch int, cut bool) error {
 	return ckpt.SaveShard(w.cfg.SnapshotDir, meta, rows)
 }
 
-// flush sends buffer j if it is non-empty. Each Data batch is stamped
-// with the next per-link sequence number (in Round; the field is unused
-// by Data otherwise) so the receiver can discard redeliveries from the
-// termination watermark.
+// flush sends buffer j if it is non-empty: one Data batch per batchMax
+// entries — a buffer only outgrows one batch while its slot is down. Each
+// batch is stamped with the next per-link sequence number (in Round; the
+// field is unused by Data otherwise) so the receiver can discard
+// redeliveries from the termination watermark.
 func (w *worker) flush(j int) {
 	if w.down[j] {
 		// The slot is crash-orphaned: hold the buffer. Selective replay
@@ -696,17 +716,16 @@ func (w *worker) flush(j int) {
 		// Theorem 3); rollback repairs discard it wholesale.
 		return
 	}
-	kvs := w.bufs[j].take()
-	if len(kvs) == 0 {
-		return
+	for w.bufs[j].len() > 0 {
+		kvs := w.bufs[j].take()
+		w.sent += int64(len(kvs))
+		w.win.out += int64(len(kvs))
+		w.flushes++
+		w.lastFlush[j] = time.Now()
+		w.met.flushSize[j].Observe(uint64(len(kvs)))
+		w.dataSeq[j]++
+		w.enqueue(j, transport.Message{Kind: transport.Data, Round: int(w.dataSeq[j]), KVs: kvs})
 	}
-	w.sent += int64(len(kvs))
-	w.win.out += int64(len(kvs))
-	w.flushes++
-	w.lastFlush[j] = time.Now()
-	w.met.flushSize[j].Observe(uint64(len(kvs)))
-	w.dataSeq[j]++
-	w.enqueue(j, transport.Message{Kind: transport.Data, Round: int(w.dataSeq[j]), KVs: kvs})
 }
 
 func (w *worker) flushAll() {
@@ -801,17 +820,6 @@ type drained struct {
 	val float64
 }
 
-// refresh folds any delta that arrived since the snapshot into d — under
-// the ordered schedule, a key processed late in the pass picks up the
-// improvements its predecessors just propagated, which is where the
-// delta-stepping saving comes from.
-func (w *worker) refresh(d *drained) {
-	if v, ok := w.table.Drain(d.key); ok {
-		d.val = w.plan.Op.Fold(d.val, v)
-		w.met.refreshHits.Inc()
-	}
-}
-
 // shouldPropagate implements the per-aggregate forwarding rule: selective
 // aggregates forward only improvements (anything else is dominated);
 // combining aggregates forward every non-zero delta.
@@ -822,12 +830,12 @@ func (w *worker) shouldPropagate(improved bool, tmp float64) bool {
 	return tmp != 0
 }
 
-// batchMax caps the KVs in one message.
+// batchMax caps the KVs in one message: outBuf.take hands out no more.
 const batchMax = 4096
 
-// emit is the direct sink of a scan pass, and naive mode's: local keys
-// fold straight into the table (they join the next pass via the dirty
-// set), remote keys are counted into the β window and buffered.
+// emit is the sink of a direct pass over a Sparse shard, and naive mode's:
+// local keys fold straight into the table (they join the next pass via the
+// dirty set), remote keys are counted into the β window and buffered.
 func (w *worker) emit(dst int64, v float64) {
 	o := w.owner(dst)
 	if o == w.id {
@@ -839,15 +847,25 @@ func (w *worker) emit(dst int64, v float64) {
 }
 
 // buffer folds one update for a key owned by worker o into o's buffer
-// and flushes it when the mode's FlushPolicy — or the batchMax hard cap
-// — says so. Every remote update passes through here once: straight
-// from emit, or at the merge after a fanned-out pass (subshard.go).
+// and flushes it when the buffer has reached its limit or the update is
+// urgent. Every remote update passes through here once — straight from
+// emit, or at the merge after a fanned-out pass (subshard.go) — except in
+// a direct pass over a Dense shard, whose sink does the same by slot.
 func (w *worker) buffer(o int, dst int64, v float64) {
 	b := w.bufs[o]
 	b.add(dst, v)
-	if w.pol.flush.onEmit(o, b.len(), v) || b.len() >= batchMax {
+	if b.len() >= b.limit || agg.Abs(v) >= w.urgent {
 		w.flush(o)
 	}
+}
+
+// readLimits takes the FlushPolicy's decision (policy.go) into the buffers
+// — the mode's limit, under the batchMax hard cap.
+func (w *worker) readLimits() {
+	for j, b := range w.bufs {
+		b.limit = min(w.pol.flush.limit(j), batchMax)
+	}
+	w.urgent = w.pol.flush.urgent()
 }
 
 // timedFlush applies the τ interval — any buffer older than τ is sent —
@@ -864,6 +882,7 @@ func (w *worker) timedFlush() {
 		}
 	}
 	w.pol.flush.onTick(now, &w.win)
+	w.readLimits()
 }
 
 // idleWait is where a barrier-free worker lands when a pass and its inbox
@@ -907,15 +926,24 @@ func (w *worker) await(d time.Duration) (m transport.Message, ok, timedOut bool)
 }
 
 // outBuf is a per-destination buffer that folds same-key updates with
-// the program's aggregate, in arrival order of first touch. It is an
-// open-addressed flat combiner: a power-of-two slot table of indexes
+// the program's aggregate, in arrival order of first touch. By default it
+// is an open-addressed flat combiner: a power-of-two slot table of indexes
 // into dense key/value arrays, linear probing, no tombstones (keys are
-// never removed individually — a drain resets the whole table). The
-// dense arrays and the slot table are reused across flushes and the
-// drain target comes from the transport batch pool, so the steady-state
-// fill→drain cycle allocates nothing.
+// never removed individually — a take re-indexes what it leaves). For a
+// destination whose shard is a Dense table it is instead a mirror of that
+// shard's Intermediate column (monotable.NewMirror), folded by slot like
+// the local shard — same entries, same order, no hash. Either way the
+// storage is reused across flushes and the drain target comes from the
+// transport batch pool, so the steady-state fill→drain cycle allocates
+// nothing.
 type outBuf struct {
 	op    *agg.Op
+	limit int // entries at which the worker flushes: the FlushPolicy's, capped
+
+	col    *monotable.Column // the mirror, whose slot s is key s·route.mod+offset
+	route  *shardRoute
+	offset int64
+
 	keys  []int64   // first-touch order
 	vals  []float64 // parallel to keys
 	slots []int32   // hash table: index+1 into keys, 0 = empty
@@ -929,9 +957,17 @@ const outBufInitSlots = 256
 func newOutBuf(op *agg.Op) *outBuf {
 	return &outBuf{
 		op:    op,
+		limit: batchMax,
 		slots: make([]int32, outBufInitSlots),
 		mask:  outBufInitSlots - 1,
 	}
+}
+
+// newMirrorBuf is the buffer for worker offset's Dense shard of the keys
+// [0, n) under a static route.
+func newMirrorBuf(op *agg.Op, n int, route *shardRoute, offset int) *outBuf {
+	col := monotable.NewMirror(op, n, int64(route.mod), int64(offset))
+	return &outBuf{op: op, limit: batchMax, col: col, route: route, offset: int64(offset)}
 }
 
 // hashKey mixes the key bits (Fibonacci multiplier + xor-fold) so dense
@@ -943,6 +979,11 @@ func hashKey(k int64) uint64 {
 
 // add folds v into the buffered update for key.
 func (b *outBuf) add(key int64, v float64) {
+	if b.col != nil {
+		slot, _ := b.route.split(int32(key))
+		b.col.FoldDeltaOwned(slot, v)
+		return
+	}
 	h := hashKey(key) & b.mask
 	for {
 		idx := b.slots[h]
@@ -952,7 +993,9 @@ func (b *outBuf) add(key int64, v float64) {
 			b.slots[h] = int32(len(b.keys))
 			// Grow at 3/4 load so probe chains stay short.
 			if uint64(len(b.keys)) >= b.mask/4*3 {
-				b.grow()
+				b.slots = make([]int32, 2*len(b.slots))
+				b.mask = uint64(len(b.slots) - 1)
+				b.reindex()
 			}
 			return
 		}
@@ -964,11 +1007,9 @@ func (b *outBuf) add(key int64, v float64) {
 	}
 }
 
-// grow doubles the slot table and reindexes the dense entries (cheap:
-// the keys are already compact, no entry moves).
-func (b *outBuf) grow() {
-	b.slots = make([]int32, 2*len(b.slots))
-	b.mask = uint64(len(b.slots) - 1)
+// reindex fills a zeroed slot table from the dense entries (cheap: the
+// keys are already compact, no entry moves).
+func (b *outBuf) reindex() {
 	for i, k := range b.keys {
 		h := hashKey(k) & b.mask
 		for b.slots[h] != 0 {
@@ -978,26 +1019,42 @@ func (b *outBuf) grow() {
 	}
 }
 
-func (b *outBuf) len() int { return len(b.keys) }
+func (b *outBuf) len() int {
+	if b.col != nil {
+		return len(b.col.Staged())
+	}
+	return len(b.keys)
+}
 
-// take drains the buffer into a pooled KV batch (first-touch order).
-// Ownership of the batch passes to the caller, who hands it to Send
-// under the transport recycle contract.
+// take drains the buffer's first batchMax entries (first-touch order) into
+// a pooled KV batch. Ownership of the batch passes to the caller, who
+// hands it to Send under the transport recycle contract.
 func (b *outBuf) take() []transport.KV {
-	if len(b.keys) == 0 {
+	n := min(b.len(), batchMax)
+	if n == 0 {
 		return nil
 	}
-	kvs := transport.GetBatch(len(b.keys))
-	for i, k := range b.keys {
+	kvs := transport.GetBatch(n)
+	if b.col != nil {
+		for _, s := range b.col.Staged()[:n] {
+			kvs = append(kvs, transport.KV{K: int64(s)*int64(b.route.mod) + b.offset, V: b.col.TakeOwned(int(s))})
+		}
+		b.col.Unstage(n)
+		return kvs
+	}
+	for i, k := range b.keys[:n] {
 		kvs = append(kvs, transport.KV{K: k, V: b.vals[i]})
 	}
-	b.reset()
+	b.keys = b.keys[:copy(b.keys, b.keys[n:])]
+	b.vals = b.vals[:copy(b.vals, b.vals[n:])]
+	clear(b.slots)
+	b.reindex()
 	return kvs
 }
 
-// reset empties the buffer in place, keeping its storage.
+// reset discards what the buffer holds, keeping its storage.
 func (b *outBuf) reset() {
-	b.keys = b.keys[:0]
-	b.vals = b.vals[:0]
-	clear(b.slots)
+	for b.len() > 0 {
+		transport.PutBatch(b.take())
+	}
 }
