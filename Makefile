@@ -2,9 +2,11 @@
 # (.github/workflows/ci.yml) and the ROADMAP's verify step run. The race
 # pass covers the packages on the zero-allocation message path (combiner
 # → pooled batches → codec → MonoTable fold) plus checkpointing, fault
-# injection, the lock-free metrics core, and the PR 7 incremental-EDB
+# injection, the lock-free metrics core, the PR 7 incremental-EDB
 # and generator packages (edb, gen), where a recycle-contract violation
-# would surface as a data race; -cpu 1,4 runs each test at
+# would surface as a data race, and the set-up path — the edge-list
+# loader parses in parts on goroutines (graph), and compiler had never run
+# under the detector; -cpu 1,4 runs each test at
 # both parallelism levels so the intra-worker subshard scan pool
 # (DESIGN.md §9) is raced with real preemption even on small CI boxes;
 # it runs -short, which trims
@@ -88,7 +90,7 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
 
 race:
-	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/...
+	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/... ./internal/graph/... ./internal/compiler/...
 
 metrics-smoke:
 	go run ./cmd/plbench -exp policymetrics -smoke -maxwall 60s
@@ -106,11 +108,13 @@ serve-smoke:
 # (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static fleet
 # (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
 # graph under the bucket scheduler (BenchmarkRunChain: ms, KVs and passes
-# per op), the codec, the metrics core. BENCHTIME=1x is the
+# per op), the codec, the metrics core, and the layers in front of the
+# fixpoint on plperf's R-MAT inputs (BenchmarkLoadTSV ns/edge and allocs
+# per load, BenchmarkCompile, BenchmarkCheck). BENCHTIME=1x is the
 # compile-and-run smoke CI uses (bench-smoke) so none of them can rot.
 BENCHTIME ?= 1s
 bench:
-	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass' -benchmem -benchtime $(BENCHTIME) .
+	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass|BenchmarkLoadTSV|BenchmarkCompile|BenchmarkCheck' -benchmem -benchtime $(BENCHTIME) .
 	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkRunChain|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkCodec' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
 	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem -benchtime $(BENCHTIME) ./internal/metrics/

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -333,6 +334,28 @@ r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy.
 	got := collect(p, 0, 0, false)
 	if got[1] != 4 {
 		t.Errorf("propagate = %v", got)
+	}
+}
+
+// TestDerivedRuleThreeKeys: a derived head groups on every argument but
+// the aggregate, however many there are, rows in ascending key order.
+func TestDerivedRuleThreeKeys(t *testing.T) {
+	db := edb.NewDB()
+	db.SetGraph("edge", testGraph(t))
+	compile(t, progs.SSSP+`
+hop(X,Y,w,sum[w2]) :- edge(X,Y,w), edge(Y,Z,w2).`, db)
+	rel, ok := db.Relation("hop")
+	if !ok {
+		t.Fatal("hop relation not materialised")
+	}
+	want := [][]float64{{0, 1, 5, 1}, {0, 2, 3, 2}, {1, 2, 1, 2}}
+	if rel.Len() != len(want) {
+		t.Fatalf("hop has %d rows, want %d", rel.Len(), len(want))
+	}
+	for i, w := range want {
+		if !slices.Equal(rel.Row(i), w) {
+			t.Errorf("hop row %d = %v, want %v", i, rel.Row(i), w)
+		}
 	}
 }
 

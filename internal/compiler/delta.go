@@ -104,6 +104,11 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 				return nil, errf("%s edge (%d,%d) outside the vertex universe [0,%d) fixed at Open",
 					set.what, e.Src, e.Dst, n)
 			}
+			if e.W != e.W && set.what == "insert" {
+				// No aggregate orders a NaN: every key it reached would be
+				// NaN and the fixpoint would never be reached.
+				return nil, errf("insert edge (%d,%d) has a NaN weight", e.Src, e.Dst)
+			}
 		}
 	}
 	if mut.Empty() {
@@ -216,7 +221,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	}
 
 	// 1. Mutate the base graph (and the transposed twin when the body is
-	// an in-neighbor formulation) in place, dropping the cached join view.
+	// an in-neighbor formulation) in place; a join reads it where it lies.
 	if err := p.DB.MutateGraph(shape.join.Name, mut.Inserts, mut.Deletes); err != nil {
 		return nil, err
 	}

@@ -1,8 +1,9 @@
 package compiler
 
 import (
+	"cmp"
+	"encoding/binary"
 	"slices"
-	"sort"
 
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
@@ -42,6 +43,50 @@ func evalFacts(info *analyzer.Info, db *edb.DB) error {
 	return nil
 }
 
+// prepareRows prepares a rule body and compiles terms against its frame,
+// once; the returned run evaluates the body and calls f with the terms'
+// values under every satisfying assignment (row is reused between calls).
+func prepareRows(db *edb.DB, body []*ast.Atom, terms []*ast.Term) (run func(f func(row []float64) error) error, err error) {
+	b, err := db.Prepare(body)
+	if err != nil {
+		return nil, err
+	}
+	get := make([]func([]float64) float64, len(terms))
+	for i, t := range terms {
+		e := t.Expr
+		switch t.Kind {
+		case ast.TermNum:
+			e = expr.Num(t.Num)
+		case ast.TermVar:
+			e = expr.Var(t.Var)
+		case ast.TermArith:
+		default:
+			return nil, errf("unsupported head term %s", t)
+		}
+		if get[i], err = b.Compile(e); err != nil {
+			return nil, errf("head term %s is unbound: %v", t, err)
+		}
+	}
+	row := make([]float64, len(terms))
+	return func(f func([]float64) error) error {
+		return b.Run(func(frame []float64) error {
+			for i, g := range get {
+				row[i] = g(frame)
+			}
+			return f(row)
+		})
+	}, nil
+}
+
+// eachRow is prepareRows for a body that is evaluated once.
+func eachRow(db *edb.DB, body []*ast.Atom, terms []*ast.Term, f func(row []float64) error) error {
+	run, err := prepareRows(db, body, terms)
+	if err != nil {
+		return err
+	}
+	return run(f)
+}
+
 // evalOtherRules materialises plain non-recursive view rules (e.g. the
 // Katz source table "I(X,k) :- X=0, k=10000"). Rules whose predicates are
 // already present in the database are skipped. Two passes handle simple
@@ -57,15 +102,7 @@ func evalOtherRules(info *analyzer.Info, db *edb.DB) error {
 			rel := edb.NewRelation(r.Head.Name, len(r.Head.Args))
 			ok := true
 			for _, body := range r.Bodies {
-				err := db.EvalBody(body.Atoms, func(env edb.Env) error {
-					row := make([]float64, rel.Arity)
-					for i, t := range r.Head.Args {
-						v, err := termValue(t, env)
-						if err != nil {
-							return err
-						}
-						row[i] = v
-					}
+				err := eachRow(db, body.Atoms, r.Head.Args, func(row []float64) error {
 					rel.Add(row...)
 					return nil
 				})
@@ -89,7 +126,8 @@ func evalOtherRules(info *analyzer.Info, db *edb.DB) error {
 }
 
 // evalDerivedRules materialises non-recursive aggregate views such as
-// PageRank's degree(X,count[Y]) :- edge(X,Y).
+// PageRank's degree(X,count[Y]) :- edge(X,Y): one row per group, keyed by
+// the other head arguments as integers, rows in ascending key order.
 func evalDerivedRules(info *analyzer.Info, db *edb.DB) error {
 	for _, r := range info.DerivedRules {
 		if db.HasPred(r.Head.Name) {
@@ -101,81 +139,55 @@ func evalDerivedRules(info *analyzer.Info, db *edb.DB) error {
 			return errf("derived rule %s: %v", r.Head.Name, err)
 		}
 		o := agg.ByKind(op)
-
-		groups := map[string]*groupState{}
-		var keyOrder []string
+		// The aggregated position reads the aggregate's variable (count: 1).
+		terms := slices.Clone(r.Head.Args)
+		terms[aggPos] = &ast.Term{Kind: ast.TermVar, Var: aggT.Var}
+		if op == agg.Count {
+			terms[aggPos] = &ast.Term{Kind: ast.TermNum, Num: 1}
+		}
+		byKey := func(a, b []float64) int { // a group's row holds its key, the fold in aggPos
+			for i := range a {
+				if c := cmp.Compare(int64(a[i]), int64(b[i])); c != 0 && i != aggPos {
+					return c
+				}
+			}
+			return 0
+		}
+		groups := map[string][]float64{}
+		var rows [][]float64
+		var g []float64 // the last tuple's group: a scan in CSR order stays in it for a whole row
+		var key []byte
 		for _, body := range r.Bodies {
-			err := db.EvalBody(body.Atoms, func(env edb.Env) error {
-				key := make([]float64, 0, len(r.Head.Args)-1)
-				for i, t := range r.Head.Args {
-					if i == aggPos {
-						continue
+			err := eachRow(db, body.Atoms, terms, func(row []float64) error {
+				if g == nil || byKey(g, row) != 0 {
+					key = key[:0]
+					for i, v := range row {
+						if i != aggPos {
+							key = binary.LittleEndian.AppendUint64(key, uint64(int64(v)))
+						}
 					}
-					v, err := termValue(t, env)
-					if err != nil {
-						return err
+					if g = groups[string(key)]; g == nil {
+						g = slices.Clone(row)
+						g[aggPos] = o.Identity()
+						groups[string(key)] = g
+						rows = append(rows, g)
 					}
-					key = append(key, v)
 				}
-				var val float64
-				if op == agg.Count {
-					val = 1
-				} else {
-					v, ok := env[aggT.Var]
-					if !ok {
-						return errf("derived rule %s: aggregate variable %s unbound", r.Head.Name, aggT.Var)
-					}
-					val = v
-				}
-				ks := keyString(key)
-				g, ok := groups[ks]
-				if !ok {
-					g = &groupState{key: key, acc: o.Identity()}
-					groups[ks] = g
-					keyOrder = append(keyOrder, ks)
-				}
-				g.acc = o.Fold(g.acc, val)
+				g[aggPos] = o.Fold(g[aggPos], row[aggPos])
 				return nil
 			})
 			if err != nil {
 				return err
 			}
 		}
+		slices.SortFunc(rows, byKey)
 		rel := edb.NewRelation(r.Head.Name, len(r.Head.Args))
-		sort.Strings(keyOrder)
-		for _, ks := range keyOrder {
-			g := groups[ks]
-			row := make([]float64, 0, rel.Arity)
-			ki := 0
-			for i := range r.Head.Args {
-				if i == aggPos {
-					row = append(row, g.acc)
-				} else {
-					row = append(row, g.key[ki])
-					ki++
-				}
-			}
-			rel.Add(row...)
+		for _, g := range rows {
+			rel.Add(g...)
 		}
 		db.AddRelation(rel)
 	}
 	return nil
-}
-
-type groupState struct {
-	key []float64
-	acc float64
-}
-
-func keyString(key []float64) string {
-	b := make([]byte, 0, len(key)*8)
-	for _, k := range key {
-		v := int64(k)
-		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(v>>s))
-		}
-	}
-	return string(b)
 }
 
 // buildInits materialises ΔX¹ (InitMRA) and the naive per-iteration base
@@ -204,20 +216,11 @@ func buildInits(p *Plan, shape *bodyShape) error {
 	// assignment inside the body is harmless to re-evaluate; cb.Expr is
 	// the resolved form used for the contribution value.
 	for _, cb := range info.ConstBodies {
-		err := p.DB.EvalBody(cb.Body.Atoms, func(env edb.Env) error {
-			key, err := headKeyFromEnv(p, info.KeyVars, env)
-			if err != nil {
-				return err
-			}
-			add(key, cb.Expr.Eval(expr.Env(env)))
-			return nil
-		})
-		if err != nil {
+		if err := foldHead(p, cb.Body.Atoms, varTerms(info.KeyVars), &ast.Term{Kind: ast.TermArith, Expr: cb.Expr}, add); err != nil {
 			return err
 		}
 	}
-	base := kvList(fold)
-	p.BaseNaive = base
+	p.BaseNaive = kvList(fold)
 
 	// Per-edge constants from the additive split of F (combining
 	// aggregates only), folded into ΔX¹.
@@ -228,6 +231,33 @@ func buildInits(p *Plan, shape *bodyShape) error {
 	}
 	p.InitMRA = kvList(fold)
 	return nil
+}
+
+// foldHead evaluates body and folds val, keyed by the encoded values of
+// the one or two key terms, through add.
+func foldHead(p *Plan, body []*ast.Atom, keys []*ast.Term, val *ast.Term, add func(int64, float64)) error {
+	return eachRow(p.DB, body, append(slices.Clone(keys), val), keyed(p.PairKeys, add))
+}
+
+// keyed adapts add to a row of one or two key values and a value.
+func keyed(pair bool, add func(int64, float64)) func(row []float64) error {
+	return func(row []float64) error {
+		key := int64(row[0])
+		if pair {
+			key = EncodePair(key, int64(row[1]))
+		}
+		add(key, row[len(row)-1])
+		return nil
+	}
+}
+
+// varTerms returns the variables as head terms.
+func varTerms(vars []string) []*ast.Term {
+	terms := make([]*ast.Term, len(vars))
+	for i, v := range vars {
+		terms[i] = &ast.Term{Kind: ast.TermVar, Var: v}
+	}
+	return terms
 }
 
 // evalHeadRule evaluates one non-recursive rule for the head predicate
@@ -252,28 +282,8 @@ func evalHeadRule(p *Plan, r *ast.Rule, add func(int64, float64)) error {
 		return errf("init rule %s key arity %d does not match recursive head %d",
 			r.Head.Name, len(keyTerms), len(info.KeyVars))
 	}
-	emit := func(env edb.Env) error {
-		keys := make([]int64, len(keyTerms))
-		for i, t := range keyTerms {
-			v, err := termValue(t, env)
-			if err != nil {
-				return err
-			}
-			keys[i] = int64(v)
-		}
-		val, err := termValue(r.Head.Args[valuePos], env)
-		if err != nil {
-			return err
-		}
-		key := keys[0]
-		if p.PairKeys {
-			key = EncodePair(keys[0], keys[1])
-		}
-		add(key, val)
-		return nil
-	}
 	for _, body := range r.Bodies {
-		if err := p.DB.EvalBody(body.Atoms, emit); err != nil {
+		if err := foldHead(p, body.Atoms, keyTerms, r.Head.Args[valuePos], add); err != nil {
 			return err
 		}
 	}
@@ -303,50 +313,11 @@ func addEdgeConstants(p *Plan, shape *bodyShape, add func(int64, float64)) error
 	return nil
 }
 
-// headKeyFromEnv encodes the head key from a binding environment.
-func headKeyFromEnv(p *Plan, keyVars []string, env edb.Env) (int64, error) {
-	k0, ok := env[keyVars[0]]
-	if !ok {
-		return 0, errf("head key variable %s unbound in constant body", keyVars[0])
-	}
-	if !p.PairKeys {
-		return int64(k0), nil
-	}
-	k1, ok := env[keyVars[1]]
-	if !ok {
-		return 0, errf("head key variable %s unbound in constant body", keyVars[1])
-	}
-	return EncodePair(int64(k0), int64(k1)), nil
-}
-
-// termValue resolves a head term under a binding environment.
-func termValue(t *ast.Term, env edb.Env) (float64, error) {
-	switch t.Kind {
-	case ast.TermNum:
-		return t.Num, nil
-	case ast.TermVar:
-		v, ok := env[t.Var]
-		if !ok {
-			return 0, errf("head variable %s unbound", t.Var)
-		}
-		return v, nil
-	case ast.TermArith:
-		for _, v := range t.Expr.Vars() {
-			if _, ok := env[v]; !ok {
-				return 0, errf("head expression variable %s unbound", v)
-			}
-		}
-		return t.Expr.Eval(expr.Env(env)), nil
-	default:
-		return 0, errf("unsupported head term %s", t)
-	}
-}
-
 func kvList(m map[int64]float64) []KV {
 	out := make([]KV, 0, len(m))
 	for k, v := range m {
 		out = append(out, KV{k, v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
+	slices.SortFunc(out, func(a, b KV) int { return cmp.Compare(a.K, b.K) })
 	return out
 }

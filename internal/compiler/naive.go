@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"slices"
+
 	"powerlog/internal/ast"
 	"powerlog/internal/edb"
 )
@@ -19,9 +21,7 @@ const curRelName = "ǂcur"
 // per worker; not safe for concurrent use.
 type NaiveEvaluator struct {
 	db       *edb.DB
-	atoms    []*ast.Atom
-	keyVars  []string
-	aggVar   string
+	join     func(f func(row []float64) error) error // the body, prepared once: rows of head keys and value
 	pairKeys bool
 	arity    int // columns of the cur relation: rec keys + value
 }
@@ -59,13 +59,10 @@ func (p *Plan) NewNaiveEvaluator() (*NaiveEvaluator, error) {
 		atoms = append(atoms, a)
 	}
 
-	ev := &NaiveEvaluator{
-		db:       p.DB.Clone(),
-		atoms:    atoms,
-		keyVars:  info.KeyVars,
-		aggVar:   info.AggVar,
-		pairKeys: p.PairKeys,
-		arity:    len(curArgs),
+	ev := &NaiveEvaluator{db: p.DB.Clone(), pairKeys: p.PairKeys, arity: len(curArgs)}
+	var err error
+	if ev.join, err = prepareRows(ev.db, atoms, varTerms(append(slices.Clone(info.KeyVars), info.AggVar))); err != nil {
+		return nil, err
 	}
 	return ev, nil
 }
@@ -84,26 +81,5 @@ func (ev *NaiveEvaluator) Eval(rows func(yield func(key int64, val float64)), em
 	})
 	ev.db.AddRelation(cur)
 
-	return ev.db.EvalBody(ev.atoms, func(env edb.Env) error {
-		val, ok := env[ev.aggVar]
-		if !ok {
-			// The aggregate variable is defined by an assignment that the
-			// join binds; a missing binding means the body cannot derive.
-			return nil
-		}
-		k0, ok := env[ev.keyVars[0]]
-		if !ok {
-			return nil
-		}
-		key := int64(k0)
-		if ev.pairKeys {
-			k1, ok := env[ev.keyVars[1]]
-			if !ok {
-				return nil
-			}
-			key = EncodePair(int64(k0), int64(k1))
-		}
-		emit(key, val)
-		return nil
-	})
+	return ev.join(keyed(ev.pairKeys, emit))
 }

@@ -1,13 +1,15 @@
 // Package edb implements the extensional database: named relations over
-// float64 columns with first-column indexes, plus a nested-loop join
-// evaluator over rule bodies. The engine uses it to evaluate
-// initialisation rules, constant bodies, and derived relations (e.g. the
-// count-aggregated degree view of PageRank); the recursive hot path runs
-// on CSR graphs instead.
+// float64 columns with first-column indexes, registered CSR graphs, and a
+// nested-loop join over rule bodies, prepared once into slot-addressed
+// steps and run many times (Body). The engine uses it to evaluate
+// initialisation rules, constant bodies, derived relations (e.g. the
+// count-aggregated degree view of PageRank) and naive mode's per-iteration
+// join; the recursive hot path runs on compiled row kernels instead.
 package edb
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"powerlog/internal/ast"
@@ -52,30 +54,24 @@ func (r *Relation) Row(i int) []float64 {
 	return r.data[i*r.Arity : (i+1)*r.Arity]
 }
 
-func (r *Relation) buildIndex() {
-	idx := make(map[float64][]int32, r.Len())
-	for i := 0; i < r.Len(); i++ {
-		k := r.data[i*r.Arity]
-		idx[k] = append(idx[k], int32(i))
-	}
-	r.index = idx
-}
-
 // rowsWithFirst returns the row ids whose first column equals v. Safe for
 // concurrent readers (the naive engine joins from several workers).
 func (r *Relation) rowsWithFirst(v float64) []int32 {
 	r.mu.Lock()
 	if r.index == nil {
-		r.buildIndex()
+		r.index = make(map[float64][]int32, r.Len())
+		for i := 0; i < r.Len(); i++ {
+			k := r.data[i*r.Arity]
+			r.index[k] = append(r.index[k], int32(i))
+		}
 	}
 	idx := r.index
 	r.mu.Unlock()
 	return idx[v]
 }
 
-// DB is a collection of relations plus registered graphs. Graphs are
-// exposed to the join evaluator as lazily materialised (src,dst[,w])
-// relations.
+// DB is a collection of relations plus registered graphs. A graph joins
+// as the relation (src,dst,w), read from its CSR rows where they lie.
 type DB struct {
 	rels   map[string]*Relation
 	graphs map[string]*graph.Graph
@@ -107,27 +103,21 @@ func (db *DB) Clone() *DB {
 // SetGraph registers a graph under a predicate name (e.g. "edge").
 func (db *DB) SetGraph(name string, g *graph.Graph) { db.graphs[name] = g }
 
-// DropRelation removes a relation from the registry. Used to invalidate
-// materialised graph views and derived relations after a base-fact
-// mutation so the next Relation/EvalBody call re-materialises against
-// the current graph.
+// DropRelation removes a relation from the registry: a derived relation
+// is dropped after a base-fact mutation and re-derived against the
+// current graph.
 func (db *DB) DropRelation(name string) { delete(db.rels, name) }
 
 // MutateGraph applies edge inserts and deletes to the graph registered
-// under name, rebuilding its CSR in place (every holder of the *Graph
-// pointer sees the mutation), and drops the cached (src,dst,weight)
-// relation view so joins re-materialise it. The caller must have
-// quiesced all readers.
+// under name, splicing its CSR in place: every holder of the *Graph
+// pointer, a prepared Body included, sees the mutation. The caller must
+// have quiesced all readers.
 func (db *DB) MutateGraph(name string, inserts, deletes []graph.Edge) error {
 	g, ok := db.graphs[name]
 	if !ok {
 		return fmt.Errorf("edb: no graph registered under %q", name)
 	}
-	if err := g.ApplyEdgeMutations(inserts, deletes); err != nil {
-		return err
-	}
-	db.DropRelation(name)
-	return nil
+	return g.ApplyEdgeMutations(inserts, deletes)
 }
 
 // GraphMutation is one batch of base-fact churn against a registered
@@ -222,26 +212,11 @@ func (db *DB) HasPred(name string) bool {
 	return ok
 }
 
-// Relation resolves name to a relation, materialising a graph view
-// (src,dst,weight) on first use.
+// Relation resolves name to a relation (a graph is not one: joins read
+// it in place, see Body).
 func (db *DB) Relation(name string) (*Relation, bool) {
-	if r, ok := db.rels[name]; ok {
-		return r, true
-	}
-	g, ok := db.graphs[name]
-	if !ok {
-		return nil, false
-	}
-	r := NewRelation(name, 3)
-	r.data = make([]float64, 0, 3*g.NumEdges())
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		lo, hi := g.EdgeRange(v)
-		for i := lo; i < hi; i++ {
-			r.data = append(r.data, float64(v), float64(g.Target(i)), g.Weight(i))
-		}
-	}
-	db.rels[name] = r
-	return r, true
+	r, ok := db.rels[name]
+	return r, ok
 }
 
 // VertexColumn interprets a binary relation keyed by vertex id as a dense
@@ -268,196 +243,279 @@ func (db *DB) VertexColumn(name string, n int, def float64) ([]float64, error) {
 	return col, nil
 }
 
-// Env is a variable binding environment for body evaluation.
-type Env map[string]float64
-
-// EvalBody evaluates a conjunction of atoms by nested-loop join with
-// index acceleration on bound first columns, calling emit once per
-// satisfying assignment. Comparison atoms bind ("v = expr" with v free)
-// or filter; atoms whose variables are not yet bound are deferred. A body
-// that can never bind some comparison's variables is an error.
-func (db *DB) EvalBody(atoms []*ast.Atom, emit func(Env) error) error {
-	env := Env{}
-	return db.eval(atoms, env, emit)
+// Body is a conjunction of atoms prepared for evaluation: every variable
+// has a slot in one []float64 frame, and the atoms are steps in the order
+// a run takes them — decided once, because which variables are bound
+// when an atom is reached does not depend on the data. A comparison runs
+// as soon as its variables are bound: "v = expr" with v free binds v,
+// anything else filters; when none is ready the next predicate atom is
+// scanned, by its index (a relation) or its CSR row (a graph) when its
+// first argument is already determined. Expressions run as closures over
+// the frame (expr.Compile). A Body belongs to whoever prepared it and is
+// not safe for concurrent runs; it resolves predicate names when a run
+// starts, so it follows a relation that is replaced between runs (naive
+// mode's result table) and a graph that is mutated in place.
+type Body struct {
+	db    *DB
+	slots map[string]int
+	bound []bool // by slot, during Prepare
+	steps []step
+	frame []float64
 }
 
-func (db *DB) eval(atoms []*ast.Atom, env Env, emit func(Env) error) error {
-	// Find the next evaluable atom: a comparison whose variables are
-	// resolvable now, or the first predicate atom.
-	for i, a := range atoms {
-		if a.Kind != ast.AtomCompare {
-			continue
-		}
-		ready, err := db.tryCompare(a.Cmp, env)
-		if err != nil {
-			return err
-		}
-		switch ready {
-		case cmpBound, cmpTrue:
-			rest := append(atoms[:i:i], atoms[i+1:]...)
-			err := db.eval(rest, env, emit)
-			if ready == cmpBound {
-				// Unbind the variable this comparison introduced.
-				if v, _, ok := a.Cmp.IsAssignment(); ok {
-					delete(env, v)
-				}
-			}
-			return err
-		case cmpFalse:
-			return nil // conjunction fails on this branch
-		case cmpDeferred:
-			// fall through to try other atoms first
-		}
-	}
-	// No comparison ready; take the first predicate atom.
-	for i, a := range atoms {
-		if a.Kind != ast.AtomPred {
-			continue
-		}
-		rest := append(atoms[:i:i], atoms[i+1:]...)
-		return db.scanPred(a.Pred, rest, env, emit)
-	}
-	// Only deferred comparisons (or nothing) remain.
-	for _, a := range atoms {
-		if a.Kind == ast.AtomCompare {
-			return fmt.Errorf("edb: comparison %v has unbound variables", a)
-		}
-	}
-	return emit(env)
+type step struct {
+	// A comparison: bind frame[slot] = lhs (cmp nil), or filter cmp(lhs, rhs).
+	cmp      func(l, r float64) bool
+	slot     int
+	lhs, rhs func([]float64) float64
+
+	// A predicate atom (pred != nil), resolved per run to rel or g.
+	pred  *ast.Pred
+	args  []arg
+	first int // how the first column is determined: argNum, argBound, or -1
+	rel   *Relation
+	g     *graph.Graph
 }
 
-type cmpState int
+// arg is what a scan does with one column of a row.
+type arg struct {
+	mode int // argSkip … argNever
+	slot int
+	num  float64
+}
 
 const (
-	cmpDeferred cmpState = iota // variables not yet bound
-	cmpBound                    // assignment succeeded, variable now bound
-	cmpTrue                     // filter passed
-	cmpFalse                    // filter failed
+	argSkip  = iota // wildcard
+	argNum          // must equal num
+	argBound        // must equal frame[slot]
+	argBind         // binds frame[slot]
+	argNever        // a term no row matches
 )
 
-// tryCompare attempts to apply a comparison under env.
-func (db *DB) tryCompare(c *ast.Compare, env Env) (cmpState, error) {
-	if v, def, ok := c.IsAssignment(); ok {
-		if _, bound := env[v]; !bound {
-			if !allBound(def, env) {
-				return cmpDeferred, nil
-			}
-			env[v] = def.Eval(expr.Env(env))
-			return cmpBound, nil
-		}
-	}
-	if !allBound(c.LHS, env) || !allBound(c.RHS, env) {
-		return cmpDeferred, nil
-	}
-	l, r := c.LHS.Eval(expr.Env(env)), c.RHS.Eval(expr.Env(env))
-	ok := false
-	switch c.Op {
-	case "=":
-		ok = l == r
-	case "!=":
-		ok = l != r
-	case "<":
-		ok = l < r
-	case ">":
-		ok = l > r
-	case "<=":
-		ok = l <= r
-	case ">=":
-		ok = l >= r
-	default:
-		return cmpFalse, fmt.Errorf("edb: unknown comparison %q", c.Op)
-	}
-	if ok {
-		return cmpTrue, nil
-	}
-	return cmpFalse, nil
+var comparisons = map[string]func(l, r float64) bool{
+	"=":  func(l, r float64) bool { return l == r },
+	"!=": func(l, r float64) bool { return l != r },
+	"<":  func(l, r float64) bool { return l < r },
+	">":  func(l, r float64) bool { return l > r },
+	"<=": func(l, r float64) bool { return l <= r },
+	">=": func(l, r float64) bool { return l >= r },
 }
 
-func allBound(e *expr.Expr, env Env) bool {
-	for _, v := range e.Vars() {
-		if _, ok := env[v]; !ok {
+// Prepare orders atoms into steps and assigns the frame's slots. A
+// comparison whose variables nothing binds is an error.
+func (db *DB) Prepare(atoms []*ast.Atom) (*Body, error) {
+	b := &Body{db: db, slots: map[string]int{}}
+	rest := slices.Clone(atoms)
+	for len(rest) > 0 {
+		i := slices.IndexFunc(rest, func(a *ast.Atom) bool { return a.Kind == ast.AtomCompare && b.ready(a.Cmp) })
+		if i < 0 {
+			i = slices.IndexFunc(rest, func(a *ast.Atom) bool { return a.Kind == ast.AtomPred })
+		}
+		if i < 0 {
+			return nil, fmt.Errorf("edb: comparison %v has unbound variables", rest[0])
+		}
+		var err error
+		if a := rest[i]; a.Kind == ast.AtomPred {
+			b.addScan(a.Pred)
+		} else {
+			err = b.addCompare(a.Cmp)
+		}
+		if err != nil {
+			return nil, err
+		}
+		rest = slices.Delete(rest, i, i+1)
+	}
+	b.frame = make([]float64, len(b.slots))
+	return b, nil
+}
+
+// slotOf returns name's slot, assigning the next one at first sight.
+func (b *Body) slotOf(name string) int {
+	s, ok := b.slots[name]
+	if !ok {
+		s = len(b.slots)
+		b.slots[name] = s
+		b.bound = append(b.bound, false)
+	}
+	return s
+}
+
+// closed reports whether every variable of e is bound.
+func (b *Body) closed(e *expr.Expr) bool {
+	if e.Kind == expr.KVar {
+		return b.bound[b.slotOf(e.Name)]
+	}
+	for _, a := range e.Args {
+		if !b.closed(a) {
 			return false
 		}
 	}
 	return true
 }
 
-// scanPred iterates the tuples of p matching env's bindings, extends env,
-// and recurses into the remaining atoms.
-func (db *DB) scanPred(p *ast.Pred, rest []*ast.Atom, env Env, emit func(Env) error) error {
-	rel, ok := db.Relation(p.Name)
-	if !ok {
-		return fmt.Errorf("edb: no relation or graph named %q", p.Name)
+// ready reports whether c can run now: as a binding, or as a filter.
+func (b *Body) ready(c *ast.Compare) bool {
+	if v, def, ok := c.IsAssignment(); ok && !b.bound[b.slotOf(v)] {
+		return b.closed(def)
 	}
-	if len(p.Args) > rel.Arity {
-		return fmt.Errorf("edb: %s used with arity %d but has %d columns", p.Name, len(p.Args), rel.Arity)
-	}
+	return b.closed(c.LHS) && b.closed(c.RHS)
+}
 
-	match := func(row []float64) error {
-		var bound []string
-		ok := true
-		for j, term := range p.Args {
-			val := row[j]
-			switch term.Kind {
-			case ast.TermWildcard:
-				continue
-			case ast.TermNum:
-				if term.Num != val {
-					ok = false
-				}
-			case ast.TermVar:
-				if cur, has := env[term.Var]; has {
-					if cur != val {
-						ok = false
-					}
-				} else {
-					env[term.Var] = val
-					bound = append(bound, term.Var)
-				}
-			default:
-				ok = false
-			}
-			if !ok {
-				break
-			}
+func (b *Body) addCompare(c *ast.Compare) (err error) {
+	var s step
+	if v, def, ok := c.IsAssignment(); ok && !b.bound[b.slotOf(v)] {
+		s.slot = b.slotOf(v)
+		b.bound[s.slot] = true
+		s.lhs, err = b.Compile(def)
+	} else {
+		if s.cmp = comparisons[c.Op]; s.cmp == nil {
+			return fmt.Errorf("edb: unknown comparison %q", c.Op)
 		}
-		var err error
-		if ok {
-			err = db.eval(rest, env, emit)
+		if s.lhs, err = b.Compile(c.LHS); err == nil {
+			s.rhs, err = b.Compile(c.RHS)
 		}
-		for _, v := range bound {
-			delete(env, v)
-		}
-		return err
 	}
+	b.steps = append(b.steps, s)
+	return err
+}
 
-	// Index acceleration when the first argument is already determined.
-	if len(p.Args) > 0 {
-		if first, ok := firstArgValue(p.Args[0], env); ok {
-			for _, i := range rel.rowsWithFirst(first) {
-				if err := match(rel.Row(int(i))); err != nil {
+func (b *Body) addScan(p *ast.Pred) {
+	s := step{pred: p, first: -1, args: make([]arg, len(p.Args))}
+	for j, t := range p.Args {
+		a := &s.args[j]
+		switch t.Kind {
+		case ast.TermWildcard:
+		case ast.TermNum:
+			a.mode, a.num = argNum, t.Num
+		case ast.TermVar:
+			if a.slot = b.slotOf(t.Var); b.bound[a.slot] {
+				a.mode = argBound
+			} else {
+				a.mode, b.bound[a.slot] = argBind, true
+			}
+		default:
+			a.mode = argNever
+		}
+		// The first column is determined if it was before this atom.
+		if j == 0 && (a.mode == argNum || a.mode == argBound) {
+			s.first = a.mode
+		}
+	}
+	b.steps = append(b.steps, s)
+}
+
+// Compile lowers e to a closure over the body's frame; every variable
+// of e must be one the body binds.
+func (b *Body) Compile(e *expr.Expr) (func(frame []float64) float64, error) {
+	return e.Compile(b.slots)
+}
+
+// Run calls emit once per satisfying assignment with the frame, which is
+// only valid during the call. It stops at emit's first error.
+func (b *Body) Run(emit func(frame []float64) error) error {
+	for i := range b.steps {
+		s := &b.steps[i]
+		if s.pred == nil {
+			continue
+		}
+		s.rel, s.g = b.db.rels[s.pred.Name], b.db.graphs[s.pred.Name]
+		arity := 3 // a graph's rows are (src, dst, weight)
+		switch {
+		case s.rel != nil: // a relation shadows a graph of its name
+			s.g, arity = nil, s.rel.Arity
+		case s.g == nil:
+			return fmt.Errorf("edb: no relation or graph named %q", s.pred.Name)
+		}
+		if len(s.args) > arity {
+			return fmt.Errorf("edb: %s used with arity %d but has %d columns", s.pred.Name, len(s.args), arity)
+		}
+	}
+	return b.run(0, emit)
+}
+
+func (b *Body) run(i int, emit func([]float64) error) error {
+	if i == len(b.steps) {
+		return emit(b.frame)
+	}
+	s, f := &b.steps[i], b.frame
+	switch {
+	case s.pred != nil:
+		return b.scan(s, i+1, emit)
+	case s.cmp == nil:
+		f[s.slot] = s.lhs(f)
+	case !s.cmp(s.lhs(f), s.rhs(f)):
+		return nil // the conjunction fails on this branch
+	}
+	return b.run(i+1, emit)
+}
+
+// scan runs the steps from next on for every row of s that agrees with
+// the frame.
+func (b *Body) scan(s *step, next int, emit func([]float64) error) error {
+	var first float64
+	switch s.first {
+	case argNum:
+		first = s.args[0].num
+	case argBound:
+		first = b.frame[s.args[0].slot]
+	}
+	switch {
+	case s.g != nil:
+		// Rows (v, target, weight) in CSR order; one vertex's when the
+		// first column is determined.
+		lo, hi := int32(0), int32(s.g.NumVertices())
+		if s.first >= 0 {
+			if lo = int32(first); float64(lo) != first || lo < 0 || lo >= hi {
+				return nil
+			}
+			hi = lo + 1
+		}
+		for v := lo; v < hi; v++ {
+			targets, weights := s.g.Neighbors(v)
+			for k, t := range targets {
+				row := [3]float64{float64(v), float64(t), 1}
+				if weights != nil {
+					row[2] = weights[k]
+				}
+				if err := b.match(s, row[:], next, emit); err != nil {
 					return err
 				}
 			}
-			return nil
 		}
-	}
-	for i := 0; i < rel.Len(); i++ {
-		if err := match(rel.Row(i)); err != nil {
-			return err
+	case s.first >= 0:
+		for _, i := range s.rel.rowsWithFirst(first) {
+			if err := b.match(s, s.rel.Row(int(i)), next, emit); err != nil {
+				return err
+			}
+		}
+	default:
+		for i := 0; i < s.rel.Len(); i++ {
+			if err := b.match(s, s.rel.Row(i), next, emit); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func firstArgValue(t *ast.Term, env Env) (float64, bool) {
-	switch t.Kind {
-	case ast.TermNum:
-		return t.Num, true
-	case ast.TermVar:
-		v, ok := env[t.Var]
-		return v, ok
-	default:
-		return 0, false
+// match binds row's columns into the frame and carries on, unless a
+// column disagrees with a constant or an earlier binding.
+func (b *Body) match(s *step, row []float64, next int, emit func([]float64) error) error {
+	for j, a := range s.args {
+		switch v := row[j]; a.mode {
+		case argNum:
+			if v != a.num {
+				return nil
+			}
+		case argBound:
+			if v != b.frame[a.slot] {
+				return nil
+			}
+		case argBind:
+			b.frame[a.slot] = v
+		case argNever:
+			return nil
+		}
 	}
+	return b.run(next, emit)
 }

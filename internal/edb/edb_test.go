@@ -5,6 +5,8 @@ import (
 	"sort"
 	"testing"
 
+	"powerlog/internal/ast"
+	"powerlog/internal/expr"
 	"powerlog/internal/graph"
 	"powerlog/internal/parser"
 )
@@ -26,6 +28,15 @@ func testDB(t *testing.T) *DB {
 	return db
 }
 
+// evalBody prepares atoms and runs them once.
+func evalBody(db *DB, atoms []*ast.Atom, emit func([]float64) error) error {
+	b, err := db.Prepare(atoms)
+	if err != nil {
+		return err
+	}
+	return b.Run(emit)
+}
+
 // evalRule parses "h(...) :- body." and evaluates the body, returning all
 // binding environments projected onto the given variables.
 func evalRule(t *testing.T, db *DB, src string, vars ...string) [][]float64 {
@@ -35,10 +46,18 @@ func evalRule(t *testing.T, db *DB, src string, vars ...string) [][]float64 {
 		t.Fatal(err)
 	}
 	var out [][]float64
-	err = db.EvalBody(r.Bodies[0].Atoms, func(env Env) error {
+	b, err := db.Prepare(r.Bodies[0].Atoms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = b.Run(func(frame []float64) error {
 		row := make([]float64, len(vars))
 		for i, v := range vars {
-			row[i] = env[v]
+			read, err := b.Compile(expr.Var(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[i] = read(frame)
 		}
 		out = append(out, row)
 		return nil
@@ -175,7 +194,7 @@ func TestEvalErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EvalBody(r.Bodies[0].Atoms, func(Env) error { return nil }); err == nil {
+	if err := evalBody(db, r.Bodies[0].Atoms, func([]float64) error { return nil }); err == nil {
 		t.Error("missing relation should error")
 	}
 	// Unbindable comparison.
@@ -183,7 +202,7 @@ func TestEvalErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EvalBody(r.Bodies[0].Atoms, func(Env) error { return nil }); err == nil {
+	if err := evalBody(db, r.Bodies[0].Atoms, func([]float64) error { return nil }); err == nil {
 		t.Error("unbound comparison should error")
 	}
 	// Arity overflow.
@@ -191,7 +210,7 @@ func TestEvalErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.EvalBody(r.Bodies[0].Atoms, func(Env) error { return nil }); err == nil {
+	if err := evalBody(db, r.Bodies[0].Atoms, func([]float64) error { return nil }); err == nil {
 		t.Error("arity overflow should error")
 	}
 }
@@ -220,6 +239,71 @@ func TestGraphView(t *testing.T) {
 	}
 }
 
+// TestBodyReadsGraphInPlace: a graph predicate is scanned from the CSR —
+// one row when its first argument is determined, none for a value that
+// names no vertex — and one prepared body follows an in-place mutation
+// and a relation replaced between runs.
+func TestBodyReadsGraphInPlace(t *testing.T) {
+	db := NewDB()
+	g, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1, W: 2}, {Src: 1, Dst: 2, W: 4}, {Src: 1, Dst: 3, W: 6}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetGraph("edge", g)
+	if _, ok := db.Relation("edge"); ok {
+		t.Error("a graph must not be materialised as a relation")
+	}
+	for src, want := range map[string]int{
+		"h(Y) :- edge(1,Y,W).":              2,
+		"h(Y) :- X = 1, edge(X,Y,W).":       2,
+		"h(Y) :- X = 0 * (0-1), edge(X,Y).": 1, // -0 is vertex 0
+		"h(Y) :- X = 0.5, edge(X,Y).":       0,
+		"h(Y) :- X = 4, edge(X,Y).":         0,
+		"h(Y) :- X = 0 - 1, edge(X,Y).":     0,
+		"h(Y) :- X = 1, edge(X,Y,W), W>4.":  1,
+		"h(Y) :- edge(X,Y,6).":              1,
+		"h(X) :- edge(X,X).":                0,
+	} {
+		if got := evalRule(t, db, src, "Y"); len(got) != want {
+			t.Errorf("%s: %d rows, want %d", src, len(got), want)
+		}
+	}
+
+	seed := NewRelation("seed", 1)
+	seed.Add(1)
+	db.AddRelation(seed)
+	r, err := parser.ParseRule("h(Y) :- seed(X), edge(X,Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := db.Prepare(r.Bodies[0].Atoms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() (n int) {
+		if err := b.Run(func([]float64) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := count(); n != 2 {
+		t.Fatalf("%d rows, want 2", n)
+	}
+	if err := db.MutateGraph("edge", []graph.Edge{{Src: 1, Dst: 0, W: 1}, {Src: 0, Dst: 3, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 3 {
+		t.Fatalf("after the insert: %d rows, want 3", n)
+	}
+	seed = NewRelation("seed", 1)
+	seed.Add(0)
+	seed.Add(1)
+	db.AddRelation(seed)
+	if n := count(); n != 5 {
+		t.Fatalf("after replacing seed: %d rows, want 5", n)
+	}
+}
+
 func TestVertexColumn(t *testing.T) {
 	db := testDB(t)
 	col, err := db.VertexColumn("attr", 5, -1)
@@ -245,7 +329,7 @@ func TestEvalEmitError(t *testing.T) {
 	}
 	calls := 0
 	errStop := &stopErr{}
-	err = db.EvalBody(r.Bodies[0].Atoms, func(Env) error {
+	err = evalBody(db, r.Bodies[0].Atoms, func([]float64) error {
 		calls++
 		return errStop
 	})

@@ -1,10 +1,19 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -256,5 +265,300 @@ func TestQuickCSRPreservesEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleLoadTSV is LoadTSV as it stood before the byte-level reader
+// (PR 22: Scanner.Text, strings.Fields, strconv, a grown []Edge), kept as
+// the oracle the new one is compared with. Two deliberate differences:
+// a NaN weight is refused (marked below), and the scanner's 1 MB line
+// limit went with the scanner.
+func oracleLoadTSV(r io.Reader, n int, weighted bool) (*Graph, error) {
+	edges, n, err := oracleParseTSV(r, n, weighted)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(n, edges, weighted)
+}
+
+// oracleParseTSV is the old LoadTSV up to its call of FromEdges.
+func oracleParseTSV(r io.Reader, n int, weighted bool) ([]Edge, int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var edges []Edge
+	maxID := int32(-1)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || line[0] == '#' || line[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return nil, 0, fmt.Errorf("graph: line %d: need at least src and dst", lineNo)
+		}
+		src, err := strconv.ParseInt(fields[0], 10, 32)
+		if err != nil {
+			return nil, 0, fmt.Errorf("graph: line %d: bad src %q", lineNo, fields[0])
+		}
+		dst, err := strconv.ParseInt(fields[1], 10, 32)
+		if err != nil {
+			return nil, 0, fmt.Errorf("graph: line %d: bad dst %q", lineNo, fields[1])
+		}
+		w := 1.0
+		if weighted && len(fields) >= 3 {
+			w, err = strconv.ParseFloat(fields[2], 64)
+			if err != nil || w != w { // "|| w != w" is new: NaN is refused at the door
+				return nil, 0, fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
+			}
+		}
+		e := Edge{Src: int32(src), Dst: int32(dst), W: w}
+		edges = append(edges, e)
+		if e.Src > maxID {
+			maxID = e.Src
+		}
+		if e.Dst > maxID {
+			maxID = e.Dst
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, 0, err
+	}
+	if int(maxID)+1 > n {
+		n = int(maxID) + 1
+	}
+	return edges, n, nil
+}
+
+// sameLoad fails unless LoadTSV and the oracle agree on text: the same
+// error (its text carries the line number and the field) or the same CSR,
+// weights compared by bits.
+func sameLoad(t *testing.T, text []byte, n int, weighted bool) {
+	t.Helper()
+	want, wantErr := oracleLoadTSV(bytes.NewReader(text), n, weighted)
+	got, err := LoadTSV(bytes.NewReader(text), n, weighted)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("LoadTSV(%.80q, %d, %v): error %v, oracle %v", text, n, weighted, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	bits := func(ws []float64) []uint64 {
+		out := make([]uint64, len(ws))
+		for i, w := range ws {
+			out[i] = math.Float64bits(w)
+		}
+		return out
+	}
+	if got.n != want.n || !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.targets, want.targets) ||
+		(got.weights == nil) != (want.weights == nil) || !slices.Equal(bits(got.weights), bits(want.weights)) {
+		t.Fatalf("LoadTSV(%.80q, %d, %v) built a different graph:\n got  %v\n want %v", text, n, weighted, got.Edges(), want.Edges())
+	}
+}
+
+var loadTSVCases = []string{
+	"", "\n", "0 1", "0 1\n", "0\t1\t2.5\n1 2 3\n",
+	"# comment\n% comment\n  # indented comment\n0 1\n#0 2\n0 3 # trailing text is fields\n",
+	"\n\n0 1\n   \n\t\n0 2\n \t \n",
+	"0 1 2\r\n1 2 3\r\n\r\n2 0\r\n", "0 1 2\r1 2 3\n",
+	"0 \t  1\t \t2.5 \n", "   0 1 7  \n\t1 2 8\t\n",
+	"0\v1\f2\n", "0\u00a01\u00852\n", "0\u20031\u30002\n", "0 1\xa0\n", "0\xc2 1\n",
+	"0 1 2 3\n1 2 3 junk more junk\n", "0 1\n1 2 5\n", "0 1 x\n", "0 1 2 x\n",
+	"+3 +4 +5\n", "-0 1 -0\n", "0 1 .5\n", "0 1 5.\n", "0 1 .\n", "0 1 1e-05\n", "0 1 1.5E+3\n",
+	"0 1 1e\n", "0 1 1e+\n", "0 1 e5\n", "0 1 1e5e\n", "0 1 1.2.3\n", "0 1 --1\n", "0 1 +\n", "0 1 1e400\n", "0 1 1e-400\n",
+	"0 1 0e400\n", "0 1 -0e-400\n", "0 1 1e22\n", "0 1 1e23\n", "0 1 1e-22\n", "0 1 1e-23\n", "0 1 123456789e-31\n",
+	"0 1 9007199254740991\n", "0 1 9007199254740992\n", "0 1 9007199254740993\n", "0 1 0.1e1000000000000\n",
+	"0 1 57.382917341234567\n", "0 1 0.30000000000000004\n", "0 1 1.7976931348623157e+308\n", "0 1 5e-324\n",
+	"0 1 0.000000000000000000000000000001\n", "0 1 100000000000000000000000000000\n", "0 1 00000000000000000000000001.50\n",
+	"0 1 Inf\n1 2 -inf\n2 3 +Infinity\n", "0 1 0x1p-2\n", "0 1 1_000\n", "0 1 0x_1p4\n", "0 1 1e1_0\n",
+	"0 1 2\n1 2 NaN\n", "0 1 nan\n", "0 1 -NaN\n",
+	"2147483647 0\n", "0 2147483647\n", "2147483648 0\n", "0 99999999999999999999\n", "0 00000000000000000000007\n",
+	"-1 0\n", "0 -5\n", "-2147483648 1\n", "-2147483649 1\n", "- 1\n", "+ 1\n", "1_0 1\n", "0x10 1\n",
+	"a b\n", "0 b\n", "0\n", "7\n0 1\n", "0 1\n\n\nx y\n", "0 1.0\n", "1e3 1\n", "0 1\x00\n", "\x00\n", "\xff\xfe\n",
+	"5 6 " + strings.Repeat("9", 70<<10) + "\n1 2 3\n", strings.Repeat(" ", 70<<10) + "1 2 3\nx\n",
+	"# " + strings.Repeat("c", 70<<10) + "\n1 2 3\n", "1 2 3\n4 5 6",
+}
+
+func TestLoadTSVMatchesOracle(t *testing.T) {
+	for _, text := range loadTSVCases {
+		for _, weighted := range []bool{false, true} {
+			for _, n := range []int{0, 9} {
+				sameLoad(t, []byte(text), n, weighted)
+			}
+		}
+	}
+	// 17-digit %g weights, the form WriteTSV emits for gen's uniform draws,
+	// and short ones, which take the exact path.
+	rng := rand.New(rand.NewSource(24))
+	var text bytes.Buffer
+	for i := 0; i < 20000; i++ {
+		w := 1 + 99*rng.Float64()
+		switch i % 4 {
+		case 1:
+			w = math.Round(w*1000) / 1000
+		case 2:
+			w = math.Float64frombits(rng.Uint64()) // any exponent; NaNs are refused by both
+		case 3:
+			w = float64(rng.Intn(1<<20)) * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+		fmt.Fprintf(&text, "%d\t%d\t%g\n", rng.Intn(500), rng.Intn(500), w)
+		if w != w {
+			text.Reset()
+		}
+	}
+	sameLoad(t, text.Bytes(), 0, true)
+}
+
+// TestLoadTSVParts: the text is read in chunks, and a chunk past 64 KB is
+// parsed in parts; whatever the cuts fall on, the graph, and the line
+// number of the first bad line, are those of one pass.
+func TestLoadTSVParts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer func(size int) { chunkSize = size }(chunkSize)
+	rng := rand.New(rand.NewSource(4))
+	var good bytes.Buffer
+	for i := 0; good.Len() < 300<<10; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			good.WriteString("# a comment\n")
+		case 1:
+			good.WriteString(" \t\r\n")
+		default:
+			fmt.Fprintf(&good, "%d %d %g\n", rng.Intn(900), rng.Intn(900), rng.NormFloat64())
+		}
+	}
+	text := good.Bytes()
+	for _, chunkSize = range []int{1 << 20, 160 << 10, 1 << 10} { // one chunk; chunks of two parts; of one
+		sameLoad(t, text, 0, true)
+		sameLoad(t, text[:len(text)-1], 0, false) // no trailing newline
+		for _, at := range []int{0, len(text) / 4, len(text) / 2, len(text) - 2} {
+			at += bytes.IndexByte(text[at:], '\n') + 1
+			bad := slices.Concat(text[:at], []byte("1 x\n"), text[at:], []byte("y\n"))
+			sameLoad(t, bad, 0, true)
+		}
+		// Cuts that find no newline after them, and one inside a long line.
+		long := strings.Repeat("7", 200<<10)
+		sameLoad(t, []byte("1 2 3\n4 5 "+long), 0, false)
+		sameLoad(t, []byte("1 2 3\n4 5 "+long+"\n6 7 8\nz\n"), 0, true)
+		sameLoad(t, []byte(long), 0, true)
+	}
+	for _, chunkSize = range []int{1, 3, 16} { // chunks that end anywhere in a line
+		for _, text := range loadTSVCases {
+			sameLoad(t, []byte(text), 0, true)
+		}
+	}
+	// A reader's error is the load's, once the text before it has parsed.
+	for text, want := range map[string]string{"0 1\n2 3": "boom", "0 1\n2": `graph: line 2: need at least src and dst`} {
+		failing := func() io.Reader { return io.MultiReader(strings.NewReader(text), iotest.ErrReader(errors.New("boom"))) }
+		_, err := LoadTSV(failing(), 0, true)
+		_, oracleErr := oracleLoadTSV(failing(), 0, true)
+		if err == nil || err.Error() != want || oracleErr.Error() != want {
+			t.Errorf("LoadTSV(%q, then a read error): %v, oracle %v, want %s", text, err, oracleErr, want)
+		}
+	}
+}
+
+// TestLoadTSVRefusesNaN: a NaN weight would leave every key it reaches
+// NaN and the fixpoint unconverged; it is refused with its line number.
+func TestLoadTSVRefusesNaN(t *testing.T) {
+	_, err := LoadTSV(strings.NewReader("0 1 2\n1 2 NaN\n2 3 1\n0 3 50\n3 1 -0\n"), 0, true)
+	if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), `"NaN"`) {
+		t.Fatalf("err = %v, want line 2's NaN refused", err)
+	}
+	if _, err := LoadTSV(strings.NewReader("0 1 NaN\n"), 0, false); err != nil {
+		t.Fatalf("an unweighted load does not read the third field: %v", err)
+	}
+	g, err := LoadTSV(strings.NewReader("0 1 Inf\n1 0 -Inf\n"), 0, true)
+	if err != nil || !math.IsInf(g.Weight(0), 1) || !math.IsInf(g.Weight(1), -1) {
+		t.Fatalf("±Inf stay legal: %v", err)
+	}
+}
+
+func FuzzLoadTSV(f *testing.F) {
+	for _, text := range loadTSVCases {
+		if len(text) < 1<<10 {
+			f.Add([]byte(text), true, uint8(len(text)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, text []byte, weighted bool, chunk uint8) {
+		// Chunks of 1 to 256 bytes end anywhere in a line.
+		defer func(size int) { chunkSize = size }(chunkSize)
+		chunkSize = int(chunk) + 1
+		// Compare the parse alone first: an id the fuzzer grows into the
+		// millions is a CSR of that many vertices, twice.
+		want, n, wantErr := oracleParseTSV(bytes.NewReader(text), 0, weighted)
+		got, maxID, err := readEdges(bytes.NewReader(text), weighted)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("readEdges(%q, %v): error %v, oracle %v", text, weighted, err, wantErr)
+		}
+		if err == nil && (int(maxID)+1 != n || len(got) != len(want)) {
+			t.Fatalf("readEdges(%q, %v): %d edges, max id %d; oracle %d edges, n %d", text, weighted, len(got), maxID, len(want), n)
+		}
+		if n <= 1<<16 {
+			sameLoad(t, text, 0, weighted)
+		}
+	})
+}
+
+// rmatEdges is gen.RMAT's recursive-matrix draw (gen imports this
+// package), duplicates kept.
+func rmatEdges(scale, m int, maxW float64, seed int64) []Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]Edge, m)
+	for i := range edges {
+		e := Edge{W: 1 + rng.Float64()*(maxW-1)}
+		for bit := scale - 1; bit >= 0; bit-- {
+			switch r := rng.Float64(); {
+			case r < 0.57:
+			case r < 0.76:
+				e.Dst |= 1 << bit
+			case r < 0.95:
+				e.Src |= 1 << bit
+			default:
+				e.Src |= 1 << bit
+				e.Dst |= 1 << bit
+			}
+		}
+		edges[i] = e
+	}
+	return edges
+}
+
+// TestWriteTSVBytes pins WriteTSV's output to what fmt's %d and %g
+// printed before it formatted into a reused buffer, and write → load →
+// write to a fixed point, on weighted and unweighted R-MAT.
+func TestWriteTSVBytes(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		edges := rmatEdges(10, 6000, 100, 7)
+		for i, w := range []float64{math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e21, 1e-7, 123456, 1e6} {
+			edges[i].W = w
+		}
+		g := mustGraph(t, 1<<10, edges, weighted)
+		var want bytes.Buffer
+		for _, e := range g.Edges() {
+			if weighted {
+				fmt.Fprintf(&want, "%d\t%d\t%g\n", e.Src, e.Dst, e.W)
+			} else {
+				fmt.Fprintf(&want, "%d\t%d\n", e.Src, e.Dst)
+			}
+		}
+		var first, second bytes.Buffer
+		if err := g.WriteTSV(&first); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), want.Bytes()) {
+			t.Fatalf("weighted=%v: WriteTSV differs from fmt's rendering", weighted)
+		}
+		g2, err := LoadTSV(bytes.NewReader(first.Bytes()), g.NumVertices(), weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.WriteTSV(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("weighted=%v: write → load → write is not a fixed point", weighted)
+		}
 	}
 }

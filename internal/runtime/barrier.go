@@ -4,6 +4,7 @@ import (
 	stdruntime "runtime"
 	"time"
 
+	"powerlog/internal/fault"
 	"powerlog/internal/transport"
 )
 
@@ -151,4 +152,54 @@ func (w *worker) awaitVerdict() bool {
 	})
 	w.verdictSet = false
 	return ok && w.verdict == transport.Continue
+}
+
+// maybeStaleSnapshot writes a local, uncoordinated snapshot at every
+// SnapshotEvery-th pass boundary — selective aggregates only, where
+// Theorem 3 licenses restoring stale state. epoch is the worker's own
+// pass/step count; workers drift apart, and LoadAll reassembles the
+// newest shard per worker.
+func (w *worker) maybeStaleSnapshot(epoch int) {
+	if w.cfg.SnapshotDir == "" || w.cfg.SnapshotEvery <= 0 || !w.plan.Op.Selective() {
+		return
+	}
+	if epoch <= w.staleEpoch || epoch%w.cfg.SnapshotEvery != 0 {
+		return
+	}
+	w.staleEpoch = epoch
+	_ = w.snapshot(epoch, false) // best-effort, like the BSP barrier path
+}
+
+// stallBarrier decorates a mode's BarrierPolicy with deterministic
+// straggler injection: before every injector-selected compute pass the
+// worker sleeps, exercising BSP barrier waits, the SSP staleness gate,
+// and the async master's idle detection. Living outside the policy
+// implementations, it costs nothing when no injector is configured and
+// needs no mode-specific code.
+type stallBarrier struct {
+	inner BarrierPolicy
+	inj   *fault.Injector
+	pass  int
+}
+
+func (s *stallBarrier) setup(w *worker) { s.inner.setup(w) }
+
+func (s *stallBarrier) beginPass(w *worker) bool {
+	s.pass++
+	if p := s.inj.WorkerCrashPass(w.id); p > 0 && s.pass == p && !w.reborn {
+		// Silent worker death: no Stop handshake, no final flush — the
+		// buffered updates and the unflushed shard die with the goroutine,
+		// which is exactly what the membership layer's live re-join
+		// (membership.go) must recover from.
+		w.stopped = true
+		return false
+	}
+	if d := s.inj.StallFor(w.id, s.pass); d > 0 {
+		time.Sleep(d)
+	}
+	return s.inner.beginPass(w)
+}
+
+func (s *stallBarrier) endPass(w *worker, progressed bool) bool {
+	return s.inner.endPass(w, progressed)
 }

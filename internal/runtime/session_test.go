@@ -427,8 +427,10 @@ func TestSessionEmptyMutation(t *testing.T) {
 	}
 }
 
-// TestSessionMutationValidation: an out-of-universe edge is rejected
-// with the EDB untouched and the session still usable (non-sticky).
+// TestSessionMutationValidation: an out-of-universe edge, and an insert
+// with a NaN weight (every key it reached would end NaN and the run
+// unconverged), are rejected with the edge named, the EDB untouched and
+// the session still usable (non-sticky).
 func TestSessionMutationValidation(t *testing.T) {
 	p := sessionProgs[0]
 	g := p.g()
@@ -443,6 +445,13 @@ func TestSessionMutationValidation(t *testing.T) {
 	_, err = s.Apply(Mutation{Inserts: []graph.Edge{{Src: int32(n), Dst: 0, W: 1}}})
 	if err == nil || !strings.Contains(err.Error(), "outside the vertex universe") {
 		t.Fatalf("out-of-universe insert: err = %v", err)
+	}
+	_, err = s.Apply(Mutation{Inserts: []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: math.NaN()}}})
+	if err == nil || !strings.Contains(err.Error(), "insert edge (1,2) has a NaN weight") {
+		t.Fatalf("NaN insert: err = %v", err)
+	}
+	if g.NumEdges() != len(edges) {
+		t.Fatalf("a rejected batch changed the graph: %d edges, want %d", g.NumEdges(), len(edges))
 	}
 	if s.Err() != nil {
 		t.Fatalf("validation failure must not poison the session: %v", s.Err())

@@ -94,7 +94,7 @@ type worker struct {
 	// session-epoch counter: the fixpoint being computed is
 	// fences[FencePark].done + 1.
 	fences     [transport.NumFenceClasses]fenceState
-	staleEpoch int // last local stale-snapshot epoch (episode.go)
+	staleEpoch int // last local stale-snapshot epoch (maybeStaleSnapshot)
 	// mutEpoch stamps snapshots with the mutation-log position they
 	// incorporate (the session advances it while the worker is parked).
 	mutEpoch int
@@ -195,7 +195,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	w.pol = policiesFor(cfg, plan, id, w.met.reg)
 	if cfg.Fault != nil {
 		// Straggler injection decorates the mode's barrier from outside
-		// (inject.go): the policy seams absorb the fault layer with no
+		// (stallBarrier): the policy seams absorb the fault layer with no
 		// new switches in the hot path.
 		w.pol.barrier = &stallBarrier{inner: w.pol.barrier, inj: cfg.Fault}
 	}

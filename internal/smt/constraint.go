@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"powerlog/internal/expr"
 )
@@ -49,12 +50,8 @@ func (c Constraint) String() string {
 	return fmt.Sprintf("%s %s %v", c.Var, c.Rel, c.Bound)
 }
 
-// Satisfied reports whether the assignment env meets the constraint.
-func (c Constraint) Satisfied(env map[string]float64) bool {
-	v, ok := env[c.Var]
-	if !ok {
-		return true // unconstrained-by-absence; samplers always bind
-	}
+// Satisfied reports whether v, a value of c.Var, meets the constraint.
+func (c Constraint) Satisfied(v float64) bool {
 	switch c.Rel {
 	case Ge:
 		return v >= c.Bound
@@ -74,16 +71,19 @@ type domain struct {
 	loOpen, hiOpen bool
 }
 
-func domainsOf(vars []string, cons []Constraint) map[string]domain {
-	d := make(map[string]domain, len(vars))
-	for _, v := range vars {
-		d[v] = domain{lo: math.Inf(-1), hi: math.Inf(1)}
+// domainsOf returns the domain of each of vars, which are sorted, under
+// cons.
+func domainsOf(vars []string, cons []Constraint) []domain {
+	d := make([]domain, len(vars))
+	for i := range d {
+		d[i] = domain{lo: math.Inf(-1), hi: math.Inf(1)}
 	}
 	for _, c := range cons {
-		dom, ok := d[c.Var]
+		i, ok := slices.BinarySearch(vars, c.Var)
 		if !ok {
 			continue
 		}
+		dom := &d[i]
 		switch c.Rel {
 		case Ge:
 			if c.Bound > dom.lo {
@@ -102,7 +102,6 @@ func domainsOf(vars []string, cons []Constraint) map[string]domain {
 				dom.hi, dom.hiOpen = c.Bound, true
 			}
 		}
-		d[c.Var] = dom
 	}
 	return d
 }

@@ -84,8 +84,8 @@ type cond struct {
 	strict bool
 }
 
-func (c cond) holds(env map[string]float64) bool {
-	v := c.e.Eval(env)
+// holds judges the condition on v, the value of c.e at a sample.
+func (c cond) holds(v float64) bool {
 	switch {
 	case c.ge && c.strict:
 		return v > 0
@@ -316,7 +316,10 @@ func consIneqs(cons []Constraint) []*linIneq {
 }
 
 // falsify searches for an assignment satisfying conds and cons at which
-// diff evaluates away from zero (relative tolerance eqTol).
+// diff evaluates away from zero (relative tolerance eqTol). A sample is a
+// frame, the sorted variables' values in order, and every expression a
+// closure over it (expr.Compile): the draws, their order and the
+// floating-point operations are those of evaluating the trees over a map.
 func falsify(diff *expr.Expr, conds []cond, cons []Constraint, rng *rand.Rand, tries int) (map[string]float64, bool) {
 	varSet := map[string]bool{}
 	for _, v := range diff.Vars() {
@@ -332,53 +335,71 @@ func falsify(diff *expr.Expr, conds []cond, cons []Constraint, rng *rand.Rand, t
 		vars = append(vars, v)
 	}
 	sort.Strings(vars)
+	slots := make(map[string]int, len(vars))
+	for i, v := range vars {
+		slots[v] = i
+	}
+	// Like Eval, compile panics on a builtin the parser would have refused.
+	compile := func(e *expr.Expr) func([]float64) float64 {
+		f, err := e.Compile(slots)
+		if err != nil {
+			panic(err)
+		}
+		return f
+	}
+	value := compile(diff)
 	if len(vars) == 0 {
-		v := diff.Eval(nil)
-		if math.Abs(v) > eqTol {
+		if math.Abs(value(nil)) > eqTol {
 			return map[string]float64{}, true
 		}
 		return nil, false
 	}
+	magnitude := compile(diff.Args[0])
+	condValue := make([]func([]float64) float64, len(conds))
+	for i, c := range conds {
+		condValue[i] = compile(c.e)
+	}
+	// A constraint on a variable the sample does not bind constrains nothing.
+	var bounds []Constraint
+	var boundSlot []int
+	for _, c := range cons {
+		if s, ok := slots[c.Var]; ok {
+			bounds, boundSlot = append(bounds, c), append(boundSlot, s)
+		}
+	}
 	doms := domainsOf(vars, cons)
 
-	env := make(map[string]float64, len(vars))
+	frame := make([]float64, len(vars))
+next:
 	for i := 0; i < tries; i++ {
-		for _, v := range vars {
+		for s := range frame {
 			structured := -1
 			if i < tries/2 { // first half: bias toward structured points
 				structured = rng.Intn(len(interestingPoints) + 4) // sometimes uniform
 			}
-			env[v] = doms[v].sample(rng, structured)
+			frame[s] = doms[s].sample(rng, structured)
 		}
-		okRegion := true
-		for _, c := range cons {
-			if !c.Satisfied(env) {
-				okRegion = false
-				break
+		for j := range bounds {
+			if !bounds[j].Satisfied(frame[boundSlot[j]]) {
+				continue next
 			}
 		}
-		if okRegion {
-			for _, c := range conds {
-				if !c.holds(env) {
-					okRegion = false
-					break
-				}
+		for j := range conds {
+			if !conds[j].holds(condValue[j](frame)) {
+				continue next
 			}
 		}
-		if !okRegion {
-			continue
-		}
-		v := diff.Eval(env)
+		v := value(frame)
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
 		// Scale tolerance by the magnitude of the subterms to absorb float
 		// reassociation error.
-		scale := math.Max(1, math.Abs(diff.Args[0].Eval(env)))
+		scale := math.Max(1, math.Abs(magnitude(frame)))
 		if math.Abs(v) > eqTol*scale {
-			w := make(map[string]float64, len(env))
-			for k, val := range env {
-				w[k] = val
+			w := make(map[string]float64, len(vars))
+			for s, name := range vars {
+				w[name] = frame[s]
 			}
 			return w, true
 		}
