@@ -1,62 +1,30 @@
-# Tier-1 verification for this repo: `make check` is what CI
-# (.github/workflows/ci.yml) and the ROADMAP's verify step run. The race
-# pass covers the packages on the zero-allocation message path (combiner
-# → pooled batches → codec → MonoTable fold) plus checkpointing, fault
-# injection, the lock-free metrics core, the PR 7 incremental-EDB
-# and generator packages (edb, gen), where a recycle-contract violation
-# would surface as a data race, and the set-up path — the edge-list
-# loader parses in parts on goroutines (graph), and compiler had never run
-# under the detector; -cpu 1,4 runs each test at
-# both parallelism levels so the intra-worker subshard scan pool
-# (DESIGN.md §9) is raced with real preemption even on small CI boxes;
-# it runs -short, which trims
-# the chaos matrix (internal/runtime/chaos_test.go) to its
-# representative algorithm subset — the full matrix runs race-free under
-# `make test`. `make lint` runs the repo-local static analyzers of
-# internal/lint (cmd/plvet): recycle, atomicmix, lockblock, shadow,
-# kindswitch, errcmp, metricname, condwait — the
-# same checks also run under `go test ./internal/lint`, so plain
-# `go test ./...` enforces them too. `make metrics-smoke` exercises the
-# observability layer end-to-end: the policymetrics experiment on the
-# tiny dataset, all six modes. `make churn-smoke` exercises the session
-# lifecycle end-to-end: incremental Apply vs cold re-run on the tiny
-# dataset across the four session-capable modes (the race pass already
-# covers the session tests via ./internal/runtime/... -short). The
-# PR 9 membership layer (membership.go, rejoin_test.go: crashw re-join
-# matrix, elastic scale drills) also races under ./internal/runtime/...
-# -short — the fence/handoff/park interleavings are exactly where a
-# race would hide. `make serve-smoke` exercises the PR 10 serving front
-# end (internal/server, cmd/plserved) end-to-end: the closed-loop serve
-# experiment over real loopback HTTP — lookup/mutate mixes against a
-# parked session — finishing with a /metrics scrape that must pass the
-# Prometheus exposition conformance check; the race pass covers the
-# concurrent-handler and concurrent-session tests
-# (./internal/server/..., plus the session hammer under
-# ./internal/runtime/...).
-# `make test-cpu1` is the whole suite at one core — the configuration
-# that is fully green while ROADMAP item 1's multi-core failures are
-# open; CI runs it as its own required step ahead of `make check`.
-# `make test-scan` runs the compute-pass tests (DESIGN.md §9: fan-out
-# oracle runs, bit-identity below the gate and across kernel classes,
-# the exclusive/atomic fold alternation, the mirror against the hash
-# combiner and the owner-exclusive drain against the keyed one, the flush
-# limits against the old per-emit rule, gating, the stealing deque),
-# the bucket scheduler's (DESIGN.md §5b: the partition, every MRA mode
-# against the oracle with the gate on every batch and fanned out over the
-# cores, the relaxations saved, no idle wait behind held keys)
-# and the session oracle suites (DESIGN.md §10: Apply vs a cold run for
-# twelve programs, the support-closure property test) at 1, 2 and 4
-# procs; unlike the full multi-core suite it is green at every count, so
-# it is a real gate. `make test-term` runs the termination detector's
-# tests — the stop machine's unit and property tests (internal/term) and
-# the runtime's TestTerm*, session-equivalence and cross-transport suites
-# — five times at 1, 2 and 4 procs. `make loc` prints non-test,
-# non-comment, non-blank Go lines per package directory (*_test.go and
-# testdata excluded) — run it on two commits to report "lines removed":
-# `make -f $PWD/Makefile -C <other checkout> loc`.
-.PHONY: check build vet lint test test-cpu1 test-scan test-term race bench bench-smoke loc metrics-smoke churn-smoke serve-smoke
+# `make check` is tier-1 verification: what CI (.github/workflows/ci.yml)
+# and ROADMAP's verify step run.
+#
+#   vet, build, test   go vet / go build / go test over ./...
+#   lint               the repo-local analyzers of internal/lint (cmd/plvet);
+#                      `go test ./internal/lint` runs the same checks
+#   test-cpu1          the whole suite at one core (its own CI step)
+#   test-scan          compute-pass, bucket-scheduler and session-oracle
+#                      tests (DESIGN.md §9, §5b, §10) at 1, 2 and 4 procs
+#   test-term          the termination detector's tests (internal/term and
+#                      the runtime's), five times at 1, 2 and 4 procs
+#   test-names         fails when a name in either -run list above selects
+#                      no test — a renamed test would otherwise drop out of
+#                      its gate silently (until ROADMAP 1e deletes the lists)
+#   race               the packages on the message path, checkpointing, fault
+#                      injection, metrics, sessions, the server and the set-up
+#                      path under the race detector at -cpu 1,4; -short trims
+#                      the chaos matrix to its representative subset
+#   benchmark          vet and test the plperf module (benchmark/) against
+#                      this engine
+#   bench, bench-smoke the per-layer micro-benchmarks; once each as CI's rot
+#                      guard
+#   loc                non-test, non-comment, non-blank Go lines per package:
+#                      `make -f $PWD/Makefile -C <other checkout> loc`
+.PHONY: check build vet lint test test-cpu1 test-scan test-term test-names race benchmark bench bench-smoke loc
 
-check: vet lint build test test-scan test-term race metrics-smoke churn-smoke serve-smoke
+check: vet lint build test test-scan test-term race benchmark
 
 build:
 	go build ./...
@@ -73,11 +41,30 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-test-scan:
-	go test -cpu 1,2,4 -run 'TestParallel|TestSerialPass|TestCoresGating|TestSubDeque|TestKernelClassesBitIdentical|TestAlternatingFoldVariants|TestMirrorMatchesHash|TestFlushLimitMatchesOnEmit|TestFlushSplitsAtBatchMax|TestDrainOwnedMatchesScanDrain|TestFoldDeltaOwnedMatchesAtomic|TestPartitionNear|TestBucketSched|TestSessionEquivalence|TestSupportClosureProperty' ./internal/runtime ./internal/compiler ./internal/monotable
+SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty
+SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
+TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence
+TERM_PKGS = ./internal/term ./internal/runtime
 
-test-term:
-	go test -cpu 1,2,4 -count=5 -run 'TestTerm|TestSessionEquivalence|TestCrossTransportEquivalence' ./internal/term ./internal/runtime
+# alternation turns a list of names into a -run regexp.
+space := $(subst ,, )
+alternation = $(subst $(space),|,$(strip $(1)))
+
+test-scan: test-names
+	go test -cpu 1,2,4 -run '$(call alternation,$(SCAN_TESTS))' $(SCAN_PKGS)
+
+test-term: test-names
+	go test -cpu 1,2,4 -count=5 -run '$(call alternation,$(TERM_TESTS))' $(TERM_PKGS)
+
+# names-ok fails unless each name in $(1) selects a test of the packages $(2).
+define names-ok
+	@names=$$(go test -list Test $(2)) || exit 1; for t in $(1); do \
+		echo "$$names" | grep -q "$$t" || { echo "test-names: -run '$$t' selects no test in $(2)" >&2; exit 1; }; done
+endef
+
+test-names:
+	$(call names-ok,$(SCAN_TESTS),$(SCAN_PKGS))
+	$(call names-ok,$(TERM_TESTS),$(TERM_PKGS))
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | sort | xargs awk ' \
@@ -92,26 +79,18 @@ loc:
 race:
 	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/... ./internal/graph/... ./internal/compiler/...
 
-metrics-smoke:
-	go run ./cmd/plbench -exp policymetrics -smoke -maxwall 60s
+benchmark:
+	cd benchmark && go vet ./... && go test ./...
 
-churn-smoke:
-	go run ./cmd/plbench -exp churn -smoke -maxwall 60s
-
-serve-smoke:
-	go run ./cmd/plbench -exp serve -smoke -maxwall 60s
-
-# Hot-path microbenches with allocation counts (BENCH_PR1.json records
-# the tracked numbers), one per layer of the compute pass: the F' row
-# kernel per class, the MonoTable folds and the per-key drain (root
-# package, ns/edge and ns/key), the sender-side buffer in both backings
-# (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static fleet
-# (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
+# One micro-benchmark per layer of the compute pass, with allocation
+# counts: the F' row kernel per class, the MonoTable folds and the per-key
+# drain (root package, ns/edge and ns/key), the sender-side buffer in both
+# backings (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static
+# fleet (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
 # graph under the bucket scheduler (BenchmarkRunChain: ms, KVs and passes
 # per op), the codec, the metrics core, and the layers in front of the
 # fixpoint on plperf's R-MAT inputs (BenchmarkLoadTSV ns/edge and allocs
-# per load, BenchmarkCompile, BenchmarkCheck). BENCHTIME=1x is the
-# compile-and-run smoke CI uses (bench-smoke) so none of them can rot.
+# per load, BenchmarkCompile, BenchmarkCheck).
 BENCHTIME ?= 1s
 bench:
 	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass|BenchmarkLoadTSV|BenchmarkCompile|BenchmarkCheck' -benchmem -benchtime $(BENCHTIME) .

@@ -114,15 +114,6 @@ func (o *Op) Fold(a, b float64) float64 {
 
 var inf = math.Inf(1)
 
-// FoldAll folds a slice, returning the identity for an empty slice.
-func (o *Op) FoldAll(vs []float64) float64 {
-	acc := o.identity
-	for _, v := range vs {
-		acc = o.Fold(acc, v)
-	}
-	return acc
-}
-
 // Inverse computes the initial delta entry G⁻(x1, x0) of paper §3.3: the
 // value d such that G(x0, d) == x1 under this aggregate. For min/max the
 // inverse is the operator itself; for sum/count it is pairwise subtraction.
@@ -136,20 +127,6 @@ func (o *Op) Inverse(x1, x0 float64) float64 {
 		return x1 - x0
 	default:
 		return math.NaN()
-	}
-}
-
-// Better reports whether a strictly improves on b in this aggregate's
-// monotone order (used by priority scheduling and convergence checks).
-// For sum/count any non-zero delta "improves".
-func (o *Op) Better(a, b float64) bool {
-	switch o.kind {
-	case Min:
-		return a < b
-	case Max:
-		return a > b
-	default:
-		return a != 0 || b != 0
 	}
 }
 

@@ -44,25 +44,6 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-func TestFoldAll(t *testing.T) {
-	vs := []float64{3, -1, 7, 2}
-	if got := ByKind(Min).FoldAll(vs); got != -1 {
-		t.Errorf("min = %v", got)
-	}
-	if got := ByKind(Max).FoldAll(vs); got != 7 {
-		t.Errorf("max = %v", got)
-	}
-	if got := ByKind(Sum).FoldAll(vs); got != 11 {
-		t.Errorf("sum = %v", got)
-	}
-	if got := ByKind(Sum).FoldAll(nil); got != 0 {
-		t.Errorf("empty sum = %v", got)
-	}
-	if got := ByKind(Min).FoldAll(nil); !math.IsInf(got, 1) {
-		t.Errorf("empty min = %v", got)
-	}
-}
-
 func TestInverseRecoversX1(t *testing.T) {
 	// For each op: G(x0, G⁻(x1,x0)) == x1 whenever x1 is reachable, i.e.
 	// x1 ⊑ x0 in the op's order for selective ops, any x1 for sum.
@@ -125,18 +106,6 @@ func TestMeanNotAssociative(t *testing.T) {
 	r := op.Fold(1, op.Fold(2, 3)) // 1.75
 	if l == r {
 		t.Error("mean fold should not be associative; checker relies on this")
-	}
-}
-
-func TestBetter(t *testing.T) {
-	if !ByKind(Min).Better(1, 2) || ByKind(Min).Better(2, 1) {
-		t.Error("min.Better wrong")
-	}
-	if !ByKind(Max).Better(2, 1) || ByKind(Max).Better(1, 2) {
-		t.Error("max.Better wrong")
-	}
-	if !ByKind(Sum).Better(0.1, 0) || ByKind(Sum).Better(0, 0) {
-		t.Error("sum.Better wrong")
 	}
 }
 

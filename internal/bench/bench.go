@@ -52,23 +52,19 @@ func datasetSeed(d gen.Dataset, salt int64) int64 { return d.Seed*1000 + salt }
 func Prepare(algo string, d gen.Dataset) (*Workload, error) {
 	w := &Workload{Algo: algo, Dataset: d}
 	db := edb.NewDB()
-	var src string
+	src, pred := "", "edge"
 	switch algo {
 	case "CC":
 		w.Graph = d.Build(false)
-		db.SetGraph("edge", w.Graph)
 		src = progs.CC
 	case "SSSP":
 		w.Graph = d.Build(true)
-		db.SetGraph("edge", w.Graph)
 		src = progs.SSSP
 	case "PageRank":
 		w.Graph = d.Build(false)
-		db.SetGraph("edge", w.Graph)
 		src = progs.PageRank
 	case "Katz":
 		w.Graph = d.Build(false)
-		db.SetGraph("edge", w.Graph)
 		// Scale the attenuation below the spectral bound so the metric is
 		// finite on skewed graphs (Katz 1953 requires α < 1/λ_max); 0.9/λ
 		// keeps the series deep enough (≈60 effective hops) to exercise
@@ -84,22 +80,30 @@ func Prepare(algo string, d gen.Dataset) (*Workload, error) {
 		w.Inj = ones(n)
 		w.Pi = gen.VertexAttr(n, 0.1, 0.5, datasetSeed(d, 1))
 		w.Pc = gen.VertexAttr(n, 0.2, 0.8, datasetSeed(d, 2))
-		db.SetGraph("A", w.Graph)
 		db.AddRelation(column("pi", w.Pi))
 		db.AddRelation(column("pc", w.Pc))
-		src = progs.Adsorption
+		src, pred = progs.Adsorption, "A"
 	case "BP":
 		w.Graph = normalizedCopy(d.Build(true))
 		n := w.Graph.NumVertices()
 		w.Initial = gen.VertexAttr(n, 0.1, 1, datasetSeed(d, 3))
 		w.H = gen.VertexAttr(n, 0.2, 0.9, datasetSeed(d, 4))
-		db.SetGraph("E", w.Graph)
 		db.AddRelation(column("I", w.Initial))
 		db.AddRelation(column("H", w.H))
-		src = progs.BP
+		src, pred = progs.BP, "E"
 	default:
 		return nil, fmt.Errorf("bench: unknown algorithm %q", algo)
 	}
+	db.SetGraph(pred, w.Graph)
+	var err error
+	if w.Plan, err = compile(src, db); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// compile takes program text over a database to its plan.
+func compile(src string, db *edb.DB) (*compiler.Plan, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
@@ -108,11 +112,7 @@ func Prepare(algo string, d gen.Dataset) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.Plan, err = compiler.Compile(info, db, compiler.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
+	return compiler.Compile(info, db, compiler.Options{})
 }
 
 // normalizedCopy clones a weighted graph with out-weight sums capped at 1
@@ -143,67 +143,51 @@ func column(name string, vals []float64) *edb.Relation {
 	return r
 }
 
-// RunConfig are the harness's engine settings.
+// RunConfig is the engine configuration an experiment starts from — the
+// runtime's own Config, whose Mode every run overwrites — plus what only
+// the harness knows.
 type RunConfig struct {
-	Workers           int
-	Tau               time.Duration
-	CheckInterval     time.Duration
-	MaxWall           time.Duration
-	PriorityThreshold float64
+	runtime.Config
 
-	// CollectTimeout is the master's per-worker liveness deadline
-	// (runtime Config.CollectTimeout); 0 keeps the runtime default. The
-	// rejoin experiment shortens it so a crashed worker is declared lost
-	// in milliseconds rather than at the MaxWall fallback.
-	CollectTimeout time.Duration
-
-	// PerfectNetwork disables the cluster-fabric emulation (tests use
-	// it); by default experiment runs emulate the paper's 1.5 Gbps NIC
-	// as a 10M KV/s serialisation cost on each worker's comm thread
-	// (latency pipelines on real fabrics, so only bandwidth is charged).
+	// PerfectNetwork disables the cluster-fabric emulation: by default a
+	// run emulates the paper's 1.5 Gbps NIC as a 10M KV/s serialisation
+	// cost on each worker's comm thread (latency pipelines on real
+	// fabrics, so only bandwidth is charged).
 	PerfectNetwork bool
-
-	// Staleness is the MRASSP superstep bound (0 = runtime default).
-	Staleness int
-
-	// Cores is the per-worker scan parallelism (runtime
-	// Config.CoresPerWorker): 0 = runtime default (min(GOMAXPROCS, 8)),
-	// 1 = never fan a pass out. The cores experiment sweeps it.
-	Cores int
 
 	// Faults is a fault-injection spec (fault.ParseSpec syntax, e.g.
 	// "seed=42,sendfail=0.1,stall=5:300us") applied to every engine run;
-	// empty disables injection. The recovery experiment sets it per run.
+	// empty disables injection. The recovery experiments set it per run.
 	Faults string
 
-	// Checkpoint plumbing for the recovery experiment: SnapshotDir and
-	// SnapshotEvery enable periodic checkpoints, RestoreDir warm-starts
-	// the run from an earlier run's snapshots.
-	SnapshotDir   string
-	SnapshotEvery int
-	RestoreDir    string
-
-	// Smoke shrinks an experiment to its tiny-dataset variant — seconds
-	// instead of minutes, for CI and `make metrics-smoke`. Experiments
-	// that support it (policymetrics) swap the Table-2 stand-ins for
-	// gen.TinyDatasets.
+	// Smoke swaps every Table-2 stand-in for gen.TinyDatasets — seconds
+	// instead of minutes, for CI and the package's table test.
 	Smoke bool
 }
 
+// orDefaults fills the harness's defaults where they differ from the
+// runtime's. One scan core per worker: the paper's worker is one compute
+// thread and one communication thread (§5.3), and Workers × GOMAXPROCS
+// scan goroutines would measure oversubscription, not the mode.
 func (c RunConfig) orDefaults() RunConfig {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
 	if c.Tau <= 0 {
 		c.Tau = time.Millisecond
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = 2 * time.Millisecond
 	}
-	if c.MaxWall <= 0 {
-		c.MaxWall = 5 * time.Minute
+	if c.CoresPerWorker <= 0 {
+		c.CoresPerWorker = 1
 	}
 	return c
+}
+
+// dataset resolves a Table-2 name, or its tiny stand-in under Smoke.
+func (c RunConfig) dataset(name string) (gen.Dataset, error) {
+	if c.Smoke {
+		return gen.TinyDatasets()[0], nil
+	}
+	return gen.DatasetByName(name)
 }
 
 // Measurement is one timed engine run.
@@ -213,6 +197,11 @@ type Measurement struct {
 	Rounds                int
 	Messages              int64
 	Converged             bool
+
+	// Keys is the size of the result; Sched the schedule the passes
+	// drained under (runtime Result.Sched).
+	Keys  int
+	Sched string
 
 	// Flushes counts data messages (batches); Messages/Flushes is the
 	// realised mean batch size — the quantity the flush policies steer.
@@ -224,60 +213,29 @@ type Measurement struct {
 	// buffer size β (unified mode with combining aggregates; else 0).
 	BetaFinal float64
 
-	// Metrics is the merge of every worker's per-policy metric snapshot
-	// (counters summed, histograms bucket-wise) — the raw material of the
-	// policymetrics experiment's table.
+	// Metrics is the master's snapshot merged with every worker's
+	// (counters summed, histograms bucket-wise).
 	Metrics metrics.Snapshot
-}
-
-// engineConfig maps the harness settings onto a runtime.Config for one
-// mode (shared by RunMode and the session-based churn experiment).
-func (c RunConfig) engineConfig(mode runtime.Mode) (runtime.Config, error) {
-	c = c.orDefaults()
-	rc := runtime.Config{
-		Workers:           c.Workers,
-		Mode:              mode,
-		Tau:               c.Tau,
-		CheckInterval:     c.CheckInterval,
-		MaxWall:           c.MaxWall,
-		CollectTimeout:    c.CollectTimeout,
-		PriorityThreshold: c.PriorityThreshold,
-		Staleness:         c.Staleness,
-		CoresPerWorker:    c.Cores,
-		SnapshotDir:       c.SnapshotDir,
-		SnapshotEvery:     c.SnapshotEvery,
-		RestoreDir:        c.RestoreDir,
-	}
-	if c.Faults != "" {
-		spec, err := fault.ParseSpec(c.Faults)
-		if err != nil {
-			return runtime.Config{}, fmt.Errorf("bench: -faults: %w", err)
-		}
-		rc.Fault = fault.New(spec)
-	}
-	if !c.PerfectNetwork {
-		rc.Network = runtime.NetworkProfile{KVsPerSecond: 10e6}
-	}
-	return rc, nil
 }
 
 // RunMode times one engine mode on a prepared workload.
 func RunMode(w *Workload, mode runtime.Mode, cfg RunConfig) (Measurement, error) {
-	m, _, err := runModeResult(w, mode, cfg)
-	return m, err
-}
-
-// runModeResult is RunMode plus the raw engine Result, for experiments
-// that read master-side state (the rejoin experiment's membership
-// counters and fence-latency histogram).
-func runModeResult(w *Workload, mode runtime.Mode, cfg RunConfig) (Measurement, *runtime.Result, error) {
-	rc, err := cfg.engineConfig(mode)
-	if err != nil {
-		return Measurement{}, nil, err
+	cfg = cfg.orDefaults()
+	rc := cfg.Config
+	rc.Mode = mode
+	if !cfg.PerfectNetwork {
+		rc.Network = runtime.NetworkProfile{KVsPerSecond: 10e6}
+	}
+	if cfg.Faults != "" {
+		spec, err := fault.ParseSpec(cfg.Faults)
+		if err != nil {
+			return Measurement{}, fmt.Errorf("bench: -faults: %w", err)
+		}
+		rc.Fault = fault.New(spec)
 	}
 	res, err := runtime.Run(w.Plan, rc)
 	if err != nil {
-		return Measurement{}, nil, err
+		return Measurement{}, err
 	}
 	m := Measurement{
 		Algo:      w.Algo,
@@ -287,7 +245,10 @@ func runModeResult(w *Workload, mode runtime.Mode, cfg RunConfig) (Measurement, 
 		Rounds:    res.Rounds,
 		Messages:  res.MessagesSent,
 		Converged: res.Converged,
+		Keys:      len(res.Values),
+		Sched:     res.Sched,
 		Flushes:   res.Flushes,
+		Metrics:   res.Master,
 	}
 	betaSum, betaN := 0.0, 0
 	for _, ws := range res.Workers {
@@ -301,5 +262,5 @@ func runModeResult(w *Workload, mode runtime.Mode, cfg RunConfig) (Measurement, 
 	if betaN > 0 {
 		m.BetaFinal = betaSum / float64(betaN)
 	}
-	return m, res, nil
+	return m, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -17,12 +18,12 @@ func tinyDataset() gen.Dataset {
 }
 
 func fastCfg() RunConfig {
-	return RunConfig{
+	return RunConfig{Config: runtime.Config{
 		Workers:       2,
 		Tau:           200 * time.Microsecond,
 		CheckInterval: 300 * time.Microsecond,
 		MaxWall:       30 * time.Second,
-	}
+	}}
 }
 
 func TestPrepareAllAlgorithms(t *testing.T) {
@@ -123,40 +124,58 @@ func TestTable2Output(t *testing.T) {
 	}
 }
 
-func TestRunExperimentUnknown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunExperiment("nope", &buf, fastCfg()); err == nil {
-		t.Fatal("unknown experiment should fail")
+// TestExperimentTable runs every entry of the experiment table on the
+// tiny dataset: each declared series yields its row, in declaration order,
+// every run converges, and only an id the table lacks is unknown.
+func TestExperimentTable(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Smoke = true
+	for _, e := range table {
+		t.Run(e.id, func(t *testing.T) {
+			var buf bytes.Buffer
+			ms, err := RunExperiment(e.id, &buf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range ms {
+				// A crashed run was aborted by the injected master crash
+				// (or beat it).
+				if !m.Converged && !strings.HasSuffix(m.Series, "/crashed") {
+					t.Errorf("%s %s %s did not converge", m.Algo, m.Dataset, m.Series)
+				}
+				if hist := m.Metrics.MergeHistograms("flush.size.dst"); e.id == "policymetrics" && m.Flushes > 0 && int64(hist.Count) != m.Flushes {
+					t.Errorf("%s %s: flush histogram count %d != Flushes %d", m.Algo, m.Series, hist.Count, m.Flushes)
+				}
+			}
+			if e.grids == nil {
+				if e.title != "" && len(ms) == 0 {
+					t.Errorf("no rows:\n%s", buf.String())
+				}
+				return
+			}
+			i := 0
+			for _, g := range e.grids {
+				for _, algo := range g.algos {
+					for _, s := range g.series {
+						if i == len(ms) {
+							t.Fatalf("%d rows, then none for %s %q:\n%s", i, algo, s.label, buf.String())
+						}
+						if m := ms[i]; m.Algo != algo || (g.prepare == nil && m.Dataset != "tiny-rmat") || !strings.HasPrefix(m.Series, s.label) {
+							t.Errorf("row %d is %s %s %q, want %s tiny-rmat %q", i, m.Algo, m.Dataset, m.Series, algo, s.label)
+						}
+						i++
+					}
+				}
+			}
+			if i != len(ms) {
+				t.Errorf("%d rows for %d declared series", len(ms), i)
+			}
+		})
 	}
-}
-
-func TestBestSeriesAndSpeedups(t *testing.T) {
-	ms := []Measurement{
-		{Algo: "SSSP", Dataset: "X", Series: "A", Seconds: 2},
-		{Algo: "SSSP", Dataset: "X", Series: "B", Seconds: 1},
-		{Algo: "SSSP", Dataset: "Y", Series: "A", Seconds: 3},
-		{Algo: "SSSP", Dataset: "Y", Series: "B", Seconds: 6},
-	}
-	best := BestSeries(ms)
-	if best["SSSP/X"] != "B" || best["SSSP/Y"] != "A" {
-		t.Errorf("best = %v", best)
-	}
-	sp := Speedups(ms, "A")
-	if sp["SSSP/X"]["B"] != 2 || sp["SSSP/Y"]["B"] != 0.5 {
-		t.Errorf("speedups = %v", sp)
-	}
-}
-
-func TestSortMeasurements(t *testing.T) {
-	ms := []Measurement{
-		{Algo: "Z", Dataset: "a", Series: "s"},
-		{Algo: "A", Dataset: "b", Series: "t"},
-		{Algo: "A", Dataset: "b", Series: "s"},
-		{Algo: "A", Dataset: "a", Series: "z"},
-	}
-	SortMeasurements(ms)
-	if ms[0].Algo != "A" || ms[0].Dataset != "a" || ms[1].Series != "s" || ms[3].Algo != "Z" {
-		t.Errorf("sorted = %v", ms)
+	for _, id := range []string{"churn", "serve", "nope"} {
+		if _, err := RunExperiment(id, io.Discard, cfg); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("%s: err = %v, want unknown experiment", id, err)
+		}
 	}
 }
 
@@ -192,17 +211,16 @@ func TestFigure9ShapeTiny(t *testing.T) {
 }
 
 func TestExtraWorkloadSpecs(t *testing.T) {
-	specs := extraWorkloads()
-	if len(specs) != 6 {
-		t.Fatalf("extra grid should cover the six untimed Table-1 programs, got %d", len(specs))
+	if len(extraSpecs) != 6 {
+		t.Fatalf("extra grid should cover the six untimed Table-1 programs, got %d", len(extraSpecs))
 	}
 	seen := map[string]bool{}
-	for _, s := range specs {
+	for _, s := range extraSpecs {
 		if seen[s.name] {
 			t.Errorf("duplicate workload %q", s.name)
 		}
 		seen[s.name] = true
-		if s.graph.NumVertices() == 0 || s.graph.NumEdges() == 0 {
+		if g := s.graph(); g.NumVertices() == 0 || g.NumEdges() == 0 {
 			t.Errorf("%s: empty graph", s.name)
 		}
 		if s.pred == "" || s.source == "" {
@@ -259,7 +277,9 @@ func TestRunModeFaultsTiny(t *testing.T) {
 
 func TestRecoveryExperimentTiny(t *testing.T) {
 	var buf bytes.Buffer
-	ms, err := recoveryOn(&buf, fastCfg(), tinyDataset())
+	cfg := fastCfg()
+	cfg.Smoke = true
+	ms, err := Recovery(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,47 +328,4 @@ func TestBetaFinalSurfaced(t *testing.T) {
 	if m.BetaFinal != 0 {
 		t.Errorf("selective run surfaced β = %v", m.BetaFinal)
 	}
-}
-
-func TestPolicyMetricsSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := fastCfg()
-	cfg.Smoke = true
-	ms, err := PolicyMetrics(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two algorithms x six modes, every row converged with its merged
-	// counter snapshot attached.
-	if len(ms) != 12 {
-		t.Fatalf("got %d measurements, want 12", len(ms))
-	}
-	for _, m := range ms {
-		if !m.Converged {
-			t.Errorf("%s/%s did not converge", m.Algo, m.Series)
-		}
-		if m.Flushes > 0 && int64(m.Metrics.MergeHistograms("flush.size.dst").Count) != m.Flushes {
-			t.Errorf("%s/%s: flush histogram count %d != Flushes %d",
-				m.Algo, m.Series, m.Metrics.MergeHistograms("flush.size.dst").Count, m.Flushes)
-		}
-	}
-	out := buf.String()
-	for _, want := range []string{"tiny-rmat", "SSSP:", "PageRank:", "MRA+SyncAsync", "hold/rel", "bkt held"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-	// The correlation signals the experiment exists for: the bucket
-	// schedule should hold keys somewhere in the SSSP rows, and the
-	// priority threshold hold/release cycles in the PageRank rows.
-	var held, holds uint64
-	for _, m := range ms {
-		if m.Algo == "SSSP" {
-			held += m.Metrics.Counter("sched.bucket.held")
-		}
-		if m.Algo == "PageRank" {
-			holds += m.Metrics.Counter("sched.hold")
-		}
-	}
-	t.Logf("bucket held=%d holds=%d", held, holds)
 }

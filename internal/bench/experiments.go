@@ -3,8 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"sort"
+	stdruntime "runtime"
 	"time"
 
 	"powerlog/internal/checker"
@@ -14,69 +13,281 @@ import (
 	"powerlog/internal/runtime"
 )
 
-// Experiments lists the regenerable experiment ids. "ablation" is not a
-// paper figure: it sweeps this implementation's own design knobs
-// (DESIGN.md §5) — the delta-stepping bucket schedule and the §5.4
-// priority threshold.
-var Experiments = []string{"table1", "table2", "fig1", "fig9", "fig10", "fig11", "ablation", "ssp", "extra", "recovery", "rejoin", "policymetrics", "cores", "churn", "serve"}
-
-// RunExperiment dispatches by experiment id and writes the rows to w.
-func RunExperiment(id string, w io.Writer, cfg RunConfig) error {
-	switch id {
-	case "table1":
-		return Table1(w)
-	case "table2":
-		return Table2(w)
-	case "fig1":
-		_, err := Figure1(w, cfg)
-		return err
-	case "fig9":
-		_, err := Figure9(w, cfg, Algorithms, datasetNames())
-		return err
-	case "fig10":
-		_, err := Figure10(w, cfg)
-		return err
-	case "fig11":
-		_, err := Figure11(w, cfg)
-		return err
-	case "ablation":
-		_, err := Ablation(w, cfg)
-		return err
-	case "ssp":
-		_, err := SSP(w, cfg)
-		return err
-	case "extra":
-		_, err := Extra(w, cfg)
-		return err
-	case "recovery":
-		_, err := Recovery(w, cfg)
-		return err
-	case "rejoin":
-		_, err := Rejoin(w, cfg)
-		return err
-	case "policymetrics":
-		_, err := PolicyMetrics(w, cfg)
-		return err
-	case "cores":
-		_, err := Cores(w, cfg)
-		return err
-	case "churn":
-		_, err := Churn(w, cfg)
-		return err
-	case "serve":
-		_, err := Serve(w, cfg)
-		return err
-	default:
-		return fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
-	}
+// series is one engine configuration timed in every cell of a grid: the
+// Series label its rows carry and the run that produces them.
+type series struct {
+	label string
+	run   func(*Workload, RunConfig) (Measurement, error)
+	// base restarts the ratio column at this series; a cell's first
+	// series always is one.
+	base bool
 }
 
-func datasetNames() []string {
-	var names []string
-	for _, d := range gen.Datasets() {
-		names = append(names, d.Name)
+func of(mode runtime.Mode) series {
+	return series{label: mode.String(), run: func(wl *Workload, c RunConfig) (Measurement, error) {
+		return RunMode(wl, mode, c)
+	}}
+}
+
+func modes(ms ...runtime.Mode) []series {
+	var out []series
+	for _, m := range ms {
+		out = append(out, of(m))
 	}
-	return names
+	return out
+}
+
+// with relabels s and edits the experiment's config before each run.
+func (s series) with(label string, edit func(*RunConfig)) series {
+	run := s.run
+	s.label = label
+	s.run = func(wl *Workload, c RunConfig) (Measurement, error) {
+		edit(&c)
+		m, err := run(wl, c)
+		m.Series = label
+		return m, err
+	}
+	return s
+}
+
+// grid is algos × datasets × series; an experiment is a list of them.
+type grid struct {
+	algos    []string
+	datasets []string // Table-2 names; one tiny dataset under Smoke
+	series   []series
+	// prepare builds an algo's workload where it is not Prepare on a
+	// Table-2 dataset; such a grid lists one placeholder dataset, and the
+	// rows carry the name the workload gives itself.
+	prepare func(algo string) (*Workload, error)
+}
+
+// experiment is one regenerable table or figure: grids run by the one
+// sweep, or a procedure with its own body.
+type experiment struct {
+	id, title string
+	edit      func(*RunConfig) // the experiment's own settings, if any
+	grids     []grid
+	// counters and hists name the metrics a row prints after the run's
+	// own figures; one a mode never registers prints as zero — the
+	// absence is itself the signal (e.g. no β activity outside the
+	// unified mode).
+	counters, hists []string
+	run             func(io.Writer, RunConfig) ([]Measurement, error)
+}
+
+var (
+	allModes = modes(runtime.NaiveSync, runtime.MRASync, runtime.MRAAsync,
+		runtime.MRAAAP, runtime.MRASyncAsync, runtime.MRASSP)
+	// Table 2's six, in its order; largeDatasets are the three of §6.4.
+	allDatasets   = []string{"Flickr", "LiveJ", "Orkut", "Web", "Wiki", "Arabic"}
+	largeDatasets = []string{"Wiki", "Web", "Arabic"}
+	twoAlgos      = []string{"SSSP", "PageRank"}
+)
+
+// table is every experiment plbench can regenerate. "ablation", "ssp",
+// "extra", "recovery", "rejoin", "policymetrics" and "cores" are not paper
+// figures: they cover this implementation's own additions.
+var table = []experiment{
+	{id: "table1", run: func(w io.Writer, _ RunConfig) ([]Measurement, error) { return nil, Table1(w) }},
+	{id: "table2", run: func(w io.Writer, _ RunConfig) ([]Measurement, error) { return nil, Table2(w) }},
+	// The motivation: neither sync nor async wins consistently.
+	{id: "fig1", title: "Figure 1: sync vs async across algorithms and datasets", grids: []grid{
+		{algos: twoAlgos, datasets: []string{"LiveJ"}, series: modes(runtime.MRASync, runtime.MRAAsync)},
+		{algos: []string{"SSSP"}, datasets: []string{"Wiki", "Arabic"}, series: modes(runtime.MRASync, runtime.MRAAsync)},
+	}},
+	// Monotonic programs run incrementally on every system (SociaLite and
+	// BigDatalog sync, Myria async); the non-monotonic four fall back to
+	// naive evaluation everywhere except PowerLog (§6.3).
+	{id: "fig9", title: "Figure 9: overall performance (columns = engine configurations modelling SociaLite/BigDatalog [sync], Myria [async], PowerLog)", grids: []grid{
+		{algos: Algorithms[:2], datasets: allDatasets, series: modes(runtime.MRASync, runtime.MRAAsync, runtime.MRASyncAsync)},
+		{algos: Algorithms[2:], datasets: allDatasets, series: modes(runtime.NaiveSync, runtime.MRASyncAsync)},
+	}},
+	// The factor analysis, plus the hand-coded graph-system comparators
+	// (PowerGraph for CC/SSSP, Maiter for PageRank, Adsorption and Katz,
+	// Prom for BP).
+	{id: "fig10", title: "Figure 10: performance gain from MRA evaluation and sync-async execution", grids: []grid{
+		{algos: Algorithms, datasets: largeDatasets, series: append(
+			modes(runtime.NaiveSync, runtime.MRASync, runtime.MRAAsync, runtime.MRASyncAsync),
+			series{run: RunComparator})},
+	}},
+	{id: "fig11", title: "Figure 11: unified sync-async vs AAP", grids: []grid{
+		{algos: twoAlgos, datasets: largeDatasets, series: modes(runtime.MRASync, runtime.MRAAsync, runtime.MRAAAP, runtime.MRASyncAsync)},
+	}},
+	// (a) SSSP under the schedule its plan draws (the delta-stepping
+	// buckets, DESIGN.md §5b) over the small-diameter Web graph — the
+	// workload the paper says SociaLite's delta stepping wins — and the
+	// deep Wiki graph; (b) the §5.4 priority threshold, the one knob.
+	{id: "ablation", title: "Ablation: SSSP's drawn schedule and the §5.4 priority threshold", grids: []grid{
+		{algos: []string{"SSSP"}, datasets: []string{"Web", "Wiki"}, series: []series{{label: "sched=", run: runSched}}},
+		{algos: []string{"PageRank"}, datasets: []string{"LiveJ"}, series: vary(of(runtime.MRASyncAsync), "threshold", func(c *RunConfig, thr float64) { c.PriorityThreshold = thr }, 0, 1e-7, 1e-5)},
+	}},
+	// SSP among the five other engines, then its staleness bound swept
+	// from lockstep-adjacent to loose.
+	{id: "ssp", title: "SSP: stale synchronous parallel vs the existing engines", grids: []grid{
+		{algos: twoAlgos, datasets: []string{"LiveJ", "Wiki"}, series: allModes},
+		{algos: []string{"SSSP"}, datasets: []string{"LiveJ"}, series: vary(of(runtime.MRASSP), "staleness", func(c *RunConfig, b int) { c.Staleness = b }, 1, 2, 4, 8)},
+	}},
+	// The six Table-1 programs §6.3 does not time, on generated workloads:
+	// the whole catalogue is executable, pair-keyed programs on sparse
+	// MonoTable shards included. On a perfect network, as their recorded
+	// rows were: under the emulated NIC the path-counting programs' unified
+	// runs send 25× the updates and take 16 s.
+	{id: "extra", title: "Extra: the remaining Table-1 programs end-to-end",
+		edit: func(c *RunConfig) { c.PerfectNetwork = true }, grids: []grid{
+			{algos: extraAlgos(), datasets: []string{""}, series: modes(runtime.MRASync, runtime.MRASyncAsync), prepare: prepareExtra},
+		}},
+	{id: "recovery", title: "Recovery: crash mid-run with checkpoints on, restart, time to re-fixpoint", run: Recovery},
+	{id: "rejoin", title: "Rejoin: crashed worker re-joins live vs restart-the-world", run: Rejoin},
+	// One selective workload (SSSP, whose plan draws the bucket schedule)
+	// and one combining workload (PageRank under the §5.4 threshold — a
+	// selective plan ignores it — which exercises hold/release and the
+	// adaptive β dial): which policy activity a mode pays for, next to
+	// what it buys (DESIGN.md §8).
+	{id: "policymetrics", title: "PolicyMetrics: per-policy counters across the six modes",
+		edit: func(c *RunConfig) { c.PriorityThreshold = 1e-7 },
+		counters: []string{"sched.hold", "sched.release", "sched.bucket.held", "flush.beta.band.exit",
+			"flush.beta.clamp.floor", "flush.beta.clamp.ceil", "barrier.marker.resend", "recv.dup.batch"},
+		hists: []string{"flush.size.dst", "barrier.straggler.wait_us"}, grids: []grid{
+			{algos: twoAlgos, datasets: []string{"LiveJ"}, series: allModes},
+		}},
+	// Scaling past GOMAXPROCS is concurrency, not parallelism: rows from a
+	// 1-CPU box show the fan-out's overhead, not a speedup (DESIGN.md §9).
+	{id: "cores", title: "Cores: intra-worker subshard-scan scaling",
+		counters: []string{"scan.steal", "scan.parallel.pass"}, grids: []grid{
+			{algos: twoAlgos, datasets: []string{"LiveJ"}, series: coresSeries(1, 2, 4, 8)},
+		}},
+}
+
+// Experiments lists the regenerable experiment ids.
+var Experiments = func() []string {
+	var ids []string
+	for _, e := range table {
+		ids = append(ids, e.id)
+	}
+	return ids
+}()
+
+// RunExperiment runs the experiment with the given id, writes its rows to
+// w and returns them.
+func RunExperiment(id string, w io.Writer, cfg RunConfig) ([]Measurement, error) {
+	for _, e := range table {
+		if e.id != id {
+			continue
+		}
+		cfg = cfg.orDefaults()
+		if e.edit != nil {
+			e.edit(&cfg)
+		}
+		if e.title != "" {
+			fmt.Fprintf(w, "%s (workers=%d cores=%d GOMAXPROCS=%d NumCPU=%d smoke=%v)\n", e.title,
+				cfg.Workers, cfg.CoresPerWorker, stdruntime.GOMAXPROCS(0), stdruntime.NumCPU(), cfg.Smoke)
+		}
+		if e.run != nil {
+			return e.run(w, cfg)
+		}
+		return sweep(w, e, cfg)
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments)
+}
+
+// sweep is the one experiment body: every cell of every grid is prepared
+// once and each of its series timed once, a row per run.
+func sweep(w io.Writer, e experiment, cfg RunConfig) ([]Measurement, error) {
+	var out []Measurement
+	for _, g := range e.grids {
+		datasets := g.datasets
+		if cfg.Smoke {
+			datasets = datasets[:1]
+		}
+		for _, algo := range g.algos {
+			for _, ds := range datasets {
+				wl, err := g.workload(algo, ds, cfg)
+				if err != nil {
+					return out, err
+				}
+				var base Measurement
+				for i, s := range g.series {
+					m, err := s.run(wl, cfg)
+					if err != nil {
+						return out, fmt.Errorf("%s/%s/%s: %w", algo, wl.Dataset.Name, s.label, err)
+					}
+					if i == 0 || s.base {
+						base = m
+					}
+					out = append(out, m)
+					fmt.Fprintln(w, e.row(m, base))
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// workload prepares one cell.
+func (g grid) workload(algo, ds string, cfg RunConfig) (*Workload, error) {
+	if g.prepare != nil {
+		return g.prepare(algo)
+	}
+	d, err := cfg.dataset(ds)
+	if err != nil {
+		return nil, err
+	}
+	return Prepare(algo, d)
+}
+
+// row renders one run: wall time, its ratio to the cell's base series, the
+// quantities the policy layers steer — realised batch size (messages per
+// flush), time blocked at the staleness gate, the adaptive β where one was
+// sampled — and the experiment's metrics.
+func (e experiment) row(m, base Measurement) string {
+	batch := 0.0
+	if m.Flushes > 0 {
+		batch = float64(m.Messages) / float64(m.Flushes)
+	}
+	s := fmt.Sprintf("  %-10s %-9s %-22s %8.3fs  (%5.2fx vs %s)  rounds=%-5d msgs=%-9d batch=%7.1f straggler=%v keys=%d conv=%v",
+		m.Algo, m.Dataset, m.Series, m.Seconds, base.Seconds/m.Seconds, base.Series,
+		m.Rounds, m.Messages, batch, m.StragglerWait, m.Keys, m.Converged)
+	if m.BetaFinal > 0 {
+		s += fmt.Sprintf(" β≈%.0f", m.BetaFinal)
+	}
+	for _, c := range e.counters {
+		s += fmt.Sprintf(" %s=%d", c, m.Metrics.Counter(c))
+	}
+	for _, h := range e.hists {
+		hist := m.Metrics.MergeHistograms(h)
+		s += fmt.Sprintf(" %s.p50/p99=%.0f/%.0f", h, hist.Quantile(0.5), hist.Quantile(0.99))
+	}
+	return s
+}
+
+// runSched is the unified mode labelled with the schedule the plan drew.
+func runSched(wl *Workload, cfg RunConfig) (Measurement, error) {
+	m, err := RunMode(wl, runtime.MRASyncAsync, cfg)
+	m.Series = "sched=" + m.Sched
+	return m, err
+}
+
+// vary is one series per value of a config knob, labelled name=value; the
+// ratio column restarts at the first.
+func vary[T any](s series, name string, set func(*RunConfig, T), vals ...T) []series {
+	var out []series
+	for i, v := range vals {
+		point := s.with(fmt.Sprintf("%s=%v", name, v), func(c *RunConfig) { set(c, v) })
+		point.base = i == 0
+		out = append(out, point)
+	}
+	return out
+}
+
+// coresSeries sweeps the per-worker scan parallelism (runtime
+// Config.CoresPerWorker) under the two barrier-free modes that fan out.
+func coresSeries(cores ...int) []series {
+	var out []series
+	for _, mode := range []runtime.Mode{runtime.MRAAsync, runtime.MRASyncAsync} {
+		out = append(out, vary(of(mode), mode.String()+" cores",
+			func(c *RunConfig, n int) { c.CoresPerWorker = n }, cores...)...)
+	}
+	return out
 }
 
 // Table1 reproduces the condition-check catalogue: every program is run
@@ -117,435 +328,37 @@ func Table2(w io.Writer) error {
 	return nil
 }
 
-// Figure1 reproduces the motivation: neither sync nor async wins
-// consistently. (a) SSSP and PageRank on LiveJ; (b) SSSP on Wiki and
-// Arabic. Series: sync engine vs async engine.
-func Figure1(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	fmt.Fprintf(w, "Figure 1: sync vs async across algorithms and datasets\n")
-	var out []Measurement
-	runPair := func(algo, ds string) error {
-		d, err := gen.DatasetByName(ds)
-		if err != nil {
-			return err
-		}
-		wl, err := Prepare(algo, d)
-		if err != nil {
-			return err
-		}
-		for _, mode := range []runtime.Mode{runtime.MRASync, runtime.MRAAsync} {
-			m, err := RunMode(wl, mode, cfg)
-			if err != nil {
-				return err
-			}
-			out = append(out, m)
-			fmt.Fprintf(w, "  %-9s %-7s %-14s %8.3fs\n", algo, ds, m.Series, m.Seconds)
-		}
-		return nil
-	}
-	for _, p := range [][2]string{{"SSSP", "LiveJ"}, {"PageRank", "LiveJ"}, {"SSSP", "Wiki"}, {"SSSP", "Arabic"}} {
-		if err := runPair(p[0], p[1]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// figure9Modes maps each algorithm to the engine configurations modelling
-// the paper's comparison systems: monotonic programs run incrementally on
-// every system (SociaLite/BigDatalog sync, Myria async); the
-// non-monotonic four fall back to naive evaluation everywhere except
-// PowerLog (§6.3).
-func figure9Modes(algo string) []runtime.Mode {
-	switch algo {
-	case "CC", "SSSP":
-		return []runtime.Mode{runtime.MRASync, runtime.MRAAsync, runtime.MRASyncAsync}
-	default:
-		return []runtime.Mode{runtime.NaiveSync, runtime.MRASyncAsync}
-	}
-}
-
-// Figure9 reproduces the overall comparison over six algorithms and six
-// datasets.
-func Figure9(w io.Writer, cfg RunConfig, algos, datasets []string) ([]Measurement, error) {
-	fmt.Fprintf(w, "Figure 9: overall performance (columns = engine configurations modelling SociaLite/BigDatalog [sync], Myria [async], PowerLog)\n")
-	var out []Measurement
-	for _, algo := range algos {
-		for _, ds := range datasets {
-			d, err := gen.DatasetByName(ds)
-			if err != nil {
-				return nil, err
-			}
-			wl, err := Prepare(algo, d)
-			if err != nil {
-				return nil, err
-			}
-			base := -1.0
-			for _, mode := range figure9Modes(algo) {
-				m, err := RunMode(wl, mode, cfg)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, m)
-				if base < 0 {
-					base = m.Seconds
-				}
-				fmt.Fprintf(w, "  %-10s %-7s %-14s %8.3fs  (%5.1fx vs first)\n",
-					algo, ds, m.Series, m.Seconds, base/m.Seconds)
-			}
-		}
-	}
-	return out, nil
-}
-
-// figure10Datasets are the three large graphs of §6.4.
-var figure10Datasets = []string{"Wiki", "Web", "Arabic"}
-
-// Figure10 reproduces the factor analysis: Naive+Sync vs MRA+Sync vs
-// MRA+Async vs MRA+SyncAsync, plus the hand-coded graph-system
-// comparators (PowerGraph for CC/SSSP, Maiter for PageRank, Adsorption,
-// Katz, and Prom for BP).
-func Figure10(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	fmt.Fprintf(w, "Figure 10: performance gain from MRA evaluation and sync-async execution\n")
-	cfg = cfg.orDefaults()
-	var out []Measurement
-	modes := []runtime.Mode{runtime.NaiveSync, runtime.MRASync, runtime.MRAAsync, runtime.MRASyncAsync}
-	for _, algo := range Algorithms {
-		for _, ds := range figure10Datasets {
-			d, err := gen.DatasetByName(ds)
-			if err != nil {
-				return nil, err
-			}
-			wl, err := Prepare(algo, d)
-			if err != nil {
-				return nil, err
-			}
-			naive := -1.0
-			for _, mode := range modes {
-				m, err := RunMode(wl, mode, cfg)
-				if err != nil {
-					return nil, err
-				}
-				if mode == runtime.NaiveSync {
-					naive = m.Seconds
-				}
-				out = append(out, m)
-				fmt.Fprintf(w, "  %-10s %-6s %-14s %8.3fs  (%5.1fx vs naive)\n",
-					algo, ds, m.Series, m.Seconds, naive/m.Seconds)
-			}
-			m, err := RunComparator(wl, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-			fmt.Fprintf(w, "  %-10s %-6s %-14s %8.3fs  (%5.1fx vs naive)\n",
-				algo, ds, m.Series, m.Seconds, naive/m.Seconds)
-		}
-	}
-	return out, nil
-}
-
 // RunComparator times the graph-processing-system stand-in for the
 // workload (Figure 10's PowerGraph/Maiter/Prom series).
 func RunComparator(wl *Workload, cfg RunConfig) (Measurement, error) {
-	var prog *graphsys.Program
-	series := ""
+	g := wl.Graph
+	timed := func(run func()) float64 {
+		start := time.Now()
+		run()
+		return time.Since(start).Seconds()
+	}
+	maiter := func(p *graphsys.Program) float64 { return timed(func() { graphsys.RunAsync(g, p, cfg.Workers) }) }
+	series, secs := "Maiter", 0.0
 	switch wl.Algo {
-	case "SSSP":
-		prog, series = graphsys.SSSP(0), "PowerGraph"
-	case "CC":
-		prog, series = graphsys.CC(wl.Graph), "PowerGraph"
+	case "SSSP", "CC":
+		// The paper uses PowerGraph's best of sync/async; sync wins on
+		// these laptop-scale shards, so time both and keep the best.
+		p := graphsys.SSSP(0)
+		if wl.Algo == "CC" {
+			p = graphsys.CC(g)
+		}
+		series, secs = "PowerGraph", min(timed(func() { graphsys.RunSync(g, p) }), maiter(p))
 	case "PageRank":
-		prog, series = graphsys.PageRank(wl.Graph, 1e-4), "Maiter"
+		secs = maiter(graphsys.PageRank(g, 1e-4))
 	case "Adsorption":
-		prog, series = graphsys.Adsorption(wl.Graph, wl.Inj, wl.Pi, wl.Pc, 1e-3), "Maiter"
+		secs = maiter(graphsys.Adsorption(g, wl.Inj, wl.Pi, wl.Pc, 1e-3))
 	case "Katz":
-		prog, series = graphsys.Katz(0, 10000, wl.KatzAlpha, 1e-3), "Maiter"
+		secs = maiter(graphsys.Katz(0, 10000, wl.KatzAlpha, 1e-3))
 	case "BP":
-		prog, series = graphsys.BeliefPropagation(wl.Graph, wl.Initial, wl.H, 1e-4), "Prom"
+		p := graphsys.BeliefPropagation(g, wl.Initial, wl.H, 1e-4)
+		series, secs = "Prom", timed(func() { graphsys.RunPrioritized(g, p) })
 	default:
 		return Measurement{}, fmt.Errorf("bench: no comparator for %s", wl.Algo)
 	}
-	start := time.Now()
-	switch series {
-	case "PowerGraph":
-		// The paper uses PowerGraph's best of sync/async; sync wins on
-		// these laptop-scale shards, so time both and keep the best.
-		s0 := time.Now()
-		graphsys.RunSync(wl.Graph, prog)
-		best := time.Since(s0)
-		s1 := time.Now()
-		graphsys.RunAsync(wl.Graph, prog, cfg.Workers)
-		if d := time.Since(s1); d < best {
-			best = d
-		}
-		return Measurement{Algo: wl.Algo, Dataset: wl.Dataset.Name, Series: series,
-			Seconds: best.Seconds(), Converged: true}, nil
-	case "Prom":
-		graphsys.RunPrioritized(wl.Graph, prog)
-	default: // Maiter
-		graphsys.RunAsync(wl.Graph, prog, cfg.Workers)
-	}
-	return Measurement{Algo: wl.Algo, Dataset: wl.Dataset.Name, Series: series,
-		Seconds: time.Since(start).Seconds(), Converged: true}, nil
-}
-
-// Figure11 compares the adaptive engines: Sync, Async, AAP, SyncAsync on
-// SSSP and PageRank over the three large datasets.
-func Figure11(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	fmt.Fprintf(w, "Figure 11: unified sync-async vs AAP\n")
-	var out []Measurement
-	modes := []runtime.Mode{runtime.MRASync, runtime.MRAAsync, runtime.MRAAAP, runtime.MRASyncAsync}
-	for _, algo := range []string{"SSSP", "PageRank"} {
-		for _, ds := range figure10Datasets {
-			d, err := gen.DatasetByName(ds)
-			if err != nil {
-				return nil, err
-			}
-			wl, err := Prepare(algo, d)
-			if err != nil {
-				return nil, err
-			}
-			for _, mode := range modes {
-				m, err := RunMode(wl, mode, cfg)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, m)
-				fmt.Fprintf(w, "  %-9s %-6s %-14s %8.3fs\n", algo, ds, m.Series, m.Seconds)
-			}
-		}
-	}
-	return out, nil
-}
-
-// Ablation covers this implementation's additions: (a) SSSP under the
-// schedule its plan draws (the delta-stepping buckets, DESIGN.md §5b) over
-// the small-diameter Web graph — the workload the paper says SociaLite's
-// delta stepping wins — and the deep Wiki graph; (b) the §5.4 priority
-// threshold, the one knob, on PageRank.
-func Ablation(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	fmt.Fprintf(w, "Ablation: SSSP's drawn schedule and the §5.4 priority threshold\n")
-	var out []Measurement
-	for _, ds := range []string{"Web", "Wiki"} {
-		d, err := gen.DatasetByName(ds)
-		if err != nil {
-			return nil, err
-		}
-		wl, err := Prepare("SSSP", d)
-		if err != nil {
-			return nil, err
-		}
-		m, res, err := runModeResult(wl, runtime.MRASyncAsync, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Series = "sched=" + res.Sched
-		out = append(out, m)
-		fmt.Fprintf(w, "  SSSP %-5s %-22s %8.3fs msgs=%d\n", ds, m.Series, m.Seconds, m.Messages)
-	}
-	d, err := gen.DatasetByName("LiveJ")
-	if err != nil {
-		return nil, err
-	}
-	wl, err := Prepare("PageRank", d)
-	if err != nil {
-		return nil, err
-	}
-	for _, thr := range []float64{0, 1e-7, 1e-5} {
-		c := cfg
-		c.PriorityThreshold = thr
-		m, err := RunMode(wl, runtime.MRASyncAsync, c)
-		if err != nil {
-			return nil, err
-		}
-		m.Series = fmt.Sprintf("threshold=%g", thr)
-		out = append(out, m)
-		fmt.Fprintf(w, "  PageRank LiveJ %-16s %8.3fs msgs=%d\n", m.Series, m.Seconds, m.Messages)
-	}
-	return out, nil
-}
-
-// SSP places the stale-synchronous-parallel mode among the five existing
-// engines on SSSP and PageRank, then sweeps its staleness bound. Beyond
-// wall time it reports the quantities the policy layers steer: realised
-// batch sizes (messages per flush) and the time workers spent blocked at
-// the staleness gate.
-func SSP(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	fmt.Fprintf(w, "SSP: stale synchronous parallel vs the existing engines\n")
-	var out []Measurement
-	modes := []runtime.Mode{runtime.NaiveSync, runtime.MRASync, runtime.MRAAsync,
-		runtime.MRAAAP, runtime.MRASyncAsync, runtime.MRASSP}
-	report := func(algo, ds string, m Measurement) {
-		batch := 0.0
-		if m.Flushes > 0 {
-			batch = float64(m.Messages) / float64(m.Flushes)
-		}
-		extra := ""
-		if m.BetaFinal > 0 {
-			extra = fmt.Sprintf(" β≈%.0f", m.BetaFinal)
-		}
-		fmt.Fprintf(w, "  %-9s %-6s %-16s %8.3fs  rounds=%-5d batch=%7.1f straggler=%v%s\n",
-			algo, ds, m.Series, m.Seconds, m.Rounds, batch, m.StragglerWait, extra)
-	}
-	for _, algo := range []string{"SSSP", "PageRank"} {
-		for _, ds := range []string{"LiveJ", "Wiki"} {
-			d, err := gen.DatasetByName(ds)
-			if err != nil {
-				return nil, err
-			}
-			wl, err := Prepare(algo, d)
-			if err != nil {
-				return nil, err
-			}
-			for _, mode := range modes {
-				m, err := RunMode(wl, mode, cfg)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, m)
-				report(algo, ds, m)
-			}
-		}
-	}
-	// Staleness sweep: lockstep-adjacent through loose.
-	fmt.Fprintf(w, "  staleness sweep (SSSP on LiveJ):\n")
-	d, err := gen.DatasetByName("LiveJ")
-	if err != nil {
-		return nil, err
-	}
-	wl, err := Prepare("SSSP", d)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range []int{1, 2, 4, 8} {
-		c := cfg
-		c.Staleness = s
-		m, err := RunMode(wl, runtime.MRASSP, c)
-		if err != nil {
-			return nil, err
-		}
-		m.Series = fmt.Sprintf("staleness=%d", s)
-		out = append(out, m)
-		report("SSSP", "LiveJ", m)
-	}
-	return out, nil
-}
-
-// Recovery measures crash recovery: for one selective workload (SSSP —
-// restored from uncoordinated stale snapshots, Theorem 3) and one
-// combining workload (PageRank — restored from consistent cuts: BSP
-// barrier snapshots or async/SSP marker episodes), each mode runs three
-// times: clean, crashed mid-run with checkpointing on, and restarted
-// from the crashed run's snapshot directory. The headline number is the
-// time-to-refixpoint: the restart's wall time relative to the clean run.
-func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	d, err := gen.DatasetByName("LiveJ")
-	if err != nil {
-		return nil, err
-	}
-	return recoveryOn(w, cfg, d)
-}
-
-func recoveryOn(w io.Writer, cfg RunConfig, d gen.Dataset) ([]Measurement, error) {
-	fmt.Fprintf(w, "Recovery: crash mid-run with checkpoints on, restart, time to re-fixpoint\n")
-	modes := []runtime.Mode{runtime.MRASync, runtime.MRASyncAsync, runtime.MRASSP}
-	var out []Measurement
-	for _, algo := range []string{"SSSP", "PageRank"} {
-		wl, err := Prepare(algo, d)
-		if err != nil {
-			return nil, err
-		}
-		for _, mode := range modes {
-			clean, err := RunMode(wl, mode, cfg)
-			if err != nil {
-				return nil, err
-			}
-			clean.Series = mode.String() + "/clean"
-			out = append(out, clean)
-
-			dir, err := os.MkdirTemp("", "plbench-recovery-*")
-			if err != nil {
-				return nil, err
-			}
-			crashCfg := cfg
-			crashCfg.SnapshotDir = dir
-			crashCfg.SnapshotEvery = 1
-			crashCfg.Faults = "seed=7,crash=6"
-			crashed, err := RunMode(wl, mode, crashCfg)
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			crashed.Series = mode.String() + "/crashed"
-			out = append(out, crashed)
-
-			restoreCfg := cfg
-			restoreCfg.RestoreDir = dir
-			restored, err := RunMode(wl, mode, restoreCfg)
-			os.RemoveAll(dir)
-			if err != nil {
-				return nil, err
-			}
-			restored.Series = mode.String() + "/restored"
-			out = append(out, restored)
-
-			fmt.Fprintf(w, "  %-9s %-6s %-14s clean=%7.3fs  crashed@round=%-3d  refixpoint=%7.3fs (%.2fx clean, converged=%v)\n",
-				algo, d.Name, mode.String(), clean.Seconds, crashed.Rounds,
-				restored.Seconds, restored.Seconds/clean.Seconds, restored.Converged)
-		}
-	}
-	return out, nil
-}
-
-// BestSeries returns, per (algo, dataset), the fastest series — used by
-// tests asserting the paper's headline claim that the unified engine wins
-// or ties everywhere.
-func BestSeries(ms []Measurement) map[string]string {
-	best := map[string]float64{}
-	who := map[string]string{}
-	for _, m := range ms {
-		k := m.Algo + "/" + m.Dataset
-		if t, ok := best[k]; !ok || m.Seconds < t {
-			best[k] = m.Seconds
-			who[k] = m.Series
-		}
-	}
-	return who
-}
-
-// Speedups computes, per (algo, dataset), the ratio of each series' time
-// to the reference series' time.
-func Speedups(ms []Measurement, reference string) map[string]map[string]float64 {
-	ref := map[string]float64{}
-	for _, m := range ms {
-		if m.Series == reference {
-			ref[m.Algo+"/"+m.Dataset] = m.Seconds
-		}
-	}
-	out := map[string]map[string]float64{}
-	for _, m := range ms {
-		k := m.Algo + "/" + m.Dataset
-		r, ok := ref[k]
-		if !ok || m.Seconds == 0 {
-			continue
-		}
-		if out[k] == nil {
-			out[k] = map[string]float64{}
-		}
-		out[k][m.Series] = r / m.Seconds
-	}
-	return out
-}
-
-// SortMeasurements orders rows deterministically for golden comparisons.
-func SortMeasurements(ms []Measurement) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Algo != ms[j].Algo {
-			return ms[i].Algo < ms[j].Algo
-		}
-		if ms[i].Dataset != ms[j].Dataset {
-			return ms[i].Dataset < ms[j].Dataset
-		}
-		return ms[i].Series < ms[j].Series
-	})
+	return Measurement{Algo: wl.Algo, Dataset: wl.Dataset.Name, Series: series, Seconds: secs, Converged: true}, nil
 }

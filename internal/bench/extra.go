@@ -2,84 +2,58 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
-	"powerlog/internal/analyzer"
-	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
 	"powerlog/internal/graph"
-	"powerlog/internal/parser"
 	"powerlog/internal/progs"
-	"powerlog/internal/runtime"
 )
 
-// extraSpec describes one beyond-the-paper workload.
+// extraSpec describes one beyond-the-paper workload. Its graph is not a
+// Table-2 stand-in and is already seconds-sized, so Smoke leaves it as it
+// is.
 type extraSpec struct {
 	name    string
 	dataset string
 	pred    string // join predicate the graph registers under
 	source  string
-	graph   *graph.Graph
+	graph   func() *graph.Graph
 }
 
-func extraWorkloads() []extraSpec {
-	simGraph := func() *graph.Graph {
+var extraSpecs = []extraSpec{
+	{"Computing Paths in DAG", "dag-20k", "dagedge", progs.PathsDAG, func() *graph.Graph { return gen.DAG(20000, 3, 100, 0, 502) }},
+	{"Cost", "dag-20k", "dagedge", progs.Cost, func() *graph.Graph { return gen.DAG(20000, 3, 100, 10, 503) }},
+	{"Viterbi Algorithm", "trellis-200x40", "trans", progs.Viterbi, func() *graph.Graph { return gen.Trellis(200, 40, 504) }},
+	{"SimRank", "pairgraph-10k", "pairedge", progs.SimRank, func() *graph.Graph {
 		g := gen.Uniform(10000, 80000, 1, 501)
 		gen.NormalizeWeightsByOut(g, 1)
 		return g
-	}
-	return []extraSpec{
-		{"Computing Paths in DAG", "dag-20k", "dagedge", progs.PathsDAG, gen.DAG(20000, 3, 100, 0, 502)},
-		{"Cost", "dag-20k", "dagedge", progs.Cost, gen.DAG(20000, 3, 100, 10, 503)},
-		{"Viterbi Algorithm", "trellis-200x40", "trans", progs.Viterbi, gen.Trellis(200, 40, 504)},
-		{"SimRank", "pairgraph-10k", "pairedge", progs.SimRank, simGraph()},
-		{"Lowest Common Ancestor", "uniform-20k", "parent", progs.LCA, gen.Uniform(20000, 100000, 0, 505)},
-		{"APSP", "uniform-300", "edge", progs.APSP, gen.Uniform(300, 3000, 20, 506)},
-	}
+	}},
+	{"Lowest Common Ancestor", "uniform-20k", "parent", progs.LCA, func() *graph.Graph { return gen.Uniform(20000, 100000, 0, 505) }},
+	{"APSP", "uniform-300", "edge", progs.APSP, func() *graph.Graph { return gen.Uniform(300, 3000, 20, 506) }},
 }
 
-// Extra runs the six Table-1 programs the paper's §6.3 does not time
-// (Computing Paths in DAG, Cost, Viterbi, SimRank, LCA, APSP) end-to-end
-// on generated workloads — beyond-the-paper evidence that the whole
-// catalogue is executable, including the pair-keyed programs on sparse
-// MonoTable shards.
-func Extra(w io.Writer, cfg RunConfig) ([]Measurement, error) {
-	fmt.Fprintf(w, "Extra: the remaining Table-1 programs end-to-end\n")
-	cfg = cfg.orDefaults()
-	var out []Measurement
-	for _, spec := range extraWorkloads() {
-		prog, err := parser.Parse(spec.source)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.name, err)
-		}
-		info, err := analyzer.Analyze(prog)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.name, err)
-		}
-		db := edb.NewDB()
-		db.SetGraph(spec.pred, spec.graph)
-		plan, err := compiler.Compile(info, db, compiler.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.name, err)
-		}
-		for _, mode := range []runtime.Mode{runtime.MRASync, runtime.MRASyncAsync} {
-			res, err := runtime.Run(plan, runtime.Config{
-				Workers: cfg.Workers, Mode: mode,
-				Tau: cfg.Tau, CheckInterval: cfg.CheckInterval, MaxWall: cfg.MaxWall,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s/%v: %w", spec.name, mode, err)
-			}
-			m := Measurement{
-				Algo: spec.name, Dataset: spec.dataset, Series: mode.String(),
-				Seconds: res.Elapsed.Seconds(), Rounds: res.Rounds,
-				Messages: res.MessagesSent, Converged: res.Converged,
-			}
-			out = append(out, m)
-			fmt.Fprintf(w, "  %-22s %-16s %-14s %8.3fs keys=%d conv=%v\n",
-				spec.name, spec.dataset, m.Series, m.Seconds, len(res.Values), m.Converged)
-		}
+func extraAlgos() []string {
+	var names []string
+	for _, spec := range extraSpecs {
+		names = append(names, spec.name)
 	}
-	return out, nil
+	return names
+}
+
+func prepareExtra(name string) (*Workload, error) {
+	for _, spec := range extraSpecs {
+		if spec.name != name {
+			continue
+		}
+		wl := &Workload{Algo: name, Dataset: gen.Dataset{Name: spec.dataset}, Graph: spec.graph()}
+		db := edb.NewDB()
+		db.SetGraph(spec.pred, wl.Graph)
+		var err error
+		if wl.Plan, err = compile(spec.source, db); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		return wl, nil
+	}
+	return nil, fmt.Errorf("bench: unknown extra workload %q", name)
 }

@@ -66,22 +66,6 @@ func AffineIn(e *Expr, x string) (a, b *Expr, ok bool) {
 	}
 }
 
-// LinearIn reports whether e is a*x with no constant term in x, returning
-// the coefficient expression a. The constant part must simplify to the
-// literal zero (e.g. 0*w folds away); non-zero or unresolvable constants
-// fail the check.
-func LinearIn(e *Expr, x string) (a *Expr, ok bool) {
-	a, b, ok := AffineIn(e, x)
-	if !ok {
-		return nil, false
-	}
-	b = Simplify(b)
-	if b.Kind != KNum || b.Val != 0 {
-		return nil, false
-	}
-	return Simplify(a), true
-}
-
 // Simplify applies local algebraic rewrites bottom-up: constant folding,
 // additive/multiplicative identities, and annihilation by zero. It is a
 // cleanup pass, not a decision procedure — the smt package owns full
@@ -150,13 +134,4 @@ func Simplify(e *Expr) *Expr {
 		// rewrite; fall through to the rebuilt node.
 	}
 	return s
-}
-
-// FoldConst attempts to evaluate e to a constant; it succeeds only when e
-// contains no variables.
-func FoldConst(e *Expr) (float64, bool) {
-	if len(e.Vars()) != 0 {
-		return 0, false
-	}
-	return e.Eval(nil), true
 }

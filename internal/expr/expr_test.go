@@ -275,33 +275,11 @@ func TestAffineIn(t *testing.T) {
 	if !ok {
 		t.Fatal("const-in-x must be affine")
 	}
-	if c, _ := FoldConst(a); c != 0 {
+	if c := a.Eval(nil); c != 0 {
 		t.Error("coefficient should be 0")
 	}
 	if got := b.Eval(Env{"w": 2}); got != 6 {
 		t.Errorf("b = %v", got)
-	}
-}
-
-func TestLinearIn(t *testing.T) {
-	if _, ok := LinearIn(Add(Mul(Num(2), Var("x")), Num(1)), "x"); ok {
-		t.Error("2x+1 is not linear (has constant term)")
-	}
-	a, ok := LinearIn(Mul(Mul(Num(0.7), Var("x")), Var("w")), "x")
-	if !ok {
-		t.Fatal("0.7*x*w should be linear in x")
-	}
-	if got := a.Eval(Env{"w": 2}); !almostEq(got, 1.4) {
-		t.Errorf("coef = %v", got)
-	}
-}
-
-func TestFoldConst(t *testing.T) {
-	if v, ok := FoldConst(Mul(Num(3), Add(Num(1), Num(1)))); !ok || v != 6 {
-		t.Errorf("got %v,%v", v, ok)
-	}
-	if _, ok := FoldConst(Var("x")); ok {
-		t.Error("variable is not constant")
 	}
 }
 

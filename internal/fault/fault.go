@@ -68,8 +68,12 @@ type Spec struct {
 
 	// CrashRound: the master aborts the whole run at this round (1-based;
 	// 0 = never) — the "crash" half of a crash/restore drill. A restart
-	// with Config.RestoreDir is the other half.
+	// with Config.RestoreDir is the other half. The round is counted
+	// across a session's epochs, unless CrashEpoch (1 = the initial
+	// fixpoint) names the epoch whose CrashRound-th round it is — a point
+	// that does not depend on how many rounds the earlier epochs took.
 	CrashRound int
+	CrashEpoch int
 
 	// MasterRestartRound: at this round (1-based; 0 = never) the master
 	// forgets its termination-detector state (armed flags, previous
@@ -120,7 +124,9 @@ func (s Spec) String() string {
 	if s.PartTo > s.PartFrom {
 		add("partition=%d-%d:%d:%d", s.PartA, s.PartB, s.PartFrom, s.PartTo)
 	}
-	if s.CrashRound > 0 {
+	if s.CrashEpoch > 0 {
+		add("crash=%d:%d", s.CrashEpoch, s.CrashRound)
+	} else if s.CrashRound > 0 {
 		add("crash=%d", s.CrashRound)
 	}
 	if s.MasterRestartRound > 0 {
@@ -137,6 +143,9 @@ func (s Spec) String() string {
 //
 //	seed=42,stall=5:300us,dropend=0.2,sendfail=0.1,delay=0.1:200us,
 //	dup=0.05,partition=0-1:50:250,crash=20,mrestart=10
+//
+// crash=N is the N-th master round counted across a session's epochs;
+// crash=E:N is round N of epoch E.
 func ParseSpec(text string) (Spec, error) {
 	var s Spec
 	text = strings.TrimSpace(text)
@@ -180,7 +189,12 @@ func ParseSpec(text string) (Spec, error) {
 				return s, fmt.Errorf("fault: partition window [%d,%d) is empty", s.PartFrom, s.PartTo)
 			}
 		case "crash":
-			_, err = fmt.Sscanf(val, "%d", &s.CrashRound)
+			if !strings.Contains(val, ":") {
+				_, err = fmt.Sscanf(val, "%d", &s.CrashRound)
+			} else if _, err = fmt.Sscanf(val, "%d:%d", &s.CrashEpoch, &s.CrashRound); err == nil &&
+				(s.CrashEpoch <= 0 || s.CrashRound <= 0) {
+				return s, fmt.Errorf("fault: crash wants EPOCH:ROUND with both >= 1, got %q", val)
+			}
 		case "mrestart":
 			_, err = fmt.Sscanf(val, "%d", &s.MasterRestartRound)
 		case "crashw":
@@ -255,9 +269,15 @@ func (i *Injector) StallFor(worker, pass int) time.Duration {
 	return s.StallDur
 }
 
-// CrashRound returns the master round at which to abort the run
-// (0 = never).
-func (i *Injector) CrashRound() int { return i.spec.CrashRound }
+// CrashAt reports whether the master aborts the run now: at round
+// epochRound of session epoch `epoch` when the spec names an epoch, else
+// at the round-th master round counted across epochs.
+func (i *Injector) CrashAt(epoch, epochRound, round int) bool {
+	if i.spec.CrashEpoch > 0 {
+		return epoch == i.spec.CrashEpoch && epochRound == i.spec.CrashRound
+	}
+	return round == i.spec.CrashRound
+}
 
 // MasterRestartRound returns the master round at which the termination
 // detector loses its state (0 = never).

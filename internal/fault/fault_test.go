@@ -28,10 +28,23 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if s2 != s {
 		t.Fatalf("String round trip: %+v vs %+v", s2, s)
 	}
+	// crash=E:N is epoch-relative: round N of epoch E, whatever the
+	// earlier epochs took.
+	s, err = ParseSpec("crash=3:1")
+	if err != nil || s.CrashEpoch != 3 || s.CrashRound != 1 || s.String() != "crash=3:1" {
+		t.Fatalf("crash=3:1 parsed to %+v (%q), %v", s, s, err)
+	}
+	inj := New(s)
+	if inj.CrashAt(2, 1, 9) || inj.CrashAt(3, 2, 1) || !inj.CrashAt(3, 1, 9) {
+		t.Error("crash=3:1 must fire at round 1 of epoch 3 only")
+	}
+	if inj = New(Spec{CrashRound: 9}); !inj.CrashAt(3, 1, 9) || inj.CrashAt(3, 9, 8) {
+		t.Error("crash=9 must fire at the 9th round counted across epochs")
+	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
-	for _, bad := range []string{"nonsense", "stall=5", "delay=0.1", "partition=0-1:9:9", "zzz=1", "seed=abc"} {
+	for _, bad := range []string{"nonsense", "stall=5", "delay=0.1", "partition=0-1:9:9", "zzz=1", "seed=abc", "crash=0:4", "crash=2:0", "crash=2:"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}

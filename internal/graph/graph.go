@@ -12,7 +12,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"unicode"
@@ -447,30 +446,4 @@ func (g *Graph) WriteTSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// SortNeighbors orders each adjacency list by target id in place, which
-// makes traversal deterministic regardless of input edge order.
-func (g *Graph) SortNeighbors() {
-	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
-		if g.weights == nil {
-			s := g.targets[lo:hi]
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-			continue
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = i
-		}
-		t, w := g.targets[lo:hi], g.weights[lo:hi]
-		sort.Slice(idx, func(i, j int) bool { return t[idx[i]] < t[idx[j]] })
-		nt := make([]int32, len(idx))
-		nw := make([]float64, len(idx))
-		for i, j := range idx {
-			nt[i], nw[i] = t[j], w[j]
-		}
-		copy(t, nt)
-		copy(w, nw)
-	}
 }

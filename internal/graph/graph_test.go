@@ -195,17 +195,6 @@ func TestWriteTSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortNeighbors(t *testing.T) {
-	g := mustGraph(t, 4, []Edge{{0, 3, 30}, {0, 1, 10}, {0, 2, 20}}, true)
-	g.SortNeighbors()
-	ts, ws := g.Neighbors(0)
-	for i := 0; i < len(ts); i++ {
-		if ts[i] != int32(i+1) || ws[i] != float64((i+1)*10) {
-			t.Fatalf("sorted neighbors wrong: %v %v", ts, ws)
-		}
-	}
-}
-
 func TestPartition(t *testing.T) {
 	for k := 1; k <= 7; k++ {
 		counts := make([]int, k)

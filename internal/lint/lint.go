@@ -100,12 +100,6 @@ type Reporter struct {
 	findings *[]Finding
 }
 
-// NewReporter returns a reporter appending to findings — the hook the
-// test harness uses to drive one analyzer in isolation.
-func NewReporter(analyzer string, fset *token.FileSet, findings *[]Finding) *Reporter {
-	return &Reporter{analyzer: analyzer, fset: fset, findings: findings}
-}
-
 // Reportf records a finding at pos.
 func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 	*r.findings = append(*r.findings, Finding{

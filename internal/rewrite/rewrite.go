@@ -10,7 +10,6 @@ package rewrite
 import (
 	"fmt"
 
-	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
 	"powerlog/internal/ast"
 	"powerlog/internal/checker"
@@ -163,22 +162,4 @@ func findAggDef(info *analyzer.Info) (*expr.Expr, bool) {
 		}
 	}
 	return nil, false
-}
-
-// MonotonicAggName maps an aggregate to its DeALS-style monotonic
-// spelling (mmin, mmax, msum, mcount), used when exporting the rewritten
-// program for systems that require explicit monotonic aggregates.
-func MonotonicAggName(k agg.Kind) string {
-	switch k {
-	case agg.Min:
-		return "mmin"
-	case agg.Max:
-		return "mmax"
-	case agg.Sum:
-		return "msum"
-	case agg.Count:
-		return "mcount"
-	default:
-		return k.String()
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
 	"powerlog/internal/checker"
 	"powerlog/internal/parser"
@@ -92,17 +91,5 @@ func TestRewrittenProgramReparses(t *testing.T) {
 	text := strings.ReplaceAll(out.String(), "ǂprev", "prevval")
 	if _, err := parser.Parse(text); err != nil {
 		t.Fatalf("rewritten program does not reparse: %v\n%s", err, text)
-	}
-}
-
-func TestMonotonicAggName(t *testing.T) {
-	cases := map[agg.Kind]string{
-		agg.Min: "mmin", agg.Max: "mmax", agg.Sum: "msum", agg.Count: "mcount",
-		agg.Mean: "mean",
-	}
-	for k, want := range cases {
-		if got := MonotonicAggName(k); got != want {
-			t.Errorf("MonotonicAggName(%v) = %q, want %q", k, got, want)
-		}
 	}
 }

@@ -261,20 +261,21 @@ func (m *master) stopCause(capped bool) StopCause {
 }
 
 // crashAt implements the injector's run-level faults at the top of a
-// master round: CrashRound aborts the whole run (broadcast Stop with
+// master round — epochRound within the current epoch, m.gRound across
+// epochs: a crash point aborts the whole run (broadcast Stop with
 // converged=false — the "crash" half of a crash/restore drill), and
 // MasterRestartRound asks the caller to forget its termination-detector
 // state, as a restarted master process would.
-func (m *master) crashAt(round int) (crash, restart bool) {
+func (m *master) crashAt(epochRound int) (crash, restart bool) {
 	inj := m.cfg.Fault
 	if inj == nil {
 		return false, false
 	}
-	if inj.CrashRound() == round {
+	if inj.CrashAt(m.epoch, epochRound, m.gRound) {
 		m.halt(StopInjected)
 		return true, false
 	}
-	return false, inj.MasterRestartRound() == round
+	return false, inj.MasterRestartRound() == m.gRound
 }
 
 // runBSP collects one PhaseDone per worker per superstep and decides.
@@ -285,7 +286,7 @@ func (m *master) runBSP() {
 	for round := 1; ; round++ {
 		m.rounds = round
 		m.gRound++
-		if crash, restart := m.crashAt(m.gRound); crash {
+		if crash, restart := m.crashAt(round); crash {
 			return
 		} else if restart {
 			// The ε detector is self-stabilising: losing the armed flag
@@ -452,7 +453,7 @@ func (m *master) runAsync() {
 // reset machine's next tick.
 func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	m.gRound++
-	crash, reset := m.crashAt(m.gRound)
+	crash, reset := m.crashAt(m.rounds + 1)
 	if crash {
 		return false
 	}

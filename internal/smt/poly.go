@@ -86,9 +86,6 @@ func mulMono(a, b string) string {
 	return encodeMono(m)
 }
 
-// NewPoly returns the zero polynomial.
-func NewPoly() Poly { return Poly{} }
-
 // PolyConst returns the constant polynomial c.
 func PolyConst(c *big.Rat) Poly {
 	p := Poly{}
@@ -180,24 +177,6 @@ func (p Poly) IsConst() (*big.Rat, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Degree returns the total degree of p (0 for constants, -1 for zero).
-func (p Poly) Degree() int {
-	if len(p) == 0 {
-		return -1
-	}
-	deg := 0
-	for k := range p {
-		d := 0
-		for _, pow := range decodeMono(k) {
-			d += pow
-		}
-		if d > deg {
-			deg = d
-		}
-	}
-	return deg
 }
 
 // Vars returns the sorted variables appearing in p.

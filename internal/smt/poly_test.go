@@ -17,8 +17,8 @@ func TestPolyBasics(t *testing.T) {
 	two := PolyConst(big.NewRat(2, 1))
 
 	sum := x.Add(y).Add(two)
-	if sum.IsZero() || sum.Degree() != 1 {
-		t.Errorf("x+y+2: zero=%v deg=%d", sum.IsZero(), sum.Degree())
+	if sum.IsZero() {
+		t.Error("x+y+2 is zero")
 	}
 	if got := sum.Eval(map[string]float64{"x": 3, "y": 4}); got != 9 {
 		t.Errorf("eval = %v", got)
@@ -30,9 +30,6 @@ func TestPolyBasics(t *testing.T) {
 	}
 
 	prod := x.Add(y).Mul(x.Add(y)) // (x+y)^2 = x^2 + 2xy + y^2
-	if prod.Degree() != 2 {
-		t.Errorf("degree = %d", prod.Degree())
-	}
 	if got := prod.Eval(map[string]float64{"x": 2, "y": 3}); got != 25 {
 		t.Errorf("(2+3)^2 = %v", got)
 	}
@@ -49,7 +46,7 @@ func TestPolyConstAndVars(t *testing.T) {
 	if _, ok := PolyVar("x").IsConst(); ok {
 		t.Error("x is not a constant")
 	}
-	if c, ok := NewPoly().IsConst(); !ok || c.Sign() != 0 {
+	if c, ok := (Poly{}).IsConst(); !ok || c.Sign() != 0 {
 		t.Error("zero poly is the constant 0")
 	}
 	p := PolyVar("b").Mul(PolyVar("a")).Add(PolyVar("c"))
@@ -140,7 +137,7 @@ func TestRatFuncCrossEquality(t *testing.T) {
 func TestQuickPolyRingLaws(t *testing.T) {
 	gen := func(seed int64) Poly {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewPoly()
+		p := Poly{}
 		vars := []string{"x", "y", "z"}
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			m := monomial{}
