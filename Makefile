@@ -41,7 +41,7 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty
+SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
 TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence
 TERM_PKGS = ./internal/term ./internal/runtime
@@ -88,6 +88,8 @@ benchmark:
 # backings (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static
 # fleet (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
 # graph under the bucket scheduler (BenchmarkRunChain: ms, KVs and passes
+# per op), one Session.Apply per batch shape at plperf's churn size
+# (BenchmarkSessionApply, -cpu 2: ms, rounds, edges read and border rows
 # per op), the codec, the metrics core, and the layers in front of the
 # fixpoint on plperf's R-MAT inputs (BenchmarkLoadTSV ns/edge and allocs
 # per load, BenchmarkCompile, BenchmarkCheck).
@@ -95,6 +97,7 @@ BENCHTIME ?= 1s
 bench:
 	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass|BenchmarkLoadTSV|BenchmarkCompile|BenchmarkCheck' -benchmem -benchtime $(BENCHTIME) .
 	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkRunChain|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
+	go test -run xxx -bench 'BenchmarkSessionApply' -cpu 2 -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkCodec' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
 	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem -benchtime $(BENCHTIME) ./internal/metrics/
 

@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/plvet ./...                  # whole module
 //	go run ./cmd/plvet ./internal/transport   # one subtree
-//	go run ./cmd/plvet -only recycle,shadow ./...
+//	go run ./cmd/plvet -only recycle,condwait ./...
 //	go run ./cmd/plvet -json ./... > plvet.json
 //	go run ./cmd/plvet -list
 //

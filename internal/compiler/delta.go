@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"maps"
 	"slices"
 
 	"powerlog/internal/agg"
@@ -13,7 +14,10 @@ import (
 // Mutation is a batch of base-fact changes against the plan's join
 // graph: edge inserts and deletes. A delete removes every parallel edge
 // with the named (src,dst) endpoints; deleting an absent edge is a
-// no-op. The vertex universe [0,N) is fixed at compile time.
+// no-op. The vertex universe [0,N) is fixed at compile time. The caller
+// keeps ownership of both slices: nothing that takes a Mutation holds on
+// to them past the call (the replay log stores copies), so one pair of
+// buffers can be refilled batch after batch.
 type Mutation struct {
 	Inserts []graph.Edge
 	Deletes []graph.Edge
@@ -45,6 +49,178 @@ type Refixpoint struct {
 	// re-derive from surviving inputs only. Every listed key holds a
 	// row; selective aggregates only.
 	Invalidate []int64
+
+	// What the step did. BorderRows counts the keys re-propagated over the
+	// new graph; EdgesRead every edge looked at on the way — the rows of
+	// delete sources and of re-propagated keys, the closure walk, the
+	// candidate lists of the in-edge index; IndexBuilt says the index
+	// was built or rebuilt (one more pass over the graph, not in EdgesRead).
+	BorderRows, EdgesRead int
+	IndexBuilt            bool
+}
+
+// vset is a set of vertices that outlives the batch: a flag per vertex and
+// the list of the flags set, which is all that clearing it reads.
+type vset struct {
+	on   []bool
+	list []int32
+}
+
+func (s *vset) add(v int32) {
+	if !s.on[v] {
+		s.on[v] = true
+		s.list = append(s.list, v)
+	}
+}
+
+func (s *vset) addAll(vs []int32) {
+	for _, v := range vs {
+		s.add(v)
+	}
+}
+
+func (s *vset) clear() {
+	for _, v := range s.list {
+		s.on[v] = false
+	}
+	s.list = s.list[:0]
+}
+
+// reseedAcc folds the new ΔX¹ by key: into a column over the vertices
+// for a vertex-key plan, into a map for a pair-key one — the Dense /
+// Sparse split of the tables it feeds.
+type reseedAcc struct {
+	op  *agg.Op
+	col []float64 // vertex keys: the value of each key in at
+	at  vset
+	m   map[int64]float64 // pair keys: made for the batch, gone with drain
+}
+
+func (r *reseedAcc) add(key int64, v float64) {
+	if r.col == nil {
+		if cur, ok := r.m[key]; ok {
+			v = r.op.Fold(cur, v)
+		}
+		r.m[key] = v
+		return
+	}
+	if r.at.on[key] {
+		v = r.op.Fold(r.col[key], v)
+	} else {
+		r.at.add(int32(key))
+	}
+	r.col[key] = v
+}
+
+// drain lists the entries in key order. A combining aggregate's exact
+// cancellations (keepZero false) are nothing to fold.
+func (r *reseedAcc) drain(keepZero bool) []KV {
+	if r.col == nil {
+		m := r.m
+		r.m = nil
+		if !keepZero {
+			maps.DeleteFunc(m, func(_ int64, v float64) bool { return v == 0 })
+		}
+		return kvList(m)
+	}
+	slices.Sort(r.at.list)
+	out := make([]KV, 0, len(r.at.list))
+	for _, k := range r.at.list {
+		if v := r.col[k]; keepZero || v != 0 {
+			out = append(out, KV{int64(k), v})
+		}
+	}
+	return out
+}
+
+// deltaScratch is what ApplyMutation keeps from batch to batch, so that a
+// batch pays for the rows it names and not for N: sets over the vertices
+// cleared by their own lists, the reseed column, the expression scratch.
+type deltaScratch struct {
+	eval []float64
+	// touched: rows whose surviving keys re-propagate everywhere; dead: the
+	// vertices erased keys sit at; border: the rows of the boundary pass
+	// (the combining path's moved rows); rows: whichever rows the step at
+	// hand reads — delete sources, changed columns.
+	touched, dead, border, rows vset
+	del                         []uint64 // the deletes, src<<32|dst, sorted
+	reseed                      reseedAcc
+}
+
+// scratch returns the plan's delta scratch, made on first use, with
+// whatever the last batch left in its sets cleared.
+func (p *Plan) scratch() *deltaScratch {
+	if p.delta == nil {
+		p.delta = &deltaScratch{eval: p.NewScratch(), reseed: reseedAcc{op: p.Op}}
+		if !p.PairKeys {
+			p.delta.reseed.col = make([]float64, p.N)
+		}
+	}
+	sc := p.delta
+	for _, s := range []*vset{&sc.touched, &sc.dead, &sc.border, &sc.rows, &sc.reseed.at} {
+		if s.on == nil {
+			s.on = make([]bool, p.N)
+		}
+		s.clear()
+	}
+	if p.PairKeys {
+		sc.reseed.m = map[int64]float64{}
+	}
+	return sc
+}
+
+// inIndex answers "which rows may hold an edge into this vertex" for the
+// propagation graph: its transpose as of the last build, plus the edges
+// inserted since. Deleted edges stay listed, so the answer is a superset
+// of the in-neighbours — a stale candidate costs its reader one row that
+// emits nothing. A plan builds it the first time a batch needs it and
+// drops it, to be built again, once the edges inserted or deleted since
+// outnumber one in churnFrac of those it indexes: what a build costs is
+// paid for by the batches between two of them, and neither the overlay
+// nor the stale share of an answer grows past that fraction.
+type inIndex struct {
+	base  *graph.Graph // the transpose at the build, sources only
+	over  [][2]int32   // (src, dst) of the edges inserted since
+	churn int          // edges inserted or named by a delete since
+}
+
+const churnFrac = 8
+
+// into calls f with every candidate source of an edge into a vertex of
+// at, repeats included, and returns how many index entries it read.
+func (x *inIndex) into(at *vset, f func(src int32)) int {
+	read := len(x.over)
+	for _, d := range at.list {
+		srcs, _ := x.base.Neighbors(d)
+		read += len(srcs)
+		for _, s := range srcs {
+			f(s)
+		}
+	}
+	for _, e := range x.over {
+		if at.on[e[1]] {
+			f(e[0])
+		}
+	}
+	return read
+}
+
+// inEdges returns the index, building it if the plan holds none.
+func (p *Plan) inEdges(out *Refixpoint) *inIndex {
+	if p.in == nil {
+		p.in = &inIndex{base: p.Graph.InSources()}
+		out.IndexBuilt = true
+	}
+	return p.in
+}
+
+// lo is the component of key that propagates: the vertex its row is.
+func (p *Plan) lo(key int64) int64 {
+	if p.PairKeys {
+		_, lo := DecodePair(key)
+		return lo
+	}
+	return key
 }
 
 // ApplyMutation applies mut to the plan's EDB — the base graph, its
@@ -79,16 +255,20 @@ type Refixpoint struct {
 //     worse than the one it holds, or an erased key did. A key that
 //     survives keeps every input that could have produced its value, so
 //     its value is still derivable in the new EDB. Erased keys re-derive
-//     from the new ΔX¹ and a boundary scan: each surviving key with an
+//     from the new ΔX¹ and a boundary pass: each surviving key with an
 //     edge into the closure re-propagates its accumulation over the new
 //     graph. Over-folding surviving values is again idempotent. The
 //     argument needs more of F' than monotonicity (closureProof below);
 //     a program Compile could not prove it for has every batch that can
 //     remove or weaken an input refused, untouched.
 //
-// The engine must be fully quiesced (all workers parked) for the whole
-// call: the graph CSR is spliced in place behind pointers the compiled
-// closures captured.
+// The work follows the batch, not the graph: rows are found through sets
+// the plan keeps (deltaScratch) and the closure's in-neighbours through
+// the candidate in-edge index (inIndex), so apart from the splice itself
+// and the attribute columns a program reads, nothing is proportional to N
+// or E. The engine must be fully quiesced (all workers parked) for the
+// whole call: the graph CSR is spliced in place behind pointers the
+// compiled closures captured.
 func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	shape := p.shape
 	if shape == nil {
@@ -111,8 +291,9 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 			}
 		}
 	}
+	out := &Refixpoint{}
 	if mut.Empty() {
-		return &Refixpoint{}, nil
+		return out, nil
 	}
 
 	// Orient the mutation the way the propagation graph is oriented.
@@ -131,62 +312,69 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	oldInit := p.InitMRA
 	selective := p.Op.Selective()
 	id := p.Op.Identity()
-	scratch := p.NewScratch()
-	reseed := map[int64]float64{}
-	loOf := func(key int64) int64 {
-		if p.PairKeys {
-			_, lo := DecodePair(key)
-			return lo
-		}
-		return key
+	sc := p.scratch()
+	reseed, touched := &sc.reseed, &sc.touched
+	// prop is PropagateInto with the edges of the row counted.
+	prop := func(key int64, acc float64, emit func(dst int64, v float64)) {
+		out.EdgesRead += p.Graph.OutDegree(int32(p.lo(key)))
+		p.PropagateInto(sc.eval, key, acc, emit)
 	}
 	// eachOn visits the parked accumulation of every key whose
-	// propagated component is a flagged vertex: one row read per flagged
-	// vertex, or for pair keys (any hi over a flagged lo) one pass over the
-	// table, which a batch that flags nothing skips.
-	eachOn := func(rows []bool, f func(key int64, acc float64)) {
+	// propagated component is in rows, by ascending key: one row read per
+	// member, or for pair keys (any hi over a member lo) one pass over the
+	// table, which an empty set skips.
+	eachOn := func(rows *vset, f func(key int64, acc float64)) {
 		if p.PairKeys {
-			if slices.Contains(rows, true) {
+			if len(rows.list) > 0 {
 				tbl.Range(func(key int64, acc float64) {
-					if rows[loOf(key)] {
+					if rows.on[p.lo(key)] {
 						f(key, acc)
 					}
 				})
 			}
 			return
 		}
-		for v, on := range rows {
-			if !on {
-				continue
-			}
+		slices.Sort(rows.list)
+		for _, v := range rows.list {
 			if acc := tbl.Acc(int64(v)); acc != id {
 				f(int64(v), acc)
 			}
 		}
 	}
-	// correct folds sign·A·x_old over the flagged rows into the reseed,
-	// through the graph and columns as they stand at the call.
-	correct := func(rows []bool, sign float64) {
+	// only is the scratch set holding just vs.
+	only := func(vs []int32) *vset {
+		sc.rows.clear()
+		sc.rows.addAll(vs)
+		return &sc.rows
+	}
+	// correct folds sign·A·x_old over rows into the reseed, through the
+	// graph and columns as they stand at the call.
+	correct := func(rows *vset, sign float64) {
 		eachOn(rows, func(key int64, acc float64) {
-			p.PropagateInto(scratch, key, acc, func(dst int64, v float64) {
+			if sign > 0 {
+				out.BorderRows++
+			}
+			prop(key, acc, func(dst int64, v float64) {
 				if v != 0 {
-					reseed[dst] += sign * v
+					reseed.add(dst, sign*v)
 				}
 			})
 		})
 	}
 
 	// 0. Old-state work, over the graph the parked fixpoint was computed
-	// on. touched flags the rows whose surviving keys re-propagate over
+	// on. touched holds the rows whose surviving keys re-propagate over
 	// the new graph: for a combining aggregate every row the batch
 	// rewrites (the only rows that differ between the two graphs), for a
 	// selective one the rows that gain edges — a row that only loses
 	// edges offers its targets nothing new.
-	touched := make([]bool, p.N)
 	for _, e := range oIns {
-		touched[e.Src] = true
+		touched.add(e.Src)
 	}
-	sup := support{p: p, tbl: tbl, scratch: scratch, dead: map[int64]struct{}{}}
+	sup := support{p: p, tbl: tbl, prop: prop, at: &sc.dead}
+	if p.PairKeys {
+		sup.dead = map[int64]struct{}{}
+	}
 	if selective {
 		// Inputs are only removed or weakened by a delete or by a relation
 		// the batch re-derives; inserts alone fold better values. Refuse
@@ -197,25 +385,32 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 			}
 		}
 		// Roots: a deleted edge whose candidate its target's value does
-		// not beat. An absent or losing edge roots nothing.
-		gone := make(map[int64]struct{}, len(oDel))
-		delSrc := make([]bool, p.N)
+		// not beat. An absent or losing edge roots nothing. A source row's
+		// targets are tested against that row's run of the sorted deletes.
+		sc.del = sc.del[:0]
 		for _, e := range oDel {
-			gone[int64(e.Src)<<32|int64(e.Dst)] = struct{}{}
-			delSrc[e.Src] = true
+			sc.del = append(sc.del, uint64(e.Src)<<32|uint64(e.Dst))
+			sc.rows.add(e.Src)
 		}
-		eachOn(delSrc, func(key int64, acc float64) {
-			src := loOf(key) << 32
-			p.PropagateInto(scratch, key, acc, func(dst int64, cand float64) {
-				if _, ok := gone[src|loOf(dst)]; ok {
-					sup.admit(dst, cand)
-				}
-			})
+		slices.Sort(sc.del)
+		var src uint64
+		var gone []uint64
+		admitGone := func(dst int64, cand float64) {
+			if slices.Contains(gone, src|uint64(p.lo(dst))) {
+				sup.admit(dst, cand)
+			}
+		}
+		eachOn(&sc.rows, func(key int64, acc float64) {
+			src = uint64(p.lo(key)) << 32
+			lo, _ := slices.BinarySearch(sc.del, src)
+			hi, _ := slices.BinarySearch(sc.del, src+1<<32)
+			gone = sc.del[lo:hi]
+			prop(key, acc, admitGone)
 		})
 		sup.grow()
 	} else {
 		for _, e := range oDel {
-			touched[e.Src] = true
+			touched.add(e.Src)
 		}
 		correct(touched, -1)
 	}
@@ -231,6 +426,16 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 		}
 	}
 	p.Kernel.noteMutation(mut.Inserts)
+	// The index, if there is one, learns the inserts and forgets itself
+	// once the batches since its build have churned enough (inIndex).
+	if x := p.in; x != nil {
+		for _, e := range oIns {
+			x.over = append(x.over, [2]int32{e.Src, e.Dst})
+		}
+		if x.churn += len(oIns) + len(oDel); x.churn > x.base.NumEdges()/churnFrac {
+			p.in = nil
+		}
+	}
 
 	// 2. Re-derive the compiler-materialised supporting relations (they
 	// may aggregate over the graph, e.g. PageRank's degree view).
@@ -284,28 +489,28 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 
 	if !selective {
 		// Rows whose attribute inputs moved but whose edges did not: the
-		// old graph's rows still stand, under the old columns.
-		var moved []int32
+		// old graph's rows still stand, under the old columns. The index
+		// names the rows that may point into a moved destination column; a
+		// look at the row keeps the ones that do, since a row corrected
+		// −1/+1 for nothing would not cancel bit for bit.
+		moved := &sc.border
 		for _, v := range srcChanged {
-			if !touched[v] {
-				moved = append(moved, v)
+			if !touched.on[v] {
+				moved.add(v)
 			}
 		}
 		if len(dstChanged) > 0 {
-			at := flags(p.N, dstChanged)
-			for v := int32(0); v < n; v++ {
-				if !touched[v] && pointsInto(p.Graph, v, at) {
-					moved = append(moved, v)
+			at := only(dstChanged)
+			out.EdgesRead += p.inEdges(out).into(at, func(v int32) {
+				tg, _ := p.Graph.Neighbors(v)
+				if !touched.on[v] && !moved.on[v] && slices.ContainsFunc(tg, func(t int32) bool { return at.on[t] }) {
+					moved.add(v)
 				}
-			}
+			})
 		}
-		if len(moved) > 0 {
-			correct(flags(p.N, moved), -1)
-		}
+		correct(moved, -1)
 		install()
-		for _, v := range moved {
-			touched[v] = true
-		}
+		touched.addAll(moved.list)
 		correct(touched, +1)
 		if err := buildInits(p, shape); err != nil {
 			return nil, err
@@ -313,15 +518,11 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 		// Δb: signed ΔX¹ diff (identity is 0 for combining aggregates).
 		diffInits(oldInit, p.InitMRA, 0, func(k int64, ov, nv float64) {
 			if nv != ov {
-				reseed[k] += nv - ov
+				reseed.add(k, nv-ov)
 			}
 		})
-		for k, v := range reseed {
-			if v == 0 { // exact cancellation: nothing to fold
-				delete(reseed, k)
-			}
-		}
-		return &Refixpoint{Reseed: kvList(reseed)}, nil
+		out.Reseed = reseed.drain(false)
+		return out, nil
 	}
 
 	// Selective path. Weakened inputs root the closure like deletes do:
@@ -332,15 +533,11 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	// but for deleted edges, each tested above, and inserted ones, which
 	// can only add keys.
 	if len(srcChanged) > 0 {
-		eachOn(flags(p.N, srcChanged), func(key int64, acc float64) {
-			p.PropagateInto(scratch, key, acc, sup.admit)
-		})
-		for _, v := range srcChanged {
-			touched[v] = true // fresh candidates out of v
-		}
+		eachOn(only(srcChanged), func(key int64, acc float64) { prop(key, acc, sup.admit) })
+		touched.addAll(srcChanged) // fresh candidates out of them
 	}
 	if len(dstChanged) > 0 {
-		eachOn(flags(p.N, dstChanged), sup.admit)
+		eachOn(only(dstChanged), sup.admit)
 	}
 	install()
 	if err := buildInits(p, shape); err != nil {
@@ -353,57 +550,43 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	})
 	sup.grow()
 
-	foldReseed := func(k int64, v float64) {
-		if cur, ok := reseed[k]; ok {
-			reseed[k] = p.Op.Fold(cur, v)
-		} else {
-			reseed[k] = v
-		}
-	}
 	// ΔX¹ entries: an erased key re-derives from its initial value; a
 	// surviving one only replays (idempotently) a strict improvement.
 	diffInits(oldInit, p.InitMRA, id, func(k int64, ov, nv float64) {
-		if _, dead := sup.dead[k]; nv != id && (dead || p.Op.Fold(ov, nv) != ov) {
-			foldReseed(k, nv)
+		if nv != id && (sup.has(k) || p.Op.Fold(ov, nv) != ov) {
+			reseed.add(k, nv)
 		}
 	})
 
-	// Boundary scan over the NEW graph: a surviving key on a touched row
+	// Boundary pass over the NEW graph: a surviving key on a touched row
 	// (inserted edges, fresh source inputs) re-propagates everywhere, one
-	// with an edge into the closure re-propagates into it. deadAt, the
-	// vertices erased keys sit at, screens both tests without a map probe
-	// per edge.
-	deadAt := make([]bool, p.N)
-	for _, k := range sup.members {
-		deadAt[loOf(k)] = true
-	}
-	isDead := func(key int64) bool {
-		if !deadAt[loOf(key)] {
-			return false
-		}
-		_, dead := sup.dead[key]
-		return dead
-	}
+	// with an edge into the closure re-propagates into it. The rows that
+	// may hold such an edge come from the in-edge index; the pass tests
+	// each edge of a row against the closure, so a candidate the index
+	// need not have named folds nothing. This batch's inserts need no
+	// entry: their sources are touched.
 	border := touched
 	if len(sup.members) > 0 {
-		border = make([]bool, p.N)
-		for v := int32(0); v < n; v++ {
-			border[v] = touched[v] || pointsInto(p.Graph, v, deadAt)
+		border = &sc.border
+		border.addAll(touched.list)
+		out.EdgesRead += p.inEdges(out).into(sup.at, border.add)
+	}
+	everywhere := false
+	fold := func(dst int64, v float64) {
+		if everywhere || sup.has(dst) {
+			reseed.add(dst, v)
 		}
 	}
 	eachOn(border, func(key int64, acc float64) {
-		if isDead(key) {
+		if sup.has(key) {
 			return // erased: its accumulation is stale
 		}
-		everywhere := touched[loOf(key)]
-		p.PropagateInto(scratch, key, acc, func(dst int64, v float64) {
-			if everywhere || isDead(dst) {
-				foldReseed(dst, v)
-			}
-		})
+		out.BorderRows++
+		everywhere = touched.on[p.lo(key)]
+		prop(key, acc, fold)
 	})
-
-	return &Refixpoint{Reseed: kvList(reseed), Invalidate: sup.members}, nil
+	out.Reseed, out.Invalidate = reseed.drain(true), sup.members
+	return out, nil
 }
 
 // support grows the support closure of a selective delete (DESIGN.md
@@ -415,24 +598,42 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 // and values not yet at the fixpoint make the test err towards
 // erasing, which costs work, never correctness.
 type support struct {
-	p       *Plan
-	tbl     AccTable
-	scratch []float64
+	p    *Plan
+	tbl  AccTable
+	prop func(key int64, acc float64, emit func(dst int64, v float64))
+	// at holds the vertices erased keys sit at. A vertex key is its
+	// vertex, so at is the closure; pair keys are also listed in dead.
+	at      *vset
 	dead    map[int64]struct{}
-	members []int64 // dead, in the order admitted
+	members []int64 // the closure, in the order admitted
 	queue   []KV    // members whose out-edges are still to be walked, with their value
+}
+
+// has reports whether key is in the closure.
+func (s *support) has(key int64) bool {
+	if !s.at.on[s.p.lo(key)] {
+		return false
+	}
+	if s.dead == nil {
+		return true
+	}
+	_, in := s.dead[key]
+	return in
 }
 
 // admit adds key to the closure if cand is no worse than its value.
 func (s *support) admit(key int64, cand float64) {
-	if _, in := s.dead[key]; in {
+	if s.has(key) {
 		return
 	}
 	acc := s.tbl.Acc(key)
 	if acc == s.p.Op.Identity() || s.p.Op.Fold(cand, acc) != cand {
 		return
 	}
-	s.dead[key] = struct{}{}
+	s.at.add(int32(s.p.lo(key)))
+	if s.dead != nil {
+		s.dead[key] = struct{}{}
+	}
 	s.members = append(s.members, key)
 	s.queue = append(s.queue, KV{key, acc})
 }
@@ -440,10 +641,11 @@ func (s *support) admit(key int64, cand float64) {
 // grow follows, from every queued member, the out-edges of the graph as
 // it stands that pass the admit test.
 func (s *support) grow() {
+	admit := s.admit
 	for len(s.queue) > 0 {
 		kv := s.queue[len(s.queue)-1]
 		s.queue = s.queue[:len(s.queue)-1]
-		s.p.PropagateInto(s.scratch, kv.K, kv.V, s.admit)
+		s.prop(kv.K, kv.V, admit)
 	}
 }
 
@@ -506,26 +708,6 @@ func (p *Plan) closureSound() error {
 		return errf("cannot delete (or re-derive a relation the program reads) incrementally: that needs F' = %s strictly increasing in %s, or never improving on it, and neither could be proved (DESIGN.md §10); run afresh on the mutated graph",
 			rec.FPrime, rec.ValueVar)
 	}
-}
-
-// flags marks the listed vertices in a vector over [0,n).
-func flags(n int, vs []int32) []bool {
-	at := make([]bool, n)
-	for _, v := range vs {
-		at[v] = true
-	}
-	return at
-}
-
-// pointsInto reports whether v has an out-edge to a flagged vertex.
-func pointsInto(g *graph.Graph, v int32, at []bool) bool {
-	tg, _ := g.Neighbors(v)
-	for _, t := range tg {
-		if at[t] {
-			return true
-		}
-	}
-	return false
 }
 
 // diffInits walks two ΔX¹ lists in step (both in kvList's key order)

@@ -78,6 +78,10 @@ type Plan struct {
 	// can re-derive supporting relations, attribute columns, and ΔX¹
 	// after a base-fact mutation (delta.go).
 	shape *bodyShape
+	// delta is ApplyMutation's retained scratch and in its candidate
+	// in-edge index over Graph, both made by the first batch that needs them.
+	delta *deltaScratch
+	in    *inIndex
 }
 
 // JoinPredicate names the base relation the recursive body joins — the

@@ -153,9 +153,11 @@ type MutationLog struct {
 // twice that).
 const logKeep = 1024
 
-// Append records a mutation batch under epoch. Epochs must be
+// Append records a copy of a mutation batch under epoch: the caller keeps
+// its edge slices and may refill them for the next batch. Epochs must be
 // non-decreasing.
 func (l *MutationLog) Append(epoch int, mut GraphMutation) {
+	mut.Inserts, mut.Deletes = slices.Clone(mut.Inserts), slices.Clone(mut.Deletes)
 	if n := len(l.entries); n > 0 && l.entries[n-1].Epoch > epoch {
 		panic(fmt.Sprintf("edb: mutation log epoch went backwards (%d after %d)", epoch, l.entries[n-1].Epoch))
 	}

@@ -143,16 +143,42 @@ func (g *Graph) Edges() []Edge {
 }
 
 // Reverse returns the transposed graph (weights preserved).
-func (g *Graph) Reverse() *Graph {
-	edges := g.Edges()
-	for i := range edges {
-		edges[i].Src, edges[i].Dst = edges[i].Dst, edges[i].Src
+func (g *Graph) Reverse() *Graph { return g.transposed(g.weights != nil) }
+
+// InSources returns the transposed adjacency alone — row v of the result
+// lists the sources of v's in-edges — for a caller that only asks who
+// points at a vertex: 4 bytes an edge, no weights.
+func (g *Graph) InSources() *Graph { return g.transposed(false) }
+
+// transposed is a counting sort of the edges by target. Rows are read in
+// order, so an in-row lists its sources in ascending order and parallel
+// edges in the order their row held them.
+func (g *Graph) transposed(weighted bool) *Graph {
+	t := &Graph{n: g.n, offsets: make([]int32, g.n+1), targets: make([]int32, len(g.targets))}
+	if weighted {
+		t.weights = make([]float64, len(g.targets))
 	}
-	rev, err := FromEdges(int(g.n), edges, g.weights != nil)
-	if err != nil {
-		panic("graph: reverse of a valid graph cannot fail: " + err.Error())
+	for _, d := range g.targets {
+		t.offsets[d+1]++
 	}
-	return rev
+	for v := int32(0); v < g.n; v++ {
+		t.offsets[v+1] += t.offsets[v]
+	}
+	// offsets[d] is the next free slot of row d while the rows fill, which
+	// leaves it at the row's end: the start of row d+1.
+	for v := int32(0); v < g.n; v++ {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			at := t.offsets[g.targets[i]]
+			t.offsets[g.targets[i]]++
+			t.targets[at] = v
+			if weighted {
+				t.weights[at] = g.weights[i]
+			}
+		}
+	}
+	copy(t.offsets[1:], t.offsets[:g.n])
+	t.offsets[0] = 0
+	return t
 }
 
 // OutDegrees returns the out-degree of every vertex as float64s, the form

@@ -122,6 +122,36 @@ func TestReverse(t *testing.T) {
 	}
 }
 
+// TestTransposeMatchesEdgeListBuild: the counting-sort transpose lays
+// its rows out as FromEdges would from the swapped edge list — sources
+// ascending, parallel edges in row order — weights alongside or dropped.
+func TestTransposeMatchesEdgeListBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var edges []Edge
+	for i := 0; i < 400; i++ {
+		edges = append(edges, Edge{Src: int32(r.Intn(40)), Dst: int32(r.Intn(40)), W: float64(r.Intn(5))})
+	}
+	g := mustGraph(t, 41, edges, true) // vertex 40 has no edge either way
+	swapped := g.Edges()
+	for i := range swapped {
+		swapped[i].Src, swapped[i].Dst = swapped[i].Dst, swapped[i].Src
+	}
+	if got, want := g.Reverse(), mustGraph(t, 41, swapped, true); !slices.Equal(got.Edges(), want.Edges()) {
+		t.Errorf("Reverse differs from the graph built from the swapped edge list")
+	}
+	in := g.InSources()
+	if in.Weighted() || in.NumEdges() != g.NumEdges() {
+		t.Fatalf("InSources: weighted %v, %d edges, want unweighted, %d", in.Weighted(), in.NumEdges(), g.NumEdges())
+	}
+	for v := int32(0); v < 41; v++ {
+		got, _ := in.Neighbors(v)
+		want, _ := mustGraph(t, 41, swapped, false).Neighbors(v)
+		if !slices.Equal(got, want) {
+			t.Fatalf("in-sources of %d = %v, want %v", v, got, want)
+		}
+	}
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	orig := []Edge{{0, 1, 5}, {2, 0, 1}, {1, 2, 7}}
 	g := mustGraph(t, 3, orig, true)

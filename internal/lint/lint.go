@@ -38,12 +38,9 @@
 //   - lockblock:  no channel operation, transport Send, time.Sleep, or
 //     foreign-lock Cond.Wait while a sync.Mutex/RWMutex is held; no
 //     re-acquiring a lock already held.
-//   - shadow:     no declaration may shadow a predeclared builtin.
 //   - kindswitch: a switch over an enum-like constant family
 //     (transport.Kind, runtime.Mode, ...) must cover every declared
 //     constant or carry an explicit default.
-//   - errcmp:     sentinel and typed errors are matched with
-//     errors.Is / errors.As, never ==/!= or a bare type assertion.
 //   - metricname: every metric name registered or read anywhere in the
 //     module must appear in the metrics.WellKnownNames manifest, be
 //     registered exactly once, and be written by someone if read.
@@ -115,9 +112,7 @@ func Analyzers() []Analyzer {
 		recycleAnalyzer{},
 		atomicmixAnalyzer{},
 		lockblockAnalyzer{},
-		shadowAnalyzer{},
 		kindswitchAnalyzer{},
-		errcmpAnalyzer{},
 		metricnameAnalyzer{},
 		condwaitAnalyzer{},
 	}

@@ -131,7 +131,7 @@ func TestSuppression(t *testing.T) {
 	// type info while scoping Run (and its directive scan) to the
 	// fixture.
 	fixMod := &Module{Root: dir, Path: mod.Path, Fset: mod.Fset, Pkgs: []*Package{pkg}}
-	res := Run(fixMod, []Analyzer{errcmpAnalyzer{}})
+	res := Run(fixMod, []Analyzer{condwaitAnalyzer{}})
 
 	byLine := func(fs []Finding, analyzer string) map[int]string {
 		m := map[int]string{}
@@ -142,13 +142,13 @@ func TestSuppression(t *testing.T) {
 		}
 		return m
 	}
-	supp := byLine(res.Suppressed, "errcmp")
+	supp := byLine(res.Suppressed, "condwait")
 	if len(supp) != 2 {
-		t.Errorf("want 2 suppressed errcmp findings (same-line and line-above), got %d: %v", len(supp), res.Suppressed)
+		t.Errorf("want 2 suppressed condwait findings (same-line and line-above), got %d: %v", len(supp), res.Suppressed)
 	}
-	kept := byLine(res.Findings, "errcmp")
+	kept := byLine(res.Findings, "condwait")
 	if len(kept) != 3 {
-		t.Errorf("want 3 surviving errcmp findings (wrong-analyzer, malformed, unknown-name directives), got %d: %v", len(kept), res.Findings)
+		t.Errorf("want 3 surviving condwait findings (wrong-analyzer, malformed, unknown-name directives), got %d: %v", len(kept), res.Findings)
 	}
 	plvet := byLine(res.Findings, "plvet")
 	var sawMalformed, sawUnknown bool

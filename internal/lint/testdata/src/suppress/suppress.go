@@ -1,35 +1,38 @@
-// Package suppress seeds errcmp violations paired with every shape of
+// Package suppress seeds condwait violations paired with every shape of
 // //plvet:ignore directive; lint_test.go's TestSuppression runs the
 // full driver over it and checks which findings survive.
 package suppress
 
-import "errors"
-
-var sentinel = errors.New("boom")
+import "sync"
 
 // Same-line directive: suppressed.
-func sameLine(err error) bool {
-	return err == sentinel //plvet:ignore errcmp fixture: suppression on the offending line
+func sameLine() {
+	var c sync.Cond //plvet:ignore condwait fixture: suppression on the offending line
+	c.Signal()
 }
 
 // Directive alone on the line above: suppressed.
-func lineAbove(err error) bool {
-	//plvet:ignore errcmp fixture: directive covers the next line
-	return err == sentinel
+func lineAbove() {
+	//plvet:ignore condwait fixture: directive covers the next line
+	var c sync.Cond
+	c.Signal()
 }
 
-// Directive names a different analyzer: the errcmp finding survives.
-func wrongAnalyzer(err error) bool {
-	return err == sentinel //plvet:ignore shadow fixture: scoped to the wrong analyzer
+// Directive names a different analyzer: the condwait finding survives.
+func wrongAnalyzer() {
+	var c sync.Cond //plvet:ignore kindswitch fixture: scoped to the wrong analyzer
+	c.Signal()
 }
 
 // Reason missing: the directive is malformed (a "plvet" finding) and
 // suppresses nothing.
-func malformed(err error) bool {
-	return err == sentinel //plvet:ignore errcmp
+func malformed() {
+	var c sync.Cond //plvet:ignore condwait
+	c.Signal()
 }
 
 // Unknown analyzer name: reported, suppresses nothing.
-func unknownName(err error) bool {
-	return err == sentinel //plvet:ignore nosuch fixture: typo'd analyzer name
+func unknownName() {
+	var c sync.Cond //plvet:ignore nosuch fixture: typo'd analyzer name
+	c.Signal()
 }

@@ -55,6 +55,9 @@ var WellKnownNames = []string{
 	"master.member.handoff_us",
 	"delta.reseed.keys",
 	"delete.invalidate.keys",
+	"delta.border.rows",
+	"delta.edges.read",
+	"delta.index.rebuilds",
 
 	// TCP transport (retry, circuit breaker, per-peer traffic).
 	"tcp.send.retry",

@@ -110,10 +110,18 @@ type masterMetrics struct {
 	// reseedKeys counts ΔX¹ correction entries folded at Apply
 	// ("delta.reseed.keys"); invalidateKeys counts table keys erased by
 	// deletion invalidation ("delete.invalidate.keys") — together they
-	// size the incremental work a mutation actually caused.
+	// size the incremental work a mutation actually caused. What finding
+	// it cost (compiler.Refixpoint): borderRows, the keys re-propagated
+	// over the new graph ("delta.border.rows"); edgesRead, the edges the
+	// delta step looked at ("delta.edges.read"); indexRebuilds, the
+	// times it built its in-edge index ("delta.index.rebuilds" — 0 for
+	// a session that never erases a key).
 	epochs         *metrics.Counter
 	reseedKeys     *metrics.Counter
 	invalidateKeys *metrics.Counter
+	borderRows     *metrics.Counter
+	edgesRead      *metrics.Counter
+	indexRebuilds  *metrics.Counter
 }
 
 func newMasterMetrics() masterMetrics {
@@ -132,5 +140,8 @@ func newMasterMetrics() masterMetrics {
 		epochs:          reg.Counter("engine.epoch"),
 		reseedKeys:      reg.Counter("delta.reseed.keys"),
 		invalidateKeys:  reg.Counter("delete.invalidate.keys"),
+		borderRows:      reg.Counter("delta.border.rows"),
+		edgesRead:       reg.Counter("delta.edges.read"),
+		indexRebuilds:   reg.Counter("delta.index.rebuilds"),
 	}
 }

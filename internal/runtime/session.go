@@ -380,6 +380,11 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		s.workers[route.owner(kv.K)].table.FoldDelta(kv.K, kv.V)
 	}
 	s.m.met.reseedKeys.Add(uint64(len(refix.Reseed)))
+	s.m.met.borderRows.Add(uint64(refix.BorderRows))
+	s.m.met.edgesRead.Add(uint64(refix.EdgesRead))
+	if refix.IndexBuilt {
+		s.m.met.indexRebuilds.Inc()
+	}
 
 	// Stamp the new mutation-log position into the workers (their
 	// mid-fixpoint snapshots carry it) and write the park-boundary

@@ -14,8 +14,9 @@ import (
 // session at the size and engine settings of plperf's
 // sssp-churn-session workload (R-MAT 2^14 vertices / 171 k edges,
 // batches of 85, 2 workers × 1 core), one sub-benchmark per batch
-// shape, with the master rounds (waves) an Apply took and how many of
-// them a CheckInterval tick started. Run it with -cpu 2 -benchmem and a
+// shape, with the master rounds (waves) an Apply took, how many of
+// them a CheckInterval tick started, and what the delta step read to
+// find the work (edges-read/op, border-rows/op). Run it with -cpu 2 -benchmem and a
 // fixed -benchtime such as 300x: a delete-only run thins the graph as it
 // goes. For a paired
 // comparison build one `go test -c` binary per commit (the go guide)
@@ -43,7 +44,10 @@ func BenchmarkSessionApply(b *testing.B) {
 			defer s.Close()
 			r := rand.New(rand.NewSource(1))
 			rounds := 0
-			timer := s.Result().Master.Counter("master.wave.timer")
+			before := s.Result().Master
+			perOp := func(name string) float64 {
+				return float64(s.Result().Master.Counter(name)-before.Counter(name)) / float64(b.N)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -69,7 +73,9 @@ func BenchmarkSessionApply(b *testing.B) {
 			// them the CheckInterval fallback had to start (0 = every stop
 			// was event-driven).
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
-			b.ReportMetric(float64(s.Result().Master.Counter("master.wave.timer")-timer)/float64(b.N), "timer-waves/op")
+			b.ReportMetric(perOp("master.wave.timer"), "timer-waves/op")
+			b.ReportMetric(perOp("delta.edges.read"), "edges-read/op")
+			b.ReportMetric(perOp("delta.border.rows"), "border-rows/op")
 		})
 	}
 }

@@ -507,7 +507,8 @@ func TestSessionApplyAfterClose(t *testing.T) {
 
 // TestSessionMetrics checks the session observability counters surface
 // through the master's snapshot: engine.epoch per parked fixpoint,
-// delta.reseed.keys and delete.invalidate.keys per Apply.
+// delta.reseed.keys and delete.invalidate.keys per Apply, and what the
+// delta step read to find them.
 func TestSessionMetrics(t *testing.T) {
 	p := sessionProgs[0]
 	g := p.g()
@@ -545,6 +546,37 @@ func TestSessionMetrics(t *testing.T) {
 	}
 	if c["delete.invalidate.keys"] == 0 {
 		t.Error("delete.invalidate.keys = 0 after deleting a shortest-path edge")
+	}
+	if c["delta.border.rows"] == 0 || c["delta.edges.read"] < c["delta.border.rows"] {
+		t.Errorf("delta.border.rows = %d, delta.edges.read = %d after an erasing delete",
+			c["delta.border.rows"], c["delta.edges.read"])
+	}
+	if c["delta.index.rebuilds"] != 1 {
+		t.Errorf("delta.index.rebuilds = %d after the first erasing delete, want 1", c["delta.index.rebuilds"])
+	}
+}
+
+// TestSessionLogCopiesBatch: the replay log must not alias the caller's
+// batch. A streaming client refills one pair of buffers per Apply; the
+// tail a restore replays has to hold what was applied.
+func TestSessionLogCopiesBatch(t *testing.T) {
+	p := sessionProgs[0]
+	s, err := Open(compilePlan(t, p.src, p.db(p.g())), sessCfg(MRASync))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ins := []graph.Edge{{Src: 0, Dst: 7, W: 3}}
+	del := []graph.Edge{{Src: 0, Dst: 7}}
+	want := [2]graph.Edge{ins[0], del[0]}
+	if _, err := s.Apply(Mutation{Inserts: ins, Deletes: del}); err != nil {
+		t.Fatal(err)
+	}
+	ins[0], del[0] = graph.Edge{Src: 5, Dst: 6, W: 9}, graph.Edge{Src: 1, Dst: 2}
+	got := s.Log().Since(0)
+	if len(got) != 1 || len(got[0].Mut.Inserts) != 1 || len(got[0].Mut.Deletes) != 1 ||
+		got[0].Mut.Inserts[0] != want[0] || got[0].Mut.Deletes[0] != want[1] {
+		t.Fatalf("log holds %+v after the caller refilled its buffers, want insert %v delete %v", got, want[0], want[1])
 	}
 }
 

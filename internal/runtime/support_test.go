@@ -460,3 +460,62 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 	}
 	expectSameFixpoint(t, "insert", res.Values, map[int64]float64{0: 10, 1: 1, 2: 1, 3: 1}, inf, 0)
 }
+
+// TestDeltaWorkFollowsBatch: on R-MAT 2^16 / 700 k edges a 10-edge delete
+// batch reads a fraction of the graph — the boundary scan it replaced
+// read every edge before anything else — and a session that only inserts
+// never builds the in-edge index.
+func TestDeltaWorkFollowsBatch(t *testing.T) {
+	g := gen.RMAT(16, 700000, 100, 27)
+	edges, n := g.Edges(), g.NumVertices()
+	cfg := sessCfg(MRASyncAsync)
+	cfg.Workers = 2
+	s, err := Open(compilePlan(t, progs.SSSP, edgeDB("edge")(g)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := rand.New(rand.NewSource(27))
+	counter := func(res *Result, name string) uint64 { return res.Master.Counters[name] }
+
+	var last *Result
+	for b := 0; b < 20; b++ {
+		var mut Mutation
+		for i := 0; i < 10; i++ {
+			mut.Inserts = append(mut.Inserts, graph.Edge{Src: int32(r.Intn(n)), Dst: int32(r.Intn(n)), W: 1 + 99*r.Float64()})
+		}
+		if last, err = s.Apply(mut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counter(last, "delta.index.rebuilds"); got != 0 {
+		t.Errorf("delta.index.rebuilds = %d after 20 insert-only batches, want 0", got)
+	}
+
+	// Half the deletes are edges of the shortest-path tree, so the batch
+	// is sure to erase keys; the other half are drawn from all edges.
+	var mut Mutation
+	for len(mut.Deletes) < 10 {
+		e := edges[r.Intn(len(edges))]
+		d, ok := last.Values[int64(e.Src)]
+		if len(mut.Deletes) >= 5 || (ok && d+e.W == last.Values[int64(e.Dst)]) {
+			mut.Deletes = append(mut.Deletes, graph.Edge{Src: e.Src, Dst: e.Dst})
+		}
+	}
+	res, err := s.Apply(mut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := counter(res, "delta.edges.read") - counter(last, "delta.edges.read")
+	t.Logf("10 deletes of %d edges: %d keys erased, %d border rows, %d edges read",
+		len(edges), counter(res, "delete.invalidate.keys"), counter(res, "delta.border.rows")-counter(last, "delta.border.rows"), read)
+	if counter(res, "delete.invalidate.keys") == 0 {
+		t.Fatal("the delete batch erased nothing: it measures no boundary")
+	}
+	if read == 0 || read >= uint64(len(edges))/4 {
+		t.Errorf("delta.edges.read = %d for a 10-edge delete batch on %d edges, want under a quarter", read, len(edges))
+	}
+	if got := counter(res, "delta.index.rebuilds"); got != 1 {
+		t.Errorf("delta.index.rebuilds = %d after the first erasing batch, want 1", got)
+	}
+}
