@@ -5,8 +5,9 @@
 #   lint               the repo-local analyzers of internal/lint (cmd/plvet);
 #                      `go test ./internal/lint` runs the same checks
 #   test-cpu1          the whole suite at one core (its own CI step)
-#   test-scan          compute-pass, bucket-scheduler and session-oracle
-#                      tests (DESIGN.md §9, §5b, §10) at 1, 2 and 4 procs
+#   test-scan          compute-pass, bucket-scheduler, session-oracle and
+#                      stop-path tests (DESIGN.md §9, §5b, §10) at 1, 2 and
+#                      4 procs
 #   test-term          the termination detector's tests (internal/term and
 #                      the runtime's), five times at 1, 2 and 4 procs
 #   test-names         fails when a name in either -run list above selects
@@ -41,7 +42,7 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch
+SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
 TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence
 TERM_PKGS = ./internal/term ./internal/runtime

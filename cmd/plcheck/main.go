@@ -60,6 +60,8 @@ func checkOne(src string, doRewrite bool) {
 	}
 	rep := prog.Check()
 	fmt.Print(rep)
+	// What the text alone decides about F' (DESIGN.md "Program facts").
+	fmt.Print("facts:\n", prog.Facts())
 	if emitSMT {
 		if text, err := prog.SMTLIB(); err == nil {
 			fmt.Println("-- SMT-LIB 2 (paper Figure 4 encoding) --")
@@ -75,13 +77,6 @@ func checkOne(src string, doRewrite bool) {
 		}
 		fmt.Println("-- incremental form --")
 		fmt.Print(text)
-		// Which loop propagates F' (DESIGN.md §9): the kernel class and
-		// the residual evaluated per edge over the per-row hoists.
-		if class, residual, err := prog.Kernel(); err == nil {
-			fmt.Printf("kernel: %s, per edge: %s\n", class, residual)
-		} else {
-			fmt.Printf("kernel: none (%v)\n", err)
-		}
 	}
 }
 

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -154,11 +155,10 @@ func joinPredicate(src string) (string, *analyzer.Info, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	name, err := info.JoinPredicate()
-	if err != nil {
-		return "", nil, err
+	if info.Facts.Shape == nil {
+		return "", nil, errors.New(info.Facts.ShapeErr)
 	}
-	return name, info, nil
+	return info.Facts.Shape.Join.Name, info, nil
 }
 
 func printTop(res *powerlog.Result, n int) {

@@ -32,11 +32,13 @@ type Info struct {
 
 	InitRules    []*ast.Rule // non-recursive rules for HeadName (X⁰ / ΔX¹ sources)
 	DerivedRules []*ast.Rule // non-recursive aggregate rules for other predicates (e.g. degree)
-	Facts        []*ast.Rule // ground facts
+	GroundFacts  []*ast.Rule // ground facts
 	OtherRules   []*ast.Rule // remaining non-recursive rules (plain EDB views)
 
 	Termination *ast.Termination // user-level ε clause, if any
 	Constraints []smt.Constraint // harvested variable domain facts
+
+	Facts *Facts // what the text alone decides about F' (facts.go)
 }
 
 // RecInfo describes the recursive body of the recursive aggregate rule.
@@ -128,6 +130,7 @@ func Analyze(prog *ast.Program) (*Info, error) {
 	}
 	classifyRules(info, prog, rec)
 	harvestConstraints(info)
+	decide(info)
 	return info, nil
 }
 
@@ -256,19 +259,7 @@ func analyzeRecBody(info *Info, rec *ast.Rule, body *ast.Body) (*RecInfo, error)
 	if err != nil {
 		return nil, errf(rec, "%v", err)
 	}
-	ri.F = f
-
-	// Split an additive constant out of F for combining aggregates:
-	// F = F' + C_rec with F' linear in the recursive value variable.
-	ri.FPrime = f
-	if op := agg.ByKind(info.Agg); !op.Selective() {
-		if a, b, ok := expr.AffineIn(f, ri.ValueVar); ok {
-			if bs := expr.Simplify(b); bs.Kind != expr.KNum || bs.Val != 0 {
-				ri.FPrime = expr.Simplify(expr.Mul(a, expr.Var(ri.ValueVar)))
-				ri.CRec = bs
-			}
-		}
-	}
+	ri.F, ri.FPrime = f, f // decide splits C out of F' where it may
 	return ri, nil
 }
 
@@ -328,7 +319,7 @@ func classifyRules(info *Info, prog *ast.Program, rec *ast.Rule) {
 		}
 		switch {
 		case len(r.Bodies) == 0:
-			info.Facts = append(info.Facts, r)
+			info.GroundFacts = append(info.GroundFacts, r)
 		case r.Head.Name == info.HeadName:
 			info.InitRules = append(info.InitRules, r)
 		default:
@@ -347,9 +338,6 @@ func classifyRules(info *Info, prog *ast.Program, rec *ast.Rule) {
 // relation (e.g. degree) is strictly positive — the paper's
 // "(assert (> d 0))" preamble for PageRank.
 func harvestConstraints(info *Info) {
-	if info.Rec == nil {
-		return
-	}
 	for _, c := range info.Rec.Compares {
 		v, bound, rel, ok := varConstCompare(c)
 		if !ok {
@@ -372,44 +360,6 @@ func harvestConstraints(info *Info) {
 			info.Constraints = append(info.Constraints, smt.Constraint{Var: t.Var, Rel: smt.Gt, Bound: 0})
 		}
 	}
-}
-
-// JoinPredicate returns the name of the recursive body's edge-like
-// predicate: the one that binds a recursive key variable to the
-// propagated head key variable. The compiler registers the propagation
-// graph under this name; CLIs use it to know where to load a graph.
-func (info *Info) JoinPredicate() (string, error) {
-	recKeys := map[string]bool{}
-	for _, v := range info.Rec.RecKeyVars {
-		recKeys[v] = true
-	}
-	propagated := ""
-	for _, v := range info.KeyVars {
-		if !recKeys[v] {
-			propagated = v
-		}
-	}
-	if propagated == "" {
-		return "", &Error{Rule: info.HeadName, Msg: "no propagated head key"}
-	}
-	for _, p := range info.Rec.Aux {
-		hasRec, hasHead := false, false
-		for _, t := range p.Args {
-			if t.Kind != ast.TermVar {
-				continue
-			}
-			if recKeys[t.Var] {
-				hasRec = true
-			}
-			if t.Var == propagated {
-				hasHead = true
-			}
-		}
-		if hasRec && hasHead {
-			return p.Name, nil
-		}
-	}
-	return "", &Error{Rule: info.HeadName, Msg: "no predicate joins a recursive key to the head key"}
 }
 
 // varConstCompare matches atoms of the form "v op num" or "num op v".

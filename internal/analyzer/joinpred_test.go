@@ -31,12 +31,11 @@ func TestJoinPredicateCatalogue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := info.JoinPredicate()
-		if err != nil {
-			t.Errorf("%s: %v", info.HeadName, err)
+		if info.Facts.Shape == nil {
+			t.Errorf("%s: %s", info.HeadName, info.Facts.ShapeErr)
 			continue
 		}
-		if got != wantName {
+		if got := info.Facts.Shape.Join.Name; got != wantName {
 			t.Errorf("%s: join predicate = %q, want %q", info.HeadName, got, wantName)
 		}
 	}
@@ -55,7 +54,7 @@ a(Y,min[v1]) :- a(X,v), attr(X,q), v1 = v + q, Y = 1.
 	if err != nil {
 		t.Skip("analysis already rejects this shape") // either outcome is fine
 	}
-	if _, err := info.JoinPredicate(); err == nil {
+	if info.Facts.Shape != nil || info.Facts.ShapeErr == "" {
 		t.Error("expected join-predicate detection to fail")
 	}
 }

@@ -139,23 +139,18 @@ func checkProperty1(k agg.Kind) smt.Result {
 // checkProperty2 verifies G∘F'∘G(X) = G∘F'(X) with the paper's four-input
 // template (Figure 4). For the selective aggregates min and max it first
 // tries the monotone-distribution lemma — an affine F' with a provably
-// non-negative coefficient distributes over min/max — falling back to the
-// generic case-split template.
+// non-negative coefficient (analyzer.Facts) distributes over min/max —
+// falling back to the generic case-split template.
 func checkProperty2(info *analyzer.Info) smt.Result {
 	valueVar := info.Rec.ValueVar
 	fp := info.Rec.FPrime
 	f := func(x *expr.Expr) *expr.Expr { return fp.Subst(valueVar, x) }
 
-	if op := agg.ByKind(info.Agg); op.Selective() {
-		if a, _, ok := expr.AffineIn(fp, valueVar); ok {
-			sign := smt.SignOf(expr.Simplify(a), info.Constraints)
-			if sign.NonNegative() {
-				return smt.Result{
-					Verdict: smt.Valid,
-					Reason: fmt.Sprintf("monotone-distribution lemma: F' affine in %s with coefficient %s (sign %s) distributes over %s",
-						valueVar, expr.Simplify(a), sign, info.Agg),
-				}
-			}
+	if ft := info.Facts; ft.Selective && ft.Affine && ft.SignA.NonNegative() {
+		return smt.Result{
+			Verdict: smt.Valid,
+			Reason: fmt.Sprintf("monotone-distribution lemma: F' affine in %s with coefficient %s (sign %s) distributes over %s",
+				valueVar, ft.A, ft.SignA, info.Agg),
 		}
 	}
 

@@ -40,10 +40,10 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	if err := evalFacts(info, db); err != nil {
 		return nil, err
 	}
-	shape, err := recShape(info)
-	if err != nil {
-		return nil, err
+	if info.Facts.Shape == nil {
+		return nil, errf("%s", info.Facts.ShapeErr)
 	}
+	shape := &bodyShape{Shape: info.Facts.Shape}
 	if err := shape.bindGraph(db); err != nil {
 		return nil, err
 	}
@@ -54,24 +54,16 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	// Record which supporting relations the compiler materialises (vs.
 	// relations the database already provided): those are the ones a
 	// base-fact mutation must re-derive, because they may read the graph.
-	materialised := func(heads []string) []string {
-		var out []string
-		for _, h := range heads {
-			if !db.HasPred(h) {
-				out = append(out, h)
+	materialised := func(rules []*ast.Rule) (heads []string) {
+		for _, r := range rules {
+			if !db.HasPred(r.Head.Name) {
+				heads = append(heads, r.Head.Name)
 			}
 		}
-		return out
+		return heads
 	}
-	var otherHeads, derivedHeads []string
-	for _, r := range info.OtherRules {
-		otherHeads = append(otherHeads, r.Head.Name)
-	}
-	for _, r := range info.DerivedRules {
-		derivedHeads = append(derivedHeads, r.Head.Name)
-	}
-	shape.otherHeads = materialised(otherHeads)
-	shape.derivedHeads = materialised(derivedHeads)
+	shape.otherHeads = materialised(info.OtherRules)
+	shape.derivedHeads = materialised(info.DerivedRules)
 
 	if err := evalOtherRules(info, db); err != nil {
 		return nil, err
@@ -83,9 +75,6 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	p.shape = shape
-	if p.Op.Selective() {
-		shape.closure = proveClosure(info)
-	}
 
 	if err := compilePropagation(p, shape); err != nil {
 		return nil, err
@@ -101,21 +90,22 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	if info.Termination != nil {
 		p.Termination.Epsilon = info.Termination.Threshold
 	}
-	p.Kernel.bindStep(p.Op, info.Rec.ValueVar, p.Termination.Fixpoint())
+	if info.Facts.Schedule.Kind == analyzer.SchedBucket {
+		p.Kernel.bindStep(p.Op.Kind() == agg.Max, shape.base)
+	}
 	return p, nil
 }
 
-// bodyShape is the resolved propagation structure of the recursive body.
+// bodyShape is the program's propagation structure (analyzer.Shape)
+// bound to a database.
 type bodyShape struct {
-	g    *graph.Graph
-	join *ast.Pred // the resolved join predicate occurrence
+	*analyzer.Shape
+	g *graph.Graph
 
 	// base is the graph as registered in the database; g == base unless
-	// the body is an in-neighbor formulation, in which case g is a
-	// transposed copy and reversed is true. A session mutation must be
-	// applied to both.
-	base     *graph.Graph
-	reversed bool
+	// the body is an in-neighbor formulation (Reversed), in which case g
+	// is a transposed copy. A session mutation must be applied to both.
+	base *graph.Graph
 
 	// otherHeads/derivedHeads name the supporting relations the compiler
 	// materialised (view rules and aggregate views such as PageRank's
@@ -124,18 +114,8 @@ type bodyShape struct {
 	otherHeads   []string
 	derivedHeads []string
 
-	// passIdx maps pair-key position 0 (hi) pass-through: for pair-keyed
-	// plans, the index in RecKeyVars that flows through unchanged.
-	// Single-key plans propagate their only key.
-	srcVar string // the rec key var that joins the edge's source side
-	dstVar string // the head key var bound by the edge's destination side
-
-	weightVar string // edge-weight variable, "" if none
-
 	srcAttrs []attrCol // columns read at the propagation source
 	dstAttrs []attrCol // columns read at the destination
-
-	closure closureProof // selective plans: may a mutation delete? (delta.go)
 }
 
 type attrCol struct {
@@ -144,130 +124,15 @@ type attrCol struct {
 	col     []float64
 }
 
-// recShape resolves the propagation structure from the program text
-// alone: the join (edge) predicate of the recursive body, its
-// orientation, the weight variable, and which side each attribute
-// predicate is keyed by. Nothing is bound to a database yet.
-func recShape(info *analyzer.Info) (*bodyShape, error) {
-	rec := info.Rec
-	shape := &bodyShape{}
-
-	// The propagated head key var: the head key not present in rec keys.
-	recKeySet := map[string]bool{}
-	for _, v := range rec.RecKeyVars {
-		recKeySet[v] = true
-	}
-	var propagated string
-	for _, v := range info.KeyVars {
-		if !recKeySet[v] {
-			if propagated != "" {
-				return nil, errf("more than one propagated key (%s and %s)", propagated, v)
-			}
-			propagated = v
-		}
-	}
-	if propagated == "" {
-		return nil, errf("head keys %v all pass through; no propagation structure", info.KeyVars)
-	}
-	if len(info.KeyVars) == 2 && info.KeyVars[1] != propagated {
-		return nil, errf("pair-keyed plans must propagate on the second key; head keys %v propagate %s", info.KeyVars, propagated)
-	}
-	shape.dstVar = propagated
-
-	// Find the join predicate: mentions the propagated var and a rec key.
-	var join *ast.Pred
-	for _, p := range rec.Aux {
-		hasProp, recVar := false, ""
-		for _, t := range p.Args {
-			if t.Kind != ast.TermVar {
-				continue
-			}
-			if t.Var == propagated {
-				hasProp = true
-			}
-			if recKeySet[t.Var] {
-				recVar = t.Var
-			}
-		}
-		if hasProp && recVar != "" {
-			if join != nil {
-				return nil, errf("ambiguous join: both %s and %s connect the keys", join.Name, p.Name)
-			}
-			join = p
-			shape.srcVar = recVar
-		}
-	}
-	if join == nil {
-		return nil, errf("no predicate joins a recursive key to head key %s", propagated)
-	}
-
-	// Orientation: arg positions of src and dst vars.
-	srcPos, dstPos := -1, -1
-	for i, t := range join.Args {
-		if t.Kind != ast.TermVar {
-			continue
-		}
-		switch t.Var {
-		case shape.srcVar:
-			srcPos = i
-		case shape.dstVar:
-			dstPos = i
-		default:
-			if i >= 2 && shape.weightVar == "" {
-				shape.weightVar = t.Var
-			}
-		}
-	}
-	switch {
-	case srcPos == 0 && dstPos == 1:
-	case srcPos == 1 && dstPos == 0:
-		shape.reversed = true // in-neighbor formulation
-	default:
-		return nil, errf("join predicate %s must bind keys in its first two arguments", join.Name)
-	}
-	if len(join.Args) >= 3 && shape.weightVar == "" {
-		if t := join.Args[2]; t.Kind == ast.TermVar {
-			shape.weightVar = t.Var
-		}
-	}
-	shape.join = join
-
-	// The remaining aux predicates are attributes: binary-style preds
-	// keyed by the propagation source or destination.
-	for _, p := range rec.Aux {
-		if p == join {
-			continue
-		}
-		if len(p.Args) < 2 {
-			return nil, errf("attribute predicate %s needs (key, value) arguments", p.Name)
-		}
-		keyT, valT := p.Args[0], p.Args[1]
-		if keyT.Kind != ast.TermVar || valT.Kind != ast.TermVar {
-			return nil, errf("attribute predicate %s must bind plain variables", p.Name)
-		}
-		ac := attrCol{varName: valT.Var, pred: p.Name}
-		switch keyT.Var {
-		case shape.srcVar:
-			shape.srcAttrs = append(shape.srcAttrs, ac)
-		case shape.dstVar:
-			shape.dstAttrs = append(shape.dstAttrs, ac)
-		default:
-			return nil, errf("attribute predicate %s keyed by %s, which is neither the propagation source %s nor destination %s",
-				p.Name, keyT.Var, shape.srcVar, shape.dstVar)
-		}
-	}
-	return shape, nil
-}
-
 // bindGraph finds the join predicate's graph in the database and orients
 // it: an in-neighbor formulation propagates over a transposed copy.
 func (shape *bodyShape) bindGraph(db *edb.DB) error {
-	g, ok := db.Graph(shape.join.Name)
+	g, ok := db.Graph(shape.Join.Name)
 	if !ok {
-		return errf("join predicate %q is not registered as a graph", shape.join.Name)
+		return errf("join predicate %q is not registered as a graph", shape.Join.Name)
 	}
 	shape.base, shape.g = g, g
-	if shape.reversed {
+	if shape.Reversed {
 		shape.g = g.Reverse()
 	}
 	return nil
@@ -277,14 +142,16 @@ func (shape *bodyShape) bindGraph(db *edb.DB) error {
 // rules have been evaluated, since a column may be one of their heads
 // (PageRank's degree).
 func (shape *bodyShape) bindAttrs(db *edb.DB) error {
-	n := shape.g.NumVertices()
-	for _, attrs := range [][]attrCol{shape.srcAttrs, shape.dstAttrs} {
-		for i := range attrs {
-			col, err := db.VertexColumn(attrs[i].pred, n, 0)
+	for _, side := range []struct {
+		attrs []analyzer.Attr
+		cols  *[]attrCol
+	}{{shape.SrcAttrs, &shape.srcAttrs}, {shape.DstAttrs, &shape.dstAttrs}} {
+		for _, a := range side.attrs {
+			col, err := db.VertexColumn(a.Pred, shape.g.NumVertices(), 0)
 			if err != nil {
 				return err
 			}
-			attrs[i].col = col
+			*side.cols = append(*side.cols, attrCol{a.Var, a.Pred, col})
 		}
 	}
 	return nil
@@ -298,13 +165,9 @@ type colSlot struct {
 
 // propLayout is the scratch-slot layout of the compiled propagation
 // expressions: slot 0 is the propagated value, then the edge weight,
-// then the source- and destination-keyed attribute columns. edgeVars
-// are the variables that change from edge to edge along a row: the
-// weight and the destination attributes.
+// then the source- and destination-keyed attribute columns.
 type propLayout struct {
 	slots            map[string]int
-	edgeVars         map[string]bool
-	weightVar        string // "" if the body binds none
 	weightSlot       int
 	srcCols, dstCols []colSlot
 	nslots           int
@@ -314,13 +177,11 @@ type propLayout struct {
 // returned colSlots reference the live column slices in shape, so a
 // kernel built over them reads whatever the columns hold at call time.
 func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
-	lay := propLayout{slots: map[string]int{rec.ValueVar: 0}, edgeVars: map[string]bool{},
-		weightVar: shape.weightVar, weightSlot: -1}
+	lay := propLayout{slots: map[string]int{rec.ValueVar: 0}, weightSlot: -1}
 	next := 1
-	if shape.weightVar != "" {
+	if shape.WeightVar != "" {
 		lay.weightSlot = next
-		lay.slots[shape.weightVar] = next
-		lay.edgeVars[shape.weightVar] = true
+		lay.slots[shape.WeightVar] = next
 		next++
 	}
 	for _, a := range shape.srcAttrs {
@@ -330,7 +191,6 @@ func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
 	}
 	for _, a := range shape.dstAttrs {
 		lay.slots[a.varName] = next
-		lay.edgeVars[a.varName] = true
 		lay.dstCols = append(lay.dstCols, colSlot{next, a.col})
 		next++
 	}
@@ -338,19 +198,9 @@ func layoutSlots(rec *analyzer.RecInfo, shape *bodyShape) propLayout {
 	return lay
 }
 
-// Describe reports how the program's F' will be evaluated along a row —
-// its kernel class and hoisted residual — from the program text alone.
-func Describe(info *analyzer.Info) (KernelDesc, error) {
-	shape, err := recShape(info)
-	if err != nil {
-		return KernelDesc{}, err
-	}
-	return describe(info.Rec.FPrime, layoutSlots(info.Rec, shape)), nil
-}
-
 // compilePropagation builds the plan's two kernels — F' for the MRA
-// modes, the un-split F for naive evaluation — and their per-edge
-// adapters.
+// modes, the un-split F for naive evaluation — as the program's facts
+// describe them, and their per-edge adapters.
 func compilePropagation(p *Plan, shape *bodyShape) error {
 	rec := p.Info.Rec
 	lay := layoutSlots(rec, shape)
@@ -363,10 +213,10 @@ func compilePropagation(p *Plan, shape *bodyShape) error {
 	}
 
 	var err error
-	if p.Kernel, err = newKernel(describe(rec.FPrime, lay), p.Graph, lay, p.PairKeys); err != nil {
+	if p.Kernel, err = newKernel(p.Info.Facts.Kernel, p.Graph, lay, p.PairKeys); err != nil {
 		return err
 	}
-	if p.FullKernel, err = newKernel(describe(rec.F, lay), p.Graph, lay, p.PairKeys); err != nil {
+	if p.FullKernel, err = newKernel(shape.Describe(rec.F), p.Graph, lay, p.PairKeys); err != nil {
 		return err
 	}
 	n := max(p.Kernel.scratchLen(), p.FullKernel.scratchLen())

@@ -77,7 +77,7 @@ func TestCompileSSSP(t *testing.T) {
 	if got[2] != 6 {
 		t.Errorf("propagate from 1 = %v", got)
 	}
-	if !p.Termination.Fixpoint() {
+	if p.Termination.Epsilon != 0 {
 		t.Error("SSSP should be a fixpoint program")
 	}
 }
@@ -366,7 +366,7 @@ const bottleneck = `
 r1. d(X,v) :- X=0, v=10.
 r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 
-func TestProveClosure(t *testing.T) {
+func TestDeleteLicence(t *testing.T) {
 	analyse := func(src string) *analyzer.Info {
 		prog, err := parser.Parse(src)
 		if err != nil {
@@ -380,23 +380,23 @@ func TestProveClosure(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name, src string
-		want      closureProof
+		want      string
 	}{
-		{"SSSP", progs.SSSP, closureStrict},
-		{"CC", progs.CC, closureStrict},
-		{"LCA", progs.LCA, closureStrict},
-		{"APSP", progs.APSP, closureStrict},
-		{"Viterbi", progs.Viterbi, closureDiscount}, // w >= 0 admits 0: not strict
-		{"bottleneck", bottleneck, closureUnproven},
+		{"SSSP", progs.SSSP, analyzer.DeleteStrict},
+		{"CC", progs.CC, analyzer.DeleteStrict},
+		{"LCA", progs.LCA, analyzer.DeleteStrict},
+		{"APSP", progs.APSP, analyzer.DeleteStrict},
+		{"Viterbi", progs.Viterbi, analyzer.DeleteDiscount}, // w >= 0 admits 0: not strict
+		{"bottleneck", bottleneck, analyzer.DeleteRefused},
 		{"max-discount-unbounded", `
 r1. p(X,v) :- X=0, v=1.
-r2. p(Y,max[v1]) :- p(X,v), edge(X,Y,w), v1 = v * w, w >= 0.`, closureUnproven},
+r2. p(Y,max[v1]) :- p(X,v), edge(X,Y,w), v1 = v * w, w >= 0.`, analyzer.DeleteRefused},
 		{"min-discount", `
 r1. p(X,v) :- X=0, v=1.
-r2. p(Y,min[v1]) :- p(X,v), edge(X,Y,w), v1 = v * w, w >= 0, w <= 1.`, closureUnproven},
+r2. p(Y,min[v1]) :- p(X,v), edge(X,Y,w), v1 = v * w, w >= 0, w <= 1.`, analyzer.DeleteRefused},
 	} {
-		if got := proveClosure(analyse(c.src)); got != c.want {
-			t.Errorf("%s: proveClosure = %d, want %d", c.name, got, c.want)
+		if got := analyse(c.src).Facts.Deletes; got.Kind != c.want {
+			t.Errorf("%s: deletes %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -6,9 +6,7 @@ import (
 
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
-	"powerlog/internal/expr"
 	"powerlog/internal/graph"
-	"powerlog/internal/smt"
 )
 
 // Mutation is a batch of base-fact changes against the plan's join
@@ -258,8 +256,8 @@ func (p *Plan) lo(key int64) int64 {
 //     from the new ΔX¹ and a boundary pass: each surviving key with an
 //     edge into the closure re-propagates its accumulation over the new
 //     graph. Over-folding surviving values is again idempotent. The
-//     argument needs more of F' than monotonicity (closureProof below);
-//     a program Compile could not prove it for has every batch that can
+//     argument needs more of F' than monotonicity (the delete licence of
+//     analyzer.Facts); a program without one has every batch that can
 //     remove or weaken an input refused, untouched.
 //
 // The work follows the batch, not the graph: rows are found through sets
@@ -271,9 +269,6 @@ func (p *Plan) lo(key int64) int64 {
 // compiled closures captured.
 func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	shape := p.shape
-	if shape == nil {
-		return nil, errf("plan has no retained body shape; was it produced by Compile?")
-	}
 	n := int32(p.N)
 	for _, set := range []struct {
 		what  string
@@ -298,7 +293,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 
 	// Orient the mutation the way the propagation graph is oriented.
 	orient := func(edges []graph.Edge) []graph.Edge {
-		if !shape.reversed {
+		if !shape.Reversed {
 			return edges
 		}
 		out := make([]graph.Edge, len(edges))
@@ -375,15 +370,15 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	if p.PairKeys {
 		sup.dead = map[int64]struct{}{}
 	}
-	if selective {
-		// Inputs are only removed or weakened by a delete or by a relation
-		// the batch re-derives; inserts alone fold better values. Refuse
-		// before anything is changed.
-		if len(oDel) > 0 || len(shape.otherHeads)+len(shape.derivedHeads) > 0 {
-			if err := p.closureSound(); err != nil {
-				return nil, err
-			}
+	// A selective aggregate's inputs are only removed or weakened by a
+	// delete or by a relation the batch re-derives; inserts alone fold
+	// better values. Refuse before anything is changed.
+	if !selective || len(oDel) > 0 || len(shape.otherHeads)+len(shape.derivedHeads) > 0 {
+		if err := p.deleteSound(); err != nil {
+			return nil, err
 		}
+	}
+	if selective {
 		// Roots: a deleted edge whose candidate its target's value does
 		// not beat. An absent or losing edge roots nothing. A source row's
 		// targets are tested against that row's run of the sorted deletes.
@@ -417,10 +412,10 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 
 	// 1. Mutate the base graph (and the transposed twin when the body is
 	// an in-neighbor formulation) in place; a join reads it where it lies.
-	if err := p.DB.MutateGraph(shape.join.Name, mut.Inserts, mut.Deletes); err != nil {
+	if err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes); err != nil {
 		return nil, err
 	}
-	if shape.reversed {
+	if shape.Reversed {
 		if err := p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
 			return nil, err
 		}
@@ -649,65 +644,21 @@ func (s *support) grow() {
 	}
 }
 
-// closureProof is what Compile could prove about F' on the support
-// closure's behalf (DESIGN.md §10). The closure judges a key by the
-// value it ended with, so every best derivation has to run through best
-// values. F' = min(v,w) breaks that: a key can owe its value to a worse
-// value of its own that went round a cycle, and the deleted edge that
-// fed the worse value no longer looks like a supporter.
-type closureProof int
-
-const (
-	closureUnproven closureProof = iota
-	// closureStrict: F' is strictly increasing in the recursive value, so
-	// a derivation through a worse intermediate value ends strictly worse.
-	closureStrict
-	// closureDiscount: max over F' = a·v with 0 ≤ a ≤ 1 never improves on a
-	// value ≥ 0 and keeps it ≥ 0, so values only fall along a derivation
-	// (Viterbi, zero-probability transitions included). Holds while every
-	// ΔX¹ value is ≥ 0, which closureSound checks.
-	closureDiscount
-)
-
-// proveClosure classifies F' under the program's asserted variable
-// domains, which it trusts the way the MRA check does.
-func proveClosure(info *analyzer.Info) closureProof {
-	a, b, ok := expr.AffineIn(info.Rec.FPrime, info.Rec.ValueVar)
-	if !ok {
-		return closureUnproven
-	}
-	a, b = expr.Simplify(a), expr.Simplify(b)
-	sign := smt.SignOf(a, info.Constraints)
-	if sign == smt.SignPos {
-		return closureStrict
-	}
-	one := expr.Num(1)
-	if info.Agg == agg.Max && b.Kind == expr.KNum && b.Val == 0 && sign.NonNegative() &&
-		smt.ProveEq(expr.Call("max", a, one), one, info.Constraints).Verdict == smt.Valid {
-		return closureDiscount
-	}
-	return closureUnproven
-}
-
-// closureSound reports why a selective plan must not lose inputs: the
-// support closure would be unsound for its F'.
-func (p *Plan) closureSound() error {
-	rec := p.Info.Rec
-	switch p.shape.closure {
-	case closureStrict:
-		return nil
-	case closureDiscount:
+// deleteSound reports why the plan must not lose inputs: the program's
+// delete licence (analyzer.Facts) is refused, or owes the data a premise
+// that ΔX¹ as it stands does not meet.
+func (p *Plan) deleteSound() error {
+	switch lic := p.Info.Facts.Deletes; lic.Kind {
+	case analyzer.DeleteRefused:
+		return errf("cannot delete (or re-derive a relation the program reads) incrementally: deletes %s; run afresh on the mutated graph", lic)
+	case analyzer.DeleteDiscount:
 		for _, kv := range p.InitMRA {
 			if kv.V < 0 {
-				return errf("cannot delete incrementally: F' = %s is only known not to improve on values >= 0, and key %d starts at %v",
-					rec.FPrime, kv.K, kv.V)
+				return errf("cannot delete incrementally: deletes %s, and key %d starts at %v", lic, kv.K, kv.V)
 			}
 		}
-		return nil
-	default:
-		return errf("cannot delete (or re-derive a relation the program reads) incrementally: that needs F' = %s strictly increasing in %s, or never improving on it, and neither could be proved (DESIGN.md §10); run afresh on the mutated graph",
-			rec.FPrime, rec.ValueVar)
 	}
+	return nil
 }
 
 // diffInits walks two ΔX¹ lists in step (both in kvList's key order)

@@ -46,7 +46,7 @@ func oracleApplyMutation(p *Plan, mut Mutation, tbl AccTable) (*Refixpoint, erro
 
 	// Orient the mutation the way the propagation graph is oriented.
 	orient := func(edges []graph.Edge) []graph.Edge {
-		if !shape.reversed {
+		if !shape.Reversed {
 			return edges
 		}
 		out := make([]graph.Edge, len(edges))
@@ -121,7 +121,7 @@ func oracleApplyMutation(p *Plan, mut Mutation, tbl AccTable) (*Refixpoint, erro
 		// the batch re-derives; inserts alone fold better values. Refuse
 		// before anything is changed.
 		if len(oDel) > 0 || len(shape.otherHeads)+len(shape.derivedHeads) > 0 {
-			if err := p.closureSound(); err != nil {
+			if err := p.deleteSound(); err != nil {
 				return nil, err
 			}
 		}
@@ -151,10 +151,10 @@ func oracleApplyMutation(p *Plan, mut Mutation, tbl AccTable) (*Refixpoint, erro
 
 	// 1. Mutate the base graph (and the transposed twin when the body is
 	// an in-neighbor formulation) in place; a join reads it where it lies.
-	if err := p.DB.MutateGraph(shape.join.Name, mut.Inserts, mut.Deletes); err != nil {
+	if err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes); err != nil {
 		return nil, err
 	}
-	if shape.reversed {
+	if shape.Reversed {
 		if err := p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
 			return nil, err
 		}

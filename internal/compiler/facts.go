@@ -14,7 +14,7 @@ func GraphFromFacts(info *analyzer.Info, pred string, n int) (*graph.Graph, erro
 	var edges []graph.Edge
 	weighted := false
 	maxID := int64(-1)
-	for _, f := range info.Facts {
+	for _, f := range info.GroundFacts {
 		if f.Head.Name != pred {
 			continue
 		}

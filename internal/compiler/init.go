@@ -17,7 +17,7 @@ import (
 // facts, which typically serve tiny self-contained example programs).
 func evalFacts(info *analyzer.Info, db *edb.DB) error {
 	byPred := map[string][]*ast.Rule{}
-	for _, f := range info.Facts {
+	for _, f := range info.GroundFacts {
 		byPred[f.Head.Name] = append(byPred[f.Head.Name], f)
 	}
 	for name, facts := range byPred {
@@ -302,7 +302,7 @@ func addEdgeConstants(p *Plan, shape *bodyShape, add func(int64, float64)) error
 		return errf("edge constant %s references unbound variables: %s", c, p.Info.Rec.ValueVar)
 	}
 	lay := layoutSlots(p.Info.Rec, shape)
-	k, err := newKernel(describe(c, lay), p.Graph, lay, false)
+	k, err := newKernel(shape.Describe(c), p.Graph, lay, false)
 	if err != nil {
 		return errf("edge constant %s references unbound variables: %v", c, err)
 	}

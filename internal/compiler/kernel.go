@@ -1,95 +1,12 @@
 package compiler
 
 import (
-	"strings"
+	"fmt"
 
-	"powerlog/internal/agg"
+	"powerlog/internal/analyzer"
 	"powerlog/internal/expr"
 	"powerlog/internal/graph"
 )
-
-// The unit of propagation is a CSR row, not an edge (DESIGN.md §9).
-// Draining key k with delta δ applies F' along k's out-edges; of F's
-// inputs only the edge weight and destination-keyed attributes change
-// from edge to edge, so everything else is evaluated once per drained
-// row and the rest — the residual — is classified by shape. A Kernel is
-// that evaluator; Plan.PropagateInto is its per-edge adapter and the
-// runtime's compute pass its row-level consumer.
-
-// Class names the shape of a propagation expression's per-edge residual.
-type Class uint8
-
-// Kernel classes. s stands for the row scalar: an operand that mentions
-// neither the edge weight nor a destination attribute.
-const (
-	Generic  Class = iota // anything else: the residual closure, once per edge
-	RowConst              // s
-	AddW                  // s + w
-	MulW                  // s · w
-)
-
-var classNames = [...]string{"generic", "rowconst", "addw", "mulw"}
-
-func (c Class) String() string { return classNames[c] }
-
-// KernelDesc says how a program's propagation expression is evaluated
-// along a row: the residual computed per edge, over the hoisted
-// subtrees computed once per drained row.
-type KernelDesc struct {
-	Class    Class
-	Residual *expr.Expr
-	Hoisted  []*expr.Expr // Hoisted[i] is the value of expr.HoistVar(i)
-
-	scalar *expr.Expr // typed classes: the row scalar's own subtree
-}
-
-// String renders the residual and, after "with", each hoisted binding.
-func (d KernelDesc) String() string {
-	var b strings.Builder
-	b.WriteString(d.Residual.String())
-	for i, h := range d.Hoisted {
-		if i == 0 {
-			b.WriteString(" with ")
-		} else {
-			b.WriteString(", ")
-		}
-		b.WriteString(expr.HoistVar(i) + " = " + h.String())
-	}
-	return b.String()
-}
-
-// describe hoists the subtrees of f that hold still along a row — they
-// mention none of the layout's edge variables — and classifies what is
-// left.
-func describe(f *expr.Expr, lay propLayout) KernelDesc {
-	var d KernelDesc
-	d.Residual, d.Hoisted = f.Hoist(func(name string) bool { return lay.edgeVars[name] })
-	scalar := func(e *expr.Expr) bool { // a leaf that holds still along the row
-		return e.Kind == expr.KNum || e.Kind == expr.KVar && !lay.edgeVars[e.Name]
-	}
-	switch r := d.Residual; {
-	case scalar(r):
-		d.Class, d.scalar = RowConst, r
-	case r.Kind == expr.KAdd || r.Kind == expr.KMul:
-		s, w := r.Args[0], r.Args[1]
-		if scalar(w) {
-			s, w = w, s // IEEE + and · commute: either order is the same loop
-		}
-		if !scalar(s) || w.Kind != expr.KVar || w.Name != lay.weightVar {
-			break
-		}
-		d.Class, d.scalar = AddW, s
-		if r.Kind == expr.KMul {
-			d.Class = MulW
-		}
-	}
-	for i, h := range d.Hoisted {
-		if d.scalar != nil && d.scalar.Kind == expr.KVar && d.scalar.Name == expr.HoistVar(i) {
-			d.scalar = h // one closure call per row, not a slot read behind a hoist
-		}
-	}
-	return d
-}
 
 // Kernel evaluates one propagation expression (F' or F) along the rows
 // of the plan's graph. It reads the live CSR and the live attribute
@@ -97,7 +14,7 @@ func describe(f *expr.Expr, lay propLayout) KernelDesc {
 // precomputed per vertex. A Kernel is immutable and safe for concurrent
 // use; callers bring one scratch (Plan.NewScratch) per goroutine.
 type Kernel struct {
-	desc KernelDesc
+	desc analyzer.KernelDesc
 	g    *graph.Graph
 	lay  propLayout
 	pair bool
@@ -112,9 +29,11 @@ type Kernel struct {
 	// hoisted subtrees take; Fill's chunk of values sits behind them.
 	nvars int
 
-	// step and stepSign: see Step. Written when the plan is compiled and
-	// by a session's mutation, which runs while no pass does.
+	// step, stepSign and stepWhy: see Step. Written when the plan is
+	// compiled and by a session's mutation, which runs while no pass does.
 	step, stepSign float64
+	stepWhy        string
+	named          *graph.Graph // the graph as the program names it: g, or what g transposes
 }
 
 type hoist struct {
@@ -123,23 +42,14 @@ type hoist struct {
 }
 
 // Desc reports the kernel's class, residual and hoisted subtrees.
-func (k *Kernel) Desc() KernelDesc { return k.desc }
+func (k *Kernel) Desc() analyzer.KernelDesc { return k.desc }
 
 // Step is the bucket width of the runtime's delta-stepping schedule
-// (DESIGN.md §5b) for the plan's F' kernel, or 0 when its premise fails.
-// The premise is Dijkstra's: F' is v + w with v the recursive value
-// itself, under a selective aggregate, and no edge improves on the value
-// it carries — every w ≥ 0 under min, every w ≤ 0 under max. Then a key
-// can only be beaten through a key that is already better, so the near
-// end of a frontier is nearly final and the far end a guess. With an
-// improving edge the best key is the one most likely to improve again,
-// and draining best-first re-relaxes everything behind it: longest path
-// on a 1 500-vertex DAG went from 238 supersteps to over 10 000.
-//
-// The plan must also stop at a fixpoint. An ε stop reads the change of
-// one round as a bound on what remains, which is true of a round that
-// folds the whole dirty set and false of one that folds its near end:
-// ε-SSSP under BSP stopped with reachable keys still held.
+// (DESIGN.md §5b) for the plan's F' kernel, or 0 when the program has no
+// bucket licence (analyzer.Facts.Schedule) or the graph as it stands
+// fails the licence's premise: no edge improves on the value it carries —
+// every w ≥ 0 under min, every w ≤ 0 under max. StepWhy then names the
+// edge.
 //
 // The width is the mean |w| — how far a value moves along a typical edge
 // — summed when the plan is compiled. A session's mutations do not move
@@ -147,32 +57,46 @@ func (k *Kernel) Desc() KernelDesc { return k.desc }
 // premise; while it is 0 each mutation reads the weights again (noteMutation).
 func (k *Kernel) Step() float64 { return k.step }
 
-// MayStep reports the half of Step's premise the program decides: whether
-// the graph's weights may ever give it a Step.
-func (k *Kernel) MayStep() bool { return k.stepSign != 0 }
+// StepWhy says which part of the bucket licence's premise the data
+// failed, while Step is 0 for a program that holds the licence.
+func (k *Kernel) StepWhy() string { return k.stepWhy }
 
-// bindStep decides MayStep from the program and Step from the graph as it
-// stands. stepSign is the sign no weight may contradict: +1, every w ≥ 0,
-// under min; −1 under max.
-func (k *Kernel) bindStep(op *agg.Op, valueVar string, fixpoint bool) {
-	s := k.desc.scalar
-	switch {
-	case !fixpoint || !op.Selective() || k.desc.Class != AddW || s.Kind != expr.KVar || s.Name != valueVar:
-		return // not a program for buckets: the graph is not read
-	case op.Kind() == agg.Max:
+// bindStep takes up the program's bucket licence and reads Step from the
+// graph as it stands. stepSign is the sign no weight may contradict: +1,
+// every w ≥ 0, under min; −1 under max.
+func (k *Kernel) bindStep(max bool, named *graph.Graph) {
+	k.stepSign, k.named = 1, named
+	if max {
 		k.stepSign = -1
-	default:
-		k.stepSign = 1
 	}
 	k.readStep()
 }
 
-// readStep is one pass over the graph's weights.
+// improves reports whether an edge of weight w breaks the premise.
+func (k *Kernel) improves(w float64) bool { return !(k.stepSign*w >= 0) }
+
+// check ends the premise on the first of edges that breaks it.
+func (k *Kernel) check(edges []graph.Edge) {
+	for _, e := range edges {
+		if k.improves(e.W) {
+			k.step, k.stepWhy = 0, fmt.Sprintf("edge %d→%d weighs %v, which improves on the value it carries", e.Src, e.Dst, e.W)
+			return
+		}
+	}
+}
+
+// readStep is one pass over the graph's weights, and another, to name
+// the edge, when they fail the premise.
 func (k *Kernel) readStep() {
-	k.step = 0
-	lo, hi, mean := k.g.WeightStats()
-	if k.stepSign*lo >= 0 && k.stepSign*hi >= 0 {
-		k.step = mean
+	lo, hi, mean := k.named.WeightStats()
+	k.step, k.stepWhy = mean, ""
+	switch {
+	case mean == 0:
+		k.stepWhy = "no edge has a non-zero weight, so there is no bucket width"
+	case k.improves(lo) || k.improves(hi):
+		if e, ok := k.named.FindEdge(k.improves); ok {
+			k.check([]graph.Edge{e})
+		}
 	}
 }
 
@@ -186,23 +110,18 @@ func (k *Kernel) noteMutation(inserts []graph.Edge) {
 	case k.stepSign == 0:
 	case k.step == 0:
 		k.readStep()
-	case k.g.Weighted():
-		for _, e := range inserts {
-			if !(k.stepSign*e.W >= 0) {
-				k.step = 0
-				return
-			}
-		}
+	case k.named.Weighted():
+		k.check(inserts)
 	}
 }
 
 // newKernel compiles an expression, evaluated as d describes it, over
 // the layout; hoisted subtrees take the scratch slots from lay.nslots on.
-func newKernel(d KernelDesc, g *graph.Graph, lay propLayout, pair bool) (*Kernel, error) {
+func newKernel(d analyzer.KernelDesc, g *graph.Graph, lay propLayout, pair bool) (*Kernel, error) {
 	k := &Kernel{desc: d, g: g, lay: lay, pair: pair, nvars: lay.nslots + len(d.Hoisted)}
 	var err error
-	if d.Class != Generic {
-		k.s, err = d.scalar.Compile(lay.slots)
+	if d.Class != analyzer.Generic {
+		k.s, err = d.Scalar.Compile(lay.slots)
 		return k, err
 	}
 	slots := make(map[string]int, len(lay.slots)+len(d.Hoisted))
@@ -284,9 +203,9 @@ func (k *Kernel) Fill(scratch []float64, r Row, lo int) []float64 {
 		weights = weights[lo : lo+n]
 	}
 	switch k.desc.Class {
-	case RowConst:
+	case analyzer.RowConst:
 		fillConst(out, r.s)
-	case AddW:
+	case analyzer.AddW:
 		if weights == nil {
 			fillConst(out, r.s+1)
 			break
@@ -294,7 +213,7 @@ func (k *Kernel) Fill(scratch []float64, r Row, lo int) []float64 {
 		for i, w := range weights {
 			out[i] = r.s + w
 		}
-	case MulW:
+	case analyzer.MulW:
 		if weights == nil {
 			fillConst(out, r.s) // s · 1 is s, bit for bit
 			break

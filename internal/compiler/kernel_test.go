@@ -23,6 +23,19 @@ import (
 // F'.Eval yields edge by edge, bit for bit and in CSR order. One
 // exception is spelled out in sameBits: a NaN's payload.
 
+// The kernel classes and their description are the analyzer's facts.
+type (
+	Class      = analyzer.Class
+	KernelDesc = analyzer.KernelDesc
+)
+
+const (
+	Generic  = analyzer.Generic
+	RowConst = analyzer.RowConst
+	AddW     = analyzer.AddW
+	MulW     = analyzer.MulW
+)
+
 // kernelFixture is one program with the database it compiles against.
 type kernelFixture struct {
 	name     string
@@ -124,9 +137,9 @@ func checkKernel(t *testing.T, p *Plan, what string) {
 				}
 				targets, weights := p.Graph.Neighbors(int32(src))
 				for i, dst := range targets {
-					env[p.shape.weightVar] = 1
+					env[p.shape.WeightVar] = 1
 					if weights != nil {
-						env[p.shape.weightVar] = weights[i]
+						env[p.shape.WeightVar] = weights[i]
 					}
 					for _, a := range p.shape.dstAttrs {
 						env[a.varName] = a.col[dst]
@@ -189,10 +202,6 @@ func TestKernelMatchesExpressionCatalogue(t *testing.T) {
 			p := compile(t, fx.src, fx.db(t, rng))
 			if got := p.Kernel.Desc().Class; got != fx.class {
 				t.Fatalf("F' = %s classified %s, want %s", p.Info.Rec.FPrime, got, fx.class)
-			}
-			info := p.Info
-			if d, err := Describe(info); err != nil || d.Class != fx.class {
-				t.Fatalf("Describe (no database) says %v, %v; the compiled plan %s", d.Class, err, fx.class)
 			}
 			checkKernel(t, p, fx.name)
 			recheckLive(t, p, rng, fx.name)
@@ -266,6 +275,7 @@ r2. p(Y,sum[v1]) :- p(X,v), e(X,Y,w), sa(X,a), da(Y,b), v1 = v * w * a * b.
 		}
 		f := randKernelExpr(rng, 1+int(seed%4))
 		info.Rec.FPrime, info.Rec.F = f, expr.Add(f, expr.Var("v"))
+		info.Facts.Kernel = info.Facts.Shape.Describe(f)
 		p, err := Compile(info, fx.db(t, rng), Options{})
 		if err != nil {
 			t.Fatalf("seed %d: F' = %s: %v", seed, f, err)
@@ -284,8 +294,8 @@ r2. p(Y,sum[v1]) :- p(X,v), e(X,Y,w), sa(X,a), da(Y,b), v1 = v * w * a * b.
 }
 
 // TestKernelStep: the bucket width is the graph's mean |w| exactly when
-// the program is a selective v + w run to a fixpoint and no edge improves
-// the value it carries; a session's mutations can end that and begin it.
+// the program is a selective v + w and no edge improves the value it
+// carries; a session's mutations can end that and begin it.
 func TestKernelStep(t *testing.T) {
 	const longest = `
 r1. lp(X,d) :- X=0, d=0.
@@ -328,7 +338,7 @@ r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy; {sum[Δdy] < 0.
 		{"max, one w > 0", longest, weights(-2, 1), 0},
 		{"max, unweighted", longest, unweighted, 0},
 		{"scalar is not the value", shifted, weights(2, 4), 0},
-		{"ε stop", epsSSSP, weights(2, 4), 0},
+		{"ε stop", epsSSSP, weights(2, 4), 3}, // internal/term holds an ε verdict while keys are held
 		{"combining", progs.PageRank, unweighted, 0},
 	} {
 		db := edb.NewDB()

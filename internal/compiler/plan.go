@@ -30,9 +30,6 @@ type TermSpec struct {
 	MaxIters int
 }
 
-// Fixpoint reports whether the program terminates only at a fixpoint.
-func (t TermSpec) Fixpoint() bool { return t.Epsilon == 0 }
-
 // Plan is an executable program.
 type Plan struct {
 	Info *analyzer.Info
@@ -85,14 +82,8 @@ type Plan struct {
 }
 
 // JoinPredicate names the base relation the recursive body joins — the
-// graph predicate Session mutations address. Empty for plans without a
-// retained shape.
-func (p *Plan) JoinPredicate() string {
-	if p.shape == nil || p.shape.join == nil {
-		return ""
-	}
-	return p.shape.join.Name
-}
+// graph predicate Session mutations address.
+func (p *Plan) JoinPredicate() string { return p.shape.Join.Name }
 
 // EncodePair packs two 31-bit keys into one table key.
 func EncodePair(hi, lo int64) int64 { return hi<<32 | lo }

@@ -126,6 +126,18 @@ func (g *Graph) WeightStats() (lo, hi, meanAbs float64) {
 	return lo, hi, sum / float64(len(g.weights))
 }
 
+// FindEdge returns the first edge in CSR order whose weight satisfies bad.
+func (g *Graph) FindEdge(bad func(w float64) bool) (Edge, bool) {
+	for v := int32(0); v < g.n; v++ {
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			if w := g.Weight(i); bad(w) {
+				return Edge{Src: v, Dst: g.targets[i], W: w}, true
+			}
+		}
+	}
+	return Edge{}, false
+}
+
 // Edges materialises the edge list (mostly for tests and export).
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.targets))

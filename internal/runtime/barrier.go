@@ -39,7 +39,7 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	w.flushAll()
 	w.broadcastEndPhase(w.rounds)
 	w.awaitPeerRounds(w.rounds)
-	if w.stopped {
+	if w.halted() {
 		return false
 	}
 	var stats transport.Stats
@@ -191,7 +191,7 @@ func (s *stallBarrier) beginPass(w *worker) bool {
 		// buffered updates and the unflushed shard die with the goroutine,
 		// which is exactly what the membership layer's live re-join
 		// (membership.go) must recover from.
-		w.stopped = true
+		w.stop()
 		return false
 	}
 	if d := s.inj.StallFor(w.id, s.pass); d > 0 {

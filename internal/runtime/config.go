@@ -148,11 +148,11 @@ type Config struct {
 	// Crash re-join (a lost worker replaced in place) does NOT need
 	// Elastic; it works on any non-barriered MRA session.
 	Elastic bool
-	// MaxWorkers caps how many workers an Elastic session may grow to
-	// (transport endpoints are pre-allocated up to the cap). 0 selects
-	// Workers+4. Ignored unless Elastic is set.
-	MaxWorkers int
 }
+
+// elasticHeadroom is how many workers an Elastic session may grow by:
+// transport endpoints are pre-allocated up to Workers + elasticHeadroom.
+const elasticHeadroom = 4
 
 // fleetCap is the number of worker endpoints the transport is built
 // with: the static fleet size, or the elastic growth cap. The master
@@ -162,10 +162,7 @@ func (c Config) fleetCap() int {
 	if !c.Elastic {
 		return c.Workers
 	}
-	if c.MaxWorkers > c.Workers {
-		return c.MaxWorkers
-	}
-	return c.Workers + 4
+	return c.Workers + elasticHeadroom
 }
 
 // NetworkProfile models link cost for the in-process transport.
@@ -225,14 +222,6 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "MaxWall",
 			Reason: fmt.Sprintf("negative wall budget %v; use 0 for the default budget", c.MaxWall)}
 	}
-	if c.MaxWorkers < 0 {
-		return &ConfigError{Field: "MaxWorkers",
-			Reason: fmt.Sprintf("negative cap %d; use 0 for the Workers+4 default", c.MaxWorkers)}
-	}
-	if c.Elastic && c.MaxWorkers > 0 && c.Workers > 0 && c.MaxWorkers < c.Workers {
-		return &ConfigError{Field: "MaxWorkers",
-			Reason: fmt.Sprintf("cap %d is below the initial fleet size %d", c.MaxWorkers, c.Workers)}
-	}
 	return nil
 }
 
@@ -286,8 +275,10 @@ type Result struct {
 	// §9), or "naive" when the mode re-derives instead of propagating.
 	Kernel string
 	// Sched names the schedule its compute passes drained under (DESIGN.md
-	// §5b): "fifo", or "bucket(Δ=…)" with the bucket width, the mean |w|
-	// of the plan's graph.
+	// §5b): "bucket(Δ=…)" with the bucket width, the mean |w| of the plan's
+	// graph, or "fifo: " and why — the reason the program's facts give
+	// (analyzer.Facts.Schedule), or the edge of the graph that fails the
+	// bucket licence's premise.
 	Sched string
 	// Workers holds per-worker observability, indexed by worker id.
 	Workers []WorkerStats

@@ -13,9 +13,10 @@ import (
 	"powerlog/internal/transport"
 )
 
-// runOverTCP executes plan on a freshly wired TCP cluster (everything in
-// one process, one endpoint per "node") and returns the merged result.
-func runOverTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers int) map[int64]float64 {
+// runTCP executes plan on a freshly wired TCP cluster (everything in one
+// process, one endpoint per "node") and returns the finished master and
+// each worker's shard.
+func runTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers int) (*master, []map[int64]float64) {
 	t.Helper()
 	boot := make([]string, workers+1)
 	for i := range boot {
@@ -60,6 +61,14 @@ func runOverTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers
 		t.Fatal(m.err)
 	}
 	wg.Wait()
+	return m, results
+}
+
+// runOverTCP is runTCP for a run that must converge; it returns the
+// merged result.
+func runOverTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers int) map[int64]float64 {
+	t.Helper()
+	m, results := runTCP(t, newPlan, cfg, workers)
 	if !m.converged || m.rounds == 0 {
 		t.Fatalf("TCP run: converged=%v rounds=%d (stop cause: %v)", m.converged, m.rounds, m.cause)
 	}
@@ -70,6 +79,59 @@ func runOverTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers
 		}
 	}
 	return merged
+}
+
+// TestMaxWallAbortReturns: a wall-clock abort that lands while a worker's
+// send queue is full must end the run. The peer leaves its run loop on
+// Stop and no longer drains its inbox, so a sender that waited for room —
+// the compute goroutine in enqueue, the comm goroutine in its TrySend
+// back-off — waited for ever, and Run never returned: no Converged=false,
+// no StopCause. Every such wait now reads worker.stopping.
+func TestMaxWallAbortReturns(t *testing.T) {
+	defer func(n int) { outQueueLen = n }(outQueueLen)
+	outQueueLen = 1
+	g := gen.RMAT(12, 40000, 0, 5)
+	newPlan := func() *compiler.Plan {
+		db := edb.NewDB()
+		db.SetGraph("edge", g)
+		return compilePlan(t, progs.PageRank, db)
+	}
+	// A priority threshold makes every update urgent: one message per KV,
+	// so the first pass alone overruns the stopped peer's inbox.
+	cfg := Config{Workers: 2, CoresPerWorker: 1, MaxWall: time.Millisecond, PriorityThreshold: 1e-7}
+	reps := 50
+	if testing.Short() {
+		reps = 10
+	}
+	for _, tr := range []struct {
+		name string
+		run  func() (converged bool, cause StopCause)
+	}{
+		{"channel", func() (bool, StopCause) {
+			res, err := Run(newPlan(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Converged, res.StopCause
+		}},
+		{"tcp", func() (bool, StopCause) {
+			m, _ := runTCP(t, newPlan, cfg, cfg.Workers)
+			return m.converged, m.cause
+		}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			for i := 0; i < reps; i++ {
+				start := time.Now()
+				converged, cause := tr.run()
+				if converged || cause != StopWall {
+					t.Fatalf("run %d: converged=%v cause=%v, want an abort on the wall clock", i, converged, cause)
+				}
+				if d := time.Since(start); d > 2*time.Second {
+					t.Fatalf("run %d: returned after %v, want under 2s", i, d)
+				}
+			}
+		})
+	}
 }
 
 // TestCrossTransportEquivalence runs the same program once over the

@@ -163,8 +163,6 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	},
 }
 
-func (w *worker) halted() bool { return w.stopped || w.sendDead.Load() }
-
 // foldUntil folds the inbox until done reports true, calling onIdle
 // every markerResend the wait lasts. It is the body of every blocking
 // wait in the worker and reports false if the worker halted. The resend
@@ -174,16 +172,9 @@ func (w *worker) halted() bool { return w.stopped || w.sendDead.Load() }
 func (w *worker) foldUntil(done func() bool, onIdle func()) bool {
 	resend := time.Now().Add(markerResend)
 	for !w.halted() && !done() {
-		m, ok, timedOut := w.await(time.Until(resend))
-		switch {
-		case timedOut:
+		if w.await(time.Until(resend)) {
 			onIdle()
 			resend = time.Now().Add(markerResend)
-		case !ok:
-			w.stopped = true
-			return false
-		default:
-			w.handle(m)
 		}
 	}
 	return !w.halted()
@@ -198,7 +189,7 @@ func (w *worker) fencePending(c transport.FenceClass) bool {
 // flushable: pass boundaries, the SSP gate, and the parked wait.
 func (w *worker) joinFences() {
 	for _, c := range [...]transport.FenceClass{transport.FenceSnapshot, transport.FenceMember} {
-		if w.fencePending(c) && !w.stopped {
+		if w.fencePending(c) && !w.halted() {
 			w.fence(c)
 		}
 	}

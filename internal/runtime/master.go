@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"powerlog/internal/analyzer"
 	"powerlog/internal/compiler"
 	"powerlog/internal/term"
 	"powerlog/internal/transport"
@@ -278,20 +279,29 @@ func (m *master) crashAt(epochRound int) (crash, restart bool) {
 	return false, inj.MasterRestartRound() == m.gRound
 }
 
-// runBSP collects one PhaseDone per worker per superstep and decides.
+// termConfig is the fixpoint's termination parameters as internal/term
+// takes them; Holds follows the plan's schedule licence.
+func (m *master) termConfig() term.Config {
+	return term.Config{
+		Epsilon:  m.plan.Termination.Epsilon,
+		MaxIters: m.plan.Termination.MaxIters,
+		Interval: m.cfg.CheckInterval,
+		Holds:    m.plan.Info.Facts.Schedule.Kind == analyzer.SchedBucket,
+	}
+}
+
+// runBSP collects one PhaseDone per worker per superstep and asks the
+// barrier detector (internal/term) for the verdict.
 func (m *master) runBSP() {
-	eps := m.plan.Termination.Epsilon
+	bar := term.NewBarrier(m.termConfig())
 	deadline := time.Now().Add(m.cfg.MaxWall)
-	armed := false
 	for round := 1; ; round++ {
 		m.rounds = round
 		m.gRound++
 		if crash, restart := m.crashAt(round); crash {
 			return
 		} else if restart {
-			// The ε detector is self-stabilising: losing the armed flag
-			// can only delay the stop decision, never corrupt it.
-			armed = false
+			bar.Reset()
 		}
 		m.met.rounds.Inc()
 		collectStart := time.Now()
@@ -314,26 +324,10 @@ func (m *master) runBSP() {
 			anyDirty = anyDirty || msg.Stats.Dirty
 		}
 		m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
-		stop := false
-		switch {
-		case eps > 0:
-			if sumDelta >= eps {
-				armed = true
-			} else if armed || round > 1 {
-				stop, m.converged = true, true
-			}
-			// A true fixpoint also terminates ε programs.
-			if !anyDirty && sumDelta == 0 {
-				stop, m.converged = true, true
-			}
-		default:
-			if !anyDirty {
-				stop, m.converged = true, true
-			}
-		}
-		capped := round >= m.plan.Termination.MaxIters
-		if stop || capped || time.Now().After(deadline) {
-			m.finish(m.stopCause(capped), deadline)
+		cause := bar.Round(round, sumDelta, anyDirty)
+		m.converged = cause == term.Converged
+		if cause != term.None || time.Now().After(deadline) {
+			m.finish(m.stopCause(cause == term.IterationCap), deadline)
 			return
 		}
 		m.bcast(transport.Message{Kind: transport.Continue})
@@ -358,11 +352,7 @@ func report(st transport.Stats) term.Report {
 // deadline, the probe, live re-join — and the wall clock.
 func (m *master) runAsync() {
 	deadline := time.Now().Add(m.cfg.MaxWall)
-	det := term.New(term.Config{
-		Epsilon:  m.plan.Termination.Epsilon,
-		MaxIters: m.plan.Termination.MaxIters,
-		Interval: m.cfg.CheckInterval,
-	}, m.live, time.Now())
+	det := term.New(m.termConfig(), m.live, time.Now())
 	m.rounds = 0
 	// waveStart and collectBy belong to the open wave: when it began, and
 	// the liveness deadline — one collectTimeout past its last reply, so a

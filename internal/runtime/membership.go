@@ -413,7 +413,7 @@ func (w *worker) finishFence(admit int) {
 		w.resetLink(j)
 		if j == w.id {
 			w.retired = true
-			w.stopped = true
+			w.stop()
 		}
 	}
 	if admit >= 0 && admit != w.id {
@@ -644,7 +644,7 @@ func (m *master) applyMemberCmd(cmd memberCmd) bool {
 		}
 		if id < 0 {
 			cmd.reply <- memberCmdResult{id: -1,
-				err: fmt.Errorf("runtime: fleet is at its MaxWorkers capacity (%d)", len(m.live))}
+				err: fmt.Errorf("runtime: fleet is at its capacity (%d workers)", len(m.live))}
 			return true
 		}
 		if !m.member.admit(id) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"powerlog/internal/agg"
+	"powerlog/internal/analyzer"
 	"powerlog/internal/compiler"
 	"powerlog/internal/metrics"
 )
@@ -152,7 +153,7 @@ func init() {
 func newNaiveSyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return policySet{
 		flush:   barrierFlush{},
-		sched:   fifoSched{}, // naivePass re-derives: there is no dirty set to order
+		sched:   fifoSched{why: "naive evaluation re-derives: there is no dirty set to order"},
 		barrier: &bspBarrier{naive: true},
 		pass:    (*worker).naivePass,
 	}
@@ -210,11 +211,11 @@ func newAAPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 	}
 }
 
-// baseScheduler picks the schedule from the plan: the bucket scheduler
-// when the plan's kernel may have a Step — which states the rule — and
-// FIFO otherwise.
+// baseScheduler picks the schedule the program's facts license: the
+// bucket scheduler, or FIFO with the licence's reason for a name.
 func baseScheduler(plan *compiler.Plan, reg *metrics.Registry) Scheduler {
-	if plan.Kernel.MayStep() {
+	lic := plan.Info.Facts.Schedule
+	if lic.Kind == analyzer.SchedBucket {
 		return &bucketSched{
 			asc:      plan.Op.Kind() == agg.Min,
 			kernel:   plan.Kernel,
@@ -222,7 +223,7 @@ func baseScheduler(plan *compiler.Plan, reg *metrics.Registry) Scheduler {
 			heldKeys: reg.Counter("sched.bucket.held"),
 		}
 	}
-	return fifoSched{}
+	return fifoSched{why: lic.Reason}
 }
 
 // withPriorityHold layers §5.4's low-priority holding over a drain

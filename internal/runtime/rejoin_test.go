@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -167,7 +166,7 @@ func TestRejoinSessionCombining(t *testing.T) {
 // ranges touching the changed member — scale-out moves keys exclusively
 // TO the newcomer, scale-in moves exclusively the leaver's keys.
 func TestShardRouteRing(t *testing.T) {
-	cfg := Config{Workers: 4, Elastic: true, MaxWorkers: 8}
+	cfg := Config{Workers: 4, Elastic: true}
 	a, b := newShardRoute(cfg), newShardRoute(cfg)
 	const nKeys = 20000
 	ownedBy := make(map[int]int)
@@ -226,7 +225,6 @@ func TestElasticScaleParked(t *testing.T) {
 	cfg := rejoinCfg(MRASyncAsync)
 	cfg.Workers = 3
 	cfg.Elastic = true
-	cfg.MaxWorkers = 6
 	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +283,6 @@ func TestElasticScaleMidFixpoint(t *testing.T) {
 	cfg := rejoinCfg(MRASyncAsync)
 	cfg.Workers = 3
 	cfg.Elastic = true
-	cfg.MaxWorkers = 6
 	cfg.Fault = fault.New(fs)
 	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 	if err != nil {
@@ -343,9 +340,9 @@ func TestElasticScaleMidFixpoint(t *testing.T) {
 }
 
 // TestElasticConfigRejected pins the configuration surface: Elastic
-// needs a non-barriered MRA mode, MaxWorkers must cover the initial
-// fleet, membership commands need Config.Elastic, and a full fleet
-// rejects further growth.
+// needs a non-barriered MRA mode, membership commands need
+// Config.Elastic, and a fleet grown by elasticHeadroom workers rejects
+// further growth.
 func TestElasticConfigRejected(t *testing.T) {
 	p := sessionProgs[0]
 	plan := compilePlan(t, p.src, p.db(p.g()))
@@ -356,12 +353,6 @@ func TestElasticConfigRejected(t *testing.T) {
 		if _, err := Open(plan, cfg); err == nil || !strings.Contains(err.Error(), "Elastic") {
 			t.Errorf("Open(Elastic, %v): err = %v, want an Elastic mode rejection", mode, err)
 		}
-	}
-
-	var ce *ConfigError
-	err := Config{Workers: 4, Elastic: true, MaxWorkers: 2}.Validate()
-	if !errors.As(err, &ce) || ce.Field != "MaxWorkers" {
-		t.Errorf("MaxWorkers below Workers: err = %v, want ConfigError{MaxWorkers}", err)
 	}
 
 	s, err := Open(plan, sessCfg(MRASyncAsync))
@@ -379,17 +370,18 @@ func TestElasticConfigRejected(t *testing.T) {
 	cfg := rejoinCfg(MRASyncAsync)
 	cfg.Workers = 2
 	cfg.Elastic = true
-	cfg.MaxWorkers = 3
 	s, err = Open(plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if id, err := s.AddWorker(); err != nil || id != 2 {
-		t.Fatalf("AddWorker to capacity: id=%d err=%v", id, err)
+	for want := cfg.Workers; want < cfg.Workers+elasticHeadroom; want++ {
+		if id, err := s.AddWorker(); err != nil || id != want {
+			t.Fatalf("AddWorker to capacity: id=%d err=%v, want id %d", id, err, want)
+		}
 	}
 	if _, err := s.AddWorker(); err == nil || !strings.Contains(err.Error(), "capacity") {
-		t.Errorf("AddWorker past MaxWorkers: err = %v, want a capacity rejection", err)
+		t.Errorf("AddWorker past the elastic headroom: err = %v, want a capacity rejection", err)
 	}
 	if err := s.RemoveWorker(7); err == nil || !strings.Contains(err.Error(), "not a member") {
 		t.Errorf("RemoveWorker(7): err = %v, want a membership rejection", err)

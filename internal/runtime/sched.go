@@ -16,19 +16,19 @@ import (
 
 // fifoSched processes the dirty set in drain (first-touch) order with
 // no holding — the schedule of every plan the bucket scheduler does not
-// take.
-type fifoSched struct{}
+// take, for the reason why.
+type fifoSched struct{ why string }
 
 func (fifoSched) arrange(batch []drained) int { return len(batch) }
 func (fifoSched) release() bool               { return false }
 func (fifoSched) rearm()                      {}
 func (fifoSched) holding() bool               { return false }
-func (fifoSched) String() string              { return "fifo" }
+func (s fifoSched) String() string            { return "fifo: " + s.why }
 
 // bucketSched is delta-stepping (Meyer & Sanders 2003) for the plans
-// whose kernel has a Step (compiler.Kernel.Step states the premise: a
-// selective aggregate over v + w, run to a fixpoint, whose edges never
-// improve a value). A key's value is then only as final as it is close
+// whose program holds the bucket licence (analyzer.Facts.Schedule: a
+// selective aggregate over v + w) and whose edges never improve a value
+// (compiler.Kernel.Step). A key's value is then only as final as it is close
 // to the frontier's best, and everything farther is a guess whose
 // relaxations will mostly be superseded. Of each drained batch it
 // processes the keys within one bucket width of the batch's best value
@@ -108,7 +108,7 @@ func (s *bucketSched) String() string {
 	if width := s.kernel.Step(); width > 0 {
 		return fmt.Sprintf("bucket(Δ=%.3g)", width)
 	}
-	return "fifo"
+	return "fifo: " + s.kernel.StepWhy()
 }
 
 // priorityHold layers §5.4's importance-based holding over an inner

@@ -187,8 +187,8 @@ func checkBucketRun(t *testing.T, label string, tc bucketCase, res *Result) {
 	}
 	expectSameFixpoint(t, label, res.Values, tc.want, ident, 1e-9)
 	if tc.fifo {
-		if res.Sched != "fifo" {
-			t.Errorf("%s: sched=%s, want fifo", label, res.Sched)
+		if !strings.HasPrefix(res.Sched, "fifo: ") {
+			t.Errorf("%s: sched=%s, want fifo and the reason", label, res.Sched)
 		}
 		return
 	}
@@ -221,12 +221,14 @@ r1. sssp(X,d) :- X=0, d=0.
 r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy;
                     {sum[Δdy] < 0.0001}.`
 
-// TestBucketSchedNotForEpsilon: an ε stop takes the change of one round
-// for a bound on what is left, which holds only when the round folded the
-// whole dirty set. With its near keys stale, a bucket round changes
-// nothing while the held keys are still dirty, and ε-SSSP under BSP
-// stopped, Converged, with reachable keys missing. Such a plan stays FIFO.
-func TestBucketSchedNotForEpsilon(t *testing.T) {
+// TestBucketSchedEpsilon: an ε stop takes the change of one round for a
+// bound on what is left, which holds only when the round folded the whole
+// dirty set. With its near keys stale, a bucket round changes nothing
+// while the held keys are still dirty, and ε-SSSP under BSP once stopped,
+// Converged, with reachable keys missing. internal/term now counts an ε
+// window of a plan that holds keys only when the fleet reports clean, so
+// the plan draws the bucket scheduler and reaches Dijkstra's fixpoint.
+func TestBucketSchedEpsilon(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		gen.Uniform(2000, 16000, 100, 1),
 		gen.LocalChain(8000, 4, 40, 100, 2),
@@ -234,12 +236,12 @@ func TestBucketSchedNotForEpsilon(t *testing.T) {
 		want := vertexOracle(ref.Dijkstra(g, 0))
 		for workers := 1; workers <= 3; workers++ {
 			plan := compilePlan(t, epsSSSP, edgeDB("edge")(g))
-			if plan.Termination.Fixpoint() {
+			if plan.Termination.Epsilon == 0 {
 				t.Fatal("the ε clause was not compiled")
 			}
 			res := runMode(t, plan, MRASync, workers)
 			label := fmt.Sprintf("ε-sssp/%d vertices/%d workers", g.NumVertices(), workers)
-			checkBucketRun(t, label, bucketCase{want: want, fifo: true}, res)
+			checkBucketRun(t, label, bucketCase{want: want}, res)
 		}
 	}
 }
@@ -283,7 +285,7 @@ func TestBucketSchedReducesRelaxations(t *testing.T) {
 	t.Logf("fifo: %d KVs in %d rounds; bucket: %d KVs in %d rounds, %d batches gated, %d keys held",
 		fifo.MessagesSent, fifo.Rounds, bucket.MessagesSent, bucket.Rounds,
 		counterSum(bucket, "sched.bucket.passes"), counterSum(bucket, "sched.bucket.held"))
-	if fifo.Sched != "fifo" || !strings.HasPrefix(bucket.Sched, "bucket(Δ=") {
+	if !strings.HasPrefix(fifo.Sched, "fifo") || !strings.HasPrefix(bucket.Sched, "bucket(Δ=") {
 		t.Fatalf("sched: baseline %s, default %s", fifo.Sched, bucket.Sched)
 	}
 	if bucket.MessagesSent*5 > fifo.MessagesSent {
@@ -351,9 +353,9 @@ func TestBucketSchedNoIdleStall(t *testing.T) {
 
 // TestBucketSchedFollowsMutations: a session that inserts an edge which
 // improves on the value it carries — a negative weight under min — falls
-// back to FIFO, and draws the bucket scheduler again once the edge is
-// deleted (compiler.Kernel.Step); so does a session opened on a graph
-// with no edges when it gains some. Each reaches the oracle's fixpoint on
+// back to FIFO, naming the edge in Result.Sched, and draws the bucket
+// scheduler again once the edge is deleted (compiler.Kernel.Step); so
+// does a session opened on a graph with no edges when it gains some. Each reaches the oracle's fixpoint on
 // the graph as mutated.
 func TestBucketSchedFollowsMutations(t *testing.T) {
 	bucketed := func(sched string) bool { return strings.HasPrefix(sched, "bucket(Δ=") }
@@ -379,8 +381,8 @@ func TestBucketSchedFollowsMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sched != "fifo" {
-		t.Errorf("sched=%s after inserting a negative weight, want fifo", res.Sched)
+	if want := "fifo: edge 5→300 weighs -40, which improves on the value it carries"; res.Sched != want {
+		t.Errorf("sched=%q after inserting a negative weight, want %q", res.Sched, want)
 	}
 	expectSameFixpoint(t, "after the insert", res.Values, vertexOracle(ref.DAGPath(mutated, 0, false)), math.Inf(1), 1e-9)
 	if res, err = s.Apply(Mutation{Deletes: []graph.Edge{shortcut}}); err != nil {
@@ -400,8 +402,8 @@ func TestBucketSchedFollowsMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if sched := s2.Result().Sched; sched != "fifo" {
-		t.Fatalf("sched=%s on a graph with no edges, want fifo", sched)
+	if sched, want := s2.Result().Sched, "fifo: no edge has a non-zero weight, so there is no bucket width"; sched != want {
+		t.Fatalf("sched=%q on a graph with no edges, want %q", sched, want)
 	}
 	if res, err = s2.Apply(Mutation{Inserts: edges}); err != nil {
 		t.Fatal(err)

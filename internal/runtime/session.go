@@ -472,8 +472,7 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 		// The master stopped the fleet (completion without park is the
 		// naive path; otherwise crash/cap/wall) — or lost it. Wait for
 		// the goroutines so the counters below are settled.
-		s.wg.Wait()
-		s.setFleetDown()
+		s.joinFleet()
 		for _, w := range s.workers {
 			if w != nil && w.sendErr != nil {
 				return nil, fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
@@ -601,9 +600,23 @@ func (s *Session) stopFleet() {
 	s.mu.Unlock()
 	if !down {
 		s.m.bcast(transport.Message{Kind: transport.Stop})
-		s.wg.Wait()
-		s.setFleetDown()
+		s.joinFleet()
 	}
+}
+
+// joinFleet raises every worker's stop signal and waits for the
+// goroutines. The master's Stop message is best-effort — sendTo gives a
+// full inbox up at the collect deadline — and a worker that never saw it
+// would compute on against peers that have left; the signal cannot be
+// lost.
+func (s *Session) joinFleet() {
+	for _, w := range s.workers {
+		if w != nil {
+			w.stop()
+		}
+	}
+	s.wg.Wait()
+	s.setFleetDown()
 }
 
 // ---------------------------------------------------------------------

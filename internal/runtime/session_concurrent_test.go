@@ -22,7 +22,6 @@ func TestSessionConcurrentHammer(t *testing.T) {
 	cfg := sessCfg(MRAAsync)
 	cfg.Elastic = true
 	cfg.Workers = 2
-	cfg.MaxWorkers = 4
 	s, err := Open(compilePlan(t, p.src, p.db(p.g())), cfg)
 	if err != nil {
 		t.Fatal(err)

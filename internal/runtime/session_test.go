@@ -589,8 +589,6 @@ func TestConfigValidate(t *testing.T) {
 		{Config{CoresPerWorker: -2}, "CoresPerWorker"},
 		{Config{CollectTimeout: -time.Millisecond}, "CollectTimeout"},
 		{Config{MaxWall: -time.Minute}, "MaxWall"},
-		{Config{Elastic: true, Workers: 4, MaxWorkers: 2}, "MaxWorkers"},
-		{Config{MaxWorkers: -1}, "MaxWorkers"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

@@ -255,9 +255,9 @@ func (c *coreState) runCore() {
 		sub, ok := d.popFront()
 		if !ok {
 			sub, ok = p.steal(c.idx)
-			if !ok {
-				return
-			}
+		}
+		if !ok || c.w.halted() {
+			return // a stopping worker leaves what is left of the deal dirty
 		}
 		start := time.Now()
 		c.scanSub(sub)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"powerlog/internal/analyzer"
 	"strings"
 	"testing"
 
@@ -448,8 +449,10 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 	expectSameFixpoint(t, "open", s.Result().Values, map[int64]float64{0: 10, 1: 1, 2: 1}, inf, 0)
 
 	_, err = s.Apply(Mutation{Deletes: []graph.Edge{{Src: 0, Dst: 1}}})
-	if err == nil || !strings.Contains(err.Error(), "cannot delete") {
-		t.Fatalf("delete under F' = min(v,w): err = %v, want a refusal", err)
+	lic := s.plan.Info.Facts.Deletes
+	if lic.Kind != analyzer.DeleteRefused || err == nil ||
+		!strings.Contains(err.Error(), "cannot delete") || !strings.Contains(err.Error(), lic.Reason) {
+		t.Fatalf("delete under F' = min(v,w): err = %v, want a refusal quoting the facts: %s", err, lic)
 	}
 	if s.Err() != nil || s.MutEpoch() != 0 || g.NumEdges() != 3 {
 		t.Fatalf("refused delete touched the session: Err = %v, MutEpoch = %d, %d edges", s.Err(), s.MutEpoch(), g.NumEdges())
@@ -459,6 +462,42 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 		t.Fatalf("insert after the refused delete: %v", err)
 	}
 	expectSameFixpoint(t, "insert", res.Values, map[int64]float64{0: 10, 1: 1, 2: 1, 3: 1}, inf, 0)
+}
+
+// TestSessionRefusesDeleteOnDataPremise: Viterbi's delete licence is a
+// discount, which holds while every ΔX¹ value is >= 0. With one negative
+// start the program is the same and the data is not: the delete is
+// refused naming the premise and the key that fails it.
+func TestSessionRefusesDeleteOnDataPremise(t *testing.T) {
+	g, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1, W: 0.5}, {Src: 1, Dst: 2, W: 0.5}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(src string) *Session {
+		s, err := Open(compilePlan(t, src, edgeDB("trans")(g)), sessCfg(MRAAsync))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	del := Mutation{Deletes: []graph.Edge{{Src: 1, Dst: 2}}}
+
+	s := open(progs.Viterbi + "r3. vit(X,p) :- X=2, p = -3.\n")
+	lic := s.plan.Info.Facts.Deletes
+	_, err = s.Apply(del)
+	if lic.Kind != analyzer.DeleteDiscount || err == nil ||
+		!strings.Contains(err.Error(), lic.Premise) || !strings.Contains(err.Error(), "key 2 starts at -3") {
+		t.Errorf("delete with a negative start: err = %v, want a refusal on %q naming key 2", err, lic.Premise)
+	}
+	s.Close()
+
+	s = open(progs.Viterbi)
+	defer s.Close()
+	res, err := s.Apply(del)
+	if err != nil {
+		t.Fatalf("delete with every start >= 0: %v", err)
+	}
+	expectSameFixpoint(t, "delete", res.Values, map[int64]float64{0: 1, 1: 0.5}, math.Inf(-1), 0)
 }
 
 // TestDeltaWorkFollowsBatch: on R-MAT 2^16 / 700 k edges a 10-edge delete

@@ -80,10 +80,19 @@ type worker struct {
 	// frontier.
 	scan *scanPool
 
+	// stopping is the worker's one stop signal (stop, halted): the master
+	// said Stop, the inbox closed, the send path died, the worker retired
+	// at a fence, the session is joining the fleet, or the injector killed
+	// the worker. Every place either goroutine of the worker can block —
+	// enqueue, the comm loop's back-off and retry, await under foldUntil,
+	// the scan pool's deal — reads it and gives up, dropping what it was
+	// sending: peers that left their run loop no longer drain their
+	// inboxes, and the run's outcome no longer depends on the message.
+	stopping atomic.Bool
+
 	// control-state set by handle(). peerSteps is the EndPhase marker
 	// clock (fence.go): peerSteps[j] is the highest completed-superstep
 	// count worker j has announced.
-	stopped    bool
 	peerSteps  markClock
 	verdict    transport.Kind // Continue, Stop, or FenceRequest (park), valid when verdictSet
 	verdictSet bool
@@ -100,12 +109,11 @@ type worker struct {
 	mutEpoch int
 
 	// sendErr records the first unrecoverable transport failure seen by
-	// the comm goroutine; sendDead flags it for the compute loop, which
-	// stops instead of computing into a dead network. Run/RunWorker
-	// surface the error after the worker exits (reading sendErr is safe
-	// then: commDone closes after the final write).
-	sendErr  error
-	sendDead atomic.Bool
+	// the comm goroutine, which then stops the worker instead of letting it
+	// compute into a dead network. Run/RunWorker surface the error after
+	// the worker exits (reading sendErr is safe then: commDone closes after
+	// the final write).
+	sendErr error
 
 	stragglerWait time.Duration // SSP: total time blocked on stale peers
 	timer         *time.Timer   // reused by every timed inbox wait (await)
@@ -126,9 +134,21 @@ type worker struct {
 	retired  bool // scale-in: this worker left at a fence
 }
 
+// outQueueLen is the capacity of a worker's data lane to its comm
+// goroutine: enough that a pass rarely waits on the wire. A variable so a
+// test can make the queue fill.
+var outQueueLen = 256
+
 type outMsg struct {
 	to int
 	m  transport.Message
+}
+
+// drop gives up on an undelivered message, recycling a Data batch.
+func (om outMsg) drop() {
+	if om.m.Kind == transport.Data {
+		transport.PutBatch(om.m.KVs)
+	}
 }
 
 // backoff is an escalating wait for back-pressure loops: a few pure
@@ -168,7 +188,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 		plan: plan,
 		conn: conn,
 
-		out:      make(chan outMsg, 256),
+		out:      make(chan outMsg, outQueueLen),
 		outCtrl:  make(chan outMsg, 64),
 		commDone: make(chan struct{}),
 
@@ -235,6 +255,10 @@ func (w *worker) newTable() monotable.Table {
 
 func (w *worker) owner(key int64) int { return w.route.owner(key) }
 
+// stop raises the worker's stop signal; halted reads it.
+func (w *worker) stop()        { w.stopping.Store(true) }
+func (w *worker) halted() bool { return w.stopping.Load() }
+
 // sendAttempts bounds the comm goroutine's blocking-send retries. The
 // transport has its own healing underneath (TCP redials with backoff and
 // a circuit breaker; injected faults clear as the event counter
@@ -247,47 +271,33 @@ func (w *worker) commLoop() {
 	emu := w.cfg.Network
 	try, canTry := w.conn.(transport.TrySender)
 	// deliver pushes one message through the blocking Send with bounded
-	// escalating retry. A persistent failure kills the send path: the
-	// error is recorded for Run/RunWorker to surface, and everything
-	// queued afterwards is discarded (recycling Data batches) so the
-	// compute goroutine can never deadlock against a dead network.
-	// bestEffort marks shutdown stragglers — messages still queued after
-	// the compute loop closed its lanes. The run's outcome no longer
-	// depends on them, so a persistent failure there is discarded without
-	// poisoning a run that already finished.
-	deliver := func(om outMsg, bestEffort bool) {
-		if w.sendDead.Load() {
-			if om.m.Kind == transport.Data {
-				transport.PutBatch(om.m.KVs)
-			}
-			return
-		}
+	// escalating retry. A persistent failure stops the worker: the error
+	// is recorded for Run/RunWorker to surface, and a stopped worker's
+	// messages are discarded (recycling Data batches), whatever stopped
+	// it, so neither goroutine can deadlock against a network that is
+	// dead or has gone home.
+	deliver := func(om outMsg) {
 		var bo backoff
-		for attempt := 1; ; attempt++ {
+		for attempt := 1; !w.halted(); attempt++ {
 			err := w.conn.Send(om.to, om.m)
 			if err == nil {
 				return
 			}
 			// On error the transport did not consume the message
 			// (transport.Conn contract), so retrying it is sound.
-			if attempt >= sendAttempts {
-				if !bestEffort {
-					w.sendErr = err
-					w.sendDead.Store(true)
-				}
-				if om.m.Kind == transport.Data {
-					transport.PutBatch(om.m.KVs)
-				}
-				return
+			if attempt >= sendAttempts && !w.halted() {
+				w.sendErr = err
+				w.stop()
 			}
 			bo.wait()
 		}
+		om.drop()
 	}
 	sendCtl := func(om outMsg) {
 		if emu.Enabled() {
 			time.Sleep(emu.cost(len(om.m.KVs)))
 		}
-		deliver(om, false)
+		deliver(om)
 	}
 	send := func(om outMsg) {
 		if emu.Enabled() {
@@ -296,7 +306,7 @@ func (w *worker) commLoop() {
 			time.Sleep(emu.cost(len(om.m.KVs)))
 		}
 		if !canTry {
-			deliver(om, false)
+			deliver(om)
 			return
 		}
 		// Avoid head-of-line blocking: while the destination is
@@ -309,21 +319,22 @@ func (w *worker) commLoop() {
 			if ok {
 				return
 			}
+			if w.halted() {
+				om.drop() // the peer may have left its run loop for good
+				return
+			}
 			if err != nil {
 				// A hard TrySend error is not back-pressure; fall back to
 				// the blocking path and its retry budget rather than
 				// silently dropping the message.
-				deliver(om, false)
+				deliver(om)
 				return
 			}
 			select {
 			case ctl, chOk := <-w.outCtrl:
 				if !chOk {
-					// The compute loop has exited; om is a shutdown
-					// straggler, delivered best-effort.
-					w.outCtrl = nil
-					deliver(om, true)
-					return
+					w.outCtrl = nil // the compute loop has exited, halted
+					continue
 				}
 				sendCtl(ctl)
 				bo.reset() // control progress means the net is moving
@@ -373,7 +384,8 @@ func (w *worker) commLoop() {
 }
 
 // enqueue hands a message to the comm goroutine, draining the inbox while
-// the queue is full so workers can never deadlock on mutual back-pressure.
+// the queue is full so workers can never deadlock on mutual back-pressure;
+// a stopping worker drops the message instead (worker.stopping).
 // Master-bound reports take the control lane; EndPhase markers must NOT —
 // they fence the data sent before them, so they ride the data lane to
 // preserve per-destination ordering.
@@ -382,17 +394,20 @@ func (w *worker) enqueue(to int, m transport.Message) {
 	if m.Kind == transport.StatsReply || m.Kind == transport.PhaseDone || m.Kind == transport.FenceAck {
 		lane = w.outCtrl
 	}
-	for {
+	om := outMsg{to, m}
+	for !w.halted() {
 		select {
-		case lane <- outMsg{to, m}:
+		case lane <- om:
 			return
 		case in, ok := <-w.conn.Inbox():
 			if !ok {
-				return
+				w.stop()
+			} else {
+				w.handle(in)
 			}
-			w.handle(in)
 		}
 	}
+	om.drop()
 }
 
 // dedupWindow is an exact delivered-once filter over one link's Data
@@ -480,7 +495,7 @@ func (w *worker) handle(m transport.Message) {
 	case transport.Continue:
 		w.verdict, w.verdictSet = transport.Continue, true
 	case transport.Stop:
-		w.stopped = true
+		w.stop()
 		w.verdict, w.verdictSet = transport.Stop, true
 	case transport.StatsRequest:
 		w.idle.polls++
@@ -746,7 +761,7 @@ func (w *worker) drainInbox() bool {
 		select {
 		case m, ok := <-w.conn.Inbox():
 			if !ok {
-				w.stopped = true
+				w.stop()
 				return progressed
 			}
 			progressed = progressed || m.Kind == transport.Data || m.Kind == transport.Handoff
@@ -799,7 +814,7 @@ func (w *worker) run() {
 func (w *worker) runFixpoint() {
 	for !w.halted() && !w.fencePending(transport.FencePark) {
 		progressed := w.pol.barrier.beginPass(w)
-		if w.stopped {
+		if w.halted() {
 			return
 		}
 		w.inPass = true
@@ -891,37 +906,37 @@ func (w *worker) timedFlush() {
 func (w *worker) idleWait() {
 	w.flushAll()
 	w.reportIdle()
-	if m, ok, timedOut := w.await(200 * time.Microsecond); !timedOut {
-		if !ok {
-			w.stopped = true
-			return
-		}
-		w.handle(m)
-	}
+	w.await(200 * time.Microsecond)
 }
 
-// await blocks for the next inbox message, at most d. Every timed wait
-// of the worker shares the one timer. A sub-millisecond timer on an
-// otherwise idle Go runtime fires about a millisecond late (the netpoller
-// sleeps in whole milliseconds), so these waits are fallbacks — re-send a
-// marker, re-check a flag — and nothing on a latency path may depend on
-// one expiring: progress arrives as a message.
-func (w *worker) await(d time.Duration) (m transport.Message, ok, timedOut bool) {
+// await blocks for the next inbox message, at most d, and handles it — a
+// closed inbox stops the worker. It reports whether the wait ran out.
+// Every timed wait of the worker shares the one timer. A sub-millisecond
+// timer on an otherwise idle Go runtime fires about a millisecond late
+// (the netpoller sleeps in whole milliseconds), so these waits are
+// fallbacks — re-send a marker, re-check a flag — and nothing on a latency
+// path may depend on one expiring: progress arrives as a message.
+func (w *worker) await(d time.Duration) (timedOut bool) {
 	if w.timer == nil {
 		w.timer = time.NewTimer(d)
 	} else {
 		w.timer.Reset(d)
 	}
 	select {
-	case m, ok = <-w.conn.Inbox():
+	case m, ok := <-w.conn.Inbox():
 		// Single-goroutine use: a failed Stop means the timer fired
 		// concurrently, so its channel holds exactly one value to drain.
 		if !w.timer.Stop() {
 			<-w.timer.C
 		}
-		return m, ok, false
+		if ok {
+			w.handle(m)
+		} else {
+			w.stop()
+		}
+		return false
 	case <-w.timer.C:
-		return transport.Message{}, true, true
+		return true
 	}
 }
 

@@ -206,7 +206,9 @@ type errBody struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false) // a refusal quotes the program's facts: "a <= 1", not "a \u003c= 1"
+	enc.Encode(v)
 }
 
 // httpError maps an error onto a status code and records the shed /

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlog"
 	"powerlog/internal/metrics"
 )
 
@@ -247,8 +248,17 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 	resp = postJSON(t, ts.URL+"/v1/mutate", m)
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cannot delete") {
-		t.Fatalf("delete: status %d body %s, want 400 naming the refusal", resp.StatusCode, body)
+	// The body is the sentence plcheck prints for the program.
+	prog, err := powerlog.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reason = "deletes refused — F' = min(v, w) is neither strictly increasing in v nor a discount (max over a·v, 0 <= a <= 1)"
+	if !strings.Contains(prog.Facts(), strings.TrimPrefix(reason, "deletes ")) {
+		t.Fatalf("the program's facts do not carry the refusal:\n%s", prog.Facts())
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "cannot delete") || !strings.Contains(string(body), reason) {
+		t.Fatalf("delete: status %d body %s, want 400 naming the refusal: %s", resp.StatusCode, body, reason)
 	}
 	m.Deletes, m.Inserts = nil, []edgeJSON{{Src: 0, Dst: 250, W: 5}}
 	resp = postJSON(t, ts.URL+"/v1/mutate", m)

@@ -1,9 +1,10 @@
-// Package term is the asynchronous stop decision, as one pure state
-// machine: the runtime's async master (async family and SSP) and
+// Package term is the stop decision. Its asynchronous half is one pure
+// state machine: the runtime's async master (async family and SSP) and
 // graphsys.RunAsync's ε coordinator both drive it, so the quiescence and
-// ε predicates exist once. The machine never reads a clock, sleeps or
-// sends; its caller feeds it worker reports and the current time and
-// does what it answers: wait, start a wave, or stop.
+// ε predicates exist once. Its barriered half (Barrier, at the end of
+// this file) judges a BSP run one superstep at a time. The machine never
+// reads a clock, sleeps or sends; its caller feeds it worker reports and
+// the current time and does what it answers: wait, start a wave, or stop.
 //
 // A report is one worker's {sent, recv, passes, accSum, dirty}. It is
 // either solicited — the reply to a wave, a poll of every live worker —
@@ -63,6 +64,11 @@ type Config struct {
 	Epsilon  float64       // > 0 enables the ε criterion
 	MaxIters int           // effective-iteration cap
 	Interval time.Duration // fallback wave cadence and the ε sampling grid
+	// Holds: the plan's schedule may hold dirty keys back from a pass (the
+	// bucket licence of analyzer.Facts). A window's change then bounds
+	// what remains only if the window folded the whole dirty set, so an ε
+	// window counts only when the fleet reports clean.
+	Holds bool
 }
 
 // Action is what the caller should do next.
@@ -326,7 +332,8 @@ func (d *Detector) sample(s sums) {
 			}
 		}
 		eps := d.cfg.Epsilon
-		if d.cand && s.recv >= d.candSent {
+		held := d.cfg.Holds && s.dirty
+		if d.cand && s.recv >= d.candSent && !held {
 			if math.Abs(s.acc-d.candSum) < eps {
 				d.stop = Converged
 			} else {
@@ -339,7 +346,7 @@ func (d *Detector) sample(s sums) {
 			// An effective iteration: a window in which the fleet computed.
 			// A window in which nobody ran proves nothing about ε either.
 			d.iters++
-			if eps > 0 && !d.cand && s.acc != 0 && math.Abs(s.acc-d.prevSum) < eps {
+			if eps > 0 && !d.cand && !held && s.acc != 0 && math.Abs(s.acc-d.prevSum) < eps {
 				d.cand, d.candSum, d.candSent = true, s.acc, s.sent
 			}
 		}
@@ -351,4 +358,44 @@ func (d *Detector) sample(s sums) {
 	for j := range d.grid {
 		d.grid[j] = d.reply[j].Passes
 	}
+}
+
+// Barrier is the stop decision of a barriered run: every worker reports
+// once per superstep and the master asks Round. A fixpoint is a round
+// that left no row dirty. The ε criterion stops at a round whose change
+// Σ|Δacc| is below ε, once some round has reached ε (armed) or the first
+// round is past — a first round that folds only the seed says nothing —
+// and, under Config.Holds, only if that round also left the fleet clean:
+// with its near keys stale a bucket round changes nothing while the held
+// keys are still dirty, and ε-SSSP stopped, Converged, with reachable
+// keys missing. A true fixpoint ends an ε program too.
+type Barrier struct {
+	cfg   Config
+	armed bool
+}
+
+// NewBarrier returns the barrier detector of one fixpoint.
+func NewBarrier(cfg Config) *Barrier { return &Barrier{cfg: cfg} }
+
+// Reset forgets the armed flag, as a restarted master would: that can
+// delay a stop but never cause one.
+func (b *Barrier) Reset() { b.armed = false }
+
+// Round judges superstep round (from 1): sumDelta is the fleet's Σ|Δacc|
+// over it and anyDirty whether any worker still has dirty rows. None
+// means run another superstep.
+func (b *Barrier) Round(round int, sumDelta float64, anyDirty bool) Cause {
+	eps := b.cfg.Epsilon
+	switch {
+	case !anyDirty && (eps == 0 || sumDelta == 0):
+		return Converged
+	case eps > 0 && sumDelta >= eps:
+		b.armed = true
+	case eps > 0 && (b.armed || round > 1) && !(b.cfg.Holds && anyDirty):
+		return Converged
+	}
+	if round >= b.cfg.MaxIters {
+		return IterationCap
+	}
+	return None
 }

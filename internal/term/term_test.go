@@ -542,4 +542,71 @@ func TestTermProperty(t *testing.T) {
 			}
 		})
 	}
+	t.Run("barrier", barrierProperty)
+}
+
+// barrierProperty drives Barrier.Round with the rounds of a simulated BSP
+// fleet whose schedule may hold keys: each round folds some of the work
+// left — possibly none of it, the bucket round whose near keys are stale
+// — and reports the change and whether rows are still dirty. Without
+// Holds the verdict is the one master.runBSP used to write inline; with
+// Holds a Converged verdict means the fleet is clean, and a clean fleet
+// is stopped within two rounds.
+func barrierProperty(t *testing.T) {
+	// inline is runBSP's verdict before it moved here.
+	inline := func(eps float64, armed *bool, round int, sumDelta float64, anyDirty bool) bool {
+		stop := false
+		if eps > 0 {
+			if sumDelta >= eps {
+				*armed = true
+			} else if *armed || round > 1 {
+				stop = true
+			}
+			if !anyDirty && sumDelta == 0 {
+				stop = true
+			}
+		} else if !anyDirty {
+			stop = true
+		}
+		return stop
+	}
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{MaxIters: 1 + rng.Intn(60), Holds: rng.Intn(2) == 0}
+		if rng.Intn(3) > 0 {
+			cfg.Epsilon = 1e-3
+		}
+		b := NewBarrier(cfg)
+		left, armed, cleanFor := rng.Intn(40), false, 0
+		for round := 1; ; round++ {
+			folded := rng.Intn(left + 1)
+			if rng.Intn(4) == 0 {
+				folded = 0
+			}
+			left -= folded
+			sumDelta := float64(folded) * []float64{0, 1e-5, 1}[rng.Intn(3)]
+			if rng.Intn(50) == 0 {
+				b.Reset() // a restarted master
+				armed = false
+			}
+			cause := b.Round(round, sumDelta, left > 0)
+			want := inline(cfg.Epsilon, &armed, round, sumDelta, left > 0)
+			switch {
+			case !cfg.Holds && (cause == Converged) != want:
+				t.Fatalf("seed %d round %d: Round = %v, the inline verdict stop=%v", seed, round, cause, want)
+			case cfg.Holds && cause == Converged && left > 0:
+				t.Fatalf("seed %d round %d: Converged with %d units of held work", seed, round, left)
+			case cause == IterationCap && round != cfg.MaxIters, cause == None && round >= cfg.MaxIters:
+				t.Fatalf("seed %d round %d: cause %v with MaxIters %d", seed, round, cause, cfg.MaxIters)
+			}
+			if cause != None {
+				break
+			}
+			if left == 0 {
+				if cleanFor++; cleanFor > 1 {
+					t.Fatalf("seed %d round %d: clean for %d rounds and no stop", seed, round, cleanFor)
+				}
+			}
+		}
+	}
 }

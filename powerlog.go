@@ -145,17 +145,13 @@ func (p *Program) Rewrite() (string, error) {
 	return out.String(), nil
 }
 
-// Kernel reports how the engine will evaluate the program's F' along a
-// CSR row: the kernel class (rowconst, addw, mulw or generic) and the
-// residual computed per edge, followed by the subtrees hoisted out of it
-// and computed once per drained row. It needs no database.
-func (p *Program) Kernel() (class, residual string, err error) {
-	d, err := compiler.Describe(p.info)
-	if err != nil {
-		return "", "", err
-	}
-	return d.Class.String(), d.String(), nil
-}
+// Facts renders what the program text alone decides about F': its
+// affine form in the recursive value with the signs of coefficient and
+// offset, the kernel class and per-edge residual (rowconst, addw, mulw or
+// generic), and the licences — may a session delete, may the runtime
+// drain near keys first — each with its reason and the premise it still
+// owes to the data. Refusals and Result.Sched quote the same sentences.
+func (p *Program) Facts() string { return p.info.Facts.String() }
 
 // SMTLIB renders the program's Property-2 verification condition in the
 // paper's Figure-4 Z3 encoding (SMT-LIB 2). Feeding it to a real Z3
