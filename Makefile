@@ -9,7 +9,8 @@
 #                      stop-path tests (DESIGN.md §9, §5b, §10) at 1, 2 and
 #                      4 procs
 #   test-term          the termination detector's tests (internal/term and
-#                      the runtime's), five times at 1, 2 and 4 procs
+#                      the runtime's) and the fence rig's, five times at 1,
+#                      2 and 4 procs
 #   test-names         fails when a name in either -run list above selects
 #                      no test — a renamed test would otherwise drop out of
 #                      its gate silently (until ROADMAP 1e deletes the lists)
@@ -44,7 +45,7 @@ test-cpu1:
 
 SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
-TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence
+TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence
 TERM_PKGS = ./internal/term ./internal/runtime
 
 # alternation turns a list of names into a -run regexp.

@@ -92,9 +92,9 @@ func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 // four times:
 //
 //	clean     no faults, the baseline wall time
-//	livejoin  crashw fault, live re-join; the fence latency (orphan
-//	          verdict to Release) is the time-to-recover, and the wall
-//	          time relative to clean is the throughput dip
+//	livejoin  crashw fault, live re-join; the fence latency (the
+//	          master's decision to Release) is the time-to-recover, and
+//	          the wall time relative to clean is the throughput dip
 //	crashed   master-abort fault with checkpoints on (the PR-4 baseline)
 //	restart   warm-start from the crashed run's snapshots; its wall time
 //	          is what restart-the-world pays to re-reach the fixpoint
@@ -126,7 +126,7 @@ func Rejoin(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 		}
 		live.Series = mode.String() + "/livejoin"
 		joins := live.Metrics.Counter("master.member.join")
-		fence := live.Metrics.Histograms["master.member.handoff_us"]
+		fence := live.Metrics.Histograms["master.fence.member_us"]
 
 		crashed, restart, err := crashRestart(wl, mode, cfg)
 		if err != nil {

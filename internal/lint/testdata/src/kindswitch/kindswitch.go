@@ -92,9 +92,9 @@ func nonConstantCase(p, q phase) bool {
 
 // kindDropsFence mirrors the real worker.handle() bug class: the switch
 // covers the data and termination kinds but misses the fence protocol
-// and the membership kinds after it.
+// and the membership kind after it.
 func kindDropsFence(k transport.Kind) string {
-	switch k { // want "switch over transport.Kind is not exhaustive: missing FenceRequest, FenceMark, FenceAck, FenceRelease, Orphan, Handoff"
+	switch k { // want "switch over transport.Kind is not exhaustive: missing FenceRequest, FenceMark, FenceAck, FenceRelease, Handoff"
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop:
 		return "termination-era"
@@ -103,9 +103,9 @@ func kindDropsFence(k transport.Kind) string {
 }
 
 // kindDropsMembership covers everything up to the fence protocol but
-// misses the membership kinds (elastic re-join / scale, DESIGN.md §11).
+// misses the membership kind (row migration, DESIGN.md §11).
 func kindDropsMembership(k transport.Kind) string {
-	switch k { // want "switch over transport.Kind is not exhaustive: missing Orphan, Handoff"
+	switch k { // want "switch over transport.Kind is not exhaustive: missing Handoff"
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop,
 		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease:
@@ -120,7 +120,7 @@ func kindExhaustiveAll(k transport.Kind) bool {
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop,
 		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease,
-		transport.Orphan, transport.Handoff:
+		transport.Handoff:
 		return true
 	}
 	return false
@@ -148,13 +148,13 @@ func (dispatcher) route(p phase) int {
 	return 0
 }
 
-// kindDropsOne misses exactly the last protocol kind.
+// kindDropsOne misses exactly one protocol kind, in the middle.
 func kindDropsOne(k transport.Kind) bool {
-	switch k { // want "missing Handoff"
+	switch k { // want "missing FenceAck"
 	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
 		transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease,
-		transport.Orphan:
+		transport.FenceRequest, transport.FenceMark, transport.FenceRelease,
+		transport.Handoff:
 		return true
 	}
 	return false

@@ -49,10 +49,15 @@ var WellKnownNames = []string{
 	"master.wave.timer",
 	"engine.epoch",
 
+	// Each fence's duration, decision to release, by class (master.drive,
+	// §6 "The fence").
+	"master.fence.snapshot_us",
+	"master.fence.park_us",
+	"master.fence.member_us",
+
 	// Membership layer (§11): live re-join and shard rebalancing.
 	"master.member.join",
 	"master.member.orphan",
-	"master.member.handoff_us",
 	"delta.reseed.keys",
 	"delete.invalidate.keys",
 	"delta.border.rows",

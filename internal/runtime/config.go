@@ -94,7 +94,7 @@ type Config struct {
 	// passes cannot trip it spuriously. A timeout landing past the wall
 	// budget (always the case for the fallback) is reported as an
 	// ordinary non-converged abort; only a timeout within the budget is
-	// a lost worker.
+	// a lost worker. A fence's acks wait on 20× it (floored at 2 s).
 	CollectTimeout time.Duration
 	// PriorityThreshold enables §5.4's importance-based flushing for
 	// combining aggregates: deltas below the threshold wait in the local

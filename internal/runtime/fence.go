@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"powerlog/internal/transport"
@@ -23,7 +25,9 @@ import (
 //
 // Snapshot episodes, session parking and membership changes are three
 // fenceSpecs of that loop. They differ in who must mark (cohort), what
-// runs at the cut, and what the master waits for before it releases.
+// runs at the cut, and what the master does when a collect falls short
+// and after it releases. The master's half is one function, drive: it
+// sends a transition's FenceRequest, collects the acks and releases.
 
 // maxSteps is the "nothing to wait for" value a marker-clock minimum
 // returns when no peer remains to wait on.
@@ -64,10 +68,9 @@ func (c markClock) min(cohort []bool, skip func(j int) bool) int {
 // resetUpTo forgets what slot peer announced, up to and including stamp:
 // the slot was replaced, admitted or retired, and those stamps belong to
 // its previous incarnation. A higher stamp stays — it can only have come
-// from the new incarnation racing ahead, e.g. a successor fence's first
-// marker overtaking this fence's FenceRelease (the master moves on the
-// moment it sends a release). Wiping that marker would wedge the
-// successor fence: a participant that has advanced to its second marker
+// from the new incarnation, whose marks for the very fence that renews
+// the link may arrive before this worker's own cut. Wiping one would
+// wedge that fence: a participant that has advanced to its second marker
 // round never re-sends the first.
 func (c markClock) resetUpTo(peer, stamp int) {
 	if c[peer] <= stamp {
@@ -82,34 +85,81 @@ func (c markClock) resetUpTo(peer, stamp int) {
 // its second marker arrived) and heals a lost first-round marker.
 func markStamp(epoch int, phase uint8) int { return 2*epoch + int(phase) - 1 }
 
-// fenceReq is one FenceRequest's content.
-type fenceReq struct {
-	epoch    int
-	rollback int // repair directive (membership fences; see repairState)
-	admit    int // admitted slot, -1 for none (membership fences)
+// transition is one epoch transition: a fence of one class and what the
+// fleet does inside it. The master builds it and drive runs it; a worker
+// keeps the newest one of each class the master has requested
+// (fenceState.req) and runs its half in fence.
+type transition struct {
+	class transport.FenceClass
+	epoch int // the fence's number within its class: its Round
+	// cohort is the slots that ack (master side only): the live fleet and
+	// the admitted slot — or, for a newcomer parking into a parked fleet,
+	// the newcomer alone.
+	cohort []bool
+	// A membership fence's directive: the slot it admits and the one
+	// leaving for good (-1 for none), the lost slots it replaces in place,
+	// and the repair (worker.repairState).
+	admit, leaving int
+	down           []int
+	rollback       int
+}
+
+// request is the transition's FenceRequest, the one message that opens a
+// fence; transitionOf is a worker's reading of it.
+func (t transition) request() transport.Message {
+	m := transport.Message{Kind: transport.FenceRequest, Fence: t.class, Round: t.epoch}
+	if t.class == transport.FenceMember {
+		mb := &transport.Membership{Rollback: t.rollback, Admit: int32(t.admit), Leave: int32(t.leaving)}
+		for _, j := range t.down {
+			mb.Down = append(mb.Down, int32(j))
+		}
+		m.Member = mb
+	}
+	return m
+}
+
+func transitionOf(m transport.Message) transition {
+	t := transition{class: m.Fence, epoch: m.Round, admit: -1, leaving: -1}
+	if mb := m.Member; mb != nil {
+		t.admit, t.leaving, t.rollback = int(mb.Admit), int(mb.Leave), mb.Rollback
+		for _, j := range mb.Down {
+			t.down = append(t.down, int(j))
+		}
+	}
+	return t
+}
+
+// renews reports whether the transition replaces, admits or retires slot
+// j: an incarnation of j ends or begins at its cut.
+func (t transition) renews(j int) bool {
+	return j == t.admit || j == t.leaving || slices.Contains(t.down, j)
 }
 
 // fenceState is a worker's view of one fence class.
 type fenceState struct {
-	req      fenceReq  // the highest-epoch request the master has sent
-	done     int       // highest epoch this worker has finished
-	released int       // highest epoch the master has released
-	marks    markClock // per-peer FenceMark stamps
+	req      transition // the highest-epoch request the master has sent
+	done     int        // highest epoch this worker has finished
+	released int        // highest epoch the master has released
+	marks    markClock  // per-peer FenceMark stamps
 }
 
-// fenceSpec is what tells the fence classes apart.
+// fenceSpec is what tells the fence classes apart, on both sides: the
+// worker's cohort, action and commit, and the master's reading of a
+// collect. Who acks is the transition's cohort, and every class collects
+// within fenceTimeout — a failure deadline, never a pace.
 type fenceSpec struct {
+	name string
 	// frozen fixes the cohort at entry: the members plus the admitted
-	// slot, crash-orphaned slots included (their replacement marks like
-	// any survivor). The route changes between the two marker rounds,
-	// and a leaver dropped from it still has Handoffs in flight that its
-	// second marker must fence. Unfrozen cohorts are the live peers: a
-	// slot orphaned or retired mid-wait drops out of the minimum, which
-	// is what unwedges a fence blocked on a dead worker's marker.
+	// slot, lost slots included (their replacement marks like any
+	// survivor). The route changes between the two marker rounds, and a
+	// leaver dropped from it still has Handoffs in flight that its second
+	// marker must fence. Unfrozen cohorts are the live peers: a slot a
+	// membership request names lost drops out of the minimum, which is
+	// what unwedges a fence blocked on a dead worker's marker.
 	frozen bool
 	// atCut runs once the cut is complete: every cohort member's
 	// pre-fence data has been folded and none sends more until released.
-	atCut func(w *worker, r fenceReq)
+	atCut func(w *worker, t transition)
 	// second adds a marker round after atCut, so that what the action
 	// sent (Handoffs) is also folded everywhere before anyone acks.
 	second bool
@@ -117,7 +167,15 @@ type fenceSpec struct {
 	// for its release (a parked fleet is still resizable).
 	nested bool
 	// commit runs after the release, before the worker resumes.
-	commit func(w *worker, r fenceReq)
+	commit func(w *worker, t transition)
+
+	// abandon releases a fence whose collect fell short; otherwise the
+	// run stops with StopFenceAborted.
+	abandon bool
+	// held leaves the release to the session (drive returns at the acks).
+	held bool
+	// settle is the master's bookkeeping after the release.
+	settle func(m *master, t transition)
 }
 
 var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
@@ -126,10 +184,12 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	// double-counted). Workers send nothing between their mark and the
 	// release, so the union of the shards is the state on one cut line.
 	// Best-effort: a failed shard write must not kill the run, and the
-	// master releases on a timeout too (LoadAll refuses the incomplete
+	// master releases a short collect too (LoadAll refuses the incomplete
 	// epoch and falls back to the last complete one).
 	transport.FenceSnapshot: {
-		atCut: func(w *worker, r fenceReq) { _ = w.snapshot(r.epoch, true) },
+		name:    "snapshot",
+		atCut:   func(w *worker, t transition) { _ = w.snapshot(t.epoch, true) },
+		abandon: true,
 	},
 	// The session epoch boundary. Once every worker has acked, no peer
 	// sends Data again this epoch, so the session goroutine — which saw
@@ -137,29 +197,41 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	// read and mutate the tables until it releases the fence at the next
 	// Apply.
 	transport.FencePark: {
+		name:   "park",
 		nested: true,
-		commit: func(w *worker, _ fenceReq) {
+		commit: func(w *worker, _ transition) {
 			w.verdictSet = false
 			w.resetFrontier() // the session reseeded the shard
 			w.idle = newIdleReports()
 		},
+		held: true,
 	},
 	// A membership change or crash repair (membership.go). Because every
 	// participant acks only after the second marker round, the release
 	// certifies that no migrated row is in flight.
 	transport.FenceMember: {
+		name:   "membership",
 		frozen: true,
 		second: true,
-		atCut: func(w *worker, r fenceReq) {
-			w.applyMembership(r.admit)
-			w.repairState(r.rollback)
+		atCut: func(w *worker, t transition) {
+			w.applyMembership(t)
+			w.repairState(t)
+			w.renewLinks(t)
 			// No cohort member sends or counts Data between its cut and
 			// its release, so zeroing here on every participant gives the
 			// master's Σsent == Σrecv test an exact fresh baseline.
 			w.sent, w.recv, w.flushes = 0, 0, 0
 			w.idle = newIdleReports()
 		},
-		commit: func(w *worker, r fenceReq) { w.finishFence(r.admit) },
+		commit: func(w *worker, t transition) {
+			if t.leaving == w.id {
+				w.retired = true
+				w.stop()
+			}
+			w.joinGate = false
+			w.resetFrontier() // migration / rollback / replay rewrote the dirty set
+		},
+		settle: (*master).settleMember,
 	},
 }
 
@@ -201,12 +273,12 @@ func (w *worker) fence(c transport.FenceClass) bool {
 	s, f := &fenceSpecs[c], &w.fences[c]
 	// The request is copied: a successor's FenceRequest may overwrite
 	// f.req before this fence commits (the master moves on at the release).
-	req := f.req
-	e := req.epoch
+	t := f.req
+	e := t.epoch
 	var cohort []bool
 	skip := w.peerSkip
 	if s.frozen {
-		cohort, skip = w.fenceCohort(req.admit), nil
+		cohort, skip = w.fenceCohort(t.admit), nil
 	}
 	phase := uint8(1)
 	mark := func() {
@@ -237,7 +309,7 @@ func (w *worker) fence(c transport.FenceClass) bool {
 	}
 	if f.released < e {
 		if s.atCut != nil {
-			s.atCut(w, req)
+			s.atCut(w, t)
 		}
 		if s.second {
 			phase = 2
@@ -261,9 +333,63 @@ func (w *worker) fence(c transport.FenceClass) bool {
 	}
 	f.done = e
 	if s.commit != nil {
-		s.commit(w, req)
+		s.commit(w, t)
 	}
 	return !w.halted()
+}
+
+// transition opens the next fence of class c over the live fleet.
+func (m *master) transition(c transport.FenceClass, epoch int) transition {
+	return transition{class: c, epoch: epoch, cohort: slices.Clone(m.live), admit: -1, leaving: -1}
+}
+
+// drive runs one transition's master half: it sends the FenceRequest to
+// the cohort, collects one ack from each member within fenceTimeout and
+// releases the fence — except a park, which the session holds until the
+// next Apply — then does the class's bookkeeping. decided is when the
+// master decided on the transition (before any worker was spawned for
+// it); the fence's duration from there goes into master.fence.<class>_us.
+// drive reports false when the run cannot go on: the network closed, or
+// a collect the class cannot abandon fell short, in which case m.err says
+// what was missing and the fleet is stopped (StopFenceAborted).
+func (m *master) drive(t transition, decided time.Time) bool {
+	s := &fenceSpecs[t.class]
+	need := m.sendEach(t.cohort, t.request())
+	got, open := m.collectAcks(t.class, t.epoch, need, time.Now().Add(m.fenceTimeout()))
+	if !open {
+		return false
+	}
+	if got < need && !s.abandon {
+		m.met.collectTimeouts.Inc()
+		m.err = fmt.Errorf("runtime: %s fence %d got %d/%d acks within %v: %w",
+			s.name, t.epoch, got, need, m.fenceTimeout(), ErrWorkerLost)
+		m.halt(StopFenceAborted)
+		return false
+	}
+	if !s.held {
+		m.sendEach(t.cohort, transport.Message{Kind: transport.FenceRelease, Fence: t.class, Round: t.epoch})
+	}
+	if s.settle != nil {
+		s.settle(m, t)
+	}
+	m.met.fenceUS[t.class].Observe(uint64(time.Since(decided).Microseconds()))
+	return true
+}
+
+// fenceTimeout bounds one fence: quiesce + (possibly) a checkpoint
+// reload per worker + migration. Far looser than a collect's deadline —
+// disk is involved, and a park or membership fence is not one report but
+// the slowest participant's whole cut — but still bounded, so a worker
+// dying mid-fence surfaces as an error, not a hang.
+func (m *master) fenceTimeout() time.Duration {
+	d := 20 * m.collectTimeout()
+	if d < 2*time.Second {
+		d = 2 * time.Second
+	}
+	if m.cfg.MaxWall > 0 && d > m.cfg.MaxWall {
+		d = m.cfg.MaxWall
+	}
+	return d
 }
 
 // collectAcks folds the master's inbox until need FenceAcks for fence

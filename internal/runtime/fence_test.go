@@ -15,8 +15,8 @@ import (
 
 // These tests drive the fence primitive (fence.go) on its own: workers
 // with no compute loop join one fence over a channel network while the
-// test plays the master through a real master's collectAcks. Faults are
-// injected per link by a filtering conn.
+// test plays the master through a real master's collectAcks or drive.
+// Faults are injected per link by a filtering conn.
 
 // markFilter decides what happens to a FenceMark sent to slot `to`.
 type markFilter func(to int, m transport.Message) (drop, dup bool)
@@ -95,7 +95,7 @@ func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]boo
 }
 
 func (r *fenceRig) request(c transport.FenceClass, e int) {
-	r.m.bcast(transport.Message{Kind: transport.FenceRequest, Fence: c, Round: e, Admit: -1})
+	r.m.bcast(r.m.transition(c, e).request())
 }
 
 func (r *fenceRig) release(c transport.FenceClass, e int) {
@@ -218,8 +218,9 @@ func TestFenceDroppedMarkHealsByLaterPhase(t *testing.T) {
 	r.run(transport.FenceMember, 1, 2)
 }
 
-// A peer orphaned mid-wait drops out of a live cohort's minimum: the
-// survivors complete the cut without the dead worker's mark.
+// A slot named lost by a membership FenceRequest drops out of an
+// unfrozen cohort's minimum: the survivors complete the cut without the
+// dead worker's mark.
 func TestFenceOrphanLeavesCohort(t *testing.T) {
 	c := transport.FenceSnapshot
 	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
@@ -227,13 +228,53 @@ func TestFenceOrphanLeavesCohort(t *testing.T) {
 	if got, _ := r.m.collectAcks(c, 1, 1, time.Now().Add(50*time.Millisecond)); got != 0 {
 		t.Fatal("a survivor acked while worker 2's mark was still owed")
 	}
-	r.m.bcast(transport.Message{Kind: transport.Orphan, Round: 2})
+	repair := r.m.transition(transport.FenceMember, 1)
+	repair.down = []int{2}
+	r.m.bcast(repair.request())
 	if got, _ := r.m.collectAcks(c, 1, 2, time.Now().Add(10*time.Second)); got != 2 {
-		t.Fatalf("%d/2 survivors reached the cut after the orphan verdict", got)
+		t.Fatalf("%d/2 survivors reached the cut after the request naming worker 2 lost", got)
 	}
 	r.release(c, 1)
 	<-r.done
 	<-r.done
+}
+
+// A park whose acks arrive after CollectTimeout — one report's deadline —
+// but inside the fence deadline still parks: a first mark that takes
+// 80 ms to leave its sender keeps the cut past a 50 ms CollectTimeout,
+// and the master neither stops the run nor calls a worker lost.
+// Released, the fleet leaves the park.
+func TestFenceParkOutlastsCollectTimeout(t *testing.T) {
+	c := transport.FencePark
+	slow := func(int) markFilter {
+		var once sync.Once
+		return func(int, transport.Message) (bool, bool) {
+			once.Do(func() { time.Sleep(80 * time.Millisecond) })
+			return false, false
+		}
+	}
+	r := newFenceRig(t, 2, c, nil, slow)
+	r.m.cfg.CollectTimeout = 50 * time.Millisecond
+	r.m.park, r.m.converged = true, true
+	start := time.Now()
+	r.m.finish(StopConverged)
+	if !r.m.parked || r.m.err != nil || r.m.cause != StopConverged {
+		t.Fatalf("parked=%v err=%v cause=%v after %v, want a park", r.m.parked, r.m.err, r.m.cause, time.Since(start))
+	}
+	if waited := time.Since(start); waited < r.m.cfg.CollectTimeout {
+		t.Fatalf("the park took %v, under CollectTimeout: the test lost its subject", waited)
+	}
+	if h := r.m.met.reg.Snapshot().Histograms["master.fence.park_us"]; h.Count != 1 {
+		t.Errorf("master.fence.park_us has %d samples, want 1", h.Count)
+	}
+	r.release(c, r.m.epoch)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-r.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d/2 workers left the park after its release", i)
+		}
+	}
 }
 
 // A release that overtakes the cut (the master's episode timeout) ends
@@ -260,29 +301,56 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	}
 }
 
-// The PR 10 regression as one test: the master moves on to fence e+1 the
-// moment it releases fence e, so the e+1 newcomer's first marker can
-// reach a survivor before that survivor commits e. The commit's link
-// reset must clear what the slot's previous incarnation announced (up to
-// e) and keep the successor's marker.
+// The successor-marker wedge as one test: a renewed slot's marker for the
+// fence now running — its first, or a second-round one sent before this
+// worker's own cut — may already be in the clock when the cut resets the
+// link. The reset must clear what the slot's previous incarnation
+// announced (up to the last fence this worker finished, e) and keep the
+// marker of fence e+1.
 func TestFenceSuccessorMarkSurvivesReset(t *testing.T) {
 	r := newFenceRig(t, 3, transport.FenceMember, map[int]bool{0: true, 1: true, 2: true}, nil)
 	w := r.ws[0]
 	f := &w.fences[transport.FenceMember]
 	const e = 4
 	f.done = e
-	f.marks.observe(1, markStamp(e, 2))   // slot 1's old incarnation, this fence
-	f.marks.observe(2, markStamp(e+1, 1)) // slot 2's new incarnation, next fence
+	f.marks.observe(1, markStamp(e, 2))   // slot 1's old incarnation, the last fence
+	f.marks.observe(2, markStamp(e+1, 1)) // slot 2's new incarnation, this fence
 	w.peerSteps.observe(2, 17)
-	w.down[1], w.down[2] = true, true
-	w.finishFence(-1)
+	w.renewLinks(transition{class: transport.FenceMember, epoch: e + 1, admit: -1, leaving: -1, down: []int{1, 2}})
 	if f.marks[1] != 0 {
 		t.Errorf("replaced slot 1 keeps its old incarnation's stamp %d", f.marks[1])
 	}
 	if f.marks[2] != markStamp(e+1, 1) {
-		t.Errorf("the successor fence's first marker was wiped: stamp %d", f.marks[2])
+		t.Errorf("the running fence's first marker was wiped: stamp %d", f.marks[2])
 	}
 	if w.peerSteps[2] != 0 {
 		t.Errorf("replaced slot 2 keeps superstep clock %d; its new incarnation counts from zero", w.peerSteps[2])
+	}
+}
+
+// A replacement's cut forgets the Data windows a survivor's pre-request
+// flushes left it, so the survivor's post-release sequence — restarted at
+// its own cut — is counted whichever end commits first; the survivor
+// renews its end of the link, and a link between two survivors keeps
+// its continuity.
+func TestFenceRenewsReplacedLinks(t *testing.T) {
+	r := newFenceRig(t, 3, transport.FenceMember, map[int]bool{0: true, 1: true, 2: true}, nil)
+	repair := transition{class: transport.FenceMember, epoch: 1, admit: -1, leaving: -1, down: []int{1}}
+	survivor, replacement := r.ws[0], r.ws[1]
+	for _, seq := range []int64{1, 2} {
+		survivor.dataSeen[2].fresh(seq)
+	}
+	survivor.dataSeq[1], survivor.dataSeq[2] = 40, 7
+	replacement.dataSeen[0].fresh(41) // flushed into the fresh inbox before the request
+	survivor.renewLinks(repair)
+	replacement.renewLinks(repair)
+	if survivor.dataSeq[1] != 0 || survivor.dataSeq[2] != 7 || survivor.dataSeen[2].next != 3 {
+		t.Errorf("survivor: seq to the replacement %d (want 0), to a survivor %d (want 7), window %d (want 3)",
+			survivor.dataSeq[1], survivor.dataSeq[2], survivor.dataSeen[2].next)
+	}
+	for seq := int64(1); seq <= 41; seq++ {
+		if !replacement.dataSeen[0].fresh(seq) {
+			t.Fatalf("the replacement counts the survivor's renewed batch %d as a duplicate", seq)
+		}
 	}
 }

@@ -55,14 +55,14 @@ type master struct {
 	// Membership state (membership.go, DESIGN.md §11). live marks the
 	// slots currently in the fleet over the capacity network (static
 	// fleets: the first nw slots, forever); fence numbers membership
-	// fences; member is the session's lifecycle callbacks (nil disables
-	// live re-join — losses abort, the pre-membership behaviour); cmds
-	// carries Session.AddWorker/RemoveWorker requests (nil unless
-	// Config.Elastic).
-	live   []bool
-	fence  int
-	member *memberCoordinator
-	cmds   chan memberCmd
+	// fences; s is the session that owns the workers' lifecycles — it
+	// respawns, admits and retires them on the master's goroutine (nil
+	// under RunMaster: a loss aborts the run); cmds carries
+	// Session.AddWorker/RemoveWorker requests (nil unless Config.Elastic).
+	live  []bool
+	fence int
+	s     *Session
+	cmds  chan memberCmd
 }
 
 func newMaster(cfg Config, plan *compiler.Plan, conn transport.Conn) *master {
@@ -90,22 +90,29 @@ func (m *master) collectTimeout() time.Duration {
 // inbox: while a worker's channel is full the master keeps draining its
 // own inbox (stashing replies for the collect loop), so bulk data can
 // never deadlock or starve the termination protocol.
-func (m *master) bcast(msg transport.Message) {
-	for j, l := range m.live {
-		if l {
+func (m *master) bcast(msg transport.Message) { m.sendEach(m.live, msg) }
+
+// sendEach sends msg to every slot in set, one sendTo each, and reports
+// how many that was.
+func (m *master) sendEach(set []bool, msg transport.Message) (n int) {
+	for j, in := range set {
+		if in {
 			m.sendTo(j, msg)
+			n++
 		}
 	}
+	return n
 }
 
 // sendTo delivers one message to one worker with bcast's no-deadlock
 // discipline. The retry is bounded by the collect deadline: a receiver
 // that has not drained a single inbox slot in that long is wedged or
 // dead (a crashed worker's inbox fills with peer data and would
-// otherwise livelock the master here, before the probe→orphan path can
-// ever declare it lost), so the message is dropped like a send error —
-// every master→worker message is either re-solicited by a later
-// protocol step or follows an endpoint reset that clears the jam.
+// otherwise livelock the master here, before the probe can ever declare
+// it lost), so the message is dropped like a send error — every
+// master→worker message is either re-solicited by a later protocol step
+// or follows an endpoint reset that clears the jam. No fence waits here
+// on a healthy fleet: a re-join's request is sent after the reset.
 func (m *master) sendTo(j int, msg transport.Message) {
 	try, canTry := m.conn.(transport.TrySender)
 	if !canTry {
@@ -223,28 +230,20 @@ func (m *master) run() {
 }
 
 // finish ends a fixpoint whose stop decision has been taken. Converged
-// session epochs park: the master opens a FencePark and collects one ack
-// per worker, after which every worker has fenced and drained its data
-// lanes and sits blocked on its inbox. The collect's happens-before
-// edges make the fleet's tables safe for the session goroutine to read
-// and mutate until it releases the fence at the next Apply. Everything
-// else stops the fleet. wall is the run's wall-clock deadline.
-func (m *master) finish(cause StopCause, wall time.Time) {
+// session epochs park: the master drives a FencePark, after whose acks
+// every worker has fenced and drained its data lanes and sits blocked on
+// its inbox. The collect's happens-before edges make the fleet's tables
+// safe for the session goroutine to read and mutate until it releases
+// the fence at the next Apply. Everything else stops the fleet.
+func (m *master) finish(cause StopCause) {
 	if !m.park || !m.converged {
 		m.halt(cause)
 		return
 	}
-	need := m.activeCount()
-	m.bcast(transport.Message{Kind: transport.FenceRequest, Fence: transport.FencePark, Round: m.epoch})
-	got, open := m.collectAcks(transport.FencePark, m.epoch, need, time.Now().Add(m.collectTimeout()))
-	switch {
-	case !open: // recvWithin recorded StopTransportClosed
-	case got == need:
+	if m.drive(m.transition(transport.FencePark, m.epoch), time.Now()) {
 		m.cause = cause
 		m.parked = true
 		m.met.epochs.Inc()
-	default:
-		m.expired(m.gRound, got, wall)
 	}
 }
 
@@ -280,13 +279,16 @@ func (m *master) crashAt(epochRound int) (crash, restart bool) {
 }
 
 // termConfig is the fixpoint's termination parameters as internal/term
-// takes them; Holds follows the plan's schedule licence.
+// takes them. Holds is the bucket schedule as it will run this epoch: the
+// plan's licence and the graph's premise (a positive Kernel.Step), which
+// a session's mutations move — so it is read at every run's start. A
+// plan whose weights fail the premise drains FIFO and holds nothing.
 func (m *master) termConfig() term.Config {
 	return term.Config{
 		Epsilon:  m.plan.Termination.Epsilon,
 		MaxIters: m.plan.Termination.MaxIters,
 		Interval: m.cfg.CheckInterval,
-		Holds:    m.plan.Info.Facts.Schedule.Kind == analyzer.SchedBucket,
+		Holds:    m.plan.Info.Facts.Schedule.Kind == analyzer.SchedBucket && m.plan.Kernel.Step() > 0,
 	}
 }
 
@@ -327,7 +329,7 @@ func (m *master) runBSP() {
 		cause := bar.Round(round, sumDelta, anyDirty)
 		m.converged = cause == term.Converged
 		if cause != term.None || time.Now().After(deadline) {
-			m.finish(m.stopCause(cause == term.IterationCap), deadline)
+			m.finish(m.stopCause(cause == term.IterationCap))
 			return
 		}
 		m.bcast(transport.Message{Kind: transport.Continue})
@@ -367,11 +369,11 @@ func (m *master) runAsync() {
 		switch dec.Action {
 		case term.Stop:
 			m.converged = dec.Cause == term.Converged
-			m.finish(m.stopCause(dec.Cause == term.IterationCap), deadline)
+			m.finish(m.stopCause(dec.Cause == term.IterationCap))
 			return
 		case term.StartWave:
 			if now.After(deadline) {
-				m.finish(StopWall, deadline)
+				m.finish(StopWall)
 				return
 			}
 			if !m.beginWave(det, now) {
@@ -384,7 +386,7 @@ func (m *master) runAsync() {
 				// Between waves: sleep to the grid tick, or to the end of
 				// the wall budget if that comes first.
 				if now.After(deadline) {
-					m.finish(StopWall, deadline)
+					m.finish(StopWall)
 					return
 				}
 				collectBy = dec.Until
@@ -455,8 +457,15 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 		det.Reset(m.live, time.Now())
 		return true
 	}
-	if m.snapshotsDue(m.rounds) && !m.snapshotFence() {
-		return false
+	if m.snapshotsDue(m.rounds) {
+		// Episodes are numbered by a cumulative counter so checkpoint
+		// epochs stay monotonic across session fixpoints (the round
+		// restarts at 0 each epoch; reusing its quotient would overwrite
+		// newer cuts).
+		m.episodes++
+		if !m.drive(m.transition(transport.FenceSnapshot, m.episodes), now) {
+			return false
+		}
 	}
 	m.rounds++
 	m.met.rounds.Inc()
@@ -496,25 +505,4 @@ func (m *master) snapshotsDue(round int) bool {
 	return m.cfg.SnapshotDir != "" && m.cfg.SnapshotEvery > 0 &&
 		!m.plan.Op.Selective() &&
 		round > 0 && round%m.cfg.SnapshotEvery == 0
-}
-
-// episodeTimeout bounds how long the master waits for the workers' acks
-// before abandoning an episode. An abandoned epoch leaves an incomplete
-// shard set on disk; LoadAll refuses it and falls back to the last
-// complete epoch, so the timeout costs durability progress, never
-// correctness.
-const episodeTimeout = 250 * time.Millisecond
-
-// snapshotFence drives one snapshot episode. It always releases — even
-// on timeout — because workers that did reach the cut are blocked
-// waiting for it. Returns false if the network died.
-func (m *master) snapshotFence() bool {
-	// Episodes are numbered by a cumulative counter so checkpoint epochs
-	// stay monotonic across session fixpoints (the round restarts at 0
-	// each epoch; reusing its quotient would overwrite newer cuts).
-	m.episodes++
-	m.bcast(transport.Message{Kind: transport.FenceRequest, Fence: transport.FenceSnapshot, Round: m.episodes})
-	_, open := m.collectAcks(transport.FenceSnapshot, m.episodes, m.activeCount(), time.Now().Add(episodeTimeout))
-	m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: transport.FenceSnapshot, Round: m.episodes})
-	return open
 }

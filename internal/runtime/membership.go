@@ -21,19 +21,19 @@ import (
 // termination-protocol counters so the master's counting quiescence
 // restarts from an exact zero. Three events drive one:
 //
-//   - crash re-join: the master's liveness probe declares a worker lost
-//     (Orphan), the session respawns its slot on a fresh transport
-//     endpoint, and the fence repairs state — survivors replay their
-//     accumulations toward the replacement's keys (selective aggregates,
-//     sound by Theorem 3's replay tolerance) or the whole fleet rolls
-//     back to the newest consistent-cut checkpoint (combining
+//   - crash re-join: the master's liveness probe declares a worker lost,
+//     the session respawns its slot on a fresh transport endpoint, and a
+//     fence whose request names the slot lost repairs state — survivors
+//     replay their accumulations toward the replacement's keys (selective
+//     aggregates, sound by Theorem 3's replay tolerance) or the whole
+//     fleet rolls back to the newest consistent-cut checkpoint (combining
 //     aggregates, which tolerate neither loss nor replay);
 //   - scale-out (Session.AddWorker): a new worker is admitted, every
 //     worker adds it to the consistent-hash ring at the cut, and rows
 //     that re-hash to the newcomer migrate as keyed Handoff streams;
-//   - scale-in (Session.RemoveWorker): an Orphan with Retire marks the
-//     slot leaving; at the cut it migrates its whole shard out, acks,
-//     and retires after the release.
+//   - scale-in (Session.RemoveWorker): the request names the slot
+//     leaving; at the cut it migrates its whole shard out, acks, and
+//     retires after the release.
 //
 // Every fence participant — survivors, the replacement, the newcomer,
 // the leaver — sends markers to and requires markers from all other
@@ -184,11 +184,19 @@ func (r *shardRoute) remove(id int) {
 // Worker side: cohorts and the actions inside the membership fence.
 // ---------------------------------------------------------------------
 
+// down reports whether the pending membership fence names slot j lost:
+// from the request's arrival until the fence commits, flushes toward j
+// are held and live-cohort minima skip it.
+func (w *worker) down(j int) bool {
+	f := &w.fences[transport.FenceMember]
+	return f.req.epoch > f.done && slices.Contains(f.req.down, j)
+}
+
 // peerSkip reports whether slot j is excluded from live-cohort minima:
-// self, crash-orphaned peers (their replacement restarts every clock at
-// the fence), and — on elastic fleets — slots outside the membership.
+// self, lost peers (their replacement restarts every clock at the
+// fence), and — on elastic fleets — slots outside the membership.
 func (w *worker) peerSkip(j int) bool {
-	if j == w.id || w.down[j] {
+	if j == w.id || w.down(j) {
 		return true
 	}
 	if w.route.members != nil {
@@ -198,11 +206,11 @@ func (w *worker) peerSkip(j int) bool {
 }
 
 // eachPeer calls f for every current member except this worker (static
-// fleets: every other slot). Down peers are included — broadcasts to a
+// fleets: every other slot). Lost peers are included — broadcasts to a
 // lost slot reach its replacement, or die harmlessly with the reset
 // inbox.
 func (w *worker) eachPeer(f func(j int)) {
-	for j := range w.down {
+	for j := range w.peerSteps {
 		if j != w.id && w.route.participant(j) {
 			f(j)
 		}
@@ -212,7 +220,7 @@ func (w *worker) eachPeer(f func(j int)) {
 // fenceCohort freezes a membership fence's marker set at entry: the
 // pre-change membership plus the admitted newcomer, minus self.
 func (w *worker) fenceCohort(admit int) []bool {
-	set := make([]bool, len(w.down))
+	set := make([]bool, len(w.peerSteps))
 	w.eachPeer(func(j int) { set[j] = true })
 	if admit >= 0 && admit != w.id {
 		set[admit] = true
@@ -224,20 +232,18 @@ func (w *worker) fenceCohort(admit int) []bool {
 // the rows it re-homes. No-op for static fleets (crash re-join replaces
 // a slot in place) and for crash fences on elastic fleets (membership
 // unchanged).
-func (w *worker) applyMembership(admit int) {
+func (w *worker) applyMembership(t transition) {
 	if w.route.members == nil {
 		return
 	}
 	changed := false
-	if admit >= 0 && !w.route.members[admit] {
-		w.route.add(admit)
+	if t.admit >= 0 && !w.route.members[t.admit] {
+		w.route.add(t.admit)
 		changed = true
 	}
-	for j, leaving := range w.leaving {
-		if leaving && w.route.members[j] {
-			w.route.remove(j)
-			changed = true
-		}
+	if t.leaving >= 0 && w.route.members[t.leaving] {
+		w.route.remove(t.leaving)
+		changed = true
 	}
 	if changed {
 		w.migrateRows()
@@ -328,16 +334,14 @@ func (w *worker) acceptHandoff(m transport.Message) {
 //	rollback = 0: keep state; survivors of a crash replay their
 //	              accumulations toward the lost shard's keys (selective
 //	              aggregates — Theorem 3 makes the replay idempotent).
-func (w *worker) repairState(rollback int) {
+func (w *worker) repairState(t transition) {
 	switch {
-	case rollback > 0:
-		w.reloadCut(rollback)
-	case rollback < 0:
+	case t.rollback > 0:
+		w.reloadCut(t.rollback)
+	case t.rollback < 0:
 		w.resetToSeed()
-	default:
-		if w.plan.Op.Selective() && slices.Contains(w.down, true) {
-			w.replayForDown()
-		}
+	case w.plan.Op.Selective() && slices.ContainsFunc(t.down, func(j int) bool { return j != w.id }):
+		w.replayForDown()
 	}
 }
 
@@ -375,9 +379,9 @@ func (w *worker) resetToSeed() {
 }
 
 // replayForDown re-propagates every accumulated value whose
-// contributions reach keys owned by a crash-orphaned slot, buffering
-// them for the replacement (flushes toward down slots stay suppressed
-// until Release). Together with the replacement's own warm-start or
+// contributions reach keys owned by a lost slot, buffering them for the
+// replacement (flushes toward lost slots stay held until the fence
+// commits). Together with the replacement's own warm-start or
 // seed, this re-derives the lost shard: boundary contributions arrive
 // by replay, interior chains re-derive locally from them. Selective
 // aggregates only — replayed deltas are idempotent under min/max
@@ -385,7 +389,7 @@ func (w *worker) resetToSeed() {
 func (w *worker) replayForDown() {
 	w.table.Range(func(k int64, acc float64) bool {
 		w.plan.PropagateInto(w.scratch(), k, acc, func(dst int64, v float64) {
-			if o := w.owner(dst); o != w.id && w.down[o] {
+			if o := w.owner(dst); o != w.id && w.down(o) {
 				w.bufs[o].add(dst, v)
 			}
 		})
@@ -393,48 +397,37 @@ func (w *worker) replayForDown() {
 	})
 }
 
-// finishFence commits a membership fence at its release: orphan flags
-// clear, per-link protocol state (Data sequencing, dedup windows, marker
-// clocks) resets for every replaced, admitted, or departed slot — both
-// ends of such a link reset symmetrically, while survivor↔survivor links
-// keep their continuity — and a leaving worker retires.
-func (w *worker) finishFence(admit int) {
-	for j := range w.down {
-		if w.down[j] {
-			w.down[j] = false
-			w.resetLink(j)
+// renewLinks restarts per-link protocol state at a membership cut, on
+// both ends of every link whose incarnation the transition ends or
+// begins — a replaced, admitted or leaving slot — while survivor↔survivor
+// links keep their continuity. A renewed worker also forgets the Data
+// windows of its own links: a survivor not yet told of the fence may have
+// flushed into the replacement's fresh inbox under its old sequence.
+// Nothing is in flight to mix the generations up: no cohort member sends
+// Data between its cut and its release, so whichever end commits first,
+// the other already counts from the new sequence.
+//
+// A renewed link restarts its Data sequence and dedup window, and its
+// superstep clock outright (a new incarnation counts from zero); each
+// fence clock is cleared only up to the last fence of its class this
+// worker finished (markClock.resetUpTo says why), which keeps this
+// fence's own second-round marks.
+func (w *worker) renewLinks(t transition) {
+	self := t.renews(w.id)
+	for j := range w.dataSeen {
+		switch {
+		case j == w.id:
+		case t.renews(j):
+			w.dataSeq[j] = 0
+			w.dataSeen[j] = dedupWindow{}
+			w.peerSteps.resetUpTo(j, maxSteps)
+			for c := range w.fences {
+				f := &w.fences[c]
+				f.marks.resetUpTo(j, markStamp(f.done, 2))
+			}
+		case self:
+			w.dataSeen[j] = dedupWindow{}
 		}
-	}
-	for j, leaving := range w.leaving {
-		if !leaving {
-			continue
-		}
-		w.leaving[j] = false
-		w.resetLink(j)
-		if j == w.id {
-			w.retired = true
-			w.stop()
-		}
-	}
-	if admit >= 0 && admit != w.id {
-		w.resetLink(admit)
-	}
-	w.joinGate = false
-	w.resetFrontier() // migration / rollback / replay rewrote the dirty set
-}
-
-// resetLink clears link j's protocol state after a membership fence
-// replaced, admitted, or retired that slot. The superstep clock restarts
-// outright (a new incarnation counts from zero); each fence clock is
-// cleared only up to the last fence of its class this worker finished
-// (markClock.resetUpTo says why).
-func (w *worker) resetLink(j int) {
-	w.dataSeq[j] = 0
-	w.dataSeen[j] = dedupWindow{}
-	w.peerSteps.resetUpTo(j, maxSteps)
-	for c := range w.fences {
-		f := &w.fences[c]
-		f.marks.resetUpTo(j, markStamp(f.done, 2))
 	}
 }
 
@@ -454,27 +447,6 @@ func (w *worker) awaitAdmission() {
 // ---------------------------------------------------------------------
 // Master side: liveness recovery and scale coordination.
 // ---------------------------------------------------------------------
-
-// memberCoordinator is the session's half of the membership layer: the
-// master drives the wire protocol, the session owns worker lifecycles
-// (goroutines, transport endpoints, checkpoint reads). All callbacks run
-// on the session goroutine — the same one executing master.run — so
-// they may touch session state freely.
-type memberCoordinator struct {
-	// spawn replaces lost worker id on a fresh endpoint and reports the
-	// fence's rollback directive (see worker.repairState). ok=false
-	// means the loss is unrecoverable (e.g. a combining aggregate with
-	// no cut covering the applied mutations) and the master falls back
-	// to the abort path.
-	spawn func(id int) (rollback int, ok bool)
-	// admit stands up a brand-new worker in slot id for scale-out.
-	admit func(id int) bool
-	// retire drops a slot after scale-in completes.
-	retire func(id int)
-	// released fires after every successful fence (lease release,
-	// counter-baseline reset).
-	released func()
-}
 
 // memberCmd is one Session.AddWorker / RemoveWorker request, processed
 // by the master between poll rounds.
@@ -499,120 +471,52 @@ func (m *master) activeCount() int {
 	return n
 }
 
-// fenceTimeout bounds one fence: quiesce + (possibly) a checkpoint
-// reload per worker + migration. Far looser than a collect — disk is
-// involved — but still bounded so a worker dying mid-fence surfaces as
-// an error, not a hang.
-func (m *master) fenceTimeout() time.Duration {
-	d := 20 * m.collectTimeout()
-	if d < 2*time.Second {
-		d = 2 * time.Second
-	}
-	if m.cfg.MaxWall > 0 && d > m.cfg.MaxWall {
-		d = m.cfg.MaxWall
-	}
-	return d
-}
-
-// memberFence drives one membership fence: broadcast the request,
-// collect one ack per participant, broadcast the release. admit >= 0
-// additionally includes (and afterwards activates) a not-yet-live slot.
-// Returns false on an unrecoverable failure (m.err set, fleet stopped).
-func (m *master) memberFence(rollback, admit int) bool {
-	m.fence++
-	msg := transport.Message{Kind: transport.FenceRequest, Fence: transport.FenceMember,
-		Round: m.fence, Rollback: rollback, Admit: int32(admit)}
-	need := m.activeCount()
-	m.bcast(msg)
-	if admit >= 0 {
-		m.sendTo(admit, msg)
-		need++
-	}
-	if !m.awaitAcks(transport.FenceMember, m.fence, need, fmt.Sprintf("membership fence %d", m.fence)) {
-		return false
-	}
-	rel := transport.Message{Kind: transport.FenceRelease, Fence: transport.FenceMember, Round: m.fence}
-	m.bcast(rel)
-	if admit >= 0 {
-		m.sendTo(admit, rel)
-		m.live[admit] = true
-	}
-	if m.member.released != nil {
-		m.member.released()
-	}
-	return true
-}
-
-// awaitNewcomerPark collects the park ack of worker id, admitted into an
-// already-parked fleet. After the membership fence's release the
-// newcomer parks like any worker at an epoch boundary: it marks the data
-// lanes (the parked survivors' re-marking answers in kind, their routes
-// including it after the fence) and acks. Only then is the fleet
-// quiescent again, so a parked-fleet AddWorker must not return — and the
-// session's next Apply must not read or mutate tables — before that ack
-// arrives. The survivors acked this park fence long ago, so the one ack
-// still outstanding is the newcomer's.
-func (m *master) awaitNewcomerPark(id int) bool {
-	return m.awaitAcks(transport.FencePark, m.epoch, 1, fmt.Sprintf("park of admitted worker %d", id))
-}
-
-// awaitAcks is collectAcks for a fence the run cannot outlive: unless
-// all need acks arrive within fenceTimeout the fleet is stopped, with
-// m.err saying what fell short.
-func (m *master) awaitAcks(c transport.FenceClass, epoch, need int, what string) bool {
-	got, open := m.collectAcks(c, epoch, need, time.Now().Add(m.fenceTimeout()))
-	if !open {
-		return false
-	}
-	if got < need {
-		m.met.collectTimeouts.Inc()
-		m.err = fmt.Errorf("runtime: %s got %d/%d acks within %v: %w",
-			what, got, need, m.fenceTimeout(), ErrWorkerLost)
-		m.halt(StopFenceAborted)
-		return false
-	}
-	return true
-}
-
 // recoverLost attempts live re-join for lost, the workers that stayed
 // silent through a wave and its second-chance probe. It returns true
 // when the fleet has been repaired and the poll loop should continue
 // (with its detector state reset); false sends the caller to the
 // abort path.
 func (m *master) recoverLost(lost []int) bool {
-	if m.member == nil {
+	if m.s == nil || len(lost) == 0 || len(lost) >= m.activeCount() {
+		// No session to respawn into, nothing identifiably dead, or no
+		// survivors to re-join against.
 		return false
 	}
-	if len(lost) == 0 || len(lost) >= m.activeCount() {
-		// Nothing identifiably dead, or no survivors to re-join against.
-		return false
-	}
-	start := time.Now()
-	// Orphan first, then reset+respawn: the copy of the Orphan queued to
-	// the doomed slot's old inbox dies with it at ResetConn, so a
-	// replacement never sees itself declared down; survivors suppress
-	// flushes to the slot and skip it in their peer-minimum scans, which
-	// unwedges any gate or episode blocked on the dead worker.
+	decided := time.Now()
+	t := m.transition(transport.FenceMember, m.fence+1)
+	t.down = lost
+	// Respawn first, request after: the reset endpoint is the fresh inbox
+	// the request lands in, and a send to the dead one could only wait on
+	// an inbox nobody drains.
 	for _, id := range lost {
-		m.bcast(transport.Message{Kind: transport.Orphan, Round: id})
-		m.met.memberOrphans.Inc()
-	}
-	rollback := 0
-	for _, id := range lost {
-		rb, ok := m.member.spawn(id)
+		rb, ok := m.s.respawnWorker(id)
 		if !ok {
 			return false
 		}
 		if rb != 0 {
-			rollback = rb
+			t.rollback = rb
 		}
 	}
-	if !m.memberFence(rollback, -1) {
-		return false
+	m.fence++
+	return m.drive(t, decided)
+}
+
+// settleMember is the membership fence's bookkeeping after the release:
+// the admitted slot goes live, the leaving one is dropped, and the
+// session rebases its per-epoch counters — the fence zeroed the fleet's.
+func (m *master) settleMember(t transition) {
+	m.met.memberOrphans.Add(uint64(len(t.down)))
+	m.met.memberJoins.Add(uint64(len(t.down)))
+	if t.admit >= 0 {
+		m.live[t.admit] = true
+		m.met.memberJoins.Inc()
 	}
-	m.met.memberJoins.Add(uint64(len(lost)))
-	m.met.memberHandoffUS.Observe(uint64(time.Since(start).Microseconds()))
-	return true
+	if t.leaving >= 0 {
+		m.live[t.leaving] = false
+		m.s.retireWorker(t.leaving)
+		m.met.memberOrphans.Inc()
+	}
+	m.s.fenceReleased()
 }
 
 // pollMemberCmds applies queued AddWorker/RemoveWorker requests. It
@@ -633,55 +537,51 @@ func (m *master) pollMemberCmds() (changed, aborted bool) {
 	}
 }
 
+// applyMemberCmd fences one AddWorker / RemoveWorker request and answers
+// it. A newcomer admitted into a parked fleet parks right after the
+// membership release, and the command is answered only once it has: the
+// survivors, re-marking while they hold the park fence, are what answer
+// its park marks, and until its ack the fleet is not quiescent for the
+// next Apply's table reads and writes. It reports false when a fence
+// failed unrecoverably (m.err set, the fleet stopped).
 func (m *master) applyMemberCmd(cmd memberCmd) bool {
+	decided := time.Now()
+	t := m.transition(transport.FenceMember, m.fence+1)
+	id := cmd.id
 	if cmd.add {
-		id := -1
-		for j, l := range m.live {
-			if !l {
-				id = j
-				break
-			}
-		}
-		if id < 0 {
+		id = slices.Index(m.live, false)
+		switch {
+		case id < 0:
 			cmd.reply <- memberCmdResult{id: -1,
 				err: fmt.Errorf("runtime: fleet is at its capacity (%d workers)", len(m.live))}
 			return true
-		}
-		if !m.member.admit(id) {
+		case !m.s.admitWorker(id):
 			cmd.reply <- memberCmdResult{id: -1, err: fmt.Errorf("runtime: could not stand up worker %d", id)}
 			return true
 		}
-		start := time.Now()
-		if !m.memberFence(0, id) {
-			cmd.reply <- memberCmdResult{id: -1, err: m.err}
-			return false
+		t.admit, t.cohort[id] = id, true
+	} else {
+		switch {
+		case id < 0 || id >= len(m.live) || !m.live[id]:
+			cmd.reply <- memberCmdResult{id: id, err: fmt.Errorf("runtime: worker %d is not a member", id)}
+			return true
+		case m.activeCount() <= 1:
+			cmd.reply <- memberCmdResult{id: id, err: fmt.Errorf("runtime: cannot remove the last worker")}
+			return true
 		}
-		m.met.memberJoins.Inc()
-		m.met.memberHandoffUS.Observe(uint64(time.Since(start).Microseconds()))
-		cmd.reply <- memberCmdResult{id: id}
-		return true
+		t.leaving = id
 	}
-	id := cmd.id
-	if id < 0 || id >= len(m.live) || !m.live[id] {
-		cmd.reply <- memberCmdResult{id: id, err: fmt.Errorf("runtime: worker %d is not a member", id)}
-		return true
+	m.fence++
+	ok := m.drive(t, decided)
+	if ok && cmd.add && m.parked {
+		park := transition{class: transport.FencePark, epoch: m.epoch, cohort: make([]bool, len(m.live)), admit: -1, leaving: -1}
+		park.cohort[id] = true
+		ok = m.drive(park, time.Now())
 	}
-	if m.activeCount() <= 1 {
-		cmd.reply <- memberCmdResult{id: id, err: fmt.Errorf("runtime: cannot remove the last worker")}
-		return true
-	}
-	start := time.Now()
-	// A graceful Orphan: the slot participates in the fence, migrates its
-	// whole shard out, and retires after the release.
-	m.bcast(transport.Message{Kind: transport.Orphan, Round: id, Retire: true})
-	m.met.memberOrphans.Inc()
-	if !m.memberFence(0, -1) {
-		cmd.reply <- memberCmdResult{id: id, err: m.err}
+	if !ok {
+		cmd.reply <- memberCmdResult{id: -1, err: m.err}
 		return false
 	}
-	m.live[id] = false
-	m.member.retire(id)
-	m.met.memberHandoffUS.Observe(uint64(time.Since(start).Microseconds()))
 	cmd.reply <- memberCmdResult{id: id}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"powerlog/internal/metrics"
+	"powerlog/internal/transport"
 )
 
 // This file holds the runtime's observability plumbing (DESIGN.md §8):
@@ -93,17 +94,18 @@ type masterMetrics struct {
 	// tick. A fixpoint that ended with no timer wave stopped on events
 	// alone; one that needed them waited out an interval.
 	wavesIdle, wavesTimer *metrics.Counter
+	// fenceUS is each fence's duration in microseconds by class
+	// ("master.fence.snapshot_us" / "park_us" / "member_us"): from the
+	// master's decision — before any worker is spawned for it — to the
+	// release, or to the last ack of a park, which the session holds.
+	fenceUS [transport.NumFenceClasses]*metrics.Histogram
 
 	// Membership counters (membership.go, DESIGN.md §11). memberJoins
 	// counts workers admitted through a fence — crash replacements and
 	// scale-out newcomers ("master.member.join"); memberOrphans counts
-	// orphan verdicts, crash and graceful ("master.member.orphan");
-	// memberHandoffUS is the per-event recovery/rebalance latency in
-	// microseconds ("master.member.handoff_us"), orphan-or-command to
-	// Release.
-	memberJoins     *metrics.Counter
-	memberOrphans   *metrics.Counter
-	memberHandoffUS *metrics.Histogram
+	// the slots a fence took out, lost and leaving ("master.member.orphan").
+	memberJoins   *metrics.Counter
+	memberOrphans *metrics.Counter
 
 	// Session lifecycle counters (session.go, DESIGN.md §10). epochs
 	// counts fixpoints the session has converged ("engine.epoch");
@@ -134,14 +136,18 @@ func newMasterMetrics() masterMetrics {
 		collectProbes:   reg.Counter("master.collect.probe"),
 		wavesIdle:       reg.Counter("master.wave.idle"),
 		wavesTimer:      reg.Counter("master.wave.timer"),
-		memberJoins:     reg.Counter("master.member.join"),
-		memberOrphans:   reg.Counter("master.member.orphan"),
-		memberHandoffUS: reg.Histogram("master.member.handoff_us"),
-		epochs:          reg.Counter("engine.epoch"),
-		reseedKeys:      reg.Counter("delta.reseed.keys"),
-		invalidateKeys:  reg.Counter("delete.invalidate.keys"),
-		borderRows:      reg.Counter("delta.border.rows"),
-		edgesRead:       reg.Counter("delta.edges.read"),
-		indexRebuilds:   reg.Counter("delta.index.rebuilds"),
+		fenceUS: [...]*metrics.Histogram{
+			transport.FenceSnapshot: reg.Histogram("master.fence.snapshot_us"),
+			transport.FencePark:     reg.Histogram("master.fence.park_us"),
+			transport.FenceMember:   reg.Histogram("master.fence.member_us"),
+		},
+		memberJoins:    reg.Counter("master.member.join"),
+		memberOrphans:  reg.Counter("master.member.orphan"),
+		epochs:         reg.Counter("engine.epoch"),
+		reseedKeys:     reg.Counter("delta.reseed.keys"),
+		invalidateKeys: reg.Counter("delete.invalidate.keys"),
+		borderRows:     reg.Counter("delta.border.rows"),
+		edgesRead:      reg.Counter("delta.edges.read"),
+		indexRebuilds:  reg.Counter("delta.index.rebuilds"),
 	}
 }

@@ -508,14 +508,15 @@ func TestFlushSplitsAtBatchMax(t *testing.T) {
 		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
 	})
 	const held = 2*batchMax + 100
-	w.down[1] = true
+	member := &w.fences[transport.FenceMember]
+	member.req = transition{class: transport.FenceMember, epoch: 1, admit: -1, leaving: -1, down: []int{1}}
 	for k := int64(0); k < held; k++ {
 		w.buffer(1, 2*k+1, float64(k))
 	}
 	if w.flushes != 0 || w.bufs[1].len() != held {
 		t.Fatalf("down slot: %d flushes, %d keys held, want 0 and %d", w.flushes, w.bufs[1].len(), held)
 	}
-	w.down[1] = false // finishFence, at the release
+	member.done = 1 // the fence commits
 	w.flush(1)
 	var seen dedupWindow
 	got := 0

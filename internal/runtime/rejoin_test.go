@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"powerlog/internal/ckpt"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
 	"powerlog/internal/gen"
@@ -85,35 +87,104 @@ func TestRejoinMatrix(t *testing.T) {
 }
 
 // TestRejoinRecoveryCounters pins the observable recovery trail: one
-// orphan verdict, one admitted replacement, one handoff latency sample —
-// and a converged, oracle-equal result.
+// slot taken out, one admitted replacement, one membership fence whose
+// duration — from the master's decision to the release — stays below
+// CollectTimeout, and a converged, oracle-equal result. On the chain the
+// survivors' flushes fill the dead worker's inbox before the probe gives
+// up on it; a fence that sent anything to that inbox would wait out a
+// whole CollectTimeout there.
 func TestRejoinRecoveryCounters(t *testing.T) {
-	g := gen.Uniform(200, 1200, 50, 11)
-	want := ref.Dijkstra(g, 0)
-	db := edb.NewDB()
-	db.SetGraph("edge", g)
-	plan := compilePlan(t, progs.SSSP, db)
-	fs, err := fault.ParseSpec("seed=10,crashw=2:2")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		mode Mode
+		g    *graph.Graph
+	}{
+		{MRASyncAsync, gen.Uniform(200, 1200, 50, 11)},
+		{MRAAsync, gen.LocalChain(16000, 4, 40, 100, 2)},
+	} {
+		want := ref.Dijkstra(tc.g, 0)
+		db := edb.NewDB()
+		db.SetGraph("edge", tc.g)
+		plan := compilePlan(t, progs.SSSP, db)
+		fs, err := fault.ParseSpec("seed=10,crashw=2:2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := rejoinCfg(tc.mode)
+		cfg.Fault = fault.New(fs)
+		res, err := Run(plan, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("%v: did not converge after crash re-join (stop cause: %v)", tc.mode, res.StopCause)
+		}
+		c := res.Master.Counters
+		if c["master.member.orphan"] < 1 {
+			t.Errorf("%v: master.member.orphan = %d, want >= 1", tc.mode, c["master.member.orphan"])
+		}
+		if c["master.member.join"] < 1 {
+			t.Errorf("%v: master.member.join = %d, want >= 1", tc.mode, c["master.member.join"])
+		}
+		fence := res.Master.Histograms["master.fence.member_us"]
+		if limit := uint64(cfg.CollectTimeout.Microseconds()); fence.Count == 0 || fence.Sum >= limit {
+			t.Errorf("%v: %d membership fences took %d µs, want one below CollectTimeout (%d µs)",
+				tc.mode, fence.Count, fence.Sum, limit)
+		}
+		expectClose(t, tc.mode, res.Values, want, math.Inf(1), 1e-9)
 	}
-	cfg := rejoinCfg(MRASyncAsync)
-	cfg.Fault = fault.New(fs)
-	res, err := Run(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCrashRepair pins a crash fence's repair choice, one row per arm:
+// selective programs always re-join by replay, warm-started from a shard
+// of the current mutation epoch; combining programs rewind to a cut of
+// the current mutation epoch or, before any mutation, to the seed, and
+// refuse otherwise — always after a scale event.
+func TestCrashRepair(t *testing.T) {
+	shard := func(mutEpoch int) *ckpt.Meta { return &ckpt.Meta{Epoch: 5, MutEpoch: mutEpoch} }
+	cut := func(mutEpoch int) *ckpt.Meta { return &ckpt.Meta{Epoch: 7, Cut: true, MutEpoch: mutEpoch} }
+	for _, tc := range []struct {
+		name              string
+		selective, scaled bool
+		mutEpoch          int
+		newest            *ckpt.Meta
+		rollback          int
+		warm, ok          bool
+	}{
+		{"selective, no snapshot", true, false, 2, nil, 0, false, true},
+		{"selective, warm shard of this mutation epoch", true, false, 2, shard(2), 0, true, true},
+		{"selective, shard of another mutation epoch", true, false, 2, shard(1), 0, false, true},
+		{"selective, scaled", true, true, 0, shard(0), 0, true, true},
+		{"combining, no snapshot dir, no mutation", false, false, 0, nil, -1, false, true},
+		{"combining, no snapshot dir, mutated", false, false, 3, nil, 0, false, false},
+		{"combining, cut of this mutation epoch", false, false, 3, cut(3), 7, false, true},
+		{"combining, cut of another mutation epoch", false, false, 3, cut(2), 0, false, false},
+		{"combining, stale snapshot, no mutation", false, false, 0, shard(0), -1, false, true},
+		{"combining, scaled", false, true, 3, cut(3), 0, false, false},
+	} {
+		rollback, warm, ok := crashRepair(tc.selective, tc.scaled, tc.mutEpoch, tc.newest)
+		if rollback != tc.rollback || warm != tc.warm || ok != tc.ok {
+			t.Errorf("%s: (rollback %d, warm %v, ok %v), want (%d, %v, %v)",
+				tc.name, rollback, warm, ok, tc.rollback, tc.warm, tc.ok)
+		}
 	}
-	if !res.Converged {
-		t.Fatalf("did not converge after crash re-join (stop cause: %v)", res.StopCause)
+
+	// A refused combining re-join drops the read lease it took to choose.
+	p := sessionProgs[2] // PageRank
+	plan := compilePlan(t, p.src, p.db(p.g()))
+	dir := t.TempDir()
+	for j := 0; j < 2; j++ {
+		meta := ckpt.Meta{Epoch: 3, Worker: j, Workers: 2, Cut: true, MutEpoch: 1}
+		if err := ckpt.SaveShard(dir, meta, []ckpt.Row{{Key: int64(j), Acc: 1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	c := res.Master.Counters
-	if c["master.member.orphan"] < 1 {
-		t.Errorf("master.member.orphan = %d, want >= 1", c["master.member.orphan"])
+	s := &Session{cfg: Config{Workers: 2, SnapshotDir: dir}, plan: plan, mutEpoch: 2}
+	if _, ok := s.respawnWorker(0); ok {
+		t.Fatal("a combining re-join on a cut of another mutation epoch was not refused")
 	}
-	if c["master.member.join"] < 1 {
-		t.Errorf("master.member.join = %d, want >= 1", c["master.member.join"])
+	if leases, _ := filepath.Glob(filepath.Join(dir, "lease-*.rdl")); len(leases) != 0 || s.fenceRelease != nil {
+		t.Errorf("the refused re-join left its read lease behind: %v", leases)
 	}
-	expectClose(t, MRASyncAsync, res.Values, want, math.Inf(1), 1e-9)
 }
 
 // TestRejoinSessionCombining drives a combining-aggregate session

@@ -246,6 +246,43 @@ func TestBucketSchedEpsilon(t *testing.T) {
 	}
 }
 
+// TestBucketSchedEpsilonFollowsPremise: whether the schedule holds keys
+// is read from the data at every epoch's start, not from the licence
+// alone. An ε plan whose graph gains an improving edge drains FIFO, so
+// internal/term is told nothing is held and the ε window stops the epoch
+// as it would any FIFO run — at the oracle's fixpoint.
+func TestBucketSchedEpsilonFollowsPremise(t *testing.T) {
+	g := gen.LocalChain(600, 3, 20, 100, 7)
+	shortcut := graph.Edge{Src: 5, Dst: 300, W: -40}
+	mutated, err := graph.FromEdges(g.NumVertices(), append(g.Edges(), shortcut), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := vertexOracle(ref.DAGPath(mutated, 0, false))
+	for _, mode := range []Mode{MRASync, MRASyncAsync} {
+		// Apply splices into the graph: a fresh one per session.
+		s, err := Open(compilePlan(t, epsSSSP, edgeDB("edge")(gen.LocalChain(600, 3, 20, 100, 7))), sessCfg(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.m.termConfig().Holds {
+			t.Errorf("%v: the bucket schedule on non-negative weights holds nothing", mode)
+		}
+		res, err := s.Apply(Mutation{Inserts: []graph.Edge{shortcut}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "fifo: edge 5→300 weighs -40, which improves on the value it carries"; res.Sched != want {
+			t.Errorf("%v: sched=%q, want %q", mode, res.Sched, want)
+		}
+		if s.m.termConfig().Holds {
+			t.Errorf("%v: Holds after the improving insert, though the plan drains FIFO", mode)
+		}
+		expectSameFixpoint(t, mode.String(), res.Values, want, math.Inf(1), 1e-9)
+		s.Close()
+	}
+}
+
 // TestBucketSchedFanOut gates per subshard on the cores of a fanned-out
 // pass (CoresPerWorker = 4, fan-out forced): arrange keeps nothing
 // between calls but an atomic flag, which -race checks.

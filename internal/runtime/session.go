@@ -274,19 +274,12 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	// Naive evaluation cannot park: its fixpoint is a full re-derivation,
 	// so the initial run goes to completion and Apply stays rejected.
 	s.m.park = cfg.Mode.MRA()
-	// Membership: the non-barriered MRA modes get live re-join (a lost
-	// worker is replaced through a fence instead of aborting the run);
+	// Membership: the polling master of the non-barriered MRA modes
+	// replaces a lost worker through a fence instead of aborting the run;
 	// elastic fleets additionally accept AddWorker/RemoveWorker commands.
-	// The callbacks all run on the goroutine executing m.run — this one —
-	// so they touch session state freely.
-	if cfg.Mode.MRA() && !modeBarriered[cfg.Mode] {
-		s.m.member = &memberCoordinator{
-			spawn:    s.respawnWorker,
-			admit:    s.admitWorker,
-			retire:   s.retireWorker,
-			released: s.fenceReleased,
-		}
-	}
+	// The master calls back into the session on the goroutine executing
+	// m.run — this one — so the callbacks touch session state freely.
+	s.m.s = s
 	if cfg.Elastic {
 		s.m.cmds = make(chan memberCmd, 8)
 	}
@@ -620,15 +613,16 @@ func (s *Session) joinFleet() {
 }
 
 // ---------------------------------------------------------------------
-// Membership lifecycle (membership.go, DESIGN.md §11). These callbacks
-// run on the goroutine executing m.run — the session goroutine — so
+// Membership lifecycle (membership.go, DESIGN.md §11). The master calls
+// these on the goroutine executing m.run — the session goroutine — so
 // they access session state without locks.
 // ---------------------------------------------------------------------
 
 // spawnInto stands up a fresh worker in slot id on a reset transport
 // endpoint, gated on the admission fence. The endpoint reset fences off
 // the slot's previous incarnation (a stale conn can no longer send) and
-// gives the replacement a clean inbox that never saw its own Orphan.
+// gives the replacement a clean inbox, which the fence's request reaches
+// after it.
 func (s *Session) spawnInto(id int) *worker {
 	conn := s.net.ResetConn(id)
 	w := newWorker(id, s.cfg, s.plan, s.cfg.Fault.Wrap(conn))
@@ -642,7 +636,8 @@ func (s *Session) spawnInto(id int) *worker {
 	park.done, park.released = s.engEpoch-1, s.engEpoch-1
 	if s.m.parked {
 		// Spawned between fixpoints: park right after admission instead
-		// of computing into a parked fleet.
+		// of computing into a parked fleet. The master's park request for
+		// it comes only after the membership release.
 		park.req.epoch = s.engEpoch
 	}
 	if s.cfg.Elastic {
@@ -662,53 +657,66 @@ func (s *Session) startSpawned(w *worker) {
 	}()
 }
 
-// respawnWorker replaces crashed worker id and picks the fence's
-// rollback directive (see worker.repairState): selective aggregates keep
-// state and replay (warm-starting the replacement from its newest
-// own-shard snapshot when one matches the mutation epoch); combining
-// aggregates rewind the fleet to the newest consistent cut, or to the
-// ΔX¹ seed when no cut exists but no mutations have been applied either.
-// ok=false falls back to the abort path: combining with no usable cut
-// after mutations (the seed is no longer the true initial state), or any
-// combining loss after a scale event (checkpoint shards are only
-// restorable under the ownership ring they were written with).
+// crashRepair is a crash fence's repair choice for one lost slot (the
+// worker's half is worker.repairState), a pure function of the aggregate
+// class, whether the membership ever changed, the mutation epoch, and the
+// newest checkpoint (nil when there is no snapshot directory or nothing
+// usable in it): for a selective program the lost slot's own newest
+// shard, for a combining one the newest complete set.
+//
+//	selective: keep state and replay (rollback 0), warm-starting the
+//	           replacement from its shard when that incorporates the
+//	           current mutation epoch;
+//	combining: rewind to the newest set if it is a consistent cut of the
+//	           current mutation epoch, else to the ΔX¹ seed (-1) while no
+//	           mutation has been applied; otherwise refuse (ok=false) —
+//	           and always after a scale event, whose cuts were written
+//	           under another ownership ring.
+func crashRepair(selective, scaled bool, mutEpoch int, newest *ckpt.Meta) (rollback int, warm, ok bool) {
+	switch {
+	case selective:
+		return 0, newest != nil && newest.MutEpoch == mutEpoch, true
+	case scaled:
+		return 0, false, false
+	case newest != nil && newest.Cut && newest.MutEpoch == mutEpoch:
+		return newest.Epoch, false, true
+	case mutEpoch == 0:
+		return -1, false, true
+	}
+	return 0, false, false
+}
+
+// respawnWorker replaces crashed worker id and returns the fence's
+// rollback directive as crashRepair chooses it; ok=false (nothing
+// spawned) sends the master to the abort path. A combining program's
+// choice pins the snapshot directory with a read lease first, so the
+// epoch chosen here cannot be pruned before the last worker reloads it;
+// the fence's release drops the lease, or the refusal here does.
 func (s *Session) respawnWorker(id int) (int, bool) {
-	rollback := 0
-	var warm []ckpt.Row
-	if !s.plan.Op.Selective() {
-		if s.scaled {
-			return 0, false
+	dir, selective := s.cfg.SnapshotDir, s.plan.Op.Selective()
+	var rows []ckpt.Row
+	var newest *ckpt.Meta
+	read := func(r []ckpt.Row, meta ckpt.Meta, err error) {
+		if err == nil {
+			rows, newest = r, &meta
 		}
-		switch {
-		case s.cfg.SnapshotDir == "":
-			if s.mutEpoch != 0 {
-				return 0, false
-			}
-			rollback = -1
-		default:
-			if s.fenceRelease == nil {
-				// Pin the checkpoint directory across the fence so the
-				// epoch chosen here cannot be pruned before the last
-				// worker reloads it.
-				if rel, err := ckpt.AcquireReadLease(s.cfg.SnapshotDir); err == nil {
-					s.fenceRelease = rel
-				}
-			}
-			_, meta, err := ckpt.LoadAll(s.cfg.SnapshotDir)
-			switch {
-			case err == nil && meta.Cut && meta.MutEpoch == s.mutEpoch:
-				rollback = meta.Epoch
-			case s.mutEpoch == 0:
-				rollback = -1
-			default:
-				s.fenceReleased()
-				return 0, false
+	}
+	switch {
+	case dir == "":
+	case selective:
+		read(ckpt.NewestShard(dir, id))
+	case !s.scaled:
+		if s.fenceRelease == nil {
+			if rel, err := ckpt.AcquireReadLease(dir); err == nil {
+				s.fenceRelease = rel
 			}
 		}
-	} else if s.cfg.SnapshotDir != "" {
-		if rows, meta, err := ckpt.NewestShard(s.cfg.SnapshotDir, id); err == nil && meta.MutEpoch == s.mutEpoch {
-			warm = rows
-		}
+		read(ckpt.LoadAll(dir))
+	}
+	rollback, warm, ok := crashRepair(selective, s.scaled, s.mutEpoch, newest)
+	if !ok {
+		s.fenceReleased()
+		return 0, false
 	}
 	w := s.spawnInto(id)
 	if rollback == 0 {
@@ -717,8 +725,8 @@ func (s *Session) respawnWorker(id int) (int, bool) {
 		// Theorem 3 makes stale state safe). Survivors replay boundary
 		// contributions at the fence; the rest re-derives locally.
 		w.seed(s.plan.InitMRA)
-		if warm != nil {
-			w.restoreStale(warm)
+		if warm {
+			w.restoreStale(rows)
 		}
 	}
 	s.startSpawned(w)
@@ -745,9 +753,10 @@ func (s *Session) retireWorker(id int) {
 	s.workers[id] = nil
 }
 
-// fenceReleased runs after every successful fence (and on recovery
-// bail-out): drop the checkpoint read lease and rebase the per-epoch
-// traffic baselines — the fence zeroed the fleet's counters.
+// fenceReleased runs after every successful membership fence (and on a
+// refused re-join and at teardown): drop the checkpoint read lease and
+// rebase the per-epoch traffic baselines — the fence zeroed the fleet's
+// counters.
 func (s *Session) fenceReleased() {
 	if s.fenceRelease != nil {
 		s.fenceRelease()
@@ -821,15 +830,6 @@ func (s *Session) memberChange(cmd memberCmd) (int, error) {
 		s.fail(s.m.err)
 	}
 	r := <-cmd.reply
-	if cmd.add && r.err == nil && !s.fleetDown {
-		// The newcomer still has to park against the parked survivors;
-		// only after its ack is the fleet quiescent for the next Apply's
-		// table reads and writes.
-		if !s.m.awaitNewcomerPark(r.id) {
-			s.fail(s.m.err)
-			return r.id, s.Err()
-		}
-	}
 	return r.id, r.err
 }
 
@@ -837,10 +837,7 @@ func (s *Session) memberChange(cmd memberCmd) (int, error) {
 // The caller must hold the exclusive claim (Open's construction path or
 // Close's closing flag), so no other operation is touching the fleet.
 func (s *Session) teardown() {
-	if s.fenceRelease != nil {
-		s.fenceRelease()
-		s.fenceRelease = nil
-	}
+	s.fenceReleased() // a read lease an aborted re-join still holds
 	s.stopFleet()
 	s.net.Close()
 	s.mu.Lock()

@@ -110,9 +110,9 @@ func (b *sspBarrier) advance(w *worker) {
 }
 
 // maxPeerSteps is the frontier of the EndPhase marker clock, skipping
-// crash-orphaned and non-member slots like the gate's minimum does — the
-// skip is what unwedges a gated worker blocked on a dead peer's frozen
-// clock once the Orphan verdict lands.
+// lost and non-member slots like the gate's minimum does — the skip is
+// what unwedges a gated worker blocked on a dead peer's frozen clock once
+// the membership request naming it lost lands.
 func (w *worker) maxPeerSteps() int {
 	most := 0
 	for j, s := range w.peerSteps {

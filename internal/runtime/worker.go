@@ -121,14 +121,11 @@ type worker struct {
 	// Membership state (membership.go, DESIGN.md §11). master is this
 	// fleet's master endpoint (the capacity network's last slot — NOT
 	// w.nw on elastic fleets). route maps keys to owners: static modulo
-	// for fixed fleets, a consistent-hash ring under Config.Elastic.
-	// down marks crash-orphaned slots (flushes suppressed, live-cohort
-	// minima skip them) and leaving marks slots retiring at the next
-	// membership fence.
+	// for fixed fleets, a consistent-hash ring under Config.Elastic. The
+	// slots a membership fence takes out ride in its request
+	// (fences[FenceMember].req, read by down).
 	master   int
 	route    *shardRoute
-	down     []bool
-	leaving  []bool
 	joinGate bool // spawned mid-run: gate the compute loop on admission
 	reborn   bool // replacement spawned by the session (immune to crashw=)
 	retired  bool // scale-in: this worker left at a fence
@@ -202,11 +199,9 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 			counts: make([]int64, fleet),
 		},
 
-		idle:    newIdleReports(),
-		master:  transport.MasterID(fleet),
-		route:   newShardRoute(cfg),
-		down:    make([]bool, fleet),
-		leaving: make([]bool, fleet),
+		idle:   newIdleReports(),
+		master: transport.MasterID(fleet),
+		route:  newShardRoute(cfg),
 	}
 	for c := range w.fences {
 		w.fences[c].marks = make(markClock, fleet)
@@ -502,7 +497,7 @@ func (w *worker) handle(m transport.Message) {
 		w.replyStats(m.Round)
 	case transport.FenceRequest:
 		if f := &w.fences[m.Fence]; m.Round > f.req.epoch {
-			f.req = fenceReq{epoch: m.Round, rollback: m.Rollback, admit: int(m.Admit)}
+			f.req = transitionOf(m)
 		}
 		if m.Fence == transport.FencePark {
 			// For barriered modes a park request doubles as the superstep
@@ -515,21 +510,6 @@ func (w *worker) handle(m transport.Message) {
 	case transport.FenceRelease:
 		if f := &w.fences[m.Fence]; m.Round > f.released {
 			f.released = m.Round
-		}
-	case transport.Orphan:
-		// Round names the slot. Retire is a graceful retirement (scale-in:
-		// the slot keeps running until the fence migrates its shard out);
-		// otherwise it is a crash verdict — suppress flushes toward the
-		// slot and skip it in every live-cohort minimum, which unwedges
-		// any gate or fence blocked on the dead worker. A worker never
-		// marks itself down: if the master misjudged a slow worker, the
-		// transport's generation fence kills it at its next send instead.
-		if id := m.Round; id >= 0 && id < len(w.down) {
-			if m.Retire {
-				w.leaving[id] = true
-			} else if id != w.id {
-				w.down[id] = true
-			}
 		}
 	case transport.Handoff:
 		w.acceptHandoff(m)
@@ -724,11 +704,12 @@ func (w *worker) snapshot(epoch int, cut bool) error {
 // field is unused by Data otherwise) so the receiver can discard
 // redeliveries from the termination watermark.
 func (w *worker) flush(j int) {
-	if w.down[j] {
-		// The slot is crash-orphaned: hold the buffer. Selective replay
-		// refills it for the replacement and it drains after the fence's
-		// Release resets the link (extra deliveries are idempotent by
-		// Theorem 3); rollback repairs discard it wholesale.
+	if w.down(j) {
+		// The pending membership fence names the slot lost: hold the
+		// buffer. Selective replay refills it for the replacement and it
+		// drains after the fence commits, on the link its cut renewed
+		// (extra deliveries are idempotent by Theorem 3); rollback repairs
+		// discard it wholesale.
 		return
 	}
 	for w.bufs[j].len() > 0 {

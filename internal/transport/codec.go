@@ -29,9 +29,9 @@ import (
 //	    flags          1 byte (bit0 idle, bit1 dirty)
 //	Fence payload (FenceRequest, FenceMark, FenceAck, FenceRelease):
 //	    class, phase   1 byte each
-//	    rollback, admit  zigzag varint (both may be -1)
-//	Orphan payload:
-//	    retire         1 byte
+//	    member         1 byte, 1 when a membership directive follows:
+//	    rollback, admit, leave  zigzag varint (admit, leave may be -1)
+//	    down           uvarint count, then one zigzag varint each
 //
 // Other kinds carry no payload beyond the header. The frame prefix is a
 // uvarint payload length, so the reader can slice one whole message off
@@ -103,14 +103,18 @@ func appendPayload(buf []byte, m *Message) []byte {
 		buf = append(buf, dirty)
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		buf = append(buf, byte(m.Fence), m.Phase)
-		buf = binary.AppendVarint(buf, int64(m.Rollback))
-		buf = binary.AppendVarint(buf, int64(m.Admit))
-	case Orphan:
-		var retire byte
-		if m.Retire {
-			retire = 1
+		if mb := m.Member; mb == nil {
+			buf = append(buf, 0)
+		} else {
+			buf = append(buf, 1)
+			buf = binary.AppendVarint(buf, int64(mb.Rollback))
+			buf = binary.AppendVarint(buf, int64(mb.Admit))
+			buf = binary.AppendVarint(buf, int64(mb.Leave))
+			buf = binary.AppendUvarint(buf, uint64(len(mb.Down)))
+			for _, j := range mb.Down {
+				buf = binary.AppendVarint(buf, int64(j))
+			}
 		}
-		buf = append(buf, retire)
 	default:
 		// EndPhase, Continue, StatsRequest and Stop carry nothing beyond
 		// the kind/from/round header.
@@ -159,16 +163,20 @@ func decodePayload(data []byte) (Message, error) {
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		m.Fence = FenceClass(d.byte())
 		m.Phase = d.byte()
-		m.Rollback = int(d.varint())
-		m.Admit = int32(d.varint())
+		if d.byte() == 1 {
+			mb := &Membership{Rollback: int(d.varint()), Admit: int32(d.varint()), Leave: int32(d.varint())}
+			// Every slot costs a byte: a corrupt count ends at the overrun.
+			for n := d.uvarint(); n > 0 && !d.bad; n-- {
+				mb.Down = append(mb.Down, int32(d.varint()))
+			}
+			m.Member = mb
+		}
 		// Receivers index per-class state by Fence and stamp marker
 		// clocks from Phase, so a value outside the protocol is a
 		// corrupt frame.
 		if int(m.Fence) >= NumFenceClasses || m.Phase > 2 {
 			d.bad = true
 		}
-	case Orphan:
-		m.Retire = d.byte() != 0
 	default:
 		// Control kinds have an empty payload; the header already
 		// decoded is the whole message.

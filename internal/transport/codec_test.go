@@ -140,7 +140,7 @@ func TestCodecEdgeMessages(t *testing.T) {
 // table is indexed by Kind and sized by the numKinds sentinel, so a kind
 // added to the const block without a row here — or without a name in
 // kindNames — fails this test instead of silently shipping zero fields
-// over TCP (as Orphan's retire bit once did).
+// over TCP (as a retired kind's retire bit once did).
 func TestCodecEveryKind(t *testing.T) {
 	stats := Stats{Sent: 9, Recv: 8, AccDelta: 0.25, AccSum: -3.5, Passes: 7, Dirty: true}
 	table := [numKinds]Message{
@@ -151,11 +151,11 @@ func TestCodecEveryKind(t *testing.T) {
 		StatsRequest: {From: 4, Round: 77},
 		StatsReply:   {From: 1, Round: 77, Stats: stats},
 		Stop:         {From: 4},
-		FenceRequest: {From: 4, Round: 6, Fence: FenceMember, Rollback: -1, Admit: 3},
+		FenceRequest: {From: 4, Round: 6, Fence: FenceMember,
+			Member: &Membership{Rollback: -1, Admit: 3, Leave: 5, Down: []int32{1, 2}}},
 		FenceMark:    {From: 2, Round: 6, Fence: FenceMember, Phase: 2},
 		FenceAck:     {From: 2, Round: 6, Fence: FencePark},
 		FenceRelease: {From: 4, Round: 6, Fence: FencePark},
-		Orphan:       {From: 4, Round: 2, Retire: true},
 		Handoff:      {From: 1, Round: 1, KVs: []KV{{K: 3, V: 0.5}, {K: 8, V: 4}}},
 	}
 	names := map[string]bool{}

@@ -4,8 +4,9 @@
 // network (used by tests and benches) and a TCP network on net plus a
 // hand-rolled length-prefixed binary codec (used by the multi-process
 // cluster example). The engine is written against the Conn interface
-// only: thirteen message kinds — data, the barrier/termination
-// protocols, and one four-kind fence protocol. Data messages carry pooled KV batches under the recycle contract
+// only: twelve message kinds — data, the barrier/termination
+// protocols, one four-kind fence protocol and the row migration a
+// membership fence runs. Data messages carry pooled KV batches under the recycle contract
 // documented in batch.go, so the steady-state update path allocates
 // nothing.
 package transport
@@ -36,18 +37,17 @@ const (
 	StatsRequest             // master → workers: report stats for round Round
 	StatsReply               // worker → master: Stats for round Round
 	Stop                     // master → workers: terminate
-	FenceRequest             // master → workers: open fence Round of class Fence (Rollback, Admit: membership directive)
+	FenceRequest             // master → workers: open fence Round of class Fence (Member: membership directive)
 	FenceMark                // worker → worker, data lane: cut marker of fence Round, marker round Phase
 	FenceAck                 // worker → master: reached the cut of fence Round and ran its action
 	FenceRelease             // master → workers: fence Round is over, resume
-	Orphan                   // master → workers: slot Round is lost (crash) or, with Retire, leaving at the next membership fence
 	Handoff                  // worker → worker: keyed row migration batch (Round 0 = Accumulation rows, 1 = Intermediate deltas)
 
 	numKinds = int(iota) // sentinel: sizes kindNames, so a new kind without a name fails the codec table test
 )
 
 var kindNames = [numKinds]string{"Data", "EndPhase", "PhaseDone", "Continue", "StatsRequest", "StatsReply", "Stop",
-	"FenceRequest", "FenceMark", "FenceAck", "FenceRelease", "Orphan", "Handoff"}
+	"FenceRequest", "FenceMark", "FenceAck", "FenceRelease", "Handoff"}
 
 // String names the message kind.
 func (k Kind) String() string {
@@ -82,21 +82,27 @@ type Stats struct {
 
 // Message is the single wire format for data and control traffic. It
 // travels by value through every channel send, so the small fence fields
-// share Kind's word and only Rollback adds one (13 words in all).
+// share Kind's word and a membership request's directive sits behind one
+// pointer (13 words in all).
 type Message struct {
 	Kind   Kind
 	Fence  FenceClass // Fence* kinds: the fence's class
 	Phase  uint8      // FenceMark: marker round, 1 (the cut) or 2 (after the cut's action)
-	Retire bool       // Orphan: the slot leaves gracefully at the next membership fence
-	Admit  int32      // FenceRequest of class FenceMember: slot admitted by the fence, -1 for none
 	From   int
 	Round  int
-	// Rollback is a FenceMember request's repair directive: > 0 reloads
-	// that consistent-cut checkpoint epoch, < 0 resets to the ΔX¹ seed,
-	// 0 keeps state.
+	Member *Membership // FenceRequest of class FenceMember only
+	KVs    []KV
+	Stats  Stats // PhaseDone, StatsReply only
+}
+
+// Membership is what a FenceMember request asks of the fleet.
+type Membership struct {
+	// Rollback is the repair directive: > 0 reloads that consistent-cut
+	// checkpoint epoch, < 0 resets to the ΔX¹ seed, 0 keeps state.
 	Rollback int
-	KVs      []KV
-	Stats    Stats // PhaseDone, StatsReply only
+	Admit    int32   // slot the fence admits, -1 for none
+	Leave    int32   // slot leaving the fleet for good, -1 for none
+	Down     []int32 // lost slots, each replaced in place
 }
 
 // Conn is one endpoint's connection to the network. Inbox returns a
