@@ -53,8 +53,10 @@ type Refixpoint struct {
 	// delete sources and of re-propagated keys, the closure walk, the
 	// candidate lists of the in-edge index; IndexBuilt says the index
 	// was built or rebuilt (one more pass over the graph, not in EdgesRead).
-	BorderRows, EdgesRead int
-	IndexBuilt            bool
+	// EdgesMoved counts the edges the CSR splice copied: compacted within
+	// their rows, inserted, or moved by a relayout.
+	BorderRows, EdgesRead, EdgesMoved int
+	IndexBuilt                        bool
 }
 
 // vset is a set of vertices that outlives the batch: a flag per vertex and
@@ -262,11 +264,12 @@ func (p *Plan) lo(key int64) int64 {
 //
 // The work follows the batch, not the graph: rows are found through sets
 // the plan keeps (deltaScratch) and the closure's in-neighbours through
-// the candidate in-edge index (inIndex), so apart from the splice itself
-// and the attribute columns a program reads, nothing is proportional to N
-// or E. The engine must be fully quiesced (all workers parked) for the
-// whole call: the graph CSR is spliced in place behind pointers the
-// compiled closures captured.
+// the candidate in-edge index (inIndex), and the CSR splice touches the
+// batch's rows (bar an amortised relayout), so apart from the attribute
+// columns a program reads, nothing is proportional to N or E. The engine
+// must be fully quiesced (all workers parked) for the whole call: the
+// graph CSR is spliced in place behind pointers the compiled closures
+// captured.
 func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	shape := p.shape
 	n := int32(p.N)
@@ -412,13 +415,16 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 
 	// 1. Mutate the base graph (and the transposed twin when the body is
 	// an in-neighbor formulation) in place; a join reads it where it lies.
-	if err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes); err != nil {
+	moved, err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes)
+	if err != nil {
 		return nil, err
 	}
+	out.EdgesMoved += moved
 	if shape.Reversed {
-		if err := p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
+		if moved, err = p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
 			return nil, err
 		}
+		out.EdgesMoved += moved
 	}
 	p.Kernel.noteMutation(mut.Inserts)
 	// The index, if there is one, learns the inserts and forgets itself

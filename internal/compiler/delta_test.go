@@ -151,11 +151,11 @@ func oracleApplyMutation(p *Plan, mut Mutation, tbl AccTable) (*Refixpoint, erro
 
 	// 1. Mutate the base graph (and the transposed twin when the body is
 	// an in-neighbor formulation) in place; a join reads it where it lies.
-	if err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes); err != nil {
+	if _, err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes); err != nil {
 		return nil, err
 	}
 	if shape.Reversed {
-		if err := p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
+		if _, err := p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
 			return nil, err
 		}
 	}

@@ -181,7 +181,7 @@ func recheckLive(t *testing.T, p *Plan, rng *rand.Rand, what string) {
 			del = append(del, e)
 		}
 	}
-	if err := p.Graph.ApplyEdgeMutations(ins, del); err != nil {
+	if _, err := p.Graph.ApplyEdgeMutations(ins, del); err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range p.shape.srcAttrs {
@@ -359,7 +359,7 @@ r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy; {sum[Δdy] < 0.
 		t.Errorf("Step = %v after non-improving inserts, want 2", k.Step())
 	}
 	bad := []graph.Edge{{Src: 0, Dst: 3, W: -0.5}}
-	if err := g.ApplyEdgeMutations(bad, nil); err != nil {
+	if _, err := g.ApplyEdgeMutations(bad, nil); err != nil {
 		t.Fatal(err)
 	}
 	k.noteMutation(bad)
@@ -370,7 +370,7 @@ r2. sssp(Y,min[dy]) :- sssp(X,dx), edge(X,Y,dxy), dy = dx + dxy; {sum[Δdy] < 0.
 	if k.Step() != 0 {
 		t.Errorf("Step = %v with the negative weight still in the graph, want 0", k.Step())
 	}
-	if err := g.ApplyEdgeMutations(nil, bad); err != nil {
+	if _, err := g.ApplyEdgeMutations(nil, bad); err != nil {
 		t.Fatal(err)
 	}
 	k.noteMutation(nil)

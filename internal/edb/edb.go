@@ -110,12 +110,12 @@ func (db *DB) DropRelation(name string) { delete(db.rels, name) }
 
 // MutateGraph applies edge inserts and deletes to the graph registered
 // under name, splicing its CSR in place: every holder of the *Graph
-// pointer, a prepared Body included, sees the mutation. The caller must
-// have quiesced all readers.
-func (db *DB) MutateGraph(name string, inserts, deletes []graph.Edge) error {
+// pointer, a prepared Body included, sees the mutation. It returns the
+// edges the splice copied. The caller must have quiesced all readers.
+func (db *DB) MutateGraph(name string, inserts, deletes []graph.Edge) (int, error) {
 	g, ok := db.graphs[name]
 	if !ok {
-		return fmt.Errorf("edb: no graph registered under %q", name)
+		return 0, fmt.Errorf("edb: no graph registered under %q", name)
 	}
 	return g.ApplyEdgeMutations(inserts, deletes)
 }

@@ -289,7 +289,7 @@ func TestBodyReadsGraphInPlace(t *testing.T) {
 	if n := count(); n != 2 {
 		t.Fatalf("%d rows, want 2", n)
 	}
-	if err := db.MutateGraph("edge", []graph.Edge{{Src: 1, Dst: 0, W: 1}, {Src: 0, Dst: 3, W: 1}}, nil); err != nil {
+	if _, err := db.MutateGraph("edge", []graph.Edge{{Src: 1, Dst: 0, W: 1}, {Src: 0, Dst: 3, W: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := count(); n != 3 {

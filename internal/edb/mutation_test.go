@@ -13,7 +13,7 @@ func TestMutateGraph(t *testing.T) {
 	}
 	db := NewDB()
 	db.SetGraph("edge", g)
-	if err := db.MutateGraph("edge", []graph.Edge{{Src: 2, Dst: 3, W: 5}}, []graph.Edge{{Src: 0, Dst: 1}}); err != nil {
+	if _, err := db.MutateGraph("edge", []graph.Edge{{Src: 2, Dst: 3, W: 5}}, []graph.Edge{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// The registered *Graph is mutated in place: compiled closures that
@@ -25,7 +25,7 @@ func TestMutateGraph(t *testing.T) {
 	if !ok || got != g {
 		t.Fatal("graph identity changed under mutation")
 	}
-	if err := db.MutateGraph("nope", nil, nil); err == nil {
+	if _, err := db.MutateGraph("nope", nil, nil); err == nil {
 		t.Fatal("mutating an unregistered graph succeeded")
 	}
 }

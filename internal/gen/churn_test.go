@@ -66,7 +66,7 @@ func TestChurnStreamComposesToFinalEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches {
-		if err := mg.ApplyEdgeMutations(b.Inserts, b.Deletes); err != nil {
+		if _, err := mg.ApplyEdgeMutations(b.Inserts, b.Deletes); err != nil {
 			t.Fatal(err)
 		}
 	}

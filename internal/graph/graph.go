@@ -24,13 +24,18 @@ type Edge struct {
 	W        float64
 }
 
-// Graph is an immutable CSR directed graph. Weights is nil for unweighted
-// graphs. Graphs are safe for concurrent reads.
+// Graph is a CSR directed graph. Weights is nil for unweighted graphs.
+// Graphs are safe for concurrent reads. Row v's edges are the slots
+// [offsets[v], ends[v]); the slots up to offsets[v+1] are the row's slack,
+// which a graph only gets once ApplyEdgeMutations lays it out.
 type Graph struct {
 	n       int32
-	offsets []int32 // len n+1
-	targets []int32 // len m
+	m       int     // live edges
+	offsets []int32 // len n+1; offsets[n] is the slot count
+	ends    []int32 // len n
+	targets []int32 // one per slot
 	weights []float64
+	spare   []int32 // the offsets a relayout replaced, for the next one
 }
 
 // FromEdges builds a CSR graph over vertices [0,n) from an edge list.
@@ -50,18 +55,18 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 	for i := 0; i < n; i++ {
 		g.offsets[i+1] += g.offsets[i]
 	}
-	g.targets = make([]int32, len(edges))
+	g.m, g.targets = len(edges), make([]int32, len(edges))
 	if weighted {
 		g.weights = make([]float64, len(edges))
 	}
-	cursor := make([]int32, n)
+	g.ends = slices.Clone(g.offsets[:n]) // each row's fill cursor, left at its end
 	for _, e := range edges {
-		pos := g.offsets[e.Src] + cursor[e.Src]
+		pos := g.ends[e.Src]
 		g.targets[pos] = e.Dst
 		if weighted {
 			g.weights[pos] = e.W
 		}
-		cursor[e.Src]++
+		g.ends[e.Src]++
 	}
 	return g, nil
 }
@@ -70,20 +75,20 @@ func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
 func (g *Graph) NumVertices() int { return int(g.n) }
 
 // NumEdges returns |E|.
-func (g *Graph) NumEdges() int { return len(g.targets) }
+func (g *Graph) NumEdges() int { return g.m }
 
 // Weighted reports whether edges carry weights.
 func (g *Graph) Weighted() bool { return g.weights != nil }
 
 // OutDegree returns the out-degree of v.
 func (g *Graph) OutDegree(v int32) int {
-	return int(g.offsets[v+1] - g.offsets[v])
+	return int(g.ends[v] - g.offsets[v])
 }
 
 // Neighbors returns the targets (and weights, nil if unweighted) of v's
 // out-edges as subslices of the CSR arrays; callers must not modify them.
 func (g *Graph) Neighbors(v int32) ([]int32, []float64) {
-	lo, hi := g.offsets[v], g.offsets[v+1]
+	lo, hi := g.offsets[v], g.ends[v]
 	if g.weights == nil {
 		return g.targets[lo:hi], nil
 	}
@@ -92,7 +97,7 @@ func (g *Graph) Neighbors(v int32) ([]int32, []float64) {
 
 // EdgeRange returns the CSR index range of v's out-edges.
 func (g *Graph) EdgeRange(v int32) (lo, hi int32) {
-	return g.offsets[v], g.offsets[v+1]
+	return g.offsets[v], g.ends[v]
 }
 
 // Target returns the destination of CSR edge index i.
@@ -111,7 +116,7 @@ func (g *Graph) Weight(i int32) float64 {
 // weights are all 1; a graph with no edges reports a mean of 0 over an
 // empty range (+Inf, −Inf).
 func (g *Graph) WeightStats() (lo, hi, meanAbs float64) {
-	if len(g.targets) == 0 {
+	if g.m == 0 {
 		return math.Inf(1), math.Inf(-1), 0
 	}
 	if g.weights == nil {
@@ -119,17 +124,19 @@ func (g *Graph) WeightStats() (lo, hi, meanAbs float64) {
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	sum := 0.0
-	for _, w := range g.weights {
-		lo, hi = min(lo, w), max(hi, w)
-		sum += math.Abs(w)
+	for v := int32(0); v < g.n; v++ {
+		for _, w := range g.weights[g.offsets[v]:g.ends[v]] {
+			lo, hi = min(lo, w), max(hi, w)
+			sum += math.Abs(w)
+		}
 	}
-	return lo, hi, sum / float64(len(g.weights))
+	return lo, hi, sum / float64(g.m)
 }
 
 // FindEdge returns the first edge in CSR order whose weight satisfies bad.
 func (g *Graph) FindEdge(bad func(w float64) bool) (Edge, bool) {
 	for v := int32(0); v < g.n; v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+		for i := g.offsets[v]; i < g.ends[v]; i++ {
 			if w := g.Weight(i); bad(w) {
 				return Edge{Src: v, Dst: g.targets[i], W: w}, true
 			}
@@ -140,9 +147,9 @@ func (g *Graph) FindEdge(bad func(w float64) bool) (Edge, bool) {
 
 // Edges materialises the edge list (mostly for tests and export).
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.targets))
+	out := make([]Edge, 0, g.m)
 	for v := int32(0); v < g.n; v++ {
-		lo, hi := g.offsets[v], g.offsets[v+1]
+		lo, hi := g.offsets[v], g.ends[v]
 		for i := lo; i < hi; i++ {
 			w := 1.0
 			if g.weights != nil {
@@ -166,30 +173,29 @@ func (g *Graph) InSources() *Graph { return g.transposed(false) }
 // order, so an in-row lists its sources in ascending order and parallel
 // edges in the order their row held them.
 func (g *Graph) transposed(weighted bool) *Graph {
-	t := &Graph{n: g.n, offsets: make([]int32, g.n+1), targets: make([]int32, len(g.targets))}
+	t := &Graph{n: g.n, m: g.m, offsets: make([]int32, g.n+1), targets: make([]int32, g.m)}
 	if weighted {
-		t.weights = make([]float64, len(g.targets))
+		t.weights = make([]float64, g.m)
 	}
-	for _, d := range g.targets {
-		t.offsets[d+1]++
+	for v := int32(0); v < g.n; v++ {
+		for _, d := range g.targets[g.offsets[v]:g.ends[v]] {
+			t.offsets[d+1]++
+		}
 	}
 	for v := int32(0); v < g.n; v++ {
 		t.offsets[v+1] += t.offsets[v]
 	}
-	// offsets[d] is the next free slot of row d while the rows fill, which
-	// leaves it at the row's end: the start of row d+1.
+	t.ends = slices.Clone(t.offsets[:g.n]) // each row's fill cursor, as in FromEdges
 	for v := int32(0); v < g.n; v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-			at := t.offsets[g.targets[i]]
-			t.offsets[g.targets[i]]++
+		for i := g.offsets[v]; i < g.ends[v]; i++ {
+			at := t.ends[g.targets[i]]
+			t.ends[g.targets[i]]++
 			t.targets[at] = v
 			if weighted {
 				t.weights[at] = g.weights[i]
 			}
 		}
 	}
-	copy(t.offsets[1:], t.offsets[:g.n])
-	t.offsets[0] = 0
 	return t
 }
 
@@ -472,7 +478,7 @@ func (g *Graph) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
 	for v := int32(0); v < g.n; v++ {
-		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+		for i := g.offsets[v]; i < g.ends[v]; i++ {
 			buf = strconv.AppendInt(buf[:0], int64(v), 10)
 			buf = strconv.AppendInt(append(buf, '\t'), int64(g.targets[i]), 10)
 			if g.weights != nil {

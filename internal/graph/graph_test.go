@@ -350,6 +350,15 @@ func oracleParseTSV(r io.Reader, n int, weighted bool) ([]Edge, int, error) {
 	return edges, n, nil
 }
 
+// weightBits is ws as bits, so that -0 and 0 differ.
+func weightBits(ws []float64) []uint64 {
+	out := make([]uint64, len(ws))
+	for i, w := range ws {
+		out[i] = math.Float64bits(w)
+	}
+	return out
+}
+
 // sameLoad fails unless LoadTSV and the oracle agree on text: the same
 // error (its text carries the line number and the field) or the same CSR,
 // weights compared by bits.
@@ -363,15 +372,9 @@ func sameLoad(t *testing.T, text []byte, n int, weighted bool) {
 	if err != nil {
 		return
 	}
-	bits := func(ws []float64) []uint64 {
-		out := make([]uint64, len(ws))
-		for i, w := range ws {
-			out[i] = math.Float64bits(w)
-		}
-		return out
-	}
-	if got.n != want.n || !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.targets, want.targets) ||
-		(got.weights == nil) != (want.weights == nil) || !slices.Equal(bits(got.weights), bits(want.weights)) {
+	if got.n != want.n || got.m != want.m || !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.ends, want.ends) ||
+		!slices.Equal(got.targets, want.targets) ||
+		(got.weights == nil) != (want.weights == nil) || !slices.Equal(weightBits(got.weights), weightBits(want.weights)) {
 		t.Fatalf("LoadTSV(%.80q, %d, %v) built a different graph:\n got  %v\n want %v", text, n, weighted, got.Edges(), want.Edges())
 	}
 }

@@ -6,37 +6,35 @@ import (
 )
 
 // ApplyEdgeMutations splices a batch into the CSR arrays behind the same
-// *Graph pointer: first every (src,dst) pair named in deletes is removed
-// (all parallel edges with that endpoint pair, regardless of weight),
-// then the inserts are appended, each at the end of its source's row in
-// batch order — the arrays FromEdges would build from the surviving
-// edges followed by the inserts. The splice is in place: one sweep left
-// to right closes the gaps the deletes leave, one sweep right to left
-// opens room for the inserts, and only the rows the batch names are
-// touched edge by edge — every run of rows between them moves in one
-// copy. A batch that changes no row (empty, or deletes naming absent
-// edges only) returns before anything moves, and the arrays are
-// reallocated, with room to grow, only when the inserts outgrow them: a
-// session applies batch after batch, and a fresh 12 bytes an edge for
-// each was most of an Apply's garbage. The vertex universe [0,n) is
-// fixed at construction time — mutations referencing vertices outside it
-// are rejected before anything is modified, so a failed call leaves the
-// graph untouched. Compiled plans capture the *Graph, so after a
-// successful call every closure sees the mutated adjacency; a slice
-// Neighbors returned before the call is not valid after it.
+// *Graph pointer and returns how many edges it copied: first every
+// (src,dst) pair named in deletes is removed (all parallel edges with that
+// endpoint pair, regardless of weight), then the inserts are appended,
+// each at the end of its source's row in batch order — row for row the
+// graph FromEdges would build from the surviving edges followed by the
+// inserts. The work follows the batch: a delete compacts its own row, and
+// an insert lands in its row's slack. Only when a row has no room for its
+// inserts, or the holes deletes left make the slot array longer than
+// 9/8·|E| + 2·|V| plus the batch, is the whole graph laid out afresh
+// (relayout), in place. A batch that changes no row moves nothing.
+// The vertex universe [0,n) is fixed at construction time — mutations
+// referencing vertices outside it are rejected before anything is
+// modified, so a failed call leaves the graph untouched. Compiled plans
+// capture the *Graph, so after a successful call every closure sees the
+// mutated adjacency; a slice Neighbors returned before the call is not
+// valid after it.
 //
 // Concurrent readers are NOT safe during the call; callers must
 // quiesce the engine first (the session layer mutates only while all
 // workers are parked).
-func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) error {
+func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) (moved int, err error) {
 	for _, e := range inserts {
 		if e.Src < 0 || e.Src >= g.n || e.Dst < 0 || e.Dst >= g.n {
-			return fmt.Errorf("graph: insert edge (%d,%d) outside [0,%d)", e.Src, e.Dst, g.n)
+			return 0, fmt.Errorf("graph: insert edge (%d,%d) outside [0,%d)", e.Src, e.Dst, g.n)
 		}
 	}
 	for _, e := range deletes {
 		if e.Src < 0 || e.Src >= g.n || e.Dst < 0 || e.Dst >= g.n {
-			return fmt.Errorf("graph: delete edge (%d,%d) outside [0,%d)", e.Src, e.Dst, g.n)
+			return 0, fmt.Errorf("graph: delete edge (%d,%d) outside [0,%d)", e.Src, e.Dst, g.n)
 		}
 	}
 	// Group the batch by source row without touching the caller's slices
@@ -54,110 +52,94 @@ func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) error {
 	}
 	slices.Sort(ins)
 
-	gone := 0
-	for lo := 0; lo < len(del); {
-		hi := rowEnd(del, lo)
+	for lo, hi := 0, 0; lo < len(del); lo = hi {
+		hi = rowEnd(del, lo)
 		v := row(del[lo])
-		for _, t := range g.targets[g.offsets[v]:g.offsets[v+1]] {
-			if names(del[lo:hi], t) {
-				gone++
-			}
-		}
-		lo = hi
-	}
-	if gone == 0 && len(ins) == 0 {
-		return nil
-	}
-	if gone > 0 {
-		g.closeGaps(del)
-	}
-	if len(ins) > 0 {
-		g.openRoom(ins, inserts)
-	}
-	return nil
-}
-
-// closeGaps removes the edges del names, sliding what survives left over
-// them. Rows before the first named row do not move.
-func (g *Graph) closeGaps(del []uint64) {
-	shift := int32(0) // edges removed so far
-	from := int32(0)  // first row whose offset is still the old one
-	slide := func(to int32, end int32) {
-		// Rows [from, to) keep their edges; they start shift earlier.
-		if lo := g.offsets[from]; shift > 0 && lo < end {
-			copy(g.targets[lo-shift:], g.targets[lo:end])
-			if g.weights != nil {
-				copy(g.weights[lo-shift:], g.weights[lo:end])
-			}
-		}
-		for u := from; u <= to; u++ {
-			g.offsets[u] -= shift
-		}
-	}
-	for lo := 0; lo < len(del); {
-		hi := rowEnd(del, lo)
-		v := row(del[lo])
-		rs, re := g.offsets[v], g.offsets[v+1]
-		slide(v, rs)
-		w := rs - shift
-		for e := rs; e < re; e++ {
+		w := g.offsets[v]
+		for e := w; e < g.ends[v]; e++ {
 			if names(del[lo:hi], g.targets[e]) {
-				shift++
 				continue
 			}
-			g.targets[w] = g.targets[e]
-			if g.weights != nil {
-				g.weights[w] = g.weights[e]
+			if w < e {
+				g.targets[w] = g.targets[e]
+				if g.weights != nil {
+					g.weights[w] = g.weights[e]
+				}
+				moved++
 			}
 			w++
 		}
-		from, lo = v+1, hi
+		g.m -= int(g.ends[v] - w)
+		g.ends[v] = w
 	}
-	m := int32(len(g.targets))
-	slide(g.n, m)
-	g.targets = g.targets[:m-shift]
-	if g.weights != nil {
-		g.weights = g.weights[:m-shift]
+	fits := true
+	for lo, hi := 0, 0; lo < len(ins); lo = hi {
+		hi = rowEnd(ins, lo)
+		v := row(ins[lo])
+		fits = fits && g.ends[v]+int32(hi-lo) <= g.offsets[v+1]
 	}
-}
-
-// openRoom appends each insert at the end of its source's row, sliding
-// the rows after it right. ins is the batch sorted by (row, position).
-func (g *Graph) openRoom(ins []uint64, inserts []Edge) {
-	old := int32(len(g.targets))
-	k := int32(len(ins)) // inserts not yet placed: those of rows <= the one at hand
-	g.reserve(int(old + k))
-	end, last := old, g.n // edges [end, old) and the offsets of rows (last, n] are done
-	for hi := len(ins); hi > 0; {
-		v := row(ins[hi-1])
-		lo := hi
-		for lo > 0 && row(ins[lo-1]) == v {
-			lo--
-		}
-		s := g.offsets[v+1]
-		copy(g.targets[s+k:], g.targets[s:end])
+	g.m += len(ins)
+	if !fits || 8*int(g.offsets[g.n]) > 9*g.m+16*int(g.n)+8*(len(ins)+len(del)) {
+		moved += g.relayout(ins)
+	}
+	for _, k := range ins {
+		e := inserts[uint32(k)]
+		at := g.ends[e.Src]
+		g.targets[at] = e.Dst
 		if g.weights != nil {
-			copy(g.weights[s+k:], g.weights[s:end])
+			g.weights[at] = e.W
 		}
-		at := s + k - int32(hi-lo)
-		for i := lo; i < hi; i++ {
-			e := inserts[uint32(ins[i])]
-			g.targets[at] = e.Dst
-			if g.weights != nil {
-				g.weights[at] = e.W
-			}
-			at++
-		}
-		for u := v + 1; u <= last; u++ {
-			g.offsets[u] += k
-		}
-		k -= int32(hi - lo)
-		end, last, hi = s, v, lo
+		g.ends[e.Src]++
 	}
+	return moved + len(ins), nil
 }
 
-// reserve makes the edge arrays m long, reallocating them — with an
-// eighth to spare, so a stream of small inserts does not do it again at
+// relayout gives every row its live edges, room for its inserts in ins
+// and a slack of 2 + 1/16 of both: the slot array comes out at most
+// 17/16·|E| + 2·|V| long, the holes deletes left reclaimed. It runs in
+// place — rows that move left are moved left to right, then rows that
+// move right right to left, so no row is overwritten before it has moved
+// — the edge arrays are reallocated only to grow, and the offsets column
+// it replaces is kept for the next one. It returns the edges it moved.
+func (g *Graph) relayout(ins []uint64) (moved int) {
+	next := append(g.spare[:0], make([]int32, g.n+1)...)
+	for _, k := range ins {
+		next[row(k)+1]++
+	}
+	for v := int32(0); v < g.n; v++ {
+		c := next[v+1] + g.ends[v] - g.offsets[v]
+		next[v+1] = next[v] + c + 2 + c/16
+	}
+	g.reserve(max(int(next[g.n]), len(g.targets)))
+	for v := int32(0); v < g.n; v++ {
+		if next[v] < g.offsets[v] {
+			moved += g.place(v, next[v])
+		}
+	}
+	for v := g.n - 1; v >= 0; v-- {
+		if next[v] > g.offsets[v] {
+			moved += g.place(v, next[v])
+		}
+	}
+	g.offsets, g.spare = next, g.offsets
+	g.reserve(int(next[g.n]))
+	return moved
+}
+
+// place moves row v's edges to start at slot at and returns their count;
+// offsets[v] is left for the caller.
+func (g *Graph) place(v, at int32) int {
+	lo, hi := g.offsets[v], g.ends[v]
+	copy(g.targets[at:], g.targets[lo:hi])
+	if g.weights != nil {
+		copy(g.weights[at:], g.weights[lo:hi])
+	}
+	g.ends[v] = at + hi - lo
+	return int(hi - lo)
+}
+
+// reserve makes the edge arrays m slots long, reallocating them — with an
+// eighth to spare, so a session's growing graph does not do it again at
 // once — only if they cannot hold that many.
 func (g *Graph) reserve(m int) {
 	if cap(g.targets) < m {

@@ -63,6 +63,7 @@ var WellKnownNames = []string{
 	"delta.border.rows",
 	"delta.edges.read",
 	"delta.index.rebuilds",
+	"delta.edges.moved",
 
 	// TCP transport (retry, circuit breaker, per-peer traffic).
 	"tcp.send.retry",

@@ -96,9 +96,10 @@ type Table interface {
 	// Invalidate erases key's row — Accumulation AND Intermediate back to
 	// the identity — so a delete-invalidation pass can force the key to
 	// re-derive from surviving inputs. Like SetAcc it bypasses the
-	// monotone fold and must only run while the engine is quiesced;
-	// callers maintaining a running Σacc must resync it afterwards.
-	Invalidate(key int64)
+	// monotone fold and must only run while the engine is quiesced. It
+	// returns the row's Σacc contribution (its Accumulation, 0 at the
+	// identity), which a caller maintaining a running Σacc subtracts.
+	Invalidate(key int64) float64
 
 	// Len returns the number of rows with non-identity Accumulation.
 	Len() int
@@ -400,10 +401,12 @@ func (d *Dense) SetAcc(key int64, v float64) {
 
 // Invalidate implements Table. The dirty bit (if set) is left alone: a
 // later scan drains an identity Intermediate and skips the key.
-func (d *Dense) Invalidate(key int64) {
+func (d *Dense) Invalidate(key int64) float64 {
 	s := d.slot(key)
+	old := agg.Load(&d.acc[s])
 	agg.Store(&d.acc[s], d.op.Identity())
 	agg.Store(&d.inter[s], d.op.Identity())
+	return sumPart(d.op, old)
 }
 
 // Len implements Table.
@@ -662,12 +665,17 @@ func (s *Sparse) SetAcc(key int64, v float64) {
 
 // Invalidate implements Table: the row and its dirty entry are removed
 // outright, so the key re-derives (or stays absent) from scratch.
-func (s *Sparse) Invalidate(key int64) {
+func (s *Sparse) Invalidate(key int64) float64 {
 	st := s.stripeOf(key)
 	st.mu.Lock()
+	old := s.op.Identity()
+	if r := st.rows[key]; r != nil {
+		old = agg.Load(&r.acc)
+	}
 	delete(st.rows, key)
 	delete(st.dirty, key)
 	st.mu.Unlock()
+	return sumPart(s.op, old)
 }
 
 // Len implements Table.
@@ -700,12 +708,17 @@ func foldAccCell(op *agg.Op, cell *uint64, v float64) (bool, float64, float64) {
 // (when finite), for combining aggregates the folded delta itself — and
 // the signed Σacc contribution.
 func accChange(op *agg.Op, old, next, v float64) (change, signed float64) {
-	signed = next - old
-	if old == op.Identity() {
-		signed = next
-	}
+	signed = next - sumPart(op, old)
 	if d := agg.Abs(old - next); op.Selective() && d == d && d <= 1e300 {
 		return d, signed // else NaN or a from-identity jump: count the value move
 	}
 	return agg.Abs(v), signed
+}
+
+// sumPart is what an accumulation adds to Σacc: itself, 0 at the identity.
+func sumPart(op *agg.Op, acc float64) float64 {
+	if acc == op.Identity() {
+		return 0
+	}
+	return acc
 }

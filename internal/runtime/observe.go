@@ -117,13 +117,15 @@ type masterMetrics struct {
 	// over the new graph ("delta.border.rows"); edgesRead, the edges the
 	// delta step looked at ("delta.edges.read"); indexRebuilds, the
 	// times it built its in-edge index ("delta.index.rebuilds" — 0 for
-	// a session that never erases a key).
+	// a session that never erases a key). What applying it cost:
+	// edgesMoved, the edges the CSR splice copied ("delta.edges.moved").
 	epochs         *metrics.Counter
 	reseedKeys     *metrics.Counter
 	invalidateKeys *metrics.Counter
 	borderRows     *metrics.Counter
 	edgesRead      *metrics.Counter
 	indexRebuilds  *metrics.Counter
+	edgesMoved     *metrics.Counter
 }
 
 func newMasterMetrics() masterMetrics {
@@ -149,5 +151,6 @@ func newMasterMetrics() masterMetrics {
 		borderRows:     reg.Counter("delta.border.rows"),
 		edgesRead:      reg.Counter("delta.edges.read"),
 		indexRebuilds:  reg.Counter("delta.index.rebuilds"),
+		edgesMoved:     reg.Counter("delta.edges.moved"),
 	}
 }

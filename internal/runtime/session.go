@@ -347,23 +347,16 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		Deletes: mut.Deletes,
 	})
 
-	// Deletion invalidation: erase the support closure at its owners,
-	// then rebuild the exact Σacc of each worker that lost a row
-	// (Invalidate bypasses the monotone fold the running sum tracks).
-	if len(refix.Invalidate) > 0 {
-		erased := make([]bool, len(s.workers))
-		for _, k := range refix.Invalidate {
-			o := route.owner(k)
-			s.workers[o].table.Invalidate(k)
-			erased[o] = true
-		}
-		for o, hit := range erased {
-			if hit {
-				s.workers[o].resyncAccSum()
-			}
-		}
-		s.m.met.invalidateKeys.Add(uint64(len(refix.Invalidate)))
+	// Deletion invalidation: erase the support closure at its owners.
+	// Invalidate bypasses the monotone fold the running Σacc tracks, so
+	// the owner takes out what the row added, like any signed FoldAcc
+	// delta (and the periodic exact resync bounds its rounding the same).
+	for _, k := range refix.Invalidate {
+		w := s.workers[route.owner(k)]
+		w.accSum -= w.table.Invalidate(k)
+		w.accFolds++
 	}
+	s.m.met.invalidateKeys.Add(uint64(len(refix.Invalidate)))
 
 	// Reseed: fold the correction ΔX¹ into the owners' shards (current
 	// membership's routing — after a scale event the owner may not be the
@@ -375,6 +368,7 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	s.m.met.reseedKeys.Add(uint64(len(refix.Reseed)))
 	s.m.met.borderRows.Add(uint64(refix.BorderRows))
 	s.m.met.edgesRead.Add(uint64(refix.EdgesRead))
+	s.m.met.edgesMoved.Add(uint64(refix.EdgesMoved))
 	if refix.IndexBuilt {
 		s.m.met.indexRebuilds.Inc()
 	}

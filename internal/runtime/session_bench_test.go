@@ -15,8 +15,9 @@ import (
 // sssp-churn-session workload (R-MAT 2^14 vertices / 171 k edges,
 // batches of 85, 2 workers × 1 core), one sub-benchmark per batch
 // shape, with the master rounds (waves) an Apply took, how many of
-// them a CheckInterval tick started, and what the delta step read to
-// find the work (edges-read/op, border-rows/op). Run it with -cpu 2 -benchmem and a
+// them a CheckInterval tick started, what the delta step read to find
+// the work (edges-read/op, border-rows/op) and what the CSR splice
+// copied (edges-moved/op). Run it with -cpu 2 -benchmem and a
 // fixed -benchtime such as 300x: a delete-only run thins the graph as it
 // goes. For a paired
 // comparison build one `go test -c` binary per commit (the go guide)
@@ -75,6 +76,7 @@ func BenchmarkSessionApply(b *testing.B) {
 			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 			b.ReportMetric(perOp("master.wave.timer"), "timer-waves/op")
 			b.ReportMetric(perOp("delta.edges.read"), "edges-read/op")
+			b.ReportMetric(perOp("delta.edges.moved"), "edges-moved/op")
 			b.ReportMetric(perOp("delta.border.rows"), "border-rows/op")
 		})
 	}

@@ -5,12 +5,14 @@ import (
 	"math"
 	"math/rand"
 	"powerlog/internal/analyzer"
+	"slices"
 	"strings"
 	"testing"
 
 	"powerlog/internal/compiler"
 	"powerlog/internal/gen"
 	"powerlog/internal/graph"
+	"powerlog/internal/monotable"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
 )
@@ -556,5 +558,72 @@ func TestDeltaWorkFollowsBatch(t *testing.T) {
 	}
 	if got := counter(res, "delta.index.rebuilds"); got != 1 {
 		t.Errorf("delta.index.rebuilds = %d after the first erasing batch, want 1", got)
+	}
+}
+
+// neumaierSum is Σacc over a table, summed with Neumaier's compensation.
+func neumaierSum(tab monotable.Table) float64 {
+	var sum, comp float64
+	tab.Range(func(_ int64, acc float64) bool {
+		s := sum + acc
+		if math.Abs(sum) >= math.Abs(acc) {
+			comp += (sum - s) + acc
+		} else {
+			comp += (acc - s) + sum
+		}
+		sum = s
+		return true
+	})
+	return sum + comp
+}
+
+// TestApplyKeepsAccSumExact: an Apply erases the support closure outside
+// the monotone fold the running Σacc follows, so each erased row's value
+// comes out of its owner's sum as it goes. After each of 50 batches that
+// delete, every worker's running sum is its table's, on Dense (SSSP) and
+// Sparse (APSP) shards, and an ε-SSSP session, whose stop reads those
+// sums, still lands on Dijkstra's fixpoint.
+func TestApplyKeepsAccSumExact(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		g         *graph.Graph
+		oracle    bool
+	}{
+		{"SSSP/Dense", progs.SSSP, gen.Uniform(300, 1500, 50, 61), false},
+		{"APSP/Sparse", progs.APSP, gen.Uniform(40, 200, 20, 67), false},
+		{"ε-SSSP", epsSSSP, gen.Uniform(300, 1500, 50, 61), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n, edges := c.g.NumVertices(), c.g.Edges()
+			s, err := Open(compilePlan(t, c.src, edgeDB("edge")(c.g)), sessCfg(MRASyncAsync))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			r := rand.New(rand.NewSource(61))
+			var res *Result
+			for b := 0; b < 50; b++ {
+				var mut Mutation
+				mut, edges = randMutation(r, edges, n, 3, 6, false, func(r *rand.Rand) float64 { return 1 + 49*r.Float64() })
+				if res, err = s.Apply(mut); err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range s.workers {
+					if want := neumaierSum(w.table); math.Abs(w.accSum-want) > 1e-9*math.Max(1, math.Abs(want)) {
+						t.Fatalf("batch %d: worker %d's running Σacc = %v, its table sums to %v", b, w.id, w.accSum, want)
+					}
+				}
+				if c.oracle {
+					g, err := graph.FromEdges(n, slices.Clone(edges), true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					expectSameFixpoint(t, fmt.Sprintf("batch %d", b), res.Values, vertexOracle(ref.Dijkstra(g, 0)), math.Inf(1), 1e-9)
+				}
+			}
+			if res.Master.Counters["delete.invalidate.keys"] == 0 {
+				t.Fatal("no batch erased a key: the test measures nothing")
+			}
+		})
 	}
 }
