@@ -9,6 +9,7 @@ import (
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
+	"powerlog/internal/graph"
 	"powerlog/internal/progs"
 	"powerlog/internal/transport"
 )
@@ -138,57 +139,50 @@ func TestMaxWallAbortReturns(t *testing.T) {
 // in-process channel network and once over TCP (binary codec, pooled
 // batches crossing a real wire) and demands the same answer — once for a
 // fixpoint program (SSSP/min) and once for an ε-limit program
-// (PageRank/sum). This pins the codec and the recycle contract to the
-// engine's actual semantics, not just message-level round-trips.
+// (PageRank/sum), each under the BSP barrier (MRA and naive supersteps)
+// and the unified mode's polling master. This pins the codec and the
+// recycle contract to the engine's actual semantics, not just
+// message-level round-trips.
 func TestCrossTransportEquivalence(t *testing.T) {
-	cfg := Config{
-		Mode:          MRASyncAsync,
-		Tau:           300 * time.Microsecond,
-		CheckInterval: 500 * time.Microsecond,
-		MaxWall:       30 * time.Second,
-	}
-
-	t.Run("fixpoint/SSSP", func(t *testing.T) {
-		g := gen.Uniform(250, 1500, 40, 23)
-		newPlan := func() *compiler.Plan {
-			db := edb.NewDB()
-			db.SetGraph("edge", g)
-			return compilePlan(t, progs.SSSP, db)
-		}
-		chanCfg := cfg
-		chanCfg.Workers = 3
-		chanRes, err := Run(newPlan(), chanCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chanRes.Converged {
-			t.Fatalf("channel run did not converge (stop cause: %v)", chanRes.StopCause)
-		}
-		tcpRes := runOverTCP(t, newPlan, cfg, 3)
-		compareResults(t, chanRes.Values, tcpRes, 1e-9)
-	})
-
-	t.Run("epsilon/PageRank", func(t *testing.T) {
-		g := gen.RMAT(8, 1200, 0, 17)
-		newPlan := func() *compiler.Plan {
-			db := edb.NewDB()
-			db.SetGraph("edge", g)
-			return compilePlan(t, progs.PageRank, db)
-		}
-		chanCfg := cfg
-		chanCfg.Workers = 3
-		chanRes, err := Run(newPlan(), chanCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !chanRes.Converged {
-			t.Fatalf("channel run did not converge (stop cause: %v)", chanRes.StopCause)
-		}
-		tcpRes := runOverTCP(t, newPlan, cfg, 3)
-		// Both runs chase the same limit under the program's ε; they stop
+	for _, tc := range []struct {
+		name string
+		prog string
+		g    *graph.Graph
+		// Both runs of an ε-limit program chase the same limit; they stop
 		// at slightly different partial sums, so compare to ε order.
-		compareResults(t, chanRes.Values, tcpRes, 1e-3)
-	})
+		tol float64
+	}{
+		{"fixpoint/SSSP", progs.SSSP, gen.Uniform(250, 1500, 40, 23), 1e-9},
+		{"epsilon/PageRank", progs.PageRank, gen.RMAT(8, 1200, 0, 17), 1e-3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newPlan := func() *compiler.Plan {
+				db := edb.NewDB()
+				db.SetGraph("edge", tc.g)
+				return compilePlan(t, tc.prog, db)
+			}
+			for _, mode := range []Mode{MRASync, NaiveSync, MRASyncAsync} {
+				t.Run(mode.String(), func(t *testing.T) {
+					cfg := Config{
+						Mode:          mode,
+						Tau:           300 * time.Microsecond,
+						CheckInterval: 500 * time.Microsecond,
+						MaxWall:       30 * time.Second,
+					}
+					chanCfg := cfg
+					chanCfg.Workers = 3
+					chanRes, err := Run(newPlan(), chanCfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !chanRes.Converged {
+						t.Fatalf("channel run did not converge (stop cause: %v)", chanRes.StopCause)
+					}
+					compareResults(t, chanRes.Values, runOverTCP(t, newPlan, cfg, 3), tc.tol)
+				})
+			}
+		})
+	}
 }
 
 // compareResults checks the two transports produced the same keys and
