@@ -107,8 +107,8 @@ func Rejoin(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	if cfg.CollectTimeout <= 0 {
 		cfg.CollectTimeout = 250 * time.Millisecond
 	}
-	// Only the non-barriered MRA family has live re-join; the BSP verdict
-	// protocol has no fence point mid-superstep and aborts on loss.
+	// Only the non-barriered MRA family has live re-join; a BSP worker
+	// joins no fence inside a superstep, so BSP aborts on loss.
 	modes := []runtime.Mode{runtime.MRAAsync, runtime.MRASyncAsync, runtime.MRASSP}
 	return crashCells(cfg, modes, func(wl *Workload, mode runtime.Mode, clean Measurement) ([]Measurement, error) {
 		// Live re-join: the worker dies without a Stop handshake.

@@ -32,7 +32,7 @@ func (i *Injector) Wrap(conn transport.Conn) transport.Conn {
 	return fc
 }
 
-// faultConn interposes on the data plane: Data batches and EndPhase
+// faultConn interposes on the data plane: Data batches and superstep
 // markers between workers. Master-bound traffic and control kinds pass
 // through untouched (see the package comment for why).
 type faultConn struct {
@@ -46,13 +46,17 @@ func (c *faultConn) Workers() int                    { return c.inner.Workers() 
 func (c *faultConn) Inbox() <-chan transport.Message { return c.inner.Inbox() }
 func (c *faultConn) Close() error                    { return c.inner.Close() }
 
-// faultable limits injection to worker↔worker Data and EndPhase
-// traffic. Fence marks are spared: they belong to the recovery
-// machinery itself, which models coordinator-adjacent loss via
+// faultable limits injection to worker↔worker Data and end-of-superstep
+// marks (the step class's FenceMarks: the BSP barrier's and the SSP
+// gate's). The other fence classes' marks are spared: they belong to the
+// recovery machinery itself, which models coordinator-adjacent loss via
 // CrashRound instead.
-func (c *faultConn) faultable(to int, kind transport.Kind) bool {
-	return to >= 0 && to < c.inner.Workers() &&
-		(kind == transport.Data || kind == transport.EndPhase)
+func (c *faultConn) faultable(to int, m *transport.Message) bool {
+	return to >= 0 && to < c.inner.Workers() && (m.Kind == transport.Data || stepMark(m))
+}
+
+func stepMark(m *transport.Message) bool {
+	return m.Kind == transport.FenceMark && m.Fence == transport.FenceStep
 }
 
 // next returns the link's event index and advances it.
@@ -65,11 +69,11 @@ func (c *faultConn) next(to int) int {
 // decide rolls the injection decisions for one event. dropped swallows
 // the message (lost marker), failed suppresses delivery with an error
 // or back-pressure, dup asks for a duplicate delivery of a Data batch.
-func (c *faultConn) decide(to int, kind transport.Kind, idx int) (dropped, failed, dup bool) {
+func (c *faultConn) decide(to int, m *transport.Message, idx int) (dropped, failed, dup bool) {
 	i := c.inj
 	s := i.spec
 	from := c.inner.ID()
-	if kind == transport.EndPhase && s.DropEndPhase > 0 &&
+	if stepMark(m) && s.DropEndPhase > 0 &&
 		i.roll(siteDrop, from, to, idx) < s.DropEndPhase {
 		return true, false, false
 	}
@@ -80,7 +84,7 @@ func (c *faultConn) decide(to int, kind transport.Kind, idx int) (dropped, faile
 	if s.DelayProb > 0 && i.roll(siteDelay, from, to, idx) < s.DelayProb {
 		time.Sleep(s.DelayDur)
 	}
-	dup = kind == transport.Data && s.DupData > 0 && i.roll(siteDup, from, to, idx) < s.DupData
+	dup = m.Kind == transport.Data && s.DupData > 0 && i.roll(siteDup, from, to, idx) < s.DupData
 	return false, false, dup
 }
 
@@ -99,10 +103,10 @@ func sendDup(m transport.Message, send func(transport.Message) bool) {
 }
 
 func (c *faultConn) Send(to int, m transport.Message) error {
-	if !c.faultable(to, m.Kind) {
+	if !c.faultable(to, &m) {
 		return c.inner.Send(to, m)
 	}
-	dropped, failed, dup := c.decide(to, m.Kind, c.next(to))
+	dropped, failed, dup := c.decide(to, &m, c.next(to))
 	if dropped {
 		return nil // the marker is gone; duplicates from retransmission heal it
 	}
@@ -125,10 +129,10 @@ type faultTryConn struct {
 }
 
 func (c *faultTryConn) TrySend(to int, m transport.Message) (bool, error) {
-	if !c.faultable(to, m.Kind) {
+	if !c.faultable(to, &m) {
 		return c.try.TrySend(to, m)
 	}
-	dropped, failed, dup := c.decide(to, m.Kind, c.next(to))
+	dropped, failed, dup := c.decide(to, &m, c.next(to))
 	if dropped {
 		return true, nil // swallowed: the sender believes it delivered
 	}

@@ -9,8 +9,8 @@
 //
 //   - the worker↔worker data plane (a fault-wrapping transport.Conn:
 //     transiently failed, delayed, or duplicated Data sends, dropped
-//     EndPhase markers, a healable link partition) — healed by the
-//     transport retry path and the round-stamped marker protocol;
+//     end-of-superstep markers, a healable link partition) — healed by
+//     the transport retry path and the fence's re-sent marks;
 //   - worker pacing (StallFor drives the runtime's stall-decorating
 //     BarrierPolicy) — absorbed by BSP barriers, the SSP staleness
 //     gate, and the async master's polling;
@@ -40,8 +40,9 @@ type Spec struct {
 	StallEvery int
 	StallDur   time.Duration
 
-	// DropEndPhase is the probability an EndPhase barrier marker is
-	// silently lost in transit.
+	// DropEndPhase is the probability an end-of-superstep marker (a
+	// step-class FenceMark: the BSP barrier's, the SSP gate's) is silently
+	// lost in transit.
 	DropEndPhase float64
 
 	// SendFail is the probability a data-plane send transiently fails

@@ -159,24 +159,36 @@ func TestWrapNilInjector(t *testing.T) {
 	}
 }
 
+// superstepMark is an end-of-superstep marker: the marks dropend= loses.
+func superstepMark(k int) transport.Message {
+	return transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: k, Phase: 1}
+}
+
 func TestWrapDropsEndPhaseDeterministically(t *testing.T) {
-	run := func() (delivered, swallowed int) {
+	run := func(mark func(k int) transport.Message) (delivered, swallowed int) {
 		inner := &recordConn{id: 0, workers: 2}
 		conn := New(Spec{Seed: 5, DropEndPhase: 0.5}).Wrap(inner)
 		for k := 0; k < 200; k++ {
-			if err := conn.Send(1, transport.Message{Kind: transport.EndPhase, Round: k}); err != nil {
+			if err := conn.Send(1, mark(k)); err != nil {
 				t.Fatalf("dropped markers must look sent, got %v", err)
 			}
 		}
 		return len(inner.sent), 200 - len(inner.sent)
 	}
-	d1, s1 := run()
-	d2, s2 := run()
+	d1, s1 := run(superstepMark)
+	d2, s2 := run(superstepMark)
 	if d1 != d2 || s1 != s2 {
 		t.Fatalf("same seed, different outcomes: %d/%d vs %d/%d", d1, s1, d2, s2)
 	}
 	if s1 == 0 || d1 == 0 {
 		t.Fatalf("0.5 drop rate should both drop and deliver (delivered %d, swallowed %d)", d1, s1)
+	}
+	// Another class's marks belong to the recovery machinery: none is lost.
+	parkMark := func(k int) transport.Message {
+		return transport.Message{Kind: transport.FenceMark, Fence: transport.FencePark, Round: k, Phase: 1}
+	}
+	if _, swallowed := run(parkMark); swallowed != 0 {
+		t.Fatalf("dropend= lost %d park marks", swallowed)
 	}
 }
 
@@ -268,7 +280,7 @@ func TestWrapPreservesTrySender(t *testing.T) {
 	delivered := 0
 	for k := 0; k < 100; k++ {
 		for {
-			sent, err := try.TrySend(1, transport.Message{Kind: transport.EndPhase, Round: k})
+			sent, err := try.TrySend(1, superstepMark(k))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -95,8 +95,7 @@ func nonConstantCase(p, q phase) bool {
 // and the membership kind after it.
 func kindDropsFence(k transport.Kind) string {
 	switch k { // want "switch over transport.Kind is not exhaustive: missing FenceRequest, FenceMark, FenceAck, FenceRelease, Handoff"
-	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
-		transport.StatsRequest, transport.StatsReply, transport.Stop:
+	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop:
 		return "termination-era"
 	}
 	return ""
@@ -106,8 +105,7 @@ func kindDropsFence(k transport.Kind) string {
 // misses the membership kind (row migration, DESIGN.md §11).
 func kindDropsMembership(k transport.Kind) string {
 	switch k { // want "switch over transport.Kind is not exhaustive: missing Handoff"
-	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
-		transport.StatsRequest, transport.StatsReply, transport.Stop,
+	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop,
 		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease:
 		return "fence-era"
 	}
@@ -117,8 +115,7 @@ func kindDropsMembership(k transport.Kind) string {
 // kindExhaustiveAll covers the full protocol enumeration: silent.
 func kindExhaustiveAll(k transport.Kind) bool {
 	switch k {
-	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
-		transport.StatsRequest, transport.StatsReply, transport.Stop,
+	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop,
 		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease,
 		transport.Handoff:
 		return true
@@ -151,8 +148,7 @@ func (dispatcher) route(p phase) int {
 // kindDropsOne misses exactly one protocol kind, in the middle.
 func kindDropsOne(k transport.Kind) bool {
 	switch k { // want "missing FenceAck"
-	case transport.Data, transport.EndPhase, transport.PhaseDone, transport.Continue,
-		transport.StatsRequest, transport.StatsReply, transport.Stop,
+	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop,
 		transport.FenceRequest, transport.FenceMark, transport.FenceRelease,
 		transport.Handoff:
 		return true

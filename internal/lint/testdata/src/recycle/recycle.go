@@ -34,13 +34,13 @@ func channelHandoff(out chan transport.Message, kvs []transport.KV) {
 }
 
 // siblingBranches must stay silent: the kill in the Data case must not
-// poison the EndPhase case, which handles a different message.
+// poison the StatsRequest case, which handles a different message.
 func siblingBranches(m transport.Message) int {
 	switch m.Kind {
 	case transport.Data:
 		transport.PutBatch(m.KVs)
 		return 1
-	case transport.EndPhase:
+	case transport.StatsRequest:
 		return len(m.KVs)
 	}
 	return 0

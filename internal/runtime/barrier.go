@@ -11,42 +11,47 @@ import (
 // BarrierPolicy implementations (§5.2): the synchronisation protocol
 // bracketing each pass of the unified compute loop.
 
-// bspBarrier runs bulk-synchronous supersteps: flush everything,
-// exchange EndPhase markers, report to the master, and wait for its
-// Continue/Stop verdict. With naive=true each superstep recomputes the
-// full result from the previous one (Equation 2); otherwise it is MRA
+// bspBarrier runs bulk-synchronous supersteps. A superstep ends in a
+// fence of class FenceStep (fence.go) that the worker opens itself:
+// flush everything, mark, fold until every peer's mark for the superstep
+// is in, report the superstep at the cut (endStep), and wait for the
+// master's release — or for a Stop, or a park request, which ends the
+// fixpoint instead. In naive mode each superstep recomputes the full
+// result from the previous one (Equation 2); otherwise it is MRA
 // semi-naive evaluation (Equation 4) under a barrier.
-type bspBarrier struct {
-	naive bool
-}
+type bspBarrier struct{}
 
-func (b *bspBarrier) setup(w *worker) {
-	if b.naive {
+func (bspBarrier) setup(w *worker) {
+	if !w.cfg.Mode.MRA() {
 		// The table being built this round; incoming Data always lands
-		// in the freshest next (created *before* reporting PhaseDone so
+		// in the freshest next (created *before* acking the superstep so
 		// that faster peers' next-round data cannot be stranded).
 		w.next = w.newTable()
 		w.apply = w.next
 	}
 }
 
-func (b *bspBarrier) beginPass(w *worker) bool {
+func (bspBarrier) beginPass(w *worker) bool {
 	w.rounds++
 	return false
 }
 
-func (b *bspBarrier) endPass(w *worker, _ bool) bool {
-	w.flushAll()
-	w.broadcastEndPhase(w.rounds)
-	w.awaitPeerRounds(w.rounds)
-	if w.halted() {
-		return false
-	}
+// endPass opens the superstep's fence. Both sides count supersteps (the
+// worker's rounds, the master's gRound), so unlike every other class it
+// needs no request: one would cost a message per superstep.
+func (bspBarrier) endPass(w *worker, _ bool) bool {
+	w.fences[transport.FenceStep].req = transition{class: transport.FenceStep, epoch: w.rounds, admit: -1, leaving: -1}
+	return w.fence(transport.FenceStep)
+}
+
+// endStep is the step fence's action at the cut: every peer's data for
+// the superstep has been folded, so this is the superstep's report. A
+// BSP cut is a consistent one, which is also where MRA runs write their
+// periodic checkpoint.
+func (w *worker) endStep(t transition) transport.Stats {
 	var stats transport.Stats
-	if b.naive {
-		diff, changed := w.naiveFinish()
-		stats.AccDelta = diff
-		stats.Dirty = changed
+	if !w.cfg.Mode.MRA() {
+		stats.AccDelta, stats.Dirty = w.naiveFinish()
 		w.next = w.newTable()
 		w.apply = w.next
 	} else {
@@ -59,15 +64,13 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 		stats.AccDelta = w.accDelta
 		w.accDelta = 0
 		stats.Dirty = w.table.HasDirty()
-		if w.cfg.SnapshotDir != "" && w.cfg.SnapshotEvery > 0 && w.rounds%w.cfg.SnapshotEvery == 0 {
-			// A BSP barrier is a consistent cut: no messages in flight.
+		if w.cfg.SnapshotDir != "" && w.cfg.SnapshotEvery > 0 && t.epoch%w.cfg.SnapshotEvery == 0 {
 			// Fault tolerance is best-effort; the run itself must not fail.
-			_ = w.snapshot(w.rounds, true)
+			_ = w.snapshot(t.epoch, true)
 		}
 	}
 	stats.Sent, stats.Recv = w.sent, w.recv
-	w.enqueue(w.master, transport.Message{Kind: transport.PhaseDone, Stats: stats})
-	return w.awaitVerdict()
+	return stats
 }
 
 // freeRun is the barrier-free policy shared by MRAAsync, MRASyncAsync,
@@ -112,47 +115,10 @@ func (freeRun) endPass(w *worker, progressed bool) bool {
 }
 
 // markerResend is how long a worker blocks on its inbox before
-// retransmitting its own EndPhase marker. Markers ride the data lane and
-// can be lost to faults; because the receiver keeps the max of announced
-// rounds, a retransmission is always safe.
+// retransmitting its own marker. Markers ride the data lane and can be
+// lost to faults; because the receiver keeps the max of announced
+// stamps, a retransmission is always safe.
 const markerResend = 3 * time.Millisecond
-
-// broadcastEndPhase fences this superstep's data with round-stamped
-// markers (data lane, so per-pair ordering guarantees the data lands
-// before the marker).
-func (w *worker) broadcastEndPhase(round int) {
-	w.eachPeer(func(j int) {
-		w.enqueue(j, transport.Message{Kind: transport.EndPhase, Round: round})
-	})
-}
-
-// awaitPeerRounds blocks until every peer has announced completion of at
-// least the given round (data sent before a marker is already applied by
-// then, thanks to per-pair ordering). If the wait stalls — a marker was
-// lost — the worker retransmits its own marker so a peer blocked on THIS
-// worker's lost marker unblocks, announces its round, and unblocks us.
-func (w *worker) awaitPeerRounds(round int) {
-	w.foldUntil(func() bool { return w.peerSteps.min(nil, w.peerSkip) >= round }, func() {
-		w.met.markerResends.Inc()
-		w.broadcastEndPhase(round)
-	})
-}
-
-// awaitVerdict blocks for the master's Continue/Stop and reports whether
-// to run another superstep. A stalled wait retransmits this worker's
-// marker: the worker whose marker was dropped is still stuck in
-// awaitPeerRounds and cannot reach the master, so the already-idle
-// workers are the ones that must heal the barrier.
-func (w *worker) awaitVerdict() bool {
-	ok := w.foldUntil(func() bool { return w.verdictSet }, func() {
-		if w.rounds > 0 {
-			w.met.markerResends.Inc()
-			w.broadcastEndPhase(w.rounds)
-		}
-	})
-	w.verdictSet = false
-	return ok && w.verdict == transport.Continue
-}
 
 // maybeStaleSnapshot writes a local, uncoordinated snapshot at every
 // SnapshotEvery-th pass boundary — selective aggregates only, where
@@ -167,7 +133,7 @@ func (w *worker) maybeStaleSnapshot(epoch int) {
 		return
 	}
 	w.staleEpoch = epoch
-	_ = w.snapshot(epoch, false) // best-effort, like the BSP barrier path
+	_ = w.snapshot(epoch, false) // best-effort, like the BSP checkpoint
 }
 
 // stallBarrier decorates a mode's BarrierPolicy with deterministic

@@ -28,7 +28,7 @@ import (
 // failure reproduces from the spec string in the test name.
 
 // chaosModes are the evaluation modes the chaos matrix exercises: one
-// BSP mode (barrier/verdict protocol), the unified async default, and
+// BSP mode (superstep fences), the unified async default, and
 // SSP (staleness gate) — one representative per synchronisation family.
 var chaosModes = []Mode{MRASync, MRASyncAsync, MRASSP}
 
@@ -523,8 +523,9 @@ func TestTornSnapshotRefusedOnRestore(t *testing.T) {
 // requires the master to surface ErrWorkerLost within the collect
 // deadline instead of hanging until MaxWall (the PR-4 follow-up). One
 // live responder keeps the protocol moving so the timeout isolates the
-// dead peer, not a stalled fleet: worker 0 answers every
-// StatsRequest/Continue with a dirty report, worker 1 stays silent.
+// dead peer, not a stalled fleet: worker 0 answers every StatsRequest
+// and every superstep's release with a dirty report, worker 1 stays
+// silent.
 func TestMasterDetectsLostWorker(t *testing.T) {
 	g := gen.Uniform(100, 600, 10, 91)
 	db := edb.NewDB()
@@ -538,10 +539,13 @@ func TestMasterDetectsLostWorker(t *testing.T) {
 			masterConn := net.Conn(transport.MasterID(2))
 			stop := make(chan struct{})
 			defer close(stop)
+			endStep := func(round int) {
+				_ = responder.Send(transport.MasterID(2), transport.Message{Kind: transport.FenceAck,
+					Fence: transport.FenceStep, Round: round, Stats: transport.Stats{Dirty: true, AccDelta: 1}})
+			}
 			go func() {
 				if modeBarriered[mode] {
-					_ = responder.Send(transport.MasterID(2),
-						transport.Message{Kind: transport.PhaseDone, Stats: transport.Stats{Dirty: true, AccDelta: 1}})
+					endStep(1)
 				}
 				for {
 					var m transport.Message
@@ -560,9 +564,8 @@ func TestMasterDetectsLostWorker(t *testing.T) {
 							Kind: transport.StatsReply, Round: m.Round,
 							Stats: transport.Stats{Dirty: true, Sent: 1},
 						})
-					case transport.Continue:
-						_ = responder.Send(transport.MasterID(2),
-							transport.Message{Kind: transport.PhaseDone, Stats: transport.Stats{Dirty: true, AccDelta: 1}})
+					case transport.FenceRelease:
+						endStep(m.Round + 1)
 					case transport.Stop:
 						return
 					default:

@@ -86,11 +86,11 @@ type Config struct {
 	// criterion samples on: two ε samples are never closer than this.
 	CheckInterval time.Duration
 	// CollectTimeout bounds how long the master waits for any single
-	// report during a collect (PhaseDone or StatsReply). A worker dying
-	// mid-collect then surfaces as ErrWorkerLost instead of a hang. The
-	// deadline covers one message, so it effectively resets on every
-	// report a collect was waiting for. 0 (the default) falls back to MaxWall — a dead worker
-	// still cannot hang the run, and a healthy run with long compute
+	// report during a collect (a superstep's FenceAck or a StatsReply). A
+	// worker dying mid-collect then surfaces as ErrWorkerLost instead of a
+	// hang. The deadline covers one message, so it effectively resets on
+	// every report a collect was waiting for. 0 (the default) falls back to
+	// MaxWall — a dead worker still cannot hang the run, and a healthy run with long compute
 	// passes cannot trip it spuriously. A timeout landing past the wall
 	// budget (always the case for the fallback) is reported as an
 	// ordinary non-converged abort; only a timeout within the budget is
@@ -206,21 +206,23 @@ func (e *ConfigError) Error() string {
 // RunWorker, and RunMaster all call this; it is exported so callers can
 // validate a config up front.
 func (c Config) Validate() error {
-	if c.Staleness < 0 {
-		return &ConfigError{Field: "Staleness",
-			Reason: fmt.Sprintf("negative staleness %d; SSP needs a bound >= 0 (0 selects the default)", c.Staleness)}
-	}
-	if c.CoresPerWorker < 0 {
-		return &ConfigError{Field: "CoresPerWorker",
-			Reason: fmt.Sprintf("negative core count %d; use 0 for the GOMAXPROCS default or a positive count", c.CoresPerWorker)}
-	}
-	if c.CollectTimeout < 0 {
-		return &ConfigError{Field: "CollectTimeout",
-			Reason: fmt.Sprintf("negative collect timeout %v; use 0 for the MaxWall fallback", c.CollectTimeout)}
-	}
-	if c.MaxWall < 0 {
-		return &ConfigError{Field: "MaxWall",
-			Reason: fmt.Sprintf("negative wall budget %v; use 0 for the default budget", c.MaxWall)}
+	for _, f := range []struct {
+		field  string
+		bad    bool
+		reason string
+	}{
+		{"Workers", c.Workers < 0, fmt.Sprintf("negative worker count %d; use 0 for the default fleet or a positive count", c.Workers)},
+		{"Tau", c.Tau < 0, fmt.Sprintf("negative flush interval %v; use 0 for the default τ", c.Tau)},
+		{"Staleness", c.Staleness < 0, fmt.Sprintf("negative staleness %d; SSP needs a bound >= 0 (0 selects the default)", c.Staleness)},
+		{"CoresPerWorker", c.CoresPerWorker < 0, fmt.Sprintf("negative core count %d; use 0 for the GOMAXPROCS default or a positive count", c.CoresPerWorker)},
+		{"CheckInterval", c.CheckInterval < 0, fmt.Sprintf("negative check interval %v; use 0 for the default cadence", c.CheckInterval)},
+		{"CollectTimeout", c.CollectTimeout < 0, fmt.Sprintf("negative collect timeout %v; use 0 for the MaxWall fallback", c.CollectTimeout)},
+		{"MaxWall", c.MaxWall < 0, fmt.Sprintf("negative wall budget %v; use 0 for the default budget", c.MaxWall)},
+		{"SnapshotEvery", c.SnapshotEvery < 0, fmt.Sprintf("negative checkpoint period %d; use 0 for no periodic checkpoints", c.SnapshotEvery)},
+	} {
+		if f.bad {
+			return &ConfigError{Field: f.field, Reason: f.reason}
+		}
 	}
 	return nil
 }

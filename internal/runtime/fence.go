@@ -9,9 +9,9 @@ import (
 )
 
 // The fence is the runtime's one coordination primitive beyond data
-// exchange: a master-driven consistent cut (Chandy–Lamport on the FIFO
-// data lanes) at which the master may look at, or change, the fleet.
-// DESIGN.md "The fence" has the message table; the worker's half is
+// exchange: a consistent cut (Chandy–Lamport on the FIFO data lanes) at
+// which the master may look at, or change, the fleet. DESIGN.md "The
+// fence" has the message table; the worker's half is
 //
 //	flush every buffer
 //	→ FenceMark(class, epoch, phase 1) to the cohort on the data lane
@@ -20,14 +20,16 @@ import (
 //	  folded was sent before the sender's mark — the cut is consistent)
 //	→ run the class's action at the cut
 //	→ optionally a second marker round, fencing what the action sent
-//	→ FenceAck to the master
+//	→ FenceAck to the master, carrying what the action reported
 //	→ fold until FenceRelease, then commit.
 //
-// Snapshot episodes, session parking and membership changes are three
-// fenceSpecs of that loop. They differ in who must mark (cohort), what
-// runs at the cut, and what the master does when a collect falls short
-// and after it releases. The master's half is one function, drive: it
-// sends a transition's FenceRequest, collects the acks and releases.
+// The end of a BSP superstep, snapshot episodes, session parking and
+// membership changes are four fenceSpecs of that loop. They differ in who
+// must mark (cohort), what runs at the cut, and what the master does when
+// a collect falls short and after it releases. The master's half is one
+// function, drive: it sends a transition's FenceRequest, collects the
+// acks and releases — except for the superstep, which each worker opens
+// itself and runBSP collects and releases.
 
 // maxSteps is the "nothing to wait for" value a marker-clock minimum
 // returns when no peer remains to wait on.
@@ -36,9 +38,9 @@ const maxSteps = int(^uint(0) >> 1)
 // markClock is a per-peer marker clock: slot j holds the highest stamp
 // peer j has announced. Stamps only merge by max, so a duplicated or
 // retransmitted marker is a no-op and a dropped one is healed by any
-// later (or re-sent) marker from the same peer. The BSP barrier and the
-// SSP gate keep their EndPhase superstep counts in one, every fence
-// class keeps its FenceMark stamps in one.
+// later (or re-sent) marker from the same peer. Every fence class keeps
+// its FenceMark stamps in one; the step class's stamp supersteps, and the
+// SSP staleness gate reads that clock too.
 type markClock []int
 
 // observe merges one announced stamp (a peer outside the clock, e.g. a
@@ -87,8 +89,9 @@ func markStamp(epoch int, phase uint8) int { return 2*epoch + int(phase) - 1 }
 
 // transition is one epoch transition: a fence of one class and what the
 // fleet does inside it. The master builds it and drive runs it; a worker
-// keeps the newest one of each class the master has requested
-// (fenceState.req) and runs its half in fence.
+// keeps the newest one of each class the master has requested — or, for
+// a superstep, it opened itself (fenceState.req) — and runs its half in
+// fence.
 type transition struct {
 	class transport.FenceClass
 	epoch int // the fence's number within its class: its Round
@@ -137,7 +140,7 @@ func (t transition) renews(j int) bool {
 
 // fenceState is a worker's view of one fence class.
 type fenceState struct {
-	req      transition // the highest-epoch request the master has sent
+	req      transition // the highest-epoch request the master has sent (step: opened)
 	done     int        // highest epoch this worker has finished
 	released int        // highest epoch the master has released
 	marks    markClock  // per-peer FenceMark stamps
@@ -159,13 +162,18 @@ type fenceSpec struct {
 	frozen bool
 	// atCut runs once the cut is complete: every cohort member's
 	// pre-fence data has been folded and none sends more until released.
-	atCut func(w *worker, t transition)
+	// What it returns rides in the ack.
+	atCut func(w *worker, t transition) transport.Stats
 	// second adds a marker round after atCut, so that what the action
 	// sent (Handoffs) is also folded everywhere before anyone acks.
 	second bool
 	// nested joins snapshot and membership fences while this one waits
 	// for its release (a parked fleet is still resizable).
 	nested bool
+	// yields ends the wait for the release when a park is requested: the
+	// master parks the fleet at the last superstep instead of releasing
+	// it, and the next superstep opens the next epoch.
+	yields bool
 	// commit runs after the release, before the worker resumes.
 	commit func(w *worker, t transition)
 
@@ -187,8 +195,11 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	// master releases a short collect too (LoadAll refuses the incomplete
 	// epoch and falls back to the last complete one).
 	transport.FenceSnapshot: {
-		name:    "snapshot",
-		atCut:   func(w *worker, t transition) { _ = w.snapshot(t.epoch, true) },
+		name: "snapshot",
+		atCut: func(w *worker, t transition) transport.Stats {
+			_ = w.snapshot(t.epoch, true)
+			return transport.Stats{}
+		},
 		abandon: true,
 	},
 	// The session epoch boundary. Once every worker has acked, no peer
@@ -200,7 +211,6 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		name:   "park",
 		nested: true,
 		commit: func(w *worker, _ transition) {
-			w.verdictSet = false
 			w.resetFrontier() // the session reseeded the shard
 			w.idle = newIdleReports()
 		},
@@ -213,7 +223,7 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		name:   "membership",
 		frozen: true,
 		second: true,
-		atCut: func(w *worker, t transition) {
+		atCut: func(w *worker, t transition) transport.Stats {
 			w.applyMembership(t)
 			w.repairState(t)
 			w.renewLinks(t)
@@ -222,6 +232,7 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 			// master's Σsent == Σrecv test an exact fresh baseline.
 			w.sent, w.recv, w.flushes = 0, 0, 0
 			w.idle = newIdleReports()
+			return transport.Stats{}
 		},
 		commit: func(w *worker, t transition) {
 			if t.leaving == w.id {
@@ -232,6 +243,16 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 			w.resetFrontier() // migration / rollback / replay rewrote the dirty set
 		},
 		settle: (*master).settleMember,
+	},
+	// The end of a BSP superstep (barrier.go), opened by each worker at
+	// its pass end. Its action is the superstep's report, which the acks
+	// carry to runBSP; the master releases the fleet into the next
+	// superstep, stops it, or parks it — and a park request ends the wait
+	// for a release that will not come.
+	transport.FenceStep: {
+		name:   "step",
+		atCut:  (*worker).endStep,
+		yields: true,
 	},
 }
 
@@ -308,8 +329,9 @@ func (w *worker) fence(c transport.FenceClass) bool {
 		return false
 	}
 	if f.released < e {
+		var report transport.Stats
 		if s.atCut != nil {
-			s.atCut(w, t)
+			report = s.atCut(w, t)
 		}
 		if s.second {
 			phase = 2
@@ -318,7 +340,7 @@ func (w *worker) fence(c transport.FenceClass) bool {
 				return false
 			}
 		}
-		w.enqueue(w.master, transport.Message{Kind: transport.FenceAck, Fence: c, Round: e})
+		w.enqueue(w.master, transport.Message{Kind: transport.FenceAck, Fence: c, Round: e, Stats: report})
 	}
 	// Keep re-marking while held: a peer whose view of our mark was lost
 	// is still blocked before its ack.
@@ -326,7 +348,7 @@ func (w *worker) fence(c transport.FenceClass) bool {
 		if s.nested {
 			w.joinFences()
 		}
-		return f.released >= e
+		return f.released >= e || s.yields && w.fencePending(transport.FencePark)
 	}
 	if !w.foldUntil(released, mark) {
 		return false
@@ -355,7 +377,7 @@ func (m *master) transition(c transport.FenceClass, epoch int) transition {
 func (m *master) drive(t transition, decided time.Time) bool {
 	s := &fenceSpecs[t.class]
 	need := m.sendEach(t.cohort, t.request())
-	got, open := m.collectAcks(t.class, t.epoch, need, time.Now().Add(m.fenceTimeout()))
+	got, _, open := m.collectAcks(t.class, t.epoch, need, m.fenceTimeout(), false)
 	if !open {
 		return false
 	}
@@ -393,22 +415,30 @@ func (m *master) fenceTimeout() time.Duration {
 }
 
 // collectAcks folds the master's inbox until need FenceAcks for fence
-// (c, epoch) have arrived or the deadline passes, and returns how many
-// did; open is false if the network closed underneath. Anything else
-// that arrives (late stats replies) describes the world before the cut
-// and is dropped — the poll loop starts afresh after the release.
-func (m *master) collectAcks(c transport.FenceClass, epoch, need int, deadline time.Time) (got int, open bool) {
+// (c, epoch) have arrived or the wait runs out — wait from now, or, with
+// perAck, from the last ack — and returns how many did and what they
+// reported (AccDelta summed, Dirty or-ed); open is false if the network
+// closed underneath. Anything else that arrives (late stats replies)
+// describes the world before the cut and is dropped — the poll loop
+// starts afresh after the release.
+func (m *master) collectAcks(c transport.FenceClass, epoch, need int, wait time.Duration, perAck bool) (got int, sum transport.Stats, open bool) {
+	deadline := time.Now().Add(wait)
 	for got < need {
 		msg, ok, timedOut := m.recvWithin(time.Until(deadline))
 		if !ok {
-			return got, false
+			return got, sum, false
 		}
 		if timedOut {
 			break
 		}
 		if msg.Kind == transport.FenceAck && msg.Fence == c && msg.Round == epoch {
 			got++
+			sum.AccDelta += msg.Stats.AccDelta
+			sum.Dirty = sum.Dirty || msg.Stats.Dirty
+			if perAck {
+				deadline = time.Now().Add(wait)
+			}
 		}
 	}
-	return got, true
+	return got, sum, true
 }

@@ -49,11 +49,33 @@ type fenceRig struct {
 	wg   sync.WaitGroup
 }
 
-// newFenceRig stands up n workers and a master; the workers in `absent`
-// get no goroutine (they model a crashed or wedged peer). filter, when
+// newFenceRig stands up n workers and a master; each worker joins one
+// fence of class c — a superstep's opens at the worker's first superstep
+// end, the others at the master's request. The workers in `absent` get
+// no goroutine (they model a crashed or wedged peer). filter, when
 // non-nil, sees worker `from`'s outgoing FenceMarks.
 func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]bool,
 	filter func(from int) markFilter) *fenceRig {
+	t.Helper()
+	return newRig(t, n, absent, filter, func(w *worker) {
+		if c == transport.FenceStep {
+			endSuperstep(w)
+		} else if w.foldUntil(func() bool { return w.fencePending(c) }, func() {}) {
+			w.fence(c)
+		}
+	})
+}
+
+// endSuperstep runs a BSP worker's superstep end on a rig worker, which
+// has no compute loop: count the superstep, open its fence.
+func endSuperstep(w *worker) bool {
+	w.rounds++
+	return bspBarrier{}.endPass(w, false)
+}
+
+// newRig is newFenceRig with the workers' part spelled out: body runs on
+// each present worker's goroutine.
+func newRig(t *testing.T, n int, absent map[int]bool, filter func(from int) markFilter, body func(w *worker)) *fenceRig {
 	t.Helper()
 	db := edb.NewDB()
 	db.SetGraph("edge", gen.Uniform(40, 120, 10, 5))
@@ -80,9 +102,7 @@ func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]boo
 			if absent[w.id] {
 				return
 			}
-			if w.foldUntil(func() bool { return w.fencePending(c) }, func() {}) {
-				w.fence(c)
-			}
+			body(w)
 			r.done <- w.id
 		}()
 	}
@@ -94,8 +114,12 @@ func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]boo
 	return r
 }
 
+// request opens fence (c, e) — except a superstep's, which each worker
+// opens itself.
 func (r *fenceRig) request(c transport.FenceClass, e int) {
-	r.m.bcast(r.m.transition(c, e).request())
+	if c != transport.FenceStep {
+		r.m.bcast(r.m.transition(c, e).request())
+	}
 }
 
 func (r *fenceRig) release(c transport.FenceClass, e int) {
@@ -107,12 +131,12 @@ func (r *fenceRig) release(c transport.FenceClass, e int) {
 func (r *fenceRig) run(c transport.FenceClass, e, need int) {
 	r.t.Helper()
 	r.request(c, e)
-	got, open := r.m.collectAcks(c, e, need, time.Now().Add(10*time.Second))
+	got, _, open := r.m.collectAcks(c, e, need, 10*time.Second, false)
 	if !open || got != need {
 		r.t.Fatalf("fence %d: %d/%d acks (network open: %v)", e, got, need, open)
 	}
 	// Every ack is in; one more would be a duplicate.
-	if extra, _ := r.m.collectAcks(c, e, 1, time.Now().Add(20*time.Millisecond)); extra != 0 {
+	if extra, _, _ := r.m.collectAcks(c, e, 1, 20*time.Millisecond, false); extra != 0 {
 		r.t.Fatalf("fence %d: a worker acked twice", e)
 	}
 	r.release(c, e)
@@ -165,7 +189,7 @@ func TestFenceDuplicateMarks(t *testing.T) {
 	dupAll := func(int) markFilter {
 		return func(int, transport.Message) (bool, bool) { return false, true }
 	}
-	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember} {
+	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember, transport.FenceStep} {
 		r := newFenceRig(t, 3, c, nil, dupAll)
 		r.run(c, 1, 3)
 	}
@@ -176,7 +200,7 @@ func TestFenceDuplicateMarks(t *testing.T) {
 // re-sent a mark (and ignored the master's release while waiting for
 // one).
 func TestFenceDroppedMarkHealsByResend(t *testing.T) {
-	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember} {
+	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember, transport.FenceStep} {
 		var mu sync.Mutex
 		dropped := 0
 		dropFirst := func(from int) markFilter {
@@ -225,13 +249,13 @@ func TestFenceOrphanLeavesCohort(t *testing.T) {
 	c := transport.FenceSnapshot
 	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
 	r.request(c, 1)
-	if got, _ := r.m.collectAcks(c, 1, 1, time.Now().Add(50*time.Millisecond)); got != 0 {
+	if got, _, _ := r.m.collectAcks(c, 1, 1, 50*time.Millisecond, false); got != 0 {
 		t.Fatal("a survivor acked while worker 2's mark was still owed")
 	}
 	repair := r.m.transition(transport.FenceMember, 1)
 	repair.down = []int{2}
 	r.m.bcast(repair.request())
-	if got, _ := r.m.collectAcks(c, 1, 2, time.Now().Add(10*time.Second)); got != 2 {
+	if got, _, _ := r.m.collectAcks(c, 1, 2, 10*time.Second, false); got != 2 {
 		t.Fatalf("%d/2 survivors reached the cut after the request naming worker 2 lost", got)
 	}
 	r.release(c, 1)
@@ -296,7 +320,7 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 1, 0)); err == nil {
 		t.Error("abandoned fence still ran its action at a cut that never completed")
 	}
-	if got, _ := r.m.collectAcks(c, 1, 1, time.Now().Add(20*time.Millisecond)); got != 0 {
+	if got, _, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond, false); got != 0 {
 		t.Error("abandoned fence was acked")
 	}
 }
@@ -315,7 +339,8 @@ func TestFenceSuccessorMarkSurvivesReset(t *testing.T) {
 	f.done = e
 	f.marks.observe(1, markStamp(e, 2))   // slot 1's old incarnation, the last fence
 	f.marks.observe(2, markStamp(e+1, 1)) // slot 2's new incarnation, this fence
-	w.peerSteps.observe(2, 17)
+	steps := w.fences[transport.FenceStep].marks
+	steps.observe(2, markStamp(17, 1))
 	w.renewLinks(transition{class: transport.FenceMember, epoch: e + 1, admit: -1, leaving: -1, down: []int{1, 2}})
 	if f.marks[1] != 0 {
 		t.Errorf("replaced slot 1 keeps its old incarnation's stamp %d", f.marks[1])
@@ -323,8 +348,42 @@ func TestFenceSuccessorMarkSurvivesReset(t *testing.T) {
 	if f.marks[2] != markStamp(e+1, 1) {
 		t.Errorf("the running fence's first marker was wiped: stamp %d", f.marks[2])
 	}
-	if w.peerSteps[2] != 0 {
-		t.Errorf("replaced slot 2 keeps superstep clock %d; its new incarnation counts from zero", w.peerSteps[2])
+	if steps[2] != 0 {
+		t.Errorf("replaced slot 2 keeps superstep clock %d; its new incarnation counts from zero", steps[2])
+	}
+}
+
+// A worker waiting for its superstep's release leaves the fence when a
+// park is requested instead — the master parks the fleet at the
+// superstep that converged, and never releases it — and once the park
+// is released, its next superstep opens the next step fence. Without
+// the yield the workers wait for a release that never comes and the
+// park's collect runs out.
+func TestFenceStepYieldsToPark(t *testing.T) {
+	step, park := transport.FenceStep, transport.FencePark
+	r := newRig(t, 2, nil, nil, func(w *worker) {
+		if endSuperstep(w) && w.fencePending(park) && w.fence(park) {
+			endSuperstep(w)
+		}
+	})
+	if got, _, _ := r.m.collectAcks(step, 1, 2, 10*time.Second, false); got != 2 {
+		t.Fatalf("superstep 1: %d/2 acks", got)
+	}
+	r.request(park, 1)
+	if got, _, _ := r.m.collectAcks(park, 1, 2, 5*time.Second, false); got != 2 {
+		t.Fatalf("%d/2 workers reached the park: a park request must end the wait for a step release", got)
+	}
+	r.release(park, 1)
+	if got, _, _ := r.m.collectAcks(step, 2, 2, 10*time.Second, false); got != 2 {
+		t.Fatalf("superstep 2: %d/2 acks after the park's release", got)
+	}
+	r.release(step, 2)
+	for i := 0; i < 2; i++ {
+		select {
+		case <-r.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d/2 workers left superstep 2 after its release", i)
+		}
 	}
 }
 

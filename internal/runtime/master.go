@@ -13,16 +13,17 @@ import (
 
 // ErrWorkerLost is surfaced (wrapped) by Run and RunMaster when a
 // collect round times out: a worker died or was partitioned away
-// mid-collect, so its PhaseDone/StatsReply will never arrive. Without
-// the deadline the master would block forever (the PR-4 follow-up).
+// mid-collect, so its superstep's FenceAck or its StatsReply will never
+// arrive. Without the deadline the master would block forever (the PR-4
+// follow-up).
 var ErrWorkerLost = errors.New("worker lost: missing report within the collect deadline")
 
-// master coordinates termination. For BSP modes it collects PhaseDone
-// reports and issues Continue/Stop verdicts; for async modes it feeds the
-// workers' stats reports to the stop machine (internal/term), which
-// applies the paper's two-level criteria: the user-level ε on consecutive
-// global results, distributed quiescence for fixpoint programs, and the
-// system-level round cap.
+// master coordinates termination. For BSP modes it collects each
+// superstep's fence acks and releases, stops or parks the fleet; for
+// async modes it feeds the workers' stats reports to the stop machine
+// (internal/term), which applies the paper's two-level criteria: the
+// user-level ε on consecutive global results, distributed quiescence for
+// fixpoint programs, and the system-level round cap.
 type master struct {
 	cfg  Config
 	plan *compiler.Plan
@@ -146,17 +147,9 @@ func (m *master) sendTo(j int, msg transport.Message) {
 	}
 }
 
-// recv returns the next incoming message, honouring the pending stash
-// and giving up after the collect deadline. timedOut distinguishes a
-// deadline expiry (worker lost) from a closed network (ok == false).
-// The deadline covers one message, so it effectively resets on every
-// report — a collect stalls only when some worker has gone silent for
-// the whole timeout, not merely when the fleet reports slowly.
-func (m *master) recv() (msg transport.Message, ok, timedOut bool) {
-	return m.recvWithin(m.collectTimeout())
-}
-
-// recvWithin is recv with an explicit deadline d from now.
+// recvWithin returns the next incoming message, honouring the pending
+// stash and giving up d from now. timedOut distinguishes a deadline
+// expiry (worker lost) from a closed network (ok == false).
 func (m *master) recvWithin(d time.Duration) (msg transport.Message, ok, timedOut bool) {
 	if len(m.pending) > 0 {
 		msg = m.pending[0]
@@ -189,8 +182,8 @@ func (m *master) recvWithin(d time.Duration) (msg transport.Message, ok, timedOu
 // not-converged abort (the MaxWall fallback deadline always lands
 // here); within it a worker is lost — typed ErrWorkerLost. Either way
 // the best-effort Stop lets surviving workers (including BSP peers
-// stuck in awaitPeerRounds on the dead worker's marker) unwind instead
-// of hanging.
+// stuck at a step fence's cut on the dead worker's marker) unwind
+// instead of hanging.
 func (m *master) expired(round, got int, wall time.Time) {
 	if time.Now().After(wall) {
 		m.halt(StopWall)
@@ -213,8 +206,8 @@ func (m *master) halt(cause StopCause) {
 }
 
 func (m *master) run() {
-	// The mode registry (policy.go) records which modes run the BSP
-	// verdict protocol; everything else — the async family and SSP —
+	// The mode registry (policy.go) records which modes end supersteps in
+	// step fences; everything else — the async family and SSP —
 	// terminates via the stop machine.
 	defer m.rejectMemberCmds(errors.New("runtime: fixpoint ended before the membership change could run"))
 	m.parked = false
@@ -292,8 +285,11 @@ func (m *master) termConfig() term.Config {
 	}
 }
 
-// runBSP collects one PhaseDone per worker per superstep and asks the
-// barrier detector (internal/term) for the verdict.
+// runBSP collects each superstep's step fence — one ack per worker, with
+// the superstep's report, each within collectTimeout of the last — and
+// asks the barrier detector (internal/term) for the verdict: release the
+// fence into the next superstep, or finish. A worker counts supersteps
+// across a session's epochs, so the fence's Round is gRound.
 func (m *master) runBSP() {
 	bar := term.NewBarrier(m.termConfig())
 	deadline := time.Now().Add(m.cfg.MaxWall)
@@ -307,32 +303,23 @@ func (m *master) runBSP() {
 		}
 		m.met.rounds.Inc()
 		collectStart := time.Now()
-		var sumDelta float64
-		anyDirty := false
-		for got := 0; got < m.activeCount(); {
-			msg, ok, timedOut := m.recv()
-			if !ok {
-				return
-			}
-			if timedOut {
-				m.expired(round, got, deadline)
-				return
-			}
-			if msg.Kind != transport.PhaseDone {
-				continue
-			}
-			got++
-			sumDelta += msg.Stats.AccDelta
-			anyDirty = anyDirty || msg.Stats.Dirty
+		need := m.activeCount()
+		got, sum, open := m.collectAcks(transport.FenceStep, m.gRound, need, m.collectTimeout(), true)
+		if !open {
+			return
+		}
+		if got < need {
+			m.expired(round, got, deadline)
+			return
 		}
 		m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
-		cause := bar.Round(round, sumDelta, anyDirty)
+		cause := bar.Round(round, sum.AccDelta, sum.Dirty)
 		m.converged = cause == term.Converged
 		if cause != term.None || time.Now().After(deadline) {
 			m.finish(m.stopCause(cause == term.IterationCap))
 			return
 		}
-		m.bcast(transport.Message{Kind: transport.Continue})
+		m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: transport.FenceStep, Round: m.gRound})
 	}
 }
 

@@ -210,7 +210,7 @@ func (w *worker) peerSkip(j int) bool {
 // lost slot reach its replacement, or die harmlessly with the reset
 // inbox.
 func (w *worker) eachPeer(f func(j int)) {
-	for j := range w.peerSteps {
+	for j := range w.bufs {
 		if j != w.id && w.route.participant(j) {
 			f(j)
 		}
@@ -220,7 +220,7 @@ func (w *worker) eachPeer(f func(j int)) {
 // fenceCohort freezes a membership fence's marker set at entry: the
 // pre-change membership plus the admitted newcomer, minus self.
 func (w *worker) fenceCohort(admit int) []bool {
-	set := make([]bool, len(w.peerSteps))
+	set := make([]bool, len(w.bufs))
 	w.eachPeer(func(j int) { set[j] = true })
 	if admit >= 0 && admit != w.id {
 		set[admit] = true
@@ -408,10 +408,10 @@ func (w *worker) replayForDown() {
 // the other already counts from the new sequence.
 //
 // A renewed link restarts its Data sequence and dedup window, and its
-// superstep clock outright (a new incarnation counts from zero); each
-// fence clock is cleared only up to the last fence of its class this
-// worker finished (markClock.resetUpTo says why), which keeps this
-// fence's own second-round marks.
+// step clock outright (a new incarnation counts supersteps from zero);
+// every other fence clock is cleared only up to the last fence of its
+// class this worker finished (markClock.resetUpTo says why), which keeps
+// this fence's own second-round marks.
 func (w *worker) renewLinks(t transition) {
 	self := t.renews(w.id)
 	for j := range w.dataSeen {
@@ -420,10 +420,13 @@ func (w *worker) renewLinks(t transition) {
 		case t.renews(j):
 			w.dataSeq[j] = 0
 			w.dataSeen[j] = dedupWindow{}
-			w.peerSteps.resetUpTo(j, maxSteps)
 			for c := range w.fences {
 				f := &w.fences[c]
-				f.marks.resetUpTo(j, markStamp(f.done, 2))
+				upTo := markStamp(f.done, 2)
+				if transport.FenceClass(c) == transport.FenceStep {
+					upTo = maxSteps
+				}
+				f.marks.resetUpTo(j, upTo)
 			}
 		case self:
 			w.dataSeen[j] = dedupWindow{}

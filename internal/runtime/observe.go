@@ -29,8 +29,9 @@ type workerMetrics struct {
 	// watermark (see handle).
 	recvBatches *metrics.Counter
 	dupBatches  *metrics.Counter
-	// markerResends counts EndPhase retransmissions from stalled barrier
-	// or staleness-gate waits ("barrier.marker.resend").
+	// markerResends counts fence-mark retransmissions from stalled cuts —
+	// a superstep's, the staleness gate's or any other fence's
+	// ("barrier.marker.resend").
 	markerResends *metrics.Counter
 	// steals counts subshard ranges a scan core took from a sibling's
 	// deque ("scan.steal") — how often the work-stealing pool actually
@@ -94,10 +95,11 @@ type masterMetrics struct {
 	// tick. A fixpoint that ended with no timer wave stopped on events
 	// alone; one that needed them waited out an interval.
 	wavesIdle, wavesTimer *metrics.Counter
-	// fenceUS is each fence's duration in microseconds by class
+	// fenceUS is each driven fence's duration in microseconds by class
 	// ("master.fence.snapshot_us" / "park_us" / "member_us"): from the
 	// master's decision — before any worker is spawned for it — to the
-	// release, or to the last ack of a park, which the session holds.
+	// release, or to the last ack of a park, which the session holds. A
+	// superstep's fence is not driven; its collect is master.collect.wait_us.
 	fenceUS [transport.NumFenceClasses]*metrics.Histogram
 
 	// Membership counters (membership.go, DESIGN.md §11). memberJoins
@@ -138,7 +140,7 @@ func newMasterMetrics() masterMetrics {
 		collectProbes:   reg.Counter("master.collect.probe"),
 		wavesIdle:       reg.Counter("master.wave.idle"),
 		wavesTimer:      reg.Counter("master.wave.timer"),
-		fenceUS: [...]*metrics.Histogram{
+		fenceUS: [transport.NumFenceClasses]*metrics.Histogram{
 			transport.FenceSnapshot: reg.Histogram("master.fence.snapshot_us"),
 			transport.FencePark:     reg.Histogram("master.fence.park_us"),
 			transport.FenceMember:   reg.Histogram("master.fence.member_us"),

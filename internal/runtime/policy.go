@@ -24,9 +24,9 @@ import (
 //     and which deltas are held back for a later pass? Implementations:
 //     FIFO, delta-stepping buckets, priority holding.
 //   - BarrierPolicy (§5.2): what synchronisation brackets a compute
-//     pass? Implementations: the BSP EndPhase/verdict protocol, free
-//     running (no barrier, master polls for termination), and the SSP
-//     staleness gate (ssp.go).
+//     pass? Implementations: the BSP superstep fence, free running (no
+//     barrier, master polls for termination), and the SSP staleness gate
+//     (ssp.go).
 //
 // A mode is just a registered (FlushPolicy, Scheduler, BarrierPolicy,
 // compute pass) quadruple; adding a consistency model is a one-file
@@ -117,13 +117,14 @@ type policyFactory func(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 
 var (
 	modeFactories = map[Mode]policyFactory{}
-	// modeBarriered records which modes run the master's BSP
-	// PhaseDone/verdict protocol; all others use the polling master.
+	// modeBarriered records which modes end each superstep in a step
+	// fence the master collects and releases (runBSP); all others use
+	// the polling master.
 	modeBarriered = map[Mode]bool{}
 )
 
 // registerMode installs a mode's policy factory. barriered selects the
-// master-side protocol (BSP verdicts vs. async polling).
+// master-side protocol (BSP step fences vs. async polling).
 func registerMode(m Mode, barriered bool, f policyFactory) {
 	modeFactories[m] = f
 	modeBarriered[m] = barriered
@@ -154,7 +155,7 @@ func newNaiveSyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metric
 	return policySet{
 		flush:   barrierFlush{},
 		sched:   fifoSched{why: "naive evaluation re-derives: there is no dirty set to order"},
-		barrier: &bspBarrier{naive: true},
+		barrier: bspBarrier{},
 		pass:    (*worker).naivePass,
 	}
 }
@@ -165,7 +166,7 @@ func newMRASyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 	return policySet{
 		flush:   barrierFlush{},
 		sched:   baseScheduler(plan, reg),
-		barrier: &bspBarrier{},
+		barrier: bspBarrier{},
 		pass:    (*worker).scanPass,
 	}
 }

@@ -27,8 +27,8 @@ import (
 // always compared against a static-fleet oracle.
 
 // rejoinModes are the modes with live re-join: the non-barriered MRA
-// family (the BSP verdict protocol has no fence point mid-superstep and
-// keeps the abort-on-loss behaviour).
+// family (a BSP worker joins no fence inside a superstep, so BSP keeps
+// the abort-on-loss behaviour).
 var rejoinModes = []Mode{MRAAsync, MRASyncAsync, MRASSP}
 
 // rejoinCfg keeps the collect deadline short so a silent worker is

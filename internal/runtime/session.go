@@ -216,7 +216,7 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	}
 	if cfg.Elastic && (!cfg.Mode.MRA() || modeBarriered[cfg.Mode]) {
 		return nil, fmt.Errorf("runtime: Elastic membership needs a non-barriered MRA mode " +
-			"(the BSP verdict protocol has no fence point mid-superstep)")
+			"(a BSP worker joins no fence inside a superstep)")
 	}
 	cfg = applyPriorityDefault(cfg, plan)
 

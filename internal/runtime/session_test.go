@@ -589,6 +589,10 @@ func TestConfigValidate(t *testing.T) {
 		{Config{CoresPerWorker: -2}, "CoresPerWorker"},
 		{Config{CollectTimeout: -time.Millisecond}, "CollectTimeout"},
 		{Config{MaxWall: -time.Minute}, "MaxWall"},
+		{Config{Workers: -3}, "Workers"},
+		{Config{Tau: -time.Millisecond}, "Tau"},
+		{Config{CheckInterval: -time.Millisecond}, "CheckInterval"},
+		{Config{SnapshotEvery: -1}, "SnapshotEvery"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

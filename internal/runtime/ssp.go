@@ -16,8 +16,8 @@ import (
 // Staleness = 0 degenerates to lockstep; Staleness = ∞ would be AP.
 //
 // This file is the whole mode: a FlushPolicy (barrier-style superstep
-// batching), a BarrierPolicy (the staleness gate over per-peer EndPhase
-// counts), and a registration — the policy-layer seams make a new
+// batching), a BarrierPolicy (the staleness gate over the peers'
+// step-fence marks), and a registration — the policy-layer seams make a new
 // consistency model a one-file addition.
 //
 // Termination uses the polling master (like the async family): workers
@@ -42,9 +42,10 @@ func newSSPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 }
 
 // sspBarrier implements the staleness gate. steps counts the supersteps
-// this worker has completed; each completion broadcasts an EndPhase
-// marker, and handle() merges markers per sender into w.peerSteps — the
-// marker clock the gate reads.
+// this worker has completed; each completion sends the peers a step-class
+// FenceMark, and handle() merges the marks per sender into the step
+// fence's clock — the one the gate reads. Unlike BSP, nobody acks: the
+// gate is the fence's cut, relaxed by the staleness bound.
 type sspBarrier struct {
 	staleness int
 	steps     int
@@ -75,13 +76,12 @@ func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 		// fast peer blocked at the gate can never deadlock on a peer
 		// that simply has no work: the straggler catches up one marker
 		// per idle pass until the gap closes.
-		if b.steps < w.maxPeerSteps() {
+		if markStamp(b.steps, 1) < w.stepFrontier() {
 			b.advance(w)
 			return true
 		}
-		if now := time.Now(); now.After(b.announceBy) {
-			w.broadcastEndPhase(b.steps)
-			b.announceBy = now.Add(markerResend)
+		if time.Now().After(b.announceBy) {
+			b.announce(w)
 		}
 		w.idleWait()
 		return true
@@ -96,26 +96,32 @@ func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 }
 
 // advance completes one superstep: flush the pass's buffered updates,
-// then fence them with EndPhase markers (data lane, so per-pair
-// ordering guarantees the data lands first). Markers carry the 1-based
-// completed-step count; receivers keep the max, so duplicates are
-// no-ops and a dropped marker is covered by any later one.
+// then fence them with this worker's step mark.
 func (b *sspBarrier) advance(w *worker) {
 	w.flushAll()
 	b.steps++
 	w.rounds++
-	w.broadcastEndPhase(b.steps)
-	b.announceBy = time.Now().Add(markerResend)
+	b.announce(w)
 	w.maybeStaleSnapshot(b.steps)
 }
 
-// maxPeerSteps is the frontier of the EndPhase marker clock, skipping
-// lost and non-member slots like the gate's minimum does — the skip is
-// what unwedges a gated worker blocked on a dead peer's frozen clock once
-// the membership request naming it lost lands.
-func (w *worker) maxPeerSteps() int {
+// announce sends the peers the worker's step mark: the 1-based
+// completed-step count, on the data lane, so per-pair ordering lands the
+// data first. Receivers keep the max, so duplicates are no-ops and a
+// dropped mark is covered by any later one.
+func (b *sspBarrier) announce(w *worker) {
+	m := transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: b.steps, Phase: 1}
+	w.eachPeer(func(j int) { w.enqueue(j, m) })
+	b.announceBy = time.Now().Add(markerResend)
+}
+
+// stepFrontier is the highest stamp on the step clock, skipping lost and
+// non-member slots like the gate's minimum does — the skip is what
+// unwedges a gated worker blocked on a dead peer's frozen clock once the
+// membership request naming it lost lands.
+func (w *worker) stepFrontier() int {
 	most := 0
-	for j, s := range w.peerSteps {
+	for j, s := range w.fences[transport.FenceStep].marks {
 		if !w.peerSkip(j) && s > most {
 			most = s
 		}
@@ -137,7 +143,8 @@ func (b *sspBarrier) awaitPeerSteps(w *worker, need int) {
 	// epoch's final synchronisation point.
 	open := func() bool {
 		w.joinFences()
-		return w.fencePending(transport.FencePark) || w.peerSteps.min(nil, w.peerSkip) >= need
+		return w.fencePending(transport.FencePark) ||
+			w.fences[transport.FenceStep].marks.min(nil, w.peerSkip) >= markStamp(need, 1)
 	}
 	if need <= 0 || open() {
 		return
@@ -145,7 +152,7 @@ func (b *sspBarrier) awaitPeerSteps(w *worker, need int) {
 	start := time.Now()
 	w.foldUntil(open, func() {
 		w.met.markerResends.Inc()
-		w.broadcastEndPhase(b.steps)
+		b.announce(w)
 	})
 	blocked := time.Since(start)
 	w.stragglerWait += blocked

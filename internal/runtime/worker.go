@@ -90,18 +90,12 @@ type worker struct {
 	// inboxes, and the run's outcome no longer depends on the message.
 	stopping atomic.Bool
 
-	// control-state set by handle(). peerSteps is the EndPhase marker
-	// clock (fence.go): peerSteps[j] is the highest completed-superstep
-	// count worker j has announced.
-	peerSteps  markClock
-	verdict    transport.Kind // Continue, Stop, or FenceRequest (park), valid when verdictSet
-	verdictSet bool
-
 	// fences is this worker's view of each fence class (fence.go): what
 	// the master has requested and released, what this worker finished,
-	// and the per-peer marker clock. The park fence doubles as the
-	// session-epoch counter: the fixpoint being computed is
-	// fences[FencePark].done + 1.
+	// and the per-peer marker clock — the step class's is the superstep
+	// clock the BSP barrier and the SSP gate wait on. The park fence
+	// doubles as the session-epoch counter: the fixpoint being computed
+	// is fences[FencePark].done + 1.
 	fences     [transport.NumFenceClasses]fenceState
 	staleEpoch int // last local stale-snapshot epoch (maybeStaleSnapshot)
 	// mutEpoch stamps snapshots with the mutation-log position they
@@ -191,7 +185,6 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 
 		bufs:      make([]*outBuf, fleet),
 		lastFlush: make([]time.Time, fleet),
-		peerSteps: make(markClock, fleet),
 		dataSeq:   make([]int64, fleet),
 		dataSeen:  make([]dedupWindow, fleet),
 		win: window{
@@ -381,12 +374,12 @@ func (w *worker) commLoop() {
 // enqueue hands a message to the comm goroutine, draining the inbox while
 // the queue is full so workers can never deadlock on mutual back-pressure;
 // a stopping worker drops the message instead (worker.stopping).
-// Master-bound reports take the control lane; EndPhase markers must NOT —
+// Master-bound reports take the control lane; fence markers must NOT —
 // they fence the data sent before them, so they ride the data lane to
 // preserve per-destination ordering.
 func (w *worker) enqueue(to int, m transport.Message) {
 	lane := w.out
-	if m.Kind == transport.StatsReply || m.Kind == transport.PhaseDone || m.Kind == transport.FenceAck {
+	if m.Kind == transport.StatsReply || m.Kind == transport.FenceAck {
 		lane = w.outCtrl
 	}
 	om := outMsg{to, m}
@@ -484,26 +477,14 @@ func (w *worker) handle(m transport.Message) {
 		}
 		// The batch is spent; recycle it (see the contract in transport).
 		transport.PutBatch(m.KVs)
-	case transport.EndPhase:
-		// Round is the sender's completed-superstep count.
-		w.peerSteps.observe(m.From, m.Round)
-	case transport.Continue:
-		w.verdict, w.verdictSet = transport.Continue, true
 	case transport.Stop:
 		w.stop()
-		w.verdict, w.verdictSet = transport.Stop, true
 	case transport.StatsRequest:
 		w.idle.polls++
 		w.replyStats(m.Round)
 	case transport.FenceRequest:
 		if f := &w.fences[m.Fence]; m.Round > f.req.epoch {
 			f.req = transitionOf(m)
-		}
-		if m.Fence == transport.FencePark {
-			// For barriered modes a park request doubles as the superstep
-			// verdict: the worker sitting in awaitVerdict must unwind
-			// without setting stopped, so the run loop reaches the fence.
-			w.verdict, w.verdictSet = transport.FenceRequest, true
 		}
 	case transport.FenceMark:
 		w.fences[m.Fence].marks.observe(m.From, markStamp(m.Round, m.Phase))
@@ -513,7 +494,7 @@ func (w *worker) handle(m transport.Message) {
 		}
 	case transport.Handoff:
 		w.acceptHandoff(m)
-	case transport.PhaseDone, transport.StatsReply, transport.FenceAck:
+	case transport.StatsReply, transport.FenceAck:
 		// Worker→master kinds; a worker receiving one (misrouted frame,
 		// chaos injection) ignores it rather than corrupting local state.
 	}
@@ -686,8 +667,9 @@ func (w *worker) restoreStale(rows []ckpt.Row) {
 }
 
 // snapshot writes this worker's shard as the given epoch. cut records
-// whether the snapshot is part of a consistent cut (a BSP barrier or a
-// marker episode) or a local stale snapshot (async/SSP selective modes).
+// whether the snapshot is part of a consistent cut (a superstep's or a
+// snapshot episode's fence) or a local stale snapshot (async/SSP
+// selective modes).
 func (w *worker) snapshot(epoch int, cut bool) error {
 	var rows []ckpt.Row
 	w.table.RangeRows(func(k int64, acc, inter float64) bool {

@@ -22,11 +22,11 @@ import (
 //	            unique, but the codec tolerates duplicates as delta 0)
 //	    values  n × 8-byte little-endian raw IEEE-754 bits, in key order
 //	            (NaN and ±Inf round-trip bit-exactly)
-//	Stats payload (PhaseDone, StatsReply):
+//	Stats payload (StatsReply; FenceAck after its fence payload):
 //	    sent, recv     uvarint
 //	    accDelta, accSum  8-byte little-endian float64 bits
 //	    passes         uvarint
-//	    flags          1 byte (bit0 idle, bit1 dirty)
+//	    dirty          1 byte
 //	Fence payload (FenceRequest, FenceMark, FenceAck, FenceRelease):
 //	    class, phase   1 byte each
 //	    member         1 byte, 1 when a membership directive follows:
@@ -90,17 +90,6 @@ func appendPayload(buf []byte, m *Message) []byte {
 		for _, kv := range m.KVs {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(kv.V))
 		}
-	case PhaseDone, StatsReply:
-		buf = binary.AppendUvarint(buf, uint64(m.Stats.Sent))
-		buf = binary.AppendUvarint(buf, uint64(m.Stats.Recv))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccDelta))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccSum))
-		buf = binary.AppendUvarint(buf, uint64(m.Stats.Passes))
-		var dirty byte
-		if m.Stats.Dirty {
-			dirty = 1
-		}
-		buf = append(buf, dirty)
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		buf = append(buf, byte(m.Fence), m.Phase)
 		if mb := m.Member; mb == nil {
@@ -116,8 +105,20 @@ func appendPayload(buf []byte, m *Message) []byte {
 			}
 		}
 	default:
-		// EndPhase, Continue, StatsRequest and Stop carry nothing beyond
-		// the kind/from/round header.
+		// StatsRequest and Stop carry nothing beyond the kind/from/round
+		// header, a StatsReply only the Stats payload below.
+	}
+	if m.Kind == StatsReply || m.Kind == FenceAck { // a FenceAck's after its fence payload
+		buf = binary.AppendUvarint(buf, uint64(m.Stats.Sent))
+		buf = binary.AppendUvarint(buf, uint64(m.Stats.Recv))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccDelta))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccSum))
+		buf = binary.AppendUvarint(buf, uint64(m.Stats.Passes))
+		var dirty byte
+		if m.Stats.Dirty {
+			dirty = 1
+		}
+		buf = append(buf, dirty)
 	}
 	return buf
 }
@@ -153,13 +154,6 @@ func decodePayload(data []byte) (Message, error) {
 			kvs[i].V = math.Float64frombits(d.uint64())
 		}
 		m.KVs = kvs
-	case PhaseDone, StatsReply:
-		m.Stats.Sent = int64(d.uvarint())
-		m.Stats.Recv = int64(d.uvarint())
-		m.Stats.AccDelta = math.Float64frombits(d.uint64())
-		m.Stats.AccSum = math.Float64frombits(d.uint64())
-		m.Stats.Passes = int64(d.uvarint())
-		m.Stats.Dirty = d.byte() != 0
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		m.Fence = FenceClass(d.byte())
 		m.Phase = d.byte()
@@ -178,8 +172,16 @@ func decodePayload(data []byte) (Message, error) {
 			d.bad = true
 		}
 	default:
-		// Control kinds have an empty payload; the header already
-		// decoded is the whole message.
+		// StatsRequest and Stop have an empty payload, a StatsReply only
+		// its Stats.
+	}
+	if m.Kind == StatsReply || m.Kind == FenceAck {
+		m.Stats.Sent = int64(d.uvarint())
+		m.Stats.Recv = int64(d.uvarint())
+		m.Stats.AccDelta = math.Float64frombits(d.uint64())
+		m.Stats.AccSum = math.Float64frombits(d.uint64())
+		m.Stats.Passes = int64(d.uvarint())
+		m.Stats.Dirty = d.byte() != 0
 	}
 	if d.bad {
 		if m.Kind == Data || m.Kind == Handoff {

@@ -107,13 +107,13 @@ func TestCodecEdgeMessages(t *testing.T) {
 		{Kind: Data, From: 3, Round: 0, KVs: nil},
 		{Kind: Data, From: 0, Round: 7, KVs: []KV{}},
 		{Kind: Data, KVs: []KV{{K: math.MinInt64, V: math.Inf(-1)}, {K: math.MaxInt64, V: math.Inf(1)}, {K: 0, V: math.NaN()}}},
-		{Kind: EndPhase, From: 1, Round: 42},
-		{Kind: Continue, Round: 9},
+		{Kind: FenceMark, From: 1, Round: 42, Fence: FenceStep, Phase: 1},
+		{Kind: FenceRelease, Round: 9, Fence: FenceStep},
 		{Kind: StatsRequest, Round: 1 << 30},
 		{Kind: Stop},
 		{Kind: StatsReply, From: 2, Round: 5, Stats: Stats{
 			Sent: 1 << 40, Recv: 3, AccDelta: -0.5, AccSum: math.Inf(1), Passes: 17, Dirty: true}},
-		{Kind: PhaseDone, Stats: Stats{AccDelta: math.NaN(), Dirty: true}},
+		{Kind: FenceAck, Fence: FenceStep, Stats: Stats{AccDelta: math.NaN(), Dirty: true}},
 	}
 	for _, m := range cases {
 		got := roundTrip(t, m)
@@ -145,16 +145,13 @@ func TestCodecEveryKind(t *testing.T) {
 	stats := Stats{Sent: 9, Recv: 8, AccDelta: 0.25, AccSum: -3.5, Passes: 7, Dirty: true}
 	table := [numKinds]Message{
 		Data:         {From: 1, Round: 12, KVs: []KV{{K: -4, V: 1.5}, {K: 9, V: -2}}},
-		EndPhase:     {From: 2, Round: 5},
-		PhaseDone:    {From: 3, Stats: stats},
-		Continue:     {From: 4},
 		StatsRequest: {From: 4, Round: 77},
 		StatsReply:   {From: 1, Round: 77, Stats: stats},
 		Stop:         {From: 4},
 		FenceRequest: {From: 4, Round: 6, Fence: FenceMember,
 			Member: &Membership{Rollback: -1, Admit: 3, Leave: 5, Down: []int32{1, 2}}},
 		FenceMark:    {From: 2, Round: 6, Fence: FenceMember, Phase: 2},
-		FenceAck:     {From: 2, Round: 6, Fence: FencePark},
+		FenceAck:     {From: 2, Round: 6, Fence: FenceStep, Stats: stats},
 		FenceRelease: {From: 4, Round: 6, Fence: FencePark},
 		Handoff:      {From: 1, Round: 1, KVs: []KV{{K: 3, V: 0.5}, {K: 8, V: 4}}},
 	}
@@ -180,6 +177,28 @@ func TestCodecEveryKind(t *testing.T) {
 	}
 	if got := Kind(numKinds).String(); got != fmt.Sprintf("Kind(%d)", numKinds) {
 		t.Errorf("first value past the const block renders %q", got)
+	}
+}
+
+// TestCodecFenceAckStats: an ack of every fence class carries a
+// superstep report (the step class's action) bit for bit — a NaN
+// AccDelta keeps its payload, Dirty its bit.
+func TestCodecFenceAckStats(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	for c := FenceClass(0); int(c) < NumFenceClasses; c++ {
+		for _, st := range []Stats{
+			{Sent: 1 << 40, Recv: 5, AccDelta: nan, AccSum: math.Inf(-1), Passes: 3, Dirty: true},
+			{AccDelta: math.Copysign(0, -1), AccSum: math.SmallestNonzeroFloat64},
+		} {
+			got := roundTrip(t, Message{Kind: FenceAck, From: 2, Round: 1 << 30, Fence: c, Stats: st})
+			g := got.Stats
+			if got.Fence != c || got.Round != 1<<30 || g.Sent != st.Sent || g.Recv != st.Recv ||
+				g.Passes != st.Passes || g.Dirty != st.Dirty ||
+				math.Float64bits(g.AccDelta) != math.Float64bits(st.AccDelta) ||
+				math.Float64bits(g.AccSum) != math.Float64bits(st.AccSum) {
+				t.Errorf("class %d: sent %+v, got %+v", c, st, got)
+			}
+		}
 	}
 }
 
@@ -218,9 +237,15 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 	if _, err := decodePayload(bad); err == nil {
 		t.Fatal("absurd KV count accepted")
 	}
-	// Truncated stats frame must error.
+	// Truncated stats frames must error, a fence ack's too.
 	if _, err := decodePayload([]byte{byte(StatsReply), 0, 0, 7}); err == nil {
 		t.Fatal("truncated stats frame accepted")
+	}
+	ack := Message{Kind: FenceAck, Fence: FenceStep, Stats: Stats{AccSum: 1}}
+	buf, start = appendFrame(nil, &ack)
+	_, n = decodeUvarintPrefix(buf[start:])
+	if _, err := decodePayload(buf[start+n : len(buf)-4]); err == nil {
+		t.Fatal("fence ack truncated inside its stats accepted")
 	}
 	// Receivers index per-class state by the fence class and stamp marker
 	// clocks from the phase: values outside the protocol must not decode.

@@ -25,7 +25,7 @@ func TestTCPMetricsRetryAndBreaker(t *testing.T) {
 
 	// One failed send: 2 attempts → 1 retry, 2 link failures → breaker
 	// opens on the second (BreakAfter = 2).
-	if err := w0.Send(1, Message{Kind: EndPhase}); err == nil {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("send to a dead peer should fail")
 	}
 	snap := reg.Snapshot()
@@ -40,7 +40,7 @@ func TestTCPMetricsRetryAndBreaker(t *testing.T) {
 	}
 
 	// While open, sends fail fast without dialing: no new retries.
-	if err := w0.Send(1, Message{Kind: EndPhase}); err == nil {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("open breaker should fail the send")
 	}
 	if got := reg.Snapshot().Counter("tcp.send.retry"); got != 1 {
@@ -51,7 +51,7 @@ func TestTCPMetricsRetryAndBreaker(t *testing.T) {
 	// still dead, so the probe fails and the breaker re-arms — which must
 	// NOT count as a second open transition.
 	time.Sleep(10 * time.Millisecond)
-	if err := w0.Send(1, Message{Kind: EndPhase}); err == nil {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("half-open probe to a dead peer should fail")
 	}
 	snap = reg.Snapshot()
@@ -111,7 +111,7 @@ func TestTCPMetricsBreakerClose(t *testing.T) {
 	w0.SetMetrics(reg)
 	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
 		BreakAfter: 2, Cooldown: 5 * time.Millisecond, DialTimeout: time.Second})
-	if err := w0.Send(1, Message{Kind: EndPhase}); err == nil {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("send before the peer exists should fail")
 	}
 	w1, err := NewTCPEndpoint(1, 1, []string{"127.0.0.1:0", addr})
@@ -121,7 +121,7 @@ func TestTCPMetricsBreakerClose(t *testing.T) {
 	defer w1.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err = w0.Send(1, Message{Kind: EndPhase, Round: 7}); err == nil {
+		if err = w0.Send(1, Message{Kind: StatsRequest, Round: 7}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -4,9 +4,10 @@
 // network (used by tests and benches) and a TCP network on net plus a
 // hand-rolled length-prefixed binary codec (used by the multi-process
 // cluster example). The engine is written against the Conn interface
-// only: twelve message kinds — data, the barrier/termination
-// protocols, one four-kind fence protocol and the row migration a
-// membership fence runs. Data messages carry pooled KV batches under the recycle contract
+// only: nine message kinds — data, the termination protocol, one
+// four-kind fence protocol (whose step class is the BSP barrier) and the
+// row migration a membership fence runs. Data messages carry pooled KV
+// batches under the recycle contract
 // documented in batch.go, so the steady-state update path allocates
 // nothing.
 package transport
@@ -23,30 +24,27 @@ type KV struct {
 // Kind discriminates messages.
 type Kind uint8
 
-// Message kinds. Data carries folded deltas; EndPhase through Stop are
-// the barrier and termination-control protocols (paper §5.3–5.4); the
-// four Fence kinds are the one consistent-cut protocol (DESIGN.md "The
-// fence") that snapshot episodes, session parking and membership changes
-// all instantiate, told apart by Message.Fence. A kind means the same
-// thing whoever sends it.
+// Message kinds. Data carries folded deltas; StatsRequest through Stop
+// are the termination-control protocol (paper §5.3–5.4); the four Fence
+// kinds are the one consistent-cut protocol (DESIGN.md "The fence") that
+// BSP supersteps, snapshot episodes, session parking and membership
+// changes all instantiate, told apart by Message.Fence. A kind means the
+// same thing whoever sends it.
 const (
 	Data         Kind = iota // worker → worker: KV batch (Round = per-link sequence number)
-	EndPhase                 // worker → worker, data lane: sender finished superstep Round
-	PhaseDone                // BSP: worker → master, phase complete + Stats
-	Continue                 // master → workers: run another superstep
 	StatsRequest             // master → workers: report stats for round Round
 	StatsReply               // worker → master: Stats for round Round
 	Stop                     // master → workers: terminate
 	FenceRequest             // master → workers: open fence Round of class Fence (Member: membership directive)
 	FenceMark                // worker → worker, data lane: cut marker of fence Round, marker round Phase
-	FenceAck                 // worker → master: reached the cut of fence Round and ran its action
+	FenceAck                 // worker → master: reached the cut of fence Round and ran its action (+ Stats)
 	FenceRelease             // master → workers: fence Round is over, resume
 	Handoff                  // worker → worker: keyed row migration batch (Round 0 = Accumulation rows, 1 = Intermediate deltas)
 
 	numKinds = int(iota) // sentinel: sizes kindNames, so a new kind without a name fails the codec table test
 )
 
-var kindNames = [numKinds]string{"Data", "EndPhase", "PhaseDone", "Continue", "StatsRequest", "StatsReply", "Stop",
+var kindNames = [numKinds]string{"Data", "StatsRequest", "StatsReply", "Stop",
 	"FenceRequest", "FenceMark", "FenceAck", "FenceRelease", "Handoff"}
 
 // String names the message kind.
@@ -57,15 +55,21 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// FenceClass says which protocol a fence message belongs to. The three
+// FenceClass says which protocol a fence message belongs to. The four
 // classes share the wire protocol and the worker-side loop; they differ
-// in cohort, in what runs at the cut, and in when the master releases.
+// in who opens them, in cohort, in what runs at the cut, and in when the
+// master releases.
 type FenceClass uint8
 
 const (
 	FenceSnapshot FenceClass = iota // consistent-cut checkpoint of a combining program (Round = checkpoint epoch)
 	FencePark                       // session epoch boundary (Round = session epoch); held until the next Apply
 	FenceMember                     // membership change or crash repair (Round = fence number)
+	// FenceStep is the end of a BSP superstep (Round = superstep, counted
+	// across a session's epochs). Each worker opens it itself, its ack
+	// carries the superstep's Stats, and the SSP staleness gate reads the
+	// same marks as its superstep clock.
+	FenceStep
 
 	NumFenceClasses = int(iota)
 )
@@ -92,7 +96,7 @@ type Message struct {
 	Round  int
 	Member *Membership // FenceRequest of class FenceMember only
 	KVs    []KV
-	Stats  Stats // PhaseDone, StatsReply only
+	Stats  Stats // StatsReply, FenceAck only
 }
 
 // Membership is what a FenceMember request asks of the fleet.

@@ -249,7 +249,7 @@ func TestTCPSendFailsWithoutListener(t *testing.T) {
 	defer w0.Close()
 	w0.SetRetry(RetryPolicy{Attempts: 3, Backoff: 100 * time.Microsecond,
 		BreakAfter: 100, Cooldown: time.Minute, DialTimeout: time.Second})
-	if err := w0.Send(1, Message{Kind: EndPhase}); err == nil {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("send to a dead peer should exhaust its retries and fail")
 	}
 }
@@ -265,7 +265,7 @@ func TestTCPBreakerOpensThenFailsFast(t *testing.T) {
 		BreakAfter: 3, Cooldown: time.Minute, DialTimeout: time.Second})
 	var sawOpen bool
 	for i := 0; i < 10; i++ {
-		err := w0.Send(1, Message{Kind: EndPhase})
+		err := w0.Send(1, Message{Kind: StatsRequest})
 		if err == nil {
 			t.Fatal("dead peer send succeeded")
 		}
@@ -279,7 +279,7 @@ func TestTCPBreakerOpensThenFailsFast(t *testing.T) {
 	}
 	// While open, sends fail fast — no dial, no retry sleeps.
 	start := time.Now()
-	if err := w0.Send(1, Message{Kind: EndPhase}); !errors.Is(err, ErrPeerUnavailable) {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); !errors.Is(err, ErrPeerUnavailable) {
 		t.Fatalf("open breaker should fail fast with ErrPeerUnavailable, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -296,7 +296,7 @@ func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
 	defer w0.Close()
 	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
 		BreakAfter: 2, Cooldown: 5 * time.Millisecond, DialTimeout: time.Second})
-	if err := w0.Send(1, Message{Kind: EndPhase}); err == nil {
+	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("send before the peer exists should fail")
 	}
 	// The peer comes up on the reserved address; after the cooldown the
@@ -308,7 +308,7 @@ func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
 	defer w1.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err = w0.Send(1, Message{Kind: EndPhase, Round: 7}); err == nil {
+		if err = w0.Send(1, Message{Kind: StatsRequest, Round: 7}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -318,7 +318,7 @@ func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
 	}
 	select {
 	case m := <-w1.Inbox():
-		if m.Kind != EndPhase || m.Round != 7 {
+		if m.Kind != StatsRequest || m.Round != 7 {
 			t.Fatalf("got %+v", m)
 		}
 	case <-time.After(2 * time.Second):
