@@ -23,7 +23,8 @@
 #   bench, bench-smoke the per-layer micro-benchmarks; once each as CI's rot
 #                      guard
 #   loc                non-test, non-comment, non-blank Go lines per package:
-#                      `make -f $PWD/Makefile -C <other checkout> loc`
+#                      `make -f $PWD/Makefile -C <other checkout> loc`; fails
+#                      when the total is over the 20 000-line cap (ROADMAP 11)
 .PHONY: check build vet lint test test-cpu1 test-scan test-term test-names race benchmark bench bench-smoke loc
 
 check: vet lint build test test-scan test-term race benchmark
@@ -76,7 +77,8 @@ loc:
 		line == "" || line ~ /^\/\// { next } \
 		line ~ /^\/\*/ { if (line !~ /\*\//) incomment = 1; next } \
 		{ n[dir]++; total++ } \
-		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total }'
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", total; \
+			if (total > 20000) { print "loc: " total " lines, over the 20000-line cap" > "/dev/stderr"; exit 1 } }'
 
 race:
 	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/... ./internal/graph/... ./internal/compiler/...

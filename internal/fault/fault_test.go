@@ -161,7 +161,7 @@ func TestWrapNilInjector(t *testing.T) {
 
 // superstepMark is an end-of-superstep marker: the marks dropend= loses.
 func superstepMark(k int) transport.Message {
-	return transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: k, Phase: 1}
+	return transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: k}
 }
 
 func TestWrapDropsEndPhaseDeterministically(t *testing.T) {
@@ -185,7 +185,7 @@ func TestWrapDropsEndPhaseDeterministically(t *testing.T) {
 	}
 	// Another class's marks belong to the recovery machinery: none is lost.
 	parkMark := func(k int) transport.Message {
-		return transport.Message{Kind: transport.FenceMark, Fence: transport.FencePark, Round: k, Phase: 1}
+		return transport.Message{Kind: transport.FenceMark, Fence: transport.FencePark, Round: k}
 	}
 	if _, swallowed := run(parkMark); swallowed != 0 {
 		t.Fatalf("dropend= lost %d park marks", swallowed)

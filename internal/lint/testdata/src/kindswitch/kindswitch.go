@@ -91,23 +91,11 @@ func nonConstantCase(p, q phase) bool {
 }
 
 // kindDropsFence mirrors the real worker.handle() bug class: the switch
-// covers the data and termination kinds but misses the fence protocol
-// and the membership kind after it.
+// covers the data and termination kinds but misses the fence protocol.
 func kindDropsFence(k transport.Kind) string {
-	switch k { // want "switch over transport.Kind is not exhaustive: missing FenceRequest, FenceMark, FenceAck, FenceRelease, Handoff"
+	switch k { // want "switch over transport.Kind is not exhaustive: missing FenceRequest, FenceMark, FenceAck, FenceRelease"
 	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop:
 		return "termination-era"
-	}
-	return ""
-}
-
-// kindDropsMembership covers everything up to the fence protocol but
-// misses the membership kind (row migration, DESIGN.md §11).
-func kindDropsMembership(k transport.Kind) string {
-	switch k { // want "switch over transport.Kind is not exhaustive: missing Handoff"
-	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease:
-		return "fence-era"
 	}
 	return ""
 }
@@ -116,8 +104,7 @@ func kindDropsMembership(k transport.Kind) string {
 func kindExhaustiveAll(k transport.Kind) bool {
 	switch k {
 	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease,
-		transport.Handoff:
+		transport.FenceRequest, transport.FenceMark, transport.FenceAck, transport.FenceRelease:
 		return true
 	}
 	return false
@@ -149,8 +136,7 @@ func (dispatcher) route(p phase) int {
 func kindDropsOne(k transport.Kind) bool {
 	switch k { // want "missing FenceAck"
 	case transport.Data, transport.StatsRequest, transport.StatsReply, transport.Stop,
-		transport.FenceRequest, transport.FenceMark, transport.FenceRelease,
-		transport.Handoff:
+		transport.FenceRequest, transport.FenceMark, transport.FenceRelease:
 		return true
 	}
 	return false

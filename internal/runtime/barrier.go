@@ -40,7 +40,7 @@ func (bspBarrier) beginPass(w *worker) bool {
 // worker's rounds, the master's gRound), so unlike every other class it
 // needs no request: one would cost a message per superstep.
 func (bspBarrier) endPass(w *worker, _ bool) bool {
-	w.fences[transport.FenceStep].req = transition{class: transport.FenceStep, epoch: w.rounds, admit: -1, leaving: -1}
+	w.fences[transport.FenceStep].req = transition{class: transport.FenceStep, epoch: w.rounds}
 	return w.fence(transport.FenceStep)
 }
 

@@ -136,33 +136,6 @@ type Config struct {
 	// rate, serialised through the worker's communication thread. The
 	// zero profile is a perfect network (tests use that).
 	Network NetworkProfile
-
-	// Elastic enables live membership changes on a Session (DESIGN.md
-	// §11): Session.AddWorker / Session.RemoveWorker rebalance shards
-	// mid-fixpoint through the membership fence, and key routing switches
-	// from static modulo partitioning to a consistent-hash ring so a
-	// membership change moves only the affected key ranges. Elastic
-	// sessions force Sparse shard tables (the Dense layout is strided by
-	// the static modulo) and require a non-barriered MRA mode — the BSP
-	// family's lockstep barrier has no safe point to re-route at.
-	// Crash re-join (a lost worker replaced in place) does NOT need
-	// Elastic; it works on any non-barriered MRA session.
-	Elastic bool
-}
-
-// elasticHeadroom is how many workers an Elastic session may grow by:
-// transport endpoints are pre-allocated up to Workers + elasticHeadroom.
-const elasticHeadroom = 4
-
-// fleetCap is the number of worker endpoints the transport is built
-// with: the static fleet size, or the elastic growth cap. The master
-// endpoint sits at index fleetCap() (so for static fleets it stays at
-// Workers, backward compatible with every existing layout).
-func (c Config) fleetCap() int {
-	if !c.Elastic {
-		return c.Workers
-	}
-	return c.Workers + elasticHeadroom
 }
 
 // NetworkProfile models link cost for the in-process transport.
@@ -212,6 +185,7 @@ func (c Config) Validate() error {
 		reason string
 	}{
 		{"Workers", c.Workers < 0, fmt.Sprintf("negative worker count %d; use 0 for the default fleet or a positive count", c.Workers)},
+		{"Mode", !modeRegistered(c.Mode), fmt.Sprintf("mode %d has no registered policies", c.Mode)},
 		{"Tau", c.Tau < 0, fmt.Sprintf("negative flush interval %v; use 0 for the default τ", c.Tau)},
 		{"Staleness", c.Staleness < 0, fmt.Sprintf("negative staleness %d; SSP needs a bound >= 0 (0 selects the default)", c.Staleness)},
 		{"CoresPerWorker", c.CoresPerWorker < 0, fmt.Sprintf("negative core count %d; use 0 for the GOMAXPROCS default or a positive count", c.CoresPerWorker)},

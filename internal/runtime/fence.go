@@ -14,20 +14,19 @@ import (
 // fence" has the message table; the worker's half is
 //
 //	flush every buffer
-//	→ FenceMark(class, epoch, phase 1) to the cohort on the data lane
+//	→ FenceMark(class, epoch) to every other slot on the data lane
 //	→ fold the inbox until the cohort's marker clock reaches the epoch,
 //	  re-sending the mark every markerResend (per-pair FIFO: everything
 //	  folded was sent before the sender's mark — the cut is consistent)
 //	→ run the class's action at the cut
-//	→ optionally a second marker round, fencing what the action sent
 //	→ FenceAck to the master, carrying what the action reported
 //	→ fold until FenceRelease, then commit.
 //
 // The end of a BSP superstep, snapshot episodes, session parking and
-// membership changes are four fenceSpecs of that loop. They differ in who
-// must mark (cohort), what runs at the cut, and what the master does when
-// a collect falls short and after it releases. The master's half is one
-// function, drive: it sends a transition's FenceRequest, collects the
+// crash re-join are four fenceSpecs of that loop. They differ in whose
+// marks the cut waits for, what runs at the cut, and what the master does
+// when a collect falls short and after it releases. The master's half is
+// one function, drive: it sends a transition's FenceRequest, collects the
 // acks and releases — except for the superstep, which each worker opens
 // itself and runBSP collects and releases.
 
@@ -35,8 +34,8 @@ import (
 // returns when no peer remains to wait on.
 const maxSteps = int(^uint(0) >> 1)
 
-// markClock is a per-peer marker clock: slot j holds the highest stamp
-// peer j has announced. Stamps only merge by max, so a duplicated or
+// markClock is a per-peer marker clock: slot j holds the highest fence
+// epoch peer j has marked. Stamps only merge by max, so a duplicated or
 // retransmitted marker is a no-op and a dropped one is healed by any
 // later (or re-sent) marker from the same peer. Every fence class keeps
 // its FenceMark stamps in one; the step class's stamp supersteps, and the
@@ -52,12 +51,12 @@ func (c markClock) observe(peer, stamp int) {
 }
 
 // min is the cohort minimum every wait in the runtime gates on: the
-// least stamp over the slots in cohort (nil = every slot) that skip
-// does not exclude, or maxSteps when no slot remains.
-func (c markClock) min(cohort []bool, skip func(j int) bool) int {
+// least stamp over the slots skip does not exclude, or maxSteps when no
+// slot remains.
+func (c markClock) min(skip func(j int) bool) int {
 	least := maxSteps
 	for j, s := range c {
-		if (cohort != nil && !cohort[j]) || (skip != nil && skip(j)) {
+		if skip(j) {
 			continue
 		}
 		if s < least {
@@ -68,24 +67,15 @@ func (c markClock) min(cohort []bool, skip func(j int) bool) int {
 }
 
 // resetUpTo forgets what slot peer announced, up to and including stamp:
-// the slot was replaced, admitted or retired, and those stamps belong to
-// its previous incarnation. A higher stamp stays — it can only have come
-// from the new incarnation, whose marks for the very fence that renews
-// the link may arrive before this worker's own cut. Wiping one would
-// wedge that fence: a participant that has advanced to its second marker
-// round never re-sends the first.
+// the slot was replaced, and those stamps belong to its previous
+// incarnation. A higher stamp stays — it can only have come from the new
+// incarnation, whose mark for the very fence that renews the link
+// arrives before this worker's own cut.
 func (c markClock) resetUpTo(peer, stamp int) {
 	if c[peer] <= stamp {
 		c[peer] = 0
 	}
 }
-
-// markStamp orders a fence's marker rounds on one clock: both rounds of
-// fence e sort above every round of fence e-1, and round 2 above round 1
-// — so a second-round marker also satisfies a first-round wait. That is
-// sound (per-pair FIFO: the sender's pre-fence data was folded before
-// its second marker arrived) and heals a lost first-round marker.
-func markStamp(epoch int, phase uint8) int { return 2*epoch + int(phase) - 1 }
 
 // transition is one epoch transition: a fence of one class and what the
 // fleet does inside it. The master builds it and drive runs it; a worker
@@ -95,16 +85,10 @@ func markStamp(epoch int, phase uint8) int { return 2*epoch + int(phase) - 1 }
 type transition struct {
 	class transport.FenceClass
 	epoch int // the fence's number within its class: its Round
-	// cohort is the slots that ack (master side only): the live fleet and
-	// the admitted slot — or, for a newcomer parking into a parked fleet,
-	// the newcomer alone.
-	cohort []bool
-	// A membership fence's directive: the slot it admits and the one
-	// leaving for good (-1 for none), the lost slots it replaces in place,
+	// A membership fence's directive: the lost slots it replaces in place,
 	// and the repair (worker.repairState).
-	admit, leaving int
-	down           []int
-	rollback       int
+	down     []int
+	rollback int
 }
 
 // request is the transition's FenceRequest, the one message that opens a
@@ -112,7 +96,7 @@ type transition struct {
 func (t transition) request() transport.Message {
 	m := transport.Message{Kind: transport.FenceRequest, Fence: t.class, Round: t.epoch}
 	if t.class == transport.FenceMember {
-		mb := &transport.Membership{Rollback: t.rollback, Admit: int32(t.admit), Leave: int32(t.leaving)}
+		mb := &transport.Membership{Rollback: t.rollback}
 		for _, j := range t.down {
 			mb.Down = append(mb.Down, int32(j))
 		}
@@ -122,9 +106,9 @@ func (t transition) request() transport.Message {
 }
 
 func transitionOf(m transport.Message) transition {
-	t := transition{class: m.Fence, epoch: m.Round, admit: -1, leaving: -1}
+	t := transition{class: m.Fence, epoch: m.Round}
 	if mb := m.Member; mb != nil {
-		t.admit, t.leaving, t.rollback = int(mb.Admit), int(mb.Leave), mb.Rollback
+		t.rollback = mb.Rollback
 		for _, j := range mb.Down {
 			t.down = append(t.down, int(j))
 		}
@@ -132,11 +116,9 @@ func transitionOf(m transport.Message) transition {
 	return t
 }
 
-// renews reports whether the transition replaces, admits or retires slot
-// j: an incarnation of j ends or begins at its cut.
-func (t transition) renews(j int) bool {
-	return j == t.admit || j == t.leaving || slices.Contains(t.down, j)
-}
+// renews reports whether the transition replaces slot j: an incarnation
+// of j ends and the next begins at its cut.
+func (t transition) renews(j int) bool { return slices.Contains(t.down, j) }
 
 // fenceState is a worker's view of one fence class.
 type fenceState struct {
@@ -148,27 +130,21 @@ type fenceState struct {
 
 // fenceSpec is what tells the fence classes apart, on both sides: the
 // worker's cohort, action and commit, and the master's reading of a
-// collect. Who acks is the transition's cohort, and every class collects
-// within fenceTimeout — a failure deadline, never a pace.
+// collect. Every slot acks, and every class collects within fenceTimeout
+// — a failure deadline, never a pace.
 type fenceSpec struct {
 	name string
-	// frozen fixes the cohort at entry: the members plus the admitted
-	// slot, lost slots included (their replacement marks like any
-	// survivor). The route changes between the two marker rounds, and a
-	// leaver dropped from it still has Handoffs in flight that its second
-	// marker must fence. Unfrozen cohorts are the live peers: a slot a
-	// membership request names lost drops out of the minimum, which is
-	// what unwedges a fence blocked on a dead worker's marker.
-	frozen bool
+	// replaced makes the cut wait for the lost slots' marks too: their
+	// replacements mark like any survivor. Every other class skips a slot
+	// a pending membership request names lost, which is what unwedges a
+	// fence blocked on a dead worker's marker.
+	replaced bool
 	// atCut runs once the cut is complete: every cohort member's
 	// pre-fence data has been folded and none sends more until released.
 	// What it returns rides in the ack.
 	atCut func(w *worker, t transition) transport.Stats
-	// second adds a marker round after atCut, so that what the action
-	// sent (Handoffs) is also folded everywhere before anyone acks.
-	second bool
 	// nested joins snapshot and membership fences while this one waits
-	// for its release (a parked fleet is still resizable).
+	// for its release.
 	nested bool
 	// yields ends the wait for the release when a park is requested: the
 	// master parks the fleet at the last superstep instead of releasing
@@ -216,31 +192,25 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		},
 		held: true,
 	},
-	// A membership change or crash repair (membership.go). Because every
-	// participant acks only after the second marker round, the release
-	// certifies that no migrated row is in flight.
+	// A crash repair (membership.go). The action sends nothing: survivor
+	// replay stays buffered toward the lost slots until the commit (down),
+	// and a rollback discards every buffer.
 	transport.FenceMember: {
-		name:   "membership",
-		frozen: true,
-		second: true,
+		name:     "membership",
+		replaced: true,
 		atCut: func(w *worker, t transition) transport.Stats {
-			w.applyMembership(t)
 			w.repairState(t)
 			w.renewLinks(t)
-			// No cohort member sends or counts Data between its cut and
-			// its release, so zeroing here on every participant gives the
+			// No worker sends or counts Data between its cut and its
+			// release, so zeroing here on every participant gives the
 			// master's Σsent == Σrecv test an exact fresh baseline.
 			w.sent, w.recv, w.flushes = 0, 0, 0
 			w.idle = newIdleReports()
 			return transport.Stats{}
 		},
-		commit: func(w *worker, t transition) {
-			if t.leaving == w.id {
-				w.retired = true
-				w.stop()
-			}
+		commit: func(w *worker, _ transition) {
 			w.joinGate = false
-			w.resetFrontier() // migration / rollback / replay rewrote the dirty set
+			w.resetFrontier() // rollback / replay rewrote the dirty set
 		},
 		settle: (*master).settleMember,
 	},
@@ -289,56 +259,36 @@ func (w *worker) joinFences() {
 }
 
 // fence takes part in the requested fence of class c and reports false
-// if the worker halted inside it (or retired at its commit).
+// if the worker halted inside it.
 func (w *worker) fence(c transport.FenceClass) bool {
 	s, f := &fenceSpecs[c], &w.fences[c]
 	// The request is copied: a successor's FenceRequest may overwrite
 	// f.req before this fence commits (the master moves on at the release).
 	t := f.req
 	e := t.epoch
-	var cohort []bool
 	skip := w.peerSkip
-	if s.frozen {
-		cohort, skip = w.fenceCohort(t.admit), nil
+	if s.replaced {
+		skip = func(j int) bool { return j == w.id }
 	}
-	phase := uint8(1)
 	mark := func() {
-		m := transport.Message{Kind: transport.FenceMark, Fence: c, Round: e, Phase: phase}
-		if cohort == nil {
-			w.eachPeer(func(j int) { w.enqueue(j, m) })
-			return
-		}
-		for j, in := range cohort {
-			if in {
-				w.enqueue(j, m)
-			}
-		}
+		m := transport.Message{Kind: transport.FenceMark, Fence: c, Round: e}
+		w.eachPeer(func(j int) { w.enqueue(j, m) })
 	}
 	// A release that overtakes the cut means the master gave the fence up
 	// (an abandoned snapshot episode): skip the action and the ack.
-	cut := func() bool {
-		return f.released >= e || f.marks.min(cohort, skip) >= markStamp(e, phase)
-	}
-	stalled := func() {
-		w.met.markerResends.Inc()
-		mark()
-	}
+	cut := func() bool { return f.released >= e || f.marks.min(skip) >= e }
 	w.flushAll()
 	mark()
-	if !w.foldUntil(cut, stalled) {
+	if !w.foldUntil(cut, func() {
+		w.met.markerResends.Inc()
+		mark()
+	}) {
 		return false
 	}
 	if f.released < e {
 		var report transport.Stats
 		if s.atCut != nil {
 			report = s.atCut(w, t)
-		}
-		if s.second {
-			phase = 2
-			mark()
-			if !w.foldUntil(cut, stalled) {
-				return false
-			}
 		}
 		w.enqueue(w.master, transport.Message{Kind: transport.FenceAck, Fence: c, Round: e, Stats: report})
 	}
@@ -360,13 +310,13 @@ func (w *worker) fence(c transport.FenceClass) bool {
 	return !w.halted()
 }
 
-// transition opens the next fence of class c over the live fleet.
+// transition opens the next fence of class c.
 func (m *master) transition(c transport.FenceClass, epoch int) transition {
-	return transition{class: c, epoch: epoch, cohort: slices.Clone(m.live), admit: -1, leaving: -1}
+	return transition{class: c, epoch: epoch}
 }
 
 // drive runs one transition's master half: it sends the FenceRequest to
-// the cohort, collects one ack from each member within fenceTimeout and
+// the fleet, collects one ack from each worker within fenceTimeout and
 // releases the fence — except a park, which the session holds until the
 // next Apply — then does the class's bookkeeping. decided is when the
 // master decided on the transition (before any worker was spawned for
@@ -376,7 +326,8 @@ func (m *master) transition(c transport.FenceClass, epoch int) transition {
 // what was missing and the fleet is stopped (StopFenceAborted).
 func (m *master) drive(t transition, decided time.Time) bool {
 	s := &fenceSpecs[t.class]
-	need := m.sendEach(t.cohort, t.request())
+	m.bcast(t.request())
+	need := m.nw
 	got, _, open := m.collectAcks(t.class, t.epoch, need, m.fenceTimeout(), false)
 	if !open {
 		return false
@@ -389,7 +340,7 @@ func (m *master) drive(t transition, decided time.Time) bool {
 		return false
 	}
 	if !s.held {
-		m.sendEach(t.cohort, transport.Message{Kind: transport.FenceRelease, Fence: t.class, Round: t.epoch})
+		m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: t.class, Round: t.epoch})
 	}
 	if s.settle != nil {
 		s.settle(m, t)
@@ -399,7 +350,7 @@ func (m *master) drive(t transition, decided time.Time) bool {
 }
 
 // fenceTimeout bounds one fence: quiesce + (possibly) a checkpoint
-// reload per worker + migration. Far looser than a collect's deadline —
+// reload per worker. Far looser than a collect's deadline —
 // disk is involved, and a park or membership fence is not one report but
 // the slowest participant's whole cut — but still bounded, so a worker
 // dying mid-fence surfaces as an error, not a hang.

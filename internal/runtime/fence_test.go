@@ -161,25 +161,19 @@ func TestMarkClock(t *testing.T) {
 	}
 	c.observe(2, 4)
 	self := func(j int) bool { return j == 0 }
-	if got := c.min(nil, self); got != 0 {
+	if got := c.min(self); got != 0 {
 		t.Errorf("slot 3 never marked: min = %d, want 0", got)
 	}
-	if got := c.min([]bool{false, true, true, false}, nil); got != 4 {
+	if got := c.min(func(j int) bool { return j == 0 || j == 3 }); got != 4 {
 		t.Errorf("cohort {1,2}: min = %d, want 4", got)
 	}
-	if got := c.min([]bool{false, true, true, true}, func(j int) bool { return j == 3 }); got != 4 {
-		t.Errorf("cohort {1,2,3} skipping 3: min = %d, want 4", got)
-	}
-	if got := c.min(nil, func(int) bool { return true }); got != maxSteps {
+	if got := c.min(func(int) bool { return true }); got != maxSteps {
 		t.Errorf("nobody left to wait for: min = %d, want maxSteps", got)
 	}
 	c.resetUpTo(1, 4) // 5 is above the bound: a newer incarnation's stamp
 	c.resetUpTo(2, 4)
 	if c[1] != 5 || c[2] != 0 {
 		t.Errorf("resetUpTo(·, 4) left %v, want slot 1 kept and slot 2 cleared", c)
-	}
-	if !(markStamp(3, 1) < markStamp(3, 2) && markStamp(3, 2) < markStamp(4, 1)) {
-		t.Error("marker rounds are not ordered within and across fences")
 	}
 }
 
@@ -229,22 +223,9 @@ func TestFenceDroppedMarkHealsByResend(t *testing.T) {
 	}
 }
 
-// Every first-round marker on one link is lost; the sender's
-// second-round marker stamps above it on the same clock and heals the
-// first-round wait.
-func TestFenceDroppedMarkHealsByLaterPhase(t *testing.T) {
-	dropPhase1 := func(from int) markFilter {
-		return func(to int, m transport.Message) (bool, bool) {
-			return from == 0 && to == 1 && m.Phase == 1, false
-		}
-	}
-	r := newFenceRig(t, 2, transport.FenceMember, nil, dropPhase1)
-	r.run(transport.FenceMember, 1, 2)
-}
-
-// A slot named lost by a membership FenceRequest drops out of an
-// unfrozen cohort's minimum: the survivors complete the cut without the
-// dead worker's mark.
+// A slot named lost by a membership FenceRequest drops out of another
+// class's cohort minimum: the survivors complete the cut without the dead
+// worker's mark.
 func TestFenceOrphanLeavesCohort(t *testing.T) {
 	c := transport.FenceSnapshot
 	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
@@ -325,27 +306,25 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	}
 }
 
-// The successor-marker wedge as one test: a renewed slot's marker for the
-// fence now running — its first, or a second-round one sent before this
-// worker's own cut — may already be in the clock when the cut resets the
-// link. The reset must clear what the slot's previous incarnation
-// announced (up to the last fence this worker finished, e) and keep the
-// marker of fence e+1.
+// A renewed slot's marker for the fence now running is already in the
+// clock when the cut resets the link. The reset must clear what the
+// slot's previous incarnation announced (up to the last fence this worker
+// finished, e) and keep the marker of fence e+1.
 func TestFenceSuccessorMarkSurvivesReset(t *testing.T) {
 	r := newFenceRig(t, 3, transport.FenceMember, map[int]bool{0: true, 1: true, 2: true}, nil)
 	w := r.ws[0]
 	f := &w.fences[transport.FenceMember]
 	const e = 4
 	f.done = e
-	f.marks.observe(1, markStamp(e, 2))   // slot 1's old incarnation, the last fence
-	f.marks.observe(2, markStamp(e+1, 1)) // slot 2's new incarnation, this fence
+	f.marks.observe(1, e)   // slot 1's old incarnation, the last fence
+	f.marks.observe(2, e+1) // slot 2's new incarnation, this fence
 	steps := w.fences[transport.FenceStep].marks
-	steps.observe(2, markStamp(17, 1))
-	w.renewLinks(transition{class: transport.FenceMember, epoch: e + 1, admit: -1, leaving: -1, down: []int{1, 2}})
+	steps.observe(2, 17)
+	w.renewLinks(transition{class: transport.FenceMember, epoch: e + 1, down: []int{1, 2}})
 	if f.marks[1] != 0 {
 		t.Errorf("replaced slot 1 keeps its old incarnation's stamp %d", f.marks[1])
 	}
-	if f.marks[2] != markStamp(e+1, 1) {
+	if f.marks[2] != e+1 {
 		t.Errorf("the running fence's first marker was wiped: stamp %d", f.marks[2])
 	}
 	if steps[2] != 0 {
@@ -394,7 +373,7 @@ func TestFenceStepYieldsToPark(t *testing.T) {
 // its continuity.
 func TestFenceRenewsReplacedLinks(t *testing.T) {
 	r := newFenceRig(t, 3, transport.FenceMember, map[int]bool{0: true, 1: true, 2: true}, nil)
-	repair := transition{class: transport.FenceMember, epoch: 1, admit: -1, leaving: -1, down: []int{1}}
+	repair := transition{class: transport.FenceMember, epoch: 1, down: []int{1}}
 	survivor, replacement := r.ws[0], r.ws[1]
 	for _, seq := range []int64{1, 2} {
 		survivor.dataSeen[2].fresh(seq)

@@ -139,16 +139,9 @@ func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptive
 	return p
 }
 
-// limit is ⌈β⌉: n buffered updates reach a fractional β when n >= ⌈β⌉. A
-// slot an elastic fleet admitted past its initial size has no β of its
-// own and keeps the initial one.
-func (p *adaptiveBetaFlush) limit(dst int) int {
-	if dst >= len(p.beta) {
-		return betaInit
-	}
-	return int(math.Ceil(p.beta[dst]))
-}
-func (p *adaptiveBetaFlush) urgent() float64 { return urgentAt(p.threshold) }
+// limit is ⌈β⌉: n buffered updates reach a fractional β when n >= ⌈β⌉.
+func (p *adaptiveBetaFlush) limit(dst int) int { return int(math.Ceil(p.beta[dst])) }
+func (p *adaptiveBetaFlush) urgent() float64   { return urgentAt(p.threshold) }
 
 func (p *adaptiveBetaFlush) onTick(now time.Time, win *window) { p.adapt(now, win) }
 

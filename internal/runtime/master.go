@@ -53,23 +53,20 @@ type master struct {
 	gRound   int
 	episodes int
 
-	// Membership state (membership.go, DESIGN.md §11). live marks the
-	// slots currently in the fleet over the capacity network (static
-	// fleets: the first nw slots, forever); fence numbers membership
-	// fences; s is the session that owns the workers' lifecycles — it
-	// respawns, admits and retires them on the master's goroutine (nil
-	// under RunMaster: a loss aborts the run); cmds carries
-	// Session.AddWorker/RemoveWorker requests (nil unless Config.Elastic).
+	// Re-join state (membership.go, DESIGN.md §11). live is the stop
+	// machine's live set: every slot, for the whole run; fence numbers
+	// membership fences; s is the session that owns the workers'
+	// lifecycles — it respawns a lost slot on the master's goroutine (nil
+	// under RunMaster: a loss aborts the run).
 	live  []bool
 	fence int
 	s     *Session
-	cmds  chan memberCmd
 }
 
 func newMaster(cfg Config, plan *compiler.Plan, conn transport.Conn) *master {
 	m := &master{cfg: cfg, plan: plan, conn: conn, nw: cfg.Workers, met: newMasterMetrics(), epoch: 1}
-	m.live = make([]bool, cfg.fleetCap())
-	for j := 0; j < cfg.Workers; j++ {
+	m.live = make([]bool, cfg.Workers)
+	for j := range m.live {
 		m.live[j] = true
 	}
 	return m
@@ -91,18 +88,10 @@ func (m *master) collectTimeout() time.Duration {
 // inbox: while a worker's channel is full the master keeps draining its
 // own inbox (stashing replies for the collect loop), so bulk data can
 // never deadlock or starve the termination protocol.
-func (m *master) bcast(msg transport.Message) { m.sendEach(m.live, msg) }
-
-// sendEach sends msg to every slot in set, one sendTo each, and reports
-// how many that was.
-func (m *master) sendEach(set []bool, msg transport.Message) (n int) {
-	for j, in := range set {
-		if in {
-			m.sendTo(j, msg)
-			n++
-		}
+func (m *master) bcast(msg transport.Message) {
+	for j := 0; j < m.nw; j++ {
+		m.sendTo(j, msg)
 	}
-	return n
 }
 
 // sendTo delivers one message to one worker with bcast's no-deadlock
@@ -191,7 +180,7 @@ func (m *master) expired(round, got int, wall time.Time) {
 	}
 	m.met.collectTimeouts.Inc()
 	m.err = fmt.Errorf("runtime: collect round %d got %d/%d reports within %v: %w",
-		round, got, m.activeCount(), m.collectTimeout(), ErrWorkerLost)
+		round, got, m.nw, m.collectTimeout(), ErrWorkerLost)
 	m.halt(StopWorkerLost)
 }
 
@@ -209,7 +198,6 @@ func (m *master) run() {
 	// The mode registry (policy.go) records which modes end supersteps in
 	// step fences; everything else — the async family and SSP —
 	// terminates via the stop machine.
-	defer m.rejectMemberCmds(errors.New("runtime: fixpoint ended before the membership change could run"))
 	m.parked = false
 	// Per-epoch verdict: a later epoch that stops at the iteration cap or
 	// wall clock must not inherit an earlier epoch's converged flag.
@@ -303,7 +291,7 @@ func (m *master) runBSP() {
 		}
 		m.met.rounds.Inc()
 		collectStart := time.Now()
-		need := m.activeCount()
+		need := m.nw
 		got, sum, open := m.collectAcks(transport.FenceStep, m.gRound, need, m.collectTimeout(), true)
 		if !open {
 			return
@@ -336,9 +324,9 @@ func report(st transport.Stats) term.Report {
 // at once, and CheckInterval is only the fallback cadence at which a wave
 // starts anyway (a lost or rate-limited report, a busy fleet) and the
 // grid the ε criterion samples on. A round is one wave: the injector's
-// crash and restart rounds, membership commands and snapshot episodes all
-// run at the start of one. What stays here is liveness — the collect
-// deadline, the probe, live re-join — and the wall clock.
+// crash and restart rounds and snapshot episodes all run at the start of
+// one. What stays here is liveness — the collect deadline, the probe,
+// live re-join — and the wall clock.
 func (m *master) runAsync() {
 	deadline := time.Now().Add(m.cfg.MaxWall)
 	det := term.New(m.termConfig(), m.live, time.Now())
@@ -407,7 +395,7 @@ func (m *master) runAsync() {
 					// was observed describes a world that no longer exists.
 					det.Reset(m.live, time.Now())
 				} else {
-					m.expired(m.rounds, m.activeCount()-len(silent), deadline)
+					m.expired(m.rounds, m.nw-len(silent), deadline)
 					return
 				}
 			case msg.Kind == transport.StatsReply:
@@ -426,21 +414,16 @@ func (m *master) runAsync() {
 }
 
 // beginWave starts one round: the per-round hooks, then a StatsRequest to
-// every live worker. It reports false if a hook ended the run. A hook
-// that invalidates what the machine has seen (an injected master restart,
-// a membership change) resets it instead, and the wave waits for the
-// reset machine's next tick.
+// every worker. It reports false if a hook ended the run. An injected
+// master restart invalidates what the machine has seen: it resets the
+// machine instead, and the wave waits for the reset machine's next tick.
 func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	m.gRound++
 	crash, reset := m.crashAt(m.rounds + 1)
 	if crash {
 		return false
 	}
-	changed, aborted := m.pollMemberCmds()
-	if aborted {
-		return false
-	}
-	if reset || changed {
+	if reset {
 		det.Reset(m.live, time.Now())
 		return true
 	}
@@ -465,10 +448,10 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	return true
 }
 
-// silent lists the live workers the open wave has not heard from.
+// silent lists the workers the open wave has not heard from.
 func (m *master) silent(det *term.Detector) []int {
 	var out []int
-	for j := range m.live {
+	for j := 0; j < m.nw; j++ {
 		if det.Awaiting(j) {
 			out = append(out, j)
 		}

@@ -102,10 +102,10 @@ type masterMetrics struct {
 	// superstep's fence is not driven; its collect is master.collect.wait_us.
 	fenceUS [transport.NumFenceClasses]*metrics.Histogram
 
-	// Membership counters (membership.go, DESIGN.md §11). memberJoins
-	// counts workers admitted through a fence — crash replacements and
-	// scale-out newcomers ("master.member.join"); memberOrphans counts
-	// the slots a fence took out, lost and leaving ("master.member.orphan").
+	// Re-join counters (membership.go, DESIGN.md §11). memberJoins counts
+	// crash replacements admitted through a fence ("master.member.join");
+	// memberOrphans counts the lost slots a fence took out
+	// ("master.member.orphan").
 	memberJoins   *metrics.Counter
 	memberOrphans *metrics.Counter
 

@@ -130,12 +130,12 @@ func registerMode(m Mode, barriered bool, f policyFactory) {
 	modeBarriered[m] = barriered
 }
 
-// modeRegistered reports whether a mode has a policy factory (Run
-// rejects unknown modes up front).
+// modeRegistered reports whether a mode has a policy factory
+// (Config.Validate rejects unknown modes up front).
 func modeRegistered(m Mode) bool { _, ok := modeFactories[m]; return ok }
 
 // policiesFor builds the worker's policy set. The caller must have
-// validated the mode with modeRegistered.
+// validated the config (Config.Validate checks the mode).
 func policiesFor(cfg Config, plan *compiler.Plan, self int, reg *metrics.Registry) policySet {
 	return modeFactories[cfg.Mode](cfg, plan, self, reg)
 }

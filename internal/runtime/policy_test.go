@@ -509,7 +509,7 @@ func TestFlushSplitsAtBatchMax(t *testing.T) {
 	})
 	const held = 2*batchMax + 100
 	member := &w.fences[transport.FenceMember]
-	member.req = transition{class: transport.FenceMember, epoch: 1, admit: -1, leaving: -1, down: []int{1}}
+	member.req = transition{class: transport.FenceMember, epoch: 1, down: []int{1}}
 	for k := int64(0); k < held; k++ {
 		w.buffer(1, 2*k+1, float64(k))
 	}

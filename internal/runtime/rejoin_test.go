@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +17,11 @@ import (
 	"powerlog/internal/ref"
 )
 
-// The rejoin suite exercises the membership layer (membership.go,
-// DESIGN.md §11): a worker crashed mid-fixpoint is detected by the
-// master's liveness probe, replaced on a reset endpoint, and re-joined
-// through a membership fence — and the run still converges to the
-// fault-free fixpoint. The scale drills do the same for elastic
-// fleets: AddWorker/RemoveWorker mid-fixpoint and between fixpoints,
-// always compared against a static-fleet oracle.
+// The rejoin suite exercises crash re-join (membership.go, DESIGN.md
+// §11): a worker crashed mid-fixpoint is detected by the master's
+// liveness probe, replaced on a reset endpoint, and re-joined through a
+// membership fence — and the run still converges to the fault-free
+// fixpoint.
 
 // rejoinModes are the modes with live re-join: the non-barriered MRA
 // family (a BSP worker joins no fence inside a superstep, so BSP keeps
@@ -138,30 +135,28 @@ func TestRejoinRecoveryCounters(t *testing.T) {
 // selective programs always re-join by replay, warm-started from a shard
 // of the current mutation epoch; combining programs rewind to a cut of
 // the current mutation epoch or, before any mutation, to the seed, and
-// refuse otherwise — always after a scale event.
+// refuse otherwise.
 func TestCrashRepair(t *testing.T) {
 	shard := func(mutEpoch int) *ckpt.Meta { return &ckpt.Meta{Epoch: 5, MutEpoch: mutEpoch} }
 	cut := func(mutEpoch int) *ckpt.Meta { return &ckpt.Meta{Epoch: 7, Cut: true, MutEpoch: mutEpoch} }
 	for _, tc := range []struct {
-		name              string
-		selective, scaled bool
-		mutEpoch          int
-		newest            *ckpt.Meta
-		rollback          int
-		warm, ok          bool
+		name      string
+		selective bool
+		mutEpoch  int
+		newest    *ckpt.Meta
+		rollback  int
+		warm, ok  bool
 	}{
-		{"selective, no snapshot", true, false, 2, nil, 0, false, true},
-		{"selective, warm shard of this mutation epoch", true, false, 2, shard(2), 0, true, true},
-		{"selective, shard of another mutation epoch", true, false, 2, shard(1), 0, false, true},
-		{"selective, scaled", true, true, 0, shard(0), 0, true, true},
-		{"combining, no snapshot dir, no mutation", false, false, 0, nil, -1, false, true},
-		{"combining, no snapshot dir, mutated", false, false, 3, nil, 0, false, false},
-		{"combining, cut of this mutation epoch", false, false, 3, cut(3), 7, false, true},
-		{"combining, cut of another mutation epoch", false, false, 3, cut(2), 0, false, false},
-		{"combining, stale snapshot, no mutation", false, false, 0, shard(0), -1, false, true},
-		{"combining, scaled", false, true, 3, cut(3), 0, false, false},
+		{"selective, no snapshot", true, 2, nil, 0, false, true},
+		{"selective, warm shard of this mutation epoch", true, 2, shard(2), 0, true, true},
+		{"selective, shard of another mutation epoch", true, 2, shard(1), 0, false, true},
+		{"combining, no snapshot dir, no mutation", false, 0, nil, -1, false, true},
+		{"combining, no snapshot dir, mutated", false, 3, nil, 0, false, false},
+		{"combining, cut of this mutation epoch", false, 3, cut(3), 7, false, true},
+		{"combining, cut of another mutation epoch", false, 3, cut(2), 0, false, false},
+		{"combining, stale snapshot, no mutation", false, 0, shard(0), -1, false, true},
 	} {
-		rollback, warm, ok := crashRepair(tc.selective, tc.scaled, tc.mutEpoch, tc.newest)
+		rollback, warm, ok := crashRepair(tc.selective, tc.mutEpoch, tc.newest)
 		if rollback != tc.rollback || warm != tc.warm || ok != tc.ok {
 			t.Errorf("%s: (rollback %d, warm %v, ok %v), want (%d, %v, %v)",
 				tc.name, rollback, warm, ok, tc.rollback, tc.warm, tc.ok)
@@ -228,234 +223,6 @@ func TestRejoinSessionCombining(t *testing.T) {
 		}
 		want := scratchFixpoint(t, p, n, edges, g.Weighted(), oracleCfg)
 		expectSameFixpoint(t, fmt.Sprintf("apply-%d", i), res.Values, want, p.ident, p.tol)
-	}
-}
-
-// TestShardRouteRing pins the consistent-hash ring's contract: two
-// workers derive the identical routing from the same membership, every
-// member owns a share, and a membership change moves only the key
-// ranges touching the changed member — scale-out moves keys exclusively
-// TO the newcomer, scale-in moves exclusively the leaver's keys.
-func TestShardRouteRing(t *testing.T) {
-	cfg := Config{Workers: 4, Elastic: true}
-	a, b := newShardRoute(cfg), newShardRoute(cfg)
-	const nKeys = 20000
-	ownedBy := make(map[int]int)
-	before := make([]int, nKeys)
-	for k := int64(0); k < nKeys; k++ {
-		o := a.owner(k)
-		if o != b.owner(k) {
-			t.Fatalf("routes disagree on key %d: %d vs %d", k, o, b.owner(k))
-		}
-		before[k] = o
-		ownedBy[o]++
-	}
-	for j := 0; j < 4; j++ {
-		if ownedBy[j] == 0 {
-			t.Fatalf("member %d owns no keys out of %d", j, nKeys)
-		}
-	}
-
-	a.add(4)
-	movedIn := 0
-	for k := int64(0); k < nKeys; k++ {
-		o := a.owner(k)
-		if o != before[k] && o != 4 {
-			t.Fatalf("scale-out moved key %d from %d to %d (not the newcomer)", k, before[k], o)
-		}
-		if o == 4 {
-			movedIn++
-		}
-		before[k] = o
-	}
-	if movedIn == 0 {
-		t.Fatal("scale-out moved no keys to the newcomer")
-	}
-
-	a.remove(2)
-	for k := int64(0); k < nKeys; k++ {
-		o := a.owner(k)
-		if before[k] != 2 && o != before[k] {
-			t.Fatalf("scale-in of member 2 moved key %d owned by %d to %d", k, before[k], o)
-		}
-		if o == 2 {
-			t.Fatalf("key %d still routed to removed member 2", k)
-		}
-	}
-}
-
-// TestElasticScaleParked drives the synchronous scale path: AddWorker
-// and RemoveWorker against a parked fleet (the session goroutine fences
-// directly; workers join from their parked inbox wait), with an Apply
-// after each change checked against the static oracle.
-func TestElasticScaleParked(t *testing.T) {
-	p := sessionProgs[0] // SSSP
-	g := p.g()
-	n := g.NumVertices()
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	cfg := rejoinCfg(MRASyncAsync)
-	cfg.Workers = 3
-	cfg.Elastic = true
-	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if res := s.Result(); !res.Converged {
-		t.Fatalf("initial fixpoint did not converge (stop cause: %v)", res.StopCause)
-	}
-	oracleCfg := rejoinCfg(MRASyncAsync)
-	r := rand.New(rand.NewSource(443))
-
-	id, err := s.AddWorker()
-	if err != nil {
-		t.Fatalf("AddWorker (parked): %v", err)
-	}
-	if id != 3 {
-		t.Fatalf("AddWorker slot = %d, want 3 (first free)", id)
-	}
-	var mut Mutation
-	mut, edges = randMutation(r, edges, n, 8, 8, false, p.insW)
-	res, err := s.Apply(mut)
-	if err != nil {
-		t.Fatalf("Apply after scale-out: %v", err)
-	}
-	want := scratchFixpoint(t, p, n, edges, true, oracleCfg)
-	expectSameFixpoint(t, "after-add", res.Values, want, p.ident, p.tol)
-
-	if err := s.RemoveWorker(1); err != nil {
-		t.Fatalf("RemoveWorker (parked): %v", err)
-	}
-	mut, edges = randMutation(r, edges, n, 8, 8, false, p.insW)
-	res, err = s.Apply(mut)
-	if err != nil {
-		t.Fatalf("Apply after scale-in: %v", err)
-	}
-	want = scratchFixpoint(t, p, n, edges, true, oracleCfg)
-	expectSameFixpoint(t, "after-remove", res.Values, want, p.ident, p.tol)
-}
-
-// TestElasticScaleMidFixpoint issues membership commands from another
-// goroutine while an Apply's fixpoint is running: the master fences
-// them in between poll rounds without restarting the fixpoint. The
-// command may also land after the epoch converged (the fixpoint was
-// faster than the sleep) — then it is either rejected by the drain or
-// applied against the parked fleet; every outcome must leave the
-// session oracle-equal.
-func TestElasticScaleMidFixpoint(t *testing.T) {
-	p := sessionProgs[0] // SSSP
-	g := p.g()
-	n := g.NumVertices()
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	fs, err := fault.ParseSpec("seed=12,stall=2:200us") // lengthen the fixpoint
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := rejoinCfg(MRASyncAsync)
-	cfg.Workers = 3
-	cfg.Elastic = true
-	cfg.Fault = fault.New(fs)
-	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	oracleCfg := rejoinCfg(MRASyncAsync)
-	r := rand.New(rand.NewSource(557))
-
-	// Scale-out racing the re-fixpoint.
-	addDone := make(chan error, 1)
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		_, err := s.AddWorker()
-		addDone <- err
-	}()
-	var mut Mutation
-	mut, edges = randMutation(r, edges, n, 12, 12, false, p.insW)
-	res, err := s.Apply(mut)
-	if err != nil {
-		t.Fatalf("Apply during scale-out: %v", err)
-	}
-	if aerr := <-addDone; aerr != nil && !strings.Contains(aerr.Error(), "fixpoint ended") {
-		t.Fatalf("AddWorker (mid-fixpoint): %v", aerr)
-	}
-	want := scratchFixpoint(t, p, n, edges, true, oracleCfg)
-	expectSameFixpoint(t, "midrun-add", res.Values, want, p.ident, p.tol)
-
-	// Scale-in racing the next re-fixpoint.
-	rmDone := make(chan error, 1)
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		rmDone <- s.RemoveWorker(0)
-	}()
-	mut, edges = randMutation(r, edges, n, 12, 12, false, p.insW)
-	res, err = s.Apply(mut)
-	if err != nil {
-		t.Fatalf("Apply during scale-in: %v", err)
-	}
-	if rerr := <-rmDone; rerr != nil && !strings.Contains(rerr.Error(), "fixpoint ended") {
-		t.Fatalf("RemoveWorker (mid-fixpoint): %v", rerr)
-	}
-	want = scratchFixpoint(t, p, n, edges, true, oracleCfg)
-	expectSameFixpoint(t, "midrun-remove", res.Values, want, p.ident, p.tol)
-
-	// One more quiet epoch: the fleet must still re-fixpoint normally
-	// after both scale events.
-	mut, edges = randMutation(r, edges, n, 6, 6, false, p.insW)
-	res, err = s.Apply(mut)
-	if err != nil {
-		t.Fatalf("Apply after scale events: %v", err)
-	}
-	want = scratchFixpoint(t, p, n, edges, true, oracleCfg)
-	expectSameFixpoint(t, "post-scale", res.Values, want, p.ident, p.tol)
-}
-
-// TestElasticConfigRejected pins the configuration surface: Elastic
-// needs a non-barriered MRA mode, membership commands need
-// Config.Elastic, and a fleet grown by elasticHeadroom workers rejects
-// further growth.
-func TestElasticConfigRejected(t *testing.T) {
-	p := sessionProgs[0]
-	plan := compilePlan(t, p.src, p.db(p.g()))
-
-	for _, mode := range []Mode{MRASync, NaiveSync} {
-		cfg := sessCfg(mode)
-		cfg.Elastic = true
-		if _, err := Open(plan, cfg); err == nil || !strings.Contains(err.Error(), "Elastic") {
-			t.Errorf("Open(Elastic, %v): err = %v, want an Elastic mode rejection", mode, err)
-		}
-	}
-
-	s, err := Open(plan, sessCfg(MRASyncAsync))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AddWorker(); err == nil || !strings.Contains(err.Error(), "Elastic") {
-		t.Errorf("AddWorker without Elastic: err = %v", err)
-	}
-	if err := s.RemoveWorker(0); err == nil || !strings.Contains(err.Error(), "Elastic") {
-		t.Errorf("RemoveWorker without Elastic: err = %v", err)
-	}
-	s.Close()
-
-	cfg := rejoinCfg(MRASyncAsync)
-	cfg.Workers = 2
-	cfg.Elastic = true
-	s, err = Open(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for want := cfg.Workers; want < cfg.Workers+elasticHeadroom; want++ {
-		if id, err := s.AddWorker(); err != nil || id != want {
-			t.Fatalf("AddWorker to capacity: id=%d err=%v, want id %d", id, err, want)
-		}
-	}
-	if _, err := s.AddWorker(); err == nil || !strings.Contains(err.Error(), "capacity") {
-		t.Errorf("AddWorker past the elastic headroom: err = %v, want a capacity rejection", err)
-	}
-	if err := s.RemoveWorker(7); err == nil || !strings.Contains(err.Error(), "not a member") {
-		t.Errorf("RemoveWorker(7): err = %v, want a membership rejection", err)
 	}
 }
 

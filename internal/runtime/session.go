@@ -18,16 +18,15 @@ import (
 // on these with errors.Is: Busy maps to back-pressure (shed and retry),
 // Closed to a permanent rejection.
 var (
-	// ErrSessionClosed is returned by Apply, AddWorker, RemoveWorker,
-	// and membership changes once Close has been called (or is in
-	// progress on another goroutine).
+	// ErrSessionClosed is returned by Apply once Close has been called
+	// (or is in progress on another goroutine).
 	ErrSessionClosed = errors.New("runtime: session is closed")
-	// ErrSessionBusy is returned when an exclusive session operation (a
-	// fixpoint, a membership fence) is already in flight on another
-	// goroutine and blocking would be wrong: an Apply can legitimately
-	// run for the whole wall budget, so a second caller gets an
-	// immediate typed rejection instead of an unbounded wait.
-	ErrSessionBusy = errors.New("runtime: session is busy (a fixpoint or membership fence is in flight)")
+	// ErrSessionBusy is returned when an exclusive session operation (an
+	// Apply's fixpoint) is already in flight on another goroutine and
+	// blocking would be wrong: an Apply can legitimately run for the
+	// whole wall budget, so a second caller gets an immediate typed
+	// rejection instead of an unbounded wait.
+	ErrSessionBusy = errors.New("runtime: session is busy (a fixpoint is in flight)")
 )
 
 // Mutation is a batch of base-fact inserts and deletes against the
@@ -47,11 +46,11 @@ type Mutation = compiler.Mutation
 // the termination protocol for one more epoch.
 //
 // A Session is safe for concurrent use. The public API is serialized by
-// an internal mutex: at most one exclusive operation — an Apply epoch, a
-// parked-fleet membership fence, Close's teardown — runs at a time (the
-// master's termination protocol runs on the calling goroutine), and a
-// caller that would have to wait behind one gets ErrSessionBusy
-// immediately instead of blocking for up to the wall budget. Result,
+// an internal mutex: at most one exclusive operation — an Apply epoch or
+// Close's teardown — runs at a time (the master's termination protocol
+// runs on the calling goroutine), and a caller that would have to wait
+// behind one gets ErrSessionBusy immediately instead of blocking for up
+// to the wall budget. Result,
 // Err, Epoch, and MutEpoch never block behind a running fixpoint: they
 // return the last published epoch's state, which is what a serving
 // front end wants for point lookups while a re-fixpoint is in flight.
@@ -85,9 +84,9 @@ type Session struct {
 
 	// mu guards the session's shared control state: busy, closing,
 	// closed, err, res, fleetDown, and the epoch counters. Exclusive
-	// operations (Apply, parked fences, teardown) claim the session via
-	// begin()/end() — the busy flag — and then run with mu RELEASED, so
-	// read-only accessors stay wait-free while a fixpoint computes; the
+	// operations (Apply, teardown) claim the session via begin()/end() —
+	// the busy flag — and then run with mu RELEASED, so read-only
+	// accessors stay wait-free while a fixpoint computes; the
 	// busy holder is the only writer of fleet state, and it republishes
 	// results and errors under mu. cond signals busy/closed transitions
 	// for Close's drain wait.
@@ -108,18 +107,11 @@ type Session struct {
 
 	ckptEpoch int // monotone stamp for park-boundary checkpoints
 
-	// Membership state (membership.go, DESIGN.md §11). workers is sized
-	// to the fleet capacity; slots beyond the initial fleet (and retired
-	// slots) are nil. fenceRelease holds the checkpoint read lease a
-	// combining-aggregate crash recovery takes between choosing a
-	// rollback epoch and the fleet finishing its reload; released at the
-	// fence's Release. scaled records that the membership has changed at
-	// least once, which invalidates checkpoints written under the old
-	// ownership ring. AddWorker / RemoveWorker callers observe busy (under
-	// mu) to decide between queueing their command to the running master
-	// and driving the fence directly against the parked fleet.
+	// Re-join state (membership.go, DESIGN.md §11). fenceRelease holds
+	// the checkpoint read lease a combining-aggregate crash recovery takes
+	// between choosing a rollback epoch and the fleet finishing its
+	// reload; released at the fence's Release.
 	fenceRelease func()
-	scaled       bool
 }
 
 // begin claims the session for one exclusive operation. It fails fast
@@ -143,20 +135,12 @@ func (s *Session) begin() error {
 	return nil
 }
 
-// end releases the exclusive claim and rejects membership commands that
-// raced the operation's exit. The ordering matters: commands are only
-// enqueued under mu while busy is set, so by the time end holds mu every
-// such command is in the channel; clearing busy first and draining after
-// guarantees none is left behind to hang its caller (the master's own
-// deferred drain only covers commands it saw before m.run returned). A
-// drain racing the next operation's freshly queued command can at worst
-// reject it with the retryable ErrSessionBusy.
+// end releases the exclusive claim.
 func (s *Session) end() {
 	s.mu.Lock()
 	s.busy = false
 	s.mu.Unlock()
 	s.cond.Broadcast()
-	s.m.rejectMemberCmds(ErrSessionBusy)
 }
 
 // setResult publishes an epoch's Result for the wait-free accessors.
@@ -208,15 +192,8 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	if plan.PropagateInto == nil || plan.Op == nil {
 		return nil, fmt.Errorf("runtime: plan is not compiled")
 	}
-	if !modeRegistered(cfg.Mode) {
-		return nil, fmt.Errorf("runtime: mode %v has no registered policies", cfg.Mode)
-	}
 	if !cfg.Mode.MRA() && len(plan.BaseNaive) == 0 {
 		return nil, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
-	}
-	if cfg.Elastic && (!cfg.Mode.MRA() || modeBarriered[cfg.Mode]) {
-		return nil, fmt.Errorf("runtime: Elastic membership needs a non-barriered MRA mode " +
-			"(a BSP worker joins no fence inside a superstep)")
 	}
 	cfg = applyPriorityDefault(cfg, plan)
 
@@ -227,16 +204,13 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 		return nil, err
 	}
 
-	// The network (and the workers slice) is provisioned to the fleet's
-	// capacity so scale-out only has to populate a pre-existing slot; on
-	// static fleets fleetCap() == Workers and the master endpoint index
-	// is unchanged. Inboxes are the transport's default depth: a Message is
-	// 104 bytes, so each thousand slots is 100 KB of resident set per
-	// endpoint for as long as the session is parked, and a sender that
-	// finds one full only backs off (commLoop).
-	net := transport.NewChannelNetwork(cfg.fleetCap(), 0)
-	workers := make([]*worker, cfg.fleetCap())
-	for i := 0; i < cfg.Workers; i++ {
+	// Inboxes are the transport's default depth: a Message is 104 bytes,
+	// so each thousand slots is 100 KB of resident set per endpoint for as
+	// long as the session is parked, and a sender that finds one full only
+	// backs off (commLoop).
+	net := transport.NewChannelNetwork(cfg.Workers, 0)
+	workers := make([]*worker, cfg.Workers)
+	for i := range workers {
 		// Fault.Wrap is a no-op passthrough when no injector is set.
 		workers[i] = newWorker(i, cfg, plan, cfg.Fault.Wrap(net.Conn(i)))
 	}
@@ -255,7 +229,7 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	// checkpoint); naive re-derives base tuples every round from each
 	// worker's owned slice.
 	if cfg.Mode.MRA() {
-		for _, w := range workers[:cfg.Workers] {
+		for _, w := range workers {
 			w.seedShard(restoreRows, restoreMeta, restoring)
 		}
 		if restoring {
@@ -270,33 +244,25 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 		}
 	}
 
-	s.m = newMaster(cfg, plan, net.Conn(transport.MasterID(cfg.fleetCap())))
+	s.m = newMaster(cfg, plan, net.Conn(transport.MasterID(cfg.Workers)))
 	// Naive evaluation cannot park: its fixpoint is a full re-derivation,
 	// so the initial run goes to completion and Apply stays rejected.
 	s.m.park = cfg.Mode.MRA()
-	// Membership: the polling master of the non-barriered MRA modes
-	// replaces a lost worker through a fence instead of aborting the run;
-	// elastic fleets additionally accept AddWorker/RemoveWorker commands.
-	// The master calls back into the session on the goroutine executing
-	// m.run — this one — so the callbacks touch session state freely.
+	// Re-join: the polling master of the non-barriered MRA modes replaces
+	// a lost worker through a fence instead of aborting the run. The
+	// master calls back into the session on the goroutine executing m.run
+	// — this one — so the callbacks touch session state freely.
 	s.m.s = s
-	if cfg.Elastic {
-		s.m.cmds = make(chan memberCmd, 8)
-	}
 	start := time.Now()
-	for _, w := range workers[:cfg.Workers] {
+	for _, w := range workers {
 		s.wg.Add(1)
 		go func(w *worker) {
 			defer s.wg.Done()
 			w.run()
 		}(w)
 	}
-	// The session is not yet published, but the busy protocol still runs
-	// so the master's command queue gets its end-of-epoch drain.
-	s.busy = true
 	s.m.run()
 	res, err := s.finishEpoch(start)
-	s.end()
 	if err != nil {
 		// Transport death or a lost worker: nothing to resume — tear
 		// down fully so the caller doesn't have to Close a corpse.
@@ -311,9 +277,9 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 // to the mutated program's fixpoint from the parked state, returning
 // that epoch's Result. The returned Result's message and flush counts
 // are per-epoch (work this Apply caused), not cumulative. Concurrency:
-// Apply claims the session exclusively; a second Apply (or a parked
-// membership fence) racing it returns ErrSessionBusy rather than
-// queueing, and an Apply racing Close returns ErrSessionClosed.
+// Apply claims the session exclusively; a second Apply racing it returns
+// ErrSessionBusy rather than queueing, and an Apply racing Close returns
+// ErrSessionClosed.
 func (s *Session) Apply(mut Mutation) (*Result, error) {
 	if !s.cfg.Mode.MRA() {
 		return nil, fmt.Errorf("runtime: naive evaluation re-derives from scratch and cannot re-fixpoint incrementally; use an MRA mode")
@@ -334,8 +300,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// attribute columns, ΔX¹) and compute the reseed/invalidation work.
 	// The fleet is parked, so the in-place CSR splice and the table reads
 	// are race-free. A validation error leaves the EDB untouched
-	// and the session usable.
-	route := s.liveRoute()
+	// and the session usable. Every worker holds the same route.
+	route := s.workers[0].route
 	refix, err := s.plan.ApplyMutation(mut, parkedTable{s.workers, route})
 	if err != nil {
 		return nil, err
@@ -358,10 +324,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	}
 	s.m.met.invalidateKeys.Add(uint64(len(refix.Invalidate)))
 
-	// Reseed: fold the correction ΔX¹ into the owners' shards (current
-	// membership's routing — after a scale event the owner may not be the
-	// static modulo slot). The folds mark the rows dirty, which is
-	// exactly the next epoch's frontier.
+	// Reseed: fold the correction ΔX¹ into the owners' shards. The folds
+	// mark the rows dirty, which is exactly the next epoch's frontier.
 	for _, kv := range refix.Reseed {
 		s.workers[route.owner(kv.K)].table.FoldDelta(kv.K, kv.V)
 	}
@@ -376,15 +340,11 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// Stamp the new mutation-log position into the workers (their
 	// mid-fixpoint snapshots carry it) and write the park-boundary
 	// checkpoint: a consistent view of "mutation applied, re-fixpoint
-	// pending" that restores by simply running to convergence. Elastic
-	// fleets skip the checkpoint: its per-slot shards are only restorable
-	// under the ownership ring they were written with.
+	// pending" that restores by simply running to convergence.
 	for _, w := range s.workers {
-		if w != nil {
-			w.mutEpoch = s.mutEpoch
-		}
+		w.mutEpoch = s.mutEpoch
 	}
-	if s.cfg.SnapshotDir != "" && !s.cfg.Elastic {
+	if s.cfg.SnapshotDir != "" {
 		s.writeParkCheckpoint()
 	}
 
@@ -403,7 +363,9 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		// Crash injection, iteration cap, or wall clock: the master
 		// stopped the fleet, so the warm state is gone. Poison the
 		// session; recovery is Close + Open(RestoreDir) + log replay.
-		s.setResult(s.collect(time.Since(start)))
+		// finishEpoch already collected the epoch (and rebased the
+		// traffic baselines): publish that, not a second collect.
+		s.setResult(res)
 		err := fmt.Errorf("runtime: session epoch %d stopped without converging (crash, iteration cap, or wall-clock limit)", s.engEpoch)
 		s.fail(err)
 		return nil, err
@@ -413,8 +375,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 }
 
 // parkedTable is the compiler.AccTable view of the fleet's shards: a
-// point read goes to the key's owner under the current membership, a
-// scan visits every shard. Only sound while the fleet is parked.
+// point read goes to the key's owner, a scan visits every shard. Only
+// sound while the fleet is parked.
 type parkedTable struct {
 	workers []*worker
 	route   *shardRoute
@@ -426,27 +388,11 @@ func (t parkedTable) Acc(key int64) float64 {
 
 func (t parkedTable) Range(f func(key int64, acc float64)) {
 	for _, w := range t.workers {
-		if w == nil {
-			continue
-		}
 		w.table.Range(func(k int64, v float64) bool {
 			f(k, v)
 			return true
 		})
 	}
-}
-
-// liveRoute returns a current member's route — every member holds an
-// identical one after a fence, so any will do for session-side routing
-// decisions (Apply's point reads, erasures and reseeds). Never nil on a
-// parked fleet: the last worker cannot be removed.
-func (s *Session) liveRoute() *shardRoute {
-	for _, w := range s.workers {
-		if w != nil && !w.retired {
-			return w.route
-		}
-	}
-	return nil
 }
 
 // finishEpoch classifies how m.run() ended. It returns an error only
@@ -461,7 +407,7 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 		// the goroutines so the counters below are settled.
 		s.joinFleet()
 		for _, w := range s.workers {
-			if w != nil && w.sendErr != nil {
+			if w.sendErr != nil {
 				return nil, fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
 			}
 		}
@@ -497,9 +443,6 @@ func (s *Session) collect(elapsed time.Duration) *Result {
 	}
 	var sent, recv, flushes int64
 	for _, w := range s.workers {
-		if w == nil {
-			continue
-		}
 		sent += w.sent
 		recv += w.recv
 		flushes += w.flushes
@@ -531,9 +474,6 @@ func (s *Session) writeParkCheckpoint() {
 	cut := modeBarriered[s.cfg.Mode] || !s.plan.Op.Selective()
 	e := s.ckptEpoch + 1
 	for _, w := range s.workers {
-		if w == nil {
-			continue
-		}
 		if w.rounds >= e {
 			e = w.rounds + 1
 		}
@@ -549,9 +489,6 @@ func (s *Session) writeParkCheckpoint() {
 	}
 	s.ckptEpoch = e
 	for _, w := range s.workers {
-		if w == nil {
-			continue
-		}
 		var rows []ckpt.Row
 		w.table.RangeRows(func(k int64, acc, inter float64) bool {
 			rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
@@ -598,18 +535,16 @@ func (s *Session) stopFleet() {
 // lost.
 func (s *Session) joinFleet() {
 	for _, w := range s.workers {
-		if w != nil {
-			w.stop()
-		}
+		w.stop()
 	}
 	s.wg.Wait()
 	s.setFleetDown()
 }
 
 // ---------------------------------------------------------------------
-// Membership lifecycle (membership.go, DESIGN.md §11). The master calls
-// these on the goroutine executing m.run — the session goroutine — so
-// they access session state without locks.
+// Crash re-join (membership.go, DESIGN.md §11). The master calls these on
+// the goroutine executing m.run — the session goroutine — so they access
+// session state without locks.
 // ---------------------------------------------------------------------
 
 // spawnInto stands up a fresh worker in slot id on a reset transport
@@ -624,54 +559,31 @@ func (s *Session) spawnInto(id int) *worker {
 	w.reborn = true // a crashw= injection must not kill the replacement too
 	w.mutEpoch = s.mutEpoch
 	w.staleEpoch = s.ckptEpoch
-	// The fleet is computing (or parked at the end of) epoch engEpoch:
-	// every earlier park fence is over for the newcomer too.
+	// The fleet is computing epoch engEpoch: every earlier park fence is
+	// over for the replacement too.
 	park := &w.fences[transport.FencePark]
 	park.done, park.released = s.engEpoch-1, s.engEpoch-1
-	if s.m.parked {
-		// Spawned between fixpoints: park right after admission instead
-		// of computing into a parked fleet. The master's park request for
-		// it comes only after the membership release.
-		park.req.epoch = s.engEpoch
-	}
-	if s.cfg.Elastic {
-		// Adopt the current membership (a scale-out newcomer is absent
-		// from it here; it adds itself at the fence, like every survivor).
-		w.route.set(s.m.live)
-	}
 	s.workers[id] = w
 	return w
 }
 
-func (s *Session) startSpawned(w *worker) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		w.run()
-	}()
-}
-
 // crashRepair is a crash fence's repair choice for one lost slot (the
 // worker's half is worker.repairState), a pure function of the aggregate
-// class, whether the membership ever changed, the mutation epoch, and the
-// newest checkpoint (nil when there is no snapshot directory or nothing
-// usable in it): for a selective program the lost slot's own newest
-// shard, for a combining one the newest complete set.
+// class, the mutation epoch, and the newest checkpoint (nil when there is
+// no snapshot directory or nothing usable in it): for a selective program
+// the lost slot's own newest shard, for a combining one the newest
+// complete set.
 //
 //	selective: keep state and replay (rollback 0), warm-starting the
 //	           replacement from its shard when that incorporates the
 //	           current mutation epoch;
 //	combining: rewind to the newest set if it is a consistent cut of the
 //	           current mutation epoch, else to the ΔX¹ seed (-1) while no
-//	           mutation has been applied; otherwise refuse (ok=false) —
-//	           and always after a scale event, whose cuts were written
-//	           under another ownership ring.
-func crashRepair(selective, scaled bool, mutEpoch int, newest *ckpt.Meta) (rollback int, warm, ok bool) {
+//	           mutation has been applied; otherwise refuse (ok=false).
+func crashRepair(selective bool, mutEpoch int, newest *ckpt.Meta) (rollback int, warm, ok bool) {
 	switch {
 	case selective:
 		return 0, newest != nil && newest.MutEpoch == mutEpoch, true
-	case scaled:
-		return 0, false, false
 	case newest != nil && newest.Cut && newest.MutEpoch == mutEpoch:
 		return newest.Epoch, false, true
 	case mutEpoch == 0:
@@ -699,7 +611,7 @@ func (s *Session) respawnWorker(id int) (int, bool) {
 	case dir == "":
 	case selective:
 		read(ckpt.NewestShard(dir, id))
-	case !s.scaled:
+	default:
 		if s.fenceRelease == nil {
 			if rel, err := ckpt.AcquireReadLease(dir); err == nil {
 				s.fenceRelease = rel
@@ -707,7 +619,7 @@ func (s *Session) respawnWorker(id int) (int, bool) {
 		}
 		read(ckpt.LoadAll(dir))
 	}
-	rollback, warm, ok := crashRepair(selective, s.scaled, s.mutEpoch, newest)
+	rollback, warm, ok := crashRepair(selective, s.mutEpoch, newest)
 	if !ok {
 		s.fenceReleased()
 		return 0, false
@@ -723,28 +635,12 @@ func (s *Session) respawnWorker(id int) (int, bool) {
 			w.restoreStale(rows)
 		}
 	}
-	s.startSpawned(w)
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		w.run()
+	}()
 	return rollback, true
-}
-
-// admitWorker stands up a brand-new worker for scale-out. It gets no
-// seed: every row it will own under the new ring lives in a survivor's
-// shard and arrives through the fence's Handoff migration (re-seeding
-// would double-count combining aggregates).
-func (s *Session) admitWorker(id int) bool {
-	if s.fleetDown || s.workers[id] != nil {
-		return false
-	}
-	s.scaled = true
-	s.startSpawned(s.spawnInto(id))
-	return true
-}
-
-// retireWorker drops a slot after scale-in: the worker retired itself at
-// the fence (migrated its shard out, then stopped).
-func (s *Session) retireWorker(id int) {
-	s.scaled = true
-	s.workers[id] = nil
 }
 
 // fenceReleased runs after every successful membership fence (and on a
@@ -757,74 +653,6 @@ func (s *Session) fenceReleased() {
 		s.fenceRelease = nil
 	}
 	s.prevSent, s.prevRecv, s.prevFlush = 0, 0, 0
-}
-
-// AddWorker grows an elastic fleet by one worker and returns its slot
-// id. Safe to call from any goroutine: while a fixpoint is running the
-// command is queued and the master fences it in between poll rounds;
-// with the fleet parked the caller claims the session and drives the
-// fence directly (a concurrent Apply or second fence gets
-// ErrSessionBusy). Requires Config.Elastic.
-func (s *Session) AddWorker() (int, error) {
-	return s.memberChange(memberCmd{add: true})
-}
-
-// RemoveWorker retires worker id from an elastic fleet, migrating its
-// shard to the survivors. Concurrency contract as AddWorker.
-func (s *Session) RemoveWorker(id int) error {
-	_, err := s.memberChange(memberCmd{id: id})
-	return err
-}
-
-func (s *Session) memberChange(cmd memberCmd) (int, error) {
-	if !s.cfg.Elastic {
-		return -1, fmt.Errorf("runtime: membership changes need Config.Elastic")
-	}
-	cmd.reply = make(chan memberCmdResult, 1)
-	s.mu.Lock()
-	if s.closing || s.closed {
-		s.mu.Unlock()
-		return -1, ErrSessionClosed
-	}
-	if err := s.err; err != nil {
-		s.mu.Unlock()
-		return -1, err
-	}
-	if s.busy {
-		// A fixpoint (or fence) is in flight: queue the command and let
-		// the master fence it in between poll rounds. Enqueueing under mu
-		// while busy is what guarantees an answer — the busy holder's
-		// end() drains the queue after the master's own deferred drain.
-		select {
-		case s.m.cmds <- cmd:
-		default:
-			s.mu.Unlock()
-			return -1, fmt.Errorf("runtime: membership command queue is full")
-		}
-		s.mu.Unlock()
-		select {
-		case r := <-cmd.reply:
-			return r.id, r.err
-		case <-time.After(s.cfg.MaxWall + 5*time.Second):
-			// end()'s drain rejects queued commands, so this only fires
-			// if the master itself wedged past its own wall clock.
-			return -1, fmt.Errorf("runtime: membership change timed out")
-		}
-	}
-	if s.fleetDown {
-		s.mu.Unlock()
-		return -1, fmt.Errorf("runtime: session fleet is stopped")
-	}
-	// Parked fleet: claim the session and drive the fence synchronously
-	// on this goroutine. Workers join it from their parked inbox wait.
-	s.busy = true
-	s.mu.Unlock()
-	defer s.end()
-	if !s.m.applyMemberCmd(cmd) {
-		s.fail(s.m.err)
-	}
-	r := <-cmd.reply
-	return r.id, r.err
 }
 
 // teardown releases everything; used by Open's error path and Close.
@@ -841,7 +669,7 @@ func (s *Session) teardown() {
 }
 
 // Close stops the parked fleet and releases the transport. Idempotent,
-// and safe to call concurrently with Apply and membership changes: it
+// and safe to call concurrently with Apply: it
 // commits to closing immediately — operations that arrive after Close
 // has been called get ErrSessionClosed instead of queueing behind the
 // teardown — and then waits for the one in-flight operation to finish
@@ -866,14 +694,14 @@ func (s *Session) Close() error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closing = true // from here every new begin()/memberChange is rejected
+	s.closing = true // from here every new begin() is rejected
 	for s.busy {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
 	s.teardown()
 	for _, w := range s.workers {
-		if w != nil && w.sendErr != nil {
+		if w.sendErr != nil {
 			return fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
 		}
 	}

@@ -11,8 +11,7 @@ import (
 )
 
 // TestSessionConcurrentHammer drives one session from many goroutines at
-// once — Apply, AddWorker, RemoveWorker, Result, Err, Epoch, and a late
-// Close — under the race detector. The serialization contract says every
+// once — Apply, Result, Err, Epoch, and a late Close — under the race detector. The serialization contract says every
 // call must return either a real result or one of the typed state errors
 // (ErrSessionBusy while another operation holds the claim,
 // ErrSessionClosed after Close commits); nothing may deadlock, panic, or
@@ -20,7 +19,6 @@ import (
 func TestSessionConcurrentHammer(t *testing.T) {
 	p := sessionProgs[0] // SSSP on a small uniform graph
 	cfg := sessCfg(MRAAsync)
-	cfg.Elastic = true
 	cfg.Workers = 2
 	s, err := Open(compilePlan(t, p.src, p.db(p.g())), cfg)
 	if err != nil {
@@ -30,7 +28,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 	const hammerers = 8
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var applied, busy, closedErr, memberOps int64
+	var applied, busy, closedErr int64
 	var mu sync.Mutex
 	fatal := func(format string, args ...any) {
 		mu.Lock()
@@ -69,28 +67,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 						fatal("Apply: unexpected error %v", err)
 						return
 					}
-				case 2: // membership churn
-					wid, err := s.AddWorker()
-					switch {
-					case err == nil:
-						count(&memberOps)
-						if rerr := s.RemoveWorker(wid); rerr != nil &&
-							!errors.Is(rerr, ErrSessionBusy) && !errors.Is(rerr, ErrSessionClosed) {
-							// The remove may also legitimately race a
-							// poisoned queue drain ("fixpoint ended…");
-							// only typed-contract violations are fatal.
-							_ = rerr
-						}
-					case errors.Is(err, ErrSessionBusy) || errors.Is(err, ErrSessionClosed):
-						if errors.Is(err, ErrSessionClosed) {
-							return
-						}
-					default:
-						// Queued commands rejected at an epoch boundary
-						// surface as retryable non-typed errors; accept.
-						_ = err
-					}
-				case 3: // wait-free readers
+				case 2, 3: // wait-free readers
 					if res := s.Result(); res == nil {
 						fatal("Result() = nil on an open session")
 						return
@@ -119,10 +96,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 	if _, err := s.Apply(Mutation{}); !errors.Is(err, ErrSessionClosed) {
 		t.Errorf("Apply after Close: err = %v, want ErrSessionClosed", err)
 	}
-	if _, err := s.AddWorker(); !errors.Is(err, ErrSessionClosed) {
-		t.Errorf("AddWorker after Close: err = %v, want ErrSessionClosed", err)
-	}
-	t.Logf("hammer: %d applies, %d busy rejections, %d member ops", applied, busy, memberOps)
+	t.Logf("hammer: %d applies, %d busy rejections", applied, busy)
 }
 
 // TestSessionConcurrentCloseRace closes the session from many goroutines

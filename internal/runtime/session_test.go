@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"powerlog/internal/gen"
 	"powerlog/internal/graph"
 	"powerlog/internal/progs"
+	"powerlog/internal/transport"
 )
 
 // sessModes are the session-capable engine modes the equivalence matrix
@@ -556,6 +559,45 @@ func TestSessionMetrics(t *testing.T) {
 	}
 }
 
+// TestSessionPoisonedApplyPublishesTraffic: an Apply whose epoch stops
+// without parking — an injected master crash at round 3 of epoch 2 —
+// publishes that epoch's traffic. The per-epoch counts of the Result it
+// leaves behind are what the workers sent and flushed during the epoch.
+func TestSessionPoisonedApplyPublishesTraffic(t *testing.T) {
+	p := sessionProgs[0] // SSSP
+	cfg := sessCfg(MRASync)
+	cfg.Fault = fault.New(fault.Spec{CrashEpoch: 2, CrashRound: 3})
+	s, err := Open(compilePlan(t, p.src, p.db(p.g())), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := s.Result()
+	// Hang the two farthest vertices off the source, so the epoch has
+	// rows to propagate before its crash round.
+	var keys []int64
+	for k, d := range before.Values {
+		if !math.IsInf(d, 1) {
+			keys = append(keys, k)
+		}
+	}
+	slices.SortFunc(keys, func(a, b int64) int { return cmp.Compare(before.Values[b], before.Values[a]) })
+	ins := []graph.Edge{{Src: 0, Dst: int32(keys[0]), W: 0.5}, {Src: 0, Dst: int32(keys[1]), W: 0.5}}
+	if _, err := s.Apply(Mutation{Inserts: ins}); err == nil {
+		t.Fatal("Apply across the crash round succeeded")
+	}
+	after := s.Result()
+	var sent, flushes int64
+	for i := range after.Workers {
+		sent += after.Workers[i].Sent - before.Workers[i].Sent
+		flushes += after.Workers[i].Flushes - before.Workers[i].Flushes
+	}
+	if sent == 0 || after.MessagesSent != sent || after.Flushes != flushes {
+		t.Errorf("published MessagesSent = %d, Flushes = %d; the epoch's workers sent %d KVs in %d flushes (want > 0, equal)",
+			after.MessagesSent, after.Flushes, sent, flushes)
+	}
+}
+
 // TestSessionLogCopiesBatch: the replay log must not alias the caller's
 // batch. A streaming client refills one pair of buffers per Apply; the
 // tail a restore replays has to hold what was applied.
@@ -593,6 +635,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Tau: -time.Millisecond}, "Tau"},
 		{Config{CheckInterval: -time.Millisecond}, "CheckInterval"},
 		{Config{SnapshotEvery: -1}, "SnapshotEvery"},
+		{Config{Mode: Mode(42)}, "Mode"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -607,7 +650,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{PriorityThreshold: -1}).Validate(); err != nil {
 		t.Errorf("negative PriorityThreshold is the documented disable, got %v", err)
 	}
-	// Run and Open both validate before touching the plan.
+	// Run, Open, RunWorker and RunMaster all validate before touching the
+	// plan — an unregistered mode included, which has no policies to build.
 	p := sessionProgs[0]
 	plan := compilePlan(t, p.src, p.db(p.g()))
 	var ce *ConfigError
@@ -616,6 +660,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := Open(plan, Config{CoresPerWorker: -1}); !errors.As(err, &ce) {
 		t.Errorf("Open with bad config: err = %v", err)
+	}
+	net := transport.NewChannelNetwork(1, 0)
+	defer net.Close()
+	bad := Config{Mode: Mode(42)}
+	if _, err := RunWorker(plan, bad, net.Conn(0)); !errors.As(err, &ce) || ce.Field != "Mode" {
+		t.Errorf("RunWorker with an unregistered mode: err = %v, want ConfigError for Mode", err)
+	}
+	if _, _, err := RunMaster(plan, bad, net.Conn(transport.MasterID(1))); !errors.As(err, &ce) || ce.Field != "Mode" {
+		t.Errorf("RunMaster with an unregistered mode: err = %v, want ConfigError for Mode", err)
 	}
 }
 

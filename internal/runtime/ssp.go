@@ -76,7 +76,7 @@ func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 		// fast peer blocked at the gate can never deadlock on a peer
 		// that simply has no work: the straggler catches up one marker
 		// per idle pass until the gap closes.
-		if markStamp(b.steps, 1) < w.stepFrontier() {
+		if b.steps < w.stepFrontier() {
 			b.advance(w)
 			return true
 		}
@@ -110,15 +110,15 @@ func (b *sspBarrier) advance(w *worker) {
 // data first. Receivers keep the max, so duplicates are no-ops and a
 // dropped mark is covered by any later one.
 func (b *sspBarrier) announce(w *worker) {
-	m := transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: b.steps, Phase: 1}
+	m := transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: b.steps}
 	w.eachPeer(func(j int) { w.enqueue(j, m) })
 	b.announceBy = time.Now().Add(markerResend)
 }
 
-// stepFrontier is the highest stamp on the step clock, skipping lost and
-// non-member slots like the gate's minimum does — the skip is what
-// unwedges a gated worker blocked on a dead peer's frozen clock once the
-// membership request naming it lost lands.
+// stepFrontier is the highest stamp on the step clock, skipping lost
+// slots like the gate's minimum does — the skip is what unwedges a gated
+// worker blocked on a dead peer's frozen clock once the membership
+// request naming it lost lands.
 func (w *worker) stepFrontier() int {
 	most := 0
 	for j, s := range w.fences[transport.FenceStep].marks {
@@ -144,7 +144,7 @@ func (b *sspBarrier) awaitPeerSteps(w *worker, need int) {
 	open := func() bool {
 		w.joinFences()
 		return w.fencePending(transport.FencePark) ||
-			w.fences[transport.FenceStep].marks.min(nil, w.peerSkip) >= markStamp(need, 1)
+			w.fences[transport.FenceStep].marks.min(w.peerSkip) >= need
 	}
 	if need <= 0 || open() {
 		return

@@ -213,9 +213,9 @@ func (c *coreState) sinkOwned(r compiler.Row, lo int, vals []float64) {
 }
 
 // sink is sinkOwned for every other pass. A direct pass over a Sparse
-// shard (pair keys, an elastic fleet) is worker.emit per edge: the route's
-// owner, next to whose mutex and map a divide or a ring search is noise,
-// then the shard or worker.buffer. In a fanned-out pass a local key folds
+// shard (pair keys) is worker.emit per edge: the route's owner, next to
+// whose mutex and map a divide is noise, then the shard or
+// worker.buffer. In a fanned-out pass a local key folds
 // into the shard atomically — into the concrete Dense by slot when there
 // is one — and a remote key is counted into the β window and buffered in
 // this core's private combiner, which reaches worker.buffer at the merge.

@@ -139,12 +139,12 @@ func TestTermControlTrafficIsNotProgress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send(transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: 1, Phase: 1})
+	send(transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: 1})
 	send(transport.Message{Kind: transport.StatsRequest, Round: 1})
 	if w.drainInbox() {
 		t.Fatal("a marker and a poll counted as progress")
 	}
-	send(transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: 2, Phase: 1})
+	send(transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: 2})
 	send(transport.Message{Kind: transport.Data, Round: 1, KVs: append(transport.GetBatch(1), transport.KV{K: 3, V: 1})})
 	if !w.drainInbox() {
 		t.Fatal("a Data batch did not count as progress")

@@ -81,13 +81,13 @@ type worker struct {
 	scan *scanPool
 
 	// stopping is the worker's one stop signal (stop, halted): the master
-	// said Stop, the inbox closed, the send path died, the worker retired
-	// at a fence, the session is joining the fleet, or the injector killed
-	// the worker. Every place either goroutine of the worker can block —
-	// enqueue, the comm loop's back-off and retry, await under foldUntil,
-	// the scan pool's deal — reads it and gives up, dropping what it was
-	// sending: peers that left their run loop no longer drain their
-	// inboxes, and the run's outcome no longer depends on the message.
+	// said Stop, the inbox closed, the send path died, the session is
+	// joining the fleet, or the injector killed the worker. Every place
+	// either goroutine of the worker can block — enqueue, the comm loop's
+	// back-off and retry, await under foldUntil, the scan pool's deal —
+	// reads it and gives up, dropping what it was sending: peers that left
+	// their run loop no longer drain their inboxes, and the run's outcome
+	// no longer depends on the message.
 	stopping atomic.Bool
 
 	// fences is this worker's view of each fence class (fence.go): what
@@ -112,17 +112,14 @@ type worker struct {
 	stragglerWait time.Duration // SSP: total time blocked on stale peers
 	timer         *time.Timer   // reused by every timed inbox wait (await)
 
-	// Membership state (membership.go, DESIGN.md §11). master is this
-	// fleet's master endpoint (the capacity network's last slot — NOT
-	// w.nw on elastic fleets). route maps keys to owners: static modulo
-	// for fixed fleets, a consistent-hash ring under Config.Elastic. The
-	// slots a membership fence takes out ride in its request
+	// Re-join state (membership.go, DESIGN.md §11). master is this
+	// fleet's master endpoint; route maps keys to owners. The slots a
+	// membership fence replaces ride in its request
 	// (fences[FenceMember].req, read by down).
 	master   int
 	route    *shardRoute
 	joinGate bool // spawned mid-run: gate the compute loop on admission
 	reborn   bool // replacement spawned by the session (immune to crashw=)
-	retired  bool // scale-in: this worker left at a fence
 }
 
 // outQueueLen is the capacity of a worker's data lane to its comm
@@ -168,13 +165,10 @@ func (b *backoff) wait() {
 func (b *backoff) reset() { b.n = 0 }
 
 func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *worker {
-	// Per-peer state is sized to the fleet's capacity, not its initial
-	// size, so scale-out never needs to regrow link state mid-run. For
-	// static fleets fleetCap() == Workers and nothing changes.
-	fleet := cfg.fleetCap()
+	fleet := cfg.Workers
 	w := &worker{
 		id:   id,
-		nw:   cfg.Workers,
+		nw:   fleet,
 		cfg:  cfg,
 		plan: plan,
 		conn: conn,
@@ -229,10 +223,10 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 }
 
 // denseShards reports whether the fleet's shards are Dense tables, which
-// stride vertex keys by the static modulo partition (shardRoute.split
-// resolves their slots); an elastic fleet's consistent-hash ownership has
-// no such structure, so it always shards into Sparse tables.
-func (w *worker) denseShards() bool { return !w.plan.PairKeys && !w.cfg.Elastic }
+// stride vertex keys by the modulo partition (shardRoute.split resolves
+// their slots): every program keyed by vertex; pair keys shard into
+// Sparse tables.
+func (w *worker) denseShards() bool { return !w.plan.PairKeys }
 
 func (w *worker) newTable() monotable.Table {
 	if w.denseShards() {
@@ -487,13 +481,11 @@ func (w *worker) handle(m transport.Message) {
 			f.req = transitionOf(m)
 		}
 	case transport.FenceMark:
-		w.fences[m.Fence].marks.observe(m.From, markStamp(m.Round, m.Phase))
+		w.fences[m.Fence].marks.observe(m.From, m.Round)
 	case transport.FenceRelease:
 		if f := &w.fences[m.Fence]; m.Round > f.released {
 			f.released = m.Round
 		}
-	case transport.Handoff:
-		w.acceptHandoff(m)
 	case transport.StatsReply, transport.FenceAck:
 		// Worker→master kinds; a worker receiving one (misrouted frame,
 		// chaos injection) ignores it rather than corrupting local state.
@@ -713,7 +705,7 @@ func (w *worker) flushAll() {
 }
 
 // drainInbox applies all currently queued messages without blocking and
-// reports whether any of them brought rows (Data, Handoff). Control
+// reports whether any of them brought rows (Data). Control
 // traffic is not progress: a poll or a peer's marker must not make the
 // pass that follows count as productive, or an idle SSP fleet trading
 // markers would advance its pass counters forever and never look
@@ -727,7 +719,7 @@ func (w *worker) drainInbox() bool {
 				w.stop()
 				return progressed
 			}
-			progressed = progressed || m.Kind == transport.Data || m.Kind == transport.Handoff
+			progressed = progressed || m.Kind == transport.Data
 			w.handle(m)
 		default:
 			return progressed
@@ -753,10 +745,9 @@ func (w *worker) run() {
 	}()
 	w.resetFrontier() // a big seed fans out on the first pass
 	if w.joinGate {
-		// Spawned into a running fixpoint (crash replacement or
-		// scale-out): hold the compute loop until the admission fence
-		// Releases — at which point table, route, and link state are
-		// consistent with the fleet.
+		// Spawned into a running fixpoint as a crash replacement: hold
+		// the compute loop until the admission fence Releases — at which
+		// point table and link state are consistent with the fleet.
 		w.awaitAdmission()
 		if w.halted() {
 			return

@@ -28,9 +28,9 @@ import (
 //	    passes         uvarint
 //	    dirty          1 byte
 //	Fence payload (FenceRequest, FenceMark, FenceAck, FenceRelease):
-//	    class, phase   1 byte each
+//	    class          1 byte
 //	    member         1 byte, 1 when a membership directive follows:
-//	    rollback, admit, leave  zigzag varint (admit, leave may be -1)
+//	    rollback       zigzag varint
 //	    down           uvarint count, then one zigzag varint each
 //
 // Other kinds carry no payload beyond the header. The frame prefix is a
@@ -67,7 +67,7 @@ func appendPayload(buf []byte, m *Message) []byte {
 	buf = binary.AppendUvarint(buf, uint64(m.From))
 	buf = binary.AppendVarint(buf, int64(m.Round))
 	switch m.Kind {
-	case Data, Handoff:
+	case Data:
 		slices.SortFunc(m.KVs, func(a, b KV) int {
 			switch {
 			case a.K < b.K:
@@ -91,14 +91,12 @@ func appendPayload(buf []byte, m *Message) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(kv.V))
 		}
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
-		buf = append(buf, byte(m.Fence), m.Phase)
+		buf = append(buf, byte(m.Fence))
 		if mb := m.Member; mb == nil {
 			buf = append(buf, 0)
 		} else {
 			buf = append(buf, 1)
 			buf = binary.AppendVarint(buf, int64(mb.Rollback))
-			buf = binary.AppendVarint(buf, int64(mb.Admit))
-			buf = binary.AppendVarint(buf, int64(mb.Leave))
 			buf = binary.AppendUvarint(buf, uint64(len(mb.Down)))
 			for _, j := range mb.Down {
 				buf = binary.AppendVarint(buf, int64(j))
@@ -132,7 +130,7 @@ func decodePayload(data []byte) (Message, error) {
 	m.From = int(d.uvarint())
 	m.Round = int(d.varint())
 	switch m.Kind {
-	case Data, Handoff:
+	case Data:
 		n := d.uvarint()
 		// A KV costs at least 9 bytes (≥1 varint key byte + 8 value
 		// bytes), so a count the remaining payload cannot hold is a
@@ -156,19 +154,17 @@ func decodePayload(data []byte) (Message, error) {
 		m.KVs = kvs
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		m.Fence = FenceClass(d.byte())
-		m.Phase = d.byte()
 		if d.byte() == 1 {
-			mb := &Membership{Rollback: int(d.varint()), Admit: int32(d.varint()), Leave: int32(d.varint())}
+			mb := &Membership{Rollback: int(d.varint())}
 			// Every slot costs a byte: a corrupt count ends at the overrun.
 			for n := d.uvarint(); n > 0 && !d.bad; n-- {
 				mb.Down = append(mb.Down, int32(d.varint()))
 			}
 			m.Member = mb
 		}
-		// Receivers index per-class state by Fence and stamp marker
-		// clocks from Phase, so a value outside the protocol is a
-		// corrupt frame.
-		if int(m.Fence) >= NumFenceClasses || m.Phase > 2 {
+		// Receivers index per-class state by Fence, so a class outside
+		// the protocol is a corrupt frame.
+		if int(m.Fence) >= NumFenceClasses {
 			d.bad = true
 		}
 	default:
@@ -184,7 +180,7 @@ func decodePayload(data []byte) (Message, error) {
 		m.Stats.Dirty = d.byte() != 0
 	}
 	if d.bad {
-		if m.Kind == Data || m.Kind == Handoff {
+		if m.Kind == Data {
 			PutBatch(m.KVs)
 			m.KVs = nil
 		}

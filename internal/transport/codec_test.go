@@ -107,7 +107,7 @@ func TestCodecEdgeMessages(t *testing.T) {
 		{Kind: Data, From: 3, Round: 0, KVs: nil},
 		{Kind: Data, From: 0, Round: 7, KVs: []KV{}},
 		{Kind: Data, KVs: []KV{{K: math.MinInt64, V: math.Inf(-1)}, {K: math.MaxInt64, V: math.Inf(1)}, {K: 0, V: math.NaN()}}},
-		{Kind: FenceMark, From: 1, Round: 42, Fence: FenceStep, Phase: 1},
+		{Kind: FenceMark, From: 1, Round: 42, Fence: FenceStep},
 		{Kind: FenceRelease, Round: 9, Fence: FenceStep},
 		{Kind: StatsRequest, Round: 1 << 30},
 		{Kind: Stop},
@@ -149,11 +149,10 @@ func TestCodecEveryKind(t *testing.T) {
 		StatsReply:   {From: 1, Round: 77, Stats: stats},
 		Stop:         {From: 4},
 		FenceRequest: {From: 4, Round: 6, Fence: FenceMember,
-			Member: &Membership{Rollback: -1, Admit: 3, Leave: 5, Down: []int32{1, 2}}},
-		FenceMark:    {From: 2, Round: 6, Fence: FenceMember, Phase: 2},
+			Member: &Membership{Rollback: -1, Down: []int32{1, 2}}},
+		FenceMark:    {From: 2, Round: 6, Fence: FenceMember},
 		FenceAck:     {From: 2, Round: 6, Fence: FenceStep, Stats: stats},
 		FenceRelease: {From: 4, Round: 6, Fence: FencePark},
-		Handoff:      {From: 1, Round: 1, KVs: []KV{{K: 3, V: 0.5}, {K: 8, V: 4}}},
 	}
 	names := map[string]bool{}
 	for k := Kind(0); int(k) < numKinds; k++ {
@@ -247,11 +246,10 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 	if _, err := decodePayload(buf[start+n : len(buf)-4]); err == nil {
 		t.Fatal("fence ack truncated inside its stats accepted")
 	}
-	// Receivers index per-class state by the fence class and stamp marker
-	// clocks from the phase: values outside the protocol must not decode.
+	// Receivers index per-class state by the fence class: a class outside
+	// the protocol must not decode.
 	for _, fm := range []Message{
-		{Kind: FenceMark, Fence: FenceClass(NumFenceClasses), Phase: 1},
-		{Kind: FenceMark, Fence: FenceMember, Phase: 3},
+		{Kind: FenceMark, Fence: FenceClass(NumFenceClasses)},
 	} {
 		buf, start := appendFrame(nil, &fm)
 		_, n := decodeUvarintPrefix(buf[start:])

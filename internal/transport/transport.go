@@ -4,12 +4,10 @@
 // network (used by tests and benches) and a TCP network on net plus a
 // hand-rolled length-prefixed binary codec (used by the multi-process
 // cluster example). The engine is written against the Conn interface
-// only: nine message kinds — data, the termination protocol, one
-// four-kind fence protocol (whose step class is the BSP barrier) and the
-// row migration a membership fence runs. Data messages carry pooled KV
-// batches under the recycle contract
-// documented in batch.go, so the steady-state update path allocates
-// nothing.
+// only: eight message kinds — data, the termination protocol and one
+// four-kind fence protocol (whose step class is the BSP barrier). Data
+// messages carry pooled KV batches under the recycle contract documented
+// in batch.go, so the steady-state update path allocates nothing.
 package transport
 
 import "fmt"
@@ -27,8 +25,8 @@ type Kind uint8
 // Message kinds. Data carries folded deltas; StatsRequest through Stop
 // are the termination-control protocol (paper §5.3–5.4); the four Fence
 // kinds are the one consistent-cut protocol (DESIGN.md "The fence") that
-// BSP supersteps, snapshot episodes, session parking and membership
-// changes all instantiate, told apart by Message.Fence. A kind means the
+// BSP supersteps, snapshot episodes, session parking and crash re-join
+// all instantiate, told apart by Message.Fence. A kind means the
 // same thing whoever sends it.
 const (
 	Data         Kind = iota // worker → worker: KV batch (Round = per-link sequence number)
@@ -36,16 +34,15 @@ const (
 	StatsReply               // worker → master: Stats for round Round
 	Stop                     // master → workers: terminate
 	FenceRequest             // master → workers: open fence Round of class Fence (Member: membership directive)
-	FenceMark                // worker → worker, data lane: cut marker of fence Round, marker round Phase
+	FenceMark                // worker → worker, data lane: cut marker of fence Round
 	FenceAck                 // worker → master: reached the cut of fence Round and ran its action (+ Stats)
 	FenceRelease             // master → workers: fence Round is over, resume
-	Handoff                  // worker → worker: keyed row migration batch (Round 0 = Accumulation rows, 1 = Intermediate deltas)
 
 	numKinds = int(iota) // sentinel: sizes kindNames, so a new kind without a name fails the codec table test
 )
 
 var kindNames = [numKinds]string{"Data", "StatsRequest", "StatsReply", "Stop",
-	"FenceRequest", "FenceMark", "FenceAck", "FenceRelease", "Handoff"}
+	"FenceRequest", "FenceMark", "FenceAck", "FenceRelease"}
 
 // String names the message kind.
 func (k Kind) String() string {
@@ -64,7 +61,7 @@ type FenceClass uint8
 const (
 	FenceSnapshot FenceClass = iota // consistent-cut checkpoint of a combining program (Round = checkpoint epoch)
 	FencePark                       // session epoch boundary (Round = session epoch); held until the next Apply
-	FenceMember                     // membership change or crash repair (Round = fence number)
+	FenceMember                     // crash repair: lost slots replaced in place (Round = fence number)
 	// FenceStep is the end of a BSP superstep (Round = superstep, counted
 	// across a session's epochs). Each worker opens it itself, its ack
 	// carries the superstep's Stats, and the SSP staleness gate reads the
@@ -85,13 +82,12 @@ type Stats struct {
 }
 
 // Message is the single wire format for data and control traffic. It
-// travels by value through every channel send, so the small fence fields
-// share Kind's word and a membership request's directive sits behind one
+// travels by value through every channel send, so the fence class shares
+// Kind's word and a membership request's directive sits behind one
 // pointer (13 words in all).
 type Message struct {
 	Kind   Kind
 	Fence  FenceClass // Fence* kinds: the fence's class
-	Phase  uint8      // FenceMark: marker round, 1 (the cut) or 2 (after the cut's action)
 	From   int
 	Round  int
 	Member *Membership // FenceRequest of class FenceMember only
@@ -99,13 +95,12 @@ type Message struct {
 	Stats  Stats // StatsReply, FenceAck only
 }
 
-// Membership is what a FenceMember request asks of the fleet.
+// Membership is what a FenceMember request asks of the fleet: which lost
+// slots are replaced in place, and how the fleet repairs its state.
 type Membership struct {
 	// Rollback is the repair directive: > 0 reloads that consistent-cut
 	// checkpoint epoch, < 0 resets to the ΔX¹ seed, 0 keeps state.
 	Rollback int
-	Admit    int32   // slot the fence admits, -1 for none
-	Leave    int32   // slot leaving the fleet for good, -1 for none
 	Down     []int32 // lost slots, each replaced in place
 }
 
