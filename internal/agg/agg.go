@@ -91,8 +91,12 @@ func (o *Op) Identity() float64 { return o.identity }
 // Sum because the engine materialises count inputs as 1-valued deltas
 // (paper §2.3: the runtime semantics of count is "return sum(r,
 // count[d])").
-func (o *Op) Fold(a, b float64) float64 {
-	switch o.kind {
+func (o *Op) Fold(a, b float64) float64 { return o.kind.Fold(a, b) }
+
+// Fold is Op.Fold by kind, for a loop that reads the kind once rather
+// than through the Op per value.
+func (k Kind) Fold(a, b float64) float64 {
+	switch k {
 	case Min:
 		m := min(a, b)
 		if m != m && (a == -inf || b == -inf) {

@@ -6,6 +6,7 @@ import (
 	"powerlog/internal/analyzer"
 	"powerlog/internal/expr"
 	"powerlog/internal/graph"
+	"powerlog/internal/monotable"
 )
 
 // Kernel evaluates one propagation expression (F' or F) along the rows
@@ -28,6 +29,7 @@ type Kernel struct {
 	// nvars is how many scratch slots the expression's variables and
 	// hoisted subtrees take; Fill's chunk of values sits behind them.
 	nvars int
+	form  monotable.Form // the class's, on a weighted row
 
 	// step, stepSign and stepWhy: see Step. Written when the plan is
 	// compiled and by a session's mutation, which runs while no pass does.
@@ -115,12 +117,16 @@ func (k *Kernel) noteMutation(inserts []graph.Edge) {
 	}
 }
 
+// forms is the form of a typed class's rows.
+var forms = [...]monotable.Form{analyzer.RowConst: monotable.Const, analyzer.AddW: monotable.AddW, analyzer.MulW: monotable.MulW}
+
 // newKernel compiles an expression, evaluated as d describes it, over
 // the layout; hoisted subtrees take the scratch slots from lay.nslots on.
 func newKernel(d analyzer.KernelDesc, g *graph.Graph, lay propLayout, pair bool) (*Kernel, error) {
 	k := &Kernel{desc: d, g: g, lay: lay, pair: pair, nvars: lay.nslots + len(d.Hoisted)}
 	var err error
 	if d.Class != analyzer.Generic {
+		k.form = forms[d.Class]
 		k.s, err = d.Scalar.Compile(lay.slots)
 		return k, err
 	}
@@ -141,14 +147,17 @@ func newKernel(d analyzer.KernelDesc, g *graph.Graph, lay propLayout, pair bool)
 }
 
 // Row is one key's propagation, opened: the CSR row it walks and what
-// was evaluated once for it.
+// was evaluated once for it. Along a row of any form but Given, edge i
+// carries what Form makes of S and Weights[i]; on an unweighted graph
+// that is the same value on every edge, so the form is Const.
 type Row struct {
 	Targets []int32
 	Weights []float64 // nil on an unweighted graph: every weight is 1
 	// Hi is OR-ed into each target to form the emitted key: the
 	// pass-through key of a pair-keyed plan, shifted into place, else 0.
-	Hi int64
-	s  float64
+	Hi   int64
+	Form monotable.Form // Given: the values are Fill's
+	S    float64        // the row scalar
 }
 
 // Row opens key's row for a value arriving there: it loads the source
@@ -175,7 +184,14 @@ func (k *Kernel) Row(scratch []float64, key int64, value float64) Row {
 		scratch[c.slot] = c.col[src]
 	}
 	if k.s != nil {
-		r.s = k.s(scratch)
+		r.Form, r.S = k.form, k.s(scratch)
+	}
+	switch {
+	case r.Weights != nil:
+	case r.Form == monotable.AddW:
+		r.Form, r.S = monotable.Const, r.S+1
+	case r.Form == monotable.MulW:
+		r.Form = monotable.Const // s · 1 is s, bit for bit
 	}
 	for _, h := range k.hoists {
 		scratch[h.slot] = h.fn(scratch)
@@ -194,7 +210,8 @@ func (k *Kernel) scratchLen() int { return k.nvars + FillChunk }
 // Fill computes what the expression yields along r's edges lo, lo+1, …
 // — at most FillChunk of them — and returns the values, which live in
 // scratch until the next call. This is the only place an expression
-// meets an edge: one loop per class.
+// meets an edge: one loop per form. A direct pass folds a typed row
+// without it (monotable.Sink), from r.S and the weights.
 func (k *Kernel) Fill(scratch []float64, r Row, lo int) []float64 {
 	n := min(FillChunk, len(r.Targets)-lo)
 	out := scratch[k.nvars : k.nvars+n]
@@ -202,24 +219,18 @@ func (k *Kernel) Fill(scratch []float64, r Row, lo int) []float64 {
 	if weights != nil {
 		weights = weights[lo : lo+n]
 	}
-	switch k.desc.Class {
-	case analyzer.RowConst:
-		fillConst(out, r.s)
-	case analyzer.AddW:
-		if weights == nil {
-			fillConst(out, r.s+1)
-			break
+	switch r.Form {
+	case monotable.Const:
+		for i := range out {
+			out[i] = r.S
 		}
+	case monotable.AddW:
 		for i, w := range weights {
-			out[i] = r.s + w
+			out[i] = r.S + w
 		}
-	case analyzer.MulW:
-		if weights == nil {
-			fillConst(out, r.s) // s · 1 is s, bit for bit
-			break
-		}
+	case monotable.MulW:
 		for i, w := range weights {
-			out[i] = r.s * w
+			out[i] = r.S * w
 		}
 	default:
 		ws := k.lay.weightSlot
@@ -237,12 +248,6 @@ func (k *Kernel) Fill(scratch []float64, r Row, lo int) []float64 {
 		}
 	}
 	return out
-}
-
-func fillConst(out []float64, v float64) {
-	for i := range out {
-		out[i] = v
-	}
 }
 
 // Propagate is the per-edge adapter over Row and Fill: it emits every

@@ -109,9 +109,10 @@ type Table interface {
 // {offset + i*stride : 0 <= i < size} — PowerLog's modulo partitioning
 // of a dense vertex key space across `stride` workers.
 type Dense struct {
-	Column         // the Intermediate entries and the dirty set
-	stride, offset int64
-	acc            []uint64
+	Column // the Intermediate entries and the dirty set
+	route  Route
+	offset int64
+	acc    []uint64
 }
 
 // Column is an Intermediate column by local slot, with a bit per slot for
@@ -152,7 +153,7 @@ func newColumn(op *agg.Op, size int, mirror bool) Column {
 func NewDense(op *agg.Op, n int, stride, offset int64) *Dense {
 	d := &Dense{
 		Column: newColumn(op, shardSize(n, stride, offset), false),
-		stride: stride,
+		route:  NewRoute(int(stride)),
 		offset: offset,
 	}
 	d.acc = make([]uint64, len(d.inter))
@@ -173,10 +174,13 @@ func NewMirror(op *agg.Op, n int, stride, offset int64) *Column {
 	return &c
 }
 
-func (d *Dense) slot(key int64) int { return int((key - d.offset) / d.stride) }
+func (d *Dense) slot(key int64) int {
+	s, _ := d.route.Split(int32(key))
+	return s
+}
 
 // globalKey maps a local slot back to its global key.
-func (d *Dense) globalKey(slot int) int64 { return d.offset + int64(slot)*d.stride }
+func (d *Dense) globalKey(slot int) int64 { return d.offset + int64(slot)*int64(d.route.mod) }
 
 // Op implements Table.
 func (c *Column) Op() *agg.Op { return c.op }
@@ -198,12 +202,11 @@ func (d *Dense) FoldDeltaAt(s int, v float64) bool {
 // whose bit is set folds in place — one path for a shard and a mirror. It
 // reports whether it staged the slot: a mirror's first fold of it.
 func (c *Column) FoldDeltaOwned(s int, v float64) bool {
-	w, b := uint(s)/32, uint32(1)<<(uint(s)%32)
-	old := fromBits(c.inter[s]) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	old := c.at(s)
 	next := c.op.Fold(old, v)
 	switch {
-	case c.dirty[w]&b != 0: //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
-		c.inter[s] = toBits(next) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	case c.held(s):
+		c.put(s, next)
 		return false
 	case c.mirror:
 		next = v
@@ -211,10 +214,16 @@ func (c *Column) FoldDeltaOwned(s int, v float64) bool {
 	case next == old || next != next && old != old: // as AtomicFold: NaN over NaN is no change
 		return false
 	}
-	c.inter[s] = toBits(next) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
-	c.dirty[w] |= b           //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	c.put(s, next)
+	c.dirty[uint(s)/32] |= 1 << (uint(s) % 32) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
 	return c.mirror
 }
+
+// held, at and put are the owner's plain reads and writes of slot s: its
+// bit, and its value.
+func (c *Column) held(s int) bool      { return c.dirty[uint(s)/32]&(1<<(uint(s)%32)) != 0 } //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+func (c *Column) at(s int) float64     { return fromBits(c.inter[s]) }                       //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+func (c *Column) put(s int, v float64) { c.inter[s] = toBits(v) }                            //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
 
 // Staged is a mirror's dirty slots, in the order they were first folded.
 func (c *Column) Staged() []int32 { return c.staged }
@@ -222,9 +231,9 @@ func (c *Column) Staged() []int32 { return c.staged }
 // TakeOwned empties slot s of a mirror and returns what it held; the
 // caller drops the slots it has taken, in Staged's order, with Unstage.
 func (c *Column) TakeOwned(s int) float64 {
-	v := fromBits(c.inter[s])            //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
-	c.inter[s] = toBits(c.op.Identity()) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
-	c.dirty[s/32] &^= 1 << (s % 32)      //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+	v := c.at(s)
+	c.put(s, c.op.Identity())
+	c.dirty[s/32] &^= 1 << (s % 32) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
 	return v
 }
 
@@ -247,8 +256,8 @@ func (d *Dense) DrainOwned(f func(key int64, v float64)) {
 			if s >= len(d.inter) {
 				break
 			}
-			if v := fromBits(d.inter[s]); v != id { //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
-				d.inter[s] = toBits(id) //plvet:ignore atomicmix owner-exclusive, see DESIGN.md §9
+			if v := d.at(s); v != id {
+				d.put(s, id)
 				f(d.globalKey(s), v)
 			}
 		}

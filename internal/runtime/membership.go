@@ -1,12 +1,10 @@
 package runtime
 
 import (
-	"math/bits"
 	"slices"
 	"time"
 
 	"powerlog/internal/ckpt"
-	"powerlog/internal/graph"
 	"powerlog/internal/transport"
 )
 
@@ -30,31 +28,6 @@ import (
 // knowledge of who is a replacement; the transport fences a reset
 // endpoint's stale connection off the network, so no pre-fence
 // straggler can leak past the cut.
-
-// shardRoute maps keys to owning workers: modulo partitioning over the
-// fixed fleet size.
-type shardRoute struct {
-	mod   int    // the fleet size
-	recip uint64 // ⌊2⁶³/mod⌋+1, split's reciprocal
-}
-
-func newShardRoute(cfg Config) *shardRoute {
-	return &shardRoute{mod: cfg.Workers, recip: 1<<63/uint64(cfg.Workers) + 1}
-}
-
-// split is the route of a vertex key t without a hardware divide: t / mod
-// — the key's slot in its owner's Dense shard — and t mod mod, the owner.
-// The quotient is one multiply by a reciprocal, for every fleet size: with
-// M = ⌊2⁶³/mod⌋+1 the high word of M·2t is ⌊t/mod⌋ exactly for every
-// t < 2³¹ and mod < 2³², since M·mod = 2⁶³+e with 0 < e ≤ mod and the
-// product therefore overshoots t/mod by e·t/(mod·2⁶³) < 2⁻³² < 1/mod.
-func (r *shardRoute) split(t int32) (slot, owner int) {
-	hi, _ := bits.Mul64(r.recip, uint64(t)<<1)
-	return int(hi), int(t) - int(hi)*r.mod
-}
-
-// owner returns the worker that owns key.
-func (r *shardRoute) owner(key int64) int { return graph.Partition(key, r.mod) }
 
 // ---------------------------------------------------------------------
 // Worker side: the actions inside the membership fence.

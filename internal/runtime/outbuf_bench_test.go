@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"powerlog/internal/agg"
+	"powerlog/internal/monotable"
 	"powerlog/internal/transport"
 )
 
@@ -21,7 +22,7 @@ func BenchmarkOutBuf(b *testing.B) {
 		make func() *outBuf
 	}{
 		{"hash", func() *outBuf { return newOutBuf(op) }},
-		{"mirror", func() *outBuf { return newMirrorBuf(op, n, newShardRoute(Config{Workers: stride}), offset) }},
+		{"mirror", func() *outBuf { return newMirrorBuf(op, n, monotable.NewRoute(stride), offset) }},
 	} {
 		for _, shape := range []struct {
 			name       string

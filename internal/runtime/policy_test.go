@@ -8,6 +8,7 @@ import (
 	"powerlog/internal/agg"
 	"powerlog/internal/gen"
 	"powerlog/internal/metrics"
+	"powerlog/internal/monotable"
 	"powerlog/internal/progs"
 	"powerlog/internal/transport"
 )
@@ -441,7 +442,7 @@ func TestMirrorMatchesHash(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
 	for _, kind := range []agg.Kind{agg.Sum, agg.Min, agg.Max} {
 		op := agg.ByKind(kind)
-		hash, mirror := newOutBuf(op), newMirrorBuf(op, n, newShardRoute(Config{Workers: stride}), offset)
+		hash, mirror := newOutBuf(op), newMirrorBuf(op, n, monotable.NewRoute(stride), offset)
 		rng := lcg(uint64(kind) + 1)
 		split := false // a take left keys behind
 		add := func(key int64, v float64) {

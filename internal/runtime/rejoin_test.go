@@ -13,6 +13,7 @@ import (
 	"powerlog/internal/fault"
 	"powerlog/internal/gen"
 	"powerlog/internal/graph"
+	"powerlog/internal/monotable"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
 )
@@ -226,9 +227,10 @@ func TestRejoinSessionCombining(t *testing.T) {
 	}
 }
 
-// TestShardRouteSplit: the divide-free static route is the divide — for
-// every fleet size, power of two or not, split yields t / mod and the
-// owner the modulo partition names, up to the largest vertex id.
+// TestShardRouteSplit: the divide-free static route (monotable.Route) is
+// the divide — for every fleet size, power of two or not, Split yields
+// t / mod and the owner the modulo partition names, up to the largest
+// vertex id.
 func TestShardRouteSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ids := []int32{0, 1, 2, 3, 1<<30 - 1, 1 << 30, math.MaxInt32 - 1, math.MaxInt32}
@@ -236,10 +238,10 @@ func TestShardRouteSplit(t *testing.T) {
 		ids = append(ids, rng.Int31())
 	}
 	for _, mod := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 64, 100, 1000, 1 << 16, 1<<16 + 1} {
-		r := newShardRoute(Config{Workers: mod})
+		r := monotable.NewRoute(mod)
 		for _, id := range append(ids, int32(mod-1), int32(mod), int32(mod+1), int32(math.MaxInt32/mod*mod)) {
-			slot, owner := r.split(id)
-			if want := r.owner(int64(id)); slot != int(id)/mod || owner != want {
+			slot, owner := r.Split(id)
+			if want := graph.Partition(int64(id), mod); slot != int(id)/mod || owner != want {
 				t.Fatalf("mod %d: split of %d = (%d, owner %d), want (%d, owner %d)",
 					mod, id, slot, owner, int(id)/mod, want)
 			}

@@ -6,19 +6,20 @@ import (
 	"time"
 
 	"powerlog/internal/gen"
+	"powerlog/internal/graph"
 	"powerlog/internal/progs"
 )
 
 // BenchmarkScanPass times the compute pass alone — drain, FoldAcc, the
-// row kernel, routing, the local fold and the remote combiner — as worker
-// 0 of a static fleet runs it over a dense frontier: every owned key is
-// dirtied (with a value that improves, for SSSP) before each pass, on
-// plperf's pagerank-rmat-bsp graph, in direct passes. ns/edge is the
-// pass time over the out-edges of the rows it propagated. workers=3 runs
-// the reciprocal route beside workers=2's shift and mask, but the two
-// are not like for like: a third worker makes 2/3 of the edges remote
-// (the combiner costs more than the local fold), and on R-MAT the even
-// vertices worker 0 of 2 owns are the high-degree ones.
+// row kernel, routing and the folds into the shard and the peers' mirrors
+// (monotable.Sink) — as worker 0 of a static fleet runs it over a dense
+// frontier: every owned key is dirtied (with a value that improves, for
+// SSSP) before each pass, on plperf's pagerank-rmat-bsp graph, in direct
+// passes. ns/edge is the pass time over the out-edges of the rows it
+// propagated. One reciprocal route serves every fleet size, but the two
+// sizes are not like for like: a third worker makes 2/3 of the edges
+// remote, and on R-MAT the even vertices worker 0 of 2 owns are the
+// high-degree ones (75 % of the out-edges).
 func BenchmarkScanPass(b *testing.B) {
 	for _, bc := range []struct {
 		name, src string
@@ -62,6 +63,35 @@ func BenchmarkScanPass(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
 			})
 		}
+	}
+}
+
+// TestBSPCountsRepeat pins the traffic DESIGN.md §9 and benchmark/README.md
+// quote for plperf's pagerank-rmat-bsp (91 supersteps, 386 583 KVs in 182
+// batches) and BenchmarkRunChain's MRA+Sync kvs/op and passes/op: under
+// BSP barriers a seeded run's counts repeat exactly, so a change to the
+// compute pass that moves where or when a value is sent shows here.
+func TestBSPCountsRepeat(t *testing.T) {
+	for _, tc := range []struct {
+		name, src            string
+		g                    *graph.Graph
+		rounds, kvs, flushes int64
+	}{
+		{"pagerank-rmat", progs.PageRank, gen.RMAT(13, 82000, 0, 1), 91, 386583, 182},
+		{"sssp-chain", progs.SSSP, gen.LocalChain(8000, 4, 40, 100, 1), 358, 23898, 711},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(compilePlan(t, tc.src, edgeDB("edge")(tc.g)), Config{
+				Workers: 2, CoresPerWorker: 1, Mode: MRASync,
+				Tau: time.Millisecond, CheckInterval: 2 * time.Millisecond, MaxWall: time.Minute,
+			})
+			if err != nil || !res.Converged {
+				t.Fatalf("run: %v (converged %v)", err, res != nil && res.Converged)
+			}
+			if got := [3]int64{int64(res.Rounds), res.MessagesSent, res.Flushes}; got != [3]int64{tc.rounds, tc.kvs, tc.flushes} {
+				t.Fatalf("rounds, KVs, flushes = %v, want %v", got, [3]int64{tc.rounds, tc.kvs, tc.flushes})
+			}
+		})
 	}
 }
 

@@ -300,9 +300,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// attribute columns, ΔX¹) and compute the reseed/invalidation work.
 	// The fleet is parked, so the in-place CSR splice and the table reads
 	// are race-free. A validation error leaves the EDB untouched
-	// and the session usable. Every worker holds the same route.
-	route := s.workers[0].route
-	refix, err := s.plan.ApplyMutation(mut, parkedTable{s.workers, route})
+	// and the session usable.
+	refix, err := s.plan.ApplyMutation(mut, parkedTable(s.workers))
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +317,7 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// the owner takes out what the row added, like any signed FoldAcc
 	// delta (and the periodic exact resync bounds its rounding the same).
 	for _, k := range refix.Invalidate {
-		w := s.workers[route.owner(k)]
+		w := s.workers[graph.Partition(k, s.cfg.Workers)]
 		w.accSum -= w.table.Invalidate(k)
 		w.accFolds++
 	}
@@ -327,7 +326,7 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// Reseed: fold the correction ΔX¹ into the owners' shards. The folds
 	// mark the rows dirty, which is exactly the next epoch's frontier.
 	for _, kv := range refix.Reseed {
-		s.workers[route.owner(kv.K)].table.FoldDelta(kv.K, kv.V)
+		s.workers[graph.Partition(kv.K, s.cfg.Workers)].table.FoldDelta(kv.K, kv.V)
 	}
 	s.m.met.reseedKeys.Add(uint64(len(refix.Reseed)))
 	s.m.met.borderRows.Add(uint64(refix.BorderRows))
@@ -377,17 +376,14 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 // parkedTable is the compiler.AccTable view of the fleet's shards: a
 // point read goes to the key's owner, a scan visits every shard. Only
 // sound while the fleet is parked.
-type parkedTable struct {
-	workers []*worker
-	route   *shardRoute
-}
+type parkedTable []*worker
 
 func (t parkedTable) Acc(key int64) float64 {
-	return t.workers[t.route.owner(key)].table.Acc(key)
+	return t[graph.Partition(key, len(t))].table.Acc(key)
 }
 
 func (t parkedTable) Range(f func(key int64, acc float64)) {
-	for _, w := range t.workers {
+	for _, w := range t {
 		w.table.Range(func(k int64, v float64) bool {
 			f(k, v)
 			return true

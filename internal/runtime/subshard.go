@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"powerlog/internal/agg"
 	"powerlog/internal/compiler"
 	"powerlog/internal/monotable"
 )
@@ -121,11 +120,6 @@ type coreState struct {
 	scratch []float64
 	kernel  *compiler.Kernel // the plan's F' kernel
 
-	// cols is where a direct pass over a Dense shard folds by slot, one
-	// column per destination: the peers' mirrors and, filled in by scanSub,
-	// the shard's own Intermediate.
-	cols []*monotable.Column
-
 	// Pre-bound: drainFn drains one scanned key into drainBuf, takeFn
 	// appends one row Dense.DrainOwned drained.
 	drainFn func(int64)
@@ -159,13 +153,13 @@ func (c *coreState) scanSub(sub int) {
 		w.table.FoldDelta(d.key, d.val)
 	}
 	if owned {
-		c.cols[w.id] = &dense.Column // the table is replaced on a rollback
+		w.sink.Cols[w.id] = &dense.Column // the table is replaced on a rollback
 	}
 	for _, d := range run {
 		var improved bool
 		var change, signed float64
 		if owned {
-			slot, _ := w.route.split(int32(d.key))
+			slot, _ := w.sink.Route.Split(int32(d.key))
 			improved, change, signed = dense.FoldAccOwned(slot, d.val)
 		} else {
 			improved, change, signed = w.table.FoldAcc(d.key, d.val)
@@ -178,9 +172,13 @@ func (c *coreState) scanSub(sub int) {
 		}
 		c.n++
 		r := c.kernel.Row(c.scratch, d.key, d.val)
+		if owned && r.Form != monotable.Given {
+			w.sinkOwned(r.Form, r.S, r.Targets, r.Weights)
+			continue
+		}
 		for lo := 0; lo < len(r.Targets); lo += compiler.FillChunk {
 			if vals := c.kernel.Fill(c.scratch, r, lo); owned {
-				c.sinkOwned(r, lo, vals)
+				w.sinkOwned(monotable.Given, 0, r.Targets[lo:lo+len(vals)], vals)
 			} else {
 				c.sink(dense, r, lo, vals)
 			}
@@ -189,24 +187,20 @@ func (c *coreState) scanSub(sub int) {
 	c.drained += len(out)
 }
 
-// sinkOwned routes and folds one chunk of a row — vals[i] goes to the key
-// of r's edge lo+i — in a pass that did not fan out over a Dense shard.
-// Local and remote take the same steps: shardRoute.split yields the key's
-// owner and its slot there, without a divide, and the value folds into the
-// owner's column at that slot — the shard's own Intermediate, or the
+// sinkOwned folds a row — or a Fill chunk of one, whose values are given
+// — in a pass that did not fan out over a Dense shard. Local and remote
+// take the same steps (monotable.Sink.Fold): the route splits the key into
+// its owner and its slot there, without a divide, and the value folds into
+// the owner's column at that slot — the shard's own Intermediate, or the
 // mirror that buffers for a peer (outBuf). A mirror whose newly staged
 // slot brought it to the buffer's limit, or that was handed an urgent
-// value, is flushed: the FlushPolicy's decision as worker.buffer takes it,
-// asked when the count moves (the shard's own column stages nothing, and
-// flushing buffer w.id sends nothing).
-func (c *coreState) sinkOwned(r compiler.Row, lo int, vals []float64) {
-	w := c.w
-	for i, t := range r.Targets[lo : lo+len(vals)] {
-		v := vals[i]
-		slot, o := w.route.split(t)
-		col := c.cols[o]
-		w.win.counts[o]++
-		if col.FoldDeltaOwned(slot, v) && len(col.Staged()) >= w.bufs[o].limit || agg.Abs(v) >= w.urgent {
+// value, is flushed where the fold stops for it: the FlushPolicy's
+// decision as worker.buffer takes it, asked when the count moves (the
+// shard's own column stages nothing, and flushing buffer w.id sends
+// nothing).
+func (w *worker) sinkOwned(f monotable.Form, x float64, targets []int32, per []float64) {
+	for i, o := 0, 0; i < len(targets); {
+		if i, o = w.sink.Fold(f, x, targets, per, i); o >= 0 {
 			w.flush(o)
 		}
 	}
@@ -229,9 +223,9 @@ func (c *coreState) sink(dense *monotable.Dense, r compiler.Row, lo int, vals []
 		}
 		var o, slot int
 		if dense != nil {
-			slot, o = w.route.split(t)
+			slot, o = w.sink.Route.Split(t)
 		} else {
-			o = w.route.owner(key)
+			o = w.owner(key)
 		}
 		switch {
 		case o != w.id:
@@ -299,17 +293,13 @@ func newScanPool(w *worker, p int) *scanPool {
 	sp.cores = make([]*coreState, p)
 	sp.deques = make([]subDeque, p)
 	for i := range sp.cores {
-		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch(), kernel: w.plan.Kernel,
-			cols: make([]*monotable.Column, len(w.bufs))}
+		c := &coreState{w: w, pool: sp, idx: i, scratch: w.plan.NewScratch(), kernel: w.plan.Kernel}
 		if p > 1 { // only a fanned-out pass buffers per core
 			c.bufs = make([]*outBuf, len(w.bufs))
 			c.winCounts = make([]int64, len(w.bufs))
 			for j := range c.bufs {
 				c.bufs[j] = newOutBuf(w.plan.Op)
 			}
-		}
-		for o, b := range w.bufs {
-			c.cols[o] = b.col
 		}
 		c.takeFn = func(k int64, v float64) { c.drainBuf = append(c.drainBuf, drained{k, v}) }
 		c.drainFn = func(k int64) {

@@ -8,6 +8,7 @@ import (
 	"powerlog/internal/agg"
 	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
+	"powerlog/internal/graph"
 	"powerlog/internal/monotable"
 	"powerlog/internal/transport"
 )
@@ -43,11 +44,15 @@ type worker struct {
 	// updates per key with the program's aggregate before sending — the
 	// sender-side combining that makes a buffered update "accumulate"
 	// rather than queue (Figure 7's Intermediate, applied pre-wire).
-	// urgent is the FlushPolicy's, read with the buffers' limits.
 	bufs      []*outBuf
-	urgent    float64
 	lastFlush []time.Time
 	win       window // traffic window ΔT driving FlushPolicy adaptation
+
+	// sink is where a direct pass over a Dense shard folds its rows
+	// (sinkOwned): the static route, every destination's column, and the
+	// FlushPolicy's limits and urgency as readLimits publishes them, which
+	// worker.buffer reads too. Its Counts are win.counts.
+	sink monotable.Sink
 
 	met workerMetrics // per-policy observability (observe.go, DESIGN.md §8)
 
@@ -113,11 +118,9 @@ type worker struct {
 	timer         *time.Timer   // reused by every timed inbox wait (await)
 
 	// Re-join state (membership.go, DESIGN.md §11). master is this
-	// fleet's master endpoint; route maps keys to owners. The slots a
-	// membership fence replaces ride in its request
-	// (fences[FenceMember].req, read by down).
+	// fleet's master endpoint. The slots a membership fence replaces ride
+	// in its request (fences[FenceMember].req, read by down).
 	master   int
-	route    *shardRoute
 	joinGate bool // spawned mid-run: gate the compute loop on admission
 	reborn   bool // replacement spawned by the session (immune to crashw=)
 }
@@ -188,7 +191,12 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 
 		idle:   newIdleReports(),
 		master: transport.MasterID(fleet),
-		route:  newShardRoute(cfg),
+	}
+	w.sink = monotable.Sink{
+		Route:  monotable.NewRoute(fleet),
+		Cols:   make([]*monotable.Column, fleet),
+		Limits: make([]int, fleet),
+		Counts: w.win.counts,
 	}
 	for c := range w.fences {
 		w.fences[c].marks = make(markClock, fleet)
@@ -206,7 +214,8 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	now := time.Now()
 	for j := range w.bufs {
 		if w.denseShards() && j != id {
-			w.bufs[j] = newMirrorBuf(plan.Op, plan.N, w.route, j)
+			w.bufs[j] = newMirrorBuf(plan.Op, plan.N, w.sink.Route, j)
+			w.sink.Cols[j] = w.bufs[j].col
 		} else {
 			w.bufs[j] = newOutBuf(plan.Op)
 		}
@@ -223,7 +232,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 }
 
 // denseShards reports whether the fleet's shards are Dense tables, which
-// stride vertex keys by the modulo partition (shardRoute.split resolves
+// stride vertex keys by the modulo partition (monotable.Route resolves
 // their slots): every program keyed by vertex; pair keys shard into
 // Sparse tables.
 func (w *worker) denseShards() bool { return !w.plan.PairKeys }
@@ -235,7 +244,8 @@ func (w *worker) newTable() monotable.Table {
 	return monotable.NewSparse(w.plan.Op)
 }
 
-func (w *worker) owner(key int64) int { return w.route.owner(key) }
+// owner is the worker that owns key: the modulo partition.
+func (w *worker) owner(key int64) int { return graph.Partition(key, w.nw) }
 
 // stop raises the worker's stop signal; halted reads it.
 func (w *worker) stop()        { w.stopping.Store(true) }
@@ -451,7 +461,7 @@ func (w *worker) handle(m transport.Message) {
 			// No scan core runs while this goroutine handles a message
 			// (DESIGN.md §9), so the fold is the owner's, by slot.
 			for _, kv := range m.KVs {
-				slot, _ := w.route.split(int32(kv.K))
+				slot, _ := w.sink.Route.Split(int32(kv.K))
 				dense.FoldDeltaOwned(slot, kv.V)
 			}
 		} else {
@@ -823,18 +833,19 @@ func (w *worker) emit(dst int64, v float64) {
 func (w *worker) buffer(o int, dst int64, v float64) {
 	b := w.bufs[o]
 	b.add(dst, v)
-	if b.len() >= b.limit || agg.Abs(v) >= w.urgent {
+	if b.len() >= w.sink.Limits[o] || agg.Abs(v) >= w.sink.Urgent {
 		w.flush(o)
 	}
 }
 
-// readLimits takes the FlushPolicy's decision (policy.go) into the buffers
-// — the mode's limit, under the batchMax hard cap.
+// readLimits publishes the FlushPolicy's decision (policy.go) where the
+// flush tests read it — the mode's limit per buffer, under the batchMax
+// hard cap, and its urgency.
 func (w *worker) readLimits() {
-	for j, b := range w.bufs {
-		b.limit = min(w.pol.flush.limit(j), batchMax)
+	for j := range w.sink.Limits {
+		w.sink.Limits[j] = min(w.pol.flush.limit(j), batchMax)
 	}
-	w.urgent = w.pol.flush.urgent()
+	w.sink.Urgent = w.pol.flush.urgent()
 }
 
 // timedFlush applies the τ interval — any buffer older than τ is sent —
@@ -906,11 +917,10 @@ func (w *worker) await(d time.Duration) (timedOut bool) {
 // transport batch pool, so the steady-state fill→drain cycle allocates
 // nothing.
 type outBuf struct {
-	op    *agg.Op
-	limit int // entries at which the worker flushes: the FlushPolicy's, capped
+	op *agg.Op
 
-	col    *monotable.Column // the mirror, whose slot s is key s·route.mod+offset
-	route  *shardRoute
+	col    *monotable.Column // the mirror, whose slot s is key s·route.Mod()+offset
+	route  monotable.Route
 	offset int64
 
 	keys  []int64   // first-touch order
@@ -926,7 +936,6 @@ const outBufInitSlots = 256
 func newOutBuf(op *agg.Op) *outBuf {
 	return &outBuf{
 		op:    op,
-		limit: batchMax,
 		slots: make([]int32, outBufInitSlots),
 		mask:  outBufInitSlots - 1,
 	}
@@ -934,9 +943,9 @@ func newOutBuf(op *agg.Op) *outBuf {
 
 // newMirrorBuf is the buffer for worker offset's Dense shard of the keys
 // [0, n) under a static route.
-func newMirrorBuf(op *agg.Op, n int, route *shardRoute, offset int) *outBuf {
-	col := monotable.NewMirror(op, n, int64(route.mod), int64(offset))
-	return &outBuf{op: op, limit: batchMax, col: col, route: route, offset: int64(offset)}
+func newMirrorBuf(op *agg.Op, n int, route monotable.Route, offset int) *outBuf {
+	col := monotable.NewMirror(op, n, int64(route.Mod()), int64(offset))
+	return &outBuf{op: op, col: col, route: route, offset: int64(offset)}
 }
 
 // hashKey mixes the key bits (Fibonacci multiplier + xor-fold) so dense
@@ -949,7 +958,7 @@ func hashKey(k int64) uint64 {
 // add folds v into the buffered update for key.
 func (b *outBuf) add(key int64, v float64) {
 	if b.col != nil {
-		slot, _ := b.route.split(int32(key))
+		slot, _ := b.route.Split(int32(key))
 		b.col.FoldDeltaOwned(slot, v)
 		return
 	}
@@ -1006,7 +1015,7 @@ func (b *outBuf) take() []transport.KV {
 	kvs := transport.GetBatch(n)
 	if b.col != nil {
 		for _, s := range b.col.Staged()[:n] {
-			kvs = append(kvs, transport.KV{K: int64(s)*int64(b.route.mod) + b.offset, V: b.col.TakeOwned(int(s))})
+			kvs = append(kvs, transport.KV{K: int64(s)*int64(b.route.Mod()) + b.offset, V: b.col.TakeOwned(int(s))})
 		}
 		b.col.Unstage(n)
 		return kvs
