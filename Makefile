@@ -15,9 +15,12 @@
 #   race               the packages on the message path, checkpointing, fault
 #                      injection, metrics, sessions, the server, the set-up
 #                      path, the aggregate atomics (agg) and the comparator
-#                      engines (graphsys) under the race detector at -cpu 1,4;
-#                      -short trims the chaos matrix to its representative
-#                      subset
+#                      engines (graphsys) under the race detector at -cpu 1,4,
+#                      so a worker's compute and comm goroutines, the master
+#                      and a session's caller interleave with real preemption
+#                      and a shard touched outside its owner's handovers
+#                      (DESIGN.md §9) is reported; -short trims the chaos
+#                      matrix to its representative subset
 #   benchmark          vet and test the plperf module (benchmark/) against
 #                      this engine
 #   bench, bench-smoke the per-layer micro-benchmarks; once each as CI's rot
@@ -41,7 +44,7 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-SCAN_TESTS = TestParallel TestSerialPass TestCoresGating TestSubDeque TestKernelClassesBitIdentical TestAlternatingFoldVariants TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
+SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
 TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence
 TERM_PKGS = ./internal/term ./internal/runtime

@@ -28,60 +28,31 @@ import (
 )
 
 // BenchmarkMonoTableFoldDelta measures protocol step 3 on a dense shard:
-// the atomic fold a fanned-out pass and the inbox use, and the
-// owner-exclusive one a direct pass uses (plain load, fold, store).
+// the fold by slot that the inbox uses (a load, a fold and a store).
 func BenchmarkMonoTableFoldDelta(b *testing.B) {
-	b.Run("atomic", func(b *testing.B) {
-		t := monotable.NewDense(agg.ByKind(agg.Sum), 1<<16, 1, 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t.FoldDelta(int64(i&0xffff), 1)
-		}
-	})
-	b.Run("exclusive", func(b *testing.B) {
-		t := monotable.NewDense(agg.ByKind(agg.Sum), 1<<16, 1, 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t.FoldDeltaOwned(i&0xffff, 1)
-		}
-	})
+	t := monotable.NewDense(agg.ByKind(agg.Sum), 1<<16, 1, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		t.FoldDeltaOwned(i&0xffff, 1)
+	}
 }
 
 // BenchmarkDrainPass measures steps 1-2 (drain + accumulate) over a whole
-// dirty shard of 4096 rows, ns per drained key: through the Table
-// interface by key, as a fanned-out pass and a Sparse shard do it, and by
-// slot with plain loads and stores, as a direct pass over a Dense shard
-// does.
+// dirty shard of 4096 rows, by slot as a pass over a Dense shard does it,
+// ns per drained key.
 func BenchmarkDrainPass(b *testing.B) {
 	const rows = 1 << 12
-	run := func(b *testing.B, drain func(d *monotable.Dense)) {
-		d := monotable.NewDense(agg.ByKind(agg.Min), rows, 1, 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for k := 0; k < rows; k++ {
-				d.FoldDeltaOwned(k, float64(-i))
-			}
-			b.StartTimer()
-			drain(d)
+	d := monotable.NewDense(agg.ByKind(agg.Min), rows, 1, 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < rows; k++ {
+			d.FoldDeltaOwned(k, float64(-i))
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/key")
+		b.StartTimer()
+		d.DrainOwned(func(k int64, v float64) { d.FoldAccOwned(int(k), v) })
 	}
-	b.Run("interface", func(b *testing.B) {
-		run(b, func(d *monotable.Dense) {
-			var t monotable.Table = d
-			t.ScanDirtyRange(0, 1, func(k int64) {
-				if v, ok := t.Drain(k); ok {
-					t.FoldAcc(k, v)
-				}
-			})
-		})
-	})
-	b.Run("owned", func(b *testing.B) {
-		run(b, func(d *monotable.Dense) {
-			d.DrainOwned(func(k int64, v float64) { d.FoldAccOwned(int(k), v) })
-		})
-	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/key")
 }
 
 // BenchmarkPropagate measures the F' row kernel through its per-edge

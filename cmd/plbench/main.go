@@ -26,7 +26,6 @@ func main() {
 	var cfg bench.RunConfig
 	exp := flag.String("exp", "", fmt.Sprintf("experiment id: one of %v, or all", bench.Experiments))
 	flag.IntVar(&cfg.Workers, "workers", 4, "worker shards per engine run")
-	flag.IntVar(&cfg.CoresPerWorker, "cores", 0, "cores a worker may fan a scan pass out to (0 = 1, the paper's one compute thread per worker; the cores experiment sweeps it)")
 	flag.DurationVar(&cfg.MaxWall, "maxwall", 5*time.Minute, "per-run wall-clock cap")
 	flag.IntVar(&cfg.Staleness, "staleness", 0, "MRA+SSP superstep bound (0 = runtime default)")
 	flag.StringVar(&cfg.Faults, "faults", "", `fault-injection spec applied to every run, e.g. "seed=42,sendfail=0.1,stall=5:300us"`)

@@ -166,18 +166,13 @@ type RunConfig struct {
 }
 
 // orDefaults fills the harness's defaults where they differ from the
-// runtime's. One scan core per worker: the paper's worker is one compute
-// thread and one communication thread (§5.3), and Workers × GOMAXPROCS
-// scan goroutines would measure oversubscription, not the mode.
+// runtime's.
 func (c RunConfig) orDefaults() RunConfig {
 	if c.Tau <= 0 {
 		c.Tau = time.Millisecond
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = 2 * time.Millisecond
-	}
-	if c.CoresPerWorker <= 0 {
-		c.CoresPerWorker = 1
 	}
 	return c
 }

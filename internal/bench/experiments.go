@@ -85,8 +85,8 @@ var (
 )
 
 // table is every experiment plbench can regenerate. "ablation", "ssp",
-// "extra", "recovery", "rejoin", "policymetrics" and "cores" are not paper
-// figures: they cover this implementation's own additions.
+// "extra", "recovery", "rejoin" and "policymetrics" are not paper figures:
+// they cover this implementation's own additions.
 var table = []experiment{
 	{id: "table1", run: func(w io.Writer, _ RunConfig) ([]Measurement, error) { return nil, Table1(w) }},
 	{id: "table2", run: func(w io.Writer, _ RunConfig) ([]Measurement, error) { return nil, Table2(w) }},
@@ -150,12 +150,6 @@ var table = []experiment{
 		hists: []string{"flush.size.dst", "barrier.straggler.wait_us"}, grids: []grid{
 			{algos: twoAlgos, datasets: []string{"LiveJ"}, series: allModes},
 		}},
-	// Scaling past GOMAXPROCS is concurrency, not parallelism: rows from a
-	// 1-CPU box show the fan-out's overhead, not a speedup (DESIGN.md §9).
-	{id: "cores", title: "Cores: intra-worker subshard-scan scaling",
-		counters: []string{"scan.steal", "scan.parallel.pass"}, grids: []grid{
-			{algos: twoAlgos, datasets: []string{"LiveJ"}, series: coresSeries(1, 2, 4, 8)},
-		}},
 }
 
 // Experiments lists the regenerable experiment ids.
@@ -179,8 +173,8 @@ func RunExperiment(id string, w io.Writer, cfg RunConfig) ([]Measurement, error)
 			e.edit(&cfg)
 		}
 		if e.title != "" {
-			fmt.Fprintf(w, "%s (workers=%d cores=%d GOMAXPROCS=%d NumCPU=%d smoke=%v)\n", e.title,
-				cfg.Workers, cfg.CoresPerWorker, stdruntime.GOMAXPROCS(0), stdruntime.NumCPU(), cfg.Smoke)
+			fmt.Fprintf(w, "%s (workers=%d GOMAXPROCS=%d NumCPU=%d smoke=%v)\n", e.title,
+				cfg.Workers, stdruntime.GOMAXPROCS(0), stdruntime.NumCPU(), cfg.Smoke)
 		}
 		if e.run != nil {
 			return e.run(w, cfg)
@@ -275,17 +269,6 @@ func vary[T any](s series, name string, set func(*RunConfig, T), vals ...T) []se
 		point := s.with(fmt.Sprintf("%s=%v", name, v), func(c *RunConfig) { set(c, v) })
 		point.base = i == 0
 		out = append(out, point)
-	}
-	return out
-}
-
-// coresSeries sweeps the per-worker scan parallelism (runtime
-// Config.CoresPerWorker) under the two barrier-free modes that fan out.
-func coresSeries(cores ...int) []series {
-	var out []series
-	for _, mode := range []runtime.Mode{runtime.MRAAsync, runtime.MRASyncAsync} {
-		out = append(out, vary(of(mode), mode.String()+" cores",
-			func(c *RunConfig, n int) { c.CoresPerWorker = n }, cores...)...)
 	}
 	return out
 }

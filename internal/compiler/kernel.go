@@ -210,7 +210,7 @@ func (k *Kernel) scratchLen() int { return k.nvars + FillChunk }
 // Fill computes what the expression yields along r's edges lo, lo+1, …
 // — at most FillChunk of them — and returns the values, which live in
 // scratch until the next call. This is the only place an expression
-// meets an edge: one loop per form. A direct pass folds a typed row
+// meets an edge: one loop per form. The compute pass folds a typed row
 // without it (monotable.Sink), from r.S and the weights.
 func (k *Kernel) Fill(scratch []float64, r Row, lo int) []float64 {
 	n := min(FillChunk, len(r.Targets)-lo)

@@ -410,7 +410,7 @@ func TestUnhoistedKernel(t *testing.T) {
 
 // TestKernelClassesBitIdentical: eight compute passes over a real
 // MonoTable shard — drain the dirty keys, fold each into its accumulation,
-// propagate its row chunk by chunk, as coreState.scanSub does — with the
+// propagate its row chunk by chunk, as worker.scanPass does — with the
 // plan's own kernel (PageRank's row-constant loop, Adsorption's hoisted
 // generic one) must leave bitwise the rows the forced fallback leaves.
 // Hoisting and typing change what an edge costs, never a value or the

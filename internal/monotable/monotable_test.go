@@ -4,7 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -168,52 +168,6 @@ func TestNewDensePanics(t *testing.T) {
 	NewDense(agg.ByKind(agg.Sum), 10, 0, 0)
 }
 
-// TestConcurrentProtocol runs the full three-step protocol concurrently:
-// producers fold deltas, a consumer drains and accumulates. The final
-// accumulated total must equal the produced total (sum) — the
-// no-loss/no-duplication invariant of paper Figure 7.
-func TestConcurrentProtocol(t *testing.T) {
-	for name, tb := range tables(agg.ByKind(agg.Sum), 64) {
-		t.Run(name, func(t *testing.T) {
-			const producers = 4
-			const perP = 3000
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					for i := 0; i < perP; i++ {
-						tb.FoldDelta(int64(i%64), 1)
-					}
-				}(p)
-			}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for {
-					tb.ScanDirty(func(k int64) {
-						if v, ok := tb.Drain(k); ok {
-							tb.FoldAcc(k, v)
-						}
-					})
-					total := 0.0
-					tb.Range(func(_ int64, v float64) bool { total += v; return true })
-					if total >= producers*perP {
-						return
-					}
-				}
-			}()
-			wg.Wait()
-			<-done
-			total := 0.0
-			tb.Range(func(_ int64, v float64) bool { total += v; return true })
-			if total != producers*perP {
-				t.Errorf("total = %v, want %v", total, producers*perP)
-			}
-		})
-	}
-}
-
 // TestQuickDrainNeverDuplicates: for min tables, draining after arbitrary
 // fold sequences yields the minimum of the folded values exactly once.
 func TestQuickDrainNeverDuplicates(t *testing.T) {
@@ -300,10 +254,55 @@ func TestMagnitudeFromIdentity(t *testing.T) {
 	}
 }
 
-// TestFoldDeltaOwnedMatchesAtomic: the owner-exclusive fold is the atomic
-// fold minus the atomics — same stored bits, same dirty
-// set — on any value sequence, specials included, and the two may be
-// interleaved on one table by one goroutine.
+// atomicFoldDelta is Dense.FoldDeltaAt as it was while a scan pool could
+// fold into a shard beside its worker — a CAS fold and a CAS on the dirty
+// word — kept as the oracle of the plain fold.
+func atomicFoldDelta(d *Dense, s int, v float64) bool {
+	if !d.op.AtomicFold(&d.inter[s], v) {
+		return false
+	}
+	markDirty(d.dirty, s)
+	return true
+}
+
+func markDirty(dirty []uint32, slot int) {
+	w, b := slot/32, uint32(1)<<(slot%32)
+	for {
+		old := atomic.LoadUint32(&dirty[w])
+		if old&b != 0 {
+			return
+		}
+		if atomic.CompareAndSwapUint32(&dirty[w], old, old|b) {
+			return
+		}
+	}
+}
+
+// atomicScanDrain is ScanDirtyRange(0, 1) + Drain as they were while a
+// scan pool could drain a shard beside its worker — an atomic swap per
+// dirty word and an atomic exchange per row — kept as DrainOwned's oracle.
+func atomicScanDrain(d *Dense, f func(key int64, v float64)) {
+	for w := 0; w < len(d.dirty); w++ {
+		bits := atomic.SwapUint32(&d.dirty[w], 0)
+		for bits != 0 {
+			b := bits & (-bits)
+			bit := trailingZeros32(bits)
+			bits ^= b
+			slot := w*32 + bit
+			if slot < len(d.acc) {
+				k := d.globalKey(slot)
+				v := d.op.AtomicExchangeIdentity(&d.inter[d.slot(k)])
+				if v != d.op.Identity() {
+					f(k, v)
+				}
+			}
+		}
+	}
+}
+
+// TestFoldDeltaOwnedMatchesAtomic: the fold is the atomic fold minus the
+// atomics — same stored bits, same dirty set — on any value sequence,
+// specials included, and the two may be interleaved on one table.
 func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
 	for _, kind := range []agg.Kind{agg.Min, agg.Max, agg.Sum, agg.Count} {
@@ -313,14 +312,13 @@ func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(kind)))
 		for i := 0; i < 5000; i++ {
 			slot := rng.Intn(n / stride)
-			key := int64(offset + slot*stride)
 			v := rng.NormFloat64() * 100
 			if rng.Intn(20) == 0 {
 				v = specials[rng.Intn(len(specials))]
 			}
-			atomicT.FoldDelta(key, v)
+			atomicFoldDelta(atomicT, slot, v)
 			if i%7 == 0 {
-				ownedT.FoldDeltaAt(slot, v) // the regimes alternate on one shard
+				atomicFoldDelta(ownedT, slot, v) // the two alternate on one shard
 			} else {
 				ownedT.FoldDeltaOwned(slot, v)
 			}
@@ -343,10 +341,10 @@ func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
 	}
 }
 
-// TestDrainOwnedMatchesScanDrain: the owner-exclusive drain hands over the
-// rows ScanDirtyRange(0, 1) + Drain does — same keys, same values, same
-// order — and leaves the same table behind. The shard's last dirty word
-// covers slots past its end, and a row erased while dirty is skipped.
+// TestDrainOwnedMatchesScanDrain: the drain hands over the rows the atomic
+// ScanDirtyRange(0, 1) + Drain did — same keys, same values, same order —
+// and leaves the same table behind. The shard's last dirty word covers
+// slots past its end, and a row erased while dirty is skipped.
 func TestDrainOwnedMatchesScanDrain(t *testing.T) {
 	type row struct {
 		k int64
@@ -369,11 +367,7 @@ func TestDrainOwnedMatchesScanDrain(t *testing.T) {
 				markDirty(d.dirty, len(d.dirty)*32-1) // a slot the shard does not have
 			}
 			var want, got []row
-			byKey.ScanDirtyRange(0, 1, func(k int64) {
-				if v, ok := byKey.Drain(k); ok {
-					want = append(want, row{k, math.Float64bits(v)})
-				}
-			})
+			atomicScanDrain(byKey, func(k int64, v float64) { want = append(want, row{k, math.Float64bits(v)}) })
 			owned.DrainOwned(func(k int64, v float64) { got = append(got, row{k, math.Float64bits(v)}) })
 			if !slices.Equal(got, want) {
 				t.Fatalf("%v round %d: DrainOwned gave %d rows, ScanDirtyRange+Drain %d, or they differ", kind, round, len(got), len(want))

@@ -13,7 +13,6 @@ package runtime
 
 import (
 	"fmt"
-	stdruntime "runtime"
 	"time"
 
 	"powerlog/internal/fault"
@@ -67,15 +66,10 @@ type Config struct {
 	// Other modes ignore it.
 	Staleness int
 
-	// CoresPerWorker is the number of goroutines each MRA worker may use
-	// for its scan/fold/emit pass (intra-worker parallelism, DESIGN.md
-	// §9). A pass whose predecessor drained at least 1024 keys splits the
-	// shard into subshards and runs them on a work-stealing pool of this
-	// many cores; a smaller frontier is scanned by the worker's own
-	// goroutine alone, through the same body. Sound for MRA programs by
-	// the P1 property — range folds commute, so any interleaving reaches
-	// the same fixpoint. 1 never fans out; <= 0 selects
-	// min(GOMAXPROCS, 8). Naive mode ignores it.
+	// CoresPerWorker is how many goroutines a worker's compute pass runs
+	// on: one, the paper's compute thread (§5.3), so 0 and 1 are its only
+	// legal values and mean the same. It stays for callers that set it;
+	// on-box parallelism is more workers.
 	CoresPerWorker int
 
 	// CheckInterval is the async master's fallback cadence (default 1ms),
@@ -188,7 +182,7 @@ func (c Config) Validate() error {
 		{"Mode", !modeRegistered(c.Mode), fmt.Sprintf("mode %d has no registered policies", c.Mode)},
 		{"Tau", c.Tau < 0, fmt.Sprintf("negative flush interval %v; use 0 for the default τ", c.Tau)},
 		{"Staleness", c.Staleness < 0, fmt.Sprintf("negative staleness %d; SSP needs a bound >= 0 (0 selects the default)", c.Staleness)},
-		{"CoresPerWorker", c.CoresPerWorker < 0, fmt.Sprintf("negative core count %d; use 0 for the GOMAXPROCS default or a positive count", c.CoresPerWorker)},
+		{"CoresPerWorker", c.CoresPerWorker < 0 || c.CoresPerWorker > 1, fmt.Sprintf("core count %d; a worker computes on one core, so use 0 or 1 (more workers for more cores)", c.CoresPerWorker)},
 		{"CheckInterval", c.CheckInterval < 0, fmt.Sprintf("negative check interval %v; use 0 for the default cadence", c.CheckInterval)},
 		{"CollectTimeout", c.CollectTimeout < 0, fmt.Sprintf("negative collect timeout %v; use 0 for the MaxWall fallback", c.CollectTimeout)},
 		{"MaxWall", c.MaxWall < 0, fmt.Sprintf("negative wall budget %v; use 0 for the default budget", c.MaxWall)},
@@ -210,12 +204,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Staleness <= 0 {
 		c.Staleness = 2
-	}
-	if c.CoresPerWorker <= 0 {
-		c.CoresPerWorker = stdruntime.GOMAXPROCS(0)
-		if c.CoresPerWorker > 8 {
-			c.CoresPerWorker = 8
-		}
 	}
 	if c.CheckInterval <= 0 {
 		c.CheckInterval = time.Millisecond

@@ -99,7 +99,7 @@ func TestMaxWallAbortReturns(t *testing.T) {
 	}
 	// A priority threshold makes every update urgent: one message per KV,
 	// so the first pass alone overruns the stopped peer's inbox.
-	cfg := Config{Workers: 2, CoresPerWorker: 1, MaxWall: time.Millisecond, PriorityThreshold: 1e-7}
+	cfg := Config{Workers: 2, MaxWall: time.Millisecond, PriorityThreshold: 1e-7}
 	reps := 50
 	if testing.Short() {
 		reps = 10

@@ -186,11 +186,8 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	transport.FencePark: {
 		name:   "park",
 		nested: true,
-		commit: func(w *worker, _ transition) {
-			w.resetFrontier() // the session reseeded the shard
-			w.idle = newIdleReports()
-		},
-		held: true,
+		commit: func(w *worker, _ transition) { w.idle = newIdleReports() },
+		held:   true,
 	},
 	// A crash repair (membership.go). The action sends nothing: survivor
 	// replay stays buffered toward the lost slots until the commit (down),
@@ -210,7 +207,6 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		},
 		commit: func(w *worker, _ transition) {
 			w.joinGate = false
-			w.resetFrontier() // rollback / replay rewrote the dirty set
 		},
 		settle: (*master).settleMember,
 	},

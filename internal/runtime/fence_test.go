@@ -80,7 +80,7 @@ func newRig(t *testing.T, n int, absent map[int]bool, filter func(from int) mark
 	db := edb.NewDB()
 	db.SetGraph("edge", gen.Uniform(40, 120, 10, 5))
 	plan := compilePlan(t, progs.SSSP, db)
-	cfg := Config{Workers: n, CoresPerWorker: 1, SnapshotDir: t.TempDir()}.withDefaults()
+	cfg := Config{Workers: n, SnapshotDir: t.TempDir()}.withDefaults()
 	net := transport.NewChannelNetwork(n, 256)
 	r := &fenceRig{t: t, done: make(chan int, n)}
 	r.m = newMaster(cfg, plan, net.Conn(transport.MasterID(n)))

@@ -122,7 +122,7 @@ func (w *worker) resetToSeed() {
 // (Theorem 3), so values the replacement already has simply re-fold.
 func (w *worker) replayForDown() {
 	w.table.Range(func(k int64, acc float64) bool {
-		w.plan.PropagateInto(w.scratch(), k, acc, func(dst int64, v float64) {
+		w.plan.PropagateInto(w.scratch, k, acc, func(dst int64, v float64) {
 			if o := w.owner(dst); o != w.id && w.down(o) {
 				w.bufs[o].add(dst, v)
 			}

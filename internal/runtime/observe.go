@@ -33,18 +33,6 @@ type workerMetrics struct {
 	// a superstep's, the staleness gate's or any other fence's
 	// ("barrier.marker.resend").
 	markerResends *metrics.Counter
-	// steals counts subshard ranges a scan core took from a sibling's
-	// deque ("scan.steal") — how often the work-stealing pool actually
-	// rebalanced a skewed pass (DESIGN.md §9).
-	steals *metrics.Counter
-	// parallelPasses counts scan passes that fanned out over the core
-	// pool ("scan.parallel.pass"); passes below the scanMinKeys gate run
-	// on core 0 alone and are not counted.
-	parallelPasses *metrics.Counter
-	// subPassUS is the per-subshard scan duration histogram in
-	// microseconds ("scan.subshard.pass_us") — the skew the stealing
-	// deque exists to absorb. A pass that does not fan out is not in it.
-	subPassUS *metrics.Histogram
 	// stragglerUS is the per-block straggler-wait histogram in
 	// microseconds ("barrier.straggler.wait_us"), one observation per
 	// SSP gate block.
@@ -54,15 +42,12 @@ type workerMetrics struct {
 func newWorkerMetrics(nw int) workerMetrics {
 	reg := metrics.NewRegistry()
 	m := workerMetrics{
-		reg:            reg,
-		flushSize:      make([]*metrics.Histogram, nw),
-		recvBatches:    reg.Counter("recv.batch"),
-		dupBatches:     reg.Counter("recv.dup.batch"),
-		markerResends:  reg.Counter("barrier.marker.resend"),
-		steals:         reg.Counter("scan.steal"),
-		parallelPasses: reg.Counter("scan.parallel.pass"),
-		subPassUS:      reg.Histogram("scan.subshard.pass_us"),
-		stragglerUS:    reg.Histogram("barrier.straggler.wait_us"),
+		reg:           reg,
+		flushSize:     make([]*metrics.Histogram, nw),
+		recvBatches:   reg.Counter("recv.batch"),
+		dupBatches:    reg.Counter("recv.dup.batch"),
+		markerResends: reg.Counter("barrier.marker.resend"),
+		stragglerUS:   reg.Histogram("barrier.straggler.wait_us"),
 	}
 	for j := range m.flushSize {
 		m.flushSize[j] = reg.Histogram(fmt.Sprintf("flush.size.dst%d", j))

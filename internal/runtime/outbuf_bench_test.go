@@ -13,7 +13,7 @@ import (
 // plperf workloads give it: fold10 is a PageRank superstep's buffer (2100
 // keys of a 4096-slot shard, ten adds each, one flush), eager64 the eager
 // policies' (64 keys, one add each, one flush). Keys arrive by key here;
-// the direct pass reaches the mirror by slot (BenchmarkScanPass).
+// the compute pass reaches the mirror by slot (BenchmarkScanPass).
 func BenchmarkOutBuf(b *testing.B) {
 	const n, stride, offset = 1 << 13, 2, 1
 	op := agg.ByKind(agg.Sum)

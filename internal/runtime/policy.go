@@ -71,7 +71,6 @@ type Scheduler interface {
 	// its leading entries this pass processes. The caller refolds the
 	// rest into the intermediate, where they wait, dirty, for a later
 	// pass: §5.4's unimportant deltas, or a bucket schedule's far keys.
-	// It runs once per subshard, on whichever core scans it.
 	arrange(batch []drained) int
 	// release is asked when a pass propagated nothing and the worker
 	// would otherwise idle; it reports whether a new pass may find work

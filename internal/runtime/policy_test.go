@@ -505,7 +505,7 @@ func TestMirrorMatchesHash(t *testing.T) {
 func TestFlushSplitsAtBatchMax(t *testing.T) {
 	plan := compilePlan(t, progs.SSSP, edgeDB("edge")(gen.RMAT(15, 40000, 10, 3)))
 	w, peers := workerZero(t, plan, Config{
-		Workers: 2, CoresPerWorker: 1, Mode: MRASyncAsync,
+		Workers: 2, Mode: MRASyncAsync,
 		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
 	})
 	const held = 2*batchMax + 100
@@ -560,7 +560,7 @@ func TestPriorityHoldCycle(t *testing.T) {
 		}
 		k := s.arrange(batch)
 		for _, d := range batch[:k] {
-			if agg.Abs(d.val) < s.threshold && !s.off.Load() {
+			if agg.Abs(d.val) < s.threshold && !s.off {
 				t.Errorf("let the small delta %v through", d.val)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
@@ -404,5 +405,45 @@ func TestGraphPartitionCoversAllKeys(t *testing.T) {
 				t.Fatalf("Partition(%d,%d) = %d", k, w, p)
 			}
 		}
+	}
+}
+
+// TestAccSumResyncExact is the satellite regression for the float-drift
+// bug: >1e6 mixed-sign folds next to a 1e15 accumulation round the
+// running accSum in one direction (each small delta loses low bits at
+// ulp 0.125), so the drift grows far past any termination ε. The
+// stats-poll epoch boundary must recompute Σacc exactly.
+func TestAccSumResyncExact(t *testing.T) {
+	db := edb.NewDB()
+	db.SetGraph("edge", gen.RMAT(8, 1200, 0, 17))
+	plan := compilePlan(t, progs.PageRank, db) // sum aggregate, Dense
+	w := standaloneWorker(t, plan, Config{
+		Mode: MRAAsync, Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+	})
+	fold := func(k int64, v float64) {
+		_, change, signed := w.table.FoldAcc(k, v)
+		w.accDelta += change
+		w.accSum += signed
+		w.accFolds++
+	}
+	fold(0, 1e15)
+	for i := 0; i < 600_000; i++ { // 1.2e6 folds > accResyncFolds
+		fold(1, 0.7)
+		fold(1, -0.3)
+	}
+	exact := w.table.Acc(0) + w.table.Acc(1)
+	drift := agg.Abs(w.accSum - exact)
+	if drift < 1 {
+		t.Fatalf("fixture did not drift (%v) — the regression test is vacuous", drift)
+	}
+	if w.accFolds < accResyncFolds {
+		t.Fatalf("accFolds = %d, below the resync threshold %d", w.accFolds, accResyncFolds)
+	}
+	w.replyStats(1) // async epoch boundary: must trigger the exact resync
+	if got := agg.Abs(w.accSum - exact); got >= 1e-6 {
+		t.Fatalf("accSum after resync off by %v (was drifting by %v)", got, drift)
+	}
+	if w.accFolds != 0 {
+		t.Fatalf("accFolds not reset after resync: %d", w.accFolds)
 	}
 }

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"powerlog/internal/agg"
 	"powerlog/internal/compiler"
@@ -35,9 +34,6 @@ func (s fifoSched) String() string            { return "fifo: " + s.why }
 // and holds the rest, which the pass re-folds — they stay dirty, so the
 // table itself tells the idle detector and BSP's Stats.Dirty that work
 // remains, and P1 with Theorem 3 licenses the order.
-//
-// arrange keeps nothing between calls but the held flag, so the cores of
-// a fanned-out pass can each gate their own subshards.
 type bucketSched struct {
 	asc bool // min aggregate: the best value is the smallest
 	// kernel.Step() is the width Δ, read per batch: a session's mutation
@@ -45,7 +41,7 @@ type bucketSched struct {
 	kernel *compiler.Kernel
 	// held: a batch was split since the last productive pass, so a pass
 	// that propagated nothing still left dirty keys behind (release).
-	held atomic.Bool
+	held bool
 
 	// sched.bucket.passes counts the batches gated, sched.bucket.held the
 	// keys sent back to wait — once per batch each.
@@ -60,7 +56,7 @@ func (s *bucketSched) arrange(batch []drained) int {
 	s.passes.Inc()
 	k := partitionNear(batch, s.asc, width)
 	if k < len(batch) {
-		s.held.Store(true)
+		s.held = true
 		s.heldKeys.Add(uint64(len(batch) - k))
 	}
 	return k
@@ -96,11 +92,15 @@ func partitionNear(batch []drained, asc bool, width float64) int {
 // release reports whether the pass that just propagated nothing held keys
 // back: they are dirty in the table, so the worker passes again at once
 // rather than wait out an idle timer on work it already has.
-func (s *bucketSched) release() bool { return s.held.Swap(false) }
+func (s *bucketSched) release() bool {
+	held := s.held
+	s.held = false
+	return held
+}
 
 // rearm follows a productive pass, which is followed by another whatever
 // was held: only what a later, unproductive pass holds matters.
-func (s *bucketSched) rearm() { s.held.Store(false) }
+func (s *bucketSched) rearm() { s.held = false }
 
 // holding is false: the held keys are dirty rows, which pending() sees.
 func (*bucketSched) holding() bool { return false }
@@ -116,15 +116,11 @@ func (s *bucketSched) String() string {
 // the local intermediate, accumulating until the worker would otherwise
 // idle; release then lets one pass run unthrottled, and the next
 // productive pass rearms the hold.
-// Its arrange runs inside the scan pass, which may fan out over the
-// per-core subshard pool (subshard.go), so the two flags are atomic:
-// several cores can park deltas concurrently while the owner reads the
-// flags at pass boundaries.
 type priorityHold struct {
 	inner     Scheduler
 	threshold float64
-	off       atomic.Bool // released: let small deltas through
-	held      atomic.Bool // at least one delta is waiting locally
+	off       bool // released: let small deltas through
+	held      bool // at least one delta is waiting locally
 
 	// Per-decision observability (DESIGN.md §8): sched.hold counts
 	// deltas parked below the threshold, sched.release counts the
@@ -138,7 +134,7 @@ type priorityHold struct {
 // as pending work forever.
 func (s *priorityHold) arrange(batch []drained) int {
 	n := s.inner.arrange(batch)
-	if s.off.Load() {
+	if s.off {
 		return n
 	}
 	k := 0
@@ -149,7 +145,7 @@ func (s *priorityHold) arrange(batch []drained) int {
 		}
 	}
 	if k < n {
-		s.held.Store(true)
+		s.held = true
 		s.holds.Add(uint64(n - k))
 	}
 	return k
@@ -158,14 +154,13 @@ func (s *priorityHold) arrange(batch []drained) int {
 func (s *priorityHold) String() string { return s.inner.String() }
 
 func (s *priorityHold) release() bool {
-	if !s.held.Load() {
+	if !s.held {
 		return false
 	}
-	s.off.Store(true)
-	s.held.Store(false)
+	s.off, s.held = true, false
 	s.releases.Inc()
 	return true
 }
 
-func (s *priorityHold) rearm()        { s.off.Store(false) }
-func (s *priorityHold) holding() bool { return s.held.Load() }
+func (s *priorityHold) rearm()        { s.off = false }
+func (s *priorityHold) holding() bool { return s.held }

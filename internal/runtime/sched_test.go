@@ -23,7 +23,7 @@ import (
 // runFIFO runs f with mode's schedule forced to FIFO: what a selective
 // v + w plan drained under before it drew the bucket scheduler, and the
 // baseline it is measured against. It swaps the mode's factory, which is
-// package state like scanMinKeys: not from a parallel test.
+// package state: not from a parallel test.
 func runFIFO(mode Mode, f func()) {
 	factory := modeFactories[mode]
 	defer func() { modeFactories[mode] = factory }()
@@ -283,23 +283,6 @@ func TestBucketSchedEpsilonFollowsPremise(t *testing.T) {
 	}
 }
 
-// TestBucketSchedFanOut gates per subshard on the cores of a fanned-out
-// pass (CoresPerWorker = 4, fan-out forced): arrange keeps nothing
-// between calls but an atomic flag, which -race checks.
-func TestBucketSchedFanOut(t *testing.T) {
-	for _, tc := range bucketCases(t) {
-		for _, mode := range []Mode{MRASync, MRASyncAsync, MRASSP} {
-			label := fmt.Sprintf("%s/%v", tc.name, mode)
-			plan := compilePlan(t, tc.src, edgeDB("edge")(tc.g))
-			res := runModeCores(t, plan, mode, 2, 4)
-			checkBucketRun(t, label, tc, res)
-			if parallelPasses(res) == 0 {
-				t.Errorf("%s: no pass fanned out", label)
-			}
-		}
-	}
-}
-
 // TestBucketSchedReducesRelaxations is the scheduler's point, on plperf's
 // sssp-chain graph under BSP, where the counts repeat exactly: at most a
 // fifth of the FIFO run's updates cross workers, in about as many rounds.
@@ -307,7 +290,7 @@ func TestBucketSchedReducesRelaxations(t *testing.T) {
 	g := gen.LocalChain(8000, 4, 40, 100, 1)
 	run := func() *Result {
 		plan := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
-		res, err := Run(plan, Config{Workers: 2, CoresPerWorker: 1, Mode: MRASync, MaxWall: 30 * time.Second})
+		res, err := Run(plan, Config{Workers: 2, Mode: MRASync, MaxWall: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +328,7 @@ func TestBucketSchedNoIdleStall(t *testing.T) {
 			g := gen.LocalChain(64, 2, 8, 100, 1)
 			plan := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
 			w, _ := workerZero(t, plan, Config{
-				Workers: 2, CoresPerWorker: 1, Mode: mode, Staleness: 1 << 20,
+				Workers: 2, Mode: mode, Staleness: 1 << 20,
 				Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
 			})
 			// Key 2 already holds a better value than its delta, so folding

@@ -32,12 +32,11 @@ func BenchmarkSessionApply(b *testing.B) {
 			n := g.NumVertices()
 			edges := g.Edges()
 			s, err := Open(compilePlan(b, progs.SSSP, edgeDB("edge")(g)), Config{
-				Workers:        2,
-				CoresPerWorker: 1,
-				Mode:           MRASyncAsync,
-				Tau:            time.Millisecond,
-				CheckInterval:  2 * time.Millisecond,
-				MaxWall:        time.Minute,
+				Workers:       2,
+				Mode:          MRASyncAsync,
+				Tau:           time.Millisecond,
+				CheckInterval: 2 * time.Millisecond,
+				MaxWall:       time.Minute,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -374,16 +374,16 @@ func TestSessionWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSessionCoresPerWorker re-fixpoints with the intra-worker parallel
-// scan forced on (forceFanOut: even tiny frontiers fan out).
+// TestSessionCoresPerWorker re-fixpoints a session opened with
+// CoresPerWorker = 1, the one legal value besides 0, as callers that set
+// the field (plperf) open theirs.
 func TestSessionCoresPerWorker(t *testing.T) {
 	p := sessionProgs[0] // SSSP
 	g := p.g()
 	n := g.NumVertices()
 	edges := append([]graph.Edge(nil), g.Edges()...)
 	cfg := sessCfg(MRASyncAsync)
-	cfg.CoresPerWorker = 4
-	forceFanOut(t)
+	cfg.CoresPerWorker = 1
 	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -629,6 +629,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{Config{Staleness: -1}, "Staleness"},
 		{Config{CoresPerWorker: -2}, "CoresPerWorker"},
+		{Config{CoresPerWorker: 2}, "CoresPerWorker"},
 		{Config{CollectTimeout: -time.Millisecond}, "CollectTimeout"},
 		{Config{MaxWall: -time.Minute}, "MaxWall"},
 		{Config{Workers: -3}, "Workers"},
@@ -646,6 +647,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+	if err := (Config{CoresPerWorker: 1}).Validate(); err != nil {
+		t.Errorf("CoresPerWorker 1, a worker's one core, rejected: %v", err)
 	}
 	if err := (Config{PriorityThreshold: -1}).Validate(); err != nil {
 		t.Errorf("negative PriorityThreshold is the documented disable, got %v", err)

@@ -66,10 +66,9 @@ func TestTermIdleReportRationing(t *testing.T) {
 	g := gen.Uniform(20, 60, 10, 3)
 	plan := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
 	net := transport.NewChannelNetwork(1, 256)
-	cfg := Config{Workers: 1, Mode: MRAAsync, CoresPerWorker: 1, Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour}
+	cfg := Config{Workers: 1, Mode: MRAAsync, Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour}
 	w := newWorker(0, cfg.withDefaults(), plan, net.Conn(0))
 	defer func() {
-		w.scan.close()
 		close(w.out)
 		close(w.outCtrl)
 		<-w.commDone
@@ -132,7 +131,7 @@ func TestTermIdleReportRationing(t *testing.T) {
 func TestTermControlTrafficIsNotProgress(t *testing.T) {
 	g := gen.Uniform(20, 60, 10, 3)
 	w := standaloneWorker(t, compilePlan(t, progs.SSSP, edgeDB("edge")(g)),
-		Config{Mode: MRASSP, CoresPerWorker: 1, Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour})
+		Config{Mode: MRASSP, Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour})
 	send := func(m transport.Message) {
 		t.Helper()
 		if err := w.conn.Send(0, m); err != nil {

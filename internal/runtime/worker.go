@@ -48,7 +48,7 @@ type worker struct {
 	lastFlush []time.Time
 	win       window // traffic window ΔT driving FlushPolicy adaptation
 
-	// sink is where a direct pass over a Dense shard folds its rows
+	// sink is where a pass over a Dense shard folds its rows
 	// (sinkOwned): the static route, every destination's column, and the
 	// FlushPolicy's limits and urgency as readLimits publishes them, which
 	// worker.buffer reads too. Its Counts are win.counts.
@@ -79,20 +79,24 @@ type worker struct {
 
 	idle idleReports // unsolicited-report state of this fixpoint (reportIdle)
 
-	// scan is the worker's scan cores (subshard.go). Core 0 is this
-	// compute goroutine and runs every pass; cores 1..P-1 exist only when
-	// CoresPerWorker > 1 in an MRA mode and join passes over a large
-	// frontier.
-	scan *scanPool
+	// The compute pass's reused working set (scan.go): the drained
+	// snapshot, the kernel's scratch (expression slots and the chunk of
+	// row values between Fill and the sink), and the callbacks that drain
+	// one row into drainBuf — takeFn as Dense.DrainOwned hands it over,
+	// drainFn by key from ScanDirty.
+	drainBuf []drained
+	scratch  []float64
+	takeFn   func(int64, float64)
+	drainFn  func(int64)
 
 	// stopping is the worker's one stop signal (stop, halted): the master
 	// said Stop, the inbox closed, the send path died, the session is
 	// joining the fleet, or the injector killed the worker. Every place
 	// either goroutine of the worker can block — enqueue, the comm loop's
-	// back-off and retry, await under foldUntil, the scan pool's deal —
-	// reads it and gives up, dropping what it was sending: peers that left
-	// their run loop no longer drain their inboxes, and the run's outcome
-	// no longer depends on the message.
+	// back-off and retry, await under foldUntil — reads it and gives up,
+	// dropping what it was sending: peers that left their run loop no
+	// longer drain their inboxes, and the run's outcome no longer depends
+	// on the message.
 	stopping atomic.Bool
 
 	// fences is this worker's view of each fence class (fence.go): what
@@ -222,11 +226,13 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 		w.lastFlush[j] = now
 	}
 	w.readLimits()
-	cores := cfg.CoresPerWorker
-	if !cfg.Mode.MRA() {
-		cores = 1 // naive re-derivation has no dirty-set scan to fan out
+	w.scratch = plan.NewScratch()
+	w.takeFn = func(k int64, v float64) { w.drainBuf = append(w.drainBuf, drained{k, v}) }
+	w.drainFn = func(k int64) {
+		if v, ok := w.table.Drain(k); ok {
+			w.takeFn(k, v)
+		}
 	}
-	w.scan = newScanPool(w, cores)
 	go w.commLoop()
 	return w
 }
@@ -458,8 +464,8 @@ func (w *worker) handle(m transport.Message) {
 		}
 		n := int64(len(m.KVs))
 		if dense, ok := w.apply.(*monotable.Dense); ok {
-			// No scan core runs while this goroutine handles a message
-			// (DESIGN.md §9), so the fold is the owner's, by slot.
+			// This goroutine is the shard's only accessor (DESIGN.md §9):
+			// the fold is the owner's, by slot.
 			for _, kv := range m.KVs {
 				slot, _ := w.sink.Route.Split(int32(kv.K))
 				dense.FoldDeltaOwned(slot, kv.V)
@@ -585,7 +591,6 @@ func (w *worker) reportIdle() {
 }
 
 func (w *worker) replyStats(round int) {
-	w.settle()
 	if w.accFolds >= accResyncFolds {
 		// A stats poll is the async family's epoch boundary: fold the
 		// exact Σacc back in before the master reads it.
@@ -748,12 +753,10 @@ func (w *worker) drainInbox() bool {
 // shard.
 func (w *worker) run() {
 	defer func() {
-		w.scan.close()
 		close(w.out)
 		close(w.outCtrl)
 		<-w.commDone
 	}()
-	w.resetFrontier() // a big seed fans out on the first pass
 	if w.joinGate {
 		// Spawned into a running fixpoint as a crash replacement: hold
 		// the compute loop until the admission fence Releases — at which
@@ -812,7 +815,7 @@ func (w *worker) shouldPropagate(improved bool, tmp float64) bool {
 // batchMax caps the KVs in one message: outBuf.take hands out no more.
 const batchMax = 4096
 
-// emit is the sink of a direct pass over a Sparse shard, and naive mode's:
+// emit is the sink of a pass over a Sparse shard, and naive mode's:
 // local keys fold straight into the table (they join the next pass via the
 // dirty set), remote keys are counted into the β window and buffered.
 func (w *worker) emit(dst int64, v float64) {
@@ -827,9 +830,8 @@ func (w *worker) emit(dst int64, v float64) {
 
 // buffer folds one update for a key owned by worker o into o's buffer
 // and flushes it when the buffer has reached its limit or the update is
-// urgent. Every remote update passes through here once — straight from
-// emit, or at the merge after a fanned-out pass (subshard.go) — except in
-// a direct pass over a Dense shard, whose sink does the same by slot.
+// urgent. Every remote update passes through here once, from emit —
+// except in a pass over a Dense shard, whose sink does the same by slot.
 func (w *worker) buffer(o int, dst int64, v float64) {
 	b := w.bufs[o]
 	b.add(dst, v)
