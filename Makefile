@@ -46,7 +46,7 @@ test-cpu1:
 
 SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
-TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence
+TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence TestStepGateReadsReportForS TestMasterKeepsLaterStepAcks TestStepVerdictsAgree TestChaosNaiveSync
 TERM_PKGS = ./internal/term ./internal/runtime
 
 # alternation turns a list of names into a -run regexp.

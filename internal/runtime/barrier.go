@@ -2,76 +2,161 @@ package runtime
 
 import (
 	stdruntime "runtime"
+	"slices"
 	"time"
 
 	"powerlog/internal/fault"
+	"powerlog/internal/term"
 	"powerlog/internal/transport"
 )
 
 // BarrierPolicy implementations (§5.2): the synchronisation protocol
 // bracketing each pass of the unified compute loop.
 
-// bspBarrier runs bulk-synchronous supersteps. A superstep ends in a
-// fence of class FenceStep (fence.go) that the worker opens itself:
-// flush everything, mark, fold until every peer's mark for the superstep
-// is in, report the superstep at the cut (endStep), and wait for the
-// master's release — or for a Stop, or a park request, which ends the
-// fixpoint instead. In naive mode each superstep recomputes the full
-// result from the previous one (Equation 2); otherwise it is MRA
-// semi-naive evaluation (Equation 4) under a barrier.
-type bspBarrier struct{}
+// bspBarrier runs bulk-synchronous supersteps: the SSP gate (ssp.go) at
+// staleness 0, where every worker judges each superstep itself. At its
+// pass end a worker flushes, marks superstep s to every peer (the step
+// fence, class FenceStep) and sends its report for s to the master. The
+// peers get the report too: on the mark when the pass end has it, on a
+// FenceAck sent at the cut when the report or a checkpoint needs every
+// peer's data (reportsAtCut). Once it holds all W reports for s the
+// worker asks its term.Barrier for the verdict the master reaches from
+// the same reports: on None it starts the next superstep at once; on a
+// stop it waits for the master's Stop or park request. Nobody releases a
+// superstep. In naive mode each superstep recomputes the full result from
+// the previous one (Equation 2); otherwise it is MRA semi-naive
+// evaluation (Equation 4) under a barrier.
+type bspBarrier struct {
+	sentAt int64 // w.sent when the superstep began
+}
 
-func (bspBarrier) setup(w *worker) {
+func (*bspBarrier) setup(w *worker) {
+	w.early = []transport.Message{} // non-nil: hold early peer data (worker.handle)
 	if !w.cfg.Mode.MRA() {
 		// The table being built this round; incoming Data always lands
-		// in the freshest next (created *before* acking the superstep so
-		// that faster peers' next-round data cannot be stranded).
+		// in the freshest next (created *before* reporting the superstep
+		// so that faster peers' next-round data cannot be stranded).
 		w.next = w.newTable()
 		w.apply = w.next
 	}
 }
 
-func (bspBarrier) beginPass(w *worker) bool {
+func (*bspBarrier) beginPass(w *worker) bool {
 	w.rounds++
 	return false
 }
 
-// endPass opens the superstep's fence. Both sides count supersteps (the
-// worker's rounds, the master's gRound), so unlike every other class it
-// needs no request: one would cost a message per superstep.
-func (bspBarrier) endPass(w *worker, _ bool) bool {
-	w.fences[transport.FenceStep].req = transition{class: transport.FenceStep, epoch: w.rounds}
-	return w.fence(transport.FenceStep)
+// endPass ends superstep s = w.rounds. Both sides count supersteps (the
+// worker's rounds, the master's gRound), so nobody requests the fence.
+func (b *bspBarrier) endPass(w *worker, _ bool) bool {
+	s := w.rounds
+	// The pass has drained: what peers sent in superstep s may fold now.
+	w.receive(w.early...)
+	w.early = w.early[:0]
+	w.flushAll()
+	// An MRA report is whole at the pass end: accDelta moves only in the
+	// pass's FoldAcc, and what a peer sends from here on only dirties
+	// Intermediate — and made the peer's own report dirty. A naive report
+	// is made at the cut.
+	rep := transport.Stats{AccDelta: w.accDelta, Dirty: w.table.HasDirty() || w.sent > b.sentAt}
+	w.accDelta, b.sentAt = 0, w.sent
+	w.steps.observe(w.id, s, rep)
+	w.stepMark(s)
+	resend := func() { w.stepMark(s - 1); w.stepMark(s) }
+	ack := transport.Message{Kind: transport.FenceAck, Fence: transport.FenceStep, Round: s, Stats: rep}
+	if w.reportsAtCut(s) {
+		w.awaitPeers(func() bool { return w.fences[transport.FenceStep].marks.min(w.peerSkip) >= s }, resend)
+		if w.halted() {
+			return false
+		}
+		// The cut: every peer's data for s has been folded.
+		if w.cfg.Mode.MRA() {
+			_ = w.snapshot(s, true) // best-effort: the run itself must not fail
+		} else {
+			ack.Stats.AccDelta, ack.Stats.Dirty = w.naiveFinish()
+			w.next = w.newTable()
+			w.apply = w.next
+			w.steps.observe(w.id, s, ack.Stats)
+		}
+		w.eachPeer(func(j int) { w.enqueue(j, ack) })
+	}
+	w.enqueue(w.master, ack)
+	// The gate: every slot's report for s, not merely its mark.
+	w.awaitPeers(func() bool { return !slices.ContainsFunc(w.steps[s&1], func(r stepReport) bool { return r.s != s }) }, resend)
+	if w.halted() || w.fencePending(transport.FencePark) {
+		return !w.halted()
+	}
+	if w.accFolds >= accResyncFolds {
+		// A barrier is an epoch boundary: replace the drifting running
+		// Σacc with the exact table sum (worker.resyncAccSum) before it
+		// feeds another million folds.
+		w.resyncAccSum()
+	}
+	fleet := fleetReport(w.steps[s&1])
+	c := w.bar.Round(s-w.barFrom, fleet.AccDelta, fleet.Dirty)
+	onVerdict(w.id, s-w.barFrom, fleet, c)
+	// On a stop the master, judging the same reports, stops or parks the
+	// fleet. Keep re-marking meanwhile: a peer whose view of this mark was
+	// lost is still at the gate.
+	return c == term.None || w.foldUntil(func() bool { return w.fencePending(transport.FencePark) }, resend)
 }
 
-// endStep is the step fence's action at the cut: every peer's data for
-// the superstep has been folded, so this is the superstep's report. A
-// BSP cut is a consistent one, which is also where MRA runs write their
-// periodic checkpoint.
-func (w *worker) endStep(t transition) transport.Stats {
-	var stats transport.Stats
-	if !w.cfg.Mode.MRA() {
-		stats.AccDelta, stats.Dirty = w.naiveFinish()
-		w.next = w.newTable()
-		w.apply = w.next
-	} else {
-		if w.accFolds >= accResyncFolds {
-			// A barrier is an epoch boundary: replace the drifting
-			// running Σacc with the exact table sum (worker.resyncAccSum)
-			// before it feeds another million folds.
-			w.resyncAccSum()
-		}
-		stats.AccDelta = w.accDelta
-		w.accDelta = 0
-		stats.Dirty = w.table.HasDirty()
-		if w.cfg.SnapshotDir != "" && w.cfg.SnapshotEvery > 0 && t.epoch%w.cfg.SnapshotEvery == 0 {
-			// Fault tolerance is best-effort; the run itself must not fail.
-			_ = w.snapshot(t.epoch, true)
-		}
-	}
-	stats.Sent, stats.Recv = w.sent, w.recv
-	return stats
+// reportsAtCut reports whether superstep s's report travels to the peers
+// on a FenceAck sent at the cut instead of on the mark: naive mode's
+// report (naiveFinish) needs every peer's data, and a checkpoint's cut
+// must come before any peer starts superstep s+1 — at staleness 0 a peer
+// holding every mark may otherwise send s+1's data ahead of a lost mark.
+// Sender and receivers decide alike, from the fleet's Config.
+func (w *worker) reportsAtCut(s int) bool {
+	return !w.cfg.Mode.MRA() || w.cfg.SnapshotDir != "" && w.cfg.SnapshotEvery > 0 && s%w.cfg.SnapshotEvery == 0
 }
+
+// stepMark sends the peers this worker's mark for superstep s, with its
+// report for s: a BSP worker records its own before it marks (SSP, which
+// records none, sends zeros).
+func (w *worker) stepMark(s int) {
+	m := transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: s, Stats: w.steps[s&1][w.id].st}
+	w.eachPeer(func(j int) { w.enqueue(j, m) })
+}
+
+// stepReports holds every slot's superstep report for the last two
+// supersteps, by parity. A worker at gate s reads s's reports, and a peer
+// that passed gate s first may already have sent s+1's — never s+2's,
+// which waits for this worker's mark for s+1. A mark for s+1 that
+// overtakes a lost one for s moves the marker clock past s, but only s's
+// own (re-sent) mark carries s's report, so the sender re-sends both
+// (bspBarrier.endPass). The master keeps the acks it collects in one
+// too; acks that run further ahead wait in master.later.
+type stepReports [2][]stepReport
+
+// stepReport is one slot's report for superstep s.
+type stepReport struct {
+	s  int
+	st transport.Stats
+}
+
+// observe keeps slot's report for superstep s unless it holds a later one: a
+// BSP worker's naive report, made at its cut, replaces the one it marked.
+func (r stepReports) observe(slot, s int, st transport.Stats) {
+	if rs := r[s&1]; slot >= 0 && slot < len(rs) && s >= rs[slot].s {
+		rs[slot] = stepReport{s, st}
+	}
+}
+
+// fleetReport sums a superstep's W reports in slot order: the master and
+// every worker add the same floats in the same order, so each judges the
+// same bits.
+func fleetReport(reps []stepReport) (sum transport.Stats) {
+	for _, rep := range reps {
+		sum.AccDelta, sum.Dirty = sum.AccDelta+rep.st.AccDelta, sum.Dirty || rep.st.Dirty
+	}
+	return sum
+}
+
+// onVerdict sees every superstep verdict — who judged (a worker's slot,
+// or the master's transport id), the superstep within the fixpoint, the
+// fleet report judged, and the cause — for tests.
+var onVerdict = func(who, round int, fleet transport.Stats, c term.Cause) {}
 
 // freeRun is the barrier-free policy shared by MRAAsync, MRASyncAsync,
 // and MRAAAP: drain the inbox before each pass, flush per the mode's

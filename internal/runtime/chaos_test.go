@@ -321,6 +321,32 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
+// TestChaosNaiveSync: Naive+Sync, which chaosModes leaves out, reports a
+// superstep on a FenceAck to its peers sent at the cut rather than on its
+// mark. A lost or late mark must still heal by resend and every worker
+// still judge each superstep with the fleet's reports.
+func TestChaosNaiveSync(t *testing.T) {
+	for _, algo := range chaosAlgos() {
+		if algo.name != "pagerank" {
+			continue
+		}
+		for _, class := range chaosClasses(false)[1:3] { // dropend, flaky
+			t.Run(class.name, func(t *testing.T) {
+				db := edb.NewDB()
+				algo.setup(db)
+				res, err := chaosRun(t, compilePlan(t, algo.src, db), NaiveSync, class.spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Converged {
+					t.Fatalf("did not converge under %q (rounds=%d)", class.spec, res.Rounds)
+				}
+				algo.check(t, NaiveSync, res.Values)
+			})
+		}
+	}
+}
+
 // TestChaosCrashRestore is the crash/restore drill in every mode, on one
 // selective algorithm (SSSP — local stale snapshots in async/SSP modes)
 // and one combining algorithm (PageRank — barrier cuts in BSP, marker
@@ -524,8 +550,8 @@ func TestTornSnapshotRefusedOnRestore(t *testing.T) {
 // deadline instead of hanging until MaxWall (the PR-4 follow-up). One
 // live responder keeps the protocol moving so the timeout isolates the
 // dead peer, not a stalled fleet: worker 0 answers every StatsRequest
-// and every superstep's release with a dirty report, worker 1 stays
-// silent.
+// with a dirty report and reports a dirty first superstep, worker 1
+// stays silent.
 func TestMasterDetectsLostWorker(t *testing.T) {
 	g := gen.Uniform(100, 600, 10, 91)
 	db := edb.NewDB()
@@ -539,13 +565,10 @@ func TestMasterDetectsLostWorker(t *testing.T) {
 			masterConn := net.Conn(transport.MasterID(2))
 			stop := make(chan struct{})
 			defer close(stop)
-			endStep := func(round int) {
-				_ = responder.Send(transport.MasterID(2), transport.Message{Kind: transport.FenceAck,
-					Fence: transport.FenceStep, Round: round, Stats: transport.Stats{Dirty: true, AccDelta: 1}})
-			}
 			go func() {
 				if modeBarriered[mode] {
-					endStep(1)
+					_ = responder.Send(transport.MasterID(2), transport.Message{Kind: transport.FenceAck,
+						Fence: transport.FenceStep, Round: 1, Stats: transport.Stats{Dirty: true, AccDelta: 1}})
 				}
 				for {
 					var m transport.Message
@@ -564,8 +587,6 @@ func TestMasterDetectsLostWorker(t *testing.T) {
 							Kind: transport.StatsReply, Round: m.Round,
 							Stats: transport.Stats{Dirty: true, Sent: 1},
 						})
-					case transport.FenceRelease:
-						endStep(m.Round + 1)
 					case transport.Stop:
 						return
 					default:

@@ -288,8 +288,9 @@ type WorkerStats struct {
 	// Beta samples the mean adaptive buffer size β(i,·) once per
 	// adaptation window (unified mode with combining aggregates only).
 	Beta []float64
-	// StragglerWait is the total time an MRASSP worker spent blocked at
-	// the staleness gate waiting for slower peers.
+	// StragglerWait is the total time the worker spent blocked at the
+	// step gate waiting for slower peers: MRASSP's staleness gate, and a
+	// BSP mode's gate at staleness 0.
 	StragglerWait time.Duration
 	// Metrics is the worker's full per-policy metric snapshot (DESIGN.md
 	// §8): hold/release cycles, bucket-schedule gates, per-destination

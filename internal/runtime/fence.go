@@ -22,13 +22,15 @@ import (
 //	→ FenceAck to the master, carrying what the action reported
 //	→ fold until FenceRelease, then commit.
 //
-// The end of a BSP superstep, snapshot episodes, session parking and
-// crash re-join are four fenceSpecs of that loop. They differ in whose
-// marks the cut waits for, what runs at the cut, and what the master does
-// when a collect falls short and after it releases. The master's half is
-// one function, drive: it sends a transition's FenceRequest, collects the
-// acks and releases — except for the superstep, which each worker opens
-// itself and runBSP collects and releases.
+// Snapshot episodes, session parking and crash re-join are three
+// fenceSpecs of that loop. They differ in whose marks the cut waits for,
+// what runs at the cut, and what the master does when a collect falls
+// short and after it releases. The master's half is one function, drive:
+// it sends a transition's FenceRequest, collects the acks and releases.
+// The fourth class, the end of a BSP superstep, is the same cut with no
+// request and no release (barrier.go): each worker opens it itself, its
+// marks carry the superstep's report, every worker judges the superstep
+// once it holds the fleet's reports, and runBSP only collects the acks.
 
 // maxSteps is the "nothing to wait for" value a marker-clock minimum
 // returns when no peer remains to wait on.
@@ -79,9 +81,8 @@ func (c markClock) resetUpTo(peer, stamp int) {
 
 // transition is one epoch transition: a fence of one class and what the
 // fleet does inside it. The master builds it and drive runs it; a worker
-// keeps the newest one of each class the master has requested — or, for
-// a superstep, it opened itself (fenceState.req) — and runs its half in
-// fence.
+// keeps the newest one of each class the master has requested
+// (fenceState.req) and runs its half in fence.
 type transition struct {
 	class transport.FenceClass
 	epoch int // the fence's number within its class: its Round
@@ -122,7 +123,7 @@ func (t transition) renews(j int) bool { return slices.Contains(t.down, j) }
 
 // fenceState is a worker's view of one fence class.
 type fenceState struct {
-	req      transition // the highest-epoch request the master has sent (step: opened)
+	req      transition // the highest-epoch request the master has sent
 	done     int        // highest epoch this worker has finished
 	released int        // highest epoch the master has released
 	marks    markClock  // per-peer FenceMark stamps
@@ -146,10 +147,6 @@ type fenceSpec struct {
 	// nested joins snapshot and membership fences while this one waits
 	// for its release.
 	nested bool
-	// yields ends the wait for the release when a park is requested: the
-	// master parks the fleet at the last superstep instead of releasing
-	// it, and the next superstep opens the next epoch.
-	yields bool
 	// commit runs after the release, before the worker resumes.
 	commit func(w *worker, t transition)
 
@@ -210,16 +207,8 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 		},
 		settle: (*master).settleMember,
 	},
-	// The end of a BSP superstep (barrier.go), opened by each worker at
-	// its pass end. Its action is the superstep's report, which the acks
-	// carry to runBSP; the master releases the fleet into the next
-	// superstep, stops it, or parks it — and a park request ends the wait
-	// for a release that will not come.
-	transport.FenceStep: {
-		name:   "step",
-		atCut:  (*worker).endStep,
-		yields: true,
-	},
+	// The end of a BSP superstep never runs through fence: its gate and its
+	// work at the cut are bspBarrier's.
 }
 
 // foldUntil folds the inbox until done reports true, calling onIdle
@@ -245,7 +234,7 @@ func (w *worker) fencePending(c transport.FenceClass) bool {
 
 // joinFences joins a requested snapshot or membership fence. It is
 // called only where no pass is half-scanned and the buffers are
-// flushable: pass boundaries, the SSP gate, and the parked wait.
+// flushable: pass boundaries, the step gate, and the parked wait.
 func (w *worker) joinFences() {
 	for _, c := range [...]transport.FenceClass{transport.FenceSnapshot, transport.FenceMember} {
 		if w.fencePending(c) && !w.halted() {
@@ -294,7 +283,7 @@ func (w *worker) fence(c transport.FenceClass) bool {
 		if s.nested {
 			w.joinFences()
 		}
-		return f.released >= e || s.yields && w.fencePending(transport.FencePark)
+		return f.released >= e
 	}
 	if !w.foldUntil(released, mark) {
 		return false
@@ -304,11 +293,6 @@ func (w *worker) fence(c transport.FenceClass) bool {
 		s.commit(w, t)
 	}
 	return !w.halted()
-}
-
-// transition opens the next fence of class c.
-func (m *master) transition(c transport.FenceClass, epoch int) transition {
-	return transition{class: c, epoch: epoch}
 }
 
 // drive runs one transition's master half: it sends the FenceRequest to
@@ -324,7 +308,7 @@ func (m *master) drive(t transition, decided time.Time) bool {
 	s := &fenceSpecs[t.class]
 	m.bcast(t.request())
 	need := m.nw
-	got, _, open := m.collectAcks(t.class, t.epoch, need, m.fenceTimeout(), false)
+	got, open := m.collectAcks(t.class, t.epoch, need, m.fenceTimeout(), false)
 	if !open {
 		return false
 	}
@@ -363,29 +347,40 @@ func (m *master) fenceTimeout() time.Duration {
 
 // collectAcks folds the master's inbox until need FenceAcks for fence
 // (c, epoch) have arrived or the wait runs out — wait from now, or, with
-// perAck, from the last ack — and returns how many did and what they
-// reported (AccDelta summed, Dirty or-ed); open is false if the network
-// closed underneath. Anything else that arrives (late stats replies)
-// describes the world before the cut and is dropped — the poll loop
-// starts afresh after the release.
-func (m *master) collectAcks(c transport.FenceClass, epoch, need int, wait time.Duration, perAck bool) (got int, sum transport.Stats, open bool) {
+// perAck, from the last ack — and returns how many did, each ack's report
+// in m.acks; open is false if the network closed underneath. An
+// ack for a later fence of the class is kept for the collect it belongs
+// to: a BSP worker starts superstep s+1 as soon as it holds its peers'
+// reports for s, and nothing bounds how far its acks may overtake a slow
+// peer's. Anything else that arrives (late stats replies) describes the
+// world before the cut and is dropped — the poll loop starts afresh after
+// the release.
+func (m *master) collectAcks(c transport.FenceClass, epoch, need int, wait time.Duration, perAck bool) (got int, open bool) {
 	deadline := time.Now().Add(wait)
+	// Kept acks are filtered in place: one lands at or below the one read.
+	held := m.later
+	m.later = m.later[:0]
 	for got < need {
-		msg, ok, timedOut := m.recvWithin(time.Until(deadline))
-		if !ok {
-			return got, sum, false
-		}
-		if timedOut {
+		msg, ok, timedOut := transport.Message{}, true, false
+		if len(held) > 0 {
+			msg, held = held[0], held[1:]
+		} else if msg, ok, timedOut = m.recvWithin(time.Until(deadline)); !ok {
+			return got, false
+		} else if timedOut {
 			break
 		}
-		if msg.Kind == transport.FenceAck && msg.Fence == c && msg.Round == epoch {
+		switch {
+		case msg.Kind != transport.FenceAck || msg.Fence != c || msg.Round < epoch:
+		case msg.Round > epoch:
+			m.later = append(m.later, msg)
+		default:
 			got++
-			sum.AccDelta += msg.Stats.AccDelta
-			sum.Dirty = sum.Dirty || msg.Stats.Dirty
+			m.acks.observe(msg.From, msg.Round, msg.Stats)
 			if perAck {
 				deadline = time.Now().Add(wait)
 			}
 		}
 	}
-	return got, sum, true
+	m.later = append(m.later, held...)
+	return got, true
 }

@@ -10,6 +10,7 @@ import (
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
 	"powerlog/internal/progs"
+	"powerlog/internal/term"
 	"powerlog/internal/transport"
 )
 
@@ -59,7 +60,11 @@ func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]boo
 	t.Helper()
 	return newRig(t, n, absent, filter, func(w *worker) {
 		if c == transport.FenceStep {
-			endSuperstep(w)
+			// A seeded shard stays dirty, so no superstep is judged the
+			// last and the worker leaves the gate with no Stop. It runs
+			// two: a lost mark for superstep 1 is re-sent from gate 2.
+			w.seed(w.plan.InitMRA)
+			_ = endSuperstep(w) && endSuperstep(w)
 		} else if w.foldUntil(func() bool { return w.fencePending(c) }, func() {}) {
 			w.fence(c)
 		}
@@ -67,10 +72,13 @@ func newFenceRig(t *testing.T, n int, c transport.FenceClass, absent map[int]boo
 }
 
 // endSuperstep runs a BSP worker's superstep end on a rig worker, which
-// has no compute loop: count the superstep, open its fence.
+// has no compute loop: count the superstep, end it at the gate.
 func endSuperstep(w *worker) bool {
+	if w.bar == nil {
+		w.bar = term.NewBarrier(termConfig(w.plan, w.cfg))
+	}
 	w.rounds++
-	return bspBarrier{}.endPass(w, false)
+	return (&bspBarrier{}).endPass(w, false)
 }
 
 // newRig is newFenceRig with the workers' part spelled out: body runs on
@@ -80,7 +88,9 @@ func newRig(t *testing.T, n int, absent map[int]bool, filter func(from int) mark
 	db := edb.NewDB()
 	db.SetGraph("edge", gen.Uniform(40, 120, 10, 5))
 	plan := compilePlan(t, progs.SSSP, db)
-	cfg := Config{Workers: n, SnapshotDir: t.TempDir()}.withDefaults()
+	// A short CollectTimeout bounds the clean-up's Stop to a worker whose
+	// inbox nobody drains (an absent one, filled by re-sent marks).
+	cfg := Config{Workers: n, SnapshotDir: t.TempDir(), CollectTimeout: time.Second}.withDefaults()
 	net := transport.NewChannelNetwork(n, 256)
 	r := &fenceRig{t: t, done: make(chan int, n)}
 	r.m = newMaster(cfg, plan, net.Conn(transport.MasterID(n)))
@@ -118,7 +128,7 @@ func newRig(t *testing.T, n int, absent map[int]bool, filter func(from int) mark
 // opens itself.
 func (r *fenceRig) request(c transport.FenceClass, e int) {
 	if c != transport.FenceStep {
-		r.m.bcast(r.m.transition(c, e).request())
+		r.m.bcast(transition{class: c, epoch: e}.request())
 	}
 }
 
@@ -127,24 +137,33 @@ func (r *fenceRig) release(c transport.FenceClass, e int) {
 }
 
 // run drives fence (c, e) to completion and fails the test unless
-// exactly `need` acks arrive and as many workers leave the fence.
+// exactly `need` acks arrive and as many workers leave the fence — a
+// superstep's on their own verdict, any other after its release.
 func (r *fenceRig) run(c transport.FenceClass, e, need int) {
 	r.t.Helper()
 	r.request(c, e)
-	got, _, open := r.m.collectAcks(c, e, need, 10*time.Second, false)
+	got, open := r.m.collectAcks(c, e, need, 10*time.Second, false)
 	if !open || got != need {
 		r.t.Fatalf("fence %d: %d/%d acks (network open: %v)", e, got, need, open)
 	}
 	// Every ack is in; one more would be a duplicate.
-	if extra, _, _ := r.m.collectAcks(c, e, 1, 20*time.Millisecond, false); extra != 0 {
+	if extra, _ := r.m.collectAcks(c, e, 1, 20*time.Millisecond, false); extra != 0 {
 		r.t.Fatalf("fence %d: a worker acked twice", e)
 	}
-	r.release(c, e)
-	for i := 0; i < need; i++ {
+	if c != transport.FenceStep {
+		r.release(c, e)
+	}
+	r.leave(need)
+}
+
+// leave waits for n workers to leave their fence.
+func (r *fenceRig) leave(n int) {
+	r.t.Helper()
+	for i := 0; i < n; i++ {
 		select {
 		case <-r.done:
 		case <-time.After(10 * time.Second):
-			r.t.Fatalf("fence %d: only %d/%d workers left the fence after its release", e, i, need)
+			r.t.Fatalf("only %d/%d workers left the fence", i, n)
 		}
 	}
 }
@@ -230,13 +249,13 @@ func TestFenceOrphanLeavesCohort(t *testing.T) {
 	c := transport.FenceSnapshot
 	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
 	r.request(c, 1)
-	if got, _, _ := r.m.collectAcks(c, 1, 1, 50*time.Millisecond, false); got != 0 {
+	if got, _ := r.m.collectAcks(c, 1, 1, 50*time.Millisecond, false); got != 0 {
 		t.Fatal("a survivor acked while worker 2's mark was still owed")
 	}
-	repair := r.m.transition(transport.FenceMember, 1)
+	repair := transition{class: transport.FenceMember, epoch: 1}
 	repair.down = []int{2}
 	r.m.bcast(repair.request())
-	if got, _, _ := r.m.collectAcks(c, 1, 2, 10*time.Second, false); got != 2 {
+	if got, _ := r.m.collectAcks(c, 1, 2, 10*time.Second, false); got != 2 {
 		t.Fatalf("%d/2 survivors reached the cut after the request naming worker 2 lost", got)
 	}
 	r.release(c, 1)
@@ -273,13 +292,7 @@ func TestFenceParkOutlastsCollectTimeout(t *testing.T) {
 		t.Errorf("master.fence.park_us has %d samples, want 1", h.Count)
 	}
 	r.release(c, r.m.epoch)
-	for i := 0; i < 2; i++ {
-		select {
-		case <-r.done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d/2 workers left the park after its release", i)
-		}
-	}
+	r.leave(2)
 }
 
 // A release that overtakes the cut (the master's episode timeout) ends
@@ -301,7 +314,7 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 1, 0)); err == nil {
 		t.Error("abandoned fence still ran its action at a cut that never completed")
 	}
-	if got, _, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond, false); got != 0 {
+	if got, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond, false); got != 0 {
 		t.Error("abandoned fence was acked")
 	}
 }
@@ -332,38 +345,37 @@ func TestFenceSuccessorMarkSurvivesReset(t *testing.T) {
 	}
 }
 
-// A worker waiting for its superstep's release leaves the fence when a
-// park is requested instead — the master parks the fleet at the
-// superstep that converged, and never releases it — and once the park
-// is released, its next superstep opens the next step fence. Without
-// the yield the workers wait for a release that never comes and the
-// park's collect runs out.
+// A worker holding a stop verdict at the gate yields to a park: the
+// master parks the fleet at the superstep that converged (nothing is
+// dirty, so superstep 1 is judged the last), and once the park is
+// released, the worker's next superstep opens the next step fence.
+// Without the yield the workers wait at the gate for ever and the park's
+// collect runs out.
 func TestFenceStepYieldsToPark(t *testing.T) {
 	step, park := transport.FenceStep, transport.FencePark
 	r := newRig(t, 2, nil, nil, func(w *worker) {
 		if endSuperstep(w) && w.fencePending(park) && w.fence(park) {
+			w.seed(w.plan.InitMRA)
 			endSuperstep(w)
 		}
 	})
-	if got, _, _ := r.m.collectAcks(step, 1, 2, 10*time.Second, false); got != 2 {
+	if got, _ := r.m.collectAcks(step, 1, 2, 10*time.Second, false); got != 2 {
 		t.Fatalf("superstep 1: %d/2 acks", got)
 	}
+	select {
+	case id := <-r.done:
+		t.Fatalf("worker %d left the gate on a stop verdict with no Stop or park", id)
+	case <-time.After(20 * time.Millisecond):
+	}
 	r.request(park, 1)
-	if got, _, _ := r.m.collectAcks(park, 1, 2, 5*time.Second, false); got != 2 {
-		t.Fatalf("%d/2 workers reached the park: a park request must end the wait for a step release", got)
+	if got, _ := r.m.collectAcks(park, 1, 2, 5*time.Second, false); got != 2 {
+		t.Fatalf("%d/2 workers reached the park: a park request must end the wait at the gate", got)
 	}
 	r.release(park, 1)
-	if got, _, _ := r.m.collectAcks(step, 2, 2, 10*time.Second, false); got != 2 {
+	if got, _ := r.m.collectAcks(step, 2, 2, 10*time.Second, false); got != 2 {
 		t.Fatalf("superstep 2: %d/2 acks after the park's release", got)
 	}
-	r.release(step, 2)
-	for i := 0; i < 2; i++ {
-		select {
-		case <-r.done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d/2 workers left superstep 2 after its release", i)
-		}
-	}
+	r.leave(2)
 }
 
 // A replacement's cut forgets the Data windows a survivor's pre-request

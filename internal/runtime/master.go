@@ -19,8 +19,10 @@ import (
 var ErrWorkerLost = errors.New("worker lost: missing report within the collect deadline")
 
 // master coordinates termination. For BSP modes it collects each
-// superstep's fence acks and releases, stops or parks the fleet; for
-// async modes it feeds the workers' stats reports to the stop machine
+// superstep's reports and reaches the verdict every worker reaches from
+// the same reports, then stops or parks the fleet — it never releases a
+// superstep, the workers judge it themselves (barrier.go); for async
+// modes it feeds the workers' stats reports to the stop machine
 // (internal/term), which applies the paper's two-level criteria: the
 // user-level ε on consecutive global results, distributed quiescence for
 // fixpoint programs, and the system-level round cap.
@@ -32,6 +34,8 @@ type master struct {
 
 	pending []transport.Message // messages received while sending
 	timer   *time.Timer         // reused collect-deadline timer
+	acks    stepReports         // the collected FenceAcks, by slot
+	later   []transport.Message // acks for a later fence than the one collected
 
 	met masterMetrics // observe.go: rounds, collect waits, timeouts
 
@@ -64,7 +68,7 @@ type master struct {
 }
 
 func newMaster(cfg Config, plan *compiler.Plan, conn transport.Conn) *master {
-	m := &master{cfg: cfg, plan: plan, conn: conn, nw: cfg.Workers, met: newMasterMetrics(), epoch: 1}
+	m := &master{cfg: cfg, plan: plan, conn: conn, nw: cfg.Workers, met: newMasterMetrics(), epoch: 1, acks: stepReports{make([]stepReport, cfg.Workers), make([]stepReport, cfg.Workers)}}
 	m.live = make([]bool, cfg.Workers)
 	for j := range m.live {
 		m.live[j] = true
@@ -171,7 +175,7 @@ func (m *master) recvWithin(d time.Duration) (msg transport.Message, ok, timedOu
 // not-converged abort (the MaxWall fallback deadline always lands
 // here); within it a worker is lost — typed ErrWorkerLost. Either way
 // the best-effort Stop lets surviving workers (including BSP peers
-// stuck at a step fence's cut on the dead worker's marker) unwind
+// stuck at the step gate on the dead worker's report) unwind
 // instead of hanging.
 func (m *master) expired(round, got int, wall time.Time) {
 	if time.Now().After(wall) {
@@ -221,7 +225,7 @@ func (m *master) finish(cause StopCause) {
 		m.halt(cause)
 		return
 	}
-	if m.drive(m.transition(transport.FencePark, m.epoch), time.Now()) {
+	if m.drive(transition{class: transport.FencePark, epoch: m.epoch}, time.Now()) {
 		m.cause = cause
 		m.parked = true
 		m.met.epochs.Inc()
@@ -262,24 +266,27 @@ func (m *master) crashAt(epochRound int) (crash, restart bool) {
 // termConfig is the fixpoint's termination parameters as internal/term
 // takes them. Holds is the bucket schedule as it will run this epoch: the
 // plan's licence and the graph's premise (a positive Kernel.Step), which
-// a session's mutations move — so it is read at every run's start. A
-// plan whose weights fail the premise drains FIFO and holds nothing.
-func (m *master) termConfig() term.Config {
+// a session's mutations move — so the master and every BSP worker read it
+// at each fixpoint's start. A plan whose weights fail the premise drains
+// FIFO and holds nothing.
+func termConfig(plan *compiler.Plan, cfg Config) term.Config {
 	return term.Config{
-		Epsilon:  m.plan.Termination.Epsilon,
-		MaxIters: m.plan.Termination.MaxIters,
-		Interval: m.cfg.CheckInterval,
-		Holds:    m.plan.Info.Facts.Schedule.Kind == analyzer.SchedBucket && m.plan.Kernel.Step() > 0,
+		Epsilon:  plan.Termination.Epsilon,
+		MaxIters: plan.Termination.MaxIters,
+		Interval: cfg.CheckInterval,
+		Holds:    plan.Info.Facts.Schedule.Kind == analyzer.SchedBucket && plan.Kernel.Step() > 0,
 	}
 }
 
-// runBSP collects each superstep's step fence — one ack per worker, with
-// the superstep's report, each within collectTimeout of the last — and
-// asks the barrier detector (internal/term) for the verdict: release the
-// fence into the next superstep, or finish. A worker counts supersteps
-// across a session's epochs, so the fence's Round is gRound.
+// runBSP collects each superstep's step acks — one report per worker,
+// each within collectTimeout of the last — and asks the barrier detector
+// (internal/term) for the verdict every worker reaches from the same
+// reports: go on, or finish. It releases nothing: a worker starts the next
+// superstep on its own verdict, so its next acks may arrive mid-collect
+// (collectAcks keeps them). A worker counts supersteps across a session's
+// epochs, so the fence's Round is gRound.
 func (m *master) runBSP() {
-	bar := term.NewBarrier(m.termConfig())
+	bar := term.NewBarrier(termConfig(m.plan, m.cfg))
 	deadline := time.Now().Add(m.cfg.MaxWall)
 	for round := 1; ; round++ {
 		m.rounds = round
@@ -291,23 +298,21 @@ func (m *master) runBSP() {
 		}
 		m.met.rounds.Inc()
 		collectStart := time.Now()
-		need := m.nw
-		got, sum, open := m.collectAcks(transport.FenceStep, m.gRound, need, m.collectTimeout(), true)
-		if !open {
+		if got, open := m.collectAcks(transport.FenceStep, m.gRound, m.nw, m.collectTimeout(), true); !open {
 			return
-		}
-		if got < need {
+		} else if got < m.nw {
 			m.expired(round, got, deadline)
 			return
 		}
 		m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
-		cause := bar.Round(round, sum.AccDelta, sum.Dirty)
+		fleet := fleetReport(m.acks[m.gRound&1])
+		cause := bar.Round(round, fleet.AccDelta, fleet.Dirty)
+		onVerdict(transport.MasterID(m.nw), round, fleet, cause)
 		m.converged = cause == term.Converged
 		if cause != term.None || time.Now().After(deadline) {
 			m.finish(m.stopCause(cause == term.IterationCap))
 			return
 		}
-		m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: transport.FenceStep, Round: m.gRound})
 	}
 }
 
@@ -329,7 +334,7 @@ func report(st transport.Stats) term.Report {
 // live re-join — and the wall clock.
 func (m *master) runAsync() {
 	deadline := time.Now().Add(m.cfg.MaxWall)
-	det := term.New(m.termConfig(), m.live, time.Now())
+	det := term.New(termConfig(m.plan, m.cfg), m.live, time.Now())
 	m.rounds = 0
 	// waveStart and collectBy belong to the open wave: when it began, and
 	// the liveness deadline — one collectTimeout past its last reply, so a
@@ -433,7 +438,7 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 		// restarts at 0 each epoch; reusing its quotient would overwrite
 		// newer cuts).
 		m.episodes++
-		if !m.drive(m.transition(transport.FenceSnapshot, m.episodes), now) {
+		if !m.drive(transition{class: transport.FenceSnapshot, epoch: m.episodes}, now) {
 			return false
 		}
 	}

@@ -196,7 +196,7 @@ func (m *master) recoverLost(lost []int) bool {
 		return false
 	}
 	decided := time.Now()
-	t := m.transition(transport.FenceMember, m.fence+1)
+	t := transition{class: transport.FenceMember, epoch: m.fence + 1}
 	t.down = lost
 	// Respawn first, request after: the reset endpoint is the fresh inbox
 	// the request lands in, and a send to the dead one could only wait on

@@ -4,7 +4,8 @@ import "powerlog/internal/agg"
 
 // Naive (SociaLite-style) evaluation: each superstep re-derives the full
 // next state from the previous one. Only the compute body lives here —
-// the barrier protocol is the same bspBarrier as MRA+Sync.
+// the barrier protocol is the same bspBarrier as MRA+Sync, with the
+// superstep's report made at the cut (naiveFinish).
 
 // naivePass re-derives the full next state: base tuples plus the
 // recursive body applied to every current value. When the plan supports

@@ -117,8 +117,8 @@ type policyFactory func(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 var (
 	modeFactories = map[Mode]policyFactory{}
 	// modeBarriered records which modes end each superstep in a step
-	// fence the master collects and releases (runBSP); all others use
-	// the polling master.
+	// fence whose reports every worker and the master judge (runBSP); all
+	// others use the polling master.
 	modeBarriered = map[Mode]bool{}
 )
 
@@ -154,7 +154,7 @@ func newNaiveSyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metric
 	return policySet{
 		flush:   barrierFlush{},
 		sched:   fifoSched{why: "naive evaluation re-derives: there is no dirty set to order"},
-		barrier: bspBarrier{},
+		barrier: &bspBarrier{},
 		pass:    (*worker).naivePass,
 	}
 }
@@ -165,7 +165,7 @@ func newMRASyncPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.
 	return policySet{
 		flush:   barrierFlush{},
 		sched:   baseScheduler(plan, reg),
-		barrier: bspBarrier{},
+		barrier: &bspBarrier{},
 		pass:    (*worker).scanPass,
 	}
 }

@@ -265,7 +265,7 @@ func TestBucketSchedEpsilonFollowsPremise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.m.termConfig().Holds {
+		if !termConfig(s.m.plan, s.m.cfg).Holds {
 			t.Errorf("%v: the bucket schedule on non-negative weights holds nothing", mode)
 		}
 		res, err := s.Apply(Mutation{Inserts: []graph.Edge{shortcut}})
@@ -275,7 +275,7 @@ func TestBucketSchedEpsilonFollowsPremise(t *testing.T) {
 		if want := "fifo: edge 5→300 weighs -40, which improves on the value it carries"; res.Sched != want {
 			t.Errorf("%v: sched=%q, want %q", mode, res.Sched, want)
 		}
-		if s.m.termConfig().Holds {
+		if termConfig(s.m.plan, s.m.cfg).Holds {
 			t.Errorf("%v: Holds after the improving insert, though the plan drains FIFO", mode)
 		}
 		expectSameFixpoint(t, mode.String(), res.Values, want, math.Inf(1), 1e-9)

@@ -17,8 +17,9 @@ import (
 //
 // This file is the whole mode: a FlushPolicy (barrier-style superstep
 // batching), a BarrierPolicy (the staleness gate over the peers'
-// step-fence marks), and a registration — the policy-layer seams make a new
-// consistency model a one-file addition.
+// step-fence marks, which BSP runs at staleness 0), and a registration —
+// the policy-layer seams make a new consistency model a one-file
+// addition.
 //
 // Termination uses the polling master (like the async family): workers
 // keep answering StatsRequest while blocked at the gate, so quiescence
@@ -44,8 +45,9 @@ func newSSPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 // sspBarrier implements the staleness gate. steps counts the supersteps
 // this worker has completed; each completion sends the peers a step-class
 // FenceMark, and handle() merges the marks per sender into the step
-// fence's clock — the one the gate reads. Unlike BSP, nobody acks: the
-// gate is the fence's cut, relaxed by the staleness bound.
+// fence's clock — the one the gate reads. Unlike BSP, nobody reports a
+// superstep: the gate is the fence's cut, relaxed by the staleness bound,
+// and the polling master decides termination.
 type sspBarrier struct {
 	staleness int
 	steps     int
@@ -91,7 +93,7 @@ func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 	b.advance(w)
 	// The gate: before starting superstep steps+1, every peer must have
 	// completed at least steps − Staleness.
-	b.awaitPeerSteps(w, b.steps-b.staleness)
+	w.awaitPeers(func() bool { return w.fences[transport.FenceStep].marks.min(w.peerSkip) >= b.steps-b.staleness }, func() { b.announce(w) })
 	return true
 }
 
@@ -110,8 +112,7 @@ func (b *sspBarrier) advance(w *worker) {
 // data first. Receivers keep the max, so duplicates are no-ops and a
 // dropped mark is covered by any later one.
 func (b *sspBarrier) announce(w *worker) {
-	m := transport.Message{Kind: transport.FenceMark, Fence: transport.FenceStep, Round: b.steps}
-	w.eachPeer(func(j int) { w.enqueue(j, m) })
+	w.stepMark(b.steps)
 	b.announceBy = time.Now().Add(markerResend)
 }
 
@@ -129,30 +130,29 @@ func (w *worker) stepFrontier() int {
 	return most
 }
 
-// awaitPeerSteps blocks until every peer has completed at least need
-// supersteps, handling all control traffic (stats polls, Stop) while
-// blocked. The blocked time is accounted as straggler wait — the SSP
-// cost surfaced through Result.Workers. A stalled wait retransmits this
-// worker's own marker (a lost one may be what blocks a peer), and a
-// fence requested while blocked is joined inline — a gated worker that
-// ignored the request would deadlock the fence against peers already
-// waiting for its mark.
-func (b *sspBarrier) awaitPeerSteps(w *worker, need int) {
+// awaitPeers is the step gate, SSP's and BSP's: it blocks until ready
+// reports true, handling all control traffic (stats polls, Stop) while
+// blocked. The blocked time is accounted as straggler wait, surfaced
+// through Result.Workers. A stalled wait calls resend, which
+// retransmits this worker's marks (a lost one may be what blocks a
+// peer), and a fence requested while blocked is joined inline — a gated
+// worker that ignored the request would deadlock the fence against peers
+// already waiting for its mark.
+func (w *worker) awaitPeers(ready func() bool, resend func()) {
 	// A parked peer stops advancing its superstep clock, so the gate must
 	// also yield to a pending park — the park fence (not the gate) is the
 	// epoch's final synchronisation point.
 	open := func() bool {
 		w.joinFences()
-		return w.fencePending(transport.FencePark) ||
-			w.fences[transport.FenceStep].marks.min(w.peerSkip) >= need
+		return w.fencePending(transport.FencePark) || ready()
 	}
-	if need <= 0 || open() {
+	if open() {
 		return
 	}
 	start := time.Now()
 	w.foldUntil(open, func() {
 		w.met.markerResends.Inc()
-		b.announce(w)
+		resend()
 	})
 	blocked := time.Since(start)
 	w.stragglerWait += blocked

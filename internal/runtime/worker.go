@@ -10,6 +10,7 @@ import (
 	"powerlog/internal/compiler"
 	"powerlog/internal/graph"
 	"powerlog/internal/monotable"
+	"powerlog/internal/term"
 	"powerlog/internal/transport"
 )
 
@@ -105,7 +106,17 @@ type worker struct {
 	// clock the BSP barrier and the SSP gate wait on. The park fence
 	// doubles as the session-epoch counter: the fixpoint being computed
 	// is fences[FencePark].done + 1.
-	fences     [transport.NumFenceClasses]fenceState
+	fences [transport.NumFenceClasses]fenceState
+	// steps holds the fleet's superstep reports, and bar judges them
+	// (bspBarrier): one detector per fixpoint, whose first superstep is
+	// barFrom+1. A BSP worker — early is non-nil — holds there a peer's
+	// data for a later superstep than its own until its own pass of it
+	// has drained.
+	steps   stepReports
+	bar     *term.Barrier
+	barFrom int
+	early   []transport.Message
+
 	staleEpoch int // last local stale-snapshot epoch (maybeStaleSnapshot)
 	// mutEpoch stamps snapshots with the mutation-log position they
 	// incorporate (the session advances it while the worker is parked).
@@ -118,7 +129,7 @@ type worker struct {
 	// the final write).
 	sendErr error
 
-	stragglerWait time.Duration // SSP: total time blocked on stale peers
+	stragglerWait time.Duration // total time blocked at the step gate (SSP, BSP)
 	timer         *time.Timer   // reused by every timed inbox wait (await)
 
 	// Re-join state (membership.go, DESIGN.md §11). master is this
@@ -205,6 +216,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	for c := range w.fences {
 		w.fences[c].marks = make(markClock, fleet)
 	}
+	w.steps = stepReports{make([]stepReport, fleet), make([]stepReport, fleet)}
 	w.met = newWorkerMetrics(fleet)
 	w.pol = policiesFor(cfg, plan, id, w.met.reg)
 	if cfg.Fault != nil {
@@ -384,7 +396,7 @@ func (w *worker) commLoop() {
 // enqueue hands a message to the comm goroutine, draining the inbox while
 // the queue is full so workers can never deadlock on mutual back-pressure;
 // a stopping worker drops the message instead (worker.stopping).
-// Master-bound reports take the control lane; fence markers must NOT —
+// Reports and acks take the control lane; fence markers must NOT —
 // they fence the data sent before them, so they ride the data lane to
 // preserve per-destination ordering.
 func (w *worker) enqueue(to int, m transport.Message) {
@@ -455,6 +467,46 @@ func (d *dedupWindow) fresh(seq int64) bool {
 func (w *worker) handle(m transport.Message) {
 	switch m.Kind {
 	case transport.Data:
+		// A BSP peer's data for a superstep past this worker's own waits
+		// until this worker's pass of that superstep has drained its dirty
+		// rows (bspBarrier.endPass): folded sooner, a pumped inbox would
+		// have it drained a superstep early.
+		if w.early != nil && m.From < w.nw && w.fences[transport.FenceStep].marks[m.From] >= w.rounds {
+			w.early = append(w.early, m)
+			return
+		}
+		w.receive(m)
+	case transport.Stop:
+		w.stop()
+	case transport.StatsRequest:
+		w.idle.polls++
+		w.replyStats(m.Round)
+	case transport.FenceRequest:
+		if f := &w.fences[m.Fence]; m.Round > f.req.epoch {
+			f.req = transitionOf(m)
+		}
+	case transport.FenceMark, transport.FenceAck:
+		if m.Kind == transport.FenceMark {
+			w.fences[m.Fence].marks.observe(m.From, m.Round)
+		}
+		// A peer's superstep report rides its mark, or its ack when the
+		// report is made at the cut (bspBarrier). Other acks, like a
+		// StatsReply, are the master's: a worker receiving one (misrouted
+		// frame, chaos injection) ignores it rather than corrupting local
+		// state.
+		if m.Fence == transport.FenceStep && (m.Kind == transport.FenceAck) == w.reportsAtCut(m.Round) {
+			w.steps.observe(m.From, m.Round, m.Stats)
+		}
+	case transport.FenceRelease:
+		if f := &w.fences[m.Fence]; m.Round > f.released {
+			f.released = m.Round
+		}
+	}
+}
+
+// receive folds Data batches into the table incoming data lands in.
+func (w *worker) receive(ms ...transport.Message) {
+	for _, m := range ms {
 		// Round carries the sender's per-link sequence number (stamped in
 		// flush); the dedup window decides whether this is the sequence's
 		// first delivery.
@@ -487,24 +539,6 @@ func (w *worker) handle(m transport.Message) {
 		}
 		// The batch is spent; recycle it (see the contract in transport).
 		transport.PutBatch(m.KVs)
-	case transport.Stop:
-		w.stop()
-	case transport.StatsRequest:
-		w.idle.polls++
-		w.replyStats(m.Round)
-	case transport.FenceRequest:
-		if f := &w.fences[m.Fence]; m.Round > f.req.epoch {
-			f.req = transitionOf(m)
-		}
-	case transport.FenceMark:
-		w.fences[m.Fence].marks.observe(m.From, m.Round)
-	case transport.FenceRelease:
-		if f := &w.fences[m.Fence]; m.Round > f.released {
-			f.released = m.Round
-		}
-	case transport.StatsReply, transport.FenceAck:
-		// Worker→master kinds; a worker receiving one (misrouted frame,
-		// chaos injection) ignores it rather than corrupting local state.
 	}
 }
 
@@ -779,6 +813,7 @@ func (w *worker) run() {
 // returns when the worker is stopped, its send path died, or the master
 // parked the fleet (session epoch boundary).
 func (w *worker) runFixpoint() {
+	w.bar, w.barFrom = term.NewBarrier(termConfig(w.plan, w.cfg)), w.rounds
 	for !w.halted() && !w.fencePending(transport.FencePark) {
 		progressed := w.pol.barrier.beginPass(w)
 		if w.halted() {

@@ -22,7 +22,8 @@ import (
 //	            unique, but the codec tolerates duplicates as delta 0)
 //	    values  n × 8-byte little-endian raw IEEE-754 bits, in key order
 //	            (NaN and ±Inf round-trip bit-exactly)
-//	Stats payload (StatsReply; FenceAck after its fence payload):
+//	Stats payload (StatsReply; FenceAck and a step-class FenceMark after
+//	their fence payload):
 //	    sent, recv     uvarint
 //	    accDelta, accSum  8-byte little-endian float64 bits
 //	    passes         uvarint
@@ -106,7 +107,7 @@ func appendPayload(buf []byte, m *Message) []byte {
 		// StatsRequest and Stop carry nothing beyond the kind/from/round
 		// header, a StatsReply only the Stats payload below.
 	}
-	if m.Kind == StatsReply || m.Kind == FenceAck { // a FenceAck's after its fence payload
+	if m.carriesStats() {
 		buf = binary.AppendUvarint(buf, uint64(m.Stats.Sent))
 		buf = binary.AppendUvarint(buf, uint64(m.Stats.Recv))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Stats.AccDelta))
@@ -171,7 +172,7 @@ func decodePayload(data []byte) (Message, error) {
 		// StatsRequest and Stop have an empty payload, a StatsReply only
 		// its Stats.
 	}
-	if m.Kind == StatsReply || m.Kind == FenceAck {
+	if m.carriesStats() {
 		m.Stats.Sent = int64(d.uvarint())
 		m.Stats.Recv = int64(d.uvarint())
 		m.Stats.AccDelta = math.Float64frombits(d.uint64())

@@ -108,7 +108,7 @@ func TestCodecEdgeMessages(t *testing.T) {
 		{Kind: Data, From: 0, Round: 7, KVs: []KV{}},
 		{Kind: Data, KVs: []KV{{K: math.MinInt64, V: math.Inf(-1)}, {K: math.MaxInt64, V: math.Inf(1)}, {K: 0, V: math.NaN()}}},
 		{Kind: FenceMark, From: 1, Round: 42, Fence: FenceStep},
-		{Kind: FenceRelease, Round: 9, Fence: FenceStep},
+		{Kind: FenceRelease, Round: 9, Fence: FenceSnapshot},
 		{Kind: StatsRequest, Round: 1 << 30},
 		{Kind: Stop},
 		{Kind: StatsReply, From: 2, Round: 5, Stats: Stats{
@@ -150,7 +150,7 @@ func TestCodecEveryKind(t *testing.T) {
 		Stop:         {From: 4},
 		FenceRequest: {From: 4, Round: 6, Fence: FenceMember,
 			Member: &Membership{Rollback: -1, Down: []int32{1, 2}}},
-		FenceMark:    {From: 2, Round: 6, Fence: FenceMember},
+		FenceMark:    {From: 2, Round: 6, Fence: FenceStep, Stats: stats},
 		FenceAck:     {From: 2, Round: 6, Fence: FenceStep, Stats: stats},
 		FenceRelease: {From: 4, Round: 6, Fence: FencePark},
 	}
@@ -179,25 +179,33 @@ func TestCodecEveryKind(t *testing.T) {
 	}
 }
 
-// TestCodecFenceAckStats: an ack of every fence class carries a
-// superstep report (the step class's action) bit for bit — a NaN
-// AccDelta keeps its payload, Dirty its bit.
+// TestCodecFenceAckStats: an ack of every fence class, and a superstep's
+// mark, carries a superstep report bit for bit — a NaN AccDelta keeps its
+// payload, −0 its sign, Dirty its bit. Another class's mark carries none.
 func TestCodecFenceAckStats(t *testing.T) {
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	msgs := []Message{{Kind: FenceMark, Fence: FenceStep}}
 	for c := FenceClass(0); int(c) < NumFenceClasses; c++ {
+		msgs = append(msgs, Message{Kind: FenceAck, Fence: c})
+	}
+	for _, m := range msgs {
 		for _, st := range []Stats{
 			{Sent: 1 << 40, Recv: 5, AccDelta: nan, AccSum: math.Inf(-1), Passes: 3, Dirty: true},
 			{AccDelta: math.Copysign(0, -1), AccSum: math.SmallestNonzeroFloat64},
 		} {
-			got := roundTrip(t, Message{Kind: FenceAck, From: 2, Round: 1 << 30, Fence: c, Stats: st})
+			m.From, m.Round, m.Stats = 2, 1<<30, st
+			got := roundTrip(t, m)
 			g := got.Stats
-			if got.Fence != c || got.Round != 1<<30 || g.Sent != st.Sent || g.Recv != st.Recv ||
+			if got.Fence != m.Fence || got.Round != 1<<30 || g.Sent != st.Sent || g.Recv != st.Recv ||
 				g.Passes != st.Passes || g.Dirty != st.Dirty ||
 				math.Float64bits(g.AccDelta) != math.Float64bits(st.AccDelta) ||
 				math.Float64bits(g.AccSum) != math.Float64bits(st.AccSum) {
-				t.Errorf("class %d: sent %+v, got %+v", c, st, got)
+				t.Errorf("%v class %d: sent %+v, got %+v", m.Kind, m.Fence, st, got)
 			}
 		}
+	}
+	if got := roundTrip(t, Message{Kind: FenceMark, Fence: FencePark, Round: 3, Stats: Stats{Dirty: true}}); got.Stats != (Stats{}) {
+		t.Errorf("a park mark carried stats: %+v", got.Stats)
 	}
 }
 
@@ -236,15 +244,20 @@ func TestCodecRejectsCorruptFrames(t *testing.T) {
 	if _, err := decodePayload(bad); err == nil {
 		t.Fatal("absurd KV count accepted")
 	}
-	// Truncated stats frames must error, a fence ack's too.
+	// Truncated stats frames must error, a fence ack's and a step mark's
+	// too.
 	if _, err := decodePayload([]byte{byte(StatsReply), 0, 0, 7}); err == nil {
 		t.Fatal("truncated stats frame accepted")
 	}
-	ack := Message{Kind: FenceAck, Fence: FenceStep, Stats: Stats{AccSum: 1}}
-	buf, start = appendFrame(nil, &ack)
-	_, n = decodeUvarintPrefix(buf[start:])
-	if _, err := decodePayload(buf[start+n : len(buf)-4]); err == nil {
-		t.Fatal("fence ack truncated inside its stats accepted")
+	for _, fm := range []Message{
+		{Kind: FenceAck, Fence: FenceStep, Stats: Stats{AccSum: 1}},
+		{Kind: FenceMark, Fence: FenceStep, Round: 5, Stats: Stats{AccDelta: 1}},
+	} {
+		buf, start = appendFrame(nil, &fm)
+		_, n = decodeUvarintPrefix(buf[start:])
+		if _, err := decodePayload(buf[start+n : len(buf)-4]); err == nil {
+			t.Fatalf("%v truncated inside its stats accepted", fm.Kind)
+		}
 	}
 	// Receivers index per-class state by the fence class: a class outside
 	// the protocol must not decode.

@@ -34,8 +34,8 @@ const (
 	StatsReply               // worker → master: Stats for round Round
 	Stop                     // master → workers: terminate
 	FenceRequest             // master → workers: open fence Round of class Fence (Member: membership directive)
-	FenceMark                // worker → worker, data lane: cut marker of fence Round
-	FenceAck                 // worker → master: reached the cut of fence Round and ran its action (+ Stats)
+	FenceMark                // worker → worker, data lane: cut marker of fence Round (step class: + Stats)
+	FenceAck                 // worker → master (step class at the cut: and peers): reached the cut of fence Round and ran its action (+ Stats)
 	FenceRelease             // master → workers: fence Round is over, resume
 
 	numKinds = int(iota) // sentinel: sizes kindNames, so a new kind without a name fails the codec table test
@@ -53,9 +53,9 @@ func (k Kind) String() string {
 }
 
 // FenceClass says which protocol a fence message belongs to. The four
-// classes share the wire protocol and the worker-side loop; they differ
-// in who opens them, in cohort, in what runs at the cut, and in when the
-// master releases.
+// classes share the wire protocol; they differ in who opens them, in
+// cohort, in what runs at the cut, and in when the master releases — a
+// superstep never.
 type FenceClass uint8
 
 const (
@@ -63,9 +63,11 @@ const (
 	FencePark                       // session epoch boundary (Round = session epoch); held until the next Apply
 	FenceMember                     // crash repair: lost slots replaced in place (Round = fence number)
 	// FenceStep is the end of a BSP superstep (Round = superstep, counted
-	// across a session's epochs). Each worker opens it itself, its ack
-	// carries the superstep's Stats, and the SSP staleness gate reads the
-	// same marks as its superstep clock.
+	// across a session's epochs). Each worker opens it itself; its mark
+	// (or, where the report is ready only at the cut, its ack) carries the
+	// superstep's Stats to the peers, who judge the superstep, and its ack
+	// carries them to the master. The SSP staleness gate reads the same
+	// marks as its superstep clock. Nobody releases it.
 	FenceStep
 
 	NumFenceClasses = int(iota)
@@ -92,7 +94,13 @@ type Message struct {
 	Round  int
 	Member *Membership // FenceRequest of class FenceMember only
 	KVs    []KV
-	Stats  Stats // StatsReply, FenceAck only
+	Stats  Stats // StatsReply, FenceAck and a step-class FenceMark only
+}
+
+// carriesStats reports whether m's kind has a Stats payload: a report,
+// an ack, or a superstep's mark, which carries the superstep's report.
+func (m *Message) carriesStats() bool {
+	return m.Kind == StatsReply || m.Kind == FenceAck || m.Kind == FenceMark && m.Fence == FenceStep
 }
 
 // Membership is what a FenceMember request asks of the fleet: which lost
