@@ -83,19 +83,18 @@ func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	})
 }
 
-// Rejoin measures the elastic-membership layer (DESIGN.md §11): a worker
-// crashed silently mid-fixpoint is detected by the liveness probe,
-// replaced on a reset endpoint, and re-joined through a membership fence
-// while the survivors keep their state. For one selective workload
-// (SSSP — survivor replay, Theorem 3) and one combining workload
-// (PageRank — rollback to a consistent cut) each non-barriered mode runs
-// four times:
+// Rejoin measures crash re-join (DESIGN.md §11): a worker crashed
+// silently mid-fixpoint is detected by the liveness probe, replaced on a
+// reset endpoint, and re-joined through a membership fence. For one
+// selective workload (SSSP — survivors keep their state and replay,
+// Theorem 3) and one combining workload (PageRank — every shard reset to
+// the ΔX¹ seed) each non-barriered mode runs four times:
 //
 //	clean     no faults, the baseline wall time
 //	livejoin  crashw fault, live re-join; the fence latency (the
 //	          master's decision to Release) is the time-to-recover, and
 //	          the wall time relative to clean is the throughput dip
-//	crashed   master-abort fault with checkpoints on (the PR-4 baseline)
+//	crashed   master-abort fault with checkpoints on
 //	restart   warm-start from the crashed run's snapshots; its wall time
 //	          is what restart-the-world pays to re-reach the fixpoint
 //
@@ -112,8 +111,8 @@ func Rejoin(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	modes := []runtime.Mode{runtime.MRAAsync, runtime.MRASyncAsync, runtime.MRASSP}
 	return crashCells(cfg, modes, func(wl *Workload, mode runtime.Mode, clean Measurement) ([]Measurement, error) {
 		// Live re-join: the worker dies without a Stop handshake.
-		// Checkpoints stay OFF here — a combining fleet rolls back to the
-		// ΔX¹ seed inside the fence (the rollback worst case), and a
+		// Checkpoints stay OFF here (re-join reads none): a combining
+		// fleet resets to the ΔX¹ seed inside the fence, and a
 		// selective fleet repairs by survivor replay alone. Leaving
 		// episodic checkpoints on would charge the live run a
 		// stop-the-world cut per master round, which is the restart

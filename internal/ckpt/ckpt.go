@@ -234,13 +234,13 @@ func SaveShard(dir string, meta Meta, rows []Row) error {
 // once it ages out (and the stale file is cleaned up along the way).
 const leaseTTL = 30 * time.Second
 
-// AcquireReadLease marks dir as being read by a restore or re-join in
-// progress: while any fresh lease file exists, SaveShard defers its
+// acquireReadLease marks dir as being read by a restore in progress
+// (LoadAll): while any fresh lease file exists, SaveShard defers its
 // keep-2-epochs pruning entirely, so the epoch a concurrent reader
 // selected cannot be deleted out from under it between its directory
-// scan and its reads (the PR-9 satellite fix). The returned release
-// function removes the lease; it is safe to call more than once.
-func AcquireReadLease(dir string) (release func(), err error) {
+// scan and its reads. The returned release function removes the lease;
+// it is safe to call more than once.
+func acquireReadLease(dir string) (release func(), err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -277,8 +277,8 @@ func leased(dir string) bool {
 
 // pruneShards removes this worker's epochs beyond the newest keepEpochs.
 // Best-effort: pruning failures never fail the snapshot that just landed.
-// While a read lease is held (a restore or live re-join is scanning the
-// directory), pruning is skipped entirely — deferred to the next save.
+// While a read lease is held (a restore is scanning the directory),
+// pruning is skipped entirely — deferred to the next save.
 func pruneShards(dir string, worker int) {
 	if leased(dir) {
 		return
@@ -332,7 +332,7 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 	// The lease pins the directory contents: concurrent SaveShard calls
 	// keep landing new epochs but defer pruning, so everything the glob
 	// below sees stays readable until release.
-	release, err := AcquireReadLease(dir)
+	release, err := acquireReadLease(dir)
 	if err != nil {
 		return nil, Meta{}, err
 	}
@@ -464,63 +464,4 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 		all = append(all, s.rows...)
 	}
 	return all, outMeta, nil
-}
-
-// readShardFile opens and fully verifies one shard file.
-func readShardFile(path string) ([]Row, Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	defer f.Close()
-	rows, meta, err := Read(bufio.NewReader(f))
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return rows, meta, nil
-}
-
-// LoadShard reads one worker's shard for one exact epoch under a read
-// lease — the combining-aggregate rollback path of a membership fence,
-// where every survivor reloads its own slice of the cut the master
-// selected.
-func LoadShard(dir string, epoch, worker int) ([]Row, Meta, error) {
-	release, err := AcquireReadLease(dir)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	defer release()
-	return readShardFile(ShardPath(dir, epoch, worker))
-}
-
-// NewestShard reads one worker's newest readable shard under a read
-// lease — the selective warm-start path of a live re-join, where the
-// replacement worker restores whatever its predecessor last wrote
-// (epoch irrelevant: Theorem 3 licenses any stale state). A worker with
-// no shard on disk returns os.ErrNotExist; the caller cold-joins.
-func NewestShard(dir string, worker int) ([]Row, Meta, error) {
-	release, err := AcquireReadLease(dir)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	defer release()
-	matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("ep*-shard-%03d.plck", worker)))
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	epochs := make([]int, 0, len(matches))
-	for _, m := range matches {
-		if e, w, ok := parseShardName(filepath.Base(m)); ok && w == worker {
-			epochs = append(epochs, e)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(epochs)))
-	for _, e := range epochs {
-		rows, meta, err := readShardFile(ShardPath(dir, e, worker))
-		if errors.Is(err, os.ErrNotExist) {
-			continue // pruned before the lease landed; fall back
-		}
-		return rows, meta, err
-	}
-	return nil, Meta{}, fmt.Errorf("ckpt: no shard for worker %d in %s: %w", worker, dir, os.ErrNotExist)
 }

@@ -243,12 +243,8 @@ func RunAsync(g *graph.Graph, p *Program, workers int) []float64 {
 	// judged. Nothing is sent or received here, so sent = recv = 0.
 	if p.Epsilon > 0 {
 		go func() {
-			live := make([]bool, workers)
-			for w := range live {
-				live[w] = true
-			}
 			det := term.New(term.Config{Epsilon: p.Epsilon, MaxIters: p.maxRounds(), Interval: 500 * time.Microsecond},
-				live, time.Now())
+				workers, time.Now())
 			for wave := 1; atomic.LoadInt32(&stop) == 0; {
 				now := time.Now()
 				switch dec := det.Next(now); dec.Action {

@@ -86,10 +86,9 @@ func (c markClock) resetUpTo(peer, stamp int) {
 type transition struct {
 	class transport.FenceClass
 	epoch int // the fence's number within its class: its Round
-	// A membership fence's directive: the lost slots it replaces in place,
-	// and the repair (worker.repairState).
-	down     []int
-	rollback int
+	// A membership fence's lost slots, each replaced in place; the repair
+	// follows the aggregate class (worker.repairState).
+	down []int
 }
 
 // request is the transition's FenceRequest, the one message that opens a
@@ -97,7 +96,7 @@ type transition struct {
 func (t transition) request() transport.Message {
 	m := transport.Message{Kind: transport.FenceRequest, Fence: t.class, Round: t.epoch}
 	if t.class == transport.FenceMember {
-		mb := &transport.Membership{Rollback: t.rollback}
+		mb := &transport.Membership{}
 		for _, j := range t.down {
 			mb.Down = append(mb.Down, int32(j))
 		}
@@ -109,7 +108,6 @@ func (t transition) request() transport.Message {
 func transitionOf(m transport.Message) transition {
 	t := transition{class: m.Fence, epoch: m.Round}
 	if mb := m.Member; mb != nil {
-		t.rollback = mb.Rollback
 		for _, j := range mb.Down {
 			t.down = append(t.down, int(j))
 		}
@@ -188,7 +186,7 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	},
 	// A crash repair (membership.go). The action sends nothing: survivor
 	// replay stays buffered toward the lost slots until the commit (down),
-	// and a rollback discards every buffer.
+	// and a reseed discards every buffer.
 	transport.FenceMember: {
 		name:     "membership",
 		replaced: true,
@@ -330,7 +328,7 @@ func (m *master) drive(t transition, decided time.Time) bool {
 }
 
 // fenceTimeout bounds one fence: quiesce + (possibly) a checkpoint
-// reload per worker. Far looser than a collect's deadline —
+// write per worker. Far looser than a collect's deadline —
 // disk is involved, and a park or membership fence is not one report but
 // the slowest participant's whole cut — but still bounded, so a worker
 // dying mid-fence surfaces as an error, not a hang.

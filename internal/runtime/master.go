@@ -57,22 +57,16 @@ type master struct {
 	gRound   int
 	episodes int
 
-	// Re-join state (membership.go, DESIGN.md §11). live is the stop
-	// machine's live set: every slot, for the whole run; fence numbers
+	// Re-join state (membership.go, DESIGN.md §11). fence numbers
 	// membership fences; s is the session that owns the workers'
 	// lifecycles — it respawns a lost slot on the master's goroutine (nil
 	// under RunMaster: a loss aborts the run).
-	live  []bool
 	fence int
 	s     *Session
 }
 
 func newMaster(cfg Config, plan *compiler.Plan, conn transport.Conn) *master {
 	m := &master{cfg: cfg, plan: plan, conn: conn, nw: cfg.Workers, met: newMasterMetrics(), epoch: 1, acks: stepReports{make([]stepReport, cfg.Workers), make([]stepReport, cfg.Workers)}}
-	m.live = make([]bool, cfg.Workers)
-	for j := range m.live {
-		m.live[j] = true
-	}
 	return m
 }
 
@@ -334,7 +328,7 @@ func report(st transport.Stats) term.Report {
 // live re-join — and the wall clock.
 func (m *master) runAsync() {
 	deadline := time.Now().Add(m.cfg.MaxWall)
-	det := term.New(termConfig(m.plan, m.cfg), m.live, time.Now())
+	det := term.New(termConfig(m.plan, m.cfg), m.nw, time.Now())
 	m.rounds = 0
 	// waveStart and collectBy belong to the open wave: when it began, and
 	// the liveness deadline — one collectTimeout past its last reply, so a
@@ -398,7 +392,7 @@ func (m *master) runAsync() {
 				} else if inBudget && m.recoverLost(silent) {
 					// The fleet was repaired by a membership fence; what
 					// was observed describes a world that no longer exists.
-					det.Reset(m.live, time.Now())
+					det.Reset(time.Now())
 				} else {
 					m.expired(m.rounds, m.nw-len(silent), deadline)
 					return
@@ -429,7 +423,7 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 		return false
 	}
 	if reset {
-		det.Reset(m.live, time.Now())
+		det.Reset(time.Now())
 		return true
 	}
 	if m.snapshotsDue(m.rounds) {

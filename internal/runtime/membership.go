@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/transport"
 )
 
@@ -15,13 +14,15 @@ import (
 // The master's liveness probe declares a worker lost, the session
 // respawns its slot on a fresh transport endpoint, and a fence of class
 // FenceMember (fence.go) whose request names the slot lost repairs
-// state inside one cut: survivors replay their accumulations toward the
-// replacement's keys (selective aggregates, sound by Theorem 3's replay
-// tolerance) or the whole fleet rolls back to the newest consistent-cut
-// checkpoint (combining aggregates, which tolerate neither loss nor
-// replay). At the cut every worker renews the links the replacement
-// begins and zeroes the termination-protocol counters, so the master's
-// counting quiescence restarts from an exact zero.
+// state inside one cut. The repair is a function of the aggregate class,
+// which every worker knows from its plan: survivors of a selective
+// (min/max) fleet replay their accumulations toward the replacement's
+// keys (sound by Theorem 3's replay tolerance), while a combining
+// (sum/count) fleet, which tolerates neither loss nor replay, resets
+// every shard to the current ΔX¹ seed. At the cut every worker renews
+// the links the replacement begins and zeroes the termination-protocol
+// counters, so the master's counting quiescence restarts from an exact
+// zero.
 //
 // Every slot takes part — survivors and the replacement send markers to
 // and require markers from every other slot — so the cut needs no
@@ -57,31 +58,25 @@ func (w *worker) eachPeer(f func(j int)) {
 	}
 }
 
-// repairState applies the master's rollback directive inside the cut.
-//
-//	rollback > 0: reload this shard from consistent-cut epoch `rollback`
-//	              (combining aggregates after a crash — the whole fleet
-//	              rewinds to the same cut);
-//	rollback < 0: reset to the ΔX¹ seed (combining aggregates with no
-//	              usable cut — only issued when the seed is still the
-//	              true initial state, i.e. no mutations applied);
-//	rollback = 0: keep state; survivors of a crash replay their
-//	              accumulations toward the lost shard's keys (selective
-//	              aggregates — Theorem 3 makes the replay idempotent).
+// repairState repairs this shard inside the cut. A combining fleet
+// resets every shard, the replacement's too, to the ΔX¹ seed:
+// Plan.ApplyMutation rebuilds the seed on every batch, so this recomputes
+// the current mutation epoch's fixpoint from scratch (DESIGN.md §11). A
+// selective fleet keeps its state, and survivors replay their
+// accumulations toward the lost slots (the replacement seeded its share
+// of ΔX¹ at spawn; Theorem 3 makes the replay idempotent).
 func (w *worker) repairState(t transition) {
 	switch {
-	case t.rollback > 0:
-		w.reloadCut(t.rollback)
-	case t.rollback < 0:
-		w.resetToSeed()
-	case w.plan.Op.Selective() && slices.ContainsFunc(t.down, func(j int) bool { return j != w.id }):
+	case !w.plan.Op.Selective():
+		w.resetTable()
+		w.seed(w.plan.InitMRA)
+	case slices.ContainsFunc(t.down, func(j int) bool { return j != w.id }):
 		w.replayForDown()
 	}
 }
 
 // resetTable empties the shard and discards every buffered outbound
-// update (rollback paths: the reloaded or reseeded state re-derives
-// them).
+// update (the reseeded state re-derives them).
 func (w *worker) resetTable() {
 	for _, b := range w.bufs {
 		b.reset()
@@ -91,33 +86,12 @@ func (w *worker) resetTable() {
 	w.accSum, w.accDelta, w.accFolds = 0, 0, 0
 }
 
-// reloadCut rewinds this shard to the given consistent-cut epoch. The
-// session holds a checkpoint read lease across the fence, so the epoch
-// the master chose cannot be pruned between its decision and this read;
-// a missing shard therefore only happens under external damage, in
-// which case the seed fallback at least keeps selective programs
-// correct (monotone re-derivation) rather than wedging the fence.
-func (w *worker) reloadCut(epoch int) {
-	w.resetTable()
-	rows, _, err := ckpt.LoadShard(w.cfg.SnapshotDir, epoch, w.id)
-	if err != nil {
-		w.seed(w.plan.InitMRA)
-		return
-	}
-	w.restore(rows)
-}
-
-func (w *worker) resetToSeed() {
-	w.resetTable()
-	w.seed(w.plan.InitMRA)
-}
-
 // replayForDown re-propagates every accumulated value whose
 // contributions reach keys owned by a lost slot, buffering them for the
 // replacement (flushes toward lost slots stay held until the fence
-// commits). Together with the replacement's own warm-start or
-// seed, this re-derives the lost shard: boundary contributions arrive
-// by replay, interior chains re-derive locally from them. Selective
+// commits). Together with the replacement's own seed, this re-derives
+// the lost shard: boundary contributions arrive by replay, interior
+// chains re-derive locally from them. Selective
 // aggregates only — replayed deltas are idempotent under min/max
 // (Theorem 3), so values the replacement already has simply re-fold.
 func (w *worker) replayForDown() {
@@ -196,29 +170,22 @@ func (m *master) recoverLost(lost []int) bool {
 		return false
 	}
 	decided := time.Now()
-	t := transition{class: transport.FenceMember, epoch: m.fence + 1}
-	t.down = lost
+	t := transition{class: transport.FenceMember, epoch: m.fence + 1, down: lost}
 	// Respawn first, request after: the reset endpoint is the fresh inbox
 	// the request lands in, and a send to the dead one could only wait on
 	// an inbox nobody drains.
 	for _, id := range lost {
-		rb, ok := m.s.respawnWorker(id)
-		if !ok {
-			return false
-		}
-		if rb != 0 {
-			t.rollback = rb
-		}
+		m.s.respawnWorker(id)
 	}
 	m.fence++
 	return m.drive(t, decided)
 }
 
 // settleMember is the membership fence's bookkeeping after the release:
-// the counters, and the session rebasing its per-epoch counters — the
-// fence zeroed the fleet's.
+// the counters, and the session rebasing its per-epoch traffic
+// baselines — the fence zeroed the fleet's counters.
 func (m *master) settleMember(t transition) {
 	m.met.memberOrphans.Add(uint64(len(t.down)))
 	m.met.memberJoins.Add(uint64(len(t.down)))
-	m.s.fenceReleased()
+	m.s.prevSent, m.s.prevRecv, m.s.prevFlush = 0, 0, 0
 }

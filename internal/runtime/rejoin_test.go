@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
 	"powerlog/internal/gen"
@@ -46,9 +44,8 @@ func rejoinCfg(mode Mode) Config {
 // with a worker crashed silently mid-fixpoint (crashw: no Stop
 // handshake, no final flush — the shard and its buffered updates die).
 // Selective programs recover by survivor replay into a reseeded
-// replacement (Theorem 3); combining programs rewind the fleet to the
-// ΔX¹ seed inside the fence (no mutations have been applied, so the
-// seed is the true initial state). Either way the final fixpoint must
+// replacement (Theorem 3); combining programs reset the fleet to the
+// ΔX¹ seed inside the fence. Either way the final fixpoint must
 // be oracle-equal. -short runs the 4-algorithm subset.
 func TestRejoinMatrix(t *testing.T) {
 	for _, algo := range chaosAlgos() {
@@ -132,99 +129,114 @@ func TestRejoinRecoveryCounters(t *testing.T) {
 	}
 }
 
-// TestCrashRepair pins a crash fence's repair choice, one row per arm:
-// selective programs always re-join by replay, warm-started from a shard
-// of the current mutation epoch; combining programs rewind to a cut of
-// the current mutation epoch or, before any mutation, to the seed, and
-// refuse otherwise.
-func TestCrashRepair(t *testing.T) {
-	shard := func(mutEpoch int) *ckpt.Meta { return &ckpt.Meta{Epoch: 5, MutEpoch: mutEpoch} }
-	cut := func(mutEpoch int) *ckpt.Meta { return &ckpt.Meta{Epoch: 7, Cut: true, MutEpoch: mutEpoch} }
-	for _, tc := range []struct {
-		name      string
-		selective bool
-		mutEpoch  int
-		newest    *ckpt.Meta
-		rollback  int
-		warm, ok  bool
-	}{
-		{"selective, no snapshot", true, 2, nil, 0, false, true},
-		{"selective, warm shard of this mutation epoch", true, 2, shard(2), 0, true, true},
-		{"selective, shard of another mutation epoch", true, 2, shard(1), 0, false, true},
-		{"combining, no snapshot dir, no mutation", false, 0, nil, -1, false, true},
-		{"combining, no snapshot dir, mutated", false, 3, nil, 0, false, false},
-		{"combining, cut of this mutation epoch", false, 3, cut(3), 7, false, true},
-		{"combining, cut of another mutation epoch", false, 3, cut(2), 0, false, false},
-		{"combining, stale snapshot, no mutation", false, 0, shard(0), -1, false, true},
-	} {
-		rollback, warm, ok := crashRepair(tc.selective, tc.mutEpoch, tc.newest)
-		if rollback != tc.rollback || warm != tc.warm || ok != tc.ok {
-			t.Errorf("%s: (rollback %d, warm %v, ok %v), want (%d, %v, %v)",
-				tc.name, rollback, warm, ok, tc.rollback, tc.warm, tc.ok)
-		}
-	}
-
-	// A refused combining re-join drops the read lease it took to choose.
-	p := sessionProgs[2] // PageRank
-	plan := compilePlan(t, p.src, p.db(p.g()))
-	dir := t.TempDir()
-	for j := 0; j < 2; j++ {
-		meta := ckpt.Meta{Epoch: 3, Worker: j, Workers: 2, Cut: true, MutEpoch: 1}
-		if err := ckpt.SaveShard(dir, meta, []ckpt.Row{{Key: int64(j), Acc: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := &Session{cfg: Config{Workers: 2, SnapshotDir: dir}, plan: plan, mutEpoch: 2}
-	if _, ok := s.respawnWorker(0); ok {
-		t.Fatal("a combining re-join on a cut of another mutation epoch was not refused")
-	}
-	if leases, _ := filepath.Glob(filepath.Join(dir, "lease-*.rdl")); len(leases) != 0 || s.fenceRelease != nil {
-		t.Errorf("the refused re-join left its read lease behind: %v", leases)
-	}
+// armCrash makes worker w of a parked session exit silently at the start
+// of its second compute pass of the next epoch: early in the epoch, and
+// at the same point on every run. The parked worker runs no pass, and
+// the release the next Apply sends orders this write before its next
+// read of the barrier.
+func armCrash(s *Session, w int) {
+	inj := fault.New(fault.Spec{CrashWorkerID: w, CrashWorkerPass: 2})
+	pol := &s.workers[w].pol
+	pol.barrier = &stallBarrier{inner: pol.barrier, inj: inj}
 }
 
-// TestRejoinSessionCombining drives a combining-aggregate session
-// (PageRank) through mutations with a worker crash injected mid-run and
-// park-boundary checkpoints on. Wherever the crash lands — the initial
-// fixpoint (no cut yet: fleet-wide seed reset) or a later Apply (rewind
-// to the park cut whose MutEpoch matches) — every epoch must still
-// converge to the scratch oracle.
+// applyChecked runs one Apply and checks it against the scratch oracle
+// on the mutated edge list; crashed says a worker was armed to die in it,
+// so the epoch must have re-joined one.
+func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.Edge, weighted bool, mut Mutation, crashed bool, label string) {
+	t.Helper()
+	joins := s.Result().Master.Counters["master.member.join"]
+	res, err := s.Apply(mut)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !res.Converged {
+		t.Fatalf("%s did not converge (stop cause: %v)", label, res.StopCause)
+	}
+	if got := res.Master.Counters["master.member.join"] - joins; crashed && got != 1 {
+		t.Fatalf("%s: %d re-joins, want 1", label, got)
+	}
+	want := scratchFixpoint(t, p, n, edges, weighted, rejoinCfg(MRASyncAsync))
+	expectSameFixpoint(t, label, res.Values, want, p.ident, p.tol)
+}
+
+// TestRejoinSessionCombining drives combining-aggregate sessions
+// (PageRank, Katz) through two Applys and crashes worker 1 early in
+// Apply 1 or Apply 2, with and without park-boundary checkpoints. A
+// combining re-join resets every shard to the current ΔX¹ seed, which
+// Plan.ApplyMutation rebuilds on every batch, so every epoch must equal
+// the scratch oracle. The restored row opens a session from a park
+// checkpoint on a plan rebuilt at its MutEpoch and crashes the replayed
+// Apply.
 func TestRejoinSessionCombining(t *testing.T) {
-	p := sessionProgs[2] // PageRank
-	g := p.g()
-	n := g.NumVertices()
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	fs, err := fault.ParseSpec("seed=11,crashw=1:10")
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []sessionProg{sessionProgs[2], sessionProgs[3]} { // PageRank, Katz
+		for _, crashAt := range []int{1, 2} {
+			for _, ckpts := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/apply%d/ckpt=%v", p.name, crashAt, ckpts), func(t *testing.T) {
+					g := p.g()
+					n := g.NumVertices()
+					edges := append([]graph.Edge(nil), g.Edges()...)
+					cfg := rejoinCfg(MRASyncAsync)
+					if ckpts {
+						cfg.SnapshotDir = t.TempDir()
+						cfg.SnapshotEvery = 1 << 30 // park checkpoints only
+					}
+					s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					r := rand.New(rand.NewSource(331))
+					for i := 1; i <= 2; i++ {
+						var mut Mutation
+						mut, edges = randMutation(r, edges, n, 6, 6, false, p.insW)
+						if i == crashAt {
+							armCrash(s, 1)
+						}
+						applyChecked(t, s, p, n, edges, g.Weighted(), mut, i == crashAt, fmt.Sprintf("apply-%d", i))
+					}
+				})
+			}
+		}
 	}
-	cfg := rejoinCfg(MRASyncAsync)
-	cfg.SnapshotDir = t.TempDir()
-	cfg.SnapshotEvery = 1 << 30 // park checkpoints only: no mid-fixpoint episodes
-	cfg.Fault = fault.New(fs)
-	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if res := s.Result(); !res.Converged {
-		t.Fatalf("initial fixpoint did not converge (stop cause: %v)", res.StopCause)
-	}
-	oracleCfg := rejoinCfg(MRASyncAsync)
-	r := rand.New(rand.NewSource(331))
-	for i := 0; i < 2; i++ {
-		var mut Mutation
-		mut, edges = randMutation(r, edges, n, 6, 6, false, p.insW)
-		res, err := s.Apply(mut)
+
+	t.Run("PageRank/restored", func(t *testing.T) {
+		p := sessionProgs[2]
+		g := p.g()
+		n := g.NumVertices()
+		edges0 := append([]graph.Edge(nil), g.Edges()...)
+		r := rand.New(rand.NewSource(331))
+		mut1, edges1 := randMutation(r, edges0, n, 6, 6, false, p.insW)
+		mut2, edges2 := randMutation(r, edges1, n, 6, 6, false, p.insW)
+		cfg := rejoinCfg(MRASyncAsync)
+		cfg.SnapshotDir = t.TempDir()
+		cfg.SnapshotEvery = 1 << 30
+		s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 		if err != nil {
-			t.Fatalf("Apply %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !res.Converged {
-			t.Fatalf("Apply %d did not converge (stop cause: %v)", i, res.StopCause)
+		if _, err := s.Apply(mut1); err != nil {
+			t.Fatal(err)
 		}
-		want := scratchFixpoint(t, p, n, edges, g.Weighted(), oracleCfg)
-		expectSameFixpoint(t, fmt.Sprintf("apply-%d", i), res.Values, want, p.ident, p.tol)
-	}
+		s.Close()
+
+		g1, err := graph.FromEdges(n, append([]graph.Edge(nil), edges1...), g.Weighted())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgR := rejoinCfg(MRASyncAsync)
+		cfgR.RestoreDir = cfg.SnapshotDir
+		sR, err := Open(compilePlan(t, p.src, p.db(g1)), cfgR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sR.Close()
+		if sR.MutEpoch() != 1 {
+			t.Fatalf("restored MutEpoch = %d, want 1", sR.MutEpoch())
+		}
+		armCrash(sR, 1)
+		applyChecked(t, sR, p, n, edges2, g.Weighted(), mut2, true, "replayed apply-2")
+	})
 }
 
 // TestShardRouteSplit: the divide-free static route (monotable.Route) is

@@ -32,7 +32,7 @@ func (w *worker) scanPass() int {
 	w.drainBuf = w.drainBuf[:0]
 	if dense != nil {
 		dense.DrainOwned(w.takeFn)
-		w.sink.Cols[w.id] = &dense.Column // the table is replaced on a rollback
+		w.sink.Cols[w.id] = &dense.Column // the table is replaced on a reseed
 	} else {
 		w.table.ScanDirty(w.drainFn)
 	}

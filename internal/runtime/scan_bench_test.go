@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	stdruntime "runtime"
 	"testing"
 	"time"
 
@@ -70,27 +69,20 @@ func BenchmarkScanPass(b *testing.B) {
 // TestBSPCountsRepeat pins the traffic DESIGN.md §9 and benchmark/README.md
 // quote for plperf's pagerank-rmat-bsp (91 supersteps, 386 583 KVs in 182
 // batches) and BenchmarkRunChain's MRA+Sync kvs/op and passes/op: under
-// BSP barriers a seeded run's counts repeat exactly, so a change to the
-// compute pass that moves where or when a value is sent shows here.
-//
-// The chain runs on one proc: its BSP drain is not superstep-exact under
-// preemption. Under the race detector at 2 or 4 procs its counts come out
-// up to a few hundred KVs and a round short; at one proc, and without the
-// race detector at 4, they repeat.
+// BSP barriers a seeded run's counts repeat exactly, at any GOMAXPROCS
+// and under the race detector (a peer's next-superstep batch is held
+// until this worker's own pass has drained, worker.early), so a change to
+// the compute pass that moves where or when a value is sent shows here.
 func TestBSPCountsRepeat(t *testing.T) {
 	for _, tc := range []struct {
 		name, src            string
 		g                    *graph.Graph
 		rounds, kvs, flushes int64
-		oneProc              bool
 	}{
-		{"pagerank-rmat", progs.PageRank, gen.RMAT(13, 82000, 0, 1), 91, 386583, 182, false},
-		{"sssp-chain", progs.SSSP, gen.LocalChain(8000, 4, 40, 100, 1), 358, 23898, 711, true},
+		{"pagerank-rmat", progs.PageRank, gen.RMAT(13, 82000, 0, 1), 91, 386583, 182},
+		{"sssp-chain", progs.SSSP, gen.LocalChain(8000, 4, 40, 100, 1), 358, 23898, 711},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.oneProc {
-				defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
-			}
 			res, err := Run(compilePlan(t, tc.src, edgeDB("edge")(tc.g)), Config{
 				Workers: 2, Mode: MRASync,
 				Tau: time.Millisecond, CheckInterval: 2 * time.Millisecond, MaxWall: time.Minute,

@@ -106,12 +106,6 @@ type Session struct {
 	prevSent, prevRecv, prevFlush int64
 
 	ckptEpoch int // monotone stamp for park-boundary checkpoints
-
-	// Re-join state (membership.go, DESIGN.md §11). fenceRelease holds
-	// the checkpoint read lease a combining-aggregate crash recovery takes
-	// between choosing a rollback epoch and the fleet finishing its
-	// reload; released at the fence's Release.
-	fenceRelease func()
 }
 
 // begin claims the session for one exclusive operation. It fails fast
@@ -563,99 +557,26 @@ func (s *Session) spawnInto(id int) *worker {
 	return w
 }
 
-// crashRepair is a crash fence's repair choice for one lost slot (the
-// worker's half is worker.repairState), a pure function of the aggregate
-// class, the mutation epoch, and the newest checkpoint (nil when there is
-// no snapshot directory or nothing usable in it): for a selective program
-// the lost slot's own newest shard, for a combining one the newest
-// complete set.
-//
-//	selective: keep state and replay (rollback 0), warm-starting the
-//	           replacement from its shard when that incorporates the
-//	           current mutation epoch;
-//	combining: rewind to the newest set if it is a consistent cut of the
-//	           current mutation epoch, else to the ΔX¹ seed (-1) while no
-//	           mutation has been applied; otherwise refuse (ok=false).
-func crashRepair(selective bool, mutEpoch int, newest *ckpt.Meta) (rollback int, warm, ok bool) {
-	switch {
-	case selective:
-		return 0, newest != nil && newest.MutEpoch == mutEpoch, true
-	case newest != nil && newest.Cut && newest.MutEpoch == mutEpoch:
-		return newest.Epoch, false, true
-	case mutEpoch == 0:
-		return -1, false, true
-	}
-	return 0, false, false
-}
-
-// respawnWorker replaces crashed worker id and returns the fence's
-// rollback directive as crashRepair chooses it; ok=false (nothing
-// spawned) sends the master to the abort path. A combining program's
-// choice pins the snapshot directory with a read lease first, so the
-// epoch chosen here cannot be pruned before the last worker reloads it;
-// the fence's release drops the lease, or the refusal here does.
-func (s *Session) respawnWorker(id int) (int, bool) {
-	dir, selective := s.cfg.SnapshotDir, s.plan.Op.Selective()
-	var rows []ckpt.Row
-	var newest *ckpt.Meta
-	read := func(r []ckpt.Row, meta ckpt.Meta, err error) {
-		if err == nil {
-			rows, newest = r, &meta
-		}
-	}
-	switch {
-	case dir == "":
-	case selective:
-		read(ckpt.NewestShard(dir, id))
-	default:
-		if s.fenceRelease == nil {
-			if rel, err := ckpt.AcquireReadLease(dir); err == nil {
-				s.fenceRelease = rel
-			}
-		}
-		read(ckpt.LoadAll(dir))
-	}
-	rollback, warm, ok := crashRepair(selective, s.mutEpoch, newest)
-	if !ok {
-		s.fenceReleased()
-		return 0, false
-	}
+// respawnWorker replaces crashed worker id. A selective replacement
+// seeds its share of ΔX¹ and re-derives the rest from the survivors'
+// replay at the fence; a combining one is reseeded at the cut with the
+// whole fleet (worker.repairState).
+func (s *Session) respawnWorker(id int) {
 	w := s.spawnInto(id)
-	if rollback == 0 {
-		// Selective: seed the replacement's share of ΔX¹ and shortcut
-		// re-derivation with the warm shard (folded as plain deltas —
-		// Theorem 3 makes stale state safe). Survivors replay boundary
-		// contributions at the fence; the rest re-derives locally.
+	if s.plan.Op.Selective() {
 		w.seed(s.plan.InitMRA)
-		if warm {
-			w.restoreStale(rows)
-		}
 	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		w.run()
 	}()
-	return rollback, true
-}
-
-// fenceReleased runs after every successful membership fence (and on a
-// refused re-join and at teardown): drop the checkpoint read lease and
-// rebase the per-epoch traffic baselines — the fence zeroed the fleet's
-// counters.
-func (s *Session) fenceReleased() {
-	if s.fenceRelease != nil {
-		s.fenceRelease()
-		s.fenceRelease = nil
-	}
-	s.prevSent, s.prevRecv, s.prevFlush = 0, 0, 0
 }
 
 // teardown releases everything; used by Open's error path and Close.
 // The caller must hold the exclusive claim (Open's construction path or
 // Close's closing flag), so no other operation is touching the fleet.
 func (s *Session) teardown() {
-	s.fenceReleased() // a read lease an aborted re-join still holds
 	s.stopFleet()
 	s.net.Close()
 	s.mu.Lock()

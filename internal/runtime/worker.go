@@ -731,8 +731,8 @@ func (w *worker) flush(j int) {
 		// The pending membership fence names the slot lost: hold the
 		// buffer. Selective replay refills it for the replacement and it
 		// drains after the fence commits, on the link its cut renewed
-		// (extra deliveries are idempotent by Theorem 3); rollback repairs
-		// discard it wholesale.
+		// (extra deliveries are idempotent by Theorem 3); a reseed
+		// discards it wholesale.
 		return
 	}
 	for w.bufs[j].len() > 0 {

@@ -7,13 +7,13 @@
 // the current time and does what it answers: wait, start a wave, or stop.
 //
 // A report is one worker's {sent, recv, passes, accSum, dirty}. It is
-// either solicited — the reply to a wave, a poll of every live worker —
+// either solicited — the reply to a wave, a poll of every worker —
 // or unsolicited: a worker that falls idle with nothing pending says so
 // at once instead of waiting to be asked.
 //
 // Quiescence (fixpoint programs; it also ends an ε program that reaches
 // a true fixpoint) is Mattern's four-counter condition. When the newest
-// report of every live worker is clean and Σsent = Σrecv, that picture
+// report of every worker is clean and Σsent = Σrecv, that picture
 // is the first wave; the machine asks for one solicited wave and stops
 // iff it returns the same Σsent, Σrecv and Σpasses, still clean. The
 // second wave starts after every report of the first was received and
@@ -36,7 +36,7 @@
 // samples, and only samples taken by timer-started waves: those are at
 // least Config.Interval apart, so an early wake never shortens the window
 // an ε is judged over. A window counts only if no worker's sample is
-// stale for it — each live worker either completed a pass inside the
+// stale for it — each worker either completed a pass inside the
 // window or reports clean; a worker that holds pending work and made no
 // pass (descheduled, starved) has a frozen accSum, and judging the
 // fleet's change without it is how an ε stop leaves mass behind. A
@@ -76,7 +76,7 @@ type Action uint8
 
 const (
 	Wait      Action = iota // block for the next report, at most until Decision.Until
-	StartWave               // call Begin and solicit a report from every live worker
+	StartWave               // call Begin and solicit a report from every worker
 	Stop                    // end the fixpoint; Decision.Cause says why
 )
 
@@ -111,8 +111,7 @@ func (s sums) quiet() bool { return !s.dirty && s.sent == s.recv }
 
 // Detector is the state machine. It is not safe for concurrent use.
 type Detector struct {
-	cfg  Config
-	live []bool
+	cfg Config
 
 	// latest is each worker's newest report, solicited or not.
 	latest []Report
@@ -150,29 +149,26 @@ type Detector struct {
 	stop Cause
 }
 
-// New returns a detector for the workers marked in live, with the first
-// grid tick one Interval after now.
-func New(cfg Config, live []bool, now time.Time) *Detector {
-	n := len(live)
+// New returns a detector for a fleet of n workers, with the first grid
+// tick one Interval after now.
+func New(cfg Config, n int, now time.Time) *Detector {
 	d := &Detector{
 		cfg:     cfg,
-		live:    make([]bool, n),
 		latest:  make([]Report, n),
 		have:    make([]bool, n),
 		reply:   make([]Report, n),
 		replied: make([]bool, n),
 		grid:    make([]int64, n),
 	}
-	d.Reset(live, now)
+	d.Reset(now)
 	return d
 }
 
-// Reset forgets everything observed so far and adopts a new live set: a
-// membership fence zeroed the fleet's counters, or a restarted master
-// lost its memory. Both criteria need a fresh pair of observations after
-// it, so a reset can delay a stop but never cause one.
-func (d *Detector) Reset(live []bool, now time.Time) {
-	copy(d.live, live)
+// Reset forgets everything observed so far: a membership fence zeroed
+// the fleet's counters, or a restarted master lost its memory. Both
+// criteria need a fresh pair of observations after it, so a reset can
+// delay a stop but never cause one.
+func (d *Detector) Reset(now time.Time) {
 	clear(d.have)
 	d.wave, d.armed = 0, false
 	d.confirmDue, d.idleSeen = false, false
@@ -202,12 +198,7 @@ func (d *Detector) Begin(id int, now time.Time) (byTimer bool) {
 	d.byTimer = !now.Before(d.nextTick)
 	d.confirmDue, d.idleSeen = false, false
 	clear(d.replied)
-	d.missing = 0
-	for _, l := range d.live {
-		if l {
-			d.missing++
-		}
-	}
+	d.missing = len(d.replied)
 	p, ok := d.picture()
 	d.base, d.armed = p, ok && p.quiet()
 	return d.byTimer
@@ -215,7 +206,7 @@ func (d *Detector) Begin(id int, now time.Time) (byTimer bool) {
 
 // Awaiting reports whether the open wave still lacks worker j's reply.
 func (d *Detector) Awaiting(j int) bool {
-	return d.wave != 0 && d.live[j] && !d.replied[j]
+	return d.wave != 0 && !d.replied[j]
 }
 
 // Missing is how many replies the open wave still lacks.
@@ -228,10 +219,10 @@ func (d *Detector) Missing() int {
 
 // Report feeds one report from worker j: the reply to wave id, or an
 // unsolicited report (id 0). Replies to a wave that is not open, repeated
-// replies and reports from outside the live set are ignored. It reports
+// replies and reports from outside the fleet are ignored. It reports
 // whether this reply was the open wave's last, closing it.
 func (d *Detector) Report(j, id int, r Report, now time.Time) (closed bool) {
-	if j < 0 || j >= len(d.live) || !d.live[j] || d.stop != None {
+	if j < 0 || j >= len(d.latest) || d.stop != None {
 		return false
 	}
 	if id == 0 {
@@ -263,8 +254,8 @@ func older(a, b Report) bool {
 	return a.Sent < b.Sent || a.Recv < b.Recv || a.Passes < b.Passes
 }
 
-// picture adds up the newest report of every live worker; ok is false
-// while some live worker has not reported since the last reset.
+// picture adds up the newest report of every worker; ok is false while
+// some worker has not reported since the last reset.
 func (d *Detector) picture() (s sums, ok bool) {
 	return d.sum(d.latest, d.have)
 }
@@ -275,10 +266,7 @@ func (d *Detector) quietPicture() bool {
 }
 
 func (d *Detector) sum(reports []Report, have []bool) (s sums, ok bool) {
-	for j, l := range d.live {
-		if !l {
-			continue
-		}
+	for j := range reports {
 		if !have[j] {
 			return sums{}, false
 		}
@@ -318,10 +306,7 @@ func (d *Detector) closeWave(now time.Time) {
 func (d *Detector) sample(s sums) {
 	if d.haveGrid {
 		advanced := false
-		for j, l := range d.live {
-			if !l {
-				continue
-			}
+		for j := range d.reply {
 			if d.reply[j].Passes > d.grid[j] {
 				advanced = true
 			} else if d.reply[j].Dirty {

@@ -11,14 +11,6 @@ const tick = time.Millisecond
 
 var t0 = time.Unix(1000, 0)
 
-func allLive(n int) []bool {
-	live := make([]bool, n)
-	for j := range live {
-		live[j] = true
-	}
-	return live
-}
-
 // harness drives a Detector the way a master does, with a fake clock.
 type harness struct {
 	t    *testing.T
@@ -34,7 +26,7 @@ func newHarness(t *testing.T, cfg Config, n int) *harness {
 	if cfg.MaxIters == 0 {
 		cfg.MaxIters = 1 << 30
 	}
-	return &harness{t: t, d: New(cfg, allLive(n), t0), now: t0}
+	return &harness{t: t, d: New(cfg, n, t0), now: t0}
 }
 
 // timerWave advances the clock to the next tick and runs one wave in
@@ -161,20 +153,20 @@ func TestTermIdleReportsNeedNoClock(t *testing.T) {
 }
 
 // TestTermStaleAndForeignReports: replies to a closed wave, repeated
-// replies, reports from outside the live set and an idle report overtaken
-// by a newer one change nothing.
+// replies, reports from a slot outside the fleet and an idle report
+// overtaken by a newer one change nothing.
 func TestTermStaleAndForeignReports(t *testing.T) {
-	live := []bool{true, true, false}
-	d := New(Config{Interval: tick, MaxIters: 1 << 30}, live, t0)
-	d.Report(2, 0, clean(0, 0, 0), t0) // not live
-	d.Report(0, 7, clean(1, 1, 0), t0) // no wave 7 is open
+	d := New(Config{Interval: tick, MaxIters: 1 << 30}, 2, t0)
+	d.Report(2, 0, clean(0, 0, 0), t0)  // no slot 2
+	d.Report(-1, 0, clean(0, 0, 0), t0) // nor -1
+	d.Report(0, 7, clean(1, 1, 0), t0)  // no wave 7 is open
 	d.Report(0, 0, clean(3, 3, 2), t0)
 	d.Report(0, 0, clean(2, 2, 1), t0) // older than the one above
-	if d.latest[0] != clean(3, 3, 2) || d.have[1] || d.have[2] {
+	if d.latest[0] != clean(3, 3, 2) || d.have[1] {
 		t.Fatalf("latest = %+v have = %v", d.latest, d.have)
 	}
 	d.Begin(1, t0.Add(tick))
-	if d.Missing() != 2 || d.Awaiting(2) || !d.Awaiting(0) {
+	if d.Missing() != 2 || !d.Awaiting(1) || !d.Awaiting(0) {
 		t.Fatalf("missing = %d", d.Missing())
 	}
 	d.Report(0, 1, clean(3, 3, 2), t0)
@@ -286,7 +278,7 @@ func TestTermIterationCapAndReset(t *testing.T) {
 	}
 	h.timerWave(busy(3, 0, 2)) // no pass completed: not an iteration
 	h.expect(Wait, None)
-	h.d.Reset(allLive(1), h.now)
+	h.d.Reset(h.now)
 	if h.d.iters != 0 || h.d.haveGrid || h.d.have[0] {
 		t.Fatal("reset kept state")
 	}
@@ -469,7 +461,7 @@ func TestTermProperty(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				n := 2 + rng.Intn(3)
 				s := &sim{now: t0, flight: make([][][]int, n)}
-				s.det = New(Config{Interval: tick, MaxIters: 1 << 30}, allLive(n), t0)
+				s.det = New(Config{Interval: tick, MaxIters: 1 << 30}, n, t0)
 				for i := 0; i < n; i++ {
 					w := &simWorker{buf: make([]int, n), fuel: rng.Intn(40)}
 					if rng.Intn(3) > 0 {

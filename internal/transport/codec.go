@@ -30,8 +30,7 @@ import (
 //	    dirty          1 byte
 //	Fence payload (FenceRequest, FenceMark, FenceAck, FenceRelease):
 //	    class          1 byte
-//	    member         1 byte, 1 when a membership directive follows:
-//	    rollback       zigzag varint
+//	    member         1 byte, 1 when a membership request's lost slots follow:
 //	    down           uvarint count, then one zigzag varint each
 //
 // Other kinds carry no payload beyond the header. The frame prefix is a
@@ -97,7 +96,6 @@ func appendPayload(buf []byte, m *Message) []byte {
 			buf = append(buf, 0)
 		} else {
 			buf = append(buf, 1)
-			buf = binary.AppendVarint(buf, int64(mb.Rollback))
 			buf = binary.AppendUvarint(buf, uint64(len(mb.Down)))
 			for _, j := range mb.Down {
 				buf = binary.AppendVarint(buf, int64(j))
@@ -156,7 +154,7 @@ func decodePayload(data []byte) (Message, error) {
 	case FenceRequest, FenceMark, FenceAck, FenceRelease:
 		m.Fence = FenceClass(d.byte())
 		if d.byte() == 1 {
-			mb := &Membership{Rollback: int(d.varint())}
+			mb := &Membership{}
 			// Every slot costs a byte: a corrupt count ends at the overrun.
 			for n := d.uvarint(); n > 0 && !d.bad; n-- {
 				mb.Down = append(mb.Down, int32(d.varint()))

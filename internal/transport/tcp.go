@@ -146,7 +146,16 @@ func (t *TCPConn) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// A conn accepted after Close took its copy of accepted would
+		// never be closed, and Close would wait on its readLoop until the
+		// remote end hung up. Close sets closed before it takes mu, so
+		// under mu either Close has not copied yet or closed is visible.
 		t.mu.Lock()
+		if t.closed.Load() {
+			t.mu.Unlock()
+			c.Close()
+			return
+		}
 		t.accepted = append(t.accepted, c)
 		t.mu.Unlock()
 		t.wg.Add(1)

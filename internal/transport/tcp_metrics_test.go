@@ -12,12 +12,7 @@ import (
 // attempts counted as retries, exactly one closed→open transition, and a
 // half-open probe once the cooldown elapses.
 func TestTCPMetricsRetryAndBreaker(t *testing.T) {
-	dead := reservePort(t)
-	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", dead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w0.Close()
+	w0, _ := deadPeer(t)
 	reg := metrics.NewRegistry()
 	w0.SetMetrics(reg)
 	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
@@ -101,12 +96,7 @@ func TestTCPMetricsPerPeerTraffic(t *testing.T) {
 // peer comes up after the breaker opened, and the successful probe must
 // count exactly one close.
 func TestTCPMetricsBreakerClose(t *testing.T) {
-	addr := reservePort(t)
-	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w0.Close()
+	w0, addr := deadPeer(t)
 	reg := metrics.NewRegistry()
 	w0.SetMetrics(reg)
 	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,

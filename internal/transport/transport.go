@@ -33,7 +33,7 @@ const (
 	StatsRequest             // master → workers: report stats for round Round
 	StatsReply               // worker → master: Stats for round Round
 	Stop                     // master → workers: terminate
-	FenceRequest             // master → workers: open fence Round of class Fence (Member: membership directive)
+	FenceRequest             // master → workers: open fence Round of class Fence (Member: the lost slots)
 	FenceMark                // worker → worker, data lane: cut marker of fence Round (step class: + Stats)
 	FenceAck                 // worker → master (step class at the cut: and peers): reached the cut of fence Round and ran its action (+ Stats)
 	FenceRelease             // master → workers: fence Round is over, resume
@@ -85,7 +85,7 @@ type Stats struct {
 
 // Message is the single wire format for data and control traffic. It
 // travels by value through every channel send, so the fence class shares
-// Kind's word and a membership request's directive sits behind one
+// Kind's word and a membership request's lost slots sit behind one
 // pointer (13 words in all).
 type Message struct {
 	Kind   Kind
@@ -104,12 +104,10 @@ func (m *Message) carriesStats() bool {
 }
 
 // Membership is what a FenceMember request asks of the fleet: which lost
-// slots are replaced in place, and how the fleet repairs its state.
+// slots are replaced in place. How the fleet repairs its state follows
+// from the aggregate class, which every worker knows.
 type Membership struct {
-	// Rollback is the repair directive: > 0 reloads that consistent-cut
-	// checkpoint epoch, < 0 resets to the ΔX¹ seed, 0 keeps state.
-	Rollback int
-	Down     []int32 // lost slots, each replaced in place
+	Down []int32 // lost slots, each replaced in place
 }
 
 // Conn is one endpoint's connection to the network. Inbox returns a

@@ -226,27 +226,88 @@ func TestTCPAddrFormat(t *testing.T) {
 	}
 }
 
-// reservePort grabs an ephemeral loopback port and releases it, so tests
-// can point an address book at a port with no listener (dial refused)
-// and later resurrect a listener on the same address.
-func reservePort(t *testing.T) string {
+// deadPeer starts endpoint 0 of a one-worker network and points its
+// address book at a free loopback port for endpoint 1, with no listener
+// there (dial refused), which a test may later resurrect. The port is
+// reserved after the endpoint listens: a port freed before could become
+// the endpoint's own, and the "dead" peer would be the endpoint itself.
+func deadPeer(t *testing.T) (w0 *TCPConn, dead string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
+	t.Cleanup(func() { w0.Close() })
+	for dead == "" || dead == w0.Addr() {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead = l.Addr().String()
+		l.Close()
+	}
+	w0.SetAddressBook([]string{w0.Addr(), dead})
+	return w0, dead
+}
+
+// TestTCPCloseRacingAccept: a peer that connects while Close runs must
+// not hold Close up. A conn accepted after Close had copied the accepted
+// list used to be tracked but never closed, so Close waited on its reader
+// until the remote end hung up, which a remote closed after this endpoint
+// never does. No seam forces that interleaving, so the test races a
+// stream of dials against Close and bounds each Close with a watchdog.
+func TestTCPCloseRacingAccept(t *testing.T) {
+	rounds := 100
+	if testing.Short() {
+		rounds = 25
+	}
+	for i := 0; i < rounds; i++ {
+		ep, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ep.Addr()
+		var peers []net.Conn
+		first, dialed := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(dialed)
+			for len(peers) < 64 {
+				// A SYN that meets the closing listener is retransmitted
+				// after a second; the round needs none that late.
+				c, err := net.DialTimeout("tcp", addr, 20*time.Millisecond)
+				if err != nil {
+					break // the listener is gone
+				}
+				if peers = append(peers, c); len(peers) == 1 {
+					close(first)
+				}
+			}
+			if len(peers) == 0 {
+				close(first)
+			}
+		}()
+		<-first
+		closed := make(chan struct{})
+		go func() { ep.Close(); close(closed) }()
+		hung := false
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			hung = true
+		}
+		<-dialed
+		for _, c := range peers {
+			c.Close() // what a hung Close waits for
+		}
+		<-closed
+		if hung {
+			t.Fatalf("round %d: Close hung on a conn accepted while it ran", i)
+		}
+	}
 }
 
 func TestTCPSendFailsWithoutListener(t *testing.T) {
-	dead := reservePort(t)
-	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", dead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w0.Close()
+	w0, _ := deadPeer(t)
 	w0.SetRetry(RetryPolicy{Attempts: 3, Backoff: 100 * time.Microsecond,
 		BreakAfter: 100, Cooldown: time.Minute, DialTimeout: time.Second})
 	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
@@ -255,12 +316,7 @@ func TestTCPSendFailsWithoutListener(t *testing.T) {
 }
 
 func TestTCPBreakerOpensThenFailsFast(t *testing.T) {
-	dead := reservePort(t)
-	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", dead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w0.Close()
+	w0, _ := deadPeer(t)
 	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
 		BreakAfter: 3, Cooldown: time.Minute, DialTimeout: time.Second})
 	var sawOpen bool
@@ -288,12 +344,7 @@ func TestTCPBreakerOpensThenFailsFast(t *testing.T) {
 }
 
 func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
-	addr := reservePort(t)
-	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w0.Close()
+	w0, addr := deadPeer(t)
 	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
 		BreakAfter: 2, Cooldown: 5 * time.Millisecond, DialTimeout: time.Second})
 	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
@@ -327,12 +378,7 @@ func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
 }
 
 func TestTCPSendErrorKeepsOwnership(t *testing.T) {
-	dead := reservePort(t)
-	w0, err := NewTCPEndpoint(0, 1, []string{"127.0.0.1:0", dead})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w0.Close()
+	w0, _ := deadPeer(t)
 	w0.SetRetry(RetryPolicy{Attempts: 1, Backoff: 100 * time.Microsecond,
 		BreakAfter: 100, Cooldown: time.Minute, DialTimeout: time.Second})
 	kvs := GetBatch(1)
