@@ -61,13 +61,13 @@ func crashCells(cfg RunConfig, modes []runtime.Mode, drill func(wl *Workload, mo
 	return out, nil
 }
 
-// Recovery measures crash recovery: for one selective workload (SSSP —
-// restored from uncoordinated stale snapshots, Theorem 3) and one
-// combining workload (PageRank — restored from consistent cuts: BSP
-// barrier snapshots or async/SSP marker episodes), each mode runs three
-// times: clean, crashed mid-run with checkpointing on, and restarted
-// from the crashed run's snapshot directory. The headline number is the
-// time-to-refixpoint: the restart's wall time relative to the clean run.
+// Recovery measures crash recovery: for one selective workload (SSSP)
+// and one combining workload (PageRank), both restored exactly from the
+// newest consistent cut (a BSP superstep's, or an async/SSP snapshot
+// episode's), each mode runs three times: clean, crashed mid-run with
+// checkpointing on, and restarted from the crashed run's snapshot
+// directory. The headline number is the time-to-refixpoint: the
+// restart's wall time relative to the clean run.
 func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	modes := []runtime.Mode{runtime.MRASync, runtime.MRASyncAsync, runtime.MRASSP}
 	return crashCells(cfg, modes, func(wl *Workload, mode runtime.Mode, clean Measurement) ([]Measurement, error) {
@@ -95,7 +95,7 @@ func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 //	          master's decision to Release) is the time-to-recover, and
 //	          the wall time relative to clean is the throughput dip
 //	crashed   master-abort fault with checkpoints on
-//	restart   warm-start from the crashed run's snapshots; its wall time
+//	restart   restore the crashed run's newest cut; its wall time
 //	          is what restart-the-world pays to re-reach the fixpoint
 //
 // The headline comparison is time-to-recover: the live fence (ms) versus

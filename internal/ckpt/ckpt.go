@@ -1,19 +1,17 @@
 // Package ckpt serialises MonoTable shard state for fault tolerance —
 // the local-filesystem substitute for the original system's HDFS
 // checkpoints. A snapshot stores each row's Accumulation and pending
-// Intermediate plus a Meta header describing when and how it was taken:
-// the epoch (superstep, local pass count, or snapshot-episode number),
-// the worker count at snapshot time, and whether the epoch is a
-// consistent cut (no in-flight messages — BSP barriers and coordinated
-// snapshot episodes) or a per-worker stale snapshot (async/SSP workers
-// checkpointing at their own pass boundaries, restorable for selective
-// aggregates under Theorem 3's stale-tolerance argument). The binary
-// format is length-prefixed little-endian with a CRC32 trailer, so a
-// torn or corrupted file is detected and refused rather than silently
-// restored. Shard files are epoch-stamped and written atomically (temp
-// file + fsync + rename + directory fsync), and each worker keeps its
-// two newest epochs — a crash leaving the newest epoch incomplete
-// falls back to the previous complete one.
+// Intermediate plus a Meta header. Every checkpoint is a consistent cut
+// (no messages in flight across it), named by one stamp (MutEpoch, n):
+// the mutation-log position it incorporates and the cut's number within
+// that position — 0 for a session's park cut, the superstep or snapshot
+// episode for a cut taken inside a fixpoint. The binary format is
+// length-prefixed little-endian with a CRC32 trailer, so a torn or
+// corrupted file is detected and refused rather than silently restored.
+// Shard files carry both stamp parts in their names and are written
+// atomically (temp file + fsync + rename + directory fsync), and each
+// worker keeps its two newest stamps — a crash leaving the newest cut
+// incomplete falls back to the previous complete one.
 package ckpt
 
 import (
@@ -37,27 +35,32 @@ type Row struct {
 	Inter float64 // pending intermediate delta (identity if none)
 }
 
-// Meta describes one shard snapshot.
+// Meta describes one shard snapshot. (MutEpoch, Epoch) is the cut's
+// stamp; stamps order lexicographically, and within a session each cut's
+// stamp is above every earlier one.
 type Meta struct {
-	// Epoch orders snapshots: BSP superstep, async local pass count, or
-	// coordinated snapshot-episode number.
-	Epoch int
-	// Worker is the writing worker's id (-1 on a LoadAll result, which
-	// merges shards).
-	Worker int
-	// Workers is the fleet size at snapshot time; a cut restore needs a
-	// shard from every one of them.
-	Workers int
-	// Cut marks a consistent cut (restorable exactly); a stale snapshot
-	// (Cut=false) is only restorable for selective aggregates.
-	Cut bool
 	// MutEpoch is the mutation-log position the snapshot incorporates: 0
 	// for a one-shot run or a session's initial fixpoint, k after the
 	// k-th Apply. A restore replays the log entries after MutEpoch.
 	MutEpoch int
+	// Epoch numbers the cut within MutEpoch: 0 for the park cut after the
+	// mutation, the superstep (BSP) or snapshot episode (≥ 1) for a cut
+	// inside the fixpoint.
+	Epoch int
+	// Worker is the writing worker's id (-1 on a LoadAll result, which
+	// merges shards).
+	Worker int
+	// Workers is the fleet size at snapshot time; a restore needs a
+	// shard from every one of them.
+	Workers int
 }
 
-const magic = "PLCK\x03"
+// newer reports whether m's stamp orders after o's.
+func (m Meta) newer(o Meta) bool {
+	return m.MutEpoch > o.MutEpoch || m.MutEpoch == o.MutEpoch && m.Epoch > o.Epoch
+}
+
+const magic = "PLCK\x04"
 
 // Write serialises rows with their Meta header to w.
 func Write(w io.Writer, meta Meta, rows []Row) error {
@@ -72,11 +75,7 @@ func Write(w io.Writer, meta Meta, rows []Row) error {
 		_, err := mw.Write(buf[:])
 		return err
 	}
-	var flags uint64
-	if meta.Cut {
-		flags |= 1
-	}
-	for _, v := range []uint64{uint64(meta.Epoch), uint64(meta.Worker), uint64(meta.Workers), flags, uint64(meta.MutEpoch)} {
+	for _, v := range []uint64{uint64(meta.MutEpoch), uint64(meta.Epoch), uint64(meta.Worker), uint64(meta.Workers)} {
 		if err := put(v); err != nil {
 			return err
 		}
@@ -119,7 +118,7 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	var hdr [5]uint64
+	var hdr [4]uint64
 	for i := range hdr {
 		v, err := get()
 		if err != nil {
@@ -127,15 +126,15 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		hdr[i] = v
 	}
-	meta = Meta{Epoch: int(hdr[0]), Worker: int(int64(hdr[1])), Workers: int(hdr[2]), Cut: hdr[3]&1 != 0, MutEpoch: int(hdr[4])}
+	meta = Meta{MutEpoch: int(hdr[0]), Epoch: int(hdr[1]), Worker: int(int64(hdr[2])), Workers: int(hdr[3])}
 	n, err := get()
 	if err != nil {
 		return nil, meta, fmt.Errorf("ckpt: bad count: %w", err)
 	}
-	if n > 1<<40 {
-		return nil, meta, fmt.Errorf("ckpt: implausible row count %d", n)
-	}
-	rows := make([]Row, 0, n)
+	// The count is not trusted before the checksum: the slice grows as
+	// rows arrive, so a corrupt count ends in a truncation error, not an
+	// allocation the size of the count.
+	rows := make([]Row, 0, min(n, 1<<12))
 	for i := uint64(0); i < n; i++ {
 		k, err := get()
 		if err != nil {
@@ -162,35 +161,35 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 	return rows, meta, nil
 }
 
-// ShardPath names one worker's snapshot for one epoch inside dir.
-func ShardPath(dir string, epoch, worker int) string {
-	return filepath.Join(dir, fmt.Sprintf("ep%06d-shard-%03d.plck", epoch, worker))
+// ShardPath names one worker's shard of the cut (mutEpoch, epoch) inside
+// dir.
+func ShardPath(dir string, mutEpoch, epoch, worker int) string {
+	return filepath.Join(dir, fmt.Sprintf("ep%06d-%06d-shard-%03d.plck", mutEpoch, epoch, worker))
 }
 
 // parseShardName inverts ShardPath on a base filename.
-func parseShardName(name string) (epoch, worker int, ok bool) {
-	if _, err := fmt.Sscanf(name, "ep%06d-shard-%03d.plck", &epoch, &worker); err != nil {
-		return 0, 0, false
-	}
-	return epoch, worker, true
+func parseShardName(name string) (meta Meta, ok bool) {
+	_, err := fmt.Sscanf(name, "ep%d-%d-shard-%d.plck", &meta.MutEpoch, &meta.Epoch, &meta.Worker)
+	return meta, err == nil
 }
 
-// keepEpochs is how many epochs of snapshots each worker retains: the
-// one just written plus its predecessor, so a crash that leaves the
-// newest epoch incomplete across the fleet can still fall back to the
-// previous complete one.
-const keepEpochs = 2
+// keepCuts is how many stamps of snapshots each worker retains: the one
+// just written plus its predecessor, so a crash that leaves the newest
+// cut incomplete across the fleet can still fall back to the previous
+// complete one.
+const keepCuts = 2
 
 // SaveShard atomically writes rows to the worker's shard file for
-// meta.Epoch (write to a temp file in the same directory, fsync, rename,
-// fsync the directory) and prunes this worker's epochs older than the
-// newest keepEpochs. A crash at any point leaves either the new epoch's
-// file complete or absent — never torn — and the previous epoch intact.
+// meta's stamp (write to a temp file in the same directory, fsync,
+// rename, fsync the directory) and prunes this worker's stamps older
+// than the newest keepCuts. A crash at any point leaves either the new
+// cut's file complete or absent — never torn — and the previous cut
+// intact.
 func SaveShard(dir string, meta Meta, rows []Row) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := ShardPath(dir, meta.Epoch, meta.Worker)
+	path := ShardPath(dir, meta.MutEpoch, meta.Epoch, meta.Worker)
 	tmp, err := os.CreateTemp(dir, "shard-*.tmp")
 	if err != nil {
 		return err
@@ -236,7 +235,7 @@ const leaseTTL = 30 * time.Second
 
 // acquireReadLease marks dir as being read by a restore in progress
 // (LoadAll): while any fresh lease file exists, SaveShard defers its
-// keep-2-epochs pruning entirely, so the epoch a concurrent reader
+// keep-2-cuts pruning entirely, so the cut a concurrent reader
 // selected cannot be deleted out from under it between its directory
 // scan and its reads. The returned release function removes the lease;
 // it is safe to call more than once.
@@ -275,7 +274,7 @@ func leased(dir string) bool {
 	return fresh
 }
 
-// pruneShards removes this worker's epochs beyond the newest keepEpochs.
+// pruneShards removes this worker's stamps beyond the newest keepCuts.
 // Best-effort: pruning failures never fail the snapshot that just landed.
 // While a read lease is held (a restore is scanning the directory),
 // pruning is skipped entirely — deferred to the next save.
@@ -284,53 +283,49 @@ func pruneShards(dir string, worker int) {
 		return
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("ep*-shard-%03d.plck", worker)))
-	if err != nil || len(matches) <= keepEpochs {
+	if err != nil || len(matches) <= keepCuts {
 		return
 	}
-	type shardFile struct {
-		epoch int
-		path  string
-	}
-	var files []shardFile
+	stamps := map[string]Meta{}
 	for _, m := range matches {
-		if e, w, ok := parseShardName(filepath.Base(m)); ok && w == worker {
-			files = append(files, shardFile{e, m})
+		if meta, ok := parseShardName(filepath.Base(m)); ok && meta.Worker == worker {
+			stamps[m] = meta
 		}
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].epoch > files[j].epoch })
-	for _, f := range files[min(len(files), keepEpochs):] {
-		_ = os.Remove(f.path)
+	sort.Slice(matches, func(i, j int) bool { return stamps[matches[i]].newer(stamps[matches[j]]) })
+	for _, m := range matches[keepCuts:] {
+		if _, ok := stamps[m]; ok {
+			_ = os.Remove(m)
+		}
 	}
 }
 
 // MissingShardError reports an incomplete snapshot set: the directory
-// holds shards, but no epoch (for a cut) or no per-worker selection (for
-// stale snapshots) covers every worker recorded in the headers.
+// holds shards, but no stamp has a shard from every worker recorded in
+// the headers.
 type MissingShardError struct {
-	Dir     string
-	Epoch   int   // the newest epoch examined
-	Workers int   // fleet size recorded in the shard headers
-	Missing []int // worker ids with no usable shard
+	Dir             string
+	MutEpoch, Epoch int   // the newest stamp examined
+	Workers         int   // fleet size recorded in the shard headers
+	Missing         []int // worker ids with no shard of that stamp
 }
 
 func (e *MissingShardError) Error() string {
-	return fmt.Sprintf("ckpt: snapshot in %s is incomplete: epoch %d needs %d workers, missing shards for %v",
-		e.Dir, e.Epoch, e.Workers, e.Missing)
+	return fmt.Sprintf("ckpt: snapshot in %s is incomplete: cut (%d, %d) needs %d workers, missing shards for %v",
+		e.Dir, e.MutEpoch, e.Epoch, e.Workers, e.Missing)
 }
 
-// LoadAll assembles the most recent restorable snapshot in dir and
-// returns its rows plus a Meta describing it (Worker = -1). For
-// consistent-cut snapshots it picks the newest epoch for which every
-// worker's shard is present; for stale snapshots it takes each worker's
-// newest shard (epochs may differ — that is what "stale" licenses) and
-// the returned Epoch is the minimum across workers. Any unreadable or
+// LoadAll assembles the newest complete cut in dir — the highest stamp
+// (MutEpoch, Epoch) with a shard from every worker — and returns its rows
+// plus a Meta describing it (Worker = -1). An incomplete newest cut
+// (a crash mid-cut) falls back to its predecessor. Any unreadable or
 // checksum-failing shard file aborts the load: SaveShard never leaves a
 // torn file behind, so corruption here is external damage and must be
-// surfaced, not silently skipped. An incomplete worker set yields a
-// *MissingShardError.
+// surfaced, not silently skipped. A directory with no complete cut
+// yields a *MissingShardError.
 func LoadAll(dir string) ([]Row, Meta, error) {
 	// The lease pins the directory contents: concurrent SaveShard calls
-	// keep landing new epochs but defer pruning, so everything the glob
+	// keep landing new cuts but defer pruning, so everything the glob
 	// below sees stays readable until release.
 	release, err := acquireReadLease(dir)
 	if err != nil {
@@ -341,17 +336,9 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	if len(matches) == 0 {
-		return nil, Meta{}, fmt.Errorf("ckpt: no snapshots in %s", dir)
-	}
-	type shard struct {
-		meta Meta
-		rows []Row
-	}
-	// epoch → worker → shard
-	byEpoch := map[int]map[int]shard{}
-	workers, cut := 0, false
-	first := true
+	// stamp (a Meta holding only MutEpoch and Epoch) → worker → rows
+	byStamp := map[Meta]map[int][]Row{}
+	workers := 0
 	for _, m := range matches {
 		f, err := os.Open(m)
 		if errors.Is(err, os.ErrNotExist) {
@@ -368,100 +355,43 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 		if err != nil {
 			return nil, Meta{}, fmt.Errorf("%s: %w", m, err)
 		}
-		if epoch, worker, ok := parseShardName(filepath.Base(m)); !ok || epoch != meta.Epoch || worker != meta.Worker {
+		if named, ok := parseShardName(filepath.Base(m)); !ok || named != (Meta{MutEpoch: meta.MutEpoch, Epoch: meta.Epoch, Worker: meta.Worker}) {
 			return nil, Meta{}, fmt.Errorf("ckpt: %s: filename disagrees with header %+v", m, meta)
 		}
-		if first {
-			workers, cut = meta.Workers, meta.Cut
-			first = false
-		} else if meta.Workers != workers || meta.Cut != cut {
-			return nil, Meta{}, fmt.Errorf("ckpt: %s: mixed snapshot kinds in %s (workers %d/%d, cut %v/%v)",
-				m, dir, meta.Workers, workers, meta.Cut, cut)
+		if len(byStamp) == 0 {
+			workers = meta.Workers
+		} else if meta.Workers != workers {
+			return nil, Meta{}, fmt.Errorf("ckpt: %s: mixed fleet sizes in %s (%d/%d workers)", m, dir, meta.Workers, workers)
 		}
-		if byEpoch[meta.Epoch] == nil {
-			byEpoch[meta.Epoch] = map[int]shard{}
+		stamp := Meta{MutEpoch: meta.MutEpoch, Epoch: meta.Epoch}
+		if byStamp[stamp] == nil {
+			byStamp[stamp] = map[int][]Row{}
 		}
-		byEpoch[meta.Epoch][meta.Worker] = shard{meta, rows}
+		byStamp[stamp][meta.Worker] = rows
 	}
-	if first {
+	if len(byStamp) == 0 {
 		return nil, Meta{}, fmt.Errorf("ckpt: no snapshots in %s", dir)
 	}
-	epochs := make([]int, 0, len(byEpoch))
-	for e := range byEpoch {
-		epochs = append(epochs, e)
+	stamps := make([]Meta, 0, len(byStamp))
+	for s := range byStamp {
+		stamps = append(stamps, s)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(epochs)))
-
-	var chosen []shard
-	outMeta := Meta{Worker: -1, Workers: workers, Cut: cut, MutEpoch: -1}
-	if cut {
-		// Newest epoch with the full worker set; an incomplete newest
-		// epoch (crash mid-episode) falls back to its predecessor.
-		for _, e := range epochs {
-			if len(byEpoch[e]) == workers {
-				for _, s := range byEpoch[e] {
-					chosen = append(chosen, s)
-				}
-				outMeta.Epoch = e
-				break
+	sort.Slice(stamps, func(i, j int) bool { return stamps[i].newer(stamps[j]) })
+	for _, s := range stamps {
+		if len(byStamp[s]) == workers {
+			var all []Row
+			for _, rows := range byStamp[s] {
+				all = append(all, rows...)
 			}
-		}
-		if chosen == nil {
-			newest := epochs[0]
-			var missing []int
-			for wk := 0; wk < workers; wk++ {
-				if _, ok := byEpoch[newest][wk]; !ok {
-					missing = append(missing, wk)
-				}
-			}
-			return nil, Meta{}, &MissingShardError{Dir: dir, Epoch: newest, Workers: workers, Missing: missing}
-		}
-	} else {
-		// Per-worker newest shard; every worker must have written at
-		// least one.
-		newestFor := map[int]shard{}
-		for _, e := range epochs {
-			for wk, s := range byEpoch[e] {
-				if _, ok := newestFor[wk]; !ok {
-					newestFor[wk] = s
-				}
-			}
-		}
-		var missing []int
-		for wk := 0; wk < workers; wk++ {
-			if _, ok := newestFor[wk]; !ok {
-				missing = append(missing, wk)
-			}
-		}
-		if len(missing) > 0 {
-			return nil, Meta{}, &MissingShardError{Dir: dir, Epoch: epochs[0], Workers: workers, Missing: missing}
-		}
-		minEpoch := -1
-		for _, s := range newestFor {
-			chosen = append(chosen, s)
-			if minEpoch < 0 || s.meta.Epoch < minEpoch {
-				minEpoch = s.meta.Epoch
-			}
-		}
-		outMeta.Epoch = minEpoch
-	}
-	// The restorable mutation-log position is the minimum across the
-	// chosen shards: cut snapshots agree by construction; stale shards may
-	// straddle an Apply, and re-replaying an already-incorporated entry is
-	// sound for the selective aggregates stale restore is limited to
-	// (inserts are idempotent improvements, deletions invalidate-and-
-	// recompute against the already-mutated EDB).
-	for _, s := range chosen {
-		if outMeta.MutEpoch < 0 || s.meta.MutEpoch < outMeta.MutEpoch {
-			outMeta.MutEpoch = s.meta.MutEpoch
+			s.Worker, s.Workers = -1, workers
+			return all, s, nil
 		}
 	}
-	if outMeta.MutEpoch < 0 {
-		outMeta.MutEpoch = 0
+	miss := &MissingShardError{Dir: dir, MutEpoch: stamps[0].MutEpoch, Epoch: stamps[0].Epoch, Workers: workers}
+	for wk := 0; wk < workers; wk++ {
+		if _, ok := byStamp[stamps[0]][wk]; !ok {
+			miss.Missing = append(miss.Missing, wk)
+		}
 	}
-	var all []Row
-	for _, s := range chosen {
-		all = append(all, s.rows...)
-	}
-	return all, outMeta, nil
+	return nil, Meta{}, miss
 }

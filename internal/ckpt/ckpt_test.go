@@ -12,7 +12,12 @@ import (
 )
 
 func cutMeta(epoch, worker, workers int) Meta {
-	return Meta{Epoch: epoch, Worker: worker, Workers: workers, Cut: true}
+	return Meta{Epoch: epoch, Worker: worker, Workers: workers}
+}
+
+// stampMeta is cutMeta for the stamp (mutEpoch, epoch).
+func stampMeta(mutEpoch, epoch, worker, workers int) Meta {
+	return Meta{MutEpoch: mutEpoch, Epoch: epoch, Worker: worker, Workers: workers}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -21,7 +26,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		{Key: 42, Acc: -3, Inter: 0.25},
 		{Key: 1<<40 + 7, Acc: 0, Inter: 0},
 	}
-	meta := Meta{Epoch: 7, Worker: 2, Workers: 5, Cut: true}
+	meta := Meta{MutEpoch: 3, Epoch: 7, Worker: 2, Workers: 5}
 	var buf bytes.Buffer
 	if err := Write(&buf, meta, rows); err != nil {
 		t.Fatal(err)
@@ -48,12 +53,9 @@ func TestReadEmpty(t *testing.T) {
 	if err := Write(&buf, Meta{Worker: 0, Workers: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, meta, err := Read(&buf)
+	got, _, err := Read(&buf)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
-	}
-	if meta.Cut {
-		t.Error("stale meta round-tripped as cut")
 	}
 }
 
@@ -76,10 +78,10 @@ func TestReadDetectsCorruption(t *testing.T) {
 		t.Error("truncated snapshot should fail")
 	}
 
-	// Bad magic: an older format differs in the version byte alone (v2
-	// has no MutEpoch word and no reader any more).
+	// Bad magic: an older format differs in the version byte alone (v3
+	// has a kind flag and no reader any more).
 	bad = append([]byte(nil), data...)
-	bad[len(magic)-1] = 2
+	bad[len(magic)-1] = 3
 	if _, _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic should fail")
 	}
@@ -92,7 +94,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range rows {
 			rows[i] = Row{Key: rng.Int63(), Acc: rng.NormFloat64(), Inter: rng.NormFloat64()}
 		}
-		meta := Meta{Epoch: rng.Intn(1 << 20), Worker: rng.Intn(64), Workers: 64, Cut: rng.Intn(2) == 0}
+		meta := Meta{MutEpoch: rng.Intn(1 << 20), Epoch: rng.Intn(1 << 20), Worker: rng.Intn(64), Workers: 64}
 		var buf bytes.Buffer
 		if err := Write(&buf, meta, rows); err != nil {
 			return false
@@ -125,7 +127,7 @@ func TestSaveLoadShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 2 || meta.Epoch != 1 || !meta.Cut || meta.Workers != 2 {
+	if len(all) != 2 || meta.Epoch != 1 || meta.Workers != 2 {
 		t.Fatalf("rows = %v meta = %+v", all, meta)
 	}
 	// A newer complete epoch supersedes the old one.
@@ -216,7 +218,7 @@ func TestTornShardRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := ShardPath(dir, 1, 1)
+	path := ShardPath(dir, 0, 1, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -253,17 +255,20 @@ func TestLoadAllReportsMissingShard(t *testing.T) {
 	}
 }
 
-func TestLoadAllStaleTakesNewestPerWorker(t *testing.T) {
+// TestLoadAllParkCutBeatsOlderEpoch: stamps order by mutation epoch
+// first, so the park cut (2, 0) after the second Apply is newer than the
+// last superstep (1, 57) of the fixpoint before it.
+func TestLoadAllParkCutBeatsOlderEpoch(t *testing.T) {
 	dir := t.TempDir()
-	stale := func(epoch, wk int) Meta { return Meta{Epoch: epoch, Worker: wk, Workers: 2} }
-	if err := SaveShard(dir, stale(4, 0), []Row{{Key: 40, Acc: 4, Inter: 0}}); err != nil {
-		t.Fatal(err)
+	for wk := 0; wk < 2; wk++ {
+		if err := SaveShard(dir, stampMeta(1, 57, wk, 2), []Row{{Key: int64(wk), Acc: 1, Inter: 0}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := SaveShard(dir, stale(6, 0), []Row{{Key: 60, Acc: 6, Inter: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveShard(dir, stale(5, 1), []Row{{Key: 51, Acc: 5, Inter: 0}}); err != nil {
-		t.Fatal(err)
+	for wk := 0; wk < 2; wk++ {
+		if err := SaveShard(dir, stampMeta(2, 0, wk, 2), []Row{{Key: int64(10 + wk), Acc: 2, Inter: 0}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	all, meta, err := LoadAll(dir)
 	if err != nil {
@@ -273,33 +278,70 @@ func TestLoadAllStaleTakesNewestPerWorker(t *testing.T) {
 	for _, r := range all {
 		keys[r.Key] = true
 	}
-	if !keys[60] || !keys[51] || keys[40] {
-		t.Fatalf("stale selection wrong: %v", all)
-	}
-	if meta.Cut || meta.Epoch != 5 {
-		t.Fatalf("meta = %+v, want stale epoch 5 (the covered frontier)", meta)
-	}
-	// Missing worker in the stale family is reported too.
-	dir2 := t.TempDir()
-	if err := SaveShard(dir2, stale(1, 0), nil); err != nil {
-		t.Fatal(err)
-	}
-	var miss *MissingShardError
-	if _, _, err := LoadAll(dir2); !errors.As(err, &miss) {
-		t.Fatalf("expected MissingShardError for absent stale worker, got %v", err)
+	if !keys[10] || !keys[11] || keys[0] || keys[1] || meta.MutEpoch != 2 || meta.Epoch != 0 {
+		t.Errorf("park cut (2, 0) not selected: rows %v meta %+v", all, meta)
 	}
 }
 
-func TestLoadAllRejectsMixedKinds(t *testing.T) {
+// TestLoadAllIncompleteFallsBackToParkCut models a crash inside the
+// fixpoint after an Apply: worker 0 wrote its shard of the cut (2, 3),
+// worker 1 did not. The restore must come from the park cut (2, 0).
+func TestLoadAllIncompleteFallsBackToParkCut(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveShard(dir, cutMeta(1, 0, 2), nil); err != nil {
+	for wk := 0; wk < 2; wk++ {
+		if err := SaveShard(dir, stampMeta(2, 0, wk, 2), []Row{{Key: int64(wk), Acc: 2, Inter: 0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := SaveShard(dir, stampMeta(2, 3, 0, 2), []Row{{Key: 100, Acc: 3, Inter: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveShard(dir, Meta{Epoch: 1, Worker: 1, Workers: 2}, nil); err != nil {
+	all, meta, err := LoadAll(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadAll(dir); err == nil {
-		t.Error("mixed cut/stale snapshot families should be rejected")
+	if meta.MutEpoch != 2 || meta.Epoch != 0 || len(all) != 2 {
+		t.Fatalf("expected fallback to (2, 0), got rows %v meta %+v", all, meta)
+	}
+	for _, r := range all {
+		if r.Key == 100 {
+			t.Fatalf("row from incomplete cut (2, 3) leaked into restore: %v", all)
+		}
+	}
+}
+
+// TestPruneKeepsTwoNewestStamps: pruning orders a worker's shards by
+// stamp, (MutEpoch, n), not by n alone or by name.
+func TestPruneKeepsTwoNewestStamps(t *testing.T) {
+	dir := t.TempDir()
+	for _, st := range [][2]int{{1, 999999}, {1, 1000000}, {1, 57}, {2, 0}, {2, 1}, {1, 58}} {
+		if err := SaveShard(dir, stampMeta(st[0], st[1], 0, 1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	matches, _ := filepath.Glob(filepath.Join(dir, "ep*-shard-000.plck"))
+	want := []string{ShardPath(dir, 2, 0, 0), ShardPath(dir, 2, 1, 0)}
+	if len(matches) != len(want) {
+		t.Fatalf("prune kept %v, want %v", matches, want)
+	}
+	for _, p := range want {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("prune removed %s: %v", p, err)
+		}
+	}
+	// The (1, ·) stamps were pruned in the order they sort: by n as a
+	// number, 1000000 after 999999, though its name sorts first.
+	dir = t.TempDir()
+	for _, e := range []int{999999, 1000000, 999998} {
+		if err := SaveShard(dir, stampMeta(1, e, 0, 1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, meta, err := LoadAll(dir); err != nil || meta.Epoch != 1000000 {
+		t.Fatalf("newest stamp (1, 1000000) lost: %+v %v", meta, err)
+	}
+	if _, err := os.Stat(ShardPath(dir, 1, 999998, 0)); err == nil {
+		t.Error("the oldest stamp (1, 999998) survived the prune")
 	}
 }
 
@@ -311,7 +353,7 @@ func TestPruneKeepsTwoEpochs(t *testing.T) {
 		}
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "ep*-shard-000.plck"))
-	if len(matches) != keepEpochs {
+	if len(matches) != keepCuts {
 		t.Fatalf("prune kept %v", matches)
 	}
 	_, meta, err := LoadAll(dir)

@@ -15,8 +15,8 @@
 //     BarrierPolicy) — absorbed by BSP barriers, the SSP staleness
 //     gate, and the async master's polling;
 //   - run-level events (CrashRound aborts the run so a restart restores
-//     from Config.SnapshotDir; MasterRestartRound makes the master lose
-//     its termination-detector state mid-run).
+//     the newest complete cut in Config.SnapshotDir; MasterRestartRound
+//     makes the master lose its termination-detector state mid-run).
 //
 // Master↔worker control traffic is deliberately NOT faulted: the
 // termination protocol assumes a reliable coordinator channel, and a

@@ -71,7 +71,7 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 		}
 		// The cut: every peer's data for s has been folded.
 		if w.cfg.Mode.MRA() {
-			_ = w.snapshot(s, true) // best-effort: the run itself must not fail
+			_ = w.snapshot(s) // best-effort: the run itself must not fail
 		} else {
 			ack.Stats.AccDelta, ack.Stats.Dirty = w.naiveFinish()
 			w.next = w.newTable()
@@ -172,9 +172,7 @@ func (freeRun) beginPass(w *worker) bool { return w.drainInbox() }
 
 func (freeRun) endPass(w *worker, progressed bool) bool {
 	// A pass boundary is the async family's safe point for fences: join
-	// a pending snapshot episode (combining aggregates) or membership
-	// fence — or, further down, write a local stale snapshot (selective
-	// aggregates, Theorem 3).
+	// a pending snapshot episode or membership fence.
 	w.joinFences()
 	if progressed {
 		// Only productive passes count as effective iterations (the
@@ -184,7 +182,6 @@ func (freeRun) endPass(w *worker, progressed bool) bool {
 		// the comm goroutines) are never starved by spinning compute.
 		stdruntime.Gosched()
 	}
-	w.maybeStaleSnapshot(int(w.passes))
 	w.timedFlush()
 	if progressed {
 		w.pol.sched.rearm()
@@ -204,22 +201,6 @@ func (freeRun) endPass(w *worker, progressed bool) bool {
 // lost to faults; because the receiver keeps the max of announced
 // stamps, a retransmission is always safe.
 const markerResend = 3 * time.Millisecond
-
-// maybeStaleSnapshot writes a local, uncoordinated snapshot at every
-// SnapshotEvery-th pass boundary — selective aggregates only, where
-// Theorem 3 licenses restoring stale state. epoch is the worker's own
-// pass/step count; workers drift apart, and LoadAll reassembles the
-// newest shard per worker.
-func (w *worker) maybeStaleSnapshot(epoch int) {
-	if w.cfg.SnapshotDir == "" || w.cfg.SnapshotEvery <= 0 || !w.plan.Op.Selective() {
-		return
-	}
-	if epoch <= w.staleEpoch || epoch%w.cfg.SnapshotEvery != 0 {
-		return
-	}
-	w.staleEpoch = epoch
-	_ = w.snapshot(epoch, false) // best-effort, like the BSP checkpoint
-}
 
 // stallBarrier decorates a mode's BarrierPolicy with deterministic
 // straggler injection: before every injector-selected compute pass the

@@ -348,9 +348,9 @@ func TestChaosNaiveSync(t *testing.T) {
 }
 
 // TestChaosCrashRestore is the crash/restore drill in every mode, on one
-// selective algorithm (SSSP — local stale snapshots in async/SSP modes)
-// and one combining algorithm (PageRank — barrier cuts in BSP, marker
-// episodes in async/SSP): run with checkpointing and a master that
+// selective algorithm (SSSP) and one combining algorithm (PageRank) —
+// superstep cuts in BSP, snapshot episodes in async/SSP: run with
+// checkpointing and a master that
 // aborts mid-run, then restart from the snapshot directory and require
 // the fault-free fixpoint.
 func TestChaosCrashRestore(t *testing.T) {
@@ -416,16 +416,15 @@ func TestChaosCrashRestore(t *testing.T) {
 }
 
 // TestAsyncCheckpointRoundTrip: the async family and SSP write restorable
-// snapshots now, not just MRASync. Selective programs take uncoordinated
-// stale snapshots; combining programs run the master-driven marker
-// episode and must produce consistent-cut shards.
+// snapshots, not just MRASync: selective and combining programs alike
+// run the master-driven snapshot episode.
 func TestAsyncCheckpointRoundTrip(t *testing.T) {
 	g := gen.Uniform(200, 1200, 50, 11)
 	want := ref.Dijkstra(g, 0)
 	prG := gen.RMAT(7, 600, 0, 17)
 	prWant := ref.PageRank(prG, 500, 1e-9)
 	for _, mode := range []Mode{MRASyncAsync, MRASSP} {
-		t.Run(fmt.Sprintf("stale-sssp/%v", mode), func(t *testing.T) {
+		t.Run(fmt.Sprintf("episode-sssp/%v", mode), func(t *testing.T) {
 			dir := t.TempDir()
 			db := edb.NewDB()
 			db.SetGraph("edge", g)
@@ -440,12 +439,8 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 			if !res.Converged {
 				t.Fatal("snapshotting run did not converge")
 			}
-			_, meta, err := ckpt.LoadAll(dir)
-			if err != nil {
+			if _, _, err := ckpt.LoadAll(dir); err != nil {
 				t.Fatal(err)
-			}
-			if meta.Cut {
-				t.Fatal("selective program should write stale snapshots, got a cut")
 			}
 			res2, err := chaosRun(t, plan, mode, "", func(cfg *Config) { cfg.RestoreDir = dir })
 			if err != nil {
@@ -471,12 +466,8 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 			if !res.Converged {
 				t.Fatal("snapshotting run did not converge")
 			}
-			_, meta, err := ckpt.LoadAll(dir)
-			if err != nil {
+			if _, _, err := ckpt.LoadAll(dir); err != nil {
 				t.Fatal(err)
-			}
-			if !meta.Cut {
-				t.Fatal("combining program must snapshot through the marker episode (consistent cut)")
 			}
 			res2, err := chaosRun(t, plan, mode, "", func(cfg *Config) { cfg.RestoreDir = dir })
 			if err != nil {
@@ -487,27 +478,6 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 			}
 			expectClose(t, mode, res2.Values, prWant, math.NaN(), 5e-3)
 		})
-	}
-}
-
-// TestStaleSnapshotRefusedForCombining: a directory holding only stale
-// (uncoordinated) snapshots must be refused when the program's aggregate
-// is combining — restoring it would double-count deltas.
-func TestStaleSnapshotRefusedForCombining(t *testing.T) {
-	dir := t.TempDir()
-	for wk := 0; wk < 2; wk++ {
-		meta := ckpt.Meta{Epoch: 4, Worker: wk, Workers: 2}
-		if err := ckpt.SaveShard(dir, meta, []ckpt.Row{{Key: int64(wk), Acc: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := gen.RMAT(7, 600, 0, 17)
-	db := edb.NewDB()
-	db.SetGraph("edge", g)
-	plan := compilePlan(t, progs.PageRank, db)
-	_, err := Run(plan, Config{Workers: 2, RestoreDir: dir, MaxWall: 5 * time.Second})
-	if err == nil || !strings.Contains(err.Error(), "consistent cut") {
-		t.Fatalf("stale restore of a combining aggregate must be refused, got %v", err)
 	}
 }
 

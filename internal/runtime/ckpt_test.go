@@ -143,14 +143,14 @@ func TestSnapshotRowsCaptureIntermediates(t *testing.T) {
 	w.table.FoldAcc(5, 2.5)
 	dir := t.TempDir()
 	w.cfg.SnapshotDir = dir
-	if err := w.snapshot(1, true); err != nil {
+	if err := w.snapshot(1); err != nil {
 		t.Fatal(err)
 	}
 	rows, meta, err := ckpt.LoadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != 1 || !meta.Cut {
+	if meta.Epoch != 1 {
 		t.Fatalf("meta round trip: %+v", meta)
 	}
 	byKey := map[int64]ckpt.Row{}

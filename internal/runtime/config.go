@@ -98,24 +98,21 @@ type Config struct {
 	// MaxWall aborts a run after this long (default 2 minutes).
 	MaxWall time.Duration
 
-	// SnapshotDir enables checkpointing for every MRA mode. BSP modes
-	// write each worker's shard at every SnapshotEvery-th barrier — a
-	// consistent cut, since no messages are in flight at a barrier. The
-	// async family and SSP write epoch-stamped snapshots too: selective
-	// (min/max) aggregates snapshot locally at pass boundaries with no
-	// coordination (a stale snapshot restores correctly under the
-	// paper's Theorem 3 — replayed or reordered deltas cannot change a
-	// selective fixpoint); combining aggregates (sum/count) run a
-	// Chandy–Lamport-style marker episode driven by the master every
-	// SnapshotEvery-th check round, producing a consistent cut.
+	// SnapshotDir enables checkpointing for every MRA mode. Every
+	// checkpoint is a consistent cut, stamped (MutEpoch, n) (DESIGN.md
+	// "Recovery"): BSP modes write each worker's shard at every
+	// SnapshotEvery-th superstep's cut; the async family and SSP run a
+	// snapshot fence, driven by the master, at the first and then every
+	// SnapshotEvery-th master wave; a session writes a park cut at every
+	// Apply.
 	SnapshotDir   string
 	SnapshotEvery int
 
-	// RestoreDir resumes a run from the snapshots in the directory
-	// instead of seeding ΔX¹ (any MRA mode, any worker count).
-	// Consistent-cut snapshots restore state exactly; stale snapshots
-	// (refused for non-selective aggregates) warm-start the run by
-	// re-folding the saved rows over the normal ΔX¹ seed.
+	// RestoreDir resumes a run from the newest complete cut in the
+	// directory instead of seeding ΔX¹ (any MRA mode, any worker count),
+	// restoring its state exactly. A restored run numbers its cuts from 1
+	// again, so it must checkpoint into a different SnapshotDir than the
+	// one it restored from, whose stamps its cuts would reuse or sort below.
 	RestoreDir string
 
 	// Fault plugs a deterministic fault injector into the run: a

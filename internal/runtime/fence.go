@@ -158,17 +158,16 @@ type fenceSpec struct {
 }
 
 var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
-	// A consistent-cut checkpoint for combining aggregates, where a
-	// stale snapshot is not safe to restore (re-delivered deltas would be
-	// double-counted). Workers send nothing between their mark and the
-	// release, so the union of the shards is the state on one cut line.
-	// Best-effort: a failed shard write must not kill the run, and the
-	// master releases a short collect too (LoadAll refuses the incomplete
-	// epoch and falls back to the last complete one).
+	// The async family's and SSP's checkpoint, for every aggregate.
+	// Workers send nothing between their mark and the release, so the
+	// union of the shards is the state on one cut line. Best-effort: a
+	// failed shard write must not kill the run, and the master releases a
+	// short collect too (LoadAll passes over the incomplete cut and falls
+	// back to the last complete one).
 	transport.FenceSnapshot: {
 		name: "snapshot",
 		atCut: func(w *worker, t transition) transport.Stats {
-			_ = w.snapshot(t.epoch, true)
+			_ = w.snapshot(t.epoch)
 			return transport.Stats{}
 		},
 		abandon: true,

@@ -234,7 +234,7 @@ func TestFenceDroppedMarkHealsByResend(t *testing.T) {
 		}
 		if c == transport.FenceSnapshot {
 			for _, w := range r.ws {
-				if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 1, w.id)); err != nil {
+				if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 0, 1, w.id)); err != nil {
 					t.Errorf("snapshot fence healed but worker %d wrote no shard: %v", w.id, err)
 				}
 			}
@@ -311,7 +311,7 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	if w.fencePending(c) {
 		t.Error("abandoned fence is still pending")
 	}
-	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 1, 0)); err == nil {
+	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 0, 1, 0)); err == nil {
 		t.Error("abandoned fence still ran its action at a cut that never completed")
 	}
 	if got, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond, false); got != 0 {

@@ -427,10 +427,10 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 		return true
 	}
 	if m.snapshotsDue(m.rounds) {
-		// Episodes are numbered by a cumulative counter so checkpoint
-		// epochs stay monotonic across session fixpoints (the round
-		// restarts at 0 each epoch; reusing its quotient would overwrite
-		// newer cuts).
+		// Episodes are numbered by a cumulative counter, from 1, so the
+		// cut stamps (mutEpoch, episode) only grow within a session (the
+		// round restarts at 0 each fixpoint; reusing its quotient would
+		// overwrite newer cuts).
 		m.episodes++
 		if !m.drive(transition{class: transport.FenceSnapshot, epoch: m.episodes}, now) {
 			return false
@@ -458,20 +458,12 @@ func (m *master) silent(det *term.Detector) []int {
 	return out
 }
 
-// Snapshot episodes give the async family and SSP a consistent cut for
-// combining aggregates (sum/count), where a stale snapshot is NOT safe
-// to restore: re-delivered deltas would be double-counted. An episode is
-// a fence of class FenceSnapshot (fence.go) whose action at the cut
-// writes the shard; the master opens one every SnapshotEvery-th check
-// round. Selective aggregates skip all of this: they snapshot locally
-// with no coordination (maybeStaleSnapshot) because Theorem 3's replay
-// tolerance makes a stale restore safe.
-
-// snapshotsDue reports whether the polling master should run a snapshot
-// episode after check round `round`. Selective aggregates snapshot
-// locally instead, so episodes apply only to combining aggregates.
+// Snapshot episodes are the async family's and SSP's checkpoints, for
+// every aggregate: a fence of class FenceSnapshot (fence.go) whose action
+// at the cut writes the shard. snapshotsDue reports whether the polling
+// master opens one at the start of wave round+1: every SnapshotEvery-th
+// wave, the first included, so a fixpoint that converges in a few waves
+// still leaves a cut behind.
 func (m *master) snapshotsDue(round int) bool {
-	return m.cfg.SnapshotDir != "" && m.cfg.SnapshotEvery > 0 &&
-		!m.plan.Op.Selective() &&
-		round > 0 && round%m.cfg.SnapshotEvery == 0
+	return m.cfg.SnapshotDir != "" && m.cfg.SnapshotEvery > 0 && round%m.cfg.SnapshotEvery == 0
 }

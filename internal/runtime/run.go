@@ -55,38 +55,24 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 }
 
 // loadRestore reads the checkpoint an MRA run is to resume from. ok is
-// false when cfg names none. A stale (uncoordinated) snapshot is refused
-// for a combining program.
-func loadRestore(plan *compiler.Plan, cfg Config) (rows []ckpt.Row, meta ckpt.Meta, ok bool, err error) {
+// false when cfg names none.
+func loadRestore(cfg Config) (rows []ckpt.Row, meta ckpt.Meta, ok bool, err error) {
 	if !cfg.Mode.MRA() || cfg.RestoreDir == "" {
 		return nil, meta, false, nil
 	}
-	if rows, meta, err = ckpt.LoadAll(cfg.RestoreDir); err != nil {
-		return nil, meta, false, err
-	}
-	if !meta.Cut && !plan.Op.Selective() {
-		return nil, meta, false, fmt.Errorf("runtime: %s has only stale snapshots, which are safe to restore "+
-			"only for selective aggregates (Theorem 3); combining aggregates need a consistent cut", cfg.RestoreDir)
-	}
-	return rows, meta, true, nil
+	rows, meta, err = ckpt.LoadAll(cfg.RestoreDir)
+	return rows, meta, err == nil, err
 }
 
 // seedShard prepares this worker's shard for its first fixpoint: its
-// share of ΔX¹, or of the checkpoint loadRestore returned — a consistent
-// cut restores exactly, a stale snapshot warm-starts over the seed.
+// share of ΔX¹, or of the cut loadRestore returned, restored exactly.
 func (w *worker) seedShard(rows []ckpt.Row, meta ckpt.Meta, restoring bool) {
-	switch {
-	case !restoring:
+	if !restoring {
 		w.seed(w.plan.InitMRA)
-	case meta.Cut:
-		w.restore(rows)
-	default:
-		w.seed(w.plan.InitMRA)
-		w.restoreStale(rows)
+		return
 	}
-	if restoring {
-		w.mutEpoch = meta.MutEpoch
-	}
+	w.restore(rows)
+	w.mutEpoch = meta.MutEpoch
 }
 
 // RunWorker participates as one worker in an externally provided network
@@ -104,7 +90,7 @@ func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]
 	if plan.PropagateInto == nil || plan.Op == nil {
 		return nil, fmt.Errorf("runtime: plan is not compiled")
 	}
-	rows, meta, restoring, err := loadRestore(plan, cfg)
+	rows, meta, restoring, err := loadRestore(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/graph"
@@ -104,8 +103,6 @@ type Session struct {
 	// Cumulative worker counters at the last epoch boundary, so each
 	// Result reports per-epoch message traffic.
 	prevSent, prevRecv, prevFlush int64
-
-	ckptEpoch int // monotone stamp for park-boundary checkpoints
 }
 
 // begin claims the session for one exclusive operation. It fails fast
@@ -193,7 +190,7 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 
 	// Load any restore state before standing up goroutines, so a
 	// corrupt checkpoint fails cleanly.
-	restoreRows, restoreMeta, restoring, err := loadRestore(plan, cfg)
+	restoreRows, restoreMeta, restoring, err := loadRestore(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -330,15 +327,17 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		s.m.met.indexRebuilds.Inc()
 	}
 
-	// Stamp the new mutation-log position into the workers (their
-	// mid-fixpoint snapshots carry it) and write the park-boundary
-	// checkpoint: a consistent view of "mutation applied, re-fixpoint
-	// pending" that restores by simply running to convergence.
+	// Stamp the new mutation-log position into the workers (their cuts
+	// carry it) and write the park cut (mutEpoch, 0): a consistent view
+	// of "mutation applied, re-fixpoint pending" that restores by simply
+	// running to convergence. Every cut of the fixpoint below stamps
+	// (mutEpoch, n ≥ 1), so none overwrites it. Best-effort, like every
+	// checkpoint: durability must never fail the run.
 	for _, w := range s.workers {
 		w.mutEpoch = s.mutEpoch
-	}
-	if s.cfg.SnapshotDir != "" {
-		s.writeParkCheckpoint()
+		if s.cfg.SnapshotDir != "" {
+			_ = w.snapshot(0)
+		}
 	}
 
 	// One more epoch: release the park fence the session has held since
@@ -452,48 +451,6 @@ func (s *Session) collect(elapsed time.Duration) *Result {
 	return res
 }
 
-// writeParkCheckpoint saves every shard at the park boundary, stamped
-// with the mutation-log position just applied. The epoch stamp is kept
-// above every snapshot the fleet has written so far (BSP barrier
-// rounds, episode numbers, async pass counts), so LoadAll's newest-wins
-// selection prefers it; the Cut flag matches the kind the mode's
-// mid-fixpoint snapshots use, because LoadAll refuses directories that
-// mix kinds. Best-effort, like every other snapshot path: durability
-// must never fail the run.
-func (s *Session) writeParkCheckpoint() {
-	cut := modeBarriered[s.cfg.Mode] || !s.plan.Op.Selective()
-	e := s.ckptEpoch + 1
-	for _, w := range s.workers {
-		if w.rounds >= e {
-			e = w.rounds + 1
-		}
-		if int(w.passes) >= e {
-			e = int(w.passes) + 1
-		}
-		if w.staleEpoch >= e {
-			e = w.staleEpoch + 1
-		}
-	}
-	if s.m.episodes >= e {
-		e = s.m.episodes + 1
-	}
-	s.ckptEpoch = e
-	for _, w := range s.workers {
-		var rows []ckpt.Row
-		w.table.RangeRows(func(k int64, acc, inter float64) bool {
-			rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
-			return true
-		})
-		meta := ckpt.Meta{Epoch: e, Worker: w.id, Workers: len(s.workers), Cut: cut, MutEpoch: s.mutEpoch}
-		_ = ckpt.SaveShard(s.cfg.SnapshotDir, meta, rows)
-		// Keep the worker's own stale-snapshot clock at or above this
-		// stamp so its later local snapshots sort newer, not older.
-		if w.staleEpoch < e {
-			w.staleEpoch = e
-		}
-	}
-}
-
 // fail records the first sticky error and stops the fleet if it is
 // still up. Called only by the busy holder; the field writes go through
 // mu for the concurrent accessors' benefit.
@@ -548,7 +505,6 @@ func (s *Session) spawnInto(id int) *worker {
 	w.joinGate = true
 	w.reborn = true // a crashw= injection must not kill the replacement too
 	w.mutEpoch = s.mutEpoch
-	w.staleEpoch = s.ckptEpoch
 	// The fleet is computing epoch engEpoch: every earlier park fence is
 	// over for the replacement too.
 	park := &w.fences[transport.FencePark]

@@ -3,6 +3,7 @@ package runtime
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
@@ -259,17 +261,22 @@ func expectSameFixpoint(t *testing.T, label string, got, want map[int64]float64,
 	}
 }
 
-// scratchFixpoint is the correctness oracle: a cold run of the same
-// program, in the same mode, on a fresh database built from the mutated
-// edge list.
-func scratchFixpoint(t *testing.T, p sessionProg, n int, edges []graph.Edge, weighted bool, cfg Config) map[int64]float64 {
+// planAt compiles p on a fresh database built from an edge list.
+func planAt(t *testing.T, p sessionProg, n int, edges []graph.Edge, weighted bool) *compiler.Plan {
 	t.Helper()
 	g, err := graph.FromEdges(n, append([]graph.Edge(nil), edges...), weighted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := compilePlan(t, p.src, p.db(g))
-	res, err := Run(plan, cfg)
+	return compilePlan(t, p.src, p.db(g))
+}
+
+// scratchFixpoint is the correctness oracle: a cold run of the same
+// program, in the same mode, on a fresh database built from the mutated
+// edge list.
+func scratchFixpoint(t *testing.T, p sessionProg, n int, edges []graph.Edge, weighted bool, cfg Config) map[int64]float64 {
+	t.Helper()
+	res, err := Run(planAt(t, p, n, edges, weighted), cfg)
 	if err != nil {
 		t.Fatalf("scratch %v: %v", cfg.Mode, err)
 	}
@@ -695,33 +702,41 @@ func copyDir(t *testing.T, from, to string) {
 
 // TestSessionCrashRestoreReplay is the mid-session crash drill: a
 // session takes one Apply cleanly, crashes (injected) during the next,
-// and a restored session — opened from the park-boundary checkpoint
-// plus a plan rebuilt at that checkpoint's mutation position — replays
-// the trailing mutation-log entry and lands on the oracle fixpoint.
+// and a restored session — opened from the checkpoint as of the first
+// Apply plus a plan rebuilt at that checkpoint's mutation position —
+// replays the trailing mutation-log entry and lands on the oracle
+// fixpoint. It runs for a selective and a combining program in every
+// checkpointing mode, with park cuts alone (SnapshotEvery 0) and with
+// park cuts and in-fixpoint cuts sharing one directory (SnapshotEvery 1).
 func TestSessionCrashRestoreReplay(t *testing.T) {
-	base := gen.Uniform(200, 1200, 50, 83)
-	n := base.NumVertices()
-	edges0 := append([]graph.Edge(nil), base.Edges()...)
-	insW := func(r *rand.Rand) float64 { return 1 + 49*r.Float64() }
-	mkPlan := func(edges []graph.Edge) *compiler.Plan {
-		g, err := graph.FromEdges(n, append([]graph.Edge(nil), edges...), true)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range []sessionProg{sessionProgs[0], sessionProgs[2]} { // SSSP, PageRank
+		for _, mode := range []Mode{MRASync, MRASyncAsync, MRASSP} {
+			for _, every := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/%v/every=%d", p.name, mode, every), func(t *testing.T) {
+					testSessionCrashRestoreReplay(t, p, mode, every)
+				})
+			}
 		}
-		db := edb.NewDB()
-		db.SetGraph("edge", g)
-		return compilePlan(t, progs.SSSP, db)
 	}
+}
+
+func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode, every int) {
+	base := p.g()
+	n := base.NumVertices()
+	weighted := base.Weighted()
+	edges0 := append([]graph.Edge(nil), base.Edges()...)
+	mkPlan := func(edges []graph.Edge) *compiler.Plan { return planAt(t, p, n, edges, weighted) }
 	r := rand.New(rand.NewSource(991))
-	mut1, edges1 := randMutation(r, edges0, n, 6, 6, false, insW)
-	mut2, edges2 := randMutation(r, edges1, n, 6, 6, false, insW)
-	cfg := sessCfg(MRASync)
+	mut1, edges1 := randMutation(r, edges0, n, 6, 6, p.dag, p.insW)
+	mut2, edges2 := randMutation(r, edges1, n, 6, 6, p.dag, p.insW)
+	cfg := sessCfg(mode)
 
 	// Crash run: checkpointing on, master crashes at the first round of
 	// the second Apply's epoch (epoch 1 is Open's fixpoint).
 	dir, dirAt1 := t.TempDir(), t.TempDir()
 	cfgB := cfg
 	cfgB.SnapshotDir = dir
+	cfgB.SnapshotEvery = every
 	cfgB.Fault = fault.New(fault.Spec{CrashEpoch: 3, CrashRound: 1})
 	sB, err := Open(mkPlan(edges0), cfgB)
 	if err != nil {
@@ -763,7 +778,64 @@ func TestSessionCrashRestoreReplay(t *testing.T) {
 			t.Fatalf("replaying mutation epoch %d: %v", e.Epoch, err)
 		}
 	}
-	p := sessionProgs[0]
-	want := scratchFixpoint(t, p, n, edges2, true, cfg)
-	expectSameFixpoint(t, "restored", sC.Result().Values, want, math.Inf(1), 1e-9)
+	want := scratchFixpoint(t, p, n, edges2, weighted, cfg)
+	expectSameFixpoint(t, "restored", sC.Result().Values, want, p.ident, p.tol)
+}
+
+// TestParkCutSurvivesPartialNextCut is a crash between a park cut and the
+// first cut after it, built from a live PageRank session: one Apply with
+// park cuts on, then worker 0 alone writes its shard under the stamp the
+// fixpoint's first cut after the park takes — holding the converged
+// table, as a crash part-way through that cut would leave the directory.
+// The park cut (1, 0) is the newest complete cut, and the run restored
+// from it must reach the uninterrupted Apply's fixpoint. A park cut
+// stamped with the next cut's number would have had worker 0's shard
+// overwritten, and the restore would mix two cuts.
+func TestParkCutSurvivesPartialNextCut(t *testing.T) {
+	p := sessionProgs[2] // PageRank
+	base := gen.RMAT(9, 2500, 0, 29)
+	n := base.NumVertices()
+	edges0 := append([]graph.Edge(nil), base.Edges()...)
+	mut, edges1 := randMutation(rand.New(rand.NewSource(5)), edges0, n, 8, 0, false, p.insW)
+	mkPlan := func(edges []graph.Edge) *compiler.Plan { return planAt(t, p, n, edges, base.Weighted()) }
+	for _, mode := range []Mode{MRASync, MRASyncAsync, MRASSP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := sessCfg(mode)
+			cfg.SnapshotDir = dir
+			s, err := Open(mkPlan(edges0), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			// The number of the first cut after the park: the next
+			// superstep under BSP, the next snapshot episode otherwise.
+			next := s.m.episodes + 1
+			if mode == MRASync {
+				next = s.workers[0].rounds + 1
+			}
+			res, err := s.Apply(mut)
+			if err != nil || !res.Converged {
+				t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
+			}
+			// Parked: the session goroutine may read the tables.
+			if err := s.workers[0].snapshot(next); err != nil {
+				t.Fatal(err)
+			}
+			_, meta, err := ckpt.LoadAll(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.MutEpoch != 1 || meta.Epoch != 0 {
+				t.Errorf("LoadAll chose the cut (%d, %d), want the park cut (1, 0)", meta.MutEpoch, meta.Epoch)
+			}
+			rcfg := sessCfg(mode)
+			rcfg.RestoreDir = dir
+			got, err := Run(mkPlan(edges1), rcfg)
+			if err != nil || !got.Converged {
+				t.Fatalf("restored run: %v (converged=%v)", err, got != nil && got.Converged)
+			}
+			expectSameFixpoint(t, "restored", got.Values, res.Values, p.ident, 5e-3)
+		})
+	}
 }

@@ -64,9 +64,7 @@ func (b *sspBarrier) beginPass(w *worker) bool { return w.drainInbox() }
 
 func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 	// A superstep boundary is SSP's safe point for fences: join a pending
-	// snapshot episode (combining aggregates) or membership fence;
-	// selective aggregates write their local stale snapshot (Theorem 3)
-	// in advance().
+	// snapshot episode or membership fence.
 	w.joinFences()
 	if !progressed {
 		if w.pol.sched.release() {
@@ -104,7 +102,6 @@ func (b *sspBarrier) advance(w *worker) {
 	b.steps++
 	w.rounds++
 	b.announce(w)
-	w.maybeStaleSnapshot(b.steps)
 }
 
 // announce sends the peers the worker's step mark: the 1-based

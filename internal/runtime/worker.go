@@ -117,7 +117,6 @@ type worker struct {
 	barFrom int
 	early   []transport.Message
 
-	staleEpoch int // last local stale-snapshot epoch (maybeStaleSnapshot)
 	// mutEpoch stamps snapshots with the mutation-log position they
 	// incorporate (the session advances it while the worker is parked).
 	mutEpoch int
@@ -686,38 +685,16 @@ func (w *worker) restore(rows []ckpt.Row) {
 	}
 }
 
-// restoreStale warm-starts from a stale (uncoordinated) snapshot by
-// re-folding the saved rows as ordinary deltas over the normal ΔX¹ seed.
-// Sound only for selective aggregates: Theorem 3's replay tolerance
-// means extra or re-delivered deltas cannot move a min/max fixpoint, so
-// the saved values only shortcut re-derivation, never corrupt it. The
-// caller has already seeded ΔX¹ and verified Op.Selective().
-func (w *worker) restoreStale(rows []ckpt.Row) {
-	id := w.plan.Op.Identity()
-	for _, r := range rows {
-		if w.owner(r.Key) != w.id {
-			continue
-		}
-		if r.Acc != id {
-			w.table.FoldDelta(r.Key, r.Acc)
-		}
-		if r.Inter != id {
-			w.table.FoldDelta(r.Key, r.Inter)
-		}
-	}
-}
-
-// snapshot writes this worker's shard as the given epoch. cut records
-// whether the snapshot is part of a consistent cut (a superstep's or a
-// snapshot episode's fence) or a local stale snapshot (async/SSP
-// selective modes).
-func (w *worker) snapshot(epoch int, cut bool) error {
+// snapshot writes this worker's shard of the cut (w.mutEpoch, epoch): a
+// session's park cut (epoch 0), a BSP superstep's or a snapshot
+// episode's.
+func (w *worker) snapshot(epoch int) error {
 	var rows []ckpt.Row
 	w.table.RangeRows(func(k int64, acc, inter float64) bool {
 		rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
 		return true
 	})
-	meta := ckpt.Meta{Epoch: epoch, Worker: w.id, Workers: w.nw, Cut: cut, MutEpoch: w.mutEpoch}
+	meta := ckpt.Meta{MutEpoch: w.mutEpoch, Epoch: epoch, Worker: w.id, Workers: w.nw}
 	return ckpt.SaveShard(w.cfg.SnapshotDir, meta, rows)
 }
 
