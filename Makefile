@@ -44,7 +44,7 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
+SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestShardRouteSplit TestWorkerRefusesForeignKey TestBarrierMirrorFlushesOnce TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
 TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence TestStepGateReadsReportForS TestMasterKeepsLaterStepAcks TestStepVerdictsAgree TestChaosNaiveSync
 TERM_PKGS = ./internal/term ./internal/runtime
@@ -88,8 +88,8 @@ benchmark:
 
 # One micro-benchmark per layer of the compute pass, with allocation
 # counts: the F' row kernel per class, the MonoTable folds and the per-key
-# drain (root package, ns/edge and ns/key), the sender-side buffer in both
-# backings (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static
+# drain (root package, ns/edge and ns/key), the sender-side mirror
+# (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static
 # fleet (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
 # graph under the bucket scheduler (BenchmarkRunChain: ms, KVs and passes
 # per op), one Session.Apply per batch shape at plperf's churn size

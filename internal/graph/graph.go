@@ -220,15 +220,6 @@ func (g *Graph) MaxDegree() int {
 	return most
 }
 
-// Partition maps vertex v to one of k workers. PowerLog uses modulo hash
-// partitioning of MonoTable shards.
-func Partition(v int64, k int) int {
-	if v < 0 {
-		v = -v
-	}
-	return int(v % int64(k))
-}
-
 // LoadTSV reads an edge list: one edge per line, "src dst [weight]",
 // separated by white space (Unicode's, as strings.Fields splits). A line
 // whose first field starts with '#' or '%' is a comment; fields past the

@@ -225,24 +225,6 @@ func TestWriteTSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	for k := 1; k <= 7; k++ {
-		counts := make([]int, k)
-		for v := int64(0); v < 1000; v++ {
-			p := Partition(v, k)
-			if p < 0 || p >= k {
-				t.Fatalf("Partition(%d,%d) = %d", v, k, p)
-			}
-			counts[p]++
-		}
-		for _, c := range counts {
-			if c == 0 {
-				t.Errorf("k=%d: empty partition", k)
-			}
-		}
-	}
-}
-
 func TestQuickCSRPreservesEdges(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

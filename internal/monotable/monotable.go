@@ -20,8 +20,8 @@
 // stores, and the steps need no atomics.
 //
 // Two shard layouts are provided: a dense array shard for vertex-keyed
-// programs (key space [0,n) striped across workers) and a sparse map
-// shard for pair-keyed programs such as APSP and SimRank.
+// programs (key space [0,n) cut into one block per worker, Route) and a
+// sparse map shard for pair-keyed programs such as APSP and SimRank.
 package monotable
 
 import (
@@ -89,13 +89,11 @@ type Table interface {
 	Len() int
 }
 
-// Dense is an array-backed shard covering the global keys
-// {offset + i*stride : 0 <= i < size} — PowerLog's modulo partitioning
-// of a dense vertex key space across `stride` workers.
+// Dense is an array-backed shard covering one block of the global keys
+// (Route): slot s holds key base + s.
 type Dense struct {
 	Column // the Intermediate entries and the dirty set
-	route  Route
-	offset int64
+	base   int64
 	acc    []uint64
 }
 
@@ -114,14 +112,6 @@ type Column struct {
 	staged []int32 // a mirror's dirty slots, in first-touch order
 }
 
-// shardSize is how many of the keys [0, n) worker offset of stride owns.
-func shardSize(n int, stride, offset int64) int {
-	if stride <= 0 || offset < 0 || offset >= stride {
-		panic("monotable: bad stride/offset")
-	}
-	return max(0, int((int64(n)-offset+stride-1)/stride))
-}
-
 func newColumn(op *agg.Op, size int, mirror bool) Column {
 	c := Column{op: op, inter: make([]uint64, size), dirty: make([]uint32, (size+31)/32), mirror: mirror}
 	for i := range c.inter {
@@ -131,12 +121,15 @@ func newColumn(op *agg.Op, size int, mirror bool) Column {
 }
 
 // NewDense creates a dense shard for worker `offset` of `stride` workers
-// over the global key space [0, n).
+// over the global key space [0, n): shard offset of NewRoute(n, stride).
 func NewDense(op *agg.Op, n int, stride, offset int64) *Dense {
+	if offset < 0 || offset >= stride {
+		panic("monotable: bad stride/offset")
+	}
+	r := NewRoute(n, int(stride))
 	d := &Dense{
-		Column: newColumn(op, shardSize(n, stride, offset), false),
-		route:  NewRoute(int(stride)),
-		offset: offset,
+		Column: newColumn(op, r.Size(int(offset)), false),
+		base:   r.Key(int(offset), 0),
 	}
 	d.acc = make([]uint64, len(d.inter))
 	for i := range d.acc {
@@ -145,24 +138,19 @@ func NewDense(op *agg.Op, n int, stride, offset int64) *Dense {
 	return d
 }
 
-// NewMirror creates a sender's mirror of the Intermediate column of the
-// shard NewDense makes from the same arguments: what the sender has folded
-// for that shard's keys and not yet sent. Unlike a shard's column it
-// stages a slot at its first fold whatever the value, and holds that
-// value as given, so a batch taken from it is the one a combiner keyed by
-// hash would have built.
-func NewMirror(op *agg.Op, n int, stride, offset int64) *Column {
-	c := newColumn(op, shardSize(n, stride, offset), true)
+// NewMirror creates a sender's mirror of the Intermediate column of shard
+// o of route: what the sender has folded for that shard's keys and not
+// yet sent. Unlike a shard's column it stages a slot at its first fold
+// whatever the value, and holds that value as given, so a batch taken
+// from it is the one a combiner keyed by hash would have built.
+func NewMirror(op *agg.Op, route Route, o int) *Column {
+	c := newColumn(op, route.Size(o), true)
 	return &c
 }
 
-func (d *Dense) slot(key int64) int {
-	s, _ := d.route.Split(int32(key))
-	return s
-}
-
-// globalKey maps a local slot back to its global key.
-func (d *Dense) globalKey(slot int) int64 { return d.offset + int64(slot)*int64(d.route.mod) }
+// slot and globalKey map an owned key to its local slot and back.
+func (d *Dense) slot(key int64) int       { return int(key - d.base) }
+func (d *Dense) globalKey(slot int) int64 { return d.base + int64(slot) }
 
 // Op implements Table.
 func (c *Column) Op() *agg.Op { return c.op }

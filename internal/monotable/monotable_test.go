@@ -124,18 +124,20 @@ func TestRangeAndLen(t *testing.T) {
 }
 
 func TestDenseStriping(t *testing.T) {
-	// 3 workers over keys [0,10): worker 1 owns 1,4,7.
+	// 3 workers over keys [0,10): blocks of 4, worker 1 owns 4, 5, 6, 7.
+	r := NewRoute(10, 3)
 	d := NewDense(agg.ByKind(agg.Sum), 10, 3, 1)
-	for _, k := range []int64{1, 4, 7} {
+	for s := 0; s < r.Size(1); s++ {
+		k := r.Key(1, s)
 		d.FoldDelta(k, float64(k))
 	}
 	var keys []int64
 	d.ScanDirty(func(k int64) { keys = append(keys, k) })
-	if len(keys) != 3 {
+	if !slices.Equal(keys, []int64{4, 5, 6, 7}) {
 		t.Fatalf("dirty = %v", keys)
 	}
 	for _, k := range keys {
-		if k%3 != 1 {
+		if r.Owner(k) != 1 {
 			t.Errorf("key %d not owned by worker 1", k)
 		}
 		if v, ok := d.Drain(k); !ok || v != float64(k) {
@@ -351,17 +353,18 @@ func TestDrainOwnedMatchesScanDrain(t *testing.T) {
 		v uint64
 	}
 	for _, kind := range []agg.Kind{agg.Min, agg.Sum} {
-		const n, stride, offset = 1000, 3, 2 // 333 slots: 11 dirty words, 19 bits to spare
+		const n, stride, offset = 1000, 3, 2 // 332 slots: 11 dirty words, 20 bits to spare
+		r := NewRoute(n, stride)
 		byKey := NewDense(agg.ByKind(kind), n, stride, offset)
 		owned := NewDense(agg.ByKind(kind), n, stride, offset)
 		rng := rand.New(rand.NewSource(int64(kind) + 7))
 		for round := 0; round < 20; round++ {
 			for i := 0; i < 150; i++ {
-				key, v := int64(offset+rng.Intn(n/stride)*stride), rng.NormFloat64()
+				key, v := r.Key(offset, rng.Intn(r.Size(offset))), rng.NormFloat64()
 				byKey.FoldDelta(key, v)
 				owned.FoldDelta(key, v)
 			}
-			erased := int64(offset + rng.Intn(n/stride)*stride)
+			erased := r.Key(offset, rng.Intn(r.Size(offset)))
 			for _, d := range []*Dense{byKey, owned} {
 				d.Invalidate(erased)
 				markDirty(d.dirty, len(d.dirty)*32-1) // a slot the shard does not have

@@ -6,29 +6,59 @@ import (
 	"powerlog/internal/agg"
 )
 
-// Route is the modulo partition of vertex keys over mod shards: key t
-// lives at slot t / mod of shard t mod mod. A Dense shard finds its slots
-// with it and a Sink its owners and slots.
+// Route is the block partition of the vertex keys [0, n) over w shards:
+// with size = ⌈n/w⌉, owner o holds the keys [o·size, min((o+1)·size, n)),
+// and key t lives at slot t − o·size of its owner's shard. Neighbouring
+// ids share an owner, so a graph whose ids carry locality — a chain, a
+// crawl order — keeps most of its edges inside one shard. A Dense shard
+// finds its slots with it and a Sink its owners and slots.
+//
+// Route has four fields so that the compiler keeps an inlined Split's
+// copy of it in registers; a fifth puts it on the stack every call.
 type Route struct {
-	mod   int
-	recip uint64 // ⌊2⁶³/mod⌋+1, Split's reciprocal
+	n, size int
+	recip   uint64 // ⌊2⁶³/size⌋+1, Split's reciprocal
+	shift   uint8  // Owner's key → vertex: 32 for pair keys (Pairs)
 }
 
-// NewRoute is the route over mod shards.
-func NewRoute(mod int) Route { return Route{mod: mod, recip: 1<<63/uint64(mod) + 1} }
+// NewRoute is the route of the keys [0, n) over w shards.
+func NewRoute(n, w int) Route {
+	if w <= 0 || n < 0 {
+		panic("monotable: bad route")
+	}
+	size := max(1, (n+w-1)/w)
+	return Route{n: n, size: size, recip: 1<<63/uint64(size) + 1}
+}
 
-// Mod is how many shards the route spreads keys over.
-func (r Route) Mod() int { return r.mod }
+// Pairs is the route of pair keys hi<<32|lo over the same blocks: a pair
+// is owned by the block of its first vertex hi.
+func (r Route) Pairs() Route { r.shift = 32; return r }
 
-// Split is the route of a vertex key t without a hardware divide: t / mod
-// — the key's slot in its owner's shard — and t mod mod, the owner. The
-// quotient is one multiply by a reciprocal, for every fleet size: with
-// M = ⌊2⁶³/mod⌋+1 the high word of M·2t is ⌊t/mod⌋ exactly for every
-// t < 2³¹ and mod < 2³², since M·mod = 2⁶³+e with 0 < e ≤ mod and the
-// product therefore overshoots t/mod by e·t/(mod·2⁶³) < 2⁻³² < 1/mod.
+// Size is how many keys shard o owns.
+func (r Route) Size(o int) int { return max(0, min(r.size, r.n-o*r.size)) }
+
+// Key is the key at slot s of shard o.
+func (r Route) Key(o, s int) int64 { return int64(o*r.size + s) }
+
+// Owner is the shard that owns key — for a pair route, the owner of its
+// first vertex — or -1 for a key outside the route's [0, n).
+func (r Route) Owner(key int64) int {
+	if v := key >> r.shift; uint64(v) < uint64(r.n) {
+		_, o := r.Split(int32(v))
+		return o
+	}
+	return -1
+}
+
+// Split is the route of a vertex key t without a hardware divide: its
+// slot in its owner's shard, t − owner·size, and the owner, t / size. The
+// quotient is one multiply by a reciprocal, for every block size: with
+// M = ⌊2⁶³/size⌋+1 the high word of M·2t is ⌊t/size⌋ exactly for every
+// t < 2³¹ and size < 2³², since M·size = 2⁶³+e with 0 < e ≤ size and the
+// product therefore overshoots t/size by e·t/(size·2⁶³) < 2⁻³² < 1/size.
 func (r Route) Split(t int32) (slot, owner int) {
 	hi, _ := bits.Mul64(r.recip, uint64(t)<<1)
-	return int(hi), int(t) - int(hi)*r.mod
+	return int(t) - int(hi)*r.size, int(hi)
 }
 
 // Form is how the values along a row derive from the row's scalar x: the

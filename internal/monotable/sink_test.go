@@ -60,8 +60,9 @@ type ownedRun struct {
 
 func newOwnedRun(c ownedCase) *ownedRun {
 	op := agg.ByKind(c.kind)
+	route := NewRoute(c.n, c.workers)
 	r := &ownedRun{sink: &Sink{
-		Route:  NewRoute(c.workers),
+		Route:  route,
 		Cols:   make([]*Column, c.workers),
 		Limits: c.limits,
 		Counts: make([]int64, c.workers),
@@ -72,7 +73,7 @@ func newOwnedRun(c ownedCase) *ownedRun {
 			r.shard = NewDense(op, c.n, int64(c.workers), int64(o))
 			r.sink.Cols[o] = &r.shard.Column
 		} else {
-			r.sink.Cols[o] = NewMirror(op, c.n, int64(c.workers), int64(o))
+			r.sink.Cols[o] = NewMirror(op, route, o)
 		}
 	}
 	return r

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,5 +99,48 @@ func TestRunWorkerRejectsEmptyPlan(t *testing.T) {
 	defer net.Close()
 	if _, err := RunWorker(&compiler.Plan{}, Config{}, net.Conn(0)); err == nil {
 		t.Fatal("uncompiled plan should be rejected")
+	}
+}
+
+// TestWorkerRefusesForeignKey: a worker's block follows its plan's N, so
+// two RunWorkers whose plans disagree on it route some keys to a worker
+// that does not own them. The first worker to receive one refuses it and
+// returns an error, rather than folding it into a wrong slot, and the
+// fleet ends without converging. (Its peer may be stopped by the master
+// before any foreign key reaches it.)
+func TestWorkerRefusesForeignKey(t *testing.T) {
+	const n = 300
+	net := transport.NewChannelNetwork(2, 64)
+	defer net.Close()
+	cfg := Config{
+		Mode: MRASync, Tau: time.Millisecond, CheckInterval: time.Millisecond,
+		CollectTimeout: 250 * time.Millisecond, MaxWall: 10 * time.Second,
+	}
+	plans := []*compiler.Plan{
+		compilePlan(t, progs.PageRank, edgeDB("edge")(gen.Uniform(n, 6*n, 0, 91))),
+		compilePlan(t, progs.PageRank, edgeDB("edge")(gen.Uniform(n+5, 6*n, 0, 91))),
+	}
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i, plan := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = RunWorker(plan, cfg, net.Conn(i))
+		}()
+	}
+	_, converged, err := RunMaster(plans[0], cfg, net.Conn(len(plans)))
+	wg.Wait()
+	if converged || err == nil {
+		t.Errorf("master: converged %v, err %v; want a lost worker", converged, err)
+	}
+	refused := 0
+	for _, err := range errs {
+		if err != nil && strings.Contains(err.Error(), "plans disagree") {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatalf("workers returned %v; want a refusal of a key outside the receiver's block", errs)
 	}
 }

@@ -51,8 +51,8 @@ type window struct {
 // the worker reads them after each (worker.readLimits).
 type FlushPolicy interface {
 	// limit is the buffered-entry count at which destination dst's buffer
-	// flushes (noLimit: not on a count). The batchMax hard cap is the
-	// worker's, not the policy's.
+	// flushes (noLimit: not on a count). A message's batchMax cap is the
+	// worker's flush's, not the policy's.
 	limit(dst int) int
 	// urgent is the delta magnitude that flushes a buffer at once (NaN:
 	// none does).

@@ -390,59 +390,104 @@ func TestAdaptiveBetaWindowCountsReset(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// outBuf.grow: filling past the 3/4-load boundary must preserve every
-// folded value and keep lookups working through the reindex.
-// ---------------------------------------------------------------------------
+// hashBuf is the open-addressed flat combiner outBuf was for a
+// destination without a Dense shard, kept as TestMirrorMatchesHash's
+// oracle: a power-of-two slot table of indexes into dense key/value
+// arrays, linear probing, no tombstones (a take re-indexes what it
+// leaves), in first-touch order.
+type hashBuf struct {
+	op    *agg.Op
+	keys  []int64   // first-touch order
+	vals  []float64 // parallel to keys
+	slots []int32   // hash table: index+1 into keys, 0 = empty
+	mask  uint64
+}
 
-func TestOutBufGrowReindex(t *testing.T) {
-	b := newOutBuf(agg.ByKind(agg.Sum))
-	// Cross the 3/4·256 boundary several times over: 4 doublings.
-	const n = 3000
-	for k := int64(0); k < n; k++ {
-		b.add(k*7919, 1) // spread keys; 7919 prime avoids trivial patterns
-	}
-	// Fold a second contribution into every key after the growth, proving
-	// the reindexed slots still find the original entries.
-	for k := int64(0); k < n; k++ {
-		b.add(k*7919, 2)
-	}
-	if b.len() != n {
-		t.Fatalf("len = %d, want %d (duplicate keys split across grow?)", b.len(), n)
-	}
-	got := map[int64]float64{}
-	for _, kv := range b.take() {
-		got[kv.K] = kv.V
-	}
-	for k := int64(0); k < n; k++ {
-		if got[k*7919] != 3 {
-			t.Fatalf("key %d folded to %v, want 3", k*7919, got[k*7919])
+func newHashBuf(op *agg.Op) *hashBuf {
+	return &hashBuf{op: op, slots: make([]int32, 256), mask: 255}
+}
+
+// hashKey mixes the key bits (Fibonacci multiplier + xor-fold).
+func hashKey(k int64) uint64 {
+	x := uint64(k) * 0x9E3779B97F4A7C15
+	return x ^ (x >> 32)
+}
+
+func (b *hashBuf) add(key int64, v float64) {
+	h := hashKey(key) & b.mask
+	for {
+		idx := b.slots[h]
+		if idx == 0 {
+			b.keys = append(b.keys, key)
+			b.vals = append(b.vals, v)
+			b.slots[h] = int32(len(b.keys))
+			// Grow at 3/4 load so probe chains stay short.
+			if uint64(len(b.keys)) >= b.mask/4*3 {
+				b.slots = make([]int32, 2*len(b.slots))
+				b.mask = uint64(len(b.slots) - 1)
+				b.reindex()
+			}
+			return
 		}
+		if b.keys[idx-1] == key {
+			b.vals[idx-1] = b.op.Fold(b.vals[idx-1], v)
+			return
+		}
+		h = (h + 1) & b.mask
 	}
-	if b.len() != 0 {
-		t.Error("take did not empty the buffer")
+}
+
+// reindex fills a zeroed slot table from the dense entries.
+func (b *hashBuf) reindex() {
+	for i, k := range b.keys {
+		h := hashKey(k) & b.mask
+		for b.slots[h] != 0 {
+			h = (h + 1) & b.mask
+		}
+		b.slots[h] = int32(i + 1)
 	}
-	// The emptied buffer must be immediately reusable (slots cleared).
-	b.add(1, 5)
-	b.add(1, 5)
-	if b.len() != 1 || b.vals[0] != 10 {
-		t.Error("buffer not reusable after take")
+}
+
+func (b *hashBuf) len() int { return len(b.keys) }
+
+// take drains the first batchMax entries, first-touch order.
+func (b *hashBuf) take() []transport.KV {
+	n := min(b.len(), batchMax)
+	if n == 0 {
+		return nil
+	}
+	kvs := transport.GetBatch(n)
+	for i, k := range b.keys[:n] {
+		kvs = append(kvs, transport.KV{K: k, V: b.vals[i]})
+	}
+	b.keys = b.keys[:copy(b.keys, b.keys[n:])]
+	b.vals = b.vals[:copy(b.vals, b.vals[n:])]
+	clear(b.slots)
+	b.reindex()
+	return kvs
+}
+
+func (b *hashBuf) reset() {
+	for b.len() > 0 {
+		transport.PutBatch(b.take())
 	}
 }
 
 // TestMirrorMatchesHash drives one seeded add / take / reset sequence
-// through both backings of outBuf and requires the same len() after every
-// step and bitwise the same batches from take(), order included: a peer
-// must not be able to tell which one its sender ran. The values cover what
+// through outBuf's mirror and the hash combiner it replaced (hashBuf) and
+// requires the same len() after every step and bitwise the same batches
+// from take(), order included: a peer must not be able to tell which one
+// its sender ran. The values cover what
 // a first-touch test by value would get wrong — ±0, ±Inf, NaN, a sum that
 // cancels back to the identity and is touched again — and one key is
 // folded more than 2¹⁶ times.
 func TestMirrorMatchesHash(t *testing.T) {
-	const n, stride, offset = 40000, 3, 1 // 13333 slots: a full buffer is four batches
+	const n, stride, offset = 40000, 3, 1 // 13334 slots: a full buffer is four batches
+	route := monotable.NewRoute(n, stride)
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
 	for _, kind := range []agg.Kind{agg.Sum, agg.Min, agg.Max} {
 		op := agg.ByKind(kind)
-		hash, mirror := newOutBuf(op), newMirrorBuf(op, n, monotable.NewRoute(stride), offset)
+		hash, mirror := newHashBuf(op), newMirrorBuf(op, route, offset)
 		rng := lcg(uint64(kind) + 1)
 		split := false // a take left keys behind
 		add := func(key int64, v float64) {
@@ -468,7 +513,7 @@ func TestMirrorMatchesHash(t *testing.T) {
 		}
 		for step := 0; step < 60000; step++ {
 			r := rng.next()
-			key := int64(offset + int(r>>8)%(n/stride)*stride)
+			key := route.Key(offset, int(r>>8)%route.Size(offset))
 			switch {
 			case r%20000 < 2:
 				take()
@@ -486,7 +531,7 @@ func TestMirrorMatchesHash(t *testing.T) {
 			}
 		}
 		for i := 0; i < 1<<16+10; i++ {
-			add(offset, float64(i%7))
+			add(route.Key(offset, 0), float64(i%7))
 		}
 		for hash.len() > 0 || mirror.len() > 0 {
 			take()
@@ -511,8 +556,9 @@ func TestFlushSplitsAtBatchMax(t *testing.T) {
 	const held = 2*batchMax + 100
 	member := &w.fences[transport.FenceMember]
 	member.req = transition{class: transport.FenceMember, epoch: 1, down: []int{1}}
-	for k := int64(0); k < held; k++ {
-		w.buffer(1, 2*k+1, float64(k))
+	key := func(k int) int64 { return w.sink.Route.Key(1, k) } // worker 1's k-th key
+	for k := 0; k < held; k++ {
+		w.buffer(1, key(k), float64(k))
 	}
 	if w.flushes != 0 || w.bufs[1].len() != held {
 		t.Fatalf("down slot: %d flushes, %d keys held, want 0 and %d", w.flushes, w.bufs[1].len(), held)
@@ -530,8 +576,8 @@ func TestFlushSplitsAtBatchMax(t *testing.T) {
 			t.Fatalf("batch %d stamped %d, dedup window at %d", seq, m.Round, seen.next)
 		}
 		for i, kv := range m.KVs {
-			if want := int64(got + i); kv.K != 2*want+1 || kv.V != float64(want) {
-				t.Fatalf("batch %d entry %d = %v, want key %d value %d", seq, i, kv, 2*want+1, want)
+			if want := got + i; kv.K != key(want) || kv.V != float64(want) {
+				t.Fatalf("batch %d entry %d = %v, want key %d value %d", seq, i, kv, key(want), want)
 			}
 		}
 		got += len(m.KVs)

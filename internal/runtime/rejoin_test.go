@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
 	"powerlog/internal/gen"
@@ -240,22 +241,55 @@ func TestRejoinSessionCombining(t *testing.T) {
 }
 
 // TestShardRouteSplit: the divide-free static route (monotable.Route) is
-// the divide — for every fleet size, power of two or not, Split yields
-// t / mod and the owner the modulo partition names, up to the largest
-// vertex id.
+// the divide — for every key space and fleet size, a multiple of it or
+// not, smaller than the fleet or near 2³¹, Split yields the owner
+// t / ⌈n/W⌉ and a slot inside that owner's block whose Key is t again,
+// every owner is one of the W, the blocks cover [0, n) once, and a pair
+// key follows its first vertex.
 func TestShardRouteSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ids := []int32{0, 1, 2, 3, 1<<30 - 1, 1 << 30, math.MaxInt32 - 1, math.MaxInt32}
-	for i := 0; i < 2000; i++ {
-		ids = append(ids, rng.Int31())
-	}
-	for _, mod := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 64, 100, 1000, 1 << 16, 1<<16 + 1} {
-		r := monotable.NewRoute(mod)
-		for _, id := range append(ids, int32(mod-1), int32(mod), int32(mod+1), int32(math.MaxInt32/mod*mod)) {
-			slot, owner := r.Split(id)
-			if want := graph.Partition(int64(id), mod); slot != int(id)/mod || owner != want {
-				t.Fatalf("mod %d: split of %d = (%d, owner %d), want (%d, owner %d)",
-					mod, id, slot, owner, int(id)/mod, want)
+	for _, n := range []int{0, 1, 2, 3, 5, 7, 10, 100, 1000, 8000, 1<<13 + 1, 40000, 1 << 20, math.MaxInt32 - 1, math.MaxInt32} {
+		for _, fleet := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 31, 64, 100, 1000, 1 << 16, 1<<16 + 1} {
+			r := monotable.NewRoute(n, fleet)
+			size := max(1, (n+fleet-1)/fleet)
+			covered := 0
+			for o := 0; o < fleet; o++ {
+				covered += r.Size(o)
+			}
+			if covered != n {
+				t.Fatalf("n %d over %d: the blocks hold %d keys", n, fleet, covered)
+			}
+			// Every key of a small space; else both sides of every block
+			// edge and a sample.
+			var ids []int
+			for o := 1; o < fleet; o++ {
+				ids = append(ids, o*size-1, o*size)
+			}
+			for i := 0; i < 200; i++ {
+				ids = append(ids, rng.Intn(max(n, 1)))
+			}
+			if n <= 10000 {
+				ids = ids[:0]
+				for t := range n {
+					ids = append(ids, t)
+				}
+			}
+			ids = append(ids, n-1)
+			for _, id := range ids {
+				if id < 0 || id >= n {
+					continue
+				}
+				slot, owner := r.Split(int32(id))
+				if owner != id/size || owner >= fleet || slot < 0 || slot >= r.Size(owner) || r.Key(owner, slot) != int64(id) {
+					t.Fatalf("n %d over %d: split of %d = (%d, owner %d), want owner %d and a slot of its %d whose key is %d",
+						n, fleet, id, slot, owner, id/size, r.Size(owner), id)
+				}
+				if r.Owner(int64(id)) != owner || r.Pairs().Owner(compiler.EncodePair(int64(id), int64(rng.Int31()))) != owner {
+					t.Fatalf("n %d over %d: key %d or a pair from it not owned by %d", n, fleet, id, owner)
+				}
+			}
+			if r.Owner(int64(n)) != -1 || r.Owner(-1) != -1 {
+				t.Fatalf("n %d over %d: a key outside [0, n) has an owner", n, fleet)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
-	"powerlog/internal/graph"
 	"powerlog/internal/transport"
 )
 
@@ -99,14 +98,14 @@ func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]
 		w.seedShard(rows, meta, restoring)
 	} else {
 		for _, kv := range plan.BaseNaive {
-			if graph.Partition(kv.K, cfg.Workers) == w.id {
+			if w.owner(kv.K) == w.id {
 				w.ownBase = append(w.ownBase, kv)
 			}
 		}
 	}
 	w.run()
-	if w.sendErr != nil {
-		return nil, fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+	if err := w.err(); err != nil {
+		return nil, err
 	}
 	local := map[int64]float64{}
 	w.table.Range(func(k int64, v float64) bool {

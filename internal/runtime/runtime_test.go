@@ -10,7 +10,6 @@ import (
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
-	"powerlog/internal/graph"
 	"powerlog/internal/parser"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
@@ -398,11 +397,23 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+// TestGraphPartitionCoversAllKeys: the route a fleet builds from its plan
+// gives every vertex key, and every pair key of a pair plan, an owner in
+// [0, W).
 func TestGraphPartitionCoversAllKeys(t *testing.T) {
 	for _, w := range []int{1, 2, 5} {
+		r := routeOf(&compiler.Plan{N: 100}, w)
 		for k := int64(0); k < 100; k++ {
-			if p := graph.Partition(k, w); p < 0 || p >= w {
-				t.Fatalf("Partition(%d,%d) = %d", k, w, p)
+			if p := r.Owner(k); p < 0 || p >= w {
+				t.Fatalf("Owner(%d), W=%d = %d", k, w, p)
+			}
+		}
+		pr := routeOf(&compiler.Plan{N: 10, PairKeys: true}, w)
+		for hi := int64(0); hi < 10; hi++ {
+			for lo := int64(0); lo < 10; lo++ {
+				if p := pr.Owner(hi<<32 | lo); p < 0 || p >= w {
+					t.Fatalf("Owner(%d<<32|%d), W=%d = %d", hi, lo, w, p)
+				}
 			}
 		}
 	}

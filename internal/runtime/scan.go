@@ -24,9 +24,9 @@ import (
 
 // scanPass is the MRA modes' compute pass (policySet.pass): drain the
 // dirty keys into a snapshot, then fold each and propagate its row. It
-// returns how many rows propagated. On a Dense shard — vertex keys strided
-// by the static modulo partition (worker.newTable), whose slots
-// monotable.Route.Split resolves — it drains, folds and sinks by slot.
+// returns how many rows propagated. On a Dense shard — one block of the
+// vertex keys (worker.newTable), whose slots monotable.Route.Split
+// resolves — it drains, folds and sinks by slot.
 func (w *worker) scanPass() int {
 	dense, _ := w.table.(*monotable.Dense)
 	w.drainBuf = w.drainBuf[:0]

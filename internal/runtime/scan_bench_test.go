@@ -18,8 +18,8 @@ import (
 // passes. ns/edge is the pass time over the out-edges of the rows it
 // propagated. One reciprocal route serves every fleet size, but the two
 // sizes are not like for like: a third worker makes 2/3 of the edges
-// remote, and on R-MAT the even vertices worker 0 of 2 owns are the
-// high-degree ones (75 % of the out-edges).
+// remote, and on R-MAT the low ids worker 0 of 2 owns are the
+// high-degree ones (74 % of the out-edges).
 func BenchmarkScanPass(b *testing.B) {
 	for _, bc := range []struct {
 		name, src string
@@ -33,17 +33,17 @@ func BenchmarkScanPass(b *testing.B) {
 					Workers: workers, Mode: MRASync,
 					Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
 				})
-				edges := 0
-				for v := 0; v < plan.N; v += workers {
-					edges += g.OutDegree(int32(v))
+				route, edges := w.sink.Route, 0
+				for s := 0; s < route.Size(0); s++ {
+					edges += g.OutDegree(int32(route.Key(0, s)))
 				}
 				dirty := func(pass int) {
 					v := 0.125
 					if plan.Op.Selective() {
 						v = 1e12 - float64(pass)
 					}
-					for k := 0; k < plan.N; k += workers {
-						w.table.FoldDelta(int64(k), v)
+					for s := 0; s < route.Size(0); s++ {
+						w.table.FoldDelta(route.Key(0, s), v)
 					}
 				}
 				dirty(0)
@@ -66,9 +66,10 @@ func BenchmarkScanPass(b *testing.B) {
 	}
 }
 
-// TestBSPCountsRepeat pins the traffic DESIGN.md §9 and benchmark/README.md
-// quote for plperf's pagerank-rmat-bsp (91 supersteps, 386 583 KVs in 182
-// batches) and BenchmarkRunChain's MRA+Sync kvs/op and passes/op: under
+// TestBSPCountsRepeat pins the traffic DESIGN.md §9 quotes for plperf's
+// pagerank-rmat-bsp (91 supersteps, 390 409 KVs in 182 batches) and
+// BenchmarkRunChain's MRA+Sync kvs/op and passes/op (73 KVs: the chain's
+// ids run along it, so the block route cuts 82 of its 39 991 edges). Under
 // BSP barriers a seeded run's counts repeat exactly, at any GOMAXPROCS
 // and under the race detector (a peer's next-superstep batch is held
 // until this worker's own pass has drained, worker.early), so a change to
@@ -79,8 +80,8 @@ func TestBSPCountsRepeat(t *testing.T) {
 		g                    *graph.Graph
 		rounds, kvs, flushes int64
 	}{
-		{"pagerank-rmat", progs.PageRank, gen.RMAT(13, 82000, 0, 1), 91, 386583, 182},
-		{"sssp-chain", progs.SSSP, gen.LocalChain(8000, 4, 40, 100, 1), 358, 23898, 711},
+		{"pagerank-rmat", progs.PageRank, gen.RMAT(13, 82000, 0, 1), 91, 390409, 182},
+		{"sssp-chain", progs.SSSP, gen.LocalChain(8000, 4, 40, 100, 1), 361, 73, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Run(compilePlan(t, tc.src, edgeDB("edge")(tc.g)), Config{

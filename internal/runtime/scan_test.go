@@ -151,9 +151,10 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 		{"direct/mirror/PageRank/3", progs.PageRank, 3, g},
 		{"direct/mirror/SSSP/2", progs.SSSP, 2, g},
 		{"direct/mirror/SSSP/3", progs.SSSP, 3, g},
-		// Pair keys: a Sparse shard, whose remote updates are buffered by
-		// key in the hash combiner.
-		{"buffered", progs.APSP, 2, gen.Uniform(300, 3000, 20, 7)},
+		// Pair keys: a Sparse shard. A pair plan propagates on its second
+		// vertex and the route owns a pair by its first, so the pass
+		// sends nothing.
+		{"sparse/APSP/2", progs.APSP, 2, gen.Uniform(300, 3000, 20, 7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := compilePlan(t, tc.src, edgeDB("edge")(tc.g))
@@ -161,17 +162,30 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 				Workers: tc.workers, Mode: MRAAsync,
 				Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
 			})
-			n := int64(plan.N)
+			// Worker 0's keys: its block, or every pair from its first
+			// vertex — a set the pairs' rows stay inside.
+			var keys []int64
+			for k := range int64(plan.N) {
+				switch {
+				case plan.PairKeys:
+					keys = append(keys, compiler.EncodePair(0, k))
+				case w.owner(k) == 0:
+					keys = append(keys, k)
+				}
+			}
 			pass := 0.0
 			body := func() {
 				// Falling values, so a min keeps improving and every row
 				// propagates, as a sum's always does.
 				pass++
-				for k := int64(0); k < n; k += int64(tc.workers) {
+				for _, k := range keys {
 					w.table.FoldDelta(k, 0.125-pass)
 				}
 				w.scanPass()
-				if peers.drain() == 0 && tc.workers > 1 {
+				switch sent := peers.drain(); {
+				case plan.PairKeys && sent != 0:
+					t.Fatalf("the pass sent its peers %d pairs", sent)
+				case !plan.PairKeys && sent == 0 && tc.workers > 1:
 					t.Fatal("the pass sent its peers nothing")
 				}
 			}
@@ -195,6 +209,44 @@ r2. d(Y,min[v1]) :- d(X,v), edge(X,Y,w), v1 = min(v,w).`
 				t.Fatalf("%s scan pass allocates %v/run, want 0", tc.name, allocs)
 			}
 		})
+	}
+}
+
+// TestBarrierMirrorFlushesOnce: a BSP pass whose mirror of a peer stages
+// more than batchMax slots sends it once, at the barrier, as
+// ⌈staged/batchMax⌉ messages that name each staged key once. batchMax caps
+// a message, not a barrier buffer: a mirror flushed every batchMax staged
+// slots mid-pass re-stages a key the pass folds again, and sends it again
+// within the superstep.
+func TestBarrierMirrorFlushesOnce(t *testing.T) {
+	plan := compilePlan(t, progs.PageRank, edgeDB("edge")(gen.Uniform(20000, 200000, 0, 3)))
+	w, peers := workerZero(t, plan, Config{
+		Workers: 2, Mode: MRASync,
+		Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+	})
+	for s := 0; s < w.sink.Route.Size(0); s++ {
+		w.table.FoldDelta(w.sink.Route.Key(0, s), 1)
+	}
+	w.scanPass()
+	staged := w.bufs[1].len()
+	if w.flushes != 0 || staged <= batchMax {
+		t.Fatalf("the pass flushed %d times and left %d slots staged; want 0 and more than %d", w.flushes, staged, batchMax)
+	}
+	w.flushAll() // the barrier's flush
+	seen := map[int64]bool{}
+	for w.dataSeq[1] > peers.taken[1] {
+		m := <-peers.net.Conn(1).Inbox()
+		peers.taken[1]++
+		for _, kv := range m.KVs {
+			if seen[kv.K] || w.sink.Route.Owner(kv.K) != 1 {
+				t.Fatalf("key %d sent twice, or not worker 1's", kv.K)
+			}
+			seen[kv.K] = true
+		}
+		transport.PutBatch(m.KVs)
+	}
+	if want := int64((staged + batchMax - 1) / batchMax); w.flushes != want || len(seen) != staged {
+		t.Fatalf("%d messages carried %d keys; want %d carrying %d", w.flushes, len(seen), want, staged)
 	}
 }
 

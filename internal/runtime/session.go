@@ -8,7 +8,6 @@ import (
 
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
-	"powerlog/internal/graph"
 	"powerlog/internal/transport"
 )
 
@@ -230,8 +229,8 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 		}
 	} else {
 		for _, kv := range plan.BaseNaive {
-			o := graph.Partition(kv.K, cfg.Workers)
-			workers[o].ownBase = append(workers[o].ownBase, kv)
+			w := ownerOf(workers, kv.K)
+			w.ownBase = append(w.ownBase, kv)
 		}
 	}
 
@@ -308,7 +307,7 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// the owner takes out what the row added, like any signed FoldAcc
 	// delta (and the periodic exact resync bounds its rounding the same).
 	for _, k := range refix.Invalidate {
-		w := s.workers[graph.Partition(k, s.cfg.Workers)]
+		w := ownerOf(s.workers, k)
 		w.accSum -= w.table.Invalidate(k)
 		w.accFolds++
 	}
@@ -317,7 +316,7 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	// Reseed: fold the correction ΔX¹ into the owners' shards. The folds
 	// mark the rows dirty, which is exactly the next epoch's frontier.
 	for _, kv := range refix.Reseed {
-		s.workers[graph.Partition(kv.K, s.cfg.Workers)].table.FoldDelta(kv.K, kv.V)
+		ownerOf(s.workers, kv.K).table.FoldDelta(kv.K, kv.V)
 	}
 	s.m.met.reseedKeys.Add(uint64(len(refix.Reseed)))
 	s.m.met.borderRows.Add(uint64(refix.BorderRows))
@@ -372,8 +371,12 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 type parkedTable []*worker
 
 func (t parkedTable) Acc(key int64) float64 {
-	return t[graph.Partition(key, len(t))].table.Acc(key)
+	return ownerOf(t, key).table.Acc(key)
 }
+
+// ownerOf is the worker of fleet that owns key. Every worker holds the
+// fleet's route.
+func ownerOf(fleet []*worker, key int64) *worker { return fleet[fleet[0].owner(key)] }
 
 func (t parkedTable) Range(f func(key int64, acc float64)) {
 	for _, w := range t {
@@ -396,8 +399,8 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 		// the goroutines so the counters below are settled.
 		s.joinFleet()
 		for _, w := range s.workers {
-			if w.sendErr != nil {
-				return nil, fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+			if err := w.err(); err != nil {
+				return nil, err
 			}
 		}
 		if s.m.err != nil {
@@ -574,8 +577,8 @@ func (s *Session) Close() error {
 	s.mu.Unlock()
 	s.teardown()
 	for _, w := range s.workers {
-		if w.sendErr != nil {
-			return fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+		if err := w.err(); err != nil {
+			return err
 		}
 	}
 	return nil

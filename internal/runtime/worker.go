@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	stdruntime "runtime"
 	"sync/atomic"
 	"time"
@@ -8,13 +9,13 @@ import (
 	"powerlog/internal/agg"
 	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
-	"powerlog/internal/graph"
 	"powerlog/internal/monotable"
 	"powerlog/internal/term"
 	"powerlog/internal/transport"
 )
 
-// worker owns one MonoTable shard and runs the unified compute loop,
+// worker owns one MonoTable shard — one block of the key space, by the
+// fleet's static route (routeOf) — and runs the unified compute loop,
 // parameterised by its mode's policy set (policy.go): a FlushPolicy for
 // message buffering, a Scheduler for drain order and priority holding,
 // and a BarrierPolicy for synchronisation. It has a dedicated
@@ -127,6 +128,9 @@ type worker struct {
 	// the worker exits (reading sendErr is safe then: commDone closes after
 	// the final write).
 	sendErr error
+	// keyErr records the first key a peer sent that this worker does not
+	// own (refuse), which stops the worker the same way.
+	keyErr error
 
 	stragglerWait time.Duration // total time blocked at the step gate (SSP, BSP)
 	timer         *time.Timer   // reused by every timed inbox wait (await)
@@ -207,7 +211,7 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 		master: transport.MasterID(fleet),
 	}
 	w.sink = monotable.Sink{
-		Route:  monotable.NewRoute(fleet),
+		Route:  routeOf(plan, fleet),
 		Cols:   make([]*monotable.Column, fleet),
 		Limits: make([]int, fleet),
 		Counts: w.win.counts,
@@ -229,10 +233,10 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	now := time.Now()
 	for j := range w.bufs {
 		if w.denseShards() && j != id {
-			w.bufs[j] = newMirrorBuf(plan.Op, plan.N, w.sink.Route, j)
+			w.bufs[j] = newMirrorBuf(plan.Op, w.sink.Route, j)
 			w.sink.Cols[j] = w.bufs[j].col
 		} else {
-			w.bufs[j] = newOutBuf(plan.Op)
+			w.bufs[j] = newMirrorBuf(plan.Op, monotable.Route{}, 0)
 		}
 		w.lastFlush[j] = now
 	}
@@ -248,10 +252,21 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	return w
 }
 
-// denseShards reports whether the fleet's shards are Dense tables, which
-// stride vertex keys by the modulo partition (monotable.Route resolves
-// their slots): every program keyed by vertex; pair keys shard into
-// Sparse tables.
+// routeOf is the fleet's static route for plan: W blocks of its N
+// vertices, a pure function of the two, so every process of a fleet
+// builds the same one from its own plan. A pair key follows its first
+// vertex.
+func routeOf(plan *compiler.Plan, workers int) monotable.Route {
+	r := monotable.NewRoute(plan.N, workers)
+	if plan.PairKeys {
+		return r.Pairs()
+	}
+	return r
+}
+
+// denseShards reports whether the fleet's shards are Dense tables, one
+// block of vertex keys each (monotable.Route resolves their slots): every
+// program keyed by vertex; pair keys shard into Sparse tables.
 func (w *worker) denseShards() bool { return !w.plan.PairKeys }
 
 func (w *worker) newTable() monotable.Table {
@@ -261,8 +276,20 @@ func (w *worker) newTable() monotable.Table {
 	return monotable.NewSparse(w.plan.Op)
 }
 
-// owner is the worker that owns key: the modulo partition.
-func (w *worker) owner(key int64) int { return graph.Partition(key, w.nw) }
+// owner is the worker that owns key: the block the route puts it in.
+func (w *worker) owner(key int64) int { return w.sink.Route.Owner(key) }
+
+// err is why the worker stopped when the fleet did not stop it, or nil.
+// Read it after the worker has exited.
+func (w *worker) err() error {
+	switch {
+	case w.sendErr != nil:
+		return fmt.Errorf("runtime: worker %d send failed: %w", w.id, w.sendErr)
+	case w.keyErr != nil:
+		return fmt.Errorf("runtime: worker %d: %w", w.id, w.keyErr)
+	}
+	return nil
+}
 
 // stop raises the worker's stop signal; halted reads it.
 func (w *worker) stop()        { w.stopping.Store(true) }
@@ -518,11 +545,19 @@ func (w *worker) receive(ms ...transport.Message) {
 			// This goroutine is the shard's only accessor (DESIGN.md §9):
 			// the fold is the owner's, by slot.
 			for _, kv := range m.KVs {
-				slot, _ := w.sink.Route.Split(int32(kv.K))
+				slot, o := w.sink.Route.Split(int32(kv.K))
+				if o != w.id || uint64(kv.K) >= uint64(w.plan.N) {
+					w.refuse(m.From, kv.K)
+					break
+				}
 				dense.FoldDeltaOwned(slot, kv.V)
 			}
 		} else {
 			for _, kv := range m.KVs {
+				if w.owner(kv.K) != w.id {
+					w.refuse(m.From, kv.K)
+					break
+				}
 				w.apply.FoldDelta(kv.K, kv.V)
 			}
 		}
@@ -539,6 +574,16 @@ func (w *worker) receive(ms ...transport.Message) {
 		// The batch is spent; recycle it (see the contract in transport).
 		transport.PutBatch(m.KVs)
 	}
+}
+
+// refuse stops the worker on a key that is not in its block: the sender
+// routed it by another plan's N, and folding it would land in a wrong
+// slot without an error.
+func (w *worker) refuse(from int, key int64) {
+	if w.keyErr == nil {
+		w.keyErr = fmt.Errorf("key %d from worker %d is not in this worker's block of [0, %d): the fleet's plans disagree on the key space", key, from, w.plan.N)
+	}
+	w.stop()
 }
 
 // accResyncFolds is how many FoldAcc signed deltas the running accSum
@@ -699,10 +744,10 @@ func (w *worker) snapshot(epoch int) error {
 }
 
 // flush sends buffer j if it is non-empty: one Data batch per batchMax
-// entries — a buffer only outgrows one batch while its slot is down. Each
-// batch is stamped with the next per-link sequence number (in Round; the
-// field is unused by Data otherwise) so the receiver can discard
-// redeliveries from the termination watermark.
+// entries — a buffer outgrows one batch under a barrier's limit or while
+// its slot is down. Each batch is stamped with the next per-link sequence
+// number (in Round; the field is unused by Data otherwise) so the
+// receiver can discard redeliveries from the termination watermark.
 func (w *worker) flush(j int) {
 	if w.down(j) {
 		// The pending membership fence names the slot lost: hold the
@@ -853,11 +898,12 @@ func (w *worker) buffer(o int, dst int64, v float64) {
 }
 
 // readLimits publishes the FlushPolicy's decision (policy.go) where the
-// flush tests read it — the mode's limit per buffer, under the batchMax
-// hard cap, and its urgency.
+// flush tests read it — the mode's limit per buffer and its urgency. A
+// limit is not capped at batchMax: flush cuts a buffer into messages, and
+// a barrier's buffer must not go out mid-pass.
 func (w *worker) readLimits() {
 	for j := range w.sink.Limits {
-		w.sink.Limits[j] = min(w.pol.flush.limit(j), batchMax)
+		w.sink.Limits[j] = w.pol.flush.limit(j)
 	}
 	w.sink.Urgent = w.pol.flush.urgent()
 }
@@ -920,103 +966,32 @@ func (w *worker) await(d time.Duration) (timedOut bool) {
 }
 
 // outBuf is a per-destination buffer that folds same-key updates with
-// the program's aggregate, in arrival order of first touch. By default it
-// is an open-addressed flat combiner: a power-of-two slot table of indexes
-// into dense key/value arrays, linear probing, no tombstones (keys are
-// never removed individually — a take re-indexes what it leaves). For a
-// destination whose shard is a Dense table it is instead a mirror of that
-// shard's Intermediate column (monotable.NewMirror), folded by slot like
-// the local shard — same entries, same order, no hash. Either way the
-// storage is reused across flushes and the drain target comes from the
-// transport batch pool, so the steady-state fill→drain cycle allocates
-// nothing.
+// the program's aggregate, in arrival order of first touch: a mirror of
+// the destination's Intermediate column (monotable.NewMirror), folded by
+// slot like the local shard. Its storage is reused across flushes and the
+// drain target comes from the transport batch pool, so the steady-state
+// fill→drain cycle allocates nothing. Only a peer's Dense shard is ever
+// sent to — a pair stays with its first vertex's owner — so every other
+// slot's buffer is empty and stays so.
 type outBuf struct {
-	op *agg.Op
-
-	col    *monotable.Column // the mirror, whose slot s is key s·route.Mod()+offset
-	route  monotable.Route
-	offset int64
-
-	keys  []int64   // first-touch order
-	vals  []float64 // parallel to keys
-	slots []int32   // hash table: index+1 into keys, 0 = empty
-	mask  uint64
+	col   *monotable.Column // the mirror of shard owner, whose slot s is key route.Key(owner, s)
+	route monotable.Route
+	owner int
 }
 
-// outBufInitSlots is the initial slot-table size; it grows to track the
-// largest batch the destination ever needed and then stays put.
-const outBufInitSlots = 256
-
-func newOutBuf(op *agg.Op) *outBuf {
-	return &outBuf{
-		op:    op,
-		slots: make([]int32, outBufInitSlots),
-		mask:  outBufInitSlots - 1,
-	}
-}
-
-// newMirrorBuf is the buffer for worker offset's Dense shard of the keys
-// [0, n) under a static route.
-func newMirrorBuf(op *agg.Op, n int, route monotable.Route, offset int) *outBuf {
-	col := monotable.NewMirror(op, n, int64(route.Mod()), int64(offset))
-	return &outBuf{op: op, col: col, route: route, offset: int64(offset)}
-}
-
-// hashKey mixes the key bits (Fibonacci multiplier + xor-fold) so dense
-// vertex ids and src<<32|dst pair keys both spread across the table.
-func hashKey(k int64) uint64 {
-	x := uint64(k) * 0x9E3779B97F4A7C15
-	return x ^ (x >> 32)
+// newMirrorBuf is the buffer for worker o's Dense shard under route; the
+// zero Route gives the empty buffer.
+func newMirrorBuf(op *agg.Op, route monotable.Route, o int) *outBuf {
+	return &outBuf{col: monotable.NewMirror(op, route, o), route: route, owner: o}
 }
 
 // add folds v into the buffered update for key.
 func (b *outBuf) add(key int64, v float64) {
-	if b.col != nil {
-		slot, _ := b.route.Split(int32(key))
-		b.col.FoldDeltaOwned(slot, v)
-		return
-	}
-	h := hashKey(key) & b.mask
-	for {
-		idx := b.slots[h]
-		if idx == 0 {
-			b.keys = append(b.keys, key)
-			b.vals = append(b.vals, v)
-			b.slots[h] = int32(len(b.keys))
-			// Grow at 3/4 load so probe chains stay short.
-			if uint64(len(b.keys)) >= b.mask/4*3 {
-				b.slots = make([]int32, 2*len(b.slots))
-				b.mask = uint64(len(b.slots) - 1)
-				b.reindex()
-			}
-			return
-		}
-		if b.keys[idx-1] == key {
-			b.vals[idx-1] = b.op.Fold(b.vals[idx-1], v)
-			return
-		}
-		h = (h + 1) & b.mask
-	}
+	slot, _ := b.route.Split(int32(key))
+	b.col.FoldDeltaOwned(slot, v)
 }
 
-// reindex fills a zeroed slot table from the dense entries (cheap: the
-// keys are already compact, no entry moves).
-func (b *outBuf) reindex() {
-	for i, k := range b.keys {
-		h := hashKey(k) & b.mask
-		for b.slots[h] != 0 {
-			h = (h + 1) & b.mask
-		}
-		b.slots[h] = int32(i + 1)
-	}
-}
-
-func (b *outBuf) len() int {
-	if b.col != nil {
-		return len(b.col.Staged())
-	}
-	return len(b.keys)
-}
+func (b *outBuf) len() int { return len(b.col.Staged()) }
 
 // take drains the buffer's first batchMax entries (first-touch order) into
 // a pooled KV batch. Ownership of the batch passes to the caller, who
@@ -1027,20 +1002,10 @@ func (b *outBuf) take() []transport.KV {
 		return nil
 	}
 	kvs := transport.GetBatch(n)
-	if b.col != nil {
-		for _, s := range b.col.Staged()[:n] {
-			kvs = append(kvs, transport.KV{K: int64(s)*int64(b.route.Mod()) + b.offset, V: b.col.TakeOwned(int(s))})
-		}
-		b.col.Unstage(n)
-		return kvs
+	for _, s := range b.col.Staged()[:n] {
+		kvs = append(kvs, transport.KV{K: b.route.Key(b.owner, int(s)), V: b.col.TakeOwned(int(s))})
 	}
-	for i, k := range b.keys[:n] {
-		kvs = append(kvs, transport.KV{K: k, V: b.vals[i]})
-	}
-	b.keys = b.keys[:copy(b.keys, b.keys[n:])]
-	b.vals = b.vals[:copy(b.vals, b.vals[n:])]
-	clear(b.slots)
-	b.reindex()
+	b.col.Unstage(n)
 	return kvs
 }
 

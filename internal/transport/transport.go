@@ -59,7 +59,7 @@ func (k Kind) String() string {
 type FenceClass uint8
 
 const (
-	FenceSnapshot FenceClass = iota // consistent-cut checkpoint of a combining program (Round = checkpoint epoch)
+	FenceSnapshot FenceClass = iota // the async family's and SSP's consistent-cut checkpoint, any aggregate (Round = snapshot episode)
 	FencePark                       // session epoch boundary (Round = session epoch); held until the next Apply
 	FenceMember                     // crash repair: lost slots replaced in place (Round = fence number)
 	// FenceStep is the end of a BSP superstep (Round = superstep, counted
