@@ -84,11 +84,13 @@ func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 }
 
 // Rejoin measures crash re-join (DESIGN.md §11): a worker crashed
-// silently mid-fixpoint is detected by the liveness probe, replaced on a
-// reset endpoint, and re-joined through a membership fence. For one
+// silently mid-fixpoint is found by the master's liveness rule, replaced
+// on a reset endpoint, and re-joined through a membership fence — in
+// every mode, the barriered ones resuming under a fresh barrier. For one
 // selective workload (SSSP — survivors keep their state and replay,
 // Theorem 3) and one combining workload (PageRank — every shard reset to
-// the ΔX¹ seed) each non-barriered mode runs four times:
+// the ΔX¹ seed; naive evaluation starts over from its base tuples) each
+// mode runs four times:
 //
 //	clean     no faults, the baseline wall time
 //	livejoin  crashw fault, live re-join; the fence latency (the
@@ -97,6 +99,7 @@ func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 //	crashed   master-abort fault with checkpoints on
 //	restart   restore the crashed run's newest cut; its wall time
 //	          is what restart-the-world pays to re-reach the fixpoint
+//	          (naive evaluation writes no checkpoint: it starts over)
 //
 // The headline comparison is time-to-recover: the live fence (ms) versus
 // the restart re-fixpoint (s).
@@ -106,10 +109,7 @@ func Rejoin(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	if cfg.CollectTimeout <= 0 {
 		cfg.CollectTimeout = 250 * time.Millisecond
 	}
-	// Only the non-barriered MRA family has live re-join; a BSP worker
-	// joins no fence inside a superstep, so BSP aborts on loss.
-	modes := []runtime.Mode{runtime.MRAAsync, runtime.MRASyncAsync, runtime.MRASSP}
-	return crashCells(cfg, modes, func(wl *Workload, mode runtime.Mode, clean Measurement) ([]Measurement, error) {
+	return crashCells(cfg, everyMode, func(wl *Workload, mode runtime.Mode, clean Measurement) ([]Measurement, error) {
 		// Live re-join: the worker dies without a Stop handshake.
 		// Checkpoints stay OFF here (re-join reads none): a combining
 		// fleet resets to the ΔX¹ seed inside the fence, and a

@@ -23,9 +23,11 @@ import (
 // worker asks its term.Barrier for the verdict the master reaches from
 // the same reports: on None it starts the next superstep at once; on a
 // stop it waits for the master's Stop or park request. Nobody releases a
-// superstep. In naive mode each superstep recomputes the full result from
-// the previous one (Equation 2); otherwise it is MRA semi-naive
-// evaluation (Equation 4) under a barrier.
+// superstep. A membership fence joined at the gate or in that wait
+// rebases the fleet (worker.rebase): the worker leaves the superstep for
+// the one after the master's base. In naive mode each superstep
+// recomputes the full result from the previous one (Equation 2);
+// otherwise it is MRA semi-naive evaluation (Equation 4) under a barrier.
 type bspBarrier struct {
 	sentAt int64 // w.sent when the superstep began
 }
@@ -41,8 +43,9 @@ func (*bspBarrier) setup(w *worker) {
 	}
 }
 
-func (*bspBarrier) beginPass(w *worker) bool {
+func (b *bspBarrier) beginPass(w *worker) bool {
 	w.rounds++
+	b.sentAt = w.sent
 	return false
 }
 
@@ -50,6 +53,8 @@ func (*bspBarrier) beginPass(w *worker) bool {
 // worker's rounds, the master's gRound), so nobody requests the fence.
 func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	s := w.rounds
+	joins := w.fences[transport.FenceMember].done
+	rebased := func() bool { return w.fences[transport.FenceMember].done != joins }
 	// The pass has drained: what peers sent in superstep s may fold now.
 	w.receive(w.early...)
 	w.early = w.early[:0]
@@ -59,19 +64,19 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	// Intermediate — and made the peer's own report dirty. A naive report
 	// is made at the cut.
 	rep := transport.Stats{AccDelta: w.accDelta, Dirty: w.table.HasDirty() || w.sent > b.sentAt}
-	w.accDelta, b.sentAt = 0, w.sent
+	w.accDelta = 0
 	w.steps.observe(w.id, s, rep)
 	w.stepMark(s)
 	resend := func() { w.stepMark(s - 1); w.stepMark(s) }
 	ack := transport.Message{Kind: transport.FenceAck, Fence: transport.FenceStep, Round: s, Stats: rep}
 	if w.reportsAtCut(s) {
-		w.awaitPeers(func() bool { return w.fences[transport.FenceStep].marks.min(w.peerSkip) >= s }, resend)
-		if w.halted() {
-			return false
+		w.awaitPeers(func() bool { return rebased() || w.fences[transport.FenceStep].marks.min(w.peerSkip) >= s }, resend)
+		if w.halted() || rebased() {
+			return !w.halted()
 		}
 		// The cut: every peer's data for s has been folded.
 		if w.cfg.Mode.MRA() {
-			_ = w.snapshot(s) // best-effort: the run itself must not fail
+			_ = w.snapshot(s, true) // best-effort: the run itself must not fail
 		} else {
 			ack.Stats.AccDelta, ack.Stats.Dirty = w.naiveFinish()
 			w.next = w.newTable()
@@ -82,8 +87,10 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	}
 	w.enqueue(w.master, ack)
 	// The gate: every slot's report for s, not merely its mark.
-	w.awaitPeers(func() bool { return !slices.ContainsFunc(w.steps[s&1], func(r stepReport) bool { return r.s != s }) }, resend)
-	if w.halted() || w.fencePending(transport.FencePark) {
+	w.awaitPeers(func() bool {
+		return rebased() || !slices.ContainsFunc(w.steps[s&1], func(r stepReport) bool { return r.s != s })
+	}, resend)
+	if w.halted() || rebased() || w.fencePending(transport.FencePark) {
 		return !w.halted()
 	}
 	if w.accFolds >= accResyncFolds {
@@ -96,9 +103,13 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	c := w.bar.Round(s-w.barFrom, fleet.AccDelta, fleet.Dirty)
 	onVerdict(w.id, s-w.barFrom, fleet, c)
 	// On a stop the master, judging the same reports, stops or parks the
-	// fleet. Keep re-marking meanwhile: a peer whose view of this mark was
-	// lost is still at the gate.
-	return c == term.None || w.foldUntil(func() bool { return w.fencePending(transport.FencePark) }, resend)
+	// fleet — or, having missed a lost worker's ack, re-joins it. Keep
+	// re-marking meanwhile: a peer whose view of this mark was lost is
+	// still at the gate.
+	return c == term.None || w.foldUntil(func() bool {
+		w.joinFences()
+		return rebased() || w.fencePending(transport.FencePark)
+	}, resend)
 }
 
 // reportsAtCut reports whether superstep s's report travels to the peers
@@ -125,8 +136,8 @@ func (w *worker) stepMark(s int) {
 // which waits for this worker's mark for s+1. A mark for s+1 that
 // overtakes a lost one for s moves the marker clock past s, but only s's
 // own (re-sent) mark carries s's report, so the sender re-sends both
-// (bspBarrier.endPass). The master keeps the acks it collects in one
-// too; acks that run further ahead wait in master.later.
+// (bspBarrier.endPass). The master collects one superstep at a time:
+// acks that run ahead of it wait in master.later.
 type stepReports [2][]stepReport
 
 // stepReport is one slot's report for superstep s.

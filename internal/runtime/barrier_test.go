@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"powerlog/internal/gen"
+	"powerlog/internal/graph"
 	"powerlog/internal/progs"
 	"powerlog/internal/term"
 	"powerlog/internal/transport"
@@ -126,25 +127,73 @@ func TestMasterKeepsLaterStepAcks(t *testing.T) {
 		if s > 1 {
 			ack(1, s, 8*float64(s-1)*float64(s-1))
 		}
-		got, open := m.collectAcks(transport.FenceStep, s, 2, time.Second, true)
-		if sum := fleetReport(m.acks[s&1]).AccDelta; !open || got != 2 || sum != want {
+		got, open := m.collectAcks(transport.FenceStep, s, 2, time.Second)
+		if sum := fleetReport(m.acks[transport.FenceStep]).AccDelta; !open || got != 2 || sum != want {
 			t.Fatalf("superstep %d: %d/2 acks summing to %v, want %v", s, got, sum, want)
 		}
 	}
+}
+
+// probeBarrier hands its worker a StatsRequest at each superstep's end,
+// before the report is taken — the liveness rule's probe answered
+// mid-superstep — and records the superstep's Σ|Δacc| it found, by slot
+// and superstep within the fixpoint.
+type probeBarrier struct {
+	BarrierPolicy
+	mu     *sync.Mutex
+	deltas map[[2]int]float64
+}
+
+func (p probeBarrier) endPass(w *worker, progressed bool) bool {
+	p.mu.Lock()
+	p.deltas[[2]int{w.id, w.rounds - w.barFrom}] = w.accDelta
+	p.mu.Unlock()
+	w.handle(transport.Message{Kind: transport.StatsRequest, Round: w.rounds})
+	return p.BarrierPolicy.endPass(w, progressed)
 }
 
 // Every worker's verdict on a superstep equals the master's, bit for
 // bit: ε-PageRank on three workers under both BSP modes, where the
 // verdict turns on a float sum that only a shared summation order keeps
 // equal. Each worker judges every superstep but the last, which the
-// master's Stop may end first.
+// master's Stop may end first. In the probed case every worker answers a
+// StatsRequest at each superstep's end, inside a session's Apply; the
+// master's verdicts must still judge the Σ|Δacc| of the superstep's
+// passes, summed in slot order.
 func TestStepVerdictsAgree(t *testing.T) {
 	g := gen.RMAT(8, 1500, 0, 7)
-	for _, mode := range []Mode{MRASync, NaiveSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			verdicts := recordVerdicts(t)
-			res, err := Run(compilePlan(t, progs.PageRank, edgeDB("edge")(g)),
-				Config{Workers: 3, Mode: mode, MaxWall: time.Minute})
+	for _, tc := range []struct {
+		mode   Mode
+		probed bool
+	}{{MRASync, false}, {NaiveSync, false}, {MRASync, true}} {
+		name := tc.mode.String()
+		if tc.probed {
+			name += "/probed"
+		}
+		t.Run(name, func(t *testing.T) {
+			plan := compilePlan(t, progs.PageRank, edgeDB("edge")(g))
+			cfg := Config{Workers: 3, Mode: tc.mode, MaxWall: time.Minute}
+			var verdicts func() map[[2]int]verdict
+			var res *Result
+			var err error
+			probe := probeBarrier{mu: &sync.Mutex{}, deltas: map[[2]int]float64{}}
+			if !tc.probed {
+				verdicts = recordVerdicts(t)
+				res, err = Run(plan, cfg)
+			} else {
+				s, oerr := Open(plan, cfg)
+				if oerr != nil {
+					t.Fatal(oerr)
+				}
+				defer s.Close()
+				for _, w := range s.workers {
+					p := probe
+					p.BarrierPolicy = w.pol.barrier
+					w.pol.barrier = p
+				}
+				verdicts = recordVerdicts(t)
+				res, err = s.Apply(Mutation{Inserts: []graph.Edge{{Src: 1, Dst: 2, W: 1}, {Src: 3, Dst: 5, W: 1}, {Src: 7, Dst: 11, W: 1}}})
+			}
 			if err != nil || !res.Converged {
 				t.Fatalf("run: %v (converged %v)", err, res != nil && res.Converged)
 			}
@@ -161,6 +210,15 @@ func TestStepVerdictsAgree(t *testing.T) {
 				for w := 0; w < 3; w++ {
 					if _, ok := got[[2]int{w, round}]; !ok && round < res.Rounds {
 						t.Errorf("superstep %d: worker %d never judged it", round, w)
+					}
+				}
+				if tc.probed {
+					sum := 0.0
+					for w := 0; w < 3; w++ {
+						sum += probe.deltas[[2]int{w, round}]
+					}
+					if math.Float64bits(sum) != master(round).delta {
+						t.Errorf("superstep %d: master judged Σ|Δacc| %v, the passes made %v", round, math.Float64frombits(master(round).delta), sum)
 					}
 				}
 			}

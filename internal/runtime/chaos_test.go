@@ -516,18 +516,21 @@ func TestTornSnapshotRefusedOnRestore(t *testing.T) {
 }
 
 // TestMasterDetectsLostWorker kills a worker before it ever reports and
-// requires the master to surface ErrWorkerLost within the collect
-// deadline instead of hanging until MaxWall (the PR-4 follow-up). One
-// live responder keeps the protocol moving so the timeout isolates the
-// dead peer, not a stalled fleet: worker 0 answers every StatsRequest
-// with a dirty report and reports a dirty first superstep, worker 1
-// stays silent.
+// requires RunMaster — the liveness rule with no Session to re-join into
+// — to surface ErrWorkerLost within the collect deadline and its probe
+// instead of hanging until MaxWall, in every mode. One live responder
+// keeps the protocol moving so the timeout isolates the dead peer, not a
+// stalled fleet: worker 0 answers every StatsRequest with a dirty report
+// and, under MRA+Sync, reports a dirty first superstep; worker 1 stays
+// silent. A naive worker acks a superstep only once it holds every peer's
+// data, so under Naive+Sync no ack arrives and only the probe can tell
+// the dead slot from the live one.
 func TestMasterDetectsLostWorker(t *testing.T) {
 	g := gen.Uniform(100, 600, 10, 91)
 	db := edb.NewDB()
 	db.SetGraph("edge", g)
 	plan := compilePlan(t, progs.SSSP, db)
-	for _, mode := range []Mode{MRASync, MRASyncAsync} {
+	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			net := transport.NewChannelNetwork(2, 64)
 			defer net.Close()
@@ -536,7 +539,7 @@ func TestMasterDetectsLostWorker(t *testing.T) {
 			stop := make(chan struct{})
 			defer close(stop)
 			go func() {
-				if modeBarriered[mode] {
+				if modeBarriered[mode] && mode.MRA() {
 					_ = responder.Send(transport.MasterID(2), transport.Message{Kind: transport.FenceAck,
 						Fence: transport.FenceStep, Round: 1, Stats: transport.Stats{Dirty: true, AccDelta: 1}})
 				}
@@ -578,7 +581,7 @@ func TestMasterDetectsLostWorker(t *testing.T) {
 				t.Fatalf("master returned %v, want ErrWorkerLost", err)
 			}
 			if elapsed > 10*time.Second {
-				t.Fatalf("detection took %v — the collect deadline (400ms) did not bound the wait", elapsed)
+				t.Fatalf("detection took %v — the collect deadline (400ms) and the probe did not bound the wait", elapsed)
 			}
 		})
 	}

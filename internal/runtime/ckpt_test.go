@@ -143,7 +143,7 @@ func TestSnapshotRowsCaptureIntermediates(t *testing.T) {
 	w.table.FoldAcc(5, 2.5)
 	dir := t.TempDir()
 	w.cfg.SnapshotDir = dir
-	if err := w.snapshot(1); err != nil {
+	if err := w.snapshot(1, false); err != nil {
 		t.Fatal(err)
 	}
 	rows, meta, err := ckpt.LoadAll(dir)

@@ -80,15 +80,16 @@ type Config struct {
 	// criterion samples on: two ε samples are never closer than this.
 	CheckInterval time.Duration
 	// CollectTimeout bounds how long the master waits for any single
-	// report during a collect (a superstep's FenceAck or a StatsReply). A
-	// worker dying mid-collect then surfaces as ErrWorkerLost instead of a
-	// hang. The deadline covers one message, so it effectively resets on
-	// every report a collect was waiting for. 0 (the default) falls back to
-	// MaxWall — a dead worker still cannot hang the run, and a healthy run with long compute
-	// passes cannot trip it spuriously. A timeout landing past the wall
-	// budget (always the case for the fallback) is reported as an
-	// ordinary non-converged abort; only a timeout within the budget is
-	// a lost worker. A fence's acks wait on 20× it (floored at 2 s).
+	// report during a collect: a wave's StatsReply, a superstep's or a
+	// fence's FenceAck. The deadline covers one message, so it resets on
+	// every report a collect was waiting for. A collect that passes it
+	// with slots missing re-solicits them, and a slot silent through a
+	// second CollectTimeout is lost: a Session replaces it in place, and
+	// RunMaster returns ErrWorkerLost. 0 (the default) falls back to
+	// MaxWall — a dead worker still cannot hang the run, and a healthy run
+	// with long compute passes cannot trip it spuriously. A deadline
+	// landing past the wall budget (always the case for the fallback) is
+	// reported as an ordinary non-converged stop.
 	CollectTimeout time.Duration
 	// PriorityThreshold enables §5.4's importance-based flushing for
 	// combining aggregates: deltas below the threshold wait in the local
@@ -256,14 +257,13 @@ const (
 	StopConverged                        // the program's termination condition held (ε or distributed quiescence)
 	StopIterationCap                     // the program's iteration cap was reached first
 	StopWall                             // Config.MaxWall expired
-	StopWorkerLost                       // a worker stayed silent past the collect deadline and could not be re-joined
-	StopFenceAborted                     // a membership or park fence did not complete within its deadline
+	StopWorkerLost                       // a worker stayed silent past a collect deadline and its probe, and could not be re-joined
 	StopInjected                         // the fault injector's crash round
 	StopTransportClosed                  // the master's inbox closed underneath it
 )
 
 var stopCauseNames = [...]string{"none", "converged", "iteration cap", "wall clock", "worker lost",
-	"fence aborted", "stopped by injector", "transport closed"}
+	"stopped by injector", "transport closed"}
 
 func (c StopCause) String() string {
 	if int(c) < len(stopCauseNames) {

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -23,10 +22,10 @@ import (
 //	→ fold until FenceRelease, then commit.
 //
 // Snapshot episodes, session parking and crash re-join are three
-// fenceSpecs of that loop. They differ in whose marks the cut waits for,
-// what runs at the cut, and what the master does when a collect falls
-// short and after it releases. The master's half is one function, drive:
-// it sends a transition's FenceRequest, collects the acks and releases.
+// fenceSpecs of that loop. They differ in what runs at the cut and what
+// the master does after it releases. The master's half is one function, drive: it sends a transition's
+// FenceRequest, gathers the acks and releases; a gather that falls short
+// goes to the liveness rule (master.rejoin), as every collect does.
 // The fourth class, the end of a BSP superstep, is the same cut with no
 // request and no release (barrier.go): each worker opens it itself, its
 // marks carry the superstep's report, every worker judges the superstep
@@ -87,8 +86,10 @@ type transition struct {
 	class transport.FenceClass
 	epoch int // the fence's number within its class: its Round
 	// A membership fence's lost slots, each replaced in place; the repair
-	// follows the aggregate class (worker.repairState).
+	// follows the aggregate class (worker.repairState). A barriered fleet
+	// resumes at superstep base+1 (worker.rebase).
 	down []int
+	base int
 }
 
 // request is the transition's FenceRequest, the one message that opens a
@@ -96,7 +97,7 @@ type transition struct {
 func (t transition) request() transport.Message {
 	m := transport.Message{Kind: transport.FenceRequest, Fence: t.class, Round: t.epoch}
 	if t.class == transport.FenceMember {
-		mb := &transport.Membership{}
+		mb := &transport.Membership{Base: int32(t.base)}
 		for _, j := range t.down {
 			mb.Down = append(mb.Down, int32(j))
 		}
@@ -111,6 +112,7 @@ func transitionOf(m transport.Message) transition {
 		for _, j := range mb.Down {
 			t.down = append(t.down, int(j))
 		}
+		t.base = int(mb.Base)
 	}
 	return t
 }
@@ -128,16 +130,10 @@ type fenceState struct {
 }
 
 // fenceSpec is what tells the fence classes apart, on both sides: the
-// worker's cohort, action and commit, and the master's reading of a
-// collect. Every slot acks, and every class collects within fenceTimeout
-// — a failure deadline, never a pace.
+// worker's action and commit, and the master's bookkeeping. Every
+// slot acks, and a collect that falls short goes to the master's one
+// liveness rule (master.rejoin), whatever the class.
 type fenceSpec struct {
-	name string
-	// replaced makes the cut wait for the lost slots' marks too: their
-	// replacements mark like any survivor. Every other class skips a slot
-	// a pending membership request names lost, which is what unwedges a
-	// fence blocked on a dead worker's marker.
-	replaced bool
 	// atCut runs once the cut is complete: every cohort member's
 	// pre-fence data has been folded and none sends more until released.
 	// What it returns rides in the ack.
@@ -148,9 +144,6 @@ type fenceSpec struct {
 	// commit runs after the release, before the worker resumes.
 	commit func(w *worker, t transition)
 
-	// abandon releases a fence whose collect fell short; otherwise the
-	// run stops with StopFenceAborted.
-	abandon bool
 	// held leaves the release to the session (drive returns at the acks).
 	held bool
 	// settle is the master's bookkeeping after the release.
@@ -161,16 +154,14 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	// The async family's and SSP's checkpoint, for every aggregate.
 	// Workers send nothing between their mark and the release, so the
 	// union of the shards is the state on one cut line. Best-effort: a
-	// failed shard write must not kill the run, and the master releases a
-	// short collect too (LoadAll passes over the incomplete cut and falls
-	// back to the last complete one).
+	// failed shard write must not kill the run, and an episode the
+	// liveness rule releases short leaves an incomplete cut that LoadAll
+	// passes over for the last complete one.
 	transport.FenceSnapshot: {
-		name: "snapshot",
 		atCut: func(w *worker, t transition) transport.Stats {
-			_ = w.snapshot(t.epoch)
+			_ = w.snapshot(t.epoch, true)
 			return transport.Stats{}
 		},
-		abandon: true,
 	},
 	// The session epoch boundary. Once every worker has acked, no peer
 	// sends Data again this epoch, so the session goroutine — which saw
@@ -178,7 +169,6 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	// read and mutate the tables until it releases the fence at the next
 	// Apply.
 	transport.FencePark: {
-		name:   "park",
 		nested: true,
 		commit: func(w *worker, _ transition) { w.idle = newIdleReports() },
 		held:   true,
@@ -187,9 +177,11 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 	// replay stays buffered toward the lost slots until the commit (down),
 	// and a reseed discards every buffer.
 	transport.FenceMember: {
-		name:     "membership",
-		replaced: true,
 		atCut: func(w *worker, t transition) transport.Stats {
+			// A BSP worker's held next-superstep data was sent before the
+			// cut: it folds now, into the state the repair keeps or resets.
+			w.receive(w.early...)
+			w.early = w.early[:0]
 			w.repairState(t)
 			w.renewLinks(t)
 			// No worker sends or counts Data between its cut and its
@@ -197,6 +189,9 @@ var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
 			// master's Σsent == Σrecv test an exact fresh baseline.
 			w.sent, w.recv, w.flushes = 0, 0, 0
 			w.idle = newIdleReports()
+			if modeBarriered[w.cfg.Mode] {
+				w.rebase(t.base)
+			}
 			return transport.Stats{}
 		},
 		commit: func(w *worker, _ transition) {
@@ -248,17 +243,13 @@ func (w *worker) fence(c transport.FenceClass) bool {
 	// f.req before this fence commits (the master moves on at the release).
 	t := f.req
 	e := t.epoch
-	skip := w.peerSkip
-	if s.replaced {
-		skip = func(j int) bool { return j == w.id }
-	}
 	mark := func() {
 		m := transport.Message{Kind: transport.FenceMark, Fence: c, Round: e}
 		w.eachPeer(func(j int) { w.enqueue(j, m) })
 	}
-	// A release that overtakes the cut means the master gave the fence up
-	// (an abandoned snapshot episode): skip the action and the ack.
-	cut := func() bool { return f.released >= e || f.marks.min(skip) >= e }
+	// A release that overtakes the cut means the liveness rule gave the
+	// fence up on a lost peer: skip the action and the ack.
+	cut := func() bool { return f.released >= e || f.marks.min(w.peerSkip) >= e }
 	w.flushAll()
 	mark()
 	if !w.foldUntil(cut, func() {
@@ -293,31 +284,22 @@ func (w *worker) fence(c transport.FenceClass) bool {
 }
 
 // drive runs one transition's master half: it sends the FenceRequest to
-// the fleet, collects one ack from each worker within fenceTimeout and
-// releases the fence — except a park, which the session holds until the
-// next Apply — then does the class's bookkeeping. decided is when the
-// master decided on the transition (before any worker was spawned for
-// it); the fence's duration from there goes into master.fence.<class>_us.
-// drive reports false when the run cannot go on: the network closed, or
-// a collect the class cannot abandon fell short, in which case m.err says
-// what was missing and the fleet is stopped (StopFenceAborted).
+// the fleet, gathers every worker's ack and releases the fence — except a
+// park, which the session holds until the next Apply — then does the
+// class's bookkeeping. decided is when the master decided on the
+// transition (before any worker was spawned for it); the fence's duration
+// from there goes into master.fence.<class>_us. drive reports whether the
+// fence completed. If it did not, the network closed or the liveness rule
+// found a slot lost, released the fence and repaired the fleet — or ended
+// the run: m.cause says which.
 func (m *master) drive(t transition, decided time.Time) bool {
 	s := &fenceSpecs[t.class]
 	m.bcast(t.request())
-	need := m.nw
-	got, open := m.collectAcks(t.class, t.epoch, need, m.fenceTimeout(), false)
-	if !open {
-		return false
-	}
-	if got < need && !s.abandon {
-		m.met.collectTimeouts.Inc()
-		m.err = fmt.Errorf("runtime: %s fence %d got %d/%d acks within %v: %w",
-			s.name, t.epoch, got, need, m.fenceTimeout(), ErrWorkerLost)
-		m.halt(StopFenceAborted)
+	if !m.gather(t.class, t.epoch, &t) {
 		return false
 	}
 	if !s.held {
-		m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: t.class, Round: t.epoch})
+		m.release(t)
 	}
 	if s.settle != nil {
 		s.settle(m, t)
@@ -326,33 +308,37 @@ func (m *master) drive(t transition, decided time.Time) bool {
 	return true
 }
 
-// fenceTimeout bounds one fence: quiesce + (possibly) a checkpoint
-// write per worker. Far looser than a collect's deadline —
-// disk is involved, and a park or membership fence is not one report but
-// the slowest participant's whole cut — but still bounded, so a worker
-// dying mid-fence surfaces as an error, not a hang.
-func (m *master) fenceTimeout() time.Duration {
-	d := 20 * m.collectTimeout()
-	if d < 2*time.Second {
-		d = 2 * time.Second
+func (m *master) release(t transition) {
+	m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: t.class, Round: t.epoch})
+}
+
+// gather collects every slot's ack for fence (c, epoch), running the
+// liveness rule each time a collect deadline passes with slots missing;
+// short is the driven fence the acks belong to (nil for a superstep's).
+// It reports whether every ack arrived. If not, the network closed or
+// the rule found slots lost.
+func (m *master) gather(c transport.FenceClass, epoch int, short *transition) bool {
+	for got := 0; ; {
+		n, open := m.collectAcks(c, epoch, m.nw-got, m.collectTimeout())
+		if got += n; got == m.nw {
+			return true
+		}
+		if !open || !m.rejoin(func(j int) bool { return m.acks[c][j].s != epoch }, short) {
+			return false
+		}
 	}
-	if m.cfg.MaxWall > 0 && d > m.cfg.MaxWall {
-		d = m.cfg.MaxWall
-	}
-	return d
 }
 
 // collectAcks folds the master's inbox until need FenceAcks for fence
-// (c, epoch) have arrived or the wait runs out — wait from now, or, with
-// perAck, from the last ack — and returns how many did, each ack's report
-// in m.acks; open is false if the network closed underneath. An
-// ack for a later fence of the class is kept for the collect it belongs
-// to: a BSP worker starts superstep s+1 as soon as it holds its peers'
-// reports for s, and nothing bounds how far its acks may overtake a slow
-// peer's. Anything else that arrives (late stats replies) describes the
-// world before the cut and is dropped — the poll loop starts afresh after
-// the release.
-func (m *master) collectAcks(c transport.FenceClass, epoch, need int, wait time.Duration, perAck bool) (got int, open bool) {
+// (c, epoch) have arrived or wait passes with none — the deadline is per
+// ack — and returns how many did, each ack's report in m.acks[c]; open is
+// false if the network closed underneath. An ack for a later fence of the
+// class is kept for the collect it belongs to: a BSP worker starts
+// superstep s+1 as soon as it holds its peers' reports for s, and nothing
+// bounds how far its acks may overtake a slow peer's. Anything else that
+// arrives (late stats replies) describes the world before the cut and is
+// dropped — the poll loop starts afresh after the release.
+func (m *master) collectAcks(c transport.FenceClass, epoch, need int, wait time.Duration) (got int, open bool) {
 	deadline := time.Now().Add(wait)
 	// Kept acks are filtered in place: one lands at or below the one read.
 	held := m.later
@@ -370,12 +356,11 @@ func (m *master) collectAcks(c transport.FenceClass, epoch, need int, wait time.
 		case msg.Kind != transport.FenceAck || msg.Fence != c || msg.Round < epoch:
 		case msg.Round > epoch:
 			m.later = append(m.later, msg)
+		case msg.From < 0 || msg.From >= m.nw:
 		default:
 			got++
-			m.acks.observe(msg.From, msg.Round, msg.Stats)
-			if perAck {
-				deadline = time.Now().Add(wait)
-			}
+			m.acks[c][msg.From] = stepReport{msg.Round, msg.Stats}
+			deadline = time.Now().Add(wait)
 		}
 	}
 	m.later = append(m.later, held...)

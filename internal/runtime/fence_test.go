@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -142,12 +143,12 @@ func (r *fenceRig) release(c transport.FenceClass, e int) {
 func (r *fenceRig) run(c transport.FenceClass, e, need int) {
 	r.t.Helper()
 	r.request(c, e)
-	got, open := r.m.collectAcks(c, e, need, 10*time.Second, false)
+	got, open := r.m.collectAcks(c, e, need, 10*time.Second)
 	if !open || got != need {
 		r.t.Fatalf("fence %d: %d/%d acks (network open: %v)", e, got, need, open)
 	}
 	// Every ack is in; one more would be a duplicate.
-	if extra, _ := r.m.collectAcks(c, e, 1, 20*time.Millisecond, false); extra != 0 {
+	if extra, _ := r.m.collectAcks(c, e, 1, 20*time.Millisecond); extra != 0 {
 		r.t.Fatalf("fence %d: a worker acked twice", e)
 	}
 	if c != transport.FenceStep {
@@ -242,31 +243,36 @@ func TestFenceDroppedMarkHealsByResend(t *testing.T) {
 	}
 }
 
-// A slot named lost by a membership FenceRequest drops out of another
-// class's cohort minimum: the survivors complete the cut without the dead
-// worker's mark.
+// A slot that dies inside a fence does not hold the survivors: the
+// fence's collect falls short, the liveness rule finds the silent slot
+// lost — the survivors answer its probe from inside the cut — and
+// releases the fence before anything else. With no Session to replace
+// the slot, the run then ends with ErrWorkerLost, and both survivors
+// leave.
 func TestFenceOrphanLeavesCohort(t *testing.T) {
 	c := transport.FenceSnapshot
 	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
-	r.request(c, 1)
-	if got, _ := r.m.collectAcks(c, 1, 1, 50*time.Millisecond, false); got != 0 {
-		t.Fatal("a survivor acked while worker 2's mark was still owed")
+	r.m.cfg.CollectTimeout = 50 * time.Millisecond
+	if r.m.drive(transition{class: c, epoch: 1}, time.Now()) {
+		t.Fatal("a fence short of a dead worker's ack completed")
 	}
-	repair := transition{class: transport.FenceMember, epoch: 1}
-	repair.down = []int{2}
-	r.m.bcast(repair.request())
-	if got, _ := r.m.collectAcks(c, 1, 2, 10*time.Second, false); got != 2 {
-		t.Fatalf("%d/2 survivors reached the cut after the request naming worker 2 lost", got)
+	if !errors.Is(r.m.err, ErrWorkerLost) || r.m.cause != StopWorkerLost {
+		t.Fatalf("err %v, stop cause %v; want ErrWorkerLost", r.m.err, r.m.cause)
 	}
-	r.release(c, 1)
-	<-r.done
-	<-r.done
+	r.leave(2)
+	for _, w := range r.ws[:2] {
+		// The release precedes the Stop on the master's link.
+		if f := &w.fences[c]; f.released != 1 {
+			t.Errorf("worker %d left fence 1 with release %d: the rule did not release it", w.id, f.released)
+		}
+	}
 }
 
 // A park whose acks arrive after CollectTimeout — one report's deadline —
-// but inside the fence deadline still parks: a first mark that takes
-// 80 ms to leave its sender keeps the cut past a 50 ms CollectTimeout,
-// and the master neither stops the run nor calls a worker lost.
+// still parks: a first mark that takes 80 ms to leave its sender keeps
+// the cut past a 50 ms CollectTimeout, the workers answer the liveness
+// rule's probe from inside the cut, and the master neither stops the run
+// nor calls a worker lost.
 // Released, the fleet leaves the park.
 func TestFenceParkOutlastsCollectTimeout(t *testing.T) {
 	c := transport.FencePark
@@ -291,7 +297,7 @@ func TestFenceParkOutlastsCollectTimeout(t *testing.T) {
 	if h := r.m.met.reg.Snapshot().Histograms["master.fence.park_us"]; h.Count != 1 {
 		t.Errorf("master.fence.park_us has %d samples, want 1", h.Count)
 	}
-	r.release(c, r.m.epoch)
+	r.release(c, r.m.parks)
 	r.leave(2)
 }
 
@@ -314,7 +320,7 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 0, 1, 0)); err == nil {
 		t.Error("abandoned fence still ran its action at a cut that never completed")
 	}
-	if got, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond, false); got != 0 {
+	if got, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond); got != 0 {
 		t.Error("abandoned fence was acked")
 	}
 }
@@ -359,7 +365,7 @@ func TestFenceStepYieldsToPark(t *testing.T) {
 			endSuperstep(w)
 		}
 	})
-	if got, _ := r.m.collectAcks(step, 1, 2, 10*time.Second, false); got != 2 {
+	if got, _ := r.m.collectAcks(step, 1, 2, 10*time.Second); got != 2 {
 		t.Fatalf("superstep 1: %d/2 acks", got)
 	}
 	select {
@@ -368,11 +374,11 @@ func TestFenceStepYieldsToPark(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	r.request(park, 1)
-	if got, _ := r.m.collectAcks(park, 1, 2, 5*time.Second, false); got != 2 {
+	if got, _ := r.m.collectAcks(park, 1, 2, 5*time.Second); got != 2 {
 		t.Fatalf("%d/2 workers reached the park: a park request must end the wait at the gate", got)
 	}
 	r.release(park, 1)
-	if got, _ := r.m.collectAcks(step, 2, 2, 10*time.Second, false); got != 2 {
+	if got, _ := r.m.collectAcks(step, 2, 2, 10*time.Second); got != 2 {
 		t.Fatalf("superstep 2: %d/2 acks after the park's release", got)
 	}
 	r.leave(2)

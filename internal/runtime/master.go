@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"powerlog/internal/analyzer"
@@ -11,11 +10,11 @@ import (
 	"powerlog/internal/transport"
 )
 
-// ErrWorkerLost is surfaced (wrapped) by Run and RunMaster when a
-// collect round times out: a worker died or was partitioned away
-// mid-collect, so its superstep's FenceAck or its StatsReply will never
-// arrive. Without the deadline the master would block forever (the PR-4
-// follow-up).
+// ErrWorkerLost is surfaced (wrapped) when a worker stays silent through
+// a collect deadline and the probe after it (master.rejoin) and cannot be
+// replaced: under RunMaster, which has no Session to respawn it in, or
+// when no worker survives. It died or was partitioned away, so its report
+// or ack will never arrive.
 var ErrWorkerLost = errors.New("worker lost: missing report within the collect deadline")
 
 // master coordinates termination. For BSP modes it collects each
@@ -34,8 +33,10 @@ type master struct {
 
 	pending []transport.Message // messages received while sending
 	timer   *time.Timer         // reused collect-deadline timer
-	acks    stepReports         // the collected FenceAcks, by slot
-	later   []transport.Message // acks for a later fence than the one collected
+	// acks holds each class's collected FenceAcks, by slot: the fence
+	// each slot acked last and what it reported.
+	acks  [transport.NumFenceClasses][]stepReport
+	later []transport.Message // acks for a later fence than the one collected
 
 	met masterMetrics // observe.go: rounds, collect waits, timeouts
 
@@ -43,30 +44,37 @@ type master struct {
 	converged bool
 	cause     StopCause // why the last run() ended
 	err       error     // first liveness failure (wraps ErrWorkerLost)
+	wall      time.Time // the running fixpoint's MaxWall deadline
 
 	// Session state (session.go). park makes a converged fixpoint park
 	// the fleet (a FencePark the session holds) instead of stopping it; epoch
 	// is the session epoch being computed (1 = initial fixpoint); parked
 	// reports whether the last run() ended in a successful park. gRound
 	// counts master rounds cumulatively across epochs, so injected
-	// CrashRound faults keep one global timeline; episodes numbers
-	// snapshot episodes monotonically across epochs.
+	// CrashRound faults keep one global timeline — in a barriered mode it
+	// is the last superstep collected whole, or a re-join's base; episodes
+	// and parks number snapshot episodes and park fences monotonically
+	// across epochs.
 	park     bool
 	epoch    int
 	parked   bool
 	gRound   int
 	episodes int
+	parks    int
 
 	// Re-join state (membership.go, DESIGN.md §11). fence numbers
 	// membership fences; s is the session that owns the workers'
 	// lifecycles — it respawns a lost slot on the master's goroutine (nil
-	// under RunMaster: a loss aborts the run).
+	// under RunMaster: a loss ends the run).
 	fence int
 	s     *Session
 }
 
 func newMaster(cfg Config, plan *compiler.Plan, conn transport.Conn) *master {
-	m := &master{cfg: cfg, plan: plan, conn: conn, nw: cfg.Workers, met: newMasterMetrics(), epoch: 1, acks: stepReports{make([]stepReport, cfg.Workers), make([]stepReport, cfg.Workers)}}
+	m := &master{cfg: cfg, plan: plan, conn: conn, nw: cfg.Workers, met: newMasterMetrics(), epoch: 1, wall: time.Now().Add(cfg.MaxWall)}
+	for c := range m.acks {
+		m.acks[c] = make([]stepReport, cfg.Workers)
+	}
 	return m
 }
 
@@ -164,27 +172,9 @@ func (m *master) recvWithin(d time.Duration) (msg transport.Message, ok, timedOu
 	}
 }
 
-// expired ends the run at a collect deadline by which only got of the
-// expected reports had arrived. Past the wall budget that is an honest
-// not-converged abort (the MaxWall fallback deadline always lands
-// here); within it a worker is lost — typed ErrWorkerLost. Either way
-// the best-effort Stop lets surviving workers (including BSP peers
-// stuck at the step gate on the dead worker's report) unwind
-// instead of hanging.
-func (m *master) expired(round, got int, wall time.Time) {
-	if time.Now().After(wall) {
-		m.halt(StopWall)
-		return
-	}
-	m.met.collectTimeouts.Inc()
-	m.err = fmt.Errorf("runtime: collect round %d got %d/%d reports within %v: %w",
-		round, got, m.nw, m.collectTimeout(), ErrWorkerLost)
-	m.halt(StopWorkerLost)
-}
-
 // halt stops the fleet and records why. The first cause of a run wins: a
-// fence that aborted is not re-labelled by the collect that gives up
-// after it.
+// member fence that lost its fleet inside the liveness rule is not
+// re-labelled by the collect that called the rule.
 func (m *master) halt(cause StopCause) {
 	if m.cause == StopNone {
 		m.cause = cause
@@ -201,6 +191,7 @@ func (m *master) run() {
 	// wall clock must not inherit an earlier epoch's converged flag.
 	m.converged = false
 	m.cause = StopNone
+	m.wall = time.Now().Add(m.cfg.MaxWall)
 	if modeBarriered[m.cfg.Mode] {
 		m.runBSP()
 	} else {
@@ -213,17 +204,23 @@ func (m *master) run() {
 // every worker has fenced and drained its data lanes and sits blocked on
 // its inbox. The collect's happens-before edges make the fleet's tables
 // safe for the session goroutine to read and mutate until it releases
-// the fence at the next Apply. Everything else stops the fleet.
-func (m *master) finish(cause StopCause) {
+// the fence at the next Apply. Everything else stops the fleet. finish
+// reports false when the fixpoint goes on instead: the park fell short,
+// and the liveness rule released it and repaired the fleet.
+func (m *master) finish(cause StopCause) bool {
 	if !m.park || !m.converged {
 		m.halt(cause)
-		return
+		return true
 	}
-	if m.drive(transition{class: transport.FencePark, epoch: m.epoch}, time.Now()) {
+	m.parks++
+	if m.drive(transition{class: transport.FencePark, epoch: m.parks}, time.Now()) {
 		m.cause = cause
 		m.parked = true
 		m.met.epochs.Inc()
+		return true
 	}
+	m.converged = false
+	return m.cause != StopNone
 }
 
 // stopCause names a stop decision just taken: the termination condition
@@ -240,21 +237,21 @@ func (m *master) stopCause(capped bool) StopCause {
 }
 
 // crashAt implements the injector's run-level faults at the top of a
-// master round — epochRound within the current epoch, m.gRound across
+// master round — epochRound within the current epoch, gRound across
 // epochs: a crash point aborts the whole run (broadcast Stop with
 // converged=false — the "crash" half of a crash/restore drill), and
 // MasterRestartRound asks the caller to forget its termination-detector
 // state, as a restarted master process would.
-func (m *master) crashAt(epochRound int) (crash, restart bool) {
+func (m *master) crashAt(epochRound, gRound int) (crash, restart bool) {
 	inj := m.cfg.Fault
 	if inj == nil {
 		return false, false
 	}
-	if inj.CrashAt(m.epoch, epochRound, m.gRound) {
+	if inj.CrashAt(m.epoch, epochRound, gRound) {
 		m.halt(StopInjected)
 		return true, false
 	}
-	return false, inj.MasterRestartRound() == m.gRound
+	return false, inj.MasterRestartRound() == gRound
 }
 
 // termConfig is the fixpoint's termination parameters as internal/term
@@ -278,35 +275,44 @@ func termConfig(plan *compiler.Plan, cfg Config) term.Config {
 // reports: go on, or finish. It releases nothing: a worker starts the next
 // superstep on its own verdict, so its next acks may arrive mid-collect
 // (collectAcks keeps them). A worker counts supersteps across a session's
-// epochs, so the fence's Round is gRound.
+// epochs, so the superstep collected is gRound+1. When the liveness rule
+// replaced a worker, the fleet resumes under a fresh barrier at the
+// superstep after the rule's base (master.stepBase), as every worker does
+// (worker.rebase); a park that fell short is released to the same end.
 func (m *master) runBSP() {
 	bar := term.NewBarrier(termConfig(m.plan, m.cfg))
-	deadline := time.Now().Add(m.cfg.MaxWall)
-	for round := 1; ; round++ {
+	from := m.gRound
+	for {
+		s := m.gRound + 1
+		round := s - from
 		m.rounds = round
-		m.gRound++
-		if crash, restart := m.crashAt(round); crash {
+		if crash, restart := m.crashAt(round, s); crash {
 			return
 		} else if restart {
 			bar.Reset()
 		}
 		m.met.rounds.Inc()
 		collectStart := time.Now()
-		if got, open := m.collectAcks(transport.FenceStep, m.gRound, m.nw, m.collectTimeout(), true); !open {
-			return
-		} else if got < m.nw {
-			m.expired(round, got, deadline)
+		if m.gather(transport.FenceStep, s, nil) {
+			m.gRound = s
+			m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
+			fleet := fleetReport(m.acks[transport.FenceStep])
+			cause := bar.Round(round, fleet.AccDelta, fleet.Dirty)
+			onVerdict(transport.MasterID(m.nw), round, fleet, cause)
+			m.converged = cause == term.Converged
+			if cause == term.None && !time.Now().After(m.wall) {
+				continue
+			}
+			if m.finish(m.stopCause(cause == term.IterationCap)) {
+				return
+			}
+		} else if m.cause != StopNone {
 			return
 		}
-		m.met.collectWaitUS.Observe(uint64(time.Since(collectStart).Microseconds()))
-		fleet := fleetReport(m.acks[m.gRound&1])
-		cause := bar.Round(round, fleet.AccDelta, fleet.Dirty)
-		onVerdict(transport.MasterID(m.nw), round, fleet, cause)
-		m.converged = cause == term.Converged
-		if cause != term.None || time.Now().After(deadline) {
-			m.finish(m.stopCause(cause == term.IterationCap))
-			return
-		}
+		// Rebased: what was collected past gRound is the old numbering's.
+		bar, from = term.NewBarrier(termConfig(m.plan, m.cfg)), m.gRound
+		clear(m.acks[transport.FenceStep])
+		m.later = m.later[:0]
 	}
 }
 
@@ -324,10 +330,11 @@ func report(st transport.Stats) term.Report {
 // starts anyway (a lost or rate-limited report, a busy fleet) and the
 // grid the ε criterion samples on. A round is one wave: the injector's
 // crash and restart rounds and snapshot episodes all run at the start of
-// one. What stays here is liveness — the collect deadline, the probe,
-// live re-join — and the wall clock.
+// one. What stays here is the wall clock; a wave that passes its collect
+// deadline goes to the liveness rule, and once the rule has changed the
+// fleet, what the machine observed describes a world that no longer
+// exists: it starts afresh.
 func (m *master) runAsync() {
-	deadline := time.Now().Add(m.cfg.MaxWall)
 	det := term.New(termConfig(m.plan, m.cfg), m.nw, time.Now())
 	m.rounds = 0
 	// waveStart and collectBy belong to the open wave: when it began, and
@@ -336,36 +343,37 @@ func (m *master) runAsync() {
 	// when the fleet answers slowly. Only the wave's own replies push it:
 	// an idle report from one worker says nothing about a silent one.
 	var waveStart, collectBy time.Time
-	probed := false
 	for {
 		now := time.Now()
 		dec := det.Next(now)
 		switch dec.Action {
 		case term.Stop:
 			m.converged = dec.Cause == term.Converged
-			m.finish(m.stopCause(dec.Cause == term.IterationCap))
-			return
+			if m.finish(m.stopCause(dec.Cause == term.IterationCap)) {
+				return
+			}
+			det.Reset(time.Now())
 		case term.StartWave:
-			if now.After(deadline) {
+			if now.After(m.wall) {
 				m.finish(StopWall)
 				return
 			}
 			if !m.beginWave(det, now) {
 				return
 			}
-			waveStart, collectBy, probed = now, now.Add(m.collectTimeout()), false
+			waveStart, collectBy = now, now.Add(m.collectTimeout())
 		case term.Wait:
 			collecting := dec.Until.IsZero()
 			if !collecting {
 				// Between waves: sleep to the grid tick, or to the end of
 				// the wall budget if that comes first.
-				if now.After(deadline) {
+				if now.After(m.wall) {
 					m.finish(StopWall)
 					return
 				}
 				collectBy = dec.Until
-				if deadline.Before(collectBy) {
-					collectBy = deadline
+				if m.wall.Before(collectBy) {
+					collectBy = m.wall
 				}
 			}
 			msg, ok, timedOut := m.recvWithin(collectBy.Sub(now))
@@ -375,28 +383,13 @@ func (m *master) runAsync() {
 			case timedOut && !collecting:
 				// The grid tick (the machine starts a wave) or the wall.
 			case timedOut:
-				silent := m.silent(det)
-				inBudget := !time.Now().After(deadline)
-				if inBudget && !probed {
-					// Second chance: a worker deep in a long compute pass
-					// only pumps its inbox at blocking points, so one
-					// missed deadline distinguishes nothing. Re-solicit the
-					// silent workers directly; only a second silence makes
-					// them lost.
-					probed = true
-					m.met.collectProbes.Inc()
-					for _, j := range silent {
-						m.sendTo(j, transport.Message{Kind: transport.StatsRequest, Round: m.gRound})
+				if !m.rejoin(det.Awaiting, nil) {
+					if m.cause != StopNone {
+						return
 					}
-					collectBy = time.Now().Add(m.collectTimeout())
-				} else if inBudget && m.recoverLost(silent) {
-					// The fleet was repaired by a membership fence; what
-					// was observed describes a world that no longer exists.
 					det.Reset(time.Now())
-				} else {
-					m.expired(m.rounds, m.nw-len(silent), deadline)
-					return
 				}
+				collectBy = time.Now().Add(m.collectTimeout())
 			case msg.Kind == transport.StatsReply:
 				// Round is the wave the reply answers, 0 for an idle
 				// report; the machine drops replies to any wave but the
@@ -414,11 +407,12 @@ func (m *master) runAsync() {
 
 // beginWave starts one round: the per-round hooks, then a StatsRequest to
 // every worker. It reports false if a hook ended the run. An injected
-// master restart invalidates what the machine has seen: it resets the
-// machine instead, and the wave waits for the reset machine's next tick.
+// master restart, or a snapshot episode the liveness rule released,
+// invalidates what the machine has seen: it resets the machine instead,
+// and the wave waits for the reset machine's next tick.
 func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	m.gRound++
-	crash, reset := m.crashAt(m.rounds + 1)
+	crash, reset := m.crashAt(m.rounds+1, m.gRound)
 	if crash {
 		return false
 	}
@@ -433,7 +427,10 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 		// overwrite newer cuts).
 		m.episodes++
 		if !m.drive(transition{class: transport.FenceSnapshot, epoch: m.episodes}, now) {
-			return false
+			// The episode fell short: the liveness rule released it and
+			// repaired the fleet, or ended the run.
+			det.Reset(time.Now())
+			return m.cause == StopNone
 		}
 	}
 	m.rounds++
@@ -445,17 +442,6 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	}
 	m.bcast(transport.Message{Kind: transport.StatsRequest, Round: m.gRound})
 	return true
-}
-
-// silent lists the workers the open wave has not heard from.
-func (m *master) silent(det *term.Detector) []int {
-	var out []int
-	for j := 0; j < m.nw; j++ {
-		if det.Awaiting(j) {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // Snapshot episodes are the async family's and SSP's checkpoints, for

@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
+	"powerlog/internal/term"
 	"powerlog/internal/transport"
 )
 
@@ -11,18 +13,20 @@ import (
 // without restarting the fixpoint. A fleet keeps the Workers slots it was
 // opened with; a slot's incarnation may change, its ownership never does.
 //
-// The master's liveness probe declares a worker lost, the session
-// respawns its slot on a fresh transport endpoint, and a fence of class
-// FenceMember (fence.go) whose request names the slot lost repairs
+// The master's one liveness rule (rejoin) declares a worker lost, the
+// session respawns its slot on a fresh transport endpoint, and a fence of
+// class FenceMember (fence.go) whose request names the slot lost repairs
 // state inside one cut. The repair is a function of the aggregate class,
 // which every worker knows from its plan: survivors of a selective
 // (min/max) fleet replay their accumulations toward the replacement's
 // keys (sound by Theorem 3's replay tolerance), while a combining
 // (sum/count) fleet, which tolerates neither loss nor replay, resets
-// every shard to the current ΔX¹ seed. At the cut every worker renews
-// the links the replacement begins and zeroes the termination-protocol
-// counters, so the master's counting quiescence restarts from an exact
-// zero.
+// every shard to the current ΔX¹ seed, and a naive fleet, which
+// re-derives from its base tuples every superstep anyway, starts over
+// from them. At the cut every worker renews the links the replacement
+// begins and zeroes the termination-protocol counters, so the master's
+// counting quiescence restarts from an exact zero; a barriered fleet also
+// restarts its supersteps from the master's base (rebase).
 //
 // Every slot takes part — survivors and the replacement send markers to
 // and require markers from every other slot — so the cut needs no
@@ -36,16 +40,17 @@ import (
 
 // down reports whether the pending membership fence names slot j lost:
 // from the request's arrival until the fence commits, flushes toward j
-// are held and live-cohort minima skip it.
+// are held.
 func (w *worker) down(j int) bool {
 	f := &w.fences[transport.FenceMember]
 	return f.req.epoch > f.done && slices.Contains(f.req.down, j)
 }
 
-// peerSkip reports whether slot j is excluded from live-cohort minima:
-// self, and lost peers (their replacement restarts every clock at the
-// fence).
-func (w *worker) peerSkip(j int) bool { return j == w.id || w.down(j) }
+// peerSkip reports whether slot j is excluded from cohort minima: self.
+// A lost peer stays in: a cut or gate blocked on its mark ends when the
+// liveness rule releases the fence, or at the membership fence its wait
+// joins first (awaitPeers).
+func (w *worker) peerSkip(j int) bool { return j == w.id }
 
 // eachPeer calls f for every other slot. Lost peers are included —
 // broadcasts to a lost slot reach its replacement, or die harmlessly with
@@ -58,15 +63,20 @@ func (w *worker) eachPeer(f func(j int)) {
 	}
 }
 
-// repairState repairs this shard inside the cut. A combining fleet
-// resets every shard, the replacement's too, to the ΔX¹ seed:
-// Plan.ApplyMutation rebuilds the seed on every batch, so this recomputes
-// the current mutation epoch's fixpoint from scratch (DESIGN.md §11). A
-// selective fleet keeps its state, and survivors replay their
+// repairState repairs this shard inside the cut. A naive fleet empties
+// every shard: its next superstep re-derives from the base tuples alone.
+// A combining fleet resets every shard, the replacement's too, to the ΔX¹
+// seed: Plan.ApplyMutation rebuilds the seed on every batch, so this
+// recomputes the current mutation epoch's fixpoint from scratch (DESIGN.md
+// §11). A selective fleet keeps its state, and survivors replay their
 // accumulations toward the lost slots (the replacement seeded its share
 // of ΔX¹ at spawn; Theorem 3 makes the replay idempotent).
 func (w *worker) repairState(t transition) {
 	switch {
+	case !w.cfg.Mode.MRA():
+		w.resetTable()
+		w.next = w.newTable()
+		w.apply = w.next
 	case !w.plan.Op.Selective():
 		w.resetTable()
 		w.seed(w.plan.InitMRA)
@@ -142,43 +152,121 @@ func (w *worker) renewLinks(t transition) {
 	}
 }
 
-// awaitAdmission is the gated prologue of a crash replacement: it sits
-// on its inbox until the master's fence request arrives, participates in
-// that fence like any survivor, and returns once released — at which
-// point its table and link state are consistent with the fleet and the
-// normal compute loop may start.
-func (w *worker) awaitAdmission() {
-	requested := func() bool { return w.fencePending(transport.FenceMember) }
-	for w.joinGate && w.foldUntil(requested, func() {}) {
-		w.fence(transport.FenceMember)
+// rebase restarts a barriered worker's supersteps at a membership cut:
+// the fleet resumes at superstep base+1, past every superstep a worker may
+// have cut before (master.stepBase), judged by a fresh barrier. What the
+// worker knew of supersteps past the last one collected whole — its
+// peers' marks and reports, its own count — belongs to the old numbering;
+// bspBarrier.endPass sees the member fence commit and leaves its gate for
+// the next superstep.
+func (w *worker) rebase(base int) {
+	w.rounds = base
+	w.bar, w.barFrom = term.NewBarrier(termConfig(w.plan, w.cfg)), base
+	clear(w.steps[0])
+	clear(w.steps[1])
+	for j := range w.fences[transport.FenceStep].marks {
+		w.fences[transport.FenceStep].marks[j] = base
 	}
 }
 
 // ---------------------------------------------------------------------
-// Master side: liveness recovery.
+// Master side: the liveness rule.
 // ---------------------------------------------------------------------
 
-// recoverLost attempts live re-join for lost, the workers that stayed
-// silent through a wave and its second-chance probe. It returns true
-// when the fleet has been repaired and the poll loop should continue
-// (with its detector state reset); false sends the caller to the
-// abort path.
-func (m *master) recoverLost(lost []int) bool {
-	if m.s == nil || len(lost) == 0 || len(lost) >= m.nw {
-		// No session to respawn into, nothing identifiably dead, or no
-		// survivors to re-join against.
+// rejoin is the master's one liveness rule (DESIGN.md §11), run by every
+// collect that passes its deadline with slots missing — an async wave, a
+// superstep's step acks, a driven fence (short, which then fell short);
+// silent says which slots it still awaits. It re-solicits them once:
+// a live worker answers a StatsRequest wherever it blocks — at a gate,
+// inside a fence, in a flush — so a slot silent through a second deadline
+// is lost; whatever arrives meanwhile is left for the collect. It reports
+// true when no slot is lost: the collect goes on, however slow. Otherwise
+// it releases the short fence, so no survivor waits on it, and runs a
+// membership fence that replaces the lost slots — a member fence that
+// fell short is re-driven with its own lost slots too, whose replacements
+// it may have released unrepaired — if a Session owns the fleet and
+// some slot survives; else the run ends with ErrWorkerLost. It then
+// reports false, and m.cause says whether the fixpoint resumes (StopNone)
+// or the run ended. A short park is driven again only once the stop
+// decision is taken again, under a fresh number: a worker skips any fence
+// it has seen released.
+func (m *master) rejoin(silent func(j int) bool, short *transition) bool {
+	m.met.collectTimeouts.Inc()
+	if time.Now().After(m.wall) {
+		m.halt(StopWall)
+		return false
+	}
+	m.met.collectProbes.Inc()
+	var lost []int
+	for j := range m.nw {
+		if silent(j) {
+			lost = append(lost, j)
+			m.sendTo(j, transport.Message{Kind: transport.StatsRequest, Round: m.gRound})
+		}
+	}
+	var kept []transport.Message
+	for deadline := time.Now().Add(m.collectTimeout()); len(lost) > 0; {
+		msg, ok, timedOut := m.recvWithin(time.Until(deadline))
+		if !ok {
+			return false
+		} else if timedOut {
+			break
+		}
+		kept = append(kept, msg)
+		lost = slices.DeleteFunc(lost, func(j int) bool { return j == msg.From })
+	}
+	m.pending = append(kept, m.pending...)
+	if len(lost) == 0 {
+		return true
+	}
+	if short != nil && short.class == transport.FenceMember {
+		lost = append(lost, short.down...)
+		slices.Sort(lost)
+		lost = slices.Compact(lost)
+	}
+	if short != nil {
+		m.release(*short)
+	}
+	if m.s == nil || len(lost) >= m.nw {
+		m.err = fmt.Errorf("runtime: %d of %d workers silent past the collect deadline and a probe (%v each): %w",
+			len(lost), m.nw, m.collectTimeout(), ErrWorkerLost)
+		m.halt(StopWorkerLost)
 		return false
 	}
 	decided := time.Now()
-	t := transition{class: transport.FenceMember, epoch: m.fence + 1, down: lost}
 	// Respawn first, request after: the reset endpoint is the fresh inbox
 	// the request lands in, and a send to the dead one could only wait on
 	// an inbox nobody drains.
 	for _, id := range lost {
 		m.s.respawnWorker(id)
 	}
+	if modeBarriered[m.cfg.Mode] {
+		m.gRound = m.stepBase()
+	}
 	m.fence++
-	return m.drive(t, decided)
+	m.drive(transition{class: transport.FenceMember, epoch: m.fence, down: lost, base: m.gRound}, decided)
+	return false
+}
+
+// stepBase is the superstep a barriered fleet restarts from at a
+// membership cut: past every superstep a worker may have cut under the
+// old numbering, so that no checkpoint stamp (MutEpoch, s) is cut twice —
+// a partial cut of the old run must never be completed by shards of the
+// new. A worker acks superstep s after its cut, and before it marks s+1;
+// a cut of s+1 needs every slot's mark for s+1. So no worker can have cut
+// past the highest step ack the master holds, plus one for a slot that
+// died between its cut and its ack.
+func (m *master) stepBase() int {
+	base := m.gRound
+	for _, r := range m.acks[transport.FenceStep] {
+		base = max(base, r.s)
+	}
+	for _, msg := range slices.Concat(m.later, m.pending) {
+		if msg.Kind == transport.FenceAck && msg.Fence == transport.FenceStep {
+			base = max(base, msg.Round)
+		}
+	}
+	return base + 1
 }
 
 // settleMember is the membership fence's bookkeeping after the release:

@@ -65,14 +65,14 @@ type masterMetrics struct {
 	// collectWaitUS is the per-round collect latency in microseconds
 	// ("master.collect.wait_us"): broadcast to last report.
 	collectWaitUS *metrics.Histogram
-	// collectTimeouts counts collects abandoned at the liveness deadline
-	// ("master.collect.timeout") — each one is an ErrWorkerLost.
+	// collectTimeouts counts collects that passed their liveness deadline
+	// with slots missing ("master.collect.timeout"): each one ran the
+	// liveness rule (master.rejoin).
 	collectTimeouts *metrics.Counter
-	// collectProbes counts second-chance re-solicitations: a collect's
-	// first deadline expiry re-polls the silent workers directly
-	// ("master.collect.probe") before declaring anyone lost, so a worker
-	// that is merely deep in a long compute pass is distinguished from a
-	// dead one.
+	// collectProbes counts the rule's second-chance re-solicitations: it
+	// re-polls the silent workers directly ("master.collect.probe")
+	// before declaring anyone lost, so a worker that is merely deep in a
+	// long compute pass is distinguished from a dead one.
 	collectProbes *metrics.Counter
 	// wavesIdle / wavesTimer split the async rounds by what started the
 	// wave ("master.wave.idle" / "master.wave.timer"): a worker's idle

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
@@ -15,18 +17,14 @@ import (
 	"powerlog/internal/monotable"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
+	"powerlog/internal/transport"
 )
 
 // The rejoin suite exercises crash re-join (membership.go, DESIGN.md
-// §11): a worker crashed mid-fixpoint is detected by the master's
-// liveness probe, replaced on a reset endpoint, and re-joined through a
-// membership fence — and the run still converges to the fault-free
+// §11): a worker crashed mid-fixpoint is found by the master's liveness
+// rule, replaced on a reset endpoint, and re-joined through a membership
+// fence — in every mode — and the run still converges to the fault-free
 // fixpoint.
-
-// rejoinModes are the modes with live re-join: the non-barriered MRA
-// family (a BSP worker joins no fence inside a superstep, so BSP keeps
-// the abort-on-loss behaviour).
-var rejoinModes = []Mode{MRAAsync, MRASyncAsync, MRASSP}
 
 // rejoinCfg keeps the collect deadline short so a silent worker is
 // probed and declared lost in milliseconds, not the MaxWall fallback.
@@ -41,19 +39,22 @@ func rejoinCfg(mode Mode) Config {
 	}
 }
 
-// TestRejoinMatrix: every oracle algorithm × every non-barriered mode
-// with a worker crashed silently mid-fixpoint (crashw: no Stop
-// handshake, no final flush — the shard and its buffered updates die).
-// Selective programs recover by survivor replay into a reseeded
-// replacement (Theorem 3); combining programs reset the fleet to the
-// ΔX¹ seed inside the fence. Either way the final fixpoint must
-// be oracle-equal. -short runs the 4-algorithm subset.
+// TestRejoinMatrix: every oracle algorithm × every mode with a worker
+// crashed silently mid-fixpoint (crashw: no Stop handshake, no final
+// flush — the shard and its buffered updates die). Selective programs
+// recover by survivor replay into a reseeded replacement (Theorem 3);
+// combining programs reset the fleet to the ΔX¹ seed inside the fence,
+// naive ones to their base tuples; a barriered fleet resumes under a
+// fresh barrier. Either way the final fixpoint must be oracle-equal. -short runs the 4-algorithm subset.
 func TestRejoinMatrix(t *testing.T) {
 	for _, algo := range chaosAlgos() {
 		if testing.Short() && !algo.short {
 			continue
 		}
-		for _, mode := range rejoinModes {
+		for _, mode := range allModes {
+			if algo.name == "cost" && mode == NaiveSync {
+				continue // naive evaluation cannot derive Cost at all (TestCostAllModes)
+			}
 			t.Run(fmt.Sprintf("%s/%v", algo.name, mode), func(t *testing.T) {
 				db := edb.NewDB()
 				algo.setup(db)
@@ -130,21 +131,202 @@ func TestRejoinRecoveryCounters(t *testing.T) {
 	}
 }
 
-// armCrash makes worker w of a parked session exit silently at the start
-// of its second compute pass of the next epoch: early in the epoch, and
-// at the same point on every run. The parked worker runs no pass, and
-// the release the next Apply sends orders this write before its next
-// read of the barrier.
-func armCrash(s *Session, w int) {
-	inj := fault.New(fault.Spec{CrashWorkerID: w, CrashWorkerPass: 2})
-	pol := &s.workers[w].pol
-	pol.barrier = &stallBarrier{inner: pol.barrier, inj: inj}
+// crashHook decorates a parked session's worker so that it exits
+// silently — no Stop handshake, no final flush — at the first moment its
+// test says so: at the start of a pass, after a pass's body (before its
+// end), or after a pass's end. fired records that it did.
+type crashHook struct {
+	BarrierPolicy
+	atBegin, atEnd func(w *worker, pass int) bool
+	pass           int
+	fired          *atomic.Bool
+}
+
+func (h *crashHook) die(w *worker) bool {
+	if h.fired.CompareAndSwap(false, true) {
+		w.stop()
+		return true
+	}
+	return false
+}
+
+func (h *crashHook) beginPass(w *worker) bool {
+	h.pass++
+	if h.atBegin != nil && h.atBegin(w, h.pass) && h.die(w) {
+		return false
+	}
+	return h.BarrierPolicy.beginPass(w)
+}
+
+func (h *crashHook) endPass(w *worker, progressed bool) bool {
+	ok := h.BarrierPolicy.endPass(w, progressed)
+	if h.atEnd != nil && h.atEnd(w, h.pass) && h.die(w) {
+		return false
+	}
+	return ok
+}
+
+// crashWindow is one moment of a fixpoint at which a worker may die.
+// arm makes worker 1 of a parked session die there in the next Apply; the
+// parked worker runs nothing, and the release the Apply sends orders
+// arm's writes before the worker's next read of them.
+type crashWindow struct {
+	name string
+	in   func(Mode) bool // whether mode has the window
+	arm  func(t *testing.T, s *Session, fired *atomic.Bool)
+}
+
+// hookAt decorates worker 1's barrier with a crashHook.
+func hookAt(atBegin, atEnd func(w *worker, pass int) bool) func(*testing.T, *Session, *atomic.Bool) {
+	return func(_ *testing.T, s *Session, fired *atomic.Bool) {
+		pol := &s.workers[1].pol
+		pol.barrier = &crashHook{BarrierPolicy: pol.barrier, atBegin: atBegin, atEnd: atEnd, fired: fired}
+	}
+}
+
+var crashWindows = []crashWindow{
+	{"before-first-report", Mode.MRA, hookAt(func(_ *worker, pass int) bool { return pass == 1 }, nil)},
+	// The pass's body has run — an async pass has flushed what its
+	// buffers' limits sent — and its end, which reports, never does.
+	{"mid-pass", Mode.MRA, func(_ *testing.T, s *Session, fired *atomic.Bool) {
+		pol := &s.workers[1].pol
+		pass, n := pol.pass, 0
+		pol.pass = func(w *worker) int {
+			k := pass(w)
+			if n++; n == 2 && fired.CompareAndSwap(false, true) {
+				w.stop()
+			}
+			return k
+		}
+	}},
+	// The park-window gap: every report of the epoch is in, and the park
+	// request has arrived.
+	{"last-report-to-park", Mode.MRA, hookAt(nil, func(w *worker, _ int) bool {
+		return w.fencePending(transport.FencePark)
+	})},
+	// Inside the park fence: the cut is complete, the ack never leaves.
+	{"cut-to-commit", Mode.MRA, func(t *testing.T, s *Session, fired *atomic.Bool) {
+		victim, spec := s.workers[1], &fenceSpecs[transport.FencePark]
+		prev := spec.atCut
+		spec.atCut = func(w *worker, tr transition) transport.Stats {
+			if w == victim && fired.CompareAndSwap(false, true) {
+				w.stop()
+			}
+			return transport.Stats{}
+		}
+		t.Cleanup(func() { spec.atCut = prev })
+	}},
+	// After reporting its second superstep, while its peers run the third.
+	{"mid-superstep", func(m Mode) bool { return m == MRASync || m == MRASSP },
+		hookAt(func(_ *worker, pass int) bool { return pass == 3 }, nil)},
+}
+
+// TestRejoinWindows crashes one worker in each window of a fixpoint ×
+// each mode that has the window, and requires the fixpoint to converge
+// oracle-equal with exactly one re-join — or to log that the crash did
+// not fire. The MRA modes crash inside a session's Apply, SSSP (replay)
+// and PageRank (reseed) in turn; naive evaluation cannot Apply, so its
+// rows crash the initial fixpoint through the injector's crashw.
+func TestRejoinWindows(t *testing.T) {
+	row := 0
+	for _, win := range crashWindows {
+		for _, mode := range allModes {
+			if !win.in(mode) {
+				continue
+			}
+			p := sessionProgs[2*(row%2)] // SSSP, PageRank
+			row++
+			t.Run(fmt.Sprintf("%s/%v/%s", win.name, mode, p.name), func(t *testing.T) {
+				g := p.g()
+				n := g.NumVertices()
+				s, err := Open(compilePlan(t, p.src, p.db(g)), rejoinCfg(mode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				var fired atomic.Bool
+				win.arm(t, s, &fired)
+				mut, edges := randMutation(rand.New(rand.NewSource(int64(row))), append([]graph.Edge(nil), g.Edges()...), n, 6, 6, false, p.insW)
+				joins := s.Result().Master.Counters["master.member.join"]
+				applyChecked(t, s, p, n, edges, g.Weighted(), mut, nil, "apply")
+				switch got := s.Result().Master.Counters["master.member.join"] - joins; {
+				case !fired.Load():
+					t.Logf("the armed crash did not fire (%d re-joins)", got)
+				case got != 1:
+					t.Fatalf("%d re-joins, want 1", got)
+				}
+			})
+		}
+	}
+	for _, crash := range []struct{ window, spec string }{
+		{"before-first-report", "seed=9,crashw=1:1"},
+		{"mid-superstep", "seed=9,crashw=1:3"},
+	} {
+		t.Run(crash.window+"/"+NaiveSync.String()+"/PageRank", func(t *testing.T) {
+			algo := chaosAlgos()[2] // pagerank
+			db := edb.NewDB()
+			algo.setup(db)
+			cfg := rejoinCfg(NaiveSync)
+			fs, err := fault.ParseSpec(crash.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Fault = fault.New(fs)
+			res, err := Run(compilePlan(t, algo.src, db), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("did not converge (stop cause: %v)", res.StopCause)
+			}
+			if joins := res.Master.Counters["master.member.join"]; joins != 1 {
+				t.Fatalf("%d re-joins, want 1", joins)
+			}
+			algo.check(t, NaiveSync, res.Values)
+		})
+	}
+}
+
+// TestSlowCutWriteIsNoLoss: a worker writing a checkpoint shard at a cut
+// answers the liveness probe, so a write that outlasts the collect
+// deadline and the probe is slow, not lost. Every shard write here takes
+// three deadlines; the fixpoint must converge with no re-join.
+func TestSlowCutWriteIsNoLoss(t *testing.T) {
+	prev := saveShard
+	t.Cleanup(func() { saveShard = prev })
+	for _, mode := range []Mode{MRASync, MRAAsync, MRASSP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := rejoinCfg(mode)
+			cfg.CollectTimeout = 40 * time.Millisecond
+			cfg.SnapshotDir, cfg.SnapshotEvery = t.TempDir(), 8
+			var slow atomic.Int64
+			saveShard = func(dir string, meta ckpt.Meta, rows []ckpt.Row) error {
+				slow.Add(1)
+				time.Sleep(3 * cfg.CollectTimeout)
+				return prev(dir, meta, rows)
+			}
+			p := sessionProgs[0] // SSSP
+			s, err := Open(compilePlan(t, p.src, p.db(p.g())), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			res := s.Result()
+			if !res.Converged || slow.Load() == 0 {
+				t.Fatalf("converged=%v after %d shard writes", res.Converged, slow.Load())
+			}
+			if joins := res.Master.Counters["master.member.join"]; joins != 0 {
+				t.Fatalf("%d re-joins: a worker writing a shard was declared lost", joins)
+			}
+		})
+	}
 }
 
 // applyChecked runs one Apply and checks it against the scratch oracle
-// on the mutated edge list; crashed says a worker was armed to die in it,
-// so the epoch must have re-joined one.
-func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.Edge, weighted bool, mut Mutation, crashed bool, label string) {
+// on the mutated edge list. crashed, when non-nil, is set by a worker
+// armed to die in this Apply when it does: it must have died, and the
+// epoch must have re-joined exactly one.
+func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.Edge, weighted bool, mut Mutation, crashed *atomic.Bool, label string) {
 	t.Helper()
 	joins := s.Result().Master.Counters["master.member.join"]
 	res, err := s.Apply(mut)
@@ -154,7 +336,12 @@ func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.
 	if !res.Converged {
 		t.Fatalf("%s did not converge (stop cause: %v)", label, res.StopCause)
 	}
-	if got := res.Master.Counters["master.member.join"] - joins; crashed && got != 1 {
+	got := res.Master.Counters["master.member.join"] - joins
+	switch {
+	case crashed == nil:
+	case !crashed.Load():
+		t.Fatalf("%s: the armed crash did not fire (%d re-joins)", label, got)
+	case got != 1:
 		t.Fatalf("%s: %d re-joins, want 1", label, got)
 	}
 	want := scratchFixpoint(t, p, n, edges, weighted, rejoinCfg(MRASyncAsync))
@@ -162,13 +349,13 @@ func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.
 }
 
 // TestRejoinSessionCombining drives combining-aggregate sessions
-// (PageRank, Katz) through two Applys and crashes worker 1 early in
-// Apply 1 or Apply 2, with and without park-boundary checkpoints. A
-// combining re-join resets every shard to the current ΔX¹ seed, which
-// Plan.ApplyMutation rebuilds on every batch, so every epoch must equal
-// the scratch oracle. The restored row opens a session from a park
-// checkpoint on a plan rebuilt at its MutEpoch and crashes the replayed
-// Apply.
+// (PageRank, Katz) through two Applys and crashes worker 1 in Apply 1 —
+// at its first pass — or Apply 2 — between its last report and the park
+// — with and without park-boundary checkpoints. A combining re-join
+// resets every shard to the current ΔX¹ seed, which Plan.ApplyMutation
+// rebuilds on every batch, so every epoch must equal the scratch oracle.
+// The restored row opens a session from a park checkpoint on a plan
+// rebuilt at its MutEpoch and crashes the replayed Apply.
 func TestRejoinSessionCombining(t *testing.T) {
 	for _, p := range []sessionProg{sessionProgs[2], sessionProgs[3]} { // PageRank, Katz
 		for _, crashAt := range []int{1, 2} {
@@ -191,10 +378,12 @@ func TestRejoinSessionCombining(t *testing.T) {
 					for i := 1; i <= 2; i++ {
 						var mut Mutation
 						mut, edges = randMutation(r, edges, n, 6, 6, false, p.insW)
+						var crashed *atomic.Bool
 						if i == crashAt {
-							armCrash(s, 1)
+							crashed = new(atomic.Bool)
+							crashWindows[2*crashAt-2].arm(t, s, crashed) // before-first-report, last-report-to-park
 						}
-						applyChecked(t, s, p, n, edges, g.Weighted(), mut, i == crashAt, fmt.Sprintf("apply-%d", i))
+						applyChecked(t, s, p, n, edges, g.Weighted(), mut, crashed, fmt.Sprintf("apply-%d", i))
 					}
 				})
 			}
@@ -235,8 +424,9 @@ func TestRejoinSessionCombining(t *testing.T) {
 		if sR.MutEpoch() != 1 {
 			t.Fatalf("restored MutEpoch = %d, want 1", sR.MutEpoch())
 		}
-		armCrash(sR, 1)
-		applyChecked(t, sR, p, n, edges2, g.Weighted(), mut2, true, "replayed apply-2")
+		crashed := new(atomic.Bool)
+		crashWindows[0].arm(t, sR, crashed)
+		applyChecked(t, sR, p, n, edges2, g.Weighted(), mut2, crashed, "replayed apply-2")
 	})
 }
 

@@ -53,25 +53,51 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 	return cfg
 }
 
-// loadRestore reads the checkpoint an MRA run is to resume from. ok is
-// false when cfg names none.
-func loadRestore(cfg Config) (rows []ckpt.Row, meta ckpt.Meta, ok bool, err error) {
-	if !cfg.Mode.MRA() || cfg.RestoreDir == "" {
-		return nil, meta, false, nil
+// setUp is what Open and RunWorker do before any worker runs: validate
+// cfg, fill in its defaults — Workers is the network's size when
+// workers > 0 — refuse a plan the mode cannot run, and read the cut to
+// resume from (meta nil: none), so a bad request or a corrupt checkpoint fails
+// before a goroutine starts.
+func setUp(plan *compiler.Plan, cfg Config, workers int) (_ Config, rows []ckpt.Row, meta *ckpt.Meta, err error) {
+	if err := cfg.Validate(); err != nil {
+		return cfg, nil, nil, err
 	}
-	rows, meta, err = ckpt.LoadAll(cfg.RestoreDir)
-	return rows, meta, err == nil, err
+	cfg = cfg.withDefaults()
+	if workers > 0 {
+		cfg.Workers = workers
+	}
+	if plan.PropagateInto == nil || plan.Op == nil {
+		return cfg, nil, nil, fmt.Errorf("runtime: plan is not compiled")
+	}
+	if !cfg.Mode.MRA() && len(plan.BaseNaive) == 0 {
+		return cfg, nil, nil, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
+	}
+	cfg = applyPriorityDefault(cfg, plan)
+	if !cfg.Mode.MRA() || cfg.RestoreDir == "" {
+		return cfg, nil, nil, nil
+	}
+	rows, cut, err := ckpt.LoadAll(cfg.RestoreDir)
+	return cfg, rows, &cut, err
 }
 
-// seedShard prepares this worker's shard for its first fixpoint: its
-// share of ΔX¹, or of the cut loadRestore returned, restored exactly.
-func (w *worker) seedShard(rows []ckpt.Row, meta ckpt.Meta, restoring bool) {
-	if !restoring {
+// seedShard prepares this worker's share of its first fixpoint: under
+// naive evaluation the base tuples it owns, re-derived every superstep;
+// otherwise its share of ΔX¹, or of the cut it resumes from, restored
+// exactly (meta non-nil).
+func (w *worker) seedShard(rows []ckpt.Row, meta *ckpt.Meta) {
+	switch {
+	case !w.cfg.Mode.MRA():
+		for _, kv := range w.plan.BaseNaive {
+			if w.owner(kv.K) == w.id {
+				w.ownBase = append(w.ownBase, kv)
+			}
+		}
+	case meta == nil:
 		w.seed(w.plan.InitMRA)
-		return
+	default:
+		w.restore(rows)
+		w.mutEpoch = meta.MutEpoch
 	}
-	w.restore(rows)
-	w.mutEpoch = meta.MutEpoch
 }
 
 // RunWorker participates as one worker in an externally provided network
@@ -80,29 +106,12 @@ func (w *worker) seedShard(rows []ckpt.Row, meta ckpt.Meta, restoring bool) {
 // worker seeds only its own shard of ΔX¹ and returns its local share of
 // the result when the master stops the run.
 func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	cfg = applyPriorityDefault(cfg, plan)
-	cfg.Workers = conn.Workers()
-	if plan.PropagateInto == nil || plan.Op == nil {
-		return nil, fmt.Errorf("runtime: plan is not compiled")
-	}
-	rows, meta, restoring, err := loadRestore(cfg)
+	cfg, rows, meta, err := setUp(plan, cfg, conn.Workers())
 	if err != nil {
 		return nil, err
 	}
 	w := newWorker(conn.ID(), cfg, plan, cfg.Fault.Wrap(conn))
-	if cfg.Mode.MRA() {
-		w.seedShard(rows, meta, restoring)
-	} else {
-		for _, kv := range plan.BaseNaive {
-			if w.owner(kv.K) == w.id {
-				w.ownBase = append(w.ownBase, kv)
-			}
-		}
-	}
+	w.seedShard(rows, meta)
 	w.run()
 	if err := w.err(); err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"powerlog/internal/parser"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
+	"powerlog/internal/transport"
 )
 
 var allModes = []Mode{NaiveSync, MRASync, MRAAsync, MRASyncAsync, MRAAAP, MRASSP}
@@ -371,6 +372,52 @@ func TestSingleWorkerNoMessages(t *testing.T) {
 func TestUncompiledPlanRejected(t *testing.T) {
 	if _, err := Run(&compiler.Plan{}, Config{}); err == nil {
 		t.Error("uncompiled plan should be rejected")
+	}
+}
+
+// Open and RunWorker share one set-up (setUp), so they refuse the same
+// (cfg, plan) pairs: an invalid config, an uncompiled plan, naive
+// evaluation without base tuples, a restore directory with no complete
+// cut — and both accept a runnable pair. RunWorker's accepted run finds a
+// Stop waiting in its inbox and returns at once.
+func TestSetUpRefusesAlike(t *testing.T) {
+	g := gen.Uniform(40, 120, 10, 5)
+	sssp := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
+	noBase := *sssp
+	noBase.BaseNaive = nil
+	one := Config{Workers: 1, MaxWall: 10 * time.Second}
+	with := func(edit func(*Config)) Config {
+		c := one
+		edit(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		plan   *compiler.Plan
+		refuse bool
+	}{
+		{"runnable", one, sssp, false},
+		{"negative-tau", with(func(c *Config) { c.Tau = -1 }), sssp, true},
+		{"uncompiled", one, &compiler.Plan{}, true},
+		{"naive-without-base", with(func(c *Config) { c.Mode = NaiveSync }), &noBase, true},
+		{"empty-restore-dir", with(func(c *Config) { c.RestoreDir = t.TempDir() }), sssp, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, openErr := Open(tc.plan, tc.cfg)
+			if openErr == nil {
+				s.Close()
+			}
+			net := transport.NewChannelNetwork(1, 8)
+			defer net.Close()
+			if err := net.Conn(transport.MasterID(1)).Send(0, transport.Message{Kind: transport.Stop}); err != nil {
+				t.Fatal(err)
+			}
+			_, workerErr := RunWorker(tc.plan, tc.cfg, net.Conn(0))
+			if (openErr != nil) != tc.refuse || (workerErr != nil) != tc.refuse {
+				t.Fatalf("Open: %v; RunWorker: %v; want refused = %v from both", openErr, workerErr, tc.refuse)
+			}
+		})
 	}
 }
 

@@ -58,12 +58,14 @@ type Mutation = compiler.Mutation
 //
 // Error model: a mutation that fails validation (an edge outside the
 // vertex universe) is rejected with the EDB untouched and the session
-// still usable. A fixpoint that ends any other way than a clean park —
-// an injected crash, a lost worker, the iteration cap, the wall clock —
-// poisons the session: the error is sticky, every later Apply returns
-// it, and the caller's recovery path is Close and re-Open (optionally
-// from a RestoreDir checkpoint, replaying the mutation log past the
-// snapshot's MutEpoch).
+// still usable. A worker lost while some survive does not reach the
+// caller: in every mode the master replaces it in place and the fixpoint
+// goes on (DESIGN.md §11). A fixpoint that ends any other way than a
+// clean park — an injected crash, a fleet with no survivor, the
+// iteration cap, the wall clock — poisons the session: the error is
+// sticky, every later Apply returns it, and the caller's recovery path is
+// Close and re-Open (optionally from a RestoreDir checkpoint, replaying
+// the mutation log past the snapshot's MutEpoch).
 type Session struct {
 	cfg     Config
 	plan    *compiler.Plan
@@ -175,21 +177,7 @@ func (s *Session) bumpEngEpoch() {
 // the caller can inspect the Result, but the session is poisoned for
 // Apply.
 func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if plan.PropagateInto == nil || plan.Op == nil {
-		return nil, fmt.Errorf("runtime: plan is not compiled")
-	}
-	if !cfg.Mode.MRA() && len(plan.BaseNaive) == 0 {
-		return nil, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
-	}
-	cfg = applyPriorityDefault(cfg, plan)
-
-	// Load any restore state before standing up goroutines, so a
-	// corrupt checkpoint fails cleanly.
-	restoreRows, restoreMeta, restoring, err := loadRestore(cfg)
+	cfg, rows, meta, err := setUp(plan, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -215,31 +203,21 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 
-	// Seed state per mode: MRA folds ΔX¹ into the shards (or restores a
-	// checkpoint); naive re-derives base tuples every round from each
-	// worker's owned slice.
-	if cfg.Mode.MRA() {
-		for _, w := range workers {
-			w.seedShard(restoreRows, restoreMeta, restoring)
-		}
-		if restoring {
-			// Resume the mutation-log position the snapshot incorporates:
-			// the caller replays its trailing log entries through Apply.
-			s.mutEpoch = restoreMeta.MutEpoch
-		}
-	} else {
-		for _, kv := range plan.BaseNaive {
-			w := ownerOf(workers, kv.K)
-			w.ownBase = append(w.ownBase, kv)
-		}
+	for _, w := range workers {
+		w.seedShard(rows, meta)
+	}
+	if meta != nil {
+		// Resume the mutation-log position the snapshot incorporates:
+		// the caller replays its trailing log entries through Apply.
+		s.mutEpoch = meta.MutEpoch
 	}
 
 	s.m = newMaster(cfg, plan, net.Conn(transport.MasterID(cfg.Workers)))
 	// Naive evaluation cannot park: its fixpoint is a full re-derivation,
 	// so the initial run goes to completion and Apply stays rejected.
 	s.m.park = cfg.Mode.MRA()
-	// Re-join: the polling master of the non-barriered MRA modes replaces
-	// a lost worker through a fence instead of aborting the run. The
+	// Re-join: in every mode the master's liveness rule replaces a lost
+	// worker through a membership fence instead of ending the run. The
 	// master calls back into the session on the goroutine executing m.run
 	// — this one — so the callbacks touch session state freely.
 	s.m.s = s
@@ -254,8 +232,8 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	s.m.run()
 	res, err := s.finishEpoch(start)
 	if err != nil {
-		// Transport death or a lost worker: nothing to resume — tear
-		// down fully so the caller doesn't have to Close a corpse.
+		// Transport death or a fleet with no survivor: nothing to resume
+		// — tear down fully so the caller doesn't have to Close a corpse.
 		s.teardown()
 		return nil, err
 	}
@@ -335,13 +313,13 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	for _, w := range s.workers {
 		w.mutEpoch = s.mutEpoch
 		if s.cfg.SnapshotDir != "" {
-			_ = w.snapshot(0)
+			_ = w.snapshot(0, false)
 		}
 	}
 
 	// One more epoch: release the park fence the session has held since
 	// the last fixpoint and run the termination protocol.
-	s.m.bcast(transport.Message{Kind: transport.FenceRelease, Fence: transport.FencePark, Round: s.engEpoch})
+	s.m.release(transition{class: transport.FencePark, epoch: s.m.parks})
 	s.bumpEngEpoch()
 	s.m.epoch = s.engEpoch
 	s.m.run()
@@ -388,7 +366,7 @@ func (t parkedTable) Range(f func(key int64, acc float64)) {
 }
 
 // finishEpoch classifies how m.run() ended. It returns an error only
-// for fleet-level failures (dead transport, lost worker); a merely
+// for fleet-level failures (dead transport, no survivor); a merely
 // unconverged stop returns the collected Result with Converged=false
 // (callers decide whether that poisons the session).
 func (s *Session) finishEpoch(start time.Time) (*Result, error) {
@@ -508,23 +486,22 @@ func (s *Session) spawnInto(id int) *worker {
 	w.joinGate = true
 	w.reborn = true // a crashw= injection must not kill the replacement too
 	w.mutEpoch = s.mutEpoch
-	// The fleet is computing epoch engEpoch: every earlier park fence is
-	// over for the replacement too.
+	// Every park fence driven so far has been released — by an Apply, or
+	// by the liveness rule that spawns this worker: it is over for the
+	// replacement too.
 	park := &w.fences[transport.FencePark]
-	park.done, park.released = s.engEpoch-1, s.engEpoch-1
+	park.done, park.released = s.m.parks, s.m.parks
 	s.workers[id] = w
 	return w
 }
 
-// respawnWorker replaces crashed worker id. A selective replacement
-// seeds its share of ΔX¹ and re-derives the rest from the survivors'
-// replay at the fence; a combining one is reseeded at the cut with the
-// whole fleet (worker.repairState).
+// respawnWorker replaces crashed worker id, seeded as at Open: a
+// selective replacement re-derives the rest of its shard from the
+// survivors' replay at the fence, a combining or naive one starts over at
+// the cut with the whole fleet (worker.repairState).
 func (s *Session) respawnWorker(id int) {
 	w := s.spawnInto(id)
-	if s.plan.Op.Selective() {
-		w.seed(s.plan.InitMRA)
-	}
+	w.seedShard(nil, nil)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

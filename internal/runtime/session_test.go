@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -819,7 +820,7 @@ func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 				t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
 			}
 			// Parked: the session goroutine may read the tables.
-			if err := s.workers[0].snapshot(next); err != nil {
+			if err := s.workers[0].snapshot(next, false); err != nil {
 				t.Fatal(err)
 			}
 			_, meta, err := ckpt.LoadAll(dir)
@@ -838,4 +839,64 @@ func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 			expectSameFixpoint(t, "restored", got.Values, res.Values, p.ident, 5e-3)
 		})
 	}
+}
+
+// TestRejoinLeavesPartialOldCut is the same crash under a BSP re-join:
+// worker 1 writes its shard under the stamp of the superstep after its
+// last, as a worker that cut that superstep and died before its ack left
+// would, and dies. The fleet must restart its supersteps past that stamp
+// (master.stepBase): re-cut, its other shards would come from the new run
+// and complete a cut mixed from two. Worker 0 checks after each of its
+// supersteps that the newest complete cut is never that stamp, and the run
+// restored from the directory must reach the Apply's fixpoint.
+func TestRejoinLeavesPartialOldCut(t *testing.T) {
+	p := sessionProgs[2] // PageRank
+	base := gen.RMAT(9, 2500, 0, 29)
+	n := base.NumVertices()
+	mut, edges1 := randMutation(rand.New(rand.NewSource(5)), append([]graph.Edge(nil), base.Edges()...), n, 8, 0, false, p.insW)
+	dir := t.TempDir()
+	cfg := rejoinCfg(MRASync)
+	cfg.SnapshotDir, cfg.SnapshotEvery = dir, 1
+	s, err := Open(planAt(t, p, n, base.Edges(), base.Weighted()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var fired, restamped atomic.Bool
+	var planted atomic.Int64
+	hookAt(func(w *worker, pass int) bool {
+		if pass != 3 {
+			return false
+		}
+		if err := w.snapshot(w.rounds+1, false); err != nil {
+			t.Error(err)
+		}
+		planted.Store(int64(w.rounds + 1))
+		return true
+	}, nil)(t, s, &fired)
+	pol := &s.workers[0].pol
+	pol.barrier = &crashHook{BarrierPolicy: pol.barrier, fired: new(atomic.Bool), atEnd: func(w *worker, _ int) bool {
+		if e := planted.Load(); e > 0 {
+			_, meta, err := ckpt.LoadAll(dir)
+			restamped.CompareAndSwap(false, err == nil && meta.MutEpoch == w.mutEpoch && meta.Epoch == int(e))
+		}
+		return false
+	}}
+	res, err := s.Apply(mut)
+	if err != nil || !res.Converged {
+		t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
+	}
+	if joins := res.Master.Counters["master.member.join"]; !fired.Load() || joins != 1 {
+		t.Fatalf("crash fired=%v, %d re-joins; want a crash and 1", fired.Load(), joins)
+	}
+	if restamped.Load() {
+		t.Fatalf("the re-joined fleet cut superstep %d again: a partial cut of the old numbering was completed", planted.Load())
+	}
+	rcfg := sessCfg(MRASync)
+	rcfg.RestoreDir = dir
+	got, err := Run(planAt(t, p, n, edges1, base.Weighted()), rcfg)
+	if err != nil || !got.Converged {
+		t.Fatalf("restored run: %v (converged=%v)", err, got != nil && got.Converged)
+	}
+	expectSameFixpoint(t, "restored", got.Values, res.Values, p.ident, 5e-3)
 }

@@ -113,10 +113,8 @@ func (b *sspBarrier) announce(w *worker) {
 	b.announceBy = time.Now().Add(markerResend)
 }
 
-// stepFrontier is the highest stamp on the step clock, skipping lost
-// slots like the gate's minimum does — the skip is what unwedges a gated
-// worker blocked on a dead peer's frozen clock once the membership
-// request naming it lost lands.
+// stepFrontier is the highest stamp on the step clock of the other
+// slots.
 func (w *worker) stepFrontier() int {
 	most := 0
 	for j, s := range w.fences[transport.FenceStep].marks {

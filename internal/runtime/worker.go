@@ -104,9 +104,7 @@ type worker struct {
 	// fences is this worker's view of each fence class (fence.go): what
 	// the master has requested and released, what this worker finished,
 	// and the per-peer marker clock — the step class's is the superstep
-	// clock the BSP barrier and the SSP gate wait on. The park fence
-	// doubles as the session-epoch counter: the fixpoint being computed
-	// is fences[FencePark].done + 1.
+	// clock the BSP barrier and the SSP gate wait on.
 	fences [transport.NumFenceClasses]fenceState
 	// steps holds the fleet's superstep reports, and bar judges them
 	// (bspBarrier): one detector per fixpoint, whose first superstep is
@@ -687,7 +685,12 @@ func (w *worker) replyStats(round int) {
 		Passes:   w.passes,
 		Dirty:    w.pending(),
 	}
-	w.accDelta = 0
+	if !modeBarriered[w.cfg.Mode] {
+		// A barriered worker's accDelta is its superstep's report until
+		// bspBarrier.endPass takes it: a probe answered mid-superstep
+		// reads it and leaves it.
+		w.accDelta = 0
+	}
 	w.enqueue(w.master, transport.Message{
 		Kind: transport.StatsReply, Round: round, Stats: st,
 	})
@@ -732,16 +735,40 @@ func (w *worker) restore(rows []ckpt.Row) {
 
 // snapshot writes this worker's shard of the cut (w.mutEpoch, epoch): a
 // session's park cut (epoch 0), a BSP superstep's or a snapshot
-// episode's.
-func (w *worker) snapshot(epoch int) error {
+// episode's. live says the worker's own goroutine writes a cut inside a
+// fixpoint: the rows are copied first, and the write runs beside a fold
+// of the inbox, so the worker answers a liveness probe (master.rejoin)
+// however long the disk takes — no collect deadline allows for it. The
+// park cut is written by the session goroutine, which must not read the
+// inbox.
+func (w *worker) snapshot(epoch int, live bool) error {
 	var rows []ckpt.Row
 	w.table.RangeRows(func(k int64, acc, inter float64) bool {
 		rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
 		return true
 	})
 	meta := ckpt.Meta{MutEpoch: w.mutEpoch, Epoch: epoch, Worker: w.id, Workers: w.nw}
-	return ckpt.SaveShard(w.cfg.SnapshotDir, meta, rows)
+	if !live {
+		return saveShard(w.cfg.SnapshotDir, meta, rows)
+	}
+	done := make(chan error, 1)
+	go func() { done <- saveShard(w.cfg.SnapshotDir, meta, rows) }()
+	for {
+		select {
+		case err := <-done:
+			return err
+		case m, ok := <-w.conn.Inbox():
+			if !ok {
+				w.stop()
+				return <-done
+			}
+			w.handle(m)
+		}
+	}
 }
+
+// saveShard is ckpt.SaveShard; a test slows it down.
+var saveShard = ckpt.SaveShard
 
 // flush sends buffer j if it is non-empty: one Data batch per batchMax
 // entries — a buffer outgrows one batch under a barrier's limit or while
@@ -813,16 +840,19 @@ func (w *worker) run() {
 		close(w.outCtrl)
 		<-w.commDone
 	}()
-	if w.joinGate {
-		// Spawned into a running fixpoint as a crash replacement: hold
-		// the compute loop until the admission fence Releases — at which
-		// point table and link state are consistent with the fleet.
-		w.awaitAdmission()
-		if w.halted() {
-			return
-		}
-	}
+	// Set up before admission: a BSP replacement holds a survivor's data
+	// for the superstep after the base until its own pass of it, and the
+	// table a naive one builds is the one the member cut made.
 	w.pol.barrier.setup(w)
+	// Spawned into a running fixpoint as a crash replacement (joinGate):
+	// hold the compute loop until the admission fence releases — at which
+	// point table and link state are consistent with the fleet.
+	for w.joinGate && w.foldUntil(func() bool { return w.fencePending(transport.FenceMember) }, func() {}) {
+		w.fence(transport.FenceMember)
+	}
+	if w.halted() {
+		return
+	}
 	for {
 		w.runFixpoint()
 		if w.halted() || !w.fencePending(transport.FencePark) || !w.fence(transport.FencePark) {

@@ -100,6 +100,7 @@ func appendPayload(buf []byte, m *Message) []byte {
 			for _, j := range mb.Down {
 				buf = binary.AppendVarint(buf, int64(j))
 			}
+			buf = binary.AppendVarint(buf, int64(mb.Base))
 		}
 	default:
 		// StatsRequest and Stop carry nothing beyond the kind/from/round
@@ -159,6 +160,7 @@ func decodePayload(data []byte) (Message, error) {
 			for n := d.uvarint(); n > 0 && !d.bad; n-- {
 				mb.Down = append(mb.Down, int32(d.varint()))
 			}
+			mb.Base = int32(d.varint())
 			m.Member = mb
 		}
 		// Receivers index per-class state by Fence, so a class outside

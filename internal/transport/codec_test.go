@@ -149,7 +149,7 @@ func TestCodecEveryKind(t *testing.T) {
 		StatsReply:   {From: 1, Round: 77, Stats: stats},
 		Stop:         {From: 4},
 		FenceRequest: {From: 4, Round: 6, Fence: FenceMember,
-			Member: &Membership{Down: []int32{1, 2}}},
+			Member: &Membership{Down: []int32{1, 2}, Base: 17}},
 		FenceMark:    {From: 2, Round: 6, Fence: FenceStep, Stats: stats},
 		FenceAck:     {From: 2, Round: 6, Fence: FenceStep, Stats: stats},
 		FenceRelease: {From: 4, Round: 6, Fence: FencePark},

@@ -104,10 +104,13 @@ func (m *Message) carriesStats() bool {
 }
 
 // Membership is what a FenceMember request asks of the fleet: which lost
-// slots are replaced in place. How the fleet repairs its state follows
-// from the aggregate class, which every worker knows.
+// slots are replaced in place, and — for a barriered fleet — the last
+// superstep the master collected whole, from which every worker resumes.
+// How the fleet repairs its state follows from the aggregate class, which
+// every worker knows.
 type Membership struct {
 	Down []int32 // lost slots, each replaced in place
+	Base int32   // barriered modes: the fleet resumes at superstep Base+1
 }
 
 // Conn is one endpoint's connection to the network. Inbox returns a
