@@ -49,6 +49,7 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	}
 	p.Graph = shape.g
 	p.N = shape.g.NumVertices()
+	p.fold.n = p.N
 	ensureNodeRelation(db, p.N)
 
 	// Record which supporting relations the compiler materialises (vs.
@@ -65,10 +66,7 @@ func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	shape.otherHeads = materialised(info.OtherRules)
 	shape.derivedHeads = materialised(info.DerivedRules)
 
-	if err := evalOtherRules(info, db); err != nil {
-		return nil, err
-	}
-	if err := evalDerivedRules(info, db); err != nil {
+	if err := evalViews(p); err != nil {
 		return nil, err
 	}
 	if err := shape.bindAttrs(db); err != nil {

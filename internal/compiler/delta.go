@@ -1,10 +1,8 @@
 package compiler
 
 import (
-	"maps"
 	"slices"
 
-	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
 	"powerlog/internal/graph"
 )
@@ -86,56 +84,9 @@ func (s *vset) clear() {
 	s.list = s.list[:0]
 }
 
-// reseedAcc folds the new ΔX¹ by key: into a column over the vertices
-// for a vertex-key plan, into a map for a pair-key one — the Dense /
-// Sparse split of the tables it feeds.
-type reseedAcc struct {
-	op  *agg.Op
-	col []float64 // vertex keys: the value of each key in at
-	at  vset
-	m   map[int64]float64 // pair keys: made for the batch, gone with drain
-}
-
-func (r *reseedAcc) add(key int64, v float64) {
-	if r.col == nil {
-		if cur, ok := r.m[key]; ok {
-			v = r.op.Fold(cur, v)
-		}
-		r.m[key] = v
-		return
-	}
-	if r.at.on[key] {
-		v = r.op.Fold(r.col[key], v)
-	} else {
-		r.at.add(int32(key))
-	}
-	r.col[key] = v
-}
-
-// drain lists the entries in key order. A combining aggregate's exact
-// cancellations (keepZero false) are nothing to fold.
-func (r *reseedAcc) drain(keepZero bool) []KV {
-	if r.col == nil {
-		m := r.m
-		r.m = nil
-		if !keepZero {
-			maps.DeleteFunc(m, func(_ int64, v float64) bool { return v == 0 })
-		}
-		return kvList(m)
-	}
-	slices.Sort(r.at.list)
-	out := make([]KV, 0, len(r.at.list))
-	for _, k := range r.at.list {
-		if v := r.col[k]; keepZero || v != 0 {
-			out = append(out, KV{int64(k), v})
-		}
-	}
-	return out
-}
-
 // deltaScratch is what ApplyMutation keeps from batch to batch, so that a
 // batch pays for the rows it names and not for N: sets over the vertices
-// cleared by their own lists, the reseed column, the expression scratch.
+// cleared by their own lists, the reseed fold, the expression scratch.
 type deltaScratch struct {
 	eval []float64
 	// touched: rows whose surviving keys re-propagate everywhere; dead: the
@@ -144,27 +95,22 @@ type deltaScratch struct {
 	// hand reads — delete sources, changed columns.
 	touched, dead, border, rows vset
 	del                         []uint64 // the deletes, src<<32|dst, sorted
-	reseed                      reseedAcc
+	reseed                      fold     // the new ΔX¹, by table key
 }
 
 // scratch returns the plan's delta scratch, made on first use, with
 // whatever the last batch left in its sets cleared.
 func (p *Plan) scratch() *deltaScratch {
 	if p.delta == nil {
-		p.delta = &deltaScratch{eval: p.NewScratch(), reseed: reseedAcc{op: p.Op}}
-		if !p.PairKeys {
-			p.delta.reseed.col = make([]float64, p.N)
-		}
+		p.delta = &deltaScratch{eval: p.NewScratch(), reseed: fold{n: p.N}}
 	}
 	sc := p.delta
-	for _, s := range []*vset{&sc.touched, &sc.dead, &sc.border, &sc.rows, &sc.reseed.at} {
+	sc.reseed.reset(p.Op, !p.PairKeys)
+	for _, s := range []*vset{&sc.touched, &sc.dead, &sc.border, &sc.rows} {
 		if s.on == nil {
 			s.on = make([]bool, p.N)
 		}
 		s.clear()
-	}
-	if p.PairKeys {
-		sc.reseed.m = map[int64]float64{}
 	}
 	return sc
 }
@@ -354,7 +300,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 			}
 			prop(key, acc, func(dst int64, v float64) {
 				if v != 0 {
-					reseed.add(dst, sign*v)
+					reseed.addKey(dst, sign*v)
 				}
 			})
 		})
@@ -446,10 +392,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	for _, h := range shape.derivedHeads {
 		p.DB.DropRelation(h)
 	}
-	if err := evalOtherRules(p.Info, p.DB); err != nil {
-		return nil, err
-	}
-	if err := evalDerivedRules(p.Info, p.DB); err != nil {
+	if err := evalViews(p); err != nil {
 		return nil, err
 	}
 
@@ -519,10 +462,11 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 		// Δb: signed ΔX¹ diff (identity is 0 for combining aggregates).
 		diffInits(oldInit, p.InitMRA, 0, func(k int64, ov, nv float64) {
 			if nv != ov {
-				reseed.add(k, nv-ov)
+				reseed.addKey(k, nv-ov)
 			}
 		})
-		out.Reseed = reseed.drain(false)
+		// A combining aggregate's exact cancellations are nothing to fold.
+		out.Reseed = slices.DeleteFunc(reseed.kvs(), func(kv KV) bool { return kv.V == 0 })
 		return out, nil
 	}
 
@@ -555,7 +499,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	// surviving one only replays (idempotently) a strict improvement.
 	diffInits(oldInit, p.InitMRA, id, func(k int64, ov, nv float64) {
 		if nv != id && (sup.has(k) || p.Op.Fold(ov, nv) != ov) {
-			reseed.add(k, nv)
+			reseed.addKey(k, nv)
 		}
 	})
 
@@ -575,7 +519,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 	everywhere := false
 	fold := func(dst int64, v float64) {
 		if everywhere || sup.has(dst) {
-			reseed.add(dst, v)
+			reseed.addKey(dst, v)
 		}
 	}
 	eachOn(border, func(key int64, acc float64) {
@@ -586,7 +530,7 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 		everywhere = touched.on[p.lo(key)]
 		prop(key, acc, fold)
 	})
-	out.Reseed, out.Invalidate = reseed.drain(true), sup.members
+	out.Reseed, out.Invalidate = reseed.kvs(), sup.members
 	return out, nil
 }
 
@@ -667,7 +611,7 @@ func (p *Plan) deleteSound() error {
 	return nil
 }
 
-// diffInits walks two ΔX¹ lists in step (both in kvList's key order)
+// diffInits walks two ΔX¹ lists in step (both in ascending key order)
 // and reports every key either holds, with the value absent on the side
 // that lacks it.
 func diffInits(old, cur []KV, absent float64, f func(k int64, ov, nv float64)) {

@@ -169,10 +169,7 @@ func oracleApplyMutation(p *Plan, mut Mutation, tbl AccTable) (*Refixpoint, erro
 	for _, h := range shape.derivedHeads {
 		p.DB.DropRelation(h)
 	}
-	if err := evalOtherRules(p.Info, p.DB); err != nil {
-		return nil, err
-	}
-	if err := evalDerivedRules(p.Info, p.DB); err != nil {
+	if err := evalViews(p); err != nil {
 		return nil, err
 	}
 

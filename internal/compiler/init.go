@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"cmp"
-	"encoding/binary"
 	"slices"
 
 	"powerlog/internal/agg"
@@ -78,137 +77,106 @@ func prepareRows(db *edb.DB, body []*ast.Atom, terms []*ast.Term) (run func(f fu
 	}, nil
 }
 
-// eachRow is prepareRows for a body that is evaluated once.
-func eachRow(db *edb.DB, body []*ast.Atom, terms []*ast.Term, f func(row []float64) error) error {
-	run, err := prepareRows(db, body, terms)
-	if err != nil {
-		return err
-	}
-	return run(f)
-}
-
-// evalOtherRules materialises plain non-recursive view rules (e.g. the
-// Katz source table "I(X,k) :- X=0, k=10000"). Rules whose predicates are
-// already present in the database are skipped. Two passes handle simple
-// view-on-view chains.
-func evalOtherRules(info *analyzer.Info, db *edb.DB) error {
-	pending := append([]*ast.Rule(nil), info.OtherRules...)
-	for pass := 0; pass < 2 && len(pending) > 0; pass++ {
-		var retry []*ast.Rule
-		for _, r := range pending {
-			if db.HasPred(r.Head.Name) {
-				continue
-			}
-			rel := edb.NewRelation(r.Head.Name, len(r.Head.Args))
-			ok := true
-			for _, body := range r.Bodies {
-				err := eachRow(db, body.Atoms, r.Head.Args, func(row []float64) error {
-					rel.Add(row...)
-					return nil
-				})
-				if err != nil {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				db.AddRelation(rel)
-			} else {
-				retry = append(retry, r)
-			}
+// eachRow is prepareRows for bodies that are evaluated once, in turn.
+func eachRow(db *edb.DB, bodies []*ast.Body, terms []*ast.Term, f func(row []float64) error) error {
+	for _, body := range bodies {
+		run, err := prepareRows(db, body.Atoms, terms)
+		if err == nil {
+			err = run(f)
 		}
-		pending = retry
-	}
-	if len(pending) > 0 {
-		return errf("cannot evaluate rule for %s (missing relations or unbound variables)", pending[0].Head.Name)
-	}
-	return nil
-}
-
-// evalDerivedRules materialises non-recursive aggregate views such as
-// PageRank's degree(X,count[Y]) :- edge(X,Y): one row per group, keyed by
-// the other head arguments as integers, rows in ascending key order.
-func evalDerivedRules(info *analyzer.Info, db *edb.DB) error {
-	for _, r := range info.DerivedRules {
-		if db.HasPred(r.Head.Name) {
-			continue
-		}
-		aggT, aggPos := r.AggTermOf()
-		op, err := agg.Parse(aggT.Op)
 		if err != nil {
-			return errf("derived rule %s: %v", r.Head.Name, err)
+			return err
 		}
-		o := agg.ByKind(op)
-		// The aggregated position reads the aggregate's variable (count: 1).
-		terms := slices.Clone(r.Head.Args)
-		terms[aggPos] = &ast.Term{Kind: ast.TermVar, Var: aggT.Var}
-		if op == agg.Count {
-			terms[aggPos] = &ast.Term{Kind: ast.TermNum, Num: 1}
-		}
-		byKey := func(a, b []float64) int { // a group's row holds its key, the fold in aggPos
-			for i := range a {
-				if c := cmp.Compare(int64(a[i]), int64(b[i])); c != 0 && i != aggPos {
-					return c
-				}
-			}
-			return 0
-		}
-		groups := map[string][]float64{}
-		var rows [][]float64
-		var g []float64 // the last tuple's group: a scan in CSR order stays in it for a whole row
-		var key []byte
-		for _, body := range r.Bodies {
-			err := eachRow(db, body.Atoms, terms, func(row []float64) error {
-				if g == nil || byKey(g, row) != 0 {
-					key = key[:0]
-					for i, v := range row {
-						if i != aggPos {
-							key = binary.LittleEndian.AppendUint64(key, uint64(int64(v)))
-						}
-					}
-					if g = groups[string(key)]; g == nil {
-						g = slices.Clone(row)
-						g[aggPos] = o.Identity()
-						groups[string(key)] = g
-						rows = append(rows, g)
-					}
-				}
-				g[aggPos] = o.Fold(g[aggPos], row[aggPos])
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-		}
-		slices.SortFunc(rows, byKey)
-		rel := edb.NewRelation(r.Head.Name, len(r.Head.Args))
-		for _, g := range rows {
-			rel.Add(g...)
-		}
-		db.AddRelation(rel)
 	}
 	return nil
+}
+
+// evalViews materialises the non-recursive rules the database does not
+// provide, in two passes so that a view may read one evaluated after it:
+// plain views (the Katz source table "I(X,k) :- X=0, k=10000") and
+// aggregate views such as PageRank's degree(X,count[Y]) :- edge(X,Y).
+func evalViews(p *Plan) (err error) {
+	pending := append(slices.Clone(p.Info.OtherRules), p.Info.DerivedRules...)
+	for pass := 0; pass < 2; pass++ {
+		pending = slices.DeleteFunc(pending, func(r *ast.Rule) bool {
+			if p.DB.HasPred(r.Head.Name) {
+				return true
+			}
+			var rel *edb.Relation
+			if rel, err = view(p, r); err == nil {
+				p.DB.AddRelation(rel)
+			}
+			return err == nil
+		})
+	}
+	if len(pending) > 0 { // err is the last one's
+		return errf("cannot evaluate rule for %s: %v", pending[len(pending)-1].Head.Name, err)
+	}
+	return nil
+}
+
+// view evaluates one view rule. A plain view's rows are its bodies'. An
+// aggregate view has one row per group — the head's other arguments, by
+// exact value — in ascending key order, folded in the plan's fold: by
+// vertex while its one group key names a vertex, by value otherwise.
+func view(p *Plan, r *ast.Rule) (*edb.Relation, error) {
+	rel := edb.NewRelation(r.Head.Name, len(r.Head.Args))
+	aggT, aggPos := r.AggTermOf()
+	if aggT == nil {
+		return rel, eachRow(p.DB, r.Bodies, r.Head.Args, func(row []float64) error {
+			rel.Add(row...)
+			return nil
+		})
+	}
+	op, err := agg.Parse(aggT.Op)
+	if err != nil {
+		return nil, errf("derived rule %s: %v", r.Head.Name, err)
+	}
+	// The group key's terms, then the aggregated one (count: 1). A group
+	// starts at the identity: a row's value v enters as Fold(identity, v).
+	terms := slices.Delete(slices.Clone(r.Head.Args), aggPos, aggPos+1)
+	val := &ast.Term{Kind: ast.TermVar, Var: aggT.Var}
+	if op == agg.Count {
+		val = &ast.Term{Kind: ast.TermNum, Num: 1}
+	}
+	terms = append(terms, val)
+	f, o := &p.fold, agg.ByKind(op)
+	fill := func(vertex bool) error {
+		f.reset(o, vertex)
+		return eachRow(p.DB, r.Bodies, terms, func(row []float64) error {
+			return f.add(row[:len(row)-1], o.Fold(o.Identity(), row[len(row)-1]))
+		})
+	}
+	// One group key folds by vertex unless a key names none.
+	if err = fill(len(terms) == 2); err == errNoVertex {
+		err = fill(false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	row := make([]float64, len(r.Head.Args))
+	f.each(func(s int32, v float64) {
+		key := f.keyOf(s)
+		copy(row, key[:aggPos])
+		row[aggPos] = v
+		copy(row[aggPos+1:], key[aggPos:])
+		rel.Add(row...)
+	})
+	return rel, nil
 }
 
 // buildInits materialises ΔX¹ (InitMRA) and the naive per-iteration base
-// tuples (BaseNaive) per §3.3: initialisation rules and constant bodies
-// contribute to both; per-edge constants split from the recursive body
-// (CRec) contribute to ΔX¹ only — naive evaluation re-derives them
-// through the full F.
+// tuples (BaseNaive) per §3.3 in the plan's fold, keyed by vertex or by
+// pair: initialisation rules and constant bodies contribute to both;
+// per-edge constants split from the recursive body (CRec) contribute to
+// ΔX¹ only — naive evaluation re-derives them through the full F.
 func buildInits(p *Plan, shape *bodyShape) error {
-	info := p.Info
-	fold := map[int64]float64{}
-	add := func(k int64, v float64) {
-		if cur, ok := fold[k]; ok {
-			fold[k] = p.Op.Fold(cur, v)
-		} else {
-			fold[k] = v
-		}
-	}
+	info, f := p.Info, &p.fold
+	f.reset(p.Op, !p.PairKeys)
 
 	// Initialisation rules: non-recursive rules with the head predicate.
 	for _, r := range info.InitRules {
-		if err := evalHeadRule(p, r, add); err != nil {
+		if err := evalHeadRule(p, r); err != nil {
 			return err
 		}
 	}
@@ -216,39 +184,35 @@ func buildInits(p *Plan, shape *bodyShape) error {
 	// assignment inside the body is harmless to re-evaluate; cb.Expr is
 	// the resolved form used for the contribution value.
 	for _, cb := range info.ConstBodies {
-		if err := foldHead(p, cb.Body.Atoms, varTerms(info.KeyVars), &ast.Term{Kind: ast.TermArith, Expr: cb.Expr}, add); err != nil {
+		if err := foldHead(p, info.Rec.Rule, []*ast.Body{cb.Body}, varTerms(info.KeyVars), &ast.Term{Kind: ast.TermArith, Expr: cb.Expr}); err != nil {
 			return err
 		}
 	}
-	p.BaseNaive = kvList(fold)
+	p.BaseNaive = f.kvs()
 
 	// Per-edge constants from the additive split of F (combining
 	// aggregates only), folded into ΔX¹.
 	if info.Rec.CRec != nil {
-		if err := addEdgeConstants(p, shape, add); err != nil {
+		if err := addEdgeConstants(p, shape, f.addKey); err != nil {
 			return err
 		}
 	}
-	p.InitMRA = kvList(fold)
+	p.InitMRA = f.kvs()
 	return nil
 }
 
-// foldHead evaluates body and folds val, keyed by the encoded values of
-// the one or two key terms, through add.
-func foldHead(p *Plan, body []*ast.Atom, keys []*ast.Term, val *ast.Term, add func(int64, float64)) error {
-	return eachRow(p.DB, body, append(slices.Clone(keys), val), keyed(p.PairKeys, add))
-}
-
-// keyed adapts add to a row of one or two key values and a value.
-func keyed(pair bool, add func(int64, float64)) func(row []float64) error {
-	return func(row []float64) error {
-		key := int64(row[0])
-		if pair {
-			key = EncodePair(key, int64(row[1]))
+// foldHead evaluates bodies and folds val at the key the one or two key
+// terms name, refusing (as r's) a key that names no vertex.
+func foldHead(p *Plan, r *ast.Rule, bodies []*ast.Body, keys []*ast.Term, val *ast.Term) error {
+	return eachRow(p.DB, bodies, append(slices.Clone(keys), val), func(row []float64) error {
+		key := row[:len(keys)]
+		for _, k := range key {
+			if _, ok := vertexID(k, p.N); !ok {
+				return errf("rule %s: key %v names no vertex of [0,%d)", cmp.Or(r.Label, r.Head.Name), key, p.N)
+			}
 		}
-		add(key, row[len(row)-1])
-		return nil
-	}
+		return p.fold.add(key, row[len(keys)])
+	})
 }
 
 // varTerms returns the variables as head terms.
@@ -261,8 +225,8 @@ func varTerms(vars []string) []*ast.Term {
 }
 
 // evalHeadRule evaluates one non-recursive rule for the head predicate
-// and emits its (key, value) tuples.
-func evalHeadRule(p *Plan, r *ast.Rule, add func(int64, float64)) error {
+// and folds its (key, value) tuples.
+func evalHeadRule(p *Plan, r *ast.Rule) error {
 	info := p.Info
 	// Identify the value position: same as AggPos in the recursive head.
 	valuePos := info.AggPos
@@ -270,24 +234,16 @@ func evalHeadRule(p *Plan, r *ast.Rule, add func(int64, float64)) error {
 		return errf("init rule %s has too few head arguments", r.Head.Name)
 	}
 	// Key argument positions mirror the recursive head (minus iteration
-	// index and aggregate term).
-	var keyTerms []*ast.Term
-	for i, t := range r.Head.Args {
-		if i == valuePos || (i == 0 && info.IterIndexed) {
-			continue
-		}
-		keyTerms = append(keyTerms, t)
+	// index and aggregate term; the value never sits at the index's place).
+	keyTerms := slices.Delete(slices.Clone(r.Head.Args), valuePos, valuePos+1)
+	if info.IterIndexed {
+		keyTerms = keyTerms[1:]
 	}
 	if len(keyTerms) != len(info.KeyVars) {
 		return errf("init rule %s key arity %d does not match recursive head %d",
 			r.Head.Name, len(keyTerms), len(info.KeyVars))
 	}
-	for _, body := range r.Bodies {
-		if err := foldHead(p, body.Atoms, keyTerms, r.Head.Args[valuePos], add); err != nil {
-			return err
-		}
-	}
-	return nil
+	return foldHead(p, r, r.Bodies, keyTerms, r.Head.Args[valuePos])
 }
 
 // addEdgeConstants folds CRec evaluated per edge into each destination:
@@ -311,13 +267,4 @@ func addEdgeConstants(p *Plan, shape *bodyShape, add func(int64, float64)) error
 		k.Propagate(scratch, int64(v), 0, add)
 	}
 	return nil
-}
-
-func kvList(m map[int64]float64) []KV {
-	out := make([]KV, 0, len(m))
-	for k, v := range m {
-		out = append(out, KV{k, v})
-	}
-	slices.SortFunc(out, func(a, b KV) int { return cmp.Compare(a.K, b.K) })
-	return out
 }

@@ -20,21 +20,22 @@ const curRelName = "ǂcur"
 // to the compiled propagation closure MRA evaluation uses. One evaluator
 // per worker; not safe for concurrent use.
 type NaiveEvaluator struct {
-	db       *edb.DB
-	join     func(f func(row []float64) error) error // the body, prepared once: rows of head keys and value
-	pairKeys bool
-	arity    int // columns of the cur relation: rec keys + value
+	db    *edb.DB
+	join  func(f func(row []float64) error) error // the body, prepared once: rows of the head key and value
+	arity int                                     // columns of the cur relation: rec key + value
 }
 
 // NaiveJoinSupported reports whether the plan can evaluate naively via
-// relational joins (everything except plans whose recursive body the
-// analyzer could not map onto relations — in practice always true here).
+// relational joins: a plan keyed by vertex.
 func (p *Plan) NaiveJoinSupported() bool { return !p.PairKeys }
 
 // NewNaiveEvaluator builds a per-worker naive evaluator. Each worker owns
 // a clone of the database so its per-iteration result table does not race
 // other workers'.
 func (p *Plan) NewNaiveEvaluator() (*NaiveEvaluator, error) {
+	if !p.NaiveJoinSupported() {
+		return nil, errf("the naive join needs vertex keys")
+	}
 	info := p.Info
 	rec := info.Rec
 
@@ -59,7 +60,7 @@ func (p *Plan) NewNaiveEvaluator() (*NaiveEvaluator, error) {
 		atoms = append(atoms, a)
 	}
 
-	ev := &NaiveEvaluator{db: p.DB.Clone(), pairKeys: p.PairKeys, arity: len(curArgs)}
+	ev := &NaiveEvaluator{db: p.DB.Clone(), arity: len(curArgs)}
 	var err error
 	if ev.join, err = prepareRows(ev.db, atoms, varTerms(append(slices.Clone(info.KeyVars), info.AggVar))); err != nil {
 		return nil, err
@@ -71,15 +72,11 @@ func (p *Plan) NewNaiveEvaluator() (*NaiveEvaluator, error) {
 // evaluates the body join, emitting every derived (key, value) tuple.
 func (ev *NaiveEvaluator) Eval(rows func(yield func(key int64, val float64)), emit func(key int64, val float64)) error {
 	cur := edb.NewRelation(curRelName, ev.arity)
-	rows(func(key int64, val float64) {
-		if ev.pairKeys {
-			hi, lo := DecodePair(key)
-			cur.Add(float64(hi), float64(lo), val)
-			return
-		}
-		cur.Add(float64(key), val)
-	})
+	rows(func(key int64, val float64) { cur.Add(float64(key), val) })
 	ev.db.AddRelation(cur)
 
-	return ev.join(keyed(ev.pairKeys, emit))
+	return ev.join(func(row []float64) error {
+		emit(int64(row[0]), row[1])
+		return nil
+	})
 }

@@ -75,8 +75,10 @@ type Plan struct {
 	// can re-derive supporting relations, attribute columns, and ΔX¹
 	// after a base-fact mutation (delta.go).
 	shape *bodyShape
+	// fold is where the aggregate views and ΔX¹ are folded (fold.go).
 	// delta is ApplyMutation's retained scratch and in its candidate
 	// in-edge index over Graph, both made by the first batch that needs them.
+	fold  fold
 	delta *deltaScratch
 	in    *inIndex
 }

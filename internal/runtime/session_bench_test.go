@@ -17,21 +17,26 @@ import (
 // shape, with the master rounds (waves) an Apply took, how many of
 // them a CheckInterval tick started, what the delta step read to find
 // the work (edges-read/op, border-rows/op) and what the CSR splice
-// copied (edges-moved/op). Run it with -cpu 2 -benchmem and a
-// fixed -benchtime such as 300x: a delete-only run thins the graph as it
-// goes. For a paired
+// copied (edges-moved/op). PageRank/mixed is the mixed batch on a warm
+// PageRank session over the same graph: its delta step also re-derives
+// the degree view, over the whole graph, on every batch. Run it with
+// -cpu 2 -benchmem and a fixed -benchtime such as 300x: a delete-only
+// run thins the graph as it goes. For a paired
 // comparison build one `go test -c` binary per commit (the go guide)
 // and alternate them; plperf, not this, is the gate.
 func BenchmarkSessionApply(b *testing.B) {
 	for _, bc := range []struct {
-		name     string
-		ins, del int
-	}{{"empty", 0, 0}, {"insert", 85, 0}, {"delete", 0, 85}, {"mixed", 85, 85}} {
+		name, src string
+		ins, del  int
+	}{
+		{"empty", progs.SSSP, 0, 0}, {"insert", progs.SSSP, 85, 0}, {"delete", progs.SSSP, 0, 85},
+		{"mixed", progs.SSSP, 85, 85}, {"PageRank/mixed", progs.PageRank, 85, 85},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			g := gen.RMAT(14, 171000, 100, 1)
 			n := g.NumVertices()
 			edges := g.Edges()
-			s, err := Open(compilePlan(b, progs.SSSP, edgeDB("edge")(g)), Config{
+			s, err := Open(compilePlan(b, bc.src, edgeDB("edge")(g)), Config{
 				Workers:       2,
 				Mode:          MRASyncAsync,
 				Tau:           time.Millisecond,
