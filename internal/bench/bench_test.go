@@ -283,9 +283,10 @@ func TestRecoveryExperimentTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 algorithms x 3 modes x {clean, crashed, restored}.
-	if len(ms) != 18 {
-		t.Fatalf("expected 18 measurements, got %d", len(ms))
+	// 2 algorithms x 3 modes x (clean + 2 cut periods x (checkpointed +
+	// 2 crash points x {crashed, restored})).
+	if len(ms) != 66 {
+		t.Fatalf("expected 66 measurements, got %d", len(ms))
 	}
 	for _, m := range ms {
 		if strings.HasSuffix(m.Series, "/crashed") {

@@ -137,7 +137,7 @@ var table = []experiment{
 		edit: func(c *RunConfig) { c.PerfectNetwork = true }, grids: []grid{
 			{algos: extraAlgos(), datasets: []string{""}, series: modes(runtime.MRASync, runtime.MRASyncAsync), prepare: prepareExtra},
 		}},
-	{id: "recovery", title: "Recovery: crash mid-run with checkpoints on, restart, time to re-fixpoint", run: Recovery},
+	{id: "recovery", title: "Recovery: what the checkpoint episodes cost a clean run, and the re-fixpoint of crashes at 50% and 90% of it", run: Recovery},
 	{id: "rejoin", title: "Rejoin: crashed worker re-joins live vs restart-the-world", run: Rejoin},
 	// One selective workload (SSSP, whose plan draws the bucket schedule)
 	// and one combining workload (PageRank under the §5.4 threshold — a

@@ -6,29 +6,33 @@ import (
 	"os"
 	"time"
 
+	"powerlog/internal/ckpt"
 	"powerlog/internal/runtime"
 )
 
 // crashRestart is restart-the-world: the whole fleet is aborted at master
-// round 6 with a checkpoint per round, then a second run re-reaches the
-// fixpoint from the first one's snapshots.
-func crashRestart(wl *Workload, mode runtime.Mode, cfg RunConfig) (crashed, restored Measurement, err error) {
+// round `crash` with a cut every `every` rounds, then a second run
+// re-reaches the fixpoint from the crashed run's newest cut, or from
+// scratch when it completed none. cut is the restored cut's number (a
+// superstep or snapshot episode), 0 for a start from scratch.
+func crashRestart(wl *Workload, mode runtime.Mode, cfg RunConfig, crash, every int) (crashed, restored Measurement, cut int, err error) {
 	dir, err := os.MkdirTemp("", "plbench-restart-*")
 	if err != nil {
-		return crashed, restored, err
+		return crashed, restored, 0, err
 	}
 	defer os.RemoveAll(dir)
 	crashCfg := cfg
-	crashCfg.SnapshotDir = dir
-	crashCfg.SnapshotEvery = 1
-	crashCfg.Faults = "seed=7,crash=6"
+	crashCfg.SnapshotDir, crashCfg.SnapshotEvery = dir, every
+	crashCfg.Faults = fmt.Sprintf("seed=7,crash=%d", crash)
 	if crashed, err = RunMode(wl, mode, crashCfg); err != nil {
-		return crashed, restored, err
+		return crashed, restored, 0, err
 	}
 	crashed.Series = mode.String() + "/crashed"
-	cfg.RestoreDir = dir
+	if _, meta, err := ckpt.LoadAll(dir); err == nil {
+		cfg.RestoreDir, cut = dir, meta.Epoch
+	}
 	restored, err = RunMode(wl, mode, cfg)
-	return crashed, restored, err
+	return crashed, restored, cut, err
 }
 
 // crashCells is the cell loop of the crash drills: SSSP (selective) and
@@ -61,25 +65,52 @@ func crashCells(cfg RunConfig, modes []runtime.Mode, drill func(wl *Workload, mo
 	return out, nil
 }
 
-// Recovery measures crash recovery: for one selective workload (SSSP)
-// and one combining workload (PageRank), both restored exactly from the
-// newest consistent cut (a BSP superstep's, or an async/SSP snapshot
-// episode's), each mode runs three times: clean, crashed mid-run with
-// checkpointing on, and restarted from the crashed run's snapshot
-// directory. The headline number is the time-to-refixpoint: the
-// restart's wall time relative to the clean run.
+// Recovery weighs crash recovery against its price. For one selective
+// workload (SSSP) and one combining workload (PageRank), both restored
+// exactly from the newest consistent cut (a BSP superstep's, or an
+// async/SSP snapshot episode's), each mode runs clean, then per cut
+// period (every round, every tenth) once clean with checkpoints on — its
+// wall over the clean run's is what the episodes cost — and crashed at
+// 50 % and 90 % of that run's rounds (an async wave under episodes is
+// longer, so it takes fewer), each crash restarted from its newest cut.
+// The headline numbers are that overhead and each restart's
+// time-to-refixpoint relative to the clean run.
 func Recovery(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 	modes := []runtime.Mode{runtime.MRASync, runtime.MRASyncAsync, runtime.MRASSP}
 	return crashCells(cfg, modes, func(wl *Workload, mode runtime.Mode, clean Measurement) ([]Measurement, error) {
-		crashed, restored, err := crashRestart(wl, mode, cfg)
-		if err != nil {
-			return nil, err
+		var out []Measurement
+		for _, every := range []int{1, 10} {
+			series := fmt.Sprintf("%v/every%d", mode, every)
+			dir, err := os.MkdirTemp("", "plbench-ckpt-*")
+			if err != nil {
+				return nil, err
+			}
+			paidCfg := cfg
+			paidCfg.SnapshotDir, paidCfg.SnapshotEvery = dir, every
+			paid, err := RunMode(wl, mode, paidCfg)
+			os.RemoveAll(dir)
+			if err != nil {
+				return nil, err
+			}
+			paid.Series = series + "/checkpointed"
+			out = append(out, paid)
+			row := fmt.Sprintf("  %-9s %-14s every=%-2d clean=%7.3fs  episodes=%.2fx clean",
+				wl.Algo, mode, every, clean.Seconds, paid.Seconds/clean.Seconds)
+			for _, pct := range []int{50, 90} {
+				at := max(1, paid.Rounds*pct/100)
+				crashed, restored, cut, err := crashRestart(wl, mode, cfg, at, every)
+				if err != nil {
+					return nil, err
+				}
+				crashed.Series = fmt.Sprintf("%s/%d%%/crashed", series, pct)
+				restored.Series = fmt.Sprintf("%s/%d%%/restored", series, pct)
+				out = append(out, crashed, restored)
+				row += fmt.Sprintf("  crash@%d%%=r%d cut=%d refixpoint=%.3fs (%.2fx)",
+					pct, at, cut, restored.Seconds, restored.Seconds/clean.Seconds)
+			}
+			fmt.Fprintln(w, row)
 		}
-		restored.Series = mode.String() + "/restored"
-		fmt.Fprintf(w, "  %-9s %-6s %-14s clean=%7.3fs  crashed@round=%-3d  refixpoint=%7.3fs (%.2fx clean, converged=%v)\n",
-			wl.Algo, wl.Dataset.Name, mode, clean.Seconds, crashed.Rounds,
-			restored.Seconds, restored.Seconds/clean.Seconds, restored.Converged)
-		return []Measurement{crashed, restored}, nil
+		return out, nil
 	})
 }
 
@@ -127,7 +158,7 @@ func Rejoin(w io.Writer, cfg RunConfig) ([]Measurement, error) {
 		joins := live.Metrics.Counter("master.member.join")
 		fence := live.Metrics.Histograms["master.fence.member_us"]
 
-		crashed, restart, err := crashRestart(wl, mode, cfg)
+		crashed, restart, _, err := crashRestart(wl, mode, cfg, 6, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -626,6 +626,65 @@ func TestWorkerSurfacesSendErrors(t *testing.T) {
 	}
 }
 
+// scriptedConn fails its first fails Sends, each with its call number,
+// then records what it delivers.
+type scriptedConn struct {
+	failingConn
+	fails, calls int
+	got          []transport.Message
+}
+
+func (c *scriptedConn) Send(to int, m transport.Message) error {
+	if c.calls++; c.calls <= c.fails {
+		return fmt.Errorf("scripted failure %d", c.calls)
+	}
+	c.got = append(c.got, m)
+	return nil
+}
+
+// TestSendRetrying pins the one retry loop of a failed Send: a bounded
+// number of calls, the last error, no call once the sender is stopped,
+// and a failed batch left with its caller.
+func TestSendRetrying(t *testing.T) {
+	never := func() bool { return false }
+	for k := 0; k <= sendAttempts+1; k++ {
+		c := &scriptedConn{fails: k}
+		err := sendRetrying(c, 1, transport.Message{Kind: transport.StatsReply}, never)
+		switch {
+		case k < sendAttempts && (err != nil || c.calls != k+1 || len(c.got) != 1):
+			t.Errorf("k=%d: err=%v after %d calls, %d delivered; want delivery after %d calls", k, err, c.calls, len(c.got), k+1)
+		case k >= sendAttempts && (err == nil || c.calls != sendAttempts ||
+			err.Error() != fmt.Sprintf("scripted failure %d", sendAttempts)):
+			t.Errorf("k=%d: err=%v after %d calls; want the last error after %d calls", k, err, c.calls, sendAttempts)
+		}
+	}
+
+	c := &scriptedConn{fails: 100}
+	if err := sendRetrying(c, 1, transport.Message{Kind: transport.StatsReply},
+		func() bool { return c.calls > 0 }); err == nil || c.calls != 1 {
+		t.Errorf("stopped sender: err=%v after %d calls, want an error after 1", err, c.calls)
+	}
+
+	kvs := append(transport.GetBatch(2), transport.KV{K: 3, V: 1.5}, transport.KV{K: 8, V: -2})
+	c = &scriptedConn{fails: 100}
+	if err := sendRetrying(c, 1, transport.Message{Kind: transport.Data, KVs: kvs}, never); err == nil {
+		t.Fatal("a send that always fails must return its error")
+	}
+	if len(kvs) != 2 || kvs[0] != (transport.KV{K: 3, V: 1.5}) || kvs[1] != (transport.KV{K: 8, V: -2}) {
+		t.Errorf("failed send touched the caller's batch: %+v", kvs)
+	}
+	transport.PutBatch(kvs)
+
+	// The master's sends on a conn without TrySend (TCP) go through the
+	// same loop.
+	c = &scriptedConn{fails: 2}
+	m := newMaster(Config{Workers: 2}, nil, c)
+	m.sendTo(1, transport.Message{Kind: transport.Stop})
+	if c.calls != 3 || len(c.got) != 1 || c.got[0].Kind != transport.Stop {
+		t.Errorf("master sendTo: %d calls, delivered %+v; want one Stop on the third call", c.calls, c.got)
+	}
+}
+
 // TestDedupWindow pins the delivered-once filter behind dup-tolerant
 // termination: exact under FIFO redelivery, adversarial reordering, and
 // both at once — and allocation-free on the fault-free in-order path.

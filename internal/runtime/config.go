@@ -13,6 +13,7 @@ package runtime
 
 import (
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"powerlog/internal/fault"
@@ -185,6 +186,8 @@ func (c Config) Validate() error {
 		{"CollectTimeout", c.CollectTimeout < 0, fmt.Sprintf("negative collect timeout %v; use 0 for the MaxWall fallback", c.CollectTimeout)},
 		{"MaxWall", c.MaxWall < 0, fmt.Sprintf("negative wall budget %v; use 0 for the default budget", c.MaxWall)},
 		{"SnapshotEvery", c.SnapshotEvery < 0, fmt.Sprintf("negative checkpoint period %d; use 0 for no periodic checkpoints", c.SnapshotEvery)},
+		{"RestoreDir", c.RestoreDir != "" && c.SnapshotDir != "" && filepath.Clean(c.RestoreDir) == filepath.Clean(c.SnapshotDir),
+			fmt.Sprintf("%q is also SnapshotDir; a restored run numbers its cuts afresh and would overwrite the ones it restored from", c.RestoreDir)},
 	} {
 		if f.bad {
 			return &ConfigError{Field: f.field, Reason: f.reason}

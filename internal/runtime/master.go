@@ -101,7 +101,9 @@ func (m *master) bcast(msg transport.Message) {
 }
 
 // sendTo delivers one message to one worker with bcast's no-deadlock
-// discipline. The retry is bounded by the collect deadline: a receiver
+// discipline. A conn without TrySend (TCP) gets sendRetrying's bounded
+// retry and nothing else. Otherwise the retry of a back-pressured
+// destination is bounded by the collect deadline: a receiver
 // that has not drained a single inbox slot in that long is wedged or
 // dead (a crashed worker's inbox fills with peer data and would
 // otherwise livelock the master here, before the probe can ever declare
@@ -112,10 +114,10 @@ func (m *master) bcast(msg transport.Message) {
 func (m *master) sendTo(j int, msg transport.Message) {
 	try, canTry := m.conn.(transport.TrySender)
 	if !canTry {
-		_ = m.conn.Send(j, msg)
+		_ = sendRetrying(m.conn, j, msg, func() bool { return false })
 		return
 	}
-	var bo backoff
+	var bo transport.Backoff
 	var deadline time.Time
 	for {
 		ok, err := try.TrySend(j, msg)
@@ -130,14 +132,14 @@ func (m *master) sendTo(j int, msg transport.Message) {
 			m.pending = append(m.pending, in)
 			// Inbox progress says the fleet is moving, not that worker j
 			// is draining — the deadline stands.
-			bo.reset()
+			bo.Reset()
 		default:
 			if deadline.IsZero() {
 				deadline = time.Now().Add(m.collectTimeout())
 			} else if time.Now().After(deadline) {
 				return
 			}
-			bo.wait()
+			bo.Wait()
 		}
 	}
 }

@@ -645,6 +645,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{CheckInterval: -time.Millisecond}, "CheckInterval"},
 		{Config{SnapshotEvery: -1}, "SnapshotEvery"},
 		{Config{Mode: Mode(42)}, "Mode"},
+		{Config{SnapshotDir: "ck/run", RestoreDir: "ck/./run/"}, "RestoreDir"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -658,6 +659,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{CoresPerWorker: 1}).Validate(); err != nil {
 		t.Errorf("CoresPerWorker 1, a worker's one core, rejected: %v", err)
+	}
+	if err := (Config{SnapshotDir: "ck/b", RestoreDir: "ck/a"}).Validate(); err != nil {
+		t.Errorf("restoring from one directory into another rejected: %v", err)
 	}
 	if err := (Config{PriorityThreshold: -1}).Validate(); err != nil {
 		t.Errorf("negative PriorityThreshold is the documented disable, got %v", err)

@@ -1,8 +1,8 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
-	stdruntime "runtime"
 	"sync/atomic"
 	"time"
 
@@ -158,31 +158,6 @@ func (om outMsg) drop() {
 	}
 }
 
-// backoff is an escalating wait for back-pressure loops: a few pure
-// spins (the common case resolves within microseconds), then scheduler
-// yields, then sleeps that grow to a 200µs ceiling — so a stalled
-// destination costs neither latency in the common case nor a burned
-// core in the worst one.
-type backoff struct{ n int }
-
-func (b *backoff) wait() {
-	b.n++
-	switch {
-	case b.n <= 4:
-		// Spin: the inbox often drains within a few hundred ns.
-	case b.n <= 16:
-		stdruntime.Gosched()
-	default:
-		d := time.Duration(b.n-16) * 10 * time.Microsecond
-		if d > 200*time.Microsecond {
-			d = 200 * time.Microsecond
-		}
-		time.Sleep(d)
-	}
-}
-
-func (b *backoff) reset() { b.n = 0 }
-
 func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *worker {
 	fleet := cfg.Workers
 	w := &worker{
@@ -293,52 +268,62 @@ func (w *worker) err() error {
 func (w *worker) stop()        { w.stopping.Store(true) }
 func (w *worker) halted() bool { return w.stopping.Load() }
 
-// sendAttempts bounds the comm goroutine's blocking-send retries. The
-// transport has its own healing underneath (TCP redials with backoff and
-// a circuit breaker; injected faults clear as the event counter
-// advances), so a message that still fails after this many attempts is
-// on a genuinely dead link.
+// sendAttempts bounds sendRetrying. No transport retries underneath
+// (TCP makes one dial-and-write per Send; injected faults clear as the
+// link's event counter advances, one step per attempt), so a message
+// that still fails after this many attempts, ≈ 60 ms of sleeps, is on a
+// dead link.
 const sendAttempts = 6
+
+// errHalted is sendRetrying's answer when the sender was stopped before
+// its first attempt.
+var errHalted = errors.New("runtime: sender halted")
+
+// sendRetrying is the one retry loop of a failed blocking Send: up to
+// sendAttempts attempts, sleeping 2 ms and doubling between them, and
+// none once stopped reports true. It returns nil on delivery, else the
+// last error; on error m was not consumed (transport.Conn contract), so
+// a Data batch is still the caller's.
+func sendRetrying(conn transport.Conn, to int, m transport.Message, stopped func() bool) error {
+	err := errHalted
+	for attempt := 0; attempt < sendAttempts && !stopped(); attempt++ {
+		if attempt > 0 {
+			time.Sleep(time.Millisecond << attempt) // 2 ms, doubling
+		}
+		if err = conn.Send(to, m); err == nil {
+			return nil
+		}
+	}
+	return err
+}
 
 func (w *worker) commLoop() {
 	defer close(w.commDone)
 	emu := w.cfg.Network
 	try, canTry := w.conn.(transport.TrySender)
-	// deliver pushes one message through the blocking Send with bounded
-	// escalating retry. A persistent failure stops the worker: the error
-	// is recorded for Run/RunWorker to surface, and a stopped worker's
-	// messages are discarded (recycling Data batches), whatever stopped
-	// it, so neither goroutine can deadlock against a network that is
-	// dead or has gone home.
+	// deliver pushes one message through sendRetrying. A persistent
+	// failure stops the worker: the error is recorded for Run/RunWorker
+	// to surface, and a stopped worker's messages are discarded
+	// (recycling Data batches), whatever stopped it, so neither goroutine
+	// can deadlock against a network that is dead or has gone home.
 	deliver := func(om outMsg) {
-		var bo backoff
-		for attempt := 1; !w.halted(); attempt++ {
-			err := w.conn.Send(om.to, om.m)
-			if err == nil {
-				return
-			}
-			// On error the transport did not consume the message
-			// (transport.Conn contract), so retrying it is sound.
-			if attempt >= sendAttempts && !w.halted() {
+		if err := sendRetrying(w.conn, om.to, om.m, w.halted); err != nil {
+			if !w.halted() {
 				w.sendErr = err
 				w.stop()
 			}
-			bo.wait()
+			om.drop()
 		}
-		om.drop()
 	}
-	sendCtl := func(om outMsg) {
+	// The communication thread is the NIC: messages serialise through it
+	// and each pays latency + volume/bandwidth.
+	nic := func(om outMsg) {
 		if emu.Enabled() {
 			time.Sleep(emu.cost(len(om.m.KVs)))
 		}
-		deliver(om)
 	}
 	send := func(om outMsg) {
-		if emu.Enabled() {
-			// The communication thread is the NIC: messages serialise
-			// through it and each pays latency + volume/bandwidth.
-			time.Sleep(emu.cost(len(om.m.KVs)))
-		}
+		nic(om)
 		if !canTry {
 			deliver(om)
 			return
@@ -347,7 +332,7 @@ func (w *worker) commLoop() {
 		// back-pressured, keep the control lane moving. The wait
 		// escalates (spin → yield → sleep) so a long-stalled destination
 		// doesn't pin this goroutine to a core.
-		var bo backoff
+		var bo transport.Backoff
 		for {
 			ok, err := try.TrySend(om.to, om.m)
 			if ok {
@@ -370,10 +355,11 @@ func (w *worker) commLoop() {
 					w.outCtrl = nil // the compute loop has exited, halted
 					continue
 				}
-				sendCtl(ctl)
-				bo.reset() // control progress means the net is moving
+				nic(ctl)
+				deliver(ctl)
+				bo.Reset() // control progress means the net is moving
 			default:
-				bo.wait()
+				bo.Wait()
 			}
 		}
 	}

@@ -135,32 +135,44 @@ func (c *channelConn) TrySend(to int, m Message) (bool, error) {
 }
 
 // Send blocks until delivery by retrying the locked non-blocking send
-// with escalating backoff. The lock is never held while waiting, so a
+// under a Backoff. The lock is never held while waiting, so a
 // back-pressured destination cannot stall a concurrent ResetConn — and
 // a destination that is reset out from under a blocked Send surfaces as
 // the fence error on the next attempt instead of wedging forever.
 func (c *channelConn) Send(to int, m Message) error {
-	for n := 0; ; n++ {
+	var bo Backoff
+	for {
 		ok, err := c.trySend(to, m)
-		if err != nil {
+		if ok || err != nil {
 			return err
 		}
-		if ok {
-			return nil
-		}
-		switch {
-		case n < 16:
-			runtime.Gosched()
-		default:
-			d := time.Duration(n-15) * 10 * time.Microsecond
-			if d > 200*time.Microsecond {
-				d = 200 * time.Microsecond
-			}
-			time.Sleep(d)
-		}
+		bo.Wait()
 	}
 }
 
 func (c *channelConn) Inbox() <-chan Message { return c.inbox }
 
 func (c *channelConn) Close() error { return nil }
+
+// Backoff is the escalating wait of a back-pressure loop: a few pure
+// spins (the common case resolves within microseconds), then scheduler
+// yields, then sleeps that grow to a 200µs ceiling — so a stalled
+// destination costs neither latency in the common case nor a burned
+// core in the worst one.
+type Backoff struct{ n int }
+
+// Wait waits one step longer than the last call.
+func (b *Backoff) Wait() {
+	b.n++
+	switch {
+	case b.n <= 4:
+		// Spin: the inbox often drains within a few hundred ns.
+	case b.n <= 16:
+		runtime.Gosched()
+	default:
+		time.Sleep(min(time.Duration(b.n-16)*10*time.Microsecond, 200*time.Microsecond))
+	}
+}
+
+// Reset starts the escalation over, after progress.
+func (b *Backoff) Reset() { b.n = 0 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,37 +13,8 @@ import (
 	"powerlog/internal/metrics"
 )
 
-// ErrPeerUnavailable is returned by TCPConn.Send while a peer's circuit
-// breaker is open: the link failed BreakAfter consecutive times and is in
-// its cooldown, so sends fail fast instead of re-dialling a dead peer.
-// The message was not consumed; the caller may retry after the cooldown.
-var ErrPeerUnavailable = errors.New("transport: peer unavailable (circuit open)")
-
-// RetryPolicy bounds TCPConn.Send's redial-and-retry behaviour.
-type RetryPolicy struct {
-	// Attempts is the number of delivery attempts per Send call.
-	Attempts int
-	// Backoff is the sleep before the first retry; it doubles per retry.
-	Backoff time.Duration
-	// BreakAfter consecutive link failures open the circuit breaker.
-	BreakAfter int
-	// Cooldown is how long the breaker stays open before a half-open
-	// probe is allowed through.
-	Cooldown time.Duration
-	// DialTimeout bounds each dial attempt.
-	DialTimeout time.Duration
-}
-
-// DefaultRetryPolicy is tuned so a transient hiccup (peer restarting, a
-// dropped connection) heals within a few milliseconds while a dead peer
-// costs each sender at most Attempts dials before the breaker opens.
-var DefaultRetryPolicy = RetryPolicy{
-	Attempts:    4,
-	Backoff:     2 * time.Millisecond,
-	BreakAfter:  8,
-	Cooldown:    250 * time.Millisecond,
-	DialTimeout: 2 * time.Second,
-}
+// dialTimeout bounds one dial of a peer link.
+const dialTimeout = 2 * time.Second
 
 // TCPConn is a network endpoint over TCP with the length-prefixed binary
 // codec of codec.go — the multi-process stand-in for the original
@@ -58,8 +28,7 @@ type TCPConn struct {
 	listener net.Listener
 	inbox    chan Message
 
-	retry RetryPolicy
-	met   *tcpMetrics // nil until SetMetrics; hot-path reads are nil-checked
+	met *tcpMetrics // nil until SetMetrics; hot-path reads are nil-checked
 
 	mu       sync.Mutex
 	addrs    []string // len workers+1; index = endpoint id
@@ -75,16 +44,13 @@ type TCPConn struct {
 // outConn is one peer link. Dialling runs lazily under the link's own
 // mutex — never under the endpoint-wide one — so a slow or unreachable
 // peer stalls only its own senders, not sends to every destination. A
-// failed link is redialled on the next attempt until fails reaches the
-// retry policy's BreakAfter, which opens the circuit until openUntil.
+// failed write drops the connection, so the next Send redials.
 type outConn struct {
 	addr string
 
-	mu        sync.Mutex
-	c         net.Conn
-	buf       []byte // reusable frame-encode buffer, guarded by mu
-	fails     int    // consecutive dial/write failures
-	openUntil time.Time
+	mu  sync.Mutex
+	c   net.Conn
+	buf []byte // reusable frame-encode buffer, guarded by mu
 }
 
 // NewTCPEndpoint starts endpoint id of a TCP network whose endpoints live
@@ -110,7 +76,6 @@ func NewTCPEndpoint(id, workers int, addrs []string) (*TCPConn, error) {
 		inbox:    make(chan Message, 4096),
 		outs:     map[int]*outConn{},
 		done:     make(chan struct{}),
-		retry:    DefaultRetryPolicy,
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -195,35 +160,22 @@ func (t *TCPConn) readLoop(c net.Conn) {
 	}
 }
 
-// SetRetry replaces the endpoint's retry policy. Call before any Send.
-func (t *TCPConn) SetRetry(p RetryPolicy) { t.retry = p }
-
-// tcpMetrics is the endpoint's pre-resolved metric handles (DESIGN.md
-// §8): retry pressure, circuit-breaker transitions, and per-peer
-// traffic. All writes are single atomic ops on registered counters.
+// tcpMetrics is the endpoint's pre-resolved per-peer traffic counters
+// (DESIGN.md §8). All writes are single atomic ops on registered counters.
 type tcpMetrics struct {
-	retries      *metrics.Counter // tcp.send.retry: extra attempts beyond the first
-	breakerOpen  *metrics.Counter // tcp.breaker.open: closed→open transitions
-	breakerHalf  *metrics.Counter // tcp.breaker.halfopen: post-cooldown probes
-	breakerClose *metrics.Counter // tcp.breaker.close: open→closed (probe succeeded)
-	peerBatches  []*metrics.Counter
-	peerBytes    []*metrics.Counter
+	peerBatches []*metrics.Counter
+	peerBytes   []*metrics.Counter
 }
 
-// SetMetrics registers the endpoint's transport counters into reg. Like
-// SetRetry, call it before any Send (the hot path reads t.met without a
-// lock). nil disables instrumentation again.
+// SetMetrics registers the endpoint's transport counters into reg. Call
+// it before any Send (the hot path reads t.met without a lock). nil
+// disables instrumentation again.
 func (t *TCPConn) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		t.met = nil
 		return
 	}
-	tm := &tcpMetrics{
-		retries:      reg.Counter("tcp.send.retry"),
-		breakerOpen:  reg.Counter("tcp.breaker.open"),
-		breakerHalf:  reg.Counter("tcp.breaker.halfopen"),
-		breakerClose: reg.Counter("tcp.breaker.close"),
-	}
+	tm := &tcpMetrics{}
 	for j := 0; j <= t.workers; j++ {
 		tm.peerBatches = append(tm.peerBatches, reg.Counter(fmt.Sprintf("tcp.peer%d.batch", j)))
 		tm.peerBytes = append(tm.peerBytes, reg.Counter(fmt.Sprintf("tcp.peer%d.bytes", j)))
@@ -231,67 +183,28 @@ func (t *TCPConn) SetMetrics(reg *metrics.Registry) {
 	t.met = tm
 }
 
-// Send implements Conn. A failed dial or write is retried with
-// exponential backoff up to the retry policy's attempt budget; past
-// BreakAfter consecutive link failures the per-peer circuit breaker
-// opens and sends fail fast with ErrPeerUnavailable until the cooldown
-// elapses. On success the Data batch is recycled into the batch pool
-// once encoded onto the wire (see the contract in batch.go); on error
-// ownership stays with the caller.
+// Send implements Conn with one delivery attempt: a lazy (re)dial, then
+// encode and write. A failed write drops the link, so the next Send
+// redials; retrying is the caller's. The whole attempt runs under the
+// link's mutex, so concurrent senders to the same peer serialise
+// (preserving pairwise ordering) while sends to other peers proceed. On
+// success the Data batch is recycled into the batch pool once encoded
+// onto the wire (see the contract in batch.go); on error ownership stays
+// with the caller.
 func (t *TCPConn) Send(to int, m Message) error {
 	m.From = t.id
 	oc, err := t.peer(to)
 	if err != nil {
 		return err
 	}
-	backoff := t.retry.Backoff
-	for attempt := 0; ; attempt++ {
-		err = t.attempt(to, oc, &m)
-		if err == nil {
-			if m.Kind == Data {
-				PutBatch(m.KVs)
-			}
-			return nil
-		}
-		// A closed endpoint or an open breaker will not heal within
-		// this call's backoff budget: fail fast.
-		if attempt+1 >= t.retry.Attempts ||
-			errors.Is(err, ErrPeerUnavailable) || errors.Is(err, net.ErrClosed) {
-			return err
-		}
-		if t.met != nil {
-			t.met.retries.Inc()
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
-}
-
-// attempt makes one delivery attempt: breaker check, lazy (re)dial,
-// encode, write. It runs entirely under the link's mutex, so concurrent
-// senders to the same peer serialise (preserving pairwise ordering)
-// while sends to other peers proceed.
-func (t *TCPConn) attempt(to int, oc *outConn, m *Message) error {
 	oc.mu.Lock()
 	defer oc.mu.Unlock()
 	if t.closed.Load() {
 		return net.ErrClosed
 	}
-	now := time.Now()
-	if oc.fails >= t.retry.BreakAfter {
-		if now.Before(oc.openUntil) {
-			return fmt.Errorf("transport: endpoint %d at %s: %w", to, oc.addr, ErrPeerUnavailable)
-		}
-		// Cooldown elapsed with the breaker still open: this attempt is
-		// the half-open probe.
-		if t.met != nil {
-			t.met.breakerHalf.Inc()
-		}
-	}
 	if oc.c == nil {
-		c, err := net.DialTimeout("tcp", oc.addr, t.retry.DialTimeout)
+		c, err := net.DialTimeout("tcp", oc.addr, dialTimeout)
 		if err != nil {
-			t.linkFailed(oc, now)
 			return fmt.Errorf("transport: dial endpoint %d at %s: %w", to, oc.addr, err)
 		}
 		if t.closed.Load() { // Close raced the dial; do not resurrect the link
@@ -300,46 +213,26 @@ func (t *TCPConn) attempt(to int, oc *outConn, m *Message) error {
 		}
 		oc.c = c
 	}
-	buf, start := appendFrame(oc.buf, m)
+	buf, start := appendFrame(oc.buf, &m)
 	oc.buf = buf
 	if _, err := oc.c.Write(buf[start:]); err != nil {
 		oc.c.Close()
-		oc.c = nil // force a redial on the next attempt
-		t.linkFailed(oc, now)
+		oc.c = nil
 		return fmt.Errorf("transport: write endpoint %d: %w", to, err)
 	}
-	if t.met != nil {
-		if oc.fails >= t.retry.BreakAfter {
-			// A successful write through an open breaker closes it.
-			t.met.breakerClose.Inc()
-		}
-		if to >= 0 && to < len(t.met.peerBatches) {
-			t.met.peerBatches[to].Inc()
-			t.met.peerBytes[to].Add(uint64(len(buf[start:])))
-		}
+	if t.met != nil && to < len(t.met.peerBatches) {
+		t.met.peerBatches[to].Inc()
+		t.met.peerBytes[to].Add(uint64(len(buf) - start))
 	}
-	oc.fails = 0
+	if m.Kind == Data {
+		PutBatch(m.KVs)
+	}
 	return nil
-}
-
-// linkFailed records one more consecutive failure on a link, opening
-// (or re-arming, for a failed half-open probe) its circuit breaker once
-// the count reaches BreakAfter. Callers hold oc.mu.
-func (t *TCPConn) linkFailed(oc *outConn, now time.Time) {
-	oc.fails++
-	if oc.fails >= t.retry.BreakAfter {
-		// Count only the closed→open transition, not re-arms from failed
-		// half-open probes.
-		if t.met != nil && oc.fails == t.retry.BreakAfter {
-			t.met.breakerOpen.Inc()
-		}
-		oc.openUntil = now.Add(t.retry.Cooldown)
-	}
 }
 
 // peer returns the link to endpoint `to`, creating (not dialling) it on
 // first use. The endpoint-wide mutex covers only the map lookup; dials
-// happen lazily inside attempt under the link's own mutex.
+// happen lazily inside Send under the link's own mutex.
 func (t *TCPConn) peer(to int) (*outConn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -128,8 +128,11 @@ type Conn interface {
 	// (including the KV slice) afterwards. A Data batch is recycled
 	// into the batch pool by whoever sees it last — the receiver after
 	// folding it, or the transport itself once it is encoded onto a
-	// wire. On error the message was NOT consumed: ownership stays with
-	// the caller, who may retry the same message or recycle the batch.
+	// wire. An error means this one attempt did not deliver — a dead or
+	// reset link, a closed endpoint — and the message was NOT consumed:
+	// ownership stays with the caller, who may retry the same message or
+	// recycle the batch. A transport does not retry a failed send
+	// itself; the runtime's sendRetrying is the one retry loop.
 	Send(to int, m Message) error
 	// Inbox is the endpoint's receive stream. It is closed when the
 	// network shuts down.

@@ -1,12 +1,13 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"powerlog/internal/metrics"
 )
 
 func TestChannelNetworkBasic(t *testing.T) {
@@ -308,64 +309,28 @@ func TestTCPCloseRacingAccept(t *testing.T) {
 
 func TestTCPSendFailsWithoutListener(t *testing.T) {
 	w0, _ := deadPeer(t)
-	w0.SetRetry(RetryPolicy{Attempts: 3, Backoff: 100 * time.Microsecond,
-		BreakAfter: 100, Cooldown: time.Minute, DialTimeout: time.Second})
 	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
-		t.Fatal("send to a dead peer should exhaust its retries and fail")
+		t.Fatal("send to a dead peer should fail")
 	}
 }
 
-func TestTCPBreakerOpensThenFailsFast(t *testing.T) {
-	w0, _ := deadPeer(t)
-	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
-		BreakAfter: 3, Cooldown: time.Minute, DialTimeout: time.Second})
-	var sawOpen bool
-	for i := 0; i < 10; i++ {
-		err := w0.Send(1, Message{Kind: StatsRequest})
-		if err == nil {
-			t.Fatal("dead peer send succeeded")
-		}
-		if errors.Is(err, ErrPeerUnavailable) {
-			sawOpen = true
-			break
-		}
-	}
-	if !sawOpen {
-		t.Fatal("breaker never opened after repeated dial failures")
-	}
-	// While open, sends fail fast — no dial, no retry sleeps.
-	start := time.Now()
-	if err := w0.Send(1, Message{Kind: StatsRequest}); !errors.Is(err, ErrPeerUnavailable) {
-		t.Fatalf("open breaker should fail fast with ErrPeerUnavailable, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("fast-fail took %v", elapsed)
-	}
-}
-
-func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
+// TestTCPSendRedialsAfterFailure: a failed Send leaves no state behind
+// that outlives it. Once the peer listens, the very next Send dials it
+// and delivers — no cooldown, no sleep loop.
+func TestTCPSendRedialsAfterFailure(t *testing.T) {
 	w0, addr := deadPeer(t)
-	w0.SetRetry(RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond,
-		BreakAfter: 2, Cooldown: 5 * time.Millisecond, DialTimeout: time.Second})
+	reg := metrics.NewRegistry()
+	w0.SetMetrics(reg)
 	if err := w0.Send(1, Message{Kind: StatsRequest}); err == nil {
 		t.Fatal("send before the peer exists should fail")
 	}
-	// The peer comes up on the reserved address; after the cooldown the
-	// breaker's half-open probe redials and delivery succeeds.
 	w1, err := NewTCPEndpoint(1, 1, []string{"127.0.0.1:0", addr})
 	if err != nil {
 		t.Skipf("could not rebind reserved port %s: %v", addr, err)
 	}
 	defer w1.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err = w0.Send(1, Message{Kind: StatsRequest, Round: 7}); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("send never recovered after peer came up: %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := w0.Send(1, Message{Kind: StatsRequest, Round: 7}); err != nil {
+		t.Fatalf("first send after the peer came up: %v", err)
 	}
 	select {
 	case m := <-w1.Inbox():
@@ -373,14 +338,15 @@ func TestTCPBreakerHalfOpenRecovers(t *testing.T) {
 			t.Fatalf("got %+v", m)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("recovered send never arrived")
+		t.Fatal("redialled send never arrived")
+	}
+	if got := reg.Snapshot().Counter("tcp.peer1.batch"); got != 1 {
+		t.Errorf("tcp.peer1.batch = %d, want 1: only the delivered send counts", got)
 	}
 }
 
 func TestTCPSendErrorKeepsOwnership(t *testing.T) {
 	w0, _ := deadPeer(t)
-	w0.SetRetry(RetryPolicy{Attempts: 1, Backoff: 100 * time.Microsecond,
-		BreakAfter: 100, Cooldown: time.Minute, DialTimeout: time.Second})
 	kvs := GetBatch(1)
 	kvs = append(kvs, KV{K: 5, V: 9})
 	msg := Message{Kind: Data, KVs: kvs}
