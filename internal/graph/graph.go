@@ -42,31 +42,42 @@ type Graph struct {
 // Edges referencing vertices outside [0,n) cause an error. When weighted
 // is false, per-edge weights are dropped.
 func FromEdges(n int, edges []Edge, weighted bool) (*Graph, error) {
+	return fromBlocks(n, [][]Edge{edges}, weighted)
+}
+
+// fromBlocks is FromEdges over the blocks laid end to end: one counting
+// sort by source, so a row lists its edges in block order.
+func fromBlocks(n int, blocks [][]Edge, weighted bool) (*Graph, error) {
 	if n < 0 || n > 1<<30 {
 		return nil, fmt.Errorf("graph: bad vertex count %d", n)
 	}
 	g := &Graph{n: int32(n), offsets: make([]int32, n+1)}
-	for _, e := range edges {
-		if e.Src < 0 || e.Src >= int32(n) || e.Dst < 0 || e.Dst >= int32(n) {
-			return nil, fmt.Errorf("graph: edge (%d,%d) outside [0,%d)", e.Src, e.Dst, n)
+	for _, edges := range blocks {
+		for _, e := range edges {
+			if e.Src < 0 || e.Src >= int32(n) || e.Dst < 0 || e.Dst >= int32(n) {
+				return nil, fmt.Errorf("graph: edge (%d,%d) outside [0,%d)", e.Src, e.Dst, n)
+			}
+			g.offsets[e.Src+1]++
 		}
-		g.offsets[e.Src+1]++
+		g.m += len(edges)
 	}
 	for i := 0; i < n; i++ {
 		g.offsets[i+1] += g.offsets[i]
 	}
-	g.m, g.targets = len(edges), make([]int32, len(edges))
+	g.targets = make([]int32, g.m)
 	if weighted {
-		g.weights = make([]float64, len(edges))
+		g.weights = make([]float64, g.m)
 	}
 	g.ends = slices.Clone(g.offsets[:n]) // each row's fill cursor, left at its end
-	for _, e := range edges {
-		pos := g.ends[e.Src]
-		g.targets[pos] = e.Dst
-		if weighted {
-			g.weights[pos] = e.W
+	for _, edges := range blocks {
+		for _, e := range edges {
+			pos := g.ends[e.Src]
+			g.targets[pos] = e.Dst
+			if weighted {
+				g.weights[pos] = e.W
+			}
+			g.ends[e.Src]++
 		}
-		g.ends[e.Src]++
 	}
 	return g, nil
 }
@@ -228,26 +239,28 @@ func (g *Graph) MaxDegree() int {
 // max id + 1 unless a larger n is given; a weight is anything
 // strconv.ParseFloat accepts except NaN, which no aggregate can order.
 //
-// The input is read a chunk at a time and parsed as bytes, so a load
-// allocates a few dozen times whatever the edge count and holds the edge
-// array, not the text (DESIGN.md, "The path in front of the fixpoint").
+// The input is read a chunk at a time and parsed as bytes into blocks of
+// edges, which FromEdges's counting sort then lays out as the CSR. So a
+// load holds the blocks (16 bytes an edge) and one chunk, never the text,
+// and allocates a few dozen times whatever the edge count (DESIGN.md,
+// "The path in front of the fixpoint").
 func LoadTSV(r io.Reader, n int, weighted bool) (*Graph, error) {
-	edges, maxID, err := readEdges(r, weighted)
+	blocks, maxID, err := readEdges(r, weighted)
 	if err != nil {
 		return nil, err
 	}
-	return FromEdges(max(n, int(maxID)+1), edges, weighted)
+	return fromBlocks(max(n, int(maxID)+1), blocks, weighted)
 }
 
 // chunkSize is how much text readEdges holds at a time (more, for a
 // longer line).
 var chunkSize = 1 << 20
 
-// readEdges parses the edge list r; maxID is the largest vertex id it
-// names, -1 if it names none. A read error is returned once the text
-// before it has parsed.
-func readEdges(r io.Reader, weighted bool) ([]Edge, int32, error) {
-	var edges []Edge
+// readEdges parses the edge list r into blocks of edges in file order;
+// maxID is the largest vertex id it names, -1 if it names none. A read
+// error is returned once the text before it has parsed.
+func readEdges(r io.Reader, weighted bool) ([][]Edge, int32, error) {
+	var blocks [][]Edge
 	buf, lineNo, maxID := make([]byte, 0, chunkSize), 1, int32(-1)
 	for {
 		k, rerr := io.ReadFull(r, buf[len(buf):cap(buf)])
@@ -259,17 +272,15 @@ func readEdges(r io.Reader, weighted bool) ([]Edge, int32, error) {
 				continue
 			}
 		}
-		var m int32
 		var err error
-		if edges, m, err = parseTSV(whole, weighted, lineNo, edges); err != nil {
+		if blocks, lineNo, maxID, err = parseTSV(whole, weighted, lineNo, maxID, blocks); err != nil {
 			return nil, 0, err
 		}
-		lineNo, maxID = lineNo+bytes.Count(whole, []byte{'\n'}), max(maxID, m)
 		switch rerr {
 		case nil:
 			buf = buf[:copy(buf, buf[len(whole):])]
 		case io.EOF, io.ErrUnexpectedEOF:
-			return edges, maxID, nil
+			return blocks, maxID, nil
 		default:
 			return nil, 0, rerr
 		}
@@ -277,21 +288,20 @@ func readEdges(r io.Reader, weighted bool) ([]Edge, int32, error) {
 }
 
 // parseTSV appends the edges of data, whole lines from lineNo on, to
-// edges. Text past 64 KB is cut at newlines into one part per processor,
-// parsed side by side into the stretches of the edge array that the
-// parts' line counts bound, and closed up in file order: the edges and
-// the error, if any, are those of one pass from the top.
-func parseTSV(data []byte, weighted bool, lineNo int, edges []Edge) ([]Edge, int32, error) {
+// blocks, and returns the number of the line after data. Text past 64 KB
+// is cut at newlines into one part per processor, and the parts parse
+// side by side, each into a block of its own; the blocks keep file order
+// and the first part with an error reports it, so the edges and the error
+// are those of one pass from the top.
+func parseTSV(data []byte, weighted bool, lineNo int, maxID int32, blocks [][]Edge) ([][]Edge, int, int32, error) {
 	type part struct {
 		text  []byte
-		at    int // where its edges go: the edges and lines before it
+		line  int // the number of its first line
 		edges []Edge
 		maxID int32
 		err   error
 	}
 	parts := make([]part, max(1, min(runtime.GOMAXPROCS(0), len(data)>>16)))
-	n := len(edges)
-	end := n
 	for k := range parts {
 		text := data
 		if at := len(data) / (len(parts) - k); k < len(parts)-1 {
@@ -299,89 +309,106 @@ func parseTSV(data []byte, weighted bool, lineNo int, edges []Edge) ([]Edge, int
 				text = data[:at+i+1]
 			}
 		}
-		parts[k], data = part{text: text, at: end}, data[len(text):]
-		end += bytes.Count(text, []byte{'\n'})
+		lines := bytes.Count(text, []byte{'\n'})
+		parts[k], data = part{text: text, line: lineNo, edges: make([]Edge, 0, min(lines+1, (len(text)+1)/4))}, data[len(text):]
+		lineNo += lines
 	}
-	end++ // a last line without its newline
-	edges = slices.Grow(edges, end-n)[:end]
 	var wg sync.WaitGroup
 	for k := range parts {
-		p, stop := &parts[k], end
-		if k < len(parts)-1 {
-			stop = parts[k+1].at
-		}
+		p := &parts[k]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.edges, p.maxID, p.err = parseLines(p.text, weighted, lineNo+p.at-n, edges[p.at:p.at:stop])
+			p.edges, p.maxID, p.err = parseLines(p.text, weighted, p.line, p.edges)
+			if len(p.edges) < cap(p.edges)/2 { // mostly blank or comment lines: keep the edges alone
+				p.edges = slices.Clone(p.edges)
+			}
 		}()
 	}
 	wg.Wait()
-	maxID := int32(-1)
 	for _, p := range parts {
 		if p.err != nil {
-			return nil, 0, p.err
+			return nil, 0, 0, p.err
 		}
-		n += copy(edges[n:], p.edges)
+		if len(p.edges) > 0 {
+			blocks = append(blocks, p.edges)
+		}
 		maxID = max(maxID, p.maxID)
 	}
-	return edges[:n], maxID, nil
+	return blocks, lineNo, maxID, nil
 }
 
 // parseLines appends the edges of text, which starts at line lineNo, to
-// edges.
+// edges. It reads a byte once: a field is converted as it is scanned, and
+// scanned again only to be quoted in an error.
 func parseLines(text []byte, weighted bool, lineNo int, edges []Edge) (_ []Edge, maxID int32, err error) {
 	maxID = -1
-	for ; len(text) > 0; lineNo++ {
-		line := text
-		if i := bytes.IndexByte(text, '\n'); i >= 0 {
-			line, text = text[:i], text[i+1:]
-		} else {
-			text = nil
-		}
-		src, line := nextField(line)
-		if len(src) == 0 || src[0] == '#' || src[0] == '%' {
-			continue
-		}
-		dst, line := nextField(line)
-		if len(dst) == 0 {
-			return nil, 0, fmt.Errorf("graph: line %d: need at least src and dst", lineNo)
-		}
-		e := Edge{W: 1}
-		var ok bool
-		if e.Src, ok = parseID(src); !ok {
-			return nil, 0, fmt.Errorf("graph: line %d: bad src %q", lineNo, src)
-		}
-		if e.Dst, ok = parseID(dst); !ok {
-			return nil, 0, fmt.Errorf("graph: line %d: bad dst %q", lineNo, dst)
-		}
-		if w, _ := nextField(line); weighted && len(w) > 0 {
-			if e.W, ok = parseWeight(w); !ok || e.W != e.W {
-				return nil, 0, fmt.Errorf("graph: line %d: bad weight %q", lineNo, w)
+	for i := 0; i < len(text); lineNo++ {
+		if !graphic(text[i]) {
+			if i = skipSpace(text, i); i == len(text) {
+				break
 			}
 		}
+		if c := text[i]; c == '\n' || c == '#' || c == '%' { // no field, or a comment
+			i = lineEnd(text, i)
+			continue
+		}
+		e, srcAt := Edge{W: 1}, i
+		var srcOK, ok bool
+		if e.Src, i, srcOK = parseID(text, i); i == len(text) || text[i] == '\n' {
+			return nil, 0, fmt.Errorf("graph: line %d: need at least src and dst", lineNo)
+		}
+		if !srcOK {
+			return nil, 0, fmt.Errorf("graph: line %d: bad src %q", lineNo, text[srcAt:fieldEnd(text, srcAt)])
+		}
+		dstAt := i
+		if e.Dst, i, ok = parseID(text, i); !ok {
+			return nil, 0, fmt.Errorf("graph: line %d: bad dst %q", lineNo, text[dstAt:fieldEnd(text, dstAt)])
+		}
+		if at := i; weighted && at < len(text) && text[at] != '\n' {
+			if e.W, i, ok = parseWeight(text, at); !ok || e.W != e.W {
+				return nil, 0, fmt.Errorf("graph: line %d: bad weight %q", lineNo, text[at:fieldEnd(text, at)])
+			}
+		}
+		i = lineEnd(text, i)
 		edges = append(edges, e)
 		maxID = max(maxID, e.Src, e.Dst)
 	}
 	return edges, maxID, nil
 }
 
-// nextField returns the first white-space-delimited field of s (empty if
-// there is none) and what follows it.
-func nextField(s []byte) (field, rest []byte) {
-	lo := 0
-	for lo < len(s) && !graphic(s[lo]) {
-		width := spaceAt(s[lo:])
+// skipSpace returns the index of the first byte at or after i that is a
+// newline or starts no white-space rune, len(s) if there is none.
+func skipSpace(s []byte, i int) int {
+	for i < len(s) && s[i] != '\n' {
+		width := spaceAt(s[i:])
 		if width == 0 {
 			break
 		}
-		lo += width
+		i += width
 	}
-	hi := lo
-	for hi < len(s) && (graphic(s[hi]) || spaceAt(s[hi:]) == 0) {
-		hi++ // byte by byte: no byte inside a rune starts a white-space rune
+	return i
+}
+
+// fieldEnd returns the index of the first byte at or after i that starts
+// a white-space rune, len(s) if there is none.
+func fieldEnd(s []byte, i int) int {
+	for i < len(s) && (graphic(s[i]) || spaceAt(s[i:]) == 0) {
+		i++ // byte by byte: no byte inside a rune starts a white-space rune
 	}
-	return s[lo:hi], s[hi:]
+	return i
+}
+
+// lineEnd returns the index past the newline that ends the line i is in,
+// len(s) if there is none.
+func lineEnd(s []byte, i int) int {
+	if i < len(s) && s[i] == '\n' {
+		return i + 1
+	}
+	if j := bytes.IndexByte(s[i:], '\n'); j >= 0 {
+		return i + j + 1
+	}
+	return len(s)
 }
 
 // graphic reports whether c is a printing ASCII character other than the
@@ -392,75 +419,100 @@ func graphic(c byte) bool { return c-'!' < utf8.RuneSelf-'!' }
 // it starts with anything else.
 func spaceAt(s []byte) int {
 	if c := s[0]; c < utf8.RuneSelf {
-		if c == ' ' || c-'\t' < 5 {
-			return 1
-		}
-		return 0
+		return int(asciiSpace[c])
 	}
+	return wideSpaceAt(s)
+}
+
+// asciiSpace is 1 at the ASCII white-space bytes: a lookup keeps
+// spaceAt small enough to inline into the field scans.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// wideSpaceAt is spaceAt past ASCII.
+func wideSpaceAt(s []byte) int {
 	if r, width := utf8.DecodeRune(s); unicode.IsSpace(r) {
 		return width
 	}
 	return 0
 }
 
-// parseID is strconv.ParseInt(f, 10, 32): an optional sign and decimal
-// digits, in the int32 range.
-func parseID(f []byte) (int32, bool) {
-	neg := false
-	if len(f) > 0 && (f[0] == '+' || f[0] == '-') {
-		neg, f = f[0] == '-', f[1:]
+// parseID reads the field at s[i:] as strconv.ParseInt(f, 10, 32) would:
+// an optional sign and decimal digits, in the int32 range. next is where
+// the white space after the field ends, whether or not it parsed; the
+// white space is skipped here, as skipSpace would, because a call per
+// field costs a tenth of a parse.
+func parseID(s []byte, i int) (id int32, next int, ok bool) {
+	neg := s[i] == '-'
+	if neg || s[i] == '+' {
+		i++
 	}
-	if len(f) == 0 {
-		return 0, false
-	}
-	v := int64(0)
-	for _, c := range f {
-		if c -= '0'; c > 9 || v > math.MaxInt32 {
-			return 0, false
+	v, digits := int64(0), i
+	for ; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			break
 		}
-		v = v*10 + int64(c)
+		if v <= math.MaxInt32 {
+			v = v*10 + int64(c)
+		}
 	}
 	if neg {
 		v = -v
 	}
-	return int32(v), v >= math.MinInt32 && v <= math.MaxInt32
+	ok = i > digits && v >= math.MinInt32 && v <= math.MaxInt32
+	if i < len(s) && spaceAt(s[i:]) == 0 { // the field goes on past its digits
+		i, ok = fieldEnd(s, i), false
+	}
+	for i < len(s) && s[i] != '\n' {
+		width := spaceAt(s[i:])
+		if width == 0 {
+			break
+		}
+		i += width
+	}
+	return int32(v), i, ok
 }
 
-// parseWeight is strconv.ParseFloat(f, 64). A plain decimal — an
-// optional sign, digits, at most one point — whose digits make an
-// integer below 2^53 with at most 22 of them after the point is converted
-// here: the integer and the power of ten are exact float64s, so the one
+// parseWeight reads the field at s[i:] as strconv.ParseFloat(f, 64)
+// would; end is where the field ends. A plain decimal — an optional sign,
+// digits, at most one point — whose digits make an integer below 2^53
+// with at most 22 of them after the point is converted as it is scanned:
+// the integer and the power of ten are exact float64s, so the one
 // division rounds once, to the float64 nearest the decimal's value
 // (Clinger); strconv takes the same shortcut first. Anything else — more
 // digits, an exponent, Inf, hex, a malformed field — is strconv's to
-// decide.
-func parseWeight(f []byte) (float64, bool) {
-	i, mant, digits, frac, point := 0, uint64(0), 0, 0, false
-	if f[0] == '+' || f[0] == '-' {
-		i = 1
+// decide, once the field's end is found.
+func parseWeight(s []byte, i int) (w float64, end int, ok bool) {
+	at, mant, digits, frac, point := i, uint64(0), 0, 0, false
+	if s[i] == '+' || s[i] == '-' {
+		i++
 	}
-	for ; i < len(f); i++ {
-		if c := f[i] - '0'; c <= 9 && mant < 1<<53 {
-			mant = mant*10 + uint64(c)
+	for ; i < len(s); i++ {
+		if c := s[i] - '0'; c <= 9 {
+			if mant < 1<<53 {
+				mant = mant*10 + uint64(c)
+			}
 			digits++
 			if point {
 				frac++
 			}
-		} else if f[i] == '.' && !point {
+		} else if s[i] == '.' && !point {
 			point = true
 		} else {
 			break
 		}
 	}
-	if i == len(f) && digits > 0 && mant < 1<<53 && frac <= 22 {
-		v := float64(mant) / math.Pow10(frac)
-		if f[0] == '-' {
-			v = -v
+	if i < len(s) && spaceAt(s[i:]) == 0 {
+		i = fieldEnd(s, i)
+	} else if digits > 0 && mant < 1<<53 && frac <= 22 {
+		w = float64(mant) / math.Pow10(frac)
+		if s[at] == '-' {
+			w = -w
 		}
-		return v, true
+		return w, i, true
 	}
-	v, err := strconv.ParseFloat(string(f), 64)
-	return v, err == nil
+	w, err := strconv.ParseFloat(string(s[at:i]), 64)
+	return w, i, err == nil
 }
 
 // WriteTSV writes the edge list in LoadTSV's format, a weight as %g

@@ -411,7 +411,78 @@ func TestLoadTSVMatchesOracle(t *testing.T) {
 			text.Reset()
 		}
 	}
+	// Weights either side of the exact path: 17 and 19 significant digits,
+	// mantissas either side of 2^53 with the point anywhere, and 22 or 23
+	// digits after the point.
+	for i := 0; i < 8000; i++ {
+		w := 1 + 99*rng.Float64()
+		var field string
+		switch i % 4 {
+		case 0:
+			field = fmt.Sprintf("%.17g", w)
+		case 1:
+			field = fmt.Sprintf("%.19g", w)
+		case 2:
+			m := strconv.FormatUint(1<<53-1000+uint64(rng.Intn(2000)), 10)
+			at := rng.Intn(len(m) + 1)
+			field = m[:at] + "." + m[at:]
+		case 3:
+			field = fmt.Sprintf("0.%0*d", 22+rng.Intn(2), rng.Int63n(1e15))
+		}
+		fmt.Fprintf(&text, "%d\t%d\t%s\n", rng.Intn(500), rng.Intn(500), field)
+	}
 	sameLoad(t, text.Bytes(), 0, true)
+	// 10-digit ids after the whole stream: 2^31−1 parses (and is refused
+	// as a vertex count), 2^31 is a bad id on the stream's last line.
+	for _, line := range []string{"2147483647\t0\t1\n", "0\t2147483648\t1\n"} {
+		sameLoad(t, append(slices.Clone(text.Bytes()), line...), 0, true)
+	}
+}
+
+// TestLoadTSVAllocFollowsEdges: a load allocates the CSR's arrays, one
+// 16-byte block entry an edge and its chunk buffer — no grown edge array
+// and no close-up copy — and text of blank lines costs a few bytes a
+// byte, not a block entry a line.
+func TestLoadTSVAllocFollowsEdges(t *testing.T) {
+	allocated := func(text []byte, weighted bool) (uint64, *Graph) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := LoadTSV(bytes.NewReader(text), 0, weighted)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, g
+	}
+	for _, weighted := range []bool{false, true} {
+		var text bytes.Buffer
+		if err := mustGraph(t, 1<<14, rmatEdges(14, 171000, 100, 1), weighted).WriteTSV(&text); err != nil {
+			t.Fatal(err)
+		}
+		got, g := allocated(text.Bytes(), weighted)
+		n, m := g.NumVertices(), g.NumEdges()
+		arrays := 4*(2*n+1) + 4*m
+		if weighted {
+			arrays += 8 * m
+		}
+		if limit := arrays + 16*m + 2*chunkSize + 64<<10; got > uint64(limit) {
+			t.Errorf("weighted=%v: a load of %d edges allocated %d B, want at most %d (arrays %d + 16 B an edge + two chunks + 64 KB)",
+				weighted, m, got, limit, arrays)
+		}
+	}
+	// Chunks of newlines with one edge each: a block sized by its newline
+	// count would allocate 16 B a newline.
+	defer func(size int) { chunkSize = size }(chunkSize)
+	chunkSize = 256
+	var text bytes.Buffer
+	for k := 0; k < 2000; k++ {
+		line := fmt.Sprintf("%d %d\n", k%100, (k+7)%100)
+		text.WriteString(line + strings.Repeat("\n", chunkSize-len(line)))
+	}
+	if got, _ := allocated(text.Bytes(), false); got > 8*uint64(text.Len()) {
+		t.Errorf("%d B of blank lines and 2000 edges allocated %d B, want at most 8 B a byte of text", text.Len(), got)
+	}
 }
 
 // TestLoadTSVParts: the text is read in chunks, and a chunk past 64 KB is
@@ -492,7 +563,8 @@ func FuzzLoadTSV(f *testing.F) {
 		// Compare the parse alone first: an id the fuzzer grows into the
 		// millions is a CSR of that many vertices, twice.
 		want, n, wantErr := oracleParseTSV(bytes.NewReader(text), 0, weighted)
-		got, maxID, err := readEdges(bytes.NewReader(text), weighted)
+		blocks, maxID, err := readEdges(bytes.NewReader(text), weighted)
+		got := slices.Concat(blocks...)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("readEdges(%q, %v): error %v, oracle %v", text, weighted, err, wantErr)
 		}

@@ -393,11 +393,16 @@ func (s *Session) finishEpoch(start time.Time) (*Result, error) {
 // fence's ack collect gives happens-before edges covering every counter
 // and table write).
 func (s *Session) collect(elapsed time.Duration) *Result {
-	// An epoch rarely changes how many keys hold a value: size the map
-	// from the last published result instead of growing it from empty.
+	// Size the map instead of growing it from empty: an epoch rarely
+	// changes how many keys hold a value, and a fleet's first collect
+	// counts the shards' rows.
 	size := 0
 	if prev := s.Result(); prev != nil {
 		size = len(prev.Values)
+	} else {
+		for _, w := range s.workers {
+			size += w.table.Len()
+		}
 	}
 	res := &Result{
 		Values:    make(map[int64]float64, size),
