@@ -157,7 +157,7 @@ type RunConfig struct {
 
 	// Faults is a fault-injection spec (fault.ParseSpec syntax, e.g.
 	// "seed=42,sendfail=0.1,stall=5:300us") applied to every engine run;
-	// empty disables injection. The recovery experiments set it per run.
+	// empty disables injection. The rejoin experiment sets it per run.
 	Faults string
 
 	// Smoke swaps every Table-2 stand-in for gen.TinyDatasets — seconds

@@ -275,32 +275,6 @@ func TestRunModeFaultsTiny(t *testing.T) {
 	}
 }
 
-func TestRecoveryExperimentTiny(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := fastCfg()
-	cfg.Smoke = true
-	ms, err := Recovery(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 algorithms x 3 modes x (clean + 2 cut periods x (checkpointed +
-	// 2 crash points x {crashed, restored})).
-	if len(ms) != 66 {
-		t.Fatalf("expected 66 measurements, got %d", len(ms))
-	}
-	for _, m := range ms {
-		if strings.HasSuffix(m.Series, "/crashed") {
-			continue // aborted by the injected master crash (or beat it)
-		}
-		if !m.Converged {
-			t.Errorf("%s %s did not converge", m.Algo, m.Series)
-		}
-	}
-	if !strings.Contains(buf.String(), "refixpoint=") {
-		t.Errorf("report missing time-to-refixpoint:\n%s", buf.String())
-	}
-}
-
 func TestBetaFinalSurfaced(t *testing.T) {
 	// The unified mode on a combining aggregate must surface a β value;
 	// a selective one must not.

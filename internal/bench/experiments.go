@@ -86,7 +86,7 @@ var (
 )
 
 // table is every experiment plbench can regenerate. "ablation", "ssp",
-// "extra", "recovery", "rejoin" and "policymetrics" are not paper figures:
+// "extra", "rejoin" and "policymetrics" are not paper figures:
 // they cover this implementation's own additions.
 var table = []experiment{
 	{id: "table1", run: func(w io.Writer, _ RunConfig) ([]Measurement, error) { return nil, Table1(w) }},
@@ -137,7 +137,6 @@ var table = []experiment{
 		edit: func(c *RunConfig) { c.PerfectNetwork = true }, grids: []grid{
 			{algos: extraAlgos(), datasets: []string{""}, series: modes(runtime.MRASync, runtime.MRASyncAsync), prepare: prepareExtra},
 		}},
-	{id: "recovery", title: "Recovery: what the checkpoint episodes cost a clean run, and the re-fixpoint of crashes at 50% and 90% of it", run: Recovery},
 	{id: "rejoin", title: "Rejoin: crashed worker re-joins live vs restart-the-world", run: Rejoin},
 	// One selective workload (SSSP, whose plan draws the bucket schedule)
 	// and one combining workload (PageRank under the §5.4 threshold — a

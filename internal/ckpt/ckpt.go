@@ -1,17 +1,15 @@
 // Package ckpt serialises MonoTable shard state for fault tolerance —
 // the local-filesystem substitute for the original system's HDFS
 // checkpoints. A snapshot stores each row's Accumulation and pending
-// Intermediate plus a Meta header. Every checkpoint is a consistent cut
-// (no messages in flight across it), named by one stamp (MutEpoch, n):
-// the mutation-log position it incorporates and the cut's number within
-// that position — 0 for a session's park cut, the superstep or snapshot
-// episode for a cut taken inside a fixpoint. The binary format is
-// length-prefixed little-endian with a CRC32 trailer, so a torn or
-// corrupted file is detected and refused rather than silently restored.
-// Shard files carry both stamp parts in their names and are written
-// atomically (temp file + fsync + rename + directory fsync), and each
-// worker keeps its two newest stamps — a crash leaving the newest cut
-// incomplete falls back to the previous complete one.
+// Intermediate plus a Meta header. Every checkpoint is a session's park
+// cut: a consistent cut (no messages in flight across it) taken at an
+// Apply, stamped with the mutation-log position it incorporates. The
+// binary format is length-prefixed little-endian with a CRC32 trailer,
+// so a torn or corrupted file is detected and refused rather than
+// silently restored. Shard files carry the stamp in their names and are
+// written atomically (temp file + fsync + rename + directory fsync), and
+// each worker keeps its two newest stamps — a crash leaving the newest
+// cut incomplete falls back to the previous complete one.
 package ckpt
 
 import (
@@ -35,18 +33,13 @@ type Row struct {
 	Inter float64 // pending intermediate delta (identity if none)
 }
 
-// Meta describes one shard snapshot. (MutEpoch, Epoch) is the cut's
-// stamp; stamps order lexicographically, and within a session each cut's
-// stamp is above every earlier one.
+// Meta describes one shard snapshot. MutEpoch is the cut's stamp.
 type Meta struct {
-	// MutEpoch is the mutation-log position the snapshot incorporates: 0
-	// for a one-shot run or a session's initial fixpoint, k after the
-	// k-th Apply. A restore replays the log entries after MutEpoch.
+	// MutEpoch is the mutation-log position the snapshot incorporates: k
+	// for the park cut of a session's k-th Apply, written with the
+	// mutation applied and its fixpoint pending. A restore replays the log
+	// entries after MutEpoch.
 	MutEpoch int
-	// Epoch numbers the cut within MutEpoch: 0 for the park cut after the
-	// mutation, the superstep (BSP) or snapshot episode (≥ 1) for a cut
-	// inside the fixpoint.
-	Epoch int
 	// Worker is the writing worker's id (-1 on a LoadAll result, which
 	// merges shards).
 	Worker int
@@ -55,12 +48,7 @@ type Meta struct {
 	Workers int
 }
 
-// newer reports whether m's stamp orders after o's.
-func (m Meta) newer(o Meta) bool {
-	return m.MutEpoch > o.MutEpoch || m.MutEpoch == o.MutEpoch && m.Epoch > o.Epoch
-}
-
-const magic = "PLCK\x04"
+const magic = "PLCK\x05"
 
 // Write serialises rows with their Meta header to w.
 func Write(w io.Writer, meta Meta, rows []Row) error {
@@ -75,7 +63,7 @@ func Write(w io.Writer, meta Meta, rows []Row) error {
 		_, err := mw.Write(buf[:])
 		return err
 	}
-	for _, v := range []uint64{uint64(meta.MutEpoch), uint64(meta.Epoch), uint64(meta.Worker), uint64(meta.Workers)} {
+	for _, v := range []uint64{uint64(meta.MutEpoch), uint64(meta.Worker), uint64(meta.Workers)} {
 		if err := put(v); err != nil {
 			return err
 		}
@@ -118,7 +106,7 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	var hdr [4]uint64
+	var hdr [3]uint64
 	for i := range hdr {
 		v, err := get()
 		if err != nil {
@@ -126,7 +114,7 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		hdr[i] = v
 	}
-	meta = Meta{MutEpoch: int(hdr[0]), Epoch: int(hdr[1]), Worker: int(int64(hdr[2])), Workers: int(hdr[3])}
+	meta = Meta{MutEpoch: int(hdr[0]), Worker: int(int64(hdr[1])), Workers: int(hdr[2])}
 	n, err := get()
 	if err != nil {
 		return nil, meta, fmt.Errorf("ckpt: bad count: %w", err)
@@ -161,15 +149,14 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 	return rows, meta, nil
 }
 
-// ShardPath names one worker's shard of the cut (mutEpoch, epoch) inside
-// dir.
-func ShardPath(dir string, mutEpoch, epoch, worker int) string {
-	return filepath.Join(dir, fmt.Sprintf("ep%06d-%06d-shard-%03d.plck", mutEpoch, epoch, worker))
+// ShardPath names one worker's shard of the cut mutEpoch inside dir.
+func ShardPath(dir string, mutEpoch, worker int) string {
+	return filepath.Join(dir, fmt.Sprintf("ep%06d-shard-%03d.plck", mutEpoch, worker))
 }
 
 // parseShardName inverts ShardPath on a base filename.
 func parseShardName(name string) (meta Meta, ok bool) {
-	_, err := fmt.Sscanf(name, "ep%d-%d-shard-%d.plck", &meta.MutEpoch, &meta.Epoch, &meta.Worker)
+	_, err := fmt.Sscanf(name, "ep%d-shard-%d.plck", &meta.MutEpoch, &meta.Worker)
 	return meta, err == nil
 }
 
@@ -189,7 +176,7 @@ func SaveShard(dir string, meta Meta, rows []Row) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := ShardPath(dir, meta.MutEpoch, meta.Epoch, meta.Worker)
+	path := ShardPath(dir, meta.MutEpoch, meta.Worker)
 	tmp, err := os.CreateTemp(dir, "shard-*.tmp")
 	if err != nil {
 		return err
@@ -292,7 +279,7 @@ func pruneShards(dir string, worker int) {
 			stamps[m] = meta
 		}
 	}
-	sort.Slice(matches, func(i, j int) bool { return stamps[matches[i]].newer(stamps[matches[j]]) })
+	sort.Slice(matches, func(i, j int) bool { return stamps[matches[i]].MutEpoch > stamps[matches[j]].MutEpoch })
 	for _, m := range matches[keepCuts:] {
 		if _, ok := stamps[m]; ok {
 			_ = os.Remove(m)
@@ -300,29 +287,38 @@ func pruneShards(dir string, worker int) {
 	}
 }
 
+// ErrNoCut is LoadAll's error for a directory that holds no shard at all:
+// nothing was ever checkpointed there.
+var ErrNoCut = errors.New("ckpt: no snapshots")
+
 // MissingShardError reports an incomplete snapshot set: the directory
-// holds shards, but no stamp has a shard from every worker recorded in
-// the headers.
+// holds shards, but no cut has a shard from every worker of the fleet
+// that wrote it.
 type MissingShardError struct {
-	Dir             string
-	MutEpoch, Epoch int   // the newest stamp examined
-	Workers         int   // fleet size recorded in the shard headers
-	Missing         []int // worker ids with no shard of that stamp
+	Dir      string
+	MutEpoch int   // the newest stamp examined
+	Workers  int   // the fleet size its shards record
+	Missing  []int // worker ids with no shard of that cut
 }
 
 func (e *MissingShardError) Error() string {
-	return fmt.Sprintf("ckpt: snapshot in %s is incomplete: cut (%d, %d) needs %d workers, missing shards for %v",
-		e.Dir, e.MutEpoch, e.Epoch, e.Workers, e.Missing)
+	return fmt.Sprintf("ckpt: snapshot in %s is incomplete: cut %d needs %d workers, missing shards for %v",
+		e.Dir, e.MutEpoch, e.Workers, e.Missing)
 }
 
-// LoadAll assembles the newest complete cut in dir — the highest stamp
-// (MutEpoch, Epoch) with a shard from every worker — and returns its rows
-// plus a Meta describing it (Worker = -1). An incomplete newest cut
-// (a crash mid-cut) falls back to its predecessor. Any unreadable or
-// checksum-failing shard file aborts the load: SaveShard never leaves a
-// torn file behind, so corruption here is external damage and must be
-// surfaced, not silently skipped. A directory with no complete cut
-// yields a *MissingShardError.
+// LoadAll assembles the newest complete cut in dir and returns its rows
+// plus a Meta describing it (Worker = -1). A cut is the shards of one
+// stamp that record one fleet size; it is complete with a shard from
+// every worker of that fleet. Fleets of different sizes may share a
+// directory — a session restored at another size writes the cuts after
+// the one it restored from — so a fleet's stale shards of a stamp never
+// complete another fleet's cut of it, and an incomplete newest cut (a
+// crash mid-cut) falls back to the newest complete one, whatever its
+// size. Any unreadable or checksum-failing shard file aborts the load:
+// SaveShard never leaves a torn file behind, so corruption here is
+// external damage and must be surfaced, not silently skipped. A
+// directory with no shard yields ErrNoCut; one with shards but no
+// complete cut, a *MissingShardError.
 func LoadAll(dir string) ([]Row, Meta, error) {
 	// The lease pins the directory contents: concurrent SaveShard calls
 	// keep landing new cuts but defer pruning, so everything the glob
@@ -336,9 +332,8 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	// stamp (a Meta holding only MutEpoch and Epoch) → worker → rows
-	byStamp := map[Meta]map[int][]Row{}
-	workers := 0
+	// cut (a Meta holding only MutEpoch and Workers) → worker → rows
+	cuts := map[Meta]map[int][]Row{}
 	for _, m := range matches {
 		f, err := os.Open(m)
 		if errors.Is(err, os.ErrNotExist) {
@@ -355,41 +350,40 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 		if err != nil {
 			return nil, Meta{}, fmt.Errorf("%s: %w", m, err)
 		}
-		if named, ok := parseShardName(filepath.Base(m)); !ok || named != (Meta{MutEpoch: meta.MutEpoch, Epoch: meta.Epoch, Worker: meta.Worker}) {
-			return nil, Meta{}, fmt.Errorf("ckpt: %s: filename disagrees with header %+v", m, meta)
+		if named, ok := parseShardName(filepath.Base(m)); !ok || named != (Meta{MutEpoch: meta.MutEpoch, Worker: meta.Worker}) || meta.Worker >= meta.Workers {
+			return nil, Meta{}, fmt.Errorf("ckpt: %s: header %+v disagrees with the filename or names a worker outside its fleet", m, meta)
 		}
-		if len(byStamp) == 0 {
-			workers = meta.Workers
-		} else if meta.Workers != workers {
-			return nil, Meta{}, fmt.Errorf("ckpt: %s: mixed fleet sizes in %s (%d/%d workers)", m, dir, meta.Workers, workers)
+		c := Meta{MutEpoch: meta.MutEpoch, Workers: meta.Workers}
+		if cuts[c] == nil {
+			cuts[c] = map[int][]Row{}
 		}
-		stamp := Meta{MutEpoch: meta.MutEpoch, Epoch: meta.Epoch}
-		if byStamp[stamp] == nil {
-			byStamp[stamp] = map[int][]Row{}
-		}
-		byStamp[stamp][meta.Worker] = rows
+		cuts[c][meta.Worker] = rows
 	}
-	if len(byStamp) == 0 {
-		return nil, Meta{}, fmt.Errorf("ckpt: no snapshots in %s", dir)
+	if len(cuts) == 0 {
+		return nil, Meta{}, fmt.Errorf("%w in %s", ErrNoCut, dir)
 	}
-	stamps := make([]Meta, 0, len(byStamp))
-	for s := range byStamp {
-		stamps = append(stamps, s)
+	order := make([]Meta, 0, len(cuts))
+	for c := range cuts {
+		order = append(order, c)
 	}
-	sort.Slice(stamps, func(i, j int) bool { return stamps[i].newer(stamps[j]) })
-	for _, s := range stamps {
-		if len(byStamp[s]) == workers {
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		return a.MutEpoch > b.MutEpoch || a.MutEpoch == b.MutEpoch && a.Workers > b.Workers
+	})
+	for _, c := range order {
+		if len(cuts[c]) == c.Workers {
 			var all []Row
-			for _, rows := range byStamp[s] {
+			for _, rows := range cuts[c] {
 				all = append(all, rows...)
 			}
-			s.Worker, s.Workers = -1, workers
-			return all, s, nil
+			c.Worker = -1
+			return all, c, nil
 		}
 	}
-	miss := &MissingShardError{Dir: dir, MutEpoch: stamps[0].MutEpoch, Epoch: stamps[0].Epoch, Workers: workers}
-	for wk := 0; wk < workers; wk++ {
-		if _, ok := byStamp[stamps[0]][wk]; !ok {
+	newest := order[0]
+	miss := &MissingShardError{Dir: dir, MutEpoch: newest.MutEpoch, Workers: newest.Workers}
+	for wk := 0; wk < newest.Workers; wk++ {
+		if _, ok := cuts[newest][wk]; !ok {
 			miss.Missing = append(miss.Missing, wk)
 		}
 	}

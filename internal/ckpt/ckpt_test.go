@@ -11,13 +11,8 @@ import (
 	"testing/quick"
 )
 
-func cutMeta(epoch, worker, workers int) Meta {
-	return Meta{Epoch: epoch, Worker: worker, Workers: workers}
-}
-
-// stampMeta is cutMeta for the stamp (mutEpoch, epoch).
-func stampMeta(mutEpoch, epoch, worker, workers int) Meta {
-	return Meta{MutEpoch: mutEpoch, Epoch: epoch, Worker: worker, Workers: workers}
+func cutMeta(mutEpoch, worker, workers int) Meta {
+	return Meta{MutEpoch: mutEpoch, Worker: worker, Workers: workers}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -26,7 +21,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		{Key: 42, Acc: -3, Inter: 0.25},
 		{Key: 1<<40 + 7, Acc: 0, Inter: 0},
 	}
-	meta := Meta{MutEpoch: 3, Epoch: 7, Worker: 2, Workers: 5}
+	meta := Meta{MutEpoch: 3, Worker: 2, Workers: 5}
 	var buf bytes.Buffer
 	if err := Write(&buf, meta, rows); err != nil {
 		t.Fatal(err)
@@ -79,11 +74,14 @@ func TestReadDetectsCorruption(t *testing.T) {
 	}
 
 	// Bad magic: an older format differs in the version byte alone (v3
-	// has a kind flag and no reader any more).
-	bad = append([]byte(nil), data...)
-	bad[len(magic)-1] = 3
-	if _, _, err := Read(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic should fail")
+	// has a kind flag, v4 a second stamp word, and neither a reader any
+	// more).
+	for _, v := range []byte{3, 4} {
+		bad = append([]byte(nil), data...)
+		bad[len(magic)-1] = v
+		if _, _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Errorf("bad magic (v%d) should fail", v)
+		}
 	}
 }
 
@@ -94,7 +92,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range rows {
 			rows[i] = Row{Key: rng.Int63(), Acc: rng.NormFloat64(), Inter: rng.NormFloat64()}
 		}
-		meta := Meta{MutEpoch: rng.Intn(1 << 20), Epoch: rng.Intn(1 << 20), Worker: rng.Intn(64), Workers: 64}
+		meta := Meta{MutEpoch: rng.Intn(1 << 20), Worker: rng.Intn(64), Workers: 64}
 		var buf bytes.Buffer
 		if err := Write(&buf, meta, rows); err != nil {
 			return false
@@ -127,7 +125,7 @@ func TestSaveLoadShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 2 || meta.Epoch != 1 || meta.Workers != 2 {
+	if len(all) != 2 || meta.MutEpoch != 1 || meta.Workers != 2 {
 		t.Fatalf("rows = %v meta = %+v", all, meta)
 	}
 	// A newer complete epoch supersedes the old one.
@@ -145,7 +143,7 @@ func TestSaveLoadShards(t *testing.T) {
 	for _, r := range all {
 		keys[r.Key] = true
 	}
-	if !keys[9] || !keys[8] || keys[0] || meta.Epoch != 2 {
+	if !keys[9] || !keys[8] || keys[0] || meta.MutEpoch != 2 {
 		t.Errorf("epoch 2 not selected: rows %v meta %+v", all, meta)
 	}
 	// No leftover temp files.
@@ -155,8 +153,8 @@ func TestSaveLoadShards(t *testing.T) {
 	}
 }
 
-// TestIncompleteEpochFallsBack models a crash mid-episode: worker 0
-// finished epoch 3, worker 1 did not. The restore must come from the
+// TestIncompleteEpochFallsBack models a crash mid-cut: worker 0
+// finished cut 3, worker 1 did not. The restore must come from the
 // last complete epoch, not mix epochs of a consistent cut.
 func TestIncompleteEpochFallsBack(t *testing.T) {
 	dir := t.TempDir()
@@ -172,8 +170,8 @@ func TestIncompleteEpochFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != 2 {
-		t.Fatalf("expected fallback to epoch 2, got %+v", meta)
+	if meta.MutEpoch != 2 {
+		t.Fatalf("expected fallback to cut 2, got %+v", meta)
 	}
 	for _, r := range all {
 		if r.Key == 100 {
@@ -204,7 +202,7 @@ func TestCrashMidWriteLeavesPreviousReadable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("previous snapshot unreadable after simulated crash: %v", err)
 	}
-	if len(all) != 1 || all[0].Key != 5 || meta.Epoch != 1 {
+	if len(all) != 1 || all[0].Key != 5 || meta.MutEpoch != 1 {
 		t.Fatalf("restored wrong state: %v %+v", all, meta)
 	}
 }
@@ -218,7 +216,7 @@ func TestTornShardRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := ShardPath(dir, 0, 1, 1)
+	path := ShardPath(dir, 1, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +230,8 @@ func TestTornShardRefused(t *testing.T) {
 }
 
 func TestLoadAllMissing(t *testing.T) {
-	if _, _, err := LoadAll(t.TempDir()); err == nil {
-		t.Error("empty dir should error")
+	if _, _, err := LoadAll(t.TempDir()); !errors.Is(err, ErrNoCut) {
+		t.Errorf("empty dir: err = %v, want ErrNoCut", err)
 	}
 }
 
@@ -255,18 +253,20 @@ func TestLoadAllReportsMissingShard(t *testing.T) {
 	}
 }
 
-// TestLoadAllParkCutBeatsOlderEpoch: stamps order by mutation epoch
-// first, so the park cut (2, 0) after the second Apply is newer than the
-// last superstep (1, 57) of the fixpoint before it.
+// TestLoadAllParkCutBeatsOlderEpoch: the newest complete cut wins
+// whatever fleet wrote each. A 4-worker session's cut 1 is followed by
+// the cut 2 of a session restored from it at 2 workers: workers 2 and
+// 3's shards of cut 1 stay behind (nobody with their ids prunes), and
+// must neither fail the load nor shadow cut 2.
 func TestLoadAllParkCutBeatsOlderEpoch(t *testing.T) {
 	dir := t.TempDir()
-	for wk := 0; wk < 2; wk++ {
-		if err := SaveShard(dir, stampMeta(1, 57, wk, 2), []Row{{Key: int64(wk), Acc: 1, Inter: 0}}); err != nil {
+	for wk := 0; wk < 4; wk++ {
+		if err := SaveShard(dir, cutMeta(1, wk, 4), []Row{{Key: int64(wk), Acc: 1, Inter: 0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for wk := 0; wk < 2; wk++ {
-		if err := SaveShard(dir, stampMeta(2, 0, wk, 2), []Row{{Key: int64(10 + wk), Acc: 2, Inter: 0}}); err != nil {
+		if err := SaveShard(dir, cutMeta(2, wk, 2), []Row{{Key: int64(10 + wk), Acc: 2, Inter: 0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,49 +278,57 @@ func TestLoadAllParkCutBeatsOlderEpoch(t *testing.T) {
 	for _, r := range all {
 		keys[r.Key] = true
 	}
-	if !keys[10] || !keys[11] || keys[0] || keys[1] || meta.MutEpoch != 2 || meta.Epoch != 0 {
-		t.Errorf("park cut (2, 0) not selected: rows %v meta %+v", all, meta)
+	if len(all) != 2 || !keys[10] || !keys[11] || meta.MutEpoch != 2 || meta.Workers != 2 {
+		t.Errorf("cut 2 of the 2-worker fleet not selected: rows %v meta %+v", all, meta)
 	}
 }
 
-// TestLoadAllIncompleteFallsBackToParkCut models a crash inside the
-// fixpoint after an Apply: worker 0 wrote its shard of the cut (2, 3),
-// worker 1 did not. The restore must come from the park cut (2, 0).
+// TestLoadAllIncompleteFallsBackToParkCut: shards of one stamp written
+// by fleets of two sizes never complete each other's cut. A 4-worker
+// session completes cut 1 and dies writing cut 2 after worker 1's shard;
+// a session restored from cut 1 at 2 workers dies writing its own cut 2
+// after worker 0's. Stamp 2 then holds shards 0 and 1 — as many as the
+// smaller fleet needs — and no complete cut: the restore must come from
+// cut 1.
 func TestLoadAllIncompleteFallsBackToParkCut(t *testing.T) {
 	dir := t.TempDir()
-	for wk := 0; wk < 2; wk++ {
-		if err := SaveShard(dir, stampMeta(2, 0, wk, 2), []Row{{Key: int64(wk), Acc: 2, Inter: 0}}); err != nil {
+	for wk := 0; wk < 4; wk++ {
+		if err := SaveShard(dir, cutMeta(1, wk, 4), []Row{{Key: int64(wk), Acc: 1, Inter: 0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := SaveShard(dir, stampMeta(2, 3, 0, 2), []Row{{Key: 100, Acc: 3, Inter: 0}}); err != nil {
+	if err := SaveShard(dir, cutMeta(2, 1, 4), []Row{{Key: 101, Acc: 2, Inter: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveShard(dir, cutMeta(2, 0, 2), []Row{{Key: 200, Acc: 3, Inter: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	all, meta, err := LoadAll(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.MutEpoch != 2 || meta.Epoch != 0 || len(all) != 2 {
-		t.Fatalf("expected fallback to (2, 0), got rows %v meta %+v", all, meta)
+	if meta.MutEpoch != 1 || meta.Workers != 4 || len(all) != 4 {
+		t.Fatalf("expected fallback to the 4-worker cut 1, got rows %v meta %+v", all, meta)
 	}
 	for _, r := range all {
-		if r.Key == 100 {
-			t.Fatalf("row from incomplete cut (2, 3) leaked into restore: %v", all)
+		if r.Key >= 100 {
+			t.Fatalf("row from an incomplete cut 2 leaked into restore: %v", all)
 		}
 	}
 }
 
 // TestPruneKeepsTwoNewestStamps: pruning orders a worker's shards by
-// stamp, (MutEpoch, n), not by n alone or by name.
+// stamp as a number, not by name.
 func TestPruneKeepsTwoNewestStamps(t *testing.T) {
 	dir := t.TempDir()
-	for _, st := range [][2]int{{1, 999999}, {1, 1000000}, {1, 57}, {2, 0}, {2, 1}, {1, 58}} {
-		if err := SaveShard(dir, stampMeta(st[0], st[1], 0, 1), nil); err != nil {
+	for _, e := range []int{999999, 1000000, 57, 2, 999998} {
+		if err := SaveShard(dir, cutMeta(e, 0, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "ep*-shard-000.plck"))
-	want := []string{ShardPath(dir, 2, 0, 0), ShardPath(dir, 2, 1, 0)}
+	// 1000000 is the newest stamp, though its name sorts first.
+	want := []string{ShardPath(dir, 1000000, 0), ShardPath(dir, 999999, 0)}
 	if len(matches) != len(want) {
 		t.Fatalf("prune kept %v, want %v", matches, want)
 	}
@@ -329,19 +337,8 @@ func TestPruneKeepsTwoNewestStamps(t *testing.T) {
 			t.Errorf("prune removed %s: %v", p, err)
 		}
 	}
-	// The (1, ·) stamps were pruned in the order they sort: by n as a
-	// number, 1000000 after 999999, though its name sorts first.
-	dir = t.TempDir()
-	for _, e := range []int{999999, 1000000, 999998} {
-		if err := SaveShard(dir, stampMeta(1, e, 0, 1), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, meta, err := LoadAll(dir); err != nil || meta.Epoch != 1000000 {
-		t.Fatalf("newest stamp (1, 1000000) lost: %+v %v", meta, err)
-	}
-	if _, err := os.Stat(ShardPath(dir, 1, 999998, 0)); err == nil {
-		t.Error("the oldest stamp (1, 999998) survived the prune")
+	if _, meta, err := LoadAll(dir); err != nil || meta.MutEpoch != 1000000 {
+		t.Fatalf("newest stamp 1000000 lost: %+v %v", meta, err)
 	}
 }
 
@@ -357,7 +354,7 @@ func TestPruneKeepsTwoEpochs(t *testing.T) {
 		t.Fatalf("prune kept %v", matches)
 	}
 	_, meta, err := LoadAll(dir)
-	if err != nil || meta.Epoch != 5 {
+	if err != nil || meta.MutEpoch != 5 {
 		t.Fatalf("newest epoch lost after prune: %+v %v", meta, err)
 	}
 }

@@ -10,11 +10,11 @@ import (
 // a reader that preallocated by the count asked for 1.5 TiB.
 func hugeCount(t testing.TB) []byte {
 	var buf bytes.Buffer
-	if err := Write(&buf, Meta{MutEpoch: 1, Epoch: 2, Worker: 0, Workers: 1}, nil); err != nil {
+	if err := Write(&buf, Meta{MutEpoch: 1, Worker: 0, Workers: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	binary.LittleEndian.PutUint64(data[len(magic)+4*8:], 1<<36)
+	binary.LittleEndian.PutUint64(data[len(magic)+3*8:], 1<<36)
 	return data
 }
 
@@ -28,8 +28,8 @@ func TestReadHugeCountRefused(t *testing.T) {
 
 // FuzzRead: on any bytes Read either refuses or returns a Meta and rows
 // that Write turns back into exactly the bytes Read consumed. The corpus
-// (testdata/fuzz/FuzzRead) holds a valid shard, a v3 header and the
-// huge-count file.
+// (testdata/fuzz/FuzzRead) holds a valid shard, a v4 and a v3 shard
+// (refused as bad magic) and the huge-count file.
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

@@ -1,5 +1,5 @@
 // Package fault is a deterministic, seeded fault-injection framework
-// for the runtime's robustness tests and the plbench recovery
+// for the runtime's robustness tests and the plbench rejoin
 // experiment. Every injection decision is a pure function of (seed,
 // fault site, link, event index), so a failing chaos run reproduces
 // from its seed regardless of goroutine interleaving.
@@ -14,9 +14,11 @@
 //   - worker pacing (StallFor drives the runtime's stall-decorating
 //     BarrierPolicy) — absorbed by BSP barriers, the SSP staleness
 //     gate, and the async master's polling;
-//   - run-level events (CrashRound aborts the run so a restart restores
-//     the newest complete cut in Config.SnapshotDir; MasterRestartRound
-//     makes the master lose its termination-detector state mid-run).
+//   - run-level events (CrashRound aborts the run — inside a session's
+//     Apply, the crash half of the crash/restore drill, whose restart
+//     resumes from the newest complete park cut in Config.CheckpointDir;
+//     MasterRestartRound makes the master lose its termination-detector
+//     state mid-run).
 //
 // Master↔worker control traffic is deliberately NOT faulted: the
 // termination protocol assumes a reliable coordinator channel, and a
@@ -68,11 +70,13 @@ type Spec struct {
 	PartFrom, PartTo int
 
 	// CrashRound: the master aborts the whole run at this round (1-based;
-	// 0 = never) — the "crash" half of a crash/restore drill. A restart
-	// with Config.RestoreDir is the other half. The round is counted
-	// across a session's epochs, unless CrashEpoch (1 = the initial
-	// fixpoint) names the epoch whose CrashRound-th round it is — a point
-	// that does not depend on how many rounds the earlier epochs took.
+	// 0 = never) — the "crash" half of a session's crash/restore drill. A
+	// session opened on its Config.CheckpointDir, resuming from the park
+	// cut of the Apply the crash cut short, is the other half. The round
+	// is counted across a session's epochs, unless CrashEpoch (1 = the
+	// initial fixpoint) names the epoch whose CrashRound-th round it is —
+	// a point that does not depend on how many rounds the earlier epochs
+	// took.
 	CrashRound int
 	CrashEpoch int
 

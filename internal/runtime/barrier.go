@@ -18,8 +18,8 @@ import (
 // pass end a worker flushes, marks superstep s to every peer (the step
 // fence, class FenceStep) and sends its report for s to the master. The
 // peers get the report too: on the mark when the pass end has it, on a
-// FenceAck sent at the cut when the report or a checkpoint needs every
-// peer's data (reportsAtCut). Once it holds all W reports for s the
+// FenceAck sent at the cut when the report needs every peer's data
+// (reportsAtCut: naive mode). Once it holds all W reports for s the
 // worker asks its term.Barrier for the verdict the master reaches from
 // the same reports: on None it starts the next superstep at once; on a
 // stop it waits for the master's Stop or park request. Nobody releases a
@@ -69,20 +69,16 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	w.stepMark(s)
 	resend := func() { w.stepMark(s - 1); w.stepMark(s) }
 	ack := transport.Message{Kind: transport.FenceAck, Fence: transport.FenceStep, Round: s, Stats: rep}
-	if w.reportsAtCut(s) {
+	if w.reportsAtCut() {
 		w.awaitPeers(func() bool { return rebased() || w.fences[transport.FenceStep].marks.min(w.peerSkip) >= s }, resend)
 		if w.halted() || rebased() {
 			return !w.halted()
 		}
 		// The cut: every peer's data for s has been folded.
-		if w.cfg.Mode.MRA() {
-			_ = w.snapshot(s, true) // best-effort: the run itself must not fail
-		} else {
-			ack.Stats.AccDelta, ack.Stats.Dirty = w.naiveFinish()
-			w.next = w.newTable()
-			w.apply = w.next
-			w.steps.observe(w.id, s, ack.Stats)
-		}
+		ack.Stats.AccDelta, ack.Stats.Dirty = w.naiveFinish()
+		w.next = w.newTable()
+		w.apply = w.next
+		w.steps.observe(w.id, s, ack.Stats)
 		w.eachPeer(func(j int) { w.enqueue(j, ack) })
 	}
 	w.enqueue(w.master, ack)
@@ -112,15 +108,11 @@ func (b *bspBarrier) endPass(w *worker, _ bool) bool {
 	}, resend)
 }
 
-// reportsAtCut reports whether superstep s's report travels to the peers
+// reportsAtCut reports whether a superstep's report travels to the peers
 // on a FenceAck sent at the cut instead of on the mark: naive mode's
-// report (naiveFinish) needs every peer's data, and a checkpoint's cut
-// must come before any peer starts superstep s+1 — at staleness 0 a peer
-// holding every mark may otherwise send s+1's data ahead of a lost mark.
-// Sender and receivers decide alike, from the fleet's Config.
-func (w *worker) reportsAtCut(s int) bool {
-	return !w.cfg.Mode.MRA() || w.cfg.SnapshotDir != "" && w.cfg.SnapshotEvery > 0 && s%w.cfg.SnapshotEvery == 0
-}
+// report (naiveFinish) needs every peer's data. Sender and receivers
+// decide alike, from the fleet's Config.
+func (w *worker) reportsAtCut() bool { return !w.cfg.Mode.MRA() }
 
 // stepMark sends the peers this worker's mark for superstep s, with its
 // report for s: a BSP worker records its own before it marks (SSP, which
@@ -183,7 +175,7 @@ func (freeRun) beginPass(w *worker) bool { return w.drainInbox() }
 
 func (freeRun) endPass(w *worker, progressed bool) bool {
 	// A pass boundary is the async family's safe point for fences: join
-	// a pending snapshot episode or membership fence.
+	// a pending membership fence.
 	w.joinFences()
 	if progressed {
 		// Only productive passes count as effective iterations (the

@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
 	"powerlog/internal/gen"
+	"powerlog/internal/graph"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
 	"powerlog/internal/transport"
@@ -347,170 +347,77 @@ func TestChaosNaiveSync(t *testing.T) {
 	}
 }
 
-// TestChaosCrashRestore is the crash/restore drill in every mode, on one
-// selective algorithm (SSSP) and one combining algorithm (PageRank) —
-// superstep cuts in BSP, snapshot episodes in async/SSP: run with
-// checkpointing and a master that
-// aborts mid-run, then restart from the snapshot directory and require
-// the fault-free fixpoint.
+// TestChaosCrashRestore is the crash/restore drill in every chaos mode,
+// on one selective algorithm (SSSP) and one combining algorithm
+// (PageRank). A session with a checkpoint directory applies a batch,
+// whose park cut — the batch applied, its fixpoint pending — lands in the
+// directory, and the master aborts inside the batch's fixpoint. A session
+// opened on the same directory, with a plan rebuilt at the batch, resumes
+// from that cut and must reach the mutated graph's scratch fixpoint.
 func TestChaosCrashRestore(t *testing.T) {
-	ssspG := gen.Uniform(200, 1200, 50, 11)
-	ssspWant := ref.Dijkstra(ssspG, 0)
-	prG := gen.RMAT(7, 600, 0, 17)
-	prWant := ref.PageRank(prG, 500, 1e-9)
-	cases := []struct {
-		name  string
-		src   string
-		graph string
-		setup func(db *edb.DB)
-		check func(t *testing.T, mode Mode, got map[int64]float64)
-	}{
-		{
-			name: "sssp", src: progs.SSSP,
-			setup: func(db *edb.DB) { db.SetGraph("edge", ssspG) },
-			check: func(t *testing.T, mode Mode, got map[int64]float64) {
-				expectClose(t, mode, got, ssspWant, math.Inf(1), 1e-9)
-			},
-		},
-		{
-			name: "pagerank", src: progs.PageRank,
-			setup: func(db *edb.DB) { db.SetGraph("edge", prG) },
-			check: func(t *testing.T, mode Mode, got map[int64]float64) {
-				expectClose(t, mode, got, prWant, math.NaN(), 5e-3)
-			},
-		},
-	}
-	for _, mode := range chaosModes {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/%v", c.name, mode), func(t *testing.T) {
-				dir := t.TempDir()
-				db := edb.NewDB()
-				c.setup(db)
-				plan := compilePlan(t, c.src, db)
-				res, err := chaosRun(t, plan, mode, "seed=7,crash=6", func(cfg *Config) {
-					cfg.SnapshotDir = dir
-					cfg.SnapshotEvery = 1
-				})
+	for _, p := range []sessionProg{sessionProgs[0], sessionProgs[2]} { // SSSP, PageRank
+		for _, mode := range chaosModes {
+			t.Run(fmt.Sprintf("%s/%v", strings.ToLower(p.name), mode), func(t *testing.T) {
+				g := p.g()
+				n, weighted := g.NumVertices(), g.Weighted()
+				mut, edges1 := randMutation(rand.New(rand.NewSource(7)), append([]graph.Edge(nil), g.Edges()...), n, 6, 6, p.dag, p.insW)
+				cfg := sessCfg(mode)
+				cfg.CheckpointDir = t.TempDir()
+				crash := cfg
+				crash.Fault = fault.New(fault.Spec{Seed: 7, CrashEpoch: 2, CrashRound: 1})
+				s, err := Open(compilePlan(t, p.src, p.db(g)), crash)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The run usually dies at the injected crash; if the small
-				// fixture beat the crash round, the restart below still
-				// exercises restore-from-final-state.
-				if res.Converged {
-					t.Logf("converged before the injected crash (rounds=%d)", res.Rounds)
+				_, err = s.Apply(mut)
+				s.Close()
+				if err == nil {
+					t.Fatal("Apply across the crash round succeeded")
 				}
-				res2, err := chaosRun(t, plan, mode, "", func(cfg *Config) {
-					cfg.RestoreDir = dir
-				})
+				r, err := Open(planAt(t, p, n, edges1, weighted), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !res2.Converged {
-					t.Fatal("restored run did not converge")
+				defer r.Close()
+				if r.MutEpoch() != 1 || !r.Result().Converged {
+					t.Fatalf("restored MutEpoch %d, converged %v; want the park cut 1, converged", r.MutEpoch(), r.Result().Converged)
 				}
-				c.check(t, mode, res2.Values)
+				want := scratchFixpoint(t, p, n, edges1, weighted, sessCfg(mode))
+				expectSameFixpoint(t, "restored", r.Result().Values, want, p.ident, p.tol)
 			})
 		}
 	}
 }
 
-// TestAsyncCheckpointRoundTrip: the async family and SSP write restorable
-// snapshots, not just MRASync: selective and combining programs alike
-// run the master-driven snapshot episode.
-func TestAsyncCheckpointRoundTrip(t *testing.T) {
-	g := gen.Uniform(200, 1200, 50, 11)
-	want := ref.Dijkstra(g, 0)
-	prG := gen.RMAT(7, 600, 0, 17)
-	prWant := ref.PageRank(prG, 500, 1e-9)
-	for _, mode := range []Mode{MRASyncAsync, MRASSP} {
-		t.Run(fmt.Sprintf("episode-sssp/%v", mode), func(t *testing.T) {
-			dir := t.TempDir()
-			db := edb.NewDB()
-			db.SetGraph("edge", g)
-			plan := compilePlan(t, progs.SSSP, db)
-			res, err := chaosRun(t, plan, mode, "", func(cfg *Config) {
-				cfg.SnapshotDir = dir
-				cfg.SnapshotEvery = 2
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatal("snapshotting run did not converge")
-			}
-			if _, _, err := ckpt.LoadAll(dir); err != nil {
-				t.Fatal(err)
-			}
-			res2, err := chaosRun(t, plan, mode, "", func(cfg *Config) { cfg.RestoreDir = dir })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res2.Converged {
-				t.Fatal("restored run did not converge")
-			}
-			expectClose(t, mode, res2.Values, want, math.Inf(1), 1e-9)
-		})
-		t.Run(fmt.Sprintf("episode-pagerank/%v", mode), func(t *testing.T) {
-			dir := t.TempDir()
-			db := edb.NewDB()
-			db.SetGraph("edge", prG)
-			plan := compilePlan(t, progs.PageRank, db)
-			res, err := chaosRun(t, plan, mode, "", func(cfg *Config) {
-				cfg.SnapshotDir = dir
-				cfg.SnapshotEvery = 2
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatal("snapshotting run did not converge")
-			}
-			if _, _, err := ckpt.LoadAll(dir); err != nil {
-				t.Fatal(err)
-			}
-			res2, err := chaosRun(t, plan, mode, "", func(cfg *Config) { cfg.RestoreDir = dir })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res2.Converged {
-				t.Fatal("restored run did not converge")
-			}
-			expectClose(t, mode, res2.Values, prWant, math.NaN(), 5e-3)
-		})
-	}
-}
-
 // TestTornSnapshotRefusedOnRestore: corrupting a shard of the newest
-// epoch must fail the restore loudly — never silently restore a torn or
-// partial state.
+// park cut must fail the restore loudly — never silently restore a torn
+// or partial state.
 func TestTornSnapshotRefusedOnRestore(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Uniform(200, 1200, 50, 11)
 	db := edb.NewDB()
 	db.SetGraph("edge", g)
 	plan := compilePlan(t, progs.SSSP, db)
-	res, err := Run(plan, Config{
-		Workers: 3, Mode: MRASync, SnapshotDir: dir, SnapshotEvery: 1,
-		MaxWall: 30 * time.Second,
-	})
-	if err != nil || !res.Converged {
-		t.Fatalf("seed run failed: %v (converged=%v)", err, res != nil && res.Converged)
-	}
-	shards, err := filepath.Glob(filepath.Join(dir, "ep*-shard-*.plck"))
-	if err != nil || len(shards) == 0 {
-		t.Fatalf("no shards written: %v", err)
-	}
-	sort.Strings(shards)
-	victim := shards[len(shards)-1] // newest epoch sorts last (zero-padded)
-	info, err := os.Stat(victim)
+	cfg := Config{Workers: 3, Mode: MRASync, CheckpointDir: dir, MaxWall: 30 * time.Second}
+	s, err := Open(plan, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, err = s.Apply(Mutation{Inserts: []graph.Edge{{Src: 0, Dst: 7, W: 0.5}}})
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := ckpt.ShardPath(dir, 1, 2)
+	info, err := os.Stat(victim)
+	if err != nil {
+		t.Fatalf("no shard written: %v", err)
 	}
 	if err := os.Truncate(victim, info.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(plan, Config{Workers: 3, Mode: MRASync, RestoreDir: dir, MaxWall: 5 * time.Second}); err == nil {
+	cfg.MaxWall = 5 * time.Second
+	if _, err := Run(plan, cfg); err == nil {
 		t.Fatal("restore from a torn shard must fail, not silently restore")
 	}
 }

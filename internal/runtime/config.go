@@ -13,7 +13,6 @@ package runtime
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"powerlog/internal/fault"
@@ -100,22 +99,15 @@ type Config struct {
 	// MaxWall aborts a run after this long (default 2 minutes).
 	MaxWall time.Duration
 
-	// SnapshotDir enables checkpointing for every MRA mode. Every
-	// checkpoint is a consistent cut, stamped (MutEpoch, n) (DESIGN.md
-	// "Recovery"): BSP modes write each worker's shard at every
-	// SnapshotEvery-th superstep's cut; the async family and SSP run a
-	// snapshot fence, driven by the master, at the first and then every
-	// SnapshotEvery-th master wave; a session writes a park cut at every
-	// Apply.
-	SnapshotDir   string
-	SnapshotEvery int
-
-	// RestoreDir resumes a run from the newest complete cut in the
-	// directory instead of seeding ΔX¹ (any MRA mode, any worker count),
-	// restoring its state exactly. A restored run numbers its cuts from 1
-	// again, so it must checkpoint into a different SnapshotDir than the
-	// one it restored from, whose stamps its cuts would reuse or sort below.
-	RestoreDir string
+	// CheckpointDir is where a fleet's park cuts live (DESIGN.md §6). Run,
+	// Open and RunWorker resume from the directory's newest complete cut
+	// when it holds any shard (an MRA mode, any worker count), restoring
+	// its state exactly, and seed ΔX¹ when it holds none; shards with no
+	// complete cut among them fail. A session then writes one park cut per
+	// Apply, stamped with the Apply's mutation-log position: a restored
+	// session's cuts continue past the one it restored from, so none
+	// overwrites it.
+	CheckpointDir string
 
 	// Fault plugs a deterministic fault injector into the run: a
 	// fault-wrapping transport conn, a stall-decorating barrier, and the
@@ -185,9 +177,6 @@ func (c Config) Validate() error {
 		{"CheckInterval", c.CheckInterval < 0, fmt.Sprintf("negative check interval %v; use 0 for the default cadence", c.CheckInterval)},
 		{"CollectTimeout", c.CollectTimeout < 0, fmt.Sprintf("negative collect timeout %v; use 0 for the MaxWall fallback", c.CollectTimeout)},
 		{"MaxWall", c.MaxWall < 0, fmt.Sprintf("negative wall budget %v; use 0 for the default budget", c.MaxWall)},
-		{"SnapshotEvery", c.SnapshotEvery < 0, fmt.Sprintf("negative checkpoint period %d; use 0 for no periodic checkpoints", c.SnapshotEvery)},
-		{"RestoreDir", c.RestoreDir != "" && c.SnapshotDir != "" && filepath.Clean(c.RestoreDir) == filepath.Clean(c.SnapshotDir),
-			fmt.Sprintf("%q is also SnapshotDir; a restored run numbers its cuts afresh and would overwrite the ones it restored from", c.RestoreDir)},
 	} {
 		if f.bad {
 			return &ConfigError{Field: f.field, Reason: f.reason}

@@ -21,15 +21,16 @@ import (
 //	→ FenceAck to the master, carrying what the action reported
 //	→ fold until FenceRelease, then commit.
 //
-// Snapshot episodes, session parking and crash re-join are three
-// fenceSpecs of that loop. They differ in what runs at the cut and what
-// the master does after it releases. The master's half is one function, drive: it sends a transition's
-// FenceRequest, gathers the acks and releases; a gather that falls short
-// goes to the liveness rule (master.rejoin), as every collect does.
-// The fourth class, the end of a BSP superstep, is the same cut with no
-// request and no release (barrier.go): each worker opens it itself, its
-// marks carry the superstep's report, every worker judges the superstep
-// once it holds the fleet's reports, and runBSP only collects the acks.
+// Session parking and crash re-join are two fenceSpecs of that loop.
+// They differ in what runs at the cut and in whether the master releases
+// the fence itself. The master's half is one function, drive: it sends a
+// transition's FenceRequest, gathers the acks and releases; a gather that
+// falls short goes to the liveness rule (master.rejoin), as every collect
+// does. The third class, the end of a BSP superstep, is the same cut with
+// no request and no release (barrier.go): each worker opens it itself,
+// its marks carry the superstep's report, every worker judges the
+// superstep once it holds the fleet's reports, and runBSP only collects
+// the acks.
 
 // maxSteps is the "nothing to wait for" value a marker-clock minimum
 // returns when no peer remains to wait on.
@@ -138,8 +139,8 @@ type fenceSpec struct {
 	// pre-fence data has been folded and none sends more until released.
 	// What it returns rides in the ack.
 	atCut func(w *worker, t transition) transport.Stats
-	// nested joins snapshot and membership fences while this one waits
-	// for its release.
+	// nested joins membership fences while this one waits for its
+	// release.
 	nested bool
 	// commit runs after the release, before the worker resumes.
 	commit func(w *worker, t transition)
@@ -151,18 +152,6 @@ type fenceSpec struct {
 }
 
 var fenceSpecs = [transport.NumFenceClasses]fenceSpec{
-	// The async family's and SSP's checkpoint, for every aggregate.
-	// Workers send nothing between their mark and the release, so the
-	// union of the shards is the state on one cut line. Best-effort: a
-	// failed shard write must not kill the run, and an episode the
-	// liveness rule releases short leaves an incomplete cut that LoadAll
-	// passes over for the last complete one.
-	transport.FenceSnapshot: {
-		atCut: func(w *worker, t transition) transport.Stats {
-			_ = w.snapshot(t.epoch, true)
-			return transport.Stats{}
-		},
-	},
 	// The session epoch boundary. Once every worker has acked, no peer
 	// sends Data again this epoch, so the session goroutine — which saw
 	// the acks through the master's inbox, a happens-before edge — may
@@ -224,14 +213,12 @@ func (w *worker) fencePending(c transport.FenceClass) bool {
 	return w.fences[c].req.epoch > w.fences[c].done
 }
 
-// joinFences joins a requested snapshot or membership fence. It is
-// called only where no pass is half-scanned and the buffers are
-// flushable: pass boundaries, the step gate, and the parked wait.
+// joinFences joins a requested membership fence. It is called only
+// where no pass is half-scanned and the buffers are flushable: pass
+// boundaries, the step gate, and the parked wait.
 func (w *worker) joinFences() {
-	for _, c := range [...]transport.FenceClass{transport.FenceSnapshot, transport.FenceMember} {
-		if w.fencePending(c) && !w.halted() {
-			w.fence(c)
-		}
+	if w.fencePending(transport.FenceMember) && !w.halted() {
+		w.fence(transport.FenceMember)
 	}
 }
 

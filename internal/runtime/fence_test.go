@@ -2,12 +2,10 @@ package runtime
 
 import (
 	"errors"
-	"os"
 	"sync"
 	"testing"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
 	"powerlog/internal/progs"
@@ -91,7 +89,7 @@ func newRig(t *testing.T, n int, absent map[int]bool, filter func(from int) mark
 	plan := compilePlan(t, progs.SSSP, db)
 	// A short CollectTimeout bounds the clean-up's Stop to a worker whose
 	// inbox nobody drains (an absent one, filled by re-sent marks).
-	cfg := Config{Workers: n, SnapshotDir: t.TempDir(), CollectTimeout: time.Second}.withDefaults()
+	cfg := Config{Workers: n, CollectTimeout: time.Second}.withDefaults()
 	net := transport.NewChannelNetwork(n, 256)
 	r := &fenceRig{t: t, done: make(chan int, n)}
 	r.m = newMaster(cfg, plan, net.Conn(transport.MasterID(n)))
@@ -203,18 +201,15 @@ func TestFenceDuplicateMarks(t *testing.T) {
 	dupAll := func(int) markFilter {
 		return func(int, transport.Message) (bool, bool) { return false, true }
 	}
-	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember, transport.FenceStep} {
+	for _, c := range []transport.FenceClass{transport.FencePark, transport.FenceMember, transport.FenceStep} {
 		r := newFenceRig(t, 3, c, nil, dupAll)
 		r.run(c, 1, 3)
 	}
 }
 
-// A dropped first marker is healed by the re-send — for every class,
-// including the snapshot fence, whose hand-rolled predecessor never
-// re-sent a mark (and ignored the master's release while waiting for
-// one).
+// A dropped first marker is healed by the re-send — for every class.
 func TestFenceDroppedMarkHealsByResend(t *testing.T) {
-	for _, c := range []transport.FenceClass{transport.FenceSnapshot, transport.FencePark, transport.FenceMember, transport.FenceStep} {
+	for _, c := range []transport.FenceClass{transport.FencePark, transport.FenceMember, transport.FenceStep} {
 		var mu sync.Mutex
 		dropped := 0
 		dropFirst := func(from int) markFilter {
@@ -233,13 +228,6 @@ func TestFenceDroppedMarkHealsByResend(t *testing.T) {
 		if dropped != 1 {
 			t.Fatalf("class %d: the filter never dropped a mark", c)
 		}
-		if c == transport.FenceSnapshot {
-			for _, w := range r.ws {
-				if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 0, 1, w.id)); err != nil {
-					t.Errorf("snapshot fence healed but worker %d wrote no shard: %v", w.id, err)
-				}
-			}
-		}
 	}
 }
 
@@ -250,7 +238,7 @@ func TestFenceDroppedMarkHealsByResend(t *testing.T) {
 // the slot, the run then ends with ErrWorkerLost, and both survivors
 // leave.
 func TestFenceOrphanLeavesCohort(t *testing.T) {
-	c := transport.FenceSnapshot
+	c := transport.FenceMember
 	r := newFenceRig(t, 3, c, map[int]bool{2: true}, nil)
 	r.m.cfg.CollectTimeout = 50 * time.Millisecond
 	if r.m.drive(transition{class: c, epoch: 1}, time.Now()) {
@@ -301,11 +289,18 @@ func TestFenceParkOutlastsCollectTimeout(t *testing.T) {
 	r.leave(2)
 }
 
-// A release that overtakes the cut (the master's episode timeout) ends
-// the fence: no action, no ack, the worker resumes.
+// A release that overtakes the cut (the liveness rule giving a fence up
+// on a lost peer) ends the fence: no action, no ack, the worker resumes.
+// The membership fence's action zeroes the traffic counters, so counters
+// that survive the fence show it never ran.
 func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
-	c := transport.FenceSnapshot
-	r := newFenceRig(t, 2, c, map[int]bool{1: true}, nil)
+	c := transport.FenceMember
+	r := newRig(t, 2, map[int]bool{1: true}, nil, func(w *worker) {
+		w.sent, w.recv = 7, 7
+		if w.foldUntil(func() bool { return w.fencePending(c) }, func() {}) {
+			w.fence(c)
+		}
+	})
 	r.request(c, 1)
 	r.release(c, 1)
 	select {
@@ -317,7 +312,7 @@ func TestFenceReleaseBeforeCutAbandons(t *testing.T) {
 	if w.fencePending(c) {
 		t.Error("abandoned fence is still pending")
 	}
-	if _, err := os.Stat(ckpt.ShardPath(w.cfg.SnapshotDir, 0, 1, 0)); err == nil {
+	if w.sent != 7 || w.recv != 7 {
 		t.Error("abandoned fence still ran its action at a cut that never completed")
 	}
 	if got, _ := r.m.collectAcks(c, 1, 1, 20*time.Millisecond); got != 0 {

@@ -52,15 +52,13 @@ type master struct {
 	// reports whether the last run() ended in a successful park. gRound
 	// counts master rounds cumulatively across epochs, so injected
 	// CrashRound faults keep one global timeline — in a barriered mode it
-	// is the last superstep collected whole, or a re-join's base; episodes
-	// and parks number snapshot episodes and park fences monotonically
-	// across epochs.
-	park     bool
-	epoch    int
-	parked   bool
-	gRound   int
-	episodes int
-	parks    int
+	// is the last superstep collected whole; parks numbers park fences
+	// monotonically across epochs.
+	park   bool
+	epoch  int
+	parked bool
+	gRound int
+	parks  int
 
 	// Re-join state (membership.go, DESIGN.md §11). fence numbers
 	// membership fences; s is the session that owns the workers'
@@ -279,7 +277,7 @@ func termConfig(plan *compiler.Plan, cfg Config) term.Config {
 // (collectAcks keeps them). A worker counts supersteps across a session's
 // epochs, so the superstep collected is gRound+1. When the liveness rule
 // replaced a worker, the fleet resumes under a fresh barrier at the
-// superstep after the rule's base (master.stepBase), as every worker does
+// superstep after gRound, the last collected whole, as every worker does
 // (worker.rebase); a park that fell short is released to the same end.
 func (m *master) runBSP() {
 	bar := term.NewBarrier(termConfig(m.plan, m.cfg))
@@ -331,11 +329,11 @@ func report(st transport.Stats) term.Report {
 // at once, and CheckInterval is only the fallback cadence at which a wave
 // starts anyway (a lost or rate-limited report, a busy fleet) and the
 // grid the ε criterion samples on. A round is one wave: the injector's
-// crash and restart rounds and snapshot episodes all run at the start of
-// one. What stays here is the wall clock; a wave that passes its collect
-// deadline goes to the liveness rule, and once the rule has changed the
-// fleet, what the machine observed describes a world that no longer
-// exists: it starts afresh.
+// crash and restart rounds run at the start of one. What stays here is
+// the wall clock; a wave that passes its collect deadline goes to the
+// liveness rule, and once the rule has changed the fleet, what the
+// machine observed describes a world that no longer exists: it starts
+// afresh.
 func (m *master) runAsync() {
 	det := term.New(termConfig(m.plan, m.cfg), m.nw, time.Now())
 	m.rounds = 0
@@ -407,11 +405,10 @@ func (m *master) runAsync() {
 	}
 }
 
-// beginWave starts one round: the per-round hooks, then a StatsRequest to
-// every worker. It reports false if a hook ended the run. An injected
-// master restart, or a snapshot episode the liveness rule released,
-// invalidates what the machine has seen: it resets the machine instead,
-// and the wave waits for the reset machine's next tick.
+// beginWave starts one round: the injector's hooks, then a StatsRequest
+// to every worker. It reports false if a hook ended the run. An injected
+// master restart invalidates what the machine has seen: it resets the
+// machine instead, and the wave waits for the reset machine's next tick.
 func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	m.gRound++
 	crash, reset := m.crashAt(m.rounds+1, m.gRound)
@@ -422,19 +419,6 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 		det.Reset(time.Now())
 		return true
 	}
-	if m.snapshotsDue(m.rounds) {
-		// Episodes are numbered by a cumulative counter, from 1, so the
-		// cut stamps (mutEpoch, episode) only grow within a session (the
-		// round restarts at 0 each fixpoint; reusing its quotient would
-		// overwrite newer cuts).
-		m.episodes++
-		if !m.drive(transition{class: transport.FenceSnapshot, epoch: m.episodes}, now) {
-			// The episode fell short: the liveness rule released it and
-			// repaired the fleet, or ended the run.
-			det.Reset(time.Now())
-			return m.cause == StopNone
-		}
-	}
 	m.rounds++
 	m.met.rounds.Inc()
 	if det.Begin(m.gRound, now) {
@@ -444,14 +428,4 @@ func (m *master) beginWave(det *term.Detector, now time.Time) bool {
 	}
 	m.bcast(transport.Message{Kind: transport.StatsRequest, Round: m.gRound})
 	return true
-}
-
-// Snapshot episodes are the async family's and SSP's checkpoints, for
-// every aggregate: a fence of class FenceSnapshot (fence.go) whose action
-// at the cut writes the shard. snapshotsDue reports whether the polling
-// master opens one at the start of wave round+1: every SnapshotEvery-th
-// wave, the first included, so a fixpoint that converges in a few waves
-// still leaves a cut behind.
-func (m *master) snapshotsDue(round int) bool {
-	return m.cfg.SnapshotDir != "" && m.cfg.SnapshotEvery > 0 && round%m.cfg.SnapshotEvery == 0
 }

@@ -153,12 +153,13 @@ func (w *worker) renewLinks(t transition) {
 }
 
 // rebase restarts a barriered worker's supersteps at a membership cut:
-// the fleet resumes at superstep base+1, past every superstep a worker may
-// have cut before (master.stepBase), judged by a fresh barrier. What the
-// worker knew of supersteps past the last one collected whole — its
-// peers' marks and reports, its own count — belongs to the old numbering;
-// bspBarrier.endPass sees the member fence commit and leaves its gate for
-// the next superstep.
+// the fleet resumes at superstep base+1, the one after the last the
+// master collected whole, judged by a fresh barrier. What the worker knew
+// of supersteps past base — its peers' marks and reports, its own count —
+// belongs to the old numbering and is forgotten here; none of it arrives
+// later, since each peer sent its marks, reports and data on its FIFO
+// lane ahead of its mark for this cut. bspBarrier.endPass sees the member
+// fence commit and leaves its gate for the next superstep.
 func (w *worker) rebase(base int) {
 	w.rounds = base
 	w.bar, w.barFrom = term.NewBarrier(termConfig(w.plan, w.cfg)), base
@@ -240,33 +241,9 @@ func (m *master) rejoin(silent func(j int) bool, short *transition) bool {
 	for _, id := range lost {
 		m.s.respawnWorker(id)
 	}
-	if modeBarriered[m.cfg.Mode] {
-		m.gRound = m.stepBase()
-	}
 	m.fence++
 	m.drive(transition{class: transport.FenceMember, epoch: m.fence, down: lost, base: m.gRound}, decided)
 	return false
-}
-
-// stepBase is the superstep a barriered fleet restarts from at a
-// membership cut: past every superstep a worker may have cut under the
-// old numbering, so that no checkpoint stamp (MutEpoch, s) is cut twice —
-// a partial cut of the old run must never be completed by shards of the
-// new. A worker acks superstep s after its cut, and before it marks s+1;
-// a cut of s+1 needs every slot's mark for s+1. So no worker can have cut
-// past the highest step ack the master holds, plus one for a slot that
-// died between its cut and its ack.
-func (m *master) stepBase() int {
-	base := m.gRound
-	for _, r := range m.acks[transport.FenceStep] {
-		base = max(base, r.s)
-	}
-	for _, msg := range slices.Concat(m.later, m.pending) {
-		if msg.Kind == transport.FenceAck && msg.Fence == transport.FenceStep {
-			base = max(base, msg.Round)
-		}
-	}
-	return base + 1
 }
 
 // settleMember is the membership fence's bookkeeping after the release:

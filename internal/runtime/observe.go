@@ -81,10 +81,10 @@ type masterMetrics struct {
 	// alone; one that needed them waited out an interval.
 	wavesIdle, wavesTimer *metrics.Counter
 	// fenceUS is each driven fence's duration in microseconds by class
-	// ("master.fence.snapshot_us" / "park_us" / "member_us"): from the
-	// master's decision — before any worker is spawned for it — to the
-	// release, or to the last ack of a park, which the session holds. A
-	// superstep's fence is not driven; its collect is master.collect.wait_us.
+	// ("master.fence.park_us" / "member_us"): from the master's decision
+	// — before any worker is spawned for it — to the release, or to the
+	// last ack of a park, which the session holds. A superstep's fence is
+	// not driven; its collect is master.collect.wait_us.
 	fenceUS [transport.NumFenceClasses]*metrics.Histogram
 
 	// Re-join counters (membership.go, DESIGN.md §11). memberJoins counts
@@ -126,9 +126,8 @@ func newMasterMetrics() masterMetrics {
 		wavesIdle:       reg.Counter("master.wave.idle"),
 		wavesTimer:      reg.Counter("master.wave.timer"),
 		fenceUS: [transport.NumFenceClasses]*metrics.Histogram{
-			transport.FenceSnapshot: reg.Histogram("master.fence.snapshot_us"),
-			transport.FencePark:     reg.Histogram("master.fence.park_us"),
-			transport.FenceMember:   reg.Histogram("master.fence.member_us"),
+			transport.FencePark:   reg.Histogram("master.fence.park_us"),
+			transport.FenceMember: reg.Histogram("master.fence.member_us"),
 		},
 		memberJoins:    reg.Counter("master.member.join"),
 		memberOrphans:  reg.Counter("master.member.orphan"),

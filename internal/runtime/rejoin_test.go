@@ -287,41 +287,6 @@ func TestRejoinWindows(t *testing.T) {
 	}
 }
 
-// TestSlowCutWriteIsNoLoss: a worker writing a checkpoint shard at a cut
-// answers the liveness probe, so a write that outlasts the collect
-// deadline and the probe is slow, not lost. Every shard write here takes
-// three deadlines; the fixpoint must converge with no re-join.
-func TestSlowCutWriteIsNoLoss(t *testing.T) {
-	prev := saveShard
-	t.Cleanup(func() { saveShard = prev })
-	for _, mode := range []Mode{MRASync, MRAAsync, MRASSP} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := rejoinCfg(mode)
-			cfg.CollectTimeout = 40 * time.Millisecond
-			cfg.SnapshotDir, cfg.SnapshotEvery = t.TempDir(), 8
-			var slow atomic.Int64
-			saveShard = func(dir string, meta ckpt.Meta, rows []ckpt.Row) error {
-				slow.Add(1)
-				time.Sleep(3 * cfg.CollectTimeout)
-				return prev(dir, meta, rows)
-			}
-			p := sessionProgs[0] // SSSP
-			s, err := Open(compilePlan(t, p.src, p.db(p.g())), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			res := s.Result()
-			if !res.Converged || slow.Load() == 0 {
-				t.Fatalf("converged=%v after %d shard writes", res.Converged, slow.Load())
-			}
-			if joins := res.Master.Counters["master.member.join"]; joins != 0 {
-				t.Fatalf("%d re-joins: a worker writing a shard was declared lost", joins)
-			}
-		})
-	}
-}
-
 // applyChecked runs one Apply and checks it against the scratch oracle
 // on the mutated edge list. crashed, when non-nil, is set by a worker
 // armed to die in this Apply when it does: it must have died, and the
@@ -351,9 +316,11 @@ func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.
 // TestRejoinSessionCombining drives combining-aggregate sessions
 // (PageRank, Katz) through two Applys and crashes worker 1 in Apply 1 —
 // at its first pass — or Apply 2 — between its last report and the park
-// — with and without park-boundary checkpoints. A combining re-join
-// resets every shard to the current ΔX¹ seed, which Plan.ApplyMutation
-// rebuilds on every batch, so every epoch must equal the scratch oracle.
+// — with and without park cuts. A combining re-join resets every shard
+// to the current ΔX¹ seed, which Plan.ApplyMutation rebuilds on every
+// batch, so every epoch must equal the scratch oracle; with park cuts on,
+// the replacement writes its shard of every later cut, so the newest cut
+// is complete.
 // The restored row opens a session from a park checkpoint on a plan
 // rebuilt at its MutEpoch and crashes the replayed Apply.
 func TestRejoinSessionCombining(t *testing.T) {
@@ -366,8 +333,7 @@ func TestRejoinSessionCombining(t *testing.T) {
 					edges := append([]graph.Edge(nil), g.Edges()...)
 					cfg := rejoinCfg(MRASyncAsync)
 					if ckpts {
-						cfg.SnapshotDir = t.TempDir()
-						cfg.SnapshotEvery = 1 << 30 // park checkpoints only
+						cfg.CheckpointDir = t.TempDir()
 					}
 					s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 					if err != nil {
@@ -385,6 +351,11 @@ func TestRejoinSessionCombining(t *testing.T) {
 						}
 						applyChecked(t, s, p, n, edges, g.Weighted(), mut, crashed, fmt.Sprintf("apply-%d", i))
 					}
+					if ckpts {
+						if _, meta, err := ckpt.LoadAll(cfg.CheckpointDir); err != nil || meta.MutEpoch != 2 || meta.Workers != 4 {
+							t.Fatalf("newest cut %+v (%v), want cut 2 of 4 workers", meta, err)
+						}
+					}
 				})
 			}
 		}
@@ -399,8 +370,7 @@ func TestRejoinSessionCombining(t *testing.T) {
 		mut1, edges1 := randMutation(r, edges0, n, 6, 6, false, p.insW)
 		mut2, edges2 := randMutation(r, edges1, n, 6, 6, false, p.insW)
 		cfg := rejoinCfg(MRASyncAsync)
-		cfg.SnapshotDir = t.TempDir()
-		cfg.SnapshotEvery = 1 << 30
+		cfg.CheckpointDir = t.TempDir()
 		s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -414,9 +384,7 @@ func TestRejoinSessionCombining(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgR := rejoinCfg(MRASyncAsync)
-		cfgR.RestoreDir = cfg.SnapshotDir
-		sR, err := Open(compilePlan(t, p.src, p.db(g1)), cfgR)
+		sR, err := Open(compilePlan(t, p.src, p.db(g1)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 
 	"powerlog/internal/ckpt"
@@ -56,8 +57,9 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 // setUp is what Open and RunWorker do before any worker runs: validate
 // cfg, fill in its defaults — Workers is the network's size when
 // workers > 0 — refuse a plan the mode cannot run, and read the cut to
-// resume from (meta nil: none), so a bad request or a corrupt checkpoint fails
-// before a goroutine starts.
+// resume from (meta nil: none — no CheckpointDir, or one with no shard),
+// so a bad request or a corrupt checkpoint fails before a goroutine
+// starts.
 func setUp(plan *compiler.Plan, cfg Config, workers int) (_ Config, rows []ckpt.Row, meta *ckpt.Meta, err error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, nil, nil, err
@@ -73,10 +75,13 @@ func setUp(plan *compiler.Plan, cfg Config, workers int) (_ Config, rows []ckpt.
 		return cfg, nil, nil, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
 	}
 	cfg = applyPriorityDefault(cfg, plan)
-	if !cfg.Mode.MRA() || cfg.RestoreDir == "" {
+	if !cfg.Mode.MRA() || cfg.CheckpointDir == "" {
 		return cfg, nil, nil, nil
 	}
-	rows, cut, err := ckpt.LoadAll(cfg.RestoreDir)
+	rows, cut, err := ckpt.LoadAll(cfg.CheckpointDir)
+	if errors.Is(err, ckpt.ErrNoCut) {
+		return cfg, nil, nil, nil
+	}
 	return cfg, rows, &cut, err
 }
 
@@ -96,7 +101,6 @@ func (w *worker) seedShard(rows []ckpt.Row, meta *ckpt.Meta) {
 		w.seed(w.plan.InitMRA)
 	default:
 		w.restore(rows)
-		w.mutEpoch = meta.MutEpoch
 	}
 }
 

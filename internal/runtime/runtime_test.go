@@ -7,6 +7,7 @@ import (
 
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
+	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
@@ -377,15 +378,20 @@ func TestUncompiledPlanRejected(t *testing.T) {
 
 // Open and RunWorker share one set-up (setUp), so they refuse the same
 // (cfg, plan) pairs: an invalid config, an uncompiled plan, naive
-// evaluation without base tuples, a restore directory with no complete
-// cut — and both accept a runnable pair. RunWorker's accepted run finds a
-// Stop waiting in its inbox and returns at once.
+// evaluation without base tuples, a checkpoint directory whose shards
+// make no complete cut — and both accept a runnable pair, an empty
+// checkpoint directory included. RunWorker's accepted run finds a Stop
+// waiting in its inbox and returns at once.
 func TestSetUpRefusesAlike(t *testing.T) {
 	g := gen.Uniform(40, 120, 10, 5)
 	sssp := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
 	noBase := *sssp
 	noBase.BaseNaive = nil
 	one := Config{Workers: 1, MaxWall: 10 * time.Second}
+	incomplete := t.TempDir()
+	if err := ckpt.SaveShard(incomplete, ckpt.Meta{MutEpoch: 1, Workers: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
 	with := func(edit func(*Config)) Config {
 		c := one
 		edit(&c)
@@ -401,7 +407,8 @@ func TestSetUpRefusesAlike(t *testing.T) {
 		{"negative-tau", with(func(c *Config) { c.Tau = -1 }), sssp, true},
 		{"uncompiled", one, &compiler.Plan{}, true},
 		{"naive-without-base", with(func(c *Config) { c.Mode = NaiveSync }), &noBase, true},
-		{"empty-restore-dir", with(func(c *Config) { c.RestoreDir = t.TempDir() }), sssp, true},
+		{"empty-restore-dir", with(func(c *Config) { c.CheckpointDir = t.TempDir() }), sssp, false},
+		{"incomplete-cut", with(func(c *Config) { c.CheckpointDir = incomplete }), sssp, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, openErr := Open(tc.plan, tc.cfg)

@@ -64,8 +64,8 @@ type Mutation = compiler.Mutation
 // clean park — an injected crash, a fleet with no survivor, the
 // iteration cap, the wall clock — poisons the session: the error is
 // sticky, every later Apply returns it, and the caller's recovery path is
-// Close and re-Open (optionally from a RestoreDir checkpoint, replaying
-// the mutation log past the snapshot's MutEpoch).
+// Close and re-Open (from the CheckpointDir's newest park cut, if it is
+// set, replaying the mutation log past that cut's MutEpoch).
 type Session struct {
 	cfg     Config
 	plan    *compiler.Plan
@@ -76,7 +76,7 @@ type Session struct {
 
 	// log records every applied mutation with its epoch; mutEpoch is the
 	// log position the current table state incorporates (restored from
-	// the checkpoint's MutEpoch when Open resumes from RestoreDir).
+	// the cut's MutEpoch when Open resumes from CheckpointDir).
 	// engEpoch counts fixpoints this session has computed (1 = initial).
 	log      *edb.MutationLog
 	mutEpoch int
@@ -304,16 +304,12 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		s.m.met.indexRebuilds.Inc()
 	}
 
-	// Stamp the new mutation-log position into the workers (their cuts
-	// carry it) and write the park cut (mutEpoch, 0): a consistent view
-	// of "mutation applied, re-fixpoint pending" that restores by simply
-	// running to convergence. Every cut of the fixpoint below stamps
-	// (mutEpoch, n ≥ 1), so none overwrites it. Best-effort, like every
-	// checkpoint: durability must never fail the run.
-	for _, w := range s.workers {
-		w.mutEpoch = s.mutEpoch
-		if s.cfg.SnapshotDir != "" {
-			_ = w.snapshot(0, false)
+	// Write the park cut mutEpoch: a consistent view of "mutation
+	// applied, re-fixpoint pending" that restores by simply running to
+	// convergence. Best-effort: durability must never fail the run.
+	if s.cfg.CheckpointDir != "" {
+		for _, w := range s.workers {
+			_ = w.snapshot(s.mutEpoch)
 		}
 	}
 
@@ -331,7 +327,7 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	if !s.m.parked {
 		// Crash injection, iteration cap, or wall clock: the master
 		// stopped the fleet, so the warm state is gone. Poison the
-		// session; recovery is Close + Open(RestoreDir) + log replay.
+		// session; recovery is Close + Open(CheckpointDir) + log replay.
 		// finishEpoch already collected the epoch (and rebased the
 		// traffic baselines): publish that, not a second collect.
 		s.setResult(res)
@@ -490,7 +486,6 @@ func (s *Session) spawnInto(id int) *worker {
 	w := newWorker(id, s.cfg, s.plan, s.cfg.Fault.Wrap(conn))
 	w.joinGate = true
 	w.reborn = true // a crashw= injection must not kill the replacement too
-	w.mutEpoch = s.mutEpoch
 	// Every park fence driven so far has been released — by an Apply, or
 	// by the liveness rule that spawns this worker: it is over for the
 	// replacement too.
@@ -586,7 +581,7 @@ func (s *Session) Epoch() int {
 
 // MutEpoch returns the mutation-log position the current state
 // incorporates: 0 after a fresh Open, k after the k-th Apply, or the
-// restored checkpoint's position after Open(RestoreDir) — the caller
+// restored cut's position after Open(CheckpointDir) — the caller
 // replays its own log entries past this point to catch up.
 func (s *Session) MutEpoch() int {
 	s.mu.Lock()

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -643,9 +642,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{Workers: -3}, "Workers"},
 		{Config{Tau: -time.Millisecond}, "Tau"},
 		{Config{CheckInterval: -time.Millisecond}, "CheckInterval"},
-		{Config{SnapshotEvery: -1}, "SnapshotEvery"},
 		{Config{Mode: Mode(42)}, "Mode"},
-		{Config{SnapshotDir: "ck/run", RestoreDir: "ck/./run/"}, "RestoreDir"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
@@ -659,9 +656,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{CoresPerWorker: 1}).Validate(); err != nil {
 		t.Errorf("CoresPerWorker 1, a worker's one core, rejected: %v", err)
-	}
-	if err := (Config{SnapshotDir: "ck/b", RestoreDir: "ck/a"}).Validate(); err != nil {
-		t.Errorf("restoring from one directory into another rejected: %v", err)
 	}
 	if err := (Config{PriorityThreshold: -1}).Validate(); err != nil {
 		t.Errorf("negative PriorityThreshold is the documented disable, got %v", err)
@@ -710,22 +704,21 @@ func copyDir(t *testing.T, from, to string) {
 // and a restored session — opened from the checkpoint as of the first
 // Apply plus a plan rebuilt at that checkpoint's mutation position —
 // replays the trailing mutation-log entry and lands on the oracle
-// fixpoint. It runs for a selective and a combining program in every
-// checkpointing mode, with park cuts alone (SnapshotEvery 0) and with
-// park cuts and in-fixpoint cuts sharing one directory (SnapshotEvery 1).
+// fixpoint. It runs for a selective and a combining program in three
+// modes. The subtests keep the suffix every=0 from when cuts could also
+// be taken inside a fixpoint: a park cut per Apply and none in between is
+// the one schedule left.
 func TestSessionCrashRestoreReplay(t *testing.T) {
 	for _, p := range []sessionProg{sessionProgs[0], sessionProgs[2]} { // SSSP, PageRank
 		for _, mode := range []Mode{MRASync, MRASyncAsync, MRASSP} {
-			for _, every := range []int{0, 1} {
-				t.Run(fmt.Sprintf("%s/%v/every=%d", p.name, mode, every), func(t *testing.T) {
-					testSessionCrashRestoreReplay(t, p, mode, every)
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%v/every=0", p.name, mode), func(t *testing.T) {
+				testSessionCrashRestoreReplay(t, p, mode)
+			})
 		}
 	}
 }
 
-func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode, every int) {
+func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode) {
 	base := p.g()
 	n := base.NumVertices()
 	weighted := base.Weighted()
@@ -740,8 +733,7 @@ func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode, every
 	// the second Apply's epoch (epoch 1 is Open's fixpoint).
 	dir, dirAt1 := t.TempDir(), t.TempDir()
 	cfgB := cfg
-	cfgB.SnapshotDir = dir
-	cfgB.SnapshotEvery = every
+	cfgB.CheckpointDir = dir
 	cfgB.Fault = fault.New(fault.Spec{CrashEpoch: 3, CrashRound: 1})
 	sB, err := Open(mkPlan(edges0), cfgB)
 	if err != nil {
@@ -765,7 +757,7 @@ func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode, every
 	// Restore from the epoch-1 checkpoint with a plan rebuilt at that
 	// mutation position, then replay the trailing log entries.
 	cfgC := cfg
-	cfgC.RestoreDir = dirAt1
+	cfgC.CheckpointDir = dirAt1
 	sC, err := Open(mkPlan(edges1), cfgC)
 	if err != nil {
 		t.Fatal(err)
@@ -787,15 +779,12 @@ func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode, every
 	expectSameFixpoint(t, "restored", sC.Result().Values, want, p.ident, p.tol)
 }
 
-// TestParkCutSurvivesPartialNextCut is a crash between a park cut and the
-// first cut after it, built from a live PageRank session: one Apply with
-// park cuts on, then worker 0 alone writes its shard under the stamp the
-// fixpoint's first cut after the park takes — holding the converged
-// table, as a crash part-way through that cut would leave the directory.
-// The park cut (1, 0) is the newest complete cut, and the run restored
-// from it must reach the uninterrupted Apply's fixpoint. A park cut
-// stamped with the next cut's number would have had worker 0's shard
-// overwritten, and the restore would mix two cuts.
+// TestParkCutSurvivesPartialNextCut is a crash part-way through a park
+// cut, built from a live PageRank session: one Apply with park cuts on,
+// then worker 0 alone writes its shard of the next Apply's cut — holding
+// the converged table, as a crash part-way through that cut would leave
+// the directory. The park cut 1 is the newest complete cut, and the run
+// restored from it must reach the uninterrupted Apply's fixpoint.
 func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 	p := sessionProgs[2] // PageRank
 	base := gen.RMAT(9, 2500, 0, 29)
@@ -807,36 +796,28 @@ func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := sessCfg(mode)
-			cfg.SnapshotDir = dir
+			cfg.CheckpointDir = dir
 			s, err := Open(mkPlan(edges0), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			// The number of the first cut after the park: the next
-			// superstep under BSP, the next snapshot episode otherwise.
-			next := s.m.episodes + 1
-			if mode == MRASync {
-				next = s.workers[0].rounds + 1
-			}
 			res, err := s.Apply(mut)
 			if err != nil || !res.Converged {
 				t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
 			}
 			// Parked: the session goroutine may read the tables.
-			if err := s.workers[0].snapshot(next, false); err != nil {
+			if err := s.workers[0].snapshot(s.MutEpoch() + 1); err != nil {
 				t.Fatal(err)
 			}
 			_, meta, err := ckpt.LoadAll(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if meta.MutEpoch != 1 || meta.Epoch != 0 {
-				t.Errorf("LoadAll chose the cut (%d, %d), want the park cut (1, 0)", meta.MutEpoch, meta.Epoch)
+			if meta.MutEpoch != 1 {
+				t.Errorf("LoadAll chose the cut %d, want the park cut 1", meta.MutEpoch)
 			}
-			rcfg := sessCfg(mode)
-			rcfg.RestoreDir = dir
-			got, err := Run(mkPlan(edges1), rcfg)
+			got, err := Run(mkPlan(edges1), cfg)
 			if err != nil || !got.Converged {
 				t.Fatalf("restored run: %v (converged=%v)", err, got != nil && got.Converged)
 			}
@@ -845,62 +826,54 @@ func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 	}
 }
 
-// TestRejoinLeavesPartialOldCut is the same crash under a BSP re-join:
-// worker 1 writes its shard under the stamp of the superstep after its
-// last, as a worker that cut that superstep and died before its ack left
-// would, and dies. The fleet must restart its supersteps past that stamp
-// (master.stepBase): re-cut, its other shards would come from the new run
-// and complete a cut mixed from two. Worker 0 checks after each of its
-// supersteps that the newest complete cut is never that stamp, and the run
-// restored from the directory must reach the Apply's fixpoint.
-func TestRejoinLeavesPartialOldCut(t *testing.T) {
-	p := sessionProgs[2] // PageRank
-	base := gen.RMAT(9, 2500, 0, 29)
-	n := base.NumVertices()
-	mut, edges1 := randMutation(rand.New(rand.NewSource(5)), append([]graph.Edge(nil), base.Edges()...), n, 8, 0, false, p.insW)
+// TestRestoreAcrossFleetSizes: fleets of different sizes share one
+// checkpoint directory. A 4-worker session applies a batch; a session
+// restored from its cut at 2 workers applies another, leaving the first
+// fleet's shards of workers 2 and 3 behind; a session restored at 3
+// workers resumes from the 2-worker cut. Each result must equal the
+// scratch fixpoint of its graph.
+func TestRestoreAcrossFleetSizes(t *testing.T) {
+	p := sessionProgs[0] // SSSP
+	g := p.g()
+	n, weighted := g.NumVertices(), g.Weighted()
+	r := rand.New(rand.NewSource(17))
+	mut1, edges1 := randMutation(r, append([]graph.Edge(nil), g.Edges()...), n, 6, 6, p.dag, p.insW)
+	mut2, edges2 := randMutation(r, edges1, n, 6, 6, p.dag, p.insW)
 	dir := t.TempDir()
-	cfg := rejoinCfg(MRASync)
-	cfg.SnapshotDir, cfg.SnapshotEvery = dir, 1
-	s, err := Open(planAt(t, p, n, base.Edges(), base.Weighted()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var fired, restamped atomic.Bool
-	var planted atomic.Int64
-	hookAt(func(w *worker, pass int) bool {
-		if pass != 3 {
-			return false
+	reopen := func(workers int, edges []graph.Edge, wantEpoch int) *Session {
+		t.Helper()
+		cfg := sessCfg(MRASyncAsync)
+		cfg.Workers, cfg.CheckpointDir = workers, dir
+		s, err := Open(planAt(t, p, n, edges, weighted), cfg)
+		if err != nil {
+			t.Fatalf("open at %d workers: %v", workers, err)
 		}
-		if err := w.snapshot(w.rounds+1, false); err != nil {
-			t.Error(err)
+		if s.MutEpoch() != wantEpoch {
+			t.Fatalf("open at %d workers resumed MutEpoch %d, want %d", workers, s.MutEpoch(), wantEpoch)
 		}
-		planted.Store(int64(w.rounds + 1))
-		return true
-	}, nil)(t, s, &fired)
-	pol := &s.workers[0].pol
-	pol.barrier = &crashHook{BarrierPolicy: pol.barrier, fired: new(atomic.Bool), atEnd: func(w *worker, _ int) bool {
-		if e := planted.Load(); e > 0 {
-			_, meta, err := ckpt.LoadAll(dir)
-			restamped.CompareAndSwap(false, err == nil && meta.MutEpoch == w.mutEpoch && meta.Epoch == int(e))
+		return s
+	}
+	check := func(label string, res *Result, edges []graph.Edge) {
+		t.Helper()
+		if !res.Converged {
+			t.Fatalf("%s did not converge", label)
 		}
-		return false
-	}}
-	res, err := s.Apply(mut)
-	if err != nil || !res.Converged {
-		t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
+		expectSameFixpoint(t, label, res.Values, scratchFixpoint(t, p, n, edges, weighted, sessCfg(MRASyncAsync)), p.ident, p.tol)
 	}
-	if joins := res.Master.Counters["master.member.join"]; !fired.Load() || joins != 1 {
-		t.Fatalf("crash fired=%v, %d re-joins; want a crash and 1", fired.Load(), joins)
+	apply := func(s *Session, mut Mutation, edges []graph.Edge, label string) {
+		t.Helper()
+		res, err := s.Apply(mut)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		check(label, res, edges)
+		s.Close()
 	}
-	if restamped.Load() {
-		t.Fatalf("the re-joined fleet cut superstep %d again: a partial cut of the old numbering was completed", planted.Load())
-	}
-	rcfg := sessCfg(MRASync)
-	rcfg.RestoreDir = dir
-	got, err := Run(planAt(t, p, n, edges1, base.Weighted()), rcfg)
-	if err != nil || !got.Converged {
-		t.Fatalf("restored run: %v (converged=%v)", err, got != nil && got.Converged)
-	}
-	expectSameFixpoint(t, "restored", got.Values, res.Values, p.ident, 5e-3)
+	apply(reopen(4, g.Edges(), 0), mut1, edges1, "4 workers, apply 1")
+	s2 := reopen(2, edges1, 1)
+	check("restored at 2", s2.Result(), edges1)
+	apply(s2, mut2, edges2, "2 workers, apply 2")
+	s3 := reopen(3, edges2, 2)
+	defer s3.Close()
+	check("restored at 3", s3.Result(), edges2)
 }

@@ -64,7 +64,7 @@ func (b *sspBarrier) beginPass(w *worker) bool { return w.drainInbox() }
 
 func (b *sspBarrier) endPass(w *worker, progressed bool) bool {
 	// A superstep boundary is SSP's safe point for fences: join a pending
-	// snapshot episode or membership fence.
+	// membership fence.
 	w.joinFences()
 	if !progressed {
 		if w.pol.sched.release() {

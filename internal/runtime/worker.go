@@ -116,10 +116,6 @@ type worker struct {
 	barFrom int
 	early   []transport.Message
 
-	// mutEpoch stamps snapshots with the mutation-log position they
-	// incorporate (the session advances it while the worker is parked).
-	mutEpoch int
-
 	// sendErr records the first unrecoverable transport failure seen by
 	// the comm goroutine, which then stops the worker instead of letting it
 	// compute into a dead network. Run/RunWorker surface the error after
@@ -504,7 +500,7 @@ func (w *worker) handle(m transport.Message) {
 		// StatsReply, are the master's: a worker receiving one (misrouted
 		// frame, chaos injection) ignores it rather than corrupting local
 		// state.
-		if m.Fence == transport.FenceStep && (m.Kind == transport.FenceAck) == w.reportsAtCut(m.Round) {
+		if m.Fence == transport.FenceStep && (m.Kind == transport.FenceAck) == w.reportsAtCut() {
 			w.steps.observe(m.From, m.Round, m.Stats)
 		}
 	case transport.FenceRelease:
@@ -719,42 +715,16 @@ func (w *worker) restore(rows []ckpt.Row) {
 	}
 }
 
-// snapshot writes this worker's shard of the cut (w.mutEpoch, epoch): a
-// session's park cut (epoch 0), a BSP superstep's or a snapshot
-// episode's. live says the worker's own goroutine writes a cut inside a
-// fixpoint: the rows are copied first, and the write runs beside a fold
-// of the inbox, so the worker answers a liveness probe (master.rejoin)
-// however long the disk takes — no collect deadline allows for it. The
-// park cut is written by the session goroutine, which must not read the
-// inbox.
-func (w *worker) snapshot(epoch int, live bool) error {
+// snapshot writes this worker's shard of the park cut mutEpoch. The
+// session goroutine calls it while the fleet is parked.
+func (w *worker) snapshot(mutEpoch int) error {
 	var rows []ckpt.Row
 	w.table.RangeRows(func(k int64, acc, inter float64) bool {
 		rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
 		return true
 	})
-	meta := ckpt.Meta{MutEpoch: w.mutEpoch, Epoch: epoch, Worker: w.id, Workers: w.nw}
-	if !live {
-		return saveShard(w.cfg.SnapshotDir, meta, rows)
-	}
-	done := make(chan error, 1)
-	go func() { done <- saveShard(w.cfg.SnapshotDir, meta, rows) }()
-	for {
-		select {
-		case err := <-done:
-			return err
-		case m, ok := <-w.conn.Inbox():
-			if !ok {
-				w.stop()
-				return <-done
-			}
-			w.handle(m)
-		}
-	}
+	return ckpt.SaveShard(w.cfg.CheckpointDir, ckpt.Meta{MutEpoch: mutEpoch, Worker: w.id, Workers: w.nw}, rows)
 }
-
-// saveShard is ckpt.SaveShard; a test slows it down.
-var saveShard = ckpt.SaveShard
 
 // flush sends buffer j if it is non-empty: one Data batch per batchMax
 // entries — a buffer outgrows one batch under a barrier's limit or while

@@ -108,7 +108,7 @@ func TestCodecEdgeMessages(t *testing.T) {
 		{Kind: Data, From: 0, Round: 7, KVs: []KV{}},
 		{Kind: Data, KVs: []KV{{K: math.MinInt64, V: math.Inf(-1)}, {K: math.MaxInt64, V: math.Inf(1)}, {K: 0, V: math.NaN()}}},
 		{Kind: FenceMark, From: 1, Round: 42, Fence: FenceStep},
-		{Kind: FenceRelease, Round: 9, Fence: FenceSnapshot},
+		{Kind: FenceRelease, Round: 9, Fence: FenceMember},
 		{Kind: StatsRequest, Round: 1 << 30},
 		{Kind: Stop},
 		{Kind: StatsReply, From: 2, Round: 5, Stats: Stats{

@@ -5,7 +5,8 @@
 // hand-rolled length-prefixed binary codec (used by the multi-process
 // cluster example). The engine is written against the Conn interface
 // only: eight message kinds — data, the termination protocol and one
-// four-kind fence protocol (whose step class is the BSP barrier). Data
+// four-kind fence protocol of three classes (the step class is the BSP
+// barrier). Data
 // messages carry pooled KV batches under the recycle contract documented
 // in batch.go, so the steady-state update path allocates nothing.
 package transport
@@ -25,8 +26,8 @@ type Kind uint8
 // Message kinds. Data carries folded deltas; StatsRequest through Stop
 // are the termination-control protocol (paper §5.3–5.4); the four Fence
 // kinds are the one consistent-cut protocol (DESIGN.md "The fence") that
-// BSP supersteps, snapshot episodes, session parking and crash re-join
-// all instantiate, told apart by Message.Fence. A kind means the
+// BSP supersteps, session parking and crash re-join all instantiate,
+// told apart by Message.Fence. A kind means the
 // same thing whoever sends it.
 const (
 	Data         Kind = iota // worker → worker: KV batch (Round = per-link sequence number)
@@ -52,16 +53,15 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// FenceClass says which protocol a fence message belongs to. The four
+// FenceClass says which protocol a fence message belongs to. The three
 // classes share the wire protocol; they differ in who opens them, in
-// cohort, in what runs at the cut, and in when the master releases — a
-// superstep never.
+// what runs at the cut, and in when the master releases — a superstep
+// never.
 type FenceClass uint8
 
 const (
-	FenceSnapshot FenceClass = iota // the async family's and SSP's consistent-cut checkpoint, any aggregate (Round = snapshot episode)
-	FencePark                       // session epoch boundary (Round = session epoch); held until the next Apply
-	FenceMember                     // crash repair: lost slots replaced in place (Round = fence number)
+	FencePark   FenceClass = iota // session epoch boundary (Round = session epoch); held until the next Apply
+	FenceMember                   // crash repair: lost slots replaced in place (Round = fence number)
 	// FenceStep is the end of a BSP superstep (Round = superstep, counted
 	// across a session's epochs). Each worker opens it itself; its mark
 	// (or, where the report is ready only at the cut, its ack) carries the
