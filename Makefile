@@ -11,7 +11,7 @@
 #                      2 and 4 procs
 #   test-names         fails when a name in either -run list above selects
 #                      no test — a renamed test would otherwise drop out of
-#                      its gate silently (until ROADMAP 1e deletes the lists)
+#                      its gate silently (until ROADMAP item 4b deletes the lists)
 #   race               the packages on the message path, checkpointing, fault
 #                      injection, metrics, sessions, the server, the set-up
 #                      path, the aggregate atomics (agg) and the comparator

@@ -1,15 +1,15 @@
-// Package ckpt serialises MonoTable shard state for fault tolerance —
-// the local-filesystem substitute for the original system's HDFS
-// checkpoints. A snapshot stores each row's Accumulation and pending
-// Intermediate plus a Meta header. Every checkpoint is a session's park
-// cut: a consistent cut (no messages in flight across it) taken at an
-// Apply, stamped with the mutation-log position it incorporates. The
-// binary format is length-prefixed little-endian with a CRC32 trailer,
-// so a torn or corrupted file is detected and refused rather than
-// silently restored. Shard files carry the stamp in their names and are
-// written atomically (temp file + fsync + rename + directory fsync), and
-// each worker keeps its two newest stamps — a crash leaving the newest
-// cut incomplete falls back to the previous complete one.
+// Package ckpt serialises MonoTable state for fault tolerance — the
+// local-filesystem substitute for the original system's HDFS
+// checkpoints. Every checkpoint is a session's park cut: a consistent
+// cut (no messages in flight across it) taken at an Apply, stamped with
+// the mutation-log position it incorporates, and stored as one file
+// holding every row of the fleet — each row's Accumulation and pending
+// Intermediate plus a Meta header. The binary format is length-prefixed
+// little-endian with a CRC32 trailer, so a torn or corrupted file is
+// detected and refused rather than silently restored. A cut file is
+// written atomically (temp file + fsync + rename + directory fsync), so
+// a crash leaves the new cut whole or absent, and the directory keeps
+// its two newest cuts.
 package ckpt
 
 import (
@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 )
 
 // Row is one checkpointed MonoTable row.
@@ -33,22 +32,16 @@ type Row struct {
 	Inter float64 // pending intermediate delta (identity if none)
 }
 
-// Meta describes one shard snapshot. MutEpoch is the cut's stamp.
+// Meta is a cut's header.
 type Meta struct {
-	// MutEpoch is the mutation-log position the snapshot incorporates: k
-	// for the park cut of a session's k-th Apply, written with the
-	// mutation applied and its fixpoint pending. A restore replays the log
+	// MutEpoch is the mutation-log position the cut incorporates: k for
+	// the park cut of a session's k-th Apply, written with the mutation
+	// applied and its fixpoint pending. A restore replays the log
 	// entries after MutEpoch.
 	MutEpoch int
-	// Worker is the writing worker's id (-1 on a LoadAll result, which
-	// merges shards).
-	Worker int
-	// Workers is the fleet size at snapshot time; a restore needs a
-	// shard from every one of them.
-	Workers int
 }
 
-const magic = "PLCK\x05"
+const magic = "PLCK\x06"
 
 // Write serialises rows with their Meta header to w.
 func Write(w io.Writer, meta Meta, rows []Row) error {
@@ -63,10 +56,8 @@ func Write(w io.Writer, meta Meta, rows []Row) error {
 		_, err := mw.Write(buf[:])
 		return err
 	}
-	for _, v := range []uint64{uint64(meta.MutEpoch), uint64(meta.Worker), uint64(meta.Workers)} {
-		if err := put(v); err != nil {
-			return err
-		}
+	if err := put(uint64(meta.MutEpoch)); err != nil {
+		return err
 	}
 	if err := put(uint64(len(rows))); err != nil {
 		return err
@@ -106,15 +97,11 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	var hdr [3]uint64
-	for i := range hdr {
-		v, err := get()
-		if err != nil {
-			return nil, meta, fmt.Errorf("ckpt: short meta: %w", err)
-		}
-		hdr[i] = v
+	epoch, err := get()
+	if err != nil {
+		return nil, meta, fmt.Errorf("ckpt: short meta: %w", err)
 	}
-	meta = Meta{MutEpoch: int(hdr[0]), Worker: int(int64(hdr[1])), Workers: int(hdr[2])}
+	meta.MutEpoch = int(epoch)
 	n, err := get()
 	if err != nil {
 		return nil, meta, fmt.Errorf("ckpt: bad count: %w", err)
@@ -149,59 +136,61 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 	return rows, meta, nil
 }
 
-// ShardPath names one worker's shard of the cut mutEpoch inside dir.
-func ShardPath(dir string, mutEpoch, worker int) string {
-	return filepath.Join(dir, fmt.Sprintf("ep%06d-shard-%03d.plck", mutEpoch, worker))
+// CutPath names the file of the cut mutEpoch inside dir.
+func CutPath(dir string, mutEpoch int) string {
+	return filepath.Join(dir, fmt.Sprintf("cut-%d.plck", mutEpoch))
 }
 
-// parseShardName inverts ShardPath on a base filename.
-func parseShardName(name string) (meta Meta, ok bool) {
-	_, err := fmt.Sscanf(name, "ep%d-shard-%d.plck", &meta.MutEpoch, &meta.Worker)
-	return meta, err == nil
+// stamps lists the stamps of dir's cut files, newest first. A file
+// whose name is not CutPath of a stamp is not a cut.
+func stamps(dir string) ([]int, error) {
+	matches, err := filepath.Glob(filepath.Join(dir, "cut-*.plck"))
+	if err != nil {
+		return nil, err
+	}
+	var out []int
+	for _, m := range matches {
+		var e int
+		if _, err := fmt.Sscanf(filepath.Base(m), "cut-%d.plck", &e); err == nil && CutPath(dir, e) == m {
+			out = append(out, e)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(out)))
+	return out, nil
 }
 
-// keepCuts is how many stamps of snapshots each worker retains: the one
-// just written plus its predecessor, so a crash that leaves the newest
-// cut incomplete across the fleet can still fall back to the previous
-// complete one.
+// keepCuts is how many cuts the directory retains: the one just written
+// plus its predecessor.
 const keepCuts = 2
 
-// SaveShard atomically writes rows to the worker's shard file for
-// meta's stamp (write to a temp file in the same directory, fsync,
-// rename, fsync the directory) and prunes this worker's stamps older
-// than the newest keepCuts. A crash at any point leaves either the new
-// cut's file complete or absent — never torn — and the previous cut
-// intact.
-func SaveShard(dir string, meta Meta, rows []Row) error {
+// Save atomically writes rows as the cut of meta's stamp (write to a
+// temp file in the same directory, fsync, rename, fsync the directory)
+// and prunes the cuts older than the newest keepCuts. A crash at any
+// point leaves the new cut's file complete or absent — never torn — and
+// the previous cut intact.
+func Save(dir string, meta Meta, rows []Row) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	path := ShardPath(dir, meta.MutEpoch, meta.Worker)
-	tmp, err := os.CreateTemp(dir, "shard-*.tmp")
+	tmp, err := os.CreateTemp(dir, "cut-*.tmp")
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(tmp)
-	if err := Write(bw, meta, rows); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	err = Write(bw, meta, rows)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), CutPath(dir, meta.MutEpoch))
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -211,135 +200,40 @@ func SaveShard(dir string, meta Meta, rows []Row) error {
 		_ = d.Sync()
 		d.Close()
 	}
-	pruneShards(dir, meta.Worker)
+	// Best-effort: a pruning failure never fails the cut that just landed.
+	if all, err := stamps(dir); err == nil && len(all) > keepCuts {
+		for _, e := range all[keepCuts:] {
+			_ = os.Remove(CutPath(dir, e))
+		}
+	}
 	return nil
 }
 
-// leaseTTL is how long a read lease stays fresh. A reader that crashed
-// without releasing leaves a stale lease file behind; pruning resumes
-// once it ages out (and the stale file is cleaned up along the way).
-const leaseTTL = 30 * time.Second
-
-// acquireReadLease marks dir as being read by a restore in progress
-// (LoadAll): while any fresh lease file exists, SaveShard defers its
-// keep-2-cuts pruning entirely, so the cut a concurrent reader
-// selected cannot be deleted out from under it between its directory
-// scan and its reads. The returned release function removes the lease;
-// it is safe to call more than once.
-func acquireReadLease(dir string) (release func(), err error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.CreateTemp(dir, "lease-*.rdl")
-	if err != nil {
-		return nil, err
-	}
-	name := f.Name()
-	f.Close()
-	return func() { _ = os.Remove(name) }, nil
-}
-
-// leased reports whether dir has a fresh read lease. Stale lease files
-// (crashed readers past leaseTTL) are removed as they are found.
-func leased(dir string) bool {
-	matches, err := filepath.Glob(filepath.Join(dir, "lease-*.rdl"))
-	if err != nil {
-		return false
-	}
-	fresh := false
-	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			continue
-		}
-		if time.Since(fi.ModTime()) < leaseTTL {
-			fresh = true
-		} else {
-			_ = os.Remove(m)
-		}
-	}
-	return fresh
-}
-
-// pruneShards removes this worker's stamps beyond the newest keepCuts.
-// Best-effort: pruning failures never fail the snapshot that just landed.
-// While a read lease is held (a restore is scanning the directory),
-// pruning is skipped entirely — deferred to the next save.
-func pruneShards(dir string, worker int) {
-	if leased(dir) {
-		return
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("ep*-shard-%03d.plck", worker)))
-	if err != nil || len(matches) <= keepCuts {
-		return
-	}
-	stamps := map[string]Meta{}
-	for _, m := range matches {
-		if meta, ok := parseShardName(filepath.Base(m)); ok && meta.Worker == worker {
-			stamps[m] = meta
-		}
-	}
-	sort.Slice(matches, func(i, j int) bool { return stamps[matches[i]].MutEpoch > stamps[matches[j]].MutEpoch })
-	for _, m := range matches[keepCuts:] {
-		if _, ok := stamps[m]; ok {
-			_ = os.Remove(m)
-		}
-	}
-}
-
-// ErrNoCut is LoadAll's error for a directory that holds no shard at all:
-// nothing was ever checkpointed there.
+// ErrNoCut is Load's error for a directory that holds no cut: nothing
+// was ever checkpointed there.
 var ErrNoCut = errors.New("ckpt: no snapshots")
 
-// MissingShardError reports an incomplete snapshot set: the directory
-// holds shards, but no cut has a shard from every worker of the fleet
-// that wrote it.
-type MissingShardError struct {
-	Dir      string
-	MutEpoch int   // the newest stamp examined
-	Workers  int   // the fleet size its shards record
-	Missing  []int // worker ids with no shard of that cut
-}
-
-func (e *MissingShardError) Error() string {
-	return fmt.Sprintf("ckpt: snapshot in %s is incomplete: cut %d needs %d workers, missing shards for %v",
-		e.Dir, e.MutEpoch, e.Workers, e.Missing)
-}
-
-// LoadAll assembles the newest complete cut in dir and returns its rows
-// plus a Meta describing it (Worker = -1). A cut is the shards of one
-// stamp that record one fleet size; it is complete with a shard from
-// every worker of that fleet. Fleets of different sizes may share a
-// directory — a session restored at another size writes the cuts after
-// the one it restored from — so a fleet's stale shards of a stamp never
-// complete another fleet's cut of it, and an incomplete newest cut (a
-// crash mid-cut) falls back to the newest complete one, whatever its
-// size. Any unreadable or checksum-failing shard file aborts the load:
-// SaveShard never leaves a torn file behind, so corruption here is
-// external damage and must be surfaced, not silently skipped. A
-// directory with no shard yields ErrNoCut; one with shards but no
-// complete cut, a *MissingShardError.
-func LoadAll(dir string) ([]Row, Meta, error) {
-	// The lease pins the directory contents: concurrent SaveShard calls
-	// keep landing new cuts but defer pruning, so everything the glob
-	// below sees stays readable until release.
-	release, err := acquireReadLease(dir)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	defer release()
-	matches, err := filepath.Glob(filepath.Join(dir, "ep*-shard-*.plck"))
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	// cut (a Meta holding only MutEpoch and Workers) → worker → rows
-	cuts := map[Meta]map[int][]Row{}
-	for _, m := range matches {
-		f, err := os.Open(m)
-		if errors.Is(err, os.ErrNotExist) {
-			// Pruned before the lease was taken (glob-then-open race with
-			// a prune already in flight): the file is gone, not corrupt —
-			// choose among what remains.
+// Load returns the rows and Meta of the newest cut in dir. A cut pruned
+// between the directory scan and the open has newer cuts beside it, so
+// Load scans again; once open, the file stays readable whatever the
+// pruner does. An unreadable or checksum-failing newest cut aborts the
+// load: Save never leaves a torn file behind, so corruption here is
+// external damage and must be surfaced, not skipped over to an older
+// cut.
+func Load(dir string) ([]Row, Meta, error) {
+	for vanished := math.MinInt; ; {
+		all, err := stamps(dir)
+		if err != nil {
+			return nil, Meta{}, err
+		}
+		if len(all) == 0 {
+			return nil, Meta{}, fmt.Errorf("%w in %s", ErrNoCut, dir)
+		}
+		newest := all[0]
+		path := CutPath(dir, newest)
+		f, err := os.Open(path)
+		if errors.Is(err, os.ErrNotExist) && newest > vanished {
+			vanished = newest
 			continue
 		}
 		if err != nil {
@@ -348,44 +242,11 @@ func LoadAll(dir string) ([]Row, Meta, error) {
 		rows, meta, err := Read(bufio.NewReader(f))
 		f.Close()
 		if err != nil {
-			return nil, Meta{}, fmt.Errorf("%s: %w", m, err)
+			return nil, Meta{}, fmt.Errorf("%s: %w", path, err)
 		}
-		if named, ok := parseShardName(filepath.Base(m)); !ok || named != (Meta{MutEpoch: meta.MutEpoch, Worker: meta.Worker}) || meta.Worker >= meta.Workers {
-			return nil, Meta{}, fmt.Errorf("ckpt: %s: header %+v disagrees with the filename or names a worker outside its fleet", m, meta)
+		if meta.MutEpoch != newest {
+			return nil, Meta{}, fmt.Errorf("ckpt: %s: header %+v disagrees with the filename", path, meta)
 		}
-		c := Meta{MutEpoch: meta.MutEpoch, Workers: meta.Workers}
-		if cuts[c] == nil {
-			cuts[c] = map[int][]Row{}
-		}
-		cuts[c][meta.Worker] = rows
+		return rows, meta, nil
 	}
-	if len(cuts) == 0 {
-		return nil, Meta{}, fmt.Errorf("%w in %s", ErrNoCut, dir)
-	}
-	order := make([]Meta, 0, len(cuts))
-	for c := range cuts {
-		order = append(order, c)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		return a.MutEpoch > b.MutEpoch || a.MutEpoch == b.MutEpoch && a.Workers > b.Workers
-	})
-	for _, c := range order {
-		if len(cuts[c]) == c.Workers {
-			var all []Row
-			for _, rows := range cuts[c] {
-				all = append(all, rows...)
-			}
-			c.Worker = -1
-			return all, c, nil
-		}
-	}
-	newest := order[0]
-	miss := &MissingShardError{Dir: dir, MutEpoch: newest.MutEpoch, Workers: newest.Workers}
-	for wk := 0; wk < newest.Workers; wk++ {
-		if _, ok := cuts[newest][wk]; !ok {
-			miss.Missing = append(miss.Missing, wk)
-		}
-	}
-	return nil, Meta{}, miss
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestMutEpochRoundTrip(t *testing.T) {
-	meta := Meta{MutEpoch: 4, Worker: 1, Workers: 2}
+	meta := Meta{MutEpoch: 4}
 	rows := []Row{{Key: 3, Acc: 1, Inter: 0.5}}
 	var buf bytes.Buffer
 	if err := Write(&buf, meta, rows); err != nil {

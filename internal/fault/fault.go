@@ -16,7 +16,7 @@
 //     gate, and the async master's polling;
 //   - run-level events (CrashRound aborts the run — inside a session's
 //     Apply, the crash half of the crash/restore drill, whose restart
-//     resumes from the newest complete park cut in Config.CheckpointDir;
+//     resumes from the newest park cut file in Config.CheckpointDir;
 //     MasterRestartRound makes the master lose its termination-detector
 //     state mid-run).
 //

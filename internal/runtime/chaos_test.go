@@ -389,9 +389,9 @@ func TestChaosCrashRestore(t *testing.T) {
 	}
 }
 
-// TestTornSnapshotRefusedOnRestore: corrupting a shard of the newest
-// park cut must fail the restore loudly — never silently restore a torn
-// or partial state.
+// TestTornSnapshotRefusedOnRestore: corrupting the newest park cut must
+// fail the restore loudly — never silently restore a torn or partial
+// state.
 func TestTornSnapshotRefusedOnRestore(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Uniform(200, 1200, 50, 11)
@@ -408,7 +408,7 @@ func TestTornSnapshotRefusedOnRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim := ckpt.ShardPath(dir, 1, 2)
+	victim := ckpt.CutPath(dir, 1)
 	info, err := os.Stat(victim)
 	if err != nil {
 		t.Fatalf("no shard written: %v", err)

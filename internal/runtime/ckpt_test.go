@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -46,10 +47,10 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	if !res1.Converged {
 		t.Fatal("the session did not converge")
 	}
-	// MutEpoch-stamped shards, pruned to the newest two cuts per worker.
-	shards, _ := filepath.Glob(filepath.Join(dir, "ep*-shard-*.plck"))
-	if len(shards) != 6 {
-		t.Fatalf("expected 2 cuts x 3 shard snapshots, got %v", shards)
+	// MutEpoch-stamped cuts, one file each, pruned to the newest two.
+	cuts, _ := filepath.Glob(filepath.Join(dir, "cut-*.plck"))
+	if len(cuts) != 2 {
+		t.Fatalf("expected 2 cut files, got %v", cuts)
 	}
 
 	// "Crash" and resume from the newest cut with a different worker
@@ -80,9 +81,10 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestRestoreMissingDirFails: a checkpoint directory with no shard is a
-// fresh start — the run seeds ΔX¹ and reaches the oracle — while one
-// whose shards make no complete cut fails the restore.
+// TestRestoreMissingDirFails: a checkpoint directory with no cut is a
+// fresh start — the run seeds ΔX¹ and reaches the oracle — while a torn
+// newest cut fails the restore rather than falling back to an older one
+// or to ΔX¹.
 func TestRestoreMissingDirFails(t *testing.T) {
 	g := gen.Uniform(50, 200, 10, 81)
 	db := edb.NewDB()
@@ -94,13 +96,17 @@ func TestRestoreMissingDirFails(t *testing.T) {
 		t.Fatalf("run on an empty directory: %v (converged=%v)", err, res != nil && res.Converged)
 	}
 	expectClose(t, MRASync, res.Values, ref.Dijkstra(g, 0), math.Inf(1), 1e-9)
-	// One shard of a 2-worker cut.
-	if err := ckpt.SaveShard(dir, ckpt.Meta{MutEpoch: 1, Worker: 0, Workers: 2}, nil); err != nil {
+	// An older whole cut beside a torn newest one.
+	for e := 1; e <= 2; e++ {
+		if err := ckpt.Save(dir, ckpt.Meta{MutEpoch: e}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Truncate(ckpt.CutPath(dir, 2), 10); err != nil {
 		t.Fatal(err)
 	}
-	var miss *ckpt.MissingShardError
-	if _, err := Run(plan, Config{Workers: 2, Mode: MRASync, CheckpointDir: dir}); !errors.As(err, &miss) {
-		t.Fatalf("restore from a directory with no complete cut: err = %v, want a MissingShardError", err)
+	if _, err := Run(plan, Config{Workers: 2, Mode: MRASync, CheckpointDir: dir}); err == nil || errors.Is(err, ckpt.ErrNoCut) {
+		t.Fatalf("restore from a torn newest cut: err = %v, want a checksum or truncation error", err)
 	}
 }
 
@@ -131,11 +137,11 @@ func TestSnapshotRowsCaptureIntermediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, meta, err := ckpt.LoadAll(dir)
+	rows, meta, err := ckpt.Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.MutEpoch != 1 || meta.Workers != 2 {
+	if meta.MutEpoch != 1 {
 		t.Fatalf("meta round trip: %+v", meta)
 	}
 	byKey := map[int64]ckpt.Row{}
@@ -151,5 +157,36 @@ func TestSnapshotRowsCaptureIntermediates(t *testing.T) {
 	res, err := Run(plan, cfg)
 	if err != nil || res.Values[int64(far)] != 0.5 {
 		t.Fatalf("restored run: %v, key %d = %v, want 0.5", err, far, res.Values[int64(far)])
+	}
+}
+
+// TestCutFailureCounted: a park cut that cannot be written never fails
+// the Apply, but it is not silent either — the master's registry counts
+// it ("session.cut.failed"), and times only the cuts that land
+// ("session.cut_us"). A CheckpointDir that is a regular file holds no
+// cut (Open seeds ΔX¹) and takes none.
+func TestCutFailureCounted(t *testing.T) {
+	g := gen.Uniform(50, 200, 10, 85)
+	plan := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dir            string
+		failed, cutsUS uint64
+	}{{file, 1, 0}, {t.TempDir(), 0, 1}} {
+		s, err := Open(plan, Config{Workers: 2, Mode: MRASync, CheckpointDir: tc.dir, MaxWall: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Apply(Mutation{Inserts: []graph.Edge{{Src: 0, Dst: 49, W: 0.5}}})
+		s.Close()
+		if err != nil || !res.Converged {
+			t.Fatalf("Apply with CheckpointDir %s: %v (converged=%v)", tc.dir, err, res != nil && res.Converged)
+		}
+		if got, n := res.Master.Counter("session.cut.failed"), res.Master.Histograms["session.cut_us"].Count; got != tc.failed || n != tc.cutsUS {
+			t.Errorf("CheckpointDir %s: session.cut.failed = %d, session.cut_us count = %d; want %d, %d", tc.dir, got, n, tc.failed, tc.cutsUS)
+		}
 	}
 }

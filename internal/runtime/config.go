@@ -99,14 +99,13 @@ type Config struct {
 	// MaxWall aborts a run after this long (default 2 minutes).
 	MaxWall time.Duration
 
-	// CheckpointDir is where a fleet's park cuts live (DESIGN.md §6). Run,
-	// Open and RunWorker resume from the directory's newest complete cut
-	// when it holds any shard (an MRA mode, any worker count), restoring
-	// its state exactly, and seed ΔX¹ when it holds none; shards with no
-	// complete cut among them fail. A session then writes one park cut per
-	// Apply, stamped with the Apply's mutation-log position: a restored
-	// session's cuts continue past the one it restored from, so none
-	// overwrites it.
+	// CheckpointDir is where a fleet's park cuts live (DESIGN.md §6), one
+	// file per cut. Run, Open and RunWorker resume from the directory's
+	// newest cut (an MRA mode, any worker count), restoring its state
+	// exactly, and seed ΔX¹ when it holds none; a torn newest cut fails.
+	// A session then writes one park cut per Apply, stamped with the
+	// Apply's mutation-log position: a restored session's cuts continue
+	// past the one it restored from, so none overwrites it.
 	CheckpointDir string
 
 	// Fault plugs a deterministic fault injector into the run: a

@@ -113,6 +113,11 @@ type masterMetrics struct {
 	edgesRead      *metrics.Counter
 	indexRebuilds  *metrics.Counter
 	edgesMoved     *metrics.Counter
+	// Park cuts (Session.cut, DESIGN.md §6): cutFailed counts the cuts
+	// an Apply could not write ("session.cut.failed"); cutUS is the
+	// write time of each one written, in microseconds ("session.cut_us").
+	cutFailed *metrics.Counter
+	cutUS     *metrics.Histogram
 }
 
 func newMasterMetrics() masterMetrics {
@@ -138,5 +143,7 @@ func newMasterMetrics() masterMetrics {
 		edgesRead:      reg.Counter("delta.edges.read"),
 		indexRebuilds:  reg.Counter("delta.index.rebuilds"),
 		edgesMoved:     reg.Counter("delta.edges.moved"),
+		cutFailed:      reg.Counter("session.cut.failed"),
+		cutUS:          reg.Histogram("session.cut_us"),
 	}
 }

@@ -57,7 +57,7 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 // setUp is what Open and RunWorker do before any worker runs: validate
 // cfg, fill in its defaults — Workers is the network's size when
 // workers > 0 — refuse a plan the mode cannot run, and read the cut to
-// resume from (meta nil: none — no CheckpointDir, or one with no shard),
+// resume from (meta nil: none — no CheckpointDir, or one with no cut),
 // so a bad request or a corrupt checkpoint fails before a goroutine
 // starts.
 func setUp(plan *compiler.Plan, cfg Config, workers int) (_ Config, rows []ckpt.Row, meta *ckpt.Meta, err error) {
@@ -78,7 +78,7 @@ func setUp(plan *compiler.Plan, cfg Config, workers int) (_ Config, rows []ckpt.
 	if !cfg.Mode.MRA() || cfg.CheckpointDir == "" {
 		return cfg, nil, nil, nil
 	}
-	rows, cut, err := ckpt.LoadAll(cfg.CheckpointDir)
+	rows, cut, err := ckpt.Load(cfg.CheckpointDir)
 	if errors.Is(err, ckpt.ErrNoCut) {
 		return cfg, nil, nil, nil
 	}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -378,8 +379,8 @@ func TestUncompiledPlanRejected(t *testing.T) {
 
 // Open and RunWorker share one set-up (setUp), so they refuse the same
 // (cfg, plan) pairs: an invalid config, an uncompiled plan, naive
-// evaluation without base tuples, a checkpoint directory whose shards
-// make no complete cut — and both accept a runnable pair, an empty
+// evaluation without base tuples, a checkpoint directory whose newest
+// cut is torn — and both accept a runnable pair, an empty
 // checkpoint directory included. RunWorker's accepted run finds a Stop
 // waiting in its inbox and returns at once.
 func TestSetUpRefusesAlike(t *testing.T) {
@@ -388,8 +389,11 @@ func TestSetUpRefusesAlike(t *testing.T) {
 	noBase := *sssp
 	noBase.BaseNaive = nil
 	one := Config{Workers: 1, MaxWall: 10 * time.Second}
-	incomplete := t.TempDir()
-	if err := ckpt.SaveShard(incomplete, ckpt.Meta{MutEpoch: 1, Workers: 2}, nil); err != nil {
+	torn := t.TempDir()
+	if err := ckpt.Save(torn, ckpt.Meta{MutEpoch: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(ckpt.CutPath(torn, 1), 10); err != nil {
 		t.Fatal(err)
 	}
 	with := func(edit func(*Config)) Config {
@@ -408,7 +412,7 @@ func TestSetUpRefusesAlike(t *testing.T) {
 		{"uncompiled", one, &compiler.Plan{}, true},
 		{"naive-without-base", with(func(c *Config) { c.Mode = NaiveSync }), &noBase, true},
 		{"empty-restore-dir", with(func(c *Config) { c.CheckpointDir = t.TempDir() }), sssp, false},
-		{"incomplete-cut", with(func(c *Config) { c.CheckpointDir = incomplete }), sssp, true},
+		{"torn-cut", with(func(c *Config) { c.CheckpointDir = torn }), sssp, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, openErr := Open(tc.plan, tc.cfg)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/transport"
@@ -304,13 +305,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		s.m.met.indexRebuilds.Inc()
 	}
 
-	// Write the park cut mutEpoch: a consistent view of "mutation
-	// applied, re-fixpoint pending" that restores by simply running to
-	// convergence. Best-effort: durability must never fail the run.
 	if s.cfg.CheckpointDir != "" {
-		for _, w := range s.workers {
-			_ = w.snapshot(s.mutEpoch)
-		}
+		s.cut()
 	}
 
 	// One more epoch: release the park fence the session has held since
@@ -337,6 +333,28 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	}
 	s.setResult(res)
 	return res, nil
+}
+
+// cut writes the park cut mutEpoch: a consistent view of "mutation
+// applied, re-fixpoint pending" that restores by simply running to
+// convergence — every parked worker's rows, in one file. Best-effort:
+// durability must never fail the run, so a failed write is counted
+// ("session.cut.failed"), not returned; a written one is timed
+// ("session.cut_us").
+func (s *Session) cut() {
+	start := time.Now()
+	var rows []ckpt.Row
+	for _, w := range s.workers {
+		w.table.RangeRows(func(k int64, acc, inter float64) bool {
+			rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
+			return true
+		})
+	}
+	if err := ckpt.Save(s.cfg.CheckpointDir, ckpt.Meta{MutEpoch: s.mutEpoch}, rows); err != nil {
+		s.m.met.cutFailed.Inc()
+		return
+	}
+	s.m.met.cutUS.Observe(uint64(time.Since(start).Microseconds()))
 }
 
 // parkedTable is the compiler.AccTable view of the fleet's shards: a

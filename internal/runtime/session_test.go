@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -781,10 +782,11 @@ func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode) {
 
 // TestParkCutSurvivesPartialNextCut is a crash part-way through a park
 // cut, built from a live PageRank session: one Apply with park cuts on,
-// then worker 0 alone writes its shard of the next Apply's cut — holding
-// the converged table, as a crash part-way through that cut would leave
-// the directory. The park cut 1 is the newest complete cut, and the run
-// restored from it must reach the uninterrupted Apply's fixpoint.
+// then half of the next Apply's cut — the converged table, stamped 2 —
+// lands in a temp file that is never renamed, as a crash part-way
+// through ckpt.Save would leave the directory. The park cut 1 is the
+// newest cut, and the run restored from it must reach the uninterrupted
+// Apply's fixpoint.
 func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 	p := sessionProgs[2] // PageRank
 	base := gen.RMAT(9, 2500, 0, 29)
@@ -807,15 +809,26 @@ func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 				t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
 			}
 			// Parked: the session goroutine may read the tables.
-			if err := s.workers[0].snapshot(s.MutEpoch() + 1); err != nil {
+			var rows []ckpt.Row
+			for _, w := range s.workers {
+				w.table.RangeRows(func(k int64, acc, inter float64) bool {
+					rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
+					return true
+				})
+			}
+			var buf bytes.Buffer
+			if err := ckpt.Write(&buf, ckpt.Meta{MutEpoch: s.MutEpoch() + 1}, rows); err != nil {
 				t.Fatal(err)
 			}
-			_, meta, err := ckpt.LoadAll(dir)
+			if err := os.WriteFile(filepath.Join(dir, "cut-1234.tmp"), buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, meta, err := ckpt.Load(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if meta.MutEpoch != 1 {
-				t.Errorf("LoadAll chose the cut %d, want the park cut 1", meta.MutEpoch)
+				t.Errorf("Load chose the cut %d, want the park cut 1", meta.MutEpoch)
 			}
 			got, err := Run(mkPlan(edges1), cfg)
 			if err != nil || !got.Converged {
@@ -824,6 +837,67 @@ func TestParkCutSurvivesPartialNextCut(t *testing.T) {
 			expectSameFixpoint(t, "restored", got.Values, res.Values, p.ident, 5e-3)
 		})
 	}
+}
+
+// TestPruneAcrossFleetSizes: a cut is one file whatever the fleet's
+// size, so pruning leaves the same two cuts behind after fleets of
+// different sizes. A 4-worker session applies three batches; a 2-worker
+// session restored from its directory applies three more. The directory
+// then holds exactly the cuts 5 and 6 (ckpt keeps the newest two) and
+// nothing else, and a restore reads only the newest: with cut 5 torn, a
+// 3-worker session still resumes from cut 6 and matches the scratch
+// fixpoint.
+func TestPruneAcrossFleetSizes(t *testing.T) {
+	p := sessionProgs[0] // SSSP
+	g := p.g()
+	n, weighted := g.NumVertices(), g.Weighted()
+	r := rand.New(rand.NewSource(23))
+	edges := append([]graph.Edge(nil), g.Edges()...)
+	dir := t.TempDir()
+	reopen := func(workers, wantEpoch int) *Session {
+		t.Helper()
+		cfg := sessCfg(MRASyncAsync)
+		cfg.Workers, cfg.CheckpointDir = workers, dir
+		s, err := Open(planAt(t, p, n, edges, weighted), cfg)
+		if err != nil {
+			t.Fatalf("open at %d workers: %v", workers, err)
+		}
+		if s.MutEpoch() != wantEpoch {
+			t.Fatalf("open at %d workers resumed MutEpoch %d, want %d", workers, s.MutEpoch(), wantEpoch)
+		}
+		return s
+	}
+	for _, fleet := range []struct{ workers, from int }{{4, 0}, {2, 3}} {
+		s := reopen(fleet.workers, fleet.from)
+		for i := 0; i < 3; i++ {
+			var mut Mutation
+			mut, edges = randMutation(r, edges, n, 6, 6, p.dag, p.insW)
+			if _, err := s.Apply(mut); err != nil {
+				t.Fatalf("%d workers, apply %d: %v", fleet.workers, fleet.from+i+1, err)
+			}
+		}
+		s.Close()
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if want := []string{filepath.Base(ckpt.CutPath(dir, 5)), filepath.Base(ckpt.CutPath(dir, 6))}; !slices.Equal(names, want) {
+		t.Fatalf("directory holds %v, want %v", names, want)
+	}
+	if err := os.Truncate(ckpt.CutPath(dir, 5), 10); err != nil {
+		t.Fatal(err)
+	}
+	s := reopen(3, 6)
+	defer s.Close()
+	if !s.Result().Converged {
+		t.Fatal("restored at 3 workers did not converge")
+	}
+	expectSameFixpoint(t, "restored at 3", s.Result().Values, scratchFixpoint(t, p, n, edges, weighted, sessCfg(MRASyncAsync)), p.ident, p.tol)
 }
 
 // TestRestoreAcrossFleetSizes: fleets of different sizes share one

@@ -715,17 +715,6 @@ func (w *worker) restore(rows []ckpt.Row) {
 	}
 }
 
-// snapshot writes this worker's shard of the park cut mutEpoch. The
-// session goroutine calls it while the fleet is parked.
-func (w *worker) snapshot(mutEpoch int) error {
-	var rows []ckpt.Row
-	w.table.RangeRows(func(k int64, acc, inter float64) bool {
-		rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
-		return true
-	})
-	return ckpt.SaveShard(w.cfg.CheckpointDir, ckpt.Meta{MutEpoch: mutEpoch, Worker: w.id, Workers: w.nw}, rows)
-}
-
 // flush sends buffer j if it is non-empty: one Data batch per batchMax
 // entries — a buffer outgrows one batch under a barrier's limit or while
 // its slot is down. Each batch is stamped with the next per-link sequence
