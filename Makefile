@@ -3,9 +3,9 @@
 #
 #   vet, build, test   go vet / go build / go test over ./...
 #   test-cpu1          the whole suite at one core (its own CI step)
-#   test-scan          compute-pass, bucket-scheduler, session-oracle and
-#                      stop-path tests (DESIGN.md §9, §5b, §10) at 1, 2 and
-#                      4 procs
+#   test-scan          compute-pass, admission-drain, bucket-scheduler,
+#                      session-oracle and stop-path tests (DESIGN.md §9,
+#                      §5b, §10) at 1, 2 and 4 procs
 #   test-term          the termination detector's tests (internal/term and
 #                      the runtime's) and the fence rig's, five times at 1,
 #                      2 and 4 procs
@@ -44,7 +44,7 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestShardRouteSplit TestWorkerRefusesForeignKey TestBarrierMirrorFlushesOnce TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainOwnedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestPartitionNear TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
+SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestShardRouteSplit TestWorkerRefusesForeignKey TestBarrierMirrorFlushesOnce TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainAdmittedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestAdmitNear TestAdmitDrainMatchesRefold TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
 TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence TestStepGateReadsReportForS TestMasterKeepsLaterStepAcks TestStepVerdictsAgree TestChaosNaiveSync TestRejoinWindows
 TERM_PKGS = ./internal/term ./internal/runtime

@@ -50,7 +50,7 @@ func BenchmarkDrainPass(b *testing.B) {
 			d.FoldDeltaOwned(k, float64(-i))
 		}
 		b.StartTimer()
-		d.DrainOwned(func(k int64, v float64) { d.FoldAccOwned(int(k), v) })
+		d.DrainAdmitted(monotable.Admit{}, func(k int64, v float64) { d.FoldAccOwned(int(k), v) })
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/key")
 }

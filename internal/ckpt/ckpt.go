@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -138,21 +139,28 @@ func Read(r io.Reader) ([]Row, Meta, error) {
 
 // CutPath names the file of the cut mutEpoch inside dir.
 func CutPath(dir string, mutEpoch int) string {
-	return filepath.Join(dir, fmt.Sprintf("cut-%d.plck", mutEpoch))
+	return filepath.Join(dir, cutName(mutEpoch))
 }
 
+func cutName(mutEpoch int) string { return fmt.Sprintf("cut-%d.plck", mutEpoch) }
+
 // stamps lists the stamps of dir's cut files, newest first. A file
-// whose name is not CutPath of a stamp is not a cut.
+// whose name is not cutName of a stamp is not a cut, and a directory
+// that does not exist holds none; any other failure to list dir — it is
+// a regular file, or cannot be read — is the error.
 func stamps(dir string) ([]int, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "cut-*.plck"))
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	var out []int
-	for _, m := range matches {
-		var e int
-		if _, err := fmt.Sscanf(filepath.Base(m), "cut-%d.plck", &e); err == nil && CutPath(dir, e) == m {
-			out = append(out, e)
+	for _, e := range entries {
+		var s int
+		if _, err := fmt.Sscanf(e.Name(), "cut-%d.plck", &s); err == nil && cutName(s) == e.Name() {
+			out = append(out, s)
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(out)))

@@ -197,6 +197,54 @@ func TestLoadAllMissing(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesUnlistableDir: a directory that does not exist holds no
+// cut, but one that is a regular file is an error, not an empty
+// directory — nor is a directory that cannot be read, when the test can
+// make one (not as root, who reads it anyway).
+func TestLoadRefusesUnlistableDir(t *testing.T) {
+	if _, _, err := Load(filepath.Join(t.TempDir(), "absent")); !errors.Is(err, ErrNoCut) {
+		t.Errorf("absent dir: err = %v, want ErrNoCut", err)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(file); err == nil || errors.Is(err, ErrNoCut) {
+		t.Errorf("a regular file: err = %v, want a listing error", err)
+	}
+	locked := t.TempDir()
+	if err := os.Chmod(locked, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chmod(locked, 0o755)
+	if _, err := os.ReadDir(locked); err == nil {
+		return // the test runs as a user who reads it anyway
+	}
+	if _, _, err := Load(locked); err == nil || errors.Is(err, ErrNoCut) {
+		t.Errorf("an unreadable dir: err = %v, want a listing error", err)
+	}
+}
+
+// TestGlobMetacharactersInDir: a directory whose name holds glob
+// metacharacters saves and loads its cut like any other — its name is a
+// name, not a pattern.
+func TestGlobMetacharactersInDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a[1]*")
+	rows := []Row{{Key: 4, Acc: 2, Inter: 0.5}}
+	for stamp := 1; stamp <= 3; stamp++ {
+		if err := Save(dir, Meta{MutEpoch: stamp}, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, meta, err := Load(dir)
+	if err != nil || meta.MutEpoch != 3 || len(got) != 1 || got[0] != rows[0] {
+		t.Fatalf("Load = %v, %+v, %v; want %v at stamp 3", got, meta, err, rows)
+	}
+	if n, _ := filepath.Glob(filepath.Join(filepath.Dir(dir), "*", "cut-*.plck")); len(n) != keepCuts {
+		t.Errorf("%d cuts kept, want %d: %v", len(n), keepCuts, n)
+	}
+}
+
 // TestPruneKeepsTwoNewestStamps: pruning orders the cuts by stamp as a
 // number, not by name.
 func TestPruneKeepsTwoNewestStamps(t *testing.T) {

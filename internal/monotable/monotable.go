@@ -63,6 +63,14 @@ type Table interface {
 	// made dirty again during the scan are observed by a later scan.
 	ScanDirty(f func(key int64))
 
+	// DrainAdmitted is ScanDirty with Drain in one, under an admission
+	// rule: it takes the Intermediate of each dirty row a admits and
+	// hands f the key and what it held, and leaves the rows a holds back
+	// dirty in place. It returns how many it held back as far and as
+	// small. A dirty row that holds the identity is cleaned and counted
+	// in neither. f must not fold into the table.
+	DrainAdmitted(a Admit, f func(key int64, v float64)) (far, small int)
+
 	// HasDirty reports whether any row is marked dirty.
 	HasDirty() bool
 
@@ -95,6 +103,7 @@ type Dense struct {
 	Column // the Intermediate entries and the dirty set
 	base   int64
 	acc    []uint64
+	near   []uint32 // drainBucket's marks, a word per dirty word
 }
 
 // Column is an Intermediate column by local slot, with a bit per slot for
@@ -210,26 +219,104 @@ func (c *Column) TakeOwned(s int) float64 {
 // Unstage drops the first n staged slots.
 func (c *Column) Unstage(n int) { c.staged = c.staged[:copy(c.staged, c.staged[n:])] }
 
-// DrainOwned is ScanDirty with Drain in one: it empties the dirty set in
-// slot order, taking each dirty row's Intermediate, and hands f the rows
-// that held something.
-func (d *Dense) DrainOwned(f func(key int64, v float64)) {
+// Admit is the rule a drain takes a dirty row's delta v by
+// (Table.DrainAdmitted). With Sign ≠ 0 it is a bucket: v is far when
+// Sign·v > b + Width, b the least Sign·v over the dirty rows' deltas — a
+// NaN is never b, nor far. With Threshold > 0 it is a hold: a v that is
+// not far is small when not |v| ≥ Threshold, a NaN included. A drain
+// admits what is neither; the zero Admit admits every row.
+type Admit struct {
+	Sign, Width float64
+	Threshold   float64
+}
+
+func (a Admit) small(v float64) bool { return a.Threshold > 0 && !(agg.Abs(v) >= a.Threshold) }
+
+// DrainAdmitted implements Table, in slot order. It writes each dirty
+// word once, with the bits of the rows it held back.
+func (d *Dense) DrainAdmitted(a Admit, f func(key int64, v float64)) (far, small int) {
+	if a.Sign != 0 {
+		return d.drainBucket(a, f)
+	}
 	id := d.op.Identity()
 	for w, bits := range d.dirty {
 		if bits == 0 {
 			continue
 		}
-		d.dirty[w] = 0
+		keep := uint32(0)
 		for ; bits != 0; bits &= bits - 1 {
 			s := w*32 + trailingZeros32(bits)
 			if s >= len(d.inter) {
-				break
+				break // past the shard's end: never a row
 			}
-			if v := d.TakeOwned(s); v != id {
+			v := d.at(s)
+			if v != id && a.small(v) {
+				small++
+				keep |= bits & -bits
+				continue
+			}
+			d.put(s, id)
+			if v != id {
 				f(d.globalKey(s), v)
 			}
 		}
+		d.dirty[w] = keep
 	}
+	return 0, small
+}
+
+// drainBucket is DrainAdmitted under a bucket in one scan of the dirty
+// words, not one to find b and another to drain: the scan cleans the rows
+// that hold the identity, reads b, and marks the slots within Width of
+// the least value seen so far — a superset of those within Width of b —
+// which a second loop, over the marks alone, admits in slot order.
+func (d *Dense) drainBucket(a Admit, f func(key int64, v float64)) (far, small int) {
+	id, least := d.op.Identity(), math.Inf(1)
+	if len(d.near) != len(d.dirty) {
+		d.near = make([]uint32, len(d.dirty))
+	}
+	for w, bits := range d.dirty {
+		near := uint32(0)
+		for ; bits != 0; bits &= bits - 1 {
+			s, bit := w*32+trailingZeros32(bits), bits&-bits
+			if s >= len(d.inter) {
+				d.dirty[w] &= bit - 1 // past the shard's end: never a row
+				break
+			}
+			v := d.at(s)
+			if v == id {
+				d.TakeOwned(s)
+				continue
+			}
+			far++
+			x := a.Sign * v
+			if x < least {
+				least = x
+			}
+			if !(x > least+a.Width) {
+				near |= bit
+			}
+		}
+		d.near[w] = near
+	}
+	limit := least + a.Width
+	for w, bits := range d.near {
+		for ; bits != 0; bits &= bits - 1 {
+			s := w*32 + trailingZeros32(bits)
+			v := d.at(s)
+			if a.Sign*v > limit {
+				continue
+			}
+			far--
+			if a.small(v) {
+				small++
+				continue
+			}
+			d.TakeOwned(s)
+			f(d.globalKey(s), v)
+		}
+	}
+	return far, small
 }
 
 // Drain implements Table: TakeOwned at key's slot.
@@ -398,6 +485,41 @@ func (s *Sparse) ScanDirty(f func(key int64)) {
 	for _, k := range keys {
 		f(k)
 	}
+}
+
+// DrainAdmitted implements Table, in the dirty map's order: a bucket's
+// b first, then the drain.
+func (s *Sparse) DrainAdmitted(a Admit, f func(key int64, v float64)) (far, small int) {
+	id, limit := s.op.Identity(), math.Inf(1)
+	if a.Sign != 0 {
+		least := math.Inf(1)
+		for k := range s.dirty {
+			if v := fromBits(s.rows[k].inter); v != id && a.Sign*v < least {
+				least = a.Sign * v
+			}
+		}
+		limit = least + a.Width
+	}
+	for k := range s.dirty {
+		r := s.rows[k]
+		v := fromBits(r.inter)
+		if v != id {
+			if a.Sign*v > limit {
+				far++
+				continue
+			}
+			if a.small(v) {
+				small++
+				continue
+			}
+		}
+		delete(s.dirty, k)
+		r.inter = toBits(id)
+		if v != id {
+			f(k, v)
+		}
+	}
+	return far, small
 }
 
 // HasDirty implements Table.

@@ -282,7 +282,7 @@ func markDirty(dirty []uint32, slot int) {
 
 // atomicScanDrain is ScanDirtyRange(0, 1) + Drain as they were while a
 // scan pool could drain a shard beside its worker — an atomic swap per
-// dirty word and an atomic exchange per row — kept as DrainOwned's oracle.
+// dirty word and an atomic exchange per row — kept as DrainAdmitted's oracle.
 func atomicScanDrain(d *Dense, f func(key int64, v float64)) {
 	for w := 0; w < len(d.dirty); w++ {
 		bits := atomic.SwapUint32(&d.dirty[w], 0)
@@ -343,11 +343,12 @@ func TestFoldDeltaOwnedMatchesAtomic(t *testing.T) {
 	}
 }
 
-// TestDrainOwnedMatchesScanDrain: the drain hands over the rows the atomic
-// ScanDirtyRange(0, 1) + Drain did — same keys, same values, same order —
-// and leaves the same table behind. The shard's last dirty word covers
-// slots past its end, and a row erased while dirty is skipped.
-func TestDrainOwnedMatchesScanDrain(t *testing.T) {
+// TestDrainAdmittedMatchesScanDrain: a drain that admits every row hands
+// over the rows the atomic ScanDirtyRange(0, 1) + Drain did — same keys,
+// same values, same order — and leaves the same table behind. The shard's
+// last dirty word covers slots past its end, and a row erased while dirty
+// is skipped.
+func TestDrainAdmittedMatchesScanDrain(t *testing.T) {
 	type row struct {
 		k int64
 		v uint64
@@ -371,9 +372,9 @@ func TestDrainOwnedMatchesScanDrain(t *testing.T) {
 			}
 			var want, got []row
 			atomicScanDrain(byKey, func(k int64, v float64) { want = append(want, row{k, math.Float64bits(v)}) })
-			owned.DrainOwned(func(k int64, v float64) { got = append(got, row{k, math.Float64bits(v)}) })
+			owned.DrainAdmitted(Admit{}, func(k int64, v float64) { got = append(got, row{k, math.Float64bits(v)}) })
 			if !slices.Equal(got, want) {
-				t.Fatalf("%v round %d: DrainOwned gave %d rows, ScanDirtyRange+Drain %d, or they differ", kind, round, len(got), len(want))
+				t.Fatalf("%v round %d: DrainAdmitted gave %d rows, ScanDirtyRange+Drain %d, or they differ", kind, round, len(got), len(want))
 			}
 			if owned.HasDirty() || byKey.HasDirty() {
 				t.Fatalf("%v round %d: a drain left dirty rows", kind, round)

@@ -167,8 +167,8 @@ func checkOwned(t *testing.T, c ownedCase) {
 		}
 		base += len(row.targets)
 		if i%2 == 1 {
-			got.shard.DrainOwned(func(int64, float64) {})
-			want.shard.DrainOwned(func(int64, float64) {})
+			got.shard.DrainAdmitted(Admit{}, func(int64, float64) {})
+			want.shard.DrainAdmitted(Admit{}, func(int64, float64) {})
 		}
 	}
 }

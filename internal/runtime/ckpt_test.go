@@ -163,30 +163,39 @@ func TestSnapshotRowsCaptureIntermediates(t *testing.T) {
 // TestCutFailureCounted: a park cut that cannot be written never fails
 // the Apply, but it is not silent either — the master's registry counts
 // it ("session.cut.failed"), and times only the cuts that land
-// ("session.cut_us"). A CheckpointDir that is a regular file holds no
-// cut (Open seeds ΔX¹) and takes none.
+// ("session.cut_us"). A CheckpointDir replaced by a regular file once
+// the session is open takes no cut (Open refuses one that is a file from
+// the start: TestSetUpRefusesAlike).
 func TestCutFailureCounted(t *testing.T) {
 	g := gen.Uniform(50, 200, 10, 85)
 	plan := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		dir            string
+		asFile         bool // the directory is a regular file by the Apply
 		failed, cutsUS uint64
-	}{{file, 1, 0}, {t.TempDir(), 0, 1}} {
-		s, err := Open(plan, Config{Workers: 2, Mode: MRASync, CheckpointDir: tc.dir, MaxWall: 30 * time.Second})
+	}{{true, 1, 0}, {false, 0, 1}} {
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(plan, Config{Workers: 2, Mode: MRASync, CheckpointDir: dir, MaxWall: 30 * time.Second})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.asFile {
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := s.Apply(Mutation{Inserts: []graph.Edge{{Src: 0, Dst: 49, W: 0.5}}})
 		s.Close()
 		if err != nil || !res.Converged {
-			t.Fatalf("Apply with CheckpointDir %s: %v (converged=%v)", tc.dir, err, res != nil && res.Converged)
+			t.Fatalf("Apply with CheckpointDir %s (a file: %v): %v (converged=%v)", dir, tc.asFile, err, res != nil && res.Converged)
 		}
 		if got, n := res.Master.Counter("session.cut.failed"), res.Master.Histograms["session.cut_us"].Count; got != tc.failed || n != tc.cutsUS {
-			t.Errorf("CheckpointDir %s: session.cut.failed = %d, session.cut_us count = %d; want %d, %d", tc.dir, got, n, tc.failed, tc.cutsUS)
+			t.Errorf("CheckpointDir %s (a file: %v): session.cut.failed = %d, session.cut_us count = %d; want %d, %d", dir, tc.asFile, got, n, tc.failed, tc.cutsUS)
 		}
 	}
 }

@@ -2,14 +2,17 @@ package runtime
 
 import (
 	"math"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"powerlog/internal/agg"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
+	"powerlog/internal/monotable"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
 	"powerlog/internal/transport"
@@ -142,5 +145,45 @@ func TestWorkerRefusesForeignKey(t *testing.T) {
 	}
 	if refused == 0 {
 		t.Fatalf("workers returned %v; want a refusal of a key outside the receiver's block", errs)
+	}
+}
+
+// TestRunWorkerResultSized: RunWorker's result map is made at the shard's
+// row count, so building it from a 4 000-row shard allocates no more than
+// filling a map made at its final size — a map grown from empty allocates
+// about twice that on the way.
+func TestRunWorkerResultSized(t *testing.T) {
+	const rows = 4000
+	d := monotable.NewDense(agg.ByKind(agg.Min), rows, 1, 0)
+	for k := range int64(rows) {
+		d.SetAcc(k, float64(k))
+	}
+	w := &worker{table: d}
+	// allocated is the least TotalAlloc delta of five calls of f.
+	allocated := func(f func() map[int64]float64) uint64 {
+		var least uint64 = math.MaxUint64
+		var before, after goruntime.MemStats
+		for range 5 {
+			goruntime.ReadMemStats(&before)
+			m := f()
+			goruntime.ReadMemStats(&after)
+			if len(m) != rows {
+				t.Fatalf("%d rows, want %d", len(m), rows)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	got := allocated(func() map[int64]float64 { return values([]*worker{w}, w.table.Len()) })
+	want := allocated(func() map[int64]float64 {
+		m := make(map[int64]float64, rows)
+		d.Range(func(k int64, v float64) bool {
+			m[k] = v
+			return true
+		})
+		return m
+	})
+	if float64(got) > 1.25*float64(want) {
+		t.Fatalf("building the result allocated %d bytes, a map made at its final size %d", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"powerlog/internal/analyzer"
 	"powerlog/internal/compiler"
 	"powerlog/internal/metrics"
+	"powerlog/internal/monotable"
 )
 
 // This file defines the runtime's policy layers. The paper's central
@@ -20,8 +21,8 @@ import (
 //     wire? Implementations: barrier (flush only at superstep end),
 //     eager small batches (Myria-style async), fixed-β with an AAP
 //     delay switch (§6.5), and the paper's adaptive-β rule.
-//   - Scheduler    (§5.4): in what order is a pass's dirty set drained,
-//     and which deltas are held back for a later pass? Implementations:
+//   - Scheduler    (§5.4): which of a pass's dirty keys does its drain
+//     admit, and which stay dirty for a later pass? Implementations:
 //     FIFO, delta-stepping buckets, priority holding.
 //   - BarrierPolicy (§5.2): what synchronisation brackets a compute
 //     pass? Implementations: the BSP superstep fence, free running (no
@@ -63,15 +64,18 @@ type FlushPolicy interface {
 	onTick(now time.Time, win *window)
 }
 
-// Scheduler owns a pass's drain order and the §5.4 low-priority holding
-// decision. It replaces the former inline priority-threshold branches in
-// the compute loops.
+// Scheduler decides which dirty keys a pass drains — §5.4's low-priority
+// holding, the bucket schedule's near keys: it gives the pass's drain an
+// admission rule, and the table applies it while it drains. What the rule
+// does not admit stays dirty in place for a later pass.
 type Scheduler interface {
-	// arrange orders the drained batch in place and returns how many of
-	// its leading entries this pass processes. The caller refolds the
-	// rest into the intermediate, where they wait, dirty, for a later
-	// pass: §5.4's unimportant deltas, or a bucket schedule's far keys.
-	arrange(batch []drained) int
+	// admit is the rule this pass drains its shard by: every dirty key,
+	// or one that holds back §5.4's unimportant deltas or a bucket
+	// schedule's far keys.
+	admit() monotable.Admit
+	// left is told what the drain held back: how many keys as far, and
+	// how many as small.
+	left(far, small int)
 	// release is asked when a pass propagated nothing and the worker
 	// would otherwise idle; it reports whether a new pass may find work
 	// the schedule held back (and, for §5.4's hold, lets it through).

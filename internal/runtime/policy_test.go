@@ -598,19 +598,20 @@ func TestPriorityHoldCycle(t *testing.T) {
 		inner: fifoSched{}, threshold: 1.0,
 		holds: reg.Counter("sched.hold"), releases: reg.Counter("sched.release"),
 	}
-	// held reports which of the deltas one arrange call holds back.
+	// held reports how many of the deltas, one a row of a sum shard, one
+	// pass's drain holds back.
 	held := func(vals ...float64) int {
-		batch := make([]drained, len(vals))
+		table := monotable.NewDense(agg.ByKind(agg.Sum), len(vals), 1, 0)
 		for i, v := range vals {
-			batch[i] = drained{int64(i), v}
+			table.FoldDelta(int64(i), v)
 		}
-		k := s.arrange(batch)
-		for _, d := range batch[:k] {
+		run := admitDrain(table, s)
+		for _, d := range run {
 			if agg.Abs(d.val) < s.threshold && !s.off {
 				t.Errorf("let the small delta %v through", d.val)
 			}
 		}
-		return len(batch) - k
+		return len(vals) - len(run)
 	}
 	if held(5) != 0 {
 		t.Error("held an important delta")

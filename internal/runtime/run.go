@@ -120,12 +120,21 @@ func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]
 	if err := w.err(); err != nil {
 		return nil, err
 	}
-	local := map[int64]float64{}
-	w.table.Range(func(k int64, v float64) bool {
-		local[k] = v
-		return true
-	})
-	return local, nil
+	return values([]*worker{w}, w.table.Len()), nil
+}
+
+// values is the rows of ws's shards in one map, made at size rows (the
+// caller's count or estimate of them): a map grown from empty rehashes
+// at every doubling on the way.
+func values(ws []*worker, size int) map[int64]float64 {
+	m := make(map[int64]float64, size)
+	for _, w := range ws {
+		w.table.Range(func(k int64, v float64) bool {
+			m[k] = v
+			return true
+		})
+	}
+	return m
 }
 
 // RunMaster runs the termination controller on an external network and

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -380,8 +381,8 @@ func TestUncompiledPlanRejected(t *testing.T) {
 // Open and RunWorker share one set-up (setUp), so they refuse the same
 // (cfg, plan) pairs: an invalid config, an uncompiled plan, naive
 // evaluation without base tuples, a checkpoint directory whose newest
-// cut is torn — and both accept a runnable pair, an empty
-// checkpoint directory included. RunWorker's accepted run finds a Stop
+// cut is torn or that is a regular file — and both accept a runnable
+// pair, an empty checkpoint directory included. RunWorker's accepted run finds a Stop
 // waiting in its inbox and returns at once.
 func TestSetUpRefusesAlike(t *testing.T) {
 	g := gen.Uniform(40, 120, 10, 5)
@@ -394,6 +395,10 @@ func TestSetUpRefusesAlike(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.Truncate(ckpt.CutPath(torn, 1), 10); err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	with := func(edit func(*Config)) Config {
@@ -413,6 +418,7 @@ func TestSetUpRefusesAlike(t *testing.T) {
 		{"naive-without-base", with(func(c *Config) { c.Mode = NaiveSync }), &noBase, true},
 		{"empty-restore-dir", with(func(c *Config) { c.CheckpointDir = t.TempDir() }), sssp, false},
 		{"torn-cut", with(func(c *Config) { c.CheckpointDir = torn }), sssp, true},
+		{"file-as-dir", with(func(c *Config) { c.CheckpointDir = file }), sssp, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, openErr := Open(tc.plan, tc.cfg)

@@ -6,7 +6,7 @@ import (
 )
 
 // The MRA compute pass (paper Figure 7, DESIGN.md §9): drain the dirty
-// keys in the Scheduler's order, fold each delta into its accumulation,
+// keys the Scheduler admits, fold each delta into its accumulation,
 // propagate improvements through F'. There is one body, worker.scanPass,
 // and it runs on the worker's compute goroutine — the paper's one compute
 // thread per worker (§5.3), and the shard's only accessor while it runs.
@@ -17,33 +17,27 @@ import (
 // through worker.emit.
 //
 // The hot path is allocation-free: the drain slice, the kernel scratch
-// and the pre-bound drain callbacks are the worker's and reused. Each
+// and the pre-bound drain callback are the worker's and reused. Each
 // fold's Σacc and |change| land in the worker totals as it is made, so a
 // stats poll answered from inside the pass (a flush pumps the inbox)
 // reads every fold made before it.
 
 // scanPass is the MRA modes' compute pass (policySet.pass): drain the
-// dirty keys into a snapshot, then fold each and propagate its row. It
-// returns how many rows propagated. On a Dense shard — one block of the
-// vertex keys (worker.newTable), whose slots monotable.Route.Split
-// resolves — it drains, folds and sinks by slot.
+// dirty keys the schedule admits into a snapshot, then fold each and
+// propagate its row. It returns how many rows propagated. On a Dense
+// shard — one block of the vertex keys (worker.newTable), whose slots
+// monotable.Route.Split resolves — it folds and sinks by slot.
 func (w *worker) scanPass() int {
 	dense, _ := w.table.(*monotable.Dense)
-	w.drainBuf = w.drainBuf[:0]
 	if dense != nil {
-		dense.DrainOwned(w.takeFn)
 		w.sink.Cols[w.id] = &dense.Column // the table is replaced on a reseed
-	} else {
-		w.table.ScanDirty(w.drainFn)
 	}
-	out := w.drainBuf
-	// What the schedule holds back — §5.4's small combining deltas, a
-	// bucket schedule's far keys — is refolded: the rows are dirty again
-	// and wait for a later pass.
-	run := out[:w.pol.sched.arrange(out)]
-	for _, d := range out[len(run):] {
-		w.table.FoldDelta(d.key, d.val)
-	}
+	// What the schedule does not admit — §5.4's small combining deltas, a
+	// bucket schedule's far keys — stays dirty in the table for a later
+	// pass.
+	w.drainBuf = w.drainBuf[:0]
+	w.pol.sched.left(w.table.DrainAdmitted(w.pol.sched.admit(), w.takeFn))
+	run := w.drainBuf
 	n := 0
 	for _, d := range run {
 		var improved bool

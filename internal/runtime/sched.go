@@ -2,91 +2,73 @@ package runtime
 
 import (
 	"fmt"
-	"math"
 
-	"powerlog/internal/agg"
 	"powerlog/internal/compiler"
 	"powerlog/internal/metrics"
+	"powerlog/internal/monotable"
 )
 
-// Scheduler implementations (§5.4): drain order and low-priority
-// holding as strategies, replacing the former inline branches in the
-// compute loops.
+// Scheduler implementations (§5.4): which dirty keys a pass drains, and
+// low-priority holding, as strategies.
 
-// fifoSched processes the dirty set in drain (first-touch) order with
-// no holding — the schedule of every plan the bucket scheduler does not
-// take, for the reason why.
+// fifoSched admits every dirty key — the schedule of every plan the
+// bucket scheduler does not take, for the reason why.
 type fifoSched struct{ why string }
 
-func (fifoSched) arrange(batch []drained) int { return len(batch) }
-func (fifoSched) release() bool               { return false }
-func (fifoSched) rearm()                      {}
-func (fifoSched) holding() bool               { return false }
-func (s fifoSched) String() string            { return "fifo: " + s.why }
+func (fifoSched) admit() monotable.Admit { return monotable.Admit{} }
+func (fifoSched) left(far, small int)    {}
+func (fifoSched) release() bool          { return false }
+func (fifoSched) rearm()                 {}
+func (fifoSched) holding() bool          { return false }
+func (s fifoSched) String() string       { return "fifo: " + s.why }
 
 // bucketSched is delta-stepping (Meyer & Sanders 2003) for the plans
 // whose program holds the bucket licence (analyzer.Facts.Schedule: a
 // selective aggregate over v + w) and whose edges never improve a value
 // (compiler.Kernel.Step). A key's value is then only as final as it is close
 // to the frontier's best, and everything farther is a guess whose
-// relaxations will mostly be superseded. Of each drained batch it
-// processes the keys within one bucket width of the batch's best value
-// and holds the rest, which the pass re-folds — they stay dirty, so the
-// table itself tells the idle detector and BSP's Stats.Dirty that work
-// remains, and P1 with Theorem 3 licenses the order.
+// relaxations will mostly be superseded. Each pass it admits the dirty
+// keys within one bucket width of the dirty set's best value, and the
+// rest are held: they stay dirty in place, so the table itself tells the
+// idle detector and BSP's Stats.Dirty that work remains, and P1 with
+// Theorem 3 licenses the order.
 type bucketSched struct {
 	asc bool // min aggregate: the best value is the smallest
-	// kernel.Step() is the width Δ, read per batch: a session's mutation
+	// kernel.Step() is the width Δ, read per pass: a session's mutation
 	// can end the premise or begin it, and at 0 the schedule is FIFO.
 	kernel *compiler.Kernel
-	// held: a batch was split since the last productive pass, so a pass
+	// held: a pass held keys since the last productive pass, so a pass
 	// that propagated nothing still left dirty keys behind (release).
 	held bool
 
-	// sched.bucket.passes counts the batches gated, sched.bucket.held the
-	// keys sent back to wait — once per batch each.
+	// sched.bucket.passes counts the passes gated, sched.bucket.held the
+	// keys left to wait — once per pass each.
 	passes, heldKeys *metrics.Counter
 }
 
-func (s *bucketSched) arrange(batch []drained) int {
+// admit is a bucket Δ wide: the drain reads the best value b of the
+// dirty set (the least when asc, else the greatest) and admits the keys
+// within Δ of it — at least the best key of a non-empty dirty set. A key
+// exactly at the limit is near; so is a NaN, which no comparison can
+// place.
+func (s *bucketSched) admit() monotable.Admit {
 	width := s.kernel.Step()
 	if width == 0 {
-		return len(batch)
+		return monotable.Admit{}
 	}
 	s.passes.Inc()
-	k := partitionNear(batch, s.asc, width)
-	if k < len(batch) {
-		s.held = true
-		s.heldKeys.Add(uint64(len(batch) - k))
-	}
-	return k
-}
-
-// partitionNear moves the entries within width of the batch's best value
-// (the least when asc, else the greatest) to the front, keeping their
-// order, and returns how many there are: at least one of a non-empty
-// batch. An entry exactly at the limit is near; so is a NaN, which no
-// comparison can place.
-func partitionNear(batch []drained, asc bool, width float64) int {
 	sign := 1.0
-	if !asc {
+	if !s.asc {
 		sign = -1 // the greatest value is the least of the negated ones
 	}
-	best := math.Inf(1)
-	for _, d := range batch {
-		if v := sign * d.val; v < best {
-			best = v
-		}
+	return monotable.Admit{Sign: sign, Width: width}
+}
+
+func (s *bucketSched) left(far, _ int) {
+	if far > 0 {
+		s.held = true
+		s.heldKeys.Add(uint64(far))
 	}
-	limit := best + width
-	k := 0
-	for i, d := range batch {
-		if !(sign*d.val > limit) {
-			batch[i], batch[k] = batch[k], d
-			k++
-		}
-	}
-	return k
 }
 
 // release reports whether the pass that just propagated nothing held keys
@@ -128,27 +110,23 @@ type priorityHold struct {
 	holds, releases *metrics.Counter
 }
 
-// arrange holds, of what the inner schedule lets through, the deltas
-// below the threshold. The pass refolds them, which marks their rows
-// dirty again; the held flag keeps the idle detector from treating that
-// as pending work forever.
-func (s *priorityHold) arrange(batch []drained) int {
-	n := s.inner.arrange(batch)
-	if s.off {
-		return n
+// admit holds, of what the inner schedule admits, the deltas below the
+// threshold: their rows stay dirty; the held flag keeps the idle detector
+// from treating that as pending work forever.
+func (s *priorityHold) admit() monotable.Admit {
+	a := s.inner.admit()
+	if !s.off {
+		a.Threshold = s.threshold
 	}
-	k := 0
-	for i, d := range batch[:n] {
-		if agg.Abs(d.val) >= s.threshold {
-			batch[i], batch[k] = batch[k], d
-			k++
-		}
-	}
-	if k < n {
+	return a
+}
+
+func (s *priorityHold) left(far, small int) {
+	s.inner.left(far, 0)
+	if small > 0 {
 		s.held = true
-		s.holds.Add(uint64(n - k))
+		s.holds.Add(uint64(small))
 	}
-	return k
 }
 
 func (s *priorityHold) String() string { return s.inner.String() }

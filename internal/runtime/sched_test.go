@@ -3,20 +3,23 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"powerlog/internal/agg"
 	"powerlog/internal/compiler"
 	"powerlog/internal/gen"
 	"powerlog/internal/graph"
 	"powerlog/internal/metrics"
+	"powerlog/internal/monotable"
 	"powerlog/internal/progs"
 	"powerlog/internal/ref"
 )
 
 // Tests for the bucket scheduler (sched.go, DESIGN.md §5b): the
-// partition itself, the oracle's fixpoint under every MRA mode, the
+// admission itself, the oracle's fixpoint under every MRA mode, the
 // plans that must not draw it, the relaxations it saves on the graph it
 // exists for, and the idle path behind held keys.
 
@@ -35,8 +38,14 @@ func runFIFO(mode Mode, f func()) {
 	f()
 }
 
-func TestPartitionNear(t *testing.T) {
+// TestAdmitNear: the bucket schedule admits the dirty keys within one
+// width of the best, in slot order — at least one of a non-empty dirty
+// set, a tie at the limit and a NaN among them — and leaves the rest dirty
+// in place. The values sit in a sum shard, whose identity is 0, so that
+// ±Inf can be dirty too.
+func TestAdmitNear(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
+	kernels := stepKernels(t, 1, 2, 10, inf)
 	for _, tc := range []struct {
 		name  string
 		asc   bool
@@ -56,35 +65,42 @@ func TestPartitionNear(t *testing.T) {
 		{"NaN is processed, never the best", true, 10, []float64{nan, 50, 8}, []float64{nan, 8}},
 		{"all NaN", false, 10, []float64{nan, nan}, []float64{nan, nan}},
 		{"infinite width holds nothing", true, inf, []float64{1, 1e300, -inf}, []float64{1, 1e300, -inf}},
-		{"negative values", true, 2, []float64{-5, -8, -6.5, 0}, []float64{-8, -6.5}},
+		{"negative values", true, 2, []float64{-5, -8, -6.5, 3}, []float64{-8, -6.5}},
+		{"empty", true, 10, nil, nil},
 	} {
-		batch := make([]drained, len(tc.vals))
+		reg := metrics.NewRegistry()
+		s := &bucketSched{asc: tc.asc, kernel: kernels[tc.width],
+			passes: reg.Counter("sched.bucket.passes"), heldKeys: reg.Counter("sched.bucket.held")}
+		table := monotable.NewDense(agg.ByKind(agg.Sum), len(tc.vals)+1, 1, 0)
 		for i, v := range tc.vals {
-			batch[i] = drained{int64(i), v}
-		}
-		k := partitionNear(batch, tc.asc, tc.width)
-		if k < 1 {
-			t.Errorf("%s: %d near keys — a pass over this batch makes no progress", tc.name, k)
+			table.FoldDelta(int64(i), v)
 		}
 		var got []float64
-		for _, d := range batch[:k] {
+		for _, d := range admitDrain(table, s) {
 			got = append(got, d.val)
 		}
-		same := len(got) == len(tc.near)
-		for i := 0; same && i < len(got); i++ {
-			same = got[i] == tc.near[i] || math.IsNaN(got[i]) && math.IsNaN(tc.near[i])
+		if len(tc.vals) > 0 && len(got) < 1 {
+			t.Errorf("%s: no key admitted — a pass over this table makes no progress", tc.name)
 		}
-		if !same {
+		if !slices.EqualFunc(got, tc.near, sameVal) {
 			t.Errorf("%s: near = %v, want %v", tc.name, got, tc.near)
 		}
-		// A permutation: every entry is still there, with its own key.
-		seen := map[int64]bool{}
-		for _, d := range batch {
-			v := tc.vals[d.key]
-			if seen[d.key] || d.val != v && !(math.IsNaN(d.val) && math.IsNaN(v)) {
-				t.Errorf("%s: entry %v duplicated or corrupted", tc.name, d)
+		// The rest are still dirty, each with its own value.
+		held := len(tc.vals) - len(got)
+		snap := reg.Snapshot()
+		if snap.Counter("sched.bucket.held") != uint64(held) || snap.Counter("sched.bucket.passes") != 1 || s.held != (held > 0) {
+			t.Errorf("%s: sched.bucket.held %d, passes %d, held %v; want %d, 1, %v", tc.name,
+				snap.Counter("sched.bucket.held"), snap.Counter("sched.bucket.passes"), s.held, held, held > 0)
+		}
+		var left []float64
+		table.DrainAdmitted(monotable.Admit{}, func(k int64, v float64) {
+			if !sameVal(v, tc.vals[k]) {
+				t.Errorf("%s: key %d left holding %v, was %v", tc.name, k, v, tc.vals[k])
 			}
-			seen[d.key] = true
+			left = append(left, v)
+		})
+		if len(left) != held {
+			t.Errorf("%s: %d keys left dirty, want %d", tc.name, len(left), held)
 		}
 	}
 }

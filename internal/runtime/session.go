@@ -419,7 +419,7 @@ func (s *Session) collect(elapsed time.Duration) *Result {
 		}
 	}
 	res := &Result{
-		Values:    make(map[int64]float64, size),
+		Values:    values(s.workers, size),
 		Rounds:    s.m.rounds,
 		Elapsed:   elapsed,
 		Converged: s.m.converged,
@@ -439,10 +439,6 @@ func (s *Session) collect(elapsed time.Duration) *Result {
 			res.Sched = w.pol.sched.String()
 		}
 		res.Workers = append(res.Workers, w.stats())
-		w.table.Range(func(k int64, v float64) bool {
-			res.Values[k] = v
-			return true
-		})
 	}
 	res.MessagesSent = sent - s.prevSent
 	res.MessagesRecv = recv - s.prevRecv

@@ -83,13 +83,11 @@ type worker struct {
 
 	// The compute pass's reused working set (scan.go): the drained
 	// snapshot, the kernel's scratch (expression slots and the chunk of
-	// row values between Fill and the sink), and the callbacks that drain
-	// one row into drainBuf — takeFn as Dense.DrainOwned hands it over,
-	// drainFn by key from ScanDirty.
+	// row values between Fill and the sink), and the callback that drains
+	// one row into drainBuf as Table.DrainAdmitted hands it over.
 	drainBuf []drained
 	scratch  []float64
 	takeFn   func(int64, float64)
-	drainFn  func(int64)
 
 	// stopping is the worker's one stop signal (stop, halted): the master
 	// said Stop, the inbox closed, the send path died, the session is
@@ -212,11 +210,6 @@ func newWorker(id int, cfg Config, plan *compiler.Plan, conn transport.Conn) *wo
 	w.readLimits()
 	w.scratch = plan.NewScratch()
 	w.takeFn = func(k int64, v float64) { w.drainBuf = append(w.drainBuf, drained{k, v}) }
-	w.drainFn = func(k int64) {
-		if v, ok := w.table.Drain(k); ok {
-			w.takeFn(k, v)
-		}
-	}
 	go w.commLoop()
 	return w
 }

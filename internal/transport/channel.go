@@ -25,11 +25,11 @@ type ChannelNetwork struct {
 }
 
 // NewChannelNetwork creates a network with n workers plus a master
-// endpoint. bufCap is the per-endpoint inbox capacity (a sensible default
-// is chosen when 0).
+// endpoint. bufCap is the per-endpoint inbox capacity; at 0 it is the
+// transport's inboxCap.
 func NewChannelNetwork(n int, bufCap int) *ChannelNetwork {
 	if bufCap <= 0 {
-		bufCap = 1024
+		bufCap = inboxCap
 	}
 	net := &ChannelNetwork{
 		chans:  make([]chan Message, n+1),

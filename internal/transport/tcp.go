@@ -73,7 +73,7 @@ func NewTCPEndpoint(id, workers int, addrs []string) (*TCPConn, error) {
 		workers:  workers,
 		addrs:    addrs,
 		listener: l,
-		inbox:    make(chan Message, 4096),
+		inbox:    make(chan Message, inboxCap),
 		outs:     map[int]*outConn{},
 		done:     make(chan struct{}),
 	}
@@ -131,7 +131,9 @@ func (t *TCPConn) acceptLoop() {
 func (t *TCPConn) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer c.Close()
-	r := bufio.NewReaderSize(c, 64<<10)
+	// A frame longer than the buffer bypasses it in io.ReadFull, so the
+	// buffer need only batch the reads of small frames.
+	r := bufio.NewReaderSize(c, 8<<10)
 	var payload []byte
 	for {
 		plen, err := binary.ReadUvarint(r)

@@ -13,6 +13,14 @@ package transport
 
 import "fmt"
 
+// inboxCap is an endpoint's inbox capacity in messages: the TCP
+// endpoint's, and a channel network's unless it is given one. It is sized
+// for the messages a fleet has in flight, not for a backlog: a full inbox
+// only holds its senders back until the owner drains it, and every slot,
+// 104 bytes, is allocated with the endpoint and resident for as long as it
+// lives — a parked session's included.
+const inboxCap = 256
+
 // KV is one key/value update travelling between workers (a delta to fold
 // into the destination row's Intermediate entry).
 type KV struct {
