@@ -360,6 +360,15 @@ func (d *Dense) HasDirty() bool {
 	return false
 }
 
+// Marked counts the rows marked dirty: at most what one drain hands over.
+func (d *Dense) Marked() int {
+	n := 0
+	for _, word := range d.dirty {
+		n += bits.OnesCount32(word)
+	}
+	return n
+}
+
 // Range implements Table.
 func (d *Dense) Range(f func(key int64, acc float64) bool) {
 	id := d.op.Identity()

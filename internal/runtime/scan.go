@@ -32,6 +32,12 @@ func (w *worker) scanPass() int {
 	if dense != nil {
 		w.sink.Cols[w.id] = &dense.Column // the table is replaced on a reseed
 	}
+	if w.drainBuf == nil && dense != nil {
+		// The first drain sizes the buffer for every row it can hand
+		// over: a combining ΔX¹ (PageRank's) marks the whole shard, which
+		// the callback's append would reach a doubling at a time.
+		w.drainBuf = make([]drained, 0, dense.Marked())
+	}
 	// What the schedule does not admit — §5.4's small combining deltas, a
 	// bucket schedule's far keys — stays dirty in the table for a later
 	// pass.

@@ -52,9 +52,19 @@ const falsifyTries = 4000
 const eqTol = 1e-6
 
 // ProveEq decides whether lhs == rhs for all real assignments satisfying
-// the constraints. The deterministic seed makes verdicts reproducible.
+// the constraints. It proves, then refutes. The proof is exact and draws
+// no samples: normalisation, case splits and Fourier–Motzkin, with every
+// region it cannot discharge left undecided. A query it proves is Valid,
+// and no sample could have refuted it. Only a query it cannot prove is
+// attacked by sampling: a falsifier pass over the whole query, then the
+// same decision with each undischarged region sampled before
+// Fourier–Motzkin. The deterministic seed makes verdicts reproducible.
 func ProveEq(lhs, rhs *expr.Expr, cons []Constraint) Result {
 	diff := expr.Sub(lhs, rhs)
+	proof := &decider{cons: cons}
+	if verdict, reason := proof.decide(diff, nil, 0); verdict == Valid {
+		return Result{Verdict: Valid, Reason: reason}
+	}
 	rng := rand.New(rand.NewSource(20200614)) // SIGMOD'20 opening day
 
 	// Fast refutation first: a concrete counterexample settles the query
@@ -98,10 +108,25 @@ func (c cond) holds(v float64) bool {
 	}
 }
 
+// decider runs the decision procedure. With a nil rng it only proves: a
+// region it cannot discharge exactly is Unknown, and it never samples.
 type decider struct {
 	cons    []Constraint
 	rng     *rand.Rand
 	witness map[string]float64
+}
+
+// refute samples the region for a counterexample, recording it as the
+// witness; a proving decider has no rng and finds none.
+func (d *decider) refute(diff *expr.Expr, conds []cond) bool {
+	if d.rng == nil {
+		return false
+	}
+	w, ok := falsify(diff, conds, d.cons, d.rng, falsifyTries)
+	if ok {
+		d.witness = w
+	}
+	return ok
 }
 
 // branch is one side of a piecewise case split: on region c, the call
@@ -207,9 +232,8 @@ func (d *decider) decide(diff *expr.Expr, conds []cond, splits int) (Verdict, st
 	rf, err := FromExpr(diff)
 	if err != nil {
 		// Transcendental residue: only refutation is possible here.
-		if w, ok := falsify(diff, conds, d.cons, d.rng, falsifyTries); ok {
-			d.witness = w
-			return Invalid, fmt.Sprintf("counterexample %v (non-polynomial branch)", fmtModel(w))
+		if d.refute(diff, conds) {
+			return Invalid, fmt.Sprintf("counterexample %v (non-polynomial branch)", fmtModel(d.witness))
 		}
 		return Unknown, fmt.Sprintf("non-polynomial branch (%v) with no counterexample found", err)
 	}
@@ -219,12 +243,12 @@ func (d *decider) decide(diff *expr.Expr, conds []cond, splits int) (Verdict, st
 	// The difference is a nonzero rational function on this region; a
 	// counterexample exists iff the region is feasible (the zero set of a
 	// nonzero polynomial has measure zero).
-	if w, ok := falsify(diff, conds, d.cons, d.rng, falsifyTries); ok {
-		d.witness = w
-		return Invalid, fmt.Sprintf("counterexample %v on region %s", fmtModel(w), fmtConds(conds))
+	if d.refute(diff, conds) {
+		return Invalid, fmt.Sprintf("counterexample %v on region %s", fmtModel(d.witness), fmtConds(conds))
 	}
-	// No sample hit the region: try to *prove* the region empty with
-	// Fourier–Motzkin (complete for linear real arithmetic).
+	// No sample hit the region (or none was drawn): try to *prove* the
+	// region empty with Fourier–Motzkin (complete for linear real
+	// arithmetic).
 	if ineqs, ok := d.linearSystem(conds); ok {
 		if !fmFeasible(ineqs) {
 			return Valid, fmt.Sprintf("region %s infeasible (Fourier–Motzkin)", fmtConds(conds))

@@ -12,7 +12,8 @@
 //   - sign analysis of expressions under declared variable constraints
 //     (used for the monotone-distribution lemma of selective aggregates),
 //   - a systematic falsifier that searches for concrete counterexamples,
-//     mirroring Z3's "sat + model" answer.
+//     mirroring Z3's "sat + model" answer, run only on a query the exact
+//     procedure cannot prove.
 //
 // The three verdicts correspond to Z3's answers for the paper's
 // double-negated assertion: Valid = "unsat", Invalid = "sat" (with a
