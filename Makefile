@@ -44,7 +44,7 @@ test:
 test-cpu1:
 	go test -cpu 1 ./...
 
-SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestShardRouteSplit TestWorkerRefusesForeignKey TestBarrierMirrorFlushesOnce TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestFlushSplitsAtBatchMax TestDrainAdmittedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestAdmitNear TestAdmitDrainMatchesRefold TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
+SCAN_TESTS = TestParallel TestStatsPollReadsEveryFold TestShardRouteSplit TestWorkerRefusesForeignKey TestBarrierMirrorFlushesOnce TestKernelClassesBitIdentical TestMirrorMatchesHash TestFlushLimitMatchesOnEmit TestSelectiveFlushesPerPass TestFlushSplitsAtBatchMax TestDrainAdmittedMatchesScanDrain TestFoldDeltaOwnedMatchesAtomic TestOwnedRowMatchesPerEdge TestAdmitNear TestAdmitDrainMatchesRefold TestBucketSched TestSessionEquivalence TestSupportClosureProperty TestDeltaMatchesFullScanOracle TestApplyMutationBytesFollowBatch TestDeltaWorkFollowsBatch TestSessionRefuses TestMaxWallAbortReturns
 SCAN_PKGS = ./internal/runtime ./internal/compiler ./internal/monotable
 TERM_TESTS = TestTerm TestSessionEquivalence TestCrossTransportEquivalence TestFence TestStepGateReadsReportForS TestMasterKeepsLaterStepAcks TestStepVerdictsAgree TestChaosNaiveSync TestRejoinWindows
 TERM_PKGS = ./internal/term ./internal/runtime

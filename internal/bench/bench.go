@@ -201,6 +201,9 @@ type Measurement struct {
 	// Flushes counts data messages (batches); Messages/Flushes is the
 	// realised mean batch size — the quantity the flush policies steer.
 	Flushes int64
+	// Folds sums the values the workers folded into peer buffers;
+	// Folds/Messages is the fleet's combining ratio (WorkerStats.FoldsPerKV).
+	Folds int64
 	// StragglerWait sums the time workers spent blocked at the SSP
 	// staleness gate (zero for other modes).
 	StragglerWait time.Duration
@@ -248,6 +251,7 @@ func RunMode(w *Workload, mode runtime.Mode, cfg RunConfig) (Measurement, error)
 	betaSum, betaN := 0.0, 0
 	for _, ws := range res.Workers {
 		m.StragglerWait += ws.StragglerWait
+		m.Folds += ws.Folds
 		m.Metrics = m.Metrics.Merge(ws.Metrics)
 		if len(ws.Beta) > 0 {
 			betaSum += ws.Beta[len(ws.Beta)-1]

@@ -231,16 +231,20 @@ func (g grid) workload(algo, ds string, cfg RunConfig) (*Workload, error) {
 
 // row renders one run: wall time, its ratio to the cell's base series, the
 // quantities the policy layers steer — realised batch size (messages per
-// flush), time blocked at the staleness gate, the adaptive β where one was
-// sampled — and the experiment's metrics.
+// flush), combining ratio (peer-buffer folds per message), time blocked at
+// the staleness gate, the adaptive β where one was sampled — and the
+// experiment's metrics.
 func (e experiment) row(m, base Measurement) string {
-	batch := 0.0
+	batch, combine := 0.0, 0.0
 	if m.Flushes > 0 {
 		batch = float64(m.Messages) / float64(m.Flushes)
 	}
-	s := fmt.Sprintf("  %-10s %-9s %-22s %8.3fs  (%5.2fx vs %s)  rounds=%-5d msgs=%-9d batch=%7.1f straggler=%v keys=%d conv=%v",
+	if m.Messages > 0 {
+		combine = float64(m.Folds) / float64(m.Messages)
+	}
+	s := fmt.Sprintf("  %-10s %-9s %-22s %8.3fs  (%5.2fx vs %s)  rounds=%-5d msgs=%-9d batch=%7.1f fold/kv=%5.2f straggler=%v keys=%d conv=%v",
 		m.Algo, m.Dataset, m.Series, m.Seconds, base.Seconds/m.Seconds, base.Series,
-		m.Rounds, m.Messages, batch, m.StragglerWait, m.Keys, m.Converged)
+		m.Rounds, m.Messages, batch, combine, m.StragglerWait, m.Keys, m.Converged)
 	if m.BetaFinal > 0 {
 		s += fmt.Sprintf(" β≈%.0f", m.BetaFinal)
 	}

@@ -163,10 +163,10 @@ var onVerdict = func(who, round int, fleet transport.Stats, c term.Cause) {}
 
 // freeRun is the barrier-free policy shared by MRAAsync, MRASyncAsync,
 // and MRAAAP: drain the inbox before each pass, flush per the mode's
-// policy after it, and idle briefly when nothing moved — telling the
-// master so (worker.reportIdle). Termination comes from the master
-// (paper §5.3: async workers have no global view, so the master gathers
-// stats and decides).
+// policy after it (every buffer, under passFlush), and idle briefly when
+// nothing moved — telling the master so (worker.reportIdle). Termination
+// comes from the master (paper §5.3: async workers have no global view,
+// so the master gathers stats and decides).
 type freeRun struct{}
 
 func (freeRun) setup(*worker) {}
@@ -181,6 +181,9 @@ func (freeRun) endPass(w *worker, progressed bool) bool {
 		// Only productive passes count as effective iterations (the
 		// ε gating and the system-level cap both key off them).
 		w.passes++
+		if w.pol.flush.atPassEnd() {
+			w.flushAll()
+		}
 		// Yield between passes so the master's termination check (and
 		// the comm goroutines) are never starved by spinning compute:
 		// without it an MRA+SyncAsync chaos run at GOMAXPROCS=1 takes

@@ -271,6 +271,9 @@ type WorkerStats struct {
 	Sent, Recv int64
 	// Flushes counts data messages (batches) this worker sent.
 	Flushes int64
+	// Folds counts the values this worker's passes folded into its peers'
+	// buffers, the input of sender-side combining (FoldsPerKV).
+	Folds int64
 	// Passes counts productive compute passes (async family and SSP).
 	Passes int64
 	// Beta samples the mean adaptive buffer size β(i,·) once per
@@ -285,4 +288,14 @@ type WorkerStats struct {
 	// flush-size histograms, β band exits and clamps,
 	// straggler-wait histogram, marker retransmits, duplicate batches.
 	Metrics metrics.Snapshot
+}
+
+// FoldsPerKV is the worker's combining ratio, Folds ÷ Sent: how many
+// values folded into a peer buffer each KV it sent carried (0 when it
+// sent none). A flush that waits for a pass's end raises it.
+func (s WorkerStats) FoldsPerKV() float64 {
+	if s.Sent == 0 {
+		return 0
+	}
+	return float64(s.Folds) / float64(s.Sent)
 }

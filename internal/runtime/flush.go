@@ -41,19 +41,23 @@ const asyncEagerBatch = 64
 // AAP's fixed β.
 const betaInit = 256
 
-// barrierFlush is the synchronous extreme of the dial: buffers flush
-// only at a barrier (superstep end), never on emit or on the τ timer.
-// The worker's batchMax cap still bounds any single message.
-type barrierFlush struct{}
+// passFlush is the synchronous end of the dial: a buffer goes on the
+// wire once per pass, when the pass ends, never on emit. Under BSP and
+// SSP that is the superstep's barrier, which flushes itself; in the
+// unified mode's free run on a selective aggregate it is the end of each
+// productive pass (freeRun.endPass) — a worker ships what one local
+// iteration produced, once (Das & Zaniolo), with every fold of a key the
+// pass made combined into one KV. The worker's batchMax cap still bounds
+// any single message.
+type passFlush struct{}
 
-func (barrierFlush) limit(int) int             { return noLimit }
-func (barrierFlush) urgent() float64           { return urgentAt(0) }
-func (barrierFlush) onTick(time.Time, *window) {}
+func (passFlush) limit(int) int             { return noLimit }
+func (passFlush) urgent() float64           { return urgentAt(0) }
+func (passFlush) onTick(time.Time, *window) {}
+func (passFlush) atPassEnd() bool           { return true }
 
 // eagerFlush is the asynchronous extreme: Myria-style eager small
-// batches for maximum freshness. The unified engine also uses it for
-// selective aggregates, where a stale bound must be corrected later and
-// freshness therefore beats batching.
+// batches for maximum freshness, the MRA+Async comparator's rule.
 type eagerFlush struct {
 	threshold float64 // §5.4 priority threshold (0 = off)
 }
@@ -61,6 +65,7 @@ type eagerFlush struct {
 func (eagerFlush) limit(int) int             { return asyncEagerBatch }
 func (p eagerFlush) urgent() float64         { return urgentAt(p.threshold) }
 func (eagerFlush) onTick(time.Time, *window) {}
+func (eagerFlush) atPassEnd() bool           { return false }
 
 // fixedBetaFlush re-implements Grape+'s AAP mode switch (§6.5): a fixed
 // buffer size β, plus a per-worker delay switch — a worker flooded by
@@ -80,6 +85,7 @@ func (p *fixedBetaFlush) limit(int) int {
 	return p.beta
 }
 func (p *fixedBetaFlush) urgent() float64 { return urgentAt(p.threshold) }
+func (*fixedBetaFlush) atPassEnd() bool   { return false }
 
 func (p *fixedBetaFlush) onTick(now time.Time, win *window) {
 	dT := now.Sub(win.start)
@@ -142,6 +148,7 @@ func newAdaptiveBetaFlush(cfg Config, self int, reg *metrics.Registry) *adaptive
 // limit is ⌈β⌉: n buffered updates reach a fractional β when n >= ⌈β⌉.
 func (p *adaptiveBetaFlush) limit(dst int) int { return int(math.Ceil(p.beta[dst])) }
 func (p *adaptiveBetaFlush) urgent() float64   { return urgentAt(p.threshold) }
+func (*adaptiveBetaFlush) atPassEnd() bool     { return false }
 
 func (p *adaptiveBetaFlush) onTick(now time.Time, win *window) { p.adapt(now, win) }
 
@@ -183,6 +190,7 @@ func (p *adaptiveBetaFlush) adapt(now time.Time, win *window) {
 		} else {
 			p.bandIn.Inc()
 		}
+		win.routed += win.counts[j]
 		win.counts[j] = 0
 	}
 	win.start = now

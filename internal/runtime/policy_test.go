@@ -54,7 +54,10 @@ func newOldFlushRef(mode Mode, selective bool, cfg Config, start time.Time) *old
 
 // emit reproduces the old emitAsync decision for a buffer holding bufLen
 // entries after the delta v was folded in. Barrier modes used
-// emitBuffered, which never flushed on emit.
+// emitBuffered, which never flushed on emit. One rule departs from the
+// transcription on purpose: the unified mode sent a selective buffer at
+// 64 entries, and now never on emit — it goes out when the pass ends
+// (passFlush).
 func (r *oldFlushRef) emit(dst, bufLen int, v float64) bool {
 	if r.mode == NaiveSync || r.mode == MRASync {
 		return false
@@ -69,7 +72,7 @@ func (r *oldFlushRef) emit(dst, bufLen int, v float64) bool {
 	case r.mode == MRAAAP:
 		return !r.aapDelayed && bufLen >= betaInit
 	case r.selective:
-		return bufLen >= asyncEagerBatch
+		return false
 	default:
 		return float64(bufLen) >= r.beta[dst]
 	}
@@ -313,6 +316,21 @@ func TestAdaptiveBetaMidReset(t *testing.T) {
 	got := feedWindow(p, cfg, count)
 	if got <= float64(betaInit) || got >= float64(2*betaInit) {
 		t.Errorf("mid-band reset β = %v, want inside (%v, %v)", got, betaInit, 2*betaInit)
+	}
+}
+
+// TestClosedWindowKeepsFolds: a window the β rule closes moves each
+// peer's count into win.routed and leaves the worker's own, so
+// WorkerStats.Folds, which adds the open window's peer counts to it,
+// loses no fold to a window boundary.
+func TestClosedWindowKeepsFolds(t *testing.T) {
+	p, cfg := adaptiveForTest()
+	start := time.Unix(2000, 0)
+	win := window{start: start, counts: []int64{5, 7}}
+	p.adapt(start.Add(4*cfg.Tau), &win)
+	win.counts[1] += 3
+	if win.routed != 7 || win.counts[0] != 5 || win.counts[1] != 3 {
+		t.Fatalf("routed %d, counts %v after a closed window; want 7 and [5 3]", win.routed, win.counts)
 	}
 }
 

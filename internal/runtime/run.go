@@ -33,9 +33,15 @@ func (w *worker) stats() WorkerStats {
 		Sent:          w.sent,
 		Recv:          w.recv,
 		Flushes:       w.flushes,
+		Folds:         w.win.routed,
 		Passes:        w.passes,
 		StragglerWait: w.stragglerWait,
 		Metrics:       w.met.reg.Snapshot(),
+	}
+	for j, n := range w.win.counts {
+		if j != w.id { // a Dense shard's sink counts its own folds too
+			ws.Folds += n
+		}
 	}
 	if r, ok := w.pol.flush.(betaReporter); ok {
 		ws.Beta = r.betaTrajectory()

@@ -250,6 +250,80 @@ func TestBarrierMirrorFlushesOnce(t *testing.T) {
 	}
 }
 
+// TestSelectiveFlushesPerPass: under MRA+SyncAsync a selective plan's
+// productive pass stages its peer KVs and sends none, and the pass's end
+// (freeRun.endPass) sends every peer buffer whole, each staged key once;
+// MRA+Async's pass sends a 64-KV batch each time a buffer fills. Folds
+// counts every value the pass folded into the mirror, so it is Sent once
+// the buffers are out, plus what the mirror combined.
+func TestSelectiveFlushesPerPass(t *testing.T) {
+	plan := compilePlan(t, progs.SSSP, edgeDB("edge")(gen.Uniform(4000, 40000, 10, 3)))
+	for _, mode := range []Mode{MRASyncAsync, MRAAsync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w, peers := workerZero(t, plan, Config{
+				Workers: 2, Mode: mode,
+				Tau: time.Hour, CheckInterval: time.Hour, MaxWall: time.Hour,
+			})
+			// Every key of worker 0 at distance 0: one bucket, and every
+			// row improves its targets.
+			for s := 0; s < w.sink.Route.Size(0); s++ {
+				w.table.FoldDelta(w.sink.Route.Key(0, s), 0)
+			}
+			if w.scanPass() == 0 {
+				t.Fatal("the pass propagated nothing")
+			}
+			folds := w.stats().Folds
+			if mode == MRAAsync {
+				sent := 0
+				for ; peers.taken[1] < w.dataSeq[1]; peers.taken[1]++ {
+					m := <-peers.net.Conn(1).Inbox()
+					if len(m.KVs) != asyncEagerBatch {
+						t.Fatalf("a mid-pass batch held %d KVs, want %d", len(m.KVs), asyncEagerBatch)
+					}
+					sent += len(m.KVs)
+					transport.PutBatch(m.KVs)
+				}
+				if sent == 0 || w.bufs[1].len() >= asyncEagerBatch {
+					t.Fatalf("the pass sent %d KVs and left %d staged; want batches of %d", sent, w.bufs[1].len(), asyncEagerBatch)
+				}
+				if folds < w.sent+int64(w.bufs[1].len()) {
+					t.Fatalf("Folds = %d, below the %d KVs sent and staged", folds, w.sent+int64(w.bufs[1].len()))
+				}
+				return
+			}
+			staged := w.bufs[1].len()
+			if w.flushes != 0 || staged <= asyncEagerBatch {
+				t.Fatalf("the pass flushed %d times and staged %d KVs; want 0 and more than %d", w.flushes, staged, asyncEagerBatch)
+			}
+			if !w.pol.barrier.endPass(w, true) {
+				t.Fatal("endPass stopped the worker")
+			}
+			for j, b := range w.bufs {
+				if b.len() != 0 {
+					t.Fatalf("endPass left %d KVs in buffer %d", b.len(), j)
+				}
+			}
+			seen := map[int64]bool{}
+			for ; peers.taken[1] < w.dataSeq[1]; peers.taken[1]++ {
+				m := <-peers.net.Conn(1).Inbox()
+				for _, kv := range m.KVs {
+					if seen[kv.K] {
+						t.Fatalf("key %d sent twice in one pass", kv.K)
+					}
+					seen[kv.K] = true
+				}
+				transport.PutBatch(m.KVs)
+			}
+			if len(seen) != staged || w.sent != int64(staged) {
+				t.Fatalf("the pass end sent %d keys (%d KVs); want the %d staged", len(seen), w.sent, staged)
+			}
+			if ws := w.stats(); ws.Folds != folds || folds <= w.sent || ws.FoldsPerKV() <= 1 {
+				t.Fatalf("Folds = %d (%d before the flush) for %d KVs sent; want more folds than KVs", ws.Folds, folds, w.sent)
+			}
+		})
+	}
+}
+
 // TestStatsPollReadsEveryFold: a StatsReply answered from inside a pass —
 // a flush that finds the data lane full pumps the inbox, and a poll may
 // be waiting there — carries the shard's Σacc as it is at that moment:

@@ -35,7 +35,7 @@ func newSSPPolicies(cfg Config, plan *compiler.Plan, self int, reg *metrics.Regi
 	return policySet{
 		// Superstep batching: buffers flush only when the step ends
 		// (barrier semantics), never on emit or the τ timer.
-		flush:   barrierFlush{},
+		flush:   passFlush{},
 		sched:   withPriorityHold(baseScheduler(plan, reg), cfg, plan, reg),
 		barrier: &sspBarrier{staleness: cfg.Staleness},
 		pass:    (*worker).scanPass,
