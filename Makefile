@@ -11,7 +11,7 @@
 #                      2 and 4 procs
 #   test-names         fails when a name in either -run list above selects
 #                      no test — a renamed test would otherwise drop out of
-#                      its gate silently (until ROADMAP item 4b deletes the lists)
+#                      its gate silently (until ROADMAP item 4(c) deletes the lists)
 #   race               the packages on the message path, checkpointing, fault
 #                      injection, metrics, sessions, the server, the set-up
 #                      path, the aggregate atomics (agg) and the comparator
@@ -27,7 +27,8 @@
 #                      guard
 #   loc                non-test, non-comment, non-blank Go lines per package:
 #                      `make -f $PWD/Makefile -C <other checkout> loc`; fails
-#                      when the total is over the 20 000-line cap (ROADMAP 11)
+#                      when the total is over the 20 000-line cap (ROADMAP aim 3,
+#                      item 13)
 .PHONY: check build vet test test-cpu1 test-scan test-term test-names race benchmark bench bench-smoke loc
 
 check: vet build test test-scan test-term race benchmark

@@ -12,8 +12,8 @@ import (
 // with the named (src,dst) endpoints; deleting an absent edge is a
 // no-op. The vertex universe [0,N) is fixed at compile time. The caller
 // keeps ownership of both slices: nothing that takes a Mutation holds on
-// to them past the call (the replay log stores copies), so one pair of
-// buffers can be refilled batch after batch.
+// to them past the call, so one pair of buffers can be refilled batch
+// after batch.
 type Mutation struct {
 	Inserts []graph.Edge
 	Deletes []graph.Edge

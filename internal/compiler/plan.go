@@ -83,10 +83,6 @@ type Plan struct {
 	in    *inIndex
 }
 
-// JoinPredicate names the base relation the recursive body joins — the
-// graph predicate Session mutations address.
-func (p *Plan) JoinPredicate() string { return p.shape.Join.Name }
-
 // EncodePair packs two 31-bit keys into one table key.
 func EncodePair(hi, lo int64) int64 { return hi<<32 | lo }
 

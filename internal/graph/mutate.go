@@ -38,7 +38,7 @@ func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) (moved int, err erro
 		}
 	}
 	// Group the batch by source row without touching the caller's slices
-	// (they go into the mutation log in the order given): a delete sorts
+	// (they stay the caller's, in the order given): a delete sorts
 	// as src<<32|dst, an insert as src<<32|position, which keeps batch
 	// order within a row.
 	del := make([]uint64, len(deletes))

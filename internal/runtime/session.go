@@ -8,7 +8,6 @@ import (
 
 	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
-	"powerlog/internal/edb"
 	"powerlog/internal/transport"
 )
 
@@ -65,8 +64,10 @@ type Mutation = compiler.Mutation
 // clean park — an injected crash, a fleet with no survivor, the
 // iteration cap, the wall clock — poisons the session: the error is
 // sticky, every later Apply returns it, and the caller's recovery path is
-// Close and re-Open (from the CheckpointDir's newest park cut, if it is
-// set, replaying the mutation log past that cut's MutEpoch).
+// Close and re-Open. The session keeps no copy of the caller's batches:
+// with a CheckpointDir, the re-Open resumes from its newest park cut and
+// the caller re-Applies its own batches past MutEpoch — what it must do
+// after a process crash anyway.
 type Session struct {
 	cfg     Config
 	plan    *compiler.Plan
@@ -75,11 +76,10 @@ type Session struct {
 	m       *master
 	wg      sync.WaitGroup
 
-	// log records every applied mutation with its epoch; mutEpoch is the
-	// log position the current table state incorporates (restored from
-	// the cut's MutEpoch when Open resumes from CheckpointDir).
-	// engEpoch counts fixpoints this session has computed (1 = initial).
-	log      *edb.MutationLog
+	// mutEpoch counts the batches the current table state incorporates
+	// (restored from the cut's MutEpoch when Open resumes from
+	// CheckpointDir). engEpoch counts fixpoints this session has computed
+	// (1 = initial).
 	mutEpoch int
 	engEpoch int
 
@@ -199,7 +199,6 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 		plan:     plan,
 		net:      net,
 		workers:  workers,
-		log:      &edb.MutationLog{},
 		engEpoch: 1,
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -208,8 +207,8 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 		w.seedShard(rows, meta)
 	}
 	if meta != nil {
-		// Resume the mutation-log position the snapshot incorporates:
-		// the caller replays its trailing log entries through Apply.
+		// Resume the batch count the cut incorporates: the caller
+		// re-Applies its own batches past it.
 		s.mutEpoch = meta.MutEpoch
 	}
 
@@ -248,7 +247,8 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 // are per-epoch (work this Apply caused), not cumulative. Concurrency:
 // Apply claims the session exclusively; a second Apply racing it returns
 // ErrSessionBusy rather than queueing, and an Apply racing Close returns
-// ErrSessionClosed.
+// ErrSessionClosed. Apply keeps no reference to mut's edge slices: the
+// caller may refill them once it returns.
 func (s *Session) Apply(mut Mutation) (*Result, error) {
 	if !s.cfg.Mode.MRA() {
 		return nil, fmt.Errorf("runtime: naive evaluation re-derives from scratch and cannot re-fixpoint incrementally; use an MRA mode")
@@ -275,11 +275,6 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		return nil, err
 	}
 	s.bumpMutEpoch()
-	s.log.Append(s.mutEpoch, edb.GraphMutation{
-		Pred:    s.plan.JoinPredicate(),
-		Inserts: mut.Inserts,
-		Deletes: mut.Deletes,
-	})
 
 	// Deletion invalidation: erase the support closure at its owners.
 	// Invalidate bypasses the monotone fold the running Σacc tracks, so
@@ -323,7 +318,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	if !s.m.parked {
 		// Crash injection, iteration cap, or wall clock: the master
 		// stopped the fleet, so the warm state is gone. Poison the
-		// session; recovery is Close + Open(CheckpointDir) + log replay.
+		// session; recovery is Close + Open(CheckpointDir) + the caller
+		// re-Applying its batches past MutEpoch.
 		// finishEpoch already collected the epoch (and rebased the
 		// traffic baselines): publish that, not a second collect.
 		s.setResult(res)
@@ -593,24 +589,15 @@ func (s *Session) Epoch() int {
 	return s.engEpoch
 }
 
-// MutEpoch returns the mutation-log position the current state
-// incorporates: 0 after a fresh Open, k after the k-th Apply, or the
-// restored cut's position after Open(CheckpointDir) — the caller
-// replays its own log entries past this point to catch up.
+// MutEpoch returns how many batches the current state incorporates: 0
+// after a fresh Open, k after the k-th Apply, or the restored cut's
+// stamp after Open(CheckpointDir) — the caller re-Applies its own
+// batches past this point to catch up.
 func (s *Session) MutEpoch() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mutEpoch
 }
-
-// Log returns the mutation log of this session's Applys (entries are
-// stamped 1..MutEpoch; a restored session starts empty at the restored
-// position). It holds the newest batches, not all of them: a restore
-// replays the tail past a checkpoint's MutEpoch, and Log().Truncated()
-// says how far back the log reaches. The log itself is appended to by
-// Apply; read it only with the session quiescent (parked, poisoned, or
-// closed).
-func (s *Session) Log() *edb.MutationLog { return s.log }
 
 // Err returns the session's sticky error, if an epoch failed.
 func (s *Session) Err() error {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -332,8 +333,8 @@ func testSessionProgram(t *testing.T, p sessionProg, mode Mode, seed int64) {
 	if s.Epoch() != 1+len(batches) {
 		t.Errorf("Epoch() = %d, want %d", s.Epoch(), 1+len(batches))
 	}
-	if s.MutEpoch() != len(batches) || s.Log().Len() != len(batches) {
-		t.Errorf("MutEpoch() = %d, Log().Len() = %d, want %d", s.MutEpoch(), s.Log().Len(), len(batches))
+	if s.MutEpoch() != len(batches) {
+		t.Errorf("MutEpoch() = %d, want %d", s.MutEpoch(), len(batches))
 	}
 }
 
@@ -411,8 +412,9 @@ func TestSessionCoresPerWorker(t *testing.T) {
 }
 
 // TestSessionEmptyMutation: an Apply that changes nothing must converge
-// immediately and leave the fixpoint untouched (it still advances the
-// mutation log — the caller said "apply this", and replay must agree).
+// immediately and leave the fixpoint untouched (it still advances
+// MutEpoch — the caller said "apply this", and re-applying its batches
+// past a cut must agree).
 func TestSessionEmptyMutation(t *testing.T) {
 	p := sessionProgs[0]
 	g := p.g()
@@ -606,27 +608,104 @@ func TestSessionPoisonedApplyPublishesTraffic(t *testing.T) {
 	}
 }
 
-// TestSessionLogCopiesBatch: the replay log must not alias the caller's
-// batch. A streaming client refills one pair of buffers per Apply; the
-// tail a restore replays has to hold what was applied.
-func TestSessionLogCopiesBatch(t *testing.T) {
-	p := sessionProgs[0]
-	s, err := Open(compilePlan(t, p.src, p.db(p.g())), sessCfg(MRASync))
+// TestApplyLeavesBatchToCaller: a streaming client refills one pair of
+// buffers per Apply, so nothing Apply keeps — the CSR splice, the
+// candidate in-edge index's overlay — may alias the caller's batch. Each
+// batch is copied into the same two buffers, which are scribbled over
+// once Apply returns; every epoch must still equal a cold fixpoint of the
+// mutated graph. The scripted batches make 0→1→2 vertex 2's only short
+// path while the edge 1→2 is held by the overlay alone (the index is
+// built by batch 1's erase), so the last one's delete re-derives vertex
+// 2 from what the overlay kept of batch 2.
+func TestApplyLeavesBatchToCaller(t *testing.T) {
+	p := sessionProgs[0] // SSSP from vertex 0, weights ≥ 1
+	g := p.g()
+	n := g.NumVertices()
+	edges := append([]graph.Edge(nil), g.Edges()...)
+	cfg := sessCfg(MRASync)
+	s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ins := []graph.Edge{{Src: 0, Dst: 7, W: 3}}
-	del := []graph.Edge{{Src: 0, Dst: 7}}
-	want := [2]graph.Edge{ins[0], del[0]}
-	if _, err := s.Apply(Mutation{Inserts: ins, Deletes: del}); err != nil {
+	script := []Mutation{
+		{Inserts: []graph.Edge{{Src: 0, Dst: 3, W: 0.1}}},
+		{Deletes: []graph.Edge{{Src: 0, Dst: 3}}},
+		{Inserts: []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}}},
+		{Inserts: []graph.Edge{{Src: 0, Dst: 2, W: 0.5}}},
+		{Deletes: []graph.Edge{{Src: 0, Dst: 2}}},
+	}
+	r := rand.New(rand.NewSource(3))
+	var ins, del []graph.Edge
+	for i := range len(script) + 4 {
+		var mut Mutation
+		if i < len(script) {
+			mut = script[i]
+			edges = slices.DeleteFunc(edges, func(e graph.Edge) bool {
+				return slices.ContainsFunc(mut.Deletes, func(d graph.Edge) bool { return d.Src == e.Src && d.Dst == e.Dst })
+			})
+			edges = append(edges, mut.Inserts...)
+		} else {
+			mut, edges = randMutation(r, edges, n, 8, 8, p.dag, p.insW)
+		}
+		ins, del = append(ins[:0], mut.Inserts...), append(del[:0], mut.Deletes...)
+		res, err := s.Apply(Mutation{Inserts: ins, Deletes: del})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		for j := range ins {
+			ins[j] = graph.Edge{Src: 0, Dst: int32(n - 1), W: 1e-3}
+		}
+		for j := range del {
+			del[j] = graph.Edge{Src: int32(n - 1), Dst: 0}
+		}
+		want := scratchFixpoint(t, p, n, edges, g.Weighted(), cfg)
+		expectSameFixpoint(t, fmt.Sprintf("batch %d", i), res.Values, want, p.ident, p.tol)
+	}
+}
+
+// TestSessionHeapFlat: a session's retained heap does not grow with its
+// Apply count. After a warm-up of 200 batches of 8 edges (inserts, then
+// the same edges deleted), 2 000 more may add at most 64 KB of live heap;
+// a session that kept a copy of each batch grows by hundreds of KB.
+func TestSessionHeapFlat(t *testing.T) {
+	p := sessionProgs[0] // SSSP
+	g := p.g()
+	n := g.NumVertices()
+	s, err := Open(compilePlan(t, p.src, p.db(g)), sessCfg(MRASync))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ins[0], del[0] = graph.Edge{Src: 5, Dst: 6, W: 9}, graph.Edge{Src: 1, Dst: 2}
-	got := s.Log().Since(0)
-	if len(got) != 1 || len(got[0].Mut.Inserts) != 1 || len(got[0].Mut.Deletes) != 1 ||
-		got[0].Mut.Inserts[0] != want[0] || got[0].Mut.Deletes[0] != want[1] {
-		t.Fatalf("log holds %+v after the caller refilled its buffers, want insert %v delete %v", got, want[0], want[1])
+	defer s.Close()
+	r := rand.New(rand.NewSource(7))
+	batch := make([]graph.Edge, 8)
+	apply := func(count int) {
+		for i := range count {
+			mut := Mutation{Deletes: batch}
+			if i%2 == 0 {
+				for j := range batch {
+					batch[j] = graph.Edge{Src: int32(r.Intn(n)), Dst: int32(r.Intn(n)), W: p.insW(r)}
+				}
+				mut = Mutation{Inserts: batch}
+			}
+			if _, err := s.Apply(mut); err != nil {
+				t.Fatalf("Apply %d: %v", i, err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	apply(200)
+	before := heap()
+	apply(2000)
+	after := heap()
+	if grew := int64(after) - int64(before); grew > 64<<10 {
+		t.Errorf("live heap grew %d bytes over 2 000 Applys (%d → %d), want ≤ 64 KB", grew, before, after)
 	}
 }
 
@@ -704,7 +783,7 @@ func copyDir(t *testing.T, from, to string) {
 // session takes one Apply cleanly, crashes (injected) during the next,
 // and a restored session — opened from the checkpoint as of the first
 // Apply plus a plan rebuilt at that checkpoint's mutation position —
-// replays the trailing mutation-log entry and lands on the oracle
+// re-Applies the test's own batch past its MutEpoch and lands on the oracle
 // fixpoint. It runs for a selective and a combining program in three
 // modes. The subtests keep the suffix every=0 from when cuts could also
 // be taken inside a fixpoint: a park cut per Apply and none in between is
@@ -756,7 +835,7 @@ func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode) {
 	sB.Close()
 
 	// Restore from the epoch-1 checkpoint with a plan rebuilt at that
-	// mutation position, then replay the trailing log entries.
+	// mutation position, then re-Apply the batches past its MutEpoch.
 	cfgC := cfg
 	cfgC.CheckpointDir = dirAt1
 	sC, err := Open(mkPlan(edges1), cfgC)
@@ -767,13 +846,11 @@ func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode) {
 	if sC.MutEpoch() != 1 {
 		t.Fatalf("restored MutEpoch = %d, want 1", sC.MutEpoch())
 	}
-	trailing := sB.Log().Since(sC.MutEpoch())
-	if len(trailing) != 1 {
-		t.Fatalf("trailing log entries = %d, want 1", len(trailing))
-	}
-	for _, e := range trailing {
-		if _, err := sC.Apply(Mutation{Inserts: e.Mut.Inserts, Deletes: e.Mut.Deletes}); err != nil {
-			t.Fatalf("replaying mutation epoch %d: %v", e.Epoch, err)
+	batches := []Mutation{mut1, mut2}
+	from := sC.MutEpoch()
+	for i, mut := range batches[from:] {
+		if _, err := sC.Apply(mut); err != nil {
+			t.Fatalf("replaying mutation epoch %d: %v", from+1+i, err)
 		}
 	}
 	want := scratchFixpoint(t, p, n, edges2, weighted, cfg)

@@ -32,7 +32,7 @@ type entry struct {
 
 	mu   sync.Mutex
 	s    *runtime.Session // nil until the first fresh fixpoint lands
-	last *runtime.Result  // last fixpoint's Result (survives session swaps)
+	last *runtime.Result  // the Result swap installed; outlives the session closeAll drains
 }
 
 func newPool(pooled *metrics.Gauge) *pool {
@@ -100,14 +100,6 @@ func (e *entry) result() *runtime.Result {
 		}
 	}
 	return e.last
-}
-
-// publish records res as the entry's latest fixpoint (after a
-// successful Apply on the current session).
-func (e *entry) publish(res *runtime.Result) {
-	e.mu.Lock()
-	e.last = res
-	e.mu.Unlock()
 }
 
 // swap installs a freshly opened session and returns the displaced one

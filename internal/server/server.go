@@ -53,14 +53,17 @@ type Config struct {
 	// MaxBudget (default 2m) caps what clients may ask for.
 	DefaultBudget time.Duration
 	MaxBudget     time.Duration
-	// Tau and CheckInterval tune the engines (defaults 1ms / 2ms —
-	// the bench harness's serving-grade settings, not the runtime's
-	// batch defaults). CheckInterval is the termination detector's
-	// fallback cadence, not a latency floor under /v1/mutate: an Apply
-	// stops on the workers' idle reports, not on a tick.
-	Tau           time.Duration
-	CheckInterval time.Duration
 }
+
+// tau and checkInterval tune every engine the server opens: the bench
+// harness's serving-grade settings, not the runtime's batch defaults.
+// checkInterval is the termination detector's fallback cadence, not a
+// latency floor under /v1/mutate: an Apply stops on the workers' idle
+// reports, not on a tick.
+const (
+	tau           = time.Millisecond
+	checkInterval = 2 * time.Millisecond
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -80,12 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBudget <= 0 {
 		c.MaxBudget = 2 * time.Minute
-	}
-	if c.Tau <= 0 {
-		c.Tau = time.Millisecond
-	}
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = 2 * time.Millisecond
 	}
 	return c
 }
@@ -258,8 +255,8 @@ func (s *Server) engineConfig(mode runtime.Mode, budgetMS int64) runtime.Config 
 	return runtime.Config{
 		Workers:        s.cfg.Workers,
 		Mode:           mode,
-		Tau:            s.cfg.Tau,
-		CheckInterval:  s.cfg.CheckInterval,
+		Tau:            tau,
+		CheckInterval:  checkInterval,
 		MaxWall:        budget,
 		CollectTimeout: budget / 4,
 	}
@@ -482,7 +479,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, err, http.StatusInternalServerError)
 		return
 	}
-	e.publish(res)
 	s.met.mutate.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"rounds":     res.Rounds,
