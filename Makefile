@@ -12,8 +12,8 @@
 #   test-names         fails when a name in either -run list above selects
 #                      no test — a renamed test would otherwise drop out of
 #                      its gate silently (until ROADMAP item 4(c) deletes the lists)
-#   race               the packages on the message path, checkpointing, fault
-#                      injection, metrics, sessions, the server, the set-up
+#   race               the packages on the message path, fault injection,
+#                      metrics, sessions, the server, the set-up
 #                      path, the aggregate atomics (agg) and the comparator
 #                      engines (graphsys) under the race detector at -cpu 1,4,
 #                      so a worker's compute and comm goroutines, the master
@@ -82,7 +82,7 @@ loc:
 			if (total > 20000) { print "loc: " total " lines, over the 20000-line cap" > "/dev/stderr"; exit 1 } }'
 
 race:
-	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/ckpt/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/... ./internal/graph/... ./internal/compiler/... ./internal/graphsys/... ./internal/agg/...
+	go test -race -short -cpu 1,4 ./internal/runtime/... ./internal/transport/... ./internal/monotable/... ./internal/fault/... ./internal/metrics/... ./internal/edb/... ./internal/gen/... ./internal/server/... ./internal/graph/... ./internal/compiler/... ./internal/graphsys/... ./internal/agg/...
 
 benchmark:
 	cd benchmark && go vet ./... && go test ./...

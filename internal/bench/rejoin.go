@@ -20,8 +20,8 @@ import (
 //	          master's decision to Release) is the time-to-recover, and
 //	          the wall time relative to clean is the throughput dip
 //	crashed   master-abort fault at round 6
-//	rerun     the fleet re-runs from scratch: a one-shot run writes no
-//	          checkpoint, so restart-the-world starts over
+//	rerun     the fleet re-runs from scratch: nothing is durable, so
+//	          restart-the-world starts over
 //
 // The row's restart is crashed + rerun, what restart-the-world pays to
 // reach the fixpoint. The headline comparison is time-to-recover: the

@@ -15,10 +15,9 @@
 //     BarrierPolicy) — absorbed by BSP barriers, the SSP staleness
 //     gate, and the async master's polling;
 //   - run-level events (CrashRound aborts the run — inside a session's
-//     Apply, the crash half of the crash/restore drill, whose restart
-//     resumes from the newest park cut file in Config.CheckpointDir;
-//     MasterRestartRound makes the master lose its termination-detector
-//     state mid-run).
+//     Apply it poisons the session, which the caller recovers with
+//     Close and a cold re-Open; MasterRestartRound makes the master lose
+//     its termination-detector state mid-run).
 //
 // Master↔worker control traffic is deliberately NOT faulted: the
 // termination protocol assumes a reliable coordinator channel, and a
@@ -70,10 +69,8 @@ type Spec struct {
 	PartFrom, PartTo int
 
 	// CrashRound: the master aborts the whole run at this round (1-based;
-	// 0 = never) — the "crash" half of a session's crash/restore drill. A
-	// session opened on its Config.CheckpointDir, resuming from the park
-	// cut of the Apply the crash cut short, is the other half. The round
-	// is counted across a session's epochs, unless CrashEpoch (1 = the
+	// 0 = never), as a lost coordinator would; inside a session's Apply
+	// it poisons the session with a sticky error. The round is counted across a session's epochs, unless CrashEpoch (1 = the
 	// initial fixpoint) names the epoch whose CrashRound-th round it is —
 	// a point that does not depend on how many rounds the earlier epochs
 	// took.

@@ -78,19 +78,16 @@ type Table interface {
 	Range(f func(key int64, acc float64) bool)
 
 	// RangeRows iterates all rows where the Accumulation or the
-	// Intermediate is non-identity — the state a checkpoint must capture.
+	// Intermediate is non-identity: a row's whole state, pending deltas
+	// included.
 	RangeRows(f func(key int64, acc, inter float64) bool)
-
-	// SetAcc overwrites key's Accumulation (checkpoint restore only; it
-	// bypasses the monotone fold).
-	SetAcc(key int64, v float64)
 
 	// Invalidate erases key's row — Accumulation AND Intermediate back to
 	// the identity — so a delete-invalidation pass can force the key to
-	// re-derive from surviving inputs. Like SetAcc it bypasses the
-	// monotone fold and must only run while the engine is quiesced. It
-	// returns the row's Σacc contribution (its Accumulation, 0 at the
-	// identity), which a caller maintaining a running Σacc subtracts.
+	// re-derive from surviving inputs. It bypasses the monotone fold
+	// and must only run while the engine is quiesced. It returns the
+	// row's Σacc contribution (its Accumulation, 0 at the identity),
+	// which a caller maintaining a running Σacc subtracts.
 	Invalidate(key int64) float64
 
 	// Len returns the number of rows with non-identity Accumulation.
@@ -390,9 +387,6 @@ func (d *Dense) RangeRows(f func(key int64, acc, inter float64) bool) {
 	}
 }
 
-// SetAcc implements Table.
-func (d *Dense) SetAcc(key int64, v float64) { d.acc[d.slot(key)] = toBits(v) }
-
 // Invalidate implements Table. The dirty bit (if set) is left alone: a
 // later scan drains an identity Intermediate and skips the key.
 func (d *Dense) Invalidate(key int64) float64 {
@@ -554,9 +548,6 @@ func (s *Sparse) RangeRows(f func(key int64, acc, inter float64) bool) {
 		}
 	}
 }
-
-// SetAcc implements Table.
-func (s *Sparse) SetAcc(key int64, v float64) { s.row(key).acc = toBits(v) }
 
 // Invalidate implements Table: the row and its dirty entry are removed
 // outright, so the key re-derives (or stays absent) from scratch.

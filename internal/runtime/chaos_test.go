@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
@@ -347,78 +345,49 @@ func TestChaosNaiveSync(t *testing.T) {
 	}
 }
 
-// TestChaosCrashRestore is the crash/restore drill in every chaos mode,
-// on one selective algorithm (SSSP) and one combining algorithm
-// (PageRank). A session with a checkpoint directory applies a batch,
-// whose park cut — the batch applied, its fixpoint pending — lands in the
-// directory, and the master aborts inside the batch's fixpoint. A session
-// opened on the same directory, with a plan rebuilt at the batch, resumes
-// from that cut and must reach the mutated graph's scratch fixpoint.
-func TestChaosCrashRestore(t *testing.T) {
+// TestChaosCrashPoisonsSession is a master crash inside an Apply in
+// every chaos mode, on one selective algorithm (SSSP) and one combining
+// algorithm (PageRank). The Apply across the crash round fails; the
+// error is sticky, so the next Apply returns it without applying its
+// batch or running an epoch; Result still answers; and Close returns.
+func TestChaosCrashPoisonsSession(t *testing.T) {
 	for _, p := range []sessionProg{sessionProgs[0], sessionProgs[2]} { // SSSP, PageRank
 		for _, mode := range chaosModes {
 			t.Run(fmt.Sprintf("%s/%v", strings.ToLower(p.name), mode), func(t *testing.T) {
 				g := p.g()
-				n, weighted := g.NumVertices(), g.Weighted()
-				mut, edges1 := randMutation(rand.New(rand.NewSource(7)), append([]graph.Edge(nil), g.Edges()...), n, 6, 6, p.dag, p.insW)
+				r := rand.New(rand.NewSource(7))
+				mut1, edges1 := randMutation(r, append([]graph.Edge(nil), g.Edges()...), g.NumVertices(), 6, 6, p.dag, p.insW)
+				mut2, _ := randMutation(r, edges1, g.NumVertices(), 6, 6, p.dag, p.insW)
 				cfg := sessCfg(mode)
-				cfg.CheckpointDir = t.TempDir()
-				crash := cfg
-				crash.Fault = fault.New(fault.Spec{Seed: 7, CrashEpoch: 2, CrashRound: 1})
-				s, err := Open(compilePlan(t, p.src, p.db(g)), crash)
+				cfg.Fault = fault.New(fault.Spec{Seed: 7, CrashEpoch: 2, CrashRound: 1})
+				s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, err = s.Apply(mut)
-				s.Close()
-				if err == nil {
+				_, crashErr := s.Apply(mut1)
+				if crashErr == nil {
+					s.Close()
 					t.Fatal("Apply across the crash round succeeded")
 				}
-				r, err := Open(planAt(t, p, n, edges1, weighted), cfg)
-				if err != nil {
-					t.Fatal(err)
+				epoch, mutEpoch := s.Epoch(), s.MutEpoch()
+				if _, err := s.Apply(mut2); err != crashErr {
+					t.Errorf("Apply after the crash: err = %v, want the sticky %v", err, crashErr)
 				}
-				defer r.Close()
-				if r.MutEpoch() != 1 || !r.Result().Converged {
-					t.Fatalf("restored MutEpoch %d, converged %v; want the park cut 1, converged", r.MutEpoch(), r.Result().Converged)
+				if s.Epoch() != epoch || s.MutEpoch() != mutEpoch {
+					t.Errorf("Apply after the crash ran: Epoch %d → %d, MutEpoch %d → %d", epoch, s.Epoch(), mutEpoch, s.MutEpoch())
 				}
-				want := scratchFixpoint(t, p, n, edges1, weighted, sessCfg(mode))
-				expectSameFixpoint(t, "restored", r.Result().Values, want, p.ident, p.tol)
+				if res := s.Result(); res == nil || len(res.Values) == 0 {
+					t.Errorf("Result after the crash = %v, want the crashed epoch's values", res)
+				}
+				closed := make(chan error, 1)
+				go func() { closed <- s.Close() }()
+				select {
+				case <-closed:
+				case <-time.After(cfg.MaxWall):
+					t.Fatal("Close of the poisoned session did not return")
+				}
 			})
 		}
-	}
-}
-
-// TestTornSnapshotRefusedOnRestore: corrupting the newest park cut must
-// fail the restore loudly — never silently restore a torn or partial
-// state.
-func TestTornSnapshotRefusedOnRestore(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Uniform(200, 1200, 50, 11)
-	db := edb.NewDB()
-	db.SetGraph("edge", g)
-	plan := compilePlan(t, progs.SSSP, db)
-	cfg := Config{Workers: 3, Mode: MRASync, CheckpointDir: dir, MaxWall: 30 * time.Second}
-	s, err := Open(plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Apply(Mutation{Inserts: []graph.Edge{{Src: 0, Dst: 7, W: 0.5}}})
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := ckpt.CutPath(dir, 1)
-	info, err := os.Stat(victim)
-	if err != nil {
-		t.Fatalf("no shard written: %v", err)
-	}
-	if err := os.Truncate(victim, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	cfg.MaxWall = 5 * time.Second
-	if _, err := Run(plan, cfg); err == nil {
-		t.Fatal("restore from a torn shard must fail, not silently restore")
 	}
 }
 

@@ -156,7 +156,7 @@ func TestRunWorkerResultSized(t *testing.T) {
 	const rows = 4000
 	d := monotable.NewDense(agg.ByKind(agg.Min), rows, 1, 0)
 	for k := range int64(rows) {
-		d.SetAcc(k, float64(k))
+		d.FoldAcc(k, float64(k))
 	}
 	w := &worker{table: d}
 	// allocated is the least TotalAlloc delta of five calls of f.

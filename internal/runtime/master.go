@@ -239,9 +239,9 @@ func (m *master) stopCause(capped bool) StopCause {
 // crashAt implements the injector's run-level faults at the top of a
 // master round — epochRound within the current epoch, gRound across
 // epochs: a crash point aborts the whole run (broadcast Stop with
-// converged=false — the "crash" half of a crash/restore drill), and
-// MasterRestartRound asks the caller to forget its termination-detector
-// state, as a restarted master process would.
+// converged=false, which poisons a session), and MasterRestartRound asks
+// the caller to forget its termination-detector state, as a restarted
+// master process would.
 func (m *master) crashAt(epochRound, gRound int) (crash, restart bool) {
 	inj := m.cfg.Fault
 	if inj == nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
@@ -315,87 +314,36 @@ func applyChecked(t *testing.T, s *Session, p sessionProg, n int, edges []graph.
 
 // TestRejoinSessionCombining drives combining-aggregate sessions
 // (PageRank, Katz) through two Applys and crashes worker 1 in Apply 1 —
-// at its first pass — or Apply 2 — between its last report and the park
-// — with and without park cuts. A combining re-join resets every shard
-// to the current ΔX¹ seed, which Plan.ApplyMutation rebuilds on every
-// batch, so every epoch must equal the scratch oracle; with park cuts on,
-// every later cut holds the replacement's rows, so the newest cut is
-// Apply 2's.
-// The restored row opens a session from a park checkpoint on a plan
-// rebuilt at its MutEpoch and crashes the replayed Apply.
+// at its first pass — or Apply 2 — between its last report and the park.
+// A combining re-join resets every shard to the current ΔX¹ seed, which
+// Plan.ApplyMutation rebuilds on every batch, so every epoch must equal
+// the scratch oracle.
 func TestRejoinSessionCombining(t *testing.T) {
 	for _, p := range []sessionProg{sessionProgs[2], sessionProgs[3]} { // PageRank, Katz
 		for _, crashAt := range []int{1, 2} {
-			for _, ckpts := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/apply%d/ckpt=%v", p.name, crashAt, ckpts), func(t *testing.T) {
-					g := p.g()
-					n := g.NumVertices()
-					edges := append([]graph.Edge(nil), g.Edges()...)
-					cfg := rejoinCfg(MRASyncAsync)
-					if ckpts {
-						cfg.CheckpointDir = t.TempDir()
+			t.Run(fmt.Sprintf("%s/apply%d", p.name, crashAt), func(t *testing.T) {
+				g := p.g()
+				n := g.NumVertices()
+				edges := append([]graph.Edge(nil), g.Edges()...)
+				s, err := Open(compilePlan(t, p.src, p.db(g)), rejoinCfg(MRASyncAsync))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				r := rand.New(rand.NewSource(331))
+				for i := 1; i <= 2; i++ {
+					var mut Mutation
+					mut, edges = randMutation(r, edges, n, 6, 6, false, p.insW)
+					var crashed *atomic.Bool
+					if i == crashAt {
+						crashed = new(atomic.Bool)
+						crashWindows[2*crashAt-2].arm(t, s, crashed) // before-first-report, last-report-to-park
 					}
-					s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
-					r := rand.New(rand.NewSource(331))
-					for i := 1; i <= 2; i++ {
-						var mut Mutation
-						mut, edges = randMutation(r, edges, n, 6, 6, false, p.insW)
-						var crashed *atomic.Bool
-						if i == crashAt {
-							crashed = new(atomic.Bool)
-							crashWindows[2*crashAt-2].arm(t, s, crashed) // before-first-report, last-report-to-park
-						}
-						applyChecked(t, s, p, n, edges, g.Weighted(), mut, crashed, fmt.Sprintf("apply-%d", i))
-					}
-					if ckpts {
-						if _, meta, err := ckpt.Load(cfg.CheckpointDir); err != nil || meta.MutEpoch != 2 {
-							t.Fatalf("newest cut %+v (%v), want cut 2", meta, err)
-						}
-					}
-				})
-			}
+					applyChecked(t, s, p, n, edges, g.Weighted(), mut, crashed, fmt.Sprintf("apply-%d", i))
+				}
+			})
 		}
 	}
-
-	t.Run("PageRank/restored", func(t *testing.T) {
-		p := sessionProgs[2]
-		g := p.g()
-		n := g.NumVertices()
-		edges0 := append([]graph.Edge(nil), g.Edges()...)
-		r := rand.New(rand.NewSource(331))
-		mut1, edges1 := randMutation(r, edges0, n, 6, 6, false, p.insW)
-		mut2, edges2 := randMutation(r, edges1, n, 6, 6, false, p.insW)
-		cfg := rejoinCfg(MRASyncAsync)
-		cfg.CheckpointDir = t.TempDir()
-		s, err := Open(compilePlan(t, p.src, p.db(g)), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Apply(mut1); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-
-		g1, err := graph.FromEdges(n, append([]graph.Edge(nil), edges1...), g.Weighted())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sR, err := Open(compilePlan(t, p.src, p.db(g1)), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sR.Close()
-		if sR.MutEpoch() != 1 {
-			t.Fatalf("restored MutEpoch = %d, want 1", sR.MutEpoch())
-		}
-		crashed := new(atomic.Bool)
-		crashWindows[0].arm(t, sR, crashed)
-		applyChecked(t, sR, p, n, edges2, g.Weighted(), mut2, crashed, "replayed apply-2")
-	})
 }
 
 // TestShardRouteSplit: the divide-free static route (monotable.Route) is

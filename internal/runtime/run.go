@@ -1,10 +1,8 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/transport"
 )
@@ -62,51 +60,37 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 
 // setUp is what Open and RunWorker do before any worker runs: validate
 // cfg, fill in its defaults — Workers is the network's size when
-// workers > 0 — refuse a plan the mode cannot run, and read the cut to
-// resume from (meta nil: none — no CheckpointDir, or one with no cut),
-// so a bad request or a corrupt checkpoint fails before a goroutine
-// starts.
-func setUp(plan *compiler.Plan, cfg Config, workers int) (_ Config, rows []ckpt.Row, meta *ckpt.Meta, err error) {
+// workers > 0 — and refuse a plan the mode cannot run, so a bad request
+// fails before a goroutine starts.
+func setUp(plan *compiler.Plan, cfg Config, workers int) (Config, error) {
 	if err := cfg.Validate(); err != nil {
-		return cfg, nil, nil, err
+		return cfg, err
 	}
 	cfg = cfg.withDefaults()
 	if workers > 0 {
 		cfg.Workers = workers
 	}
 	if plan.PropagateInto == nil || plan.Op == nil {
-		return cfg, nil, nil, fmt.Errorf("runtime: plan is not compiled")
+		return cfg, fmt.Errorf("runtime: plan is not compiled")
 	}
 	if !cfg.Mode.MRA() && len(plan.BaseNaive) == 0 {
-		return cfg, nil, nil, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
+		return cfg, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
 	}
-	cfg = applyPriorityDefault(cfg, plan)
-	if !cfg.Mode.MRA() || cfg.CheckpointDir == "" {
-		return cfg, nil, nil, nil
-	}
-	rows, cut, err := ckpt.Load(cfg.CheckpointDir)
-	if errors.Is(err, ckpt.ErrNoCut) {
-		return cfg, nil, nil, nil
-	}
-	return cfg, rows, &cut, err
+	return applyPriorityDefault(cfg, plan), nil
 }
 
 // seedShard prepares this worker's share of its first fixpoint: under
 // naive evaluation the base tuples it owns, re-derived every superstep;
-// otherwise its share of ΔX¹, or of the cut it resumes from, restored
-// exactly (meta non-nil).
-func (w *worker) seedShard(rows []ckpt.Row, meta *ckpt.Meta) {
-	switch {
-	case !w.cfg.Mode.MRA():
-		for _, kv := range w.plan.BaseNaive {
-			if w.owner(kv.K) == w.id {
-				w.ownBase = append(w.ownBase, kv)
-			}
-		}
-	case meta == nil:
+// otherwise its share of ΔX¹.
+func (w *worker) seedShard() {
+	if w.cfg.Mode.MRA() {
 		w.seed(w.plan.InitMRA)
-	default:
-		w.restore(rows)
+		return
+	}
+	for _, kv := range w.plan.BaseNaive {
+		if w.owner(kv.K) == w.id {
+			w.ownBase = append(w.ownBase, kv)
+		}
 	}
 }
 
@@ -116,12 +100,12 @@ func (w *worker) seedShard(rows []ckpt.Row, meta *ckpt.Meta) {
 // worker seeds only its own shard of ΔX¹ and returns its local share of
 // the result when the master stops the run.
 func RunWorker(plan *compiler.Plan, cfg Config, conn transport.Conn) (map[int64]float64, error) {
-	cfg, rows, meta, err := setUp(plan, cfg, conn.Workers())
+	cfg, err := setUp(plan, cfg, conn.Workers())
 	if err != nil {
 		return nil, err
 	}
 	w := newWorker(conn.ID(), cfg, plan, cfg.Fault.Wrap(conn))
-	w.seedShard(rows, meta)
+	w.seedShard()
 	w.run()
 	if err := w.err(); err != nil {
 		return nil, err

@@ -2,14 +2,11 @@ package runtime
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/gen"
@@ -380,27 +377,15 @@ func TestUncompiledPlanRejected(t *testing.T) {
 
 // Open and RunWorker share one set-up (setUp), so they refuse the same
 // (cfg, plan) pairs: an invalid config, an uncompiled plan, naive
-// evaluation without base tuples, a checkpoint directory whose newest
-// cut is torn or that is a regular file — and both accept a runnable
-// pair, an empty checkpoint directory included. RunWorker's accepted run finds a Stop
-// waiting in its inbox and returns at once.
+// evaluation without base tuples — and both accept a runnable pair.
+// RunWorker's accepted run finds a Stop waiting in its inbox and returns
+// at once.
 func TestSetUpRefusesAlike(t *testing.T) {
 	g := gen.Uniform(40, 120, 10, 5)
 	sssp := compilePlan(t, progs.SSSP, edgeDB("edge")(g))
 	noBase := *sssp
 	noBase.BaseNaive = nil
 	one := Config{Workers: 1, MaxWall: 10 * time.Second}
-	torn := t.TempDir()
-	if err := ckpt.Save(torn, ckpt.Meta{MutEpoch: 1}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(ckpt.CutPath(torn, 1), 10); err != nil {
-		t.Fatal(err)
-	}
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	with := func(edit func(*Config)) Config {
 		c := one
 		edit(&c)
@@ -416,9 +401,6 @@ func TestSetUpRefusesAlike(t *testing.T) {
 		{"negative-tau", with(func(c *Config) { c.Tau = -1 }), sssp, true},
 		{"uncompiled", one, &compiler.Plan{}, true},
 		{"naive-without-base", with(func(c *Config) { c.Mode = NaiveSync }), &noBase, true},
-		{"empty-restore-dir", with(func(c *Config) { c.CheckpointDir = t.TempDir() }), sssp, false},
-		{"torn-cut", with(func(c *Config) { c.CheckpointDir = torn }), sssp, true},
-		{"file-as-dir", with(func(c *Config) { c.CheckpointDir = file }), sssp, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, openErr := Open(tc.plan, tc.cfg)

@@ -349,7 +349,7 @@ func TestBucketSchedNoIdleStall(t *testing.T) {
 			})
 			// Key 2 already holds a better value than its delta, so folding
 			// it improves nothing; key 4's delta is far behind it and waits.
-			w.table.SetAcc(2, 1)
+			w.table.FoldAcc(2, 1)
 			w.table.FoldDelta(2, 5)
 			w.table.FoldDelta(4, 1e6)
 			stalled := 0

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/transport"
 )
@@ -64,10 +63,10 @@ type Mutation = compiler.Mutation
 // clean park — an injected crash, a fleet with no survivor, the
 // iteration cap, the wall clock — poisons the session: the error is
 // sticky, every later Apply returns it, and the caller's recovery path is
-// Close and re-Open. The session keeps no copy of the caller's batches:
-// with a CheckpointDir, the re-Open resumes from its newest park cut and
-// the caller re-Applies its own batches past MutEpoch — what it must do
-// after a process crash anyway.
+// Close and a cold re-Open. The session keeps no durable state and no
+// copy of the caller's batches: a caller that must survive a poisoned
+// session or a process crash re-Applies its own batches after the
+// re-Open.
 type Session struct {
 	cfg     Config
 	plan    *compiler.Plan
@@ -76,10 +75,8 @@ type Session struct {
 	m       *master
 	wg      sync.WaitGroup
 
-	// mutEpoch counts the batches the current table state incorporates
-	// (restored from the cut's MutEpoch when Open resumes from
-	// CheckpointDir). engEpoch counts fixpoints this session has computed
-	// (1 = initial).
+	// mutEpoch counts the batches the current table state incorporates.
+	// engEpoch counts fixpoints this session has computed (1 = initial).
 	mutEpoch int
 	engEpoch int
 
@@ -168,17 +165,16 @@ func (s *Session) bumpEngEpoch() {
 }
 
 // Open compiles nothing — the plan is already compiled — but stands up
-// the worker fleet, seeds ΔX¹ (or restores a checkpoint), and runs the
-// initial fixpoint. For MRA modes a converged fixpoint parks the fleet
-// for later Applys; naive mode runs to completion (it cannot
-// re-fixpoint incrementally) and only Result/Close are useful
-// afterwards. Open returns an error for invalid configs, unrestorable
-// checkpoints, and transport failures; a fixpoint that merely failed to
+// the worker fleet, seeds ΔX¹, and runs the initial fixpoint. For MRA
+// modes a converged fixpoint parks the fleet for later Applys; naive
+// mode runs to completion (it cannot re-fixpoint incrementally) and only
+// Result/Close are useful afterwards. Open returns an error for invalid
+// configs and transport failures; a fixpoint that merely failed to
 // converge (iteration cap, injected crash) still returns a Session so
 // the caller can inspect the Result, but the session is poisoned for
 // Apply.
 func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
-	cfg, rows, meta, err := setUp(plan, cfg, 0)
+	cfg, err := setUp(plan, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -204,12 +200,7 @@ func Open(plan *compiler.Plan, cfg Config) (*Session, error) {
 	s.cond = sync.NewCond(&s.mu)
 
 	for _, w := range workers {
-		w.seedShard(rows, meta)
-	}
-	if meta != nil {
-		// Resume the batch count the cut incorporates: the caller
-		// re-Applies its own batches past it.
-		s.mutEpoch = meta.MutEpoch
+		w.seedShard()
 	}
 
 	s.m = newMaster(cfg, plan, net.Conn(transport.MasterID(cfg.Workers)))
@@ -300,10 +291,6 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 		s.m.met.indexRebuilds.Inc()
 	}
 
-	if s.cfg.CheckpointDir != "" {
-		s.cut()
-	}
-
 	// One more epoch: release the park fence the session has held since
 	// the last fixpoint and run the termination protocol.
 	s.m.release(transition{class: transport.FencePark, epoch: s.m.parks})
@@ -318,8 +305,8 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	if !s.m.parked {
 		// Crash injection, iteration cap, or wall clock: the master
 		// stopped the fleet, so the warm state is gone. Poison the
-		// session; recovery is Close + Open(CheckpointDir) + the caller
-		// re-Applying its batches past MutEpoch.
+		// session; recovery is Close + a cold Open + the caller
+		// re-Applying its batches.
 		// finishEpoch already collected the epoch (and rebased the
 		// traffic baselines): publish that, not a second collect.
 		s.setResult(res)
@@ -329,28 +316,6 @@ func (s *Session) Apply(mut Mutation) (*Result, error) {
 	}
 	s.setResult(res)
 	return res, nil
-}
-
-// cut writes the park cut mutEpoch: a consistent view of "mutation
-// applied, re-fixpoint pending" that restores by simply running to
-// convergence — every parked worker's rows, in one file. Best-effort:
-// durability must never fail the run, so a failed write is counted
-// ("session.cut.failed"), not returned; a written one is timed
-// ("session.cut_us").
-func (s *Session) cut() {
-	start := time.Now()
-	var rows []ckpt.Row
-	for _, w := range s.workers {
-		w.table.RangeRows(func(k int64, acc, inter float64) bool {
-			rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
-			return true
-		})
-	}
-	if err := ckpt.Save(s.cfg.CheckpointDir, ckpt.Meta{MutEpoch: s.mutEpoch}, rows); err != nil {
-		s.m.met.cutFailed.Inc()
-		return
-	}
-	s.m.met.cutUS.Observe(uint64(time.Since(start).Microseconds()))
 }
 
 // parkedTable is the compiler.AccTable view of the fleet's shards: a
@@ -511,7 +476,7 @@ func (s *Session) spawnInto(id int) *worker {
 // the cut with the whole fleet (worker.repairState).
 func (s *Session) respawnWorker(id int) {
 	w := s.spawnInto(id)
-	w.seedShard(nil, nil)
+	w.seedShard()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -590,9 +555,8 @@ func (s *Session) Epoch() int {
 }
 
 // MutEpoch returns how many batches the current state incorporates: 0
-// after a fresh Open, k after the k-th Apply, or the restored cut's
-// stamp after Open(CheckpointDir) — the caller re-Applies its own
-// batches past this point to catch up.
+// after Open, k after the k-th accepted Apply (a refused batch does not
+// count).
 func (s *Session) MutEpoch() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

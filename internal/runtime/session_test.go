@@ -1,21 +1,17 @@
 package runtime
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	goruntime "runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/edb"
 	"powerlog/internal/fault"
@@ -760,271 +756,4 @@ func TestConfigValidate(t *testing.T) {
 	if _, _, err := RunMaster(plan, bad, net.Conn(transport.MasterID(1))); !errors.As(err, &ce) || ce.Field != "Mode" {
 		t.Errorf("RunMaster with an unregistered mode: err = %v, want ConfigError for Mode", err)
 	}
-}
-
-func copyDir(t *testing.T, from, to string) {
-	t.Helper()
-	ents, err := os.ReadDir(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range ents {
-		b, err := os.ReadFile(filepath.Join(from, ent.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(to, ent.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestSessionCrashRestoreReplay is the mid-session crash drill: a
-// session takes one Apply cleanly, crashes (injected) during the next,
-// and a restored session — opened from the checkpoint as of the first
-// Apply plus a plan rebuilt at that checkpoint's mutation position —
-// re-Applies the test's own batch past its MutEpoch and lands on the oracle
-// fixpoint. It runs for a selective and a combining program in three
-// modes. The subtests keep the suffix every=0 from when cuts could also
-// be taken inside a fixpoint: a park cut per Apply and none in between is
-// the one schedule left.
-func TestSessionCrashRestoreReplay(t *testing.T) {
-	for _, p := range []sessionProg{sessionProgs[0], sessionProgs[2]} { // SSSP, PageRank
-		for _, mode := range []Mode{MRASync, MRASyncAsync, MRASSP} {
-			t.Run(fmt.Sprintf("%s/%v/every=0", p.name, mode), func(t *testing.T) {
-				testSessionCrashRestoreReplay(t, p, mode)
-			})
-		}
-	}
-}
-
-func testSessionCrashRestoreReplay(t *testing.T, p sessionProg, mode Mode) {
-	base := p.g()
-	n := base.NumVertices()
-	weighted := base.Weighted()
-	edges0 := append([]graph.Edge(nil), base.Edges()...)
-	mkPlan := func(edges []graph.Edge) *compiler.Plan { return planAt(t, p, n, edges, weighted) }
-	r := rand.New(rand.NewSource(991))
-	mut1, edges1 := randMutation(r, edges0, n, 6, 6, p.dag, p.insW)
-	mut2, edges2 := randMutation(r, edges1, n, 6, 6, p.dag, p.insW)
-	cfg := sessCfg(mode)
-
-	// Crash run: checkpointing on, master crashes at the first round of
-	// the second Apply's epoch (epoch 1 is Open's fixpoint).
-	dir, dirAt1 := t.TempDir(), t.TempDir()
-	cfgB := cfg
-	cfgB.CheckpointDir = dir
-	cfgB.Fault = fault.New(fault.Spec{CrashEpoch: 3, CrashRound: 1})
-	sB, err := Open(mkPlan(edges0), cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sB.Apply(mut1); err != nil {
-		t.Fatalf("Apply before crash round: %v", err)
-	}
-	copyDir(t, dir, dirAt1) // checkpoint state as of mutation epoch 1
-	if _, err := sB.Apply(mut2); err == nil {
-		t.Fatal("Apply across the crash round succeeded")
-	}
-	if sB.Err() == nil {
-		t.Fatal("crashed epoch did not poison the session")
-	}
-	if _, err := sB.Apply(mut2); err == nil {
-		t.Fatal("poisoned session accepted another Apply")
-	}
-	sB.Close()
-
-	// Restore from the epoch-1 checkpoint with a plan rebuilt at that
-	// mutation position, then re-Apply the batches past its MutEpoch.
-	cfgC := cfg
-	cfgC.CheckpointDir = dirAt1
-	sC, err := Open(mkPlan(edges1), cfgC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sC.Close()
-	if sC.MutEpoch() != 1 {
-		t.Fatalf("restored MutEpoch = %d, want 1", sC.MutEpoch())
-	}
-	batches := []Mutation{mut1, mut2}
-	from := sC.MutEpoch()
-	for i, mut := range batches[from:] {
-		if _, err := sC.Apply(mut); err != nil {
-			t.Fatalf("replaying mutation epoch %d: %v", from+1+i, err)
-		}
-	}
-	want := scratchFixpoint(t, p, n, edges2, weighted, cfg)
-	expectSameFixpoint(t, "restored", sC.Result().Values, want, p.ident, p.tol)
-}
-
-// TestParkCutSurvivesPartialNextCut is a crash part-way through a park
-// cut, built from a live PageRank session: one Apply with park cuts on,
-// then half of the next Apply's cut — the converged table, stamped 2 —
-// lands in a temp file that is never renamed, as a crash part-way
-// through ckpt.Save would leave the directory. The park cut 1 is the
-// newest cut, and the run restored from it must reach the uninterrupted
-// Apply's fixpoint.
-func TestParkCutSurvivesPartialNextCut(t *testing.T) {
-	p := sessionProgs[2] // PageRank
-	base := gen.RMAT(9, 2500, 0, 29)
-	n := base.NumVertices()
-	edges0 := append([]graph.Edge(nil), base.Edges()...)
-	mut, edges1 := randMutation(rand.New(rand.NewSource(5)), edges0, n, 8, 0, false, p.insW)
-	mkPlan := func(edges []graph.Edge) *compiler.Plan { return planAt(t, p, n, edges, base.Weighted()) }
-	for _, mode := range []Mode{MRASync, MRASyncAsync, MRASSP} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := sessCfg(mode)
-			cfg.CheckpointDir = dir
-			s, err := Open(mkPlan(edges0), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			res, err := s.Apply(mut)
-			if err != nil || !res.Converged {
-				t.Fatalf("Apply: %v (converged=%v)", err, res != nil && res.Converged)
-			}
-			// Parked: the session goroutine may read the tables.
-			var rows []ckpt.Row
-			for _, w := range s.workers {
-				w.table.RangeRows(func(k int64, acc, inter float64) bool {
-					rows = append(rows, ckpt.Row{Key: k, Acc: acc, Inter: inter})
-					return true
-				})
-			}
-			var buf bytes.Buffer
-			if err := ckpt.Write(&buf, ckpt.Meta{MutEpoch: s.MutEpoch() + 1}, rows); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "cut-1234.tmp"), buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, meta, err := ckpt.Load(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if meta.MutEpoch != 1 {
-				t.Errorf("Load chose the cut %d, want the park cut 1", meta.MutEpoch)
-			}
-			got, err := Run(mkPlan(edges1), cfg)
-			if err != nil || !got.Converged {
-				t.Fatalf("restored run: %v (converged=%v)", err, got != nil && got.Converged)
-			}
-			expectSameFixpoint(t, "restored", got.Values, res.Values, p.ident, 5e-3)
-		})
-	}
-}
-
-// TestPruneAcrossFleetSizes: a cut is one file whatever the fleet's
-// size, so pruning leaves the same two cuts behind after fleets of
-// different sizes. A 4-worker session applies three batches; a 2-worker
-// session restored from its directory applies three more. The directory
-// then holds exactly the cuts 5 and 6 (ckpt keeps the newest two) and
-// nothing else, and a restore reads only the newest: with cut 5 torn, a
-// 3-worker session still resumes from cut 6 and matches the scratch
-// fixpoint.
-func TestPruneAcrossFleetSizes(t *testing.T) {
-	p := sessionProgs[0] // SSSP
-	g := p.g()
-	n, weighted := g.NumVertices(), g.Weighted()
-	r := rand.New(rand.NewSource(23))
-	edges := append([]graph.Edge(nil), g.Edges()...)
-	dir := t.TempDir()
-	reopen := func(workers, wantEpoch int) *Session {
-		t.Helper()
-		cfg := sessCfg(MRASyncAsync)
-		cfg.Workers, cfg.CheckpointDir = workers, dir
-		s, err := Open(planAt(t, p, n, edges, weighted), cfg)
-		if err != nil {
-			t.Fatalf("open at %d workers: %v", workers, err)
-		}
-		if s.MutEpoch() != wantEpoch {
-			t.Fatalf("open at %d workers resumed MutEpoch %d, want %d", workers, s.MutEpoch(), wantEpoch)
-		}
-		return s
-	}
-	for _, fleet := range []struct{ workers, from int }{{4, 0}, {2, 3}} {
-		s := reopen(fleet.workers, fleet.from)
-		for i := 0; i < 3; i++ {
-			var mut Mutation
-			mut, edges = randMutation(r, edges, n, 6, 6, p.dag, p.insW)
-			if _, err := s.Apply(mut); err != nil {
-				t.Fatalf("%d workers, apply %d: %v", fleet.workers, fleet.from+i+1, err)
-			}
-		}
-		s.Close()
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	if want := []string{filepath.Base(ckpt.CutPath(dir, 5)), filepath.Base(ckpt.CutPath(dir, 6))}; !slices.Equal(names, want) {
-		t.Fatalf("directory holds %v, want %v", names, want)
-	}
-	if err := os.Truncate(ckpt.CutPath(dir, 5), 10); err != nil {
-		t.Fatal(err)
-	}
-	s := reopen(3, 6)
-	defer s.Close()
-	if !s.Result().Converged {
-		t.Fatal("restored at 3 workers did not converge")
-	}
-	expectSameFixpoint(t, "restored at 3", s.Result().Values, scratchFixpoint(t, p, n, edges, weighted, sessCfg(MRASyncAsync)), p.ident, p.tol)
-}
-
-// TestRestoreAcrossFleetSizes: fleets of different sizes share one
-// checkpoint directory. A 4-worker session applies a batch; a session
-// restored from its cut at 2 workers applies another, leaving the first
-// fleet's shards of workers 2 and 3 behind; a session restored at 3
-// workers resumes from the 2-worker cut. Each result must equal the
-// scratch fixpoint of its graph.
-func TestRestoreAcrossFleetSizes(t *testing.T) {
-	p := sessionProgs[0] // SSSP
-	g := p.g()
-	n, weighted := g.NumVertices(), g.Weighted()
-	r := rand.New(rand.NewSource(17))
-	mut1, edges1 := randMutation(r, append([]graph.Edge(nil), g.Edges()...), n, 6, 6, p.dag, p.insW)
-	mut2, edges2 := randMutation(r, edges1, n, 6, 6, p.dag, p.insW)
-	dir := t.TempDir()
-	reopen := func(workers int, edges []graph.Edge, wantEpoch int) *Session {
-		t.Helper()
-		cfg := sessCfg(MRASyncAsync)
-		cfg.Workers, cfg.CheckpointDir = workers, dir
-		s, err := Open(planAt(t, p, n, edges, weighted), cfg)
-		if err != nil {
-			t.Fatalf("open at %d workers: %v", workers, err)
-		}
-		if s.MutEpoch() != wantEpoch {
-			t.Fatalf("open at %d workers resumed MutEpoch %d, want %d", workers, s.MutEpoch(), wantEpoch)
-		}
-		return s
-	}
-	check := func(label string, res *Result, edges []graph.Edge) {
-		t.Helper()
-		if !res.Converged {
-			t.Fatalf("%s did not converge", label)
-		}
-		expectSameFixpoint(t, label, res.Values, scratchFixpoint(t, p, n, edges, weighted, sessCfg(MRASyncAsync)), p.ident, p.tol)
-	}
-	apply := func(s *Session, mut Mutation, edges []graph.Edge, label string) {
-		t.Helper()
-		res, err := s.Apply(mut)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		check(label, res, edges)
-		s.Close()
-	}
-	apply(reopen(4, g.Edges(), 0), mut1, edges1, "4 workers, apply 1")
-	s2 := reopen(2, edges1, 1)
-	check("restored at 2", s2.Result(), edges1)
-	apply(s2, mut2, edges2, "2 workers, apply 2")
-	s3 := reopen(3, edges2, 2)
-	defer s3.Close()
-	check("restored at 3", s3.Result(), edges2)
 }

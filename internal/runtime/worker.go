@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"powerlog/internal/agg"
-	"powerlog/internal/ckpt"
 	"powerlog/internal/compiler"
 	"powerlog/internal/monotable"
 	"powerlog/internal/term"
@@ -685,25 +684,6 @@ func (w *worker) seed(init []compiler.KV) {
 	for _, kv := range init {
 		if w.owner(kv.K) == w.id {
 			w.table.FoldDelta(kv.K, kv.V)
-		}
-	}
-}
-
-// restore loads this worker's share of a consistent-cut checkpoint:
-// accumulations are installed directly, pending intermediates re-folded
-// so the run resumes exactly where the snapshot's cut left it.
-func (w *worker) restore(rows []ckpt.Row) {
-	id := w.plan.Op.Identity()
-	for _, r := range rows {
-		if w.owner(r.Key) != w.id {
-			continue
-		}
-		if r.Acc != id {
-			w.table.SetAcc(r.Key, r.Acc)
-			w.accSum += r.Acc // keep the running Σacc in step with SetAcc
-		}
-		if r.Inter != id {
-			w.table.FoldDelta(r.Key, r.Inter)
 		}
 	}
 }

@@ -50,7 +50,7 @@ type (
 	Relation = edb.Relation
 	// Plan is an executable compiled program.
 	Plan = compiler.Plan
-	// Options tunes an execution (workers, mode, buffers, checkpoints).
+	// Options tunes an execution (workers, mode, buffers, timeouts).
 	Options = runtime.Config
 	// Result is a completed run.
 	Result = runtime.Result
