@@ -91,17 +91,20 @@ benchmark:
 # counts: the F' row kernel per class, the MonoTable folds and the per-key
 # drain (root package, ns/edge and ns/key), the sender-side mirror
 # (BenchmarkOutBuf, ns/add), the whole pass on worker 0 of a static
-# fleet (BenchmarkScanPass, ns/edge), a cold SSSP fixpoint on plperf's chain
-# graph under the bucket scheduler (BenchmarkRunChain: ms, KVs and passes
-# per op), one Session.Apply per batch shape at plperf's churn size
-# (BenchmarkSessionApply, -cpu 2: ms, rounds, edges read and border rows
-# per op), the codec, the metrics core, and the layers in front of the
+# fleet (BenchmarkScanPass, ns/edge), ROADMAP item 17's COST floor
+# (BenchmarkFloor: a plain single-thread delta-push PageRank beside the
+# engine's MRA+Sync fixpoint at 1 and 2 workers, ms and rounds per op), a
+# cold SSSP fixpoint on plperf's chain graph under the bucket scheduler
+# (BenchmarkRunChain: ms, KVs and passes per op), one Session.Apply per
+# batch shape at plperf's churn size (BenchmarkSessionApply, -cpu 2: ms,
+# rounds, edges read and border rows per op), the codec, the metrics core, and the layers in front of the
 # fixpoint on plperf's R-MAT inputs (BenchmarkLoadTSV ns/edge and allocs
-# per load, BenchmarkCompile, BenchmarkCheck).
+# per load, BenchmarkCompile — the views folded a CSR row at a time, node
+# a range of the vertices — and BenchmarkCheck).
 BENCHTIME ?= 1s
 bench:
 	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass|BenchmarkLoadTSV|BenchmarkCompile|BenchmarkCheck' -benchmem -benchtime $(BENCHTIME) .
-	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkRunChain|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
+	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkFloor|BenchmarkRunChain|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkSessionApply' -cpu 2 -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkCodec' -benchmem -benchtime $(BENCHTIME) ./internal/transport/
 	go test -run xxx -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' -benchmem -benchtime $(BENCHTIME) ./internal/metrics/

@@ -224,15 +224,10 @@ func compilePropagation(p *Plan, shape *bodyShape) error {
 	return nil
 }
 
-// ensureNodeRelation synthesises node(v) for v in [0,n) when absent, so
-// programs can quantify over all vertices.
+// ensureNodeRelation registers node(v) for v in [0,n), a range, when
+// absent, so programs can quantify over all vertices.
 func ensureNodeRelation(db *edb.DB, n int) {
-	if db.HasPred("node") {
-		return
+	if !db.HasPred("node") {
+		db.AddRelation(edb.NewRange("node", n))
 	}
-	r := edb.NewRelation("node", 1)
-	for v := 0; v < n; v++ {
-		r.Add(float64(v))
-	}
-	db.AddRelation(r)
 }

@@ -359,6 +359,67 @@ hop(X,Y,w,sum[w2]) :- edge(X,Y,w), edge(Y,Z,w2).`, db)
 	}
 }
 
+// TestViewChainAnyOrder: a chain of views compiles in whatever order its
+// rules are written, the outermost reading the innermost's rows through
+// the others; a view nothing can evaluate is reported with its own
+// error.
+func TestViewChainAnyOrder(t *testing.T) {
+	rules := []string{
+		"c(X,v) :- b(X,v).",
+		"b(X,v) :- a(X,v).",
+		"a(X,count[Y]) :- edge(X,Y,w).",
+	}
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		src := progs.SSSP
+		for _, i := range order {
+			src += rules[i] + "\n"
+		}
+		db := edb.NewDB()
+		db.SetGraph("edge", testGraph(t))
+		if _, err := compileSrc(src, db); err != nil {
+			t.Errorf("order %v: %v", order, err)
+			continue
+		}
+		if got, want := relRows(db, "c"), [][]float64{{0, 2}, {1, 1}, {2, 1}}; !sameRows(got, want) {
+			t.Errorf("order %v: c = %v, want %v", order, got, want)
+		}
+	}
+	db := edb.NewDB()
+	db.SetGraph("edge", testGraph(t))
+	_, err := compileSrc(progs.SSSP+"x(X,v) :- nosuch(X,v).\n", db)
+	if want := `compiler: cannot evaluate rule for x: edb: no relation or graph named "nosuch"`; err == nil || err.Error() != want {
+		t.Errorf("stuck view: err = %v, want %s", err, want)
+	}
+}
+
+// TestNodeRange: node is the range of the graph's vertices unless the
+// database holds a node relation, which wins.
+func TestNodeRange(t *testing.T) {
+	for _, user := range []bool{false, true} {
+		db := edb.NewDB()
+		db.SetGraph("edge", testGraph(t))
+		want := []int64{0, 1, 2, 3}
+		if user {
+			r := edb.NewRelation("node", 1)
+			r.Add(2)
+			r.Add(0)
+			db.AddRelation(r)
+			want = []int64{0, 2}
+		}
+		p := compile(t, progs.PageRank, db)
+		var keys []int64
+		for _, kv := range p.InitMRA {
+			keys = append(keys, kv.K)
+		}
+		if !slices.Equal(keys, want) {
+			t.Errorf("user node %v: ΔX¹ keys %v, want %v", user, keys, want)
+		}
+		if r, _ := db.Relation("node"); r.Len() != len(want) {
+			t.Errorf("user node %v: node has %d rows, want %d", user, r.Len(), len(want))
+		}
+	}
+}
+
 // bottleneck is min over F' = min(v,w): monotone, accepted by the MRA
 // check, but a key can hold a value derived through a worse value of
 // its own, which the support closure cannot see (DESIGN.md §10).

@@ -52,12 +52,9 @@ func (f *fold) add(key []float64, v float64) error {
 		f.at.list = append(f.at.list, int32(s))
 		return nil
 	}
-	s, ok := vertexID(key[0], f.n)
-	if !ok {
-		return errNoVertex
-	}
-	if int(s) >= len(f.at.on) {
-		f.val, f.at.on = grow(f.val, int(s)), grow(f.at.on, int(s))
+	s, err := f.slot(key[0])
+	if err != nil {
+		return err
 	}
 	if f.at.on[s] {
 		v = f.op.Fold(f.val[s], v)
@@ -66,6 +63,19 @@ func (f *fold) add(key []float64, v float64) error {
 	}
 	f.val[s] = v
 	return nil
+}
+
+// slot is a vertex-keyed fold's slot for key, the column grown to hold
+// it, or errNoVertex when key names no vertex.
+func (f *fold) slot(key float64) (int32, error) {
+	s, ok := vertexID(key, f.n)
+	if !ok {
+		return 0, errNoVertex
+	}
+	if int(s) >= len(f.at.on) {
+		f.val, f.at.on = grow(f.val, int(s)), grow(f.at.on, int(s))
+	}
+	return s, nil
 }
 
 // errNoVertex is a vertex-keyed fold's refusal of a key that names no vertex.

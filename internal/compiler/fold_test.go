@@ -371,17 +371,21 @@ func TestInitKeyNamesNoVertex(t *testing.T) {
 	}
 }
 
-// FuzzDerivedView: an edge list decoded from bytes, its degree view and
-// a two-key view against the oracle, row for row and bit for bit.
+// FuzzDerivedView: an edge list decoded from bytes, its degree view, a
+// two-key view, and the views folded a CSR row at a time — sum, max and
+// min by source, two bodies onto one key (a row summed apart from its
+// slot would differ in the last bit), a row driven by node — against the
+// oracle, row for row and bit for bit.
 func FuzzDerivedView(f *testing.F) {
 	f.Add(uint8(3), []byte("\x00\x01\x0a\x00\x01\x0b\x01\x02\x04"))
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(23), []byte("\x05\x05\x7f\x05\x06\x80\x06\x05\x00\x17\x00\xff"))
+	f.Add(uint8(1), []byte("\x01\x00\x30\x01\x00\x30\x01\x00\x30")) // twice: 3×4.8, then 4.8 at a time
 	f.Fuzz(func(t *testing.T, nv uint8, data []byte) {
 		n := 1 + int(nv%24)
 		var edges []graph.Edge
 		for data = data[:min(len(data), 3*256)]; len(data) >= 3; data = data[3:] {
-			w := float64(int8(data[2])) / 4
+			w := float64(int8(data[2])) / 10 // tenths: a sum depends on its order
 			if data[2] == 0x7f {
 				w = math.Copysign(0, -1)
 			}
@@ -396,6 +400,11 @@ func FuzzDerivedView(f *testing.F) {
 		p, err := compileSrc(progs.SSSP+`
 degree(X,count[Y]) :- edge(X,Y,w).
 pairs(Y,X,sum[w]) :- edge(X,Y,w).
+out(X,sum[w]) :- edge(X,Y,w).
+top(X,max[w]) :- edge(X,Y,w).
+near(X,min[Y]) :- edge(X,Y,w).
+twice(X,sum[w]) :- edge(X,Y,w); :- edge(X,Y,w).
+fromnode(X,sum[w]) :- node(X), edge(X,Y,w).
 `, db)
 		if err != nil {
 			t.Fatal(err)

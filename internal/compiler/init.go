@@ -50,6 +50,11 @@ func prepareRows(db *edb.DB, body []*ast.Atom, terms []*ast.Term) (run func(f fu
 	if err != nil {
 		return nil, err
 	}
+	return headRows(b, terms)
+}
+
+// headRows is prepareRows for a prepared body.
+func headRows(b *edb.Body, terms []*ast.Term) (run func(f func(row []float64) error) error, err error) {
 	get := make([]func([]float64) float64, len(terms))
 	for i, t := range terms {
 		e := t.Expr
@@ -92,25 +97,31 @@ func eachRow(db *edb.DB, bodies []*ast.Body, terms []*ast.Term, f func(row []flo
 }
 
 // evalViews materialises the non-recursive rules the database does not
-// provide, in two passes so that a view may read one evaluated after it:
-// plain views (the Katz source table "I(X,k) :- X=0, k=10000") and
-// aggregate views such as PageRank's degree(X,count[Y]) :- edge(X,Y).
-func evalViews(p *Plan) (err error) {
+// provide, pass after pass while a pass evaluates one, so that a view may
+// read one written after it: plain views (the Katz source table
+// "I(X,k) :- X=0, k=10000") and aggregate views such as PageRank's
+// degree(X,count[Y]) :- edge(X,Y). A pass that evaluates none reports
+// the last rule left with its own error.
+func evalViews(p *Plan) error {
 	pending := append(slices.Clone(p.Info.OtherRules), p.Info.DerivedRules...)
-	for pass := 0; pass < 2; pass++ {
+	for len(pending) > 0 {
+		var stuck error
+		n := len(pending)
 		pending = slices.DeleteFunc(pending, func(r *ast.Rule) bool {
 			if p.DB.HasPred(r.Head.Name) {
 				return true
 			}
-			var rel *edb.Relation
-			if rel, err = view(p, r); err == nil {
-				p.DB.AddRelation(rel)
+			rel, err := view(p, r)
+			if err != nil {
+				stuck = errf("cannot evaluate rule for %s: %v", r.Head.Name, err)
+				return false
 			}
-			return err == nil
+			p.DB.AddRelation(rel)
+			return true
 		})
-	}
-	if len(pending) > 0 { // err is the last one's
-		return errf("cannot evaluate rule for %s: %v", pending[len(pending)-1].Head.Name, err)
+		if len(pending) == n {
+			return stuck
+		}
 	}
 	return nil
 }
@@ -140,12 +151,15 @@ func view(p *Plan, r *ast.Rule) (*edb.Relation, error) {
 		val = &ast.Term{Kind: ast.TermNum, Num: 1}
 	}
 	terms = append(terms, val)
-	f, o := &p.fold, agg.ByKind(op)
+	f := &p.fold
 	fill := func(vertex bool) error {
-		f.reset(o, vertex)
-		return eachRow(p.DB, r.Bodies, terms, func(row []float64) error {
-			return f.add(row[:len(row)-1], o.Fold(o.Identity(), row[len(row)-1]))
-		})
+		f.reset(agg.ByKind(op), vertex)
+		for _, body := range r.Bodies {
+			if err := foldView(p.DB, body, terms, f); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	// One group key folds by vertex unless a key names none.
 	if err = fill(len(terms) == 2); err == errNoVertex {
@@ -163,6 +177,76 @@ func view(p *Plan, r *ast.Rule) (*edb.Relation, error) {
 		rel.Add(row...)
 	})
 	return rel, nil
+}
+
+// foldView folds an aggregate view's body into f: a CSR row at a time
+// when rowFold takes the body, tuple by tuple otherwise.
+func foldView(db *edb.DB, body *ast.Body, terms []*ast.Term, f *fold) error {
+	b, err := db.Prepare(body.Atoms)
+	if err != nil {
+		return err
+	}
+	if rows := rowFold(b, terms, f); rows != nil {
+		return b.Rows(rows)
+	}
+	run, err := headRows(b, terms)
+	if err != nil {
+		return err
+	}
+	o := f.op
+	return run(func(row []float64) error {
+		return f.add(row[:len(row)-1], o.Fold(o.Identity(), row[len(row)-1]))
+	})
+}
+
+// rowFold is the consumer of a view body's CSR rows (edb.Body.Rows) when
+// the fold is keyed by vertex, its key is the rows' source and its value
+// a count or a row's weight; nil otherwise. It folds a row as add would
+// its entries, one after another: the key's slot is loaded once, the
+// weights are folded in CSR order, and the slot is stored once. A count
+// adds the row's length.
+func rowFold(b *edb.Body, terms []*ast.Term, f *fold) func([]float64, []int32, []float64) error {
+	src, _, w, ok := b.RowScan()
+	if !ok || !f.vertex || terms[0].Kind != ast.TermVar || terms[0].Var != src {
+		return nil
+	}
+	count := f.op.Kind() == agg.Count
+	if !count && (w == "" || terms[1].Kind != ast.TermVar || terms[1].Var != w) {
+		return nil
+	}
+	key, err := b.Compile(expr.Var(src))
+	if err != nil {
+		return nil
+	}
+	k, id := f.op.Kind(), f.op.Identity()
+	return func(frame []float64, targets []int32, weights []float64) error {
+		s, err := f.slot(key(frame))
+		if err != nil {
+			return err
+		}
+		acc, on := f.val[s], f.at.on[s]
+		switch {
+		case count && on:
+			acc += float64(len(targets))
+		case count:
+			acc = float64(len(targets))
+		default:
+			for i := range targets {
+				x := 1.0 // an unweighted graph's
+				if weights != nil {
+					x = weights[i]
+				}
+				if v := k.Fold(id, x); on {
+					acc = k.Fold(acc, v)
+				} else {
+					acc, on = v, true
+				}
+			}
+		}
+		f.val[s] = acc
+		f.at.add(s)
+		return nil
+	}
 }
 
 // buildInits materialises ΔX¹ (InitMRA) and the naive per-iteration base
@@ -191,13 +275,15 @@ func buildInits(p *Plan, shape *bodyShape) error {
 	p.BaseNaive = f.kvs()
 
 	// Per-edge constants from the additive split of F (combining
-	// aggregates only), folded into ΔX¹.
+	// aggregates only), folded into ΔX¹. Without them ΔX¹ is the base
+	// tuples: both are read-only, so one list serves both.
+	p.InitMRA = p.BaseNaive
 	if info.Rec.CRec != nil {
 		if err := addEdgeConstants(p, shape, f.addKey); err != nil {
 			return err
 		}
+		p.InitMRA = f.kvs()
 	}
-	p.InitMRA = f.kvs()
 	return nil
 }
 

@@ -1,10 +1,12 @@
 // Package edb implements the extensional database: named relations over
-// float64 columns with first-column indexes, registered CSR graphs, and a
-// nested-loop join over rule bodies, prepared once into slot-addressed
-// steps and run many times (Body). The engine uses it to evaluate
-// initialisation rules, constant bodies, derived relations (e.g. the
-// count-aggregated degree view of PageRank) and naive mode's per-iteration
-// join; the recursive hot path runs on compiled row kernels instead.
+// float64 columns with first-column indexes, ranges (the rows [0,n) with
+// no tuples stored), registered CSR graphs, and a nested-loop join over
+// rule bodies, prepared once into slot-addressed steps and run many times
+// (Body). A graph atom is scanned a CSR row at a time. The engine uses it
+// to evaluate initialisation rules, constant bodies, derived relations
+// (e.g. the count-aggregated degree view of PageRank, folded a row at a
+// time: Body.Rows) and naive mode's per-iteration join; the recursive hot
+// path runs on compiled row kernels instead.
 package edb
 
 import (
@@ -17,12 +19,15 @@ import (
 	"powerlog/internal/graph"
 )
 
-// Relation is a named table of float64 tuples in flat row-major storage.
+// Relation is a named table of float64 tuples in flat row-major storage,
+// or a range: the unary rows 0, 1, …, n−1, with nothing stored.
 type Relation struct {
 	Name  string
 	Arity int
 
-	data []float64
+	data   []float64
+	ranged bool
+	n      int // a range's length
 
 	mu    sync.Mutex          // guards lazy index construction
 	index map[float64][]int32 // first column → row ids, built on demand
@@ -36,8 +41,19 @@ func NewRelation(name string, arity int) *Relation {
 	return &Relation{Name: name, Arity: arity}
 }
 
-// Add appends a tuple; its length must equal the arity.
+// NewRange returns the unary relation of the rows [0,n), e.g. the vertex
+// set node(X). It stores no tuples and builds no index: a scan counts
+// through the range, and a lookup by value tests the value.
+func NewRange(name string, n int) *Relation {
+	return &Relation{Name: name, Arity: 1, ranged: true, n: n}
+}
+
+// Add appends a tuple; its length must equal the arity. A range takes
+// none.
 func (r *Relation) Add(tuple ...float64) {
+	if r.ranged {
+		panic(fmt.Sprintf("edb: %s is a range", r.Name))
+	}
 	if len(tuple) != r.Arity {
 		panic(fmt.Sprintf("edb: %s expects arity %d, got %d", r.Name, r.Arity, len(tuple)))
 	}
@@ -46,11 +62,23 @@ func (r *Relation) Add(tuple ...float64) {
 }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.data) / r.Arity }
+func (r *Relation) Len() int {
+	if r.ranged {
+		return r.n
+	}
+	return len(r.data) / r.Arity
+}
 
 // Row returns the i-th tuple as a subslice of the backing array; callers
-// must not modify or retain it across Adds.
+// must not modify or retain it across Adds. A range's row is made for
+// the call.
 func (r *Relation) Row(i int) []float64 {
+	if r.ranged {
+		if i < 0 || i >= r.n {
+			panic(fmt.Sprintf("edb: row %d of the range %s of %d", i, r.Name, r.n))
+		}
+		return []float64{float64(i)}
+	}
 	return r.data[i*r.Arity : (i+1)*r.Arity]
 }
 
@@ -172,18 +200,20 @@ func (db *DB) VertexColumn(name string, n int, def float64) ([]float64, error) {
 // when an atom is reached does not depend on the data. A comparison runs
 // as soon as its variables are bound: "v = expr" with v free binds v,
 // anything else filters; when none is ready the next predicate atom is
-// scanned, by its index (a relation) or its CSR row (a graph) when its
-// first argument is already determined. Expressions run as closures over
-// the frame (expr.Compile). A Body belongs to whoever prepared it and is
-// not safe for concurrent runs; it resolves predicate names when a run
-// starts, so it follows a relation that is replaced between runs (naive
-// mode's result table) and a graph that is mutated in place.
+// scanned, by its index (a relation), by value (a range) or a CSR row at
+// a time (a graph) when its first argument is already determined.
+// Expressions run as closures over the frame (expr.Compile). A Body
+// belongs to whoever prepared it and is not safe for concurrent runs; it
+// resolves predicate names when a run starts, so it follows a relation
+// that is replaced between runs (naive mode's result table) and a graph
+// that is mutated in place.
 type Body struct {
 	db    *DB
 	slots map[string]int
 	bound []bool // by slot, during Prepare
 	steps []step
 	frame []float64
+	rows  func(frame []float64, targets []int32, weights []float64) error // Rows' consumer, during its run
 }
 
 type step struct {
@@ -333,6 +363,32 @@ func (b *Body) Compile(e *expr.Expr) (func(frame []float64) float64, error) {
 	return e.Compile(b.slots)
 }
 
+// RowScan reports whether the body ends in an atom of a graph registered
+// under its name whose source column is a variable and whose target and
+// weight columns only bind: nothing after the atom, nor in its own
+// columns, filters a row's entries. It names the variables the three
+// columns bind ("" for a wildcard or a column the atom leaves out). Rows
+// hands such a body's rows over whole.
+func (b *Body) RowScan() (src, dst, w string, ok bool) {
+	if len(b.steps) == 0 {
+		return "", "", "", false
+	}
+	s := &b.steps[len(b.steps)-1]
+	if s.pred == nil || b.db.rels[s.pred.Name] != nil || b.db.graphs[s.pred.Name] == nil || len(s.args) == 0 || len(s.args) > 3 {
+		return "", "", "", false
+	}
+	var names [3]string
+	for j, a := range s.args {
+		switch {
+		case j == 0 && a.mode != argBind && a.mode != argBound, j > 0 && a.mode != argSkip && a.mode != argBind:
+			return "", "", "", false
+		case a.mode != argSkip:
+			names[j] = s.pred.Args[j].Var
+		}
+	}
+	return names[0], names[1], names[2], true
+}
+
 // Run calls emit once per satisfying assignment with the frame, which is
 // only valid during the call. It stops at emit's first error.
 func (b *Body) Run(emit func(frame []float64) error) error {
@@ -354,6 +410,20 @@ func (b *Body) Run(emit func(frame []float64) error) error {
 		}
 	}
 	return b.run(0, emit)
+}
+
+// Rows runs a body that RowScan accepts, calling emit once per non-empty
+// CSR row of its last atom, in CSR order, with the frame — every variable
+// bound, the row's source included, but the target's and the weight's —
+// and the row's targets and weights (nil: every weight is 1), the CSR's
+// own slices, to be read during the call only.
+func (b *Body) Rows(emit func(frame []float64, targets []int32, weights []float64) error) error {
+	if _, _, _, ok := b.RowScan(); !ok {
+		return fmt.Errorf("edb: the body does not end in a scan of a graph's rows")
+	}
+	b.rows = emit
+	defer func() { b.rows = nil }()
+	return b.Run(nil)
 }
 
 func (b *Body) run(i int, emit func([]float64) error) error {
@@ -384,25 +454,26 @@ func (b *Body) scan(s *step, next int, emit func([]float64) error) error {
 	}
 	switch {
 	case s.g != nil:
-		// Rows (v, target, weight) in CSR order; one vertex's when the
-		// first column is determined.
-		lo, hi := int32(0), int32(s.g.NumVertices())
-		if s.first >= 0 {
-			if lo = int32(first); float64(lo) != first || lo < 0 || lo >= hi {
-				return nil
-			}
-			hi = lo + 1
-		}
+		// CSR rows in order, one vertex's when the first column is
+		// determined: the source binds once, the row's entries in turn.
+		lo, hi := s.span(first, s.g.NumVertices())
 		for v := lo; v < hi; v++ {
-			targets, weights := s.g.Neighbors(v)
-			for k, t := range targets {
-				row := [3]float64{float64(v), float64(t), 1}
-				if weights != nil {
-					row[2] = weights[k]
-				}
-				if err := b.match(s, row[:], next, emit); err != nil {
-					return err
-				}
+			targets, weights := s.g.Neighbors(int32(v))
+			if len(targets) == 0 || !b.take(s, 0, float64(v)) {
+				continue
+			}
+			if err := b.row(s, next, targets, weights, emit); err != nil {
+				return err
+			}
+		}
+	case s.rel.ranged:
+		lo, hi := s.span(first, s.rel.n)
+		for v := lo; v < hi; v++ {
+			if !b.take(s, 0, float64(v)) {
+				continue
+			}
+			if err := b.run(next, emit); err != nil {
+				return err
 			}
 		}
 	case s.first >= 0:
@@ -421,24 +492,68 @@ func (b *Body) scan(s *step, next int, emit func([]float64) error) error {
 	return nil
 }
 
+// span is the rows [lo,hi) of n vertices, or of a range of n, that s
+// reads: every one, or the one its determined first column names, if it
+// names one.
+func (s *step) span(first float64, n int) (lo, hi int) {
+	if s.first < 0 {
+		return 0, n
+	}
+	if v := int32(first); float64(v) == first && v >= 0 && int(v) < n {
+		return int(v), int(v) + 1
+	}
+	return 0, 0
+}
+
+// row runs the steps from next on for every entry of one CSR row whose
+// source the frame holds — or, when the body ends here and runs under
+// Rows, hands the row over whole.
+func (b *Body) row(s *step, next int, targets []int32, weights []float64, emit func([]float64) error) error {
+	if b.rows != nil && next == len(b.steps) {
+		return b.rows(b.frame, targets, weights)
+	}
+	for k, t := range targets {
+		w := 1.0
+		if weights != nil {
+			w = weights[k]
+		}
+		if !b.take(s, 1, float64(t)) || !b.take(s, 2, w) {
+			continue
+		}
+		if err := b.run(next, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // match binds row's columns into the frame and carries on, unless a
 // column disagrees with a constant or an earlier binding.
 func (b *Body) match(s *step, row []float64, next int, emit func([]float64) error) error {
-	for j, a := range s.args {
-		switch v := row[j]; a.mode {
-		case argNum:
-			if v != a.num {
-				return nil
-			}
-		case argBound:
-			if v != b.frame[a.slot] {
-				return nil
-			}
-		case argBind:
-			b.frame[a.slot] = v
-		case argNever:
+	for j := range s.args {
+		if !b.take(s, j, row[j]) {
 			return nil
 		}
 	}
 	return b.run(next, emit)
+}
+
+// take applies v, column j of a row, to the frame: false when it
+// disagrees with a constant or an earlier binding. A column the atom
+// leaves out takes anything.
+func (b *Body) take(s *step, j int, v float64) bool {
+	if j >= len(s.args) {
+		return true
+	}
+	switch a := &s.args[j]; a.mode {
+	case argNum:
+		return v == a.num
+	case argBound:
+		return v == b.frame[a.slot]
+	case argBind:
+		b.frame[a.slot] = v
+	case argNever:
+		return false
+	}
+	return true
 }

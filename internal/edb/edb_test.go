@@ -2,6 +2,7 @@ package edb
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -344,3 +345,130 @@ func TestEvalEmitError(t *testing.T) {
 type stopErr struct{}
 
 func (*stopErr) Error() string { return "stop" }
+
+// TestRange: a range reads as the relation of the rows 0…n−1 — in order,
+// by Len and Row, by a lookup on its first column (none outside [0,n)
+// or off the integers), through a Clone — and takes no Add.
+func TestRange(t *testing.T) {
+	db := NewDB()
+	db.AddRelation(NewRange("node", 4))
+	r, ok := db.Clone().Relation("node")
+	if !ok || r.Len() != 4 || r.Arity != 1 {
+		t.Fatalf("cloned range: %v, %v", r, ok)
+	}
+	for i := 0; i < r.Len(); i++ {
+		if row := r.Row(i); len(row) != 1 || row[0] != float64(i) {
+			t.Errorf("row %d = %v", i, row)
+		}
+	}
+	var order []float64
+	if err := evalBody(db, mustRule(t, "h(X) :- node(X).").Bodies[0].Atoms, func(f []float64) error {
+		order = append(order, f[0])
+		return nil
+	}); err != nil || !slices.Equal(order, []float64{0, 1, 2, 3}) {
+		t.Errorf("scan order %v (%v), want 0 1 2 3", order, err)
+	}
+	for src, want := range map[string]int{
+		"h(X) :- node(2).":                 1,
+		"h(X) :- node(0).":                 1,
+		"h(X) :- node(3).":                 1,
+		"h(X) :- node(4).":                 0,
+		"h(X) :- node(0-1).":               0,
+		"h(X) :- X = 1.5, node(X).":        0,
+		"h(X) :- X = 0 * (0-1), node(X).":  1, // -0 is row 0
+		"h(X) :- X = 3, node(X).":          1,
+		"h(X) :- node(X), Y = X, node(Y).": 4,
+		"h(X) :- node(X), X > 1.":          2,
+	} {
+		n := 0
+		if err := evalBody(db, mustRule(t, src).Bodies[0].Atoms, func([]float64) error { n++; return nil }); err != nil || n != want {
+			t.Errorf("%s: %d rows (%v), want %d", src, n, err, want)
+		}
+	}
+	if _, err := db.VertexColumn("node", 4, 0); err == nil {
+		t.Error("a range is no vertex column")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add to a range should panic")
+		}
+	}()
+	r.Add(9)
+}
+
+// TestRows: a body that ends in a graph atom whose target and weight
+// columns only bind hands its CSR rows over whole, in CSR order, the
+// source bound in the frame; any other body is refused.
+func TestRows(t *testing.T) {
+	db := NewDB()
+	g, err := graph.FromEdges(4, []graph.Edge{{Src: 0, Dst: 1, W: 2}, {Src: 2, Dst: 3, W: 4}, {Src: 2, Dst: 0, W: 6}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetGraph("edge", g)
+	db.AddRelation(NewRange("node", 4))
+	for src, want := range map[string][3]string{
+		"h(X) :- edge(X,Y,w).":          {"X", "Y", "w"},
+		"h(X) :- edge(X,Y).":            {"X", "Y", ""},
+		"h(X) :- edge(X,_,w).":          {"X", "", "w"},
+		"h(X) :- node(X), edge(X,Y,w).": {"X", "Y", "w"},
+		"h(X) :- X = 2, edge(X,Y).":     {"X", "Y", ""},
+	} {
+		b, err := db.Prepare(mustRule(t, src).Bodies[0].Atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, d, w, ok := b.RowScan()
+		if !ok || [3]string{s, d, w} != want {
+			t.Errorf("%s: RowScan = %q %q %q %v, want %q", src, s, d, w, ok, want)
+			continue
+		}
+		key, _ := b.Compile(expr.Var("X"))
+		var got []float64
+		if err := b.Rows(func(f []float64, targets []int32, weights []float64) error {
+			got = append(got, key(f), float64(len(targets)))
+			for k, t := range targets {
+				got = append(got, float64(t), weights[k])
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		all := []float64{0, 1, 1, 2, 2, 2, 3, 4, 0, 6}
+		if src == "h(X) :- X = 2, edge(X,Y)." {
+			all = all[4:]
+		}
+		if !slices.Equal(got, all) {
+			t.Errorf("%s: rows %v, want %v", src, got, all)
+		}
+	}
+	for _, src := range []string{
+		"h(X) :- edge(X,Y,w), w > 2.",
+		"h(X) :- edge(X,X,w).",
+		"h(X) :- edge(X,Y,Y).",
+		"h(X) :- edge(X,1,w).",
+		"h(X) :- edge(0,Y,w).",
+		"h(X) :- edge(X,Y,w), node(Y).",
+		"h(X) :- node(X).",
+	} {
+		b, err := db.Prepare(mustRule(t, src).Bodies[0].Atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, ok := b.RowScan(); ok {
+			t.Errorf("%s: RowScan accepts it", src)
+		}
+		if err := b.Rows(func([]float64, []int32, []float64) error { return nil }); err == nil {
+			t.Errorf("%s: Rows runs it", src)
+		}
+	}
+}
+
+func mustRule(t *testing.T, src string) *ast.Rule {
+	t.Helper()
+	r, err := parser.ParseRule(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}

@@ -125,7 +125,10 @@ func (g *Graph) Weight(i int32) float64 {
 // WeightStats returns the least and greatest edge weight and the mean
 // |w| — how far a value moves along a typical edge. An unweighted graph's
 // weights are all 1; a graph with no edges reports a mean of 0 over an
-// empty range (+Inf, −Inf).
+// empty range (+Inf, −Inf). The range is the builtin min's and max's, −0
+// below +0. The loop reads it with plain compares; a graph with a NaN
+// weight, whose range is the NaN bits the builtins make, is read again
+// through them.
 func (g *Graph) WeightStats() (lo, hi, meanAbs float64) {
 	if g.m == 0 {
 		return math.Inf(1), math.Inf(-1), 0
@@ -137,8 +140,21 @@ func (g *Graph) WeightStats() (lo, hi, meanAbs float64) {
 	sum := 0.0
 	for v := int32(0); v < g.n; v++ {
 		for _, w := range g.weights[g.offsets[v]:g.ends[v]] {
-			lo, hi = min(lo, w), max(hi, w)
+			if w <= lo && (w < lo || math.Signbit(w)) {
+				lo = w
+			}
+			if w >= hi && (w > hi || !math.Signbit(w)) {
+				hi = w
+			}
 			sum += math.Abs(w)
+		}
+	}
+	if sum != sum { // a sum of |w| is NaN only when a weight is
+		lo, hi = math.Inf(1), math.Inf(-1)
+		for v := int32(0); v < g.n; v++ {
+			for _, w := range g.weights[g.offsets[v]:g.ends[v]] {
+				lo, hi = min(lo, w), max(hi, w)
+			}
 		}
 	}
 	return lo, hi, sum / float64(g.m)

@@ -101,6 +101,64 @@ func TestWeightStats(t *testing.T) {
 	}
 }
 
+// weightStatsOracle is WeightStats as it stood before its loop dropped
+// the builtin min and max, kept as the oracle.
+func weightStatsOracle(g *Graph) (lo, hi, meanAbs float64) {
+	if g.m == 0 {
+		return math.Inf(1), math.Inf(-1), 0
+	}
+	if g.weights == nil {
+		return 1, 1, 1
+	}
+	lo, hi = math.Inf(1), math.Inf(-1)
+	sum := 0.0
+	for v := int32(0); v < g.n; v++ {
+		for _, w := range g.weights[g.offsets[v]:g.ends[v]] {
+			lo, hi = min(lo, w), max(hi, w)
+			sum += math.Abs(w)
+		}
+	}
+	return lo, hi, sum / float64(g.m)
+}
+
+// TestWeightStatsMatchesOracle: bit for bit the builtins' range and the
+// same |w| sum, over weights drawn from NaNs of distinct payloads, ±0,
+// ±Inf and ordinary values, in every position and on spliced CSRs.
+func TestWeightStatsMatchesOracle(t *testing.T) {
+	special := []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000002),
+		1, -1, 2.5, -7.25, math.MaxFloat64, -math.SmallestNonzeroFloat64,
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(6)
+		edges := make([]Edge, rng.Intn(12))
+		for i := range edges {
+			w := special[rng.Intn(len(special))]
+			if rng.Intn(3) == 0 {
+				w = rng.NormFloat64()
+			}
+			edges[i] = Edge{Src: int32(rng.Intn(n)), Dst: int32(rng.Intn(n)), W: w}
+		}
+		g := mustGraph(t, n, edges, rng.Intn(8) > 0)
+		if rng.Intn(2) == 0 && len(edges) > 0 {
+			e := edges[rng.Intn(len(edges))]
+			ins := []Edge{{Src: int32(rng.Intn(n)), Dst: int32(rng.Intn(n)), W: special[rng.Intn(len(special))]}}
+			if _, err := g.ApplyEdgeMutations(ins, []Edge{e}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo, hi, mean := g.WeightStats()
+		wlo, whi, wmean := weightStatsOracle(g)
+		if !same(lo, wlo) || !same(hi, whi) || !same(mean, wmean) {
+			t.Fatalf("%v: WeightStats = %v %v %v (%x %x), want %v %v %v (%x %x)", g.Edges(),
+				lo, hi, mean, math.Float64bits(lo), math.Float64bits(hi), wlo, whi, wmean, math.Float64bits(wlo), math.Float64bits(whi))
+		}
+	}
+}
+
 func TestReverse(t *testing.T) {
 	g := mustGraph(t, 3, []Edge{{0, 1, 2}, {0, 2, 3}, {1, 2, 4}}, true)
 	r := g.Reverse()

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -64,6 +65,87 @@ func BenchmarkScanPass(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkFloor is the COST floor of ROADMAP item 17 beside the engine
+// it measures: "plain" is one competent thread — a delta-push PageRank
+// over the same CSR (plperf's pagerank-rmat-bsp graph, R-MAT 2^13 / 82 k
+// edges), one += per edge, stopping by the program's ε rule (a superstep
+// whose Σ|Δ| is below ε) — and "MRA+Sync/workers=k" the engine's cold
+// fixpoint on that graph with plperf's settings but k workers. Both come
+// from one binary, so their ratio is the COST figure. Before timing, the
+// floor's values must be the engine's within 10·ε, plperf's tolerance for
+// the workload. rounds/op is each one's supersteps.
+func BenchmarkFloor(b *testing.B) {
+	g := gen.RMAT(13, 82000, 0, 1)
+	plan := compilePlan(b, progs.PageRank, edgeDB("edge")(g))
+	eps := plan.Termination.Epsilon
+	cfg := func(workers int) Config {
+		return Config{Workers: workers, Mode: MRASync, Tau: time.Millisecond, CheckInterval: 2 * time.Millisecond, MaxWall: time.Minute}
+	}
+	res, err := Run(plan, cfg(2))
+	if err != nil || !res.Converged {
+		b.Fatalf("engine: %v (result %+v)", err, res)
+	}
+	rank, _ := floorPageRank(g, eps)
+	for v, x := range rank {
+		if d := math.Abs(x - res.Values[int64(v)]); !(d <= 10*eps) {
+			b.Fatalf("vertex %d: floor %v, engine %v: |Δ| %v > 10ε", v, x, res.Values[int64(v)], d)
+		}
+	}
+	b.Run("plain", func(b *testing.B) {
+		rounds := 0
+		for i := 0; i < b.N; i++ {
+			_, r := floorPageRank(g, eps)
+			rounds += r
+		}
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("MRA+Sync/workers=%d", workers), func(b *testing.B) {
+			rounds := 0
+			for i := 0; i < b.N; i++ {
+				res, err := Run(plan, cfg(workers))
+				if err != nil || !res.Converged {
+					b.Fatalf("engine: %v", err)
+				}
+				rounds += res.Rounds
+			}
+			b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+		})
+	}
+}
+
+// floorPageRank is BenchmarkFloor's plain loop: every vertex starts with
+// a pending 0.15; a superstep folds each pending Δ into its vertex's rank
+// and pushes 0.85·Δ/deg to each out-neighbour's next Δ.
+func floorPageRank(g *graph.Graph, eps float64) (rank []float64, rounds int) {
+	n := g.NumVertices()
+	rank, delta, next := make([]float64, n), make([]float64, n), make([]float64, n)
+	for v := range delta {
+		delta[v] = 0.15
+	}
+	for sum := eps; sum >= eps; rounds++ {
+		sum = 0
+		for v, d := range delta {
+			if d == 0 {
+				continue
+			}
+			rank[v] += d
+			sum += math.Abs(d)
+			targets, _ := g.Neighbors(int32(v))
+			if len(targets) == 0 {
+				continue
+			}
+			c := 0.85 * d / float64(len(targets))
+			for _, t := range targets {
+				next[t] += c
+			}
+		}
+		delta, next = next, delta
+		clear(next)
+	}
+	return rank, rounds
 }
 
 // TestBSPCountsRepeat pins the traffic DESIGN.md §9 quotes for plperf's
