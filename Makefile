@@ -99,11 +99,13 @@ benchmark:
 # batch shape at plperf's churn size (BenchmarkSessionApply, -cpu 2: ms,
 # rounds, edges read and border rows per op), the codec, the metrics core, and the layers in front of the
 # fixpoint on plperf's R-MAT inputs (BenchmarkLoadTSV ns/edge and allocs
-# per load, BenchmarkCompile — the views folded a CSR row at a time, node
-# a range of the vertices — and BenchmarkCheck).
+# per load, BenchmarkSortedRows — the rows a plan's first fixpoint lays
+# out by target, on each workload graph — BenchmarkCompile — the views
+# folded a CSR row at a time, node a range of the vertices — and
+# BenchmarkCheck).
 BENCHTIME ?= 1s
 bench:
-	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass|BenchmarkLoadTSV|BenchmarkCompile|BenchmarkCheck' -benchmem -benchtime $(BENCHTIME) .
+	go test -run xxx -bench 'BenchmarkPropagate|BenchmarkMonoTable|BenchmarkDrainPass|BenchmarkLoadTSV|BenchmarkSortedRows|BenchmarkCompile|BenchmarkCheck' -benchmem -benchtime $(BENCHTIME) .
 	go test -run xxx -bench 'BenchmarkScanPass|BenchmarkFloor|BenchmarkRunChain|BenchmarkOutBuf' -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkSessionApply' -cpu 2 -benchmem -benchtime $(BENCHTIME) ./internal/runtime/
 	go test -run xxx -bench 'BenchmarkCodec' -benchmem -benchtime $(BENCHTIME) ./internal/transport/

@@ -177,6 +177,30 @@ func BenchmarkLoadTSV(b *testing.B) {
 	}
 }
 
+// BenchmarkSortedRows measures the layout a plan's first fixpoint builds
+// (compiler.Plan.Layout): graph.SortedRows of each plperf workload's
+// graph — R-MAT 2^13 unweighted, the 8000-vertex chain, R-MAT 2^14
+// weighted — ms per copy, and B/op its bytes. At -cpu 1 the sort runs
+// in one part, serially: -cpu 1,2 is the serial/parallel pair.
+func BenchmarkSortedRows(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat13-82k", gen.RMAT(13, 82000, 0, 1)},
+		{"chain-8k", gen.LocalChain(8000, 4, 40, 100, 1)},
+		{"rmat14-171k-weighted", gen.RMAT(14, 171000, 100, 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.g.SortedRows()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+}
+
 // BenchmarkCompile measures compiler.Compile against a fresh database:
 // supporting relations, attribute columns, kernels and ΔX¹.
 func BenchmarkCompile(b *testing.B) {

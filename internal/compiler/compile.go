@@ -1,6 +1,8 @@
 package compiler
 
 import (
+	"sync"
+
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
 	"powerlog/internal/ast"
@@ -24,9 +26,10 @@ const DefaultMaxIters = 10000
 // missing.
 func Compile(info *analyzer.Info, db *edb.DB, opts Options) (*Plan, error) {
 	p := &Plan{
-		Info: info,
-		Op:   agg.ByKind(info.Agg),
-		DB:   db,
+		Info:   info,
+		Op:     agg.ByKind(info.Agg),
+		DB:     db,
+		layout: new(sync.Once),
 	}
 	p.PairKeys = len(info.KeyVars) == 2
 	if len(info.KeyVars) > 2 {

@@ -169,12 +169,13 @@ func (p *Plan) lo(key int64) int64 {
 	return key
 }
 
-// ApplyMutation applies mut to the plan's EDB — the base graph, its
-// transposed propagation twin, the compiler-materialised supporting
-// relations and attribute columns, and ΔX¹ — and computes the reseed /
-// invalidation work that re-converges the parked table state to the new
-// fixpoint (DESIGN.md §10). It works in three steps: what must be read
-// from the old graph, then the mutation, then what the new graph adds.
+// ApplyMutation applies mut to the plan's EDB — the base graph, the
+// propagation graph beside it (its transpose, or its sorted copy), the
+// compiler-materialised supporting relations and attribute columns, and
+// ΔX¹ — and computes the reseed / invalidation work that re-converges
+// the parked table state to the new fixpoint (DESIGN.md §10). It works in
+// three steps: what must be read from the old graph, then the mutation,
+// then what the new graph adds.
 //
 // Soundness sketch:
 //
@@ -359,14 +360,15 @@ func (p *Plan) ApplyMutation(mut Mutation, tbl AccTable) (*Refixpoint, error) {
 		correct(touched, -1)
 	}
 
-	// 1. Mutate the base graph (and the transposed twin when the body is
-	// an in-neighbor formulation) in place; a join reads it where it lies.
+	// 1. Mutate the base graph in place — a join reads it where it lies —
+	// and the propagation graph too whenever it is not the base graph: the
+	// transpose of an in-neighbour body, or the sorted copy (Layout).
 	moved, err := p.DB.MutateGraph(shape.Join.Name, mut.Inserts, mut.Deletes)
 	if err != nil {
 		return nil, err
 	}
 	out.EdgesMoved += moved
-	if shape.Reversed {
+	if p.Graph != shape.base {
 		if moved, err = p.Graph.ApplyEdgeMutations(oIns, oDel); err != nil {
 			return nil, err
 		}

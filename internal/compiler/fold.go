@@ -14,8 +14,8 @@ import (
 // takes the next slot for each value, and the values of one exact key
 // (−0 and +0 one key) fold, in the order they came, when the fold is
 // read. The plan keeps its folds from call to call and clearing one walks
-// the slots it folded, so a batch pays for what it folds, not for N; the
-// column reaches only as far as the highest vertex folded.
+// the slots it folded, so a batch pays for what it folds, not for N; a
+// fold's columns are made N long the first time it is keyed by vertex.
 type fold struct {
 	op     *agg.Op
 	n      int  // the vertices [0,n)
@@ -36,6 +36,9 @@ func (f *fold) reset(op *agg.Op, vertex bool) {
 	}
 	f.op, f.vertex = op, vertex
 	f.at.list, f.keys = f.at.list[:0], f.keys[:0]
+	if vertex && len(f.at.on) < f.n {
+		f.val, f.at.on = grow(f.val, f.n-1), make([]bool, f.n)
+	}
 }
 
 // add folds v at key. A vertex-keyed fold refuses (errNoVertex, folding
@@ -65,17 +68,13 @@ func (f *fold) add(key []float64, v float64) error {
 	return nil
 }
 
-// slot is a vertex-keyed fold's slot for key, the column grown to hold
-// it, or errNoVertex when key names no vertex.
+// slot is a vertex-keyed fold's slot for key, or errNoVertex when key
+// names no vertex.
 func (f *fold) slot(key float64) (int32, error) {
-	s, ok := vertexID(key, f.n)
-	if !ok {
-		return 0, errNoVertex
+	if s, ok := vertexID(key, f.n); ok {
+		return s, nil
 	}
-	if int(s) >= len(f.at.on) {
-		f.val, f.at.on = grow(f.val, int(s)), grow(f.at.on, int(s))
-	}
-	return s, nil
+	return 0, errNoVertex
 }
 
 // errNoVertex is a vertex-keyed fold's refusal of a key that names no vertex.

@@ -6,6 +6,7 @@ package compiler
 
 import (
 	"fmt"
+	"sync"
 
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
@@ -41,7 +42,9 @@ type Plan struct {
 	PairKeys bool
 	// N is the dense key-space size (vertex count) for single-key plans.
 	N int
-	// Graph is the propagation structure joined in the recursive body.
+	// Graph is the propagation structure joined in the recursive body:
+	// the join graph, or its transpose for an in-neighbour body. Layout
+	// replaces a join graph with its copy sorted by target.
 	Graph *graph.Graph
 
 	// Kernel evaluates the incremental F' row by row; FullKernel the
@@ -81,6 +84,26 @@ type Plan struct {
 	fold  fold
 	delta *deltaScratch
 	in    *inIndex
+	// layout guards Layout's one build of the sorted rows; a copy of the
+	// Plan shares it.
+	layout *sync.Once
+}
+
+// Layout lays the rows the kernels walk out sorted by target, once
+// (graph.SortedRows): monotable.Sink folds such a row as one run per
+// owner. A transpose's rows are sorted already; any other Graph is
+// replaced by its sorted copy, which ApplyMutation splices beside the
+// join graph from then on, and the join graph itself is never
+// reordered. The runtime calls it before a plan's first fixpoint, so a
+// plan that is only checked or explained never builds the copy. It is
+// safe for concurrent use: the workers that share a plan build it once.
+func (p *Plan) Layout() {
+	p.layout.Do(func() {
+		if p.Graph == p.shape.base {
+			g := p.Graph.SortedRows()
+			p.Graph, p.Kernel.g, p.FullKernel.g = g, g, g
+		}
+	})
 }
 
 // EncodePair packs two 31-bit keys into one table key.

@@ -210,6 +210,54 @@ func TestTransposeMatchesEdgeListBuild(t *testing.T) {
 	}
 }
 
+// TestSortedRowsMatchesStableSort: SortedRows lays each row out as a
+// stable sort by target of the row as it stands — parallel edges, told
+// apart by their weights, in row order — on a graph with slack too, and
+// on one of 70 000 edges that it sorts in four parts; a transpose's rows
+// are that layout already.
+func TestSortedRowsMatchesStableSort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	r := rand.New(rand.NewSource(56))
+	check := func(name string, g, s *Graph) {
+		t.Helper()
+		for v := int32(0); v < g.n; v++ {
+			var want []Edge
+			ts, ws := g.Neighbors(v)
+			for i, d := range ts {
+				want = append(want, Edge{Src: v, Dst: d, W: ws[i]})
+			}
+			slices.SortStableFunc(want, func(a, b Edge) int { return int(a.Dst - b.Dst) })
+			ts, ws = s.Neighbors(v)
+			if len(ts) != len(want) {
+				t.Fatalf("%s: row %d has %d edges, want %d", name, v, len(ts), len(want))
+			}
+			for i, e := range want {
+				if ts[i] != e.Dst || ws[i] != e.W {
+					t.Fatalf("%s: row %d = %v %v, want %v", name, v, ts, ws, want)
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ n, dsts, m int }{{31, 12, 600}, {2000, 300, 70000}} {
+		var edges []Edge
+		for i := 0; i < c.m; i++ {
+			edges = append(edges, Edge{Src: int32(r.Intn(c.n - 1)), Dst: int32(r.Intn(c.dsts)), W: float64(i)})
+		}
+		g := mustGraph(t, c.n, edges, true)
+		// Row 0 has no room for 3n self-loops: a relayout, rows with slack.
+		ins := append(make([]Edge, 3*c.n), Edge{Src: 3, Dst: 5, W: -1})
+		if _, err := g.ApplyEdgeMutations(ins, []Edge{{Src: 4, Dst: 7}}); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprint("SortedRows ", c.m), g, g.SortedRows())
+		rev := g.Reverse()
+		check(fmt.Sprint("Reverse ", c.m), rev, rev.SortedRows())
+		if err := sameRows(rev, rev.SortedRows(), 0); err != nil {
+			t.Fatalf("a transpose is not sorted: %v", err)
+		}
+	}
+}
+
 func TestEdgesRoundTrip(t *testing.T) {
 	orig := []Edge{{0, 1, 5}, {2, 0, 1}, {1, 2, 7}}
 	g := mustGraph(t, 3, orig, true)

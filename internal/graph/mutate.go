@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -11,11 +12,14 @@ import (
 // endpoint pair, regardless of weight), then the inserts are appended,
 // each at the end of its source's row in batch order — row for row the
 // graph FromEdges would build from the surviving edges followed by the
-// inserts. The work follows the batch: a delete compacts its own row, and
-// an insert lands in its row's slack. Only when a row has no room for its
-// inserts, or the holes deletes left make the slot array longer than
-// 9/8·|E| + 2·|V| plus the batch, is the whole graph laid out afresh
-// (relayout), in place. A batch that changes no row moves nothing.
+// inserts. A graph whose rows are sorted by target (SortedRows, or a
+// transpose) takes each insert after its row's equal targets instead, so
+// it stays sorted. The work follows the batch: a delete compacts its own
+// row, the edges after it moving down in order, and an insert lands in
+// its row's slack (a sorted row's edges past it move up to make room).
+// Only when a row has no room for its inserts, or the holes deletes left
+// make the slot array longer than 9/8·|E| + 2·|V| plus the batch, is the
+// whole graph laid out afresh (relayout), in place. A batch that changes no row moves nothing.
 // The vertex universe [0,n) is fixed at construction time — mutations
 // referencing vertices outside it are rejected before anything is
 // modified, so a failed call leaves the graph untouched. Compiled plans
@@ -82,6 +86,13 @@ func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) (moved int, err erro
 	if !fits || 8*int(g.offsets[g.n]) > 9*g.m+16*int(g.n)+8*(len(ins)+len(del)) {
 		moved += g.relayout(ins)
 	}
+	if g.sorted {
+		for lo, hi := 0, 0; lo < len(ins); lo = hi {
+			hi = rowEnd(ins, lo)
+			moved += g.merge(inserts, ins[lo:hi])
+		}
+		return moved + len(ins), nil
+	}
 	for _, k := range ins {
 		e := inserts[uint32(k)]
 		at := g.ends[e.Src]
@@ -92,6 +103,36 @@ func (g *Graph) ApplyEdgeMutations(inserts, deletes []Edge) (moved int, err erro
 		g.ends[e.Src]++
 	}
 	return moved + len(ins), nil
+}
+
+// merge splices one row's inserts — ks, its batch entries in batch order
+// — into the sorted row, each after the row's targets it equals, in one
+// pass from the row's end, and returns how many of the row's edges moved.
+func (g *Graph) merge(inserts []Edge, ks []uint64) (moved int) {
+	slices.SortStableFunc(ks, func(a, b uint64) int {
+		return cmp.Compare(inserts[uint32(a)].Dst, inserts[uint32(b)].Dst)
+	})
+	v := row(ks[0])
+	lo, i := g.offsets[v], g.ends[v]-1
+	g.ends[v] += int32(len(ks))
+	for at, j := g.ends[v]-1, len(ks)-1; j >= 0; at-- {
+		e := inserts[uint32(ks[j])]
+		if i >= lo && g.targets[i] > e.Dst {
+			g.targets[at] = g.targets[i]
+			if g.weights != nil {
+				g.weights[at] = g.weights[i]
+			}
+			i--
+			moved++
+			continue
+		}
+		g.targets[at] = e.Dst
+		if g.weights != nil {
+			g.weights[at] = e.W
+		}
+		j--
+	}
+	return moved
 }
 
 // relayout gives every row its live edges, room for its inserts in ins

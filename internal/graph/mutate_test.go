@@ -383,7 +383,9 @@ func TestSpliceWorkFollowsBatchNotGraph(t *testing.T) {
 // FuzzApplyEdgeMutations: a graph seeded from one byte string takes the
 // batches another spells out, and after each it matches the FromEdges
 // rebuild row for row — and so do everything read off it in one sweep:
-// WeightStats, InSources, Reverse, OutDegrees and the WriteTSV bytes.
+// WeightStats, InSources, Reverse, OutDegrees and the WriteTSV bytes. Its
+// SortedRows copy takes the same batches and after each matches the
+// rebuild's SortedRows row for row.
 func FuzzApplyEdgeMutations(f *testing.F) {
 	f.Add(uint8(4), true, []byte("\x00\x01\x04\x00\x01\x08\x01\x02\xfc\x03\x00\x00"), []byte("\x00\x00\x02\x05\x01\x00\x01\x00\x02\x00\x00\x00\x00\x03\x03\x01"))
 	f.Add(uint8(0), false, []byte{}, []byte("\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"))
@@ -404,6 +406,7 @@ func FuzzApplyEdgeMutations(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sorted := g.SortedRows()
 		var ins, del []Edge
 		flush := func() {
 			want, err := rebuilt(g, ins, del)
@@ -413,6 +416,10 @@ func FuzzApplyEdgeMutations(f *testing.F) {
 			apply(t, g, ins, del)
 			if err := sameRows(g, want, len(ins)+len(del)); err != nil {
 				t.Fatal(err)
+			}
+			apply(t, sorted, ins, del)
+			if err := sameRows(sorted, want.SortedRows(), len(ins)+len(del)); err != nil {
+				t.Fatalf("SortedRows: %v", err)
 			}
 			lo, hi, mean := g.WeightStats()
 			wlo, whi, wmean := want.WeightStats()

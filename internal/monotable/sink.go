@@ -93,11 +93,18 @@ type Sink struct {
 // before the row goes on, returning that owner and the edge to go on
 // from, or at the row's end with owner -1.
 //
-// There is one loop per form — Given values go through MulW's — so an
-// edge pays no test of the form, and a Const row's urgency is one test. A
-// slot whose bit is already set — the common case — is a load, a fold
-// and a store in the loop; its first fold goes through FoldDeltaOwned,
-// which marks a shard's row dirty or stages a mirror's slot.
+// A row folds as runs of one owner: the route splits a run's first
+// target, which picks the run's column, and the edges after it stay in
+// the run while their targets fall in that owner's block; the run is
+// counted once, where it ends. An edge of a run is a slot subtract, a
+// bit test and a fold — a load, a fold and a store when the slot's bit
+// is already set, the common case; its first fold goes through
+// FoldDeltaOwned, which marks a shard's row dirty or stages a mirror's
+// slot. On a row sorted by target (graph.SortedRows) there is
+// one run per owner the row reaches; any other row folds the same, in
+// shorter runs. There is one loop per form — Given values go through
+// MulW's — so an edge pays no test of the form, and a Const row's
+// urgency is one test.
 func (s *Sink) Fold(f Form, x float64, targets []int32, per []float64, i int) (next, owner int) {
 	switch f {
 	case Const:
@@ -111,6 +118,22 @@ func (s *Sink) Fold(f Form, x float64, targets []int32, per []float64, i int) (n
 	}
 }
 
+// run opens the run that starts at target t: its owner, the owner's
+// column and the first key of the owner's block. A run reads and writes
+// the column's value and bit slices as Column.held, at and put do, held
+// in locals: FoldDeltaOwned, the one call in a run, grows neither.
+func (s *Sink) run(t int32) (o int, c *Column, base int) {
+	slot, o := s.Route.Split(t)
+	return o, s.Cols[o], int(t) - slot
+}
+
+// stop ends a run at edge j, which the fold stops after: edges i to j
+// are counted for owner o.
+func (s *Sink) stop(i, j, o int) (int, int) {
+	s.Counts[o] += int64(j + 1 - i)
+	return j + 1, o
+}
+
 // stage is an edge's first fold into slot of owner o's column c: whether
 // the owner must now be flushed for its limit.
 func (s *Sink) stage(c *Column, slot, o int, v float64) bool {
@@ -118,58 +141,81 @@ func (s *Sink) stage(c *Column, slot, o int, v float64) bool {
 }
 
 func (s *Sink) foldConst(v float64, ts []int32, i int) (int, int) {
-	kind, cols, counts := s.Cols[0].op.Kind(), s.Cols, s.Counts
-	urgent := agg.Abs(v) >= s.Urgent
-	for ; i < len(ts); i++ {
-		slot, o := s.Route.Split(ts[i])
-		c := cols[o]
-		counts[o]++
-		if c.held(slot) {
-			c.put(slot, kind.Fold(c.at(slot), v))
-		} else if s.stage(c, slot, o, v) {
-			return i + 1, o
+	kind, size, urgent := s.Cols[0].op.Kind(), uint(s.Route.size), agg.Abs(v) >= s.Urgent
+	for i < len(ts) {
+		o, c, base := s.run(ts[i])
+		inter, dirty := c.inter, c.dirty
+		j := i
+		for ; j < len(ts); j++ {
+			slot := int(ts[j]) - base
+			if uint(slot) >= size {
+				break
+			}
+			if dirty[uint(slot)/32]&(1<<(uint(slot)%32)) != 0 {
+				inter[slot] = toBits(kind.Fold(fromBits(inter[slot]), v))
+			} else if s.stage(c, slot, o, v) {
+				return s.stop(i, j, o)
+			}
+			if urgent {
+				return s.stop(i, j, o)
+			}
 		}
-		if urgent {
-			return i + 1, o
-		}
+		s.Counts[o] += int64(j - i)
+		i = j
 	}
 	return i, -1
 }
 
 func (s *Sink) foldAddW(x float64, ts []int32, ws []float64, i int) (int, int) {
-	kind, cols, counts, urgent := s.Cols[0].op.Kind(), s.Cols, s.Counts, s.Urgent
-	for ; i < len(ts); i++ {
-		v := x + ws[i]
-		slot, o := s.Route.Split(ts[i])
-		c := cols[o]
-		counts[o]++
-		if c.held(slot) {
-			c.put(slot, kind.Fold(c.at(slot), v))
-		} else if s.stage(c, slot, o, v) {
-			return i + 1, o
+	kind, size, urgent := s.Cols[0].op.Kind(), uint(s.Route.size), s.Urgent
+	for i < len(ts) {
+		o, c, base := s.run(ts[i])
+		inter, dirty := c.inter, c.dirty
+		j := i
+		for ; j < len(ts); j++ {
+			slot := int(ts[j]) - base
+			if uint(slot) >= size {
+				break
+			}
+			v := x + ws[j]
+			if dirty[uint(slot)/32]&(1<<(uint(slot)%32)) != 0 {
+				inter[slot] = toBits(kind.Fold(fromBits(inter[slot]), v))
+			} else if s.stage(c, slot, o, v) {
+				return s.stop(i, j, o)
+			}
+			if agg.Abs(v) >= urgent {
+				return s.stop(i, j, o)
+			}
 		}
-		if agg.Abs(v) >= urgent {
-			return i + 1, o
-		}
+		s.Counts[o] += int64(j - i)
+		i = j
 	}
 	return i, -1
 }
 
 func (s *Sink) foldMulW(x float64, ts []int32, ws []float64, i int) (int, int) {
-	kind, cols, counts, urgent := s.Cols[0].op.Kind(), s.Cols, s.Counts, s.Urgent
-	for ; i < len(ts); i++ {
-		v := float64(x * ws[i]) // rounded here: a sum's add must not fuse with it
-		slot, o := s.Route.Split(ts[i])
-		c := cols[o]
-		counts[o]++
-		if c.held(slot) {
-			c.put(slot, kind.Fold(c.at(slot), v))
-		} else if s.stage(c, slot, o, v) {
-			return i + 1, o
+	kind, size, urgent := s.Cols[0].op.Kind(), uint(s.Route.size), s.Urgent
+	for i < len(ts) {
+		o, c, base := s.run(ts[i])
+		inter, dirty := c.inter, c.dirty
+		j := i
+		for ; j < len(ts); j++ {
+			slot := int(ts[j]) - base
+			if uint(slot) >= size {
+				break
+			}
+			v := float64(x * ws[j]) // rounded here: a sum's add must not fuse with it
+			if dirty[uint(slot)/32]&(1<<(uint(slot)%32)) != 0 {
+				inter[slot] = toBits(kind.Fold(fromBits(inter[slot]), v))
+			} else if s.stage(c, slot, o, v) {
+				return s.stop(i, j, o)
+			}
+			if agg.Abs(v) >= urgent {
+				return s.stop(i, j, o)
+			}
 		}
-		if agg.Abs(v) >= urgent {
-			return i + 1, o
-		}
+		s.Counts[o] += int64(j - i)
+		i = j
 	}
 	return i, -1
 }

@@ -1,6 +1,7 @@
 package monotable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -173,6 +174,22 @@ func checkOwned(t *testing.T, c ownedCase) {
 	}
 }
 
+// sortRow is row laid out as the plan lays out its rows
+// (graph.SortedRows): by target, parallel edges in row order.
+func sortRow(row ownedRow) ownedRow {
+	at := make([]int, len(row.targets))
+	for i := range at {
+		at[i] = i
+	}
+	slices.SortStableFunc(at, func(a, b int) int { return cmp.Compare(row.targets[a], row.targets[b]) })
+	out := ownedRow{form: row.form, x: row.x}
+	for _, i := range at {
+		out.targets = append(out.targets, row.targets[i])
+		out.per = append(out.per, row.per[i])
+	}
+	return out
+}
+
 // ownedSpecials are the values a fold can get wrong: signed zeros, a NaN,
 // infinities — a selective aggregate's identity among them — and values
 // that cancel.
@@ -183,7 +200,8 @@ var ownedSpecials = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 
 // to what the per-edge sink it replaced leaves — the same Intermediate
 // bits, dirty words and staged order, the same β counts, and a flush
 // after the same edge of each owner, with limits that trip mid-row and
-// urgency off and on.
+// urgency off and on — on rows in any order, then on rows sorted by
+// target, whose runs of one owner the fold walks whole.
 func TestOwnedRowMatchesPerEdge(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	value := func() float64 {
@@ -215,14 +233,49 @@ func TestOwnedRowMatchesPerEdge(t *testing.T) {
 			}
 		}
 	}
+	// Sorted rows, as the plan lays them out: one run per owner, across 1
+	// to 3 block boundaries, with runs of parallel targets, limits that
+	// trip mid-run and, every other case, urgent values mid-run.
+	for _, kind := range []agg.Kind{agg.Sum, agg.Count, agg.Min, agg.Max} {
+		for _, form := range []Form{Given, Const, AddW, MulW} {
+			for trial := 0; trial < 40; trial++ {
+				size, workers := 2+rng.Intn(40), 2+rng.Intn(3)
+				c := ownedCase{kind: kind, n: size * workers, workers: workers, urgent: math.NaN()}
+				c.self = rng.Intn(c.workers)
+				for range c.workers {
+					c.limits = append(c.limits, []int{1, 2, 3, 7, 4096}[rng.Intn(5)])
+				}
+				if trial%2 == 0 {
+					c.urgent = []float64{0.5, 2, 4}[rng.Intn(3)]
+				}
+				for range 1 + rng.Intn(6) {
+					cross := 1 + rng.Intn(min(3, workers-1))
+					first := rng.Intn(workers - cross)
+					row := ownedRow{form: form, x: value()}
+					for o := first; o <= first+cross; o++ { // every block of the span, at its first key
+						row.targets, row.per = append(row.targets, int32(o*size)), append(row.per, value())
+					}
+					for range rng.Intn(300) {
+						t := int32(first*size + rng.Intn((cross+1)*size))
+						for range 1 + rng.Intn(3) {
+							row.targets, row.per = append(row.targets, t), append(row.per, value())
+						}
+					}
+					c.rows = append(c.rows, sortRow(row))
+				}
+				checkOwned(t, c)
+			}
+		}
+	}
 }
 
 // FuzzOwnedRow is TestOwnedRowMatchesPerEdge over rows the fuzzer spells
 // out: the form, the aggregate, the fleet, a target a byte, an edge's
 // weight or value eight bytes (cycled along the row), the scalar, one
 // limit for every owner and the urgency threshold. Each row is folded
-// twice, the second time into the slots the first left dirty. The seed
-// corpus is testdata/fuzz/FuzzOwnedRow.
+// twice, the second time into the slots the first left dirty, and then
+// so is the row sorted by target. The seed corpus is
+// testdata/fuzz/FuzzOwnedRow.
 func FuzzOwnedRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, form, kind, fleet uint8, targets, per []byte, x float64, limit uint8, urgent float64) {
 		const n = 64
@@ -248,6 +301,9 @@ func FuzzOwnedRow(f *testing.F) {
 			}
 		}
 		c.rows = []ownedRow{row, row}
+		checkOwned(t, c)
+		sorted := sortRow(row)
+		c.rows = []ownedRow{sorted, sorted}
 		checkOwned(t, c)
 	})
 }

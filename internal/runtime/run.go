@@ -60,8 +60,9 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 
 // setUp is what Open and RunWorker do before any worker runs: validate
 // cfg, fill in its defaults — Workers is the network's size when
-// workers > 0 — and refuse a plan the mode cannot run, so a bad request
-// fails before a goroutine starts.
+// workers > 0 — refuse a plan the mode cannot run, so a bad request
+// fails before a goroutine starts, and lay out the rows the plan's
+// kernels walk (compiler.Plan.Layout, once per plan).
 func setUp(plan *compiler.Plan, cfg Config, workers int) (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err
@@ -76,6 +77,7 @@ func setUp(plan *compiler.Plan, cfg Config, workers int) (Config, error) {
 	if !cfg.Mode.MRA() && len(plan.BaseNaive) == 0 {
 		return cfg, fmt.Errorf("runtime: naive evaluation has no base tuples to derive from")
 	}
+	plan.Layout()
 	return applyPriorityDefault(cfg, plan), nil
 }
 

@@ -16,11 +16,13 @@ import (
 // (monotable.Sink) — as worker 0 of a static fleet runs it over a dense
 // frontier: every owned key is dirtied (with a value that improves, for
 // SSSP) before each pass, on plperf's pagerank-rmat-bsp graph, in direct
-// passes. ns/edge is the pass time over the out-edges of the rows it
-// propagated. One reciprocal route serves every fleet size, but the two
-// sizes are not like for like: a third worker makes 2/3 of the edges
-// remote, and on R-MAT the low ids worker 0 of 2 owns are the
-// high-degree ones (74 % of the out-edges).
+// passes over the rows as a fixpoint walks them: sorted by target
+// (compiler.Plan.Layout), so a row folds as one run per owner. ns/edge
+// is the pass time over the out-edges of the rows it propagated. One
+// reciprocal route serves every fleet size, but the two sizes are not
+// like for like: a third worker makes 2/3 of the edges remote, and on
+// R-MAT the low ids worker 0 of 2 owns are the high-degree ones (74 % of
+// the out-edges).
 func BenchmarkScanPass(b *testing.B) {
 	for _, bc := range []struct {
 		name, src string

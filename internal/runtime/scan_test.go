@@ -92,9 +92,10 @@ func standaloneWorker(t testing.TB, plan *compiler.Plan, cfg Config) *worker {
 
 // workerZero builds worker 0 of a cfg.Workers fleet whose other slots
 // are bare endpoints: what it sends its peers piles up in their inboxes
-// until the caller drains them.
+// until the caller drains them. Its rows are laid out as setUp lays them.
 func workerZero(t testing.TB, plan *compiler.Plan, cfg Config) (*worker, *peerInboxes) {
 	t.Helper()
+	plan.Layout()
 	net := transport.NewChannelNetwork(cfg.Workers, 4096)
 	w := newWorker(0, cfg.withDefaults(), plan, net.Conn(0))
 	t.Cleanup(func() {

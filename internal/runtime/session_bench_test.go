@@ -19,18 +19,25 @@ import (
 // the work (edges-read/op, border-rows/op) and what the CSR splice
 // copied (edges-moved/op). PageRank/mixed is the mixed batch on a warm
 // PageRank session over the same graph: its delta step also re-derives
-// the degree view, over the whole graph, on every batch. Run it with
+// the degree view, over the whole graph, on every batch.
+// Reversed/mixed is the mixed batch on an in-neighbour SSSP (the
+// distances to vertex 0), whose plan propagates over the graph's
+// transpose and splices each batch into it too. Run it with
 // -cpu 2 -benchmem and a fixed -benchtime such as 300x: a delete-only
 // run thins the graph as it goes. For a paired
 // comparison build one `go test -c` binary per commit (the go guide)
 // and alternate them; plperf, not this, is the gate.
 func BenchmarkSessionApply(b *testing.B) {
+	const reversedSSSP = `
+r1. d(X,v) :- X=0, v=0.
+r2. d(Y,min[v1]) :- d(X,v), edge(Y,X,w), v1 = v + w.`
 	for _, bc := range []struct {
 		name, src string
 		ins, del  int
 	}{
 		{"empty", progs.SSSP, 0, 0}, {"insert", progs.SSSP, 85, 0}, {"delete", progs.SSSP, 0, 85},
 		{"mixed", progs.SSSP, 85, 85}, {"PageRank/mixed", progs.PageRank, 85, 85},
+		{"Reversed/mixed", reversedSSSP, 85, 85},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			g := gen.RMAT(14, 171000, 100, 1)

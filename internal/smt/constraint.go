@@ -106,6 +106,18 @@ func domainsOf(vars []string, cons []Constraint) []domain {
 	return d
 }
 
+// feasible reports whether every variable cons constrains has a value
+// that meets all of its constraints; a NaN bound is met by none.
+func feasible(cons []Constraint) bool {
+	for _, c := range cons {
+		d := domainsOf([]string{c.Var}, cons)[0]
+		if c.Bound != c.Bound || d.lo > d.hi || d.lo == d.hi && (d.loOpen || d.hiOpen) {
+			return false
+		}
+	}
+	return true
+}
+
 // interestingPoints are the structured sample values the falsifier tries
 // first; they cover signs, zero, fractions, and moderately large values.
 var interestingPoints = []float64{0, 1, -1, 2, -2, 0.5, -0.5, 3, -3, 10, -10, 0.1, -0.1, 7, -7, 100, -100}

@@ -344,7 +344,13 @@ func consIneqs(cons []Constraint) []*linIneq {
 // frame, the sorted variables' values in order, and every expression a
 // closure over it (expr.Compile): the draws, their order and the
 // floating-point operations are those of evaluating the trees over a map.
+// An empty region — a constraint no value of its variable meets, bound
+// by the sample or not, or a constant condition that does not hold —
+// holds no counterexample, and falsify reports none.
 func falsify(diff *expr.Expr, conds []cond, cons []Constraint, rng *rand.Rand, tries int) (map[string]float64, bool) {
+	if !feasible(cons) {
+		return nil, false
+	}
 	varSet := map[string]bool{}
 	for _, v := range diff.Vars() {
 		varSet[v] = true
@@ -373,6 +379,11 @@ func falsify(diff *expr.Expr, conds []cond, cons []Constraint, rng *rand.Rand, t
 	}
 	value := compile(diff)
 	if len(vars) == 0 {
+		for _, c := range conds {
+			if !c.holds(compile(c.e)(nil)) {
+				return nil, false
+			}
+		}
 		if math.Abs(value(nil)) > eqTol {
 			return map[string]float64{}, true
 		}

@@ -258,6 +258,37 @@ func TestProveP2TanhFails(t *testing.T) {
 	}
 }
 
+// TestRefuteNeedsARegion: a counterexample must lie in the query's
+// region. A constant condition that does not hold, or bounds that no
+// value of a variable the difference does not use meets, leave none, so
+// the sampling half never calls such a query Invalid; GCN-Forward and
+// CommNet, whose regions are not empty, it still refutes.
+func TestRefuteNeedsARegion(t *testing.T) {
+	three := expr.Num(3)
+	gcnL, gcnR := p2Template("sum", func(x *expr.Expr) *expr.Expr {
+		return expr.Mul(expr.Call("relu", expr.Mul(x, expr.Var("p"))), expr.Var("w"))
+	})
+	tanhL, tanhR := p2Template("sum", func(x *expr.Expr) *expr.Expr { return expr.Call("tanh", x) })
+	for _, tc := range []struct {
+		name     string
+		lhs, rhs *expr.Expr
+		below    []*expr.Expr // the region: each of these < 0
+		cons     []Constraint
+		invalid  bool
+	}{
+		{"relu(3) = (3 + abs(3)) / 2 on 3 < 0", expr.Call("relu", three),
+			expr.Div(expr.Add(three, expr.Call("abs", three)), expr.Num(2)), []*expr.Expr{three}, nil, false},
+		{"y = y + 1 under x > 1, x < 0", expr.Var("y"), expr.Add(expr.Var("y"), expr.Num(1)), nil,
+			[]Constraint{{Var: "x", Rel: Gt, Bound: 1}, {Var: "x", Rel: Lt, Bound: 0}}, false},
+		{"GCN-Forward", gcnL, gcnR, nil, []Constraint{{Var: "w", Rel: Gt, Bound: 0}, {Var: "p", Rel: Gt, Bound: 0}}, true},
+		{"CommNet", tanhL, tanhR, nil, nil, true},
+	} {
+		if got := Refute(tc.lhs, tc.rhs, tc.below, tc.cons); (got == Invalid) != tc.invalid {
+			t.Errorf("%s: %v, want invalid %v", tc.name, got, tc.invalid)
+		}
+	}
+}
+
 func TestProveP2MinNegativeCoefficientFails(t *testing.T) {
 	// f = -x is decreasing: min does not distribute; must be refuted.
 	f := func(x *expr.Expr) *expr.Expr { return expr.Neg(x) }
