@@ -177,12 +177,18 @@ func BenchmarkLoadTSV(b *testing.B) {
 	}
 }
 
-// BenchmarkSortedRows measures the layout a plan's first fixpoint builds
-// (compiler.Plan.Layout): graph.SortedRows of each plperf workload's
-// graph — R-MAT 2^13 unweighted, the 8000-vertex chain, R-MAT 2^14
-// weighted — ms per copy, and B/op its bytes. At -cpu 1 the sort runs
-// in one part, serially: -cpu 1,2 is the serial/parallel pair.
-func BenchmarkSortedRows(b *testing.B) {
+// BenchmarkSortRows measures the layout a plan's first fixpoint runs
+// (compiler.Plan.Layout): graph.SortRows, in place, on each plperf
+// workload's graph — R-MAT 2^13 unweighted, the 8000-vertex chain, R-MAT
+// 2^14 weighted and the weighted Flickr stand-in — ms per sort, and B/op
+// the bytes it allocates. A graph sorts once, so every op sorts a fresh
+// copy, made with the timer stopped. At -cpu 1 the sort runs in one
+// part, serially: -cpu 1,2 is the serial/parallel pair.
+func BenchmarkSortRows(b *testing.B) {
+	flickr, err := gen.DatasetByName("Flickr")
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name string
 		g    *graph.Graph
@@ -190,11 +196,20 @@ func BenchmarkSortedRows(b *testing.B) {
 		{"rmat13-82k", gen.RMAT(13, 82000, 0, 1)},
 		{"chain-8k", gen.LocalChain(8000, 4, 40, 100, 1)},
 		{"rmat14-171k-weighted", gen.RMAT(14, 171000, 100, 1)},
+		{"flickr-weighted", flickr.Build(true)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			edges := bc.g.Edges()
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bc.g.SortedRows()
+				b.StopTimer()
+				g, err := graph.FromEdges(bc.g.NumVertices(), edges, bc.g.Weighted())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				g.SortRows()
 			}
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 		})

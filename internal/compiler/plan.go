@@ -6,7 +6,6 @@ package compiler
 
 import (
 	"fmt"
-	"sync"
 
 	"powerlog/internal/agg"
 	"powerlog/internal/analyzer"
@@ -43,8 +42,7 @@ type Plan struct {
 	// N is the dense key-space size (vertex count) for single-key plans.
 	N int
 	// Graph is the propagation structure joined in the recursive body:
-	// the join graph, or its transpose for an in-neighbour body. Layout
-	// replaces a join graph with its copy sorted by target.
+	// the join graph, or its transpose for an in-neighbour body.
 	Graph *graph.Graph
 
 	// Kernel evaluates the incremental F' row by row; FullKernel the
@@ -84,27 +82,18 @@ type Plan struct {
 	fold  fold
 	delta *deltaScratch
 	in    *inIndex
-	// layout guards Layout's one build of the sorted rows; a copy of the
-	// Plan shares it.
-	layout *sync.Once
 }
 
-// Layout lays the rows the kernels walk out sorted by target, once
-// (graph.SortedRows): monotable.Sink folds such a row as one run per
-// owner. A transpose's rows are sorted already; any other Graph is
-// replaced by its sorted copy, which ApplyMutation splices beside the
-// join graph from then on, and the join graph itself is never
-// reordered. The runtime calls it before a plan's first fixpoint, so a
-// plan that is only checked or explained never builds the copy. It is
-// safe for concurrent use: the workers that share a plan build it once.
-func (p *Plan) Layout() {
-	p.layout.Do(func() {
-		if p.Graph == p.shape.base {
-			g := p.Graph.SortedRows()
-			p.Graph, p.Kernel.g, p.FullKernel.g = g, g, g
-		}
-	})
-}
+// Layout sorts the rows the kernels walk by target, in place
+// (graph.SortRows): monotable.Sink folds such a row as one run per
+// owner. A transpose's rows are sorted already; a join graph is the
+// database's own, so from then on the EDB, every plan over it and a
+// session read and splice the one sorted graph. The runtime calls it
+// before a plan's first fixpoint, so a plan that is only checked or
+// explained leaves the rows as they were loaded. It is safe for
+// concurrent use — plans that share a graph sort it once — but not
+// beside a compile over the same database.
+func (p *Plan) Layout() { p.Graph.SortRows() }
 
 // EncodePair packs two 31-bit keys into one table key.
 func EncodePair(hi, lo int64) int64 { return hi<<32 | lo }

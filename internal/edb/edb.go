@@ -128,7 +128,10 @@ func (db *DB) Clone() *DB {
 	return out
 }
 
-// SetGraph registers a graph under a predicate name (e.g. "edge").
+// SetGraph registers a graph under a predicate name (e.g. "edge"). The
+// graph is the engine's from then on: the first fixpoint over it sorts
+// its rows by target in place (compiler.Plan.Layout) and a session
+// splices it, so a caller who needs its own row order keeps a copy.
 func (db *DB) SetGraph(name string, g *graph.Graph) { db.graphs[name] = g }
 
 // DropRelation removes a relation from the registry: a derived relation

@@ -27,7 +27,9 @@ type Edge struct {
 // Graph is a CSR directed graph. Weights is nil for unweighted graphs.
 // Graphs are safe for concurrent reads. Row v's edges are the slots
 // [offsets[v], ends[v]); the slots up to offsets[v+1] are the row's slack,
-// which a graph only gets once ApplyEdgeMutations lays it out.
+// which a graph only gets once ApplyEdgeMutations lays it out. The first
+// fixpoint over a graph reorders its rows by target (SortRows), so a
+// caller who needs the order it built keeps a copy.
 type Graph struct {
 	n       int32
 	m       int     // live edges
@@ -35,8 +37,9 @@ type Graph struct {
 	ends    []int32 // len n
 	targets []int32 // one per slot
 	weights []float64
-	spare   []int32 // the offsets a relayout replaced, for the next one
-	sorted  bool    // each row lists its edges by target (SortedRows)
+	spare   []int32   // the offsets a relayout replaced, for the next one
+	sorted  bool      // each row lists its edges by target (SortRows)
+	layout  sync.Once // SortRows's one sort
 }
 
 // FromEdges builds a CSR graph over vertices [0,n) from an edge list.
@@ -173,7 +176,8 @@ func (g *Graph) FindEdge(bad func(w float64) bool) (Edge, bool) {
 	return Edge{}, false
 }
 
-// Edges materialises the edge list (mostly for tests and export).
+// Edges materialises the edge list (mostly for tests and export) in row
+// order: by target once the graph is sorted (SortRows).
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.m)
 	for v := int32(0); v < g.n; v++ {
@@ -197,79 +201,79 @@ func (g *Graph) Reverse() *Graph { return g.transposed(g.weights != nil) }
 // points at a vertex: 4 bytes an edge, no weights.
 func (g *Graph) InSources() *Graph { return g.transposed(false) }
 
-// SortedRows returns a copy of g whose rows list their edges by target,
-// parallel edges in the order g's row holds them: one counting sort by
-// target, then a scatter back by source. Rows are cut into one part per
-// processor, of about equal edges and at least 16 k of them, and the
-// parts sort side by side: on two cores each workload graph of
-// BenchmarkSortedRows sorts in 0.7–0.85 of its serial time.
-// ApplyEdgeMutations keeps the copy sorted — an insert lands after its
-// row's equal targets — so after a batch it is SortedRows of g after the
-// same batch.
-func (g *Graph) SortedRows() *Graph {
-	s := &Graph{n: g.n, m: g.m, offsets: make([]int32, g.n+1), ends: make([]int32, g.n), targets: make([]int32, g.m), sorted: true}
-	if g.weights != nil {
-		s.weights = make([]float64, g.m)
-	}
-	for v := int32(0); v < g.n; v++ {
-		s.offsets[v+1] = s.offsets[v] + g.ends[v] - g.offsets[v]
-	}
-	parts := max(1, min(runtime.GOMAXPROCS(0), g.m>>14))
-	var wg sync.WaitGroup
-	for k, lo := 1, int32(0); k <= parts; k++ {
-		hi := g.n
-		if k < parts {
-			i, _ := slices.BinarySearch(s.offsets, int32(g.m*k/parts))
-			hi = max(int32(i), lo)
+// SortRows lays every row out by target, in place: a row keeps its slots
+// and its parallel edges the order it held them in. It is one counting
+// sort by target, scattered back by source. Rows are cut into one part
+// per processor, of about equal edges and at least 16 k of them, and the
+// parts sort side by side. A graph sorts once: a transpose is sorted
+// from the start, ApplyEdgeMutations keeps a sorted graph sorted — an
+// insert lands after its row's equal targets — and a call on a sorted
+// graph returns at once. Callers may race to sort a graph they share;
+// nothing else may read it during the first call, which rewrites its
+// rows.
+func (g *Graph) SortRows() {
+	g.layout.Do(func() {
+		if g.sorted {
+			return
 		}
-		wg.Add(1)
-		go func(lo, hi int32) {
-			defer wg.Done()
-			s.sortRows(g, lo, hi)
-		}(lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	return s
+		parts := max(1, min(runtime.GOMAXPROCS(0), g.m>>14))
+		var wg sync.WaitGroup
+		for k, lo := 1, int32(0); k <= parts; k++ {
+			hi := g.n
+			if k < parts {
+				i, _ := slices.BinarySearch(g.offsets, int32(int(g.offsets[g.n])*k/parts))
+				hi = max(int32(i), lo)
+			}
+			wg.Add(1)
+			go func(lo, hi int32) {
+				defer wg.Done()
+				g.sortRows(lo, hi)
+			}(lo, hi)
+			lo = hi
+		}
+		wg.Wait()
+		g.sorted = true
+	})
 }
 
-// sortRows lays out g's rows [lo, hi) in s: their edges counted and
-// listed by target — the source and, on a weighted graph, the slot of
-// each, sources ascending and a row's parallel edges in its order — then
-// scattered back to their rows.
-func (s *Graph) sortRows(g *Graph, lo, hi int32) {
-	at := make([]int32, g.n+1) // by target: where its edges go in the list
+// sortRows lays out rows [lo, hi): their edges are counted and listed by
+// target — the source and, on a weighted graph, the weight of each,
+// sources ascending and a row's parallel edges in its order — then
+// written back to their rows, each row's end its fill cursor.
+func (g *Graph) sortRows(lo, hi int32) {
+	at, size := make([]int32, g.n+1), int32(0) // by target: where its edges go in the list
 	for v := lo; v < hi; v++ {
 		for _, t := range g.targets[g.offsets[v]:g.ends[v]] {
 			at[t+1]++
 		}
+		size += g.ends[v] - g.offsets[v]
 	}
 	for t := int32(0); t < g.n; t++ {
 		at[t+1] += at[t]
 	}
-	src, slot := make([]int32, s.offsets[hi]-s.offsets[lo]), []int32(nil)
+	src, w := make([]int32, size), []float64(nil)
 	if g.weights != nil {
-		slot = make([]int32, len(src))
+		w = make([]float64, size)
 	}
 	for v := lo; v < hi; v++ {
 		for i := g.offsets[v]; i < g.ends[v]; i++ {
 			p := at[g.targets[i]]
 			at[g.targets[i]]++
-			if src[p] = v; slot != nil {
-				slot[p] = i
+			if src[p] = v; w != nil {
+				w[p] = g.weights[i]
 			}
 		}
 	}
-	copy(s.ends[lo:hi], s.offsets[lo:hi]) // each row's fill cursor, left at its end
+	copy(g.ends[lo:hi], g.offsets[lo:hi])
 	p := int32(0)
 	for t := int32(0); t < g.n; t++ {
 		for ; p < at[t]; p++ {
 			v := src[p]
-			s.targets[s.ends[v]] = t
-			if g.weights != nil {
-				s.weights[s.ends[v]] = g.weights[slot[p]]
+			g.targets[g.ends[v]] = t
+			if w != nil {
+				g.weights[g.ends[v]] = w[p]
 			}
-			s.ends[v]++
+			g.ends[v]++
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
@@ -210,12 +211,12 @@ func TestTransposeMatchesEdgeListBuild(t *testing.T) {
 	}
 }
 
-// TestSortedRowsMatchesStableSort: SortedRows lays each row out as a
-// stable sort by target of the row as it stands — parallel edges, told
-// apart by their weights, in row order — on a graph with slack too, and
-// on one of 70 000 edges that it sorts in four parts; a transpose's rows
-// are that layout already.
-func TestSortedRowsMatchesStableSort(t *testing.T) {
+// TestSortRowsMatchesStableSort: SortRows lays each row out as a stable
+// sort by target of the row as it stands — parallel edges, told apart by
+// their weights, in row order — on a graph with slack too, and on one of
+// 70 000 edges that it sorts in four parts; a transpose's rows are that
+// layout already.
+func TestSortRowsMatchesStableSort(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	r := rand.New(rand.NewSource(56))
 	check := func(name string, g, s *Graph) {
@@ -249,12 +250,71 @@ func TestSortedRowsMatchesStableSort(t *testing.T) {
 		if _, err := g.ApplyEdgeMutations(ins, []Edge{{Src: 4, Dst: 7}}); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprint("SortedRows ", c.m), g, g.SortedRows())
+		check(fmt.Sprint("SortRows ", c.m), g, sortedClone(g))
 		rev := g.Reverse()
-		check(fmt.Sprint("Reverse ", c.m), rev, rev.SortedRows())
-		if err := sameRows(rev, rev.SortedRows(), 0); err != nil {
+		check(fmt.Sprint("Reverse ", c.m), rev, sortedClone(rev))
+		if err := sameRows(rev, sortedClone(rev), 0); err != nil {
 			t.Fatalf("a transpose is not sorted: %v", err)
 		}
+	}
+}
+
+// sortedClone is a copy of g, on arrays of its own, laid out by SortRows.
+func sortedClone(g *Graph) *Graph {
+	c := &Graph{n: g.n, m: g.m, offsets: slices.Clone(g.offsets), ends: slices.Clone(g.ends),
+		targets: slices.Clone(g.targets), weights: slices.Clone(g.weights), sorted: g.sorted}
+	c.SortRows()
+	return c
+}
+
+// TestSortRowsOnce: callers that share a graph may race to sort it. The
+// rows are sorted once, in place — the edge arrays stay where they were
+// and the bytes allocated are one sort's, not one per caller — and a
+// call on the sorted graph allocates nothing. Under -race, a sort that
+// ran beside another fails here.
+func TestSortRowsOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	r := rand.New(rand.NewSource(58))
+	edges := make([]Edge, 70000)
+	for i := range edges {
+		edges[i] = Edge{Src: int32(r.Intn(2000)), Dst: int32(r.Intn(2000)), W: float64(i)}
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	one := mustGraph(t, 2000, edges, true)
+	oneSort := allocated(one.SortRows)
+	g := mustGraph(t, 2000, edges, true)
+	targets := &g.targets[0]
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	all := allocated(func() {
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				g.SortRows()
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+	if all > oneSort*3/2 {
+		t.Fatalf("8 callers allocated %d bytes, one sort %d: sorted more than once", all, oneSort)
+	}
+	if &g.targets[0] != targets {
+		t.Fatal("SortRows moved the edge arrays")
+	}
+	if err := sameRows(g, one, 0); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10, g.SortRows); a != 0 {
+		t.Fatalf("SortRows on a sorted graph allocates %v times", a)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // endpoint pair, regardless of weight), then the inserts are appended,
 // each at the end of its source's row in batch order — row for row the
 // graph FromEdges would build from the surviving edges followed by the
-// inserts. A graph whose rows are sorted by target (SortedRows, or a
+// inserts. A graph whose rows are sorted by target (SortRows, or a
 // transpose) takes each insert after its row's equal targets instead, so
 // it stays sorted. The work follows the batch: a delete compacts its own
 // row, the edges after it moving down in order, and an insert lands in

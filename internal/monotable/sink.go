@@ -100,7 +100,7 @@ type Sink struct {
 // bit test and a fold — a load, a fold and a store when the slot's bit
 // is already set, the common case; its first fold goes through
 // FoldDeltaOwned, which marks a shard's row dirty or stages a mirror's
-// slot. On a row sorted by target (graph.SortedRows) there is
+// slot. On a row sorted by target (graph.SortRows) there is
 // one run per owner the row reaches; any other row folds the same, in
 // shorter runs. There is one loop per form — Given values go through
 // MulW's — so an edge pays no test of the form, and a Const row's

@@ -175,7 +175,7 @@ func checkOwned(t *testing.T, c ownedCase) {
 }
 
 // sortRow is row laid out as the plan lays out its rows
-// (graph.SortedRows): by target, parallel edges in row order.
+// (graph.SortRows): by target, parallel edges in row order.
 func sortRow(row ownedRow) ownedRow {
 	at := make([]int, len(row.targets))
 	for i := range at {

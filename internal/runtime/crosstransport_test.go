@@ -40,13 +40,19 @@ func runTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers int
 		c.SetAddressBook(addrs)
 	}
 
+	// Every plan is compiled before the first runs: newPlan may compile
+	// over one graph, which a worker's first fixpoint sorts in place.
+	plans := make([]*compiler.Plan, workers+1)
+	for i := range plans {
+		plans[i] = newPlan()
+	}
 	results := make([]map[int64]float64, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			local, err := RunWorker(newPlan(), cfg, eps[i])
+			local, err := RunWorker(plans[i], cfg, eps[i])
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -54,7 +60,7 @@ func runTCP(t *testing.T, newPlan func() *compiler.Plan, cfg Config, workers int
 			results[i] = local
 		}(i)
 	}
-	m, err := runMaster(newPlan(), cfg, eps[workers])
+	m, err := runMaster(plans[workers], cfg, eps[workers])
 	if err != nil {
 		t.Fatal(err)
 	}

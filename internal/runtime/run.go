@@ -62,7 +62,7 @@ func applyPriorityDefault(cfg Config, plan *compiler.Plan) Config {
 // cfg, fill in its defaults — Workers is the network's size when
 // workers > 0 — refuse a plan the mode cannot run, so a bad request
 // fails before a goroutine starts, and lay out the rows the plan's
-// kernels walk (compiler.Plan.Layout, once per plan).
+// kernels walk (compiler.Plan.Layout, once per graph).
 func setUp(plan *compiler.Plan, cfg Config, workers int) (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return cfg, err

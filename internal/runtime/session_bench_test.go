@@ -28,9 +28,6 @@ import (
 // comparison build one `go test -c` binary per commit (the go guide)
 // and alternate them; plperf, not this, is the gate.
 func BenchmarkSessionApply(b *testing.B) {
-	const reversedSSSP = `
-r1. d(X,v) :- X=0, v=0.
-r2. d(Y,min[v1]) :- d(X,v), edge(Y,X,w), v1 = v + w.`
 	for _, bc := range []struct {
 		name, src string
 		ins, del  int

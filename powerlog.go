@@ -187,7 +187,10 @@ func LoadGraphTSV(r io.Reader, weighted bool) (*Graph, error) {
 // Run executes a compiled plan. The zero Options run the unified
 // sync-async engine on four workers. Programs that fail the MRA check
 // are forced onto naive synchronous evaluation, mirroring the system
-// diagram in the paper's Figure 2.
+// diagram in the paper's Figure 2. The first run over a graph sorts its
+// rows by target in place (Database.SetGraph): a caller who needs its
+// own edge order keeps a copy, and compiles no plan over the database
+// while one runs.
 func Run(plan *Plan, opts Options) (*Result, error) {
 	rep := checker.Check(plan.Info)
 	if !rep.Satisfied && opts.Mode != ModeNaiveSync {
@@ -237,6 +240,8 @@ var (
 // Like Run, programs that fail the MRA check are forced onto naive
 // synchronous evaluation — which cannot re-fixpoint incrementally, so
 // Apply is rejected for them (the session is still useful for Result).
+// As under Run, the initial fixpoint sorts the graph's rows by target in
+// place, and each Apply splices that same graph.
 func Open(plan *Plan, opts Options) (*Session, error) {
 	rep := checker.Check(plan.Info)
 	if !rep.Satisfied && opts.Mode != ModeNaiveSync {
